@@ -1,6 +1,8 @@
 //! Microbenchmarks of the DD hot path the lossy-cache redesign targets:
 //! `add`, `mul_mv` (gate application), `inner_product`, and
-//! `sample_counts`, each on GHZ, QFT, and random-Clifford workloads.
+//! `sample_counts`, each on GHZ, QFT, and random-Clifford workloads,
+//! plus the package lifecycle (construct, optionally one gate, drop)
+//! that pooled execution pays once per job.
 //!
 //! Circuits are built from `Package` gate primitives directly (the
 //! `dd` crate sits below the circuit IR, so depending on the
@@ -147,11 +149,41 @@ fn bench_sample_counts(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a pooled worker pays per job before any gate runs: building a
+/// package (plain and layered over a snapshot) and dropping it, and the
+/// same around one gate so a compute-cache slab is provisioned too.
+fn bench_package_lifecycle(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hotpath_package_lifecycle");
+    group.bench_function("new_drop", |b| {
+        b.iter(|| drop(std::hint::black_box(Package::new())));
+    });
+    let mut base = Package::new();
+    let _ = ghz_state(&mut base, 12);
+    let snapshot = base.freeze();
+    group.bench_function("with_snapshot_drop", |b| {
+        b.iter(|| {
+            drop(std::hint::black_box(Package::with_snapshot(
+                &snapshot, None,
+            )))
+        });
+    });
+    group.bench_function("new_h_12q_drop", |b| {
+        b.iter(|| {
+            let mut p = Package::new();
+            let state = p.zero_state(12);
+            let h = p.single_gate(12, 5, GateKind::H.matrix()).expect("H");
+            std::hint::black_box(p.apply(h, state))
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_add,
     bench_mul_mv,
     bench_inner,
-    bench_sample_counts
+    bench_sample_counts,
+    bench_package_lifecycle
 );
 criterion_main!(benches);

@@ -79,7 +79,7 @@ impl Package {
         }
 
         // Memoized results may point at freed nodes.
-        self.clear_compute_tables();
+        self.ct.clear();
 
         self.stats.gc_freed += (vnodes_freed + mnodes_freed) as u64;
         let _ = span.finish();

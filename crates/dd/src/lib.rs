@@ -57,6 +57,21 @@
 //!   cache costs time, never a different answer. Size the caches per
 //!   package with [`Package::with_cache_bits`] (2^16 slots per table
 //!   by default).
+//! * **Cache memory is O(touched), not O(capacity).** Packages are
+//!   built per job, and most jobs never consult two of the four
+//!   tables, so a slot array is provided on its cache's **first
+//!   insert** (until then every lookup is a counted miss, and
+//!   [`CtStats::capacity`] reports the configured size regardless).
+//!   A dropped package retires its arrays to a **per-thread free
+//!   list**, and the next package on that thread takes them over one
+//!   generation on — every old slot dead in O(1), the same way a GC
+//!   clear works — so a pool worker fills its tables once, not once
+//!   per job. A thread retains at most one array per table (≈ 10.5 MiB
+//!   at the default size if all four were used) until it exits.
+//!   Neither mechanism can change a result or a counter: capacity,
+//!   index function, accounting and eviction are untouched, and an
+//!   unprovided, a fresh and a recycled cache answer every lookup
+//!   alike.
 //!
 //! Results are therefore **bit-identical across every cache
 //! configuration**; the workspace's `cache_equivalence` suite

@@ -82,7 +82,7 @@ impl Package {
         let (rk, ratio) = self.canonical_ratio(b.w / a.w);
         #[allow(clippy::cast_sign_loss)]
         let key = (a.node.0, b.node.0, rk.0 as u64, rk.1 as u64);
-        if let Some(cached) = self.ct_add.lookup(&key) {
+        if let Some(cached) = self.ct.add.lookup(&key) {
             return cached.scaled(a.w);
         }
 
@@ -91,7 +91,7 @@ impl Package {
         let r0 = self.add(an.edges[0], bn.edges[0].scaled(ratio));
         let r1 = self.add(an.edges[1], bn.edges[1].scaled(ratio));
         let res = self.make_vnode(an.var, r0, r1);
-        self.ct_add.insert(key, res);
+        self.ct.add.insert(key, res);
         res.scaled(a.w)
     }
 
@@ -123,7 +123,7 @@ impl Package {
         debug_assert_eq!(self.mlevel(m), self.vlevel(v), "mul level mismatch");
 
         let key = (m.node.0, v.node.0);
-        if let Some(cached) = self.ct_mul_mv.lookup(&key) {
+        if let Some(cached) = self.ct.mul_mv.lookup(&key) {
             return cached.scaled(m.w * v.w);
         }
 
@@ -137,7 +137,7 @@ impl Package {
         let p11 = self.mul_mv(mn.edges[3], vn.edges[1]);
         let r1 = self.add(p10, p11);
         let res = self.make_vnode(mn.var, r0, r1);
-        self.ct_mul_mv.insert(key, res);
+        self.ct.mul_mv.insert(key, res);
         res.scaled(m.w * v.w)
     }
 
@@ -162,7 +162,7 @@ impl Package {
         debug_assert_eq!(self.mlevel(a), self.mlevel(b), "mul_mm level mismatch");
 
         let key = (a.node.0, b.node.0);
-        if let Some(cached) = self.ct_mul_mm.lookup(&key) {
+        if let Some(cached) = self.ct.mul_mm.lookup(&key) {
             return cached.scaled(a.w * b.w);
         }
 
@@ -178,7 +178,7 @@ impl Package {
             *q = self.madd(t0, t1);
         }
         let res = self.make_mnode(an.var, quads);
-        self.ct_mul_mm.insert(key, res);
+        self.ct.mul_mm.insert(key, res);
         res.scaled(a.w * b.w)
     }
 
@@ -234,7 +234,7 @@ impl Package {
         debug_assert_eq!(self.vlevel(a), self.vlevel(b), "inner level mismatch");
 
         let key = (a.node.0, b.node.0);
-        if let Some(cached) = self.ct_inner.lookup(&key) {
+        if let Some(cached) = self.ct.inner.lookup(&key) {
             return a.w.conj() * b.w * cached;
         }
 
@@ -243,7 +243,7 @@ impl Package {
         let i0 = self.inner_product(an.edges[0], bn.edges[0]);
         let i1 = self.inner_product(an.edges[1], bn.edges[1]);
         let sum = i0 + i1;
-        self.ct_inner.insert(key, sum);
+        self.ct.inner.insert(key, sum);
         a.w.conj() * b.w * sum
     }
 

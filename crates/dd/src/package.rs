@@ -5,7 +5,7 @@ use std::hash::Hasher;
 use approxdd_complex::{Cplx, Tolerance};
 
 use crate::arena::Arena;
-use crate::ctable::{clamp_cache_bits, ComputeCache, CtStats, DEFAULT_COMPUTE_CACHE_BITS};
+use crate::ctable::{ComputeCaches, CtStats};
 use crate::edge::{MEdge, NodeId, VEdge};
 use crate::error::DdError;
 use crate::fasthash::FxHasher;
@@ -215,10 +215,9 @@ pub struct Package {
     /// before `ratio_canon` so frozen buckets keep their pinned
     /// representatives (first-write-wins across the snapshot boundary).
     pub(crate) ratio_frozen: Option<std::sync::Arc<crate::fasthash::FxHashMap<(i64, i64), Cplx>>>,
-    pub(crate) ct_add: ComputeCache<(u32, u32, u64, u64), VEdge>,
-    pub(crate) ct_mul_mv: ComputeCache<(u32, u32), VEdge>,
-    pub(crate) ct_mul_mm: ComputeCache<(u32, u32), MEdge>,
-    pub(crate) ct_inner: ComputeCache<(u32, u32), Cplx>,
+    /// The four lossy compute caches (`add`, `mul_mv`, `mul_mm`,
+    /// `inner`).
+    pub(crate) ct: ComputeCaches,
     /// `ident_cache[k]` is the identity matrix DD over levels `0..k`
     /// (height `k`); entry 0 is the terminal edge.
     pub(crate) ident_cache: Vec<MEdge>,
@@ -260,11 +259,6 @@ impl Package {
     /// lossy cache design).
     #[must_use]
     pub fn with_config(tol: Tolerance, cache_bits: Option<u32>) -> Self {
-        let bits = clamp_cache_bits(cache_bits.unwrap_or(DEFAULT_COMPUTE_CACHE_BITS));
-        // Filler entries are dead (generation-stamp 0) and never
-        // observable; any value works.
-        let no_key2 = (u32::MAX, u32::MAX);
-        let no_key4 = (u32::MAX, u32::MAX, 0, 0);
         Self {
             tol,
             vnodes: Arena::new(),
@@ -273,10 +267,7 @@ impl Package {
             munique: UniqueTable::new(),
             ratio_canon: crate::fasthash::FxHashMap::default(),
             ratio_frozen: None,
-            ct_add: ComputeCache::new(bits, no_key4, VEdge::ZERO),
-            ct_mul_mv: ComputeCache::new(bits, no_key2, VEdge::ZERO),
-            ct_mul_mm: ComputeCache::new(bits, no_key2, MEdge::ZERO),
-            ct_inner: ComputeCache::new(bits, no_key2, Cplx::ZERO),
+            ct: ComputeCaches::new(cache_bits),
             ident_cache: vec![MEdge::ONE],
             stats: PackageStats::default(),
         }
@@ -298,12 +289,7 @@ impl Package {
         s.mnodes_peak = self.mnodes.peak_count();
         s.unique_len = self.vunique.len() + self.munique.len();
         s.unique_capacity = self.vunique.capacity() + self.munique.capacity();
-        s.ct_add = self.ct_add.stats();
-        s.ct_mul_mv = self.ct_mul_mv.stats();
-        s.ct_mul_mm = self.ct_mul_mm.stats();
-        s.ct_inner = self.ct_inner.stats();
-        s.ct_hits = s.ct_add.hits + s.ct_mul_mv.hits + s.ct_mul_mm.hits + s.ct_inner.hits;
-        s.ct_misses = s.ct_add.misses + s.ct_mul_mv.misses + s.ct_mul_mm.misses + s.ct_inner.misses;
+        self.ct.report(&mut s);
         s.frozen_vnodes = self.vnodes.frozen_count();
         s.frozen_mnodes = self.mnodes.frozen_count();
         s
@@ -734,7 +720,7 @@ impl Package {
             // Only the private delta map resets: the frozen tier is a
             // snapshot invariant shared with every sibling package.
             self.ratio_canon.clear();
-            self.clear_compute_tables();
+            self.ct.clear();
         }
         let rk = self.tol.key(ratio);
         // Frozen buckets keep their pinned representatives so every
@@ -746,15 +732,6 @@ impl Package {
         }
         let canonical = *self.ratio_canon.entry(rk).or_insert(ratio);
         (rk, canonical)
-    }
-
-    /// Drops all memoized operation results (mandatory after GC). An
-    /// O(1) generation bump per cache — nothing is freed or rehashed.
-    pub(crate) fn clear_compute_tables(&mut self) {
-        self.ct_add.clear();
-        self.ct_mul_mv.clear();
-        self.ct_mul_mm.clear();
-        self.ct_inner.clear();
     }
 
     pub(crate) fn remove_vnode_from_unique(&mut self, id: u32, node: &VNode) {
@@ -915,16 +892,16 @@ mod tests {
         // therefore canonical-ratio bits, so a surviving entry could
         // disagree with a post-reset recomputation.
         let mut p = Package::new();
-        p.ct_mul_mv.insert((1, 2), VEdge::ONE);
-        p.ct_inner.insert((3, 4), Cplx::I);
+        p.ct.mul_mv.insert((1, 2), VEdge::ONE);
+        p.ct.inner.insert((3, 4), Cplx::I);
         for i in 0..(1 << 18) {
             p.ratio_canon.insert((i, 0), Cplx::ONE);
         }
         let (_, canonical) = p.canonical_ratio(Cplx::new(0.5, 0.0));
         assert_eq!(canonical, Cplx::new(0.5, 0.0), "map was reset");
         assert!(p.ratio_canon.len() <= 1);
-        assert_eq!(p.ct_mul_mv.lookup(&(1, 2)), None, "mul_mv must clear");
-        assert_eq!(p.ct_inner.lookup(&(3, 4)), None, "inner must clear");
+        assert_eq!(p.ct.mul_mv.lookup(&(1, 2)), None, "mul_mv must clear");
+        assert_eq!(p.ct.inner.lookup(&(3, 4)), None, "inner must clear");
     }
 
     #[test]

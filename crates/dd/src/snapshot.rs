@@ -39,8 +39,8 @@ use std::sync::Arc;
 use approxdd_complex::{Cplx, Tolerance};
 
 use crate::arena::{Arena, FrozenArena};
-use crate::ctable::{clamp_cache_bits, ComputeCache, DEFAULT_COMPUTE_CACHE_BITS};
-use crate::edge::{MEdge, VEdge};
+use crate::ctable::ComputeCaches;
+use crate::edge::MEdge;
 use crate::fasthash::FxHashMap;
 use crate::node::{MNode, VNode};
 use crate::package::{Package, PackageStats};
@@ -151,9 +151,6 @@ impl Package {
     #[must_use]
     pub fn with_snapshot(snapshot: &PackageSnapshot, cache_bits: Option<u32>) -> Self {
         snapshot.attaches.fetch_add(1, Ordering::Relaxed);
-        let bits = clamp_cache_bits(cache_bits.unwrap_or(DEFAULT_COMPUTE_CACHE_BITS));
-        let no_key2 = (u32::MAX, u32::MAX);
-        let no_key4 = (u32::MAX, u32::MAX, 0, 0);
         Self {
             tol: snapshot.tol,
             vnodes: Arena::with_frozen(Arc::clone(&snapshot.vnodes)),
@@ -162,10 +159,7 @@ impl Package {
             munique: UniqueTable::with_frozen(Arc::clone(&snapshot.munique)),
             ratio_canon: FxHashMap::default(),
             ratio_frozen: Some(Arc::clone(&snapshot.ratio_canon)),
-            ct_add: ComputeCache::new(bits, no_key4, VEdge::ZERO),
-            ct_mul_mv: ComputeCache::new(bits, no_key2, VEdge::ZERO),
-            ct_mul_mm: ComputeCache::new(bits, no_key2, MEdge::ZERO),
-            ct_inner: ComputeCache::new(bits, no_key2, Cplx::ZERO),
+            ct: ComputeCaches::new(cache_bits),
             ident_cache: snapshot.ident_cache.clone(),
             stats: PackageStats::default(),
         }

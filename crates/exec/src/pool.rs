@@ -17,7 +17,12 @@
 //!   backend from the shared [`SimulatorBuilder`] template for every
 //!   run job, making each outcome a pure function of the job itself.
 //!   (The serial benchmarks build a fresh backend per row for the same
-//!   reason, so nothing is lost relative to the status quo.)
+//!   reason, so nothing is lost relative to the status quo.) The
+//!   previous job's engine is dropped *before* its replacement is
+//!   built, so a worker never holds two engines, and the dropped
+//!   engine's compute-cache slabs are recycled by the new one (see
+//!   `approxdd_dd`'s cache provisioning notes) — construction costs no
+//!   table fill after a worker's first job.
 //!
 //! Copy-on-write snapshots (`SimulatorBuilder::share_snapshot`)
 //! preserve both properties while amortizing the per-job rebuild: the
@@ -1257,10 +1262,17 @@ impl BuildPool for SimulatorBuilder {
     }
 }
 
+/// Why `Worker::backend` can be unwrapped after `fresh_backend`.
+const BACKEND_BUILT: &str = "fresh_backend built this task's engine";
+
 struct Worker {
     id: usize,
     template: SimulatorBuilder,
-    backend: AnyBackend,
+    /// The current job's engine: `None` before the first task, and
+    /// while [`Worker::fresh_backend`] builds the next one.
+    backend: Option<AnyBackend>,
+    /// Times every engine construction (`backend.build` on `/metrics`).
+    build_timer: telemetry::PhaseTimer,
     epoch: Option<(u64, RunOutcome<AnyHandle>)>,
     /// Cache counters harvested from retired backends (each run job
     /// rebuilds the backend, so the live package only covers the
@@ -1293,14 +1305,19 @@ impl Worker {
         snapshot: Option<Arc<SimSnapshot>>,
         deadline: Option<Duration>,
     ) -> Option<Arc<AtomicBool>> {
-        if let Some(pkg) = self.backend.package_stats() {
-            self.harvested_ct_hits += pkg.ct_hits;
-            self.harvested_ct_misses += pkg.ct_misses;
-            self.harvested_peak_nodes = self.harvested_peak_nodes.max(pkg.peak_nodes());
-            self.harvested_snapshot_hits += pkg.snapshot_hits;
+        // Harvest, then release the old engine (its outcome handle
+        // first) before the new one exists: the worker peaks at one
+        // arena, unique-table and cache set, not two.
+        self.epoch = None;
+        if let Some(old) = self.backend.take() {
+            if let Some(pkg) = old.package_stats() {
+                self.harvested_ct_hits += pkg.ct_hits;
+                self.harvested_ct_misses += pkg.ct_misses;
+                self.harvested_peak_nodes = self.harvested_peak_nodes.max(pkg.peak_nodes());
+                self.harvested_snapshot_hits += pkg.snapshot_hits;
+            }
+            self.harvested_snapshot_gate_hits += old.snapshot_gate_hits();
         }
-        self.harvested_snapshot_gate_hits += self.backend.snapshot_gate_hits();
-        self.epoch = None; // handle dies with the old package
         let mut template = self.template.clone();
         if let Some(factory) = policy {
             template = template.policy_factory(Arc::clone(factory));
@@ -1313,7 +1330,10 @@ impl Worker {
             fired = Some(factory.fired_flag());
             template = template.policy_factory(Arc::new(factory));
         }
-        self.backend = template.build_engine_backend_with_snapshot(snapshot);
+        self.backend = Some(
+            self.build_timer
+                .time(|| template.build_engine_backend_with_snapshot(snapshot)),
+        );
         fired
     }
 
@@ -1371,17 +1391,17 @@ impl Worker {
 
     /// The dispatch-agnostic run body (backend already fresh).
     fn execute(&mut self, job: &PoolJob, seed: u64) -> Result<PoolOutcome, ExecError> {
+        let backend = self.backend.as_mut().expect(BACKEND_BUILT);
         let recorder = job.trace.then(|| {
             let recorder = TraceRecorder::shared();
-            self.backend
-                .attach_observer(recorder.clone() as SharedObserver);
+            backend.attach_observer(recorder.clone() as SharedObserver);
             recorder
         });
-        let exe = self.backend.prepare(&job.circuit)?;
-        let outcome = self.backend.run(&exe)?;
+        let exe = backend.prepare(&job.circuit)?;
+        let outcome = backend.run(&exe)?;
         let counts = if job.shots > 0 {
-            self.backend.reseed(seed);
-            Some(self.backend.sample_counts(&outcome, job.shots))
+            backend.reseed(seed);
+            Some(backend.sample_counts(&outcome, job.shots))
         } else {
             None
         };
@@ -1392,11 +1412,11 @@ impl Worker {
         let expectation = job
             .expectation
             .as_ref()
-            .map(|f| self.backend.expectation(&outcome, &**f));
-        let final_size = self.backend.final_size(&outcome);
+            .map(|f| backend.expectation(&outcome, &**f));
+        let final_size = backend.final_size(&outcome);
         let stats = outcome.stats.clone();
         let n_qubits = outcome.n_qubits();
-        self.backend.release(outcome);
+        backend.release(outcome);
         let expectation = expectation.transpose()?;
         let trace = recorder.map(|recorder| {
             recorder
@@ -1430,13 +1450,15 @@ impl Worker {
     ) -> Result<HashMap<u64, usize>, ExecError> {
         if self.epoch.as_ref().map(|(e, _)| *e) != Some(epoch) {
             self.fresh_backend(strategy, None, None, None);
-            let exe = self.backend.prepare(circuit)?;
-            let outcome = self.backend.run(&exe)?;
+            let backend = self.backend.as_mut().expect(BACKEND_BUILT);
+            let exe = backend.prepare(circuit)?;
+            let outcome = backend.run(&exe)?;
             self.epoch = Some((epoch, outcome));
         }
         let (_, outcome) = self.epoch.as_ref().expect("epoch state just ensured");
-        self.backend.reseed(seed);
-        Ok(self.backend.sample_counts(outcome, shots))
+        let backend = self.backend.as_mut().expect(BACKEND_BUILT);
+        backend.reseed(seed);
+        Ok(backend.sample_counts(outcome, shots))
     }
 
     fn note_task(
@@ -1456,10 +1478,11 @@ impl Worker {
         }
         stats.shots_drawn += shots;
         stats.busy += busy;
-        stats.cached_gates = self.backend.gate_cache_len();
+        let backend = self.backend.as_ref();
+        stats.cached_gates = backend.map_or(0, AnyBackend::gate_cache_len);
         // Harvested totals plus the live package (when the engine owns
         // one): covers every job this worker has executed.
-        if let Some(pkg) = self.backend.package_stats() {
+        if let Some(pkg) = backend.and_then(AnyBackend::package_stats) {
             stats.alive_nodes = pkg.vnodes_alive + pkg.mnodes_alive;
             stats.peak_nodes = self.harvested_peak_nodes.max(pkg.peak_nodes());
             stats.ct_hits = self.harvested_ct_hits + pkg.ct_hits;
@@ -1479,7 +1502,7 @@ impl Worker {
             stats.frozen_nodes = 0;
         }
         stats.snapshot_gate_hits =
-            self.harvested_snapshot_gate_hits + self.backend.snapshot_gate_hits();
+            self.harvested_snapshot_gate_hits + backend.map_or(0, AnyBackend::snapshot_gate_hits);
     }
 }
 
@@ -1504,7 +1527,8 @@ fn worker_loop(
     let mut worker = Worker {
         id,
         template: template.clone(),
-        backend: template.clone().build_engine_backend(),
+        backend: None,
+        build_timer: telemetry::PhaseTimer::new("backend.build"),
         epoch: None,
         harvested_ct_hits: resume.ct_hits,
         harvested_ct_misses: resume.ct_misses,

@@ -149,6 +149,16 @@ fn run(addr: &str, seed: u64) -> Result<(), String> {
     if !metrics.contains("approxdd_pool_workers") {
         return Err(format!("metrics missing pool gauges:\n{metrics}"));
     }
+    // "Is construction still on the job path?": every job's engine
+    // build is a `backend.build` phase sample, and every compute-cache
+    // slot array a worker had to fill (not recycle) is counted.
+    if !metrics.contains("phase=\"backend.build\"")
+        || !metrics.contains("approxdd_dd_cache_slabs_allocated_total")
+    {
+        return Err(format!(
+            "metrics missing engine-construction series:\n{metrics}"
+        ));
+    }
     println!("serve_client: /metrics exposes counter and histogram series");
 
     let (status, _) = http(addr, "POST", "/shutdown", "")?;
