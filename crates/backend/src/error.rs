@@ -81,22 +81,6 @@ pub enum ExecError {
         /// Zero-based attempt the fault fired on.
         attempt: u32,
     },
-    /// A submission was rejected at the admission seam because it would
-    /// push the pool's work queue past its configured capacity
-    /// (`SimulatorBuilder::queue_capacity`). Backpressure, not a
-    /// failure of any job: nothing was enqueued, nothing ran, and
-    /// already-admitted work is untouched. Produced only by the
-    /// admission-checked submission paths of `approxdd-exec`
-    /// (`BackendPool::run_jobs_admitted` / `BackendPool::try_admit`);
-    /// serving layers map it to HTTP 429.
-    QueueFull {
-        /// Tasks already waiting in the queue at rejection time.
-        queued: usize,
-        /// Tasks the rejected submission asked to add.
-        submitted: usize,
-        /// The configured admission capacity.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for ExecError {
@@ -139,16 +123,6 @@ impl fmt::Display for ExecError {
                     attempt + 1
                 )
             }
-            ExecError::QueueFull {
-                queued,
-                submitted,
-                capacity,
-            } => {
-                write!(
-                    f,
-                    "queue full: {queued} queued + {submitted} submitted exceeds capacity {capacity}"
-                )
-            }
         }
     }
 }
@@ -166,8 +140,7 @@ impl Error for ExecError {
             | ExecError::Unsupported { .. }
             | ExecError::WorkerLost { .. }
             | ExecError::DeadlineExceeded { .. }
-            | ExecError::FaultInjected { .. }
-            | ExecError::QueueFull { .. } => None,
+            | ExecError::FaultInjected { .. } => None,
         }
     }
 }

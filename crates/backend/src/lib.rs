@@ -393,18 +393,21 @@ pub trait BuildBackend {
 
     /// Builds the backend the builder's [`Engine`] knob selects —
     /// DD, stabilizer tableau, or hybrid Clifford-prefix dispatch —
-    /// as the engine-polymorphic [`AnyBackend`]. This is what pooled
-    /// execution calls, so `.engine(…)` routes every worker.
-    fn build_engine_backend(self) -> AnyBackend;
+    /// as the engine-polymorphic [`AnyBackend`].
+    fn build_engine_backend(self) -> AnyBackend
+    where
+        Self: Sized,
+    {
+        self.build_engine_backend_with_snapshot(None)
+    }
 
-    /// Like [`BuildBackend::build_engine_backend`], but layers DD-based
-    /// engines over a shared frozen [`SimSnapshot`] when one is given:
-    /// warmed gate DDs resolve from the snapshot and the package
-    /// allocates only above the frozen watermark. The stabilizer
-    /// engine has no DD package, so it ignores the snapshot; `None`
-    /// behaves exactly like [`BuildBackend::build_engine_backend`].
-    /// This is the per-job constructor pooled workers call when the
-    /// template has `share_snapshot(true)`.
+    /// The one engine-dispatching constructor (what pooled execution
+    /// calls per job, so `.engine(…)` routes every worker): builds the
+    /// backend the [`Engine`] knob selects, layering DD-based engines
+    /// over a shared frozen [`SimSnapshot`] when one is given — warmed
+    /// gate DDs resolve from the snapshot and the package allocates
+    /// only above the frozen watermark. The stabilizer engine has no DD
+    /// package, so it ignores the snapshot.
     fn build_engine_backend_with_snapshot(
         self,
         snapshot: Option<std::sync::Arc<SimSnapshot>>,
@@ -416,39 +419,19 @@ impl BuildBackend for SimulatorBuilder {
         DdBackend::new(self.build())
     }
 
-    fn build_engine_backend(self) -> AnyBackend {
-        match self.engine_kind() {
-            Engine::Stabilizer => {
-                AnyBackend::Stabilizer(StabilizerBackend::with_seed(self.sample_seed()))
-            }
-            Engine::Hybrid => {
-                let seed = self.sample_seed();
-                AnyBackend::Hybrid(HybridBackend::with_seed(self.build(), seed))
-            }
-            // Engine is non-exhaustive; unknown engines run on the DD
-            // reference implementation.
-            _ => AnyBackend::Dd(DdBackend::new(self.build())),
-        }
-    }
-
     fn build_engine_backend_with_snapshot(
         self,
         snapshot: Option<std::sync::Arc<SimSnapshot>>,
     ) -> AnyBackend {
-        let Some(snapshot) = snapshot else {
-            return self.build_engine_backend();
-        };
+        let seed = self.sample_seed();
         match self.engine_kind() {
-            Engine::Stabilizer => {
-                AnyBackend::Stabilizer(StabilizerBackend::with_seed(self.sample_seed()))
-            }
-            Engine::Hybrid => {
-                let seed = self.sample_seed();
-                AnyBackend::Hybrid(HybridBackend::with_seed(
-                    self.build_with_snapshot(snapshot),
-                    seed,
-                ))
-            }
+            Engine::Stabilizer => AnyBackend::Stabilizer(StabilizerBackend::with_seed(seed)),
+            Engine::Hybrid => AnyBackend::Hybrid(HybridBackend::with_seed(
+                self.build_with_snapshot(snapshot),
+                seed,
+            )),
+            // Engine is non-exhaustive; unknown engines run on the DD
+            // reference implementation.
             _ => AnyBackend::Dd(DdBackend::new(self.build_with_snapshot(snapshot))),
         }
     }

@@ -133,7 +133,7 @@ fn run_pooled(
         print_counts(circuit, shots, counts);
     } else if shots > 0 {
         let counts = pool
-            .sample_counts_with(circuit, Some(strategy), shots)
+            .sample_counts_streamed(circuit, Some(strategy), shots, &mut |_| {})
             .map_err(|e| e.to_string())?;
         print_counts(circuit, shots, counts);
     }

@@ -48,7 +48,6 @@ pub struct SimulatorBuilder {
     share_snapshot: bool,
     retry: RetryPolicy,
     job_deadline: Option<Duration>,
-    queue_capacity: Option<usize>,
 }
 
 impl std::fmt::Debug for SimulatorBuilder {
@@ -64,7 +63,6 @@ impl std::fmt::Debug for SimulatorBuilder {
             .field("share_snapshot", &self.share_snapshot)
             .field("retry", &self.retry)
             .field("job_deadline", &self.job_deadline)
-            .field("queue_capacity", &self.queue_capacity)
             .finish()
     }
 }
@@ -83,7 +81,6 @@ impl SimulatorBuilder {
             share_snapshot: false,
             retry: RetryPolicy::default(),
             job_deadline: None,
-            queue_capacity: None,
         }
     }
 
@@ -347,28 +344,6 @@ impl SimulatorBuilder {
         self.job_deadline
     }
 
-    /// Bounds the pool work queue for admission-checked submissions
-    /// (`BackendPool::run_jobs_admitted` in `approxdd-exec`): a
-    /// submission that would push the number of queued tasks past
-    /// `capacity` is rejected with a typed `QueueFull` error instead of
-    /// growing the queue without bound — the backpressure seam a
-    /// serving layer needs. Unset (the default) means unbounded, and
-    /// the plain `run_jobs`/`sample_counts` paths never consult the
-    /// bound (library batch callers keep their fire-and-collect
-    /// semantics). `capacity == 0` is clamped to 1 so an
-    /// admission-checked pool can always accept at least one task.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = Some(capacity.max(1));
-        self
-    }
-
-    /// The admission bound set via [`SimulatorBuilder::queue_capacity`]
-    /// (`None` = unbounded).
-    #[must_use]
-    pub fn queue_capacity_bound(&self) -> Option<usize> {
-        self.queue_capacity
-    }
-
     /// Builds a frozen [`SimSnapshot`] warming every gate of the given
     /// circuits with this builder's options — what pools call once per
     /// submission when [`SimulatorBuilder::share_snapshot`] is on.
@@ -416,23 +391,16 @@ impl SimulatorBuilder {
     /// eagerly.
     #[must_use = "building a simulator has no side effects"]
     pub fn build(self) -> Simulator {
-        let factory = self.policy_factory_or_preset();
-        let mut sim = match self.seed {
-            Some(seed) => Simulator::seeded(self.options, seed),
-            None => Simulator::new(self.options),
-        };
-        sim.set_policy_factory(factory);
-        for observer in self.observers {
-            sim.attach_observer(observer);
-        }
-        sim
+        self.build_with_snapshot(None)
     }
 
-    /// Like [`SimulatorBuilder::build`], but layers the simulator over
-    /// a shared frozen snapshot: warmed gate DDs resolve from the
-    /// snapshot's cache and the package allocates only above the frozen
-    /// watermark. Used by pool workers when
-    /// [`SimulatorBuilder::share_snapshot`] is enabled.
+    /// The one constructor behind [`SimulatorBuilder::build`]:
+    /// optionally layers the simulator over a shared frozen snapshot
+    /// (an `Arc<SimSnapshot>`, or `Some` of one), so warmed gate DDs
+    /// resolve from the snapshot's cache and the package allocates only
+    /// above the frozen watermark. `None` builds the plain simulator.
+    /// Used by pool workers when [`SimulatorBuilder::share_snapshot`]
+    /// is enabled.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -447,10 +415,9 @@ impl SimulatorBuilder {
     /// assert!((run.stats.fidelity - 1.0).abs() < 1e-12);
     /// ```
     #[must_use = "building a simulator has no side effects"]
-    pub fn build_with_snapshot(self, snapshot: Arc<SimSnapshot>) -> Simulator {
+    pub fn build_with_snapshot(self, snapshot: impl Into<Option<Arc<SimSnapshot>>>) -> Simulator {
         let factory = self.policy_factory_or_preset();
-        let seed = self.seed.unwrap_or(DEFAULT_SAMPLE_SEED);
-        let mut sim = Simulator::with_snapshot(self.options, seed, snapshot);
+        let mut sim = Simulator::with_snapshot(self.options, self.sample_seed(), snapshot.into());
         sim.set_policy_factory(factory);
         for observer in self.observers {
             sim.attach_observer(observer);

@@ -209,6 +209,12 @@ impl Strategy {
 /// job index), never of the attempt number, so a retried success is
 /// byte-identical to a first-try success.
 ///
+/// Backoff is paid **per round, not per job**: the pool re-dispatches
+/// everything that failed in one collection round together, and sleeps
+/// once before that round — for the longest [`RetryPolicy::delay_for`]
+/// any of its jobs asks for. A round with *k* retried jobs therefore
+/// costs one delay, not *k*.
+///
 /// The default (`max_attempts = 1`) disables retries entirely —
 /// failures surface to the caller exactly as before.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,8 +222,9 @@ pub struct RetryPolicy {
     /// Total number of attempts a job may consume, including the first
     /// (so `1` means "never retry"). Zero is treated as one.
     pub max_attempts: u32,
-    /// Base backoff slept before each retry, doubled per attempt:
-    /// attempt `k` (1-based retry count) waits `backoff · 2^(k−1)`.
+    /// Base backoff slept before each retry round, doubled per attempt:
+    /// attempt `k` (1-based retry count) asks for `backoff · 2^(k−1)`,
+    /// and a round sleeps for the longest delay among its jobs.
     /// [`Duration::ZERO`] (the default) retries immediately — the
     /// right choice for deterministic in-process faults, while a
     /// server fronting flaky external resources wants a real backoff.

@@ -290,34 +290,37 @@ impl Simulator {
     /// [`SimulatorBuilder::policy`]) to install a custom policy.
     #[must_use]
     pub fn seeded(options: SimOptions, seed: u64) -> Self {
-        Self {
-            package: Package::with_config(
+        Self::with_snapshot(options, seed, None)
+    }
+
+    /// The one constructor: [`Simulator::seeded`], optionally layered
+    /// over a shared frozen snapshot. With `Some`, the package resolves
+    /// frozen nodes through the snapshot and allocates private nodes
+    /// above the watermark, and warmed gate DDs are served from the
+    /// snapshot's cache (see [`SimSnapshot`]); `None` starts from an
+    /// empty package.
+    #[must_use]
+    pub fn with_snapshot(
+        options: SimOptions,
+        seed: u64,
+        snapshot: Option<Arc<SimSnapshot>>,
+    ) -> Self {
+        let package = match &snapshot {
+            Some(snapshot) => {
+                Package::with_snapshot(snapshot.package(), options.compute_cache_bits)
+            }
+            None => Package::with_config(
                 approxdd_complex::Tolerance::default(),
                 options.compute_cache_bits,
             ),
-            policy_factory: Arc::new(options.strategy),
-            observers: Vec::new(),
-            options,
-            gate_cache: HashMap::new(),
-            snapshot: None,
-            snapshot_gate_hits: 0,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Creates a simulator layered over a shared frozen snapshot: its
-    /// package resolves frozen nodes through the snapshot and allocates
-    /// private nodes above the watermark, and warmed gate DDs are
-    /// served from the snapshot's cache. See [`SimSnapshot`].
-    #[must_use]
-    pub fn with_snapshot(options: SimOptions, seed: u64, snapshot: Arc<SimSnapshot>) -> Self {
+        };
         Self {
-            package: Package::with_snapshot(snapshot.package(), options.compute_cache_bits),
+            package,
             policy_factory: Arc::new(options.strategy),
             observers: Vec::new(),
             options,
             gate_cache: HashMap::new(),
-            snapshot: Some(snapshot),
+            snapshot,
             snapshot_gate_hits: 0,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -1036,7 +1039,7 @@ mod tests {
             let want = plain.run(circuit).unwrap();
             let want_amps = plain.amplitudes(&want).unwrap();
 
-            let mut snap = Simulator::with_snapshot(options, 7, Arc::clone(&snapshot));
+            let mut snap = Simulator::with_snapshot(options, 7, Some(Arc::clone(&snapshot)));
             assert!(snap.has_snapshot());
             let got = snap.run(circuit).unwrap();
             let got_amps = snap.amplitudes(&got).unwrap();

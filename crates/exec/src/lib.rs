@@ -1,13 +1,28 @@
 //! Multi-threaded pooled execution over the unified `Backend` API.
 //!
 //! The paper trades controlled fidelity loss for large resource
-//! savings on a *single* simulation; this crate scales the surrounding
-//! system: a [`BackendPool`] owns N worker threads, each with its own
-//! DD backend built from a shared [`SimulatorBuilder`] template, and
-//! shards batched runs ([`BackendPool::run_batch`] /
-//! [`BackendPool::run_jobs`]) and large shot-sampling requests
-//! ([`BackendPool::sample_counts`]) across them through a channel-based
-//! work queue.
+//! savings on a *single* simulation; this crate runs many such
+//! simulations deterministically. A [`BackendPool`] owns N worker
+//! threads, each building its engine from a shared
+//! [`SimulatorBuilder`] template, fed by one channel-based work queue.
+//!
+//! There is **one job path**. Run jobs and sampling chunks are the same
+//! private task type and go through a single dispatch/collect/retry
+//! loop, and the pool exposes two primitives on it:
+//!
+//! * [`BackendPool::run_jobs_with_snapshot`] runs a list of
+//!   [`PoolJob`]s (per-job policy, shots, trace, observable, deadline,
+//!   retry, fallback), one result slot per job, over an optional
+//!   caller-held frozen snapshot;
+//! * [`BackendPool::sample_counts_streamed`] shards one circuit's shot
+//!   budget into fixed-size chunks and merges them into one histogram,
+//!   reporting each chunk as it settles.
+//!
+//! [`BackendPool::run_jobs`] (the per-batch snapshot the template asks
+//! for), [`BackendPool::run_batch`] (plain circuits, first error wins)
+//! and [`BackendPool::sample_counts`] (template policy, no callback)
+//! are one-line wrappers. The pool bounds nothing: admission control
+//! belongs to whatever sits above it (the job server's scheduler).
 //!
 //! **Determinism is thread-count-invariant:** per-job seeds come from a
 //! SplitMix64 [`SeedStream`] keyed on `(root seed, job index)`, and
@@ -21,9 +36,10 @@
 //! (a thread killed by a panicking job is respawned into the same slot,
 //! so capacity self-heals), re-dispatches jobs lost to worker deaths or
 //! blown deadlines under a deterministic
-//! [`RetryPolicy`](approxdd_sim::RetryPolicy) — retried results are
-//! byte-identical to first-try results because seeds are keyed on the
-//! job index, never the attempt — and enforces per-job wall-clock
+//! [`RetryPolicy`](approxdd_sim::RetryPolicy), one backoff per retry
+//! round — retried results are byte-identical to first-try results
+//! because seeds are keyed on the job index, never the attempt — and
+//! enforces per-job wall-clock
 //! deadlines cooperatively through the policy seam, with an optional
 //! degradation ladder ([`PoolJob::degrade_with`]). A seeded
 //! [`FaultPlan`] (test/bench only, driven by the [`DOMAIN_FAULT`] seed
@@ -301,118 +317,13 @@ mod tests {
         assert_eq!(one, run(3), "1-worker vs 3-worker snapshot counters");
     }
 
-    /// The admission seam (satellite of the serving PR): submitting
-    /// past the bound returns the typed [`ExecError::QueueFull`]
-    /// immediately — it never blocks, and never enqueues anything — and
-    /// jobs admitted within the bound produce exactly the fingerprints
-    /// an unbounded pool produces, at 1, 2 and 8 workers.
-    #[test]
-    fn admission_bound_rejects_typed_and_never_blocks() {
-        use std::time::{Duration, Instant};
-        let circuits: Vec<_> = (0..3).map(|s| generators::supremacy(2, 3, 8, s)).collect();
-        let jobs = || {
-            circuits
-                .iter()
-                .map(|c| PoolJob::new(c.clone()).shots(128))
-                .collect::<Vec<_>>()
-        };
-        let want: Vec<u64> = Simulator::builder()
-            .workers(1)
-            .seed(11)
-            .build_pool()
-            .run_jobs(jobs())
-            .into_iter()
-            .map(|r| r.expect("unbounded job").fingerprint())
-            .collect();
-        for workers in [1, 2, 8] {
-            let pool = Simulator::builder()
-                .workers(workers)
-                .seed(11)
-                .queue_capacity(4)
-                .build_pool();
-            let oversized: Vec<_> = (0..8).map(|_| PoolJob::new(generators::ghz(4))).collect();
-            let start = Instant::now();
-            let err = pool
-                .run_jobs_admitted(oversized)
-                .expect_err("8 tasks past a capacity-4 bound");
-            assert!(
-                matches!(
-                    err,
-                    ExecError::QueueFull {
-                        queued: 0,
-                        submitted: 8,
-                        capacity: 4
-                    }
-                ),
-                "{err:?}"
-            );
-            assert!(
-                start.elapsed() < Duration::from_secs(2),
-                "admission rejection must be immediate"
-            );
-            // Nothing was enqueued by the rejection…
-            assert_eq!(pool.stats().tasks_submitted, 0);
-            // …and an in-bound submission runs to the same bits as the
-            // unbounded pool.
-            let got: Vec<u64> = pool
-                .run_jobs_admitted(jobs())
-                .expect("3 tasks fit a capacity-4 bound")
-                .into_iter()
-                .map(|r| r.expect("admitted job").fingerprint())
-                .collect();
-            assert_eq!(
-                got, want,
-                "admitted fingerprints diverge at {workers} workers"
-            );
-        }
-    }
-
-    /// Admission consults the *live* queue depth: while earlier
-    /// (delayed) work still occupies the queue, a submission that would
-    /// overflow the bound is rejected from another thread without
-    /// disturbing the in-flight batch.
-    #[test]
-    fn admission_sees_in_flight_queue_depth() {
-        use std::sync::Arc;
-        use std::time::Duration;
-        let pool = Arc::new(
-            Simulator::builder()
-                .workers(1)
-                .seed(3)
-                .queue_capacity(2)
-                .build_pool(),
-        );
-        pool.inject_faults(Some(
-            FaultPlan::new().delay_on(0..4, Duration::from_millis(120)),
-        ));
-        let busy = Arc::clone(&pool);
-        let batch = std::thread::spawn(move || {
-            busy.run_jobs((0..4).map(|_| PoolJob::new(generators::ghz(3))).collect())
-        });
-        // Wait (bounded) for the single worker to fall behind.
-        let mut saw_backlog = false;
-        for _ in 0..400 {
-            if pool.stats().queue_depth >= 2 {
-                saw_backlog = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(saw_backlog, "delayed jobs never backed the queue up");
-        let err = pool.try_admit(1).expect_err("queue is past the bound");
-        assert!(matches!(err, ExecError::QueueFull { .. }), "{err:?}");
-        // The rejected probe never perturbed the admitted batch.
-        for outcome in batch.join().expect("batch thread") {
-            outcome.expect("delayed job still succeeds");
-        }
-        pool.inject_faults(None);
-        assert!(pool.try_admit(1).is_ok(), "drained queue admits again");
-    }
-
-    /// The chunk-settlement callback streams every chunk exactly once,
-    /// with monotone progress, and the final view equals the returned
-    /// histogram — which stays byte-identical to the callback-free
-    /// path.
+    /// The wrappers are exactly the primitives. The chunk-settlement
+    /// callback streams every chunk exactly once, with monotone
+    /// progress, and its final view is the returned histogram — which
+    /// is what `sample_counts` returns. `run_batch`, `run_jobs` and
+    /// `run_jobs_with_snapshot` (handed the batch's own snapshot)
+    /// fingerprint identically, and `PoolJob::strategy` is
+    /// `PoolJob::policy` with a preset: the last call wins.
     #[test]
     fn streamed_sampling_reports_every_chunk_and_matches_plain() {
         let circuit = generators::ghz(6);
@@ -433,6 +344,127 @@ mod tests {
         assert_eq!(last_view, plain, "final partial view is the result");
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2], "each chunk settles exactly once");
+
+        let circuits: Vec<_> = (0..3).map(|s| generators::supremacy(2, 3, 10, s)).collect();
+        let jobs = || {
+            circuits
+                .iter()
+                .cloned()
+                .map(PoolJob::new)
+                .collect::<Vec<_>>()
+        };
+        let fingerprints = |results: Vec<Result<PoolOutcome, ExecError>>| -> Vec<u64> {
+            results
+                .iter()
+                .map(|r| r.as_ref().expect("job").fingerprint())
+                .collect()
+        };
+        let template = Simulator::builder().workers(2).seed(1).share_snapshot(true);
+        let pool = template.clone().build_pool();
+        let batch = fingerprints(
+            pool.run_batch(&circuits)
+                .expect("batch")
+                .into_iter()
+                .map(Ok)
+                .collect(),
+        );
+        assert_eq!(batch, fingerprints(pool.run_jobs(jobs())));
+        let snapshot = std::sync::Arc::new(template.build_snapshot(&circuits).expect("snapshot"));
+        assert_eq!(
+            batch,
+            fingerprints(pool.run_jobs_with_snapshot(jobs(), Some(snapshot)))
+        );
+
+        let coarse = Strategy::fidelity_driven(0.6, 0.9);
+        let job = || PoolJob::new(generators::supremacy(2, 3, 12, 1)).shots(64);
+        // One job per submission: sampling seeds are keyed on the job
+        // index, so only jobs at equal indices may be compared.
+        let run = |job: PoolJob| fingerprints(pool.run_jobs(vec![job]))[0];
+        let preset = run(job().strategy(coarse));
+        assert_eq!(
+            preset,
+            run(job().policy(coarse)),
+            "strategy(s) is policy(s)"
+        );
+        assert_eq!(
+            preset,
+            run(job().policy(Strategy::Exact).strategy(coarse)),
+            "a later strategy replaces a policy"
+        );
+        let exact = run(job());
+        assert_eq!(
+            exact,
+            run(job().strategy(coarse).policy(Strategy::Exact)),
+            "a later policy replaces a strategy"
+        );
+        assert_ne!(preset, exact, "the override must steer the run");
+    }
+
+    /// Every row of the pool's retry/degrade ladder, as a pure function:
+    /// no pool, no panic, no sleep.
+    #[test]
+    fn verdict_covers_the_whole_ladder() {
+        use crate::pool::{verdict, Verdict};
+        use approxdd_sim::{RetryPolicy, SimError};
+        use std::time::Duration;
+        use Verdict::{Degrade, Final, Retry};
+        let (job, attempt) = (0, 0);
+        let budget = Duration::ZERO;
+        let deadline = ExecError::DeadlineExceeded {
+            job,
+            attempt,
+            budget,
+        };
+        let abort = ExecError::Sim(SimError::PolicyAbort {
+            op_index: 3,
+            policy: "p".into(),
+        });
+        let lost = ExecError::WorkerLost { job, attempt };
+        let fault = ExecError::FaultInjected { job, attempt };
+        let fatal = ExecError::BasisOutOfRange {
+            basis: 9,
+            n_qubits: 2,
+        };
+        let (never, thrice) = (RetryPolicy::default(), RetryPolicy::new(3));
+        // (error, attempt, degraded, retry policy, has fallback) → verdict
+        let rows = [
+            // An abort with a fallback degrades — whatever the retry
+            // budget, and instead of any blind retry.
+            (&deadline, 0, false, never, true, Degrade),
+            (&abort, 0, false, never, true, Degrade),
+            (&deadline, 0, false, thrice, true, Degrade),
+            (&abort, 2, false, thrice, true, Degrade),
+            // A degraded attempt never degrades again: from there on
+            // only the plain retry rules apply.
+            (&abort, 1, true, thrice, true, Final),
+            (&deadline, 1, true, thrice, true, Retry),
+            (&deadline, 2, true, thrice, true, Final),
+            // Without a fallback, a policy's own abort is final and a
+            // blown deadline is merely retryable.
+            (&abort, 0, false, thrice, false, Final),
+            (&deadline, 0, false, thrice, false, Retry),
+            (&deadline, 0, false, never, false, Final),
+            // Retryable errors retry while attempts remain — a fallback
+            // plays no part.
+            (&lost, 0, false, thrice, false, Retry),
+            (&lost, 1, false, thrice, true, Retry),
+            (&lost, 2, false, thrice, false, Final),
+            (&fault, 0, false, thrice, false, Retry),
+            (&fault, 1, true, thrice, true, Retry),
+            (&fault, 2, false, thrice, true, Final),
+            (&lost, 0, false, never, false, Final),
+            (&fault, 0, false, RetryPolicy::new(0), false, Final),
+            // Everything else is the unit's result, first time.
+            (&fatal, 0, false, thrice, true, Final),
+            (&fatal, 0, true, thrice, false, Final),
+        ];
+        for (err, attempt, degraded, retry, has_fallback, want) in rows {
+            assert_eq!(
+                verdict(err, attempt, degraded, retry, has_fallback),
+                want,
+                "{err:?}: attempt {attempt}, degraded {degraded}, {retry:?}, fallback {has_fallback}"
+            );
+        }
     }
 
     #[test]

@@ -1,28 +1,49 @@
 //! The [`BackendPool`]: N worker threads executing backend jobs from a
 //! shared channel-based work queue.
 //!
+//! # One job path
+//!
+//! Everything the pool executes goes through a single private
+//! dispatch/collect/retry loop: a *unit* of work (a run job or a
+//! sampling chunk) is dispatched as one task type, answers with one
+//! `(key, Result<T>)` reply, and is settled by one retry/degrade
+//! ladder. Two public primitives sit directly on that loop:
+//!
+//! * [`BackendPool::run_jobs_with_snapshot`] — heterogeneous
+//!   [`PoolJob`]s, one result slot per job, optionally layered over a
+//!   caller-supplied frozen snapshot;
+//! * [`BackendPool::sample_counts_streamed`] — one circuit's shot
+//!   budget sharded into [`SHOT_CHUNK`]-sized chunks, merged into one
+//!   histogram, with a per-chunk settlement callback.
+//!
+//! [`BackendPool::run_jobs`], [`BackendPool::run_batch`] and
+//! [`BackendPool::sample_counts`] are one-line wrappers over them.
+//!
 //! # Determinism
 //!
 //! The pool guarantees that the same root seed produces byte-identical
 //! results regardless of worker count. Two properties make that hold:
 //!
-//! * **Seed streams, not shared RNGs.** Every job derives its sampling
+//! * **Seed streams, not shared RNGs.** Every unit derives its sampling
 //!   seed from the pool's [`SeedStream`] as a pure function of
-//!   `(root seed, domain, job index)` — never from which worker runs it
-//!   or in which order the queue drains.
+//!   `(root seed, domain, unit index)` — never from which worker runs
+//!   it, which attempt it is, or in which order the queue drains. Run
+//!   job `i` draws with `stream(DOMAIN_RUN, i)`, sampling chunk `i`
+//!   with `stream(DOMAIN_SAMPLE, i)`; the chunk size is fixed, so the
+//!   chunk decomposition never depends on the worker count, and
+//!   histogram merging is commutative.
 //! * **Per-job state isolation.** The DD package's unique table
 //!   canonicalizes near-equal edge weights first-write-wins (within
 //!   tolerance), so a run's low-order float bits can depend on what ran
 //!   earlier in the same package. Workers therefore rebuild their
 //!   backend from the shared [`SimulatorBuilder`] template for every
-//!   run job, making each outcome a pure function of the job itself.
-//!   (The serial benchmarks build a fresh backend per row for the same
-//!   reason, so nothing is lost relative to the status quo.) The
-//!   previous job's engine is dropped *before* its replacement is
-//!   built, so a worker never holds two engines, and the dropped
-//!   engine's compute-cache slabs are recycled by the new one (see
-//!   `approxdd_dd`'s cache provisioning notes) — construction costs no
-//!   table fill after a worker's first job.
+//!   run job (and once per sampling request), making each outcome a
+//!   pure function of the job itself. The previous job's engine is
+//!   dropped *before* its replacement is built, so a worker never holds
+//!   two engines, and the dropped engine's compute-cache slabs are
+//!   recycled by the new one (see `approxdd_dd`'s cache provisioning
+//!   notes) — construction costs no table fill after a worker's first
+//!   job.
 //!
 //! Copy-on-write snapshots (`SimulatorBuilder::share_snapshot`)
 //! preserve both properties while amortizing the per-job rebuild: the
@@ -34,27 +55,23 @@
 //! snapshot-on and snapshot-off at any worker count — the contract
 //! suite asserts exactly that.
 //!
-//! Sharded sampling ([`BackendPool::sample_counts`]) splits the shot
-//! budget into fixed-size chunks of [`SHOT_CHUNK`] shots. Chunk `i`
-//! always draws with seed `stream(DOMAIN_SAMPLE, i)` and histogram
-//! merging is commutative, so the merged counts are invariant under
-//! both worker count and completion order.
-//!
 //! # Fault tolerance
 //!
-//! The pool self-heals and retries (see `docs/ARCHITECTURE.md` for the
-//! lifecycle):
+//! The loop self-heals and retries, for run jobs and sampling chunks
+//! alike (see `docs/ARCHITECTURE.md` for the lifecycle):
 //!
 //! * **Supervision.** A worker that dies (a panicking job) is detected
 //!   during result collection and respawned into the same slot, so the
 //!   pool always returns to full capacity; respawn counts surface in
 //!   [`PoolStats::respawns`].
 //! * **Deterministic retry.** A [`RetryPolicy`] on the template (or
-//!   per job via [`PoolJob::retry`]) re-dispatches jobs that failed
+//!   per job via [`PoolJob::retry`]) re-dispatches units that failed
 //!   with a retryable error — [`ExecError::WorkerLost`],
 //!   [`ExecError::FaultInjected`], [`ExecError::DeadlineExceeded`].
-//!   Seeds are keyed on the job index, never the attempt, so a retried
-//!   success is byte-identical to a first-try success.
+//!   Re-dispatches go out in rounds, and a round backs off **once**, by
+//!   the longest delay any of its units asks for. Seeds are keyed on
+//!   the unit index, never the attempt, so a retried success is
+//!   byte-identical to a first-try success.
 //! * **Deadlines & degradation.** [`PoolJob::deadline`] (or the
 //!   template's `job_deadline`) wraps the job's policy in a
 //!   `DeadlinePolicy` that aborts cooperatively past the cutoff,
@@ -80,7 +97,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use approxdd_backend::{
-    AnyBackend, AnyHandle, Backend, BackendStats, BuildBackend, ExecError, RunOutcome,
+    run_circuit, AnyBackend, AnyHandle, Backend, BackendStats, BuildBackend, ExecError, RunOutcome,
 };
 use approxdd_circuit::Circuit;
 use approxdd_sim::{
@@ -93,7 +110,7 @@ use crate::fault::{FaultKind, FaultPlan, InjectedPanic};
 use crate::seed::{SeedStream, DOMAIN_RUN, DOMAIN_SAMPLE};
 use crate::supervise::Supervisor;
 
-/// How long collection loops block on the reply channel before taking
+/// How long the collector blocks on the reply channel before taking
 /// a supervision tick ([`BackendPool::heal`]). The tick is what breaks
 /// the all-workers-dead deadlock: queued tasks hold reply senders, so
 /// the channel never disconnects on its own — healing respawns workers
@@ -109,14 +126,13 @@ pub type SharedDiagonal = Arc<dyn Fn(u64) -> f64 + Send + Sync>;
 /// seed — is identical no matter how many workers drain the queue.
 pub const SHOT_CHUNK: usize = 2048;
 
-/// One unit of pooled work: a circuit, an optional per-job policy or
-/// strategy override (sweeps run many configurations over one pool),
-/// an optional number of measurement shots to draw after the run, and
+/// One unit of pooled work: a circuit, an optional per-job policy
+/// override (sweeps run many configurations over one pool), an
+/// optional number of measurement shots to draw after the run, and
 /// an optional request to capture the run's trace.
 #[derive(Clone)]
 pub struct PoolJob {
     circuit: Circuit,
-    strategy: Option<Strategy>,
     policy: Option<Arc<dyn PolicyFactory>>,
     shots: usize,
     trace: bool,
@@ -130,7 +146,6 @@ impl std::fmt::Debug for PoolJob {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolJob")
             .field("circuit", &self.circuit.name())
-            .field("strategy", &self.strategy)
             .field("policy", &self.policy.is_some())
             .field("shots", &self.shots)
             .field("trace", &self.trace)
@@ -148,7 +163,6 @@ impl PoolJob {
     pub fn new(circuit: Circuit) -> Self {
         Self {
             circuit,
-            strategy: None,
             policy: None,
             shots: 0,
             trace: false,
@@ -159,18 +173,18 @@ impl PoolJob {
         }
     }
 
-    /// Overrides the approximation strategy for this job only.
+    /// Overrides the approximation strategy for this job only:
+    /// [`PoolJob::policy`] with a preset, so the last of the two calls
+    /// wins, as on the builder.
     #[must_use]
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = Some(strategy);
-        self
+    pub fn strategy(self, strategy: Strategy) -> Self {
+        self.policy(strategy)
     }
 
     /// Overrides the approximation policy for this job only — the
     /// worker builds a fresh policy instance from the factory for this
     /// job (per-job instantiation is what keeps results bit-identical
-    /// and worker-count-invariant). Takes precedence over
-    /// [`PoolJob::strategy`].
+    /// and worker-count-invariant).
     #[must_use]
     pub fn policy<P: PolicyFactory + 'static>(mut self, factory: P) -> Self {
         self.policy = Some(Arc::new(factory));
@@ -442,17 +456,13 @@ impl PoolStats {
     /// is deterministic regardless of scheduling; 0 when nothing was
     /// looked up).
     #[must_use]
+    #[allow(clippy::cast_precision_loss)]
     pub fn ct_hit_rate(&self) -> f64 {
         let hits: u64 = self.per_worker.iter().map(|w| w.ct_hits).sum();
         let misses: u64 = self.per_worker.iter().map(|w| w.ct_misses).sum();
-        let total = hits + misses;
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                hits as f64 / total as f64
-            }
+        match hits + misses {
+            0 => 0.0,
+            total => hits as f64 / total as f64,
         }
     }
 
@@ -513,69 +523,97 @@ pub struct ChunkSettled<'a> {
     pub merged: &'a HashMap<u64, usize>,
 }
 
-/// Reply channel of a run job: `(job index, attempt, degraded,
-/// outcome)` — the attempt/degraded echo lets the collector match a
-/// reply to the exact dispatch it answers.
-type RunReply = mpsc::Sender<(usize, u32, bool, Result<PoolOutcome, ExecError>)>;
-/// Reply channel of a sampling chunk: `(chunk index, histogram)`.
-type ChunkReply = mpsc::Sender<(usize, Result<HashMap<u64, usize>, ExecError>)>;
-
-/// One dispatch of a run job: the job plus everything attempt-specific
-/// (which try this is, whether it runs degraded, the effective
-/// deadline, the installed fault plan).
-struct RunSpec {
-    index: usize,
+/// One dispatch of one unit of pooled work — a run job or a sampling
+/// chunk — as the collector tracks it and the worker sees it.
+#[derive(Clone, Copy)]
+struct Dispatch {
+    /// The unit's index (job or chunk): its seed key and reply key.
+    key: usize,
     /// Zero-based attempt number of this dispatch.
     attempt: u32,
-    /// Whether this dispatch runs under the job's degradation fallback.
+    /// Whether this dispatch runs under the unit's degradation
+    /// fallback.
     degraded: bool,
-    job: PoolJob,
-    seed: u64,
-    /// Shared frozen prefix for this job's backend, built once per
-    /// submission when the template enables `share_snapshot`.
-    snapshot: Option<Arc<SimSnapshot>>,
-    /// Effective wall-clock budget (per-job override, else the
-    /// template's `job_deadline`; `None` on degraded attempts).
-    deadline: Option<Duration>,
-    fault: Option<Arc<FaultPlan>>,
 }
 
-enum Task {
-    Run {
-        spec: RunSpec,
-        reply: RunReply,
-    },
-    Sample {
-        epoch: u64,
-        chunk: usize,
-        circuit: Arc<Circuit>,
-        strategy: Option<Strategy>,
-        shots: usize,
-        seed: u64,
-        reply: ChunkReply,
-    },
-}
-
-/// A task plus its submission timestamp — what actually travels the
-/// queue, so workers can report queue-wait latency. Telemetry only:
-/// the timestamp never influences scheduling or results.
-struct QueuedTask {
+/// What travels the queue: one dispatch, already bound to its work and
+/// to the reply channel of the submission that collects it. A worker
+/// just runs it, so run jobs and sampling chunks share every line of
+/// the queue, the worker loop and the collector.
+struct Task {
+    /// Submission time, for queue-wait telemetry only: it never
+    /// influences scheduling or results.
     enqueued: Instant,
-    task: Task,
+    run: Box<dyn FnOnce(&mut Worker) + Send>,
+}
+
+/// What the collector does with a failed dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// The error is the unit's result.
+    Final,
+    /// Re-dispatch the unit unchanged, as its next attempt.
+    Retry,
+    /// Re-dispatch the unit under its fallback policy, without a
+    /// deadline.
+    Degrade,
+}
+
+/// The retry/degrade ladder, as a pure function of one failure.
+///
+/// An abort (a blown deadline, or the policy's own `Abort`) of a unit
+/// that has a fallback degrades — once: rerunning the identical policy
+/// would just abort again, and a degraded attempt never degrades a
+/// second time. Otherwise a retryable error (a lost worker, an injected
+/// fault, a blown deadline) is retried while `retry` has attempts left,
+/// and everything else is final.
+pub(crate) fn verdict(
+    err: &ExecError,
+    attempt: u32,
+    degraded: bool,
+    retry: RetryPolicy,
+    has_fallback: bool,
+) -> Verdict {
+    let abort = matches!(
+        err,
+        ExecError::DeadlineExceeded { .. } | ExecError::Sim(SimError::PolicyAbort { .. })
+    );
+    let retryable = matches!(
+        err,
+        ExecError::WorkerLost { .. }
+            | ExecError::FaultInjected { .. }
+            | ExecError::DeadlineExceeded { .. }
+    );
+    if abort && !degraded && has_fallback {
+        Verdict::Degrade
+    } else if retryable && attempt + 1 < retry.max_attempts {
+        Verdict::Retry
+    } else {
+        Verdict::Final
+    }
 }
 
 /// A fixed-size pool of worker threads, each owning an [`AnyBackend`]
 /// built from a shared [`SimulatorBuilder`] template (the template's
 /// `engine` knob selects DD, stabilizer or hybrid execution), running
-/// batch and sampling jobs from one channel-based work queue.
+/// jobs and sampling chunks from one channel-based work queue.
 ///
 /// Build one through the builder —
-/// `Simulator::builder().workers(4).build_pool()` (see [`BuildPool`])
-/// — and submit work with [`BackendPool::run_batch`],
-/// [`BackendPool::run_jobs`] or [`BackendPool::sample_counts`]. All
-/// submission methods take `&self` and may be called from multiple
-/// threads; results are invariant under worker count (see the module
-/// docs for the determinism contract).
+/// `Simulator::builder().workers(4).build_pool()` (see [`BuildPool`]).
+/// There are two ways to submit work, and both run on the same private
+/// dispatch/collect/retry loop:
+///
+/// * [`BackendPool::run_jobs_with_snapshot`] runs a list of
+///   [`PoolJob`]s. [`BackendPool::run_jobs`] is the same call with the
+///   per-batch snapshot the template asks for, and
+///   [`BackendPool::run_batch`] is `run_jobs` over plain circuits.
+/// * [`BackendPool::sample_counts_streamed`] shards one circuit's shot
+///   budget across the workers. [`BackendPool::sample_counts`] is the
+///   same call without a policy override or a progress callback.
+///
+/// All five take `&self` and may be called from multiple threads;
+/// results are invariant under worker count (see the module docs for
+/// the determinism contract).
 ///
 /// ```
 /// use approxdd_exec::BuildPool;
@@ -601,14 +639,14 @@ struct QueuedTask {
 /// Dropping the pool closes the queue and joins every worker.
 #[derive(Debug)]
 pub struct BackendPool {
-    sender: Option<mpsc::Sender<QueuedTask>>,
+    sender: Option<mpsc::Sender<Task>>,
     template: SimulatorBuilder,
     supervisor: Supervisor,
     worker_stats: Vec<Arc<Mutex<WorkerStats>>>,
     /// Kept so [`BackendPool::heal`] can hand the shared queue to
     /// respawned workers (and so the send side never observes a
     /// disconnected channel while the pool is alive).
-    receiver: Arc<Mutex<mpsc::Receiver<QueuedTask>>>,
+    receiver: Arc<Mutex<mpsc::Receiver<Task>>>,
     queue_depth: Arc<AtomicUsize>,
     max_queue_depth: AtomicUsize,
     tasks_submitted: AtomicUsize,
@@ -618,15 +656,6 @@ pub struct BackendPool {
     retries: AtomicUsize,
     deadline_exceeded: AtomicUsize,
     created: Instant,
-}
-
-impl std::fmt::Debug for Task {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Task::Run { spec, .. } => write!(f, "Task::Run({})", spec.index),
-            Task::Sample { epoch, .. } => write!(f, "Task::Sample(epoch {epoch})"),
-        }
-    }
 }
 
 impl BackendPool {
@@ -644,29 +673,31 @@ impl BackendPool {
     #[must_use]
     pub fn with_workers(template: SimulatorBuilder, workers: usize) -> Self {
         let workers = workers.max(1);
-        let seeds = SeedStream::new(template.sample_seed());
-        let (sender, receiver) = mpsc::channel::<QueuedTask>();
+        let (sender, receiver) = mpsc::channel::<Task>();
         let receiver = Arc::new(Mutex::new(receiver));
         let queue_depth = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::with_capacity(workers);
-        let mut worker_stats = Vec::with_capacity(workers);
-        for id in 0..workers {
-            let cell = Arc::new(Mutex::new(WorkerStats {
-                worker: id,
-                ..WorkerStats::default()
-            }));
-            worker_stats.push(Arc::clone(&cell));
-            let template = template.clone();
-            let receiver = Arc::clone(&receiver);
-            let depth = Arc::clone(&queue_depth);
-            let handle = thread::Builder::new()
-                .name(format!("approxdd-pool-{id}"))
-                .spawn(move || worker_loop(id, &template, &receiver, &depth, &cell))
-                .expect("spawn pool worker");
-            handles.push(handle);
-        }
+        let worker_stats: Vec<_> = (0..workers)
+            .map(|worker| {
+                Arc::new(Mutex::new(WorkerStats {
+                    worker,
+                    ..WorkerStats::default()
+                }))
+            })
+            .collect();
+        let handles = (0..workers)
+            .map(|slot| {
+                spawn_worker(
+                    slot,
+                    &template,
+                    &receiver,
+                    &queue_depth,
+                    &worker_stats[slot],
+                )
+            })
+            .collect();
         Self {
             sender: Some(sender),
+            seeds: SeedStream::new(template.sample_seed()),
             template,
             supervisor: Supervisor::new(handles),
             worker_stats,
@@ -675,7 +706,6 @@ impl BackendPool {
             max_queue_depth: AtomicUsize::new(0),
             tasks_submitted: AtomicUsize::new(0),
             epoch: AtomicU64::new(0),
-            seeds,
             fault_plan: Mutex::new(None),
             retries: AtomicUsize::new(0),
             deadline_exceeded: AtomicUsize::new(0),
@@ -702,32 +732,31 @@ impl BackendPool {
 
     /// Respawns every dead worker thread into its original slot (same
     /// index, same [`WorkerStats`] cell, accumulated counters
-    /// preserved), returning how many were healed. Collection loops
-    /// call this automatically on a timer tick, so user code rarely
-    /// needs to — it is public for servers that want to heal eagerly
-    /// between batches. Totals surface in [`PoolStats::respawns`] and
-    /// per slot in [`WorkerStats::respawns`].
+    /// preserved), returning how many were healed. The collector calls
+    /// this automatically on a timer tick, so user code rarely needs
+    /// to — it is public for servers that want to heal eagerly between
+    /// batches. Totals surface in [`PoolStats::respawns`] and per slot
+    /// in [`WorkerStats::respawns`].
     pub fn heal(&self) -> usize {
         self.supervisor.heal(|slot| {
-            let cell = Arc::clone(&self.worker_stats[slot]);
+            let cell = &self.worker_stats[slot];
             cell.lock().unwrap_or_else(PoisonError::into_inner).respawns += 1;
             telemetry::count("approxdd_pool_respawns_total", 1);
-            let template = self.template.clone();
-            let receiver = Arc::clone(&self.receiver);
-            let depth = Arc::clone(&self.queue_depth);
-            thread::Builder::new()
-                .name(format!("approxdd-pool-{slot}"))
-                .spawn(move || worker_loop(slot, &template, &receiver, &depth, &cell))
-                .expect("respawn pool worker")
+            spawn_worker(
+                slot,
+                &self.template,
+                &self.receiver,
+                &self.queue_depth,
+                cell,
+            )
         })
     }
 
     /// Installs (or, with `None`, clears) a fault-injection plan for
-    /// subsequent [`BackendPool::run_jobs`] submissions. Test/bench
-    /// only: injected faults exercise the supervision, retry and
-    /// deadline machinery at deterministic job indices (the
-    /// `DOMAIN_FAULT` seed stream — see [`FaultPlan`]). No production
-    /// path installs one.
+    /// subsequent run-job submissions. Test/bench only: injected faults
+    /// exercise the supervision, retry and deadline machinery at
+    /// deterministic job indices (the `DOMAIN_FAULT` seed stream — see
+    /// [`FaultPlan`]). No production path installs one.
     pub fn inject_faults(&self, plan: Option<FaultPlan>) {
         *self
             .fault_plan
@@ -741,45 +770,41 @@ impl BackendPool {
         self.seeds.root()
     }
 
-    /// Runs every circuit under the pool template's strategy, in input
-    /// order, failing on the first per-job error (all jobs still
-    /// execute; use [`BackendPool::try_run_batch`] to keep partial
-    /// results).
+    /// [`BackendPool::run_jobs`] over plain circuits under the pool
+    /// template's policy, failing on the first per-job error (all jobs
+    /// still execute; call `run_jobs` to keep partial results).
     ///
     /// # Errors
     ///
     /// The lowest-indexed failing job's error.
     pub fn run_batch(&self, circuits: &[Circuit]) -> Result<Vec<PoolOutcome>, ExecError> {
-        self.try_run_batch(circuits).into_iter().collect()
+        let jobs = circuits.iter().cloned().map(PoolJob::new).collect();
+        self.run_jobs(jobs).into_iter().collect()
     }
 
-    /// Runs every circuit, returning one result per circuit in input
-    /// order. A failing job never disturbs the others: each failure is
-    /// confined to its own slot.
+    /// [`BackendPool::run_jobs_with_snapshot`] with the per-batch
+    /// snapshot the template asks for: when `share_snapshot` is on,
+    /// every gate of every job circuit is warmed **on this (submitting)
+    /// thread, in input order**, so the frozen prefix is a pure
+    /// function of the job list — never of worker count or scheduling.
+    /// No snapshot is built when the knob is off, for the pure-tableau
+    /// engine (no DD package to share), or when warming fails (the
+    /// per-job run then reports the error in its own slot).
     #[must_use]
-    pub fn try_run_batch(&self, circuits: &[Circuit]) -> Vec<Result<PoolOutcome, ExecError>> {
-        self.run_jobs(circuits.iter().cloned().map(PoolJob::new).collect())
+    pub fn run_jobs(&self, jobs: Vec<PoolJob>) -> Vec<Result<PoolOutcome, ExecError>> {
+        let template = &self.template;
+        let snapshot = (template.share_snapshot_enabled()
+            && template.engine_kind() != Engine::Stabilizer)
+            .then(|| template.build_snapshot(jobs.iter().map(PoolJob::circuit)))
+            .and_then(Result::ok)
+            .map(Arc::new);
+        self.run_jobs_with_snapshot(jobs, snapshot)
     }
 
-    /// Runs every circuit and draws `shots` measurement samples per
-    /// run, with per-job seeds from the pool's seed stream.
-    #[must_use]
-    pub fn run_batch_sampled(
-        &self,
-        circuits: &[Circuit],
-        shots: usize,
-    ) -> Vec<Result<PoolOutcome, ExecError>> {
-        self.run_jobs(
-            circuits
-                .iter()
-                .map(|c| PoolJob::new(c.clone()).shots(shots))
-                .collect(),
-        )
-    }
-
-    /// The general submission path: runs heterogeneous jobs (per-job
-    /// strategies and shot counts) across the workers, returning one
-    /// result per job in input order.
+    /// The run primitive: runs heterogeneous jobs (per-job policies,
+    /// shot counts, deadlines, …) across the workers, returning one
+    /// result per job in input order. A failing job never disturbs the
+    /// others: each failure is confined to its own slot.
     ///
     /// Job `i` samples with seed `stream(DOMAIN_RUN, i)` — keyed on the
     /// job index alone, never the attempt, so a retried success is
@@ -788,72 +813,19 @@ impl BackendPool {
     /// allows, and otherwise reports [`ExecError::WorkerLost`] in its
     /// slot instead of hanging the collection; dead workers are healed
     /// along the way (see the module docs, *Fault tolerance*).
-    #[must_use]
-    pub fn run_jobs(&self, jobs: Vec<PoolJob>) -> Vec<Result<PoolOutcome, ExecError>> {
-        let snapshot = self.batch_snapshot(&jobs);
-        self.run_jobs_inner(jobs, snapshot)
-    }
-
-    /// Checks the admission seam: would submitting `tasks` more tasks
-    /// right now stay within the template's
-    /// [`queue_capacity`](SimulatorBuilder::queue_capacity) bound?
-    /// Returns immediately either way — admission never blocks, and a
-    /// rejection enqueues nothing, so already-admitted work (and its
-    /// fingerprints) is untouched. Pools without a configured bound
-    /// admit everything.
     ///
-    /// # Errors
-    ///
-    /// [`ExecError::QueueFull`] when the submission would exceed the
-    /// bound.
-    pub fn try_admit(&self, tasks: usize) -> Result<(), ExecError> {
-        if let Some(capacity) = self.template.queue_capacity_bound() {
-            let queued = self.queue_depth.load(Ordering::Relaxed);
-            if queued + tasks > capacity {
-                return Err(ExecError::QueueFull {
-                    queued,
-                    submitted: tasks,
-                    capacity,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// [`BackendPool::run_jobs`] behind the admission seam: the whole
-    /// submission is accepted or rejected atomically **before**
-    /// anything is enqueued. Serving layers use this as their
-    /// backpressure primitive (HTTP 429); plain `run_jobs` stays
-    /// unbounded for library batch callers.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::QueueFull`] when the template has a
-    /// [`queue_capacity`](SimulatorBuilder::queue_capacity) bound and
-    /// this submission would exceed it. Per-job failures still settle
-    /// inside the returned vector, exactly as with `run_jobs`.
-    pub fn run_jobs_admitted(
-        &self,
-        jobs: Vec<PoolJob>,
-    ) -> Result<Vec<Result<PoolOutcome, ExecError>>, ExecError> {
-        self.try_admit(jobs.len())?;
-        Ok(self.run_jobs(jobs))
-    }
-
-    /// [`BackendPool::run_jobs`] with an externally supplied frozen
-    /// snapshot instead of the per-batch one: the cross-batch reuse
-    /// seam behind warm serving sessions. The caller freezes a circuit
-    /// family once (e.g. [`SimulatorBuilder::build_snapshot`]) and
-    /// passes the same `Arc` to every subsequent batch of that family —
-    /// gate DDs are never rebuilt, and because a snapshot is a pure
-    /// function of (options, circuit list) the outcomes stay
-    /// byte-identical to a cold `run_jobs` call (the snapshot
-    /// equivalence contract of `tests/snapshot_equivalence.rs`).
-    ///
-    /// `None` runs the batch snapshot-free (no per-batch snapshot is
-    /// built, regardless of the template's `share_snapshot` knob). The
-    /// pure-tableau engine has no DD package: a supplied snapshot is
-    /// ignored there, exactly as in `run_jobs`.
+    /// `snapshot` is the frozen prefix every job's engine layers over,
+    /// which makes this the cross-batch reuse seam behind warm serving
+    /// sessions: the caller freezes a circuit family once (e.g.
+    /// [`SimulatorBuilder::build_snapshot`]) and passes the same `Arc`
+    /// to every subsequent batch of that family — gate DDs are never
+    /// rebuilt, and because a snapshot is a pure function of (options,
+    /// circuit list) the outcomes stay byte-identical to a cold
+    /// [`BackendPool::run_jobs`] call (the snapshot equivalence
+    /// contract of `tests/snapshot_equivalence.rs`). `None` runs the
+    /// batch snapshot-free, regardless of the template's
+    /// `share_snapshot` knob. The pure-tableau engine has no DD
+    /// package: a supplied snapshot is ignored there.
     #[must_use]
     pub fn run_jobs_with_snapshot(
         &self,
@@ -861,15 +833,6 @@ impl BackendPool {
         snapshot: Option<Arc<SimSnapshot>>,
     ) -> Vec<Result<PoolOutcome, ExecError>> {
         let snapshot = snapshot.filter(|_| self.template.engine_kind() != Engine::Stabilizer);
-        self.run_jobs_inner(jobs, snapshot)
-    }
-
-    fn run_jobs_inner(
-        &self,
-        jobs: Vec<PoolJob>,
-        snapshot: Option<Arc<SimSnapshot>>,
-    ) -> Vec<Result<PoolOutcome, ExecError>> {
-        let n = jobs.len();
         let fault = self
             .fault_plan
             .lock()
@@ -877,204 +840,96 @@ impl BackendPool {
             .clone();
         let template_retry = self.template.retry_policy();
         let template_deadline = self.template.job_deadline_budget();
-        let mut results: Vec<Option<Result<PoolOutcome, ExecError>>> =
-            (0..n).map(|_| None).collect();
-        // Dispatches awaiting submission, as (job index, attempt,
-        // degraded) triples; retries/degradations feed back into the
-        // next round.
-        let mut pending: Vec<(usize, u32, bool)> = (0..n).map(|i| (i, 0, false)).collect();
-        while !pending.is_empty() {
-            pending.sort_unstable();
-            let round = std::mem::take(&mut pending);
-            let (reply, results_rx) = mpsc::channel();
-            let mut outstanding: BTreeMap<usize, (u32, bool)> = BTreeMap::new();
-            for (index, attempt, degraded) in round {
-                let job = jobs[index].clone();
-                let retry = job.retry.unwrap_or(template_retry);
-                let delay = retry.delay_for(attempt);
-                if !delay.is_zero() {
-                    thread::sleep(delay);
-                }
+        let seeds = self.seeds;
+        let ladder: Vec<_> = jobs
+            .iter()
+            .map(|job| (job.retry.unwrap_or(template_retry), job.fallback.is_some()))
+            .collect();
+        let mut results: Vec<_> = jobs.iter().map(|_| None).collect();
+        self.drive(
+            "run",
+            jobs.len(),
+            |index| ladder[index],
+            // The job list moves into the work closure, which `drive`
+            // shares behind one `Arc`: every attempt of every job, on
+            // whichever worker it lands, reads the same copy.
+            move |worker, dispatch| {
+                let job = &jobs[dispatch.key];
                 // A degraded attempt drops the deadline: the coarser
                 // fallback is the last resort and must be allowed to
                 // finish.
-                let deadline = if degraded {
+                let deadline = if dispatch.degraded {
                     None
                 } else {
                     job.deadline.or(template_deadline)
                 };
-                let seed = self.seeds.seed(DOMAIN_RUN, index as u64);
-                outstanding.insert(index, (attempt, degraded));
-                self.submit(Task::Run {
-                    spec: RunSpec {
-                        index,
-                        attempt,
-                        degraded,
+                worker.booked(true, job.shots, |worker| {
+                    worker.run_job(
                         job,
-                        seed,
-                        snapshot: snapshot.clone(),
+                        dispatch,
+                        seeds.seed(DOMAIN_RUN, dispatch.key as u64),
+                        snapshot.clone(),
                         deadline,
-                        fault: fault.clone(),
-                    },
-                    reply: reply.clone(),
-                });
-            }
-            drop(reply);
-            while !outstanding.is_empty() {
-                match results_rx.recv_timeout(SUPERVISE_TICK) {
-                    Ok((index, attempt, degraded, result)) => {
-                        outstanding.remove(&index);
-                        self.settle(
-                            &jobs,
-                            template_retry,
-                            (index, attempt, degraded),
-                            result,
-                            &mut results,
-                            &mut pending,
-                        );
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        // Dead workers strand queued tasks (every queued
-                        // task holds a reply sender clone, so the
-                        // channel never disconnects by itself): heal so
-                        // replacements drain the queue.
-                        self.heal();
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            // Whatever never replied rode a dying worker down with it.
-            for (index, (attempt, degraded)) in outstanding {
-                self.settle(
-                    &jobs,
-                    template_retry,
-                    (index, attempt, degraded),
-                    Err(ExecError::WorkerLost {
-                        job: index,
-                        attempt,
-                    }),
-                    &mut results,
-                    &mut pending,
-                );
-            }
-            self.heal();
-        }
+                        fault.as_deref(),
+                    )
+                })
+            },
+            |index, result| {
+                results[index] = Some(result);
+                Ok(())
+            },
+        )
+        .expect("run jobs settle into their own slots");
         results
             .into_iter()
             .map(|slot| slot.expect("every job settles exactly once"))
             .collect()
     }
 
-    /// Routes one dispatch's result: a success lands in its slot; a
-    /// failure consults the degradation ladder, then the retry policy,
-    /// before becoming final. Resilience counters are bumped here —
-    /// once per observation, before any retry decision — which is what
-    /// makes their totals worker-count-invariant.
-    fn settle(
-        &self,
-        jobs: &[PoolJob],
-        template_retry: RetryPolicy,
-        dispatch: (usize, u32, bool),
-        result: Result<PoolOutcome, ExecError>,
-        results: &mut [Option<Result<PoolOutcome, ExecError>>],
-        pending: &mut Vec<(usize, u32, bool)>,
-    ) {
-        let (index, attempt, degraded) = dispatch;
-        let err = match result {
-            Ok(outcome) => {
-                results[index] = Some(Ok(outcome));
-                return;
-            }
-            Err(err) => err,
-        };
-        if matches!(err, ExecError::DeadlineExceeded { .. }) {
-            self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            telemetry::count("approxdd_pool_deadline_exceeded_total", 1);
-        }
-        let job = &jobs[index];
-        let abortish = matches!(
-            err,
-            ExecError::DeadlineExceeded { .. } | ExecError::Sim(SimError::PolicyAbort { .. })
-        );
-        if abortish && !degraded && job.fallback.is_some() {
-            // Degrade before (instead of) blindly retrying an abort:
-            // rerunning the identical policy would just abort again.
-            self.retries.fetch_add(1, Ordering::Relaxed);
-            telemetry::count("approxdd_pool_retries_total", 1);
-            pending.push((index, attempt + 1, true));
-            return;
-        }
-        let retryable = matches!(
-            err,
-            ExecError::WorkerLost { .. }
-                | ExecError::FaultInjected { .. }
-                | ExecError::DeadlineExceeded { .. }
-        );
-        let retry = job.retry.unwrap_or(template_retry);
-        if retryable && attempt + 1 < retry.max_attempts {
-            self.retries.fetch_add(1, Ordering::Relaxed);
-            telemetry::count("approxdd_pool_retries_total", 1);
-            pending.push((index, attempt + 1, degraded));
-            return;
-        }
-        results[index] = Some(Err(err));
-    }
-
-    /// Draws `shots` measurement outcomes of `circuit` as a histogram,
-    /// sharding the shot budget across the workers in chunks of
-    /// [`SHOT_CHUNK`].
-    ///
-    /// Each worker runs the circuit once (deterministically, on fresh
-    /// state) and then serves chunks from its cached final state, so
-    /// large shot counts amortize the simulation cost across the pool.
-    /// The merged histogram is a pure function of (root seed, circuit,
-    /// shots) — calling this twice, or with a different worker count,
-    /// yields identical counts.
+    /// [`BackendPool::sample_counts_streamed`] under the template's
+    /// policy, without a progress callback.
     ///
     /// # Errors
     ///
-    /// Preparation/execution errors, or [`ExecError::WorkerLost`] if
-    /// workers died before serving every chunk.
+    /// See [`BackendPool::sample_counts_streamed`].
     pub fn sample_counts(
         &self,
         circuit: &Circuit,
         shots: usize,
     ) -> Result<HashMap<u64, usize>, ExecError> {
-        self.sample_counts_with(circuit, None, shots)
+        self.sample_counts_streamed(circuit, None, shots, &mut |_| {})
     }
 
-    /// [`BackendPool::sample_counts`] with a per-call strategy override
-    /// (e.g. sampling an approximate run's distribution).
+    /// The sampling primitive: draws `shots` measurement outcomes of
+    /// `circuit` as a histogram, sharding the shot budget across the
+    /// workers in chunks of [`SHOT_CHUNK`]. `strategy` overrides the
+    /// template's policy for this call (e.g. sampling an approximate
+    /// run's distribution).
+    ///
+    /// Each worker runs the circuit once (deterministically, on fresh
+    /// state) and then serves chunks from its cached final state, so
+    /// large shot counts amortize the simulation cost across the pool.
+    /// Chunk `i` always draws with seed `stream(DOMAIN_SAMPLE, i)` and
+    /// merging is commutative, so the merged histogram is a pure
+    /// function of (root seed, circuit, policy, shots) — calling this
+    /// twice, or with a different worker count, yields identical
+    /// counts.
+    ///
+    /// `on_chunk` is invoked once per sampling chunk, right after its
+    /// histogram merges, with a [`ChunkSettled`] view of the running
+    /// totals — the streaming seam serving layers use to push partial
+    /// histograms to clients while the shot budget drains. The
+    /// *settlement order* — and with it every intermediate partial
+    /// view — depends on scheduling, so partials are progress reports,
+    /// not reproducible results. A chunk lost to a dying worker is
+    /// re-dispatched under the template's [`RetryPolicy`] and settles
+    /// (and reports) once, with its original seed.
     ///
     /// # Errors
     ///
-    /// See [`BackendPool::sample_counts`].
-    pub fn sample_counts_with(
-        &self,
-        circuit: &Circuit,
-        strategy: Option<Strategy>,
-        shots: usize,
-    ) -> Result<HashMap<u64, usize>, ExecError> {
-        self.sample_counts_inner(circuit, strategy, shots, None)
-    }
-
-    /// [`BackendPool::sample_counts_with`] with a chunk-settlement
-    /// callback: `on_chunk` is invoked once per sampling chunk, right
-    /// after its histogram merges, with a [`ChunkSettled`] view of the
-    /// running totals — the streaming seam serving layers use to push
-    /// partial histograms to clients while the shot budget drains.
-    ///
-    /// Determinism caveat: the **final** merged histogram is exactly
-    /// the `sample_counts` result (chunk seeds are keyed on the chunk
-    /// index; merging is commutative), but the *settlement order* — and
-    /// with it every intermediate partial view — depends on scheduling,
-    /// so partials are progress reports, not reproducible results. A
-    /// retried chunk ([`RetryPolicy`]) settles (and reports) once, with
-    /// its original seed.
-    ///
-    /// # Errors
-    ///
-    /// See [`BackendPool::sample_counts`].
+    /// The first chunk error to arrive — preparation/execution errors
+    /// fail the whole request — or [`ExecError::WorkerLost`] if workers
+    /// died before serving every chunk.
     pub fn sample_counts_streamed(
         &self,
         circuit: &Circuit,
@@ -1082,80 +937,141 @@ impl BackendPool {
         shots: usize,
         on_chunk: &mut dyn FnMut(&ChunkSettled),
     ) -> Result<HashMap<u64, usize>, ExecError> {
-        self.sample_counts_inner(circuit, strategy, shots, Some(on_chunk))
-    }
-
-    fn sample_counts_inner(
-        &self,
-        circuit: &Circuit,
-        strategy: Option<Strategy>,
-        shots: usize,
-        mut on_chunk: Option<&mut dyn FnMut(&ChunkSettled)>,
-    ) -> Result<HashMap<u64, usize>, ExecError> {
-        if shots == 0 {
-            return Ok(HashMap::new());
-        }
         // The epoch invalidates the workers' cached run state; chunk
         // *seeds* are keyed on the chunk index alone so repeated calls
         // (and retried chunks) stay reproducible.
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
-        let circuit = Arc::new(circuit.clone());
         let chunks = shots.div_ceil(SHOT_CHUNK);
+        let chunk_shots = move |chunk: usize| SHOT_CHUNK.min(shots - chunk * SHOT_CHUNK);
         let template_retry = self.template.retry_policy();
-        let max_attempts = template_retry.max_attempts.max(1);
+        let seeds = self.seeds;
+        let circuit = circuit.clone();
+        let policy = strategy.map(|s| Arc::new(s) as Arc<dyn PolicyFactory>);
         let mut merged: HashMap<u64, usize> = HashMap::new();
-        let mut arrived = vec![false; chunks];
-        let mut settled = 0usize;
-        let mut shots_settled = 0usize;
-        for attempt in 0..max_attempts {
-            let missing: Vec<usize> = (0..chunks).filter(|&c| !arrived[c]).collect();
-            if missing.is_empty() {
-                break;
-            }
-            if attempt > 0 {
-                // Re-dispatching lost chunks with their original seeds:
-                // a retried chunk redraws the exact same shots.
-                self.retries.fetch_add(missing.len(), Ordering::Relaxed);
-                telemetry::count("approxdd_pool_retries_total", missing.len() as u64);
-                let delay = template_retry.delay_for(attempt);
-                if !delay.is_zero() {
-                    thread::sleep(delay);
+        let mut settled = 0;
+        let mut shots_settled = 0;
+        self.drive(
+            "sample",
+            chunks,
+            |_| (template_retry, false),
+            move |worker, dispatch| {
+                let size = chunk_shots(dispatch.key);
+                let seed = seeds.seed(DOMAIN_SAMPLE, dispatch.key as u64);
+                worker.booked(false, size, |worker| {
+                    worker.sample_chunk(epoch, &circuit, policy.as_ref(), size, seed)
+                })
+            },
+            |chunk, result| {
+                for (outcome, count) in result? {
+                    *merged.entry(outcome).or_insert(0) += count;
                 }
-            }
-            let (reply, results_rx) = mpsc::channel();
-            let mut outstanding = missing.len();
-            for &chunk in &missing {
-                let size = SHOT_CHUNK.min(shots - chunk * SHOT_CHUNK);
-                let seed = self.seeds.seed(DOMAIN_SAMPLE, chunk as u64);
-                self.submit(Task::Sample {
-                    epoch,
+                settled += 1;
+                shots_settled += chunk_shots(chunk);
+                on_chunk(&ChunkSettled {
                     chunk,
-                    circuit: Arc::clone(&circuit),
-                    strategy,
-                    shots: size,
-                    seed,
-                    reply: reply.clone(),
+                    chunks,
+                    settled,
+                    shots_settled,
+                    merged: &merged,
+                });
+                Ok(())
+            },
+        )?;
+        Ok(merged)
+    }
+
+    /// The one execution path: dispatches units `0..units` to the
+    /// workers and collects one final result per unit.
+    ///
+    /// `work` is what a worker does for one dispatch; `ladder` gives a
+    /// unit's retry policy and whether it has a degradation fallback;
+    /// `settle` receives each unit's final result, in arrival order,
+    /// and may fail the whole submission (queued dispatches then run
+    /// into a closed reply channel).
+    ///
+    /// Dispatches go out in rounds, in unit order. A round blocks on
+    /// its reply channel with a supervision tick — dead workers strand
+    /// queued tasks, and every queued task holds a reply sender, so the
+    /// channel never disconnects by itself; healing lets replacements
+    /// drain the queue. A dispatch that never replied rode a dying
+    /// worker down and is settled as [`ExecError::WorkerLost`]. Every
+    /// failure goes through [`verdict`]; retried and degraded units
+    /// form the next round. The resilience counters are bumped here —
+    /// once per observation, before any retry decision — which is what
+    /// makes their totals worker-count-invariant.
+    fn drive<T: Send + 'static>(
+        &self,
+        kind: &'static str,
+        units: usize,
+        ladder: impl Fn(usize) -> (RetryPolicy, bool),
+        work: impl Fn(&mut Worker, Dispatch) -> Result<T, ExecError> + Send + Sync + 'static,
+        mut settle: impl FnMut(usize, Result<T, ExecError>) -> Result<(), ExecError>,
+    ) -> Result<(), ExecError> {
+        let work = Arc::new(work);
+        let mut pending: Vec<Dispatch> = (0..units)
+            .map(|key| Dispatch {
+                key,
+                attempt: 0,
+                degraded: false,
+            })
+            .collect();
+        while !pending.is_empty() {
+            pending.sort_unstable_by_key(|dispatch| dispatch.key);
+            // One backoff per round — the longest any of its units
+            // asks for — so k retried units cost one delay, not k.
+            let backoff = pending
+                .iter()
+                .map(|dispatch| ladder(dispatch.key).0.delay_for(dispatch.attempt))
+                .max()
+                .unwrap_or_default();
+            if !backoff.is_zero() {
+                thread::sleep(backoff);
+            }
+            let (reply, replies) = mpsc::channel();
+            let mut outstanding = BTreeMap::new();
+            for dispatch in std::mem::take(&mut pending) {
+                outstanding.insert(dispatch.key, dispatch);
+                let work = Arc::clone(&work);
+                let reply = reply.clone();
+                self.submit(kind, move |worker| {
+                    let _ = reply.send((dispatch.key, work(worker, dispatch)));
                 });
             }
             drop(reply);
-            while outstanding > 0 {
-                match results_rx.recv_timeout(SUPERVISE_TICK) {
-                    Ok((chunk, result)) => {
-                        outstanding -= 1;
-                        for (outcome, count) in result? {
-                            *merged.entry(outcome).or_insert(0) += count;
+            let mut route = |dispatch: Dispatch, result: Result<T, ExecError>| {
+                let Dispatch {
+                    key,
+                    attempt,
+                    degraded,
+                } = dispatch;
+                let next = match &result {
+                    Ok(_) => Verdict::Final,
+                    Err(err) => {
+                        if matches!(err, ExecError::DeadlineExceeded { .. }) {
+                            self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                            telemetry::count("approxdd_pool_deadline_exceeded_total", 1);
                         }
-                        arrived[chunk] = true;
-                        settled += 1;
-                        shots_settled += SHOT_CHUNK.min(shots - chunk * SHOT_CHUNK);
-                        if let Some(callback) = on_chunk.as_deref_mut() {
-                            callback(&ChunkSettled {
-                                chunk,
-                                chunks,
-                                settled,
-                                shots_settled,
-                                merged: &merged,
-                            });
+                        let (retry, has_fallback) = ladder(key);
+                        verdict(err, attempt, degraded, retry, has_fallback)
+                    }
+                };
+                if next == Verdict::Final {
+                    return settle(key, result);
+                }
+                self.retries.fetch_add(1, Ordering::Relaxed);
+                telemetry::count("approxdd_pool_retries_total", 1);
+                pending.push(Dispatch {
+                    key,
+                    attempt: attempt + 1,
+                    degraded: degraded || next == Verdict::Degrade,
+                });
+                Ok(())
+            };
+            while !outstanding.is_empty() {
+                match replies.recv_timeout(SUPERVISE_TICK) {
+                    Ok((key, result)) => {
+                        if let Some(dispatch) = outstanding.remove(&key) {
+                            route(dispatch, result)?;
                         }
                     }
                     Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -1164,15 +1080,13 @@ impl BackendPool {
                     Err(mpsc::RecvTimeoutError::Disconnected) => break,
                 }
             }
+            for (job, dispatch) in outstanding {
+                let attempt = dispatch.attempt;
+                route(dispatch, Err(ExecError::WorkerLost { job, attempt }))?;
+            }
             self.heal();
         }
-        if let Some(lost) = arrived.iter().position(|&done| !done) {
-            return Err(ExecError::WorkerLost {
-                job: lost,
-                attempt: max_attempts - 1,
-            });
-        }
-        Ok(merged)
+        Ok(())
     }
 
     /// A statistics snapshot: wall time, queue pressure, per-worker
@@ -1196,38 +1110,14 @@ impl BackendPool {
         }
     }
 
-    /// Builds the batch's shared frozen snapshot, when the template
-    /// asks for one: every gate of every job circuit is warmed **on
-    /// this (submitting) thread, in input order**, so the frozen prefix
-    /// is a pure function of the job list — never of worker count or
-    /// scheduling. Returns `None` when snapshots are off, for the
-    /// pure-tableau engine (no DD package to share), or when warming
-    /// fails (the per-job run then reports the error in its own slot,
-    /// exactly as without snapshots).
-    fn batch_snapshot(&self, jobs: &[PoolJob]) -> Option<Arc<SimSnapshot>> {
-        if !self.template.share_snapshot_enabled()
-            || self.template.engine_kind() == Engine::Stabilizer
-        {
-            return None;
-        }
-        self.template
-            .build_snapshot(jobs.iter().map(PoolJob::circuit))
-            .ok()
-            .map(Arc::new)
-    }
-
-    fn submit(&self, task: Task) {
+    fn submit(&self, kind: &'static str, run: impl FnOnce(&mut Worker) + Send + 'static) {
         self.tasks_submitted.fetch_add(1, Ordering::Relaxed);
-        let kind = match &task {
-            Task::Run { .. } => "run",
-            Task::Sample { .. } => "sample",
-        };
         telemetry::count_with("approxdd_pool_tasks_total", &[("kind", kind)], 1);
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
-        let task = QueuedTask {
+        let task = Task {
             enqueued: Instant::now(),
-            task,
+            run: Box::new(run),
         };
         let sent = self.sender.as_ref().is_some_and(|tx| tx.send(task).is_ok());
         if !sent {
@@ -1265,33 +1155,90 @@ impl BuildPool for SimulatorBuilder {
 /// Why `Worker::backend` can be unwrapped after `fresh_backend`.
 const BACKEND_BUILT: &str = "fresh_backend built this task's engine";
 
+/// Folds `backend`'s package counters into `stats`. The cumulative ones
+/// (cache and snapshot hits, the node high-water mark) add on top of
+/// what `stats` holds; the gauges (alive nodes, table occupancy, cached
+/// gates) are overwritten. The pure-tableau engine owns no DD package
+/// and a worker without an engine has nothing to report: both
+/// contribute zeros.
+fn absorb(stats: &mut WorkerStats, backend: Option<&AnyBackend>) {
+    let pkg = backend
+        .and_then(AnyBackend::package_stats)
+        .unwrap_or_default();
+    stats.ct_hits += pkg.ct_hits;
+    stats.ct_misses += pkg.ct_misses;
+    stats.peak_nodes = stats.peak_nodes.max(pkg.peak_nodes());
+    stats.snapshot_hits += pkg.snapshot_hits;
+    stats.snapshot_gate_hits += backend.map_or(0, AnyBackend::snapshot_gate_hits);
+    stats.alive_nodes = pkg.vnodes_alive + pkg.mnodes_alive;
+    stats.unique_len = pkg.unique_len;
+    stats.unique_capacity = pkg.unique_capacity;
+    stats.frozen_nodes = pkg.frozen_nodes();
+    stats.cached_gates = backend.map_or(0, AnyBackend::gate_cache_len);
+}
+
 struct Worker {
-    id: usize,
     template: SimulatorBuilder,
-    /// The current job's engine: `None` before the first task, and
+    /// The current unit's engine: `None` before the first task, and
     /// while [`Worker::fresh_backend`] builds the next one.
     backend: Option<AnyBackend>,
+    /// The sampling request this worker last simulated for, with that
+    /// run's outcome. A failed run is kept too, so the request's
+    /// remaining chunks answer with its error instead of re-running it.
+    epoch: Option<(u64, Result<RunOutcome<AnyHandle>, ExecError>)>,
+    /// This worker's books: the task counters, plus the package
+    /// counters of every engine it has retired (each run job rebuilds
+    /// the backend, so the live package only covers the current job).
+    /// Summed across workers the latter cover every executed job —
+    /// deterministic regardless of scheduling.
+    totals: WorkerStats,
+    /// Where [`Worker::booked`] publishes `totals` plus the live
+    /// engine's counters, for [`BackendPool::stats`].
+    published: Arc<Mutex<WorkerStats>>,
     /// Times every engine construction (`backend.build` on `/metrics`).
     build_timer: telemetry::PhaseTimer,
-    epoch: Option<(u64, RunOutcome<AnyHandle>)>,
-    /// Cache counters harvested from retired backends (each run job
-    /// rebuilds the backend, so the live package only covers the
-    /// current job). Summed across workers these cover every executed
-    /// job — deterministic regardless of scheduling. The pure-tableau
-    /// engine owns no DD package, so its jobs contribute zeros.
-    harvested_ct_hits: u64,
-    harvested_ct_misses: u64,
-    harvested_peak_nodes: usize,
-    harvested_snapshot_hits: u64,
-    harvested_snapshot_gate_hits: u64,
+    run_timer: telemetry::PhaseTimer,
+    sample_timer: telemetry::PhaseTimer,
 }
 
 impl Worker {
+    /// Runs one task body and books it: busy time, the task and shot
+    /// counters, and a fresh [`WorkerStats`] publication.
+    fn booked<T>(
+        &mut self,
+        is_run: bool,
+        shots: usize,
+        task: impl FnOnce(&mut Self) -> Result<T, ExecError>,
+    ) -> Result<T, ExecError> {
+        let start = Instant::now();
+        let result = task(self);
+        let busy = start.elapsed();
+        let totals = &mut self.totals;
+        if is_run {
+            self.run_timer.observe(busy);
+            totals.jobs += 1;
+            totals.failed_jobs += usize::from(result.is_err());
+        } else {
+            self.sample_timer.observe(busy);
+            totals.sample_chunks += 1;
+        }
+        if result.is_ok() {
+            totals.shots_drawn += shots;
+        }
+        totals.busy += busy;
+        let mut report = totals.clone();
+        absorb(&mut report, self.backend.as_ref());
+        *self
+            .published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = report;
+        result
+    }
+
     /// Replaces the backend with a fresh instance built from the
-    /// template (plus an optional policy or strategy override — the
-    /// policy factory wins), layered over the batch's shared frozen
-    /// snapshot when one was built. Job isolation is the pool's
-    /// determinism linchpin — see the module docs.
+    /// template (plus an optional policy override), layered over the
+    /// batch's shared frozen snapshot when one was built. Job isolation
+    /// is the pool's determinism linchpin — see the module docs.
     ///
     /// When the job carries a `deadline`, whatever policy it ended up
     /// with is wrapped in a [`DeadlineFactory`] — per-job overrides and
@@ -1300,7 +1247,6 @@ impl Worker {
     /// from a policy's own abort.
     fn fresh_backend(
         &mut self,
-        strategy: Option<Strategy>,
         policy: Option<&Arc<dyn PolicyFactory>>,
         snapshot: Option<Arc<SimSnapshot>>,
         deadline: Option<Duration>,
@@ -1309,20 +1255,10 @@ impl Worker {
         // first) before the new one exists: the worker peaks at one
         // arena, unique-table and cache set, not two.
         self.epoch = None;
-        if let Some(old) = self.backend.take() {
-            if let Some(pkg) = old.package_stats() {
-                self.harvested_ct_hits += pkg.ct_hits;
-                self.harvested_ct_misses += pkg.ct_misses;
-                self.harvested_peak_nodes = self.harvested_peak_nodes.max(pkg.peak_nodes());
-                self.harvested_snapshot_hits += pkg.snapshot_hits;
-            }
-            self.harvested_snapshot_gate_hits += old.snapshot_gate_hits();
-        }
+        absorb(&mut self.totals, self.backend.take().as_ref());
         let mut template = self.template.clone();
         if let Some(factory) = policy {
             template = template.policy_factory(Arc::clone(factory));
-        } else if let Some(strategy) = strategy {
-            template = template.strategy(strategy);
         }
         let mut fired = None;
         if let Some(budget) = deadline {
@@ -1337,74 +1273,78 @@ impl Worker {
         fired
     }
 
-    /// Executes one dispatch: fires any injected fault first (before
-    /// touching the backend, so a panic can never lose harvested
-    /// counters or leave a half-built package), selects the degraded
-    /// fallback policy when asked, and maps a deadline-triggered abort
-    /// to the typed [`ExecError::DeadlineExceeded`].
-    fn run_job(&mut self, spec: &RunSpec) -> Result<PoolOutcome, ExecError> {
-        if let Some(kind) = spec
-            .fault
-            .as_deref()
-            .and_then(|plan| plan.decide(spec.index, spec.attempt))
-        {
-            match kind {
-                FaultKind::Panic => std::panic::panic_any(InjectedPanic {
-                    job: spec.index,
-                    attempt: spec.attempt,
-                }),
-                FaultKind::Delay(delay) => thread::sleep(delay),
-                FaultKind::Abort => {
-                    return Err(ExecError::FaultInjected {
-                        job: spec.index,
-                        attempt: spec.attempt,
-                    })
-                }
-            }
-        }
-        let job = &spec.job;
-        let policy = if spec.degraded {
-            job.fallback.as_ref().or(job.policy.as_ref())
-        } else {
-            job.policy.as_ref()
-        };
-        let fired = self.fresh_backend(job.strategy, policy, spec.snapshot.clone(), spec.deadline);
-        match self.execute(job, spec.seed) {
-            Err(e)
-                if matches!(e, ExecError::Sim(SimError::PolicyAbort { .. }))
-                    && fired.as_ref().is_some_and(|f| f.load(Ordering::Relaxed)) =>
-            {
-                Err(ExecError::DeadlineExceeded {
-                    job: spec.index,
-                    attempt: spec.attempt,
-                    budget: spec.deadline.unwrap_or_default(),
+    /// Executes one dispatch of a run job: fires any injected fault
+    /// first (before touching the backend, so a panic can never lose
+    /// harvested counters or leave a half-built package), selects the
+    /// degraded fallback policy when asked, and maps a
+    /// deadline-triggered abort to the typed
+    /// [`ExecError::DeadlineExceeded`].
+    fn run_job(
+        &mut self,
+        job: &PoolJob,
+        dispatch: Dispatch,
+        seed: u64,
+        snapshot: Option<Arc<SimSnapshot>>,
+        deadline: Option<Duration>,
+        fault: Option<&FaultPlan>,
+    ) -> Result<PoolOutcome, ExecError> {
+        let Dispatch {
+            key: index,
+            attempt,
+            degraded,
+        } = dispatch;
+        match fault.and_then(|plan| plan.decide(index, attempt)) {
+            Some(FaultKind::Panic) => std::panic::panic_any(InjectedPanic {
+                job: index,
+                attempt,
+            }),
+            Some(FaultKind::Delay(delay)) => thread::sleep(delay),
+            Some(FaultKind::Abort) => {
+                return Err(ExecError::FaultInjected {
+                    job: index,
+                    attempt,
                 })
             }
-            Err(e) => Err(e),
-            Ok(mut outcome) => {
-                outcome.attempts = spec.attempt + 1;
-                outcome.degraded = spec.degraded;
-                Ok(outcome)
+            None => {}
+        }
+        let policy = job
+            .fallback
+            .as_ref()
+            .filter(|_| degraded)
+            .or(job.policy.as_ref());
+        let fired = self.fresh_backend(policy, snapshot, deadline);
+        let result = self.execute(job, dispatch, seed);
+        let deadline_fired = fired.is_some_and(|flag| flag.load(Ordering::Relaxed));
+        match result {
+            Err(ExecError::Sim(SimError::PolicyAbort { .. })) if deadline_fired => {
+                Err(ExecError::DeadlineExceeded {
+                    job: index,
+                    attempt,
+                    budget: deadline.unwrap_or_default(),
+                })
             }
+            other => other,
         }
     }
 
-    /// The dispatch-agnostic run body (backend already fresh).
-    fn execute(&mut self, job: &PoolJob, seed: u64) -> Result<PoolOutcome, ExecError> {
+    /// The run body proper (backend already fresh).
+    fn execute(
+        &mut self,
+        job: &PoolJob,
+        dispatch: Dispatch,
+        seed: u64,
+    ) -> Result<PoolOutcome, ExecError> {
         let backend = self.backend.as_mut().expect(BACKEND_BUILT);
         let recorder = job.trace.then(|| {
             let recorder = TraceRecorder::shared();
             backend.attach_observer(recorder.clone() as SharedObserver);
             recorder
         });
-        let exe = backend.prepare(&job.circuit)?;
-        let outcome = backend.run(&exe)?;
-        let counts = if job.shots > 0 {
+        let outcome = run_circuit(backend, &job.circuit)?;
+        let counts = (job.shots > 0).then(|| {
             backend.reseed(seed);
-            Some(backend.sample_counts(&outcome, job.shots))
-        } else {
-            None
-        };
+            backend.sample_counts(&outcome, job.shots)
+        });
         // Capture the (fallible) observable value but release the
         // outcome before propagating any error: an early return here
         // would otherwise pin the run's GC roots until this worker's
@@ -1432,156 +1372,87 @@ impl Worker {
             counts,
             expectation,
             trace,
-            worker: self.id,
-            // The dispatch wrapper (`run_job`) overwrites these with
-            // the attempt's actual coordinates.
-            attempts: 1,
-            degraded: false,
+            worker: self.totals.worker,
+            attempts: dispatch.attempt + 1,
+            degraded: dispatch.degraded,
         })
     }
 
+    /// Draws one sampling chunk from the request's final state,
+    /// simulating the circuit first if this worker has not yet done so
+    /// for this `epoch` (request).
     fn sample_chunk(
         &mut self,
         epoch: u64,
         circuit: &Circuit,
-        strategy: Option<Strategy>,
+        policy: Option<&Arc<dyn PolicyFactory>>,
         shots: usize,
         seed: u64,
     ) -> Result<HashMap<u64, usize>, ExecError> {
         if self.epoch.as_ref().map(|(e, _)| *e) != Some(epoch) {
-            self.fresh_backend(strategy, None, None, None);
+            self.fresh_backend(policy, None, None);
             let backend = self.backend.as_mut().expect(BACKEND_BUILT);
-            let exe = backend.prepare(circuit)?;
-            let outcome = backend.run(&exe)?;
-            self.epoch = Some((epoch, outcome));
+            self.epoch = Some((epoch, run_circuit(backend, circuit)));
         }
         let (_, outcome) = self.epoch.as_ref().expect("epoch state just ensured");
+        let outcome = outcome.as_ref().map_err(ExecError::clone)?;
         let backend = self.backend.as_mut().expect(BACKEND_BUILT);
         backend.reseed(seed);
         Ok(backend.sample_counts(outcome, shots))
     }
-
-    fn note_task(
-        &self,
-        cell: &Mutex<WorkerStats>,
-        busy: Duration,
-        shots: usize,
-        is_run: bool,
-        failed: bool,
-    ) {
-        let mut stats = cell.lock().unwrap_or_else(PoisonError::into_inner);
-        if is_run {
-            stats.jobs += 1;
-            stats.failed_jobs += usize::from(failed);
-        } else {
-            stats.sample_chunks += 1;
-        }
-        stats.shots_drawn += shots;
-        stats.busy += busy;
-        let backend = self.backend.as_ref();
-        stats.cached_gates = backend.map_or(0, AnyBackend::gate_cache_len);
-        // Harvested totals plus the live package (when the engine owns
-        // one): covers every job this worker has executed.
-        if let Some(pkg) = backend.and_then(AnyBackend::package_stats) {
-            stats.alive_nodes = pkg.vnodes_alive + pkg.mnodes_alive;
-            stats.peak_nodes = self.harvested_peak_nodes.max(pkg.peak_nodes());
-            stats.ct_hits = self.harvested_ct_hits + pkg.ct_hits;
-            stats.ct_misses = self.harvested_ct_misses + pkg.ct_misses;
-            stats.unique_len = pkg.unique_len;
-            stats.unique_capacity = pkg.unique_capacity;
-            stats.snapshot_hits = self.harvested_snapshot_hits + pkg.snapshot_hits;
-            stats.frozen_nodes = pkg.frozen_nodes();
-        } else {
-            stats.alive_nodes = 0;
-            stats.peak_nodes = self.harvested_peak_nodes;
-            stats.ct_hits = self.harvested_ct_hits;
-            stats.ct_misses = self.harvested_ct_misses;
-            stats.unique_len = 0;
-            stats.unique_capacity = 0;
-            stats.snapshot_hits = self.harvested_snapshot_hits;
-            stats.frozen_nodes = 0;
-        }
-        stats.snapshot_gate_hits =
-            self.harvested_snapshot_gate_hits + backend.map_or(0, AnyBackend::snapshot_gate_hits);
-    }
 }
 
-fn worker_loop(
-    id: usize,
+/// Spawns the worker thread of `slot`, publishing into `stats`. A
+/// respawned worker adopts the slot's published counters, so the
+/// harvest-on-retire totals survive a predecessor's death (all zeros on
+/// a first spawn — same code path). Injected panics fire before any
+/// backend work, so the dying worker's live package was already
+/// reflected in the cell by its last task. While the thread lives it is
+/// the cell's only writer.
+fn spawn_worker(
+    slot: usize,
     template: &SimulatorBuilder,
-    queue: &Mutex<mpsc::Receiver<QueuedTask>>,
-    depth: &AtomicUsize,
-    stats: &Mutex<WorkerStats>,
-) {
-    // Histogram handles resolved once per worker thread: recording on
-    // the task path is a few relaxed atomic adds, no registry lock.
-    let queue_wait = telemetry::PhaseTimer::new("pool.queue_wait");
-    let run_timer = telemetry::PhaseTimer::new("pool.run_job");
-    let sample_timer = telemetry::PhaseTimer::new("pool.sample_chunk");
-    // A respawned worker adopts its slot's accumulated counters, so
-    // the harvest-on-retire totals survive a predecessor's death (all
-    // zeros on a first spawn — same code path). Injected panics fire
-    // before any backend work, so the dying worker's live package was
-    // already reflected in the cell by its last `note_task`.
-    let resume = stats.lock().unwrap_or_else(PoisonError::into_inner).clone();
-    let mut worker = Worker {
-        id,
-        template: template.clone(),
-        backend: None,
-        build_timer: telemetry::PhaseTimer::new("backend.build"),
-        epoch: None,
-        harvested_ct_hits: resume.ct_hits,
-        harvested_ct_misses: resume.ct_misses,
-        harvested_peak_nodes: resume.peak_nodes,
-        harvested_snapshot_hits: resume.snapshot_hits,
-        harvested_snapshot_gate_hits: resume.snapshot_gate_hits,
-    };
-    loop {
-        // Hold the queue lock only for the dequeue, never while
-        // executing: a long job must not serialize the other workers.
-        let task = {
-            let receiver = queue.lock().unwrap_or_else(PoisonError::into_inner);
-            receiver.recv()
-        };
-        let Ok(task) = task else {
-            break; // pool dropped its sender: orderly shutdown
-        };
-        depth.fetch_sub(1, Ordering::Relaxed);
-        queue_wait.observe(task.enqueued.elapsed());
-        let start = Instant::now();
-        match task.task {
-            Task::Run { spec, reply } => {
-                let shots = spec.job.shots;
-                let result = run_timer.time(|| worker.run_job(&spec));
-                worker.note_task(
-                    stats,
-                    start.elapsed(),
-                    if result.is_ok() { shots } else { 0 },
-                    true,
-                    result.is_err(),
-                );
-                let _ = reply.send((spec.index, spec.attempt, spec.degraded, result));
+    queue: &Arc<Mutex<mpsc::Receiver<Task>>>,
+    depth: &Arc<AtomicUsize>,
+    stats: &Arc<Mutex<WorkerStats>>,
+) -> thread::JoinHandle<()> {
+    let template = template.clone();
+    let queue = Arc::clone(queue);
+    let depth = Arc::clone(depth);
+    let published = Arc::clone(stats);
+    thread::Builder::new()
+        .name(format!("approxdd-pool-{slot}"))
+        .spawn(move || {
+            // Histogram handles resolved once per worker thread:
+            // recording on the task path is a few relaxed atomic adds,
+            // no registry lock.
+            let queue_wait = telemetry::PhaseTimer::new("pool.queue_wait");
+            let totals = published
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
+            let mut worker = Worker {
+                template,
+                backend: None,
+                epoch: None,
+                totals,
+                published,
+                build_timer: telemetry::PhaseTimer::new("backend.build"),
+                run_timer: telemetry::PhaseTimer::new("pool.run_job"),
+                sample_timer: telemetry::PhaseTimer::new("pool.sample_chunk"),
+            };
+            loop {
+                // Hold the queue lock only for the dequeue, never while
+                // executing: a long job must not serialize the other
+                // workers.
+                let task = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                let Ok(task) = task else {
+                    break; // pool dropped its sender: orderly shutdown
+                };
+                depth.fetch_sub(1, Ordering::Relaxed);
+                queue_wait.observe(task.enqueued.elapsed());
+                (task.run)(&mut worker);
             }
-            Task::Sample {
-                epoch,
-                chunk,
-                circuit,
-                strategy,
-                shots,
-                seed,
-                reply,
-            } => {
-                let result = sample_timer
-                    .time(|| worker.sample_chunk(epoch, &circuit, strategy, shots, seed));
-                worker.note_task(
-                    stats,
-                    start.elapsed(),
-                    if result.is_ok() { shots } else { 0 },
-                    false,
-                    result.is_err(),
-                );
-                let _ = reply.send((chunk, result));
-            }
-        }
-    }
+        })
+        .expect("spawn pool worker")
 }

@@ -99,17 +99,7 @@ impl Error for ServeError {
 
 impl From<ExecError> for ServeError {
     fn from(e: ExecError) -> Self {
-        // A pool-level queue rejection is backpressure, same as a
-        // scheduler-level one: keep the 429 mapping instead of
-        // wrapping it as an opaque execution fault.
-        if let ExecError::QueueFull {
-            queued, capacity, ..
-        } = e
-        {
-            ServeError::QueueFull { queued, capacity }
-        } else {
-            ServeError::Exec(e)
-        }
+        ServeError::Exec(e)
     }
 }
 
@@ -142,17 +132,5 @@ mod tests {
             assert_eq!(err.kind(), kind, "{err}");
             assert!(!err.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn pool_queue_full_keeps_backpressure_status() {
-        let e: ServeError = ExecError::QueueFull {
-            queued: 3,
-            submitted: 2,
-            capacity: 4,
-        }
-        .into();
-        assert_eq!(e.http_status(), 429);
-        assert_eq!(e.kind(), "queue_full");
     }
 }
