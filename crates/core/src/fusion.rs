@@ -56,6 +56,7 @@ impl Simulator {
         assert!(window > 0, "fusion window must be positive");
         circuit.validate()?;
         let span = approxdd_telemetry::Span::enter("dd.run_fused");
+        let size_timer = approxdd_telemetry::PhaseTimer::new("dd.size");
         let n = circuit.n_qubits();
         let mut state = self.package_mut().zero_state(n);
         self.package_mut().inc_ref(state);
@@ -92,7 +93,8 @@ impl Simulator {
                 self.package_mut().inc_ref(new_state);
                 self.package_mut().dec_ref(state);
                 state = new_state;
-                stats.max_dd_size = stats.max_dd_size.max(self.package().vsize(state));
+                let live_nodes = size_timer.time(|| self.package().vsize(state));
+                stats.max_dd_size = stats.max_dd_size.max(live_nodes);
             }
         }
 

@@ -435,6 +435,7 @@ impl Simulator {
         }
         let run_span = telemetry::Span::enter("dd.run");
         let apply_timer = telemetry::PhaseTimer::new("dd.apply");
+        let size_timer = telemetry::PhaseTimer::new("dd.size");
 
         let mut state = initial;
         self.package.inc_ref(state);
@@ -480,7 +481,7 @@ impl Simulator {
                 self.swap_root(&mut state, new_state);
                 stats.gates_applied += 1;
 
-                live_nodes = self.package.vsize(state);
+                live_nodes = size_timer.time(|| self.package.vsize(state));
                 stats.max_dd_size = stats.max_dd_size.max(live_nodes);
                 if self.options.record_size_series {
                     stats.size_series.push(live_nodes);
@@ -522,10 +523,14 @@ impl Simulator {
                     });
                     let nodes_before = live_nodes;
                     let removed_before = stats.nodes_removed;
-                    if let Err(e) = self.truncate_state(&mut state, round_fidelity, &mut stats) {
-                        self.package.dec_ref(state);
-                        return Err(e);
-                    }
+                    // The round already counted the state it produced.
+                    live_nodes = match self.truncate_state(&mut state, round_fidelity, &mut stats) {
+                        Ok(size_after) => size_after,
+                        Err(e) => {
+                            self.package.dec_ref(state);
+                            return Err(e);
+                        }
+                    };
                     // A no-op round provably kept fidelity exactly 1 —
                     // charging its target to the floor would make
                     // budget policies burn budget on rounds that
@@ -533,7 +538,6 @@ impl Simulator {
                     if stats.nodes_removed > removed_before {
                         stats.fidelity_lower_bound *= round_fidelity;
                     }
-                    live_nodes = self.package.vsize(state);
                     self.emit(|| TraceEvent::Truncated {
                         op_index: i,
                         round: stats.approx_rounds,
@@ -648,12 +652,14 @@ impl Simulator {
     // internals
     // ------------------------------------------------------------------
 
+    /// Runs one truncation round on `state` and books it into `stats`;
+    /// returns the node count of the state the round left behind.
     fn truncate_state(
         &mut self,
         state: &mut VEdge,
         round_fidelity: f64,
         stats: &mut SimStats,
-    ) -> Result<()> {
+    ) -> Result<usize> {
         let span = telemetry::Span::enter("dd.truncate");
         let budget = 1.0 - round_fidelity;
         let result = match self.options.primitive {
@@ -686,7 +692,7 @@ impl Simulator {
             "approxdd_truncated_nodes_total",
             result.removed_nodes as u64,
         );
-        Ok(())
+        Ok(result.size_after)
     }
 
     fn swap_root(&mut self, state: &mut VEdge, new_state: VEdge) {
@@ -855,6 +861,22 @@ mod tests {
     #[test]
     fn exact_matches_statevector_on_supremacy() {
         cross_validate(&generators::supremacy(2, 3, 8, 3));
+    }
+
+    #[test]
+    fn one_qubit_run_never_consults_a_compute_table() {
+        // Every node of a 1-qubit state sits on the terminal level,
+        // where the DD operations compute instead of memoizing.
+        let mut circuit = Circuit::new(1, "one_qubit");
+        circuit.h(0).t(0).rx(0.3, 0).h(0).s(0).ry(1.1, 0);
+        cross_validate(&circuit);
+        let mut sim = Simulator::default();
+        let run = sim.run(&circuit).unwrap();
+        let package = &run.stats.package;
+        assert_eq!(package.ct_hits + package.ct_misses, 0);
+        // One level up the tables are in use again.
+        let run = sim.run(&generators::qft(2)).unwrap();
+        assert!(run.stats.package.ct_misses > 0);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! `add`, `mul_mv` (gate application), `inner_product`, and
 //! `sample_counts`, each on GHZ, QFT, and random-Clifford workloads,
 //! plus the package lifecycle (construct, optionally one gate, drop)
-//! that pooled execution pays once per job.
+//! that pooled execution pays once per job, and the per-gate and
+//! per-round passes of an approximating run — `vsize`, `contributions`
+//! and a budget `truncate` — on a dense 12-qubit state and on a 4×4
+//! supremacy-style state part-way through its circuit.
 //!
 //! Circuits are built from `Package` gate primitives directly (the
 //! `dd` crate sits below the circuit IR, so depending on the
@@ -13,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use approxdd_complex::Cplx;
-use approxdd_dd::{GateKind, Package, VEdge};
+use approxdd_dd::{GateKind, Package, RemovalStrategy, VEdge};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,15 +51,18 @@ fn qft_state(p: &mut Package, n: usize) -> VEdge {
     state
 }
 
+/// One step of the 64-bit LCG the reproducible workloads draw from.
+fn lcg(seed: &mut u64) -> u64 {
+    *seed = seed
+        .wrapping_mul(6_364_136_223_846_793_005)
+        .wrapping_add(1_442_695_040_888_963_407);
+    *seed
+}
+
 /// A reproducible random-Clifford state: H/S/CX picked by an LCG.
 fn clifford_state(p: &mut Package, n: usize, depth: usize, mut seed: u64) -> VEdge {
     let mut state = p.zero_state(n);
-    let mut next = move || {
-        seed = seed
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (seed >> 33) as usize
-    };
+    let mut next = move || (lcg(&mut seed) >> 33) as usize;
     for _ in 0..depth {
         for q in 0..n {
             let gate = match next() % 3 {
@@ -149,6 +155,124 @@ fn bench_sample_counts(c: &mut Criterion) {
     group.finish();
 }
 
+/// A dense 12-qubit state: 4096 unrelated amplitudes, one node per
+/// sub-vector (4095 nodes).
+fn dense_state(p: &mut Package) -> VEdge {
+    let mut seed = 0x5EED_u64;
+    let mut next = move || ((lcg(&mut seed) >> 11) as f64) / ((1u64 << 53) as f64) - 0.5;
+    let amps: Vec<Cplx> = (0..1 << 12).map(|_| Cplx::new(next(), next())).collect();
+    let norm = amps.iter().map(|a| a.mag2()).sum::<f64>().sqrt();
+    let amps: Vec<Cplx> = amps.into_iter().map(|a| a / norm).collect();
+    p.from_amplitudes(&amps).expect("4096 amplitudes")
+}
+
+/// A 4×4 supremacy-style circuit (H layer, then cycles of T/√X/√Y on
+/// the qubits the previous cycle coupled and a staggered CZ pattern)
+/// stopped after `cycles` cycles, where the state DD is near its
+/// largest and the memory-driven scheme would be truncating.
+fn supremacy_state(p: &mut Package, cycles: usize) -> VEdge {
+    const SIDE: usize = 4;
+    let n = SIDE * SIDE;
+    let mut state = p.zero_state(n);
+    for q in 0..n {
+        let h = p.single_gate(n, q, GateKind::H.matrix()).expect("H");
+        state = p.apply(h, state);
+    }
+    let mut coupled = vec![false; n];
+    let mut singles = vec![0usize; n];
+    for cycle in 0..cycles {
+        for q in 0..n {
+            if !coupled[q] {
+                continue;
+            }
+            let kind = match singles[q] {
+                0 => GateKind::T,
+                k if (k + q) % 2 == 0 => GateKind::SxGate,
+                _ => GateKind::SyGate,
+            };
+            singles[q] += 1;
+            let g = p.single_gate(n, q, kind.matrix()).expect("single");
+            state = p.apply(g, state);
+        }
+        coupled.fill(false);
+        let horizontal = cycle % 2 == 0;
+        let shift = (cycle / 2) % 4;
+        for r in 0..SIDE {
+            for c in 0..SIDE {
+                let (r2, c2, key) = if horizontal {
+                    (r, c + 1, 2 * c + r)
+                } else {
+                    (r + 1, c, 2 * r + c)
+                };
+                if r2 >= SIDE || c2 >= SIDE || key % 4 != shift {
+                    continue;
+                }
+                let (a, b) = (r * SIDE + c, r2 * SIDE + c2);
+                let cz = p
+                    .controlled_gate(n, &[a], b, GateKind::Z.matrix())
+                    .expect("CZ");
+                state = p.apply(cz, state);
+                coupled[a] = true;
+                coupled[b] = true;
+            }
+        }
+    }
+    state
+}
+
+/// The two states the size and truncation passes are measured on.
+fn approximation_workloads() -> Vec<(&'static str, Package, VEdge)> {
+    let mut out = Vec::new();
+    let mut p = Package::new();
+    let s = dense_state(&mut p);
+    out.push(("dense_12q", p, s));
+    let mut p = Package::new();
+    let s = supremacy_state(&mut p, 10);
+    out.push(("supremacy_4x4", p, s));
+    out
+}
+
+/// The per-gate size count of the run loop.
+fn bench_vsize(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hotpath_vsize");
+    for (name, p, state) in approximation_workloads() {
+        println!("{name}: {} nodes", p.vsize(state));
+        group.bench_function(name, |b| {
+            b.iter(|| std::hint::black_box(p.vsize(state)));
+        });
+    }
+    group.finish();
+}
+
+/// The contribution pass every truncation round starts with.
+fn bench_contributions(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hotpath_contributions");
+    for (name, p, state) in approximation_workloads() {
+        group.bench_function(name, |b| {
+            b.iter(|| std::hint::black_box(p.contributions(state)));
+        });
+    }
+    group.finish();
+}
+
+/// One whole round at the Table I budget: contributions, selection,
+/// rebuild, size count.
+fn bench_truncate_budget(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hotpath_truncate_budget");
+    for (name, mut p, state) in approximation_workloads() {
+        p.inc_ref(state);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                std::hint::black_box(
+                    p.truncate(state, RemovalStrategy::Budget(0.025))
+                        .expect("unit-norm state"),
+                )
+            });
+        });
+    }
+    group.finish();
+}
+
 /// What a pooled worker pays per job before any gate runs: building a
 /// package (plain and layered over a snapshot) and dropping it, and the
 /// same around one gate so a compute-cache slab is provisioned too.
@@ -184,6 +308,9 @@ criterion_group!(
     bench_mul_mv,
     bench_inner,
     bench_sample_counts,
+    bench_vsize,
+    bench_contributions,
+    bench_truncate_budget,
     bench_package_lifecycle
 );
 criterion_main!(benches);

@@ -17,10 +17,9 @@
 
 use approxdd_complex::Cplx;
 
-use crate::contribution::ContributionMap;
+use crate::contribution::{ascending, ContributionMap};
 use crate::edge::{NodeId, VEdge};
 use crate::error::DdError;
-use crate::fasthash::FxHashMap;
 use crate::package::Package;
 use crate::Result;
 
@@ -61,6 +60,18 @@ pub struct TruncationResult {
     pub size_after: usize,
 }
 
+/// What a rebuild knows about one node of the input diagram (kept in an
+/// array indexed by [`ContributionMap::rank`]).
+#[derive(Debug, Clone, Copy)]
+enum Rebuild {
+    /// Not rebuilt yet; `cut[i]` drops successor edge `i`.
+    Pending { cut: [bool; 2] },
+    /// Selected for removal: every path through the node is dropped.
+    Removed,
+    /// Already rebuilt into this edge.
+    Done(VEdge),
+}
+
 impl Package {
     /// Edge-level truncation: zeroes individual *edges* (rather than
     /// whole nodes) in ascending order of their contribution — the
@@ -87,91 +98,28 @@ impl Package {
             });
         }
         let contribs = self.contributions(root);
-        let size_before = contribs.node_count();
 
         // Contribution of edge (parent, which): upstream(parent)·|w|²
         // (child subtrees have unit norm).
-        let mut edges: Vec<(NodeId, u8, f64)> = Vec::new();
+        let mut edges: Vec<((NodeId, u8), f64)> = Vec::new();
         for (node, up) in contribs.iter() {
             let n = *self.vnode(node);
             for (i, e) in n.edges.iter().enumerate() {
                 if !e.is_zero(self.tolerance()) {
-                    edges.push((node, i as u8, up * e.w.mag2()));
+                    edges.push(((node, i as u8), up * e.w.mag2()));
                 }
             }
         }
-        edges.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap().then(a.0.cmp(&b.0)));
+        let cut = within_budget(edges, budget);
 
-        let mut cut: FxHashMap<(NodeId, u8), ()> = FxHashMap::default();
-        let mut spent = 0.0;
-        for (node, which, c) in edges {
-            if spent + c > budget {
-                break;
+        let mut plan = vec![Rebuild::Pending { cut: [false; 2] }; contribs.node_count()];
+        for &(node, which) in &cut {
+            let rank = contribs.rank(node).expect("cut edges leave analyzed nodes");
+            if let Rebuild::Pending { cut: dropped } = &mut plan[rank] {
+                dropped[usize::from(which)] = true;
             }
-            spent += c;
-            cut.insert((node, which), ());
         }
-        if cut.is_empty() {
-            return Ok(TruncationResult {
-                edge: root,
-                fidelity: 1.0,
-                removed_nodes: 0,
-                size_before,
-                size_after: size_before,
-            });
-        }
-
-        // Rebuild with cut edges zeroed. Memoization must key on the
-        // *path-relevant* identity of a node, which here is the node id
-        // itself (the cut set is per (node, edge) and applies on every
-        // path reaching the node).
-        let mut memo: FxHashMap<NodeId, VEdge> = FxHashMap::default();
-        let rebuilt = self.rebuild_cut_edges(root.node, &cut, &mut memo);
-        let kept = rebuilt.w.mag2();
-        if kept <= 0.0 || rebuilt.is_zero(self.tolerance()) {
-            return Err(DdError::InvalidParameter {
-                reason: "edge cut annihilates the entire state",
-            });
-        }
-        let fidelity = kept.min(1.0);
-        let edge = VEdge {
-            w: root.w * rebuilt.w / Cplx::real(kept.sqrt()),
-            node: rebuilt.node,
-        };
-        let size_after = self.vsize(edge);
-        Ok(TruncationResult {
-            edge,
-            fidelity,
-            removed_nodes: cut.len(),
-            size_before,
-            size_after,
-        })
-    }
-
-    fn rebuild_cut_edges(
-        &mut self,
-        node: NodeId,
-        cut: &FxHashMap<(NodeId, u8), ()>,
-        memo: &mut FxHashMap<NodeId, VEdge>,
-    ) -> VEdge {
-        if node.is_terminal() {
-            return VEdge::ONE;
-        }
-        if let Some(&e) = memo.get(&node) {
-            return e;
-        }
-        let n = *self.vnode(node);
-        let mut children = [VEdge::ZERO; 2];
-        for (i, c) in n.edges.iter().enumerate() {
-            if c.is_zero(self.tolerance()) || cut.contains_key(&(node, i as u8)) {
-                continue;
-            }
-            let sub = self.rebuild_cut_edges(c.node, cut, memo);
-            children[i] = sub.scaled(c.w);
-        }
-        let e = self.make_vnode(n.var, children[0], children[1]);
-        memo.insert(node, e);
-        e
+        self.truncate_with_plan(root, &contribs, plan, cut.len())
     }
 
     /// Performs one truncation round on a unit-norm state.
@@ -211,7 +159,7 @@ impl Package {
         }
         let contribs = self.contributions(root);
         let removal = select_nodes(&contribs, root.node, strategy);
-        self.truncate_with_set(root, &contribs, &removal)
+        self.truncate_without(root, &contribs, &removal)
     }
 
     /// Performs one truncation round removing exactly the given node set
@@ -223,24 +171,45 @@ impl Package {
     /// [`DdError::InvalidParameter`] if the set contains the root or if
     /// removal would annihilate the entire state.
     pub fn truncate_nodes(&mut self, root: VEdge, nodes: &[NodeId]) -> Result<TruncationResult> {
-        let contribs = self.contributions(root);
-        let set: FxHashMap<NodeId, ()> = nodes.iter().map(|n| (*n, ())).collect();
-        if set.contains_key(&root.node) {
+        if nodes.contains(&root.node) {
             return Err(DdError::InvalidParameter {
                 reason: "cannot remove the root node",
             });
         }
-        self.truncate_with_set(root, &contribs, &set)
+        let contribs = self.contributions(root);
+        let mut removal = nodes.to_vec();
+        removal.sort_unstable();
+        removal.dedup();
+        self.truncate_without(root, &contribs, &removal)
     }
 
-    fn truncate_with_set(
+    /// One round removing the distinct nodes of `removal` (ids outside
+    /// the analyzed diagram are counted but remove nothing).
+    fn truncate_without(
         &mut self,
         root: VEdge,
         contribs: &ContributionMap,
-        removal: &FxHashMap<NodeId, ()>,
+        removal: &[NodeId],
+    ) -> Result<TruncationResult> {
+        let mut plan = vec![Rebuild::Pending { cut: [false; 2] }; contribs.node_count()];
+        for rank in removal.iter().filter_map(|&node| contribs.rank(node)) {
+            plan[rank] = Rebuild::Removed;
+        }
+        self.truncate_with_plan(root, contribs, plan, removal.len())
+    }
+
+    /// Rebuilds `root` under `plan`, rescales to unit norm and reports
+    /// the round. `selected` is the number of nodes or edges the plan
+    /// drops; with none the input comes back untouched.
+    fn truncate_with_plan(
+        &mut self,
+        root: VEdge,
+        contribs: &ContributionMap,
+        mut plan: Vec<Rebuild>,
+        selected: usize,
     ) -> Result<TruncationResult> {
         let size_before = contribs.node_count();
-        if removal.is_empty() {
+        if selected == 0 {
             return Ok(TruncationResult {
                 edge: root,
                 fidelity: 1.0,
@@ -250,60 +219,63 @@ impl Package {
             });
         }
 
-        let mut memo: FxHashMap<NodeId, VEdge> = FxHashMap::default();
-        let rebuilt = self.rebuild_without(root.node, removal, &mut memo);
+        let rebuilt = self.rebuild(root.node, contribs, &mut plan);
         // Kept squared norm = |rebuilt.w|² (the input subtree had unit
         // norm); this *is* the exact round fidelity.
         let kept = rebuilt.w.mag2();
         if kept <= 0.0 || rebuilt.is_zero(self.tolerance()) {
             return Err(DdError::InvalidParameter {
-                reason: "removal set annihilates the entire state",
+                reason: "selection annihilates the entire state",
             });
         }
         let fidelity = kept.min(1.0);
         // Rescale to unit norm, preserving the phase of the original root
         // weight (Equation 1 rescales by the positive real norm).
-        let new_w = root.w * rebuilt.w / Cplx::real(kept.sqrt());
         let edge = VEdge {
-            w: new_w,
+            w: root.w * rebuilt.w / Cplx::real(kept.sqrt()),
             node: rebuilt.node,
         };
         let size_after = self.vsize(edge);
         Ok(TruncationResult {
             edge,
             fidelity,
-            removed_nodes: removal.len(),
+            removed_nodes: selected,
             size_before,
             size_after,
         })
     }
 
-    fn rebuild_without(
-        &mut self,
-        node: NodeId,
-        removal: &FxHashMap<NodeId, ()>,
-        memo: &mut FxHashMap<NodeId, VEdge>,
-    ) -> VEdge {
+    /// Rebuilds the sub-diagram under `node` with removed nodes and cut
+    /// edges replaced by the zero stub. What a node rebuilds into does
+    /// not depend on the path that reached it, so one entry per node
+    /// memoizes the recursion.
+    fn rebuild(&mut self, node: NodeId, contribs: &ContributionMap, plan: &mut [Rebuild]) -> VEdge {
         if node.is_terminal() {
             return VEdge::ONE;
         }
-        if removal.contains_key(&node) {
-            return VEdge::ZERO;
-        }
-        if let Some(&e) = memo.get(&node) {
-            return e;
-        }
+        let rank = contribs
+            .rank(node)
+            .expect("a rebuild only visits analyzed nodes");
+        let cut = match plan[rank] {
+            Rebuild::Removed => return VEdge::ZERO,
+            Rebuild::Done(e) => return e,
+            Rebuild::Pending { cut } => cut,
+        };
         let n = *self.vnode(node);
         let mut children = [VEdge::ZERO; 2];
         for (i, c) in n.edges.iter().enumerate() {
-            if c.is_zero(self.tolerance()) {
+            if c.is_zero(self.tolerance()) || cut[i] {
                 continue;
             }
-            let sub = self.rebuild_without(c.node, removal, memo);
-            children[i] = sub.scaled(c.w);
+            let sub = self.rebuild(c.node, contribs, plan);
+            // A child rebuilt to nothing stays the zero stub whatever
+            // its weight (0 · NaN would put a NaN on the terminal).
+            if !sub.is_zero(self.tolerance()) {
+                children[i] = sub.scaled(c.w);
+            }
         }
         let e = self.make_vnode(n.var, children[0], children[1]);
-        memo.insert(node, e);
+        plan[rank] = Rebuild::Done(e);
         e
     }
 }
@@ -313,52 +285,97 @@ fn select_nodes(
     contribs: &ContributionMap,
     root: NodeId,
     strategy: RemovalStrategy,
-) -> FxHashMap<NodeId, ()> {
-    let mut set: FxHashMap<NodeId, ()> = FxHashMap::default();
+) -> Vec<NodeId> {
+    let candidates = || contribs.iter().filter(|&(node, _)| node != root);
     match strategy {
-        RemovalStrategy::Budget(budget) => {
-            let mut spent = 0.0;
-            for (node, c) in contribs.sorted_ascending() {
-                if node == root {
-                    continue;
-                }
-                if spent + c > budget {
-                    break;
-                }
-                spent += c;
-                set.insert(node, ());
-            }
-        }
-        RemovalStrategy::Threshold(t) => {
-            for (node, c) in contribs.iter() {
-                if node != root && c < t {
-                    set.insert(node, ());
-                }
-            }
-        }
+        RemovalStrategy::Budget(budget) => within_budget(candidates().collect(), budget),
+        RemovalStrategy::Threshold(t) => candidates()
+            .filter(|&(_, c)| c < t)
+            .map(|(node, _)| node)
+            .collect(),
         RemovalStrategy::KeepNodes(target) => {
-            let total = contribs.node_count();
-            if total > target {
-                let mut to_remove = total - target;
-                for (node, _) in contribs.sorted_ascending() {
-                    if to_remove == 0 {
-                        break;
-                    }
-                    if node == root {
-                        continue;
-                    }
-                    set.insert(node, ());
-                    to_remove -= 1;
-                }
-            }
+            let excess = contribs.node_count().saturating_sub(target);
+            Ascending::new(candidates().collect())
+                .take(excess)
+                .map(|(node, _)| node)
+                .collect()
         }
     }
-    set
+}
+
+/// The greedy walk of Section IV-A: takes items in ascending
+/// `(contribution, key)` order while the running sum of what was taken
+/// stays within `budget`, and stops at the first item that would
+/// overshoot. Returns the taken keys in walk order.
+fn within_budget<K: Ord + Copy>(items: Vec<(K, f64)>, budget: f64) -> Vec<K> {
+    let mut taken = Vec::new();
+    let mut spent = 0.0;
+    for (key, c) in Ascending::new(items) {
+        if spent + c > budget {
+            break;
+        }
+        spent += c;
+        taken.push(key);
+    }
+    taken
+}
+
+/// Yields `(key, contribution)` pairs in the strict total order
+/// [`ascending`], sorting only as far as the consumer pulls.
+///
+/// A round consumes a small prefix (≤ 2.5 % of the nodes at the Table I
+/// budget), so a full sort is almost all waste. Instead the smallest
+/// `chunk` unsorted items are partitioned off (`select_nth_unstable_by`)
+/// and only they are sorted; each refill doubles `chunk`. The order is
+/// strict (keys are distinct), so the sequence is exactly the fully
+/// sorted one.
+struct Ascending<K> {
+    items: Vec<(K, f64)>,
+    /// Items before this position are in final order.
+    sorted: usize,
+    next: usize,
+    chunk: usize,
+}
+
+impl<K: Ord + Copy> Ascending<K> {
+    fn new(items: Vec<(K, f64)>) -> Self {
+        let chunk = (items.len() / 32).max(64);
+        Self {
+            items,
+            sorted: 0,
+            next: 0,
+            chunk,
+        }
+    }
+}
+
+impl<K: Ord + Copy> Iterator for Ascending<K> {
+    type Item = (K, f64);
+
+    fn next(&mut self) -> Option<(K, f64)> {
+        if self.next == self.sorted {
+            let rest = &mut self.items[self.sorted..];
+            if rest.is_empty() {
+                return None;
+            }
+            let take = self.chunk.min(rest.len());
+            if take < rest.len() {
+                rest.select_nth_unstable_by(take - 1, ascending);
+            }
+            rest[..take].sort_unstable_by(ascending);
+            self.sorted += take;
+            self.chunk *= 2;
+        }
+        let item = self.items[self.next];
+        self.next += 1;
+        Some(item)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The Fig. 1a state of the paper.
     fn paper_state(p: &mut Package) -> VEdge {
@@ -527,6 +544,116 @@ mod tests {
         assert!(p.truncate_edges(root, 1.0).is_err());
         assert!(p.truncate_edges(root, -0.5).is_err());
         assert!(p.truncate_edges(VEdge::ZERO, 0.1).is_err());
+    }
+
+    /// The selection `Budget` used to run: sort everything, then walk.
+    fn reference_walk(items: &[(u32, f64)], budget: f64) -> (Vec<u32>, f64) {
+        let mut sorted = items.to_vec();
+        sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        let mut taken = Vec::new();
+        let mut spent = 0.0;
+        for (key, c) in sorted {
+            if spent + c > budget {
+                break;
+            }
+            spent += c;
+            taken.push(key);
+        }
+        (taken, spent)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // 300 items span three refills of the lazy order (64, 128, 256),
+        // and a six-value palette makes most contributions tie.
+        #[test]
+        fn prefix_selection_equals_the_full_sort_walk(
+            picks in prop::collection::vec(0usize..6, 300),
+            share in 0.0f64..1.2
+        ) {
+            let palette = [0.0, 1e-9, 1e-4, 1e-4 + 1e-19, 3e-3, 0.02];
+            let items: Vec<(u32, f64)> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| (299 - i as u32, palette[k]))
+                .collect();
+            let total: f64 = items.iter().map(|(_, c)| c).sum();
+            // Nothing affordable but zeros, a prefix, and everything.
+            for budget in [0.0, share * total, f64::INFINITY] {
+                let (want, want_spent) = reference_walk(&items, budget);
+                let got = within_budget(items.clone(), budget);
+                let spent = got.iter().fold(0.0, |acc, key| {
+                    acc + items[299 - *key as usize].1
+                });
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(spent.to_bits(), want_spent.to_bits());
+            }
+            let (everything, _) = reference_walk(&items, f64::INFINITY);
+            prop_assert_eq!(everything.len(), items.len());
+            for count in [0usize, 1, 64, 65, 299, 300, 1000] {
+                let got: Vec<u32> =
+                    Ascending::new(items.clone()).take(count).map(|(key, _)| key).collect();
+                prop_assert_eq!(&got[..], &everything[..count.min(300)]);
+            }
+        }
+    }
+
+    #[test]
+    fn budget_selection_on_a_diagram_walks_sorted_ascending() {
+        let mut p = Package::new();
+        let amps: Vec<Cplx> = (0..128)
+            .map(|i| Cplx::new(f64::from(i % 7) - 2.5, f64::from(i % 5) * 0.3))
+            .collect();
+        let norm = amps.iter().map(|a| a.mag2()).sum::<f64>().sqrt();
+        let amps: Vec<Cplx> = amps.into_iter().map(|a| a / norm).collect();
+        let root = p.from_amplitudes(&amps).unwrap();
+        let contribs = p.contributions(root);
+        for budget in [0.0, 0.01, 0.2, 0.999] {
+            let mut want = Vec::new();
+            let mut spent = 0.0;
+            for (node, c) in contribs.sorted_ascending() {
+                if node == root.node {
+                    continue;
+                }
+                if spent + c > budget {
+                    break;
+                }
+                spent += c;
+                want.push(node);
+            }
+            let got = select_nodes(&contribs, root.node, RemovalStrategy::Budget(budget));
+            assert_eq!(got, want, "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn nan_weight_does_not_panic() {
+        // One NaN amplitude (a numerically degenerate input) poisons
+        // every contribution above it. Selection orders with
+        // `total_cmp`, so the round comes back — as a result or as a
+        // typed error — instead of panicking inside a pool worker.
+        let mut p = Package::new();
+        let mut amps = vec![Cplx::real(0.25); 16];
+        amps[5] = Cplx::new(f64::NAN, 0.0);
+        let root = p.from_amplitudes(&amps).unwrap();
+        let contribs = p.contributions(root);
+        assert!(contribs.iter().any(|(_, c)| c.is_nan()));
+        assert_eq!(contribs.sorted_ascending().len(), contribs.node_count());
+        for strategy in [
+            RemovalStrategy::Budget(0.1),
+            RemovalStrategy::Threshold(0.1),
+            RemovalStrategy::KeepNodes(3),
+        ] {
+            match p.truncate(root, strategy) {
+                Ok(_) | Err(DdError::InvalidParameter { .. }) => {}
+                Err(other) => panic!("unexpected error {other:?}"),
+            }
+        }
+        match p.truncate_edges(root, 0.1) {
+            Ok(_) | Err(DdError::InvalidParameter { .. }) => {}
+            Err(other) => panic!("unexpected error {other:?}"),
+        }
     }
 
     #[test]

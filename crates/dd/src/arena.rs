@@ -274,9 +274,9 @@ impl<T> Arena<T> {
         self.frozen_count() + self.peak
     }
 
-    /// Total slots (alive + freed) across both tiers, i.e. the arena's
-    /// addressable footprint.
-    #[allow(dead_code)] // diagnostics
+    /// Total slots (alive + freed) across both tiers: every id the arena
+    /// has handed out lies below it, which is what sizes a per-traversal
+    /// visit set.
     pub(crate) fn capacity(&self) -> usize {
         self.watermark as usize + self.items.len()
     }

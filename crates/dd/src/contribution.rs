@@ -10,8 +10,8 @@
 //! (asserted by the paper after Definition 2 and property-tested here).
 
 use crate::edge::{NodeId, VEdge};
-use crate::fasthash::FxHashMap;
 use crate::package::Package;
+use crate::visit::{IdIndex, IdSet};
 
 /// The result of a contribution analysis: per-node contributions plus
 /// the level structure of the analyzed DD.
@@ -19,8 +19,10 @@ use crate::package::Package;
 /// Obtain via [`Package::contributions`].
 #[derive(Debug, Clone)]
 pub struct ContributionMap {
-    /// Contribution per node id.
-    contrib: FxHashMap<NodeId, f64>,
+    /// The analyzed diagram's nodes, ranked in ascending id order.
+    index: IdIndex,
+    /// Contribution per node, by rank.
+    contrib: Vec<f64>,
     /// Nodes grouped by level (`levels[var]`), each level sorted by id
     /// for determinism.
     levels: Vec<Vec<NodeId>>,
@@ -31,7 +33,7 @@ impl ContributionMap {
     /// analyzed diagram.
     #[must_use]
     pub fn contribution(&self, node: NodeId) -> f64 {
-        self.contrib.get(&node).copied().unwrap_or(0.0)
+        self.index.rank(node).map_or(0.0, |r| self.contrib[r])
     }
 
     /// Number of distinct non-terminal nodes in the analyzed diagram.
@@ -60,19 +62,35 @@ impl ContributionMap {
     }
 
     /// All `(node, contribution)` pairs sorted ascending by contribution
-    /// (ties by node id, for determinism). The greedy removal-budget
-    /// selection of Section IV-A consumes this order.
+    /// (ties by node id, for determinism) — the order the greedy
+    /// removal-budget selection of Section IV-A walks. `f64::total_cmp`
+    /// orders the pairs, so a NaN contribution from a numerically
+    /// degenerate input sorts last instead of panicking.
     #[must_use]
     pub fn sorted_ascending(&self) -> Vec<(NodeId, f64)> {
-        let mut v: Vec<(NodeId, f64)> = self.contrib.iter().map(|(n, c)| (*n, *c)).collect();
-        v.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        let mut v: Vec<(NodeId, f64)> = self.iter().collect();
+        v.sort_unstable_by(ascending);
         v
     }
 
     /// Iterates over `(node, contribution)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.contrib.iter().map(|(n, c)| (*n, *c))
+        self.index.ids().zip(self.contrib.iter().copied())
     }
+
+    /// The rank of `node` among the analyzed diagram's nodes (ascending
+    /// id order, `0..node_count()`): the slot of its entry in any
+    /// per-node array a pass over the same diagram keeps.
+    pub(crate) fn rank(&self, node: NodeId) -> Option<usize> {
+        self.index.rank(node)
+    }
+}
+
+/// The strict total order `(contribution, key)` every selection walks
+/// in. On the non-negative finite contributions of a well-formed state
+/// `total_cmp` agrees with `partial_cmp`.
+pub(crate) fn ascending<K: Ord>(a: &(K, f64), b: &(K, f64)) -> std::cmp::Ordering {
+    a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0))
 }
 
 impl Package {
@@ -83,56 +101,70 @@ impl Package {
     /// general vector the "contributions" are scaled by the squared norm.
     #[must_use]
     pub fn contributions(&self, root: VEdge) -> ContributionMap {
-        let mut contrib: FxHashMap<NodeId, f64> = FxHashMap::default();
         let n_levels = self.vlevel(root);
         let mut levels: Vec<Vec<NodeId>> = vec![Vec::new(); n_levels];
         if root.node.is_terminal() {
-            return ContributionMap { contrib, levels };
+            return ContributionMap {
+                index: IdSet::with_slots(0).into_index(),
+                contrib: Vec::new(),
+                levels,
+            };
         }
 
         // Discover nodes per level.
-        {
-            let mut stack = vec![root.node];
-            let mut seen: FxHashMap<NodeId, ()> = FxHashMap::default();
-            while let Some(id) = stack.pop() {
-                if id.is_terminal() || seen.insert(id, ()).is_some() {
-                    continue;
+        let mut seen = IdSet::with_slots(self.vnodes.capacity());
+        seen.insert(root.node);
+        let mut stack = vec![root.node];
+        while let Some(id) = stack.pop() {
+            let node = self.vnode(id);
+            levels[usize::from(node.var)].push(id);
+            for child in node.edges {
+                if !child.node.is_terminal() && seen.insert(child.node) {
+                    stack.push(child.node);
                 }
-                let node = self.vnode(id);
-                levels[usize::from(node.var)].push(id);
-                stack.push(node.edges[0].node);
-                stack.push(node.edges[1].node);
             }
         }
         for level in &mut levels {
             level.sort_unstable();
         }
+        let index = seen.into_index();
+        let mut contrib = vec![0.0; index.len()];
+        let slot = |id: NodeId| index.rank(id).expect("every reachable node was indexed");
 
-        // Top-down accumulation of squared path weights. Each node's
-        // subtree has unit norm (normalization invariant), so the
-        // accumulated upstream mass *is* the contribution.
-        contrib.insert(root.node, root.w.mag2());
-        for var in (0..n_levels).rev() {
-            for &id in &levels[var] {
-                let up = contrib.get(&id).copied().unwrap_or(0.0);
-                let node = self.vnode(id);
-                for child in node.edges {
-                    if child.node.is_terminal() {
-                        continue;
+        // Top-down accumulation of squared path weights (levels from
+        // the root, ids ascending, edge 0 then 1 — the summation order
+        // is part of the result). Each node's subtree has unit norm
+        // (normalization invariant), so the accumulated upstream mass
+        // *is* the contribution.
+        contrib[slot(root.node)] = root.w.mag2();
+        for level in levels.iter().rev() {
+            for &id in level {
+                let up = contrib[slot(id)];
+                for child in self.vnode(id).edges {
+                    if !child.node.is_terminal() {
+                        contrib[slot(child.node)] += up * child.w.mag2();
                     }
-                    *contrib.entry(child.node).or_insert(0.0) += up * child.w.mag2();
                 }
             }
         }
 
-        ContributionMap { contrib, levels }
+        ContributionMap {
+            index,
+            contrib,
+            levels,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
+    use crate::edge::MEdge;
+    use crate::gates::GateKind;
     use approxdd_complex::Cplx;
+    use proptest::prelude::*;
 
     /// Builds the example state of Fig. 1a of the paper:
     /// [1/√10, 0, 0, −1/√10, 0, 2/√10, 0, 2/√10].
@@ -216,6 +248,179 @@ mod tests {
             assert!(w[0].1 <= w[1].1);
         }
         assert_eq!(sorted.len(), cm.node_count());
+    }
+
+    /// The hash-set traversal `vsize`/`msize` used to be: the reference
+    /// the dense visit set is checked against.
+    fn reference_size<const K: usize>(
+        root: NodeId,
+        children: impl Fn(NodeId) -> [NodeId; K],
+    ) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            if !id.is_terminal() && seen.insert(id) {
+                stack.extend(children(id));
+            }
+        }
+        seen.len()
+    }
+
+    /// The hash-map contribution pass `contributions` used to be, with
+    /// its accumulation order (levels from the root, ids ascending,
+    /// edge 0 then 1).
+    fn reference_contributions(p: &Package, root: VEdge) -> HashMap<NodeId, f64> {
+        let mut contrib = HashMap::new();
+        if root.node.is_terminal() {
+            return contrib;
+        }
+        let mut levels: Vec<Vec<NodeId>> = vec![Vec::new(); p.vlevel(root)];
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = vec![root.node];
+        while let Some(id) = stack.pop() {
+            if id.is_terminal() || !seen.insert(id) {
+                continue;
+            }
+            let node = p.vnode(id);
+            levels[usize::from(node.var)].push(id);
+            stack.extend(node.edges.map(|e| e.node));
+        }
+        contrib.insert(root.node, root.w.mag2());
+        for level in levels.iter_mut().rev() {
+            level.sort_unstable();
+            for &id in level.iter() {
+                let up = contrib[&id];
+                for child in p.vnode(id).edges {
+                    if !child.node.is_terminal() {
+                        *contrib.entry(child.node).or_insert(0.0) += up * child.w.mag2();
+                    }
+                }
+            }
+        }
+        contrib
+    }
+
+    /// Every dense pass against its reference, on each given diagram.
+    fn check_against_references(
+        p: &Package,
+        states: &[VEdge],
+        operators: &[MEdge],
+    ) -> Result<(), TestCaseError> {
+        for &m in operators {
+            let want = reference_size(m.node, |id| p.mnode(id).edges.map(|e| e.node));
+            prop_assert_eq!(p.msize(m), want);
+        }
+        for &v in states {
+            let want = reference_size(v.node, |id| p.vnode(id).edges.map(|e| e.node));
+            prop_assert_eq!(p.vsize(v), want);
+
+            let want = reference_contributions(p, v);
+            let got = p.contributions(v);
+            prop_assert_eq!(got.node_count(), want.len());
+            for (&node, c) in &want {
+                prop_assert_eq!(got.contribution(node).to_bits(), c.to_bits());
+            }
+            let listed: usize = (0..got.level_count()).map(|l| got.level(l).len()).sum();
+            prop_assert_eq!(listed, want.len());
+            for var in 0..got.level_count() {
+                for pair in got.level(var).windows(2) {
+                    prop_assert!(pair[0] < pair[1], "levels are sorted by id");
+                }
+                for &node in got.level(var) {
+                    prop_assert_eq!(usize::from(p.vnode(node).var), var);
+                }
+            }
+            let mut sorted: Vec<(NodeId, f64)> = want.into_iter().collect();
+            sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+            prop_assert_eq!(got.sorted_ascending(), sorted);
+        }
+        Ok(())
+    }
+
+    const QUBITS: usize = 5;
+
+    /// Amplitudes drawn from a handful of values, so sub-vectors repeat
+    /// (shared nodes) and vanish (zero stubs).
+    fn amplitudes(picks: &[u8]) -> Vec<Cplx> {
+        let palette = [
+            Cplx::ZERO,
+            Cplx::ZERO,
+            Cplx::real(0.5),
+            Cplx::real(-0.25),
+            Cplx::new(0.0, 0.75),
+            Cplx::new(0.3, -0.4),
+        ];
+        let mut amps: Vec<Cplx> = picks.iter().map(|&k| palette[usize::from(k)]).collect();
+        amps[0] = Cplx::ONE; // never the zero vector
+        amps
+    }
+
+    /// Builds the picked gates and applies them to `state` in turn;
+    /// returns every intermediate state and every operator, the product
+    /// of all of them included.
+    fn evolve(p: &mut Package, state: VEdge, gates: &[(u8, usize)]) -> (Vec<VEdge>, Vec<MEdge>) {
+        let kinds = [GateKind::H, GateKind::T, GateKind::SxGate, GateKind::X];
+        let mut states = vec![state];
+        let mut operators = Vec::new();
+        let mut product = p.identity(QUBITS);
+        for &(kind, target) in gates {
+            let matrix = kinds[usize::from(kind) % kinds.len()].matrix();
+            let gate = if kind < 4 {
+                p.single_gate(QUBITS, target, matrix)
+            } else {
+                p.controlled_gate(QUBITS, &[(target + 1) % QUBITS], target, matrix)
+            }
+            .unwrap();
+            product = p.mul_mm(gate, product);
+            states.push(p.apply(gate, *states.last().unwrap()));
+            operators.push(gate);
+        }
+        operators.push(product);
+        (states, operators)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn dense_passes_match_the_hash_references(
+            picks in prop::collection::vec(0u8..6, 1 << QUBITS),
+            gates in prop::collection::vec((0u8..8, 0usize..QUBITS), 6)
+        ) {
+            let amps = amplitudes(&picks);
+
+            // A fresh package.
+            let mut p = Package::new();
+            let start = p.from_amplitudes(&amps).unwrap();
+            let (states, operators) = evolve(&mut p, start, &gates);
+            check_against_references(&p, &states, &operators)?;
+
+            // After a collection: keep the last state and operator, free
+            // the rest, then build over the recycled slots.
+            let (kept_state, kept_operator) = (states[gates.len()], operators[gates.len()]);
+            p.inc_ref(kept_state);
+            p.inc_ref_m(kept_operator);
+            let gc = p.collect_garbage();
+            prop_assert!(gc.vnodes_freed > 0, "the slots to reuse");
+            let reversed: Vec<Cplx> = amps.iter().rev().copied().collect();
+            let start = p.from_amplitudes(&reversed).unwrap();
+            let (mut states, mut operators) = evolve(&mut p, start, &gates);
+            states.push(kept_state);
+            operators.push(kept_operator);
+            check_against_references(&p, &states, &operators)?;
+
+            // Layered over a frozen snapshot of the fresh package's
+            // history: diagrams span the watermark.
+            let mut base = Package::new();
+            let start = base.from_amplitudes(&amps).unwrap();
+            let (frozen_states, frozen_operators) = evolve(&mut base, start, &gates[..3]);
+            let mut p = Package::with_snapshot(&base.freeze(), None);
+            let (states, operators) = evolve(&mut p, start, &gates);
+            prop_assert_eq!(&states[..4], &frozen_states[..]);
+            prop_assert!(p.stats().vnodes_alive > p.stats().frozen_vnodes, "a delta layer");
+            check_against_references(&p, &states, &operators)?;
+            check_against_references(&p, &frozen_states, &frozen_operators)?;
+        }
     }
 
     #[test]

@@ -295,6 +295,16 @@ impl<K: Copy + Eq + Hash, V: Copy> ComputeCache<K, V> {
         }
     }
 
+    /// Keys of the live (current-generation) entries, for tests that
+    /// check what a table is asked to remember.
+    #[cfg(test)]
+    pub(crate) fn live_keys(&self) -> impl Iterator<Item = K> + '_ {
+        self.slots
+            .iter()
+            .filter(|slot| slot.stamp == self.generation)
+            .map(|slot| slot.key)
+    }
+
     /// Counter snapshot for [`crate::PackageStats`].
     pub(crate) fn stats(&self) -> CtStats {
         CtStats {

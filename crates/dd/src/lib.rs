@@ -73,6 +73,22 @@
 //!   unprovided, a fresh and a recycled cache answer every lookup
 //!   alike.
 //!
+//! * **The terminal level computes instead of memoizing.** A level-0
+//!   node has only terminal successors, so an operation on it is a
+//!   handful of complex multiplications — cheaper than a lookup, an
+//!   insert and the eviction the insert causes one level up. `add`,
+//!   `mul_mv`, `mul_mm` and `inner_product` skip the tables there (a
+//!   third of all lookups on a 16-qubit supremacy run), which by the
+//!   hit ≡ recompute argument above cannot move a result.
+//! * **Per-node passes index by slot id, not by hash.** Node ids are
+//!   arena slot indices, so [`Package::vsize`] (once per gate under the
+//!   memory-driven scheme), [`Package::contributions`] and the
+//!   truncation rebuild keep one bit per arena slot for "seen" and
+//!   rank the seen ids into plain arrays sized to the reachable set —
+//!   no `HashSet`/`HashMap` per call. Summation and node-construction
+//!   order are those of the hash-based passes they replaced, so result
+//!   bits are too.
+//!
 //! Results are therefore **bit-identical across every cache
 //! configuration**; the workspace's `cache_equivalence` suite
 //! property-tests exactly that (4-bit vs. default vs. 20-bit caches),
@@ -130,6 +146,7 @@ mod sample;
 mod serialize;
 mod snapshot;
 mod unique;
+mod visit;
 
 pub use approx::{RemovalStrategy, TruncationResult};
 pub use contribution::ContributionMap;

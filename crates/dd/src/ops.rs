@@ -5,12 +5,40 @@
 //! All operations are memoized in the package's compute tables. Top edge
 //! weights are factored out of cache keys wherever the operation is
 //! multilinear, which maximizes hit rates (the standard QMDD trick).
+//!
+//! # The terminal-level rule
+//!
+//! A node on level 0 ([`at_terminal_level`]) has only terminal
+//! successors, so an operation on it bottoms out one call down: a few
+//! complex multiplications and additions and one node construction.
+//! That is cheaper than hashing a key, probing a slot and writing the
+//! result back — and a third of all lookups used to be spent there, each
+//! insert evicting an entry from a level where recomputation is
+//! expensive. So `add`, `mul_mv`, `mul_mm` and `inner_product` never
+//! consult a compute table for level-0 operands: they run the miss path
+//! directly and skip the insert.
+//!
+//! This cannot change a result. The miss path is the same code, hence
+//! the same float operations in the same order; `add` still interns its
+//! weight ratio first, so the canonicalization map — which *is* part of
+//! the result — sees the same sequence of ratios and resets at the same
+//! moments; and the tables only ever differ by entries a lookup could
+//! have lost to eviction anyway, which the "hit ≡ recompute" contract
+//! (see the crate docs, `tests/cache_equivalence.rs`) already makes
+//! unobservable.
 
 use approxdd_complex::Cplx;
 
 use crate::edge::{MEdge, NodeId, VEdge};
 use crate::fasthash::FxHashMap;
 use crate::package::Package;
+
+/// Whether a node on level `var` sits directly above the terminal
+/// (see the module docs on the terminal-level rule).
+#[inline]
+fn at_terminal_level(var: u8) -> bool {
+    var == 0
+}
 
 impl Package {
     // ------------------------------------------------------------------
@@ -82,8 +110,11 @@ impl Package {
         let (rk, ratio) = self.canonical_ratio(b.w / a.w);
         #[allow(clippy::cast_sign_loss)]
         let key = (a.node.0, b.node.0, rk.0 as u64, rk.1 as u64);
-        if let Some(cached) = self.ct.add.lookup(&key) {
-            return cached.scaled(a.w);
+        let memoized = !at_terminal_level(self.vnode(a.node).var);
+        if memoized {
+            if let Some(cached) = self.ct.add.lookup(&key) {
+                return cached.scaled(a.w);
+            }
         }
 
         let an = *self.vnode(a.node);
@@ -91,7 +122,9 @@ impl Package {
         let r0 = self.add(an.edges[0], bn.edges[0].scaled(ratio));
         let r1 = self.add(an.edges[1], bn.edges[1].scaled(ratio));
         let res = self.make_vnode(an.var, r0, r1);
-        self.ct.add.insert(key, res);
+        if memoized {
+            self.ct.add.insert(key, res);
+        }
         res.scaled(a.w)
     }
 
@@ -123,8 +156,11 @@ impl Package {
         debug_assert_eq!(self.mlevel(m), self.vlevel(v), "mul level mismatch");
 
         let key = (m.node.0, v.node.0);
-        if let Some(cached) = self.ct.mul_mv.lookup(&key) {
-            return cached.scaled(m.w * v.w);
+        let memoized = !at_terminal_level(self.vnode(v.node).var);
+        if memoized {
+            if let Some(cached) = self.ct.mul_mv.lookup(&key) {
+                return cached.scaled(m.w * v.w);
+            }
         }
 
         let mn = *self.mnode(m.node);
@@ -137,7 +173,9 @@ impl Package {
         let p11 = self.mul_mv(mn.edges[3], vn.edges[1]);
         let r1 = self.add(p10, p11);
         let res = self.make_vnode(mn.var, r0, r1);
-        self.ct.mul_mv.insert(key, res);
+        if memoized {
+            self.ct.mul_mv.insert(key, res);
+        }
         res.scaled(m.w * v.w)
     }
 
@@ -162,8 +200,11 @@ impl Package {
         debug_assert_eq!(self.mlevel(a), self.mlevel(b), "mul_mm level mismatch");
 
         let key = (a.node.0, b.node.0);
-        if let Some(cached) = self.ct.mul_mm.lookup(&key) {
-            return cached.scaled(a.w * b.w);
+        let memoized = !at_terminal_level(self.mnode(a.node).var);
+        if memoized {
+            if let Some(cached) = self.ct.mul_mm.lookup(&key) {
+                return cached.scaled(a.w * b.w);
+            }
         }
 
         let an = *self.mnode(a.node);
@@ -178,7 +219,9 @@ impl Package {
             *q = self.madd(t0, t1);
         }
         let res = self.make_mnode(an.var, quads);
-        self.ct.mul_mm.insert(key, res);
+        if memoized {
+            self.ct.mul_mm.insert(key, res);
+        }
         res.scaled(a.w * b.w)
     }
 
@@ -234,8 +277,11 @@ impl Package {
         debug_assert_eq!(self.vlevel(a), self.vlevel(b), "inner level mismatch");
 
         let key = (a.node.0, b.node.0);
-        if let Some(cached) = self.ct.inner.lookup(&key) {
-            return a.w.conj() * b.w * cached;
+        let memoized = !at_terminal_level(self.vnode(a.node).var);
+        if memoized {
+            if let Some(cached) = self.ct.inner.lookup(&key) {
+                return a.w.conj() * b.w * cached;
+            }
         }
 
         let an = *self.vnode(a.node);
@@ -243,7 +289,9 @@ impl Package {
         let i0 = self.inner_product(an.edges[0], bn.edges[0]);
         let i1 = self.inner_product(an.edges[1], bn.edges[1]);
         let sum = i0 + i1;
-        self.ct.inner.insert(key, sum);
+        if memoized {
+            self.ct.inner.insert(key, sum);
+        }
         a.w.conj() * b.w * sum
     }
 
@@ -412,6 +460,91 @@ mod tests {
             assert!(close(dense_ab[i], want));
             assert!(close(dense_ba[i], want));
         }
+    }
+
+    #[test]
+    fn one_qubit_operations_never_consult_a_compute_table() {
+        // Every node of a 1-qubit diagram sits on the terminal level.
+        let mut p = Package::new();
+        let mut v = p.basis_state(1, 0);
+        let mut product = p.identity(1);
+        for kind in [GateKind::H, GateKind::T, GateKind::SxGate, GateKind::H] {
+            let g = p.single_gate(1, 0, kind.matrix()).unwrap();
+            product = p.mul_mm(g, product);
+            v = p.apply(g, v);
+        }
+        let other = p
+            .from_amplitudes(&[Cplx::new(0.6, 0.0), Cplx::new(0.0, 0.8)])
+            .unwrap();
+        let sum = p.add(v, other);
+        let zero = p.basis_state(1, 0);
+        let fused = p.apply(product, zero);
+        assert!((p.fidelity(fused, v) - 1.0).abs() < 1e-12);
+        assert!(p.inner_product(sum, other).mag2() > 0.0);
+        let stats = p.stats();
+        assert_eq!(stats.ct_hits + stats.ct_misses, 0);
+    }
+
+    #[test]
+    fn wide_operations_memoize_every_level_but_the_terminal_one() {
+        // 12 qubits of H / T / CX layers, a fused operator and an inner
+        // product: the tables are consulted, but no entry is keyed on a
+        // level-0 node, i.e. no level-0 operation ever inserted (and
+        // every lookup that misses inserts).
+        let n = 12;
+        let mut p = Package::new();
+        let mut v = p.zero_state(n);
+        let mut product = p.identity(n);
+        for layer in 0..3 {
+            for q in 0..n {
+                let kind = if (q + layer) % 2 == 0 {
+                    GateKind::H
+                } else {
+                    GateKind::T
+                };
+                let g = p.single_gate(n, q, kind.matrix()).unwrap();
+                let cx = p
+                    .controlled_gate(n, &[q], (q + 1 + layer) % n, GateKind::X.matrix())
+                    .unwrap();
+                if layer == 0 && q < 4 {
+                    product = p.mul_mm(g, product);
+                    product = p.mul_mm(cx, product);
+                }
+                v = p.apply(g, v);
+                v = p.apply(cx, v);
+            }
+        }
+        let zero = p.zero_state(n);
+        let w = p.apply(product, zero);
+        assert!(p.inner_product(v, w).mag2() >= 0.0);
+
+        let stats = p.stats();
+        for table in [
+            stats.ct_add,
+            stats.ct_mul_mv,
+            stats.ct_mul_mm,
+            stats.ct_inner,
+        ] {
+            assert!(table.misses > 0 && table.occupancy > 0, "{table:?}");
+        }
+        let vvar = |id: u32| p.vnode(NodeId(id)).var;
+        let mvar = |id: u32| p.mnode(NodeId(id)).var;
+        assert!(p.ct.add.live_keys().all(|k| vvar(k.0) > 0 && vvar(k.1) > 0));
+        assert!(p
+            .ct
+            .mul_mv
+            .live_keys()
+            .all(|k| mvar(k.0) > 0 && vvar(k.1) > 0));
+        assert!(p
+            .ct
+            .mul_mm
+            .live_keys()
+            .all(|k| mvar(k.0) > 0 && mvar(k.1) > 0));
+        assert!(p
+            .ct
+            .inner
+            .live_keys()
+            .all(|k| vvar(k.0) > 0 && vvar(k.1) > 0));
     }
 
     #[test]

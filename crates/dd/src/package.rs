@@ -11,6 +11,7 @@ use crate::error::DdError;
 use crate::fasthash::FxHasher;
 use crate::node::{MNode, VNode};
 use crate::unique::UniqueTable;
+use crate::visit::count_reachable;
 use crate::Result;
 
 /// Maximum number of qubits the node representation supports.
@@ -654,40 +655,17 @@ impl Package {
     /// "DD size" that the memory-driven strategy thresholds on.
     #[must_use]
     pub fn vsize(&self, e: VEdge) -> usize {
-        let mut seen =
-            std::collections::HashSet::with_hasher(crate::fasthash::FxBuildHasher::default());
-        let mut stack = vec![e.node];
-        let mut count = 0;
-        while let Some(id) = stack.pop() {
-            if id.is_terminal() || !seen.insert(id) {
-                continue;
-            }
-            count += 1;
-            let node = self.vnode(id);
-            stack.push(node.edges[0].node);
-            stack.push(node.edges[1].node);
-        }
-        count
+        count_reachable(self.vnodes.capacity(), e.node, |id| {
+            self.vnode(id).edges.map(|c| c.node)
+        })
     }
 
     /// Number of non-terminal nodes reachable from a matrix edge.
     #[must_use]
     pub fn msize(&self, e: MEdge) -> usize {
-        let mut seen =
-            std::collections::HashSet::with_hasher(crate::fasthash::FxBuildHasher::default());
-        let mut stack = vec![e.node];
-        let mut count = 0;
-        while let Some(id) = stack.pop() {
-            if id.is_terminal() || !seen.insert(id) {
-                continue;
-            }
-            count += 1;
-            let node = self.mnode(id);
-            for c in node.edges {
-                stack.push(c.node);
-            }
-        }
-        count
+        count_reachable(self.mnodes.capacity(), e.node, |id| {
+            self.mnode(id).edges.map(|c| c.node)
+        })
     }
 
     /// ℓ2 norm of the represented vector. With this crate's normalization
