@@ -166,6 +166,12 @@ impl Package {
     /// (which must not contain the root). Exposed for custom selection
     /// policies and for the test-suite.
     ///
+    /// Ids that are not nodes of the diagram under `root` select
+    /// nothing and are not counted in
+    /// [`TruncationResult::removed_nodes`]; a set made only of such ids
+    /// is a no-op (the input edge comes back with fidelity 1 and 0
+    /// removed nodes).
+    ///
     /// # Errors
     ///
     /// [`DdError::InvalidParameter`] if the set contains the root or if
@@ -183,8 +189,8 @@ impl Package {
         self.truncate_without(root, &contribs, &removal)
     }
 
-    /// One round removing the distinct nodes of `removal` (ids outside
-    /// the analyzed diagram are counted but remove nothing).
+    /// One round removing the distinct nodes of `removal`. Ids outside
+    /// the analyzed diagram remove nothing and count for nothing.
     fn truncate_without(
         &mut self,
         root: VEdge,
@@ -192,10 +198,12 @@ impl Package {
         removal: &[NodeId],
     ) -> Result<TruncationResult> {
         let mut plan = vec![Rebuild::Pending { cut: [false; 2] }; contribs.node_count()];
+        let mut selected = 0;
         for rank in removal.iter().filter_map(|&node| contribs.rank(node)) {
             plan[rank] = Rebuild::Removed;
+            selected += 1;
         }
-        self.truncate_with_plan(root, contribs, plan, removal.len())
+        self.truncate_with_plan(root, contribs, plan, selected)
     }
 
     /// Rebuilds `root` under `plan`, rescales to unit norm and reports
@@ -502,6 +510,51 @@ mod tests {
         let mut p = Package::new();
         let root = paper_state(&mut p);
         assert!(p.truncate_nodes(root, &[root.node]).is_err());
+    }
+
+    /// A node of another diagram in the same package: alive, but not
+    /// reachable from the Fig. 1a state.
+    fn foreign_node(p: &mut Package) -> NodeId {
+        let amps = [0.6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.8].map(Cplx::real);
+        p.from_amplitudes(&amps).unwrap().node
+    }
+
+    #[test]
+    fn foreign_ids_are_not_counted_as_removed() {
+        let mut p = Package::new();
+        let root = paper_state(&mut p);
+        let foreign = foreign_node(&mut p);
+        let cm = p.contributions(root);
+        assert_eq!(cm.rank(foreign), None, "the id must be outside the diagram");
+        let victim = cm.level(1)[0];
+        let alone = p.truncate_nodes(root, &[victim]).unwrap();
+        // Repeats, foreign ids and the terminal change nothing.
+        let padded = p
+            .truncate_nodes(root, &[foreign, victim, NodeId::TERMINAL, victim])
+            .unwrap();
+        assert_eq!(alone.removed_nodes, 1);
+        assert_eq!(padded, alone);
+    }
+
+    #[test]
+    fn all_foreign_removal_set_is_a_no_op() {
+        let mut p = Package::new();
+        let root = paper_state(&mut p);
+        let foreign = foreign_node(&mut p);
+        let size = p.vsize(root);
+        let r = p
+            .truncate_nodes(root, &[foreign, NodeId::TERMINAL])
+            .unwrap();
+        assert_eq!(
+            r,
+            TruncationResult {
+                edge: root,
+                fidelity: 1.0,
+                removed_nodes: 0,
+                size_before: size,
+                size_after: size,
+            }
+        );
     }
 
     #[test]

@@ -281,6 +281,15 @@ impl<T> Arena<T> {
         self.watermark as usize + self.items.len()
     }
 
+    /// Bytes of the private delta layer, by length: payloads, reference
+    /// counts, the two flag bitsets and the free list (the frozen prefix
+    /// is shared, not owned).
+    pub(crate) fn bytes(&self) -> usize {
+        self.items.len() * (std::mem::size_of::<T>() + std::mem::size_of::<u32>())
+            + (self.alive.words.len() + self.mark.words.len()) * std::mem::size_of::<u64>()
+            + self.free.len() * std::mem::size_of::<u32>()
+    }
+
     /// Clears all delta marks (one memset over the mark words). Pair
     /// with [`Arena::mark`] and [`Arena::sweep`].
     pub(crate) fn clear_marks(&mut self) {
@@ -321,10 +330,24 @@ impl<T> Arena<T> {
             .map(move |(i, _)| i as u32 + watermark)
     }
 
+    /// Absolute ids of the alive delta slots, ascending.
+    #[cfg(test)]
+    pub(crate) fn alive_indices(&self) -> impl Iterator<Item = u32> + '_ {
+        let watermark = self.watermark;
+        (0..self.items.len())
+            .filter(|&i| self.alive.get(i))
+            .map(move |i| i as u32 + watermark)
+    }
+
     /// Frees every alive-but-unmarked **delta** slot, invoking `on_free`
-    /// with absolute ids (so the caller can drop unique-table entries).
-    /// Returns the number of freed slots. The frozen prefix is never
-    /// scanned — the watermark is the sweep's hard floor.
+    /// with each one's absolute id and payload *before* the slot is
+    /// released — so the caller drops the node's unique-table entry on
+    /// the spot, from the payload in place. Slots are freed in ascending
+    /// id order and pushed onto the LIFO free list in that order; both
+    /// orders decide future node ids and are part of the engine's
+    /// results (see [`crate::gc`]). Returns the number of freed slots.
+    /// The frozen prefix is never scanned — the watermark is the sweep's
+    /// hard floor.
     ///
     /// The scan is word-wide: 64 slots whose `alive & !mark` word is
     /// zero are skipped with a single compare.
@@ -481,6 +504,52 @@ mod tests {
         let c = delta.alloc(3000);
         assert_eq!(c, b);
         assert_eq!(*delta.get(c), 3000);
+    }
+
+    /// The order the sweep frees slots in and the order `alloc` hands
+    /// them out again decide which id a new node gets, and ids break
+    /// ties in `add`: both sequences are pinned here, not just the sets.
+    #[test]
+    fn sweep_frees_ascending_and_alloc_reuses_highest_freed_first() {
+        let mut a: Arena<u32> = Arena::new();
+        let ids: Vec<u32> = (0..140).map(|i| a.alloc(i)).collect();
+        assert_eq!(ids, (0..140).collect::<Vec<u32>>());
+        // Survivors: every fifth slot. The victims span three words.
+        for id in ids.iter().step_by(5) {
+            a.inc_rc(*id);
+        }
+        a.clear_marks();
+        for r in a.rooted_indices().collect::<Vec<_>>() {
+            a.mark(r);
+        }
+        let mut swept = Vec::new();
+        let freed = a.sweep(|idx, &payload| {
+            assert_eq!(payload, idx, "the callback reads the payload in place");
+            swept.push(idx);
+        });
+        let victims: Vec<u32> = (0..140).filter(|i| i % 5 != 0).collect();
+        assert_eq!(freed, victims.len());
+        assert_eq!(swept, victims, "ascending id order");
+
+        // LIFO reuse: the highest freed id comes back first, and only
+        // once the free list is empty does the arena grow.
+        let reused: Vec<u32> = (0..victims.len() as u32 + 2)
+            .map(|i| a.alloc(1000 + i))
+            .collect();
+        let mut expected: Vec<u32> = victims.iter().rev().copied().collect();
+        expected.extend([140, 141]);
+        assert_eq!(reused, expected);
+
+        // A second sweep frees on top of what the first left: its
+        // victims are pushed after (and so popped before) older ones.
+        a.clear_marks();
+        for r in a.rooted_indices().collect::<Vec<_>>() {
+            a.mark(r);
+        }
+        assert_eq!(a.sweep(|_, _| {}), victims.len() + 2);
+        assert_eq!(a.alloc(0), 141);
+        assert_eq!(a.alloc(0), 140);
+        assert_eq!(a.alloc(0), 139);
     }
 
     #[test]

@@ -305,6 +305,11 @@ impl<K: Copy + Eq + Hash, V: Copy> ComputeCache<K, V> {
             .map(|slot| slot.key)
     }
 
+    /// Bytes of the slot array: 0 until the first insert materialises it.
+    fn bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<Slot<K, V>>()
+    }
+
     /// Counter snapshot for [`crate::PackageStats`].
     pub(crate) fn stats(&self) -> CtStats {
         CtStats {
@@ -357,6 +362,11 @@ impl ComputeCaches {
         self.mul_mv.clear();
         self.mul_mm.clear();
         self.inner.clear();
+    }
+
+    /// Bytes of the materialised slot arrays.
+    pub(crate) fn bytes(&self) -> usize {
+        self.add.bytes() + self.mul_mv.bytes() + self.mul_mm.bytes() + self.inner.bytes()
     }
 
     /// Writes the per-table counters and their totals into `stats`.

@@ -5,8 +5,21 @@
 //! package-internal identity cache). Everything unreachable from a root
 //! is freed and its unique-table entry dropped; the compute tables are
 //! cleared wholesale because their entries may reference freed nodes.
+//!
+//! A collection allocates in proportion to what **survives** (the mark
+//! stack), never to what it frees: the sweep unlinks each dead node
+//! from its unique table at the moment it finds it, reading the payload
+//! in place. GC start is the engine's memory high-water mark, so a copy
+//! of the garbage taken there would be paid for in peak RSS.
+//!
+//! What a collection may *not* change is when it runs, the ascending
+//! order in which it frees slots, and the LIFO order in which
+//! [`crate::arena::Arena::alloc`] hands them out again: node ids break
+//! ties in `add`, so all three reach result bits.
 
-use crate::package::Package;
+use crate::arena::Arena;
+use crate::edge::NodeId;
+use crate::package::{remove_mnode_from_unique, remove_vnode_from_unique, Package};
 
 /// Statistics of one garbage-collection run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -21,6 +34,22 @@ pub struct GcStats {
     pub mnodes_alive: usize,
 }
 
+/// Marks every delta node reachable from an external root of `arena`.
+fn mark_reachable<T, const N: usize>(arena: &mut Arena<T>, children: impl Fn(&T) -> [NodeId; N]) {
+    arena.clear_marks();
+    let mut stack: Vec<u32> = arena.rooted_indices().collect();
+    while let Some(idx) = stack.pop() {
+        if !arena.mark(idx) {
+            continue;
+        }
+        for child in children(arena.get(idx)) {
+            if !child.is_terminal() && !arena.is_marked(child.0) {
+                stack.push(child.0);
+            }
+        }
+    }
+}
+
 impl Package {
     /// Runs a full mark-and-sweep collection and returns what was freed.
     ///
@@ -29,54 +58,19 @@ impl Package {
     pub fn collect_garbage(&mut self) -> GcStats {
         let span = approxdd_telemetry::Span::enter("dd.gc");
         self.stats.gc_runs += 1;
+        let tol = self.tol;
 
-        // --- vector arena ---
-        self.vnodes.clear_marks();
-        let mut stack: Vec<u32> = self.vnodes.rooted_indices().collect();
-        while let Some(idx) = stack.pop() {
-            if !self.vnodes.mark(idx) {
-                continue;
-            }
-            let node = *self.vnodes.get(idx);
-            for e in node.edges {
-                if !e.node.is_terminal() && !self.vnodes.is_marked(e.node.0) {
-                    stack.push(e.node.0);
-                }
-            }
-        }
-        // Sweep with unique-table eviction. Collect victims first to
-        // avoid borrowing conflicts.
-        let mut v_victims: Vec<(u32, crate::node::VNode)> = Vec::new();
-        let vnodes_freed = {
-            let v = &mut v_victims;
-            self.vnodes.sweep(|idx, node| v.push((idx, *node)))
-        };
-        for (idx, node) in v_victims {
-            self.remove_vnode_from_unique(idx, &node);
-        }
+        mark_reachable(&mut self.vnodes, |n| n.edges.map(|e| e.node));
+        let vunique = &mut self.vunique;
+        let vnodes_freed = self
+            .vnodes
+            .sweep(|id, node| remove_vnode_from_unique(vunique, tol, id, node));
 
-        // --- matrix arena ---
-        self.mnodes.clear_marks();
-        let mut stack: Vec<u32> = self.mnodes.rooted_indices().collect();
-        while let Some(idx) = stack.pop() {
-            if !self.mnodes.mark(idx) {
-                continue;
-            }
-            let node = *self.mnodes.get(idx);
-            for e in node.edges {
-                if !e.node.is_terminal() && !self.mnodes.is_marked(e.node.0) {
-                    stack.push(e.node.0);
-                }
-            }
-        }
-        let mut m_victims: Vec<(u32, crate::node::MNode)> = Vec::new();
-        let mnodes_freed = {
-            let m = &mut m_victims;
-            self.mnodes.sweep(|idx, node| m.push((idx, *node)))
-        };
-        for (idx, node) in m_victims {
-            self.remove_mnode_from_unique(idx, &node);
-        }
+        mark_reachable(&mut self.mnodes, |n| n.edges.map(|e| e.node));
+        let munique = &mut self.munique;
+        let mnodes_freed = self
+            .mnodes
+            .sweep(|id, node| remove_mnode_from_unique(munique, tol, id, node));
 
         // Memoized results may point at freed nodes.
         self.ct.clear();
@@ -125,6 +119,95 @@ mod tests {
     use super::*;
     use crate::edge::VEdge;
     use crate::gates::GateKind;
+    use proptest::prelude::*;
+
+    /// What must hold of the node store right after a collection.
+    fn assert_consistent_store(p: &mut Package, gc: GcStats) {
+        let before = p.stats();
+        assert_eq!(
+            (before.vnodes_alive, before.mnodes_alive),
+            (gc.vnodes_alive, gc.mnodes_alive)
+        );
+        // Exactly the alive nodes are indexed: no entry of a swept node
+        // stayed behind, none of a survivor was lost.
+        assert_eq!(before.unique_len, gc.vnodes_alive + gc.mnodes_alive);
+        // Re-making a survivor from its own children finds the survivor.
+        for id in p.vnodes.alive_indices().collect::<Vec<_>>() {
+            let node = *p.vnodes.get(id);
+            assert_eq!(p.intern_vnode(node), id, "vnode {id} lost its entry");
+        }
+        for id in p.mnodes.alive_indices().collect::<Vec<_>>() {
+            let node = *p.mnodes.get(id);
+            assert_eq!(p.intern_mnode(node), id, "mnode {id} lost its entry");
+        }
+        let after = p.stats();
+        assert_eq!(after.unique_misses, before.unique_misses);
+        assert_eq!(after.node_store_bytes, before.node_store_bytes);
+        // Nothing is left for a second collection.
+        let again = p.collect_garbage();
+        assert_eq!((again.vnodes_freed, again.mnodes_freed), (0, 0));
+        assert_eq!(
+            (again.vnodes_alive, again.mnodes_alive),
+            (gc.vnodes_alive, gc.mnodes_alive)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // Random 7-qubit circuits under the simulator's GC discipline
+        // (one rooted state, collect past 64 collectable nodes), on a
+        // plain package and layered over a snapshot that warmed a few
+        // of the gates.
+        #[test]
+        fn collection_leaves_a_consistent_store(
+            ops in prop::collection::vec(((0usize..6, any::<f64>()), 0usize..7, 0usize..7), 48),
+            over_snapshot in any::<bool>()
+        ) {
+            const N: usize = 7;
+            let gate = |p: &mut Package, ((kind, theta), a, b): ((usize, f64), usize, usize)| {
+                let u = match kind {
+                    0 => GateKind::H,
+                    1 => GateKind::T,
+                    2 => GateKind::Rx(theta * std::f64::consts::PI),
+                    3 => GateKind::SyGate,
+                    _ => GateKind::X,
+                }
+                .matrix();
+                if kind >= 4 && a != b {
+                    p.controlled_gate(N, &[a], b, u).unwrap()
+                } else {
+                    p.single_gate(N, a, u).unwrap()
+                }
+            };
+            let mut p = if over_snapshot {
+                let mut base = Package::new();
+                for &op in &ops[..8] {
+                    let _ = gate(&mut base, op);
+                }
+                Package::with_snapshot(&base.freeze(), None)
+            } else {
+                Package::new()
+            };
+            let mut state = p.zero_state(N);
+            p.inc_ref(state);
+            let mut collections = 0;
+            for &op in &ops {
+                let g = gate(&mut p, op);
+                let next = p.apply(g, state);
+                p.inc_ref(next);
+                p.dec_ref(state);
+                state = next;
+                if p.collectable_nodes() > 64 {
+                    let gc = p.collect_garbage();
+                    assert_consistent_store(&mut p, gc);
+                    collections += 1;
+                }
+            }
+            prop_assert!(collections > 0, "the threshold never fired");
+            prop_assert!((p.norm(state) - 1.0).abs() < 1e-9);
+        }
+    }
 
     #[test]
     fn unrooted_nodes_are_collected() {

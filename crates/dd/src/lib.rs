@@ -38,11 +38,22 @@
 //!   only payload bytes; GC mark-clearing is a memset and the sweep
 //!   skips 64 dead-free slots per word.
 //! * **Per-level open-addressed unique tables.** Canonicalization
-//!   queries probe a flat `(hash, id)` bucket array per level with
-//!   linear probing and load-factor resize; full key comparisons read
-//!   the candidate node straight from the arena. The unique table is
-//!   **exact** — entries live as long as their nodes — because it is
-//!   what makes DDs canonical.
+//!   queries probe a flat bucket array per level — a 32-bit hash tag
+//!   beside the 32-bit node id, 8 bytes a bucket, rebuilt at twice the
+//!   live entry count whenever entries plus tombstones pass 70 % — with
+//!   linear probing; full key comparisons read the candidate node
+//!   straight from the arena. The unique table is **exact** — entries
+//!   live as long as their nodes — because it is what makes DDs
+//!   canonical.
+//! * **A node store that costs what is live.** Garbage collection
+//!   unlinks each dead node from its unique table as the sweep finds
+//!   it, so a collection allocates in proportion to what survives, not
+//!   to what it frees; and the canonical `add` ratios sit in a table of
+//!   bare values (16 bytes a slot) whose keys are recomputed from the
+//!   values. GC *timing*, sweep *order* and free-list *order* reach
+//!   result bits; table *layout and load factor* never do.
+//!   [`PackageStats::node_store_bytes`] reports the footprint by
+//!   length.
 //! * **Fixed-size, direct-mapped lossy compute caches.** The four
 //!   memoization tables (`add`, `mul_mv`, `mul_mm`, `inner`) are flat
 //!   slot arrays indexed by `hash & mask` that overwrite on collision
@@ -50,13 +61,13 @@
 //!   construction: every cache key identifies its result exactly. For
 //!   `mul_mv`/`mul_mm`/`inner` the node-id pair alone does (top
 //!   weights factor out); for `add` the key adds the weight ratio
-//!   *interned through a canonicalization map* (tolerance bucket → the
-//!   first exact ratio seen), and the recursion runs on that canonical
-//!   ratio — so near-equal ratios share one key *and* one result, and
-//!   a hit returns precisely what recomputation would. An undersized
-//!   cache costs time, never a different answer. Size the caches per
-//!   package with [`Package::with_cache_bits`] (2^16 slots per table
-//!   by default).
+//!   *interned through a canonicalization table* (tolerance bucket →
+//!   the first exact ratio seen), and the recursion runs on that
+//!   canonical ratio — so near-equal ratios share one key *and* one
+//!   result, and a hit returns precisely what recomputation would. An
+//!   undersized cache costs time, never a different answer. Size the
+//!   caches per package with [`Package::with_cache_bits`] (2^16 slots
+//!   per table by default).
 //! * **Cache memory is O(touched), not O(capacity).** Packages are
 //!   built per job, and most jobs never consult two of the four
 //!   tables, so a slot array is provided on its cache's **first
@@ -142,6 +153,7 @@ mod gc;
 mod node;
 mod ops;
 mod package;
+mod ratio;
 mod sample;
 mod serialize;
 mod snapshot;

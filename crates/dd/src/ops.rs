@@ -20,7 +20,7 @@
 //!
 //! This cannot change a result. The miss path is the same code, hence
 //! the same float operations in the same order; `add` still interns its
-//! weight ratio first, so the canonicalization map — which *is* part of
+//! weight ratio first, so the canonical-ratio table — which *is* part of
 //! the result — sees the same sequence of ratios and resets at the same
 //! moments; and the tables only ever differ by entries a lookup could
 //! have lost to eviction anyway, which the "hit ≡ recompute" contract

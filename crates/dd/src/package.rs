@@ -10,6 +10,7 @@ use crate::edge::{MEdge, NodeId, VEdge};
 use crate::error::DdError;
 use crate::fasthash::FxHasher;
 use crate::node::{MNode, VNode};
+use crate::ratio::RatioCanon;
 use crate::unique::UniqueTable;
 use crate::visit::count_reachable;
 use crate::Result;
@@ -20,11 +21,11 @@ pub(crate) const MAX_QUBITS: usize = 255;
 /// indices (dense conversion).
 pub(crate) const MAX_DENSE_QUBITS: usize = 26;
 
-/// Hash of a vector node's unique-table key (child ids plus
+/// Hash of a node's unique-table key (child ids plus
 /// tolerance-quantized child weights; the level is implicit in the
 /// per-level table).
 #[inline]
-fn vkey_hash(nodes: [u32; 2], weights: [(i64, i64); 2]) -> u64 {
+fn key_hash<const N: usize>(nodes: [u32; N], weights: [(i64, i64); N]) -> u64 {
     let mut h = FxHasher::default();
     for n in nodes {
         h.write_u32(n);
@@ -36,18 +37,36 @@ fn vkey_hash(nodes: [u32; 2], weights: [(i64, i64); 2]) -> u64 {
     h.finish()
 }
 
-/// Hash of a matrix node's unique-table key.
-#[inline]
-fn mkey_hash(nodes: [u32; 4], weights: [(i64, i64); 4]) -> u64 {
-    let mut h = FxHasher::default();
-    for n in nodes {
-        h.write_u32(n);
-    }
-    for (re, im) in weights {
-        h.write_i64(re);
-        h.write_i64(im);
-    }
-    h.finish()
+/// Drops a swept vector node's unique-table entry. Free functions over
+/// the table (not `Package` methods) so the arena sweep can call them
+/// while it holds the arena: garbage is unlinked where it is found,
+/// never copied out first.
+pub(crate) fn remove_vnode_from_unique(
+    unique: &mut UniqueTable,
+    tol: Tolerance,
+    id: u32,
+    node: &VNode,
+) {
+    // The stored node's weights are exactly the bits the key was
+    // quantized from at insert time, so the recomputed hash matches.
+    let weights = node.edges.map(|e| tol.key(e.w));
+    let hash = key_hash(node.edges.map(|e| e.node.0), weights);
+    let removed = unique.remove(node.var, hash, id);
+    debug_assert!(removed, "swept vnode {id} missing from unique table");
+}
+
+/// Drops a swept matrix node's unique-table entry (see
+/// [`remove_vnode_from_unique`]).
+pub(crate) fn remove_mnode_from_unique(
+    unique: &mut UniqueTable,
+    tol: Tolerance,
+    id: u32,
+    node: &MNode,
+) {
+    let weights = node.edges.map(|e| tol.key(e.w));
+    let hash = key_hash(node.edges.map(|e| e.node.0), weights);
+    let removed = unique.remove(node.var, hash, id);
+    debug_assert!(removed, "swept mnode {id} missing from unique table");
 }
 
 /// Operational statistics of a [`Package`], for benchmarking and the
@@ -110,6 +129,18 @@ pub struct PackageStats {
     /// Unique-table hits that resolved to a frozen snapshot node
     /// (a subset of `unique_hits`; 0 without a snapshot).
     pub snapshot_hits: u64,
+    /// Bytes the package's node store holds right now, counted from
+    /// container **lengths**: arena slots (payload, reference count,
+    /// flag bits, free list), unique-table buckets, canonical-ratio
+    /// slots, and the compute-cache slot arrays that have materialised.
+    /// Private tiers only — an attached snapshot's frozen prefix is
+    /// shared and counted by nobody. Deterministic for a given
+    /// operation sequence and cache size (it is not RSS: allocator
+    /// slack, `Vec` spare capacity and per-call scratch are outside
+    /// it), but a description of layout, not of a result: it is
+    /// excluded from every fingerprint and free to move whenever a
+    /// table is re-laid out.
+    pub node_store_bytes: usize,
 }
 
 impl PackageStats {
@@ -200,22 +231,9 @@ pub struct Package {
     pub(crate) mnodes: Arena<MNode>,
     pub(crate) vunique: UniqueTable,
     pub(crate) munique: UniqueTable,
-    /// Canonicalization map for `add` weight ratios: tolerance bucket →
-    /// the first exact ratio seen in that bucket. Near-equal ratios
-    /// (the overwhelmingly common case — low-order float noise from
-    /// different computation paths) collapse onto one canonical value,
-    /// which is what lets the lossy `ct_add` hit on them while staying
-    /// sound: the canonical ratio is a *stable* pure function of the
-    /// operation sequence, independent of compute-cache size, so
-    /// hit ≡ recompute bit-for-bit. The same idea as the QMDD "complex
-    /// table" (DDSIM interns all weights); applied here only where the
-    /// repo needs it, at the single cache whose key involves computed
-    /// weights. See `Package::add`.
-    pub(crate) ratio_canon: crate::fasthash::FxHashMap<(i64, i64), Cplx>,
-    /// Immutable canonical-ratio tier of an attached snapshot, probed
-    /// before `ratio_canon` so frozen buckets keep their pinned
-    /// representatives (first-write-wins across the snapshot boundary).
-    pub(crate) ratio_frozen: Option<std::sync::Arc<crate::fasthash::FxHashMap<(i64, i64), Cplx>>>,
+    /// Canonical `add` weight ratios, one per tolerance bucket (private
+    /// tier plus an attached snapshot's frozen one) — see [`crate::ratio`].
+    pub(crate) ratio_canon: RatioCanon,
     /// The four lossy compute caches (`add`, `mul_mv`, `mul_mm`,
     /// `inner`).
     pub(crate) ct: ComputeCaches,
@@ -266,8 +284,7 @@ impl Package {
             mnodes: Arena::new(),
             vunique: UniqueTable::new(),
             munique: UniqueTable::new(),
-            ratio_canon: crate::fasthash::FxHashMap::default(),
-            ratio_frozen: None,
+            ratio_canon: RatioCanon::new(),
             ct: ComputeCaches::new(cache_bits),
             ident_cache: vec![MEdge::ONE],
             stats: PackageStats::default(),
@@ -293,6 +310,12 @@ impl Package {
         self.ct.report(&mut s);
         s.frozen_vnodes = self.vnodes.frozen_count();
         s.frozen_mnodes = self.mnodes.frozen_count();
+        s.node_store_bytes = self.vnodes.bytes()
+            + self.mnodes.bytes()
+            + self.vunique.bytes()
+            + self.munique.bytes()
+            + self.ratio_canon.bytes()
+            + self.ct.bytes();
         s
     }
 
@@ -371,18 +394,31 @@ impl Package {
             node: e1.node,
         };
 
-        let weights = [self.tol.key(e0.w), self.tol.key(e1.w)];
-        let hash = vkey_hash([e0.node.0, e1.node.0], weights);
+        let id = self.intern_vnode(VNode {
+            var,
+            edges: [e0, e1],
+        });
+        VEdge {
+            w: factor,
+            node: NodeId(id),
+        }
+    }
+
+    /// The canonical id of an already normalized vector node: the one
+    /// the unique table holds for its key, or a newly allocated slot.
+    #[inline]
+    pub(crate) fn intern_vnode(&mut self, node: VNode) -> u32 {
+        let weights = node.edges.map(|e| self.tol.key(e.w));
+        let hash = key_hash(node.edges.map(|e| e.node.0), weights);
         let tol = self.tol;
         let arena = &self.vnodes;
-        let found = self.vunique.lookup(var, hash, |id| {
+        let found = self.vunique.lookup(node.var, hash, |id| {
             let n = arena.get(id);
-            n.edges[0].node == e0.node
-                && n.edges[1].node == e1.node
-                && tol.key(n.edges[0].w) == weights[0]
-                && tol.key(n.edges[1].w) == weights[1]
+            (0..2).all(|i| {
+                n.edges[i].node == node.edges[i].node && tol.key(n.edges[i].w) == weights[i]
+            })
         });
-        let id = match found {
+        match found {
             Some(id) => {
                 self.stats.unique_hits += 1;
                 if id < self.vnodes.watermark() {
@@ -392,17 +428,10 @@ impl Package {
             }
             None => {
                 self.stats.unique_misses += 1;
-                let id = self.vnodes.alloc(VNode {
-                    var,
-                    edges: [e0, e1],
-                });
-                self.vunique.insert(var, hash, id);
+                let id = self.vnodes.alloc(node);
+                self.vunique.insert(node.var, hash, id);
                 id
             }
-        };
-        VEdge {
-            w: factor,
-            node: NodeId(id),
         }
     }
 
@@ -449,15 +478,28 @@ impl Package {
             }
         }
 
-        let weights = edges.map(|e| self.tol.key(e.w));
-        let hash = mkey_hash(edges.map(|e| e.node.0), weights);
+        let id = self.intern_mnode(MNode { var, edges });
+        MEdge {
+            w: factor,
+            node: NodeId(id),
+        }
+    }
+
+    /// The canonical id of an already normalized matrix node (see
+    /// [`Package::intern_vnode`]).
+    #[inline]
+    pub(crate) fn intern_mnode(&mut self, node: MNode) -> u32 {
+        let weights = node.edges.map(|e| self.tol.key(e.w));
+        let hash = key_hash(node.edges.map(|e| e.node.0), weights);
         let tol = self.tol;
         let arena = &self.mnodes;
-        let found = self.munique.lookup(var, hash, |id| {
+        let found = self.munique.lookup(node.var, hash, |id| {
             let n = arena.get(id);
-            (0..4).all(|i| n.edges[i].node == edges[i].node && tol.key(n.edges[i].w) == weights[i])
+            (0..4).all(|i| {
+                n.edges[i].node == node.edges[i].node && tol.key(n.edges[i].w) == weights[i]
+            })
         });
-        let id = match found {
+        match found {
             Some(id) => {
                 self.stats.unique_hits += 1;
                 if id < self.mnodes.watermark() {
@@ -467,14 +509,10 @@ impl Package {
             }
             None => {
                 self.stats.unique_misses += 1;
-                let id = self.mnodes.alloc(MNode { var, edges });
-                self.munique.insert(var, hash, id);
+                let id = self.mnodes.alloc(node);
+                self.munique.insert(node.var, hash, id);
                 id
             }
-        };
-        MEdge {
-            w: factor,
-            node: NodeId(id),
         }
     }
 
@@ -682,50 +720,18 @@ impl Package {
 
     /// Canonicalizes an `add` weight ratio: returns its tolerance
     /// bucket plus the bucket's canonical representative (the first
-    /// exact ratio seen in it). The map's evolution is a pure function
+    /// exact ratio seen in it). The table's evolution is a pure function
     /// of the operation sequence — compute caches never influence it —
     /// which is what keeps `ct_add` hits bit-identical to
-    /// recomputation. Past the entry cap the map resets along with
-    /// **every** compute cache — not just `ct_add`: `mul_mv`/`mul_mm`/
-    /// `inner` results embed add results and therefore canonical-ratio
-    /// bits, so any surviving entry could disagree with a post-reset
-    /// recomputation. The reset timing is equally
-    /// cache-size-independent.
+    /// recomputation. When the table resets at its entry cap, **every**
+    /// compute cache resets with it (the rule and its reason live in
+    /// [`crate::ratio`]).
     pub(crate) fn canonical_ratio(&mut self, ratio: Cplx) -> ((i64, i64), Cplx) {
-        /// Entry cap of the ratio-canonicalization map (~8 MiB).
-        const RATIO_CANON_CAP: usize = 1 << 18;
-        if self.ratio_canon.len() >= RATIO_CANON_CAP {
-            // Only the private delta map resets: the frozen tier is a
-            // snapshot invariant shared with every sibling package.
-            self.ratio_canon.clear();
+        let (rk, canonical, reset) = self.ratio_canon.canonical(self.tol, ratio);
+        if reset {
             self.ct.clear();
         }
-        let rk = self.tol.key(ratio);
-        // Frozen buckets keep their pinned representatives so every
-        // package sharing the snapshot canonicalizes identically.
-        if let Some(frozen) = &self.ratio_frozen {
-            if let Some(&canonical) = frozen.get(&rk) {
-                return (rk, canonical);
-            }
-        }
-        let canonical = *self.ratio_canon.entry(rk).or_insert(ratio);
         (rk, canonical)
-    }
-
-    pub(crate) fn remove_vnode_from_unique(&mut self, id: u32, node: &VNode) {
-        // The stored node's weights are exactly the bits the key was
-        // quantized from at insert time, so the recomputed hash matches.
-        let weights = [self.tol.key(node.edges[0].w), self.tol.key(node.edges[1].w)];
-        let hash = vkey_hash([node.edges[0].node.0, node.edges[1].node.0], weights);
-        let removed = self.vunique.remove(node.var, hash, id);
-        debug_assert!(removed, "swept vnode {id} missing from unique table");
-    }
-
-    pub(crate) fn remove_mnode_from_unique(&mut self, id: u32, node: &MNode) {
-        let weights = node.edges.map(|e| self.tol.key(e.w));
-        let hash = mkey_hash(node.edges.map(|e| e.node.0), weights);
-        let removed = self.munique.remove(node.var, hash, id);
-        debug_assert!(removed, "swept mnode {id} missing from unique table");
     }
 }
 
@@ -865,19 +871,24 @@ mod tests {
 
     #[test]
     fn ratio_canon_cap_reset_clears_every_compute_cache() {
-        // When the canonicalization map resets, *all* compute caches
+        // When the canonical-ratio table resets, *all* compute caches
         // must drop: mul_mv/mul_mm/inner results embed add results and
         // therefore canonical-ratio bits, so a surviving entry could
         // disagree with a post-reset recomputation.
         let mut p = Package::new();
+        let first = Cplx::new(0.25, 0.0);
+        let near = Cplx::new(0.25 + 1e-14, 0.0);
+        assert_eq!(p.canonical_ratio(first).1, first);
+        assert_eq!(p.canonical_ratio(near).1, first, "first write wins");
+        // One distinct bucket per call, up to the cap.
+        for i in 1..crate::ratio::RATIO_CANON_CAP {
+            #[allow(clippy::cast_precision_loss)]
+            let _ = p.canonical_ratio(Cplx::new(0.5, i as f64 * 1e-6));
+        }
         p.ct.mul_mv.insert((1, 2), VEdge::ONE);
         p.ct.inner.insert((3, 4), Cplx::I);
-        for i in 0..(1 << 18) {
-            p.ratio_canon.insert((i, 0), Cplx::ONE);
-        }
-        let (_, canonical) = p.canonical_ratio(Cplx::new(0.5, 0.0));
-        assert_eq!(canonical, Cplx::new(0.5, 0.0), "map was reset");
-        assert!(p.ratio_canon.len() <= 1);
+        // The call that finds the table at its cap resets it first.
+        assert_eq!(p.canonical_ratio(near).1, near, "table was reset");
         assert_eq!(p.ct.mul_mv.lookup(&(1, 2)), None, "mul_mv must clear");
         assert_eq!(p.ct.inner.lookup(&(3, 4)), None, "inner must clear");
     }

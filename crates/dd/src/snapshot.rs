@@ -36,14 +36,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use approxdd_complex::{Cplx, Tolerance};
+use approxdd_complex::Tolerance;
 
 use crate::arena::{Arena, FrozenArena};
 use crate::ctable::ComputeCaches;
 use crate::edge::MEdge;
-use crate::fasthash::FxHashMap;
 use crate::node::{MNode, VNode};
 use crate::package::{Package, PackageStats};
+use crate::ratio::{RatioCanon, RatioTable};
 use crate::unique::{FrozenUnique, UniqueTable};
 
 /// The immutable frozen prefix of a [`Package`], shared across worker
@@ -61,7 +61,7 @@ pub struct PackageSnapshot {
     pub(crate) mnodes: Arc<FrozenArena<MNode>>,
     pub(crate) vunique: Arc<FrozenUnique>,
     pub(crate) munique: Arc<FrozenUnique>,
-    pub(crate) ratio_canon: Arc<FxHashMap<(i64, i64), Cplx>>,
+    pub(crate) ratio_canon: Arc<RatioTable>,
     pub(crate) ident_cache: Vec<MEdge>,
     /// Packages ever layered over this snapshot (bumped by
     /// [`Package::with_snapshot`]) — the cross-batch reuse odometer a
@@ -124,17 +124,13 @@ impl Package {
     #[must_use]
     pub fn freeze(self) -> PackageSnapshot {
         let _span = approxdd_telemetry::Span::enter("dd.freeze");
-        assert!(
-            self.ratio_frozen.is_none(),
-            "cannot freeze a package layered over an existing snapshot"
-        );
         PackageSnapshot {
             tol: self.tolerance(),
             vnodes: Arc::new(self.vnodes.freeze()),
             mnodes: Arc::new(self.mnodes.freeze()),
             vunique: Arc::new(self.vunique.freeze()),
             munique: Arc::new(self.munique.freeze()),
-            ratio_canon: Arc::new(self.ratio_canon),
+            ratio_canon: Arc::new(self.ratio_canon.freeze()),
             ident_cache: self.ident_cache,
             attaches: AtomicU64::new(0),
         }
@@ -157,8 +153,7 @@ impl Package {
             mnodes: Arena::with_frozen(Arc::clone(&snapshot.mnodes)),
             vunique: UniqueTable::with_frozen(Arc::clone(&snapshot.vunique)),
             munique: UniqueTable::with_frozen(Arc::clone(&snapshot.munique)),
-            ratio_canon: FxHashMap::default(),
-            ratio_frozen: Some(Arc::clone(&snapshot.ratio_canon)),
+            ratio_canon: RatioCanon::with_frozen(Arc::clone(&snapshot.ratio_canon)),
             ct: ComputeCaches::new(cache_bits),
             ident_cache: snapshot.ident_cache.clone(),
             stats: PackageStats::default(),

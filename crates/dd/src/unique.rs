@@ -14,15 +14,18 @@
 //!   be equal, so each level gets its own bucket array and the level
 //!   byte drops out of every key and comparison.
 //! * **Open addressing, linear probing.** Buckets are a flat
-//!   power-of-two array of `(hash, node id)` pairs probed linearly.
-//!   The full key is **not** stored: the node payload already lives in
-//!   the arena, so equality is decided by comparing the candidate
-//!   node's children against the probe key (the caller supplies the
-//!   comparison as a closure over the arena). A 64-bit hash pre-filter
-//!   makes full comparisons rare.
+//!   power-of-two array of `(tag, node id)` pairs — 8 bytes each —
+//!   probed linearly. The full key is **not** stored: the node payload
+//!   already lives in the arena, so equality is decided by comparing
+//!   the candidate node's children against the probe key (the caller
+//!   supplies the comparison as a closure over the arena). The tag is
+//!   the upper half of the 64-bit key hash; it picks the home bucket
+//!   and pre-filters probes, so full comparisons stay rare. Two keys
+//!   sharing a tag merely cost one extra comparison.
 //! * **Load-factor-triggered resize.** Past ~70 % occupancy a level
-//!   doubles its bucket array and re-seats entries from their stored
-//!   hashes — no key re-derivation, no arena access.
+//!   rebuilds its bucket array at twice its live entry count (25–50 %
+//!   load afterwards) and re-seats entries from their stored tags — no
+//!   key re-derivation, no arena access.
 //! * **Tombstone deletion.** Garbage collection removes swept nodes by
 //!   id; tombstones keep probe chains intact and are recycled by
 //!   inserts and dropped wholesale on resize.
@@ -30,7 +33,9 @@
 //! Unlike the compute caches ([`crate::ctable`]), unique tables are
 //! **exact**: an entry is never lost while its node is alive, which is
 //! what keeps canonicalization — and therefore results — independent
-//! of cache configuration.
+//! of cache configuration. Which bucket an entry sits in, and how full
+//! a level is, can never reach a result: a key has at most one entry,
+//! so a lookup's answer does not depend on the probe order.
 //!
 //! # Copy-on-write snapshots
 //!
@@ -59,12 +64,26 @@ const INITIAL_BUCKETS: usize = 64;
 const MAX_LOAD_NUM: usize = 7;
 const MAX_LOAD_DEN: usize = 10;
 
+/// One slot of a level: the entry's hash tag beside its node id (or one
+/// of the [`EMPTY`]/[`TOMBSTONE`] sentinels, whose tag means nothing).
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    tag: u32,
+    id: u32,
+}
+
+const VACANT: Bucket = Bucket { tag: 0, id: EMPTY };
+
+/// The stored part of a key hash: its upper 32 bits (the best-mixed
+/// ones of the multiply–xor hasher).
+#[inline]
+fn tag_of(hash: u64) -> u32 {
+    (hash >> 32) as u32
+}
+
 #[derive(Debug, Clone, Default)]
 struct Level {
-    /// Stored 64-bit key hashes, parallel to `ids`.
-    hashes: Vec<u64>,
-    /// Node ids, or the [`EMPTY`]/[`TOMBSTONE`] sentinels.
-    ids: Vec<u32>,
+    buckets: Vec<Bucket>,
     /// Live entries.
     len: usize,
     /// Tombstoned buckets (reclaimed on resize).
@@ -75,8 +94,7 @@ impl Level {
     fn with_buckets(buckets: usize) -> Self {
         debug_assert!(buckets.is_power_of_two());
         Self {
-            hashes: vec![0; buckets],
-            ids: vec![EMPTY; buckets],
+            buckets: vec![VACANT; buckets],
             len: 0,
             tombstones: 0,
         }
@@ -84,24 +102,24 @@ impl Level {
 
     #[inline]
     fn mask(&self) -> usize {
-        self.ids.len() - 1
+        self.buckets.len() - 1
     }
 
-    /// Finds the id of the entry with this hash satisfying `eq`, if any.
+    /// Finds the id of the entry with this tag satisfying `eq`, if any.
     #[inline]
-    fn lookup(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
-        if self.ids.is_empty() {
+    fn lookup(&self, tag: u32, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.buckets.is_empty() {
             return None;
         }
         let mask = self.mask();
-        #[allow(clippy::cast_possible_truncation)]
-        let mut idx = (hash as usize) & mask;
+        let mut idx = tag as usize & mask;
         loop {
-            match self.ids[idx] {
+            let bucket = self.buckets[idx];
+            match bucket.id {
                 EMPTY => return None,
                 TOMBSTONE => {}
                 id => {
-                    if self.hashes[idx] == hash && eq(id) {
+                    if bucket.tag == tag && eq(id) {
                         return Some(id);
                     }
                 }
@@ -111,17 +129,16 @@ impl Level {
     }
 
     /// Inserts an entry known to be absent (call after a failed
-    /// [`Level::lookup`] with the same hash).
-    fn insert(&mut self, hash: u64, id: u32) {
+    /// [`Level::lookup`] with the same tag).
+    fn insert(&mut self, tag: u32, id: u32) {
         debug_assert!(id < TOMBSTONE, "node id collides with a sentinel");
-        if (self.len + self.tombstones + 1) * MAX_LOAD_DEN > self.ids.len() * MAX_LOAD_NUM {
+        if (self.len + self.tombstones + 1) * MAX_LOAD_DEN > self.buckets.len() * MAX_LOAD_NUM {
             self.resize();
         }
         let mask = self.mask();
-        #[allow(clippy::cast_possible_truncation)]
-        let mut idx = (hash as usize) & mask;
+        let mut idx = tag as usize & mask;
         loop {
-            match self.ids[idx] {
+            match self.buckets[idx].id {
                 EMPTY => break,
                 TOMBSTONE => {
                     self.tombstones -= 1;
@@ -130,26 +147,24 @@ impl Level {
                 _ => idx = (idx + 1) & mask,
             }
         }
-        self.hashes[idx] = hash;
-        self.ids[idx] = id;
+        self.buckets[idx] = Bucket { tag, id };
         self.len += 1;
     }
 
-    /// Tombstones the entry for `id` under `hash`. Returns whether it
+    /// Tombstones the entry for `id` under `tag`. Returns whether it
     /// was present.
-    fn remove(&mut self, hash: u64, id: u32) -> bool {
-        if self.ids.is_empty() {
+    fn remove(&mut self, tag: u32, id: u32) -> bool {
+        if self.buckets.is_empty() {
             return false;
         }
         let mask = self.mask();
-        #[allow(clippy::cast_possible_truncation)]
-        let mut idx = (hash as usize) & mask;
+        let mut idx = tag as usize & mask;
         loop {
-            match self.ids[idx] {
+            match self.buckets[idx].id {
                 EMPTY => return false,
                 cand => {
                     if cand == id {
-                        self.ids[idx] = TOMBSTONE;
+                        self.buckets[idx].id = TOMBSTONE;
                         self.len -= 1;
                         self.tombstones += 1;
                         return true;
@@ -160,28 +175,26 @@ impl Level {
         }
     }
 
-    /// Rebuilds the bucket array sized to the *live* entry count (4×
-    /// headroom), re-seating entries from their stored hashes and
-    /// dropping tombstones. Sizing from `len` instead of doubling
-    /// blindly keeps delete-heavy churn (GC sweeps) from growing the
-    /// table when tombstones, not entries, tripped the load factor.
+    /// Rebuilds the bucket array sized to the *live* entry count (2×
+    /// headroom, so 25–50 % load), re-seating entries from their stored
+    /// tags and dropping tombstones. Sizing from `len` instead of
+    /// doubling blindly keeps delete-heavy churn (GC sweeps) from
+    /// growing the table when tombstones, not entries, tripped the load
+    /// factor — and lets a level shrink after a large collection.
     fn resize(&mut self) {
-        let new_buckets = (self.len * 4).next_power_of_two().max(INITIAL_BUCKETS);
-        let old_hashes = std::mem::replace(&mut self.hashes, vec![0; new_buckets]);
-        let old_ids = std::mem::replace(&mut self.ids, vec![EMPTY; new_buckets]);
+        let new_buckets = (self.len * 2).next_power_of_two().max(INITIAL_BUCKETS);
+        let old = std::mem::replace(&mut self.buckets, vec![VACANT; new_buckets]);
         self.tombstones = 0;
         let mask = new_buckets - 1;
-        for (hash, id) in old_hashes.into_iter().zip(old_ids) {
-            if id == EMPTY || id == TOMBSTONE {
+        for bucket in old {
+            if bucket.id == EMPTY || bucket.id == TOMBSTONE {
                 continue;
             }
-            #[allow(clippy::cast_possible_truncation)]
-            let mut idx = (hash as usize) & mask;
-            while self.ids[idx] != EMPTY {
+            let mut idx = bucket.tag as usize & mask;
+            while self.buckets[idx].id != EMPTY {
                 idx = (idx + 1) & mask;
             }
-            self.hashes[idx] = hash;
-            self.ids[idx] = id;
+            self.buckets[idx] = bucket;
         }
     }
 }
@@ -251,17 +264,18 @@ impl UniqueTable {
         hash: u64,
         mut eq: impl FnMut(u32) -> bool,
     ) -> Option<u32> {
+        let tag = tag_of(hash);
         if let Some(id) = self
             .levels
             .get(usize::from(var))
-            .and_then(|level| level.lookup(hash, &mut eq))
+            .and_then(|level| level.lookup(tag, &mut eq))
         {
             return Some(id);
         }
         self.frozen
             .as_ref()
             .and_then(|f| f.levels.get(usize::from(var)))
-            .and_then(|level| level.lookup(hash, &mut eq))
+            .and_then(|level| level.lookup(tag, &mut eq))
     }
 
     /// Registers a freshly allocated node (call after a failed
@@ -272,7 +286,7 @@ impl UniqueTable {
             self.levels
                 .resize_with(var + 1, || Level::with_buckets(INITIAL_BUCKETS));
         }
-        self.levels[var].insert(hash, id);
+        self.levels[var].insert(tag_of(hash), id);
     }
 
     /// Drops a swept node's entry from the **delta** tier. Returns
@@ -282,7 +296,7 @@ impl UniqueTable {
     pub(crate) fn remove(&mut self, var: u8, hash: u64, id: u32) -> bool {
         self.levels
             .get_mut(usize::from(var))
-            .is_some_and(|level| level.remove(hash, id))
+            .is_some_and(|level| level.remove(tag_of(hash), id))
     }
 
     /// Live entries across both tiers.
@@ -296,8 +310,18 @@ impl UniqueTable {
         let frozen = self
             .frozen
             .as_ref()
-            .map_or(0, |f| f.levels.iter().map(|l| l.ids.len()).sum());
-        frozen + self.levels.iter().map(|l| l.ids.len()).sum::<usize>()
+            .map_or(0, |f| f.levels.iter().map(|l| l.buckets.len()).sum());
+        frozen + self.delta_buckets()
+    }
+
+    fn delta_buckets(&self) -> usize {
+        self.levels.iter().map(|l| l.buckets.len()).sum()
+    }
+
+    /// Bytes of the private delta tier's bucket arrays (the frozen tier
+    /// is shared, not owned).
+    pub(crate) fn bytes(&self) -> usize {
+        self.delta_buckets() * std::mem::size_of::<Bucket>()
     }
 }
 
@@ -332,6 +356,74 @@ mod tests {
         // Removing one leaves the probe chain intact for the other.
         assert!(t.remove(0, 42, 1));
         assert_eq!(t.lookup(0, 42, |id| id == 2), Some(2));
+    }
+
+    #[test]
+    fn equal_tags_coexist_and_survive_a_resize() {
+        // Only the upper 32 hash bits are stored: these two keys share
+        // a tag (and a home bucket) and differ in the dropped half.
+        let (h1, h2) = (0xDEAD_BEEF_0000_0001_u64, 0xDEAD_BEEF_FFFF_FFFE_u64);
+        assert_eq!(tag_of(h1), tag_of(h2));
+        let mut t = UniqueTable::new();
+        t.insert(0, h1, 1);
+        t.insert(0, h2, 2);
+        let buckets = t.capacity();
+        for i in 10..200u32 {
+            t.insert(0, u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15), i);
+        }
+        assert!(t.capacity() > buckets, "the level was rebuilt");
+        assert_eq!(t.lookup(0, h1, |id| id == 1), Some(1));
+        assert_eq!(t.lookup(0, h2, |id| id == 2), Some(2));
+        assert!(t.remove(0, h1, 1));
+        assert_eq!(t.lookup(0, h1, |id| id == 1), None);
+        assert_eq!(t.lookup(0, h2, |id| id == 2), Some(2));
+        assert_eq!(t.len(), 191);
+    }
+
+    #[test]
+    fn resize_targets_twice_the_live_entries() {
+        let mut t = UniqueTable::new();
+        for i in 0..10_000u32 {
+            t.insert(0, u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15), i);
+            let (len, buckets) = (t.len(), t.capacity());
+            assert!(len * MAX_LOAD_DEN <= buckets * MAX_LOAD_NUM, "load ceiling");
+            assert!(
+                buckets == INITIAL_BUCKETS || buckets < 4 * len,
+                "{buckets} buckets for {len} entries"
+            );
+        }
+        assert_eq!(t.bytes(), t.capacity() * 8, "8 bytes a bucket");
+    }
+
+    #[test]
+    fn tombstone_heavy_churn_does_not_grow_a_level() {
+        // A GC-shaped workload: a stable population of 1000 entries of
+        // which 900 are swept and replaced by new ones, over and over.
+        // Tombstones trip the load factor; entries never justify growth.
+        let hash = |id: u32| u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut t = UniqueTable::new();
+        for id in 0..1000u32 {
+            t.insert(0, hash(id), id);
+        }
+        let settled = t.capacity();
+        assert_eq!(settled, 2048);
+        let mut next = 1000u32;
+        let mut live: Vec<u32> = (0..1000).collect();
+        for _ in 0..200 {
+            for id in live.drain(100..) {
+                assert!(t.remove(0, hash(id), id));
+            }
+            for _ in 0..900 {
+                t.insert(0, hash(next), next);
+                live.push(next);
+                next += 1;
+            }
+            assert_eq!(t.len(), 1000);
+            assert!(t.capacity() <= settled, "grew to {}", t.capacity());
+        }
+        for &id in &live {
+            assert_eq!(t.lookup(0, hash(id), |cand| cand == id), Some(id));
+        }
     }
 
     #[test]
