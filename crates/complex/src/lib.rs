@@ -154,13 +154,26 @@ pub fn quantize_scaled(x: f64, inv_pitch: f64) -> i64 {
     } else if scaled <= i64::MIN as f64 {
         i64::MIN
     } else {
-        scaled.round() as i64
+        // Round half away from zero, as `f64::round` does, without the
+        // libm call that is on baseline x86-64: truncation is exact and
+        // so is the fraction it leaves (NaN truncates to 0 and compares
+        // false twice).
+        let truncated = scaled as i64;
+        let fraction = scaled - truncated as f64;
+        if fraction >= 0.5 {
+            truncated + 1
+        } else if fraction <= -0.5 {
+            truncated - 1
+        } else {
+            truncated
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn tolerance_eq_real_symmetric() {
@@ -219,5 +232,93 @@ mod tests {
     #[should_panic(expected = "tolerance epsilon")]
     fn tolerance_rejects_nan() {
         let _ = Tolerance::new(f64::NAN);
+    }
+
+    /// `quantize_scaled` as it was when it rounded through libm; the
+    /// grid keys it produced are in every recorded result.
+    fn quantize_scaled_by_round(x: f64, inv_pitch: f64) -> i64 {
+        let scaled = x * inv_pitch;
+        if scaled >= i64::MAX as f64 {
+            i64::MAX
+        } else if scaled <= i64::MIN as f64 {
+            i64::MIN
+        } else {
+            scaled.round() as i64
+        }
+    }
+
+    #[test]
+    fn quantize_scaled_matches_round_on_the_edge_table() {
+        let two_63 = i64::MAX as f64;
+        let mut edges = vec![
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::EPSILON,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MAX,
+            4_503_599_627_370_495.5, // 2^52 - 0.5, the largest half
+            two_63,
+            two_63.next_down(),
+            two_63.next_up(),
+        ];
+        // Both sides of every integer-and-a-half boundary next to a
+        // power of two, from below 1 to past the saturation point.
+        for exponent in -2..=64 {
+            let k = 2f64.powi(exponent);
+            for offset in [
+                0.0,
+                0.499_999_999_999_999_94,
+                0.5,
+                0.500_000_000_000_000_1,
+                1.0,
+            ] {
+                for v in [k - offset, k + offset] {
+                    edges.extend([v.next_down(), v, v.next_up()]);
+                }
+            }
+        }
+        for x in edges.into_iter().flat_map(|x| [x, -x]) {
+            assert_eq!(
+                quantize_scaled(x, 1.0),
+                quantize_scaled_by_round(x, 1.0),
+                "at {x:e} ({:#018x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn quantize_scaled_matches_round_on_any_bit_pattern(bits in any::<u64>()) {
+            let x = f64::from_bits(bits);
+            prop_assert_eq!(quantize_scaled(x, 1.0), quantize_scaled_by_round(x, 1.0), "at {:e}", x);
+        }
+
+        // Within a few ulps of a half-way point, where the two could
+        // differ if the fraction were not exact.
+        #[test]
+        fn quantize_scaled_matches_round_next_to_a_tie(
+            k in -(1i64 << 52)..(1i64 << 52),
+            ulps in 0u64..7
+        ) {
+            let tie = k as f64 + 0.5;
+            let x = f64::from_bits(tie.to_bits() - 3 + ulps);
+            prop_assert_eq!(quantize_scaled(x, 1.0), quantize_scaled_by_round(x, 1.0), "at {:e}", x);
+        }
+
+        // What the DD hot path asks: amplitude parts on the default grid.
+        #[test]
+        fn tolerance_keys_match_round_on_amplitudes(re in -1.5f64..1.5, im in -1.5f64..1.5) {
+            let tol = Tolerance::default();
+            let want = (
+                quantize_scaled_by_round(re, tol.inv_pitch),
+                quantize_scaled_by_round(im, tol.inv_pitch),
+            );
+            prop_assert_eq!(tol.key(Cplx::new(re, im)), want);
+        }
     }
 }

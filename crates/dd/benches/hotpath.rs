@@ -5,7 +5,8 @@
 //! that pooled execution pays once per job, and the per-gate and
 //! per-round passes of an approximating run — `vsize`, `contributions`
 //! and a budget `truncate` — on a dense 12-qubit state and on a 4×4
-//! supremacy-style state part-way through its circuit.
+//! supremacy-style state part-way through its circuit, and bare node
+//! reads (`amplitude` walks) on the latter.
 //!
 //! Circuits are built from `Package` gate primitives directly (the
 //! `dd` crate sits below the circuit IR, so depending on the
@@ -244,6 +245,27 @@ fn bench_vsize(c: &mut Criterion) {
     group.finish();
 }
 
+/// What reading a node costs, with nothing else in the loop: root-to-
+/// terminal `amplitude` walks (16 node reads each) for a fixed
+/// pseudo-random set of basis states on the supremacy state, whose
+/// 65 450 nodes lie scattered over the arena's chunks.
+fn bench_node_access(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hotpath_node_access");
+    let mut p = Package::new();
+    let state = supremacy_state(&mut p, 10);
+    let mut seed = 0xACCE55_u64;
+    let indices: Vec<u64> = (0..1024).map(|_| lcg(&mut seed) >> 48).collect();
+    group.bench_function("supremacy_4x4_1024walks", |b| {
+        b.iter(|| {
+            indices
+                .iter()
+                .map(|&idx| std::hint::black_box(p.amplitude(state, idx)))
+                .fold(Cplx::ZERO, |acc, a| acc + a)
+        });
+    });
+    group.finish();
+}
+
 /// The contribution pass every truncation round starts with.
 fn bench_contributions(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_contributions");
@@ -309,6 +331,7 @@ criterion_group!(
     bench_inner,
     bench_sample_counts,
     bench_vsize,
+    bench_node_access,
     bench_contributions,
     bench_truncate_budget,
     bench_package_lifecycle

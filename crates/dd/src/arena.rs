@@ -7,13 +7,27 @@
 //! reconstructed by the mark phase of [`crate::Package::collect_garbage`].
 //!
 //! The arena stores node payloads and GC bookkeeping **separately**
-//! (struct-of-arrays): payloads in one dense `Vec<T>`, reference counts
-//! in a parallel `Vec<u32>`, and the `alive`/`mark` flags packed into
-//! one bit each of two word arrays. The hot path (operation recursion
-//! reading node payloads) therefore never drags `rc`/`alive`/`mark`
-//! bytes through the cache, and the GC phases become word-wide:
-//! clearing marks is a `memset`, and the sweep skips 64 slots at a time
-//! wherever `alive & !mark` is zero.
+//! (struct-of-arrays): payloads in one dense [`Chunked<T>`], reference
+//! counts in a parallel `Chunked<u32>`, and the `alive`/`mark` flags
+//! packed into one bit each of two word arrays. The hot path (operation
+//! recursion reading node payloads) therefore never drags
+//! `rc`/`alive`/`mark` bytes through the cache, and the GC phases become
+//! word-wide: clearing marks is a `memset`, and the sweep skips 64 slots
+//! at a time wherever `alive & !mark` is zero.
+//!
+//! # Payloads never move
+//!
+//! A slot sequence that grew as one `Vec` would be reallocated at every
+//! doubling, and the last doubling of a Table I run falls at the GC
+//! threshold — the engine's high-water mark — where the old buffer and
+//! its copy are resident together. Whether that transient reaches RSS
+//! depends on what the allocator did before (a `Vec` that was `mmap`ed
+//! grows by `mremap`; one inside the heap is copied and leaves a hole),
+//! so the second engine on a thread cost 19 MiB more than the first.
+//! [`Chunked`] grows by whole chunks that are allocated once and never
+//! reallocated, so an engine's footprint is its live slots whatever ran
+//! on the thread before. [`Arena::freeze`] moves the chunks into the
+//! snapshot as they are.
 //!
 //! # Copy-on-write snapshots
 //!
@@ -27,7 +41,96 @@
 //! so the mark phase need not descend past the watermark), and `sweep`
 //! scans only the delta words — a frozen node can never be freed.
 
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
+
+/// log₂ of the slots per [`Chunked`] chunk. 16 384 slots are 896 KiB of
+/// vector nodes or 1.6 MiB of matrix nodes: small enough that what the
+/// first chunk copies while it doubles is noise beside an engine that
+/// outgrows it, large enough that the engines of small pooled jobs — and
+/// the frozen gate prefix they share, 14 676 matrix nodes for a
+/// `pool_sweep` batch — stay in one chunk and are read like a slice. (At
+/// 4096 slots that prefix spans four chunks and `exec.run_jobs_s_p50`
+/// reads 8 % worse; `supremacy_memory` peaks 1.6 MiB lower.)
+const CHUNK_BITS: u32 = 14;
+const CHUNK_LEN: usize = 1 << CHUNK_BITS;
+
+/// A push-only sequence stored in chunks of [`CHUNK_LEN`] slots, indexed
+/// like a slice. Every chunk is allocated once at full capacity and never
+/// reallocated, so growing the sequence neither copies an element nor
+/// holds two generations of storage at once. The **first** chunk is the
+/// exception: it starts empty and doubles like a `Vec` until it is full,
+/// so a sequence that stays under one chunk costs what a `Vec` would —
+/// in memory, and per read (see [`Chunked::index`]).
+#[derive(Debug, Default)]
+struct Chunked<T> {
+    /// Every chunk but the last holds exactly [`CHUNK_LEN`] items.
+    chunks: Vec<Vec<T>>,
+}
+
+impl<T> Chunked<T> {
+    const fn new() -> Self {
+        Self { chunks: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * CHUNK_LEN + last.len())
+    }
+
+    fn push(&mut self, item: T) {
+        let full = |chunk: &Vec<T>| chunk.len() == CHUNK_LEN;
+        if self.chunks.last().is_none_or(full) {
+            let reserved = if self.chunks.is_empty() { 0 } else { CHUNK_LEN };
+            self.chunks.push(Vec::with_capacity(reserved));
+        }
+        let last = self.chunks.last_mut().expect("a chunk with room");
+        last.push(item);
+    }
+
+    /// Items in index order.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.chunks.iter().flatten()
+    }
+}
+
+/// Not derived: a derived clone would size the last chunk to its length,
+/// and the next push would move it.
+impl<T: Clone> Clone for Chunked<T> {
+    fn clone(&self) -> Self {
+        let mut clone = Self::new();
+        for item in self.iter() {
+            clone.push(item.clone());
+        }
+        clone
+    }
+}
+
+impl<T> Index<usize> for Chunked<T> {
+    type Output = T;
+
+    /// One chunk is read like the slice it is: whether there is only one
+    /// does not change inside a caller's loop, so the test and the chunk's
+    /// address hoist out of it and a pointer-chasing walk (sampling, one
+    /// dependent read per level) pays no second index step — up to 30 %
+    /// of `hotpath_sample_counts` otherwise. Always inlined, like
+    /// [`Arena::get`] above it: see there.
+    #[inline(always)]
+    fn index(&self, i: usize) -> &T {
+        match self.chunks.as_slice() {
+            [only] => &only[i],
+            chunks => &chunks[i >> CHUNK_BITS][i & (CHUNK_LEN - 1)],
+        }
+    }
+}
+
+impl<T> IndexMut<usize> for Chunked<T> {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.chunks[i >> CHUNK_BITS][i & (CHUNK_LEN - 1)]
+    }
+}
 
 /// A packed bitset over slot indices, one bit per slot.
 #[derive(Debug, Clone, Default)]
@@ -72,7 +175,7 @@ impl BitSet {
 /// `Arc`. Built once by [`Arena::freeze`]; never mutated afterwards.
 #[derive(Debug, Default)]
 pub(crate) struct FrozenArena<T> {
-    items: Vec<T>,
+    items: Chunked<T>,
     alive: BitSet,
     alive_count: usize,
 }
@@ -98,9 +201,9 @@ pub(crate) struct Arena<T> {
     watermark: u32,
     /// Delta node payloads (SoA: nothing but payload bytes on the hot
     /// path); slot `i` holds id `watermark + i`.
-    items: Vec<T>,
+    items: Chunked<T>,
     /// External-root reference counts, parallel to `items`.
-    rc: Vec<u32>,
+    rc: Chunked<u32>,
     /// One bit per delta slot: is the slot currently allocated?
     alive: BitSet,
     /// One bit per delta slot: GC mark (valid between `clear_marks` and
@@ -119,8 +222,8 @@ impl<T> Arena<T> {
         Self {
             frozen: None,
             watermark: 0,
-            items: Vec::new(),
-            rc: Vec::new(),
+            items: Chunked::new(),
+            rc: Chunked::new(),
             alive: BitSet::default(),
             mark: BitSet::default(),
             free: Vec::new(),
@@ -140,8 +243,8 @@ impl<T> Arena<T> {
         Self {
             frozen: Some(frozen),
             watermark,
-            items: Vec::new(),
-            rc: Vec::new(),
+            items: Chunked::new(),
+            rc: Chunked::new(),
             alive: BitSet::default(),
             mark: BitSet::default(),
             free: Vec::new(),
@@ -150,7 +253,8 @@ impl<T> Arena<T> {
         }
     }
 
-    /// Converts this arena into a frozen prefix. Freed slots stay dead
+    /// Converts this arena into a frozen prefix by moving its payload
+    /// chunks into it (nothing is copied). Freed slots stay dead
     /// (they are never resurrected: delta layers allocate only above
     /// the watermark), and reference counts are dropped — frozen slots
     /// are pinned by construction.
@@ -210,7 +314,14 @@ impl<T> Arena<T> {
         }
     }
 
-    #[inline]
+    /// The node read every DD operation is made of. The two-step index
+    /// makes its body just large enough that the inliner's size heuristic
+    /// leaves it out of line, and a called node read (operands spilled
+    /// around it, no hoisting of the tier test or the chunk table out of
+    /// the caller's loop) costs 2.3× an inlined one
+    /// (`hotpath_node_access`) — so the read path is inlined by decree,
+    /// here and in `Package::{vnode, mnode}`.
+    #[inline(always)]
     pub(crate) fn get(&self, idx: u32) -> &T {
         if idx < self.watermark {
             let frozen = self.frozen.as_ref().expect("watermark implies a prefix");
@@ -377,6 +488,7 @@ impl<T> Arena<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn alloc_reuses_freed_slots() {
@@ -575,6 +687,144 @@ mod tests {
         }
         for idx in swept {
             assert!(idx % 3 != 0, "rooted slot {idx} was swept");
+        }
+    }
+
+    /// The first chunk grows on demand (a small engine pays for what it
+    /// holds, not for a chunk); every later chunk is reserved whole, and
+    /// no later push moves what an earlier one stored.
+    #[test]
+    fn first_chunk_grows_on_demand_and_no_chunk_moves_once_full() {
+        let mut c: Chunked<u64> = Chunked::new();
+        assert_eq!((c.len(), c.chunks.len()), (0, 0));
+        c.push(0);
+        assert!(c.chunks[0].capacity() < CHUNK_LEN / 2, "reserved up front");
+        for i in 1..CHUNK_LEN as u64 {
+            c.push(i);
+        }
+        assert_eq!((c.len(), c.chunks.len()), (CHUNK_LEN, 1));
+        assert_eq!(c.chunks[0].capacity(), CHUNK_LEN, "doubling overshot");
+
+        c.push(CHUNK_LEN as u64);
+        assert_eq!((c.len(), c.chunks.len()), (CHUNK_LEN + 1, 2));
+        assert_eq!(c.chunks[1].capacity(), CHUNK_LEN);
+        let addresses = [0, CHUNK_LEN - 1, CHUNK_LEN].map(|i| std::ptr::from_ref(&c[i]));
+        for i in CHUNK_LEN as u64 + 1..3 * CHUNK_LEN as u64 + 7 {
+            c.push(i);
+        }
+        assert_eq!((c.len(), c.chunks.len()), (3 * CHUNK_LEN + 7, 4));
+        assert_eq!(
+            [0, CHUNK_LEN - 1, CHUNK_LEN].map(|i| std::ptr::from_ref(&c[i])),
+            addresses,
+            "growing the sequence moved a stored item"
+        );
+        assert!(c.iter().copied().eq(0..c.len() as u64));
+    }
+
+    #[test]
+    fn freeze_moves_chunks_and_delta_ids_start_at_the_watermark() {
+        const SLOTS: u32 = 3 * CHUNK_LEN as u32 + 1;
+        let mut base: Arena<u64> = Arena::new();
+        for i in 0..SLOTS {
+            assert_eq!(base.alloc(u64::from(i) * 3), i);
+        }
+        let payloads = [0, CHUNK_LEN as u32, SLOTS - 1].map(|id| std::ptr::from_ref(base.get(id)));
+        let frozen = Arc::new(base.freeze());
+        assert_eq!(frozen.len(), SLOTS as usize);
+
+        let mut delta: Arena<u64> = Arena::with_frozen(Arc::clone(&frozen));
+        assert_eq!(delta.watermark(), SLOTS);
+        for id in 0..SLOTS {
+            assert_eq!(*delta.get(id), u64::from(id) * 3);
+        }
+        assert_eq!(
+            [0, CHUNK_LEN as u32, SLOTS - 1].map(|id| std::ptr::from_ref(delta.get(id))),
+            payloads,
+            "freeze copied a payload"
+        );
+
+        // The delta's slot 0 is id `watermark`, its own first chunk.
+        for i in 0..CHUNK_LEN as u32 + 2 {
+            assert_eq!(delta.alloc(u64::from(i)), SLOTS + i);
+        }
+        assert_eq!(
+            *delta.get(SLOTS + CHUNK_LEN as u32 + 1),
+            CHUNK_LEN as u64 + 1
+        );
+        assert_eq!(*delta.get(SLOTS - 1), u64::from(SLOTS - 1) * 3);
+        assert_eq!(delta.capacity(), SLOTS as usize + CHUNK_LEN + 2);
+    }
+
+    #[test]
+    fn roots_and_sweep_cross_chunk_boundaries_in_ascending_id_order() {
+        const SLOTS: u32 = 2 * CHUNK_LEN as u32 + 50;
+        let mut a: Arena<u32> = Arena::new();
+        for i in 0..SLOTS {
+            a.alloc(i);
+        }
+        // Roots on both sides of each chunk boundary.
+        let rooted = |id: u32| (id as usize + 1) % CHUNK_LEN < 2 || id % 1000 == 7;
+        for id in (0..SLOTS).filter(|&id| rooted(id)) {
+            a.inc_rc(id);
+        }
+        let roots: Vec<u32> = a.rooted_indices().collect();
+        assert_eq!(
+            roots,
+            (0..SLOTS).filter(|&id| rooted(id)).collect::<Vec<_>>()
+        );
+        a.clear_marks();
+        for r in roots {
+            a.mark(r);
+        }
+        let mut swept = Vec::new();
+        a.sweep(|id, &payload| {
+            assert_eq!(payload, id, "the callback reads the payload in place");
+            swept.push(id);
+        });
+        assert_eq!(
+            swept,
+            (0..SLOTS).filter(|&id| !rooted(id)).collect::<Vec<_>>()
+        );
+        // LIFO reuse reaches back across the boundaries too.
+        assert_eq!(a.alloc(7), SLOTS - 1);
+        assert_eq!(*a.get(SLOTS - 1), 7);
+        assert_eq!(*a.get(2 * CHUNK_LEN as u32), 2 * CHUNK_LEN as u32);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        // Three in four operations push, so a full sequence ends a few
+        // hundred items into its fourth chunk; `take` cuts it anywhere
+        // before that.
+        #[test]
+        fn chunked_matches_the_vec_model(
+            ops in prop::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 4 * CHUNK_LEN + 512),
+            take in 0usize..4 * CHUNK_LEN + 513
+        ) {
+            let mut chunked: Chunked<u64> = Chunked::new();
+            let mut model: Vec<u64> = Vec::new();
+            for &(kind, at, value) in &ops[..take] {
+                if kind == 0 && !model.is_empty() {
+                    let i = (at % model.len() as u64) as usize;
+                    chunked[i] = value;
+                    model[i] = value;
+                    prop_assert_eq!(chunked[i], model[i]);
+                } else {
+                    chunked.push(value);
+                    model.push(value);
+                    prop_assert_eq!(chunked[model.len() - 1], value);
+                }
+                prop_assert_eq!(chunked.len(), model.len());
+            }
+            for (i, want) in model.iter().enumerate() {
+                prop_assert_eq!(chunked[i], *want);
+            }
+            prop_assert!(chunked.iter().eq(model.iter()));
+            let clone = chunked.clone();
+            prop_assert_eq!(clone.len(), model.len());
+            prop_assert!(clone.iter().eq(model.iter()));
+            prop_assert!(clone.chunks.iter().skip(1).all(|c| c.capacity() == CHUNK_LEN));
         }
     }
 }

@@ -32,11 +32,17 @@
 //! The package's storage follows the design of production DD packages
 //! (the MQT DDSIM lineage):
 //!
-//! * **Struct-of-arrays arenas.** Node payloads live in a dense `Vec`;
-//!   reference counts and the `alive`/`mark` GC flags live in parallel
-//!   arrays (the flags as packed bitsets). Operation recursion touches
-//!   only payload bytes; GC mark-clearing is a memset and the sweep
-//!   skips 64 dead-free slots per word.
+//! * **Struct-of-arrays arenas whose payloads never move.** Node
+//!   payloads live in fixed chunks of 16 384 slots, each allocated once
+//!   and never reallocated (the chunked memory manager of that
+//!   lineage), so growing an arena copies nothing and an engine's peak
+//!   RSS does not depend on what the allocator did for the engines the
+//!   thread ran before; freezing a package moves the chunks into the
+//!   snapshot as they are, and an arena that fits one chunk is read
+//!   like a slice. Reference counts live in parallel chunks and
+//!   the `alive`/`mark` GC flags in packed bitsets. Operation recursion
+//!   touches only payload bytes; GC mark-clearing is a memset and the
+//!   sweep skips 64 dead-free slots per word.
 //! * **Per-level open-addressed unique tables.** Canonicalization
 //!   queries probe a flat bucket array per level — a 32-bit hash tag
 //!   beside the 32-bit node id, 8 bytes a bucket, rebuilt at twice the

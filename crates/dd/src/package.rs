@@ -323,10 +323,13 @@ impl Package {
     // node construction & normalization
     // ------------------------------------------------------------------
 
+    // Inlined by decree, with `Arena::get`: see there.
+    #[inline(always)]
     pub(crate) fn vnode(&self, id: NodeId) -> &VNode {
         self.vnodes.get(id.0)
     }
 
+    #[inline(always)]
     pub(crate) fn mnode(&self, id: NodeId) -> &MNode {
         self.mnodes.get(id.0)
     }

@@ -155,40 +155,41 @@ impl Drop for Span {
 
 /// A cached per-phase timer for hot loops (e.g. the per-op apply in the
 /// simulator run loop): resolves the histogram handle once, then each
-/// observation is two clock reads and a few relaxed atomic adds. When
-/// telemetry is disabled at construction, [`PhaseTimer::time`] runs the
-/// closure with zero overhead.
+/// observation is two clock reads and a few relaxed atomic adds. Like
+/// [`Span`] and [`count`] it follows the live [`enabled`] flag — a timer
+/// held by a long-lived worker starts and stops recording with
+/// [`set_enabled`], whenever it was built — and while telemetry is
+/// disabled [`PhaseTimer::time`] runs the closure without reading the
+/// clock.
 #[derive(Debug, Clone)]
 pub struct PhaseTimer {
-    histogram: Option<Arc<Histogram>>,
+    histogram: Arc<Histogram>,
 }
 
 impl PhaseTimer {
-    /// A timer for `phase`, inert if telemetry is disabled right now.
+    /// A timer for `phase`.
     #[must_use]
     pub fn new(phase: &str) -> Self {
         Self {
-            histogram: enabled().then(|| phase_histogram(phase)),
+            histogram: phase_histogram(phase),
         }
     }
 
-    /// Runs `f`, recording its wall time when the timer is live.
+    /// Runs `f`, recording its wall time if telemetry is enabled.
     pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        match &self.histogram {
-            None => f(),
-            Some(h) => {
-                let start = Instant::now();
-                let out = f();
-                h.observe_duration(start.elapsed());
-                out
-            }
+        if !enabled() {
+            return f();
         }
+        let start = Instant::now();
+        let out = f();
+        self.histogram.observe_duration(start.elapsed());
+        out
     }
 
-    /// Records an externally measured duration when the timer is live.
+    /// Records an externally measured duration if telemetry is enabled.
     pub fn observe(&self, elapsed: Duration) {
-        if let Some(h) = &self.histogram {
-            h.observe_duration(elapsed);
+        if enabled() {
+            self.histogram.observe_duration(elapsed);
         }
     }
 }
@@ -237,8 +238,6 @@ mod tests {
         let value = timer.time(|| 41 + 1);
         assert_eq!(value, 42);
         timer.observe(Duration::from_micros(3));
-        if timer.histogram.is_some() {
-            assert!(phase_histogram("test.timer").count() >= 2);
-        }
+        assert_eq!(phase_histogram("test.timer").count(), 2);
     }
 }
