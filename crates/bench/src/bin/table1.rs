@@ -169,7 +169,6 @@ fn main() -> ExitCode {
     println!("(Exact columns '-' reproduce the paper's Timeout entries / --skip-exact.)");
 
     let speedup = smoke.then(|| measure_pool_speedup(&mut failures));
-    let snapshot = smoke.then(|| measure_snapshot_probe(pool.workers(), &mut failures));
 
     if let Some(path) = json_path {
         // Pool-level cache aggregate: hit rate and node high-water mark
@@ -219,9 +218,6 @@ fn main() -> ExitCode {
         ];
         if let Some(probe) = speedup.flatten() {
             report.push(("pool_speedup".to_string(), probe));
-        }
-        if let Some(probe) = snapshot.flatten() {
-            report.push(("snapshot".to_string(), probe));
         }
         let text = Json::Obj(report).to_string();
         match std::fs::write(&path, text) {
@@ -278,30 +274,6 @@ fn measure_pool_speedup(failures: &mut usize) -> Option<Json> {
         ("parallel_seconds", Json::Num(parallel.as_secs_f64())),
         ("ratio", Json::Num(ratio)),
     ]))
-}
-
-/// The bench-smoke copy-on-write snapshot probe (see
-/// `approxdd_bench::snapshot_probe`): a repeated-circuit batch with
-/// snapshots off vs. on. Fails the smoke run if fingerprints diverge
-/// — wall-time is archived for trending, never asserted (CI machines
-/// are too noisy for that).
-fn measure_snapshot_probe(workers: usize, failures: &mut usize) -> Option<Json> {
-    match approxdd_bench::snapshot_probe(workers) {
-        Ok(probe) => {
-            let identical = matches!(probe.get("fingerprints_identical"), Some(&Json::Bool(true)));
-            if !identical {
-                *failures += 1;
-                eprintln!("snapshot probe FAILED: fingerprints diverge between on and off");
-            }
-            eprintln!("snapshot probe: {probe}");
-            Some(probe)
-        }
-        Err(e) => {
-            *failures += 1;
-            eprintln!("snapshot probe FAILED: {e}");
-            None
-        }
-    }
 }
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {

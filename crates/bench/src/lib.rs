@@ -19,16 +19,10 @@ use approxdd_backend::{Backend, BackendStats, BuildBackend, ExecError};
 use approxdd_circuit::{generators, Circuit};
 use approxdd_exec::{BackendPool, PoolJob, PoolOutcome};
 use approxdd_shor::{factor, shor_circuit, FactorOptions};
+use approxdd_sim::json::Json;
 use approxdd_sim::{Simulator, SimulatorBuilder, Strategy};
 
 pub mod sweeps;
-
-/// Re-export of the shared JSON writer (promoted to `approxdd_sim`, so
-/// the job server and the bench binaries emit artifacts through one
-/// serializer); kept under the historical `approxdd_bench::json` path.
-pub use approxdd_sim::json;
-
-use json::Json;
 
 /// Runs `circuit` on any [`Backend`] and returns its unified run
 /// statistics, releasing the outcome — the one generic primitive every
@@ -349,77 +343,6 @@ pub fn pool_from_args(args: &[String], template: SimulatorBuilder) -> Result<Bac
         None => template,
     };
     Ok(BackendPool::new(template.share_snapshot(true)))
-}
-
-/// The bench-smoke snapshot probe: runs the same repeated-circuit
-/// batch with copy-on-write package snapshots off and then on (same
-/// worker count, same seed), asserting byte-identical fingerprints and
-/// reporting the amortization metrics CI archives in the `snapshot`
-/// object of `table1_smoke.json` — the one-time gate-DD build cost,
-/// the snapshot hit rate across the batch, frozen-vs-delta node
-/// counts, and both wall times.
-///
-/// The workload repeats one QFT circuit: its state DDs stay tiny while
-/// its many distinct controlled-phase gate DDs are expensive to build,
-/// so per-job gate rebuilding dominates the snapshot-off baseline —
-/// the regime the snapshot exists for.
-///
-/// # Errors
-///
-/// Snapshot construction or batch execution errors.
-pub fn snapshot_probe(workers: usize) -> Result<Json, ExecError> {
-    let copies = 24;
-    let circuits = vec![generators::qft(14); copies];
-    let template = || Simulator::builder().seed(29).workers(workers);
-
-    // The one-time cost a snapshot front-loads: building every gate DD
-    // of the batch's circuit family once.
-    let build_start = Instant::now();
-    let snapshot = template()
-        .build_snapshot(circuits.iter())
-        .map_err(ExecError::Sim)?;
-    let gate_build_seconds = build_start.elapsed().as_secs_f64();
-    let frozen_nodes = snapshot.frozen_nodes();
-    drop(snapshot);
-
-    let run = |share: bool| -> Result<(Vec<u64>, f64, approxdd_exec::PoolStats), ExecError> {
-        let pool = BackendPool::new(template().share_snapshot(share));
-        let start = Instant::now();
-        let outcomes = pool.run_batch(&circuits)?;
-        let wall = start.elapsed().as_secs_f64();
-        let fingerprints = outcomes.iter().map(PoolOutcome::fingerprint).collect();
-        Ok((fingerprints, wall, pool.stats()))
-    };
-    let (fp_off, baseline_seconds, _) = run(false)?;
-    let (fp_on, snapshot_seconds, on_stats) = run(true)?;
-
-    let gate_hits = on_stats.snapshot_gate_hits();
-    let total_gates: usize = circuits.iter().map(Circuit::gate_count).sum();
-    #[allow(clippy::cast_precision_loss)]
-    let hit_rate = if total_gates == 0 {
-        0.0
-    } else {
-        gate_hits as f64 / total_gates as f64
-    };
-    Ok(Json::obj([
-        ("circuits", Json::int(copies)),
-        ("workers", Json::int(workers)),
-        ("gate_build_seconds", Json::Num(gate_build_seconds)),
-        ("frozen_nodes", Json::int(frozen_nodes)),
-        (
-            "delta_nodes",
-            Json::int(on_stats.peak_nodes().saturating_sub(frozen_nodes)),
-        ),
-        ("snapshot_gate_hits", Json::int(gate_hits as usize)),
-        ("hit_rate", Json::Num(hit_rate)),
-        ("baseline_seconds", Json::Num(baseline_seconds)),
-        ("snapshot_seconds", Json::Num(snapshot_seconds)),
-        (
-            "speedup_ratio",
-            Json::Num(snapshot_seconds / baseline_seconds),
-        ),
-        ("fingerprints_identical", Json::Bool(fp_off == fp_on)),
-    ]))
 }
 
 /// Wall-clock time for one pooled batch run over `circuits` with the

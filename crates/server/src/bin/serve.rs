@@ -18,58 +18,41 @@ use approxdd_sim::{Engine, RetryPolicy, Simulator};
 
 struct Args {
     addr: String,
-    workers: Option<usize>,
-    seed: u64,
-    engine: Engine,
-    queue: usize,
-    sessions: usize,
-    runners: usize,
-    retry: u32,
-    quota_burst: Option<f64>,
-    quota_refill: Option<f64>,
+    config: ServerConfig,
     addr_file: Option<String>,
 }
 
+/// Folds the flags straight into the configuration they set: the
+/// serving defaults are [`ServerConfig`]'s and the simulator's are the
+/// builder's, stated there and not again here. Only the root seed has
+/// a default of its own (0).
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        addr: "127.0.0.1:7878".to_string(),
-        workers: None,
-        seed: 0,
-        engine: Engine::Dd,
-        queue: 64,
-        sessions: 8,
-        runners: 1,
-        retry: 1,
-        quota_burst: None,
-        quota_refill: None,
-        addr_file: None,
-    };
+    let mut addr = "127.0.0.1:7878".to_string();
+    let mut addr_file = None;
+    let mut template = Simulator::builder().seed(0).share_snapshot(true);
+    let mut config = ServerConfig::new();
+    let (mut quota_burst, mut quota_refill) = (None, None);
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--workers" => args.workers = Some(parse(&value("--workers")?, "--workers")?),
-            "--seed" => args.seed = parse(&value("--seed")?, "--seed")?,
+            "--addr" => addr = value(&mut it, &flag)?,
+            "--workers" => template = template.workers(value(&mut it, &flag)?),
+            "--seed" => template = template.seed(value(&mut it, &flag)?),
             "--engine" => {
-                args.engine = match value("--engine")?.as_str() {
+                template = template.engine(match value::<String>(&mut it, &flag)?.as_str() {
                     "dd" => Engine::Dd,
                     "stabilizer" => Engine::Stabilizer,
                     "hybrid" => Engine::Hybrid,
                     other => return Err(format!("unknown engine {other:?}")),
-                }
+                });
             }
-            "--queue" => args.queue = parse(&value("--queue")?, "--queue")?,
-            "--sessions" => args.sessions = parse(&value("--sessions")?, "--sessions")?,
-            "--runners" => args.runners = parse(&value("--runners")?, "--runners")?,
-            "--retry" => args.retry = parse(&value("--retry")?, "--retry")?,
-            "--quota-burst" => {
-                args.quota_burst = Some(parse(&value("--quota-burst")?, "--quota-burst")?);
-            }
-            "--quota-refill" => {
-                args.quota_refill = Some(parse(&value("--quota-refill")?, "--quota-refill")?);
-            }
-            "--addr-file" => args.addr_file = Some(value("--addr-file")?),
+            "--queue" => config = config.queue_capacity(value(&mut it, &flag)?),
+            "--sessions" => config = config.sessions(value(&mut it, &flag)?),
+            "--runners" => config = config.runners(value(&mut it, &flag)?),
+            "--retry" => template = template.retry(RetryPolicy::new(value(&mut it, &flag)?)),
+            "--quota-burst" => quota_burst = Some(value(&mut it, &flag)?),
+            "--quota-refill" => quota_refill = Some(value(&mut it, &flag)?),
+            "--addr-file" => addr_file = Some(value(&mut it, &flag)?),
             "--help" | "-h" => {
                 return Err("usage: serve [--addr HOST:PORT] [--workers N] [--seed N] \
                      [--engine dd|stabilizer|hybrid] [--queue N] [--sessions N] \
@@ -80,10 +63,27 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
-    Ok(args)
+    if let (Some(burst), Some(refill_per_sec)) = (quota_burst, quota_refill) {
+        config = config.quota(Quota {
+            burst,
+            refill_per_sec,
+        });
+    }
+    Ok(Args {
+        addr,
+        config: config.template(template),
+        addr_file,
+    })
 }
 
-fn parse<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
+/// The argument after `flag`, parsed as the type its use expects.
+fn value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let raw = it
+        .next()
+        .ok_or_else(|| format!("{flag} requires a value"))?;
     raw.parse()
         .map_err(|_| format!("bad value for {flag}: {raw:?}"))
 }
@@ -97,27 +97,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut template = Simulator::builder()
-        .seed(args.seed)
-        .engine(args.engine)
-        .share_snapshot(true)
-        .retry(RetryPolicy::new(args.retry));
-    if let Some(workers) = args.workers {
-        template = template.workers(workers);
-    }
-    let mut config = ServerConfig::new()
-        .template(template)
-        .queue_capacity(args.queue)
-        .sessions(args.sessions)
-        .runners(args.runners);
-    if let (Some(burst), Some(refill_per_sec)) = (args.quota_burst, args.quota_refill) {
-        config = config.quota(Quota {
-            burst,
-            refill_per_sec,
-        });
-    }
-
-    let server = match JobServer::bind(&args.addr, config) {
+    let server = match JobServer::bind(&args.addr, args.config) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("failed to bind {}: {e}", args.addr);

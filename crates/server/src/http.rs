@@ -67,10 +67,16 @@ impl Request {
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
+    // Where the terminator search resumes. Scanning all of `buf` after
+    // every read would cost O(n²) compares on a head dribbled in a few
+    // bytes at a time; a terminator not found yet can start no earlier
+    // than three bytes before the end of what was scanned.
+    let mut scan_from = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
+        if let Some(pos) = find_head_end(&buf[scan_from..]) {
+            break scan_from + pos;
         }
+        scan_from = buf.len().saturating_sub(3);
         if buf.len() > MAX_HEAD {
             return Err(bad("request head exceeds 64 KiB"));
         }
@@ -280,5 +286,62 @@ mod tests {
     fn finds_head_terminator() {
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nbody"), Some(14));
         assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
+    }
+
+    const REQUEST: &[u8] =
+        b"POST /jobs?shots=4 HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n\r\nhello";
+
+    /// Parses `REQUEST` off a loopback connection that delivers it cut
+    /// at the byte offsets `cuts`, one write per piece, and returns
+    /// the parsed request's `Debug` rendering.
+    fn parse_cut_at(cuts: &[usize]) -> String {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut reader, _) = listener.accept().unwrap();
+        writer.set_nodelay(true).unwrap();
+        let mut bounds = vec![0];
+        bounds.extend(cuts);
+        bounds.push(REQUEST.len());
+        let feeder = std::thread::spawn(move || {
+            for piece in bounds.windows(2) {
+                writer.write_all(&REQUEST[piece[0]..piece[1]]).unwrap();
+                // Let the reader drain this piece before the next one
+                // lands, so that each piece is a `read` of its own.
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+        });
+        let request = read_request(&mut reader).unwrap().unwrap();
+        feeder.join().unwrap();
+        format!("{request:?}")
+    }
+
+    #[test]
+    fn dribbled_request_parses_like_a_whole_one() {
+        let whole = parse_cut_at(&[]);
+        assert!(whole.contains("path: \"/jobs\""), "{whole}");
+        assert!(whole.contains("body: [104, 101, 108, 108, 111]"), "{whole}");
+        let every_byte: Vec<usize> = (1..REQUEST.len()).collect();
+        assert_eq!(parse_cut_at(&every_byte), whole);
+    }
+
+    #[test]
+    fn terminator_may_straddle_reads() {
+        let whole = parse_cut_at(&[]);
+        let t = find_head_end(REQUEST).unwrap();
+        // Two, three and four reads; the last piece always carries the
+        // body along with the end of the terminator.
+        for cuts in [
+            vec![t + 1],
+            vec![t + 2],
+            vec![t + 3],
+            vec![t + 1, t + 3],
+            vec![t + 1, t + 2, t + 3],
+        ] {
+            assert_eq!(parse_cut_at(&cuts), whole, "cut at {cuts:?}");
+        }
+        // The whole terminator and the body in one read after the head,
+        // and the body split from a complete head.
+        assert_eq!(parse_cut_at(&[t]), whole);
+        assert_eq!(parse_cut_at(&[t + 4]), whole);
     }
 }

@@ -27,7 +27,7 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 //!
-//! The three layers, each its own module:
+//! The building blocks, each its own module:
 //!
 //! * [`http`] — request parsing and response/NDJSON writing;
 //! * [`scheduler`] — bounded priority admission with per-client
@@ -35,13 +35,30 @@
 //! * [`session`] — the warm-session LRU promoting frozen
 //!   [`approxdd_sim::SimSnapshot`]s from per-batch to cross-batch,
 //!   with the determinism argument for why that is result-invisible;
-//! * [`server`] — the accept → admit → schedule → stream → settle
-//!   lifecycle tying them together.
+//! * [`server`] — configuration, bind, the accept loop and the drain,
+//!   plus the state shared by the stages of the accept → admit →
+//!   schedule → stream → settle lifecycle.
+//!
+//! The stages are private modules, one per seam of that lifecycle:
+//!
+//! * `routes` — the route table and the connection-side handlers:
+//!   request parsing, submission (accept, admit), the event stream,
+//!   shutdown;
+//! * `run` — the runner loop: schedule, warm session, execute, settle;
+//! * `job` — what a job is while the server holds it: `JobSpec`,
+//!   `JobState` and its event log, the job table, and the constructors
+//!   of every event line;
+//! * `report` — the one table of served numbers that both `GET /stats`
+//!   and `GET /metrics` render from.
 
 #![warn(missing_docs)]
 
 pub mod error;
 pub mod http;
+mod job;
+mod report;
+mod routes;
+mod run;
 pub mod scheduler;
 pub mod server;
 pub mod session;

@@ -10,8 +10,8 @@
 //! same-priority requests execute in arrival order, keeping the
 //! serving schedule deterministic for a deterministic client.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use crate::error::ServeError;
@@ -35,72 +35,79 @@ struct TokenBucket {
     last_refill: Instant,
 }
 
-#[derive(Debug, PartialEq, Eq)]
-struct QueuedJob {
-    priority: i32,
-    seq: u64,
-    job: u64,
-}
-
-impl Ord for QueuedJob {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap: higher priority first, then earlier sequence.
-        self.priority
-            .cmp(&other.priority)
-            .then_with(|| other.seq.cmp(&self.seq))
+impl TokenBucket {
+    /// Credits the tokens earned since the last refill, capped at
+    /// `burst`.
+    fn refill(&mut self, now: Instant, quota: Quota) {
+        let elapsed = now.duration_since(self.last_refill).as_secs_f64();
+        self.tokens = (self.tokens + elapsed * quota.refill_per_sec).min(quota.burst);
+        self.last_refill = now;
     }
 }
 
-impl PartialOrd for QueuedJob {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// The bucket map is swept once it holds this many buckets, and from
+/// then on whenever it has doubled since the last sweep.
+const FIRST_SWEEP: usize = 64;
 
-/// The bounded priority queue with quota enforcement. Callers hold it
-/// behind a mutex; every method is constant-time-ish and non-blocking.
+/// The bounded priority queue with quota enforcement, carrying one
+/// payload of type `T` per queued job. Callers hold it behind a mutex;
+/// every method is constant-time-ish and non-blocking.
 #[derive(Debug)]
-pub struct Scheduler {
+pub struct Scheduler<T> {
     capacity: usize,
-    heap: BinaryHeap<QueuedJob>,
-    next_seq: u64,
+    /// Keyed `(Reverse(priority), admission number)`, so the first
+    /// entry is the highest priority and, within it, the earliest.
+    queue: BTreeMap<(Reverse<i32>, u64), T>,
     quota: Option<Quota>,
     buckets: HashMap<String, TokenBucket>,
+    /// `buckets.len()` at which refilled buckets are next dropped.
+    sweep_at: usize,
     rejected_queue_full: u64,
     rejected_quota: u64,
     admitted: u64,
 }
 
-impl Scheduler {
+impl<T> Scheduler<T> {
     /// Creates a scheduler admitting at most `capacity` queued jobs,
     /// with optional per-client quotas.
     #[must_use]
     pub fn new(capacity: usize, quota: Option<Quota>) -> Self {
         Scheduler {
             capacity: capacity.max(1),
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            queue: BTreeMap::new(),
             quota,
             buckets: HashMap::new(),
+            sweep_at: FIRST_SWEEP,
             rejected_queue_full: 0,
             rejected_quota: 0,
             admitted: 0,
         }
     }
 
-    /// Tries to admit job `job` for `client` at `priority`. Never
-    /// blocks: either the job is queued, or a typed backpressure
-    /// error comes back immediately.
-    pub fn admit(&mut self, client: &str, priority: i32, job: u64) -> Result<(), ServeError> {
-        if self.heap.len() >= self.capacity {
+    /// Tries to admit `job` for `client` at `priority`. Never blocks:
+    /// either the job is queued, or a typed backpressure error comes
+    /// back immediately (and `job` is dropped).
+    pub fn admit(&mut self, client: &str, priority: i32, job: T) -> Result<(), ServeError> {
+        if self.queue.len() >= self.capacity {
             self.rejected_queue_full += 1;
             return Err(ServeError::QueueFull {
-                queued: self.heap.len(),
+                queued: self.queue.len(),
                 capacity: self.capacity,
             });
         }
         if let Some(quota) = self.quota {
             let now = Instant::now();
+            // A bucket that has refilled to `burst` is what a client
+            // without one starts from, so it can go: the map holds the
+            // clients seen recently, not every `client=` value ever
+            // sent. Amortised O(1) per admission.
+            if self.buckets.len() >= self.sweep_at {
+                self.buckets.retain(|_, bucket| {
+                    bucket.refill(now, quota);
+                    bucket.tokens < quota.burst
+                });
+                self.sweep_at = (2 * self.buckets.len()).max(FIRST_SWEEP);
+            }
             let bucket = self
                 .buckets
                 .entry(client.to_string())
@@ -108,9 +115,7 @@ impl Scheduler {
                     tokens: quota.burst,
                     last_refill: now,
                 });
-            let elapsed = now.duration_since(bucket.last_refill).as_secs_f64();
-            bucket.tokens = (bucket.tokens + elapsed * quota.refill_per_sec).min(quota.burst);
-            bucket.last_refill = now;
+            bucket.refill(now, quota);
             if bucket.tokens < 1.0 {
                 self.rejected_quota += 1;
                 return Err(ServeError::QuotaExhausted {
@@ -119,28 +124,26 @@ impl Scheduler {
             }
             bucket.tokens -= 1.0;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(QueuedJob { priority, seq, job });
+        self.queue.insert((Reverse(priority), self.admitted), job);
         self.admitted += 1;
         Ok(())
     }
 
     /// Pops the highest-priority (earliest within a band) queued job.
-    pub fn pop(&mut self) -> Option<u64> {
-        self.heap.pop().map(|q| q.job)
+    pub fn pop(&mut self) -> Option<T> {
+        self.queue.pop_first().map(|(_, job)| job)
     }
 
     /// Jobs currently queued.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
     /// Whether the queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 
     /// Jobs admitted over the scheduler's lifetime.
@@ -227,5 +230,26 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(5));
         s.admit("alice", 0, 200).unwrap();
         assert!(s.rejected_quota() >= 1);
+    }
+
+    #[test]
+    fn refilled_buckets_are_dropped() {
+        // One token per nanosecond: a client's bucket is full again
+        // by the time the next client is admitted.
+        let quota = Quota {
+            burst: 2.0,
+            refill_per_sec: 1e9,
+        };
+        let mut s = Scheduler::new(4, Some(quota));
+        for job in 0..10_000 {
+            s.admit(&format!("client-{job}"), 0, job).unwrap();
+            assert_eq!(s.pop(), Some(job));
+        }
+        assert!(
+            s.buckets.len() <= 2 * FIRST_SWEEP,
+            "{} buckets survive 10 000 one-shot clients",
+            s.buckets.len()
+        );
+        assert_eq!(s.admitted(), 10_000);
     }
 }

@@ -9,6 +9,12 @@
 //! can attach before, during, or after execution and always see the
 //! same complete NDJSON stream.
 //!
+//! This module is the frame — configuration, bind, the accept loop and
+//! the drain — and the state the stages share. The stages themselves
+//! are the crate's private modules: `routes` (accept, admit, stream),
+//! `run` (schedule, settle), `job` (a job's spec, event log and event
+//! constructors) and `report` (`/stats` and `/metrics`).
+//!
 //! # Endpoints
 //!
 //! | Method & path    | Meaning                                                |
@@ -23,7 +29,7 @@
 //! # Determinism contract
 //!
 //! The final `result` event of a job carries the
-//! [`PoolOutcome::fingerprint`] of the run. For a given server root
+//! [`approxdd_exec::PoolOutcome::fingerprint`] of the run. For a given server root
 //! seed, the same (QASM, policy, shots) request produces a
 //! byte-identical fingerprint regardless of worker count, whether the
 //! session was warm or cold, and across worker respawns — it is the
@@ -32,29 +38,31 @@
 //! partial-histogram settlement order, worker indexes, retry counts)
 //! is reported in events or `/stats` but excluded from fingerprints.
 
-use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use approxdd_circuit::qasm::from_qasm;
-use approxdd_circuit::Circuit;
-use approxdd_exec::{BackendPool, PoolJob, PoolOutcome};
-use approxdd_sim::json::Json;
-use approxdd_sim::{Engine, SimulatorBuilder, Strategy, TraceEvent};
-use approxdd_telemetry as telemetry;
+use approxdd_exec::BackendPool;
+use approxdd_sim::SimulatorBuilder;
 
-use crate::error::ServeError;
-use crate::http::{read_request, start_ndjson, write_json, write_response, Request};
+use crate::job::{JobSpec, JobState, JobTable};
+use crate::routes::handle_connection;
+use crate::run::runner_loop;
 use crate::scheduler::{Quota, Scheduler};
-use crate::session::{family_hash, SessionCache};
+use crate::session::SessionCache;
 
-/// Read timeout on client sockets: a stalled request cannot pin a
-/// connection thread forever.
-const READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// The crate's one lock rule: a guard whose holder panicked is
+/// recovered, not propagated — as in `approxdd-exec`. Every critical
+/// section of the server leaves its data consistent between statements
+/// (a counter bump, a push, a map insert), so a thread that panics
+/// while holding a lock takes only itself down: no served path panics
+/// on another thread's panic.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Configuration for a [`JobServer`].
 #[derive(Debug, Clone)]
@@ -129,85 +137,23 @@ impl ServerConfig {
     }
 }
 
-/// Everything a job needs to execute, parsed at submission time.
-#[derive(Debug)]
-struct JobSpec {
-    circuit: Circuit,
-    strategy: Option<Strategy>,
-    shots: usize,
-    trace: bool,
-    partials: bool,
-    deadline: Option<Duration>,
-}
-
-#[derive(Debug, Default)]
-struct EventLog {
-    lines: Vec<String>,
-    done: bool,
-}
-
-/// A job's mailbox: the runner appends NDJSON lines, streaming
-/// connections replay-then-follow via the condvar.
-#[derive(Debug)]
-struct JobState {
-    id: u64,
-    spec: Mutex<Option<JobSpec>>,
-    events: Mutex<EventLog>,
-    cond: Condvar,
-    /// Submission time — a runner picking the job up records the
-    /// admit→start latency into the `server.admit_wait` phase.
-    admitted: Instant,
-}
-
-impl JobState {
-    fn new(id: u64, spec: JobSpec) -> Self {
-        JobState {
-            id,
-            spec: Mutex::new(Some(spec)),
-            events: Mutex::new(EventLog::default()),
-            cond: Condvar::new(),
-            admitted: Instant::now(),
-        }
-    }
-
-    fn push(&self, event: &Json) {
-        let mut log = self.events.lock().expect("event log poisoned");
-        log.lines.push(event.to_string());
-        self.cond.notify_all();
-    }
-
-    fn finish(&self) {
-        let mut log = self.events.lock().expect("event log poisoned");
-        log.done = true;
-        self.cond.notify_all();
-    }
-
-    /// Blocks until there are events past `cursor` (or the job is
-    /// done), then returns them plus the done flag.
-    fn wait_from(&self, cursor: usize) -> (Vec<String>, bool) {
-        let mut log = self.events.lock().expect("event log poisoned");
-        while log.lines.len() <= cursor && !log.done {
-            log = self.cond.wait(log).expect("event log poisoned");
-        }
-        let from = cursor.min(log.lines.len());
-        (log.lines[from..].to_vec(), log.done)
-    }
-}
-
-struct Inner {
-    pool: BackendPool,
-    template: SimulatorBuilder,
-    session_capacity: usize,
-    sessions: Mutex<SessionCache>,
-    sched: Mutex<Scheduler>,
-    sched_cond: Condvar,
-    jobs: Mutex<HashMap<u64, Arc<JobState>>>,
-    next_job: AtomicU64,
-    draining: AtomicBool,
-    jobs_completed: AtomicU64,
-    jobs_failed: AtomicU64,
-    started: Instant,
-    addr: SocketAddr,
+/// What the connection threads, the runners and the reports share.
+pub(crate) struct Inner {
+    pub(crate) pool: BackendPool,
+    pub(crate) template: SimulatorBuilder,
+    pub(crate) session_capacity: usize,
+    pub(crate) sessions: Mutex<SessionCache>,
+    /// Each queue entry carries its job: the state the runner reports
+    /// into and the spec it runs.
+    pub(crate) sched: Mutex<Scheduler<(Arc<JobState>, JobSpec)>>,
+    pub(crate) sched_cond: Condvar,
+    pub(crate) jobs: JobTable,
+    pub(crate) next_job: AtomicU64,
+    pub(crate) draining: AtomicBool,
+    pub(crate) jobs_completed: AtomicU64,
+    pub(crate) jobs_failed: AtomicU64,
+    pub(crate) started: Instant,
+    pub(crate) addr: SocketAddr,
 }
 
 /// The long-lived job server. Bind, then [`JobServer::run`] — which
@@ -238,7 +184,7 @@ impl JobServer {
             sessions: Mutex::new(SessionCache::new(config.session_capacity)),
             sched: Mutex::new(Scheduler::new(config.queue_capacity, config.quota)),
             sched_cond: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: JobTable::default(),
             next_job: AtomicU64::new(1),
             draining: AtomicBool::new(false),
             jobs_completed: AtomicU64::new(0),
@@ -298,19 +244,9 @@ impl JobServer {
             {
                 conns.push(handle);
             }
-            // Reap finished connection threads so the handle list
-            // stays bounded by *concurrent* connections.
-            conns = conns
-                .into_iter()
-                .filter_map(|h| {
-                    if h.is_finished() {
-                        let _ = h.join();
-                        None
-                    } else {
-                        Some(h)
-                    }
-                })
-                .collect();
+            // Drop the handles of finished connection threads so the
+            // list stays bounded by *concurrent* connections.
+            conns.retain(|handle| !handle.is_finished());
         }
 
         // Drain: runners finish the queue, streams flush, then done.
@@ -323,717 +259,4 @@ impl JobServer {
         }
         Ok(())
     }
-}
-
-fn runner_loop(inner: &Inner) {
-    loop {
-        let job_id = {
-            let mut sched = inner.sched.lock().expect("scheduler poisoned");
-            loop {
-                if let Some(id) = sched.pop() {
-                    break id;
-                }
-                if inner.draining.load(Ordering::Acquire) {
-                    return;
-                }
-                sched = inner.sched_cond.wait(sched).expect("scheduler poisoned");
-            }
-        };
-        execute_job(inner, job_id);
-    }
-}
-
-/// Runs one admitted job on the pool and settles its event stream.
-fn execute_job(inner: &Inner, job_id: u64) {
-    let Some(state) = inner
-        .jobs
-        .lock()
-        .expect("job table poisoned")
-        .get(&job_id)
-        .map(Arc::clone)
-    else {
-        return;
-    };
-    let Some(spec) = state.spec.lock().expect("job spec poisoned").take() else {
-        return;
-    };
-    if telemetry::enabled() {
-        telemetry::phase_histogram("server.admit_wait").observe_duration(state.admitted.elapsed());
-    }
-    // Records admit→settle wall time on every exit path via drop.
-    let _run_span = telemetry::Span::enter("server.run");
-
-    state.push(&Json::obj([
-        ("type", Json::str("started")),
-        ("job", json_u64(job_id)),
-    ]));
-
-    let snapshot = warm_session(inner, &state, &spec.circuit);
-
-    // Partial histograms ride the sharded-sampling path (chunk seeds
-    // keyed on chunk index): the final merged histogram is streamed,
-    // but the shots do NOT ride the run job below — the two sampling
-    // paths draw from different seed domains, and mixing them would
-    // break the fingerprint's equality with a direct pool run.
-    let mut partial_counts: Option<HashMap<u64, usize>> = None;
-    if spec.partials && spec.shots > 0 {
-        let result = inner.pool.sample_counts_streamed(
-            &spec.circuit,
-            spec.strategy,
-            spec.shots,
-            &mut |chunk| {
-                state.push(&Json::obj([
-                    ("type", Json::str("partial")),
-                    ("job", json_u64(job_id)),
-                    ("settled_chunks", Json::int(chunk.settled)),
-                    ("total_chunks", Json::int(chunk.chunks)),
-                    ("shots_settled", Json::int(chunk.shots_settled)),
-                    ("counts", Json::counts(chunk.merged)),
-                ]));
-            },
-        );
-        match result {
-            Ok(counts) => partial_counts = Some(counts),
-            Err(e) => {
-                fail_job(inner, &state, job_id, &e.into());
-                return;
-            }
-        }
-    }
-
-    let mut job = PoolJob::new(spec.circuit).trace(spec.trace);
-    if let Some(strategy) = spec.strategy {
-        job = job.strategy(strategy);
-    }
-    if spec.shots > 0 && !spec.partials {
-        job = job.shots(spec.shots);
-    }
-    if let Some(budget) = spec.deadline {
-        job = job.deadline(budget);
-    }
-
-    let mut results = inner.pool.run_jobs_with_snapshot(vec![job], snapshot);
-    // Settle latency: from the pool handing back outcomes to the event
-    // stream being finished (covers trace/result pushes and failures).
-    let _settle_span = telemetry::Span::enter("server.settle");
-    match results.pop() {
-        Some(Ok(outcome)) => {
-            if let Some(trace) = &outcome.trace {
-                for event in trace {
-                    state.push(&trace_json(job_id, event));
-                }
-            }
-            if let Some(counts) = &partial_counts {
-                state.push(&Json::obj([
-                    ("type", Json::str("histogram")),
-                    ("job", json_u64(job_id)),
-                    ("source", Json::str("sharded_sampling")),
-                    ("shots", Json::int(spec.shots)),
-                    ("counts", Json::counts(counts)),
-                ]));
-            }
-            state.push(&result_json(job_id, &outcome));
-            inner.jobs_completed.fetch_add(1, Ordering::Relaxed);
-            state.finish();
-        }
-        Some(Err(e)) => fail_job(inner, &state, job_id, &e.into()),
-        None => fail_job(
-            inner,
-            &state,
-            job_id,
-            &ServeError::BadRequest("pool returned no outcome".into()),
-        ),
-    }
-}
-
-/// Resolves the job's warm session: a cache hit reuses the frozen
-/// tier built by an earlier request of the same family; a miss pays
-/// the freeze and caches it. Emits a `session` event either way.
-fn warm_session(
-    inner: &Inner,
-    state: &JobState,
-    circuit: &Circuit,
-) -> Option<Arc<approxdd_sim::SimSnapshot>> {
-    if inner.session_capacity == 0 || inner.template.engine_kind() == Engine::Stabilizer {
-        return None;
-    }
-    let family = family_hash(circuit);
-    let cached = inner
-        .sessions
-        .lock()
-        .expect("session cache poisoned")
-        .get(family);
-    let (snapshot, warm) = match cached {
-        Some(snapshot) => (snapshot, true),
-        None => {
-            // Freeze outside the cache lock: a slow freeze must not
-            // stall other runners' lookups. A racing runner may build
-            // the same family concurrently; insert() keeps one
-            // canonical Arc.
-            let Ok(built) = inner.template.build_snapshot([circuit]) else {
-                return None;
-            };
-            let canonical = inner
-                .sessions
-                .lock()
-                .expect("session cache poisoned")
-                .insert(family, Arc::new(built));
-            (canonical, false)
-        }
-    };
-    state.push(&Json::obj([
-        ("type", Json::str("session")),
-        ("job", json_u64(state.id)),
-        ("family", Json::str(format!("{family:016x}"))),
-        ("warm", Json::Bool(warm)),
-        ("frozen_nodes", Json::int(snapshot.frozen_nodes())),
-        ("cached_gates", Json::int(snapshot.cached_gates())),
-    ]));
-    Some(snapshot)
-}
-
-fn fail_job(inner: &Inner, state: &JobState, job_id: u64, err: &ServeError) {
-    state.push(&Json::obj([
-        ("type", Json::str("error")),
-        ("job", json_u64(job_id)),
-        ("kind", Json::str(err.kind())),
-        ("error", Json::str(err.to_string())),
-    ]));
-    inner.jobs_failed.fetch_add(1, Ordering::Relaxed);
-    state.finish();
-}
-
-fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let request = match read_request(&mut stream) {
-        Ok(Some(request)) => request,
-        // Clean immediate EOF: the shutdown wakeup (or a port probe).
-        Ok(None) => return,
-        Err(e) => {
-            let _ = respond_error(&mut stream, &ServeError::BadRequest(e.to_string()));
-            return;
-        }
-    };
-    let route = match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/jobs") => "/jobs",
-        ("GET", path) if path.starts_with("/jobs/") => "/jobs/{id}",
-        ("GET", "/stats") => "/stats",
-        ("GET", "/healthz") => "/healthz",
-        ("GET", "/metrics") => "/metrics",
-        ("POST", "/shutdown") => "/shutdown",
-        _ => "other",
-    };
-    telemetry::count_with("approxdd_server_requests_total", &[("route", route)], 1);
-    let result = match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/jobs") => submit_job(inner, &mut stream, &request),
-        ("GET", path) if path.starts_with("/jobs/") => stream_job(inner, &mut stream, path),
-        ("GET", "/stats") => write_json(&mut stream, 200, &stats_json(inner)).map_err(Into::into),
-        ("GET", "/healthz") => {
-            write_json(&mut stream, 200, &Json::obj([("ok", Json::Bool(true))])).map_err(Into::into)
-        }
-        ("GET", "/metrics") => serve_metrics(inner, &mut stream),
-        ("POST", "/shutdown") => shutdown(inner, &mut stream),
-        (_, path) => Err(ServeError::NotFound(format!("{} {path}", request.method))),
-    };
-    if let Err(err) = result {
-        let _ = respond_error(&mut stream, &err);
-    }
-}
-
-impl From<io::Error> for ServeError {
-    fn from(e: io::Error) -> Self {
-        // Connection-level I/O failures after routing: nothing to
-        // send anyone; classified as a bad request for bookkeeping.
-        ServeError::BadRequest(e.to_string())
-    }
-}
-
-fn respond_error(stream: &mut TcpStream, err: &ServeError) -> io::Result<()> {
-    let body = Json::obj([
-        ("error", Json::str(err.to_string())),
-        ("kind", Json::str(err.kind())),
-    ]);
-    write_json(stream, err.http_status(), &body)
-}
-
-/// `POST /jobs` — parse, admit, 202.
-fn submit_job(
-    inner: &Arc<Inner>,
-    stream: &mut TcpStream,
-    request: &Request,
-) -> Result<(), ServeError> {
-    if inner.draining.load(Ordering::Acquire) {
-        return Err(ServeError::ShuttingDown);
-    }
-    let spec = parse_spec(request)?;
-    let priority = parse_param(request, "priority", 0i32)?;
-    let client = request.query_param("client").unwrap_or("anon").to_string();
-
-    let job_id = inner.next_job.fetch_add(1, Ordering::Relaxed);
-    let accepted = Json::obj([
-        ("type", Json::str("accepted")),
-        ("job", json_u64(job_id)),
-        ("circuit", Json::str(spec.circuit.name())),
-        ("n_qubits", Json::int(spec.circuit.n_qubits())),
-        ("shots", Json::int(spec.shots)),
-        ("priority", Json::Num(f64::from(priority))),
-        ("client", Json::str(client.as_str())),
-    ]);
-    let state = Arc::new(JobState::new(job_id, spec));
-    state.push(&accepted);
-    inner
-        .jobs
-        .lock()
-        .expect("job table poisoned")
-        .insert(job_id, Arc::clone(&state));
-
-    let admitted = inner
-        .sched
-        .lock()
-        .expect("scheduler poisoned")
-        .admit(&client, priority, job_id);
-    if let Err(err) = admitted {
-        // Settle the state before dropping it so any stream that
-        // attached in the insert→admit window terminates cleanly.
-        state.finish();
-        inner
-            .jobs
-            .lock()
-            .expect("job table poisoned")
-            .remove(&job_id);
-        telemetry::count("approxdd_server_jobs_rejected_total", 1);
-        return Err(err);
-    }
-    telemetry::count("approxdd_server_jobs_admitted_total", 1);
-    inner.sched_cond.notify_one();
-
-    let body = Json::obj([
-        ("job", json_u64(job_id)),
-        ("status", Json::str("queued")),
-        ("stream", Json::str(format!("/jobs/{job_id}"))),
-    ]);
-    write_json(stream, 202, &body)?;
-    Ok(())
-}
-
-/// `GET /jobs/{id}` — replay the event log, then follow it live.
-fn stream_job(inner: &Arc<Inner>, stream: &mut TcpStream, path: &str) -> Result<(), ServeError> {
-    let id: u64 = path["/jobs/".len()..]
-        .parse()
-        .map_err(|_| ServeError::BadRequest(format!("bad job id in {path}")))?;
-    let Some(state) = inner
-        .jobs
-        .lock()
-        .expect("job table poisoned")
-        .get(&id)
-        .map(Arc::clone)
-    else {
-        return Err(ServeError::NotFound(format!("job {id}")));
-    };
-
-    // Streaming reads can block on the condvar indefinitely; lift the
-    // socket timeout so a long-running job doesn't look like a stall.
-    let _ = stream.set_read_timeout(None);
-    start_ndjson(stream)?;
-    let mut cursor = 0;
-    loop {
-        let (lines, done) = state.wait_from(cursor);
-        for line in &lines {
-            stream.write_all(line.as_bytes())?;
-            stream.write_all(b"\n")?;
-        }
-        stream.flush()?;
-        cursor += lines.len();
-        if done && lines.is_empty() {
-            return Ok(());
-        }
-        if done {
-            // One more pass to pick up lines raced in with `done`.
-            let (rest, _) = state.wait_from(cursor);
-            for line in &rest {
-                stream.write_all(line.as_bytes())?;
-                stream.write_all(b"\n")?;
-            }
-            stream.flush()?;
-            return Ok(());
-        }
-    }
-}
-
-/// `POST /shutdown` — flip the drain flag, wake everyone, and nudge
-/// the acceptor loop awake with a throwaway connection.
-fn shutdown(inner: &Arc<Inner>, stream: &mut TcpStream) -> Result<(), ServeError> {
-    let queued = inner.sched.lock().expect("scheduler poisoned").len();
-    inner.draining.store(true, Ordering::Release);
-    inner.sched_cond.notify_all();
-    let body = Json::obj([
-        ("draining", Json::Bool(true)),
-        ("queued", Json::int(queued)),
-    ]);
-    write_json(stream, 200, &body)?;
-    // The acceptor is blocked in accept(); a no-op connection makes
-    // it loop, observe `draining`, and begin the join sequence.
-    let _ = TcpStream::connect(inner.addr);
-    Ok(())
-}
-
-/// `GET /stats` — scheduler, session, and pool counters. None of
-/// these numbers ever feed a fingerprint.
-fn stats_json(inner: &Arc<Inner>) -> Json {
-    let (queued, admitted, rejected_full, rejected_quota) = {
-        let sched = inner.sched.lock().expect("scheduler poisoned");
-        (
-            sched.len(),
-            sched.admitted(),
-            sched.rejected_queue_full(),
-            sched.rejected_quota(),
-        )
-    };
-    let sessions = inner
-        .sessions
-        .lock()
-        .expect("session cache poisoned")
-        .stats();
-    let pool = inner.pool.stats();
-    Json::obj([
-        (
-            "uptime_seconds",
-            Json::Num(inner.started.elapsed().as_secs_f64()),
-        ),
-        (
-            "draining",
-            Json::Bool(inner.draining.load(Ordering::Acquire)),
-        ),
-        (
-            "jobs",
-            Json::obj([
-                ("admitted", json_u64(admitted)),
-                ("queued", Json::int(queued)),
-                (
-                    "completed",
-                    json_u64(inner.jobs_completed.load(Ordering::Relaxed)),
-                ),
-                (
-                    "failed",
-                    json_u64(inner.jobs_failed.load(Ordering::Relaxed)),
-                ),
-                ("rejected_queue_full", json_u64(rejected_full)),
-                ("rejected_quota", json_u64(rejected_quota)),
-            ]),
-        ),
-        (
-            "sessions",
-            Json::obj([
-                ("capacity", Json::int(inner.session_capacity)),
-                ("entries", Json::int(sessions.entries)),
-                ("session_hits", json_u64(sessions.hits)),
-                ("session_misses", json_u64(sessions.misses)),
-                ("inserts", json_u64(sessions.inserts)),
-                ("evictions", json_u64(sessions.evictions)),
-                ("frozen_nodes", Json::int(sessions.frozen_nodes)),
-                ("attaches", json_u64(sessions.attaches)),
-            ]),
-        ),
-        (
-            "pool",
-            Json::obj([
-                ("workers", Json::int(pool.workers)),
-                ("tasks_submitted", Json::int(pool.tasks_submitted)),
-                ("queue_depth", Json::int(pool.queue_depth)),
-                ("max_queue_depth", Json::int(pool.max_queue_depth)),
-                ("respawns", Json::int(pool.respawns)),
-                ("retries", Json::int(pool.retries)),
-                ("deadline_exceeded", Json::int(pool.deadline_exceeded)),
-                ("jobs_completed", Json::int(pool.jobs_completed())),
-                ("shots_drawn", Json::int(pool.shots_drawn())),
-                ("snapshot_hits", json_u64(pool.snapshot_hits())),
-                ("snapshot_gate_hits", json_u64(pool.snapshot_gate_hits())),
-                ("frozen_nodes", Json::int(pool.frozen_nodes())),
-                ("peak_nodes", Json::int(pool.peak_nodes())),
-            ]),
-        ),
-    ])
-}
-
-/// `GET /metrics` — Prometheus text exposition over the process-wide
-/// registry. Counter and histogram series accumulate at their
-/// instrumentation sites; the scheduler, session-cache, pool and
-/// DD-package aggregates below are mirrored into gauges at scrape time
-/// instead (their native counters live behind the worker/lock
-/// machinery that already tracks them — per-lookup atomics in the
-/// compute-table hot path would cost more than the work measured).
-fn serve_metrics(inner: &Arc<Inner>, stream: &mut TcpStream) -> Result<(), ServeError> {
-    let registry = telemetry::global();
-    let (queued, admitted, rejected_full, rejected_quota) = {
-        let sched = inner.sched.lock().expect("scheduler poisoned");
-        (
-            sched.len(),
-            sched.admitted(),
-            sched.rejected_queue_full(),
-            sched.rejected_quota(),
-        )
-    };
-    let sessions = inner
-        .sessions
-        .lock()
-        .expect("session cache poisoned")
-        .stats();
-    let pool = inner.pool.stats();
-    let set = |name: &str, value: u64| registry.gauge(name).set(value);
-    set("approxdd_sched_queued", queued as u64);
-    set("approxdd_sched_admitted", admitted);
-    set("approxdd_sched_rejected_queue_full", rejected_full);
-    set("approxdd_sched_rejected_quota", rejected_quota);
-    set(
-        "approxdd_server_jobs_completed",
-        inner.jobs_completed.load(Ordering::Relaxed),
-    );
-    set(
-        "approxdd_server_jobs_failed",
-        inner.jobs_failed.load(Ordering::Relaxed),
-    );
-    set("approxdd_sessions_capacity", inner.session_capacity as u64);
-    set("approxdd_sessions_entries", sessions.entries as u64);
-    set("approxdd_sessions_hits", sessions.hits);
-    set("approxdd_sessions_misses", sessions.misses);
-    set("approxdd_sessions_inserts", sessions.inserts);
-    set("approxdd_sessions_evictions", sessions.evictions);
-    set(
-        "approxdd_sessions_frozen_nodes",
-        sessions.frozen_nodes as u64,
-    );
-    set("approxdd_sessions_attaches", sessions.attaches);
-    set("approxdd_pool_workers", pool.workers as u64);
-    set("approxdd_pool_tasks_submitted", pool.tasks_submitted as u64);
-    set("approxdd_pool_queue_depth", pool.queue_depth as u64);
-    set("approxdd_pool_max_queue_depth", pool.max_queue_depth as u64);
-    set("approxdd_pool_jobs_completed", pool.jobs_completed() as u64);
-    set("approxdd_pool_shots_drawn", pool.shots_drawn() as u64);
-    set(
-        "approxdd_dd_ct_hits",
-        pool.per_worker.iter().map(|w| w.ct_hits).sum(),
-    );
-    set(
-        "approxdd_dd_ct_misses",
-        pool.per_worker.iter().map(|w| w.ct_misses).sum(),
-    );
-    set("approxdd_dd_peak_nodes", pool.peak_nodes() as u64);
-    set("approxdd_dd_frozen_nodes", pool.frozen_nodes() as u64);
-    set("approxdd_dd_snapshot_hits", pool.snapshot_hits());
-    set("approxdd_dd_snapshot_gate_hits", pool.snapshot_gate_hits());
-    let body = registry.render_prometheus();
-    write_response(stream, 200, "text/plain; version=0.0.4", body.as_bytes())?;
-    Ok(())
-}
-
-/// Parses the request into a [`JobSpec`]: QASM body plus `shots`,
-/// `policy` (+ its numeric knobs), `trace`, `partials`, `deadline_ms`.
-fn parse_spec(request: &Request) -> Result<JobSpec, ServeError> {
-    let qasm = std::str::from_utf8(&request.body)
-        .map_err(|_| ServeError::BadRequest("body is not UTF-8".into()))?;
-    if qasm.trim().is_empty() {
-        return Err(ServeError::BadRequest(
-            "empty body: POST the circuit as OpenQASM 2.0".into(),
-        ));
-    }
-    let circuit =
-        from_qasm(qasm).map_err(|e| ServeError::BadRequest(format!("QASM parse error: {e}")))?;
-    let strategy = parse_strategy(request)?;
-    let shots = parse_param(request, "shots", 0usize)?;
-    let trace = parse_param(request, "trace", 1u8)? != 0;
-    let partials = parse_param(request, "partials", 0u8)? != 0;
-    let deadline = request
-        .query_param("deadline_ms")
-        .map(|v| {
-            v.parse::<u64>()
-                .map(Duration::from_millis)
-                .map_err(|_| ServeError::BadRequest(format!("bad deadline_ms: {v:?}")))
-        })
-        .transpose()?;
-    Ok(JobSpec {
-        circuit,
-        strategy,
-        shots,
-        trace,
-        partials,
-        deadline,
-    })
-}
-
-/// `policy=exact|memory|memory_table1|fidelity` with `nodes`, `round`
-/// and `final` knobs; absent means the server template's default.
-fn parse_strategy(request: &Request) -> Result<Option<Strategy>, ServeError> {
-    let Some(policy) = request.query_param("policy") else {
-        return Ok(None);
-    };
-    let strategy = match policy {
-        "exact" => Strategy::Exact,
-        "memory" => Strategy::memory_driven(
-            parse_param(request, "nodes", 4096usize)?,
-            parse_param(request, "round", 0.99f64)?,
-        ),
-        "memory_table1" => Strategy::memory_driven_table1(
-            parse_param(request, "nodes", 4096usize)?,
-            parse_param(request, "round", 0.99f64)?,
-        ),
-        "fidelity" => Strategy::fidelity_driven(
-            parse_param(request, "final", 0.9f64)?,
-            parse_param(request, "round", 0.99f64)?,
-        ),
-        other => {
-            return Err(ServeError::BadRequest(format!(
-                "unknown policy {other:?} (expected exact|memory|memory_table1|fidelity)"
-            )))
-        }
-    };
-    strategy
-        .validate()
-        .map_err(|e| ServeError::BadRequest(format!("invalid policy: {e}")))?;
-    Ok(Some(strategy))
-}
-
-fn parse_param<T: std::str::FromStr>(
-    request: &Request,
-    key: &str,
-    default: T,
-) -> Result<T, ServeError> {
-    match request.query_param(key) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| ServeError::BadRequest(format!("bad {key}: {raw:?}"))),
-    }
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn json_u64(n: u64) -> Json {
-    Json::Num(n as f64)
-}
-
-/// Renders a [`TraceEvent`] as one NDJSON event object.
-fn trace_json(job_id: u64, event: &TraceEvent) -> Json {
-    let mut fields = vec![
-        ("type".to_string(), Json::str("trace")),
-        ("job".to_string(), json_u64(job_id)),
-    ];
-    let (kind, rest): (&str, Vec<(&str, Json)>) = match event {
-        TraceEvent::RunStarted {
-            circuit,
-            n_qubits,
-            total_ops,
-            policy,
-        } => (
-            "run_started",
-            vec![
-                ("circuit", Json::str(circuit.as_str())),
-                ("n_qubits", Json::int(*n_qubits)),
-                ("total_ops", Json::int(*total_ops)),
-                ("policy", Json::str(policy.as_str())),
-            ],
-        ),
-        TraceEvent::GateApplied {
-            op_index,
-            gates_applied,
-            live_nodes,
-        } => (
-            "gate_applied",
-            vec![
-                ("op_index", Json::int(*op_index)),
-                ("gates_applied", Json::int(*gates_applied)),
-                ("live_nodes", Json::int(*live_nodes)),
-            ],
-        ),
-        TraceEvent::RoundStarted {
-            op_index,
-            round,
-            target_fidelity,
-            live_nodes,
-        } => (
-            "round_started",
-            vec![
-                ("op_index", Json::int(*op_index)),
-                ("round", Json::int(*round)),
-                ("target_fidelity", Json::Num(*target_fidelity)),
-                ("live_nodes", Json::int(*live_nodes)),
-            ],
-        ),
-        TraceEvent::Truncated {
-            op_index,
-            round,
-            nodes_before,
-            nodes_after,
-            removed_nodes,
-            removed_mass,
-        } => (
-            "truncated",
-            vec![
-                ("op_index", Json::int(*op_index)),
-                ("round", Json::int(*round)),
-                ("nodes_before", Json::int(*nodes_before)),
-                ("nodes_after", Json::int(*nodes_after)),
-                ("removed_nodes", Json::int(*removed_nodes)),
-                ("removed_mass", Json::Num(*removed_mass)),
-            ],
-        ),
-        TraceEvent::RunFinished {
-            gates_applied,
-            rounds,
-            fidelity,
-            fidelity_lower_bound,
-        } => (
-            "run_finished",
-            vec![
-                ("gates_applied", Json::int(*gates_applied)),
-                ("rounds", Json::int(*rounds)),
-                ("fidelity", Json::Num(*fidelity)),
-                ("fidelity_lower_bound", Json::Num(*fidelity_lower_bound)),
-            ],
-        ),
-        // TraceEvent is non_exhaustive upstream-compatible: render
-        // unknown variants opaquely rather than dropping them.
-        #[allow(unreachable_patterns)]
-        other => ("other", vec![("debug", Json::str(format!("{other:?}")))]),
-    };
-    fields.push(("event".to_string(), Json::str(kind)));
-    for (k, v) in rest {
-        fields.push((k.to_string(), v));
-    }
-    Json::Obj(fields)
-}
-
-/// The final `result` event: every deterministic result field plus
-/// the fingerprint, with the scheduling diagnostics (`worker`,
-/// `attempts`, `degraded`) reported alongside but — like everywhere
-/// else — excluded from the fingerprint itself.
-fn result_json(job_id: u64, outcome: &PoolOutcome) -> Json {
-    Json::obj([
-        ("type", Json::str("result")),
-        ("job", json_u64(job_id)),
-        (
-            "fingerprint",
-            Json::str(format!("{:016x}", outcome.fingerprint())),
-        ),
-        ("circuit", Json::str(outcome.name.as_str())),
-        ("n_qubits", Json::int(outcome.n_qubits)),
-        ("gates_applied", Json::int(outcome.stats.gates_applied)),
-        ("approx_rounds", Json::int(outcome.stats.approx_rounds)),
-        ("fidelity", Json::Num(outcome.stats.fidelity)),
-        (
-            "fidelity_lower_bound",
-            Json::Num(outcome.stats.fidelity_lower_bound),
-        ),
-        ("peak_size", Json::int(outcome.stats.peak_size)),
-        ("final_size", Json::int(outcome.final_size)),
-        (
-            "counts",
-            outcome.counts.as_ref().map_or(Json::Null, Json::counts),
-        ),
-        (
-            "expectation",
-            outcome.expectation.map_or(Json::Null, Json::Num),
-        ),
-        ("worker", Json::int(outcome.worker)),
-        ("attempts", Json::Num(f64::from(outcome.attempts))),
-        ("degraded", Json::Bool(outcome.degraded)),
-    ])
 }
