@@ -14,7 +14,9 @@
 //! `cargo bench -p approxdd-dd`; CI runs `cargo bench -p approxdd-dd
 //! -- --test` as a smoke pass so the harness cannot rot.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::cell::RefCell;
+
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use approxdd_complex::Cplx;
 use approxdd_dd::{GateKind, Package, RemovalStrategy, VEdge};
@@ -266,6 +268,70 @@ fn bench_node_access(c: &mut Criterion) {
     group.finish();
 }
 
+/// A Shor-like 27-qubit state: a 9-level tree of generic weights over
+/// 512 distinct 18-level basis chains — a counting register in
+/// superposition above a work register that holds one basis state per
+/// branch.
+fn shor_like_state(p: &mut Package) -> VEdge {
+    let mut seed = 0x5407_u64;
+    let mut state = VEdge::ZERO;
+    for branch in 0..512u64 {
+        let chain = lcg(&mut seed) >> 46;
+        let mut part = || ((lcg(&mut seed) >> 11) as f64) / ((1u64 << 53) as f64) - 0.5;
+        let weight = Cplx::new(part(), part());
+        let term = p.basis_state(27, (branch << 18) | chain).scaled(weight);
+        state = p.add(state, term);
+    }
+    state
+}
+
+/// One cold H on the top qubit: the compute caches are emptied (by an
+/// untimed collection; state and gate are rooted) before every timed
+/// application, so each one walks the operands instead of hitting the
+/// root entry. (a) GHZ: two stable chains, answered without descending.
+/// (b) Shor-like: the unstable tree is re-multiplied, every chain under
+/// it is answered by its bit. (c) The supremacy state: generic weights,
+/// where stable nodes are a minority and sit near the bottom (a node is
+/// stable only if everything beneath it is) — the recursion goes most
+/// of the way down and pays the two bit tests on the way.
+fn bench_identity_apply(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hotpath_identity_apply");
+    let mut cases: Vec<(&str, usize, Package, VEdge)> = Vec::new();
+    let mut p = Package::new();
+    let s = ghz_state(&mut p, 24);
+    cases.push(("ghz_24q", 24, p, s));
+    let mut p = Package::new();
+    let s = shor_like_state(&mut p);
+    cases.push(("shor_like_27q", 27, p, s));
+    let mut p = Package::new();
+    let s = supremacy_state(&mut p, 10);
+    cases.push(("supremacy_4x4", 16, p, s));
+    for (name, n, mut p, state) in cases {
+        let h = p.single_gate(n, n - 1, GateKind::H.matrix()).expect("H");
+        p.inc_ref(state);
+        p.inc_ref_m(h);
+        let _ = p.collect_garbage();
+        let before = p.stats();
+        let _ = p.apply(h, state);
+        let after = p.stats();
+        println!(
+            "{name}: {} nodes; one cold H: {} lookups, {} identity skips",
+            p.vsize(state),
+            after.ct_hits + after.ct_misses - before.ct_hits - before.ct_misses,
+            after.identity_skips - before.identity_skips
+        );
+        let p = RefCell::new(p);
+        group.bench_function(format!("{name}_h_top"), |b| {
+            b.iter_batched(
+                || p.borrow_mut().collect_garbage(),
+                |_| std::hint::black_box(p.borrow_mut().apply(h, state)),
+                BatchSize::PerIteration,
+            );
+        });
+    }
+    group.finish();
+}
+
 /// The contribution pass every truncation round starts with.
 fn bench_contributions(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_contributions");
@@ -332,6 +398,7 @@ criterion_group!(
     bench_sample_counts,
     bench_vsize,
     bench_node_access,
+    bench_identity_apply,
     bench_contributions,
     bench_truncate_budget,
     bench_package_lifecycle

@@ -97,6 +97,21 @@
 //!   `mul_mv`, `mul_mm` and `inner_product` skip the tables there (a
 //!   third of all lookups on a 16-qubit supremacy run), which by the
 //!   hit ≡ recompute argument above cannot move a result.
+//! * **Identity × stable sub-diagram is answered from a bit.** Below a
+//!   gate's target the operator is the identity, and multiplying by it
+//!   rebuilds every state node as it was — except that re-normalising
+//!   an already normalised weight pair gives `1 ± ulp` for some pairs,
+//!   so the recursion cannot simply be dropped. Every node therefore
+//!   carries one structure bit, decided where it is interned and never
+//!   changed: a matrix node knows it is an identity, a vector node
+//!   knows that it and everything under it re-normalise to exactly
+//!   `1 + 0i` under the same unique-table key. Where both hold
+//!   [`Package::mul_mv`] returns the operand under the product of the
+//!   edge weights — the expression its hit path evaluates — in O(1),
+//!   and every other operand takes the recursion as before. The
+//!   skipped recursion would have allocated nothing and interned no
+//!   ratio, so arena populations, GC timing and results are the same
+//!   bits ([`PackageStats::identity_skips`] counts the events).
 //! * **Per-node passes index by slot id, not by hash.** Node ids are
 //!   arena slot indices, so [`Package::vsize`] (once per gate under the
 //!   memory-driven scheme), [`Package::contributions`] and the

@@ -13,6 +13,12 @@ pub(crate) struct VNode {
     /// Qubit level; 0 is the least-significant qubit, directly above the
     /// terminal.
     pub var: u8,
+    /// Multiplying this node by the identity hands back this very node
+    /// under a weight whose bits are `1 + 0i` (the identity rule of
+    /// [`crate::ops`]). A property of the stored bits, decided where the
+    /// node is interned and never changed afterwards; it lives in the
+    /// padding `var` leaves.
+    pub stable: bool,
     /// Successor edges for qubit value 0 and 1.
     pub edges: [VEdge; 2],
 }
@@ -24,6 +30,11 @@ pub(crate) struct VNode {
 pub(crate) struct MNode {
     /// Qubit level; 0 is the least-significant qubit.
     pub var: u8,
+    /// The node is an identity matrix: quadrants `[e, 0, 0, e]` where
+    /// `e` has weight bits `1 + 0i` and is the terminal or an identity
+    /// node itself. Decided where the node is interned, like
+    /// [`VNode::stable`], and stored in the padding `var` leaves.
+    pub identity: bool,
     /// Quadrant successor edges `[e00, e01, e10, e11]`.
     pub edges: [MEdge; 4],
 }

@@ -26,6 +26,50 @@
 //! have lost to eviction anyway, which the "hit ≡ recompute" contract
 //! (see the crate docs, `tests/cache_equivalence.rs`) already makes
 //! unobservable.
+//!
+//! # The identity rule
+//!
+//! Below a gate's target the operator DD is the identity, and `mul_mv`
+//! used to walk the whole state sub-diagram under it only to rebuild
+//! every node as it was. It cannot simply return the operand instead:
+//! `make_vnode` re-normalising an already normalised weight pair yields
+//! `1 ± ulp` for many pairs, and those ulps reach the unique table's
+//! tolerance buckets (a measured negative result, see ARCHITECTURE.md).
+//! But *which* pairs is decidable when a node is built, so every node
+//! carries one structure bit, set where it is interned
+//! (`Package::intern_vnode` / `intern_mnode`) and never written again:
+//!
+//! * `MNode::identity` — quadrants `[e, 0, 0, e]` where `e` has weight
+//!   bits `1 + 0i` and is the terminal or an identity node itself;
+//! * `VNode::stable` — every non-zero successor is terminal or stable,
+//!   and the node's own stored edges, taken through exactly what this
+//!   recursion would hand `make_vnode` (each weight times `ONE`,
+//!   tolerance-zero weights dropped to the zero stub), normalise to a
+//!   factor with the bits of `Cplx::ONE` over the same successor ids
+//!   and the same weight keys — the unique table would answer with this
+//!   very node. The definition runs the same `normalize` the recursion
+//!   runs, so it cannot drift from it.
+//!
+//! For an identity node `m` and a stable node `v` the recursion is
+//! therefore known in advance to return `(1 + 0i, v)`, and `mul_mv`
+//! returns `VEdge { w: ONE, node: v }.scaled(m.w · v.w)` — the very
+//! expression its hit path evaluates on the memoized result — in O(1).
+//! "Skip ≡ recompute" joins "hit ≡ recompute" as a tested contract (the
+//! tests below keep the rule-less `mul_mv` as the reference).
+//!
+//! What the skipped recursion would have done besides: unique-table
+//! *hits* (a counter, and no allocation — so arena populations, slot
+//! reuse and the collection trigger cannot move, pinned by
+//! `tests/allocation_trajectory.rs`); `mul_mv` cache traffic
+//! (unobservable by the hit contract); and no `canonical_ratio` call at
+//! all, because under an identity every `add` has a zero operand and
+//! returns before it forms a ratio — so the canonical-ratio table sees
+//! the same sequence either way. The bits live in the padding beside
+//! `var`, are part of the node payload a frozen snapshot shares as-is,
+//! and a recycled slot is overwritten whole. Stability is a property of
+//! the stored bits, not of the state: |+⟩ fresh out of an H gate stores
+//! `0.7071067811865475`, which re-normalises to `1 − ulp`, and is not
+//! stable; the same column after a T gate is.
 
 use approxdd_complex::Cplx;
 
@@ -154,6 +198,17 @@ impl Package {
             return VEdge::terminal(m.w * v.w);
         }
         debug_assert_eq!(self.mlevel(m), self.vlevel(v), "mul level mismatch");
+
+        // The identity rule (module docs). `stable` first: it shares the
+        // cache line the terminal-level test below loads anyway.
+        if self.vnode(v.node).stable && self.mnode(m.node).identity {
+            self.stats.identity_skips += 1;
+            return VEdge {
+                w: Cplx::ONE,
+                node: v.node,
+            }
+            .scaled(m.w * v.w);
+        }
 
         let key = (m.node.0, v.node.0);
         let memoized = !at_terminal_level(self.vnode(v.node).var);
@@ -428,10 +483,422 @@ impl Package {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::approx::RemovalStrategy;
     use crate::gates::GateKind;
+    use crate::node::{MNode, VNode};
+    use crate::package::PackageStats;
+    use proptest::prelude::*;
 
     fn close(a: Cplx, b: Cplx) -> bool {
         (a - b).mag() < 1e-10
+    }
+
+    impl Package {
+        /// `mul_mv` as it stood before the identity rule, kept as the
+        /// reference the rule is tested against: the same early-outs,
+        /// the same table, the same recursion, and no look at either
+        /// structure bit.
+        fn mul_mv_recursing(&mut self, m: MEdge, v: VEdge) -> VEdge {
+            if m.is_zero(self.tolerance()) || v.is_zero(self.tolerance()) {
+                return VEdge::ZERO;
+            }
+            if m.node.is_terminal() && v.node.is_terminal() {
+                return VEdge::terminal(m.w * v.w);
+            }
+            debug_assert_eq!(self.mlevel(m), self.vlevel(v), "mul level mismatch");
+
+            let key = (m.node.0, v.node.0);
+            let memoized = !at_terminal_level(self.vnode(v.node).var);
+            if memoized {
+                if let Some(cached) = self.ct.mul_mv.lookup(&key) {
+                    return cached.scaled(m.w * v.w);
+                }
+            }
+
+            let mn = *self.mnode(m.node);
+            let vn = *self.vnode(v.node);
+            let p00 = self.mul_mv_recursing(mn.edges[0], vn.edges[0]);
+            let p01 = self.mul_mv_recursing(mn.edges[1], vn.edges[1]);
+            let r0 = self.add(p00, p01);
+            let p10 = self.mul_mv_recursing(mn.edges[2], vn.edges[0]);
+            let p11 = self.mul_mv_recursing(mn.edges[3], vn.edges[1]);
+            let r1 = self.add(p10, p11);
+            let res = self.make_vnode(mn.var, r0, r1);
+            if memoized {
+                self.ct.mul_mv.insert(key, res);
+            }
+            res.scaled(m.w * v.w)
+        }
+
+        /// The distinct non-terminal nodes under a state edge.
+        fn reachable_vnodes(&self, root: VEdge) -> Vec<NodeId> {
+            self.contributions(root).iter().map(|(id, _)| id).collect()
+        }
+
+        /// `(stable, reachable)` node counts under a state edge.
+        fn stable_census(&self, root: VEdge) -> (usize, usize) {
+            let nodes = self.reachable_vnodes(root);
+            let stable = nodes.iter().filter(|&&id| self.vnode(id).stable).count();
+            (stable, nodes.len())
+        }
+    }
+
+    /// One of the two multiplications a history runs through.
+    type Mul = fn(&mut Package, MEdge, VEdge) -> VEdge;
+
+    /// What the identity rule must leave alone, read after a gate.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        node: NodeId,
+        weight: (u64, u64),
+        /// Amplitude bits, up to 12 qubits (empty beyond).
+        amplitudes: Vec<(u64, u64)>,
+        vnodes_alive: usize,
+        unique_misses: u64,
+        /// The canonical-ratio table: entry count, entries and slots.
+        ratios: String,
+    }
+
+    fn observe(p: &Package, e: VEdge, n: usize) -> Observed {
+        let bits = |w: Cplx| (w.re.to_bits(), w.im.to_bits());
+        let amplitudes = if n <= 12 {
+            let dense = p.to_amplitudes(e, n).unwrap();
+            dense.into_iter().map(bits).collect()
+        } else {
+            Vec::new()
+        };
+        Observed {
+            node: e.node,
+            weight: bits(e.w),
+            amplitudes,
+            vnodes_alive: p.vnodes.alive_count(),
+            unique_misses: p.stats().unique_misses,
+            ratios: format!("{:?}", p.ratio_canon),
+        }
+    }
+
+    /// H, T and CX on every target, each applied to the result of the
+    /// one before and observed.
+    fn sweep(p: &mut Package, mul: Mul, n: usize, mut state: VEdge, log: &mut Vec<Observed>) {
+        for q in 0..n {
+            let h = p.single_gate(n, q, GateKind::H.matrix()).unwrap();
+            let t = p.single_gate(n, q, GateKind::T.matrix()).unwrap();
+            let cx = p
+                .controlled_gate(n, &[q], (q + 1) % n, GateKind::X.matrix())
+                .unwrap();
+            for g in [h, t, cx] {
+                state = mul(p, g, state);
+                log.push(observe(p, state, n));
+            }
+        }
+    }
+
+    /// Runs one history twice — multiplying by the rule and by the
+    /// reference, each in packages of its own — and requires the same
+    /// observations after every gate. Returns the statistics of the
+    /// package that followed the rule.
+    fn assert_rule_is_unobservable(
+        history: impl Fn(Mul, &mut Vec<Observed>) -> PackageStats,
+    ) -> PackageStats {
+        let (mut ruled, mut recursed) = (Vec::new(), Vec::new());
+        let stats = history(Package::mul_mv, &mut ruled);
+        let reference = history(Package::mul_mv_recursing, &mut recursed);
+        assert_eq!(reference.identity_skips, 0);
+        assert_eq!(ruled.len(), recursed.len());
+        for (gate, (a, b)) in ruled.iter().zip(&recursed).enumerate() {
+            assert_eq!(a, b, "after gate {gate}");
+        }
+        assert!(!ruled.is_empty());
+        stats
+    }
+
+    /// `kind` on each of `qubits` of an `n`-qubit `state`.
+    fn layer(
+        p: &mut Package,
+        mul: Mul,
+        n: usize,
+        qubits: std::ops::Range<usize>,
+        kind: GateKind,
+        mut state: VEdge,
+    ) -> VEdge {
+        for q in qubits {
+            let g = p.single_gate(n, q, kind.matrix()).unwrap();
+            state = mul(p, g, state);
+        }
+        state
+    }
+
+    /// |GHZ_n⟩: H on qubit 0, then a CX ladder.
+    fn ghz(p: &mut Package, mul: Mul, n: usize) -> VEdge {
+        let mut state = p.zero_state(n);
+        let h = p.single_gate(n, 0, GateKind::H.matrix()).unwrap();
+        state = mul(p, h, state);
+        for k in 1..n {
+            let cx = p
+                .controlled_gate(n, &[k - 1], k, GateKind::X.matrix())
+                .unwrap();
+            state = mul(p, cx, state);
+        }
+        state
+    }
+
+    #[test]
+    fn structure_bits_live_in_existing_padding() {
+        assert_eq!(std::mem::size_of::<VNode>(), 56);
+        assert_eq!(std::mem::size_of::<MNode>(), 104);
+    }
+
+    #[test]
+    fn identity_bit_marks_identity_matrices_and_nothing_else() {
+        let mut p = Package::new();
+        let _ = p.identity(8);
+        for k in 1..=8 {
+            assert!(p.mnode(p.ident_cache[k].node).identity, "height {k}");
+        }
+
+        // A controlled gate: identity where the control reads 0, the
+        // gate where it reads 1.
+        let cx = p.controlled_gate(4, &[3], 0, GateKind::X.matrix()).unwrap();
+        let root = *p.mnode(cx.node);
+        assert!(!root.identity);
+        assert_eq!(root.edges[0].node, p.ident_cache[3].node);
+        assert!(p.mnode(root.edges[0].node).identity);
+        assert!(!p.mnode(root.edges[3].node).identity);
+
+        // Off-diagonal, diagonal with a −1, and the `[e, 0, 0, e]`
+        // levels above a gate, whose `e` is not an identity.
+        for (kind, n) in [(GateKind::X, 1), (GateKind::Z, 1), (GateKind::H, 3)] {
+            let g = p.single_gate(n, 0, kind.matrix()).unwrap();
+            assert!(!p.mnode(g.node).identity, "{kind:?}");
+        }
+
+        // A scaled identity is the identity node under a weighted edge,
+        // so the rule answers it through `m.w`.
+        let half = MEdge::terminal(Cplx::real(0.5));
+        let scaled = p.make_mnode(0, [half, MEdge::ZERO, MEdge::ZERO, half]);
+        assert_eq!(scaled.node, p.ident_cache[1].node);
+        assert_eq!(scaled.w, Cplx::real(0.5));
+        let one = p.basis_state(1, 1);
+        let before = p.stats();
+        let halved = p.mul_mv(scaled, one);
+        assert_eq!(halved, one.scaled(Cplx::real(0.5)));
+        let after = p.stats();
+        assert_eq!(after.identity_skips, before.identity_skips + 1);
+        assert_eq!(after.unique_hits, before.unique_hits);
+    }
+
+    #[test]
+    fn stability_is_a_property_of_the_stored_bits_not_of_the_state() {
+        let mut p = Package::new();
+        let zero = p.zero_state(20);
+        assert_eq!(p.stable_census(zero), (20, 20));
+        let basis = p.basis_state(20, 0xABCDE);
+        assert_eq!(p.stable_census(basis), (20, 20));
+        let ghz = ghz(&mut p, Package::mul_mv, 20);
+        assert_eq!(p.stable_census(ghz), (39, 39));
+
+        // |+⟩^20 straight out of the H gates stores the pair
+        // 0.7071067811865475, which re-normalises to 0.9999999999999999:
+        // no node is stable. A T layer re-makes every node of the same
+        // column, and the pair it stores does survive.
+        let plus = layer(&mut p, Package::mul_mv, 20, 0..20, GateKind::H, zero);
+        assert_eq!(p.stable_census(plus), (0, 20));
+        let w = p.vnode(plus.node).edges[0].w;
+        assert_eq!(w.re.to_bits(), 0.707_106_781_186_547_5_f64.to_bits());
+        let turned = layer(&mut p, Package::mul_mv, 20, 0..20, GateKind::T, plus);
+        assert_eq!(p.stable_census(turned), (20, 20));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // Generic weights: almost no node is stable, so nearly every
+        // identity operand must take the recursion — and still agree.
+        #[test]
+        fn skip_equals_recompute_on_generic_states(
+            amps in prop::collection::vec((any::<f64>(), any::<f64>()), 256),
+            n in 3usize..9
+        ) {
+            let amps: Vec<Cplx> = amps[..1 << n].iter().map(|&(re, im)| Cplx::new(re, im)).collect();
+            assert_rule_is_unobservable(|mul, log| {
+                let mut p = Package::new();
+                let state = p.from_amplitudes(&amps).unwrap();
+                sweep(&mut p, mul, n, state, log);
+                p.stats()
+            });
+        }
+
+        // Products of basis states and H / T / CX layers, a mix: chains
+        // of `(1, 0)` pairs are stable, a fresh |+⟩ column is not, the
+        // same column after a T is — optionally cut by a truncation
+        // round first.
+        #[test]
+        fn skip_equals_recompute_on_layered_products(
+            n in 8usize..25,
+            idx in any::<u64>(),
+            layers in prop::collection::vec((0usize..3, 0usize..24, 1usize..24), 24),
+            truncated in any::<bool>()
+        ) {
+            let stats = assert_rule_is_unobservable(|mul, log| {
+                let mut p = Package::new();
+                let mut state = p.basis_state(n, idx & ((1 << n) - 1));
+                for &(kind, a, step) in &layers {
+                    let (a, b) = (a % n, (a + step) % n);
+                    let g = match kind {
+                        0 => p.single_gate(n, a, GateKind::H.matrix()),
+                        1 => p.single_gate(n, a, GateKind::T.matrix()),
+                        _ if a == b => continue,
+                        _ => p.controlled_gate(n, &[a], b, GateKind::X.matrix()),
+                    }
+                    .unwrap();
+                    state = mul(&mut p, g, state);
+                    log.push(observe(&p, state, n));
+                }
+                if truncated {
+                    state = p.truncate(state, RemovalStrategy::Budget(0.05)).unwrap().edge;
+                    log.push(observe(&p, state, n));
+                }
+                sweep(&mut p, mul, n, state, log);
+                p.stats()
+            });
+            prop_assert!(stats.identity_skips > 0, "a basis chain is stable");
+        }
+    }
+
+    #[test]
+    fn recycled_slots_carry_the_bits_of_their_new_nodes() {
+        const N: usize = 10;
+        let stats = assert_rule_is_unobservable(|mul, log| {
+            let mut p = Package::new();
+            // Low slots: an unstable |+⟩ column; higher slots: stable
+            // basis chains and a GHZ state.
+            let zero = p.zero_state(N);
+            let plus = layer(&mut p, mul, N, 0..N, GateKind::H, zero);
+            let ghz_state = ghz(&mut p, mul, N);
+            let _ = p.basis_state(N, 0x2A5);
+            assert_eq!(p.stable_census(plus), (0, N));
+            assert_eq!(p.stable_census(ghz_state), (2 * N - 1, 2 * N - 1));
+            let before: Vec<(u32, bool)> = p
+                .vnodes
+                .alive_indices()
+                .map(|id| (id, p.vnodes.get(id).stable))
+                .collect();
+
+            // Nothing is rooted: every slot goes back to the free list,
+            // and is handed out again in another order to other nodes.
+            let gc = p.collect_garbage();
+            assert_eq!(gc.vnodes_alive, 0);
+            let chain = p.basis_state(N, 0x155);
+            let ghz_state = ghz(&mut p, mul, N);
+            let plus = layer(&mut p, mul, N, 0..N, GateKind::H, chain);
+            let turned = layer(&mut p, mul, N, 0..N, GateKind::T, plus);
+            let flipped = |was: bool| {
+                before.iter().any(|&(id, stable)| {
+                    stable == was
+                        && p.vnodes.alive_indices().any(|alive| alive == id)
+                        && p.vnodes.get(id).stable != was
+                })
+            };
+            assert!(
+                flipped(false),
+                "no unstable slot was reused by a stable node"
+            );
+            assert!(
+                flipped(true),
+                "no stable slot was reused by an unstable node"
+            );
+
+            for state in [chain, ghz_state, plus, turned] {
+                sweep(&mut p, mul, N, state, log);
+            }
+            p.stats()
+        });
+        assert!(stats.identity_skips > 0 && stats.gc_runs == 1);
+    }
+
+    #[test]
+    fn frozen_nodes_keep_their_bits_and_diagrams_span_the_watermark() {
+        const N: usize = 10;
+        let stats = assert_rule_is_unobservable(|mul, log| {
+            let mut base = Package::new();
+            let zero = base.zero_state(N);
+            let _ = layer(&mut base, mul, N, 0..N, GateKind::H, zero);
+            let _ = ghz(&mut base, mul, N);
+            let mut p = Package::with_snapshot(&base.freeze(), None);
+            let watermark = p.vnodes.watermark();
+            assert!(watermark > 0, "the prefix holds vector nodes");
+
+            // Rebuilt states resolve to frozen nodes, bits included.
+            let zero = p.zero_state(N);
+            let plus = layer(&mut p, mul, N, 0..N, GateKind::H, zero);
+            let ghz_state = ghz(&mut p, mul, N);
+            assert!(plus.node.0 < watermark && ghz_state.node.0 < watermark);
+            assert_eq!(p.stable_census(plus), (0, N));
+            assert_eq!(p.stable_census(ghz_state), (2 * N - 1, 2 * N - 1));
+
+            // New diagrams grow above the watermark on frozen successors.
+            let turned = layer(&mut p, mul, N, N / 2..N, GateKind::T, plus);
+            let nodes = p.reachable_vnodes(turned);
+            assert!(nodes.iter().any(|id| id.0 >= watermark));
+            assert!(nodes.iter().any(|id| id.0 < watermark));
+            for state in [ghz_state, plus, turned] {
+                sweep(&mut p, mul, N, state, log);
+            }
+            p.stats()
+        });
+        assert!(stats.identity_skips > 0 && stats.snapshot_hits > 0);
+    }
+
+    #[test]
+    fn a_stored_weight_below_tolerance_makes_a_node_unstable() {
+        assert_rule_is_unobservable(|mul, log| {
+            let mut p = Package::new();
+            // 5e-9 survives `make_vnode`'s input snap and is stored as
+            // 5e-13, under the 1e-12 tolerance, which the recursion
+            // drops. On the terminal level the dropped edge and the
+            // stored one are both the terminal under weight key 0: the
+            // recursion finds this very node again, and so may the rule.
+            let big = Cplx::real(1e4);
+            let small = Cplx::real(5e-9);
+            let e = p.make_vnode(0, VEdge::terminal(big), VEdge::terminal(small));
+            assert_eq!(p.vnode(e.node).edges[1].w, Cplx::real(5e-13));
+            assert!(p.vnode(e.node).stable);
+            let id = p.identity(1);
+            let through = mul(&mut p, id, e);
+            assert_eq!(through.node, e.node);
+            log.push(observe(&p, through, 1));
+
+            // One level up the dropped edge loses its successor: the
+            // recursion builds another node, so this one must not be
+            // skipped.
+            let (c0, c1) = (p.basis_state(1, 0), p.basis_state(1, 1));
+            let e = p.make_vnode(1, c0.scaled(big), c1.scaled(small));
+            let node = *p.vnode(e.node);
+            assert_eq!(node.edges[1].w, Cplx::real(5e-13));
+            assert!(p.vnode(c0.node).stable && p.vnode(c1.node).stable);
+            assert!(!node.stable);
+            let id = p.identity(2);
+            let through = mul(&mut p, id, e);
+            assert_ne!(through.node, e.node);
+            log.push(observe(&p, through, 2));
+            p.stats()
+        });
+    }
+
+    #[test]
+    fn a_nan_weight_is_unstable_and_does_not_panic() {
+        assert_rule_is_unobservable(|mul, log| {
+            let mut p = Package::new();
+            let nan = VEdge::terminal(Cplx::new(f64::NAN, 0.0));
+            for (e0, e1) in [(nan, VEdge::ONE), (VEdge::ONE, nan), (nan, VEdge::ZERO)] {
+                let e = p.make_vnode(0, e0, e1);
+                assert!(!p.vnode(e.node).stable);
+                let id = p.identity(1);
+                let through = mul(&mut p, id, e);
+                log.push(observe(&p, through, 1));
+            }
+            p.stats()
+        });
     }
 
     #[test]

@@ -37,6 +37,58 @@ fn key_hash<const N: usize>(nodes: [u32; N], weights: [(i64, i64); N]) -> u64 {
     h.finish()
 }
 
+/// Whether a weight is `1 + 0i` bit for bit — the only weight the
+/// identity rule may stand in for: `1 − ulp`, `1 + 0i` with a negative
+/// zero and NaN all fail.
+#[inline]
+fn is_exactly_one(w: Cplx) -> bool {
+    w.re.to_bits() == Cplx::ONE.re.to_bits() && w.im.to_bits() == Cplx::ONE.im.to_bits()
+}
+
+/// The arithmetic half of [`Package::make_vnode`], a pure function of
+/// its inputs: snaps near-zero weights to the zero stub, scales the pair
+/// to unit ℓ2 norm with a real positive pivot, and returns the factor
+/// taken out with the normalized successor edges — `None` for the zero
+/// vector. [`Package::make_vnode`] interns what this returns, and
+/// `VNode::stable` is decided by running a node's own edges through it,
+/// so "what re-normalising this node would give" is by construction
+/// what the recursion computes.
+#[inline]
+fn normalize(tol: Tolerance, mut e0: VEdge, mut e1: VEdge) -> Option<(Cplx, [VEdge; 2])> {
+    if tol.is_zero(e0.w) {
+        e0 = VEdge::ZERO;
+    }
+    if tol.is_zero(e1.w) {
+        e1 = VEdge::ZERO;
+    }
+    let m0 = e0.w.mag2();
+    let m1 = e1.w.mag2();
+    if m0 == 0.0 && m1 == 0.0 {
+        return None;
+    }
+    let norm = (m0 + m1).sqrt();
+    // Canonical pivot: the first structurally non-zero child.
+    let pivot_w = if m0 > 0.0 { e0.w } else { e1.w };
+    let phase = pivot_w.phase();
+    let factor = phase * norm;
+    let inv = factor.recip();
+    // Kill numerical noise: the pivot becomes exactly real positive.
+    let (n0, n1) = if m0 > 0.0 {
+        (Cplx::real(m0.sqrt() / norm), e1.w * inv)
+    } else {
+        (Cplx::ZERO, Cplx::real(m1.sqrt() / norm))
+    };
+    let e0 = VEdge {
+        w: n0,
+        node: e0.node,
+    };
+    let e1 = VEdge {
+        w: n1,
+        node: e1.node,
+    };
+    Some((factor, [e0, e1]))
+}
+
 /// Drops a swept vector node's unique-table entry. Free functions over
 /// the table (not `Package` methods) so the arena sweep can call them
 /// while it holds the arena: garbage is unlinked where it is found,
@@ -129,6 +181,12 @@ pub struct PackageStats {
     /// Unique-table hits that resolved to a frozen snapshot node
     /// (a subset of `unique_hits`; 0 without a snapshot).
     pub snapshot_hits: u64,
+    /// [`Package::mul_mv`] calls answered by the identity rule (see the
+    /// crate docs): an identity operator on a stable sub-diagram,
+    /// returned without a lookup or a recursion. Like the hit/miss
+    /// counters it describes how a result was reached, not the result,
+    /// and is excluded from every fingerprint.
+    pub identity_skips: u64,
     /// Bytes the package's node store holds right now, counted from
     /// container **lengths**: arena slots (payload, reference count,
     /// flag bits, free list), unique-table buckets, canonical-ratio
@@ -362,44 +420,15 @@ impl Package {
     /// first non-zero weight is made real positive; the inverse scale
     /// factor is returned on the edge. Near-zero child weights are
     /// snapped to the canonical zero stub.
-    pub(crate) fn make_vnode(&mut self, var: u8, mut e0: VEdge, mut e1: VEdge) -> VEdge {
-        if self.tol.is_zero(e0.w) {
-            e0 = VEdge::ZERO;
-        }
-        if self.tol.is_zero(e1.w) {
-            e1 = VEdge::ZERO;
-        }
+    pub(crate) fn make_vnode(&mut self, var: u8, e0: VEdge, e1: VEdge) -> VEdge {
         debug_assert!(self.child_level_ok(var, e0) && self.child_level_ok(var, e1));
-
-        let m0 = e0.w.mag2();
-        let m1 = e1.w.mag2();
-        if m0 == 0.0 && m1 == 0.0 {
+        let Some((factor, edges)) = normalize(self.tol, e0, e1) else {
             return VEdge::ZERO;
-        }
-        let norm = (m0 + m1).sqrt();
-        // Canonical pivot: the first structurally non-zero child.
-        let pivot_w = if m0 > 0.0 { e0.w } else { e1.w };
-        let phase = pivot_w.phase();
-        let factor = phase * norm;
-        let inv = factor.recip();
-        // Kill numerical noise: the pivot becomes exactly real positive.
-        let (n0, n1) = if m0 > 0.0 {
-            (Cplx::real(m0.sqrt() / norm), e1.w * inv)
-        } else {
-            (Cplx::ZERO, Cplx::real(m1.sqrt() / norm))
         };
-        let e0 = VEdge {
-            w: n0,
-            node: e0.node,
-        };
-        let e1 = VEdge {
-            w: n1,
-            node: e1.node,
-        };
-
         let id = self.intern_vnode(VNode {
             var,
-            edges: [e0, e1],
+            stable: false,
+            edges,
         });
         VEdge {
             w: factor,
@@ -408,7 +437,9 @@ impl Package {
     }
 
     /// The canonical id of an already normalized vector node: the one
-    /// the unique table holds for its key, or a newly allocated slot.
+    /// the unique table holds for its key, or a newly allocated slot —
+    /// whose `stable` bit is decided here, once (the argument's is
+    /// ignored).
     #[inline]
     pub(crate) fn intern_vnode(&mut self, node: VNode) -> u32 {
         let weights = node.edges.map(|e| self.tol.key(e.w));
@@ -431,11 +462,50 @@ impl Package {
             }
             None => {
                 self.stats.unique_misses += 1;
-                let id = self.vnodes.alloc(node);
+                let id = self.vnodes.alloc(VNode {
+                    stable: self.survives_identity(&node, weights),
+                    ..node
+                });
                 self.vunique.insert(node.var, hash, id);
                 id
             }
         }
+    }
+
+    /// The definition of [`VNode::stable`]: `mul_mv(I, ·)` on this
+    /// normalized node would come back as the node itself under a weight
+    /// with the bits of `Cplx::ONE`. Feeds [`normalize`] what the
+    /// recursion feeds `make_vnode` — for each successor the early-out
+    /// or the scaled edge `mul_mv` returns on it, which `add(·, 0)` then
+    /// passes through untouched — and asks whether the unique table
+    /// would answer with this node: same successor ids, same weight
+    /// keys (`keys`: those of the node's stored weights). A successor
+    /// that is neither terminal nor stable settles it without
+    /// arithmetic, which is the common case wherever stability is rare.
+    fn survives_identity(&self, node: &VNode, keys: [(i64, i64); 2]) -> bool {
+        let mut fed = [VEdge::ZERO; 2];
+        for (fed, c) in fed.iter_mut().zip(node.edges) {
+            if c.is_zero(self.tol) {
+                continue;
+            }
+            *fed = if c.node.is_terminal() {
+                VEdge::terminal(Cplx::ONE * c.w)
+            } else if self.vnode(c.node).stable {
+                VEdge {
+                    w: Cplx::ONE,
+                    node: c.node,
+                }
+                .scaled(Cplx::ONE * c.w)
+            } else {
+                return false;
+            };
+        }
+        normalize(self.tol, fed[0], fed[1]).is_some_and(|(factor, edges)| {
+            is_exactly_one(factor)
+                && (0..2).all(|i| {
+                    edges[i].node == node.edges[i].node && self.tol.key(edges[i].w) == keys[i]
+                })
+        })
     }
 
     fn child_level_ok(&self, var: u8, e: VEdge) -> bool {
@@ -481,7 +551,11 @@ impl Package {
             }
         }
 
-        let id = self.intern_mnode(MNode { var, edges });
+        let id = self.intern_mnode(MNode {
+            var,
+            identity: false,
+            edges,
+        });
         MEdge {
             w: factor,
             node: NodeId(id),
@@ -489,7 +563,8 @@ impl Package {
     }
 
     /// The canonical id of an already normalized matrix node (see
-    /// [`Package::intern_vnode`]).
+    /// [`Package::intern_vnode`]); a new slot's `identity` bit is
+    /// decided here.
     #[inline]
     pub(crate) fn intern_mnode(&mut self, node: MNode) -> u32 {
         let weights = node.edges.map(|e| self.tol.key(e.w));
@@ -512,7 +587,14 @@ impl Package {
             }
             None => {
                 self.stats.unique_misses += 1;
-                let id = self.mnodes.alloc(node);
+                let [e, upper, lower, e11] = node.edges;
+                let identity = is_exactly_one(e.w)
+                    && is_exactly_one(e11.w)
+                    && e.node == e11.node
+                    && upper.is_zero(self.tol)
+                    && lower.is_zero(self.tol)
+                    && (e.node.is_terminal() || self.mnode(e.node).identity);
+                let id = self.mnodes.alloc(MNode { identity, ..node });
                 self.munique.insert(node.var, hash, id);
                 id
             }

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use crate::prometheus;
@@ -332,6 +332,16 @@ impl MetricsRegistry {
         }
     }
 
+    /// The registration map, whoever held it last. Every critical
+    /// section below is one map operation or a read of atomics, so the
+    /// map is valid at every step and the guard of a holder that
+    /// panicked is recovered rather than propagated — the lock rule of
+    /// `approxdd-exec` and `approxdd-server`: one thread's panic must
+    /// not take down the next `/metrics` scrape.
+    fn map(&self) -> MutexGuard<'_, BTreeMap<MetricKey, Metric>> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn get_or_insert(
         &self,
         name: &str,
@@ -345,15 +355,13 @@ impl MetricsRegistry {
                 .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
                 .collect(),
         );
-        let mut map = self.metrics.lock().expect("telemetry registry poisoned");
-        map.entry(key).or_insert_with(make).clone()
+        self.map().entry(key).or_insert_with(make).clone()
     }
 
     /// Zeroes every registered value; registrations (and the `Arc`
     /// handles callers cached) stay valid.
     pub fn reset(&self) {
-        let map = self.metrics.lock().expect("telemetry registry poisoned");
-        for metric in map.values() {
+        for metric in self.map().values() {
             match metric {
                 Metric::Counter(c) => c.reset(),
                 Metric::Gauge(g) => g.reset(),
@@ -366,9 +374,9 @@ impl MetricsRegistry {
     /// `(name, labels)`.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let map = self.metrics.lock().expect("telemetry registry poisoned");
         MetricsSnapshot {
-            entries: map
+            entries: self
+                .map()
                 .iter()
                 .map(|((name, labels), metric)| MetricEntry {
                     name: name.clone(),
@@ -422,6 +430,29 @@ mod tests {
         assert_eq!(histogram.count(), 8 * PER_THREAD);
         // Σ 0..10000 per thread.
         assert_eq!(histogram.sum(), 8 * (PER_THREAD * (PER_THREAD - 1) / 2));
+    }
+
+    #[test]
+    fn a_panic_under_the_registry_lock_does_not_spread() {
+        let registry = Arc::new(MetricsRegistry::new());
+        registry.counter("hits_total").add(3);
+        let holder = Arc::clone(&registry);
+        let died = std::thread::spawn(move || {
+            let _guard = holder.metrics.lock().unwrap();
+            panic!("a thread dies holding the registry lock");
+        })
+        .join();
+        assert!(died.is_err() && registry.metrics.lock().is_err());
+
+        // Registration, scrape and reset all still work, on intact data.
+        registry.counter("hits_total").inc();
+        registry.gauge("depth").set(2);
+        let snap = registry.snapshot();
+        assert_eq!(snap.entries.len(), 2);
+        assert_eq!(registry.counter("hits_total").get(), 4);
+        assert!(registry.render_prometheus().contains("hits_total 4"));
+        registry.reset();
+        assert_eq!(registry.counter("hits_total").get(), 0);
     }
 
     #[test]

@@ -1,0 +1,90 @@
+//! The allocation trajectory of two Table I runs, pinned.
+//!
+//! `tests/golden_results.rs` pins what a run *returns*; this file pins
+//! what it *allocates on the way*: how many nodes the unique tables had
+//! to create, the peak arena populations, how often the collector ran
+//! and what it freed, and the bytes the node store ends up holding.
+//! Garbage-collection timing is part of the result (ARCHITECTURE.md), so
+//! a `crates/dd` change that claims to be bit-exact *and* to allocate
+//! nothing new leaves every literal below alone — they were recorded on
+//! the commit before the identity rule (`crates/dd/src/ops.rs`) landed.
+//! A change that re-lays out a table moves `node_store_bytes` only and
+//! re-records it here, as it does in `tests/node_store.rs`.
+//!
+//! What the identity rule did move is pinned beside them: it fires, and
+//! the run consults the compute tables strictly less often than the
+//! 512 439 / 1 139 349 lookups the same commit took.
+
+use approxdd::circuit::{generators, Circuit};
+use approxdd::dd::PackageStats;
+use approxdd::shor::shor_circuit;
+use approxdd::sim::{Simulator, Strategy};
+
+/// The counters no bit-exact, allocation-free change may move.
+#[derive(Debug, PartialEq, Eq)]
+struct Trajectory {
+    unique_misses: u64,
+    vnodes_peak: usize,
+    mnodes_peak: usize,
+    gc_runs: u64,
+    gc_freed: u64,
+    node_store_bytes: usize,
+}
+
+fn run(circuit: &Circuit, strategy: Strategy) -> PackageStats {
+    let mut sim = Simulator::builder().strategy(strategy).seed(7).build();
+    sim.run(circuit).expect("a valid circuit").stats.package
+}
+
+fn trajectory(p: &PackageStats) -> Trajectory {
+    Trajectory {
+        unique_misses: p.unique_misses,
+        vnodes_peak: p.vnodes_peak,
+        mnodes_peak: p.mnodes_peak,
+        gc_runs: p.gc_runs,
+        gc_freed: p.gc_freed,
+        node_store_bytes: p.node_store_bytes,
+    }
+}
+
+#[test]
+fn memory_driven_supremacy_allocates_what_it_did_before() {
+    let p = run(
+        &generators::supremacy(4, 4, 9, 0),
+        Strategy::memory_driven_table1(4096, 0.975),
+    );
+    assert_eq!(
+        trajectory(&p),
+        Trajectory {
+            unique_misses: 437_447,
+            vnodes_peak: 295_142,
+            mnodes_peak: 751,
+            gc_runs: 1,
+            gc_freed: 266_529,
+            node_store_bytes: 37_860_984,
+        }
+    );
+    assert!(p.identity_skips > 0);
+    assert!(p.ct_hits + p.ct_misses < 512_439);
+}
+
+#[test]
+fn fidelity_driven_shor_allocates_what_it_did_before() {
+    let p = run(
+        &shor_circuit(323, 8).expect("323 is an odd composite coprime to 8"),
+        Strategy::fidelity_driven(0.5, 0.9),
+    );
+    assert_eq!(
+        trajectory(&p),
+        Trajectory {
+            unique_misses: 521_977,
+            vnodes_peak: 299_598,
+            mnodes_peak: 3_910,
+            gc_runs: 2,
+            gc_freed: 413_136,
+            node_store_bytes: 40_292_860,
+        }
+    );
+    assert!(p.identity_skips > 0);
+    assert!(p.ct_hits + p.ct_misses < 1_139_349);
+}

@@ -372,6 +372,84 @@ const GOLDEN: &[Golden] = &[
         },
         fingerprint: 0x35056d46458ab4ef,
     },
+    // Wide registers, where `mul_mv` spends most of its calls below the
+    // gate's target: the 30-qubit Shor instance of the benchmark and two
+    // 32-qubit exact runs. Recorded on the commit before the identity
+    // rule of `crates/dd/src/ops.rs`.
+    Golden {
+        name: "shor_629_8",
+        circuit: || shor_circuit(629, 8).expect("629 is an odd composite coprime to 8"),
+        strategy: SHOR,
+        nodes: Pinned {
+            fidelity: 0x3fe8e97d35ebdb5e,
+            rounds: &[
+                0x3fef000000000002,
+                0x3fed9ce739ce73a4,
+                0x3fedb3085db3085d,
+                0x3feeeec41ab15f1a,
+                0x3fef674d34da63f7,
+                0x3fef900d3ed6c353,
+            ],
+            max_dd_size: 130977,
+            nodes_removed: 172780,
+            series: 0x6137c526328a062f,
+        },
+        edges: Pinned {
+            fidelity: 0x3fe94f852e71f9db,
+            rounds: &[
+                0x3fef000000000002,
+                0x3fee4a5294a52954,
+                0x3fee195ac93386f9,
+                0x3fee85d3e5c8a2c0,
+                0x3fef4ede2b68178a,
+                0x3fef71f81ade89f1,
+            ],
+            max_dd_size: 265629,
+            nodes_removed: 501385,
+            series: 0xf1255095d2aee890,
+        },
+        fingerprint: 0xabb56208506826fe,
+    },
+    Golden {
+        name: "ghz_32",
+        circuit: || generators::ghz(32),
+        strategy: Strategy::Exact,
+        nodes: Pinned {
+            fidelity: 0x3ff0000000000000,
+            rounds: &[],
+            max_dd_size: 63,
+            nodes_removed: 0,
+            series: 0xe46bb1081f06a925,
+        },
+        edges: Pinned {
+            fidelity: 0x3ff0000000000000,
+            rounds: &[],
+            max_dd_size: 63,
+            nodes_removed: 0,
+            series: 0xe46bb1081f06a925,
+        },
+        fingerprint: 0x5355e43346c22704,
+    },
+    Golden {
+        name: "bernstein_vazirani_32",
+        circuit: || generators::bernstein_vazirani(32, 0xA5A5_A5A5),
+        strategy: Strategy::Exact,
+        nodes: Pinned {
+            fidelity: 0x3ff0000000000000,
+            rounds: &[],
+            max_dd_size: 32,
+            nodes_removed: 0,
+            series: 0x679f7c24b2876b25,
+        },
+        edges: Pinned {
+            fidelity: 0x3ff0000000000000,
+            rounds: &[],
+            max_dd_size: 32,
+            nodes_removed: 0,
+            series: 0x679f7c24b2876b25,
+        },
+        fingerprint: 0x11859fd57ce0c243,
+    },
 ];
 
 #[test]
