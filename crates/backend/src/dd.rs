@@ -14,8 +14,8 @@ use crate::{Backend, ExecError, Executable, Result, RunOutcome};
 /// `Simulator::builder()`, or go straight to a backend with
 /// [`crate::BuildBackend::build_backend`]); every approximation
 /// strategy the builder can express runs through this backend
-/// unchanged. Engine-specific operations (DOT export, fused execution,
-/// checkpointing) remain available through [`DdBackend::sim_mut`].
+/// unchanged. Engine-specific operations (DOT export, fused execution)
+/// remain available through [`DdBackend::sim_mut`].
 #[derive(Debug)]
 pub struct DdBackend {
     sim: Simulator,
@@ -24,32 +24,26 @@ pub struct DdBackend {
 impl DdBackend {
     /// Wraps a configured simulator.
     #[must_use]
-    pub fn new(sim: Simulator) -> Self {
+    pub(crate) fn new(sim: Simulator) -> Self {
         Self { sim }
     }
 
     /// An exact (non-approximating) DD backend with default options.
     #[must_use]
-    pub fn exact() -> Self {
+    pub(crate) fn exact() -> Self {
         Self::new(Simulator::default())
     }
 
     /// Read access to the wrapped simulator.
     #[must_use]
-    pub fn sim(&self) -> &Simulator {
+    pub(crate) fn sim(&self) -> &Simulator {
         &self.sim
     }
 
     /// Mutable access to the wrapped simulator (package queries, fused
-    /// runs, checkpointing…).
+    /// runs…).
     pub fn sim_mut(&mut self) -> &mut Simulator {
         &mut self.sim
-    }
-
-    /// Unwraps the simulator.
-    #[must_use]
-    pub fn into_sim(self) -> Simulator {
-        self.sim
     }
 
     /// Exact fidelity between two of this backend's live outcomes.

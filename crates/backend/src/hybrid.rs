@@ -62,12 +62,12 @@ impl HybridBackend {
 
     /// Read access to the wrapped simulator.
     #[must_use]
-    pub fn sim(&self) -> &Simulator {
+    pub(crate) fn sim(&self) -> &Simulator {
         &self.sim
     }
 
     /// Mutable access to the wrapped simulator.
-    pub fn sim_mut(&mut self) -> &mut Simulator {
+    pub(crate) fn sim_mut(&mut self) -> &mut Simulator {
         &mut self.sim
     }
 
@@ -75,7 +75,7 @@ impl HybridBackend {
     /// `circuit`: the Clifford prefix, or 0 when the register is too
     /// wide for the tableau→DD handoff.
     #[must_use]
-    pub fn effective_prefix_len(circuit: &Circuit) -> usize {
+    pub(crate) fn effective_prefix_len(circuit: &Circuit) -> usize {
         if circuit.n_qubits() > MAX_INDEXED_QUBITS {
             0
         } else {

@@ -99,14 +99,8 @@ impl Executable {
 
     /// Register width.
     #[must_use]
-    pub fn n_qubits(&self) -> usize {
+    pub(crate) fn n_qubits(&self) -> usize {
         self.circuit.n_qubits()
-    }
-
-    /// The circuit's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        self.circuit.name()
     }
 }
 
@@ -240,7 +234,7 @@ impl<H> RunOutcome<H> {
     /// engine-specific operations and inherits the engine's lifetime
     /// rules (see `RunResult::state`'s hazard note).
     #[must_use]
-    pub fn handle(&self) -> &H {
+    pub(crate) fn handle(&self) -> &H {
         &self.handle
     }
 

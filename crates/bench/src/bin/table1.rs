@@ -16,25 +16,22 @@
 //!   the machine's available parallelism). Both halves use it: the
 //!   memory-driven rows run entirely on the pool; the Shor half pools
 //!   its exact reference runs (factoring itself stays serial).
-//! * `--smoke` caps instances to a CI-sized workload (<60 s), adds a
-//!   pool-speedup probe (the same batch on 1 worker vs. 4), and emits
+//! * `--smoke` caps instances to a CI-sized workload (<60 s) and emits
 //!   JSON (to `--json`, default `table1_smoke.json`). Exits non-zero
 //!   if any row fails — CI runs exactly this.
-//! * `--json PATH` writes the rows (and smoke probe, if any) as JSON.
+//! * `--json PATH` writes the rows as JSON.
 //!
 //! The memory-driven rows run with a fixed threshold
 //! (`threshold_growth = 1.0`): the paper's text prescribes doubling,
 //! but its reported round counts (~50–90) require the fixed-threshold
-//! regime — see DESIGN.md §5a and EXPERIMENTS.md.
+//! regime — see the rustdoc of `Strategy::memory_driven_table1`.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use approxdd_bench::{
-    fidelity_driven_row, format_rows, memory_driven_rows_pooled, pool_batch_walltime, workloads,
-    TableRow,
+    fidelity_driven_row, format_rows, memory_driven_rows_pooled, workloads, TableRow,
 };
-use approxdd_circuit::generators;
 use approxdd_exec::PoolJob;
 use approxdd_sim::json::Json;
 use approxdd_sim::{Simulator, Strategy};
@@ -168,14 +165,8 @@ fn main() -> ExitCode {
     println!("{}", format_rows(&rows));
     println!("(Exact columns '-' reproduce the paper's Timeout entries / --skip-exact.)");
 
-    let speedup = smoke.then(|| measure_pool_speedup(&mut failures));
-
     if let Some(path) = json_path {
-        // Pool-level cache aggregate: hit rate and node high-water mark
-        // across the workers' DD packages — the per-PR cache-behavior
-        // trajectory CI archives alongside the per-row columns.
-        let pool_stats = pool.stats();
-        let mut report = vec![
+        let report = vec![
             (
                 "mode".to_string(),
                 Json::str(if smoke { "smoke" } else { "full" }),
@@ -187,38 +178,10 @@ fn main() -> ExitCode {
             ),
             ("failures".to_string(), Json::int(failures)),
             (
-                "cache".to_string(),
-                Json::obj([
-                    ("ct_hit_rate", Json::Num(pool_stats.ct_hit_rate())),
-                    ("peak_nodes", Json::int(pool_stats.peak_nodes())),
-                ]),
-            ),
-            // Resilience counters: all zero on a happy-path run (CI
-            // asserts exactly that) — a nonzero respawn count here
-            // means a worker died on a real bench workload.
-            (
-                "resilience".to_string(),
-                Json::obj([
-                    ("respawns", Json::int(pool_stats.respawns)),
-                    ("retries", Json::int(pool_stats.retries)),
-                    ("deadline_exceeded", Json::int(pool_stats.deadline_exceeded)),
-                ]),
-            ),
-            (
                 "rows".to_string(),
                 Json::Arr(rows.iter().map(TableRow::to_json).collect()),
             ),
-            // Phase-time breakdown and top counters from the process
-            // telemetry registry — the same series `GET /metrics`
-            // exposes, here as JSON for CI archiving.
-            (
-                "telemetry".to_string(),
-                approxdd_sim::ndjson::telemetry_json(),
-            ),
         ];
-        if let Some(probe) = speedup.flatten() {
-            report.push(("pool_speedup".to_string(), probe));
-        }
         let text = Json::Obj(report).to_string();
         match std::fs::write(&path, text) {
             Ok(()) => eprintln!("wrote {path}"),
@@ -234,46 +197,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// The bench-smoke speedup probe: the same 16-circuit batch on a
-/// 1-worker and a 4-worker pool. CI archives the ratio per PR; the
-/// (ignored-by-default) contract test asserts it stays ≤ 0.6.
-fn measure_pool_speedup(failures: &mut usize) -> Option<Json> {
-    let circuits: Vec<_> = (0..16)
-        .map(|seed| generators::supremacy(4, 4, 8, seed))
-        .collect();
-    let template = || Simulator::builder().strategy(Strategy::memory_driven_table1(1 << 11, 0.97));
-    let serial = match pool_batch_walltime(template(), 1, &circuits) {
-        Ok(d) => d,
-        Err(e) => {
-            *failures += 1;
-            eprintln!("speedup probe FAILED (1 worker): {e}");
-            return None;
-        }
-    };
-    let parallel = match pool_batch_walltime(template(), 4, &circuits) {
-        Ok(d) => d,
-        Err(e) => {
-            *failures += 1;
-            eprintln!("speedup probe FAILED (4 workers): {e}");
-            return None;
-        }
-    };
-    let ratio = parallel.as_secs_f64() / serial.as_secs_f64();
-    eprintln!(
-        "pool speedup probe: 16 circuits, 1 worker {:.3}s vs 4 workers {:.3}s (ratio {ratio:.3})",
-        serial.as_secs_f64(),
-        parallel.as_secs_f64()
-    );
-    Some(Json::obj([
-        ("circuits", Json::int(16)),
-        ("baseline_workers", Json::int(1)),
-        ("parallel_workers", Json::int(4)),
-        ("baseline_seconds", Json::Num(serial.as_secs_f64())),
-        ("parallel_seconds", Json::Num(parallel.as_secs_f64())),
-        ("ratio", Json::Num(ratio)),
-    ]))
 }
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {

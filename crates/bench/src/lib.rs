@@ -8,12 +8,12 @@
 //! * **fidelity-driven** on Shor instances (`shor_N_a`) targeting
 //!   `f_final = 0.5` at `f_round = 0.9`.
 //!
-//! [`memory_driven_row`] and [`fidelity_driven_row`] produce one table
-//! row each; [`workloads`] defines the benchmark instances (laptop-scale
+//! [`memory_driven_rows_pooled`] and [`fidelity_driven_row`] produce the
+//! table rows; [`workloads`] defines the benchmark instances (laptop-scale
 //! defaults plus the paper-scale `--large` set); [`format_rows`] renders
 //! the rows in the layout of Table I.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use approxdd_backend::{Backend, BackendStats, BuildBackend, ExecError};
 use approxdd_circuit::{generators, Circuit};
@@ -31,7 +31,7 @@ pub mod sweeps;
 /// # Errors
 ///
 /// Preparation or execution errors.
-pub fn run_stats<B: Backend>(
+pub(crate) fn run_stats<B: Backend>(
     backend: &mut B,
     circuit: &Circuit,
 ) -> Result<BackendStats, ExecError> {
@@ -47,42 +47,42 @@ pub struct TableRow {
     /// Benchmark name (`qsup_4x4_12_0`, `shor_33_5`, …).
     pub name: String,
     /// Register width.
-    pub qubits: usize,
+    pub(crate) qubits: usize,
     /// Exact run: maximum DD node count (`None` when skipped/timeout).
     pub exact_max_dd: Option<usize>,
     /// Exact run: wall-clock runtime.
     pub exact_runtime: Option<Duration>,
     /// Approximate run: maximum DD node count.
-    pub approx_max_dd: usize,
+    pub(crate) approx_max_dd: usize,
     /// Approximation rounds performed.
     pub rounds: usize,
     /// Per-round target fidelity.
-    pub f_round: f64,
+    pub(crate) f_round: f64,
     /// Approximate run: wall-clock runtime.
-    pub approx_runtime: Duration,
+    pub(crate) approx_runtime: Duration,
     /// Measured final fidelity (product of round fidelities; exact by
     /// Lemma 1).
     pub f_final: f64,
     /// Guaranteed final-fidelity floor: product of the per-round
     /// *target* fidelities of the rounds that removed nodes
     /// (≤ `f_final`).
-    pub fidelity_lower_bound: f64,
+    pub(crate) fidelity_lower_bound: f64,
     /// Name of the approximation policy that produced the approximate
     /// run (`"memory-driven"`, `"fidelity-driven"`, `"budget"`, or a
     /// custom policy's name).
-    pub policy: String,
+    pub(crate) policy: String,
     /// For Shor rows: whether classical post-processing recovered the
     /// factors from the approximate state.
     pub factored: Option<bool>,
     /// Approximate run: aggregate compute-cache hit rate of the DD
     /// package (all four lossy tables combined).
-    pub ct_hit_rate: Option<f64>,
+    pub(crate) ct_hit_rate: Option<f64>,
     /// Approximate run: unique-table occupancy (live entries over
     /// buckets) of the DD package.
-    pub unique_occupancy: Option<f64>,
+    pub(crate) unique_occupancy: Option<f64>,
     /// Approximate run: peak simultaneously-alive DD nodes (vector +
     /// matrix).
-    pub peak_nodes: Option<usize>,
+    pub(crate) peak_nodes: Option<usize>,
 }
 
 /// Copies the DD-package cache columns out of a run's unified stats.
@@ -92,59 +92,6 @@ fn cache_columns(stats: &BackendStats) -> (Option<f64>, Option<f64>, Option<usiz
         stats.unique_occupancy(),
         stats.peak_nodes(),
     )
-}
-
-/// Runs one memory-driven benchmark row: an exact reference run (unless
-/// `skip_exact`) and an approximate run with the given threshold, round
-/// fidelity and threshold growth factor (the paper's text prescribes
-/// growth 2.0; growth 1.0 reproduces the many-rounds regime its Table I
-/// actually reports — see `Strategy::MemoryDriven`).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn memory_driven_row(
-    circuit: &Circuit,
-    node_threshold: usize,
-    f_round: f64,
-    threshold_growth: f64,
-    skip_exact: bool,
-) -> Result<TableRow, ExecError> {
-    let (exact_max_dd, exact_runtime) = if skip_exact {
-        (None, None)
-    } else {
-        let mut exact = Simulator::builder().exact().build_backend();
-        let stats = run_stats(&mut exact, circuit)?;
-        (Some(stats.peak_size), Some(stats.runtime))
-    };
-
-    let mut approx = Simulator::builder()
-        .strategy(Strategy::MemoryDriven {
-            node_threshold,
-            round_fidelity: f_round,
-            threshold_growth,
-        })
-        .build_backend();
-    let stats = run_stats(&mut approx, circuit)?;
-    let (ct_hit_rate, unique_occupancy, peak_nodes) = cache_columns(&stats);
-
-    Ok(TableRow {
-        name: circuit.name().to_string(),
-        qubits: circuit.n_qubits(),
-        exact_max_dd,
-        exact_runtime,
-        approx_max_dd: stats.peak_size,
-        rounds: stats.approx_rounds,
-        f_round,
-        approx_runtime: stats.runtime,
-        f_final: stats.fidelity,
-        fidelity_lower_bound: stats.fidelity_lower_bound,
-        policy: stats.policy,
-        factored: None,
-        ct_hit_rate,
-        unique_occupancy,
-        peak_nodes,
-    })
 }
 
 /// Runs one fidelity-driven Shor benchmark row: an exact reference run
@@ -249,8 +196,7 @@ fn row_from_outcome(outcome: &PoolOutcome, f_round: f64, exact: ExactRef) -> Tab
 /// The memory-driven half of Table I as one pooled submission: exact
 /// reference runs (unless `skip_exact`) and every `circuit × f_round`
 /// combination execute concurrently across the pool's workers, then
-/// assemble into rows in the serial function's order (circuit-major,
-/// `f_round`-minor). Per-row failures stay confined to their slot.
+/// assemble into rows (circuit-major, `f_round`-minor). Per-row failures stay confined to their slot.
 pub fn memory_driven_rows_pooled(
     pool: &BackendPool,
     circuits: &[Circuit],
@@ -343,24 +289,6 @@ pub fn pool_from_args(args: &[String], template: SimulatorBuilder) -> Result<Bac
         None => template,
     };
     Ok(BackendPool::new(template.share_snapshot(true)))
-}
-
-/// Wall-clock time for one pooled batch run over `circuits` with the
-/// given worker count — the speedup probe the bench-smoke CI job
-/// reports (and the ignored release-mode contract test asserts on).
-///
-/// # Errors
-///
-/// The first failing job's error.
-pub fn pool_batch_walltime(
-    template: SimulatorBuilder,
-    workers: usize,
-    circuits: &[Circuit],
-) -> Result<Duration, ExecError> {
-    let pool = BackendPool::with_workers(template, workers);
-    let start = Instant::now();
-    pool.run_batch(circuits)?;
-    Ok(start.elapsed())
 }
 
 impl TableRow {
@@ -504,6 +432,54 @@ pub fn format_rows(rows: &[TableRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The serial row the pooled rows are checked against: an exact
+    /// reference run (unless `skip_exact`) and an approximate run with
+    /// the given threshold, round fidelity and threshold growth factor,
+    /// each on a backend of its own.
+    fn memory_driven_row(
+        circuit: &Circuit,
+        node_threshold: usize,
+        f_round: f64,
+        threshold_growth: f64,
+        skip_exact: bool,
+    ) -> Result<TableRow, ExecError> {
+        let (exact_max_dd, exact_runtime) = if skip_exact {
+            (None, None)
+        } else {
+            let mut exact = Simulator::builder().exact().build_backend();
+            let stats = run_stats(&mut exact, circuit)?;
+            (Some(stats.peak_size), Some(stats.runtime))
+        };
+
+        let mut approx = Simulator::builder()
+            .strategy(Strategy::MemoryDriven {
+                node_threshold,
+                round_fidelity: f_round,
+                threshold_growth,
+            })
+            .build_backend();
+        let stats = run_stats(&mut approx, circuit)?;
+        let (ct_hit_rate, unique_occupancy, peak_nodes) = cache_columns(&stats);
+
+        Ok(TableRow {
+            name: circuit.name().to_string(),
+            qubits: circuit.n_qubits(),
+            exact_max_dd,
+            exact_runtime,
+            approx_max_dd: stats.peak_size,
+            rounds: stats.approx_rounds,
+            f_round,
+            approx_runtime: stats.runtime,
+            f_final: stats.fidelity,
+            fidelity_lower_bound: stats.fidelity_lower_bound,
+            policy: stats.policy,
+            factored: None,
+            ct_hit_rate,
+            unique_occupancy,
+            peak_nodes,
+        })
+    }
 
     #[test]
     fn memory_driven_row_on_small_instance() {

@@ -4,61 +4,31 @@
 
 use std::time::Duration;
 
-use approxdd_backend::{BuildBackend, ExecError};
+use approxdd_backend::ExecError;
 use approxdd_circuit::Circuit;
 use approxdd_exec::{BackendPool, PoolJob};
-use approxdd_sim::{Simulator, Strategy};
-
-use crate::run_stats;
+use approxdd_sim::Strategy;
 
 /// One point of the `f_round` sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Per-round target fidelity.
-    pub f_round: f64,
+    pub(crate) f_round: f64,
     /// Maximum DD node count during the run.
-    pub max_dd_size: usize,
+    pub(crate) max_dd_size: usize,
     /// Rounds performed.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// Final measured fidelity.
-    pub f_final: f64,
+    pub(crate) f_final: f64,
     /// Wall-clock runtime.
-    pub runtime: Duration,
+    pub(crate) runtime: Duration,
 }
 
 /// Sweeps the memory-driven strategy over per-round fidelities on one
-/// circuit, holding the node threshold fixed. The paper's Table I shows
-/// three such points per instance; this produces the full series.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn round_fidelity_sweep(
-    circuit: &Circuit,
-    node_threshold: usize,
-    f_rounds: &[f64],
-) -> Result<Vec<SweepPoint>, ExecError> {
-    let mut out = Vec::with_capacity(f_rounds.len());
-    for &f_round in f_rounds {
-        let mut backend = Simulator::builder()
-            .memory_driven_table1(node_threshold, f_round)
-            .build_backend();
-        let stats = run_stats(&mut backend, circuit)?;
-        out.push(SweepPoint {
-            f_round,
-            max_dd_size: stats.peak_size,
-            rounds: stats.approx_rounds,
-            f_final: stats.fidelity,
-            runtime: stats.runtime,
-        });
-    }
-    Ok(out)
-}
-
-/// [`round_fidelity_sweep`] with every point running concurrently on a
-/// [`BackendPool`] (per-job strategy overrides over the shared
-/// template). Point order, and all statistics except wall-clock
-/// runtimes, are identical to the serial sweep.
+/// circuit, holding the node threshold fixed; every point runs
+/// concurrently on a [`BackendPool`] (per-job strategy overrides over
+/// the shared template). The paper's Table I shows three such points
+/// per instance; this produces the full series, in `f_rounds` order.
 ///
 /// # Errors
 ///
@@ -96,56 +66,26 @@ pub fn round_fidelity_sweep_pooled(
 #[derive(Debug, Clone, PartialEq)]
 pub struct TradeoffPoint {
     /// Number of scheduled rounds.
-    pub rounds_requested: usize,
+    pub(crate) rounds_requested: usize,
     /// Per-round fidelity used (`f_final^(1/k)`).
-    pub f_round: f64,
+    pub(crate) f_round: f64,
     /// Rounds actually performed.
-    pub rounds_performed: usize,
+    pub(crate) rounds_performed: usize,
     /// Maximum DD node count.
-    pub max_dd_size: usize,
+    pub(crate) max_dd_size: usize,
     /// Final measured fidelity.
-    pub f_final: f64,
+    pub(crate) f_final: f64,
     /// Wall-clock runtime.
-    pub runtime: Duration,
+    pub(crate) runtime: Duration,
 }
 
 /// The Section IV-C tradeoff: few aggressive rounds vs. many gentle
 /// rounds at (approximately) the same total budget. For each `k` in
 /// `round_counts`, runs fidelity-driven with `f_round = f_final^(1/k)`
 /// — so the scheduled round count is exactly `k` and the guaranteed
-/// floor is `f_final` in every configuration.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn rounds_tradeoff(
-    circuit: &Circuit,
-    final_fidelity: f64,
-    round_counts: &[usize],
-) -> Result<Vec<TradeoffPoint>, ExecError> {
-    let mut out = Vec::with_capacity(round_counts.len());
-    for &k in round_counts {
-        assert!(k > 0, "round counts must be positive");
-        let f_round = final_fidelity.powf(1.0 / k as f64);
-        let mut backend = Simulator::builder()
-            .fidelity_driven(final_fidelity, f_round)
-            .build_backend();
-        let stats = run_stats(&mut backend, circuit)?;
-        out.push(TradeoffPoint {
-            rounds_requested: k,
-            f_round,
-            rounds_performed: stats.approx_rounds,
-            max_dd_size: stats.peak_size,
-            f_final: stats.fidelity,
-            runtime: stats.runtime,
-        });
-    }
-    Ok(out)
-}
-
-/// [`rounds_tradeoff`] with every `k` running concurrently on a
-/// [`BackendPool`]. Point order, and all statistics except wall-clock
-/// runtimes, are identical to the serial tradeoff.
+/// floor is `f_final` in every configuration. Every `k` runs
+/// concurrently on a [`BackendPool`]; points come back in
+/// `round_counts` order.
 ///
 /// # Errors
 ///
@@ -225,7 +165,61 @@ pub fn format_tradeoff(points: &[TradeoffPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_stats;
+    use approxdd_backend::BuildBackend;
     use approxdd_circuit::generators;
+    use approxdd_sim::Simulator;
+
+    /// The serial tradeoff the pooled one is checked against: one
+    /// backend per `k`.
+    fn rounds_tradeoff(
+        circuit: &Circuit,
+        final_fidelity: f64,
+        round_counts: &[usize],
+    ) -> Result<Vec<TradeoffPoint>, ExecError> {
+        let mut out = Vec::with_capacity(round_counts.len());
+        for &k in round_counts {
+            assert!(k > 0, "round counts must be positive");
+            let f_round = final_fidelity.powf(1.0 / k as f64);
+            let mut backend = Simulator::builder()
+                .fidelity_driven(final_fidelity, f_round)
+                .build_backend();
+            let stats = run_stats(&mut backend, circuit)?;
+            out.push(TradeoffPoint {
+                rounds_requested: k,
+                f_round,
+                rounds_performed: stats.approx_rounds,
+                max_dd_size: stats.peak_size,
+                f_final: stats.fidelity,
+                runtime: stats.runtime,
+            });
+        }
+        Ok(out)
+    }
+
+    /// The serial sweep the pooled one is checked against: one backend
+    /// per point, memory-driven at a fixed node threshold.
+    fn round_fidelity_sweep(
+        circuit: &Circuit,
+        node_threshold: usize,
+        f_rounds: &[f64],
+    ) -> Result<Vec<SweepPoint>, ExecError> {
+        let mut out = Vec::with_capacity(f_rounds.len());
+        for &f_round in f_rounds {
+            let mut backend = Simulator::builder()
+                .memory_driven_table1(node_threshold, f_round)
+                .build_backend();
+            let stats = run_stats(&mut backend, circuit)?;
+            out.push(SweepPoint {
+                f_round,
+                max_dd_size: stats.peak_size,
+                rounds: stats.approx_rounds,
+                f_final: stats.fidelity,
+                runtime: stats.runtime,
+            });
+        }
+        Ok(out)
+    }
 
     #[test]
     fn sweep_lower_fidelity_never_grows_dd() {

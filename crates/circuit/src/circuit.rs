@@ -65,23 +65,6 @@ impl fmt::Display for CircuitError {
 
 impl Error for CircuitError {}
 
-/// Aggregate statistics of a circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CircuitStats {
-    /// State-transforming operations (gates + permutation blocks).
-    pub gates: usize,
-    /// Single-qubit gates without controls.
-    pub single_qubit: usize,
-    /// Controlled gates (any number of controls).
-    pub controlled: usize,
-    /// Permutation blocks.
-    pub permutations: usize,
-    /// Dense unitary blocks.
-    pub dense_blocks: usize,
-    /// Approximation markers.
-    pub approx_points: usize,
-}
-
 /// A quantum circuit: a register width and an operation sequence.
 ///
 /// Builder methods return `&mut Self` so construction chains:
@@ -149,35 +132,6 @@ impl Circuit {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// Aggregate statistics.
-    #[must_use]
-    pub fn stats(&self) -> CircuitStats {
-        let mut s = CircuitStats::default();
-        for op in &self.ops {
-            match op {
-                Operation::Gate { controls, .. } => {
-                    s.gates += 1;
-                    if controls.is_empty() {
-                        s.single_qubit += 1;
-                    } else {
-                        s.controlled += 1;
-                    }
-                }
-                Operation::Permutation { .. } => {
-                    s.gates += 1;
-                    s.permutations += 1;
-                }
-                Operation::DenseBlock { .. } => {
-                    s.gates += 1;
-                    s.dense_blocks += 1;
-                }
-                Operation::ApproxPoint => s.approx_points += 1,
-                Operation::Barrier => {}
-            }
-        }
-        s
     }
 
     /// Appends a raw operation.
@@ -389,7 +343,12 @@ impl Circuit {
     }
 
     /// Appends a controlled single-qubit gate (positive controls).
-    pub fn controlled(&mut self, gate: Gate, controls: &[usize], target: usize) -> &mut Self {
+    pub(crate) fn controlled(
+        &mut self,
+        gate: Gate,
+        controls: &[usize],
+        target: usize,
+    ) -> &mut Self {
         self.push(Operation::Gate {
             gate,
             target,
@@ -407,11 +366,6 @@ impl Circuit {
         self.gate(Gate::X, q)
     }
 
-    /// Pauli-Y.
-    pub fn y(&mut self, q: usize) -> &mut Self {
-        self.gate(Gate::Y, q)
-    }
-
     /// Pauli-Z.
     pub fn z(&mut self, q: usize) -> &mut Self {
         self.gate(Gate::Z, q)
@@ -425,11 +379,6 @@ impl Circuit {
     /// T gate.
     pub fn t(&mut self, q: usize) -> &mut Self {
         self.gate(Gate::T, q)
-    }
-
-    /// Phase gate diag(1, e^{iθ}).
-    pub fn p(&mut self, theta: f64, q: usize) -> &mut Self {
-        self.gate(Gate::Phase(theta), q)
     }
 
     /// X-rotation.
@@ -458,17 +407,17 @@ impl Circuit {
     }
 
     /// Controlled phase gate.
-    pub fn cp(&mut self, theta: f64, c: usize, t: usize) -> &mut Self {
+    pub(crate) fn cp(&mut self, theta: f64, c: usize, t: usize) -> &mut Self {
         self.controlled(Gate::Phase(theta), &[c], t)
     }
 
     /// Toffoli (CCX).
-    pub fn ccx(&mut self, c1: usize, c2: usize, t: usize) -> &mut Self {
+    pub(crate) fn ccx(&mut self, c1: usize, c2: usize, t: usize) -> &mut Self {
         self.controlled(Gate::X, &[c1, c2], t)
     }
 
     /// SWAP, decomposed into three CNOTs.
-    pub fn swap(&mut self, a: usize, b: usize) -> &mut Self {
+    pub(crate) fn swap(&mut self, a: usize, b: usize) -> &mut Self {
         self.cx(a, b).cx(b, a).cx(a, b)
     }
 
@@ -531,10 +480,12 @@ mod tests {
         c.h(0).cx(0, 1).ccx(0, 1, 2).approx_point().t(2);
         assert_eq!(c.gate_count(), 4);
         assert_eq!(c.len(), 5);
-        let s = c.stats();
-        assert_eq!(s.single_qubit, 2);
-        assert_eq!(s.controlled, 2);
-        assert_eq!(s.approx_points, 1);
+        let controlled = c
+            .ops()
+            .iter()
+            .filter(|op| matches!(op, Operation::Gate { controls, .. } if !controls.is_empty()))
+            .count();
+        assert_eq!(controlled, 2);
         c.validate().unwrap();
     }
 

@@ -58,7 +58,7 @@ pub enum Gate {
 impl Gate {
     /// The corresponding decision-diagram gate kind.
     #[must_use]
-    pub fn kind(self) -> GateKind {
+    pub(crate) fn kind(self) -> GateKind {
         match self {
             Gate::I => GateKind::I,
             Gate::X => GateKind::X,

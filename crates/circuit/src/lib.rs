@@ -33,7 +33,7 @@ pub mod generators;
 pub mod noise;
 pub mod qasm;
 
-pub use circuit::{Circuit, CircuitError, CircuitStats};
+pub use circuit::{Circuit, CircuitError};
 pub use clifford::{CliffordGate, CliffordOp};
 pub use gate::Gate;
 pub use op::{Control, Operation};

@@ -247,7 +247,7 @@ impl NoiseChannel {
 
     /// The channel's error rate (`p` or `γ`).
     #[must_use]
-    pub fn rate(&self) -> f64 {
+    pub(crate) fn rate(&self) -> f64 {
         match *self {
             NoiseChannel::Depolarizing1 { p }
             | NoiseChannel::Depolarizing2 { p }
@@ -330,21 +330,11 @@ impl NoiseChannel {
             .filter(|b| b.probability > 0.0)
             .collect()
     }
-
-    /// Selects the branch a uniform draw `r ∈ [0, 1)` lands in.
-    /// Rebuilds the branch table per call — samplers drawing in a loop
-    /// should cache [`NoiseChannel::branches`] and walk it with
-    /// [`select_branch`] instead.
-    #[must_use]
-    pub fn select(&self, r: f64) -> KrausBranch {
-        let branches = self.branches();
-        select_branch(&branches, r).clone()
-    }
 }
 
 /// Selects the branch of a cached table that a uniform draw
-/// `r ∈ [0, 1)` lands in (cumulative walk; the single walker shared by
-/// [`NoiseChannel::select`] and the trajectory sampler).
+/// `r ∈ [0, 1)` lands in (cumulative walk; what the trajectory sampler
+/// uses over a cached [`NoiseChannel::branches`] table).
 ///
 /// # Panics
 ///
@@ -723,12 +713,13 @@ mod tests {
 
     #[test]
     fn select_walks_the_cumulative_distribution() {
-        let channel = NoiseChannel::depolarizing(0.3).unwrap();
-        assert!(channel.select(0.0).factors[0].is_identity());
-        assert!(channel.select(0.69).factors[0].is_identity());
-        assert!(!channel.select(0.71).factors[0].is_identity());
+        let branches = NoiseChannel::depolarizing(0.3).unwrap().branches();
+        let select = |r| select_branch(&branches, r);
+        assert!(select(0.0).factors[0].is_identity());
+        assert!(select(0.69).factors[0].is_identity());
+        assert!(!select(0.71).factors[0].is_identity());
         // r → 1 lands in the last branch, never panics.
-        assert_eq!(channel.select(0.999_999).factors.len(), 1);
+        assert_eq!(select(0.999_999).factors.len(), 1);
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl Operation {
 
     /// All qubits touched by this operation (targets then controls).
     #[must_use]
-    pub fn qubits(&self) -> Vec<usize> {
+    pub(crate) fn qubits(&self) -> Vec<usize> {
         match self {
             Operation::Gate {
                 target, controls, ..

@@ -11,7 +11,7 @@
 //! * [`Cplx`] — a plain `f64`-pair complex number with the full arithmetic
 //!   surface needed by a simulator,
 //! * [`Tolerance`] — tolerance-aware approximate equality, and
-//! * [`quantize`] and [`Tolerance::key`] — a tolerance-grid quantization
+//! * [`Tolerance::key`] — a tolerance-grid quantization
 //!   used to hash weights consistently with approximate equality.
 //!
 //! # Examples
@@ -32,7 +32,7 @@ pub use value::Cplx;
 /// Default comparison tolerance used throughout the decision-diagram
 /// engine. The value mirrors the magnitude used by the reference C++
 /// implementation family (JKQ/MQT DDSIM).
-pub const DEFAULT_TOLERANCE: f64 = 1e-12;
+pub(crate) const DEFAULT_TOLERANCE: f64 = 1e-12;
 
 /// Tolerance-aware approximate comparison of real and complex values.
 ///
@@ -102,17 +102,11 @@ impl Tolerance {
         a.re.abs() <= self.eps && a.im.abs() <= self.eps
     }
 
-    /// Whether a complex value is approximately one.
-    #[must_use]
-    pub fn is_one(self, a: Cplx) -> bool {
-        self.eq(a, Cplx::ONE)
-    }
-
     /// Quantizes a real value onto the tolerance grid, producing an integer
     /// key such that values within one epsilon of each other land on the
     /// same or adjacent grid points.
     #[must_use]
-    pub fn quantize(self, x: f64) -> i64 {
+    pub(crate) fn quantize(self, x: f64) -> i64 {
         quantize_scaled(x, self.inv_pitch)
     }
 
@@ -133,20 +127,13 @@ impl Default for Tolerance {
     }
 }
 
-/// Quantizes `x` onto a grid of pitch `2 * eps`, mapping near-equal values
-/// to identical integers (up to boundary effects).
-///
-/// The pitch is twice the epsilon so that two values within `eps` of each
-/// other differ by at most one grid step.
+/// Quantizes `x` onto a grid of pitch `1 / inv_pitch = 2 * eps`, mapping
+/// near-equal values to identical integers (up to boundary effects).
+/// The pitch is twice the epsilon so that two values within `eps` of
+/// each other differ by at most one grid step; its reciprocal is
+/// precomputed (one multiply on the DD hot path instead of one divide).
 #[must_use]
-pub fn quantize(x: f64, eps: f64) -> i64 {
-    quantize_scaled(x, 1.0 / (2.0 * eps))
-}
-
-/// [`quantize`] with the reciprocal grid pitch precomputed (the form
-/// the DD hot path uses: one multiply instead of one divide).
-#[must_use]
-pub fn quantize_scaled(x: f64, inv_pitch: f64) -> i64 {
+pub(crate) fn quantize_scaled(x: f64, inv_pitch: f64) -> i64 {
     let scaled = x * inv_pitch;
     // Saturate rather than wrap for pathological magnitudes.
     if scaled >= i64::MAX as f64 {
@@ -193,33 +180,25 @@ mod tests {
     }
 
     #[test]
-    fn tolerance_one_detection() {
-        let t = Tolerance::default();
-        assert!(t.is_one(Cplx::ONE));
-        assert!(t.is_one(Cplx::new(1.0 + 1e-13, -1e-13)));
-        assert!(!t.is_one(Cplx::new(1.0 + 1e-6, 0.0)));
-    }
-
-    #[test]
     fn quantize_groups_close_values() {
         let eps = 1e-9;
-        let a = quantize(0.123_456_789, eps);
-        let b = quantize(0.123_456_789 + 1e-10, eps);
+        let a = Tolerance::new(eps).quantize(0.123_456_789);
+        let b = Tolerance::new(eps).quantize(0.123_456_789 + 1e-10);
         assert!((a - b).abs() <= 1);
     }
 
     #[test]
     fn quantize_separates_distant_values() {
         let eps = 1e-9;
-        let a = quantize(0.1, eps);
-        let b = quantize(0.2, eps);
+        let a = Tolerance::new(eps).quantize(0.1);
+        let b = Tolerance::new(eps).quantize(0.2);
         assert!((a - b).abs() > 1);
     }
 
     #[test]
     fn quantize_saturates() {
-        assert_eq!(quantize(f64::MAX, 1e-12), i64::MAX);
-        assert_eq!(quantize(f64::MIN, 1e-12), i64::MIN);
+        assert_eq!(Tolerance::new(1e-12).quantize(f64::MAX), i64::MAX);
+        assert_eq!(Tolerance::new(1e-12).quantize(f64::MIN), i64::MIN);
     }
 
     #[test]

@@ -70,20 +70,6 @@ impl Cplx {
         }
     }
 
-    /// The primitive `n`-th root of unity raised to the `k`-th power,
-    /// `e^{2 pi i k / n}` — the phase appearing in the quantum Fourier
-    /// transform.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn root_of_unity(k: i64, n: u64) -> Self {
-        assert!(n != 0, "root_of_unity: order must be nonzero");
-        let theta = 2.0 * std::f64::consts::PI * (k as f64) / (n as f64);
-        Self::from_polar(1.0, theta)
-    }
-
     /// Squared magnitude `|z|^2`. Cheaper than [`Cplx::mag`]; the quantity
     /// the Born rule and node contributions are built from.
     #[must_use]
@@ -99,7 +85,7 @@ impl Cplx {
 
     /// Argument (phase angle) in radians, in `(-pi, pi]`.
     #[must_use]
-    pub fn arg(self) -> f64 {
+    pub(crate) fn arg(self) -> f64 {
         self.im.atan2(self.re)
     }
 
@@ -145,13 +131,6 @@ impl Cplx {
             re: self.re * s,
             im: self.im * s,
         }
-    }
-
-    /// Fused multiply-add `self * b + c`, the inner-loop operation of the
-    /// matrix–vector recursion.
-    #[must_use]
-    pub fn mul_add(self, b: Cplx, c: Cplx) -> Self {
-        self * b + c
     }
 
     /// The unit-magnitude phase `z / |z|` of a nonzero value.
@@ -325,18 +304,6 @@ mod tests {
         let z = Cplx::new(-0.4, 0.9);
         let back = Cplx::from_polar(z.mag(), z.arg());
         assert!(close(back, z));
-    }
-
-    #[test]
-    fn roots_of_unity_cycle() {
-        let w = Cplx::root_of_unity(1, 8);
-        let mut acc = Cplx::ONE;
-        for _ in 0..8 {
-            acc *= w;
-        }
-        assert!(close(acc, Cplx::ONE));
-        // Half-way around is -1.
-        assert!(close(Cplx::root_of_unity(4, 8), Cplx::new(-1.0, 0.0)));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! [`SimulatorBuilder::seed`].
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use approxdd_circuit::noise::NoiseModel;
 use approxdd_circuit::Circuit;
@@ -47,7 +46,6 @@ pub struct SimulatorBuilder {
     engine: Engine,
     share_snapshot: bool,
     retry: RetryPolicy,
-    job_deadline: Option<Duration>,
 }
 
 impl std::fmt::Debug for SimulatorBuilder {
@@ -62,7 +60,6 @@ impl std::fmt::Debug for SimulatorBuilder {
             .field("engine", &self.engine)
             .field("share_snapshot", &self.share_snapshot)
             .field("retry", &self.retry)
-            .field("job_deadline", &self.job_deadline)
             .finish()
     }
 }
@@ -80,7 +77,6 @@ impl SimulatorBuilder {
             engine: Engine::Dd,
             share_snapshot: false,
             retry: RetryPolicy::default(),
-            job_deadline: None,
         }
     }
 
@@ -301,11 +297,9 @@ impl SimulatorBuilder {
 
     /// Sets the pool-wide [`RetryPolicy`]: how many attempts a pooled
     /// job may consume when it fails with a *retryable* error (a lost
-    /// worker, or an injected test fault), and how long to back off
-    /// between them. The default never retries. Plain
-    /// [`SimulatorBuilder::build`] ignores this knob; the pool layer
-    /// (`approxdd-exec`) reads it from the template, and individual
-    /// jobs may override it.
+    /// worker, or an injected test fault). The default never retries.
+    /// Plain [`SimulatorBuilder::build`] ignores this knob; the pool
+    /// layer (`approxdd-exec`) reads it from the template.
     ///
     /// Retrying is deterministic: job seeds are pure functions of the
     /// job index (never the attempt number), so a retried success is
@@ -319,29 +313,6 @@ impl SimulatorBuilder {
     #[must_use]
     pub fn retry_policy(&self) -> RetryPolicy {
         self.retry
-    }
-
-    /// Sets a default wall-clock deadline for every pooled job built
-    /// from this template. Enforced cooperatively: the pool wraps each
-    /// job's policy in a [`crate::DeadlinePolicy`], which aborts the
-    /// run at the first operation past the cutoff, surfacing a typed
-    /// `DeadlineExceeded` error. Individual jobs may override this with
-    /// their own deadline. Plain [`SimulatorBuilder::build`] ignores
-    /// the knob.
-    ///
-    /// Nonzero deadlines are inherently wall-clock-dependent — use them
-    /// for resource protection, not for anything a fingerprint
-    /// comparison depends on.
-    pub fn job_deadline(mut self, budget: Duration) -> Self {
-        self.job_deadline = Some(budget);
-        self
-    }
-
-    /// The template-wide job deadline, if any (see
-    /// [`SimulatorBuilder::job_deadline`]).
-    #[must_use]
-    pub fn job_deadline_budget(&self) -> Option<Duration> {
-        self.job_deadline
     }
 
     /// Builds a frozen [`SimSnapshot`] warming every gate of the given
@@ -377,12 +348,6 @@ impl SimulatorBuilder {
     #[must_use]
     pub fn sample_seed(&self) -> u64 {
         self.seed.unwrap_or(DEFAULT_SAMPLE_SEED)
-    }
-
-    /// The options accumulated so far.
-    #[must_use]
-    pub fn options(&self) -> &SimOptions {
-        &self.options
     }
 
     /// Builds the simulator. Policy parameters are validated at
@@ -463,7 +428,7 @@ mod tests {
             .gc_node_threshold(1234)
             .record_size_series(true)
             .seed(7);
-        let o = b.options();
+        let o = &b.options;
         assert_eq!(
             o.strategy,
             Strategy::FidelityDriven {
@@ -547,42 +512,31 @@ mod tests {
     }
 
     #[test]
-    fn retry_and_deadline_knobs_round_trip() {
-        use std::time::Duration;
+    fn retry_knob_round_trips() {
         let b = Simulator::builder();
         assert_eq!(b.retry_policy(), RetryPolicy::default());
-        assert!(b.job_deadline_budget().is_none());
 
-        let b = Simulator::builder()
-            .retry(RetryPolicy::new(3).with_backoff(Duration::from_millis(5)))
-            .job_deadline(Duration::from_secs(2));
+        let b = Simulator::builder().retry(RetryPolicy::new(3));
         assert_eq!(b.retry_policy().max_attempts, 3);
-        assert_eq!(b.retry_policy().backoff, Duration::from_millis(5));
-        assert_eq!(b.job_deadline_budget(), Some(Duration::from_secs(2)));
-        // Both survive cloning into pool templates.
-        let c = b.clone();
-        assert_eq!(c.retry_policy(), b.retry_policy());
-        assert_eq!(c.job_deadline_budget(), b.job_deadline_budget());
+        // Survives cloning into pool templates.
+        assert_eq!(b.clone().retry_policy(), b.retry_policy());
     }
 
     #[test]
     fn presets_match_strategy_constructors() {
         assert_eq!(
-            Simulator::builder()
-                .memory_driven(64, 0.9)
-                .options()
-                .strategy,
+            Simulator::builder().memory_driven(64, 0.9).options.strategy,
             Strategy::memory_driven(64, 0.9)
         );
         assert_eq!(
             Simulator::builder()
                 .memory_driven_table1(64, 0.9)
-                .options()
+                .options
                 .strategy,
             Strategy::memory_driven_table1(64, 0.9)
         );
         assert_eq!(
-            Simulator::builder().exact().options().strategy,
+            Simulator::builder().exact().options.strategy,
             Strategy::Exact
         );
     }

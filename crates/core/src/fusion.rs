@@ -6,8 +6,8 @@
 //! 2019 — reference [31] of the reproduced paper, and the source of its
 //! Shor benchmarks) showed that fusing gate sequences into a single
 //! operation DD can beat gate-by-gate application when intermediate
-//! states are larger than the fused operator. This module provides both
-//! whole-circuit operator construction and windowed fused execution.
+//! states are larger than the fused operator. This module provides
+//! windowed fused execution.
 
 use approxdd_circuit::{Circuit, Operation};
 use approxdd_dd::MEdge;
@@ -16,30 +16,6 @@ use crate::simulator::{RunResult, SimStats, Simulator};
 use crate::Result;
 
 impl Simulator {
-    /// Builds the single operation DD of an entire circuit by fusing all
-    /// gates with matrix–matrix multiplication (markers are skipped).
-    /// Practical for narrow or highly structured circuits; the operator
-    /// DD of an entangling wide circuit can be exponentially large.
-    ///
-    /// # Errors
-    ///
-    /// Circuit validation or DD construction errors.
-    pub fn build_operator(&mut self, circuit: &Circuit) -> Result<MEdge> {
-        circuit.validate()?;
-        let n = circuit.n_qubits();
-        let mut acc = self.package_mut().identity(n);
-        for op in circuit.ops() {
-            if !op.is_gate() {
-                continue;
-            }
-            let gate = self.gate_dd(circuit, op)?;
-            // New gate acts after the accumulated operator: G · acc.
-            let p = self.package_mut();
-            acc = p.mul_mm(gate, acc);
-        }
-        Ok(acc)
-    }
-
     /// Runs a circuit by fusing consecutive gates into windows of
     /// `window` gates each, then applying the fused operators to the
     /// state. `window == 1` degenerates to ordinary simulation (without
@@ -110,20 +86,6 @@ mod tests {
     use approxdd_circuit::generators;
 
     #[test]
-    fn whole_circuit_operator_matches_sequential_run() {
-        let circuit = generators::qft(5);
-        let mut sim = Simulator::builder().exact().build();
-        let op = sim.build_operator(&circuit).unwrap();
-
-        let seq = sim.run(&circuit).unwrap();
-        let p = sim.package_mut();
-        let initial = p.zero_state(5);
-        let fused_state = p.apply(op, initial);
-        let f = p.fidelity(seq.state(), fused_state);
-        assert!((f - 1.0).abs() < 1e-9, "fidelity {f}");
-    }
-
-    #[test]
     fn fused_windows_agree_with_gate_by_gate() {
         for window in [1usize, 2, 4, 16] {
             let circuit = generators::random_circuit(6, 8, 7);
@@ -134,18 +96,6 @@ mod tests {
             assert!((f - 1.0).abs() < 1e-9, "window {window}: fidelity {f}");
             assert_eq!(fused.stats.gates_applied, seq.stats.gates_applied);
         }
-    }
-
-    #[test]
-    fn operator_of_inverse_pair_is_identity() {
-        let n = 4;
-        let mut both = generators::qft(n);
-        both.append(&generators::inverse_qft(n, false), 0);
-        let mut sim = Simulator::builder().exact().build();
-        let op = sim.build_operator(&both).unwrap();
-        let id = sim.package_mut().identity(n);
-        assert_eq!(op.node, id.node, "QFT · QFT⁻¹ must fuse to the identity");
-        assert!((op.w - id.w).mag() < 1e-9);
     }
 
     #[test]

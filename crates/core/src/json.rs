@@ -53,16 +53,6 @@ impl Json {
         n.map_or(Json::Null, Json::int)
     }
 
-    /// The value under `key` when this is an object (`None` for a
-    /// missing key or any other variant).
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
     /// A measurement histogram as `{"outcome": count}` with
     /// deterministically sorted keys.
     #[must_use]

@@ -59,13 +59,11 @@ mod simulator;
 
 pub use builder::SimulatorBuilder;
 pub use error::SimError;
-pub use options::{ApproxPrimitive, Engine, RetryPolicy, SimOptions, Strategy};
+pub use options::{ApproxPrimitive, Engine, RetryPolicy, Strategy};
 pub use policy::{
-    memory_threshold_unreachable, ApproxPolicy, BudgetPolicy, DeadlineFactory, DeadlinePolicy,
-    ExactPolicy, FidelityDrivenPolicy, MemoryDrivenPolicy, PolicyAction, PolicyCtx, PolicyFactory,
-    SharedObserver, SimObserver, TraceEvent, TraceRecorder,
+    ApproxPolicy, BudgetPolicy, DeadlineFactory, ExactPolicy, PolicyAction, PolicyCtx,
+    PolicyFactory, SharedObserver, SimObserver, TraceEvent, TraceRecorder,
 };
-pub use schedule::plan_rounds;
 pub use simulator::{RunResult, SimSnapshot, SimStats, Simulator, DEFAULT_SAMPLE_SEED};
 
 /// Crate-wide result alias.

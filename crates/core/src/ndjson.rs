@@ -117,53 +117,6 @@ pub fn trace_to_ndjson(events: &[TraceEvent]) -> String {
     out
 }
 
-/// One metric entry as a JSON object (`kind`, `name`, `labels`, and
-/// the value — histograms expose `count`, `sum` and `seconds`).
-#[must_use]
-pub fn metric_entry_json(entry: &approxdd_telemetry::MetricEntry) -> Json {
-    let labels = Json::Obj(
-        entry
-            .labels
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-            .collect(),
-    );
-    match &entry.value {
-        MetricValue::Counter(v) => Json::obj([
-            ("kind", Json::str("counter")),
-            ("name", Json::str(entry.name.clone())),
-            ("labels", labels),
-            ("value", Json::int(*v as usize)),
-        ]),
-        MetricValue::Gauge(v) => Json::obj([
-            ("kind", Json::str("gauge")),
-            ("name", Json::str(entry.name.clone())),
-            ("labels", labels),
-            ("value", Json::int(*v as usize)),
-        ]),
-        MetricValue::Histogram(h) => Json::obj([
-            ("kind", Json::str("histogram")),
-            ("name", Json::str(entry.name.clone())),
-            ("labels", labels),
-            ("count", Json::int(h.count as usize)),
-            ("sum", Json::int(h.sum as usize)),
-            ("seconds", Json::Num(h.sum_seconds())),
-        ]),
-    }
-}
-
-/// Serializes a metrics snapshot as NDJSON: one metric per line, in
-/// the snapshot's deterministic `(name, labels)` order.
-#[must_use]
-pub fn metrics_to_ndjson(snapshot: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for entry in &snapshot.entries {
-        out.push_str(&metric_entry_json(entry).to_string());
-        out.push('\n');
-    }
-    out
-}
-
 /// The bench bins' `telemetry` report object: a phase-time breakdown
 /// (seconds per [`approxdd_telemetry::PHASE_METRIC`] phase label) plus
 /// the top counters, taken from the global registry.
@@ -175,7 +128,7 @@ pub fn telemetry_json() -> Json {
 /// [`telemetry_json`] over an explicit snapshot (tests, merged worker
 /// snapshots).
 #[must_use]
-pub fn telemetry_json_from(snapshot: &MetricsSnapshot) -> Json {
+pub(crate) fn telemetry_json_from(snapshot: &MetricsSnapshot) -> Json {
     let mut phases: Vec<(String, Json)> = Vec::new();
     let mut counters: Vec<(String, u64)> = Vec::new();
     for entry in &snapshot.entries {
@@ -231,22 +184,6 @@ pub fn telemetry_json_from(snapshot: &MetricsSnapshot) -> Json {
 mod tests {
     use super::*;
     use approxdd_telemetry::MetricsRegistry;
-
-    #[test]
-    fn metrics_ndjson_one_line_per_entry() {
-        let registry = MetricsRegistry::new();
-        registry.counter("a_total").add(3);
-        registry.gauge("b").set(7);
-        registry.histogram("c_nanos").observe(1_000);
-        let ndjson = metrics_to_ndjson(&registry.snapshot());
-        let lines: Vec<&str> = ndjson.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"kind\":\"counter\""));
-        assert!(lines[0].contains("\"value\":3"));
-        assert!(lines[1].contains("\"kind\":\"gauge\""));
-        assert!(lines[2].contains("\"kind\":\"histogram\""));
-        assert!(lines[2].contains("\"count\":1"));
-    }
 
     #[test]
     fn telemetry_json_splits_phases_and_counters() {

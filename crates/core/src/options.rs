@@ -1,7 +1,5 @@
 //! Simulation options and approximation strategies.
 
-use std::time::Duration;
-
 use crate::error::SimError;
 
 /// Which simulation engine a backend built from a
@@ -182,7 +180,7 @@ impl Strategy {
     /// strategy may apply: `⌊log_{f_round}(f_final)⌋` (Sec. IV-C).
     /// Returns 0 for other strategies.
     #[must_use]
-    pub fn max_rounds(&self) -> usize {
+    pub(crate) fn max_rounds(&self) -> usize {
         match *self {
             Strategy::FidelityDriven {
                 final_fidelity,
@@ -204,16 +202,13 @@ impl Strategy {
 ///
 /// Lives in this crate so one builder template describes the full
 /// experiment — the pool layer (`approxdd-exec`) reads it from the
-/// template and accepts a per-job override. Retrying is safe by
-/// construction: a job's seed is a pure function of (root seed, domain,
-/// job index), never of the attempt number, so a retried success is
-/// byte-identical to a first-try success.
+/// template. Retrying is safe by construction: a job's seed is a pure
+/// function of (root seed, domain, job index), never of the attempt
+/// number, so a retried success is byte-identical to a first-try
+/// success.
 ///
-/// Backoff is paid **per round, not per job**: the pool re-dispatches
-/// everything that failed in one collection round together, and sleeps
-/// once before that round — for the longest [`RetryPolicy::delay_for`]
-/// any of its jobs asks for. A round with *k* retried jobs therefore
-/// costs one delay, not *k*.
+/// Retries go out immediately: the pool re-dispatches everything that
+/// failed in one collection round together.
 ///
 /// The default (`max_attempts = 1`) disables retries entirely —
 /// failures surface to the caller exactly as before.
@@ -222,50 +217,13 @@ pub struct RetryPolicy {
     /// Total number of attempts a job may consume, including the first
     /// (so `1` means "never retry"). Zero is treated as one.
     pub max_attempts: u32,
-    /// Base backoff slept before each retry round, doubled per attempt:
-    /// attempt `k` (1-based retry count) asks for `backoff · 2^(k−1)`,
-    /// and a round sleeps for the longest delay among its jobs.
-    /// [`Duration::ZERO`] (the default) retries immediately — the
-    /// right choice for deterministic in-process faults, while a
-    /// server fronting flaky external resources wants a real backoff.
-    pub backoff: Duration,
 }
 
 impl RetryPolicy {
-    /// A policy allowing up to `max_attempts` total attempts with no
-    /// backoff.
+    /// A policy allowing up to `max_attempts` total attempts.
     #[must_use]
     pub fn new(max_attempts: u32) -> Self {
-        Self {
-            max_attempts,
-            backoff: Duration::ZERO,
-        }
-    }
-
-    /// Sets the base backoff (doubled per retry).
-    #[must_use]
-    pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Whether this policy ever retries.
-    #[must_use]
-    pub fn retries_enabled(&self) -> bool {
-        self.max_attempts > 1
-    }
-
-    /// The exponential-backoff delay before the given zero-based
-    /// attempt: nothing before the first attempt, `backoff · 2^(a−1)`
-    /// before attempt `a ≥ 1` (saturating, so absurd attempt counts
-    /// cannot overflow).
-    #[must_use]
-    pub fn delay_for(&self, attempt: u32) -> Duration {
-        if attempt == 0 || self.backoff.is_zero() {
-            return Duration::ZERO;
-        }
-        self.backoff
-            .saturating_mul(1u32.checked_shl(attempt - 1).unwrap_or(u32::MAX))
+        Self { max_attempts }
     }
 }
 
@@ -291,15 +249,15 @@ pub enum ApproxPrimitive {
 
 /// Options controlling a [`crate::Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimOptions {
+pub(crate) struct SimOptions {
     /// Approximation strategy (default: [`Strategy::Exact`]).
     pub strategy: Strategy,
     /// Which truncation primitive the rounds use (default: node
     /// removal, as in the paper).
-    pub primitive: ApproxPrimitive,
+    pub(crate) primitive: ApproxPrimitive,
     /// Garbage-collect the package when its total alive node count
     /// exceeds this value (default: 1 « 18).
-    pub gc_node_threshold: usize,
+    pub(crate) gc_node_threshold: usize,
     /// Record the DD size after every gate into
     /// [`crate::SimStats::size_series`] (default: off; used by the
     /// benchmark harness to regenerate size-over-time series).
@@ -311,7 +269,7 @@ pub struct SimOptions {
     /// undersized cache only recomputes more. Tune down for
     /// many-worker pools where per-worker footprint matters, up for
     /// deep single-session circuits with heavy structural reuse.
-    pub compute_cache_bits: Option<u32>,
+    pub(crate) compute_cache_bits: Option<u32>,
 }
 
 impl SimOptions {
@@ -325,7 +283,7 @@ impl SimOptions {
     ///
     /// [`SimError::InvalidStrategy`] for out-of-range strategy
     /// parameters.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         self.strategy.validate()
     }
 }
@@ -416,21 +374,8 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_defaults_and_backoff() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.max_attempts, 1);
-        assert!(!p.retries_enabled());
-        assert_eq!(p.delay_for(0), Duration::ZERO);
-        assert_eq!(p.delay_for(3), Duration::ZERO);
-
-        let p = RetryPolicy::new(3).with_backoff(Duration::from_millis(10));
-        assert!(p.retries_enabled());
-        assert_eq!(p.delay_for(0), Duration::ZERO);
-        assert_eq!(p.delay_for(1), Duration::from_millis(10));
-        assert_eq!(p.delay_for(2), Duration::from_millis(20));
-        assert_eq!(p.delay_for(3), Duration::from_millis(40));
-        // Saturates instead of overflowing.
-        assert!(p.delay_for(200) > Duration::from_secs(3600));
+    fn retry_policy_default_never_retries() {
+        assert_eq!(RetryPolicy::default().max_attempts, 1);
     }
 
     /// Input-validation hardening: every NaN / zero / out-of-range

@@ -76,29 +76,28 @@ use crate::schedule::plan_rounds;
 
 /// The per-operation snapshot the simulator hands its [`ApproxPolicy`]
 /// after every circuit operation (gates *and* markers — check
-/// [`PolicyCtx::applied_gate`] / [`PolicyCtx::at_marker`] to tell them
-/// apart).
+/// [`PolicyCtx::applied_gate`] to tell them apart).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyCtx {
     /// Index of the current operation in `circuit.ops()`.
-    pub op_index: usize,
+    pub(crate) op_index: usize,
     /// Total number of operations in the circuit.
-    pub total_ops: usize,
+    pub(crate) total_ops: usize,
     /// Whether the current operation applied a gate to the state (false
     /// for markers and barriers).
     pub applied_gate: bool,
     /// Whether the current operation is an
     /// [`approxdd_circuit::Operation::ApproxPoint`] block marker — the
     /// scheduled round positions of the paper's Sec. IV-C.
-    pub at_marker: bool,
+    pub(crate) at_marker: bool,
     /// Gates applied so far (including the current one).
     pub gates_applied: usize,
     /// Node count of the state DD right now.
     pub live_nodes: usize,
     /// Maximum state-DD node count observed so far this run.
-    pub peak_nodes: usize,
+    pub(crate) peak_nodes: usize,
     /// Approximation rounds performed so far this run.
-    pub rounds_taken: usize,
+    pub(crate) rounds_taken: usize,
     /// Product of the *target* fidelities of every round fired so far
     /// that actually removed nodes — the guaranteed floor on the final
     /// fidelity (1.0 before any round; no-op rounds provably keep
@@ -108,7 +107,7 @@ pub struct PolicyCtx {
     /// Product of the *measured* per-round fidelities so far — the
     /// exact estimate [`crate::SimStats::fidelity`] reports (always ≥
     /// [`PolicyCtx::fidelity_lower_bound`]).
-    pub fidelity_estimate: f64,
+    pub(crate) fidelity_estimate: f64,
 }
 
 /// What a policy wants the simulator to do at the current operation.
@@ -190,7 +189,7 @@ pub trait ApproxPolicy {
     fn decide(&mut self, ctx: &PolicyCtx) -> PolicyAction;
 
     /// The policy's current node threshold, if it has one — reported as
-    /// [`crate::SimStats::final_threshold`] after the run (memory-style
+    /// `crate::SimStats::final_threshold` after the run (memory-style
     /// policies grow it per round). `None` for schedule-driven
     /// policies.
     fn node_threshold(&self) -> Option<usize> {
@@ -289,12 +288,11 @@ impl ApproxPolicy for ExactPolicy {
 /// threshold, truncate targeting `round_fidelity` and grow the
 /// threshold by `threshold_growth`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemoryDrivenPolicy {
+pub(crate) struct MemoryDrivenPolicy {
     node_threshold: usize,
     round_fidelity: f64,
     threshold_growth: f64,
     current: usize,
-    threshold_unreachable: bool,
 }
 
 /// Whether a memory threshold can ever fire on an `n_qubits`-wide run:
@@ -304,7 +302,7 @@ pub struct MemoryDrivenPolicy {
 /// to misread as "the policy held memory down". Widths where `2^n`
 /// overflows `usize` can always exceed any representable threshold.
 #[must_use]
-pub fn memory_threshold_unreachable(node_threshold: usize, n_qubits: usize) -> bool {
+pub(crate) fn memory_threshold_unreachable(node_threshold: usize, n_qubits: usize) -> bool {
     u32::try_from(n_qubits)
         .ok()
         .and_then(|n| 1usize.checked_shl(n))
@@ -312,38 +310,19 @@ pub fn memory_threshold_unreachable(node_threshold: usize, n_qubits: usize) -> b
 }
 
 impl MemoryDrivenPolicy {
-    /// The paper-text configuration: doubling threshold growth.
-    #[must_use]
-    pub fn new(node_threshold: usize, round_fidelity: f64) -> Self {
-        Self::with_growth(node_threshold, round_fidelity, 2.0)
-    }
-
-    /// The regime the paper's Table I actually reports: a fixed
-    /// threshold (`threshold_growth = 1.0`); see
-    /// [`Strategy::memory_driven_table1`].
-    #[must_use]
-    pub fn table1(node_threshold: usize, round_fidelity: f64) -> Self {
-        Self::with_growth(node_threshold, round_fidelity, 1.0)
-    }
-
     /// Fully parameterized construction (growth ≥ 1.0).
     #[must_use]
-    pub fn with_growth(node_threshold: usize, round_fidelity: f64, threshold_growth: f64) -> Self {
+    pub(crate) fn with_growth(
+        node_threshold: usize,
+        round_fidelity: f64,
+        threshold_growth: f64,
+    ) -> Self {
         Self {
             node_threshold,
             round_fidelity,
             threshold_growth,
             current: node_threshold,
-            threshold_unreachable: false,
         }
-    }
-
-    /// Whether [`ApproxPolicy::begin`] found the threshold unreachable
-    /// for the run's register width (see
-    /// [`memory_threshold_unreachable`]) — `false` before `begin`.
-    #[must_use]
-    pub fn threshold_unreachable(&self) -> bool {
-        self.threshold_unreachable
     }
 
     fn as_strategy(&self) -> Strategy {
@@ -368,9 +347,7 @@ impl ApproxPolicy for MemoryDrivenPolicy {
         // (e.g. a sweep's fixed threshold outgrowing its narrowest
         // circuits), so flag it loudly instead of silently never
         // approximating.
-        self.threshold_unreachable =
-            memory_threshold_unreachable(self.node_threshold, circuit.n_qubits());
-        if self.threshold_unreachable {
+        if memory_threshold_unreachable(self.node_threshold, circuit.n_qubits()) {
             eprintln!(
                 "warning: memory threshold {} can never fire on {} ({} qubits): \
                  a width-n state DD holds at most 2^n - 1 nodes, so this run is exact",
@@ -412,7 +389,7 @@ impl ApproxPolicy for MemoryDrivenPolicy {
 /// otherwise), guaranteeing the final fidelity stays above
 /// `final_fidelity`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FidelityDrivenPolicy {
+pub(crate) struct FidelityDrivenPolicy {
     final_fidelity: f64,
     round_fidelity: f64,
     plan: Vec<usize>,
@@ -438,13 +415,6 @@ impl FidelityDrivenPolicy {
             final_fidelity: self.final_fidelity,
             round_fidelity: self.round_fidelity,
         }
-    }
-
-    /// The operation indices after which rounds are scheduled (empty
-    /// before [`ApproxPolicy::begin`]).
-    #[must_use]
-    pub fn plan(&self) -> &[usize] {
-        &self.plan
     }
 }
 
@@ -564,7 +534,7 @@ impl ApproxPolicy for BudgetPolicy {
 /// inner policy) caused an abort; the pool layer reads it to convert
 /// the generic `PolicyAbort` error into a typed
 /// `ExecError::DeadlineExceeded`.
-pub struct DeadlinePolicy {
+pub(crate) struct DeadlinePolicy {
     inner: Box<dyn ApproxPolicy>,
     budget: Duration,
     started: Option<Instant>,
@@ -572,18 +542,11 @@ pub struct DeadlinePolicy {
 }
 
 impl DeadlinePolicy {
-    /// Wraps `inner` with a wall-clock `budget`, creating a fresh
-    /// fired flag (retrieve it with [`DeadlinePolicy::fired_flag`]).
-    #[must_use]
-    pub fn new(inner: Box<dyn ApproxPolicy>, budget: Duration) -> Self {
-        Self::with_flag(inner, budget, Arc::new(AtomicBool::new(false)))
-    }
-
     /// Wraps `inner`, reporting deadline hits through a caller-supplied
     /// flag — how [`DeadlineFactory`] shares one flag across the
     /// policies it builds.
     #[must_use]
-    pub fn with_flag(
+    pub(crate) fn with_flag(
         inner: Box<dyn ApproxPolicy>,
         budget: Duration,
         fired: Arc<AtomicBool>,
@@ -594,13 +557,6 @@ impl DeadlinePolicy {
             started: None,
             fired,
         }
-    }
-
-    /// The shared flag set to `true` the moment the deadline forces an
-    /// abort.
-    #[must_use]
-    pub fn fired_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.fired)
     }
 }
 
@@ -643,13 +599,13 @@ impl ApproxPolicy for DeadlinePolicy {
     }
 }
 
-/// A [`PolicyFactory`] producing [`DeadlinePolicy`]-wrapped instances
+/// A [`PolicyFactory`] producing `DeadlinePolicy`-wrapped instances
 /// of an inner factory's policies, all reporting through one shared
 /// fired flag.
 ///
 /// This is what the pool layer installs per job: the worker builds the
 /// policy through this factory, runs the job, and on a `PolicyAbort`
-/// error checks [`DeadlineFactory::fired`] to tell a deadline abort
+/// error checks `DeadlineFactory::fired` to tell a deadline abort
 /// from an ordinary policy abort.
 pub struct DeadlineFactory {
     inner: Arc<dyn PolicyFactory>,
@@ -670,11 +626,11 @@ impl DeadlineFactory {
 
     /// Whether any policy built by this factory has hit its deadline.
     #[must_use]
-    pub fn fired(&self) -> bool {
+    pub(crate) fn fired(&self) -> bool {
         self.fired.load(Ordering::Relaxed)
     }
 
-    /// The shared flag behind [`DeadlineFactory::fired`].
+    /// The shared flag behind `DeadlineFactory::fired`.
     #[must_use]
     pub fn fired_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.fired)
@@ -895,7 +851,7 @@ mod tests {
 
     #[test]
     fn memory_policy_fires_above_threshold_and_grows() {
-        let mut p = MemoryDrivenPolicy::new(10, 0.9);
+        let mut p = MemoryDrivenPolicy::with_growth(10, 0.9, 2.0);
         p.begin(&generators::ghz(3)).unwrap();
         assert_eq!(p.decide(&ctx(true, 10, 1.0)), PolicyAction::Continue);
         assert_eq!(
@@ -926,19 +882,14 @@ mod tests {
         assert!(!memory_threshold_unreachable(usize::MAX, 64));
         assert!(!memory_threshold_unreachable(usize::MAX, 200));
 
-        let mut p = MemoryDrivenPolicy::table1(1 << 4, 0.97);
-        assert!(!p.threshold_unreachable(), "unset before begin");
+        let mut p = MemoryDrivenPolicy::with_growth(1 << 4, 0.97, 1.0);
         p.begin(&generators::ghz(4)).unwrap();
-        assert!(p.threshold_unreachable());
         assert_eq!(p.decide(&ctx(true, 15, 1.0)), PolicyAction::Continue);
-        // The same policy on a wider circuit is fine again.
-        p.begin(&generators::ghz(8)).unwrap();
-        assert!(!p.threshold_unreachable());
     }
 
     #[test]
     fn memory_policy_table1_keeps_threshold_fixed() {
-        let mut p = MemoryDrivenPolicy::table1(10, 0.9);
+        let mut p = MemoryDrivenPolicy::with_growth(10, 0.9, 1.0);
         p.begin(&generators::ghz(3)).unwrap();
         for _ in 0..3 {
             assert!(matches!(
@@ -954,7 +905,7 @@ mod tests {
         let circuit = generators::ghz(10);
         let mut p = FidelityDrivenPolicy::new(0.5, 0.9);
         p.begin(&circuit).unwrap();
-        let plan = p.plan().to_vec();
+        let plan = p.plan.clone();
         assert!(!plan.is_empty());
         for i in 0..circuit.ops().len() {
             let mut c = ctx(true, 100, 1.0);
@@ -993,8 +944,12 @@ mod tests {
     #[test]
     fn policies_validate_their_parameters_in_begin() {
         let c = generators::ghz(3);
-        assert!(MemoryDrivenPolicy::new(0, 0.9).begin(&c).is_err());
-        assert!(MemoryDrivenPolicy::new(10, f64::NAN).begin(&c).is_err());
+        assert!(MemoryDrivenPolicy::with_growth(0, 0.9, 2.0)
+            .begin(&c)
+            .is_err());
+        assert!(MemoryDrivenPolicy::with_growth(10, f64::NAN, 2.0)
+            .begin(&c)
+            .is_err());
         assert!(MemoryDrivenPolicy::with_growth(10, 0.9, f64::NAN)
             .begin(&c)
             .is_err());
@@ -1025,8 +980,9 @@ mod tests {
     fn deadline_policy_aborts_past_the_budget() {
         // A zero budget expires at the first decision — deterministic,
         // which is what the pool's deadline tests rely on.
-        let mut p = DeadlinePolicy::new(Box::new(ExactPolicy), Duration::ZERO);
-        let flag = p.fired_flag();
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut p =
+            DeadlinePolicy::with_flag(Box::new(ExactPolicy), Duration::ZERO, Arc::clone(&flag));
         p.begin(&generators::ghz(3)).unwrap();
         assert_eq!(p.decide(&ctx(true, 5, 1.0)), PolicyAction::Abort);
         assert!(flag.load(Ordering::Relaxed));
@@ -1034,11 +990,12 @@ mod tests {
 
     #[test]
     fn deadline_policy_is_transparent_before_the_cutoff() {
-        let mut p = DeadlinePolicy::new(
-            Box::new(MemoryDrivenPolicy::table1(10, 0.9)),
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut p = DeadlinePolicy::with_flag(
+            Box::new(MemoryDrivenPolicy::with_growth(10, 0.9, 1.0)),
             Duration::from_secs(3600),
+            Arc::clone(&flag),
         );
-        let flag = p.fired_flag();
         p.begin(&generators::ghz(8)).unwrap();
         assert_eq!(p.name(), "memory-driven");
         assert_eq!(p.node_threshold(), Some(10));

@@ -16,7 +16,7 @@ use approxdd_circuit::{Circuit, Operation};
 ///
 /// Returns an empty set when `rounds == 0` or the circuit has no gates.
 #[must_use]
-pub fn plan_rounds(circuit: &Circuit, rounds: usize) -> Vec<usize> {
+pub(crate) fn plan_rounds(circuit: &Circuit, rounds: usize) -> Vec<usize> {
     if rounds == 0 {
         return Vec::new();
     }

@@ -57,13 +57,13 @@ pub struct SimStats {
     /// Final node threshold ([`crate::ApproxPolicy::node_threshold`];
     /// memory-style policies grow it per round, schedule-driven
     /// policies report `None`).
-    pub final_threshold: Option<usize>,
+    pub(crate) final_threshold: Option<usize>,
     /// Name of the [`crate::ApproxPolicy`] that steered the run
     /// (`"exact"`, `"memory-driven"`, `"fidelity-driven"`, `"budget"`,
     /// or a custom policy's name).
     pub policy: String,
     /// DD size after every gate (only when
-    /// [`SimOptions::record_size_series`] is set).
+    /// [`SimulatorBuilder::record_size_series`] is set).
     pub size_series: Vec<usize>,
     /// DD-package counters at the end of the run: compute-cache
     /// hit rates and occupancy per table, unique-table occupancy, and
@@ -162,7 +162,7 @@ enum TableGuard {
 /// canonical ratios) plus the warmed gate-DD cache that maps circuit
 /// operations onto frozen edges.
 ///
-/// Built once per job batch by [`SimSnapshot::build`] (usually through
+/// Built once per job batch by [`SimulatorBuilder::build_snapshot`] (usually through
 /// `BackendPool` when [`SimulatorBuilder::share_snapshot`] is on), then
 /// handed to every worker job via `Arc`. A simulator layered over a
 /// snapshot ([`SimulatorBuilder::build_with_snapshot`]) resolves warmed
@@ -185,12 +185,12 @@ impl SimSnapshot {
     ///
     /// Propagates gate-construction errors (e.g. malformed
     /// permutations) from the first offending operation.
-    pub fn build<'a>(
+    pub(crate) fn build<'a>(
         options: &SimOptions,
         circuits: impl IntoIterator<Item = &'a Circuit>,
     ) -> Result<Self> {
         let _span = telemetry::Span::enter("snapshot.build");
-        let mut sim = Simulator::seeded(*options, DEFAULT_SAMPLE_SEED);
+        let mut sim = Simulator::with_snapshot(*options, DEFAULT_SAMPLE_SEED, None);
         for circuit in circuits {
             for op in circuit.ops() {
                 if op.is_gate() {
@@ -218,7 +218,7 @@ impl SimSnapshot {
 
     /// The frozen package prefix itself.
     #[must_use]
-    pub fn package(&self) -> &PackageSnapshot {
+    pub(crate) fn package(&self) -> &PackageSnapshot {
         &self.package
     }
 
@@ -276,31 +276,18 @@ impl Simulator {
         SimulatorBuilder::new()
     }
 
-    /// Creates a simulator with the given options and the default
-    /// sampling seed ([`DEFAULT_SAMPLE_SEED`]).
-    #[must_use]
-    pub fn new(options: SimOptions) -> Self {
-        Self::seeded(options, DEFAULT_SAMPLE_SEED)
-    }
-
-    /// Creates a simulator with the given options and sampling seed
-    /// (what [`SimulatorBuilder::seed`] builds). The approximation
-    /// policy is derived from [`SimOptions::strategy`]; use
-    /// [`Simulator::set_policy_factory`] (or
-    /// [`SimulatorBuilder::policy`]) to install a custom policy.
-    #[must_use]
-    pub fn seeded(options: SimOptions, seed: u64) -> Self {
-        Self::with_snapshot(options, seed, None)
-    }
-
-    /// The one constructor: [`Simulator::seeded`], optionally layered
-    /// over a shared frozen snapshot. With `Some`, the package resolves
+    /// The one constructor (what [`SimulatorBuilder::build`] and
+    /// [`SimulatorBuilder::build_with_snapshot`] call), optionally
+    /// layered over a shared frozen snapshot. The approximation policy
+    /// is derived from `options.strategy` unless
+    /// [`Simulator::set_policy_factory`] replaces it. With `Some`, the
+    /// package resolves
     /// frozen nodes through the snapshot and allocates private nodes
     /// above the watermark, and warmed gate DDs are served from the
     /// snapshot's cache (see [`SimSnapshot`]); `None` starts from an
     /// empty package.
     #[must_use]
-    pub fn with_snapshot(
+    pub(crate) fn with_snapshot(
         options: SimOptions,
         seed: u64,
         snapshot: Option<Arc<SimSnapshot>>,
@@ -326,12 +313,6 @@ impl Simulator {
         }
     }
 
-    /// Whether this simulator runs over a shared frozen snapshot.
-    #[must_use]
-    pub fn has_snapshot(&self) -> bool {
-        self.snapshot.is_some()
-    }
-
     /// Gate-DD lookups served by the frozen snapshot cache (0 without
     /// a snapshot).
     #[must_use]
@@ -343,14 +324,8 @@ impl Simulator {
     /// fresh policy instance from it; [`SimOptions::strategy`] no
     /// longer steers the run after this call (it remains visible in
     /// [`Simulator::options`] as configuration history only).
-    pub fn set_policy_factory(&mut self, factory: Arc<dyn PolicyFactory>) {
+    pub(crate) fn set_policy_factory(&mut self, factory: Arc<dyn PolicyFactory>) {
         self.policy_factory = factory;
-    }
-
-    /// The factory runs build their policy from.
-    #[must_use]
-    pub fn policy_factory(&self) -> &Arc<dyn PolicyFactory> {
-        &self.policy_factory
     }
 
     /// The name of the policy a run of this simulator would use.
@@ -383,12 +358,6 @@ impl Simulator {
     /// Re-seeds the owned sampling RNG.
     pub fn reseed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
-    }
-
-    /// The simulation options.
-    #[must_use]
-    pub fn options(&self) -> &SimOptions {
-        &self.options
     }
 
     /// Read access to the underlying DD package (sizes, DOT export…).
@@ -617,17 +586,6 @@ impl Simulator {
             .sample_counts(result.state(), shots, &mut self.rng)
     }
 
-    /// Draws `shots` outcomes into a histogram.
-    #[must_use]
-    pub fn sample_counts<R: Rng + ?Sized>(
-        &self,
-        result: &RunResult,
-        shots: usize,
-        rng: &mut R,
-    ) -> HashMap<u64, usize> {
-        self.package.sample_counts(result.state(), shots, rng)
-    }
-
     /// Dense amplitudes of a run's final state (small registers only).
     ///
     /// # Errors
@@ -798,21 +756,11 @@ impl Simulator {
         let frozen = self.snapshot.as_ref().map_or(0, |s| s.gates.len());
         frozen + self.gate_cache.len()
     }
-
-    /// Drops all privately cached gate DDs (releasing their GC roots).
-    /// Frozen snapshot gates are unaffected: they are pinned by the
-    /// watermark, not by roots.
-    pub fn clear_gate_cache(&mut self) {
-        let edges: Vec<MEdge> = self.gate_cache.drain().map(|(_, (e, _))| e).collect();
-        for e in edges {
-            self.package.dec_ref_m(e);
-        }
-    }
 }
 
 impl Default for Simulator {
     fn default() -> Self {
-        Self::new(SimOptions::default())
+        SimulatorBuilder::new().build()
     }
 }
 
@@ -823,8 +771,6 @@ mod tests {
     use crate::options::Strategy;
     use approxdd_circuit::generators;
     use approxdd_statevector::State;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn cross_validate(circuit: &Circuit) {
         let mut sim = Simulator::default();
@@ -883,8 +829,7 @@ mod tests {
     fn ghz_sampling_hits_both_branches() {
         let mut sim = Simulator::default();
         let run = sim.run(&generators::ghz(10)).unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
-        let counts = sim.sample_counts(&run, 500, &mut rng);
+        let counts = sim.draw_counts(&run, 500);
         assert_eq!(counts.len(), 2);
         assert!(counts.contains_key(&0));
         assert!(counts.contains_key(&0x3FF));
@@ -985,9 +930,6 @@ mod tests {
         let r1 = sim.run(&circuit).unwrap();
         let r2 = sim.run(&circuit).unwrap();
         assert!((sim.fidelity_between(&r1, &r2) - 1.0).abs() < 1e-10);
-        sim.clear_gate_cache();
-        let r3 = sim.run(&circuit).unwrap();
-        assert!((sim.fidelity_between(&r1, &r3) - 1.0).abs() < 1e-10);
     }
 
     #[test]
@@ -1057,12 +999,11 @@ mod tests {
         assert!(snapshot.cached_gates() > 0);
         assert!(snapshot.frozen_nodes() > 0);
         for circuit in &circuits {
-            let mut plain = Simulator::seeded(options, 7);
+            let mut plain = Simulator::with_snapshot(options, 7, None);
             let want = plain.run(circuit).unwrap();
             let want_amps = plain.amplitudes(&want).unwrap();
 
             let mut snap = Simulator::with_snapshot(options, 7, Some(Arc::clone(&snapshot)));
-            assert!(snap.has_snapshot());
             let got = snap.run(circuit).unwrap();
             let got_amps = snap.amplitudes(&got).unwrap();
             for (g, w) in got_amps.iter().zip(&want_amps) {

@@ -162,33 +162,6 @@ impl Package {
         self.truncate_without(root, &contribs, &removal)
     }
 
-    /// Performs one truncation round removing exactly the given node set
-    /// (which must not contain the root). Exposed for custom selection
-    /// policies and for the test-suite.
-    ///
-    /// Ids that are not nodes of the diagram under `root` select
-    /// nothing and are not counted in
-    /// [`TruncationResult::removed_nodes`]; a set made only of such ids
-    /// is a no-op (the input edge comes back with fidelity 1 and 0
-    /// removed nodes).
-    ///
-    /// # Errors
-    ///
-    /// [`DdError::InvalidParameter`] if the set contains the root or if
-    /// removal would annihilate the entire state.
-    pub fn truncate_nodes(&mut self, root: VEdge, nodes: &[NodeId]) -> Result<TruncationResult> {
-        if nodes.contains(&root.node) {
-            return Err(DdError::InvalidParameter {
-                reason: "cannot remove the root node",
-            });
-        }
-        let contribs = self.contributions(root);
-        let mut removal = nodes.to_vec();
-        removal.sort_unstable();
-        removal.dedup();
-        self.truncate_without(root, &contribs, &removal)
-    }
-
     /// One round removing the distinct nodes of `removal`. Ids outside
     /// the analyzed diagram remove nothing and count for nothing.
     fn truncate_without(
@@ -384,6 +357,35 @@ impl<K: Ord + Copy> Iterator for Ascending<K> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Package {
+        /// Performs one truncation round removing exactly the given node set
+        /// (which must not contain the root): how the paper's worked
+        /// examples below name their victims.
+        ///
+        /// Ids that are not nodes of the diagram under `root` select
+        /// nothing and are not counted in
+        /// [`TruncationResult::removed_nodes`]; a set made only of such ids
+        /// is a no-op (the input edge comes back with fidelity 1 and 0
+        /// removed nodes).
+        ///
+        /// # Errors
+        ///
+        /// [`DdError::InvalidParameter`] if the set contains the root or if
+        /// removal would annihilate the entire state.
+        fn truncate_nodes(&mut self, root: VEdge, nodes: &[NodeId]) -> Result<TruncationResult> {
+            if nodes.contains(&root.node) {
+                return Err(DdError::InvalidParameter {
+                    reason: "cannot remove the root node",
+                });
+            }
+            let contribs = self.contributions(root);
+            let mut removal = nodes.to_vec();
+            removal.sort_unstable();
+            removal.dedup();
+            self.truncate_without(root, &contribs, &removal)
+        }
+    }
 
     /// The Fig. 1a state of the paper.
     fn paper_state(p: &mut Package) -> VEdge {

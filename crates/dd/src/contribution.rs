@@ -32,7 +32,7 @@ impl ContributionMap {
     /// The contribution of `node`, or 0 if the node is not part of the
     /// analyzed diagram.
     #[must_use]
-    pub fn contribution(&self, node: NodeId) -> f64 {
+    pub(crate) fn contribution(&self, node: NodeId) -> f64 {
         self.index.rank(node).map_or(0.0, |r| self.contrib[r])
     }
 
@@ -44,7 +44,7 @@ impl ContributionMap {
 
     /// Nodes on level `var` (empty for out-of-range levels).
     #[must_use]
-    pub fn level(&self, var: usize) -> &[NodeId] {
+    pub(crate) fn level(&self, var: usize) -> &[NodeId] {
         self.levels.get(var).map_or(&[], Vec::as_slice)
     }
 
@@ -61,20 +61,8 @@ impl ContributionMap {
         self.level(var).iter().map(|n| self.contribution(*n)).sum()
     }
 
-    /// All `(node, contribution)` pairs sorted ascending by contribution
-    /// (ties by node id, for determinism) — the order the greedy
-    /// removal-budget selection of Section IV-A walks. `f64::total_cmp`
-    /// orders the pairs, so a NaN contribution from a numerically
-    /// degenerate input sorts last instead of panicking.
-    #[must_use]
-    pub fn sorted_ascending(&self) -> Vec<(NodeId, f64)> {
-        let mut v: Vec<(NodeId, f64)> = self.iter().collect();
-        v.sort_unstable_by(ascending);
-        v
-    }
-
     /// Iterates over `(node, contribution)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
         self.index.ids().zip(self.contrib.iter().copied())
     }
 
@@ -161,10 +149,23 @@ mod tests {
     use std::collections::HashMap;
 
     use super::*;
-    use crate::edge::MEdge;
     use crate::gates::GateKind;
     use approxdd_complex::Cplx;
     use proptest::prelude::*;
+
+    impl ContributionMap {
+        /// All `(node, contribution)` pairs sorted ascending by
+        /// contribution (ties by node id) — the full sort the greedy
+        /// removal-budget selection of Section IV-A walks, kept as the
+        /// reference the partial selection in `approx.rs` is checked
+        /// against. `f64::total_cmp` orders the pairs, so a NaN
+        /// contribution sorts last instead of panicking.
+        pub(crate) fn sorted_ascending(&self) -> Vec<(NodeId, f64)> {
+            let mut v: Vec<(NodeId, f64)> = self.iter().collect();
+            v.sort_unstable_by(ascending);
+            v
+        }
+    }
 
     /// Builds the example state of Fig. 1a of the paper:
     /// [1/√10, 0, 0, −1/√10, 0, 2/√10, 0, 2/√10].
@@ -301,15 +302,7 @@ mod tests {
     }
 
     /// Every dense pass against its reference, on each given diagram.
-    fn check_against_references(
-        p: &Package,
-        states: &[VEdge],
-        operators: &[MEdge],
-    ) -> Result<(), TestCaseError> {
-        for &m in operators {
-            let want = reference_size(m.node, |id| p.mnode(id).edges.map(|e| e.node));
-            prop_assert_eq!(p.msize(m), want);
-        }
+    fn check_against_references(p: &Package, states: &[VEdge]) -> Result<(), TestCaseError> {
         for &v in states {
             let want = reference_size(v.node, |id| p.vnode(id).edges.map(|e| e.node));
             prop_assert_eq!(p.vsize(v), want);
@@ -356,13 +349,10 @@ mod tests {
     }
 
     /// Builds the picked gates and applies them to `state` in turn;
-    /// returns every intermediate state and every operator, the product
-    /// of all of them included.
-    fn evolve(p: &mut Package, state: VEdge, gates: &[(u8, usize)]) -> (Vec<VEdge>, Vec<MEdge>) {
+    /// returns every intermediate state.
+    fn evolve(p: &mut Package, state: VEdge, gates: &[(u8, usize)]) -> Vec<VEdge> {
         let kinds = [GateKind::H, GateKind::T, GateKind::SxGate, GateKind::X];
         let mut states = vec![state];
-        let mut operators = Vec::new();
-        let mut product = p.identity(QUBITS);
         for &(kind, target) in gates {
             let matrix = kinds[usize::from(kind) % kinds.len()].matrix();
             let gate = if kind < 4 {
@@ -371,12 +361,9 @@ mod tests {
                 p.controlled_gate(QUBITS, &[(target + 1) % QUBITS], target, matrix)
             }
             .unwrap();
-            product = p.mul_mm(gate, product);
             states.push(p.apply(gate, *states.last().unwrap()));
-            operators.push(gate);
         }
-        operators.push(product);
-        (states, operators)
+        states
     }
 
     proptest! {
@@ -392,34 +379,32 @@ mod tests {
             // A fresh package.
             let mut p = Package::new();
             let start = p.from_amplitudes(&amps).unwrap();
-            let (states, operators) = evolve(&mut p, start, &gates);
-            check_against_references(&p, &states, &operators)?;
+            let states = evolve(&mut p, start, &gates);
+            check_against_references(&p, &states)?;
 
-            // After a collection: keep the last state and operator, free
-            // the rest, then build over the recycled slots.
-            let (kept_state, kept_operator) = (states[gates.len()], operators[gates.len()]);
+            // After a collection: keep the last state, free the rest,
+            // then build over the recycled slots.
+            let kept_state = states[gates.len()];
             p.inc_ref(kept_state);
-            p.inc_ref_m(kept_operator);
             let gc = p.collect_garbage();
             prop_assert!(gc.vnodes_freed > 0, "the slots to reuse");
             let reversed: Vec<Cplx> = amps.iter().rev().copied().collect();
             let start = p.from_amplitudes(&reversed).unwrap();
-            let (mut states, mut operators) = evolve(&mut p, start, &gates);
+            let mut states = evolve(&mut p, start, &gates);
             states.push(kept_state);
-            operators.push(kept_operator);
-            check_against_references(&p, &states, &operators)?;
+            check_against_references(&p, &states)?;
 
             // Layered over a frozen snapshot of the fresh package's
             // history: diagrams span the watermark.
             let mut base = Package::new();
             let start = base.from_amplitudes(&amps).unwrap();
-            let (frozen_states, frozen_operators) = evolve(&mut base, start, &gates[..3]);
+            let frozen_states = evolve(&mut base, start, &gates[..3]);
             let mut p = Package::with_snapshot(&base.freeze(), None);
-            let (states, operators) = evolve(&mut p, start, &gates);
+            let states = evolve(&mut p, start, &gates);
             prop_assert_eq!(&states[..4], &frozen_states[..]);
             prop_assert!(p.stats().vnodes_alive > p.stats().frozen_vnodes, "a delta layer");
-            check_against_references(&p, &states, &operators)?;
-            check_against_references(&p, &frozen_states, &frozen_operators)?;
+            check_against_references(&p, &states)?;
+            check_against_references(&p, &frozen_states)?;
         }
     }
 

@@ -86,42 +86,12 @@ pub struct CtStats {
     /// Lookups that returned a memoized result.
     pub hits: u64,
     /// Lookups that found nothing (followed by recomputation + insert).
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Slots currently holding a live (current-generation) entry.
-    pub occupancy: usize,
+    pub(crate) occupancy: usize,
     /// Total slots the cache is configured for (fixed at construction;
     /// their memory is provided on the first insert).
-    pub capacity: usize,
-}
-
-impl CtStats {
-    /// Hit rate over the package's lifetime, `hits / (hits + misses)`;
-    /// 0 when no lookups happened.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.hits as f64 / total as f64
-            }
-        }
-    }
-
-    /// Fraction of slots holding a live entry.
-    #[must_use]
-    pub fn occupancy_rate(&self) -> f64 {
-        if self.capacity == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.occupancy as f64 / self.capacity as f64
-            }
-        }
-    }
+    pub(crate) capacity: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -464,18 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_and_occupancy_rate() {
-        let mut c = cache(4);
-        assert_eq!(c.stats().hit_rate(), 0.0);
-        c.insert((1, 1), 1);
-        let _ = c.lookup(&(1, 1));
-        let _ = c.lookup(&(2, 2));
-        let s = c.stats();
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
-        assert!((s.occupancy_rate() - 1.0 / 16.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn unmaterialised_cache_counts_misses_and_owns_no_slots() {
         let mut c = cache(10);
         assert_eq!(
@@ -578,14 +536,14 @@ mod tests {
                 let h = p.single_gate(3, 1, GateKind::H.matrix()).unwrap();
                 p.apply(h, state)
             };
-            let mut first = Package::with_cache_bits(8);
+            let mut first = Package::with_config(approxdd_complex::Tolerance::default(), Some(8));
             let _ = run(&mut first);
             assert_eq!(first.ct.mul_mv.slots.len(), 1 << 8);
             assert!(first.ct.inner.slots.is_empty(), "never inserted into");
             let generation = first.ct.mul_mv.generation;
             drop(first);
 
-            let mut second = Package::with_cache_bits(8);
+            let mut second = Package::with_config(approxdd_complex::Tolerance::default(), Some(8));
             let _ = run(&mut second);
             assert_eq!(second.ct.mul_mv.generation, generation + 1);
             assert!(second.ct.inner.slots.is_empty());

@@ -1,9 +1,9 @@
-//! Graphviz DOT export for states and operations — the visualization
-//! used in Fig. 1 of the paper.
+//! Graphviz DOT export for states — the visualization used in Fig. 1 of
+//! the paper.
 
 use std::fmt::Write as _;
 
-use crate::edge::{MEdge, NodeId, VEdge};
+use crate::edge::{NodeId, VEdge};
 use crate::fasthash::FxHashMap;
 use crate::package::Package;
 
@@ -56,56 +56,6 @@ impl Package {
         out
     }
 
-    /// Renders an operation DD as a Graphviz `digraph` (quadrant edges
-    /// labeled `00/01/10/11` plus weight).
-    #[must_use]
-    pub fn to_dot_matrix(&self, root: MEdge) -> String {
-        let mut out = String::from("digraph mdd {\n  rankdir=TB;\n  root [shape=point];\n");
-        let mut ids: FxHashMap<NodeId, usize> = FxHashMap::default();
-        let mut order: Vec<NodeId> = Vec::new();
-        let mut stack = vec![root.node];
-        while let Some(id) = stack.pop() {
-            if id.is_terminal() || ids.contains_key(&id) {
-                continue;
-            }
-            ids.insert(id, order.len());
-            order.push(id);
-            let node = self.mnode(id);
-            for e in node.edges {
-                stack.push(e.node);
-            }
-        }
-        out.push_str("  t [label=\"1\", shape=box];\n");
-        for (id, i) in order.iter().map(|id| (*id, ids[id])) {
-            let node = self.mnode(id);
-            let _ = writeln!(out, "  n{i} [label=\"q{}\", shape=circle];", node.var);
-        }
-        let _ = writeln!(
-            out,
-            "  root -> {} [label=\"{}\"];",
-            Self::dot_target(&ids, root.node),
-            fmt_weight(root.w)
-        );
-        for (id, i) in order.iter().map(|id| (*id, ids[id])) {
-            let node = self.mnode(id);
-            for (q, e) in node.edges.iter().enumerate() {
-                if e.is_zero(self.tolerance()) {
-                    continue;
-                }
-                let _ = writeln!(
-                    out,
-                    "  n{i} -> {} [label=\"{}{} {}\"];",
-                    Self::dot_target(&ids, e.node),
-                    q >> 1,
-                    q & 1,
-                    fmt_weight(e.w)
-                );
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
     fn dot_target(ids: &FxHashMap<NodeId, usize>, id: NodeId) -> String {
         if id.is_terminal() {
             "t".to_string()
@@ -138,17 +88,6 @@ mod tests {
             assert!(dot.contains(q), "missing {q} in:\n{dot}");
         }
         assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn dot_matrix_renders_gate() {
-        let mut p = Package::new();
-        let h = p
-            .single_gate(2, 0, crate::gates::GateKind::H.matrix())
-            .unwrap();
-        let dot = p.to_dot_matrix(h);
-        assert!(dot.contains("digraph mdd"));
-        assert!(dot.contains("q1"));
     }
 
     #[test]

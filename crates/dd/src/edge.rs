@@ -13,18 +13,12 @@ pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
     /// The terminal sink node.
-    pub const TERMINAL: NodeId = NodeId(u32::MAX);
+    pub(crate) const TERMINAL: NodeId = NodeId(u32::MAX);
 
     /// Whether this id designates the terminal.
     #[must_use]
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         self == Self::TERMINAL
-    }
-
-    /// Raw index (for diagnostics / DOT export).
-    #[must_use]
-    pub fn index(self) -> u32 {
-        self.0
     }
 }
 
@@ -51,7 +45,7 @@ impl VEdge {
 
     /// A terminal edge with the given weight (a 0-qubit "state").
     #[must_use]
-    pub fn terminal(w: Cplx) -> Self {
+    pub(crate) fn terminal(w: Cplx) -> Self {
         Self {
             w,
             node: NodeId::TERMINAL,
@@ -59,14 +53,14 @@ impl VEdge {
     }
 
     /// The terminal edge with weight one.
-    pub const ONE: VEdge = VEdge {
+    pub(crate) const ONE: VEdge = VEdge {
         w: Cplx::ONE,
         node: NodeId::TERMINAL,
     };
 
     /// Whether this edge is (numerically) the zero edge.
     #[must_use]
-    pub fn is_zero(&self, tol: Tolerance) -> bool {
+    pub(crate) fn is_zero(&self, tol: Tolerance) -> bool {
         tol.is_zero(self.w)
     }
 
@@ -91,20 +85,20 @@ pub struct MEdge {
 
 impl MEdge {
     /// The zero edge (all-zero sub-matrix).
-    pub const ZERO: MEdge = MEdge {
+    pub(crate) const ZERO: MEdge = MEdge {
         w: Cplx::ZERO,
         node: NodeId::TERMINAL,
     };
 
     /// The terminal edge with weight one (a 1×1 identity).
-    pub const ONE: MEdge = MEdge {
+    pub(crate) const ONE: MEdge = MEdge {
         w: Cplx::ONE,
         node: NodeId::TERMINAL,
     };
 
     /// A terminal edge with the given weight (1×1 matrix).
     #[must_use]
-    pub fn terminal(w: Cplx) -> Self {
+    pub(crate) fn terminal(w: Cplx) -> Self {
         Self {
             w,
             node: NodeId::TERMINAL,
@@ -113,13 +107,13 @@ impl MEdge {
 
     /// Whether this edge is (numerically) the zero edge.
     #[must_use]
-    pub fn is_zero(&self, tol: Tolerance) -> bool {
+    pub(crate) fn is_zero(&self, tol: Tolerance) -> bool {
         tol.is_zero(self.w)
     }
 
     /// Returns this edge with its weight multiplied by `f`.
     #[must_use]
-    pub fn scaled(self, f: Cplx) -> Self {
+    pub(crate) fn scaled(self, f: Cplx) -> Self {
         Self {
             w: self.w * f,
             node: self.node,

@@ -147,27 +147,6 @@ impl GateKind {
             ],
         }
     }
-
-    /// The inverse (conjugate transpose) gate where one exists in the
-    /// alphabet, otherwise the parameterized inverse.
-    #[must_use]
-    pub fn inverse(self) -> GateKind {
-        match self {
-            GateKind::S => GateKind::Sdg,
-            GateKind::Sdg => GateKind::S,
-            GateKind::T => GateKind::Tdg,
-            GateKind::Tdg => GateKind::T,
-            GateKind::SxGate => GateKind::SxdgGate,
-            GateKind::SxdgGate => GateKind::SxGate,
-            GateKind::SyGate => GateKind::SydgGate,
-            GateKind::SydgGate => GateKind::SyGate,
-            GateKind::Phase(t) => GateKind::Phase(-t),
-            GateKind::Rx(t) => GateKind::Rx(-t),
-            GateKind::Ry(t) => GateKind::Ry(-t),
-            GateKind::Rz(t) => GateKind::Rz(-t),
-            other => other, // self-inverse: I, X, Y, Z, H
-        }
-    }
 }
 
 /// The body of a multi-qubit block gate.
@@ -712,26 +691,6 @@ mod tests {
             let id = p.identity(2);
             assert_eq!(prod.node, id.node, "{g:?} not unitary");
             assert!(close(prod.w, id.w), "{g:?} not unitary: {}", prod.w);
-        }
-    }
-
-    #[test]
-    fn inverse_pairs_compose_to_identity() {
-        let mut p = Package::new();
-        for g in [
-            GateKind::S,
-            GateKind::T,
-            GateKind::SxGate,
-            GateKind::SyGate,
-            GateKind::Phase(0.4),
-            GateKind::Rz(1.3),
-        ] {
-            let a = p.single_gate(1, 0, g.matrix()).unwrap();
-            let b = p.single_gate(1, 0, g.inverse().matrix()).unwrap();
-            let prod = p.mul_mm(a, b);
-            let id = p.identity(1);
-            assert_eq!(prod.node, id.node, "{g:?}");
-            assert!(close(prod.w, id.w), "{g:?}");
         }
     }
 

@@ -90,22 +90,9 @@ impl Package {
         }
     }
 
-    /// Total alive vector nodes in the arena (distinct from
-    /// [`Package::vsize`], which counts one DD's reachable set).
-    #[must_use]
-    pub fn alive_vnodes(&self) -> usize {
-        self.vnodes.alive_count()
-    }
-
-    /// Total alive matrix nodes in the arena.
-    #[must_use]
-    pub fn alive_mnodes(&self) -> usize {
-        self.mnodes.alive_count()
-    }
-
     /// Alive nodes a GC pass can actually inspect and free: everything
     /// in the private delta layer. Without a snapshot this equals
-    /// `alive_vnodes() + alive_mnodes()`; with one, the pinned frozen
+    /// every alive node of both arenas; with one, the pinned frozen
     /// prefix is excluded so a large snapshot does not drive the GC
     /// trigger by its mere presence.
     #[must_use]
@@ -215,7 +202,7 @@ mod tests {
         let kept = p.basis_state(4, 3);
         p.inc_ref(kept);
         let _garbage = p.basis_state(4, 12); // not rooted
-        let before = p.alive_vnodes();
+        let before = p.stats().vnodes_alive;
         assert_eq!(before, 8);
 
         let stats = p.collect_garbage();
@@ -261,7 +248,7 @@ mod tests {
         let v = p.basis_state(5, 9);
         // Not rooted: collected.
         let _ = p.collect_garbage();
-        assert_eq!(p.alive_vnodes(), 0);
+        assert_eq!(p.stats().vnodes_alive, 0);
         // Rebuilding produces a working DD (slot reuse must be clean).
         let v2 = p.basis_state(5, 9);
         assert!((p.amplitude(v2, 9).mag2() - 1.0).abs() < 1e-12);

@@ -72,13 +72,13 @@
 //!   canonical ratio — so near-equal ratios share one key *and* one
 //!   result, and a hit returns precisely what recomputation would. An
 //!   undersized cache costs time, never a different answer. Size the
-//!   caches per package with [`Package::with_cache_bits`] (2^16 slots
+//!   caches per package with [`Package::with_config`] (2^16 slots
 //!   per table by default).
 //! * **Cache memory is O(touched), not O(capacity).** Packages are
 //!   built per job, and most jobs never consult two of the four
 //!   tables, so a slot array is provided on its cache's **first
 //!   insert** (until then every lookup is a counted miss, and
-//!   [`CtStats::capacity`] reports the configured size regardless).
+//!   `CtStats::capacity` reports the configured size regardless).
 //!   A dropped package retires its arrays to a **per-thread free
 //!   list**, and the next package on that thread takes them over one
 //!   generation on — every old slot dead in O(1), the same way a GC
@@ -106,7 +106,7 @@
 //!   changed: a matrix node knows it is an identity, a vector node
 //!   knows that it and everything under it re-normalise to exactly
 //!   `1 + 0i` under the same unique-table key. Where both hold
-//!   [`Package::mul_mv`] returns the operand under the product of the
+//!   `Package::mul_mv` returns the operand under the product of the
 //!   edge weights — the expression its hit path evaluates — in O(1),
 //!   and every other operand takes the recursion as before. The
 //!   skipped recursion would have allocated nothing and interned no
@@ -176,7 +176,6 @@ mod ops;
 mod package;
 mod ratio;
 mod sample;
-mod serialize;
 mod snapshot;
 mod unique;
 mod visit;

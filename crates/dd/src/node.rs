@@ -12,15 +12,15 @@ use crate::edge::{MEdge, VEdge};
 pub(crate) struct VNode {
     /// Qubit level; 0 is the least-significant qubit, directly above the
     /// terminal.
-    pub var: u8,
+    pub(crate) var: u8,
     /// Multiplying this node by the identity hands back this very node
     /// under a weight whose bits are `1 + 0i` (the identity rule of
     /// [`crate::ops`]). A property of the stored bits, decided where the
     /// node is interned and never changed afterwards; it lives in the
     /// padding `var` leaves.
-    pub stable: bool,
+    pub(crate) stable: bool,
     /// Successor edges for qubit value 0 and 1.
-    pub edges: [VEdge; 2],
+    pub(crate) edges: [VEdge; 2],
 }
 
 /// A matrix-DD node: a qubit level and four successor edges in row-major
@@ -29,12 +29,12 @@ pub(crate) struct VNode {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct MNode {
     /// Qubit level; 0 is the least-significant qubit.
-    pub var: u8,
+    pub(crate) var: u8,
     /// The node is an identity matrix: quadrants `[e, 0, 0, e]` where
     /// `e` has weight bits `1 + 0i` and is the terminal or an identity
     /// node itself. Decided where the node is interned, like
     /// [`VNode::stable`], and stored in the padding `var` leaves.
-    pub identity: bool,
+    pub(crate) identity: bool,
     /// Quadrant successor edges `[e00, e01, e10, e11]`.
-    pub edges: [MEdge; 4],
+    pub(crate) edges: [MEdge; 4],
 }

@@ -190,7 +190,7 @@ impl Package {
 
     /// Matrix–vector product (see [`Package::apply`]).
     #[must_use]
-    pub fn mul_mv(&mut self, m: MEdge, v: VEdge) -> VEdge {
+    pub(crate) fn mul_mv(&mut self, m: MEdge, v: VEdge) -> VEdge {
         if m.is_zero(self.tolerance()) || v.is_zero(self.tolerance()) {
             return VEdge::ZERO;
         }
@@ -283,7 +283,7 @@ impl Package {
     /// Adds two matrix DDs of the same level (no dedicated cache: used
     /// only inside matrix–matrix multiplication and tests).
     #[must_use]
-    pub fn madd(&mut self, a: MEdge, b: MEdge) -> MEdge {
+    pub(crate) fn madd(&mut self, a: MEdge, b: MEdge) -> MEdge {
         if a.is_zero(self.tolerance()) {
             return b;
         }
@@ -398,45 +398,6 @@ impl Package {
             children[i] = sub.scaled(c.w);
         }
         let e = self.make_vnode(n.var + shift, children[0], children[1]);
-        memo.insert(node, e);
-        e
-    }
-
-    /// Kronecker product of two operation DDs: `top ⊗ bottom`.
-    #[must_use]
-    pub fn mkron(&mut self, top: MEdge, bottom: MEdge) -> MEdge {
-        if top.is_zero(self.tolerance()) || bottom.is_zero(self.tolerance()) {
-            return MEdge::ZERO;
-        }
-        let shift = self.mlevel(bottom) as u8;
-        let mut memo: FxHashMap<NodeId, MEdge> = FxHashMap::default();
-        let rebuilt = self.mkron_rec(top.node, bottom, shift, &mut memo);
-        rebuilt.scaled(top.w)
-    }
-
-    fn mkron_rec(
-        &mut self,
-        node: NodeId,
-        bottom: MEdge,
-        shift: u8,
-        memo: &mut FxHashMap<NodeId, MEdge>,
-    ) -> MEdge {
-        if node.is_terminal() {
-            return bottom;
-        }
-        if let Some(&e) = memo.get(&node) {
-            return e;
-        }
-        let n = *self.mnode(node);
-        let mut children = [MEdge::ZERO; 4];
-        for (i, c) in n.edges.iter().enumerate() {
-            if c.is_zero(self.tolerance()) {
-                continue;
-            }
-            let sub = self.mkron_rec(c.node, bottom, shift, memo);
-            children[i] = sub.scaled(c.w);
-        }
-        let e = self.make_mnode(n.var + shift, children);
         memo.insert(node, e);
         e
     }
@@ -1083,17 +1044,6 @@ mod tests {
         assert_eq!(p.vlevel(joint), 5);
         let amp = p.amplitude(joint, 0b10_011);
         assert!((amp.mag2() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mkron_builds_two_qubit_identity() {
-        let mut p = Package::new();
-        let id1 = p.identity(1);
-        let id2 = p.mkron(id1, id1);
-        let want = p.identity(2);
-        // Identity ⊗ identity shares the canonical identity node.
-        assert_eq!(id2.node, want.node);
-        assert!(close(id2.w, want.w));
     }
 
     #[test]

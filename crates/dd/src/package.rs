@@ -166,9 +166,9 @@ pub struct PackageStats {
     /// Matrix–vector multiplication cache (`mul_mv` / `apply`).
     pub ct_mul_mv: CtStats,
     /// Matrix–matrix multiplication cache (`mul_mm`).
-    pub ct_mul_mm: CtStats,
+    pub(crate) ct_mul_mm: CtStats,
     /// Inner-product cache (`inner_product` / `fidelity`).
-    pub ct_inner: CtStats,
+    pub(crate) ct_inner: CtStats,
     /// Garbage-collection runs performed.
     pub gc_runs: u64,
     /// Total nodes reclaimed by garbage collection.
@@ -181,7 +181,7 @@ pub struct PackageStats {
     /// Unique-table hits that resolved to a frozen snapshot node
     /// (a subset of `unique_hits`; 0 without a snapshot).
     pub snapshot_hits: u64,
-    /// [`Package::mul_mv`] calls answered by the identity rule (see the
+    /// `Package::mul_mv` calls answered by the identity rule (see the
     /// crate docs): an identity operator on a stable sub-diagram,
     /// returned without a lookup or a recursion. Like the hit/miss
     /// counters it describes how a result was reached, not the result,
@@ -241,29 +241,6 @@ impl PackageStats {
     pub fn frozen_nodes(&self) -> usize {
         self.frozen_vnodes + self.frozen_mnodes
     }
-
-    /// Alive nodes of both kinds in the private delta layer (everything
-    /// alive when no snapshot is attached).
-    #[must_use]
-    pub fn delta_nodes(&self) -> usize {
-        (self.vnodes_alive + self.mnodes_alive).saturating_sub(self.frozen_nodes())
-    }
-
-    /// Fraction of unique-table lookups that resolved to a frozen
-    /// snapshot node (0 when no lookups happened or no snapshot is
-    /// attached).
-    #[must_use]
-    pub fn snapshot_hit_rate(&self) -> f64 {
-        let total = self.unique_hits + self.unique_misses;
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.snapshot_hits as f64 / total as f64
-            }
-        }
-    }
 }
 
 /// The decision-diagram package: arena storage, unique tables for
@@ -303,7 +280,7 @@ pub struct Package {
 
 impl Package {
     /// Creates a package with the default tolerance
-    /// ([`approxdd_complex::DEFAULT_TOLERANCE`]) and default compute
+    /// (`approxdd_complex::DEFAULT_TOLERANCE`) and default compute
     /// cache size.
     #[must_use]
     pub fn new() -> Self {
@@ -316,13 +293,6 @@ impl Package {
     #[must_use]
     pub fn with_tolerance(tol: Tolerance) -> Self {
         Self::with_config(tol, None)
-    }
-
-    /// Creates a package with `2^bits` slots in each lossy compute
-    /// cache (see [`Package::with_config`]).
-    #[must_use]
-    pub fn with_cache_bits(bits: u32) -> Self {
-        Self::with_config(Tolerance::default(), Some(bits))
     }
 
     /// Creates a package with an explicit tolerance and compute-cache
@@ -351,7 +321,7 @@ impl Package {
 
     /// The numerical tolerance of this package.
     #[must_use]
-    pub fn tolerance(&self) -> Tolerance {
+    pub(crate) fn tolerance(&self) -> Tolerance {
         self.tol
     }
 
@@ -405,7 +375,7 @@ impl Package {
 
     /// Level represented by a matrix edge (0 for terminal edges).
     #[must_use]
-    pub fn mlevel(&self, e: MEdge) -> usize {
+    pub(crate) fn mlevel(&self, e: MEdge) -> usize {
         if e.node.is_terminal() {
             0
         } else {
@@ -630,13 +600,6 @@ impl Package {
         }
     }
 
-    /// Releases an external matrix-edge root.
-    pub fn dec_ref_m(&mut self, e: MEdge) {
-        if !e.node.is_terminal() {
-            self.mnodes.dec_rc(e.node.0);
-        }
-    }
-
     // ------------------------------------------------------------------
     // state construction / inspection
     // ------------------------------------------------------------------
@@ -780,14 +743,6 @@ impl Package {
     pub fn vsize(&self, e: VEdge) -> usize {
         count_reachable(self.vnodes.capacity(), e.node, |id| {
             self.vnode(id).edges.map(|c| c.node)
-        })
-    }
-
-    /// Number of non-terminal nodes reachable from a matrix edge.
-    #[must_use]
-    pub fn msize(&self, e: MEdge) -> usize {
-        count_reachable(self.mnodes.capacity(), e.node, |id| {
-            self.mnode(id).edges.map(|c| c.node)
         })
     }
 

@@ -1,4 +1,4 @@
-//! Measurement: sampling, outcome probabilities, and collapse.
+//! Measurement: sampling and outcome probabilities.
 //!
 //! Sampling descends the DD level by level; thanks to the unit-subtree-
 //! norm normalization the branch probabilities at a node are exactly the
@@ -68,31 +68,6 @@ impl Package {
         self.amplitude(root, idx).mag2()
     }
 
-    /// The probability that qubit `q` measures as `|1⟩`.
-    ///
-    /// # Errors
-    ///
-    /// [`DdError::QubitOutOfRange`] if `q` is not a level of the state.
-    pub fn qubit_one_probability(&self, root: VEdge, q: usize) -> Result<f64> {
-        let n = self.vlevel(root);
-        if q >= n {
-            return Err(DdError::QubitOutOfRange {
-                qubit: q,
-                n_qubits: n,
-            });
-        }
-        // Accumulate upstream mass down to level q, then take the |1⟩
-        // branch mass (subtrees below have unit norm).
-        let contribs = self.contributions(root);
-        let mut p1 = 0.0;
-        for &id in contribs.level(q) {
-            let up = contribs.contribution(id);
-            let node = self.vnode(id);
-            p1 += up * node.edges[1].w.mag2();
-        }
-        Ok(p1)
-    }
-
     /// The probability that the qubits selected by `mask` read the
     /// corresponding bits of `value` (a marginal over the remaining
     /// qubits). `O(DD size)` per query.
@@ -101,7 +76,7 @@ impl Package {
     ///
     /// Debug builds panic if `value` has bits outside `mask`.
     #[must_use]
-    pub fn marginal_probability(&self, root: VEdge, mask: u64, value: u64) -> f64 {
+    pub(crate) fn marginal_probability(&self, root: VEdge, mask: u64, value: u64) -> f64 {
         debug_assert_eq!(value & !mask, 0, "value bits must lie within the mask");
         let mut memo: FxHashMap<crate::edge::NodeId, f64> = FxHashMap::default();
         root.w.mag2() * self.marginal_rec(root.node, mask, value, &mut memo)
@@ -173,106 +148,6 @@ impl Package {
         }
         Ok(out)
     }
-
-    /// Measures **all** qubits: samples an outcome and returns it with
-    /// the collapsed (basis) state.
-    pub fn measure_all<R: Rng + ?Sized>(&mut self, root: VEdge, rng: &mut R) -> (u64, VEdge) {
-        let n = self.vlevel(root);
-        let outcome = self.sample(root, rng);
-        let collapsed = self.basis_state(n, outcome);
-        (outcome, collapsed)
-    }
-
-    /// Measures a single qubit: samples its value, collapses the state
-    /// (projects and renormalizes) and returns `(bit, collapsed_state)`.
-    ///
-    /// # Errors
-    ///
-    /// [`DdError::QubitOutOfRange`] if `q` is not a level of the state.
-    pub fn measure_qubit<R: Rng + ?Sized>(
-        &mut self,
-        root: VEdge,
-        q: usize,
-        rng: &mut R,
-    ) -> Result<(bool, VEdge)> {
-        let p1 = self.qubit_one_probability(root, q)?;
-        let bit = rng.gen::<f64>() < p1;
-        let projected = self.project_qubit(root, q, bit)?;
-        Ok((bit, projected))
-    }
-
-    /// Projects qubit `q` onto `|bit⟩` and renormalizes — the
-    /// post-measurement state given a known outcome.
-    ///
-    /// # Errors
-    ///
-    /// [`DdError::QubitOutOfRange`] for a bad qubit index;
-    /// [`DdError::InvalidParameter`] if the outcome has probability ~0.
-    pub fn project_qubit(&mut self, root: VEdge, q: usize, bit: bool) -> Result<VEdge> {
-        let n = self.vlevel(root);
-        if q >= n {
-            return Err(DdError::QubitOutOfRange {
-                qubit: q,
-                n_qubits: n,
-            });
-        }
-        let mut memo: FxHashMap<crate::edge::NodeId, VEdge> = FxHashMap::default();
-        let rebuilt = self.project_rec(root.node, q as u8, bit, &mut memo);
-        let kept = rebuilt.w.mag2();
-        if kept <= 0.0 {
-            return Err(DdError::InvalidParameter {
-                reason: "projection outcome has zero probability",
-            });
-        }
-        Ok(VEdge {
-            w: root.w * rebuilt.w / approxdd_complex::Cplx::real(kept.sqrt()),
-            node: rebuilt.node,
-        })
-    }
-
-    fn project_rec(
-        &mut self,
-        node: crate::edge::NodeId,
-        q: u8,
-        bit: bool,
-        memo: &mut FxHashMap<crate::edge::NodeId, VEdge>,
-    ) -> VEdge {
-        if node.is_terminal() {
-            return VEdge::ONE;
-        }
-        if let Some(&e) = memo.get(&node) {
-            return e;
-        }
-        let n = *self.vnode(node);
-        let e = if n.var == q {
-            let keep = usize::from(bit);
-            let kept_child = n.edges[keep];
-            let sub = if kept_child.is_zero(self.tolerance()) {
-                VEdge::ZERO
-            } else {
-                kept_child
-            };
-            let (e0, e1) = if bit {
-                (VEdge::ZERO, sub)
-            } else {
-                (sub, VEdge::ZERO)
-            };
-            self.make_vnode(n.var, e0, e1)
-        } else {
-            debug_assert!(n.var > q);
-            let mut children = [VEdge::ZERO; 2];
-            for (i, c) in n.edges.iter().enumerate() {
-                if c.is_zero(self.tolerance()) {
-                    continue;
-                }
-                let sub = self.project_rec(c.node, q, bit, memo);
-                children[i] = sub.scaled(c.w);
-            }
-            self.make_vnode(n.var, children[0], children[1])
-        };
-        memo.insert(node, e);
-        e
-    }
 }
 
 #[cfg(test)]
@@ -321,15 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn qubit_one_probability_on_bell() {
-        let mut p = Package::new();
-        let v = bell(&mut p);
-        assert!((p.qubit_one_probability(v, 0).unwrap() - 0.5).abs() < 1e-12);
-        assert!((p.qubit_one_probability(v, 1).unwrap() - 0.5).abs() < 1e-12);
-        assert!(p.qubit_one_probability(v, 2).is_err());
-    }
-
-    #[test]
     fn marginal_probability_on_bell() {
         let mut p = Package::new();
         let v = bell(&mut p);
@@ -371,52 +237,5 @@ mod tests {
         let mut p = Package::new();
         let v = p.basis_state(3, 1);
         assert!(p.marginal_distribution(v, &[5]).is_err());
-    }
-
-    #[test]
-    fn measure_all_collapses_to_sampled_basis() {
-        let mut p = Package::new();
-        let v = bell(&mut p);
-        let mut rng = StdRng::seed_from_u64(3);
-        let (outcome, collapsed) = p.measure_all(v, &mut rng);
-        assert!(outcome == 0 || outcome == 3);
-        assert!((p.probability(collapsed, outcome) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn project_qubit_entangles_correctly() {
-        let mut p = Package::new();
-        let v = bell(&mut p);
-        // Projecting qubit 0 of a Bell pair onto |1> forces qubit 1 to |1>.
-        let proj = p.project_qubit(v, 0, true).unwrap();
-        assert!((p.probability(proj, 0b11) - 1.0).abs() < 1e-12);
-        let proj0 = p.project_qubit(v, 0, false).unwrap();
-        assert!((p.probability(proj0, 0b00) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn project_impossible_outcome_errors() {
-        let mut p = Package::new();
-        let v = p.basis_state(2, 0);
-        assert!(p.project_qubit(v, 0, true).is_err());
-    }
-
-    #[test]
-    fn measure_qubit_statistics() {
-        let mut p = Package::new();
-        // |+>|0>: qubit 1 in superposition, qubit 0 fixed.
-        let s = Cplx::FRAC_1_SQRT_2;
-        let v = p.from_amplitudes(&[s, Cplx::ZERO, s, Cplx::ZERO]).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut ones = 0;
-        for _ in 0..1000 {
-            let (bit, collapsed) = p.measure_qubit(v, 1, &mut rng).unwrap();
-            if bit {
-                ones += 1;
-            }
-            // qubit 0 remains |0>.
-            assert!((p.qubit_one_probability(collapsed, 0).unwrap()).abs() < 1e-12);
-        }
-        assert!((ones as f64 / 1000.0 - 0.5).abs() < 0.08, "ones={ones}");
     }
 }

@@ -71,23 +71,15 @@ pub struct PackageSnapshot {
 }
 
 impl PackageSnapshot {
-    /// The numerical tolerance the snapshot was built with — every
-    /// package layered over it inherits this tolerance (mixing
-    /// tolerances would break canonicalization).
-    #[must_use]
-    pub fn tolerance(&self) -> Tolerance {
-        self.tol
-    }
-
     /// Alive vector nodes in the frozen prefix.
     #[must_use]
-    pub fn frozen_vnodes(&self) -> usize {
+    pub(crate) fn frozen_vnodes(&self) -> usize {
         self.vnodes.alive_count()
     }
 
     /// Alive matrix nodes in the frozen prefix.
     #[must_use]
-    pub fn frozen_mnodes(&self) -> usize {
+    pub(crate) fn frozen_mnodes(&self) -> usize {
         self.mnodes.alive_count()
     }
 

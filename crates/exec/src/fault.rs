@@ -15,11 +15,10 @@
 //! index lists ([`FaultPlan::panic_on`] and friends) override the
 //! seeded decision for pinpoint tests.
 //!
-//! By default a fault fires only on a job's **first** attempt
-//! ([`FaultPlan::faulty_attempts`]), modelling transient failures:
-//! retried attempts succeed, and the retried result must be
-//! byte-identical to an undisturbed run — the central property test of
-//! the resilience suite.
+//! A fault fires only on a job's **first** attempt, modelling
+//! transient failures: retried attempts succeed, and the retried result
+//! must be byte-identical to an undisturbed run — the central property
+//! test of the resilience suite.
 
 use std::collections::BTreeSet;
 use std::sync::Once;
@@ -57,9 +56,9 @@ pub enum FaultKind {
 ///   `u < panic_rate + delay_rate` delays, `u < panic_rate +
 ///   delay_rate + abort_rate` aborts.
 /// * **Explicit indices** — [`FaultPlan::panic_on`] /
-///   [`FaultPlan::delay_on`] / [`FaultPlan::abort_on`] pin faults to
-///   exact job indices; explicit lists take precedence over the seeded
-///   decision (panic > delay > abort if one index is listed twice).
+///   [`FaultPlan::delay_on`] pin faults to exact job indices; explicit
+///   lists take precedence over the seeded decision (panic > delay if
+///   one index is listed twice).
 ///
 /// ```
 /// use approxdd_exec::{FaultKind, FaultPlan};
@@ -70,7 +69,7 @@ pub enum FaultKind {
 ///     .delay_on([0, 5], Duration::from_millis(10));
 /// assert_eq!(plan.decide(2, 0), Some(FaultKind::Panic));
 /// assert_eq!(plan.decide(0, 0), Some(FaultKind::Delay(Duration::from_millis(10))));
-/// // Retried attempts run clean by default.
+/// // Retried attempts run clean.
 /// assert_eq!(plan.decide(2, 1), None);
 /// assert_eq!(plan.decide(3, 0), None);
 /// ```
@@ -83,8 +82,6 @@ pub struct FaultPlan {
     delay: Duration,
     panic_jobs: BTreeSet<usize>,
     delay_jobs: BTreeSet<usize>,
-    abort_jobs: BTreeSet<usize>,
-    faulty_attempts: u32,
 }
 
 impl Default for FaultPlan {
@@ -106,8 +103,6 @@ impl FaultPlan {
             delay: Duration::from_millis(5),
             panic_jobs: BTreeSet::new(),
             delay_jobs: BTreeSet::new(),
-            abort_jobs: BTreeSet::new(),
-            faulty_attempts: 1,
         }
     }
 
@@ -156,29 +151,11 @@ impl FaultPlan {
         self
     }
 
-    /// Pins forced aborts (`ExecError::FaultInjected`) to exact job
-    /// indices.
-    #[must_use]
-    pub fn abort_on(mut self, jobs: impl IntoIterator<Item = usize>) -> Self {
-        self.abort_jobs.extend(jobs);
-        self
-    }
-
-    /// How many leading attempts of a selected job fault (default 1:
-    /// only the first attempt fails, so a retry succeeds). `u32::MAX`
-    /// makes the fault permanent — useful for testing attempt
-    /// exhaustion.
-    #[must_use]
-    pub fn faulty_attempts(mut self, attempts: u32) -> Self {
-        self.faulty_attempts = attempts;
-        self
-    }
-
     /// The fault to inject for `job` on its zero-based `attempt`, if
     /// any. A pure function of the plan and its arguments.
     #[must_use]
     pub fn decide(&self, job: usize, attempt: u32) -> Option<FaultKind> {
-        if attempt >= self.faulty_attempts {
+        if attempt > 0 {
             return None;
         }
         if self.panic_jobs.contains(&job) {
@@ -186,9 +163,6 @@ impl FaultPlan {
         }
         if self.delay_jobs.contains(&job) {
             return Some(FaultKind::Delay(self.delay));
-        }
-        if self.abort_jobs.contains(&job) {
-            return Some(FaultKind::Abort);
         }
         let seeds = self.seeds?;
         // Uniform in [0, 1) from the high 53 bits, like rand's
@@ -205,15 +179,6 @@ impl FaultPlan {
             None
         }
     }
-
-    /// Whether the plan can ever inject anything.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.panic_jobs.is_empty()
-            && self.delay_jobs.is_empty()
-            && self.abort_jobs.is_empty()
-            && (self.seeds.is_none() || self.panic_rate + self.delay_rate + self.abort_rate <= 0.0)
-    }
 }
 
 /// The panic payload of [`FaultKind::Panic`] — a typed value (not a
@@ -225,7 +190,7 @@ pub struct InjectedPanic {
     /// The faulted job's index.
     pub job: usize,
     /// The zero-based attempt the fault fired on.
-    pub attempt: u32,
+    pub(crate) attempt: u32,
 }
 
 /// Installs (once per process) a panic hook that suppresses the
@@ -252,7 +217,6 @@ mod tests {
     #[test]
     fn empty_plan_never_faults() {
         let plan = FaultPlan::new();
-        assert!(plan.is_empty());
         for job in 0..64 {
             assert_eq!(plan.decide(job, 0), None);
         }
@@ -262,11 +226,8 @@ mod tests {
     fn explicit_indices_fire_exactly_once_by_default() {
         let plan = FaultPlan::new()
             .panic_on([1])
-            .abort_on([2])
             .delay_on([3], Duration::from_millis(7));
-        assert!(!plan.is_empty());
         assert_eq!(plan.decide(1, 0), Some(FaultKind::Panic));
-        assert_eq!(plan.decide(2, 0), Some(FaultKind::Abort));
         assert_eq!(
             plan.decide(3, 0),
             Some(FaultKind::Delay(Duration::from_millis(7)))
@@ -276,17 +237,6 @@ mod tests {
         for job in 0..4 {
             assert_eq!(plan.decide(job, 1), None, "job {job}");
         }
-    }
-
-    #[test]
-    fn faulty_attempts_extends_or_exhausts() {
-        let plan = FaultPlan::new().abort_on([0]).faulty_attempts(3);
-        assert_eq!(plan.decide(0, 0), Some(FaultKind::Abort));
-        assert_eq!(plan.decide(0, 2), Some(FaultKind::Abort));
-        assert_eq!(plan.decide(0, 3), None);
-        let permanent = FaultPlan::new().abort_on([0]).faulty_attempts(u32::MAX);
-        assert_eq!(plan.decide(0, 1), Some(FaultKind::Abort));
-        assert_eq!(permanent.decide(0, u32::MAX - 1), Some(FaultKind::Abort));
     }
 
     #[test]

@@ -36,13 +36,12 @@
 //! (a thread killed by a panicking job is respawned into the same slot,
 //! so capacity self-heals), re-dispatches jobs lost to worker deaths or
 //! blown deadlines under a deterministic
-//! [`RetryPolicy`](approxdd_sim::RetryPolicy), one backoff per retry
-//! round — retried results are byte-identical to first-try results
-//! because seeds are keyed on the job index, never the attempt — and
-//! enforces per-job wall-clock
+//! [`RetryPolicy`](approxdd_sim::RetryPolicy) — retried results are
+//! byte-identical to first-try results because seeds are keyed on the
+//! job index, never the attempt — and enforces per-job wall-clock
 //! deadlines cooperatively through the policy seam, with an optional
 //! degradation ladder ([`PoolJob::degrade_with`]). A seeded
-//! [`FaultPlan`] (test/bench only, driven by the [`DOMAIN_FAULT`] seed
+//! [`FaultPlan`] (test/bench only, driven by the `DOMAIN_FAULT` seed
 //! stream) injects worker panics, delays and forced aborts at
 //! deterministic job indices to exercise all of it.
 //!
@@ -82,7 +81,7 @@ pub use pool::{
     BackendPool, BuildPool, ChunkSettled, PoolJob, PoolOutcome, PoolStats, SharedDiagonal,
     WorkerStats, SHOT_CHUNK,
 };
-pub use seed::{splitmix64, SeedStream, DOMAIN_FAULT, DOMAIN_NOISE, DOMAIN_RUN, DOMAIN_SAMPLE};
+pub use seed::{SeedStream, DOMAIN_NOISE};
 
 #[cfg(test)]
 mod tests {
@@ -114,7 +113,7 @@ mod tests {
             let stats = pool.stats();
             let hits: u64 = stats.per_worker.iter().map(|w| w.ct_hits).sum();
             let misses: u64 = stats.per_worker.iter().map(|w| w.ct_misses).sum();
-            (hits, misses, stats.peak_nodes(), stats.ct_hit_rate())
+            (hits, misses, stats.peak_nodes())
         };
         let one = run(1);
         let three = run(3);
@@ -330,20 +329,19 @@ mod tests {
         let shots = 2 * SHOT_CHUNK + 17;
         let pool = Simulator::builder().workers(3).seed(1).build_pool();
         let plain = pool.sample_counts(&circuit, shots).expect("plain");
-        let mut seen = Vec::new();
+        let mut calls = 0;
         let mut last_view = std::collections::HashMap::new();
         let streamed = pool
             .sample_counts_streamed(&circuit, None, shots, &mut |settled| {
                 assert_eq!(settled.chunks, 3);
-                assert_eq!(settled.settled, seen.len() + 1);
-                seen.push(settled.chunk);
+                calls += 1;
+                assert_eq!(settled.settled, calls);
                 last_view = settled.merged.clone();
             })
             .expect("streamed");
         assert_eq!(streamed, plain);
         assert_eq!(last_view, plain, "final partial view is the result");
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2], "each chunk settles exactly once");
+        assert_eq!(calls, 3, "each chunk settles exactly once");
 
         let circuits: Vec<_> = (0..3).map(|s| generators::supremacy(2, 3, 10, s)).collect();
         let jobs = || {

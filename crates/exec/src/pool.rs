@@ -64,17 +64,16 @@
 //!   during result collection and respawned into the same slot, so the
 //!   pool always returns to full capacity; respawn counts surface in
 //!   [`PoolStats::respawns`].
-//! * **Deterministic retry.** A [`RetryPolicy`] on the template (or
-//!   per job via [`PoolJob::retry`]) re-dispatches units that failed
-//!   with a retryable error — [`ExecError::WorkerLost`],
+//! * **Deterministic retry.** A [`RetryPolicy`] on the template
+//!   re-dispatches units that failed with a retryable error —
+//!   [`ExecError::WorkerLost`],
 //!   [`ExecError::FaultInjected`], [`ExecError::DeadlineExceeded`].
-//!   Re-dispatches go out in rounds, and a round backs off **once**, by
-//!   the longest delay any of its units asks for. Seeds are keyed on
+//!   Re-dispatches go out in rounds, immediately. Seeds are keyed on
 //!   the unit index, never the attempt, so a retried success is
 //!   byte-identical to a first-try success.
-//! * **Deadlines & degradation.** [`PoolJob::deadline`] (or the
-//!   template's `job_deadline`) wraps the job's policy in a
-//!   `DeadlinePolicy` that aborts cooperatively past the cutoff,
+//! * **Deadlines & degradation.** [`PoolJob::deadline`] wraps the
+//!   job's policy in a `DeadlinePolicy` that aborts cooperatively
+//!   past the cutoff,
 //!   surfacing [`ExecError::DeadlineExceeded`]; an optional
 //!   [`PoolJob::degrade_with`] fallback policy reruns aborted jobs
 //!   coarser (once, without the deadline), marking
@@ -138,7 +137,6 @@ pub struct PoolJob {
     trace: bool,
     expectation: Option<SharedDiagonal>,
     deadline: Option<Duration>,
-    retry: Option<RetryPolicy>,
     fallback: Option<Arc<dyn PolicyFactory>>,
 }
 
@@ -151,7 +149,6 @@ impl std::fmt::Debug for PoolJob {
             .field("trace", &self.trace)
             .field("expectation", &self.expectation.is_some())
             .field("deadline", &self.deadline)
-            .field("retry", &self.retry)
             .field("fallback", &self.fallback.is_some())
             .finish()
     }
@@ -168,7 +165,6 @@ impl PoolJob {
             trace: false,
             expectation: None,
             deadline: None,
-            retry: None,
             fallback: None,
         }
     }
@@ -223,23 +219,16 @@ impl PoolJob {
         self
     }
 
-    /// Sets a wall-clock deadline for this job, overriding the
-    /// template's `job_deadline`. Enforced cooperatively: the worker
-    /// wraps the job's policy in a `DeadlinePolicy` that aborts at the
-    /// first operation past the cutoff, surfacing
+    /// Sets a wall-clock deadline for this job — the one way to set
+    /// one. Enforced cooperatively: the worker wraps the job's policy
+    /// in a `DeadlinePolicy` that aborts at the first operation past
+    /// the cutoff, surfacing
     /// [`ExecError::DeadlineExceeded`]. Retried attempts keep the
     /// deadline; a degraded attempt ([`PoolJob::degrade_with`]) drops
     /// it.
     #[must_use]
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
-        self
-    }
-
-    /// Overrides the pool template's [`RetryPolicy`] for this job only.
-    #[must_use]
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
         self
     }
 
@@ -347,8 +336,9 @@ impl PoolOutcome {
 pub struct WorkerStats {
     /// Worker index.
     pub worker: usize,
-    /// Times this worker slot was respawned after a thread death
-    /// (supervision; see [`PoolStats::respawns`] for the pool total).
+    /// Times this worker slot's thread died and was respawned, counted
+    /// when the thread dies (supervision; [`PoolStats::respawns`] is the
+    /// sum over slots).
     pub respawns: usize,
     /// Run jobs executed.
     pub jobs: usize,
@@ -365,7 +355,7 @@ pub struct WorkerStats {
     /// Peak simultaneously-alive DD nodes (both node kinds) over every
     /// backend this worker has owned — the worker's node-memory
     /// high-water mark, accumulated like [`WorkerStats::ct_hits`].
-    pub peak_nodes: usize,
+    pub(crate) peak_nodes: usize,
     /// Gate DDs cached in this worker's backend after its last task.
     pub cached_gates: usize,
     /// Compute-cache hits summed over every backend this worker has
@@ -385,20 +375,20 @@ pub struct WorkerStats {
     pub ct_misses: u64,
     /// Live unique-table entries in this worker's package after its
     /// last task.
-    pub unique_len: usize,
+    pub(crate) unique_len: usize,
     /// Unique-table buckets in this worker's package after its last
     /// task.
-    pub unique_capacity: usize,
+    pub(crate) unique_capacity: usize,
     /// Unique-table lookups served by a shared snapshot's frozen tier,
     /// accumulated like [`WorkerStats::ct_hits`] (0 when the pool runs
     /// without snapshots).
-    pub snapshot_hits: u64,
+    pub(crate) snapshot_hits: u64,
     /// Gate-DD lookups served by a shared snapshot's frozen gate cache,
     /// accumulated like [`WorkerStats::ct_hits`] (0 without snapshots).
     pub snapshot_gate_hits: u64,
     /// Alive nodes in the shared frozen prefix this worker's package
     /// layers over (0 without a snapshot).
-    pub frozen_nodes: usize,
+    pub(crate) frozen_nodes: usize,
 }
 
 /// Aggregated pool statistics: wall time, queue pressure and the
@@ -417,8 +407,10 @@ pub struct PoolStats {
     /// High-water mark of [`PoolStats::queue_depth`].
     pub max_queue_depth: usize,
     /// Worker threads respawned after a death over the pool's lifetime
-    /// (0 on a healthy run). A resilience diagnostic, like
-    /// [`PoolStats::retries`] — never part of any result fingerprint.
+    /// (0 on a healthy run), counted when the thread dies — a caller
+    /// that has seen a job lost to a death reads it counted. A
+    /// resilience diagnostic, like [`PoolStats::retries`] — never part
+    /// of any result fingerprint.
     pub respawns: usize,
     /// Job dispatches beyond each job's first attempt: every retry and
     /// every degraded rerun counts, whether or not it succeeded.
@@ -449,21 +441,6 @@ impl PoolStats {
     #[must_use]
     pub fn shots_drawn(&self) -> usize {
         self.per_worker.iter().map(|w| w.shots_drawn).sum()
-    }
-
-    /// Aggregate compute-cache hit rate over every job the pool has
-    /// executed (workers accumulate retired-backend counters, so this
-    /// is deterministic regardless of scheduling; 0 when nothing was
-    /// looked up).
-    #[must_use]
-    #[allow(clippy::cast_precision_loss)]
-    pub fn ct_hit_rate(&self) -> f64 {
-        let hits: u64 = self.per_worker.iter().map(|w| w.ct_hits).sum();
-        let misses: u64 = self.per_worker.iter().map(|w| w.ct_misses).sum();
-        match hits + misses {
-            0 => 0.0,
-            total => hits as f64 / total as f64,
-        }
     }
 
     /// Highest peak node count over every package any worker has
@@ -504,13 +481,11 @@ impl PoolStats {
 }
 
 /// A settled sharded-sampling chunk, as seen by the
-/// [`BackendPool::sample_counts_streamed`] callback: which chunk just
-/// merged, how far the request has progressed, and a borrowed view of
-/// the running merged histogram.
+/// [`BackendPool::sample_counts_streamed`] callback: how far the
+/// request has progressed, and a borrowed view of the running merged
+/// histogram.
 #[derive(Debug)]
 pub struct ChunkSettled<'a> {
-    /// Index of the chunk that just settled (its seed key).
-    pub chunk: usize,
     /// Total chunks in this request's decomposition.
     pub chunks: usize,
     /// Chunks settled so far, including this one.
@@ -534,6 +509,25 @@ struct Dispatch {
     /// Whether this dispatch runs under the unit's degradation
     /// fallback.
     degraded: bool,
+}
+
+/// Counts a worker death where the dispatch is lost: dropped while its
+/// thread unwinds out of a task, it books the death in the slot's
+/// [`WorkerStats::respawns`] — the one counter [`PoolStats::respawns`]
+/// sums — and in `approxdd_pool_respawns_total`. The dying thread is
+/// still the cell's only writer; its replacement adopts the cell.
+struct DeathCount(Arc<Mutex<WorkerStats>>);
+
+impl Drop for DeathCount {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .respawns += 1;
+            telemetry::count("approxdd_pool_respawns_total", 1);
+        }
+    }
 }
 
 /// What travels the queue: one dispatch, already bound to its work and
@@ -723,8 +717,7 @@ impl BackendPool {
 
     /// Worker threads currently running. Less than
     /// [`BackendPool::workers`] only between a worker death and the
-    /// next supervision tick; [`BackendPool::heal`] restores full
-    /// capacity.
+    /// next supervision tick, which restores full capacity.
     #[must_use]
     pub fn alive_workers(&self) -> usize {
         self.supervisor.alive()
@@ -732,24 +725,19 @@ impl BackendPool {
 
     /// Respawns every dead worker thread into its original slot (same
     /// index, same [`WorkerStats`] cell, accumulated counters
-    /// preserved), returning how many were healed. The collector calls
-    /// this automatically on a timer tick, so user code rarely needs
-    /// to — it is public for servers that want to heal eagerly between
-    /// batches. Totals surface in [`PoolStats::respawns`] and per slot
-    /// in [`WorkerStats::respawns`].
-    pub fn heal(&self) -> usize {
+    /// preserved). The collector calls this on a timer tick and once
+    /// per round. The death itself was already counted, by the dying
+    /// task (see [`DeathCount`]).
+    fn heal(&self) {
         self.supervisor.heal(|slot| {
-            let cell = &self.worker_stats[slot];
-            cell.lock().unwrap_or_else(PoisonError::into_inner).respawns += 1;
-            telemetry::count("approxdd_pool_respawns_total", 1);
             spawn_worker(
                 slot,
                 &self.template,
                 &self.receiver,
                 &self.queue_depth,
-                cell,
+                &self.worker_stats[slot],
             )
-        })
+        });
     }
 
     /// Installs (or, with `None`, clears) a fault-injection plan for
@@ -838,18 +826,13 @@ impl BackendPool {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
-        let template_retry = self.template.retry_policy();
-        let template_deadline = self.template.job_deadline_budget();
         let seeds = self.seeds;
-        let ladder: Vec<_> = jobs
-            .iter()
-            .map(|job| (job.retry.unwrap_or(template_retry), job.fallback.is_some()))
-            .collect();
+        let has_fallback: Vec<bool> = jobs.iter().map(|job| job.fallback.is_some()).collect();
         let mut results: Vec<_> = jobs.iter().map(|_| None).collect();
         self.drive(
             "run",
             jobs.len(),
-            |index| ladder[index],
+            |index| has_fallback[index],
             // The job list moves into the work closure, which `drive`
             // shares behind one `Arc`: every attempt of every job, on
             // whichever worker it lands, reads the same copy.
@@ -861,7 +844,7 @@ impl BackendPool {
                 let deadline = if dispatch.degraded {
                     None
                 } else {
-                    job.deadline.or(template_deadline)
+                    job.deadline
                 };
                 worker.booked(true, job.shots, |worker| {
                     worker.run_job(
@@ -943,7 +926,6 @@ impl BackendPool {
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
         let chunks = shots.div_ceil(SHOT_CHUNK);
         let chunk_shots = move |chunk: usize| SHOT_CHUNK.min(shots - chunk * SHOT_CHUNK);
-        let template_retry = self.template.retry_policy();
         let seeds = self.seeds;
         let circuit = circuit.clone();
         let policy = strategy.map(|s| Arc::new(s) as Arc<dyn PolicyFactory>);
@@ -953,7 +935,7 @@ impl BackendPool {
         self.drive(
             "sample",
             chunks,
-            |_| (template_retry, false),
+            |_| false,
             move |worker, dispatch| {
                 let size = chunk_shots(dispatch.key);
                 let seed = seeds.seed(DOMAIN_SAMPLE, dispatch.key as u64);
@@ -968,7 +950,6 @@ impl BackendPool {
                 settled += 1;
                 shots_settled += chunk_shots(chunk);
                 on_chunk(&ChunkSettled {
-                    chunk,
                     chunks,
                     settled,
                     shots_settled,
@@ -983,9 +964,9 @@ impl BackendPool {
     /// The one execution path: dispatches units `0..units` to the
     /// workers and collects one final result per unit.
     ///
-    /// `work` is what a worker does for one dispatch; `ladder` gives a
-    /// unit's retry policy and whether it has a degradation fallback;
-    /// `settle` receives each unit's final result, in arrival order,
+    /// `work` is what a worker does for one dispatch; `has_fallback`
+    /// says whether a unit has a degradation fallback (every unit
+    /// retries under the template's [`RetryPolicy`]); `settle` receives each unit's final result, in arrival order,
     /// and may fail the whole submission (queued dispatches then run
     /// into a closed reply channel).
     ///
@@ -1003,11 +984,12 @@ impl BackendPool {
         &self,
         kind: &'static str,
         units: usize,
-        ladder: impl Fn(usize) -> (RetryPolicy, bool),
+        has_fallback: impl Fn(usize) -> bool,
         work: impl Fn(&mut Worker, Dispatch) -> Result<T, ExecError> + Send + Sync + 'static,
         mut settle: impl FnMut(usize, Result<T, ExecError>) -> Result<(), ExecError>,
     ) -> Result<(), ExecError> {
         let work = Arc::new(work);
+        let retry = self.template.retry_policy();
         let mut pending: Vec<Dispatch> = (0..units)
             .map(|key| Dispatch {
                 key,
@@ -1017,16 +999,6 @@ impl BackendPool {
             .collect();
         while !pending.is_empty() {
             pending.sort_unstable_by_key(|dispatch| dispatch.key);
-            // One backoff per round — the longest any of its units
-            // asks for — so k retried units cost one delay, not k.
-            let backoff = pending
-                .iter()
-                .map(|dispatch| ladder(dispatch.key).0.delay_for(dispatch.attempt))
-                .max()
-                .unwrap_or_default();
-            if !backoff.is_zero() {
-                thread::sleep(backoff);
-            }
             let (reply, replies) = mpsc::channel();
             let mut outstanding = BTreeMap::new();
             for dispatch in std::mem::take(&mut pending) {
@@ -1034,6 +1006,11 @@ impl BackendPool {
                 let work = Arc::clone(&work);
                 let reply = reply.clone();
                 self.submit(kind, move |worker| {
+                    // Declared before the guard, so dropped after it:
+                    // when `work` panics the death is on the books
+                    // before the collector can see the reply sender go.
+                    let reply = reply;
+                    let _death = DeathCount(Arc::clone(&worker.published));
                     let _ = reply.send((dispatch.key, work(worker, dispatch)));
                 });
             }
@@ -1051,8 +1028,7 @@ impl BackendPool {
                             self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
                             telemetry::count("approxdd_pool_deadline_exceeded_total", 1);
                         }
-                        let (retry, has_fallback) = ladder(key);
-                        verdict(err, attempt, degraded, retry, has_fallback)
+                        verdict(err, attempt, degraded, retry, has_fallback(key))
                     }
                 };
                 if next == Verdict::Final {
@@ -1093,20 +1069,21 @@ impl BackendPool {
     /// node/cache state.
     #[must_use]
     pub fn stats(&self) -> PoolStats {
+        let per_worker: Vec<WorkerStats> = self
+            .worker_stats
+            .iter()
+            .map(|cell| cell.lock().unwrap_or_else(PoisonError::into_inner).clone())
+            .collect();
         PoolStats {
             workers: self.workers(),
             uptime: self.created.elapsed(),
             tasks_submitted: self.tasks_submitted.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            respawns: self.supervisor.respawns(),
+            respawns: per_worker.iter().map(|w| w.respawns).sum(),
             retries: self.retries.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            per_worker: self
-                .worker_stats
-                .iter()
-                .map(|cell| cell.lock().unwrap_or_else(PoisonError::into_inner).clone())
-                .collect(),
+            per_worker,
         }
     }
 

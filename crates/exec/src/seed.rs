@@ -11,7 +11,7 @@
 /// and returns the mixed output. The finalizer is bijective, so
 /// distinct inputs can never silently collapse onto one seed.
 #[must_use]
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -30,9 +30,9 @@ pub struct SeedStream {
 }
 
 /// Seed domain of batch-run jobs (per-job measurement sampling).
-pub const DOMAIN_RUN: u64 = 0x1;
+pub(crate) const DOMAIN_RUN: u64 = 0x1;
 /// Seed domain of sharded `sample_counts` shot chunks.
-pub const DOMAIN_SAMPLE: u64 = 0x2;
+pub(crate) const DOMAIN_SAMPLE: u64 = 0x2;
 /// Seed domain of stochastic noise-trajectory sampling (the
 /// `approxdd-noise` crate derives trajectory `t`'s channel-selection
 /// RNG from `seed(DOMAIN_NOISE, t)` at submission time, so inserted
@@ -45,7 +45,7 @@ pub const DOMAIN_NOISE: u64 = 0x3;
 /// the same job indices at every worker count — which is what makes
 /// the recovery paths (supervision, retry, deadlines) reproducibly
 /// testable. Test/bench only; no production path consumes this domain.
-pub const DOMAIN_FAULT: u64 = 0x4;
+pub(crate) const DOMAIN_FAULT: u64 = 0x4;
 
 impl SeedStream {
     /// A stream rooted at `root` (a pool's builder seed).

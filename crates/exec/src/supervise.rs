@@ -15,15 +15,15 @@
 //! a dead worker matters — a pool nobody is submitting to has nothing
 //! to supervise.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-/// Owns the pool's worker [`JoinHandle`]s and the respawn count.
+/// Owns the pool's worker [`JoinHandle`]s. Deaths are counted where
+/// they happen — by the dying task, in the pool's dispatch wrapper —
+/// so healing only respawns.
 #[derive(Debug)]
 pub(crate) struct Supervisor {
     handles: Mutex<Vec<JoinHandle<()>>>,
-    respawns: AtomicUsize,
 }
 
 impl Supervisor {
@@ -31,7 +31,6 @@ impl Supervisor {
     pub(crate) fn new(handles: Vec<JoinHandle<()>>) -> Self {
         Self {
             handles: Mutex::new(handles),
-            respawns: AtomicUsize::new(0),
         }
     }
 
@@ -57,26 +56,16 @@ impl Supervisor {
     /// Respawns every finished worker thread via `respawn(slot)`,
     /// joining the dead handle (which collects and discards its panic
     /// payload — `is_finished()` guarantees the join cannot block).
-    /// Returns how many slots were healed. Concurrent callers
-    /// serialize on the handle table, so a death is healed exactly
-    /// once.
-    pub(crate) fn heal<F: FnMut(usize) -> JoinHandle<()>>(&self, mut respawn: F) -> usize {
+    /// Concurrent callers serialize on the handle table, so a death is
+    /// healed exactly once.
+    pub(crate) fn heal<F: FnMut(usize) -> JoinHandle<()>>(&self, mut respawn: F) {
         let mut handles = self.handles.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut healed = 0;
         for slot in 0..handles.len() {
             if handles[slot].is_finished() {
                 let dead = std::mem::replace(&mut handles[slot], respawn(slot));
                 let _ = dead.join();
-                self.respawns.fetch_add(1, Ordering::Relaxed);
-                healed += 1;
             }
         }
-        healed
-    }
-
-    /// Total workers respawned over the pool's lifetime.
-    pub(crate) fn respawns(&self) -> usize {
-        self.respawns.load(Ordering::Relaxed)
     }
 
     /// Joins every worker (orderly shutdown; the pool closes the task

@@ -49,7 +49,10 @@ fn scaled_branches(branches: &[KrausBranch]) -> ScaledBranches {
 /// [`ExecError::Noise`] for an invalid model,
 /// [`ExecError::State`] for registers beyond [`MAX_DENSITY_QUBITS`]
 /// or malformed operations.
-pub fn exact_density(circuit: &Circuit, model: &NoiseModel) -> Result<DensityMatrix, ExecError> {
+pub(crate) fn exact_density(
+    circuit: &Circuit,
+    model: &NoiseModel,
+) -> Result<DensityMatrix, ExecError> {
     model.validate()?;
     if circuit.n_qubits() > MAX_DENSITY_QUBITS {
         return Err(ExecError::State(StateError::TooManyQubits {
@@ -91,7 +94,7 @@ pub fn exact_density(circuit: &Circuit, model: &NoiseModel) -> Result<DensityMat
 ///
 /// # Errors
 ///
-/// See [`exact_density`].
+/// See `exact_density`.
 pub fn exact_diagonal(circuit: &Circuit, model: &NoiseModel) -> Result<Vec<f64>, ExecError> {
     Ok(exact_density(circuit, model)?.diagonal())
 }
@@ -102,25 +105,13 @@ pub fn exact_diagonal(circuit: &Circuit, model: &NoiseModel) -> Result<Vec<f64>,
 ///
 /// # Errors
 ///
-/// See [`exact_density`].
+/// See `exact_density`.
 pub fn exact_expectation(
     circuit: &Circuit,
     model: &NoiseModel,
     f: &dyn Fn(u64) -> f64,
 ) -> Result<f64, ExecError> {
     Ok(exact_density(circuit, model)?.expectation_diagonal(f))
-}
-
-/// The exact fidelity `⟨ψ|ρ|ψ⟩` of the noisy state against the ideal
-/// (noiseless) pure state of the same circuit.
-///
-/// # Errors
-///
-/// See [`exact_density`].
-pub fn exact_fidelity_vs_ideal(circuit: &Circuit, model: &NoiseModel) -> Result<f64, ExecError> {
-    let rho = exact_density(circuit, model)?;
-    let ideal = approxdd_statevector::run_circuit(circuit).map_err(ExecError::State)?;
-    Ok(rho.fidelity_pure(&ideal))
 }
 
 /// Helper used by tests: total variation distance between a sampled
@@ -151,9 +142,8 @@ mod tests {
         let circuit = generators::ghz(4);
         let rho = exact_density(&circuit, &NoiseModel::new()).unwrap();
         assert!((rho.purity() - 1.0).abs() < 1e-10);
-        assert!(
-            (exact_fidelity_vs_ideal(&circuit, &NoiseModel::new()).unwrap() - 1.0).abs() < 1e-10
-        );
+        let ideal = approxdd_statevector::run_circuit(&circuit).unwrap();
+        assert!((rho.fidelity_pure(&ideal) - 1.0).abs() < 1e-10);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`NoiseChannel`] / [`NoiseModel`] (defined in
 //!   [`approxdd_circuit::noise`], re-exported here) describe channels
 //!   in Kraus form and where they attach to a circuit;
-//! * [`sample_trajectory`] Monte-Carlo-samples one concrete noisy
+//! * `TrajectoryPlan::sample` Monte-Carlo-samples one concrete noisy
 //!   realization, inserting Pauli gates and Kraus dense blocks into the
 //!   op stream;
 //! * [`NoisePool`] fans trajectories out across an
@@ -78,11 +78,9 @@ pub mod exact;
 mod pool;
 mod sampler;
 
-pub use approxdd_circuit::noise::{
-    KrausBranch, KrausFactor, NoiseApplication, NoiseChannel, NoiseError, NoiseModel,
-};
+pub use approxdd_circuit::noise::{NoiseChannel, NoiseModel};
 pub use pool::{BuildNoisePool, NoisePool, TrajectoryConfig, TrajectoryOutcome, TrajectoryRecord};
-pub use sampler::{sample_trajectory, Trajectory, TrajectoryPlan};
+pub use sampler::{Trajectory, TrajectoryPlan};
 
 #[cfg(test)]
 mod tests {
@@ -101,7 +99,7 @@ mod tests {
             .with_global(NoiseChannel::amplitude_damping(0.3).unwrap());
         let circuit = generators::qft(4);
         for seed in 0..5 {
-            let trajectory = sample_trajectory(&circuit, &model, seed);
+            let trajectory = TrajectoryPlan::new(&circuit, &model).sample(seed);
             let mut dd = Simulator::builder().build_backend();
             let mut sv = StatevectorBackend::new();
             let a = amplitudes_of(&mut dd, &trajectory.circuit).expect("dd");

@@ -16,7 +16,7 @@ use std::hash::{Hash, Hasher};
 use approxdd_backend::{BackendStats, ExecError};
 use approxdd_circuit::noise::NoiseModel;
 use approxdd_circuit::Circuit;
-use approxdd_exec::{BackendPool, PoolJob, PoolStats, SeedStream, SharedDiagonal, DOMAIN_NOISE};
+use approxdd_exec::{BackendPool, PoolJob, SeedStream, SharedDiagonal, DOMAIN_NOISE};
 use approxdd_sim::{SimulatorBuilder, Strategy};
 
 use crate::sampler::TrajectoryPlan;
@@ -80,12 +80,6 @@ impl TrajectoryConfig {
         self
     }
 
-    /// Number of trajectories.
-    #[must_use]
-    pub fn trajectory_count(&self) -> usize {
-        self.trajectories
-    }
-
     /// Shots per trajectory.
     #[must_use]
     pub fn shots_per_trajectory(&self) -> usize {
@@ -97,17 +91,17 @@ impl TrajectoryConfig {
 #[derive(Debug, Clone)]
 pub struct TrajectoryRecord {
     /// Trajectory index (also its seed-stream index).
-    pub index: usize,
+    pub(crate) index: usize,
     /// Non-identity noise operations inserted.
-    pub noise_ops: usize,
+    pub(crate) noise_ops: usize,
     /// Measured fidelity of the trajectory's run (the DD engine's
     /// end-to-end approximation fidelity — 1.0 when the trajectory ran
     /// exactly).
     pub fidelity: f64,
     /// DD node count of the trajectory's final state.
-    pub final_size: usize,
+    pub(crate) final_size: usize,
     /// The requested observable's value on this trajectory, if any.
-    pub observable: Option<f64>,
+    pub(crate) observable: Option<f64>,
     /// Full unified run statistics, including the per-trajectory DD
     /// package counters in [`BackendStats::dd`].
     pub stats: BackendStats,
@@ -123,7 +117,7 @@ pub struct TrajectoryOutcome {
     /// Trajectories executed.
     pub trajectories: usize,
     /// Measurement shots drawn per trajectory.
-    pub shots_per_trajectory: usize,
+    pub(crate) shots_per_trajectory: usize,
     /// Merged measurement histogram over all trajectories (empty when
     /// no shots were requested).
     pub counts: HashMap<u64, usize>,
@@ -135,7 +129,7 @@ pub struct TrajectoryOutcome {
     /// Mean of the per-trajectory observable values, when requested.
     pub observable_mean: Option<f64>,
     /// Sample standard deviation of the observable values.
-    pub observable_std: Option<f64>,
+    pub(crate) observable_std: Option<f64>,
     /// Total noise operations inserted across all trajectories.
     pub noise_ops_total: usize,
     /// Per-trajectory records, in trajectory order.
@@ -214,7 +208,7 @@ impl TrajectoryOutcome {
 /// byte-identical with snapshots on or off.
 ///
 /// The fault-tolerance layer is inherited the same way: a template's
-/// `retry(...)` / `job_deadline(...)` knobs apply to every trajectory
+/// `retry(...)` knob applies to every trajectory
 /// job (trajectory batches are ordinary [`BackendPool::run_jobs`]
 /// submissions), worker deaths self-heal mid-batch, and because
 /// trajectory seeds are keyed on the trajectory index alone, a retried
@@ -299,13 +293,7 @@ impl NoisePool {
         &self.pool
     }
 
-    /// Pool execution statistics.
-    #[must_use]
-    pub fn stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// Samples `cfg.trajectory_count()` noise trajectories of
+    /// Samples the configured number of noise trajectories of
     /// `circuit`, runs them across the pool, and aggregates counts,
     /// fidelity mean/σ, observable mean/σ and per-trajectory records.
     ///
@@ -490,7 +478,10 @@ mod tests {
                 .share_snapshot(share)
                 .build_noise_pool();
             let outcome = pool.run_trajectories(&circuit, &cfg).expect("trajectories");
-            (outcome.fingerprint(), pool.stats().snapshot_gate_hits())
+            (
+                outcome.fingerprint(),
+                pool.pool().stats().snapshot_gate_hits(),
+            )
         };
         let (off, off_hits) = run(false, 2);
         assert_eq!(off_hits, 0);
@@ -553,7 +544,7 @@ mod tests {
         assert_eq!(pool.root_seed(), 77);
         assert_eq!(pool.workers(), 2);
         assert!(!pool.model().is_ideal());
-        assert_eq!(pool.stats().workers, 2);
+        assert_eq!(pool.pool().stats().workers, 2);
     }
 
     #[test]

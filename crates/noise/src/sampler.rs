@@ -38,12 +38,9 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct Trajectory {
     /// The circuit with the sampled noise operations inserted.
-    pub circuit: Circuit,
-    /// Channel application sites visited (identical for every
-    /// trajectory of one `(circuit, model)` pair).
-    pub sites: usize,
+    pub(crate) circuit: Circuit,
     /// Non-identity noise operations actually inserted.
-    pub noise_ops: usize,
+    pub(crate) noise_ops: usize,
 }
 
 /// One resolved channel application site: an index into the plan's
@@ -65,7 +62,6 @@ pub struct TrajectoryPlan {
     sites_per_op: Vec<Vec<PlannedSite>>,
     /// One branch table per distinct channel in the model.
     tables: ChannelTables,
-    site_count: usize,
 }
 
 impl TrajectoryPlan {
@@ -74,7 +70,6 @@ impl TrajectoryPlan {
     #[must_use]
     pub fn new(circuit: &Circuit, model: &NoiseModel) -> Self {
         let mut tables = ChannelTables::new();
-        let mut site_count = 0usize;
         let sites_per_op = circuit
             .ops()
             .iter()
@@ -82,13 +77,10 @@ impl TrajectoryPlan {
                 model
                     .applications(op)
                     .into_iter()
-                    .map(|site| {
-                        site_count += 1;
-                        PlannedSite {
-                            table: tables.index_of(site.channel),
-                            qubits: site.qubits,
-                            label: site.channel.name(),
-                        }
+                    .map(|site| PlannedSite {
+                        table: tables.index_of(site.channel),
+                        qubits: site.qubits,
+                        label: site.channel.name(),
                     })
                     .collect()
             })
@@ -97,20 +89,13 @@ impl TrajectoryPlan {
             circuit: circuit.clone(),
             sites_per_op,
             tables,
-            site_count,
         }
-    }
-
-    /// Channel application sites per trajectory.
-    #[must_use]
-    pub fn sites(&self) -> usize {
-        self.site_count
     }
 
     /// Samples one trajectory, seeded by `seed` (deterministic: same
     /// plan and seed, same trajectory).
     #[must_use]
-    pub fn sample(&self, seed: u64) -> Trajectory {
+    pub(crate) fn sample(&self, seed: u64) -> Trajectory {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut out = Circuit::new(self.circuit.n_qubits(), self.circuit.name());
         let mut noise_ops = 0usize;
@@ -154,18 +139,9 @@ impl TrajectoryPlan {
         }
         Trajectory {
             circuit: out,
-            sites: self.site_count,
             noise_ops,
         }
     }
-}
-
-/// Samples one noise trajectory of `circuit` under `model`, seeded by
-/// `seed`. One-shot convenience over [`TrajectoryPlan`] — callers
-/// sampling many trajectories should build the plan once.
-#[must_use]
-pub fn sample_trajectory(circuit: &Circuit, model: &NoiseModel, seed: u64) -> Trajectory {
-    TrajectoryPlan::new(circuit, model).sample(seed)
 }
 
 #[cfg(test)]
@@ -174,6 +150,17 @@ mod tests {
     use approxdd_circuit::generators;
     use approxdd_circuit::noise::NoiseChannel;
     use approxdd_circuit::Operation;
+
+    /// Channel application sites of a plan (identical for every
+    /// trajectory of one `(circuit, model)` pair).
+    fn site_count(plan: &TrajectoryPlan) -> usize {
+        plan.sites_per_op.iter().map(Vec::len).sum()
+    }
+
+    /// One trajectory from a plan built for this call alone.
+    fn sample_trajectory(circuit: &Circuit, model: &NoiseModel, seed: u64) -> Trajectory {
+        TrajectoryPlan::new(circuit, model).sample(seed)
+    }
 
     #[test]
     fn sampling_is_deterministic_in_the_seed() {
@@ -200,7 +187,6 @@ mod tests {
             let direct = sample_trajectory(&circuit, &model, seed);
             assert_eq!(planned.circuit, direct.circuit, "seed {seed}");
             assert_eq!(planned.noise_ops, direct.noise_ops);
-            assert_eq!(planned.sites, plan.sites());
         }
     }
 
@@ -209,7 +195,11 @@ mod tests {
         let circuit = generators::ghz(5);
         let t = sample_trajectory(&circuit, &NoiseModel::new(), 7);
         assert_eq!(t.circuit.ops(), circuit.ops());
-        assert_eq!((t.sites, t.noise_ops), (0, 0));
+        assert_eq!(t.noise_ops, 0);
+        assert_eq!(
+            site_count(&TrajectoryPlan::new(&circuit, &NoiseModel::new())),
+            0
+        );
     }
 
     #[test]
@@ -218,7 +208,7 @@ mod tests {
         circuit.x(0).x(1);
         let model = NoiseModel::new().with_global(NoiseChannel::bit_flip(1.0).unwrap());
         let t = sample_trajectory(&circuit, &model, 1);
-        assert_eq!(t.sites, 2);
+        assert_eq!(site_count(&TrajectoryPlan::new(&circuit, &model)), 2);
         assert_eq!(t.noise_ops, 2);
         assert_eq!(t.circuit.gate_count(), 4);
     }
@@ -266,7 +256,7 @@ mod tests {
         for seed in 0..200 {
             let t = plan.sample(seed);
             fired += t.noise_ops;
-            sites += t.sites;
+            sites += site_count(&plan);
         }
         #[allow(clippy::cast_precision_loss)]
         let rate = fired as f64 / sites as f64;

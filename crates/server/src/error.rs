@@ -47,7 +47,7 @@ pub enum ServeError {
 impl ServeError {
     /// The HTTP status code this error maps to.
     #[must_use]
-    pub fn http_status(&self) -> u16 {
+    pub(crate) fn http_status(&self) -> u16 {
         match self {
             ServeError::QueueFull { .. } | ServeError::QuotaExhausted { .. } => 429,
             ServeError::BadRequest(_) => 400,
@@ -59,7 +59,7 @@ impl ServeError {
 
     /// A stable machine-readable discriminant for JSON error bodies.
     #[must_use]
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             ServeError::QueueFull { .. } => "queue_full",
             ServeError::QuotaExhausted { .. } => "quota_exhausted",

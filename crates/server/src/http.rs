@@ -27,34 +27,22 @@ const MAX_BODY: usize = 4 * 1024 * 1024;
 #[derive(Debug)]
 pub struct Request {
     /// Request method, uppercased (`GET`, `POST`, ...).
-    pub method: String,
+    pub(crate) method: String,
     /// Decoded path without the query string (`/jobs/12`).
-    pub path: String,
+    pub(crate) path: String,
     /// Percent-decoded query parameters in order of appearance.
-    pub query: Vec<(String, String)>,
-    /// Header name/value pairs (names lowercased).
-    pub headers: Vec<(String, String)>,
+    pub(crate) query: Vec<(String, String)>,
     /// Request body (empty unless `Content-Length` said otherwise).
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
 }
 
 impl Request {
     /// The first query parameter named `key`, if any.
     #[must_use]
-    pub fn query_param(&self, key: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, key: &str) -> Option<&str> {
         self.query
             .iter()
             .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// The first header named `name` (case-insensitive), if any.
-    #[must_use]
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
             .map(|(_, v)| v.as_str())
     }
 }
@@ -64,7 +52,7 @@ impl Request {
 /// Returns `Ok(None)` on a clean EOF before any byte arrived (the
 /// peer connected and closed — how the server's own shutdown wakeup
 /// connection looks) and `Err` for malformed or oversized requests.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
+pub(crate) fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     // Where the terminator search resumes. Scanning all of `buf` after
@@ -102,7 +90,9 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     let target = parts.next().ok_or_else(|| bad("missing request target"))?;
     let (path, query) = split_target(target);
 
-    let mut headers = Vec::new();
+    // Every header line is validated; only the first `Content-Length`
+    // is read.
+    let mut content_length = None;
     for line in lines {
         if line.is_empty() {
             continue;
@@ -110,13 +100,13 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| bad("malformed header line"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        if content_length.is_none() && name.trim().eq_ignore_ascii_case("content-length") {
+            content_length = Some(value.trim());
+        }
     }
 
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.parse::<usize>())
+    let content_length = content_length
+        .map(str::parse::<usize>)
         .transpose()
         .map_err(|_| bad("unparseable Content-Length"))?
         .unwrap_or(0);
@@ -140,13 +130,12 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
         method,
         path,
         query,
-        headers,
         body,
     }))
 }
 
 /// Writes a complete response with the given status and body.
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -163,7 +152,7 @@ pub fn write_response(
 }
 
 /// Writes a JSON document as a complete response.
-pub fn write_json(stream: &mut TcpStream, status: u16, body: &Json) -> io::Result<()> {
+pub(crate) fn write_json(stream: &mut TcpStream, status: u16, body: &Json) -> io::Result<()> {
     write_response(
         stream,
         status,
@@ -176,7 +165,7 @@ pub fn write_json(stream: &mut TcpStream, status: u16, body: &Json) -> io::Resul
 /// writes newline-terminated JSON lines directly and closes the
 /// connection when the stream ends (`Connection: close` framing — no
 /// Content-Length, no chunked encoding).
-pub fn start_ndjson(stream: &mut TcpStream) -> io::Result<()> {
+pub(crate) fn start_ndjson(stream: &mut TcpStream) -> io::Result<()> {
     write!(
         stream,
         "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n"

@@ -9,7 +9,7 @@
 //! fingerprint is byte-identical to a direct pool run of the same job.
 //!
 //! Everything is `std`-only: the HTTP layer is a hand-rolled
-//! HTTP/1.1 subset over [`std::net::TcpListener`] ([`http`]), the
+//! HTTP/1.1 subset over [`std::net::TcpListener`] (`http`), the
 //! JSON comes from the workspace's shared writer
 //! ([`approxdd_sim::json`]); the workspace builds fully offline.
 //!
@@ -29,13 +29,13 @@
 //!
 //! The building blocks, each its own module:
 //!
-//! * [`http`] — request parsing and response/NDJSON writing;
-//! * [`scheduler`] — bounded priority admission with per-client
+//! * `http` — request parsing and response/NDJSON writing;
+//! * `scheduler` — bounded priority admission with per-client
 //!   token-bucket quotas (typed 429 backpressure, never blocking);
-//! * [`session`] — the warm-session LRU promoting frozen
+//! * `session` — the warm-session LRU promoting frozen
 //!   [`approxdd_sim::SimSnapshot`]s from per-batch to cross-batch,
 //!   with the determinism argument for why that is result-invisible;
-//! * [`server`] — configuration, bind, the accept loop and the drain,
+//! * `server` — configuration, bind, the accept loop and the drain,
 //!   plus the state shared by the stages of the accept → admit →
 //!   schedule → stream → settle lifecycle.
 //!
@@ -53,15 +53,15 @@
 
 #![warn(missing_docs)]
 
-pub mod error;
-pub mod http;
+mod error;
+mod http;
 mod job;
 mod report;
 mod routes;
 mod run;
-pub mod scheduler;
-pub mod server;
-pub mod session;
+mod scheduler;
+mod server;
+mod session;
 
 pub use error::ServeError;
 pub use scheduler::{Quota, Scheduler};

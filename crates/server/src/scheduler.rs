@@ -87,7 +87,7 @@ impl<T> Scheduler<T> {
     /// Tries to admit `job` for `client` at `priority`. Never blocks:
     /// either the job is queued, or a typed backpressure error comes
     /// back immediately (and `job` is dropped).
-    pub fn admit(&mut self, client: &str, priority: i32, job: T) -> Result<(), ServeError> {
+    pub(crate) fn admit(&mut self, client: &str, priority: i32, job: T) -> Result<(), ServeError> {
         if self.queue.len() >= self.capacity {
             self.rejected_queue_full += 1;
             return Err(ServeError::QueueFull {
@@ -130,37 +130,37 @@ impl<T> Scheduler<T> {
     }
 
     /// Pops the highest-priority (earliest within a band) queued job.
-    pub fn pop(&mut self) -> Option<T> {
+    pub(crate) fn pop(&mut self) -> Option<T> {
         self.queue.pop_first().map(|(_, job)| job)
     }
 
     /// Jobs currently queued.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queue.len()
     }
 
     /// Whether the queue is empty.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 
     /// Jobs admitted over the scheduler's lifetime.
     #[must_use]
-    pub fn admitted(&self) -> u64 {
+    pub(crate) fn admitted(&self) -> u64 {
         self.admitted
     }
 
     /// Submissions rejected because the queue was full.
     #[must_use]
-    pub fn rejected_queue_full(&self) -> u64 {
+    pub(crate) fn rejected_queue_full(&self) -> u64 {
         self.rejected_queue_full
     }
 
     /// Submissions rejected because the client's bucket ran dry.
     #[must_use]
-    pub fn rejected_quota(&self) -> u64 {
+    pub(crate) fn rejected_quota(&self) -> u64 {
         self.rejected_quota
     }
 }

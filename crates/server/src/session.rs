@@ -64,18 +64,18 @@ pub struct SessionStats {
     /// Lookups that found a warm session.
     pub hits: u64,
     /// Lookups that missed (the request then pays a cold freeze).
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Snapshots inserted over the cache's lifetime.
-    pub inserts: u64,
+    pub(crate) inserts: u64,
     /// Sessions evicted by the LRU cap.
     pub evictions: u64,
     /// Sessions currently cached.
-    pub entries: usize,
+    pub(crate) entries: usize,
     /// Frozen DD nodes held by the cached sessions combined.
-    pub frozen_nodes: usize,
+    pub(crate) frozen_nodes: usize,
     /// Times any currently cached snapshot was layered under a worker
     /// package (the cross-batch reuse odometer).
-    pub attaches: u64,
+    pub(crate) attaches: u64,
 }
 
 /// An LRU cache mapping [`family_hash`] keys to frozen snapshots.
@@ -106,12 +106,6 @@ impl SessionCache {
             inserts: 0,
             evictions: 0,
         }
-    }
-
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Looks up a warm session, marking it most-recently-used on a hit.

@@ -2,7 +2,7 @@
 
 /// Greatest common divisor (Euclid).
 #[must_use]
-pub fn gcd(mut a: u64, mut b: u64) -> u64 {
+pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);
     }
@@ -15,7 +15,7 @@ pub fn gcd(mut a: u64, mut b: u64) -> u64 {
 ///
 /// Panics if `m == 0`.
 #[must_use]
-pub fn modmul(a: u64, b: u64, m: u64) -> u64 {
+pub(crate) fn modmul(a: u64, b: u64, m: u64) -> u64 {
     assert!(m != 0, "modulus must be nonzero");
     ((u128::from(a) * u128::from(b)) % u128::from(m)) as u64
 }
@@ -26,7 +26,7 @@ pub fn modmul(a: u64, b: u64, m: u64) -> u64 {
 ///
 /// Panics if `m == 0`.
 #[must_use]
-pub fn modpow(mut base: u64, mut exp: u64, m: u64) -> u64 {
+pub(crate) fn modpow(mut base: u64, mut exp: u64, m: u64) -> u64 {
     assert!(m != 0, "modulus must be nonzero");
     if m == 1 {
         return 0;
@@ -46,7 +46,7 @@ pub fn modpow(mut base: u64, mut exp: u64, m: u64) -> u64 {
 /// Deterministic Miller–Rabin primality test for `u64` (uses the known
 /// complete witness set for 64-bit integers).
 #[must_use]
-pub fn is_prime(n: u64) -> bool {
+pub(crate) fn is_prime(n: u64) -> bool {
     if n < 2 {
         return false;
     }
@@ -82,7 +82,7 @@ pub fn is_prime(n: u64) -> bool {
 
 /// If `n = b^k` for some integers `b >= 2`, `k >= 2`, returns `(b, k)`.
 #[must_use]
-pub fn perfect_power(n: u64) -> Option<(u64, u32)> {
+pub(crate) fn perfect_power(n: u64) -> Option<(u64, u32)> {
     if n < 4 {
         return None;
     }
@@ -112,7 +112,7 @@ fn nth_root(n: u64, k: u32) -> u64 {
 
 /// Number of bits needed to represent `n` (`bits(0) == 0`).
 #[must_use]
-pub fn bit_length(n: u64) -> usize {
+pub(crate) fn bit_length(n: u64) -> usize {
     (64 - n.leading_zeros()) as usize
 }
 
@@ -123,7 +123,7 @@ pub fn bit_length(n: u64) -> usize {
 ///
 /// Panics if `den == 0`.
 #[must_use]
-pub fn convergents(mut num: u64, mut den: u64) -> Vec<(u64, u64)> {
+pub(crate) fn convergents(mut num: u64, mut den: u64) -> Vec<(u64, u64)> {
     assert!(den != 0, "denominator must be nonzero");
     let mut result = Vec::new();
     // h/k convergent recurrences.
@@ -146,7 +146,7 @@ pub fn convergents(mut num: u64, mut den: u64) -> Vec<(u64, u64)> {
 /// `y / 2^m`, bounded by `max_order`, plus their small multiples (which
 /// recover the order when `gcd(s, r) > 1` shortened the fraction).
 #[must_use]
-pub fn order_candidates(y: u64, m: u32, max_order: u64) -> Vec<u64> {
+pub(crate) fn order_candidates(y: u64, m: u32, max_order: u64) -> Vec<u64> {
     if y == 0 {
         return Vec::new();
     }

@@ -5,9 +5,7 @@ use rand::{Rng, SeedableRng};
 
 use approxdd_sim::{SimStats, Simulator, Strategy};
 
-use crate::classical::{
-    bit_length, gcd, is_prime, modpow, multiplicative_order, order_candidates, perfect_power,
-};
+use crate::classical::{bit_length, gcd, is_prime, modpow, order_candidates, perfect_power};
 use crate::error::ShorError;
 use crate::shor_circuit::shor_circuit;
 use crate::Result;
@@ -50,9 +48,9 @@ pub struct OrderFinding {
     /// The verified multiplicative order of `a` mod `n`.
     pub order: u64,
     /// Samples drawn from the counting register.
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Simulation statistics (DD sizes, rounds, fidelity, runtime).
-    pub sim_stats: SimStats,
+    pub(crate) sim_stats: SimStats,
 }
 
 /// The result of a successful factorization.
@@ -192,13 +190,6 @@ pub fn factor(n: u64, options: &FactorOptions) -> Result<FactorOutcome> {
     Err(ShorError::AttemptsExhausted { n, attempts })
 }
 
-/// Sanity helper for tests and benches: verifies that the simulated
-/// order finder agrees with brute force.
-#[must_use]
-pub fn classical_order_check(n: u64, a: u64, found: u64) -> bool {
-    multiplicative_order(a, n) == Some(found)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,7 +229,6 @@ mod tests {
         };
         let found = find_order(15, 7, &opts).unwrap();
         assert_eq!(found.order, 4);
-        assert!(classical_order_check(15, 7, found.order));
     }
 
     #[test]

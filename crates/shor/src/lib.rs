@@ -33,10 +33,8 @@ mod factoring;
 mod shor_circuit;
 
 pub use error::ShorError;
-pub use factoring::{
-    classical_order_check, factor, find_order, FactorOptions, FactorOutcome, OrderFinding,
-};
-pub use shor_circuit::{counting_qubits, shor_circuit, work_qubits};
+pub use factoring::{factor, find_order, FactorOptions, FactorOutcome, OrderFinding};
+pub use shor_circuit::shor_circuit;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ShorError>;

@@ -21,19 +21,6 @@ use crate::classical::{bit_length, gcd, modmul};
 use crate::error::ShorError;
 use crate::Result;
 
-/// The work-register qubit range for factoring `n`.
-#[must_use]
-pub fn work_qubits(n: u64) -> std::ops::Range<usize> {
-    0..bit_length(n)
-}
-
-/// The counting-register qubit range for factoring `n`.
-#[must_use]
-pub fn counting_qubits(n: u64) -> std::ops::Range<usize> {
-    let b = bit_length(n);
-    b..3 * b
-}
-
 /// Builds the Shor circuit for factoring `n` with base `a`
 /// (benchmark name `shor_<n>_<a>`).
 ///
@@ -200,11 +187,5 @@ mod tests {
         }
         let expect: Vec<usize> = (4..12).collect();
         assert_eq!(controls, expect);
-    }
-
-    #[test]
-    fn register_helpers() {
-        assert_eq!(work_qubits(33), 0..6);
-        assert_eq!(counting_qubits(33), 6..18);
     }
 }

@@ -17,11 +17,10 @@
 //! amplitudes (`2^{-30}` and below) would be indistinguishable from
 //! zero under any fixed float tolerance.
 //!
-//! Measurement outcomes in the *random* branch are drawn from the
-//! caller-supplied RNG (one `bool` per random measurement), which is
-//! how the backend layer keeps results byte-identical across worker
-//! counts: the RNG is seeded per-job from the deterministic seed
-//! stream, never from worker-local state.
+//! Samples are drawn from the caller-supplied RNG (one `bool` per
+//! support dimension), which is how the backend layer keeps results
+//! byte-identical across worker counts: the RNG is seeded per-job from
+//! the deterministic seed stream, never from worker-local state.
 //!
 //! `Backend` is implemented in `approxdd-backend` (crate dependency
 //! order); this crate exposes the raw engine.
@@ -52,7 +51,7 @@ use rand::Rng;
 pub const MAX_INDEXED_QUBITS: usize = 63;
 
 /// Widest register [`Tableau::amplitudes`] will export densely.
-pub const MAX_DENSE_QUBITS: usize = 26;
+pub(crate) const MAX_DENSE_QUBITS: usize = 26;
 
 /// Errors from the stabilizer engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,7 +106,7 @@ pub struct Amp {
 impl Amp {
     /// The amplitude 1.
     #[must_use]
-    pub fn one() -> Self {
+    pub(crate) fn one() -> Self {
         Amp {
             zero: false,
             e: 0,
@@ -117,7 +116,7 @@ impl Amp {
 
     /// The amplitude 0.
     #[must_use]
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Amp {
             zero: true,
             e: 0,
@@ -125,21 +124,15 @@ impl Amp {
         }
     }
 
-    /// Whether this is the zero amplitude.
-    #[must_use]
-    pub fn is_zero(self) -> bool {
-        self.zero
-    }
-
     /// Multiply by `i^quarter`.
     #[must_use]
-    pub fn mul_i_pow(self, quarter: u32) -> Self {
+    pub(crate) fn mul_i_pow(self, quarter: u32) -> Self {
         self.mul_omega_pow(2 * quarter)
     }
 
     /// Multiply by `ω^k`.
     #[must_use]
-    pub fn mul_omega_pow(self, k: u32) -> Self {
+    pub(crate) fn mul_omega_pow(self, k: u32) -> Self {
         if self.zero {
             return self;
         }
@@ -151,7 +144,7 @@ impl Amp {
 
     /// Multiply by `√2^d` (`d` may be negative).
     #[must_use]
-    pub fn mul_sqrt2_pow(self, d: i32) -> Self {
+    pub(crate) fn mul_sqrt2_pow(self, d: i32) -> Self {
         if self.zero {
             return self;
         }
@@ -163,7 +156,7 @@ impl Amp {
 
     /// Squared magnitude, `2^e`.
     #[must_use]
-    pub fn mag2(self) -> f64 {
+    pub(crate) fn mag2(self) -> f64 {
         if self.zero {
             0.0
         } else {
@@ -215,15 +208,6 @@ impl Amp {
         };
         out.map(|v| v.mul_sqrt2_pow(-1))
     }
-}
-
-/// Outcome of a single-qubit computational-basis measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Measurement {
-    /// The measured bit.
-    pub outcome: bool,
-    /// Whether the outcome was forced by the state (no RNG draw).
-    pub deterministic: bool,
 }
 
 /// A stabilizer state on `n` qubits in CHP tableau form plus a phase
@@ -421,7 +405,7 @@ impl Tableau {
     }
 
     /// Apply a classified Clifford operation.
-    pub fn apply_clifford(&mut self, op: &CliffordOp) {
+    pub(crate) fn apply_clifford(&mut self, op: &CliffordOp) {
         match *op {
             CliffordOp::Single { gate, target } => self.apply_single(gate, target),
             CliffordOp::Controlled {
@@ -452,7 +436,7 @@ impl Tableau {
     }
 
     /// Apply an uncontrolled single-qubit Clifford gate.
-    pub fn apply_single(&mut self, gate: CliffordGate, q: usize) {
+    pub(crate) fn apply_single(&mut self, gate: CliffordGate, q: usize) {
         debug_assert!(q < self.n);
         match gate {
             CliffordGate::I => {}
@@ -512,7 +496,7 @@ impl Tableau {
     }
 
     /// CNOT.
-    pub fn apply_cx(&mut self, control: usize, target: usize) {
+    pub(crate) fn apply_cx(&mut self, control: usize, target: usize) {
         debug_assert!(control < self.n && target < self.n && control != target);
         let w = self.w;
         let (cw, cm) = (control / 64, 1u64 << (control % 64));
@@ -538,7 +522,7 @@ impl Tableau {
     }
 
     /// CZ (native diagonal update; no Hadamard conjugation).
-    pub fn apply_cz(&mut self, control: usize, target: usize) {
+    pub(crate) fn apply_cz(&mut self, control: usize, target: usize) {
         debug_assert!(control < self.n && target < self.n && control != target);
         let w = self.w;
         let (cw, cm) = (control / 64, 1u64 << (control % 64));
@@ -612,75 +596,9 @@ impl Tableau {
         }
     }
 
-    /// Measure qubit `q` in the computational basis, collapsing the
-    /// state. Random outcomes draw exactly one `bool` from `rng`;
-    /// deterministic outcomes draw nothing.
-    pub fn measure<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> Measurement {
-        debug_assert!(q < self.n);
-        let (n, w) = (self.n, self.w);
-        let (wq, m) = (q / 64, 1u64 << (q % 64));
-        let p = (n..2 * n).find(|&i| self.x[i * w + wq] & m != 0);
-        let Some(p) = p else {
-            return Measurement {
-                outcome: self.deterministic_outcome(q),
-                deterministic: true,
-            };
-        };
-        let outcome = rng.gen::<bool>();
-        // Witness repair against the *pre-measurement* group: if the
-        // witness disagrees with the outcome, row p (anticommuting
-        // with Z_q, so flipping bit q) moves it into the surviving
-        // half; either way the projection renormalizes by √2.
-        if self.wit_bit(q) != outcome {
-            let mut quarter = 2 * i64::from(self.r[p]);
-            let mut zb = 0u32;
-            for k in 0..w {
-                let (px, pz) = (self.x[p * w + k], self.z[p * w + k]);
-                quarter += i64::from((px & pz).count_ones());
-                zb ^= (pz & self.wit_b[k]).count_ones() & 1;
-            }
-            quarter += 2 * i64::from(zb);
-            for k in 0..w {
-                self.wit_b[k] ^= self.x[p * w + k];
-            }
-            self.wit_a = self.wit_a.mul_i_pow(quarter.rem_euclid(4) as u32);
-        }
-        debug_assert_eq!(self.wit_bit(q), outcome);
-        self.wit_a = self.wit_a.mul_sqrt2_pow(1);
-        // Standard CHP update.
-        for i in 0..2 * n {
-            if i != p && self.x[i * w + wq] & m != 0 {
-                self.rowsum(i, p);
-            }
-        }
-        for k in 0..w {
-            self.x[(p - n) * w + k] = self.x[p * w + k];
-            self.z[(p - n) * w + k] = self.z[p * w + k];
-            self.x[p * w + k] = 0;
-            self.z[p * w + k] = 0;
-        }
-        self.r[p - n] = self.r[p];
-        self.z[p * w + wq] = m;
-        self.r[p] = u8::from(outcome);
-        Measurement {
-            outcome,
-            deterministic: false,
-        }
-    }
-
-    /// Exact amplitude `⟨basis|ψ⟩`.
-    ///
-    /// # Panics
-    ///
-    /// When `n_qubits > 63` (basis states no longer fit a `u64`).
-    #[must_use]
-    pub fn amplitude(&self, basis: u64) -> Cplx {
-        self.amplitude_amp(basis).to_cplx()
-    }
-
     /// Exact amplitude in integer form.
     #[must_use]
-    pub fn amplitude_amp(&self, basis: u64) -> Amp {
+    pub(crate) fn amplitude_amp(&self, basis: u64) -> Amp {
         assert!(
             self.n <= MAX_INDEXED_QUBITS,
             "u64 basis indexing caps at {MAX_INDEXED_QUBITS} qubits"
@@ -706,7 +624,7 @@ impl Tableau {
     ///
     /// # Errors
     ///
-    /// [`StabilizerError::TooManyQubits`] beyond [`MAX_DENSE_QUBITS`].
+    /// [`StabilizerError::TooManyQubits`] beyond `MAX_DENSE_QUBITS`.
     pub fn amplitudes(&self) -> Result<Vec<Cplx>, StabilizerError> {
         if self.n > MAX_DENSE_QUBITS {
             return Err(StabilizerError::TooManyQubits {
@@ -889,57 +807,6 @@ impl Tableau {
         }
     }
 
-    /// AG rowsum: row `h` ← row `i` · row `h`, with the ±1 sign
-    /// resolved through exact mod-4 phase accumulation.
-    fn rowsum(&mut self, h: usize, i: usize) {
-        let w = self.w;
-        let mut g = 2 * (i64::from(self.r[h]) + i64::from(self.r[i]));
-        for k in 0..w {
-            g += pauli_mul_phase_word(
-                self.x[i * w + k],
-                self.z[i * w + k],
-                self.x[h * w + k],
-                self.z[h * w + k],
-            );
-        }
-        let g = g.rem_euclid(4);
-        // Destabilizer rows (h < n) may anticommute with the source
-        // row; their phases are don't-care in CHP, so only stabilizer
-        // targets must land on ±1.
-        debug_assert!(h < self.n || g % 2 == 0, "stabilizer rowsum is ±1");
-        self.r[h] = u8::from(g >= 2);
-        for k in 0..w {
-            self.x[h * w + k] ^= self.x[i * w + k];
-            self.z[h * w + k] ^= self.z[i * w + k];
-        }
-    }
-
-    /// Outcome of a measurement fully determined by the stabilizers:
-    /// the product of stabilizer rows selected by destabilizer X-bits
-    /// at `q` equals `±Z_q`; the sign is the outcome.
-    fn deterministic_outcome(&self, q: usize) -> bool {
-        let (n, w) = (self.n, self.w);
-        let (wq, m) = (q / 64, 1u64 << (q % 64));
-        let mut ax = vec![0u64; w];
-        let mut az = vec![0u64; w];
-        let mut at: i64 = 0;
-        for i in 0..n {
-            if self.x[i * w + wq] & m != 0 {
-                let s = n + i;
-                at += 2 * i64::from(self.r[s]);
-                for k in 0..w {
-                    at += pauli_mul_phase_word(self.x[s * w + k], self.z[s * w + k], ax[k], az[k]);
-                    ax[k] ^= self.x[s * w + k];
-                    az[k] ^= self.z[s * w + k];
-                }
-            }
-        }
-        debug_assert!(ax.iter().all(|&word| word == 0));
-        let at = at.rem_euclid(4);
-        debug_assert_eq!(at % 2, 0);
-        at == 2
-    }
-
     /// Reduce copies of the stabilizer rows to reduced row echelon
     /// form over the X-part, phases tracked exactly.
     fn group_solver(&self) -> GroupSolver {
@@ -1074,13 +941,13 @@ mod tests {
         let t = Tableau::run(&generators::ghz(40)).unwrap();
         let ones = (1u64 << 40) - 1;
         assert_eq!(t.support_rank(), 1);
-        let a0 = t.amplitude(0);
-        let a1 = t.amplitude(ones);
+        let a0 = t.amplitude_amp(0).to_cplx();
+        let a1 = t.amplitude_amp(ones).to_cplx();
         let expected = (0.5f64).sqrt();
         assert!((a0.re - expected).abs() < 1e-12 && a0.im.abs() < 1e-15);
         assert!((a1.re - expected).abs() < 1e-12 && a1.im.abs() < 1e-15);
         // Off-support amplitudes are exact zeros, not small floats.
-        assert_eq!(t.amplitude(1), Cplx::ZERO);
+        assert_eq!(t.amplitude_amp(1).to_cplx(), Cplx::ZERO);
         assert_eq!(t.probability(ones - 1), 0.0);
     }
 
@@ -1094,65 +961,6 @@ mod tests {
             assert!((p - 0.5f64.powi(k as i32)).abs() < 1e-15);
             let total: f64 = (0..1u64 << 8).map(|b| t.probability(b)).sum();
             assert!((total - 1.0).abs() < 1e-12, "seed {seed}: total {total}");
-        }
-    }
-
-    #[test]
-    fn measurement_marginals_match_statevector() {
-        for seed in 0..10 {
-            let c = generators::random_clifford(5, 8, seed);
-            let mut sv = State::zero(5);
-            sv.run(&c).unwrap();
-            for q in 0..5 {
-                let p1: f64 = (0..1u64 << 5)
-                    .filter(|b| b >> q & 1 == 1)
-                    .map(|b| sv.probability(b))
-                    .sum();
-                let mut t = Tableau::run(&c).unwrap();
-                let mut rng = StdRng::seed_from_u64(seed ^ (q as u64) << 32);
-                let m = t.measure(q, &mut rng);
-                if m.deterministic {
-                    let expect = if m.outcome { 1.0 } else { 0.0 };
-                    assert!((p1 - expect).abs() < 1e-12, "seed {seed} q{q}");
-                } else {
-                    assert!((p1 - 0.5).abs() < 1e-12, "seed {seed} q{q}: p1 = {p1}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn post_measurement_state_matches_projected_statevector() {
-        for seed in 0..10 {
-            let c = generators::random_clifford(4, 8, seed);
-            let mut t = Tableau::run(&c).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let m = t.measure(1, &mut rng);
-            let mut sv = State::zero(4);
-            sv.run(&c).unwrap();
-            // Project and renormalize the dense state by hand.
-            let mut dense: Vec<Cplx> = sv.amplitudes().to_vec();
-            let mut norm2 = 0.0;
-            for (b, a) in dense.iter_mut().enumerate() {
-                if (b >> 1 & 1 == 1) != m.outcome {
-                    *a = Cplx::ZERO;
-                }
-                norm2 += a.mag2();
-            }
-            let scale = 1.0 / norm2.sqrt();
-            let got = t.amplitudes().unwrap();
-            for (b, want) in dense.iter().enumerate() {
-                let w = *want * scale;
-                let g = got[b];
-                assert!(
-                    (g.re - w.re).abs() < 1e-12 && (g.im - w.im).abs() < 1e-12,
-                    "seed {seed} basis {b}: {g:?} vs {w:?}"
-                );
-            }
-            // Re-measuring the same qubit is now deterministic.
-            let m2 = t.measure(1, &mut rng);
-            assert!(m2.deterministic);
-            assert_eq!(m2.outcome, m.outcome);
         }
     }
 

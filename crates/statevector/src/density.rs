@@ -50,44 +50,10 @@ impl DensityMatrix {
         Self { n: n_qubits, elems }
     }
 
-    /// The pure density matrix `|ψ⟩⟨ψ|` of a state vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state exceeds [`MAX_DENSITY_QUBITS`].
-    #[must_use]
-    pub fn pure(state: &State) -> Self {
-        assert!(state.n_qubits() <= MAX_DENSITY_QUBITS);
-        let amps = state.amplitudes();
-        let dim = amps.len();
-        let mut elems = vec![Cplx::ZERO; dim * dim];
-        for (r, a) in amps.iter().enumerate() {
-            for (c, b) in amps.iter().enumerate() {
-                elems[r * dim + c] = *a * b.conj();
-            }
-        }
-        Self {
-            n: state.n_qubits(),
-            elems,
-        }
-    }
-
-    /// Register width.
-    #[must_use]
-    pub fn n_qubits(&self) -> usize {
-        self.n
-    }
-
     /// Hilbert-space dimension `2ⁿ`.
     #[must_use]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         1 << self.n
-    }
-
-    /// The raw row-major entries.
-    #[must_use]
-    pub fn elements(&self) -> &[Cplx] {
-        &self.elems
     }
 
     /// `tr ρ` (1 for any trace-preserving evolution of a unit state).
@@ -282,6 +248,23 @@ mod tests {
     use super::*;
     use approxdd_circuit::generators;
 
+    /// The pure density matrix `|ψ⟩⟨ψ|` of a state vector — the
+    /// reference unitary evolution is checked against.
+    fn pure(state: &State) -> DensityMatrix {
+        let amps = state.amplitudes();
+        let dim = amps.len();
+        let mut elems = vec![Cplx::ZERO; dim * dim];
+        for (r, a) in amps.iter().enumerate() {
+            for (c, b) in amps.iter().enumerate() {
+                elems[r * dim + c] = *a * b.conj();
+            }
+        }
+        DensityMatrix {
+            n: state.n_qubits(),
+            elems,
+        }
+    }
+
     fn x_matrix() -> [[Cplx; 2]; 2] {
         [[Cplx::ZERO, Cplx::ONE], [Cplx::ONE, Cplx::ZERO]]
     }
@@ -296,10 +279,10 @@ mod tests {
             let mut rho = DensityMatrix::zero(circuit.n_qubits());
             rho.run(&circuit).unwrap();
             let sv = crate::run_circuit(&circuit).unwrap();
-            let want = DensityMatrix::pure(&sv);
+            let want = pure(&sv);
             assert!((rho.trace() - 1.0).abs() < 1e-10, "{}", circuit.name());
             assert!((rho.purity() - 1.0).abs() < 1e-10, "{}", circuit.name());
-            for (a, b) in rho.elements().iter().zip(want.elements()) {
+            for (a, b) in rho.elems.iter().zip(&want.elems) {
                 assert!((*a - *b).mag() < 1e-9, "{}", circuit.name());
             }
             assert!((rho.fidelity_pure(&sv) - 1.0).abs() < 1e-9);
@@ -355,7 +338,7 @@ mod tests {
             controls: vec![],
         })
         .unwrap();
-        let mut rho = DensityMatrix::pure(&one);
+        let mut rho = pure(&one);
         rho.apply_kraus(&[vec![(0, k0)], vec![(0, k1)]]);
         let diag = rho.diagonal();
         assert!((diag[0] - 1.0).abs() < 1e-12);

@@ -17,7 +17,7 @@
 //! assert!((s.probability(0b111) - 0.5).abs() < 1e-12);
 //! ```
 
-pub mod density;
+mod density;
 pub mod xeb;
 
 pub use density::{DensityMatrix, KrausOperator, MAX_DENSITY_QUBITS};
@@ -101,7 +101,7 @@ impl State {
     ///
     /// Panics if `n_qubits > MAX_DENSE_QUBITS` or `idx` out of range.
     #[must_use]
-    pub fn basis(n_qubits: usize, idx: u64) -> Self {
+    pub(crate) fn basis(n_qubits: usize, idx: u64) -> Self {
         assert!(
             n_qubits <= MAX_DENSE_QUBITS,
             "dense state limited to {MAX_DENSE_QUBITS} qubits"
@@ -121,7 +121,7 @@ impl State {
     /// Panics if the length is not a power of two or exceeds the dense
     /// maximum.
     #[must_use]
-    pub fn from_amplitudes(amps: Vec<Cplx>) -> Self {
+    pub(crate) fn from_amplitudes(amps: Vec<Cplx>) -> Self {
         assert!(amps.len().is_power_of_two() && !amps.is_empty());
         let n = amps.len().trailing_zeros() as usize;
         assert!(n <= MAX_DENSE_QUBITS);
@@ -130,7 +130,7 @@ impl State {
 
     /// Register width.
     #[must_use]
-    pub fn n_qubits(&self) -> usize {
+    pub(crate) fn n_qubits(&self) -> usize {
         self.n
     }
 
@@ -144,7 +144,7 @@ impl State {
     /// Consumes the state, returning its amplitude vector (the
     /// allocation-reuse path of the density-matrix column kernels).
     #[must_use]
-    pub fn into_amplitudes(self) -> Vec<Cplx> {
+    pub(crate) fn into_amplitudes(self) -> Vec<Cplx> {
         self.amps
     }
 
@@ -156,29 +156,8 @@ impl State {
 
     /// ℓ2 norm of the state.
     #[must_use]
-    pub fn norm(&self) -> f64 {
+    pub(crate) fn norm(&self) -> f64 {
         self.amps.iter().map(|a| a.mag2()).sum::<f64>().sqrt()
-    }
-
-    /// Hermitian inner product `⟨self|other⟩`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    #[must_use]
-    pub fn inner_product(&self, other: &State) -> Cplx {
-        assert_eq!(self.n, other.n);
-        self.amps
-            .iter()
-            .zip(&other.amps)
-            .map(|(a, b)| a.conj() * *b)
-            .sum()
-    }
-
-    /// Fidelity `|⟨self|other⟩|²` (Definition 1 of the paper).
-    #[must_use]
-    pub fn fidelity(&self, other: &State) -> f64 {
-        self.inner_product(other).mag2()
     }
 
     /// Applies one circuit operation in place.
@@ -187,7 +166,7 @@ impl State {
     ///
     /// [`StateError::BadOperation`] on out-of-range or overlapping
     /// qubits.
-    pub fn apply(&mut self, op: &Operation) -> Result<(), StateError> {
+    pub(crate) fn apply(&mut self, op: &Operation) -> Result<(), StateError> {
         self.apply_indexed(op, usize::MAX)
     }
 
@@ -358,16 +337,6 @@ impl State {
         counts
     }
 
-    /// Normalizes the state to unit norm (no-op on the zero vector).
-    pub fn normalize(&mut self) {
-        let n = self.norm();
-        if n > 0.0 {
-            for a in &mut self.amps {
-                *a = *a / n;
-            }
-        }
-    }
-
     /// Expectation value of a diagonal (computational-basis) observable
     /// `O = Σ f(i) |i⟩⟨i|`: `Σ_i |a_i|² · f(i)`.
     #[must_use]
@@ -396,19 +365,6 @@ pub fn run_circuit(circuit: &Circuit) -> Result<State, StateError> {
     let mut state = State::zero(circuit.n_qubits());
     state.run(circuit)?;
     Ok(state)
-}
-
-/// Runs a batch of circuits, one fresh dense state each — the
-/// statevector side of the `approxdd-backend` batched-execution API.
-///
-/// # Errors
-///
-/// The first failing circuit's error; earlier results are discarded.
-pub fn run_batch<'a, I>(circuits: I) -> Result<Vec<State>, StateError>
-where
-    I: IntoIterator<Item = &'a Circuit>,
-{
-    circuits.into_iter().map(run_circuit).collect()
 }
 
 #[cfg(test)]
@@ -539,17 +495,11 @@ mod tests {
     }
 
     #[test]
-    fn run_circuit_and_batch_helpers_agree_with_manual_runs() {
+    fn run_circuit_helper_agrees_with_a_manual_run() {
         let ghz = generators::ghz(3);
-        let qft = generators::qft(3);
-        let states = run_batch([&ghz, &qft]).unwrap();
-        assert_eq!(states.len(), 2);
         let mut manual = State::zero(3);
         manual.run(&ghz).unwrap();
-        assert_eq!(states[0], manual);
-        assert!((states[1].norm() - 1.0).abs() < 1e-12);
-        let single = run_circuit(&ghz).unwrap();
-        assert_eq!(single, states[0]);
+        assert_eq!(run_circuit(&ghz).unwrap(), manual);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::State;
 /// Panics if `ideal_probs` is empty or `samples` is empty, or if a
 /// sample indexes outside the distribution.
 #[must_use]
-pub fn linear_xeb(ideal_probs: &[f64], samples: &[u64]) -> f64 {
+pub(crate) fn linear_xeb(ideal_probs: &[f64], samples: &[u64]) -> f64 {
     assert!(!ideal_probs.is_empty() && !samples.is_empty());
     let d = ideal_probs.len() as f64;
     let mean: f64 = samples

@@ -50,9 +50,8 @@ mod prometheus;
 
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry,
-    MetricsSnapshot, HISTOGRAM_BUCKETS,
+    MetricsSnapshot,
 };
-pub use prometheus::{escape_label_value, sanitize_label_name, sanitize_metric_name};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -84,13 +83,6 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Zeroes every value in the [`global`] registry (registrations are
-/// kept). Bench bins call this before a measured run so the emitted
-/// snapshot covers exactly that run.
-pub fn reset() {
-    global().reset();
-}
-
 /// The per-phase histogram handle for `phase` in the [`global`]
 /// registry. Hot paths call this once and keep the `Arc`.
 pub fn phase_histogram(phase: &str) -> Arc<Histogram> {
@@ -119,12 +111,6 @@ impl Span {
             start: Instant::now(),
             recorded: false,
         }
-    }
-
-    /// Elapsed time so far, without recording anything.
-    #[must_use]
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
     }
 
     /// Stops the span, records it (if telemetry is enabled) and returns
@@ -218,7 +204,6 @@ mod tests {
     fn span_records_into_phase_family() {
         let before = phase_histogram("test.span_records").count();
         let span = Span::enter("test.span_records");
-        assert!(span.elapsed() <= Duration::from_secs(1));
         let elapsed = span.finish();
         assert!(elapsed.as_nanos() > 0);
         assert_eq!(phase_histogram("test.span_records").count(), before + 1);

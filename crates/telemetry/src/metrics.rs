@@ -15,7 +15,7 @@ use crate::prometheus;
 
 /// Number of histogram buckets: one for zero plus one per bit length
 /// of a `u64` value (see [`Histogram::bucket_index`]).
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -36,12 +36,8 @@ impl Counter {
 
     /// Current value.
     #[must_use]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -58,19 +54,10 @@ impl Gauge {
         self.value.store(value, Ordering::Relaxed);
     }
 
-    /// Raises the value to `value` if it is larger (high-water marks).
-    pub fn set_max(&self, value: u64) {
-        self.value.fetch_max(value, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[must_use]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -78,7 +65,7 @@ impl Gauge {
 ///
 /// Bucket `0` holds exactly the value `0`; bucket `i ≥ 1` holds values
 /// of bit length `i`, i.e. the range `[2^(i-1), 2^i - 1]`. Every
-/// `u64` maps to one of the [`HISTOGRAM_BUCKETS`] buckets, so the
+/// `u64` maps to one of the `HISTOGRAM_BUCKETS` buckets, so the
 /// Prometheus rendering's last finite upper bound is `2^63 - 1` and
 /// `+Inf` absorbs the top bit-length. Durations are recorded in
 /// nanoseconds via [`Histogram::observe_duration`].
@@ -104,7 +91,7 @@ impl Histogram {
     /// bit length of `value` (so `1 → 1`, `2..=3 → 2`, `4..=7 → 3`,
     /// `2^k..=2^(k+1)-1 → k+1`, `u64::MAX → 64`).
     #[must_use]
-    pub fn bucket_index(value: u64) -> usize {
+    pub(crate) fn bucket_index(value: u64) -> usize {
         (u64::BITS - value.leading_zeros()) as usize
     }
 
@@ -129,16 +116,8 @@ impl Histogram {
 
     /// Sum of all observed values (wrapping on overflow).
     #[must_use]
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -160,10 +139,10 @@ pub struct HistogramSnapshot {
     /// Total observations.
     pub count: u64,
     /// Sum of observed values.
-    pub sum: u64,
+    pub(crate) sum: u64,
     /// Per-bucket (non-cumulative) observation counts, one per
     /// [`HISTOGRAM_BUCKETS`] slot.
-    pub buckets: Vec<u64>,
+    pub(crate) buckets: Vec<u64>,
 }
 
 impl HistogramSnapshot {
@@ -207,40 +186,6 @@ pub struct MetricEntry {
 pub struct MetricsSnapshot {
     /// Sorted metric entries.
     pub entries: Vec<MetricEntry>,
-}
-
-impl MetricsSnapshot {
-    /// Merges `other` into `self`, deterministically: counters and
-    /// histograms add, gauges keep the maximum, and entries only in
-    /// `other` are inserted at their sorted position. Merging worker
-    /// snapshots in any order yields the same result.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for entry in &other.entries {
-            let key = (&entry.name, &entry.labels);
-            match self
-                .entries
-                .binary_search_by(|e| (&e.name, &e.labels).cmp(&key))
-            {
-                Err(pos) => self.entries.insert(pos, entry.clone()),
-                Ok(pos) => match (&mut self.entries[pos].value, &entry.value) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => {
-                        *a = a.wrapping_add(*b);
-                    }
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = (*a).max(*b),
-                    (MetricValue::Histogram(a), MetricValue::Histogram(b)) => {
-                        a.count = a.count.wrapping_add(b.count);
-                        a.sum = a.sum.wrapping_add(b.sum);
-                        for (x, y) in a.buckets.iter_mut().zip(&b.buckets) {
-                            *x = x.wrapping_add(*y);
-                        }
-                    }
-                    // Mixed kinds under one key cannot happen within a
-                    // registry; across hand-built snapshots, keep self.
-                    _ => {}
-                },
-            }
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -302,7 +247,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// If the (name, labels) pair is registered as a different kind.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
+    pub(crate) fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         let metric = self.get_or_insert(name, labels, || Metric::Gauge(Arc::default()));
         match metric {
             Metric::Gauge(g) => g,
@@ -356,18 +301,6 @@ impl MetricsRegistry {
                 .collect(),
         );
         self.map().entry(key).or_insert_with(make).clone()
-    }
-
-    /// Zeroes every registered value; registrations (and the `Arc`
-    /// handles callers cached) stay valid.
-    pub fn reset(&self) {
-        for metric in self.map().values() {
-            match metric {
-                Metric::Counter(c) => c.reset(),
-                Metric::Gauge(g) => g.reset(),
-                Metric::Histogram(h) => h.reset(),
-            }
-        }
     }
 
     /// A deterministic snapshot of every registered metric, sorted by
@@ -444,15 +377,13 @@ mod tests {
         .join();
         assert!(died.is_err() && registry.metrics.lock().is_err());
 
-        // Registration, scrape and reset all still work, on intact data.
+        // Registration and scrape still work, on intact data.
         registry.counter("hits_total").inc();
         registry.gauge("depth").set(2);
         let snap = registry.snapshot();
         assert_eq!(snap.entries.len(), 2);
         assert_eq!(registry.counter("hits_total").get(), 4);
         assert!(registry.render_prometheus().contains("hits_total 4"));
-        registry.reset();
-        assert_eq!(registry.counter("hits_total").get(), 0);
     }
 
     #[test]
@@ -486,14 +417,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_high_water() {
+    fn gauge_set_overwrites() {
         let registry = MetricsRegistry::new();
         let g = registry.gauge("depth");
         g.set(5);
-        g.set_max(3);
         assert_eq!(g.get(), 5);
-        g.set_max(9);
-        assert_eq!(g.get(), 9);
         g.set(1);
         assert_eq!(g.get(), 1);
     }
@@ -514,53 +442,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_but_keeps_handles() {
-        let registry = MetricsRegistry::new();
-        let c = registry.counter("n");
-        c.add(7);
-        registry.reset();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        assert_eq!(registry.counter("n").get(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "already registered")]
     fn kind_mismatch_panics() {
         let registry = MetricsRegistry::new();
         let _ = registry.counter("x");
         let _ = registry.gauge("x");
-    }
-
-    #[test]
-    fn snapshots_merge_deterministically() {
-        let a = MetricsRegistry::new();
-        a.counter("c").add(1);
-        a.gauge("g").set(4);
-        a.histogram("h").observe(10);
-        let b = MetricsRegistry::new();
-        b.counter("c").add(2);
-        b.gauge("g").set(2);
-        b.histogram("h").observe(100);
-        b.counter("only_b").inc();
-
-        let mut ab = a.snapshot();
-        ab.merge(&b.snapshot());
-        let mut ba = b.snapshot();
-        ba.merge(&a.snapshot());
-        assert_eq!(ab, ba);
-
-        let c = ab
-            .entries
-            .iter()
-            .find(|e| e.name == "c")
-            .map(|e| e.value.clone());
-        assert_eq!(c, Some(MetricValue::Counter(3)));
-        let g = ab
-            .entries
-            .iter()
-            .find(|e| e.name == "g")
-            .map(|e| e.value.clone());
-        assert_eq!(g, Some(MetricValue::Gauge(4)));
     }
 }

@@ -13,14 +13,14 @@ use std::fmt::Write;
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*` by replacing invalid characters with
 /// `_` (and prefixing `_` if the first character is a digit).
 #[must_use]
-pub fn sanitize_metric_name(name: &str) -> String {
+pub(crate) fn sanitize_metric_name(name: &str) -> String {
     sanitize(name, true)
 }
 
 /// Maps `name` onto the label-name grammar `[a-zA-Z_][a-zA-Z0-9_]*`
 /// (like [`sanitize_metric_name`] but `:` is not allowed).
 #[must_use]
-pub fn sanitize_label_name(name: &str) -> String {
+pub(crate) fn sanitize_label_name(name: &str) -> String {
     sanitize(name, false)
 }
 
@@ -49,7 +49,7 @@ fn sanitize(name: &str, allow_colon: bool) -> String {
 /// Escapes a label value for `name{key="value"}` position: backslash,
 /// double quote and newline are backslash-escaped.
 #[must_use]
-pub fn escape_label_value(value: &str) -> String {
+pub(crate) fn escape_label_value(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {
@@ -64,7 +64,7 @@ pub fn escape_label_value(value: &str) -> String {
 
 /// Renders a snapshot as Prometheus text exposition.
 #[must_use]
-pub fn render(snapshot: &MetricsSnapshot) -> String {
+pub(crate) fn render(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
     let mut last_family: Option<(String, &'static str)> = None;
     for entry in &snapshot.entries {

@@ -493,23 +493,22 @@ fn poisoned_job_neither_deadlocks_nor_loses_neighbours() {
 
 /// The speed acceptance criterion: a 4-worker pool finishes a
 /// 16-circuit batch in ≤ 0.6× the 1-worker wall time. Needs release
-/// optimization and ≥ 4 real cores, so it is ignored by default — CI's
-/// bench-smoke job reports the same ratio in its JSON artifact, and
-/// this assertion can be run explicitly with
-/// `cargo test --release -- --ignored pool_speedup`.
+/// optimization and ≥ 4 real cores, so it is ignored by default; run
+/// it explicitly with `cargo test --release -- --ignored pool_speedup`.
 #[test]
 #[ignore = "timing assertion: needs --release and a multi-core machine"]
 fn pool_speedup_on_smoke_workload() {
-    // Same workload and same measurement helper as table1's smoke
-    // probe, so this assertion and the CI-reported ratio cannot
-    // silently diverge.
     let circuits: Vec<Circuit> = (0..16)
         .map(|seed| generators::supremacy(4, 4, 8, seed))
         .collect();
     let template = || Simulator::builder().strategy(Strategy::memory_driven_table1(1 << 11, 0.97));
-    let serial = approxdd_bench::pool_batch_walltime(template(), 1, &circuits).expect("1 worker");
-    let parallel =
-        approxdd_bench::pool_batch_walltime(template(), 4, &circuits).expect("4 workers");
+    let walltime = |workers| {
+        let pool = approxdd::exec::BackendPool::with_workers(template(), workers);
+        let start = std::time::Instant::now();
+        pool.run_batch(&circuits).expect("batch");
+        start.elapsed()
+    };
+    let (serial, parallel) = (walltime(1), walltime(4));
     let ratio = parallel.as_secs_f64() / serial.as_secs_f64();
     assert!(
         ratio <= 0.6,

@@ -1,9 +1,8 @@
 //! Integration of the extension features around the paper's core:
-//! gate fusion, state/operator serialization, marginal queries, and
+//! gate fusion, marginal queries, DOT export, and
 //! the node- vs edge-level truncation primitives.
 
 use approxdd::circuit::generators;
-use approxdd::dd::Package;
 use approxdd::sim::{ApproxPrimitive, Simulator, Strategy};
 
 #[test]
@@ -14,30 +13,6 @@ fn fused_and_sequential_shor_agree() {
     let fused = sim.run_fused(&circuit, 8).expect("fused");
     let f = sim.fidelity_between(&seq, &fused);
     assert!((f - 1.0).abs() < 1e-9, "fidelity {f}");
-}
-
-#[test]
-fn serialized_gate_cache_survives_processes() {
-    // Simulate persisting an expensive modular-multiplication gate DD
-    // and reusing it from a fresh package.
-    let mut builder = Package::new();
-    let perm: Vec<usize> = (0..64)
-        .map(|x| if x < 33 { (5 * x) % 33 } else { x })
-        .collect();
-    let gate = builder
-        .permutation_gate(8, 0, 6, &perm, &[(7, true)])
-        .expect("gate");
-    let blob = builder.serialize_operator(gate);
-
-    let mut user = Package::new();
-    let restored = user.deserialize_operator(&blob).expect("restore");
-    // Control off: identity. Control on: multiplication by 5 mod 33.
-    let off = user.basis_state(8, 2);
-    let r = user.apply(restored, off);
-    assert!((user.probability(r, 2) - 1.0).abs() < 1e-10);
-    let on = user.basis_state(8, (1 << 7) | 2);
-    let r = user.apply(restored, on);
-    assert!((user.probability(r, (1 << 7) | 10) - 1.0).abs() < 1e-10);
 }
 
 #[test]
