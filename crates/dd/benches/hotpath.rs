@@ -285,15 +285,29 @@ fn shor_like_state(p: &mut Package) -> VEdge {
     state
 }
 
+/// |+⟩^n as a run leaves it: one H per qubit on `|0…0⟩`.
+fn plus_state(p: &mut Package, n: usize) -> VEdge {
+    let mut state = p.zero_state(n);
+    for q in 0..n {
+        let h = p.single_gate(n, q, GateKind::H.matrix()).expect("H");
+        state = p.apply(h, state);
+    }
+    state
+}
+
 /// One cold H on the top qubit: the compute caches are emptied (by an
 /// untimed collection; state and gate are rooted) before every timed
 /// application, so each one walks the operands instead of hitting the
-/// root entry. (a) GHZ: two stable chains, answered without descending.
-/// (b) Shor-like: the unstable tree is re-multiplied, every chain under
-/// it is answered by its bit. (c) The supremacy state: generic weights,
-/// where stable nodes are a minority and sit near the bottom (a node is
-/// stable only if everything beneath it is) — the recursion goes most
-/// of the way down and pays the two bit tests on the way.
+/// root entry. Below the target the operator is the identity, and a
+/// state node that carries its image (`crates/dd/src/ops.rs`, "The
+/// identity rule") is answered without descending. (a) GHZ: two basis
+/// chains, images at 0 ulps. (b) Shor-like: a tree of generic weights
+/// over 512 such chains — images a few ulps off 1 above, 0 below. (c)
+/// The supremacy state: generic weights throughout, nearly every image
+/// off 1; what is left is the top level's own work, the `add`s that
+/// merge its two halves, and the rare node without an image. (d) |+⟩^20
+/// fresh out of its H gates: no image is 1 (0 of 20 nodes were
+/// answerable while the rule knew only that case), all 20 are there.
 fn bench_identity_apply(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_identity_apply");
     let mut cases: Vec<(&str, usize, Package, VEdge)> = Vec::new();
@@ -306,6 +320,9 @@ fn bench_identity_apply(c: &mut Criterion) {
     let mut p = Package::new();
     let s = supremacy_state(&mut p, 10);
     cases.push(("supremacy_4x4", 16, p, s));
+    let mut p = Package::new();
+    let s = plus_state(&mut p, 20);
+    cases.push(("plus_20q", 20, p, s));
     for (name, n, mut p, state) in cases {
         let h = p.single_gate(n, n - 1, GateKind::H.matrix()).expect("H");
         p.inc_ref(state);

@@ -86,7 +86,7 @@ pub struct CtStats {
     /// Lookups that returned a memoized result.
     pub hits: u64,
     /// Lookups that found nothing (followed by recomputation + insert).
-    pub(crate) misses: u64,
+    pub misses: u64,
     /// Slots currently holding a live (current-generation) entry.
     pub(crate) occupancy: usize,
     /// Total slots the cache is configured for (fixed at construction;

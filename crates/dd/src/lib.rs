@@ -97,21 +97,26 @@
 //!   `mul_mv`, `mul_mm` and `inner_product` skip the tables there (a
 //!   third of all lookups on a 16-qubit supremacy run), which by the
 //!   hit ≡ recompute argument above cannot move a result.
-//! * **Identity × stable sub-diagram is answered from a bit.** Below a
+//! * **Identity × sub-diagram is answered from the node.** Below a
 //!   gate's target the operator is the identity, and multiplying by it
 //!   rebuilds every state node as it was — except that re-normalising
-//!   an already normalised weight pair gives `1 ± ulp` for some pairs,
-//!   so the recursion cannot simply be dropped. Every node therefore
-//!   carries one structure bit, decided where it is interned and never
-//!   changed: a matrix node knows it is an identity, a vector node
-//!   knows that it and everything under it re-normalise to exactly
-//!   `1 + 0i` under the same unique-table key. Where both hold
-//!   `Package::mul_mv` returns the operand under the product of the
-//!   edge weights — the expression its hit path evaluates — in O(1),
-//!   and every other operand takes the recursion as before. The
-//!   skipped recursion would have allocated nothing and interned no
-//!   ratio, so arena populations, GC timing and results are the same
-//!   bits ([`PackageStats::identity_skips`] counts the events).
+//!   an already normalised weight pair takes out a factor `1 ± a few
+//!   ulps`, so the recursion cannot simply be dropped. But it almost
+//!   always finds the very same node under that factor, and which
+//!   factor is decidable when the node is built. A matrix node
+//!   therefore carries a bit (it is an identity) and a vector node a
+//!   byte: its *image*, the ulp distance from 1 of the real factor
+//!   under which the identity hands it back — found with the same
+//!   `normalize` the recursion runs, fed the successors' own images —
+//!   or "none", when a re-normalised weight would cross into another
+//!   unique-table bucket. Both are decided where the node is interned
+//!   and never changed. Where both are present `Package::mul_mv`
+//!   returns the operand under factor × edge weights — the expression
+//!   its hit path evaluates — in O(1); the one node in a thousand
+//!   without an image takes the recursion as before. The skipped
+//!   recursion would have allocated nothing and interned no ratio, so
+//!   arena populations, GC timing and results are the same bits
+//!   ([`PackageStats::identity_skips`] counts the events).
 //! * **Per-node passes index by slot id, not by hash.** Node ids are
 //!   arena slot indices, so [`Package::vsize`] (once per gate under the
 //!   memory-driven scheme), [`Package::contributions`] and the

@@ -32,44 +32,67 @@
 //! Below a gate's target the operator DD is the identity, and `mul_mv`
 //! used to walk the whole state sub-diagram under it only to rebuild
 //! every node as it was. It cannot simply return the operand instead:
-//! `make_vnode` re-normalising an already normalised weight pair yields
-//! `1 ± ulp` for many pairs, and those ulps reach the unique table's
-//! tolerance buckets (a measured negative result, see ARCHITECTURE.md).
-//! But *which* pairs is decidable when a node is built, so every node
-//! carries one structure bit, set where it is interned
-//! (`Package::intern_vnode` / `intern_mnode`) and never written again:
+//! `make_vnode` re-normalising an already normalised weight pair takes
+//! out a factor `1 ± a few ulps` for many pairs, and those ulps are part
+//! of the result (returning the operand under weight 1 is a measured
+//! negative result, see ARCHITECTURE.md). But ulps are 10⁻¹⁶ and the
+//! unique table's tolerance buckets 10⁻¹² wide, so the recursion almost
+//! never builds a *different* node: it finds the very same node under
+//! that factor — and the factor is decidable when the node is built. So
+//! every node carries one small piece of structure, set where it is
+//! interned (`Package::intern_vnode` / `intern_mnode`) and never written
+//! again:
 //!
-//! * `MNode::identity` — quadrants `[e, 0, 0, e]` where `e` has weight
-//!   bits `1 + 0i` and is the terminal or an identity node itself;
-//! * `VNode::stable` — every non-zero successor is terminal or stable,
-//!   and the node's own stored edges, taken through exactly what this
-//!   recursion would hand `make_vnode` (each weight times `ONE`,
-//!   tolerance-zero weights dropped to the zero stub), normalise to a
-//!   factor with the bits of `Cplx::ONE` over the same successor ids
-//!   and the same weight keys — the unique table would answer with this
-//!   very node. The definition runs the same `normalize` the recursion
-//!   runs, so it cannot drift from it.
+//! * `MNode::identity`, a bit — quadrants `[e, 0, 0, e]` where `e` has
+//!   weight bits `1 + 0i` and is the terminal or an identity node itself;
+//! * `VNode::image`, a byte — the node's image under the identity: the
+//!   factor `f` for which `mul_mv(I, ·)` on this node returns
+//!   `(f, this node)`, stored as the signed ulp distance of `f` from
+//!   `1.0`, or "none". It is found by taking the node's own stored edges
+//!   through exactly what this recursion would hand `make_vnode` — a
+//!   terminal successor's weight times `ONE`, a successor's own image
+//!   scaled by `ONE ·` its weight, tolerance-zero weights dropped to the
+//!   zero stub — and running the same `normalize` the recursion runs, so
+//!   the definition cannot drift from it. The factor is recorded iff the
+//!   result has the same successor ids and the same weight *keys* as the
+//!   stored weights (the unique table would answer with this very node),
+//!   and the factor has an encoding: imaginary part `+0.0`, real part
+//!   within ±127 ulps of 1.
 //!
-//! For an identity node `m` and a stable node `v` the recursion is
-//! therefore known in advance to return `(1 + 0i, v)`, and `mul_mv`
-//! returns `VEdge { w: ONE, node: v }.scaled(m.w · v.w)` — the very
+//! The factor is real because the stored pivot is: `normalize` stores
+//! the first non-zero weight as `Cplx::real(·)`, positive, and every
+//! image beneath is real by induction, so the pivot fed back in has
+//! imaginary part `+0.0`, its `phase()` is `(1, 0)`, and the factor is
+//! the norm alone. A node has *no* image when a successor has none;
+//! when a re-normalised weight lands in the neighbouring bucket — then
+//! the unique table answers (or allocates) another node, and only the
+//! recursion knows which; or when the factor is NaN, infinite, or
+//! otherwise unencodable. That is about one node in a thousand on the
+//! Table I circuits, and those take the recursion, which stays the one
+//! general path.
+//!
+//! For an identity node `m` and a node `v` with image `f` the recursion
+//! is therefore known in advance to return `(f, v)`, and `mul_mv`
+//! returns `VEdge { w: f, node: v }.scaled(m.w · v.w)` — the very
 //! expression its hit path evaluates on the memoized result — in O(1).
 //! "Skip ≡ recompute" joins "hit ≡ recompute" as a tested contract (the
 //! tests below keep the rule-less `mul_mv` as the reference).
 //!
 //! What the skipped recursion would have done besides: unique-table
-//! *hits* (a counter, and no allocation — so arena populations, slot
-//! reuse and the collection trigger cannot move, pinned by
+//! *hits* (a counter, and no allocation — every `make_vnode` in it lands
+//! on the node it started from — so arena populations, slot reuse and
+//! the collection trigger cannot move, pinned by
 //! `tests/allocation_trajectory.rs`); `mul_mv` cache traffic
 //! (unobservable by the hit contract); and no `canonical_ratio` call at
 //! all, because under an identity every `add` has a zero operand and
 //! returns before it forms a ratio — so the canonical-ratio table sees
-//! the same sequence either way. The bits live in the padding beside
+//! the same sequence either way. Both fields live in the padding beside
 //! `var`, are part of the node payload a frozen snapshot shares as-is,
-//! and a recycled slot is overwritten whole. Stability is a property of
+//! and a recycled slot is overwritten whole. An image is a property of
 //! the stored bits, not of the state: |+⟩ fresh out of an H gate stores
-//! `0.7071067811865475`, which re-normalises to `1 − ulp`, and is not
-//! stable; the same column after a T gate is.
+//! `0.7071067811865475`, which re-normalises to `1 − ulp`, and carries
+//! that; the same column after a T gate stores `0.7071067811865476` and
+//! carries `1`.
 
 use approxdd_complex::Cplx;
 
@@ -199,15 +222,13 @@ impl Package {
         }
         debug_assert_eq!(self.mlevel(m), self.vlevel(v), "mul level mismatch");
 
-        // The identity rule (module docs). `stable` first: it shares the
+        // The identity rule (module docs). The image first: it shares the
         // cache line the terminal-level test below loads anyway.
-        if self.vnode(v.node).stable && self.mnode(m.node).identity {
-            self.stats.identity_skips += 1;
-            return VEdge {
-                w: Cplx::ONE,
-                node: v.node,
+        if let Some(f) = self.vnode(v.node).image.factor() {
+            if self.mnode(m.node).identity {
+                self.stats.identity_skips += 1;
+                return VEdge { w: f, node: v.node }.scaled(m.w * v.w);
             }
-            .scaled(m.w * v.w);
         }
 
         let key = (m.node.0, v.node.0);
@@ -446,7 +467,7 @@ mod tests {
     use super::*;
     use crate::approx::RemovalStrategy;
     use crate::gates::GateKind;
-    use crate::node::{MNode, VNode};
+    use crate::node::{Image, MNode, VNode};
     use crate::package::PackageStats;
     use proptest::prelude::*;
 
@@ -457,8 +478,8 @@ mod tests {
     impl Package {
         /// `mul_mv` as it stood before the identity rule, kept as the
         /// reference the rule is tested against: the same early-outs,
-        /// the same table, the same recursion, and no look at either
-        /// structure bit.
+        /// the same table, the same recursion, and no look at the
+        /// identity bit or the image.
         fn mul_mv_recursing(&mut self, m: MEdge, v: VEdge) -> VEdge {
             if m.is_zero(self.tolerance()) || v.is_zero(self.tolerance()) {
                 return VEdge::ZERO;
@@ -496,11 +517,14 @@ mod tests {
             self.contributions(root).iter().map(|(id, _)| id).collect()
         }
 
-        /// `(stable, reachable)` node counts under a state edge.
-        fn stable_census(&self, root: VEdge) -> (usize, usize) {
+        /// `(at 0 ulps, with an image, reachable)` node counts under a
+        /// state edge.
+        fn image_census(&self, root: VEdge) -> (usize, usize, usize) {
             let nodes = self.reachable_vnodes(root);
-            let stable = nodes.iter().filter(|&&id| self.vnode(id).stable).count();
-            (stable, nodes.len())
+            let ulps = |&id: &NodeId| self.vnode(id).image.ulps();
+            let at_one = nodes.iter().filter(|id| ulps(id) == Some(0)).count();
+            let imaged = nodes.iter().filter_map(ulps).count();
+            (at_one, imaged, nodes.len())
         }
     }
 
@@ -652,29 +676,40 @@ mod tests {
     fn stability_is_a_property_of_the_stored_bits_not_of_the_state() {
         let mut p = Package::new();
         let zero = p.zero_state(20);
-        assert_eq!(p.stable_census(zero), (20, 20));
+        assert_eq!(p.image_census(zero), (20, 20, 20));
         let basis = p.basis_state(20, 0xABCDE);
-        assert_eq!(p.stable_census(basis), (20, 20));
+        assert_eq!(p.image_census(basis), (20, 20, 20));
         let ghz = ghz(&mut p, Package::mul_mv, 20);
-        assert_eq!(p.stable_census(ghz), (39, 39));
+        assert_eq!(p.image_census(ghz), (39, 39, 39));
 
         // |+⟩^20 straight out of the H gates stores the pair
-        // 0.7071067811865475, which re-normalises to 0.9999999999999999:
-        // no node is stable. A T layer re-makes every node of the same
-        // column, and the pair it stores does survive.
+        // 0.7071067811865475 on level 0, which re-normalises to
+        // 0.9999999999999999, one ulp under 1; every node above takes
+        // the factor beneath it into its own. All twenty have an image,
+        // none of them 1. A T layer re-makes every node of the same
+        // column, and the pair it stores is its own normal form.
         let plus = layer(&mut p, Package::mul_mv, 20, 0..20, GateKind::H, zero);
-        assert_eq!(p.stable_census(plus), (0, 20));
+        assert_eq!(p.image_census(plus), (0, 20, 20));
         let w = p.vnode(plus.node).edges[0].w;
         assert_eq!(w.re.to_bits(), 0.707_106_781_186_547_5_f64.to_bits());
+        let mut bottom = *p.vnode(plus.node);
+        while bottom.var > 0 {
+            bottom = *p.vnode(bottom.edges[0].node);
+        }
+        assert_eq!(bottom.edges[0].w, w);
+        assert_eq!(bottom.image.ulps(), Some(-1));
+        let under_one = Cplx::real(0.999_999_999_999_999_9);
+        assert_eq!(bottom.image.factor(), Some(under_one));
         let turned = layer(&mut p, Package::mul_mv, 20, 0..20, GateKind::T, plus);
-        assert_eq!(p.stable_census(turned), (20, 20));
+        assert_eq!(p.image_census(turned), (20, 20, 20));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        // Generic weights: almost no node is stable, so nearly every
-        // identity operand must take the recursion — and still agree.
+        // Generic weights: nearly every node has an image, nearly none
+        // of them 1 — every answer of the rule carries ulps the
+        // reference has to reproduce.
         #[test]
         fn skip_equals_recompute_on_generic_states(
             amps in prop::collection::vec((any::<f64>(), any::<f64>()), 256),
@@ -690,9 +725,9 @@ mod tests {
         }
 
         // Products of basis states and H / T / CX layers, a mix: chains
-        // of `(1, 0)` pairs are stable, a fresh |+⟩ column is not, the
-        // same column after a T is — optionally cut by a truncation
-        // round first.
+        // of `(1, 0)` pairs sit at 0 ulps, a fresh |+⟩ column does not,
+        // the same column after a T does — optionally cut by a
+        // truncation round first.
         #[test]
         fn skip_equals_recompute_on_layered_products(
             n in 8usize..25,
@@ -722,7 +757,7 @@ mod tests {
                 sweep(&mut p, mul, n, state, log);
                 p.stats()
             });
-            prop_assert!(stats.identity_skips > 0, "a basis chain is stable");
+            prop_assert!(stats.identity_skips > 0, "a basis chain has an image");
         }
     }
 
@@ -731,18 +766,18 @@ mod tests {
         const N: usize = 10;
         let stats = assert_rule_is_unobservable(|mul, log| {
             let mut p = Package::new();
-            // Low slots: an unstable |+⟩ column; higher slots: stable
-            // basis chains and a GHZ state.
+            // Low slots: a |+⟩ column, its images off 1; higher slots:
+            // basis chains and a GHZ state, all at 0 ulps.
             let zero = p.zero_state(N);
             let plus = layer(&mut p, mul, N, 0..N, GateKind::H, zero);
             let ghz_state = ghz(&mut p, mul, N);
             let _ = p.basis_state(N, 0x2A5);
-            assert_eq!(p.stable_census(plus), (0, N));
-            assert_eq!(p.stable_census(ghz_state), (2 * N - 1, 2 * N - 1));
-            let before: Vec<(u32, bool)> = p
+            assert_eq!(p.image_census(plus), (0, N, N));
+            assert_eq!(p.image_census(ghz_state), (2 * N - 1, 2 * N - 1, 2 * N - 1));
+            let before: Vec<(u32, Image)> = p
                 .vnodes
                 .alive_indices()
-                .map(|id| (id, p.vnodes.get(id).stable))
+                .map(|id| (id, p.vnodes.get(id).image))
                 .collect();
 
             // Nothing is rooted: every slot goes back to the free list,
@@ -753,20 +788,20 @@ mod tests {
             let ghz_state = ghz(&mut p, mul, N);
             let plus = layer(&mut p, mul, N, 0..N, GateKind::H, chain);
             let turned = layer(&mut p, mul, N, 0..N, GateKind::T, plus);
-            let flipped = |was: bool| {
-                before.iter().any(|&(id, stable)| {
-                    stable == was
+            let flipped = |was_one: bool| {
+                before.iter().any(|&(id, image)| {
+                    (image == Image::ONE) == was_one
                         && p.vnodes.alive_indices().any(|alive| alive == id)
-                        && p.vnodes.get(id).stable != was
+                        && (p.vnodes.get(id).image == Image::ONE) != was_one
                 })
             };
             assert!(
                 flipped(false),
-                "no unstable slot was reused by a stable node"
+                "no slot of an image off 1 was reused by a node at 0 ulps"
             );
             assert!(
                 flipped(true),
-                "no stable slot was reused by an unstable node"
+                "no slot of a node at 0 ulps was reused by an image off 1"
             );
 
             for state in [chain, ghz_state, plus, turned] {
@@ -794,8 +829,8 @@ mod tests {
             let plus = layer(&mut p, mul, N, 0..N, GateKind::H, zero);
             let ghz_state = ghz(&mut p, mul, N);
             assert!(plus.node.0 < watermark && ghz_state.node.0 < watermark);
-            assert_eq!(p.stable_census(plus), (0, N));
-            assert_eq!(p.stable_census(ghz_state), (2 * N - 1, 2 * N - 1));
+            assert_eq!(p.image_census(plus), (0, N, N));
+            assert_eq!(p.image_census(ghz_state), (2 * N - 1, 2 * N - 1, 2 * N - 1));
 
             // New diagrams grow above the watermark on frozen successors.
             let turned = layer(&mut p, mul, N, N / 2..N, GateKind::T, plus);
@@ -823,7 +858,7 @@ mod tests {
             let small = Cplx::real(5e-9);
             let e = p.make_vnode(0, VEdge::terminal(big), VEdge::terminal(small));
             assert_eq!(p.vnode(e.node).edges[1].w, Cplx::real(5e-13));
-            assert!(p.vnode(e.node).stable);
+            assert_eq!(p.vnode(e.node).image, Image::ONE);
             let id = p.identity(1);
             let through = mul(&mut p, id, e);
             assert_eq!(through.node, e.node);
@@ -836,8 +871,9 @@ mod tests {
             let e = p.make_vnode(1, c0.scaled(big), c1.scaled(small));
             let node = *p.vnode(e.node);
             assert_eq!(node.edges[1].w, Cplx::real(5e-13));
-            assert!(p.vnode(c0.node).stable && p.vnode(c1.node).stable);
-            assert!(!node.stable);
+            assert_eq!(p.vnode(c0.node).image, Image::ONE);
+            assert_eq!(p.vnode(c1.node).image, Image::ONE);
+            assert_eq!(node.image, Image::NONE);
             let id = p.identity(2);
             let through = mul(&mut p, id, e);
             assert_ne!(through.node, e.node);
@@ -850,14 +886,67 @@ mod tests {
     fn a_nan_weight_is_unstable_and_does_not_panic() {
         assert_rule_is_unobservable(|mul, log| {
             let mut p = Package::new();
-            let nan = VEdge::terminal(Cplx::new(f64::NAN, 0.0));
-            for (e0, e1) in [(nan, VEdge::ONE), (VEdge::ONE, nan), (nan, VEdge::ZERO)] {
-                let e = p.make_vnode(0, e0, e1);
-                assert!(!p.vnode(e.node).stable);
-                let id = p.identity(1);
-                let through = mul(&mut p, id, e);
-                log.push(observe(&p, through, 1));
+            // NaN, and what turns into one inside `normalize`.
+            for w in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::MAX] {
+                let bad = VEdge::terminal(Cplx::new(w, 0.0));
+                for (e0, e1) in [(bad, VEdge::ONE), (VEdge::ONE, bad), (bad, VEdge::ZERO)] {
+                    let e = p.make_vnode(0, e0, e1);
+                    assert_eq!(p.vnode(e.node).image, Image::NONE);
+                    let id = p.identity(1);
+                    let through = mul(&mut p, id, e);
+                    log.push(observe(&p, through, 1));
+                }
             }
+            p.stats()
+        });
+    }
+
+    /// A pair of amplitudes whose normalised weights, normalised once
+    /// more, land in a neighbouring tolerance bucket: ulps are 10⁻¹⁶ and
+    /// buckets 10⁻¹² wide, so about one random pair in 10⁴ does.
+    fn bucket_crossing_pair() -> (Cplx, Cplx) {
+        let mut p = Package::new();
+        let mut seed = 0x00b0_c4e7_u64;
+        let mut part = || {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            #[allow(clippy::cast_precision_loss)]
+            let unit = (seed >> 11) as f64 / (1u64 << 53) as f64;
+            unit - 0.5
+        };
+        for _ in 0..1_000_000 {
+            let (a, b) = (Cplx::new(part(), part()), Cplx::new(part(), part()));
+            let e = p.make_vnode(0, VEdge::terminal(a), VEdge::terminal(b));
+            if p.vnode(e.node).image == Image::NONE {
+                return (a, b);
+            }
+        }
+        panic!("no bucket crossing in 10^6 pairs");
+    }
+
+    #[test]
+    fn a_bucket_crossing_has_no_image_and_recurses_to_another_node() {
+        let (a, b) = bucket_crossing_pair();
+        assert_rule_is_unobservable(|mul, log| {
+            let mut p = Package::new();
+            let e = p.make_vnode(0, VEdge::terminal(a), VEdge::terminal(b));
+            assert_eq!(p.vnode(e.node).image, Image::NONE);
+            let id = p.identity(1);
+            let through = mul(&mut p, id, e);
+            assert_ne!(
+                through.node, e.node,
+                "the unique table answers another node"
+            );
+            log.push(observe(&p, through, 1));
+
+            // Nor has anything built on it.
+            let above = p.make_vnode(1, e, VEdge::ZERO);
+            assert_eq!(p.vnode(above.node).image, Image::NONE);
+            let id = p.identity(2);
+            let through = mul(&mut p, id, above);
+            assert_ne!(through.node, above.node);
+            log.push(observe(&p, through, 2));
             p.stats()
         });
     }

@@ -9,7 +9,7 @@ use crate::ctable::{ComputeCaches, CtStats};
 use crate::edge::{MEdge, NodeId, VEdge};
 use crate::error::DdError;
 use crate::fasthash::FxHasher;
-use crate::node::{MNode, VNode};
+use crate::node::{Image, MNode, VNode};
 use crate::ratio::RatioCanon;
 use crate::unique::UniqueTable;
 use crate::visit::count_reachable;
@@ -37,9 +37,9 @@ fn key_hash<const N: usize>(nodes: [u32; N], weights: [(i64, i64); N]) -> u64 {
     h.finish()
 }
 
-/// Whether a weight is `1 + 0i` bit for bit — the only weight the
-/// identity rule may stand in for: `1 − ulp`, `1 + 0i` with a negative
-/// zero and NaN all fail.
+/// Whether a weight is `1 + 0i` bit for bit — the only weight an
+/// identity matrix node may carry on its diagonal: `1 − ulp`, `1 + 0i`
+/// with a negative zero and NaN all fail.
 #[inline]
 fn is_exactly_one(w: Cplx) -> bool {
     w.re.to_bits() == Cplx::ONE.re.to_bits() && w.im.to_bits() == Cplx::ONE.im.to_bits()
@@ -50,7 +50,7 @@ fn is_exactly_one(w: Cplx) -> bool {
 /// to unit ℓ2 norm with a real positive pivot, and returns the factor
 /// taken out with the normalized successor edges — `None` for the zero
 /// vector. [`Package::make_vnode`] interns what this returns, and
-/// `VNode::stable` is decided by running a node's own edges through it,
+/// `VNode::image` is decided by running a node's own edges through it,
 /// so "what re-normalising this node would give" is by construction
 /// what the recursion computes.
 #[inline]
@@ -182,8 +182,10 @@ pub struct PackageStats {
     /// (a subset of `unique_hits`; 0 without a snapshot).
     pub snapshot_hits: u64,
     /// `Package::mul_mv` calls answered by the identity rule (see the
-    /// crate docs): an identity operator on a stable sub-diagram,
-    /// returned without a lookup or a recursion. Like the hit/miss
+    /// crate docs): an identity operator on a node that carries its
+    /// image — the factor, a few ulps from 1, under which the recursion
+    /// would hand the node back — returned without a lookup or a
+    /// recursion. Like the hit/miss
     /// counters it describes how a result was reached, not the result,
     /// and is excluded from every fingerprint.
     pub identity_skips: u64,
@@ -397,7 +399,7 @@ impl Package {
         };
         let id = self.intern_vnode(VNode {
             var,
-            stable: false,
+            image: Image::NONE,
             edges,
         });
         VEdge {
@@ -408,8 +410,7 @@ impl Package {
 
     /// The canonical id of an already normalized vector node: the one
     /// the unique table holds for its key, or a newly allocated slot —
-    /// whose `stable` bit is decided here, once (the argument's is
-    /// ignored).
+    /// whose `image` is decided here, once (the argument's is ignored).
     #[inline]
     pub(crate) fn intern_vnode(&mut self, node: VNode) -> u32 {
         let weights = node.edges.map(|e| self.tol.key(e.w));
@@ -433,7 +434,7 @@ impl Package {
             None => {
                 self.stats.unique_misses += 1;
                 let id = self.vnodes.alloc(VNode {
-                    stable: self.survives_identity(&node, weights),
+                    image: self.identity_image(&node, weights),
                     ..node
                 });
                 self.vunique.insert(node.var, hash, id);
@@ -442,17 +443,19 @@ impl Package {
         }
     }
 
-    /// The definition of [`VNode::stable`]: `mul_mv(I, ·)` on this
-    /// normalized node would come back as the node itself under a weight
-    /// with the bits of `Cplx::ONE`. Feeds [`normalize`] what the
-    /// recursion feeds `make_vnode` — for each successor the early-out
-    /// or the scaled edge `mul_mv` returns on it, which `add(·, 0)` then
-    /// passes through untouched — and asks whether the unique table
-    /// would answer with this node: same successor ids, same weight
-    /// keys (`keys`: those of the node's stored weights). A successor
-    /// that is neither terminal nor stable settles it without
-    /// arithmetic, which is the common case wherever stability is rare.
-    fn survives_identity(&self, node: &VNode, keys: [(i64, i64); 2]) -> bool {
+    /// The definition of [`VNode::image`]: the factor `f` for which
+    /// `mul_mv(I, ·)` on this normalized node would come back as
+    /// `(f, this node)`. Feeds [`normalize`] what the recursion feeds
+    /// `make_vnode` — for each successor the early-out or the scaled
+    /// edge `mul_mv` returns on it (its own image, by induction, whether
+    /// through the rule, a cache hit or a recompute), which `add(·, 0)`
+    /// then passes through untouched — and records the factor iff the
+    /// unique table would answer with this node: same successor ids,
+    /// same weight keys (`keys`: those of the node's stored weights;
+    /// comparing keys, not weights, is what makes a bucket crossing
+    /// recurse). A successor without an image settles it without
+    /// arithmetic.
+    fn identity_image(&self, node: &VNode, keys: [(i64, i64); 2]) -> Image {
         let mut fed = [VEdge::ZERO; 2];
         for (fed, c) in fed.iter_mut().zip(node.edges) {
             if c.is_zero(self.tol) {
@@ -460,22 +463,19 @@ impl Package {
             }
             *fed = if c.node.is_terminal() {
                 VEdge::terminal(Cplx::ONE * c.w)
-            } else if self.vnode(c.node).stable {
-                VEdge {
-                    w: Cplx::ONE,
-                    node: c.node,
-                }
-                .scaled(Cplx::ONE * c.w)
+            } else if let Some(f) = self.vnode(c.node).image.factor() {
+                VEdge { w: f, node: c.node }.scaled(Cplx::ONE * c.w)
             } else {
-                return false;
+                return Image::NONE;
             };
         }
-        normalize(self.tol, fed[0], fed[1]).is_some_and(|(factor, edges)| {
-            is_exactly_one(factor)
-                && (0..2).all(|i| {
+        normalize(self.tol, fed[0], fed[1])
+            .filter(|(_, edges)| {
+                (0..2).all(|i| {
                     edges[i].node == node.edges[i].node && self.tol.key(edges[i].w) == keys[i]
                 })
-        })
+            })
+            .map_or(Image::NONE, |(factor, _)| Image::encode(factor))
     }
 
     fn child_level_ok(&self, var: u8, e: VEdge) -> bool {

@@ -13,7 +13,14 @@
 //!
 //! What the identity rule did move is pinned beside them: it fires, and
 //! the run consults the compute tables strictly less often than the
-//! 512 439 / 1 139 349 lookups the same commit took.
+//! 463 547 / 920 309 lookups it took while the rule answered only nodes
+//! whose image is exactly 1 (512 439 / 1 139 349 before there was a
+//! rule). Now that a node carries its image whatever it is, the whole
+//! gain sits in the `mul_mv` table — 270 031 → under 70 000 lookups on
+//! the supremacy run, 547 574 → under 310 000 on the Shor run, whose
+//! permutation gates keep the recursion — while the `add` table is
+//! consulted exactly as often as before: under an identity every `add`
+//! has a zero operand and returns before it reaches the table.
 
 use approxdd::circuit::{generators, Circuit};
 use approxdd::dd::PackageStats;
@@ -65,7 +72,9 @@ fn memory_driven_supremacy_allocates_what_it_did_before() {
         }
     );
     assert!(p.identity_skips > 0);
-    assert!(p.ct_hits + p.ct_misses < 512_439);
+    assert!(p.ct_hits + p.ct_misses < 463_547);
+    assert!(p.ct_mul_mv.hits + p.ct_mul_mv.misses < 70_000);
+    assert_eq!(p.ct_add.hits + p.ct_add.misses, 193_516);
 }
 
 #[test]
@@ -86,5 +95,7 @@ fn fidelity_driven_shor_allocates_what_it_did_before() {
         }
     );
     assert!(p.identity_skips > 0);
-    assert!(p.ct_hits + p.ct_misses < 1_139_349);
+    assert!(p.ct_hits + p.ct_misses < 920_309);
+    assert!(p.ct_mul_mv.hits + p.ct_mul_mv.misses < 310_000);
+    assert_eq!(p.ct_add.hits + p.ct_add.misses, 372_735);
 }
