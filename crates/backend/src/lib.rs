@@ -12,9 +12,10 @@
 //!
 //! Two implementations ship here:
 //!
-//! * [`DdBackend`] — the approximate decision-diagram simulator
+//! * [`AnyBackend`] — the approximate decision-diagram simulator
 //!   ([`approxdd_sim::Simulator`]), including every approximation
-//!   strategy its builder can configure;
+//!   strategy its builder can configure, behind an optional stabilizer
+//!   tableau prefix (the builder's [`Engine`] knob);
 //! * [`StatevectorBackend`] — the dense exact baseline.
 //!
 //! Benchmark rows, cross-validation checks, and the examples are all
@@ -50,18 +51,12 @@
 //! # }
 //! ```
 
-mod any;
-mod dd;
+mod engine;
 mod error;
-mod hybrid;
-mod stab;
 mod sv;
 
-pub use any::{AnyBackend, AnyHandle};
-pub use dd::DdBackend;
+pub use engine::{AnyBackend, AnyHandle};
 pub use error::ExecError;
-pub use hybrid::{HybridBackend, HybridHandle};
-pub use stab::StabilizerBackend;
 pub use sv::StatevectorBackend;
 
 use std::collections::HashMap;
@@ -228,7 +223,7 @@ impl<H> RunOutcome<H> {
         self.n_qubits
     }
 
-    /// The engine-specific handle (a `RunResult` for the DD backend, a
+    /// The engine-specific handle (an [`AnyHandle`] for the DD backend, a
     /// dense `State` for the statevector backend). Prefer the
     /// [`Backend`] queries; the handle is an escape hatch for
     /// engine-specific operations and inherits the engine's lifetime
@@ -236,16 +231,6 @@ impl<H> RunOutcome<H> {
     #[must_use]
     pub(crate) fn handle(&self) -> &H {
         &self.handle
-    }
-
-    /// Rewraps the handle (used by [`AnyBackend`] to lift concrete
-    /// outcomes into [`AnyHandle`]).
-    fn map_handle<T>(self, f: impl FnOnce(H) -> T) -> RunOutcome<T> {
-        RunOutcome {
-            stats: self.stats,
-            n_qubits: self.n_qubits,
-            handle: f(self.handle),
-        }
     }
 }
 
@@ -382,12 +367,12 @@ pub fn amplitudes_of<B: Backend>(backend: &mut B, circuit: &Circuit) -> Result<V
 /// Extension hook giving [`SimulatorBuilder`] a direct path into the
 /// backend layer: `Simulator::builder()….build_backend()`.
 pub trait BuildBackend {
-    /// Builds the configured simulator wrapped as a [`DdBackend`].
-    fn build_backend(self) -> DdBackend;
+    /// Builds the configured simulator as a plain DD backend
+    /// ([`Engine::Dd`], whatever the builder's engine knob says).
+    fn build_backend(self) -> AnyBackend;
 
     /// Builds the backend the builder's [`Engine`] knob selects —
-    /// DD, stabilizer tableau, or hybrid Clifford-prefix dispatch —
-    /// as the engine-polymorphic [`AnyBackend`].
+    /// DD, stabilizer tableau, or hybrid Clifford-prefix dispatch.
     fn build_engine_backend(self) -> AnyBackend
     where
         Self: Sized,
@@ -400,8 +385,8 @@ pub trait BuildBackend {
     /// backend the [`Engine`] knob selects, layering DD-based engines
     /// over a shared frozen [`SimSnapshot`] when one is given — warmed
     /// gate DDs resolve from the snapshot and the package allocates
-    /// only above the frozen watermark. The stabilizer engine has no DD
-    /// package, so it ignores the snapshot.
+    /// only above the frozen watermark. The stabilizer engine never
+    /// touches its DD package, so it ignores the snapshot.
     fn build_engine_backend_with_snapshot(
         self,
         snapshot: Option<std::sync::Arc<SimSnapshot>>,
@@ -409,25 +394,18 @@ pub trait BuildBackend {
 }
 
 impl BuildBackend for SimulatorBuilder {
-    fn build_backend(self) -> DdBackend {
-        DdBackend::new(self.build())
+    fn build_backend(self) -> AnyBackend {
+        let seed = self.sample_seed();
+        AnyBackend::new(Engine::Dd, self.build(), seed)
     }
 
     fn build_engine_backend_with_snapshot(
         self,
         snapshot: Option<std::sync::Arc<SimSnapshot>>,
     ) -> AnyBackend {
-        let seed = self.sample_seed();
-        match self.engine_kind() {
-            Engine::Stabilizer => AnyBackend::Stabilizer(StabilizerBackend::with_seed(seed)),
-            Engine::Hybrid => AnyBackend::Hybrid(HybridBackend::with_seed(
-                self.build_with_snapshot(snapshot),
-                seed,
-            )),
-            // Engine is non-exhaustive; unknown engines run on the DD
-            // reference implementation.
-            _ => AnyBackend::Dd(DdBackend::new(self.build_with_snapshot(snapshot))),
-        }
+        let (engine, seed) = (self.engine_kind(), self.sample_seed());
+        let snapshot = snapshot.filter(|_| engine != Engine::Stabilizer);
+        AnyBackend::new(engine, self.build_with_snapshot(snapshot), seed)
     }
 }
 
@@ -445,7 +423,7 @@ mod tests {
     use approxdd_circuit::generators;
     use approxdd_sim::{Simulator, Strategy};
 
-    fn backends() -> (DdBackend, StatevectorBackend) {
+    fn backends() -> (AnyBackend, StatevectorBackend) {
         (
             Simulator::builder().seed(11).build_backend(),
             StatevectorBackend::with_seed(11),

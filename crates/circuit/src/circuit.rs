@@ -288,9 +288,10 @@ impl Circuit {
     /// The first [`CircuitError`] encountered, if any.
     pub fn validate(&self) -> Result<(), CircuitError> {
         for (i, op) in self.ops.iter().enumerate() {
+            // Work in proportion to the operation's own qubit list,
+            // never to the register width (which untrusted input sets).
             let qubits = op.qubits();
-            let mut seen = vec![false; self.n_qubits];
-            for q in qubits {
+            for (pos, &q) in qubits.iter().enumerate() {
                 if q >= self.n_qubits {
                     return Err(CircuitError::QubitOutOfRange {
                         op_index: i,
@@ -298,13 +299,12 @@ impl Circuit {
                         n_qubits: self.n_qubits,
                     });
                 }
-                if seen[q] {
+                if qubits[..pos].contains(&q) {
                     return Err(CircuitError::DuplicateQubit {
                         op_index: i,
                         qubit: q,
                     });
                 }
-                seen[q] = true;
             }
             if let Operation::Permutation { k, perm, .. } = op {
                 let dim = 1usize << k;
@@ -507,6 +507,15 @@ mod tests {
             c.validate(),
             Err(CircuitError::DuplicateQubit { qubit: 1, .. })
         ));
+    }
+
+    #[test]
+    fn validate_does_not_allocate_by_register_width() {
+        // The width is untrusted input (a QASM `qreg`): a scratch vector
+        // of that length per operation aborts the process.
+        let mut c = Circuit::new(usize::MAX / 2, "wide");
+        c.h(0).cx(0, 7);
+        c.validate().unwrap();
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! ```
 //! use approxdd_circuit::{Circuit, CliffordGate, Gate};
 //!
-//! assert_eq!(Gate::H.clifford_kind(), Some(CliffordGate::H));
-//! assert_eq!(Gate::T.clifford_kind(), None);
+//! assert_eq!(CliffordGate::of(Gate::H), Some(CliffordGate::H));
+//! assert_eq!(CliffordGate::of(Gate::T), None);
 //!
 //! let mut c = Circuit::new(2, "bell+t");
 //! c.h(0).cx(0, 1).t(1);
@@ -92,15 +92,15 @@ pub enum CliffordOp {
     },
 }
 
-impl Gate {
-    /// The Clifford classification of this gate, or `None` for
+impl CliffordGate {
+    /// The Clifford classification of `gate`, or `None` for
     /// non-Clifford gates (T, rotations, parameterized phases).
     ///
     /// Parameterized gates never classify — see the module docs for the
     /// symbolic-only rationale.
     #[must_use]
-    pub fn clifford_kind(self) -> Option<CliffordGate> {
-        match self {
+    pub fn of(gate: Gate) -> Option<CliffordGate> {
+        match gate {
             Gate::I => Some(CliffordGate::I),
             Gate::X => Some(CliffordGate::X),
             Gate::Y => Some(CliffordGate::Y),
@@ -135,7 +135,7 @@ impl Operation {
         else {
             return None;
         };
-        let kind = gate.clifford_kind()?;
+        let kind = CliffordGate::of(*gate)?;
         match controls.len() {
             0 => Some(CliffordOp::Single {
                 gate: kind,
@@ -208,10 +208,10 @@ mod tests {
             Gate::Sy,
             Gate::Sydg,
         ] {
-            assert!(g.clifford_kind().is_some(), "{g} must classify");
+            assert!(CliffordGate::of(g).is_some(), "{g} must classify");
         }
         for g in [Gate::T, Gate::Tdg, Gate::Phase(0.5), Gate::Rx(1.0)] {
-            assert!(g.clifford_kind().is_none(), "{g} must not classify");
+            assert!(CliffordGate::of(g).is_none(), "{g} must not classify");
         }
     }
 
@@ -220,11 +220,11 @@ mod tests {
         // Phase(π/2) equals S up to float rounding — deliberately not
         // classified (symbolic-only rule; see module docs).
         assert_eq!(
-            Gate::Phase(std::f64::consts::FRAC_PI_2).clifford_kind(),
+            CliffordGate::of(Gate::Phase(std::f64::consts::FRAC_PI_2)),
             None
         );
-        assert_eq!(Gate::Rz(std::f64::consts::PI).clifford_kind(), None);
-        assert_eq!(Gate::Phase(0.0).clifford_kind(), None);
+        assert_eq!(CliffordGate::of(Gate::Rz(std::f64::consts::PI)), None);
+        assert_eq!(CliffordGate::of(Gate::Phase(0.0)), None);
     }
 
     #[test]

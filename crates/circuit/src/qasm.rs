@@ -16,6 +16,11 @@ use crate::circuit::Circuit;
 use crate::gate::Gate;
 use crate::op::Operation;
 
+/// Widest `qreg` the importer accepts: the `u8` level range of the DD
+/// engine's nodes. Engines cap lower still; this bound keeps a hostile
+/// declaration from sizing anything downstream.
+pub const MAX_QASM_QUBITS: usize = 255;
+
 /// Errors from QASM import/export.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -213,12 +218,15 @@ fn parse_statement(
         return Ok(());
     }
     if let Some(rest) = stmt.strip_prefix("qreg") {
-        let rest = rest.trim();
-        let open = rest.find('[').ok_or_else(|| err("malformed qreg"))?;
-        let close = rest.find(']').ok_or_else(|| err("malformed qreg"))?;
-        let n: usize = rest[open + 1..close]
+        let n: usize = bracketed(rest)
+            .ok_or_else(|| err("malformed qreg"))?
             .parse()
             .map_err(|_| err("bad qreg size"))?;
+        if n > MAX_QASM_QUBITS {
+            return Err(err(&format!(
+                "qreg of {n} qubits exceeds the maximum of {MAX_QASM_QUBITS}"
+            )));
+        }
         if circuit.is_some() {
             return Err(err("multiple qreg declarations are not supported"));
         }
@@ -254,12 +262,7 @@ fn parse_statement(
     };
     let qubits: Vec<usize> = tail
         .split(',')
-        .map(|t| {
-            let t = t.trim();
-            let open = t.find('[')?;
-            let close = t.find(']')?;
-            t[open + 1..close].parse().ok()
-        })
+        .map(|t| bracketed(t)?.parse().ok())
         .collect::<Option<Vec<usize>>>()
         .ok_or_else(|| err("malformed qubit operand"))?;
 
@@ -297,8 +300,17 @@ fn parse_statement(
     Ok(())
 }
 
+/// The text between the first `[` and the first `]` of `s`; `None`
+/// when either is missing or they come in the wrong order.
+fn bracketed(s: &str) -> Option<&str> {
+    let open = s.find('[')?;
+    let close = s.find(']')?;
+    s.get(open + 1..close)
+}
+
 /// Parses the angle grammar `[-] (float | pi | float*pi | pi/float |
-/// float*pi/float)`.
+/// float*pi/float)`. Only a finite value is an angle: `nan`, `inf` and
+/// `1/0` parse as floats but have no gate matrix.
 fn parse_angle(s: &str) -> Option<f64> {
     let s = s.trim().replace(' ', "");
     let (neg, s) = match s.strip_prefix('-') {
@@ -310,7 +322,9 @@ fn parse_angle(s: &str) -> Option<f64> {
     } else {
         parse_term(&s)?
     };
-    Some(if neg { -value } else { value })
+    value
+        .is_finite()
+        .then_some(if neg { -value } else { value })
 }
 
 fn parse_term(s: &str) -> Option<f64> {

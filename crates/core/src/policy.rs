@@ -339,23 +339,9 @@ impl ApproxPolicy for MemoryDrivenPolicy {
         "memory-driven"
     }
 
-    fn begin(&mut self, circuit: &Circuit) -> Result<(), SimError> {
+    fn begin(&mut self, _circuit: &Circuit) -> Result<(), SimError> {
         self.as_strategy().validate()?;
         self.current = self.node_threshold;
-        // Non-fatal: an unreachable threshold means an exact run, which
-        // is a valid configuration — but usually an accidental one
-        // (e.g. a sweep's fixed threshold outgrowing its narrowest
-        // circuits), so flag it loudly instead of silently never
-        // approximating.
-        if memory_threshold_unreachable(self.node_threshold, circuit.n_qubits()) {
-            eprintln!(
-                "warning: memory threshold {} can never fire on {} ({} qubits): \
-                 a width-n state DD holds at most 2^n - 1 nodes, so this run is exact",
-                self.node_threshold,
-                circuit.name(),
-                circuit.n_qubits()
-            );
-        }
         Ok(())
     }
 

@@ -6,20 +6,26 @@ use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
 use approxdd_circuit::{Circuit, Operation};
-use approxdd_dd::{MEdge, Package, PackageSnapshot, RemovalStrategy, VEdge};
+use approxdd_dd::{DdError, MEdge, Package, PackageSnapshot, RemovalStrategy, VEdge};
 use approxdd_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::builder::SimulatorBuilder;
 use crate::options::SimOptions;
-use crate::policy::{PolicyAction, PolicyCtx, PolicyFactory, SharedObserver, TraceEvent};
+use crate::policy::{
+    memory_threshold_unreachable, PolicyAction, PolicyCtx, PolicyFactory, SharedObserver,
+    TraceEvent,
+};
 use crate::Result;
 
 /// Seed of a simulator's owned sampling RNG when none is given through
 /// [`SimulatorBuilder::seed`] — fixed so unseeded runs stay
 /// reproducible.
 pub const DEFAULT_SAMPLE_SEED: u64 = 0x0A99_07DD;
+
+/// Widest register [`Simulator::check_width`] admits.
+const MAX_DD_QUBITS: usize = 63;
 
 /// Statistics of one simulation run — the quantities Table I of the
 /// paper reports per benchmark.
@@ -377,10 +383,33 @@ impl Simulator {
     /// # Errors
     ///
     /// Strategy validation errors, circuit validation errors, or DD
-    /// engine errors (e.g. malformed permutations).
+    /// engine errors (e.g. malformed permutations, a register
+    /// [`Simulator::check_width`] refuses).
     pub fn run(&mut self, circuit: &Circuit) -> Result<RunResult> {
+        // Before any state is built for it: `zero_state` asserts.
+        Self::check_width(circuit)?;
         let initial = self.package.zero_state(circuit.n_qubits());
         self.run_from(circuit, initial)
+    }
+
+    /// Whether [`Simulator::run`] can build a start state for
+    /// `circuit`'s register: the engine builds and samples basis states
+    /// by `u64` index (`Package::basis_state`), so 63 qubits is the
+    /// widest. What `Backend::prepare` admits DD runs by.
+    ///
+    /// # Errors
+    ///
+    /// [`DdError::TooManyQubits`] (as [`crate::SimError::Dd`]).
+    pub fn check_width(circuit: &Circuit) -> Result<()> {
+        let n_qubits = circuit.n_qubits();
+        if n_qubits > MAX_DD_QUBITS {
+            return Err(DdError::TooManyQubits {
+                n_qubits,
+                max: MAX_DD_QUBITS,
+            }
+            .into());
+        }
+        Ok(())
     }
 
     /// Runs `circuit` from a caller-provided initial state (which must
@@ -395,6 +424,22 @@ impl Simulator {
         let mut policy = self.policy_factory.build();
         policy.begin(circuit)?;
         circuit.validate()?;
+        // Non-fatal: an unreachable threshold means an exact run, which
+        // is a valid configuration — but usually an accidental one
+        // (e.g. a sweep's fixed threshold outgrowing its narrowest
+        // circuits), so flag it loudly instead of silently never
+        // approximating. Here and not in `begin`, which validation
+        // also calls: once per run.
+        if let Some(threshold) = policy.node_threshold() {
+            if memory_threshold_unreachable(threshold, circuit.n_qubits()) {
+                eprintln!(
+                    "warning: memory threshold {threshold} can never fire on {} ({} qubits): \
+                     a width-n state DD holds at most 2^n - 1 nodes, so this run is exact",
+                    circuit.name(),
+                    circuit.n_qubits()
+                );
+            }
+        }
         let level = self.package.vlevel(initial);
         if level != circuit.n_qubits() {
             return Err(crate::SimError::WidthMismatch {

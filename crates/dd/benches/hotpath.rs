@@ -190,8 +190,8 @@ fn supremacy_state(p: &mut Package, cycles: usize) -> VEdge {
             }
             let kind = match singles[q] {
                 0 => GateKind::T,
-                k if (k + q) % 2 == 0 => GateKind::SxGate,
-                _ => GateKind::SyGate,
+                k if (k + q) % 2 == 0 => GateKind::Sx,
+                _ => GateKind::Sy,
             };
             singles[q] += 1;
             let g = p.single_gate(n, q, kind.matrix()).expect("single");

@@ -351,7 +351,7 @@ mod tests {
     /// Builds the picked gates and applies them to `state` in turn;
     /// returns every intermediate state.
     fn evolve(p: &mut Package, state: VEdge, gates: &[(u8, usize)]) -> Vec<VEdge> {
-        let kinds = [GateKind::H, GateKind::T, GateKind::SxGate, GateKind::X];
+        let kinds = [GateKind::H, GateKind::T, GateKind::Sx, GateKind::X];
         let mut states = vec![state];
         for &(kind, target) in gates {
             let matrix = kinds[usize::from(kind) % kinds.len()].matrix();

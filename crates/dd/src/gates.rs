@@ -31,7 +31,9 @@ use crate::fasthash::FxHashMap;
 use crate::package::{Package, MAX_QUBITS};
 use crate::Result;
 
-/// Standard single-qubit gate matrices.
+/// The single-qubit gate alphabet (possibly parameterized), shared by
+/// the circuit IR (which re-exports it as `Gate`) and the DD gate
+/// builders.
 ///
 /// The variants cover the gate alphabet used by the paper's benchmark
 /// circuits: Clifford+T, square roots of X/Y (quantum-supremacy
@@ -43,11 +45,13 @@ use crate::Result;
 /// use approxdd_dd::GateKind;
 /// let h = GateKind::H.matrix();
 /// assert!((h[0][0].re - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-15);
+/// assert_eq!(GateKind::T.name(), "t");
+/// assert_eq!(GateKind::Phase(0.5).inverse(), GateKind::Phase(-0.5));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum GateKind {
-    /// Identity.
+    /// Identity (useful for timing/padding in generated workloads).
     I,
     /// Pauli-X (NOT).
     X,
@@ -66,13 +70,13 @@ pub enum GateKind {
     /// Inverse T gate.
     Tdg,
     /// Square root of X (√X, a.k.a. V).
-    SxGate,
+    Sx,
     /// Inverse square root of X.
-    SxdgGate,
+    Sxdg,
     /// Square root of Y.
-    SyGate,
+    Sy,
     /// Inverse square root of Y.
-    SydgGate,
+    Sydg,
     /// Phase gate diag(1, e^{iθ}).
     Phase(f64),
     /// Rotation about X by θ.
@@ -110,22 +114,22 @@ impl GateKind {
                 [one, zero],
                 [zero, Cplx::from_polar(1.0, -std::f64::consts::FRAC_PI_4)],
             ],
-            GateKind::SxGate => {
+            GateKind::Sx => {
                 let a = Cplx::new(0.5, 0.5);
                 let b = Cplx::new(0.5, -0.5);
                 [[a, b], [b, a]]
             }
-            GateKind::SxdgGate => {
+            GateKind::Sxdg => {
                 let a = Cplx::new(0.5, -0.5);
                 let b = Cplx::new(0.5, 0.5);
                 [[a, b], [b, a]]
             }
-            GateKind::SyGate => {
+            GateKind::Sy => {
                 // √Y = ½ [[1+i, −1−i], [1+i, 1+i]]
                 let a = Cplx::new(0.5, 0.5);
                 [[a, -a], [a, a]]
             }
-            GateKind::SydgGate => {
+            GateKind::Sydg => {
                 // (√Y)† = ½ [[1−i, 1−i], [−1+i, 1−i]]
                 let a = Cplx::new(0.5, -0.5);
                 [[a, a], [-a, a]]
@@ -145,6 +149,68 @@ impl GateKind {
                 [Cplx::from_polar(1.0, -theta / 2.0), zero],
                 [zero, Cplx::from_polar(1.0, theta / 2.0)],
             ],
+        }
+    }
+
+    /// The inverse gate.
+    #[must_use]
+    pub fn inverse(self) -> GateKind {
+        match self {
+            GateKind::S => GateKind::Sdg,
+            GateKind::Sdg => GateKind::S,
+            GateKind::T => GateKind::Tdg,
+            GateKind::Tdg => GateKind::T,
+            GateKind::Sx => GateKind::Sxdg,
+            GateKind::Sxdg => GateKind::Sx,
+            GateKind::Sy => GateKind::Sydg,
+            GateKind::Sydg => GateKind::Sy,
+            GateKind::Phase(t) => GateKind::Phase(-t),
+            GateKind::Rx(t) => GateKind::Rx(-t),
+            GateKind::Ry(t) => GateKind::Ry(-t),
+            GateKind::Rz(t) => GateKind::Rz(-t),
+            other => other,
+        }
+    }
+
+    /// Lowercase mnemonic (OpenQASM style).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            GateKind::I => "id",
+            GateKind::X => "x",
+            GateKind::Y => "y",
+            GateKind::Z => "z",
+            GateKind::H => "h",
+            GateKind::S => "s",
+            GateKind::Sdg => "sdg",
+            GateKind::T => "t",
+            GateKind::Tdg => "tdg",
+            GateKind::Sx => "sx",
+            GateKind::Sxdg => "sxdg",
+            GateKind::Sy => "sy",
+            GateKind::Sydg => "sydg",
+            GateKind::Phase(_) => "p",
+            GateKind::Rx(_) => "rx",
+            GateKind::Ry(_) => "ry",
+            GateKind::Rz(_) => "rz",
+        }
+    }
+
+    /// The rotation/phase parameter, if the gate has one.
+    #[must_use]
+    pub fn parameter(self) -> Option<f64> {
+        match self {
+            GateKind::Phase(t) | GateKind::Rx(t) | GateKind::Ry(t) | GateKind::Rz(t) => Some(t),
+            _ => None,
+        }
+    }
+}
+
+impl std::fmt::Display for GateKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.parameter() {
+            Some(t) => write!(f, "{}({t})", self.name()),
+            None => f.write_str(self.name()),
         }
     }
 }
@@ -675,10 +741,10 @@ mod tests {
             GateKind::Sdg,
             GateKind::T,
             GateKind::Tdg,
-            GateKind::SxGate,
-            GateKind::SxdgGate,
-            GateKind::SyGate,
-            GateKind::SydgGate,
+            GateKind::Sx,
+            GateKind::Sxdg,
+            GateKind::Sy,
+            GateKind::Sydg,
             GateKind::Phase(0.3),
             GateKind::Rx(1.1),
             GateKind::Ry(-0.7),

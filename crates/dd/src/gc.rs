@@ -157,7 +157,7 @@ mod tests {
                     0 => GateKind::H,
                     1 => GateKind::T,
                     2 => GateKind::Rx(theta * std::f64::consts::PI),
-                    3 => GateKind::SyGate,
+                    3 => GateKind::Sy,
                     _ => GateKind::X,
                 }
                 .matrix();

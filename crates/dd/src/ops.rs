@@ -985,7 +985,7 @@ mod tests {
         let mut p = Package::new();
         let mut v = p.basis_state(1, 0);
         let mut product = p.identity(1);
-        for kind in [GateKind::H, GateKind::T, GateKind::SxGate, GateKind::H] {
+        for kind in [GateKind::H, GateKind::T, GateKind::Sx, GateKind::H] {
             let g = p.single_gate(1, 0, kind.matrix()).unwrap();
             product = p.mul_mm(g, product);
             v = p.apply(g, v);

@@ -38,8 +38,8 @@ fn random_gate() -> impl Strategy<Value = GateKind> {
         Just(GateKind::H),
         Just(GateKind::S),
         Just(GateKind::T),
-        Just(GateKind::SxGate),
-        Just(GateKind::SyGate),
+        Just(GateKind::Sx),
+        Just(GateKind::Sy),
         (-3.0f64..3.0).prop_map(GateKind::Phase),
         (-3.0f64..3.0).prop_map(GateKind::Rx),
         (-3.0f64..3.0).prop_map(GateKind::Ry),

@@ -30,7 +30,7 @@
 //! [`DOMAIN_NOISE`]: approxdd_exec::DOMAIN_NOISE
 
 use approxdd_circuit::noise::{select_branch, ChannelTables, KrausFactor, NoiseModel};
-use approxdd_circuit::Circuit;
+use approxdd_circuit::{Circuit, CliffordGate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,7 +118,7 @@ impl TrajectoryPlan {
                             // engine absorbs Pauli noise on Clifford
                             // circuits at tableau cost.
                             debug_assert!(
-                                gate.clifford_kind().is_some(),
+                                CliffordGate::of(*gate).is_some(),
                                 "Kraus gate branches are Pauli (Clifford): {gate:?}"
                             );
                             out.gate(*gate, qubit);

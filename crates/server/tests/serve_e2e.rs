@@ -214,6 +214,9 @@ fn backpressure_is_typed_and_immediate() {
     thread::sleep(Duration::from_millis(700));
     let (status, _) = http(addr, "POST", "/jobs?shots=32&client=alice", &qasm);
     assert_eq!(status, 202);
+    // Again a beat for the runner to pop it: a still-occupied queue
+    // slot would answer queue_full before the quota is consulted.
+    thread::sleep(Duration::from_millis(100));
     let (status, body) = http(addr, "POST", "/jobs?shots=32&client=alice", &qasm);
     assert_eq!(status, 429, "quota must be spent: {body}");
     assert!(body.contains("quota_exhausted"), "typed kind: {body}");
@@ -241,6 +244,96 @@ fn bad_requests_are_typed() {
     let (status, body) = http(addr, "POST", "/jobs?shots=many", &qasm);
     assert_eq!(status, 400, "{body}");
     shutdown(addr, handle);
+}
+
+/// Hostile registers and angles: each gets a typed answer in its own
+/// request or job slot, and the process and every pool worker outlive
+/// them (a backwards bracket pair used to panic the connection thread,
+/// a 64-qubit register a pool worker, and a 10^11-qubit one aborted
+/// the process on an allocation of that many bytes).
+#[test]
+fn hostile_circuits_are_typed_and_kill_nothing() {
+    let (addr, handle) = start(ServerConfig::new().template(template(2)));
+    for (qasm, reason) in [
+        ("qreg q]5[;", "malformed qreg"),
+        (
+            "qreg q[100000000000]; h q[0];",
+            "exceeds the maximum of 255",
+        ),
+        ("qreg q[2]; rx(nan) q[0];", "bad angle"),
+    ] {
+        let (status, body) = http(addr, "POST", "/jobs", qasm);
+        assert_eq!(status, 400, "{qasm}: {body}");
+        assert!(body.contains("bad_request"), "{qasm}: {body}");
+        assert!(body.contains(reason), "{qasm}: {body}");
+    }
+    // A register the parser accepts but the DD engine cannot index is
+    // refused where the job is admitted to an engine: an `error` event
+    // naming the width, on a worker that lives on.
+    let stream = submit_and_stream(addr, "/jobs?shots=8", "qreg q[64]; h q[0];");
+    let error = stream
+        .lines()
+        .find(|l| l.contains("\"type\":\"error\""))
+        .unwrap_or_else(|| panic!("no error event in stream:\n{stream}"));
+    assert!(
+        error.contains("64 qubits exceed the supported maximum of 63"),
+        "{error}"
+    );
+    // The widest admissible register still runs.
+    let stream = submit_and_stream(addr, "/jobs?shots=8", "qreg q[63]; h q[0]; cx q[0],q[62];");
+    assert!(stream.contains("\"type\":\"result\""), "{stream}");
+
+    let (status, _) = http(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    let (_, stats) = http(addr, "GET", "/stats", "");
+    assert_eq!(num_field(&stats, "respawns"), Some(0.0), "{stats}");
+    shutdown(addr, handle);
+}
+
+/// A memory threshold the register can never reach is worth one
+/// warning per run. Every backend run begins its policy twice — once
+/// to validate at `prepare`, once to run — and used to warn at both.
+/// Stderr is only observable from outside, hence the real `serve` bin.
+#[test]
+fn unreachable_threshold_warns_once_per_job() {
+    use std::process::{Command, Stdio};
+    let addr_file =
+        std::env::temp_dir().join(format!("approxdd_serve_addr_{}", std::process::id()));
+    let _ = std::fs::remove_file(&addr_file);
+    let child = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--addr", "127.0.0.1:0", "--workers", "1", "--addr-file"])
+        .arg(&addr_file)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let addr: SocketAddr = (0..200)
+        .find_map(|_| {
+            thread::sleep(Duration::from_millis(25));
+            std::fs::read_to_string(&addr_file)
+                .ok()?
+                .trim()
+                .parse()
+                .ok()
+        })
+        .expect("serve wrote its address");
+    let qasm = to_qasm(&generators::ghz(4)).expect("export qasm");
+    let target = "/jobs?policy=memory_table1&nodes=1048576&round=0.9";
+    for _ in 0..2 {
+        let stream = submit_and_stream(addr, target, &qasm);
+        assert!(stream.contains("\"type\":\"result\""), "{stream}");
+    }
+    let (status, _) = http(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    let output = child.wait_with_output().expect("serve exits");
+    let _ = std::fs::remove_file(&addr_file);
+    assert!(output.status.success(), "{:?}", output.status);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        stderr.matches("can never fire").count(),
+        2,
+        "two jobs, two warnings:\n{stderr}"
+    );
 }
 
 /// Partial histograms stream as sampling chunks settle, and the final

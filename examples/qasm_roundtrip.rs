@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut backend = Simulator::builder().exact().build_backend();
     let batch = backend.run_batch(&[backend.prepare(&circuit)?, backend.prepare(&reimported)?])?;
-    let fidelity = backend.fidelity_between(&batch[0], &batch[1]);
+    let fidelity = backend.fidelity_between(&batch[0], &batch[1])?;
     println!("fidelity(original, reimported) = {fidelity:.12}");
     assert!((fidelity - 1.0).abs() < 1e-9);
     println!("round-trip is exact.");

@@ -23,7 +23,8 @@
 //!   any worker count,
 //! * [`stabilizer`] — the Aaronson–Gottesman tableau engine for
 //!   Clifford circuits (exact global phase, polynomial time), behind
-//!   `backend::StabilizerBackend` / `backend::HybridBackend`,
+//!   [`backend::AnyBackend`] when the builder's [`sim::Engine`] knob
+//!   says `Stabilizer` or `Hybrid`,
 //! * [`noise`] — stochastic noise-trajectory simulation: Kraus
 //!   channels ([`circuit::noise`]), a pooled Monte-Carlo trajectory
 //!   driver ([`noise::NoisePool`]), and an exact density-matrix

@@ -11,10 +11,7 @@
 //! empty and oversized batches must behave, and a poisoned job must
 //! neither deadlock the queue nor disturb its neighbours' results.
 
-use approxdd::backend::{
-    amplitudes_of, Backend, BuildBackend, ExecError, HybridBackend, StabilizerBackend,
-    StatevectorBackend,
-};
+use approxdd::backend::{amplitudes_of, Backend, BuildBackend, ExecError, StatevectorBackend};
 use approxdd::circuit::{generators, Circuit};
 use approxdd::complex::Cplx;
 use approxdd::exec::{BuildPool, PoolJob};
@@ -125,17 +122,25 @@ fn statevector_backend_satisfies_the_contract() {
 
 #[test]
 fn stabilizer_backend_satisfies_the_contract() {
-    check_backend_on(&mut StabilizerBackend::with_seed(5), clifford_workloads());
+    check_backend_on(
+        &mut Simulator::builder()
+            .seed(5)
+            .engine(Engine::Stabilizer)
+            .build_engine_backend(),
+        clifford_workloads(),
+    );
 }
 
 #[test]
 fn hybrid_backend_satisfies_the_contract() {
     // The full workloads: GHZ is pure Clifford (tableau path), QFT and
     // supremacy have non-Clifford tails (synthesis + DD path).
-    check_backend(&mut HybridBackend::with_seed(
-        Simulator::builder().seed(5).build(),
-        5,
-    ));
+    check_backend(
+        &mut Simulator::builder()
+            .seed(5)
+            .engine(Engine::Hybrid)
+            .build_engine_backend(),
+    );
 }
 
 #[test]
@@ -152,11 +157,82 @@ fn engine_knob_backends_satisfy_the_contract() {
         .engine(Engine::Stabilizer)
         .build_engine_backend();
     check_backend_on(&mut stab, clifford_workloads());
+    let mut dd = Simulator::builder()
+        .seed(5)
+        .engine(Engine::Dd)
+        .build_engine_backend();
+    check_backend(&mut dd);
+
+    // One handle type for every engine: a query that needs a DD state
+    // and is handed a tableau is a typed error, not a panic.
+    let ghz = generators::ghz(4);
+    let on_tableau = approxdd::backend::run_circuit(&mut hybrid, &ghz).expect("hybrid");
+    let on_dd = approxdd::backend::run_circuit(&mut dd, &ghz).expect("dd");
+    assert!(matches!(
+        hybrid.fidelity_between(&on_tableau, &on_tableau),
+        Err(ExecError::Unsupported {
+            backend: "hybrid",
+            ..
+        })
+    ));
+    assert!(matches!(
+        dd.fidelity_between(&on_dd, &on_tableau),
+        Err(ExecError::Unsupported { backend: "dd", .. })
+    ));
+    let same = dd
+        .fidelity_between(&on_dd, &on_dd)
+        .expect("two DD outcomes");
+    assert!((same - 1.0).abs() < 1e-12);
+    hybrid.release(on_tableau);
+    dd.release(on_dd);
+}
+
+#[test]
+fn a_register_no_engine_can_index_is_refused_at_prepare() {
+    // 64 qubits: one past `u64` basis indexing. Every engine refuses it
+    // where the circuit is admitted, with its own typed error …
+    let wide = generators::ghz(64);
+    for engine in [Engine::Dd, Engine::Hybrid] {
+        let backend = Simulator::builder().engine(engine).build_engine_backend();
+        assert!(
+            matches!(
+                backend.prepare(&wide),
+                Err(ExecError::Dd(approxdd::dd::DdError::TooManyQubits {
+                    n_qubits: 64,
+                    max: 63
+                }))
+            ),
+            "{engine:?}"
+        );
+    }
+    // … the bare simulator does the same before it builds a state …
+    assert!(matches!(
+        Simulator::builder().build().run(&wide),
+        Err(approxdd::sim::SimError::Dd(
+            approxdd::dd::DdError::TooManyQubits { .. }
+        ))
+    ));
+    // … and a pooled job fails in its own slot: no worker dies for it.
+    let pool = Simulator::builder().seed(5).workers(2).build_pool();
+    let results = pool.run_jobs(vec![
+        PoolJob::new(generators::ghz(63)),
+        PoolJob::new(wide),
+        PoolJob::new(generators::ghz(5)),
+    ]);
+    assert!(results[0].is_ok() && results[2].is_ok());
+    assert!(
+        matches!(results[1], Err(ExecError::Dd(_))),
+        "{:?}",
+        results[1]
+    );
+    assert_eq!(pool.stats().respawns, 0);
 }
 
 #[test]
 fn stabilizer_rejects_non_clifford_and_wide_registers() {
-    let backend = StabilizerBackend::new();
+    let backend = Simulator::builder()
+        .engine(Engine::Stabilizer)
+        .build_engine_backend();
     assert!(matches!(
         backend.prepare(&generators::qft(4)),
         Err(ExecError::Stabilizer(_))
@@ -169,7 +245,9 @@ fn stabilizer_rejects_non_clifford_and_wide_registers() {
 
 #[test]
 fn hybrid_reports_the_clifford_prefix() {
-    let mut backend = HybridBackend::new(Simulator::builder().build());
+    let mut backend = Simulator::builder()
+        .engine(Engine::Hybrid)
+        .build_engine_backend();
 
     // Pure Clifford: the outcome is a tableau, no DD stats at all.
     let ghz = generators::ghz(12);
@@ -230,7 +308,10 @@ proptest! {
         seed in 0u64..1000
     ) {
         let circuit = generators::random_clifford(n, depth, seed);
-        let mut stab = StabilizerBackend::with_seed(seed);
+        let mut stab = Simulator::builder()
+            .seed(seed)
+            .engine(Engine::Stabilizer)
+            .build_engine_backend();
         let mut dd = Simulator::builder().seed(seed).build_backend();
         let mut sv = StatevectorBackend::with_seed(seed);
         let a = amplitudes_of(&mut stab, &circuit).expect("stabilizer");
@@ -255,7 +336,10 @@ proptest! {
     ) {
         let mut circuit = generators::random_clifford(n, depth, seed);
         circuit.t(0).rz(0.7, n - 1).h(0);
-        let mut hybrid = HybridBackend::with_seed(Simulator::builder().seed(seed).build(), seed);
+        let mut hybrid = Simulator::builder()
+            .seed(seed)
+            .engine(Engine::Hybrid)
+            .build_engine_backend();
         let mut sv = StatevectorBackend::with_seed(seed);
         let a = amplitudes_of(&mut hybrid, &circuit).expect("hybrid");
         let b = amplitudes_of(&mut sv, &circuit).expect("sv");
