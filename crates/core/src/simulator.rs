@@ -865,8 +865,9 @@ mod tests {
         let run = sim.run(&circuit).unwrap();
         let package = &run.stats.package;
         assert_eq!(package.ct_hits + package.ct_misses, 0);
-        // One level up the tables are in use again.
-        let run = sim.run(&generators::qft(2)).unwrap();
+        // Higher up the tables are in use again (`qft(2)` adds nothing
+        // the `add` table is consulted for; `qft(3)` does, 4 times).
+        let run = sim.run(&generators::qft(3)).unwrap();
         assert!(run.stats.package.ct_misses > 0);
     }
 

@@ -1,7 +1,11 @@
 //! Fixed-capacity, direct-mapped **lossy** compute caches.
 //!
 //! The compute tables memoize the results of the recursive DD
-//! operations (`add`, `mul_mv`, `mul_mm`, `inner_product`). Earlier
+//! operations `add`, `mul_mm` and `inner_product` across calls.
+//! (`mul_mv` memoizes in a map that lives for one `Package::apply`:
+//! measured on the Table I workloads, its lookups almost never hit an
+//! entry an earlier call wrote, so a global table of its own only cost
+//! memory — see `crate::ops`.) Earlier
 //! revisions used growable hash maps with a wholesale clear past an
 //! entry cap; that design pays allocation, rehashing, and entry-API
 //! overhead on the hottest loop of the simulator, and the cap-triggered
@@ -34,7 +38,7 @@
 //! # Provisioning: memory is O(touched), not O(capacity)
 //!
 //! A package is built per job, and most jobs never consult two of the
-//! four tables, so the slot array is **not** part of construction:
+//! three tables, so the slot array is **not** part of construction:
 //!
 //! * **First-insert materialisation.** A new cache owns no slot memory.
 //!   A lookup on it counts one miss and returns `None` — exactly what a
@@ -56,8 +60,8 @@
 //!
 //! **Retention bound.** The free list keeps at most one slab per slot
 //! type (a newly retired slab replaces a held one), so a thread retains
-//! at most one engine's tables — ≈ 10.5 MiB at the default 2^16 slots
-//! if all four materialised — until it exits. Retiring during thread
+//! at most one engine's tables — 8 MiB at the default 2^16 slots if
+//! all three materialised — until it exits. Retiring during thread
 //! teardown, when the list is already gone, just frees the slab.
 
 use std::any::Any;
@@ -302,24 +306,22 @@ impl<K: 'static, V: 'static> Drop for ComputeCache<K, V> {
     }
 }
 
-/// The four compute caches of one [`crate::Package`].
+/// The three compute caches of one [`crate::Package`].
 #[derive(Debug)]
 pub(crate) struct ComputeCaches {
     pub(crate) add: ComputeCache<(u32, u32, u64, u64), VEdge>,
-    pub(crate) mul_mv: ComputeCache<(u32, u32), VEdge>,
     pub(crate) mul_mm: ComputeCache<(u32, u32), MEdge>,
     pub(crate) inner: ComputeCache<(u32, u32), Cplx>,
 }
 
 impl ComputeCaches {
-    /// Four caches of `2^cache_bits` slots each (`None` → the default
+    /// Three caches of `2^cache_bits` slots each (`None` → the default
     /// 2^16), clamped to the supported `[2, 26]` range.
     pub(crate) fn new(cache_bits: Option<u32>) -> Self {
         let bits = cache_bits.unwrap_or(DEFAULT_COMPUTE_CACHE_BITS);
         let no_key = (u32::MAX, u32::MAX);
         Self {
             add: ComputeCache::new(bits, (u32::MAX, u32::MAX, 0, 0), VEdge::ZERO),
-            mul_mv: ComputeCache::new(bits, no_key, VEdge::ZERO),
             mul_mm: ComputeCache::new(bits, no_key, MEdge::ZERO),
             inner: ComputeCache::new(bits, no_key, Cplx::ZERO),
         }
@@ -329,28 +331,21 @@ impl ComputeCaches {
     /// O(1) generation bump per cache — nothing is freed or rehashed.
     pub(crate) fn clear(&mut self) {
         self.add.clear();
-        self.mul_mv.clear();
         self.mul_mm.clear();
         self.inner.clear();
     }
 
     /// Bytes of the materialised slot arrays.
     pub(crate) fn bytes(&self) -> usize {
-        self.add.bytes() + self.mul_mv.bytes() + self.mul_mm.bytes() + self.inner.bytes()
+        self.add.bytes() + self.mul_mm.bytes() + self.inner.bytes()
     }
 
     /// Writes the per-table counters and their totals into `stats`.
     pub(crate) fn report(&self, stats: &mut PackageStats) {
         stats.ct_add = self.add.stats();
-        stats.ct_mul_mv = self.mul_mv.stats();
         stats.ct_mul_mm = self.mul_mm.stats();
         stats.ct_inner = self.inner.stats();
-        let tables = [
-            stats.ct_add,
-            stats.ct_mul_mv,
-            stats.ct_mul_mm,
-            stats.ct_inner,
-        ];
+        let tables = [stats.ct_add, stats.ct_mul_mm, stats.ct_inner];
         stats.ct_hits = tables.iter().map(|t| t.hits).sum();
         stats.ct_misses = tables.iter().map(|t| t.misses).sum();
     }
@@ -531,21 +526,26 @@ mod tests {
     fn package_takes_over_its_predecessors_slabs() {
         use crate::{GateKind, Package};
         on_fresh_thread(|| {
+            // H, CX, H on the top qubit: the second H adds two different
+            // sub-states one level down, which `add` memoizes.
             let run = |p: &mut Package| {
-                let state = p.basis_state(3, 0);
-                let h = p.single_gate(3, 1, GateKind::H.matrix()).unwrap();
-                p.apply(h, state)
+                let h = p.single_gate(3, 2, GateKind::H.matrix()).unwrap();
+                let cx = p.controlled_gate(3, &[2], 1, GateKind::X.matrix()).unwrap();
+                let mut state = p.basis_state(3, 0);
+                for g in [h, cx, h] {
+                    state = p.apply(g, state);
+                }
             };
             let mut first = Package::with_config(approxdd_complex::Tolerance::default(), Some(8));
-            let _ = run(&mut first);
-            assert_eq!(first.ct.mul_mv.slots.len(), 1 << 8);
+            run(&mut first);
+            assert_eq!(first.ct.add.slots.len(), 1 << 8);
             assert!(first.ct.inner.slots.is_empty(), "never inserted into");
-            let generation = first.ct.mul_mv.generation;
+            let generation = first.ct.add.generation;
             drop(first);
 
             let mut second = Package::with_config(approxdd_complex::Tolerance::default(), Some(8));
-            let _ = run(&mut second);
-            assert_eq!(second.ct.mul_mv.generation, generation + 1);
+            run(&mut second);
+            assert_eq!(second.ct.add.generation, generation + 1);
             assert!(second.ct.inner.slots.is_empty());
         });
     }

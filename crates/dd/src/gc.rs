@@ -73,7 +73,7 @@ impl Package {
             .sweep(|id, node| remove_mnode_from_unique(munique, tol, id, node));
 
         // Memoized results may point at freed nodes.
-        self.ct.clear();
+        self.clear_memoized();
 
         self.stats.gc_freed += (vnodes_freed + mnodes_freed) as u64;
         let _ = span.finish();

@@ -60,22 +60,28 @@
 //!   result bits; table *layout and load factor* never do.
 //!   [`PackageStats::node_store_bytes`] reports the footprint by
 //!   length.
-//! * **Fixed-size, direct-mapped lossy compute caches.** The four
-//!   memoization tables (`add`, `mul_mv`, `mul_mm`, `inner`) are flat
-//!   slot arrays indexed by `hash & mask` that overwrite on collision
-//!   and invalidate via an O(1) generation bump. Lossiness is safe by
+//! * **Fixed-size, direct-mapped lossy compute caches.** The three
+//!   memoization tables (`add`, `mul_mm`, `inner`) are flat slot arrays
+//!   indexed by `hash & mask` that overwrite on collision and
+//!   invalidate via an O(1) generation bump. Lossiness is safe by
 //!   construction: every cache key identifies its result exactly. For
-//!   `mul_mv`/`mul_mm`/`inner` the node-id pair alone does (top
-//!   weights factor out); for `add` the key adds the weight ratio
-//!   *interned through a canonicalization table* (tolerance bucket →
-//!   the first exact ratio seen), and the recursion runs on that
-//!   canonical ratio — so near-equal ratios share one key *and* one
-//!   result, and a hit returns precisely what recomputation would. An
-//!   undersized cache costs time, never a different answer. Size the
-//!   caches per package with [`Package::with_config`] (2^16 slots
-//!   per table by default).
+//!   `mul_mm`/`inner` the node-id pair alone does (top weights factor
+//!   out); for `add` the key adds the weight ratio *interned through a
+//!   canonicalization table* (tolerance bucket → the first exact ratio
+//!   seen), and the recursion runs on that canonical ratio — so
+//!   near-equal ratios share one key *and* one result, and a hit
+//!   returns precisely what recomputation would. An undersized cache
+//!   costs time, never a different answer. Size the caches per package
+//!   with [`Package::with_config`] (2^16 slots per table by default).
+//! * **`mul_mv` memoizes per call.** Its lookups almost never hit an
+//!   entry an earlier gate wrote (measured: 5.5 of 59 742 on a
+//!   memory-driven supremacy item), so [`Package::apply`] empties a
+//!   hash map keyed like the tables, `(m.node, v.node)`, and the
+//!   recursion memoizes in that: memory in proportion to one call's
+//!   work instead of a 2.5 MiB table per package and per pool thread.
+//!   Which calls hit changes, and by hit ≡ recompute nothing else.
 //! * **Cache memory is O(touched), not O(capacity).** Packages are
-//!   built per job, and most jobs never consult two of the four
+//!   built per job, and most jobs never consult two of the three
 //!   tables, so a slot array is provided on its cache's **first
 //!   insert** (until then every lookup is a counted miss, and
 //!   `CtStats::capacity` reports the configured size regardless).
@@ -83,8 +89,8 @@
 //!   list**, and the next package on that thread takes them over one
 //!   generation on — every old slot dead in O(1), the same way a GC
 //!   clear works — so a pool worker fills its tables once, not once
-//!   per job. A thread retains at most one array per table (≈ 10.5 MiB
-//!   at the default size if all four were used) until it exits.
+//!   per job. A thread retains at most one array per table (8 MiB at
+//!   the default size if all three were used) until it exits.
 //!   Neither mechanism can change a result or a counter: capacity,
 //!   index function, accounting and eviction are untouched, and an
 //!   unprovided, a fresh and a recycled cache answer every lookup
@@ -127,7 +133,10 @@
 //!   bits are too.
 //!
 //! Results are therefore **bit-identical across every cache
-//! configuration**; the workspace's `cache_equivalence` suite
+//! configuration** — including across a reset of the canonical-ratio
+//! table, which happens only when a *new* bucket finds it full and after
+//! which no result computed across the reset is memoized (see the
+//! `ratio` module); the workspace's `cache_equivalence` suite
 //! property-tests exactly that (4-bit vs. default vs. 20-bit caches),
 //! and [`PackageStats`] reports per-table hit rates and occupancy so
 //! regressions in cache behavior show up in benchmark JSON, not just

@@ -2,9 +2,33 @@
 //! matrix–matrix multiplication, inner products, Kronecker products and
 //! conjugate transposition.
 //!
-//! All operations are memoized in the package's compute tables. Top edge
-//! weights are factored out of cache keys wherever the operation is
-//! multilinear, which maximizes hit rates (the standard QMDD trick).
+//! `add`, `mul_mm` and `inner_product` are memoized in the package's
+//! compute tables, `mul_mv` in a memo that lives for one
+//! [`Package::apply`]. Top edge weights are factored out of the keys
+//! wherever the operation is multilinear, which maximizes hit rates (the
+//! standard QMDD trick).
+//!
+//! # The per-call memo
+//!
+//! `mul_mv` has no compute table because a global one would be a
+//! per-call visited set: counted on the benchmark's own instances, of
+//! the 59 742 `mul_mv` lookups of a memory-driven supremacy item 2 103
+//! hit, and only 5.5 of those hit an entry an earlier `apply` wrote
+//! (4 225 of 723 090 lookups on a fidelity-driven Shor pair). So `apply`
+//! empties a package-owned hash map and the recursion probes and fills
+//! that, under the key `(m.node, v.node)`, after the early-outs and with
+//! the hit expression a table would use. It costs memory in proportion
+//! to one call's work instead of 2.5 MiB per package and per pool
+//! thread, and it changes only which calls hit and which recompute,
+//! which the "hit ≡ recompute" contract makes unobservable (the tests
+//! below hold it to a memo-less recursion). It is emptied with the
+//! compute caches, too: at GC and at a canonical-ratio reset.
+//!
+//! Every memoizing operation — `add`'s table, the memo, `mul_mm`,
+//! `inner_product` — reads `Package::ratio_resets` before it recurses
+//! and memoizes its result only if no reset happened meanwhile: a result
+//! that straddles a reset holds pre-reset canonical ratios, which a
+//! post-reset recomputation would not reproduce (see [`crate::ratio`]).
 //!
 //! # The terminal-level rule
 //!
@@ -15,8 +39,8 @@
 //! result back — and a third of all lookups used to be spent there, each
 //! insert evicting an entry from a level where recomputation is
 //! expensive. So `add`, `mul_mv`, `mul_mm` and `inner_product` never
-//! consult a compute table for level-0 operands: they run the miss path
-//! directly and skip the insert.
+//! consult a compute table (or the memo) for level-0 operands: they run
+//! the miss path directly and skip the insert.
 //!
 //! This cannot change a result. The miss path is the same code, hence
 //! the same float operations in the same order; `add` still interns its
@@ -82,8 +106,8 @@
 //! *hits* (a counter, and no allocation — every `make_vnode` in it lands
 //! on the node it started from — so arena populations, slot reuse and
 //! the collection trigger cannot move, pinned by
-//! `tests/allocation_trajectory.rs`); `mul_mv` cache traffic
-//! (unobservable by the hit contract); and no `canonical_ratio` call at
+//! `tests/allocation_trajectory.rs`); memo traffic (unobservable by
+//! the hit contract); and no `canonical_ratio` call at
 //! all, because under an identity every `add` has a zero operand and
 //! returns before it forms a ratio — so the canonical-ratio table sees
 //! the same sequence either way. Both fields live in the padding beside
@@ -184,12 +208,13 @@ impl Package {
             }
         }
 
+        let resets = self.ratio_resets;
         let an = *self.vnode(a.node);
         let bn = *self.vnode(b.node);
         let r0 = self.add(an.edges[0], bn.edges[0].scaled(ratio));
         let r1 = self.add(an.edges[1], bn.edges[1].scaled(ratio));
         let res = self.make_vnode(an.var, r0, r1);
-        if memoized {
+        if memoized && self.ratio_resets == resets {
             self.ct.add.insert(key, res);
         }
         res.scaled(a.w)
@@ -208,6 +233,7 @@ impl Package {
     /// Debug builds panic if the operands' levels differ.
     #[must_use]
     pub fn apply(&mut self, m: MEdge, v: VEdge) -> VEdge {
+        self.mv_memo.clear();
         self.mul_mv(m, v)
     }
 
@@ -234,11 +260,12 @@ impl Package {
         let key = (m.node.0, v.node.0);
         let memoized = !at_terminal_level(self.vnode(v.node).var);
         if memoized {
-            if let Some(cached) = self.ct.mul_mv.lookup(&key) {
+            if let Some(cached) = self.mv_memo.get(&key) {
                 return cached.scaled(m.w * v.w);
             }
         }
 
+        let resets = self.ratio_resets;
         let mn = *self.mnode(m.node);
         let vn = *self.vnode(v.node);
         // r0 = M00·v0 + M01·v1 ; r1 = M10·v0 + M11·v1
@@ -249,8 +276,8 @@ impl Package {
         let p11 = self.mul_mv(mn.edges[3], vn.edges[1]);
         let r1 = self.add(p10, p11);
         let res = self.make_vnode(mn.var, r0, r1);
-        if memoized {
-            self.ct.mul_mv.insert(key, res);
+        if memoized && self.ratio_resets == resets {
+            self.mv_memo.insert(key, res);
         }
         res.scaled(m.w * v.w)
     }
@@ -283,6 +310,7 @@ impl Package {
             }
         }
 
+        let resets = self.ratio_resets;
         let an = *self.mnode(a.node);
         let bn = *self.mnode(b.node);
         let mut quads = [MEdge::ZERO; 4];
@@ -295,7 +323,7 @@ impl Package {
             *q = self.madd(t0, t1);
         }
         let res = self.make_mnode(an.var, quads);
-        if memoized {
+        if memoized && self.ratio_resets == resets {
             self.ct.mul_mm.insert(key, res);
         }
         res.scaled(a.w * b.w)
@@ -360,12 +388,13 @@ impl Package {
             }
         }
 
+        let resets = self.ratio_resets;
         let an = *self.vnode(a.node);
         let bn = *self.vnode(b.node);
         let i0 = self.inner_product(an.edges[0], bn.edges[0]);
         let i1 = self.inner_product(an.edges[1], bn.edges[1]);
         let sum = i0 + i1;
-        if memoized {
+        if memoized && self.ratio_resets == resets {
             self.ct.inner.insert(key, sum);
         }
         a.w.conj() * b.w * sum
@@ -469,18 +498,41 @@ mod tests {
     use crate::gates::GateKind;
     use crate::node::{Image, MNode, VNode};
     use crate::package::PackageStats;
+    use crate::ratio::RatioCanon;
     use proptest::prelude::*;
 
     fn close(a: Cplx, b: Cplx) -> bool {
         (a - b).mag() < 1e-10
     }
 
+    /// A reference recursion's memo, keyed by the canonical-ratio reset
+    /// count as well, so that no entry outlives a reset.
+    type ReferenceMemo = FxHashMap<(u32, u32, u64), VEdge>;
+
     impl Package {
         /// `mul_mv` as it stood before the identity rule, kept as the
         /// reference the rule is tested against: the same early-outs,
-        /// the same table, the same recursion, and no look at the
+        /// the same recursion, a memo of its own, and no look at the
         /// identity bit or the image.
         fn mul_mv_recursing(&mut self, m: MEdge, v: VEdge) -> VEdge {
+            self.mul_mv_reference(m, v, false, Some(&mut ReferenceMemo::default()))
+        }
+
+        /// `mul_mv` with the identity rule and without any memo: the
+        /// reference the per-call memo is tested against.
+        fn mul_mv_unmemoized(&mut self, m: MEdge, v: VEdge) -> VEdge {
+            self.mul_mv_reference(m, v, true, None)
+        }
+
+        /// `mul_mv`'s early-outs and recursion, taking the identity rule
+        /// iff `rule` and memoizing iff there is a `memo`.
+        fn mul_mv_reference(
+            &mut self,
+            m: MEdge,
+            v: VEdge,
+            rule: bool,
+            mut memo: Option<&mut ReferenceMemo>,
+        ) -> VEdge {
             if m.is_zero(self.tolerance()) || v.is_zero(self.tolerance()) {
                 return VEdge::ZERO;
             }
@@ -489,25 +541,35 @@ mod tests {
             }
             debug_assert_eq!(self.mlevel(m), self.vlevel(v), "mul level mismatch");
 
-            let key = (m.node.0, v.node.0);
-            let memoized = !at_terminal_level(self.vnode(v.node).var);
+            if let Some(f) = self.vnode(v.node).image.factor().filter(|_| rule) {
+                if self.mnode(m.node).identity {
+                    self.stats.identity_skips += 1;
+                    return VEdge { w: f, node: v.node }.scaled(m.w * v.w);
+                }
+            }
+
+            let key = (m.node.0, v.node.0, self.ratio_resets);
+            let memoized = memo.is_some() && !at_terminal_level(self.vnode(v.node).var);
             if memoized {
-                if let Some(cached) = self.ct.mul_mv.lookup(&key) {
+                if let Some(cached) = memo.as_ref().and_then(|memo| memo.get(&key)) {
                     return cached.scaled(m.w * v.w);
                 }
             }
 
             let mn = *self.mnode(m.node);
             let vn = *self.vnode(v.node);
-            let p00 = self.mul_mv_recursing(mn.edges[0], vn.edges[0]);
-            let p01 = self.mul_mv_recursing(mn.edges[1], vn.edges[1]);
+            let mut mul = |p: &mut Self, q: usize, i: usize| {
+                p.mul_mv_reference(mn.edges[q], vn.edges[i], rule, memo.as_deref_mut())
+            };
+            let p00 = mul(self, 0, 0);
+            let p01 = mul(self, 1, 1);
             let r0 = self.add(p00, p01);
-            let p10 = self.mul_mv_recursing(mn.edges[2], vn.edges[0]);
-            let p11 = self.mul_mv_recursing(mn.edges[3], vn.edges[1]);
+            let p10 = mul(self, 2, 0);
+            let p11 = mul(self, 3, 1);
             let r1 = self.add(p10, p11);
             let res = self.make_vnode(mn.var, r0, r1);
-            if memoized {
-                self.ct.mul_mv.insert(key, res);
+            if let Some(memo) = memo.filter(|_| memoized && self.ratio_resets == key.2) {
+                memo.insert(key, res);
             }
             res.scaled(m.w * v.w)
         }
@@ -585,16 +647,37 @@ mod tests {
     fn assert_rule_is_unobservable(
         history: impl Fn(Mul, &mut Vec<Observed>) -> PackageStats,
     ) -> PackageStats {
-        let (mut ruled, mut recursed) = (Vec::new(), Vec::new());
-        let stats = history(Package::mul_mv, &mut ruled);
-        let reference = history(Package::mul_mv_recursing, &mut recursed);
+        let (stats, reference) =
+            assert_same_observations(Package::mul_mv, Package::mul_mv_recursing, history);
         assert_eq!(reference.identity_skips, 0);
-        assert_eq!(ruled.len(), recursed.len());
-        for (gate, (a, b)) in ruled.iter().zip(&recursed).enumerate() {
+        stats
+    }
+
+    /// Runs one history through `ours` and through `reference`, each in
+    /// packages of its own, and requires the same observations after
+    /// every gate. Returns both packages' statistics.
+    fn assert_same_observations(
+        ours: Mul,
+        reference: Mul,
+        history: impl Fn(Mul, &mut Vec<Observed>) -> PackageStats,
+    ) -> (PackageStats, PackageStats) {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let stats = history(ours, &mut got);
+        let reference = history(reference, &mut want);
+        assert_eq!(got.len(), want.len());
+        for (gate, (a, b)) in got.iter().zip(&want).enumerate() {
             assert_eq!(a, b, "after gate {gate}");
         }
-        assert!(!ruled.is_empty());
-        stats
+        assert!(!got.is_empty());
+        (stats, reference)
+    }
+
+    /// Runs one history through [`Package::apply`] and through the
+    /// memo-less recursion; returns the statistics of the former.
+    fn assert_memo_is_unobservable(
+        history: impl Fn(Mul, &mut Vec<Observed>) -> PackageStats,
+    ) -> PackageStats {
+        assert_same_observations(Package::apply, Package::mul_mv_unmemoized, history).0
     }
 
     /// `kind` on each of `qubits` of an `n`-qubit `state`.
@@ -951,6 +1034,95 @@ mod tests {
         });
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // "Memo ≡ no memo": `apply` answers repeat visits from its memo,
+        // and a recursion that recomputes every one of them must build
+        // the same bits, nodes and canonical ratios.
+        #[test]
+        fn memo_equals_no_memo_on_generic_states(
+            amps in prop::collection::vec((any::<f64>(), any::<f64>()), 256),
+            n in 3usize..9
+        ) {
+            let amps: Vec<Cplx> = amps[..1 << n].iter().map(|&(re, im)| Cplx::new(re, im)).collect();
+            assert_memo_is_unobservable(|mul, log| {
+                let mut p = Package::new();
+                let state = p.from_amplitudes(&amps).unwrap();
+                sweep(&mut p, mul, n, state, log);
+                p.stats()
+            });
+        }
+
+        // The same across canonical-ratio resets: a tiny cap makes them
+        // happen inside `apply` calls (only `add` interns a ratio, and
+        // only `apply` adds here), between a memo insert and the hits
+        // that would follow it.
+        #[test]
+        fn memo_equals_no_memo_across_a_ratio_reset_mid_apply(
+            amps in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 256),
+            n in 5usize..9,
+            cap in 2usize..24
+        ) {
+            let amps: Vec<Cplx> = amps[..1 << n].iter().map(|&(re, im)| Cplx::new(re, im)).collect();
+            let resets = std::cell::Cell::new(0);
+            assert_memo_is_unobservable(|mul, log| {
+                let mut p = Package {
+                    ratio_canon: RatioCanon::new().with_cap(cap),
+                    ..Package::new()
+                };
+                let state = p.from_amplitudes(&amps).unwrap();
+                sweep(&mut p, mul, n, state, log);
+                resets.set(p.ratio_resets);
+                p.stats()
+            });
+            prop_assert!(resets.get() > 0, "cap {} never reset", cap);
+        }
+    }
+
+    #[test]
+    fn memo_equals_no_memo_after_gc_recycled_slot_ids() {
+        const N: usize = 10;
+        let stats = assert_memo_is_unobservable(|mul, log| {
+            let mut p = Package::new();
+            let zero = p.zero_state(N);
+            let _ = layer(&mut p, mul, N, 0..N, GateKind::H, zero);
+            let _ = ghz(&mut p, mul, N);
+            // Nothing is rooted: every slot id is handed out again.
+            assert_eq!(p.collect_garbage().vnodes_alive, 0);
+            let chain = p.basis_state(N, 0x155);
+            let ghz_state = ghz(&mut p, mul, N);
+            let plus = layer(&mut p, mul, N, 0..N, GateKind::H, chain);
+            let turned = layer(&mut p, mul, N, 0..N, GateKind::T, plus);
+            for state in [chain, ghz_state, plus, turned] {
+                sweep(&mut p, mul, N, state, log);
+            }
+            p.stats()
+        });
+        assert_eq!(stats.gc_runs, 1);
+    }
+
+    #[test]
+    fn memo_equals_no_memo_over_a_frozen_snapshot() {
+        const N: usize = 10;
+        let stats = assert_memo_is_unobservable(|mul, log| {
+            let mut base = Package::new();
+            let zero = base.zero_state(N);
+            let _ = layer(&mut base, mul, N, 0..N, GateKind::H, zero);
+            let _ = ghz(&mut base, mul, N);
+            let mut p = Package::with_snapshot(&base.freeze(), None);
+            let zero = p.zero_state(N);
+            let plus = layer(&mut p, mul, N, 0..N, GateKind::H, zero);
+            let ghz_state = ghz(&mut p, mul, N);
+            let turned = layer(&mut p, mul, N, N / 2..N, GateKind::T, plus);
+            for state in [ghz_state, plus, turned] {
+                sweep(&mut p, mul, N, state, log);
+            }
+            p.stats()
+        });
+        assert!(stats.snapshot_hits > 0);
+    }
+
     #[test]
     fn add_is_commutative_and_matches_dense() {
         let mut p = Package::new();
@@ -1005,9 +1177,10 @@ mod tests {
     #[test]
     fn wide_operations_memoize_every_level_but_the_terminal_one() {
         // 12 qubits of H / T / CX layers, a fused operator and an inner
-        // product: the tables are consulted, but no entry is keyed on a
-        // level-0 node, i.e. no level-0 operation ever inserted (and
-        // every lookup that misses inserts).
+        // product: the three tables and the memo of the last `apply` are
+        // consulted, but no entry is keyed on a level-0 node, i.e. no
+        // level-0 operation ever inserted (and every lookup that misses
+        // inserts).
         let n = 12;
         let mut p = Package::new();
         let mut v = p.zero_state(n);
@@ -1036,22 +1209,14 @@ mod tests {
         assert!(p.inner_product(v, w).mag2() >= 0.0);
 
         let stats = p.stats();
-        for table in [
-            stats.ct_add,
-            stats.ct_mul_mv,
-            stats.ct_mul_mm,
-            stats.ct_inner,
-        ] {
+        for table in [stats.ct_add, stats.ct_mul_mm, stats.ct_inner] {
             assert!(table.misses > 0 && table.occupancy > 0, "{table:?}");
         }
         let vvar = |id: u32| p.vnode(NodeId(id)).var;
         let mvar = |id: u32| p.mnode(NodeId(id)).var;
         assert!(p.ct.add.live_keys().all(|k| vvar(k.0) > 0 && vvar(k.1) > 0));
-        assert!(p
-            .ct
-            .mul_mv
-            .live_keys()
-            .all(|k| mvar(k.0) > 0 && vvar(k.1) > 0));
+        assert!(!p.mv_memo.is_empty());
+        assert!(p.mv_memo.keys().all(|k| mvar(k.0) > 0 && vvar(k.1) > 0));
         assert!(p
             .ct
             .mul_mm

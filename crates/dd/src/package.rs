@@ -8,7 +8,7 @@ use crate::arena::Arena;
 use crate::ctable::{ComputeCaches, CtStats};
 use crate::edge::{MEdge, NodeId, VEdge};
 use crate::error::DdError;
-use crate::fasthash::FxHasher;
+use crate::fasthash::{FxHashMap, FxHasher};
 use crate::node::{Image, MNode, VNode};
 use crate::ratio::RatioCanon;
 use crate::unique::UniqueTable;
@@ -126,14 +126,18 @@ pub(crate) fn remove_mnode_from_unique(
 ///
 /// # Compute-table accounting semantics
 ///
-/// Hit/miss counters are incremented **inside the cache lookup**: every
-/// lookup a DD operation performs counts as exactly one hit (a memoized
-/// result was returned) or one miss (the operation recomputed and
-/// re-inserted). Operand-order canonicalization and trivial cases that
-/// never consult a cache (zero edges, terminal×terminal, same-node
-/// shortcuts) count as neither. The counters are *lifetime* totals of
-/// the package — clearing a cache (an O(1) generation bump, performed
-/// by garbage collection) resets its occupancy but **not** its hit/miss
+/// The counters cover the three compute tables, `add`, `mul_mm` and
+/// `inner`. Hit/miss counters are incremented **inside the cache
+/// lookup**: every lookup a DD operation performs on them counts as
+/// exactly one hit (a memoized result was returned) or one miss (the
+/// operation recomputed and re-inserted). Operand-order
+/// canonicalization and trivial cases that never consult a cache (zero
+/// edges, terminal×terminal, same-node shortcuts) count as neither, and
+/// so do probes of `mul_mv`'s memo, which lives for one
+/// [`Package::apply`] and is not a compute table. The counters are
+/// *lifetime* totals of the package — clearing a cache (an O(1)
+/// generation bump, performed by garbage collection and at a
+/// canonical-ratio reset) resets its occupancy but **not** its hit/miss
 /// counters, so hit rates are comparable across runs regardless of how
 /// often the caches were invalidated. Earlier revisions cleared the
 /// growable tables wholesale past an entry cap, which made hit-rate
@@ -163,8 +167,6 @@ pub struct PackageStats {
     pub ct_misses: u64,
     /// Addition cache (`add`).
     pub ct_add: CtStats,
-    /// Matrix–vector multiplication cache (`mul_mv` / `apply`).
-    pub ct_mul_mv: CtStats,
     /// Matrix–matrix multiplication cache (`mul_mm`).
     pub(crate) ct_mul_mm: CtStats,
     /// Inner-product cache (`inner_product` / `fidelity`).
@@ -192,7 +194,8 @@ pub struct PackageStats {
     /// Bytes the package's node store holds right now, counted from
     /// container **lengths**: arena slots (payload, reference count,
     /// flag bits, free list), unique-table buckets, canonical-ratio
-    /// slots, and the compute-cache slot arrays that have materialised.
+    /// slots, and the compute-cache slot arrays that have materialised
+    /// (not `mul_mv`'s per-call memo).
     /// Private tiers only — an attached snapshot's frozen prefix is
     /// shared and counted by nobody. Deterministic for a given
     /// operation sequence and cache size (it is not RSS: allocator
@@ -271,9 +274,14 @@ pub struct Package {
     /// Canonical `add` weight ratios, one per tolerance bucket (private
     /// tier plus an attached snapshot's frozen one) — see [`crate::ratio`].
     pub(crate) ratio_canon: RatioCanon,
-    /// The four lossy compute caches (`add`, `mul_mv`, `mul_mm`,
-    /// `inner`).
+    /// The three lossy compute caches (`add`, `mul_mm`, `inner`).
     pub(crate) ct: ComputeCaches,
+    /// `mul_mv`'s memo, emptied by every [`Package::apply`] (see
+    /// [`crate::ops`]).
+    pub(crate) mv_memo: FxHashMap<(u32, u32), VEdge>,
+    /// Canonical-ratio resets so far. An operation memoizes its result
+    /// only if no reset happened while it recursed (see [`crate::ratio`]).
+    pub(crate) ratio_resets: u64,
     /// `ident_cache[k]` is the identity matrix DD over levels `0..k`
     /// (height `k`); entry 0 is the terminal edge.
     pub(crate) ident_cache: Vec<MEdge>,
@@ -298,7 +306,7 @@ impl Package {
     }
 
     /// Creates a package with an explicit tolerance and compute-cache
-    /// size. `cache_bits` is the `log2` slot count of each of the four
+    /// size. `cache_bits` is the `log2` slot count of each of the three
     /// lossy compute caches (`None` → the engine default of
     /// 2^16 slots per table), clamped to the supported `[2, 26]` range.
     ///
@@ -316,6 +324,8 @@ impl Package {
             munique: UniqueTable::new(),
             ratio_canon: RatioCanon::new(),
             ct: ComputeCaches::new(cache_bits),
+            mv_memo: FxHashMap::default(),
+            ratio_resets: 0,
             ident_cache: vec![MEdge::ONE],
             stats: PackageStats::default(),
         }
@@ -760,18 +770,24 @@ impl Package {
 
     /// Canonicalizes an `add` weight ratio: returns its tolerance
     /// bucket plus the bucket's canonical representative (the first
-    /// exact ratio seen in it). The table's evolution is a pure function
-    /// of the operation sequence — compute caches never influence it —
-    /// which is what keeps `ct_add` hits bit-identical to
-    /// recomputation. When the table resets at its entry cap, **every**
-    /// compute cache resets with it (the rule and its reason live in
-    /// [`crate::ratio`]).
+    /// exact ratio seen in it) — what keeps `ct_add` hits bit-identical
+    /// to recomputation. When a new bucket finds the table at its entry
+    /// cap, the table resets and every memoized result goes with it (the
+    /// rule and its reason live in [`crate::ratio`]).
     pub(crate) fn canonical_ratio(&mut self, ratio: Cplx) -> ((i64, i64), Cplx) {
         let (rk, canonical, reset) = self.ratio_canon.canonical(self.tol, ratio);
         if reset {
-            self.ct.clear();
+            self.ratio_resets += 1;
+            self.clear_memoized();
         }
         (rk, canonical)
+    }
+
+    /// Drops every memoized operation result: the compute caches and
+    /// the `mul_mv` memo (after GC, and at a canonical-ratio reset).
+    pub(crate) fn clear_memoized(&mut self) {
+        self.ct.clear();
+        self.mv_memo.clear();
     }
 }
 
@@ -911,10 +927,10 @@ mod tests {
 
     #[test]
     fn ratio_canon_cap_reset_clears_every_compute_cache() {
-        // When the canonical-ratio table resets, *all* compute caches
-        // must drop: mul_mv/mul_mm/inner results embed add results and
-        // therefore canonical-ratio bits, so a surviving entry could
-        // disagree with a post-reset recomputation.
+        // When the canonical-ratio table resets, *all* memoized results
+        // must drop: they embed add results and therefore canonical-ratio
+        // bits, so a surviving entry could disagree with a post-reset
+        // recomputation.
         let mut p = Package::new();
         let first = Cplx::new(0.25, 0.0);
         let near = Cplx::new(0.25 + 1e-14, 0.0);
@@ -925,12 +941,85 @@ mod tests {
             #[allow(clippy::cast_precision_loss)]
             let _ = p.canonical_ratio(Cplx::new(0.5, i as f64 * 1e-6));
         }
-        p.ct.mul_mv.insert((1, 2), VEdge::ONE);
+        p.mv_memo.insert((1, 2), VEdge::ONE);
         p.ct.inner.insert((3, 4), Cplx::I);
-        // The call that finds the table at its cap resets it first.
+        // A bucket the full table holds is answered, and resets nothing.
+        assert_eq!(p.canonical_ratio(near).1, first, "held bucket");
+        assert_eq!(p.ratio_resets, 0);
+        assert_eq!(p.ct.inner.lookup(&(3, 4)), Some(Cplx::I));
+        // The first new bucket at the cap resets the table first.
+        let fresh = Cplx::new(0.75, 0.0);
+        assert_eq!(p.canonical_ratio(fresh).1, fresh);
+        assert_eq!(p.ratio_resets, 1);
         assert_eq!(p.canonical_ratio(near).1, near, "table was reset");
-        assert_eq!(p.ct.mul_mv.lookup(&(1, 2)), None, "mul_mv must clear");
+        assert!(p.mv_memo.is_empty(), "the mul_mv memo must clear");
         assert_eq!(p.ct.inner.lookup(&(3, 4)), None, "inner must clear");
+    }
+
+    /// The amplitude bits of a 7-qubit circuit of 60 random H / T / Sx /
+    /// Sy / CX gates (an LCG seeded with `seed`), run with `2^cache_bits`
+    /// compute-cache slots and a private canonical-ratio tier capped at
+    /// `cap` entries; and the resets it went through.
+    fn random_run(seed: u64, cap: usize, cache_bits: u32) -> (Vec<(u64, u64)>, u64) {
+        use crate::ratio::RatioCanon;
+        use crate::GateKind;
+        const N: usize = 7;
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |below: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % below
+        };
+        let mut p = Package {
+            ratio_canon: RatioCanon::new().with_cap(cap),
+            ..Package::with_config(Tolerance::default(), Some(cache_bits))
+        };
+        let mut v = p.zero_state(N);
+        for _ in 0..60 {
+            let target = next(N);
+            let kinds = [GateKind::H, GateKind::T, GateKind::Sx, GateKind::Sy];
+            let gate = match next(5) {
+                4 => {
+                    let control = (target + 1 + next(N - 1)) % N;
+                    p.controlled_gate(N, &[control], target, GateKind::X.matrix())
+                }
+                k => p.single_gate(N, target, kinds[k].matrix()),
+            };
+            v = p.apply(gate.unwrap(), v);
+        }
+        let amplitudes = p.to_amplitudes(v, N).unwrap();
+        let bits = amplitudes
+            .iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect();
+        (bits, p.ratio_resets)
+    }
+
+    #[test]
+    fn results_do_not_depend_on_cache_size_across_ratio_resets() {
+        // A smaller cache recomputes more. That used to move a reset
+        // (one of its extra calls could be the first past the cap) and
+        // to let a result computed across a reset be memoized; either
+        // made 2-bit and 16-bit caches disagree on about one run in ten.
+        let mut differing = Vec::new();
+        let mut resets = 0;
+        for seed in 0..50 {
+            for cap in [3, 7, 20, 64] {
+                let (small, crossed) = random_run(seed, cap, 2);
+                let (large, _) = random_run(seed, cap, 16);
+                resets += crossed;
+                if small != large {
+                    differing.push((seed, cap));
+                }
+            }
+        }
+        assert!(resets > 0, "no run crossed a reset");
+        assert!(
+            differing.is_empty(),
+            "{} of 200 (seed, cap) runs depend on cache size: {differing:?}",
+            differing.len()
+        );
     }
 
     #[test]

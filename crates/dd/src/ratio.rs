@@ -6,10 +6,11 @@
 //! Near-equal ratios (the overwhelmingly common case — low-order float
 //! noise from different computation paths) collapse onto one value,
 //! which is what lets the lossy `ct_add` hit on them while staying
-//! sound: the representative is a pure function of the operation
-//! sequence, independent of compute-cache size, so hit ≡ recompute
-//! bit-for-bit. The same idea as the QMDD "complex table" (DDSIM interns
-//! all weights), applied only where this repo needs it.
+//! sound: a recomputation only revisits buckets its first computation
+//! created, so it finds the same representatives and hit ≡ recompute
+//! bit-for-bit (the reset rule below is what keeps that true across a
+//! reset). The same idea as the QMDD "complex table" (DDSIM interns all
+//! weights), applied only where this repo needs it.
 //!
 //! # Layout
 //!
@@ -26,17 +27,27 @@
 //! # Reset rule
 //!
 //! [`RatioCanon::canonical`] is the only entry point and is called once
-//! per non-trivial `add`. It first checks the private tier's entry
-//! count: at [`RATIO_CANON_CAP`] entries the private tier is emptied
-//! (its slot array is kept) and the call reports `reset = true`, upon
-//! which the package clears **every** compute cache — `mul_mv`,
-//! `mul_mm` and `inner` results embed add results and therefore
-//! canonical-ratio bits, so any surviving entry could disagree with a
-//! post-reset recomputation. The check precedes the probe and counts
-//! private entries only, so reset timing is a function of the operation
-//! sequence alone. A frozen tier never resets: it is a snapshot
-//! invariant shared with every sibling package, probed *before* the
-//! private tier so frozen buckets keep their pinned representatives
+//! per non-trivial `add`. A ratio whose bucket is already held — frozen
+//! or private — is answered and never resets anything. Only a call that
+//! would insert a **new** bucket while the private tier holds
+//! [`RATIO_CANON_CAP`] entries empties that tier first (its slot array
+//! is kept) and reports `reset = true`, upon which the package clears
+//! every compute cache and the `mul_mv` memo: their results embed
+//! canonical-ratio bits, so a surviving entry could disagree with a
+//! post-reset recomputation.
+//!
+//! Reset timing is therefore a function of the sequence of *new*
+//! buckets, not of every call. That distinction is what makes results
+//! independent of compute-cache size: a smaller cache recomputes more,
+//! and its extra calls revisit buckets the first computation created —
+//! held, so they cannot reset (an earlier rule that reset on the first
+//! call past the cap let one of them fire the reset early). The second
+//! half of the contract lives with the callers: an operation whose
+//! recursion straddled a reset does not memoize its result, which holds
+//! pre-reset representatives (`Package::ratio_resets`, read before the
+//! recursion). A frozen tier never resets: it is a snapshot invariant
+//! shared with every sibling package, probed *before* the private tier
+//! so frozen buckets keep their pinned representatives
 //! (first-write-wins across the snapshot boundary).
 
 use std::hash::Hasher;
@@ -49,8 +60,9 @@ use crate::fasthash::FxHasher;
 /// Entry cap of the private canonical-ratio tier. Slots double while
 /// `2 · entries` would exceed them, so at the cap the tier holds 2^19
 /// slots: 8 MiB of values plus a 64 KiB occupancy bitmap (12 MiB for
-/// the instant the last doubling re-seats 4 MiB into 8). Reaching the
-/// cap empties the tier and every compute cache — see the module docs.
+/// the instant the last doubling re-seats 4 MiB into 8). A new bucket
+/// at the cap empties the tier and every compute cache — see the module
+/// docs.
 pub(crate) const RATIO_CANON_CAP: usize = 1 << 18;
 
 /// Slots of a table's first allocation (power of two).
@@ -182,8 +194,9 @@ pub(crate) struct RatioCanon {
     /// Immutable shared tier of an attached snapshot, if any.
     frozen: Option<Arc<RatioTable>>,
     delta: RatioTable,
-    /// Private entries at which [`RatioCanon::canonical`] resets
-    /// ([`RATIO_CANON_CAP`]; tests shrink it to cross it often).
+    /// Private entries at which a new bucket makes
+    /// [`RatioCanon::canonical`] reset ([`RATIO_CANON_CAP`]; tests
+    /// shrink it to cross it often).
     cap: usize,
 }
 
@@ -225,17 +238,17 @@ impl RatioCanon {
     /// module docs for the rule).
     #[inline]
     pub(crate) fn canonical(&mut self, tol: Tolerance, ratio: Cplx) -> ((i64, i64), Cplx, bool) {
-        let reset = self.delta.len() >= self.cap;
+        let key = tol.key(ratio);
+        if let Some(pinned) = self.frozen.as_ref().and_then(|f| f.get(tol, key)) {
+            return (key, pinned, false);
+        }
+        // The second probe runs only at the cap, until the next new
+        // bucket resets the tier.
+        let reset = self.delta.len() >= self.cap && self.delta.get(tol, key).is_none();
         if reset {
             self.delta.clear();
         }
-        let key = tol.key(ratio);
-        let frozen = self.frozen.as_ref().and_then(|f| f.get(tol, key));
-        let canonical = match frozen {
-            Some(pinned) => pinned,
-            None => self.delta.get_or_insert(tol, key, ratio),
-        };
-        (key, canonical, reset)
+        (key, self.delta.get_or_insert(tol, key, ratio), reset)
     }
 }
 
@@ -246,15 +259,15 @@ mod tests {
     use std::collections::HashMap;
 
     impl RatioCanon {
-        fn with_cap(mut self, cap: usize) -> Self {
+        pub(crate) fn with_cap(mut self, cap: usize) -> Self {
             self.cap = cap;
             self
         }
     }
 
     /// The two hash maps the table replaced, kept as the reference
-    /// model: same cap check, same frozen-before-delta probe order, same
-    /// first-write-wins entry.
+    /// model: frozen-before-delta probe order, a reset only for a new
+    /// bucket at the cap, first-write-wins entry.
     #[derive(Default)]
     struct Model {
         frozen: Option<HashMap<(i64, i64), Cplx>>,
@@ -264,13 +277,13 @@ mod tests {
 
     impl Model {
         fn canonical(&mut self, tol: Tolerance, ratio: Cplx) -> ((i64, i64), Cplx, bool) {
-            let reset = self.delta.len() >= self.cap;
-            if reset {
-                self.delta.clear();
-            }
             let key = tol.key(ratio);
             if let Some(&pinned) = self.frozen.as_ref().and_then(|f| f.get(&key)) {
-                return (key, pinned, reset);
+                return (key, pinned, false);
+            }
+            let reset = self.delta.len() >= self.cap && !self.delta.contains_key(&key);
+            if reset {
+                self.delta.clear();
             }
             (key, *self.delta.entry(key).or_insert(ratio), reset)
         }

@@ -41,6 +41,7 @@ use approxdd_complex::Tolerance;
 use crate::arena::{Arena, FrozenArena};
 use crate::ctable::ComputeCaches;
 use crate::edge::MEdge;
+use crate::fasthash::FxHashMap;
 use crate::node::{MNode, VNode};
 use crate::package::{Package, PackageStats};
 use crate::ratio::{RatioCanon, RatioTable};
@@ -147,6 +148,8 @@ impl Package {
             munique: UniqueTable::with_frozen(Arc::clone(&snapshot.munique)),
             ratio_canon: RatioCanon::with_frozen(Arc::clone(&snapshot.ratio_canon)),
             ct: ComputeCaches::new(cache_bits),
+            mv_memo: FxHashMap::default(),
+            ratio_resets: 0,
             ident_cache: snapshot.ident_cache.clone(),
             stats: PackageStats::default(),
         }

@@ -413,20 +413,8 @@ fn stats_and_metrics_are_one_reading() {
     let (addr, handle) = start();
     submit_and_stream(addr, REQUEST_A, 1);
     submit_and_stream(addr, REQUEST_C, 2);
-
-    // The benchmark derives `dd_ops_per_item` on `serve_closed_loop`
-    // from the growth of these two gauges across settled requests.
-    let lookups = |g: &[(String, String)]| {
-        gauge(g, "approxdd_dd_ct_hits") + gauge(g, "approxdd_dd_ct_misses")
-    };
-    let before = lookups(&gauges(addr));
     submit_and_stream(addr, REQUEST_B, 3);
     let scraped = gauges(addr);
-    assert!(
-        lookups(&scraped) > before,
-        "a DD job must grow the compute-table lookup gauges ({before} -> {})",
-        lookups(&scraped)
-    );
 
     // Nothing is in flight: both endpoints read settled state.
     let stats = stats_leaves(addr);
@@ -451,6 +439,26 @@ fn stats_and_metrics_are_one_reading() {
     assert_eq!(read("sessions.session_misses"), Some("1"));
     assert_eq!(read("sessions.frozen_nodes"), Some("23"));
     assert_eq!(read("pool.shots_drawn"), Some("4104"));
+
+    // The benchmark derives `dd_ops_per_item` on `serve_closed_loop`
+    // from the growth of these two gauges across settled requests.
+    // [`QASM`] consults no compute table (`mul_mv` memoizes per call,
+    // and none of its `add`s needs the table), so the job posts a body
+    // whose last H adds two different sub-states: 2 `add` lookups.
+    let lookups = |g: &[(String, String)]| {
+        gauge(g, "approxdd_dd_ct_hits") + gauge(g, "approxdd_dd_ct_misses")
+    };
+    const ADDS: &str = "qreg q[3]; h q[0]; cx q[0],q[2]; h q[2];";
+    let before = lookups(&scraped);
+    let (status, body) = http(addr, "POST", "/jobs", ADDS);
+    assert_eq!(status, 202, "submission failed: {body}");
+    let (status, _) = http(addr, "GET", "/jobs/4", "");
+    assert_eq!(status, 200);
+    let after = lookups(&gauges(addr));
+    assert!(
+        after > before,
+        "a DD job must grow the compute-table lookup gauges ({before} -> {after})"
+    );
 
     shutdown(addr, handle);
 }
