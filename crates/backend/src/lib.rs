@@ -128,8 +128,8 @@ pub struct BackendStats {
     /// Representation size after every gate, when recorded (DD engine
     /// with `record_size_series`; empty otherwise).
     pub size_series: Vec<usize>,
-    /// DD-package counters at the end of the run — per-table
-    /// compute-cache hit rates and occupancy, unique-table occupancy,
+    /// DD-package counters at the end of the run — the compute
+    /// table's hits and misses, unique-table occupancy,
     /// and peak node counts (`None` for engines without a DD package,
     /// i.e. the dense baseline). Session-cumulative for the DD engine:
     /// the package persists across runs of one backend.

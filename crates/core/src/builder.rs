@@ -194,9 +194,9 @@ impl SimulatorBuilder {
         self
     }
 
-    /// Sets the `log2` slot count of each of the DD package's four
-    /// lossy compute caches (clamped to `[2, 26]`; unset → the engine
-    /// default of 2^16 slots per table). Cache size is a pure
+    /// Sets the `log2` slot count of the DD package's lossy `add`
+    /// compute table (clamped to `[2, 26]`; unset → the engine
+    /// default of 2^16 slots). Cache size is a pure
     /// time/memory trade — results are bit-identical for every size,
     /// an undersized cache only recomputes more. See the
     /// "Performance" section of the workspace README for tuning notes.

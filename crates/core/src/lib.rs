@@ -49,7 +49,6 @@
 
 mod builder;
 mod error;
-mod fusion;
 pub mod json;
 pub mod ndjson;
 mod options;

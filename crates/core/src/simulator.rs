@@ -71,8 +71,8 @@ pub struct SimStats {
     /// DD size after every gate (only when
     /// [`SimulatorBuilder::record_size_series`] is set).
     pub size_series: Vec<usize>,
-    /// DD-package counters at the end of the run: compute-cache
-    /// hit rates and occupancy per table, unique-table occupancy, and
+    /// DD-package counters at the end of the run: the compute table's
+    /// hits and misses, unique-table occupancy, and
     /// peak node counts. Session-cumulative (the package persists
     /// across runs of one simulator) — see
     /// [`approxdd_dd::PackageStats`] for the accounting semantics.
@@ -106,14 +106,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    pub(crate) fn new(state: VEdge, n_qubits: usize, stats: SimStats) -> Self {
-        Self {
-            state,
-            n_qubits,
-            stats,
-        }
-    }
-
     /// The final state edge (owned by the simulator's package).
     ///
     /// The edge dangles once the result is passed to

@@ -295,7 +295,7 @@ fn plus_state(p: &mut Package, n: usize) -> VEdge {
     state
 }
 
-/// One cold H on the top qubit: the compute caches are emptied (by an
+/// One cold H on the top qubit: the compute table is emptied (by an
 /// untimed collection; state and gate are rooted) before every timed
 /// application, so each one walks the operands instead of hitting the
 /// root entry. Below the target the operator is the identity, and a

@@ -1,11 +1,11 @@
-//! Fixed-capacity, direct-mapped **lossy** compute caches.
+//! The fixed-capacity, direct-mapped **lossy** compute table of `add`.
 //!
-//! The compute tables memoize the results of the recursive DD
-//! operations `add`, `mul_mm` and `inner_product` across calls.
-//! (`mul_mv` memoizes in a map that lives for one `Package::apply`:
-//! measured on the Table I workloads, its lookups almost never hit an
-//! entry an earlier call wrote, so a global table of its own only cost
-//! memory — see `crate::ops`.) Earlier
+//! The table memoizes `add` results across calls. It is the package's
+//! only global memo: `mul_mv`, `mul_mm` and `inner_product` memoize in
+//! maps that live for one call (measured on the Table I workloads,
+//! `mul_mv`'s lookups almost never hit an entry an earlier call wrote,
+//! and `mul_mm` / `inner_product` have one-shot callers only — see
+//! `crate::ops`). Earlier
 //! revisions used growable hash maps with a wholesale clear past an
 //! entry cap; that design pays allocation, rehashing, and entry-API
 //! overhead on the hottest loop of the simulator, and the cap-triggered
@@ -25,30 +25,30 @@
 //!   pattern, so a lossy cache can cost time, never correctness.
 //! * **Generation-stamped clearing.** Every slot carries the
 //!   generation at which it was written; [`ComputeCache::clear`] bumps
-//!   the cache's current generation, invalidating every slot in O(1)
+//!   the table's current generation, invalidating every slot in O(1)
 //!   instead of freeing buckets. Garbage collection — which must drop
 //!   all memoized results because they may reference freed nodes —
-//!   becomes a single integer increment per table.
+//!   becomes a single integer increment.
 //!
 //! Hit/miss accounting lives *inside* [`ComputeCache::lookup`]: every
 //! lookup increments exactly one of the two counters, so hit rates are
-//! uniform across operation implementations and comparable across runs
-//! regardless of how often the tables were cleared.
+//! comparable across runs regardless of how often the table was
+//! cleared.
 //!
 //! # Provisioning: memory is O(touched), not O(capacity)
 //!
-//! A package is built per job, and most jobs never consult two of the
-//! three tables, so the slot array is **not** part of construction:
+//! A package is built per job, and a job that never adds two states
+//! never consults the table, so the slot array is **not** part of
+//! construction:
 //!
-//! * **First-insert materialisation.** A new cache owns no slot memory.
+//! * **First-insert materialisation.** A new table owns no slot memory.
 //!   A lookup on it counts one miss and returns `None` — exactly what a
 //!   filled-but-empty array would answer — and the first
-//!   [`ComputeCache::insert`] provides the array. [`CtStats::capacity`]
-//!   reports the configured `2^bits` throughout.
-//! * **Per-thread recycling.** A dropped cache retires its slot array
-//!   (a *slab*) to a thread-local free list, and the next cache of the
-//!   same slot type and capacity to materialise on that thread takes it
-//!   over at `generation = slab's last generation + 1`. Every slot the
+//!   [`ComputeCache::insert`] provides the array.
+//! * **Per-thread recycling.** A dropped table retires its slot array
+//!   (a *slab*) to a thread-local slot, and the next table of the same
+//!   capacity to materialise on that thread takes it over at
+//!   `generation = slab's last generation + 1`. Every slot the
 //!   previous owner wrote is dead by the same O(1) argument as
 //!   `clear()` (with the same hard reset at wrap), so after a worker's
 //!   first job there is no allocation, no fill and no page fault.
@@ -58,128 +58,97 @@
 //! from a fresh one — both answer every lookup with a miss until the
 //! new owner inserts.
 //!
-//! **Retention bound.** The free list keeps at most one slab per slot
-//! type (a newly retired slab replaces a held one), so a thread retains
-//! at most one engine's tables — 8 MiB at the default 2^16 slots if
-//! all three materialised — until it exits. Retiring during thread
-//! teardown, when the list is already gone, just frees the slab.
+//! **Retention bound.** A thread holds at most one slab (a newly
+//! retired slab replaces the held one, and a table of another capacity
+//! frees it), so it retains one engine's table — 3.5 MiB at the default
+//! 2^16 slots of 56 bytes — until it exits. Retiring during thread
+//! teardown, when the slot is already gone, just frees the slab.
 
-use std::any::Any;
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::hash::{Hash, Hasher};
 
-use approxdd_complex::Cplx;
-
-use crate::edge::{MEdge, VEdge};
+use crate::edge::VEdge;
 use crate::fasthash::FxHasher;
-use crate::package::PackageStats;
 
-/// Default `log2` capacity of each compute cache (65 536 slots).
+/// Default `log2` capacity of the compute table (65 536 slots).
 const DEFAULT_COMPUTE_CACHE_BITS: u32 = 16;
-/// Smallest accepted `log2` capacity (4 slots) — tiny caches are valid
+/// Smallest accepted `log2` capacity (4 slots) — tiny tables are valid
 /// (just slow), and the equivalence test suite runs them on purpose.
 const MIN_COMPUTE_CACHE_BITS: u32 = 2;
 /// Largest accepted `log2` capacity (64 Mi slots) — beyond this the
 /// slot array itself stops fitting in reasonable memory.
 const MAX_COMPUTE_CACHE_BITS: u32 = 26;
 
-/// Counters of one compute cache, exposed through
-/// [`crate::PackageStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CtStats {
-    /// Lookups that returned a memoized result.
-    pub hits: u64,
-    /// Lookups that found nothing (followed by recomputation + insert).
-    pub misses: u64,
-    /// Slots currently holding a live (current-generation) entry.
-    pub(crate) occupancy: usize,
-    /// Total slots the cache is configured for (fixed at construction;
-    /// their memory is provided on the first insert).
-    pub(crate) capacity: usize,
-}
+/// An `add` key: the two operand nodes and the tolerance bucket of
+/// their canonical weight ratio (see `Package::add`).
+pub(crate) type AddKey = (u32, u32, u64, u64);
 
 #[derive(Debug, Clone, Copy)]
-struct Slot<K, V> {
-    key: K,
-    value: V,
+struct Slot {
+    key: AddKey,
+    value: VEdge,
     /// Generation at which this slot was written; `0` means never.
     stamp: u32,
 }
 
+/// What a never-written slot holds; stamp 0 is dead in every
+/// generation, so its key and value are never observable.
+const VACANT: Slot = Slot {
+    key: (u32::MAX, u32::MAX, 0, 0),
+    value: VEdge::ZERO,
+    stamp: 0,
+};
+
 /// A retired slot array and the last generation its owner stamped.
-struct Slab<K, V> {
-    slots: Vec<Slot<K, V>>,
+struct Slab {
+    slots: Vec<Slot>,
     generation: u32,
 }
 
 thread_local! {
-    /// This thread's retired slabs, at most one per slot type (see
-    /// "Provisioning" in the module docs).
-    static RETIRED: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+    /// This thread's retired slab, if any (see "Provisioning" in the
+    /// module docs).
+    static RETIRED: Cell<Option<Slab>> = const { Cell::new(None) };
 }
 
-/// Takes this thread's retired `(K, V)` slab if it has `capacity` slots.
-fn take_retired<K: 'static, V: 'static>(capacity: usize) -> Option<Slab<K, V>> {
+/// Takes this thread's retired slab if it has `capacity` slots (one of
+/// another capacity is freed).
+fn take_retired(capacity: usize) -> Option<Slab> {
     RETIRED
-        .try_with(|retired| {
-            let mut retired = retired.borrow_mut();
-            let at = retired.iter().position(|held| {
-                held.downcast_ref::<Slab<K, V>>()
-                    .is_some_and(|slab| slab.slots.len() == capacity)
-            })?;
-            retired.swap_remove(at).downcast().ok().map(|slab| *slab)
-        })
+        .try_with(Cell::take)
         .ok()
         .flatten()
+        .filter(|slab| slab.slots.len() == capacity)
 }
 
-/// Hands `slab` to this thread's free list, replacing a held slab of
-/// the same slot type; during thread teardown it is simply freed.
-fn retire<K: 'static, V: 'static>(slab: Slab<K, V>) {
-    let _ = RETIRED.try_with(|retired| {
-        let mut retired = retired.borrow_mut();
-        let slab: Box<dyn Any> = Box::new(slab);
-        match retired.iter_mut().find(|held| held.is::<Slab<K, V>>()) {
-            Some(held) => *held = slab,
-            None => retired.push(slab),
-        }
-    });
-}
-
-/// A direct-mapped lossy cache from `K` to `V` (see the module docs).
+/// The direct-mapped lossy `add` table (see the module docs).
 #[derive(Debug)]
-pub(crate) struct ComputeCache<K: 'static, V: 'static> {
+pub(crate) struct ComputeCache {
     /// Empty until the first insert.
-    slots: Vec<Slot<K, V>>,
-    /// What a never-written slot holds; stamp 0 is dead in every
-    /// generation, so its key and value are never observable.
-    vacant: Slot<K, V>,
+    slots: Vec<Slot>,
     mask: u64,
     /// Current generation; slots stamped with anything else are dead.
     /// Starts at 1 so the zero-initialized stamps read as empty.
     generation: u32,
-    hits: u64,
-    misses: u64,
-    occupancy: usize,
+    /// Lookups that returned a memoized result.
+    pub(crate) hits: u64,
+    /// Lookups that found nothing (followed by recomputation + insert).
+    pub(crate) misses: u64,
 }
 
-impl<K: Copy + Eq + Hash, V: Copy> ComputeCache<K, V> {
-    /// Creates a cache configured for `2^bits` slots (clamped to the
-    /// supported range). The `filler` pair is what vacant slots hold.
-    pub(crate) fn new(bits: u32, filler_key: K, filler_value: V) -> Self {
-        let bits = bits.clamp(MIN_COMPUTE_CACHE_BITS, MAX_COMPUTE_CACHE_BITS);
+impl ComputeCache {
+    /// Creates a table configured for `2^bits` slots (`None` → the
+    /// default 2^16), clamped to the supported `[2, 26]` range.
+    pub(crate) fn new(bits: Option<u32>) -> Self {
+        let bits = bits
+            .unwrap_or(DEFAULT_COMPUTE_CACHE_BITS)
+            .clamp(MIN_COMPUTE_CACHE_BITS, MAX_COMPUTE_CACHE_BITS);
         Self {
             slots: Vec::new(),
-            vacant: Slot {
-                key: filler_key,
-                value: filler_value,
-                stamp: 0,
-            },
             mask: (1u64 << bits) - 1,
             generation: 1,
             hits: 0,
             misses: 0,
-            occupancy: 0,
         }
     }
 
@@ -189,7 +158,7 @@ impl<K: Copy + Eq + Hash, V: Copy> ComputeCache<K, V> {
     }
 
     #[inline]
-    fn index(&self, key: &K) -> usize {
+    fn index(&self, key: &AddKey) -> usize {
         let mut h = FxHasher::default();
         key.hash(&mut h);
         #[allow(clippy::cast_possible_truncation)]
@@ -200,9 +169,9 @@ impl<K: Copy + Eq + Hash, V: Copy> ComputeCache<K, V> {
 
     /// Looks up `key`, counting the outcome (the **only** place hits
     /// and misses are counted — see the module docs). An unmaterialised
-    /// cache has no slot at any index, which reads as a miss.
+    /// table has no slot at any index, which reads as a miss.
     #[inline]
-    pub(crate) fn lookup(&mut self, key: &K) -> Option<V> {
+    pub(crate) fn lookup(&mut self, key: &AddKey) -> Option<VEdge> {
         match self.slots.get(self.index(key)) {
             Some(slot) if slot.stamp == self.generation && slot.key == *key => {
                 self.hits += 1;
@@ -217,25 +186,20 @@ impl<K: Copy + Eq + Hash, V: Copy> ComputeCache<K, V> {
 
     /// Inserts (or overwrites) the slot `key` maps to.
     #[inline]
-    pub(crate) fn insert(&mut self, key: K, value: V) {
+    pub(crate) fn insert(&mut self, key: AddKey, value: VEdge) {
         if self.slots.is_empty() {
             self.materialise();
         }
         let idx = self.index(&key);
-        let generation = self.generation;
-        let slot = &mut self.slots[idx];
-        if slot.stamp != generation {
-            self.occupancy += 1;
-        }
-        *slot = Slot {
+        self.slots[idx] = Slot {
             key,
             value,
-            stamp: generation,
+            stamp: self.generation,
         };
     }
 
     /// Provides the slot array: this thread's retired slab of the same
-    /// shape if there is one, a freshly filled array otherwise.
+    /// capacity if there is one, a freshly filled array otherwise.
     #[cold]
     fn materialise(&mut self) {
         let capacity = self.capacity();
@@ -247,7 +211,7 @@ impl<K: Copy + Eq + Hash, V: Copy> ComputeCache<K, V> {
             self.clear();
             approxdd_telemetry::count("approxdd_dd_cache_slabs_recycled_total", 1);
         } else {
-            self.slots = vec![self.vacant; capacity];
+            self.slots = vec![VACANT; capacity];
             approxdd_telemetry::count("approxdd_dd_cache_slabs_allocated_total", 1);
         }
     }
@@ -256,7 +220,6 @@ impl<K: Copy + Eq + Hash, V: Copy> ComputeCache<K, V> {
     /// Hit/miss counters are *not* reset: they describe the package's
     /// lifetime, so rates stay comparable across GC cycles.
     pub(crate) fn clear(&mut self) {
-        self.occupancy = 0;
         if self.generation == u32::MAX {
             // Once every 4 billion clears: hard-reset the stamps so the
             // generation can wrap without resurrecting ancient entries.
@@ -270,9 +233,9 @@ impl<K: Copy + Eq + Hash, V: Copy> ComputeCache<K, V> {
     }
 
     /// Keys of the live (current-generation) entries, for tests that
-    /// check what a table is asked to remember.
+    /// check what the table is asked to remember.
     #[cfg(test)]
-    pub(crate) fn live_keys(&self) -> impl Iterator<Item = K> + '_ {
+    pub(crate) fn live_keys(&self) -> impl Iterator<Item = AddKey> + '_ {
         self.slots
             .iter()
             .filter(|slot| slot.stamp == self.generation)
@@ -280,89 +243,44 @@ impl<K: Copy + Eq + Hash, V: Copy> ComputeCache<K, V> {
     }
 
     /// Bytes of the slot array: 0 until the first insert materialises it.
-    fn bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Slot<K, V>>()
-    }
-
-    /// Counter snapshot for [`crate::PackageStats`].
-    pub(crate) fn stats(&self) -> CtStats {
-        CtStats {
-            hits: self.hits,
-            misses: self.misses,
-            occupancy: self.occupancy,
-            capacity: self.capacity(),
-        }
+    pub(crate) fn bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<Slot>()
     }
 }
 
-impl<K: 'static, V: 'static> Drop for ComputeCache<K, V> {
+impl Drop for ComputeCache {
+    /// Hands the slab to this thread's retired slot, replacing a held
+    /// one; during thread teardown it is simply freed.
     fn drop(&mut self) {
         if !self.slots.is_empty() {
-            retire(Slab {
+            let slab = Slab {
                 slots: std::mem::take(&mut self.slots),
                 generation: self.generation,
-            });
+            };
+            let _ = RETIRED.try_with(|retired| retired.set(Some(slab)));
         }
-    }
-}
-
-/// The three compute caches of one [`crate::Package`].
-#[derive(Debug)]
-pub(crate) struct ComputeCaches {
-    pub(crate) add: ComputeCache<(u32, u32, u64, u64), VEdge>,
-    pub(crate) mul_mm: ComputeCache<(u32, u32), MEdge>,
-    pub(crate) inner: ComputeCache<(u32, u32), Cplx>,
-}
-
-impl ComputeCaches {
-    /// Three caches of `2^cache_bits` slots each (`None` → the default
-    /// 2^16), clamped to the supported `[2, 26]` range.
-    pub(crate) fn new(cache_bits: Option<u32>) -> Self {
-        let bits = cache_bits.unwrap_or(DEFAULT_COMPUTE_CACHE_BITS);
-        let no_key = (u32::MAX, u32::MAX);
-        Self {
-            add: ComputeCache::new(bits, (u32::MAX, u32::MAX, 0, 0), VEdge::ZERO),
-            mul_mm: ComputeCache::new(bits, no_key, MEdge::ZERO),
-            inner: ComputeCache::new(bits, no_key, Cplx::ZERO),
-        }
-    }
-
-    /// Drops all memoized operation results (mandatory after GC). An
-    /// O(1) generation bump per cache — nothing is freed or rehashed.
-    pub(crate) fn clear(&mut self) {
-        self.add.clear();
-        self.mul_mm.clear();
-        self.inner.clear();
-    }
-
-    /// Bytes of the materialised slot arrays.
-    pub(crate) fn bytes(&self) -> usize {
-        self.add.bytes() + self.mul_mm.bytes() + self.inner.bytes()
-    }
-
-    /// Writes the per-table counters and their totals into `stats`.
-    pub(crate) fn report(&self, stats: &mut PackageStats) {
-        stats.ct_add = self.add.stats();
-        stats.ct_mul_mm = self.mul_mm.stats();
-        stats.ct_inner = self.inner.stats();
-        let tables = [stats.ct_add, stats.ct_mul_mm, stats.ct_inner];
-        stats.ct_hits = tables.iter().map(|t| t.hits).sum();
-        stats.ct_misses = tables.iter().map(|t| t.misses).sum();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use approxdd_complex::Cplx;
 
-    type TestCache = ComputeCache<(u32, u32), u64>;
-
-    fn cache(bits: u32) -> TestCache {
-        ComputeCache::new(bits, (u32::MAX, u32::MAX), 0)
+    fn cache(bits: u32) -> ComputeCache {
+        ComputeCache::new(Some(bits))
     }
 
-    /// Runs `f` on a thread of its own, so the free list it sees starts
-    /// empty whatever the test harness ran on this thread before.
+    fn key(i: u32) -> AddKey {
+        (i, i, u64::from(i), 0)
+    }
+
+    fn value(i: u32) -> VEdge {
+        VEdge::terminal(Cplx::real(f64::from(i)))
+    }
+
+    /// Runs `f` on a thread of its own, so the retired slab it sees
+    /// starts empty whatever the test harness ran on this thread before.
     fn on_fresh_thread(f: impl FnOnce() + Send + 'static) {
         std::thread::spawn(f).join().expect("test thread panicked");
     }
@@ -370,11 +288,11 @@ mod tests {
     #[test]
     fn lookup_after_insert_hits() {
         let mut c = cache(4);
-        assert_eq!(c.lookup(&(1, 2)), None);
-        c.insert((1, 2), 42);
-        assert_eq!(c.lookup(&(1, 2)), Some(42));
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.occupancy, s.capacity), (1, 1, 1, 16));
+        assert_eq!(c.lookup(&key(1)), None);
+        c.insert(key(1), value(42));
+        assert_eq!(c.lookup(&key(1)), Some(value(42)));
+        assert_eq!((c.hits, c.misses, c.live_keys().count()), (1, 1, 1));
+        assert_eq!(c.capacity(), 16);
     }
 
     #[test]
@@ -384,73 +302,76 @@ mod tests {
         // one just misses (never a wrong value).
         let mut c = cache(MIN_COMPUTE_CACHE_BITS);
         for i in 0..64u32 {
-            c.insert((i, i), u64::from(i));
+            c.insert(key(i), value(i));
         }
         for i in 0..64u32 {
-            if let Some(v) = c.lookup(&(i, i)) {
-                assert_eq!(v, u64::from(i), "stale value for key {i}");
+            if let Some(v) = c.lookup(&key(i)) {
+                assert_eq!(v, value(i), "stale value for key {i}");
             }
         }
-        assert!(c.stats().occupancy <= 4);
+        assert!(c.live_keys().count() <= 4);
     }
 
     #[test]
     fn clear_is_generation_bump() {
         let mut c = cache(4);
-        c.insert((7, 7), 7);
-        assert_eq!(c.lookup(&(7, 7)), Some(7));
+        c.insert(key(7), value(7));
+        assert_eq!(c.lookup(&key(7)), Some(value(7)));
         c.clear();
-        assert_eq!(c.lookup(&(7, 7)), None, "cleared entry must be dead");
-        assert_eq!(c.stats().occupancy, 0);
+        assert_eq!(c.lookup(&key(7)), None, "cleared entry must be dead");
+        assert_eq!(c.live_keys().count(), 0);
         // Counters survive the clear (lifetime accounting).
-        assert_eq!(c.stats().hits, 1);
-        assert_eq!(c.stats().misses, 1);
-        // The cache keeps working after the bump.
-        c.insert((7, 7), 9);
-        assert_eq!(c.lookup(&(7, 7)), Some(9));
+        assert_eq!((c.hits, c.misses), (1, 1));
+        // The table keeps working after the bump.
+        c.insert(key(7), value(9));
+        assert_eq!(c.lookup(&key(7)), Some(value(9)));
     }
 
     #[test]
     fn generation_wrap_resets_stamps() {
         let mut c = cache(2);
-        c.insert((1, 1), 1);
+        c.insert(key(1), value(1));
         c.generation = u32::MAX; // simulate 4 billion clears
         c.clear();
         assert_eq!(c.generation, 1);
         // The stale stamp (written at generation 1 originally) was
         // hard-reset, so the old entry cannot resurrect.
-        assert_eq!(c.lookup(&(1, 1)), None);
+        assert_eq!(c.lookup(&key(1)), None);
+    }
+
+    #[test]
+    fn a_thread_retains_at_most_3_5_mib_at_the_default_size() {
+        let mut c = ComputeCache::new(None);
+        c.insert(key(1), value(1));
+        assert_eq!(std::mem::size_of::<Slot>(), 56);
+        assert_eq!(c.bytes(), 56 << DEFAULT_COMPUTE_CACHE_BITS);
+        assert_eq!(c.bytes(), 7 << 19, "3.5 MiB");
     }
 
     #[test]
     fn bits_are_clamped() {
-        assert_eq!(cache(0).stats().capacity, 1 << MIN_COMPUTE_CACHE_BITS);
-        assert_eq!(cache(60).stats().capacity, 1 << MAX_COMPUTE_CACHE_BITS);
+        assert_eq!(cache(0).capacity(), 1 << MIN_COMPUTE_CACHE_BITS);
+        assert_eq!(cache(60).capacity(), 1 << MAX_COMPUTE_CACHE_BITS);
+        assert_eq!(
+            ComputeCache::new(None).capacity(),
+            1 << DEFAULT_COMPUTE_CACHE_BITS
+        );
     }
 
     #[test]
     fn unmaterialised_cache_counts_misses_and_owns_no_slots() {
         let mut c = cache(10);
-        assert_eq!(
-            (c.stats().occupancy, c.stats().capacity),
-            (0, 1 << 10),
-            "configured capacity is reported before any slot exists"
-        );
+        assert_eq!(c.capacity(), 1 << 10, "configured before any slot exists");
         for i in 0..5u32 {
-            assert_eq!(c.lookup(&(i, i)), None);
+            assert_eq!(c.lookup(&key(i)), None);
         }
         c.clear(); // a clear before the first insert is harmless
-        let s = c.stats();
-        assert_eq!(
-            (s.hits, s.misses, s.occupancy, s.capacity),
-            (0, 5, 0, 1 << 10)
-        );
+        assert_eq!((c.hits, c.misses, c.live_keys().count()), (0, 5, 0));
         assert_eq!(c.slots.capacity(), 0, "no slot memory before an insert");
 
-        c.insert((1, 1), 1);
+        c.insert(key(1), value(1));
         assert_eq!(c.slots.len(), 1 << 10);
-        assert_eq!(c.lookup(&(1, 1)), Some(1));
-        assert_eq!(c.stats().capacity, 1 << 10);
+        assert_eq!(c.lookup(&key(1)), Some(value(1)));
     }
 
     #[test]
@@ -458,28 +379,31 @@ mod tests {
         on_fresh_thread(|| {
             let mut first = cache(6);
             for i in 0..200u32 {
-                first.insert((i, i), u64::from(i));
+                first.insert(key(i), value(i));
             }
             first.clear();
-            first.insert((7, 7), 7);
+            first.insert(key(7), value(7));
             let last_generation = first.generation;
             drop(first);
 
             let mut second = cache(6);
             assert!(second.slots.is_empty());
-            second.insert((1000, 1000), 1);
+            second.insert(key(1000), value(1));
             assert_eq!(
                 second.generation,
                 last_generation + 1,
                 "the retired slab was taken over, one generation on"
             );
-            assert_eq!(second.stats().occupancy, 1, "old entries are not live");
+            assert_eq!(second.live_keys().count(), 1, "old entries are not live");
             for i in 0..200u32 {
-                assert_eq!(second.lookup(&(i, i)), None, "old key {i} resurrected");
+                assert_eq!(second.lookup(&key(i)), None, "old key {i} resurrected");
             }
-            let s = second.stats();
-            assert_eq!((s.hits, s.misses), (0, 200), "counters start from zero");
-            assert_eq!(second.lookup(&(1000, 1000)), Some(1));
+            assert_eq!(
+                (second.hits, second.misses),
+                (0, 200),
+                "counters start from zero"
+            );
+            assert_eq!(second.lookup(&key(1000)), Some(value(1)));
         });
     }
 
@@ -488,15 +412,15 @@ mod tests {
         on_fresh_thread(|| {
             let mut first = cache(3);
             first.generation = u32::MAX; // simulate 4 billion clears
-            first.insert((1, 1), 1);
+            first.insert(key(1), value(1));
             drop(first);
 
             // Generation 1 again: without the reset, a slot stamped 1
             // by an earlier owner of the slab could read as live.
             let mut second = cache(3);
-            second.insert((2, 2), 2);
+            second.insert(key(2), value(2));
             assert_eq!(second.generation, 1);
-            assert_eq!(second.lookup(&(1, 1)), None);
+            assert_eq!(second.lookup(&key(1)), None);
             let live = second.slots.iter().filter(|s| s.stamp != 0).count();
             assert_eq!(live, 1, "every stamp but the new entry's was reset");
         });
@@ -506,18 +430,18 @@ mod tests {
     fn slab_of_another_size_is_never_taken() {
         on_fresh_thread(|| {
             let mut small = cache(4);
-            small.insert((1, 1), 1);
+            small.insert(key(1), value(1));
             drop(small);
 
             let mut large = cache(5);
-            large.insert((2, 2), 2);
+            large.insert(key(2), value(2));
             assert_eq!(large.slots.len(), 1 << 5);
             assert_eq!(large.generation, 1, "a fresh array, not the 16-slot slab");
-            // The free list holds one slab per slot type: the 32-slot
-            // one replaces the 16-slot one.
+            // The thread holds one slab: the 16-slot one was freed, and
+            // the 32-slot one is not taken by a 16-slot table either.
             drop(large);
             let mut small = cache(4);
-            small.insert((3, 3), 3);
+            small.insert(key(3), value(3));
             assert_eq!((small.slots.len(), small.generation), (1 << 4, 1));
         });
     }
@@ -538,15 +462,13 @@ mod tests {
             };
             let mut first = Package::with_config(approxdd_complex::Tolerance::default(), Some(8));
             run(&mut first);
-            assert_eq!(first.ct.add.slots.len(), 1 << 8);
-            assert!(first.ct.inner.slots.is_empty(), "never inserted into");
-            let generation = first.ct.add.generation;
+            assert_eq!(first.ct.slots.len(), 1 << 8);
+            let generation = first.ct.generation;
             drop(first);
 
             let mut second = Package::with_config(approxdd_complex::Tolerance::default(), Some(8));
             run(&mut second);
-            assert_eq!(second.ct.add.generation, generation + 1);
-            assert!(second.ct.inner.slots.is_empty());
+            assert_eq!(second.ct.generation, generation + 1);
         });
     }
 }

@@ -3,8 +3,9 @@
 //! External roots are edges registered via [`Package::inc_ref`] /
 //! [`Package::inc_ref_m`] (simulator state, cached gate DDs, the
 //! package-internal identity cache). Everything unreachable from a root
-//! is freed and its unique-table entry dropped; the compute tables are
-//! cleared wholesale because their entries may reference freed nodes.
+//! is freed and its unique-table entry dropped; the compute table and
+//! the `mul_mv` memo are cleared wholesale because their entries may
+//! reference freed nodes.
 //!
 //! A collection allocates in proportion to what **survives** (the mark
 //! stack), never to what it frees: the sweep unlinks each dead node

@@ -12,8 +12,8 @@
 //! # Architecture
 //!
 //! Everything lives inside a [`Package`]: node arenas, unique tables
-//! (canonicity), compute tables (memoization of add / multiply / inner
-//! product), a tolerance, and cached identity diagrams. Edges
+//! (canonicity), a compute table (memoization of add), a tolerance, and
+//! cached identity diagrams. Edges
 //! ([`VEdge`], [`MEdge`]) are small copyable handles: a complex weight
 //! plus a node id. All operations are methods on [`Package`].
 //!
@@ -60,49 +60,47 @@
 //!   result bits; table *layout and load factor* never do.
 //!   [`PackageStats::node_store_bytes`] reports the footprint by
 //!   length.
-//! * **Fixed-size, direct-mapped lossy compute caches.** The three
-//!   memoization tables (`add`, `mul_mm`, `inner`) are flat slot arrays
-//!   indexed by `hash & mask` that overwrite on collision and
-//!   invalidate via an O(1) generation bump. Lossiness is safe by
-//!   construction: every cache key identifies its result exactly. For
-//!   `mul_mm`/`inner` the node-id pair alone does (top weights factor
-//!   out); for `add` the key adds the weight ratio *interned through a
-//!   canonicalization table* (tolerance bucket → the first exact ratio
-//!   seen), and the recursion runs on that canonical ratio — so
-//!   near-equal ratios share one key *and* one result, and a hit
-//!   returns precisely what recomputation would. An undersized cache
-//!   costs time, never a different answer. Size the caches per package
-//!   with [`Package::with_config`] (2^16 slots per table by default).
-//! * **`mul_mv` memoizes per call.** Its lookups almost never hit an
-//!   entry an earlier gate wrote (measured: 5.5 of 59 742 on a
-//!   memory-driven supremacy item), so [`Package::apply`] empties a
-//!   hash map keyed like the tables, `(m.node, v.node)`, and the
-//!   recursion memoizes in that: memory in proportion to one call's
-//!   work instead of a 2.5 MiB table per package and per pool thread.
-//!   Which calls hit changes, and by hit ≡ recompute nothing else.
-//! * **Cache memory is O(touched), not O(capacity).** Packages are
-//!   built per job, and most jobs never consult two of the three
-//!   tables, so a slot array is provided on its cache's **first
-//!   insert** (until then every lookup is a counted miss, and
-//!   `CtStats::capacity` reports the configured size regardless).
-//!   A dropped package retires its arrays to a **per-thread free
-//!   list**, and the next package on that thread takes them over one
-//!   generation on — every old slot dead in O(1), the same way a GC
-//!   clear works — so a pool worker fills its tables once, not once
-//!   per job. A thread retains at most one array per table (8 MiB at
-//!   the default size if all three were used) until it exits.
-//!   Neither mechanism can change a result or a counter: capacity,
-//!   index function, accounting and eviction are untouched, and an
-//!   unprovided, a fresh and a recycled cache answer every lookup
+//! * **One fixed-size, direct-mapped lossy compute table.** `add`
+//!   memoizes in a flat slot array indexed by `hash & mask` that
+//!   overwrites on collision and invalidates via an O(1) generation
+//!   bump. Lossiness is safe by construction: the key identifies its
+//!   result exactly — the operand node ids plus the weight ratio
+//!   *interned through a canonicalization table* (tolerance bucket →
+//!   the first exact ratio seen), and the recursion runs on that
+//!   canonical ratio — so near-equal ratios share one key *and* one
+//!   result, and a hit returns precisely what recomputation would. An
+//!   undersized table costs time, never a different answer. Size it
+//!   per package with [`Package::with_config`] (2^16 slots by default).
+//! * **Every other operation memoizes per call.** `mul_mv`'s lookups
+//!   almost never hit an entry an earlier gate wrote (measured: 5.5 of
+//!   59 742 on a memory-driven supremacy item), so [`Package::apply`]
+//!   empties a hash map keyed `(m.node, v.node)` and the recursion
+//!   memoizes in that: memory in proportion to one call's work instead
+//!   of a 2.5 MiB table per package and per pool thread. `mul_mm` and
+//!   `inner_product` have one-shot callers, so each call builds a map
+//!   of its own. Which calls hit changes, and by hit ≡ recompute
+//!   nothing else.
+//! * **Table memory is O(touched), not O(capacity).** Packages are
+//!   built per job, and a job that never adds two states never consults
+//!   the table, so its slot array is provided on the **first insert**
+//!   (until then every lookup is a counted miss). A dropped package
+//!   retires the array to a **per-thread slot**, and the next package
+//!   on that thread takes it over one generation on — every old slot
+//!   dead in O(1), the same way a GC clear works — so a pool worker
+//!   fills its table once, not once per job. A thread retains at most
+//!   one array (3.5 MiB at the default size) until it exits. Neither
+//!   mechanism can change a result or a counter: capacity, index
+//!   function, accounting and eviction are untouched, and an
+//!   unprovided, a fresh and a recycled table answer every lookup
 //!   alike.
 //!
 //! * **The terminal level computes instead of memoizing.** A level-0
 //!   node has only terminal successors, so an operation on it is a
 //!   handful of complex multiplications — cheaper than a lookup, an
 //!   insert and the eviction the insert causes one level up. `add`,
-//!   `mul_mv`, `mul_mm` and `inner_product` skip the tables there (a
-//!   third of all lookups on a 16-qubit supremacy run), which by the
-//!   hit ≡ recompute argument above cannot move a result.
+//!   `mul_mv`, `mul_mm` and `inner_product` skip the table and the
+//!   memos there (a third of all lookups on a 16-qubit supremacy run),
+//!   which by the hit ≡ recompute argument above cannot move a result.
 //! * **Identity × sub-diagram is answered from the node.** Below a
 //!   gate's target the operator is the identity, and multiplying by it
 //!   rebuilds every state node as it was — except that re-normalising
@@ -138,7 +136,7 @@
 //! which no result computed across the reset is memoized (see the
 //! `ratio` module); the workspace's `cache_equivalence` suite
 //! property-tests exactly that (4-bit vs. default vs. 20-bit caches),
-//! and [`PackageStats`] reports per-table hit rates and occupancy so
+//! and [`PackageStats`] reports the table's hits and misses so
 //! regressions in cache behavior show up in benchmark JSON, not just
 //! wall time.
 //!
@@ -196,7 +194,6 @@ mod visit;
 
 pub use approx::{RemovalStrategy, TruncationResult};
 pub use contribution::ContributionMap;
-pub use ctable::CtStats;
 pub use edge::{MEdge, NodeId, VEdge};
 pub use error::DdError;
 pub use gates::GateKind;

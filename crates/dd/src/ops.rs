@@ -2,13 +2,12 @@
 //! matrix–matrix multiplication, inner products, Kronecker products and
 //! conjugate transposition.
 //!
-//! `add`, `mul_mm` and `inner_product` are memoized in the package's
-//! compute tables, `mul_mv` in a memo that lives for one
-//! [`Package::apply`]. Top edge weights are factored out of the keys
-//! wherever the operation is multilinear, which maximizes hit rates (the
-//! standard QMDD trick).
+//! `add` is memoized in the package's compute table; `mul_mv`,
+//! `mul_mm` and `inner_product` in memos that live for one call. Top
+//! edge weights are factored out of the keys wherever the operation is
+//! multilinear, which maximizes hit rates (the standard QMDD trick).
 //!
-//! # The per-call memo
+//! # The per-call memos
 //!
 //! `mul_mv` has no compute table because a global one would be a
 //! per-call visited set: counted on the benchmark's own instances, of
@@ -22,13 +21,22 @@
 //! thread, and it changes only which calls hit and which recompute,
 //! which the "hit ≡ recompute" contract makes unobservable (the tests
 //! below hold it to a memo-less recursion). It is emptied with the
-//! compute caches, too: at GC and at a canonical-ratio reset.
+//! compute table, too: at GC and at a canonical-ratio reset.
 //!
-//! Every memoizing operation — `add`'s table, the memo, `mul_mm`,
-//! `inner_product` — reads `Package::ratio_resets` before it recurses
-//! and memoizes its result only if no reset happened meanwhile: a result
-//! that straddles a reset holds pre-reset canonical ratios, which a
-//! post-reset recomputation would not reproduce (see [`crate::ratio`]).
+//! `mul_mm` and `inner_product` have one-shot callers only (the gate
+//! builders' `U · U† = I` oracle, `Package::norm`, a fidelity between
+//! two results), so each public call builds a map keyed like the memo,
+//! `(a.node, b.node)`, and threads it through a private recursion — the
+//! idiom of `vkron` and `conj_transpose`. Neither ever interns a
+//! canonical ratio (only `add` does) and no GC runs inside a call, so
+//! such a memo needs no clearing hook.
+//!
+//! The two memoizing operations that can meet a canonical-ratio reset
+//! mid-call — `add`'s table and the `mul_mv` memo — read
+//! `Package::ratio_resets` before they recurse and memoize a result only
+//! if no reset happened meanwhile: a result that straddles a reset holds
+//! pre-reset canonical ratios, which a post-reset recomputation would
+//! not reproduce (see [`crate::ratio`]).
 //!
 //! # The terminal-level rule
 //!
@@ -39,14 +47,14 @@
 //! result back — and a third of all lookups used to be spent there, each
 //! insert evicting an entry from a level where recomputation is
 //! expensive. So `add`, `mul_mv`, `mul_mm` and `inner_product` never
-//! consult a compute table (or the memo) for level-0 operands: they run
+//! consult the compute table (or a memo) for level-0 operands: they run
 //! the miss path directly and skip the insert.
 //!
 //! This cannot change a result. The miss path is the same code, hence
 //! the same float operations in the same order; `add` still interns its
 //! weight ratio first, so the canonical-ratio table — which *is* part of
 //! the result — sees the same sequence of ratios and resets at the same
-//! moments; and the tables only ever differ by entries a lookup could
+//! moments; and the table only ever differs by entries a lookup could
 //! have lost to eviction anyway, which the "hit ≡ recompute" contract
 //! (see the crate docs, `tests/cache_equivalence.rs`) already makes
 //! unobservable.
@@ -203,7 +211,7 @@ impl Package {
         let key = (a.node.0, b.node.0, rk.0 as u64, rk.1 as u64);
         let memoized = !at_terminal_level(self.vnode(a.node).var);
         if memoized {
-            if let Some(cached) = self.ct.add.lookup(&key) {
+            if let Some(cached) = self.ct.lookup(&key) {
                 return cached.scaled(a.w);
             }
         }
@@ -215,7 +223,7 @@ impl Package {
         let r1 = self.add(an.edges[1], bn.edges[1].scaled(ratio));
         let res = self.make_vnode(an.var, r0, r1);
         if memoized && self.ratio_resets == resets {
-            self.ct.add.insert(key, res);
+            self.ct.insert(key, res);
         }
         res.scaled(a.w)
     }
@@ -283,17 +291,21 @@ impl Package {
     }
 
     // ------------------------------------------------------------------
-    // matrix–matrix multiplication (gate fusion)
+    // matrix–matrix multiplication
     // ------------------------------------------------------------------
 
     /// Matrix–matrix product `A · B` (apply `B` first, then `A`).
     ///
-    /// Useful for fusing gate sequences into a single operation DD, the
-    /// technique explored in Zulehner & Wille, DATE 2019 ("matrix-vector
-    /// vs. matrix-matrix multiplication"), which the paper's Shor
-    /// benchmarks build on.
+    /// The gate-fusion primitive of Zulehner & Wille, DATE 2019
+    /// ("matrix-vector vs. matrix-matrix multiplication"), which the
+    /// paper's Shor benchmarks build on; here it is the test suite's
+    /// `U · U† = I` oracle for the gate builders.
     #[must_use]
     pub fn mul_mm(&mut self, a: MEdge, b: MEdge) -> MEdge {
+        self.mul_mm_rec(a, b, &mut FxHashMap::default())
+    }
+
+    fn mul_mm_rec(&mut self, a: MEdge, b: MEdge, memo: &mut FxHashMap<(u32, u32), MEdge>) -> MEdge {
         if a.is_zero(self.tolerance()) || b.is_zero(self.tolerance()) {
             return MEdge::ZERO;
         }
@@ -305,12 +317,11 @@ impl Package {
         let key = (a.node.0, b.node.0);
         let memoized = !at_terminal_level(self.mnode(a.node).var);
         if memoized {
-            if let Some(cached) = self.ct.mul_mm.lookup(&key) {
+            if let Some(cached) = memo.get(&key) {
                 return cached.scaled(a.w * b.w);
             }
         }
 
-        let resets = self.ratio_resets;
         let an = *self.mnode(a.node);
         let bn = *self.mnode(b.node);
         let mut quads = [MEdge::ZERO; 4];
@@ -318,13 +329,13 @@ impl Package {
             let row = i >> 1;
             let col = i & 1;
             // C[row][col] = sum_k A[row][k] * B[k][col]
-            let t0 = self.mul_mm(an.edges[row << 1], bn.edges[col]);
-            let t1 = self.mul_mm(an.edges[(row << 1) | 1], bn.edges[(1 << 1) | col]);
+            let t0 = self.mul_mm_rec(an.edges[row << 1], bn.edges[col], memo);
+            let t1 = self.mul_mm_rec(an.edges[(row << 1) | 1], bn.edges[(1 << 1) | col], memo);
             *q = self.madd(t0, t1);
         }
         let res = self.make_mnode(an.var, quads);
-        if memoized && self.ratio_resets == resets {
-            self.ct.mul_mm.insert(key, res);
+        if memoized {
+            memo.insert(key, res);
         }
         res.scaled(a.w * b.w)
     }
@@ -372,6 +383,15 @@ impl Package {
     /// The Hermitian inner product `⟨a|b⟩ = Σ_i conj(a_i) · b_i`.
     #[must_use]
     pub fn inner_product(&mut self, a: VEdge, b: VEdge) -> Cplx {
+        self.inner_product_rec(a, b, &mut FxHashMap::default())
+    }
+
+    fn inner_product_rec(
+        &self,
+        a: VEdge,
+        b: VEdge,
+        memo: &mut FxHashMap<(u32, u32), Cplx>,
+    ) -> Cplx {
         if a.is_zero(self.tolerance()) || b.is_zero(self.tolerance()) {
             return Cplx::ZERO;
         }
@@ -383,19 +403,18 @@ impl Package {
         let key = (a.node.0, b.node.0);
         let memoized = !at_terminal_level(self.vnode(a.node).var);
         if memoized {
-            if let Some(cached) = self.ct.inner.lookup(&key) {
+            if let Some(&cached) = memo.get(&key) {
                 return a.w.conj() * b.w * cached;
             }
         }
 
-        let resets = self.ratio_resets;
         let an = *self.vnode(a.node);
         let bn = *self.vnode(b.node);
-        let i0 = self.inner_product(an.edges[0], bn.edges[0]);
-        let i1 = self.inner_product(an.edges[1], bn.edges[1]);
+        let i0 = self.inner_product_rec(an.edges[0], bn.edges[0], memo);
+        let i1 = self.inner_product_rec(an.edges[1], bn.edges[1], memo);
         let sum = i0 + i1;
-        if memoized && self.ratio_resets == resets {
-            self.ct.inner.insert(key, sum);
+        if memoized {
+            memo.insert(key, sum);
         }
         a.w.conj() * b.w * sum
     }
@@ -574,6 +593,42 @@ mod tests {
             res.scaled(m.w * v.w)
         }
 
+        /// `mul_mm`'s early-outs and recursion without a memo: the
+        /// reference its per-call memo is tested against.
+        fn mul_mm_unmemoized(&mut self, a: MEdge, b: MEdge) -> MEdge {
+            if a.is_zero(self.tolerance()) || b.is_zero(self.tolerance()) {
+                return MEdge::ZERO;
+            }
+            if a.node.is_terminal() && b.node.is_terminal() {
+                return MEdge::terminal(a.w * b.w);
+            }
+            let an = *self.mnode(a.node);
+            let bn = *self.mnode(b.node);
+            let mut quads = [MEdge::ZERO; 4];
+            for (i, q) in quads.iter_mut().enumerate() {
+                let (row, col) = (i >> 1, i & 1);
+                let t0 = self.mul_mm_unmemoized(an.edges[row << 1], bn.edges[col]);
+                let t1 = self.mul_mm_unmemoized(an.edges[(row << 1) | 1], bn.edges[2 | col]);
+                *q = self.madd(t0, t1);
+            }
+            self.make_mnode(an.var, quads).scaled(a.w * b.w)
+        }
+
+        /// `inner_product`'s early-outs and recursion without a memo.
+        fn inner_product_unmemoized(&mut self, a: VEdge, b: VEdge) -> Cplx {
+            if a.is_zero(self.tolerance()) || b.is_zero(self.tolerance()) {
+                return Cplx::ZERO;
+            }
+            if a.node.is_terminal() && b.node.is_terminal() {
+                return a.w.conj() * b.w;
+            }
+            let an = *self.vnode(a.node);
+            let bn = *self.vnode(b.node);
+            let i0 = self.inner_product_unmemoized(an.edges[0], bn.edges[0]);
+            let i1 = self.inner_product_unmemoized(an.edges[1], bn.edges[1]);
+            a.w.conj() * b.w * (i0 + i1)
+        }
+
         /// The distinct non-terminal nodes under a state edge.
         fn reachable_vnodes(&self, root: VEdge) -> Vec<NodeId> {
             self.contributions(root).iter().map(|(id, _)| id).collect()
@@ -678,6 +733,106 @@ mod tests {
         history: impl Fn(Mul, &mut Vec<Observed>) -> PackageStats,
     ) -> PackageStats {
         assert_same_observations(Package::apply, Package::mul_mv_unmemoized, history).0
+    }
+
+    /// What a per-call memo must leave alone, read after a product: the
+    /// result's node (none for an inner product) and weight bits, and
+    /// the matrix arena's population.
+    #[derive(Debug, PartialEq)]
+    struct Product {
+        node: Option<NodeId>,
+        bits: (u64, u64),
+        mnodes_alive: usize,
+    }
+
+    impl Product {
+        fn of(p: &Package, node: Option<NodeId>, w: Cplx) -> Self {
+            let (bits, mnodes_alive) = ((w.re.to_bits(), w.im.to_bits()), p.mnodes.alive_count());
+            Self {
+                node,
+                bits,
+                mnodes_alive,
+            }
+        }
+    }
+
+    /// H and T on every qubit of `n`, and a CX ladder.
+    fn gates(p: &mut Package, n: usize) -> Vec<MEdge> {
+        let mut gates = Vec::new();
+        for q in 0..n {
+            gates.push(p.single_gate(n, q, GateKind::H.matrix()).unwrap());
+            gates.push(p.single_gate(n, q, GateKind::T.matrix()).unwrap());
+            let cx = p.controlled_gate(n, &[q], (q + 1) % n, GateKind::X.matrix());
+            gates.push(cx.unwrap());
+        }
+        gates
+    }
+
+    /// |0…0⟩, |+…+⟩, the same after a T layer, and |GHZ_n⟩: states
+    /// whose nodes repeat, so an inner product meets the same node pair
+    /// more than once, under real and complex weights.
+    fn repeating_states(p: &mut Package, n: usize) -> Vec<VEdge> {
+        let zero = p.zero_state(n);
+        let plus = layer(p, Package::apply, n, 0..n, GateKind::H, zero);
+        let turned = layer(p, Package::apply, n, 0..n, GateKind::T, plus);
+        vec![zero, plus, turned, ghz(p, Package::apply, n)]
+    }
+
+    /// Every ordered pair of `operators` multiplied, their running
+    /// product, and every ordered pair of `states` in an inner product:
+    /// with the per-call memos iff `memos`, else by the references.
+    fn products(
+        p: &mut Package,
+        memos: bool,
+        ops: &[MEdge],
+        states: &[VEdge],
+        log: &mut Vec<Product>,
+    ) {
+        let mut mm = |p: &mut Package, a, b| {
+            let r = if memos {
+                p.mul_mm(a, b)
+            } else {
+                p.mul_mm_unmemoized(a, b)
+            };
+            log.push(Product::of(p, Some(r.node), r.w));
+            r
+        };
+        let mut running = ops[0];
+        for &a in ops {
+            for &b in ops {
+                mm(p, a, b);
+            }
+            running = mm(p, a, running);
+        }
+        for &a in states {
+            for &b in states {
+                let r = if memos {
+                    p.inner_product(a, b)
+                } else {
+                    p.inner_product_unmemoized(a, b)
+                };
+                log.push(Product::of(p, None, r));
+            }
+        }
+    }
+
+    /// Runs one history with per-call memos and without any memo, each
+    /// in packages of its own, and requires the same observations after
+    /// every product. Returns the statistics of the former, which must
+    /// have skipped node constructions the latter repeated.
+    fn assert_call_memos_are_unobservable(
+        history: impl Fn(bool, &mut Vec<Product>) -> PackageStats,
+    ) -> PackageStats {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let stats = history(true, &mut got);
+        let reference = history(false, &mut want);
+        assert_eq!(got.len(), want.len());
+        for (product, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(a, b, "after product {product}");
+        }
+        assert!(!got.is_empty());
+        assert!(stats.unique_hits < reference.unique_hits, "no memo hit");
+        stats
     }
 
     /// `kind` on each of `qubits` of an `n`-qubit `state`.
@@ -1123,6 +1278,75 @@ mod tests {
         assert!(stats.snapshot_hits > 0);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        // "Call memo ≡ no memo" for `mul_mm` and `inner_product`: dense
+        // blocks and amplitude vectors, beside gates and states whose
+        // nodes repeat.
+        #[test]
+        fn call_memo_equals_no_memo_on_generic_states_and_operators(
+            entries in prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 512),
+            n in 3usize..5
+        ) {
+            let entries: Vec<Cplx> = entries.iter().map(|&(re, im)| Cplx::new(re, im)).collect();
+            let dim = 1 << (2 * n);
+            assert_call_memos_are_unobservable(|f, log| {
+                let mut p = Package::new();
+                let mut operators = gates(&mut p, n);
+                let mut states = repeating_states(&mut p, n);
+                for block in [&entries[..dim], &entries[dim..2 * dim]] {
+                    operators.push(p.dense_block_gate(n, 0, n, block, &[]).unwrap());
+                    states.push(p.from_amplitudes(&block[..1 << n]).unwrap());
+                }
+                products(&mut p, f, &operators, &states, log);
+                p.stats()
+            });
+        }
+    }
+
+    #[test]
+    fn call_memo_equals_no_memo_after_gc_recycled_slot_ids() {
+        const N: usize = 5;
+        let stats = assert_call_memos_are_unobservable(|f, log| {
+            let mut p = Package::new();
+            let operators = gates(&mut p, N);
+            let states = repeating_states(&mut p, N);
+            products(&mut p, f, &operators, &states, log);
+            // Nothing is rooted but the identities: every other slot id
+            // is handed out again, to other nodes in another order.
+            let gc = p.collect_garbage();
+            assert_eq!((gc.vnodes_alive, gc.mnodes_alive), (0, N));
+            let states = repeating_states(&mut p, N);
+            let mut operators = gates(&mut p, N);
+            operators.reverse();
+            products(&mut p, f, &operators, &states, log);
+            p.stats()
+        });
+        assert_eq!(stats.gc_runs, 1);
+    }
+
+    #[test]
+    fn call_memo_equals_no_memo_over_a_frozen_snapshot() {
+        const N: usize = 5;
+        let stats = assert_call_memos_are_unobservable(|f, log| {
+            let mut base = Package::new();
+            let _ = gates(&mut base, N);
+            let _ = repeating_states(&mut base, N);
+            let mut p = Package::with_snapshot(&base.freeze(), None);
+            let watermark = p.mnodes.watermark();
+            // Rebuilt operands resolve to frozen nodes; their products
+            // grow above the watermark on frozen successors.
+            let operators = gates(&mut p, N);
+            let states = repeating_states(&mut p, N);
+            assert!(operators.iter().all(|g| g.node.0 < watermark));
+            products(&mut p, f, &operators, &states, log);
+            assert!(p.mnodes.alive_indices().any(|id| id >= watermark));
+            p.stats()
+        });
+        assert!(stats.snapshot_hits > 0);
+    }
+
     #[test]
     fn add_is_commutative_and_matches_dense() {
         let mut p = Package::new();
@@ -1177,7 +1401,7 @@ mod tests {
     #[test]
     fn wide_operations_memoize_every_level_but_the_terminal_one() {
         // 12 qubits of H / T / CX layers, a fused operator and an inner
-        // product: the three tables and the memo of the last `apply` are
+        // product: the `add` table and the memo of the last `apply` are
         // consulted, but no entry is keyed on a level-0 node, i.e. no
         // level-0 operation ever inserted (and every lookup that misses
         // inserts).
@@ -1208,25 +1432,13 @@ mod tests {
         let w = p.apply(product, zero);
         assert!(p.inner_product(v, w).mag2() >= 0.0);
 
-        let stats = p.stats();
-        for table in [stats.ct_add, stats.ct_mul_mm, stats.ct_inner] {
-            assert!(table.misses > 0 && table.occupancy > 0, "{table:?}");
-        }
+        assert!(p.stats().ct_misses > 0);
+        assert!(p.ct.live_keys().next().is_some());
         let vvar = |id: u32| p.vnode(NodeId(id)).var;
         let mvar = |id: u32| p.mnode(NodeId(id)).var;
-        assert!(p.ct.add.live_keys().all(|k| vvar(k.0) > 0 && vvar(k.1) > 0));
+        assert!(p.ct.live_keys().all(|k| vvar(k.0) > 0 && vvar(k.1) > 0));
         assert!(!p.mv_memo.is_empty());
         assert!(p.mv_memo.keys().all(|k| mvar(k.0) > 0 && vvar(k.1) > 0));
-        assert!(p
-            .ct
-            .mul_mm
-            .live_keys()
-            .all(|k| mvar(k.0) > 0 && mvar(k.1) > 0));
-        assert!(p
-            .ct
-            .inner
-            .live_keys()
-            .all(|k| vvar(k.0) > 0 && vvar(k.1) > 0));
     }
 
     #[test]

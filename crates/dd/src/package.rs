@@ -5,7 +5,7 @@ use std::hash::Hasher;
 use approxdd_complex::{Cplx, Tolerance};
 
 use crate::arena::Arena;
-use crate::ctable::{ComputeCaches, CtStats};
+use crate::ctable::ComputeCache;
 use crate::edge::{MEdge, NodeId, VEdge};
 use crate::error::DdError;
 use crate::fasthash::{FxHashMap, FxHasher};
@@ -126,23 +126,22 @@ pub(crate) fn remove_mnode_from_unique(
 ///
 /// # Compute-table accounting semantics
 ///
-/// The counters cover the three compute tables, `add`, `mul_mm` and
-/// `inner`. Hit/miss counters are incremented **inside the cache
-/// lookup**: every lookup a DD operation performs on them counts as
-/// exactly one hit (a memoized result was returned) or one miss (the
-/// operation recomputed and re-inserted). Operand-order
-/// canonicalization and trivial cases that never consult a cache (zero
-/// edges, terminal×terminal, same-node shortcuts) count as neither, and
-/// so do probes of `mul_mv`'s memo, which lives for one
-/// [`Package::apply`] and is not a compute table. The counters are
-/// *lifetime* totals of the package — clearing a cache (an O(1)
-/// generation bump, performed by garbage collection and at a
-/// canonical-ratio reset) resets its occupancy but **not** its hit/miss
-/// counters, so hit rates are comparable across runs regardless of how
-/// often the caches were invalidated. Earlier revisions cleared the
-/// growable tables wholesale past an entry cap, which made hit-rate
-/// numbers depend on where the cap happened to fall; the fixed-capacity
-/// lossy caches have no such cap.
+/// The counters cover the one compute table, `add`'s. Hit/miss
+/// counters are incremented **inside the table lookup**: every lookup
+/// `add` performs counts as exactly one hit (a memoized result was
+/// returned) or one miss (the operation recomputed and re-inserted).
+/// Operand-order canonicalization and trivial cases that never consult
+/// the table (zero edges, terminal×terminal, same-node shortcuts) count
+/// as neither, and so do probes of the memos `mul_mv`, `mul_mm` and
+/// `inner_product` keep for one call, which are not compute tables. The
+/// counters are *lifetime* totals of the package — clearing the table
+/// (an O(1) generation bump, performed by garbage collection and at a
+/// canonical-ratio reset) does **not** reset them, so hit rates are
+/// comparable across runs regardless of how often the table was
+/// invalidated. Earlier revisions cleared growable tables wholesale
+/// past an entry cap, which made hit-rate numbers depend on where the
+/// cap happened to fall; the fixed-capacity lossy table has no such
+/// cap.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PackageStats {
     /// Vector nodes currently alive.
@@ -161,16 +160,10 @@ pub struct PackageStats {
     pub unique_len: usize,
     /// Unique-table buckets across both node kinds and all levels.
     pub unique_capacity: usize,
-    /// Compute-table hits (all operation caches combined).
+    /// Compute-table hits (the `add` table's).
     pub ct_hits: u64,
-    /// Compute-table misses.
+    /// Compute-table misses (the `add` table's).
     pub ct_misses: u64,
-    /// Addition cache (`add`).
-    pub ct_add: CtStats,
-    /// Matrix–matrix multiplication cache (`mul_mm`).
-    pub(crate) ct_mul_mm: CtStats,
-    /// Inner-product cache (`inner_product` / `fidelity`).
-    pub(crate) ct_inner: CtStats,
     /// Garbage-collection runs performed.
     pub gc_runs: u64,
     /// Total nodes reclaimed by garbage collection.
@@ -194,8 +187,8 @@ pub struct PackageStats {
     /// Bytes the package's node store holds right now, counted from
     /// container **lengths**: arena slots (payload, reference count,
     /// flag bits, free list), unique-table buckets, canonical-ratio
-    /// slots, and the compute-cache slot arrays that have materialised
-    /// (not `mul_mv`'s per-call memo).
+    /// slots, and the compute table's slot array once it has
+    /// materialised (not the per-call memos).
     /// Private tiers only — an attached snapshot's frozen prefix is
     /// shared and counted by nobody. Deterministic for a given
     /// operation sequence and cache size (it is not RSS: allocator
@@ -249,7 +242,7 @@ impl PackageStats {
 }
 
 /// The decision-diagram package: arena storage, unique tables for
-/// canonicity, compute tables for memoization, and the numerical
+/// canonicity, a compute table for memoization, and the numerical
 /// tolerance that defines weight equality.
 ///
 /// All DD operations are methods on this type; edges returned by one
@@ -274,8 +267,9 @@ pub struct Package {
     /// Canonical `add` weight ratios, one per tolerance bucket (private
     /// tier plus an attached snapshot's frozen one) — see [`crate::ratio`].
     pub(crate) ratio_canon: RatioCanon,
-    /// The three lossy compute caches (`add`, `mul_mm`, `inner`).
-    pub(crate) ct: ComputeCaches,
+    /// The lossy compute table of `add`, the one memo that outlives a
+    /// call (see [`crate::ops`]).
+    pub(crate) ct: ComputeCache,
     /// `mul_mv`'s memo, emptied by every [`Package::apply`] (see
     /// [`crate::ops`]).
     pub(crate) mv_memo: FxHashMap<(u32, u32), VEdge>,
@@ -306,13 +300,13 @@ impl Package {
     }
 
     /// Creates a package with an explicit tolerance and compute-cache
-    /// size. `cache_bits` is the `log2` slot count of each of the three
-    /// lossy compute caches (`None` → the engine default of
-    /// 2^16 slots per table), clamped to the supported `[2, 26]` range.
+    /// size. `cache_bits` is the `log2` slot count of the lossy `add`
+    /// compute table (`None` → the engine default of 2^16 slots),
+    /// clamped to the supported `[2, 26]` range.
     ///
-    /// Cache size is a pure time/memory trade: the caches are lossy and
+    /// Cache size is a pure time/memory trade: the table is lossy and
     /// results are **bit-identical for every size** — an undersized
-    /// cache only recomputes more (see the crate-level docs on the
+    /// table only recomputes more (see the crate-level docs on the
     /// lossy cache design).
     #[must_use]
     pub fn with_config(tol: Tolerance, cache_bits: Option<u32>) -> Self {
@@ -323,7 +317,7 @@ impl Package {
             vunique: UniqueTable::new(),
             munique: UniqueTable::new(),
             ratio_canon: RatioCanon::new(),
-            ct: ComputeCaches::new(cache_bits),
+            ct: ComputeCache::new(cache_bits),
             mv_memo: FxHashMap::default(),
             ratio_resets: 0,
             ident_cache: vec![MEdge::ONE],
@@ -347,7 +341,8 @@ impl Package {
         s.mnodes_peak = self.mnodes.peak_count();
         s.unique_len = self.vunique.len() + self.munique.len();
         s.unique_capacity = self.vunique.capacity() + self.munique.capacity();
-        self.ct.report(&mut s);
+        s.ct_hits = self.ct.hits;
+        s.ct_misses = self.ct.misses;
         s.frozen_vnodes = self.vnodes.frozen_count();
         s.frozen_mnodes = self.mnodes.frozen_count();
         s.node_store_bytes = self.vnodes.bytes()
@@ -770,10 +765,10 @@ impl Package {
 
     /// Canonicalizes an `add` weight ratio: returns its tolerance
     /// bucket plus the bucket's canonical representative (the first
-    /// exact ratio seen in it) — what keeps `ct_add` hits bit-identical
-    /// to recomputation. When a new bucket finds the table at its entry
-    /// cap, the table resets and every memoized result goes with it (the
-    /// rule and its reason live in [`crate::ratio`]).
+    /// exact ratio seen in it) — what keeps compute-table hits
+    /// bit-identical to recomputation. When a new bucket finds the table
+    /// at its entry cap, the table resets and every memoized result goes
+    /// with it (the rule and its reason live in [`crate::ratio`]).
     pub(crate) fn canonical_ratio(&mut self, ratio: Cplx) -> ((i64, i64), Cplx) {
         let (rk, canonical, reset) = self.ratio_canon.canonical(self.tol, ratio);
         if reset {
@@ -783,7 +778,7 @@ impl Package {
         (rk, canonical)
     }
 
-    /// Drops every memoized operation result: the compute caches and
+    /// Drops every memoized operation result: the compute table and
     /// the `mul_mv` memo (after GC, and at a canonical-ratio reset).
     pub(crate) fn clear_memoized(&mut self) {
         self.ct.clear();
@@ -942,18 +937,18 @@ mod tests {
             let _ = p.canonical_ratio(Cplx::new(0.5, i as f64 * 1e-6));
         }
         p.mv_memo.insert((1, 2), VEdge::ONE);
-        p.ct.inner.insert((3, 4), Cplx::I);
+        p.ct.insert((3, 4, 5, 6), VEdge::ONE);
         // A bucket the full table holds is answered, and resets nothing.
         assert_eq!(p.canonical_ratio(near).1, first, "held bucket");
         assert_eq!(p.ratio_resets, 0);
-        assert_eq!(p.ct.inner.lookup(&(3, 4)), Some(Cplx::I));
+        assert_eq!(p.ct.lookup(&(3, 4, 5, 6)), Some(VEdge::ONE));
         // The first new bucket at the cap resets the table first.
         let fresh = Cplx::new(0.75, 0.0);
         assert_eq!(p.canonical_ratio(fresh).1, fresh);
         assert_eq!(p.ratio_resets, 1);
         assert_eq!(p.canonical_ratio(near).1, near, "table was reset");
         assert!(p.mv_memo.is_empty(), "the mul_mv memo must clear");
-        assert_eq!(p.ct.inner.lookup(&(3, 4)), None, "inner must clear");
+        assert_eq!(p.ct.lookup(&(3, 4, 5, 6)), None, "add must clear");
     }
 
     /// The amplitude bits of a 7-qubit circuit of 60 random H / T / Sx /

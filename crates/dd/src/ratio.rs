@@ -1,11 +1,11 @@
 //! The canonical-ratio table behind [`crate::Package::add`].
 //!
-//! `add` keys its compute cache on the *tolerance bucket* of the weight
+//! `add` keys its compute table on the *tolerance bucket* of the weight
 //! ratio `b.w / a.w` and recurses on the bucket's **canonical
 //! representative**: the first exact ratio ever seen in that bucket.
 //! Near-equal ratios (the overwhelmingly common case — low-order float
 //! noise from different computation paths) collapse onto one value,
-//! which is what lets the lossy `ct_add` hit on them while staying
+//! which is what lets the lossy compute table hit on them while staying
 //! sound: a recomputation only revisits buckets its first computation
 //! created, so it finds the same representatives and hit ≡ recompute
 //! bit-for-bit (the reset rule below is what keeps that true across a
@@ -32,7 +32,7 @@
 //! would insert a **new** bucket while the private tier holds
 //! [`RATIO_CANON_CAP`] entries empties that tier first (its slot array
 //! is kept) and reports `reset = true`, upon which the package clears
-//! every compute cache and the `mul_mv` memo: their results embed
+//! the compute table and the `mul_mv` memo: their results embed
 //! canonical-ratio bits, so a surviving entry could disagree with a
 //! post-reset recomputation.
 //!
@@ -61,7 +61,7 @@ use crate::fasthash::FxHasher;
 /// `2 · entries` would exceed them, so at the cap the tier holds 2^19
 /// slots: 8 MiB of values plus a 64 KiB occupancy bitmap (12 MiB for
 /// the instant the last doubling re-seats 4 MiB into 8). A new bucket
-/// at the cap empties the tier and every compute cache — see the module
+/// at the cap empties the tier and the compute table — see the module
 /// docs.
 pub(crate) const RATIO_CANON_CAP: usize = 1 << 18;
 
@@ -234,7 +234,7 @@ impl RatioCanon {
 
     /// Canonicalizes `ratio`: its tolerance bucket, the bucket's
     /// representative, and whether this call reset the private tier
-    /// (the caller must then clear every compute cache — see the
+    /// (the caller must then clear every memoized result — see the
     /// module docs for the rule).
     #[inline]
     pub(crate) fn canonical(&mut self, tol: Tolerance, ratio: Cplx) -> ((i64, i64), Cplx, bool) {

@@ -39,7 +39,7 @@ use std::sync::Arc;
 use approxdd_complex::Tolerance;
 
 use crate::arena::{Arena, FrozenArena};
-use crate::ctable::ComputeCaches;
+use crate::ctable::ComputeCache;
 use crate::edge::MEdge;
 use crate::fasthash::FxHashMap;
 use crate::node::{MNode, VNode};
@@ -106,8 +106,8 @@ impl Package {
     /// Everything the package built so far — nodes, unique-table
     /// entries, interned canonical ratios, the identity cache — becomes
     /// the shared frozen tier; reference counts are dropped (frozen
-    /// nodes are pinned by the watermark, not by rc). Compute caches
-    /// are **not** captured: they are lossy memoization whose absence
+    /// nodes are pinned by the watermark, not by rc). The compute table
+    /// is **not** captured: it is lossy memoization whose absence
     /// only costs recomputation, never changes bits.
     ///
     /// # Panics
@@ -134,7 +134,7 @@ impl Package {
     /// new nodes allocate above the watermark, and garbage collection
     /// can only ever sweep the delta.
     ///
-    /// `cache_bits` sizes the (private, initially empty) compute caches
+    /// `cache_bits` sizes the (private, initially empty) compute table
     /// exactly as in [`Package::with_config`]. The tolerance is
     /// inherited from the snapshot.
     #[must_use]
@@ -147,7 +147,7 @@ impl Package {
             vunique: UniqueTable::with_frozen(Arc::clone(&snapshot.vunique)),
             munique: UniqueTable::with_frozen(Arc::clone(&snapshot.munique)),
             ratio_canon: RatioCanon::with_frozen(Arc::clone(&snapshot.ratio_canon)),
-            ct: ComputeCaches::new(cache_bits),
+            ct: ComputeCache::new(cache_bits),
             mv_memo: FxHashMap::default(),
             ratio_resets: 0,
             ident_cache: snapshot.ident_cache.clone(),

@@ -30,7 +30,7 @@
 //!   id; tombstones keep probe chains intact and are recycled by
 //!   inserts and dropped wholesale on resize.
 //!
-//! Unlike the compute caches ([`crate::ctable`]), unique tables are
+//! Unlike the compute table ([`crate::ctable`]), unique tables are
 //! **exact**: an entry is never lost while its node is alive, which is
 //! what keeps canonicalization — and therefore results — independent
 //! of cache configuration. Which bucket an entry sits in, and how full

@@ -40,7 +40,7 @@
 //!   run job (and once per sampling request), making each outcome a
 //!   pure function of the job itself. The previous job's engine is
 //!   dropped *before* its replacement is built, so a worker never holds
-//!   two engines, and the dropped engine's compute-cache slabs are
+//!   two engines, and the dropped engine's compute-table slab is
 //!   recycled by the new one (see `approxdd_dd`'s cache provisioning
 //!   notes) — construction costs no table fill after a worker's first
 //!   job.

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use approxdd_circuit::qasm::from_qasm;
 use approxdd_sim::json::Json;
-use approxdd_sim::Strategy;
+use approxdd_sim::{Simulator, Strategy};
 use approxdd_telemetry as telemetry;
 
 use crate::error::ServeError;
@@ -194,6 +194,9 @@ fn parse_spec(request: &Request) -> Result<JobSpec, ServeError> {
     }
     let circuit =
         from_qasm(qasm).map_err(|e| ServeError::BadRequest(format!("QASM parse error: {e}")))?;
+    // No engine indexes a register wider than the DD engine's: refused
+    // here, before a job id, a queue slot or a warm session is spent.
+    Simulator::check_width(&circuit).map_err(|e| ServeError::BadRequest(e.to_string()))?;
     Ok(JobSpec {
         circuit,
         strategy: parse_strategy(request)?,

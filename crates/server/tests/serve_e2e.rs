@@ -246,11 +246,11 @@ fn bad_requests_are_typed() {
     shutdown(addr, handle);
 }
 
-/// Hostile registers and angles: each gets a typed answer in its own
-/// request or job slot, and the process and every pool worker outlive
-/// them (a backwards bracket pair used to panic the connection thread,
-/// a 64-qubit register a pool worker, and a 10^11-qubit one aborted
-/// the process on an allocation of that many bytes).
+/// Hostile registers and angles: each gets a typed 400 before a job id
+/// is spent, and the process and every pool worker outlive them (a
+/// backwards bracket pair used to panic the connection thread, a
+/// 64-qubit register a pool worker, and a 10^11-qubit one aborted the
+/// process on an allocation of that many bytes).
 #[test]
 fn hostile_circuits_are_typed_and_kill_nothing() {
     let (addr, handle) = start(ServerConfig::new().template(template(2)));
@@ -261,27 +261,18 @@ fn hostile_circuits_are_typed_and_kill_nothing() {
             "exceeds the maximum of 255",
         ),
         ("qreg q[2]; rx(nan) q[0];", "bad angle"),
+        ("qreg q[64]; h q[0];", "maximum of 63"),
     ] {
         let (status, body) = http(addr, "POST", "/jobs", qasm);
         assert_eq!(status, 400, "{qasm}: {body}");
         assert!(body.contains("bad_request"), "{qasm}: {body}");
         assert!(body.contains(reason), "{qasm}: {body}");
     }
-    // A register the parser accepts but the DD engine cannot index is
-    // refused where the job is admitted to an engine: an `error` event
-    // naming the width, on a worker that lives on.
-    let stream = submit_and_stream(addr, "/jobs?shots=8", "qreg q[64]; h q[0];");
-    let error = stream
-        .lines()
-        .find(|l| l.contains("\"type\":\"error\""))
-        .unwrap_or_else(|| panic!("no error event in stream:\n{stream}"));
-    assert!(
-        error.contains("64 qubits exceed the supported maximum of 63"),
-        "{error}"
-    );
     // The widest admissible register still runs.
     let stream = submit_and_stream(addr, "/jobs?shots=8", "qreg q[63]; h q[0]; cx q[0],q[62];");
     assert!(stream.contains("\"type\":\"result\""), "{stream}");
+    // ... as job 1: no refused body spent an id.
+    assert!(stream.contains("\"job\":1,"), "{stream}");
 
     let (status, _) = http(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);

@@ -160,7 +160,7 @@ fn recycled_caches_match_fresh_caches() {
         // The comparison means something only if the run truncated,
         // cleared its caches and hit in them.
         assert!(fresh.approx_rounds > 0 && fresh.package.gc_runs > 0);
-        assert!(fresh.package.ct_add.hits > 0);
+        assert!(fresh.package.ct_hits > 0);
         assert_eq!(fresh, recycled, "snapshot: {over_snapshot}");
     }
 }

@@ -1,19 +1,9 @@
 //! Integration of the extension features around the paper's core:
-//! gate fusion, marginal queries, DOT export, and
-//! the node- vs edge-level truncation primitives.
+//! marginal queries, DOT export, and the node- vs edge-level
+//! truncation primitives.
 
 use approxdd::circuit::generators;
 use approxdd::sim::{ApproxPrimitive, Simulator, Strategy};
-
-#[test]
-fn fused_and_sequential_shor_agree() {
-    let circuit = approxdd::shor::shor_circuit(15, 7).expect("circuit");
-    let mut sim = Simulator::builder().exact().build();
-    let seq = sim.run(&circuit).expect("sequential");
-    let fused = sim.run_fused(&circuit, 8).expect("fused");
-    let f = sim.fidelity_between(&seq, &fused);
-    assert!((f - 1.0).abs() < 1e-9, "fidelity {f}");
-}
 
 #[test]
 fn marginals_match_sampling_histogram() {
