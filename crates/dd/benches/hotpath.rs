@@ -4,7 +4,8 @@
 //! plus the package lifecycle (construct, optionally one gate, drop)
 //! that pooled execution pays once per job, and the per-gate and
 //! per-round passes of an approximating run — `vsize`, `contributions`
-//! and a budget `truncate` — on a dense 12-qubit state and on a 4×4
+//! and a budget `truncate` (whose preamble prints what one round
+//! interns) — on a dense 12-qubit state and on a 4×4
 //! supremacy-style state part-way through its circuit, and bare node
 //! reads (`amplitude` walks) on the latter.
 //!
@@ -361,11 +362,26 @@ fn bench_contributions(c: &mut Criterion) {
 }
 
 /// One whole round at the Table I budget: contributions, selection,
-/// rebuild, size count.
+/// rebuild, size count. The preamble counts what one untimed round
+/// interns (unique-table lookups, hits and misses): only the nodes a
+/// removal touches — a clean sub-diagram comes back as its identity
+/// image without a lookup (`crates/dd/src/approx.rs`, "What a round
+/// touches").
 fn bench_truncate_budget(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_truncate_budget");
     for (name, mut p, state) in approximation_workloads() {
         p.inc_ref(state);
+        let before = p.stats();
+        let round = p
+            .truncate(state, RemovalStrategy::Budget(0.025))
+            .expect("unit-norm state");
+        let after = p.stats();
+        println!(
+            "{name}: {} nodes; one round: {} removed, {} interned",
+            round.size_before,
+            round.removed_nodes,
+            after.unique_hits + after.unique_misses - before.unique_hits - before.unique_misses
+        );
         group.bench_function(name, |b| {
             b.iter(|| {
                 std::hint::black_box(

@@ -14,6 +14,40 @@
 //! user controls. The *exact* resulting fidelity falls out of the
 //! rebuild for free (the kept squared norm) and is reported in
 //! [`TruncationResult::fidelity`].
+//!
+//! # What a round touches
+//!
+//! A round analyses every node of the input (contributions), selects a
+//! few (≤ 2.5 % at the Table I budget), and rebuilds the diagram with
+//! the selection dropped. Only a selected node, a node with a cut edge
+//! and their ancestors change; on the Table I circuits that is about
+//! one node in five. Every other node is *clean* — nothing was removed
+//! or cut anywhere below it — and rebuilding it through `make_vnode`
+//! is a unique-table hit on the node itself, under a factor a few ulps
+//! from 1. That factor is the node's image under the identity,
+//! `VNode::image`, which `mul_mv`'s identity rule already reads
+//! (`crates/dd/src/ops.rs`). So the rebuild returns whether the
+//! sub-diagram it rebuilt is clean, and a clean node that carries an
+//! image comes back as `(image factor, itself)` without calling
+//! `make_vnode`. A node without an image, and every node above a
+//! removal or a cut, takes the general path exactly as before.
+//!
+//! Why this is bit-exact. The image is `normalize` fed `ONE · w` for a
+//! terminal successor of weight `w` and `f · (ONE · w)` for a
+//! non-terminal one whose own image is `f`; the rebuild of a clean node
+//! feeds `ONE · w` and `f · w`, dropping tolerance-zero weights in both.
+//! `ONE · w` differs from `w` at most in the sign of a zero component
+//! (`1·(−0) − 0·b` is `+0` for a negative `b`), and multiplying by an
+//! `f` whose imaginary part has the bits of `+0.0` (which
+//! `Image::encode` guarantees) erases that difference for every weight
+//! that is not zero in both components. So `normalize` sees the same
+//! bits, takes out the same factor and produces the same weight keys,
+//! and the unique table answers with this very node, which is alive
+//! under the root being truncated. The skipped calls were hits: arena
+//! slots, allocation order, `unique_misses`, collection timing and the
+//! canonical-ratio sequence cannot move (a rebuild never calls `add`);
+//! only the `unique_hits` / `snapshot_hits` counters fall. The tests
+//! keep the rebuild without the rule as the reference.
 
 use approxdd_complex::Cplx;
 
@@ -68,8 +102,51 @@ enum Rebuild {
     Pending { cut: [bool; 2] },
     /// Selected for removal: every path through the node is dropped.
     Removed,
-    /// Already rebuilt into this edge.
+    /// Clean (module docs): nothing below was removed or cut and the
+    /// node carries an image, so it rebuilt into itself under its image
+    /// factor — this edge — without a unique-table lookup.
+    Clean(VEdge),
+    /// Rebuilt through `make_vnode` into this edge.
     Done(VEdge),
+}
+
+/// A round before its rebuild: the analysed diagram, one [`Rebuild`]
+/// entry per node of it, and the number of nodes or edges it drops.
+struct Plan {
+    contribs: ContributionMap,
+    steps: Vec<Rebuild>,
+    selected: usize,
+}
+
+impl Plan {
+    /// The plan that removes the distinct nodes of `removal`. Ids
+    /// outside the analyzed diagram remove nothing and count for nothing.
+    fn removing(contribs: ContributionMap, removal: &[NodeId]) -> Self {
+        let mut steps = vec![Rebuild::Pending { cut: [false; 2] }; contribs.node_count()];
+        let mut selected = 0;
+        for rank in removal.iter().filter_map(|&node| contribs.rank(node)) {
+            steps[rank] = Rebuild::Removed;
+            selected += 1;
+        }
+        Self {
+            contribs,
+            steps,
+            selected,
+        }
+    }
+
+    /// The round's result when the plan drops nothing: the input, with
+    /// fidelity 1.
+    fn unchanged(&self, root: VEdge) -> TruncationResult {
+        let size = self.contribs.node_count();
+        TruncationResult {
+            edge: root,
+            fidelity: 1.0,
+            removed_nodes: 0,
+            size_before: size,
+            size_after: size,
+        }
+    }
 }
 
 impl Package {
@@ -87,9 +164,33 @@ impl Package {
     ///
     /// [`DdError::InvalidParameter`] as for [`Package::truncate`].
     pub fn truncate_edges(&mut self, root: VEdge, budget: f64) -> Result<TruncationResult> {
-        if !(0.0..1.0).contains(&budget) {
+        let plan = self.edge_plan(root, budget)?;
+        self.truncate_with_plan(root, plan)
+    }
+
+    /// Performs one truncation round on a unit-norm state.
+    ///
+    /// Computes contributions, selects nodes per `strategy`, rebuilds the
+    /// DD with selected nodes replaced by the zero stub, and rescales to
+    /// unit norm (Equation 1). If nothing is selected the input is
+    /// returned unchanged with fidelity 1.
+    ///
+    /// # Errors
+    ///
+    /// [`DdError::InvalidParameter`] if the budget/threshold is not in
+    /// `[0, 1)`, if the input is the zero edge, or if its weight is NaN
+    /// or infinite (a non-finite weight anywhere in the diagram shows
+    /// there: `make_vnode` carries it into the factor it takes out).
+    pub fn truncate(&mut self, root: VEdge, strategy: RemovalStrategy) -> Result<TruncationResult> {
+        let plan = self.node_plan(root, strategy)?;
+        self.truncate_with_plan(root, plan)
+    }
+
+    /// Refuses a root no round can run on: a zero or non-finite weight.
+    fn check_root(&self, root: VEdge) -> Result<()> {
+        if !root.w.is_finite() {
             return Err(DdError::InvalidParameter {
-                reason: "truncation budget must lie in [0, 1)",
+                reason: "cannot truncate a state whose root weight is not finite",
             });
         }
         if root.is_zero(self.tolerance()) {
@@ -97,6 +198,17 @@ impl Package {
                 reason: "cannot truncate the zero state",
             });
         }
+        Ok(())
+    }
+
+    /// The plan of [`Package::truncate_edges`].
+    fn edge_plan(&self, root: VEdge, budget: f64) -> Result<Plan> {
+        if !(0.0..1.0).contains(&budget) {
+            return Err(DdError::InvalidParameter {
+                reason: "truncation budget must lie in [0, 1)",
+            });
+        }
+        self.check_root(root)?;
         let contribs = self.contributions(root);
 
         // Contribution of edge (parent, which): upstream(parent)·|w|²
@@ -112,28 +224,22 @@ impl Package {
         }
         let cut = within_budget(edges, budget);
 
-        let mut plan = vec![Rebuild::Pending { cut: [false; 2] }; contribs.node_count()];
+        let mut steps = vec![Rebuild::Pending { cut: [false; 2] }; contribs.node_count()];
         for &(node, which) in &cut {
             let rank = contribs.rank(node).expect("cut edges leave analyzed nodes");
-            if let Rebuild::Pending { cut: dropped } = &mut plan[rank] {
+            if let Rebuild::Pending { cut: dropped } = &mut steps[rank] {
                 dropped[usize::from(which)] = true;
             }
         }
-        self.truncate_with_plan(root, &contribs, plan, cut.len())
+        Ok(Plan {
+            contribs,
+            steps,
+            selected: cut.len(),
+        })
     }
 
-    /// Performs one truncation round on a unit-norm state.
-    ///
-    /// Computes contributions, selects nodes per `strategy`, rebuilds the
-    /// DD with selected nodes replaced by the zero stub, and rescales to
-    /// unit norm (Equation 1). If nothing is selected the input is
-    /// returned unchanged with fidelity 1.
-    ///
-    /// # Errors
-    ///
-    /// [`DdError::InvalidParameter`] if the budget/threshold is not in
-    /// `[0, 1)`, or if the input is the zero edge.
-    pub fn truncate(&mut self, root: VEdge, strategy: RemovalStrategy) -> Result<TruncationResult> {
+    /// The plan of [`Package::truncate`].
+    fn node_plan(&self, root: VEdge, strategy: RemovalStrategy) -> Result<Plan> {
         match strategy {
             RemovalStrategy::Budget(b) if !(0.0..1.0).contains(&b) => {
                 return Err(DdError::InvalidParameter {
@@ -152,58 +258,33 @@ impl Package {
             }
             _ => {}
         }
-        if root.is_zero(self.tolerance()) {
-            return Err(DdError::InvalidParameter {
-                reason: "cannot truncate the zero state",
-            });
-        }
+        self.check_root(root)?;
         let contribs = self.contributions(root);
         let removal = select_nodes(&contribs, root.node, strategy);
-        self.truncate_without(root, &contribs, &removal)
-    }
-
-    /// One round removing the distinct nodes of `removal`. Ids outside
-    /// the analyzed diagram remove nothing and count for nothing.
-    fn truncate_without(
-        &mut self,
-        root: VEdge,
-        contribs: &ContributionMap,
-        removal: &[NodeId],
-    ) -> Result<TruncationResult> {
-        let mut plan = vec![Rebuild::Pending { cut: [false; 2] }; contribs.node_count()];
-        let mut selected = 0;
-        for rank in removal.iter().filter_map(|&node| contribs.rank(node)) {
-            plan[rank] = Rebuild::Removed;
-            selected += 1;
-        }
-        self.truncate_with_plan(root, contribs, plan, selected)
+        Ok(Plan::removing(contribs, &removal))
     }
 
     /// Rebuilds `root` under `plan`, rescales to unit norm and reports
-    /// the round. `selected` is the number of nodes or edges the plan
-    /// drops; with none the input comes back untouched.
-    fn truncate_with_plan(
-        &mut self,
-        root: VEdge,
-        contribs: &ContributionMap,
-        mut plan: Vec<Rebuild>,
-        selected: usize,
-    ) -> Result<TruncationResult> {
-        let size_before = contribs.node_count();
-        if selected == 0 {
-            return Ok(TruncationResult {
-                edge: root,
-                fidelity: 1.0,
-                removed_nodes: 0,
-                size_before,
-                size_after: size_before,
-            });
+    /// the round; a plan that drops nothing returns the input untouched.
+    fn truncate_with_plan(&mut self, root: VEdge, mut plan: Plan) -> Result<TruncationResult> {
+        if plan.selected == 0 {
+            return Ok(plan.unchanged(root));
         }
+        let (rebuilt, _) = self.rebuild(root.node, &plan.contribs, &mut plan.steps);
+        self.rescaled(root, rebuilt, &plan)
+    }
 
-        let rebuilt = self.rebuild(root.node, contribs, &mut plan);
+    /// The round `plan` made of `root`, given what the root rebuilt
+    /// into.
+    fn rescaled(&self, root: VEdge, rebuilt: VEdge, plan: &Plan) -> Result<TruncationResult> {
         // Kept squared norm = |rebuilt.w|² (the input subtree had unit
         // norm); this *is* the exact round fidelity.
         let kept = rebuilt.w.mag2();
+        if !kept.is_finite() {
+            return Err(DdError::InvalidParameter {
+                reason: "the rebuilt state has a non-finite norm",
+            });
+        }
         if kept <= 0.0 || rebuilt.is_zero(self.tolerance()) {
             return Err(DdError::InvalidParameter {
                 reason: "selection annihilates the entire state",
@@ -220,44 +301,61 @@ impl Package {
         Ok(TruncationResult {
             edge,
             fidelity,
-            removed_nodes: selected,
-            size_before,
+            removed_nodes: plan.selected,
+            size_before: plan.contribs.node_count(),
             size_after,
         })
     }
 
     /// Rebuilds the sub-diagram under `node` with removed nodes and cut
-    /// edges replaced by the zero stub. What a node rebuilds into does
-    /// not depend on the path that reached it, so one entry per node
-    /// memoizes the recursion.
-    fn rebuild(&mut self, node: NodeId, contribs: &ContributionMap, plan: &mut [Rebuild]) -> VEdge {
+    /// edges replaced by the zero stub, and says whether the node came
+    /// back clean (module docs): as itself under its image factor,
+    /// which it does — without a unique-table lookup — when it carries
+    /// an image and no removal, cut or unclean successor lies below it.
+    /// Every other node goes through `make_vnode`. What a node rebuilds
+    /// into does not depend on the path that reached it, so one entry
+    /// per node memoizes the recursion.
+    fn rebuild(
+        &mut self,
+        node: NodeId,
+        contribs: &ContributionMap,
+        steps: &mut [Rebuild],
+    ) -> (VEdge, bool) {
         if node.is_terminal() {
-            return VEdge::ONE;
+            return (VEdge::ONE, true);
         }
         let rank = contribs
             .rank(node)
             .expect("a rebuild only visits analyzed nodes");
-        let cut = match plan[rank] {
-            Rebuild::Removed => return VEdge::ZERO,
-            Rebuild::Done(e) => return e,
+        let cut = match steps[rank] {
+            Rebuild::Removed => return (VEdge::ZERO, false),
+            Rebuild::Clean(e) => return (e, true),
+            Rebuild::Done(e) => return (e, false),
             Rebuild::Pending { cut } => cut,
         };
         let n = *self.vnode(node);
+        let mut clean = cut == [false; 2];
         let mut children = [VEdge::ZERO; 2];
         for (i, c) in n.edges.iter().enumerate() {
             if c.is_zero(self.tolerance()) || cut[i] {
                 continue;
             }
-            let sub = self.rebuild(c.node, contribs, plan);
+            let (sub, sub_clean) = self.rebuild(c.node, contribs, steps);
+            clean &= sub_clean;
             // A child rebuilt to nothing stays the zero stub whatever
             // its weight (0 · NaN would put a NaN on the terminal).
             if !sub.is_zero(self.tolerance()) {
                 children[i] = sub.scaled(c.w);
             }
         }
+        if let Some(w) = n.image.factor().filter(|_| clean) {
+            let e = VEdge { w, node };
+            steps[rank] = Rebuild::Clean(e);
+            return (e, true);
+        }
         let e = self.make_vnode(n.var, children[0], children[1]);
-        plan[rank] = Rebuild::Done(e);
-        e
+        steps[rank] = Rebuild::Done(e);
+        (e, false)
     }
 }
 
@@ -356,6 +454,8 @@ impl<K: Ord + Copy> Iterator for Ascending<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contribution::tests::{amplitudes, evolve, QUBITS};
+    use crate::node::Image;
     use proptest::prelude::*;
 
     impl Package {
@@ -383,7 +483,7 @@ mod tests {
             let mut removal = nodes.to_vec();
             removal.sort_unstable();
             removal.dedup();
-            self.truncate_without(root, &contribs, &removal)
+            self.truncate_with_plan(root, Plan::removing(contribs, &removal))
         }
     }
 
@@ -684,30 +784,55 @@ mod tests {
 
     #[test]
     fn nan_weight_does_not_panic() {
-        // One NaN amplitude (a numerically degenerate input) poisons
-        // every contribution above it. Selection orders with
-        // `total_cmp`, so the round comes back — as a result or as a
-        // typed error — instead of panicking inside a pool worker.
+        // A NaN or ∞ anywhere in a state is a typed error from every
+        // strategy, never a round with a fidelity. `from_amplitudes`
+        // refuses one; a state built around one anyway carries it on
+        // its root weight, which every round checks first.
         let mut p = Package::new();
         let mut amps = vec![Cplx::real(0.25); 16];
-        amps[5] = Cplx::new(f64::NAN, 0.0);
-        let root = p.from_amplitudes(&amps).unwrap();
-        let contribs = p.contributions(root);
-        assert!(contribs.iter().any(|(_, c)| c.is_nan()));
-        assert_eq!(contribs.sorted_ascending().len(), contribs.node_count());
-        for strategy in [
-            RemovalStrategy::Budget(0.1),
-            RemovalStrategy::Threshold(0.1),
-            RemovalStrategy::KeepNodes(3),
-        ] {
-            match p.truncate(root, strategy) {
-                Ok(_) | Err(DdError::InvalidParameter { .. }) => {}
-                Err(other) => panic!("unexpected error {other:?}"),
-            }
+        for bad in [Cplx::new(f64::NAN, 0.0), Cplx::new(0.0, f64::INFINITY)] {
+            amps[5] = bad;
+            assert!(matches!(
+                p.from_amplitudes(&amps),
+                Err(DdError::InvalidAmplitudes { .. })
+            ));
         }
-        match p.truncate_edges(root, 0.1) {
-            Ok(_) | Err(DdError::InvalidParameter { .. }) => {}
-            Err(other) => panic!("unexpected error {other:?}"),
+        amps[5] = Cplx::real(0.25);
+        let good = p.from_amplitudes(&amps).unwrap();
+
+        // A NaN terminal three levels below the root of a 4-qubit state:
+        // `make_vnode` carries it up into the root weight.
+        let mut uniform = VEdge::ONE;
+        let mut poisoned = VEdge::terminal(Cplx::new(f64::NAN, 0.0));
+        for var in 0..4 {
+            poisoned = p.make_vnode(var, poisoned, uniform);
+            uniform = p.make_vnode(var, uniform, uniform);
+        }
+        assert!(!poisoned.w.is_finite());
+
+        let not_finite = |r: Result<TruncationResult>| match r {
+            Err(DdError::InvalidParameter { reason }) => reason.contains("not finite"),
+            _ => false,
+        };
+        for root in [
+            poisoned,
+            good.scaled(Cplx::real(f64::NAN)),
+            good.scaled(Cplx::real(f64::INFINITY)),
+        ] {
+            // Selection orders with `total_cmp`: non-finite
+            // contributions sort instead of panicking inside a pool
+            // worker.
+            let contribs = p.contributions(root);
+            assert!(contribs.iter().any(|(_, c)| !c.is_finite()));
+            assert_eq!(contribs.sorted_ascending().len(), contribs.node_count());
+            for strategy in [
+                RemovalStrategy::Budget(0.1),
+                RemovalStrategy::Threshold(0.1),
+                RemovalStrategy::KeepNodes(3),
+            ] {
+                assert!(not_finite(p.truncate(root, strategy)), "{strategy:?}");
+            }
+            assert!(not_finite(p.truncate_edges(root, 0.1)));
         }
     }
 
@@ -759,5 +884,264 @@ mod tests {
             (f_total - f_rounds).abs() < 1e-10,
             "Lemma 1 violated: total {f_total} vs product {f_rounds}"
         );
+    }
+
+    /// The rebuild without the clean rule — every node goes through
+    /// `make_vnode` — and the round around it: the reference the rule
+    /// is held to.
+    impl Package {
+        fn reference_rebuild(
+            &mut self,
+            node: NodeId,
+            contribs: &ContributionMap,
+            steps: &mut [Rebuild],
+        ) -> VEdge {
+            if node.is_terminal() {
+                return VEdge::ONE;
+            }
+            let rank = contribs
+                .rank(node)
+                .expect("a rebuild only visits analyzed nodes");
+            let cut = match steps[rank] {
+                Rebuild::Removed => return VEdge::ZERO,
+                Rebuild::Done(e) => return e,
+                Rebuild::Pending { cut } => cut,
+                Rebuild::Clean(_) => unreachable!("the reference never takes the rule"),
+            };
+            let n = *self.vnode(node);
+            let mut children = [VEdge::ZERO; 2];
+            for (i, c) in n.edges.iter().enumerate() {
+                if c.is_zero(self.tolerance()) || cut[i] {
+                    continue;
+                }
+                let sub = self.reference_rebuild(c.node, contribs, steps);
+                if !sub.is_zero(self.tolerance()) {
+                    children[i] = sub.scaled(c.w);
+                }
+            }
+            let e = self.make_vnode(n.var, children[0], children[1]);
+            steps[rank] = Rebuild::Done(e);
+            e
+        }
+
+        /// [`Package::truncate_with_plan`] over the reference rebuild,
+        /// plus how many nodes came back as themselves under their image
+        /// factor: the nodes the rule answers.
+        fn reference_round(
+            &mut self,
+            root: VEdge,
+            mut plan: Plan,
+        ) -> (Result<TruncationResult>, usize) {
+            if plan.selected == 0 {
+                return (Ok(plan.unchanged(root)), 0);
+            }
+            let rebuilt = self.reference_rebuild(root.node, &plan.contribs, &mut plan.steps);
+            let as_image = plan
+                .contribs
+                .iter()
+                .zip(&plan.steps)
+                .filter(|&((node, _), step)| {
+                    let image = self.vnode(node).image.factor().map(|w| VEdge { w, node });
+                    matches!(step, Rebuild::Done(e) if Some(*e) == image)
+                })
+                .count();
+            (self.rescaled(root, rebuilt, &plan), as_image)
+        }
+    }
+
+    /// One kind of round.
+    #[derive(Debug, Clone, Copy)]
+    enum Round {
+        Nodes(RemovalStrategy),
+        Edges(f64),
+    }
+
+    impl Round {
+        fn plan(self, p: &Package, root: VEdge) -> Result<Plan> {
+            match self {
+                Round::Nodes(strategy) => p.node_plan(root, strategy),
+                Round::Edges(budget) => p.edge_plan(root, budget),
+            }
+        }
+
+        fn run(self, p: &mut Package, root: VEdge) -> Result<TruncationResult> {
+            match self {
+                Round::Nodes(strategy) => p.truncate(root, strategy),
+                Round::Edges(budget) => p.truncate_edges(root, budget),
+            }
+        }
+    }
+
+    /// A round's outcome down to the bits of every float in it.
+    type Bits = std::result::Result<(NodeId, [u64; 3], usize, usize, usize), DdError>;
+
+    fn bits(r: Result<TruncationResult>) -> Bits {
+        r.map(|r| {
+            let w = r.edge.w;
+            let floats = [w.re.to_bits(), w.im.to_bits(), r.fidelity.to_bits()];
+            (
+                r.edge.node,
+                floats,
+                r.removed_nodes,
+                r.size_before,
+                r.size_after,
+            )
+        })
+    }
+
+    /// Runs each round on `root` through the rule in `fast` and through
+    /// the reference in `slow` — two packages built by identical calls —
+    /// and holds them to the same result bits and the same allocations.
+    /// Only unique-table hits may differ: fewer in `fast` exactly when
+    /// some node came back as its image.
+    fn rule_matches_reference(
+        fast: &mut Package,
+        slow: &mut Package,
+        root: VEdge,
+        rounds: &[Round],
+    ) -> std::result::Result<(), TestCaseError> {
+        for &round in rounds {
+            let (fast_hits, slow_hits) = (fast.stats().unique_hits, slow.stats().unique_hits);
+            let got = bits(round.run(fast, root));
+            let (want, as_image) = match round.plan(slow, root) {
+                Ok(plan) => slow.reference_round(root, plan),
+                Err(e) => (Err(e), 0),
+            };
+            prop_assert_eq!(got, bits(want), "{:?}", round);
+            let (f, s) = (fast.stats(), slow.stats());
+            prop_assert_eq!(f.unique_misses, s.unique_misses);
+            prop_assert_eq!(f.vnodes_alive, s.vnodes_alive);
+            let skipped = (s.unique_hits - slow_hits) - (f.unique_hits - fast_hits);
+            prop_assert_eq!(
+                skipped > 0,
+                as_image > 0,
+                "{:?}: {} skipped",
+                round,
+                skipped
+            );
+        }
+        Ok(())
+    }
+
+    /// The diagrams the rule is checked on, built from `amps` and
+    /// `gates` (see `contribution.rs`): in a fresh package, over slots a
+    /// collection recycled, and over a frozen snapshot. Each root is
+    /// taken at unit weight. Deterministic: two calls build two
+    /// identical packages.
+    fn settings(amps: &[Cplx], gates: &[(u8, usize)]) -> Vec<(Package, VEdge)> {
+        let unit = |e: VEdge| VEdge {
+            w: Cplx::ONE,
+            node: e.node,
+        };
+        let mut out = Vec::new();
+
+        let mut p = Package::new();
+        let start = p.from_amplitudes(amps).unwrap();
+        let states = evolve(&mut p, start, gates);
+        let kept = states[gates.len()];
+        out.push((p, unit(kept)));
+
+        let mut p = Package::new();
+        let start = p.from_amplitudes(amps).unwrap();
+        let kept = evolve(&mut p, start, gates)[gates.len()];
+        p.inc_ref(kept);
+        let _ = p.collect_garbage();
+        let reversed: Vec<Cplx> = amps.iter().rev().copied().collect();
+        let start = p.from_amplitudes(&reversed).unwrap();
+        let last = evolve(&mut p, start, gates)[gates.len()];
+        out.push((p, unit(last)));
+
+        let mut base = Package::new();
+        let start = base.from_amplitudes(amps).unwrap();
+        let _ = evolve(&mut base, start, &gates[..3]);
+        let mut p = Package::with_snapshot(&base.freeze(), None);
+        let last = evolve(&mut p, start, gates)[gates.len()];
+        out.push((p, unit(last)));
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn clean_rebuild_equals_the_full_rebuild(
+            picks in prop::collection::vec(0u8..6, 1 << QUBITS),
+            gates in prop::collection::vec((0u8..8, 0usize..QUBITS), 6),
+            budget in 0.0f64..0.4,
+            keep in 1usize..24
+        ) {
+            let amps = amplitudes(&picks);
+            let rounds = [
+                Round::Nodes(RemovalStrategy::Budget(budget)),
+                Round::Nodes(RemovalStrategy::Threshold(budget / 8.0)),
+                Round::Nodes(RemovalStrategy::KeepNodes(keep)),
+                Round::Edges(budget),
+            ];
+            let fast = settings(&amps, &gates);
+            let slow = settings(&amps, &gates);
+            for ((mut fast, root), (mut slow, same)) in fast.into_iter().zip(slow) {
+                prop_assert_eq!(root, same);
+                rule_matches_reference(&mut fast, &mut slow, root, &rounds)?;
+            }
+        }
+    }
+
+    #[test]
+    fn a_signed_zero_in_a_stored_weight_rebuilds_as_the_reference_does() {
+        // Two level-1 nodes whose stored edge-1 weight to a non-terminal
+        // successor has a −0.0 component that `ONE ·` flips — the image
+        // was computed from `f · (ONE · w)`, the rebuild feeds `f · w` —
+        // under a root whose other half loses a node.
+        let build = |p: &mut Package| {
+            let leaf = |p: &mut Package, a: Cplx, b: Cplx| {
+                p.make_vnode(0, VEdge::terminal(a), VEdge::terminal(b))
+            };
+            let a = leaf(p, Cplx::real(0.6), Cplx::real(0.8));
+            let b = leaf(p, Cplx::real(0.8), Cplx::new(0.0, 0.6));
+            let c = leaf(p, Cplx::real(0.28), Cplx::new(0.96, 0.0));
+            let signed = |p: &mut Package, w: Cplx| {
+                p.make_vnode(1, a.scaled(Cplx::real(0.8)), VEdge { w, node: b.node })
+            };
+            let x = signed(p, Cplx::new(0.6, -0.0));
+            let y = signed(p, Cplx::new(-0.0, -0.6));
+            let lost = p.make_vnode(1, c.scaled(Cplx::real(0.6)), a.scaled(Cplx::real(0.8)));
+            let top = p.make_vnode(2, x.scaled(Cplx::real(0.6)), y.scaled(Cplx::real(0.8)));
+            let other = p.make_vnode(2, lost, x);
+            let root = p.make_vnode(
+                3,
+                top.scaled(Cplx::real(0.6)),
+                other.scaled(Cplx::real(0.8)),
+            );
+            (
+                VEdge {
+                    w: Cplx::ONE,
+                    node: root.node,
+                },
+                [x, y],
+                c.node,
+            )
+        };
+        let (mut fast, mut slow) = (Package::new(), Package::new());
+        let (root, signed, victim) = build(&mut fast);
+        assert_eq!(build(&mut slow).0, root);
+        for e in signed {
+            let node = fast.vnode(e.node);
+            assert_ne!(node.image, Image::NONE, "the rule must be able to fire");
+            let w = node.edges[1].w;
+            let flipped = Cplx::ONE * w;
+            assert!(
+                w.re.to_bits() != flipped.re.to_bits() || w.im.to_bits() != flipped.im.to_bits(),
+                "{w:?} has no zero whose sign `ONE ·` flips"
+            );
+        }
+        let (fast_hits, slow_hits) = (fast.stats().unique_hits, slow.stats().unique_hits);
+        let got = fast.truncate_nodes(root, &[victim]);
+        let plan = Plan::removing(slow.contributions(root), &[victim]);
+        let (want, as_image) = slow.reference_round(root, plan);
+        assert_eq!(bits(got), bits(want));
+        assert!(as_image >= 2, "both signed nodes come back as their image");
+        let skipped =
+            (slow.stats().unique_hits - slow_hits) - (fast.stats().unique_hits - fast_hits);
+        assert_eq!(skipped, as_image as u64);
     }
 }

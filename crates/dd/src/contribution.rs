@@ -99,31 +99,33 @@ impl Package {
             };
         }
 
-        // Discover nodes per level.
+        // Discover the reachable nodes, then list them per level in the
+        // index's ascending id order: each level comes out sorted by id
+        // without a sort.
         let mut seen = IdSet::with_slots(self.vnodes.capacity());
         seen.insert(root.node);
         let mut stack = vec![root.node];
         while let Some(id) = stack.pop() {
-            let node = self.vnode(id);
-            levels[usize::from(node.var)].push(id);
-            for child in node.edges {
+            for child in self.vnode(id).edges {
                 if !child.node.is_terminal() && seen.insert(child.node) {
                     stack.push(child.node);
                 }
             }
         }
-        for level in &mut levels {
-            level.sort_unstable();
-        }
         let index = seen.into_index();
+        for id in index.ids() {
+            levels[usize::from(self.vnode(id).var)].push(id);
+        }
         let mut contrib = vec![0.0; index.len()];
         let slot = |id: NodeId| index.rank(id).expect("every reachable node was indexed");
 
         // Top-down accumulation of squared path weights (levels from
         // the root, ids ascending, edge 0 then 1 — the summation order
-        // is part of the result). Each node's subtree has unit norm
-        // (normalization invariant), so the accumulated upstream mass
-        // *is* the contribution.
+        // is part of the result, so the levels must be listed in
+        // ascending id order whatever order the search found them in,
+        // which walking the index guarantees). Each node's subtree has
+        // unit norm (normalization invariant), so the accumulated
+        // upstream mass *is* the contribution.
         contrib[slot(root.node)] = root.w.mag2();
         for level in levels.iter().rev() {
             for &id in level {
@@ -145,7 +147,7 @@ impl Package {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::collections::HashMap;
 
     use super::*;
@@ -330,11 +332,11 @@ mod tests {
         Ok(())
     }
 
-    const QUBITS: usize = 5;
+    pub(crate) const QUBITS: usize = 5;
 
     /// Amplitudes drawn from a handful of values, so sub-vectors repeat
     /// (shared nodes) and vanish (zero stubs).
-    fn amplitudes(picks: &[u8]) -> Vec<Cplx> {
+    pub(crate) fn amplitudes(picks: &[u8]) -> Vec<Cplx> {
         let palette = [
             Cplx::ZERO,
             Cplx::ZERO,
@@ -350,7 +352,7 @@ mod tests {
 
     /// Builds the picked gates and applies them to `state` in turn;
     /// returns every intermediate state.
-    fn evolve(p: &mut Package, state: VEdge, gates: &[(u8, usize)]) -> Vec<VEdge> {
+    pub(crate) fn evolve(p: &mut Package, state: VEdge, gates: &[(u8, usize)]) -> Vec<VEdge> {
         let kinds = [GateKind::H, GateKind::T, GateKind::Sx, GateKind::X];
         let mut states = vec![state];
         for &(kind, target) in gates {

@@ -9,7 +9,9 @@ use crate::edge::{MEdge, VEdge};
 /// the real weight `f + 0i`, stored as the signed distance of `f` from
 /// `1.0` in units in the last place — or nothing known, in which case
 /// `mul_mv` recurses. `f` is `1.0` for most pairs and a few ulps off for
-/// the rest; one byte reaches ±127.
+/// the rest; one byte reaches ±127. A truncation round reads it too: a
+/// node nothing below was removed from rebuilds into `(f, itself)`
+/// (see [`crate::approx`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Image(i8);
 

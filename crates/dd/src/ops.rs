@@ -125,6 +125,14 @@
 //! `0.7071067811865475`, which re-normalises to `1 − ulp`, and carries
 //! that; the same column after a T gate stores `0.7071067811865476` and
 //! carries `1`.
+//!
+//! The image has a second reader: a truncation round's rebuild
+//! ([`crate::approx`], "What a round touches"). A node with no removal
+//! or cut anywhere below it is re-made there from its successors'
+//! images under its own weights, which is what the image was computed
+//! from up to the sign of a zero, so the rebuild returns
+//! `(image factor, node)` and skips the same unique-table hit for the
+//! same reason.
 
 use approxdd_complex::Cplx;
 

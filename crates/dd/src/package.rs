@@ -53,6 +53,12 @@ fn is_exactly_one(w: Cplx) -> bool {
 /// `VNode::image` is decided by running a node's own edges through it,
 /// so "what re-normalising this node would give" is by construction
 /// what the recursion computes.
+///
+/// A NaN or infinite input weight (never tolerance-zero) makes the
+/// norm, and with it the factor, non-finite: a non-finite weight
+/// anywhere below a node is carried up into the edge to it, and so
+/// into a diagram's root weight, which is where [`Package::truncate`]
+/// looks for one.
 #[inline]
 fn normalize(tol: Tolerance, mut e0: VEdge, mut e1: VEdge) -> Option<(Cplx, [VEdge; 2])> {
     if tol.is_zero(e0.w) {
@@ -647,11 +653,17 @@ impl Package {
     /// # Errors
     ///
     /// [`DdError::InvalidAmplitudes`] if the length is not a power of two
-    /// or zero; [`DdError::TooManyQubits`] beyond 26 qubits.
+    /// or zero, or if a component is NaN or infinite;
+    /// [`DdError::TooManyQubits`] beyond 26 qubits.
     pub fn from_amplitudes(&mut self, amps: &[Cplx]) -> Result<VEdge> {
         if amps.is_empty() || !amps.len().is_power_of_two() {
             return Err(DdError::InvalidAmplitudes {
                 reason: "length must be a non-zero power of two",
+            });
+        }
+        if !amps.iter().all(|a| a.is_finite()) {
+            return Err(DdError::InvalidAmplitudes {
+                reason: "amplitudes must be finite",
             });
         }
         let n = amps.len().trailing_zeros() as usize;
