@@ -25,8 +25,8 @@ use std::hash::{Hash, Hasher};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use approxdd_backend::{AnyBackend, Backend, BuildBackend};
 use approxdd_circuit::generators;
+use approxdd_exec::backend::{AnyBackend, Backend, BuildBackend};
 use approxdd_sim::json::Json;
 use approxdd_sim::{Engine, Simulator};
 
@@ -57,7 +57,7 @@ fn run_cell(row: &Row, depth: usize, shots: usize) -> Result<Json, String> {
     let mut backend: AnyBackend = Simulator::builder()
         .engine(row.engine)
         .seed(7)
-        .build_engine_backend();
+        .build_backend();
     let start = Instant::now();
     let exe = backend.prepare(&circuit).map_err(|e| e.to_string())?;
     let outcome = backend.run(&exe).map_err(|e| e.to_string())?;

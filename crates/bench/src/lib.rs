@@ -15,8 +15,8 @@
 
 use std::time::Duration;
 
-use approxdd_backend::{Backend, BackendStats, BuildBackend, ExecError};
 use approxdd_circuit::{generators, Circuit};
+use approxdd_exec::backend::{Backend, BackendStats, BuildBackend, ExecError};
 use approxdd_exec::{BackendPool, PoolJob, PoolOutcome};
 use approxdd_shor::{factor, shor_circuit, FactorOptions};
 use approxdd_sim::json::Json;
@@ -35,7 +35,7 @@ pub(crate) fn run_stats<B: Backend>(
     backend: &mut B,
     circuit: &Circuit,
 ) -> Result<BackendStats, ExecError> {
-    let outcome = approxdd_backend::run_circuit(backend, circuit)?;
+    let outcome = approxdd_exec::backend::run_circuit(backend, circuit)?;
     let stats = outcome.stats.clone();
     backend.release(outcome);
     Ok(stats)
@@ -74,8 +74,8 @@ pub struct TableRow {
     /// For Shor rows: whether classical post-processing recovered the
     /// factors from the approximate state.
     pub factored: Option<bool>,
-    /// Approximate run: aggregate compute-cache hit rate of the DD
-    /// package (all four lossy tables combined).
+    /// Approximate run: compute-table hit rate of the DD package (its
+    /// one lossy table, `add`).
     pub(crate) ct_hit_rate: Option<f64>,
     /// Approximate run: unique-table occupancy (live entries over
     /// buckets) of the DD package.

@@ -4,8 +4,8 @@
 
 use std::time::Duration;
 
-use approxdd_backend::ExecError;
 use approxdd_circuit::Circuit;
+use approxdd_exec::backend::ExecError;
 use approxdd_exec::{BackendPool, PoolJob};
 use approxdd_sim::Strategy;
 
@@ -166,8 +166,8 @@ pub fn format_tradeoff(points: &[TradeoffPoint]) -> String {
 mod tests {
     use super::*;
     use crate::run_stats;
-    use approxdd_backend::BuildBackend;
     use approxdd_circuit::generators;
+    use approxdd_exec::backend::BuildBackend;
     use approxdd_sim::Simulator;
 
     /// The serial tradeoff the pooled one is checked against: one

@@ -2,7 +2,7 @@
 //!
 //! The stabilizer engine (`approxdd-stabilizer`) simulates Clifford
 //! circuits in polynomial time, and the hybrid dispatcher of
-//! `approxdd-backend` routes the maximal Clifford *prefix* of any
+//! `approxdd_exec::backend` routes the maximal Clifford *prefix* of any
 //! circuit through it before handing the remainder to the DD engine.
 //! Both need one authoritative answer to "is this operation Clifford?"
 //! — that answer lives here, next to the IR, so every layer classifies

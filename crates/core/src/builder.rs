@@ -214,7 +214,7 @@ impl SimulatorBuilder {
 
     /// Seeds the simulator's owned sampling RNG (used by
     /// [`Simulator::draw`] / [`Simulator::draw_counts`] and the
-    /// `Backend` trait of `approxdd-backend`). Unseeded builders use a
+    /// `Backend` trait of `approxdd_exec::backend`). Unseeded builders use a
     /// fixed default seed, so runs are deterministic either way.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
@@ -258,8 +258,8 @@ impl SimulatorBuilder {
     /// Selects the simulation engine for backends built from this
     /// configuration ([`Engine::Dd`] by default). Plain
     /// [`SimulatorBuilder::build`] always constructs the DD simulator —
-    /// the knob is read by `build_engine_backend()` in
-    /// `approxdd-backend` and by pooled/noisy execution templates.
+    /// the knob is read by `build_backend()` in `approxdd_exec::backend`
+    /// and by pooled/noisy execution templates.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self

@@ -6,8 +6,8 @@ use crate::error::SimError;
 /// [`crate::SimulatorBuilder`] should use.
 ///
 /// The builder itself always constructs the DD [`crate::Simulator`];
-/// this knob is read by the backend layer (`approxdd-backend`'s
-/// `build_engine_backend`) and by pooled execution to route circuits
+/// this knob is read by the backend layer (`approxdd_exec::backend`'s
+/// `build_backend`) and by pooled execution to route circuits
 /// to the stabilizer tableau or the hybrid Clifford-prefix dispatcher
 /// instead. Keeping it here means one template (builder) describes the
 /// full experiment, engine choice included.
@@ -262,10 +262,10 @@ pub(crate) struct SimOptions {
     /// [`crate::SimStats::size_series`] (default: off; used by the
     /// benchmark harness to regenerate size-over-time series).
     pub record_size_series: bool,
-    /// `log2` slot count of each of the DD package's four lossy compute
-    /// caches (`None` → the engine default, 2^16 slots per table;
-    /// clamped to `[2, 26]`). A pure time/memory trade: the caches are
-    /// lossy, so results are **bit-identical for every size** — an
+    /// `log2` slot count of the DD package's lossy compute table, the
+    /// `add` table (`None` → the engine default, 2^16 slots; clamped
+    /// to `[2, 26]`). A pure time/memory trade: the table is lossy, so
+    /// results are **bit-identical for every size** — an
     /// undersized cache only recomputes more. Tune down for
     /// many-worker pools where per-worker footprint matters, up for
     /// deep single-session circuits with heavy structural reuse.

@@ -95,7 +95,7 @@ pub struct SimStats {
 /// ([`Simulator::sample`], [`Simulator::amplitudes`],
 /// [`Simulator::fidelity_between`]) while the result is live, and treat
 /// `release` as the end of the result's life. The `Backend` trait in
-/// `approxdd-backend` encapsulates exactly this contract
+/// `approxdd_exec::backend` encapsulates exactly this contract
 /// (`Backend::release` consumes the outcome by value).
 #[derive(Debug, Clone)]
 pub struct RunResult {

@@ -1,17 +1,18 @@
 //! The one DD-side engine: a simulator plus a tableau-prefix rule.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use approxdd_circuit::Circuit;
 use approxdd_complex::Cplx;
 use approxdd_dd::{GateKind, Package, PackageStats, VEdge};
-use approxdd_sim::{Engine, RunResult, SharedObserver, Simulator};
+use approxdd_sim::{Engine, RunResult, SharedObserver, SimSnapshot, Simulator, SimulatorBuilder};
 use approxdd_stabilizer::{StabilizerError, Tableau, MAX_INDEXED_QUBITS};
 use approxdd_telemetry::Span;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{Backend, BackendStats, ExecError, Executable, Result, RunOutcome};
+use super::{check_basis, Backend, BackendStats, ExecError, Executable, Result, RunOutcome};
 
 /// The decision-diagram simulator behind the [`Backend`] API, with a
 /// stabilizer tableau in front of it — the concrete type pooled workers
@@ -34,9 +35,9 @@ use crate::{Backend, BackendStats, ExecError, Executable, Result, RunOutcome};
 /// a run that ends on the DD engine pins GC roots in the simulator's
 /// package until released and samples from the simulator's RNG.
 ///
-/// Built by [`crate::BuildBackend`]. [`Backend::prepare`] is where a
-/// circuit is admitted: policy, structure, and the register width and
-/// gate set this engine can run.
+/// Built by [`super::BuildBackend::build_backend`]. [`Backend::prepare`]
+/// is where a circuit is admitted: policy, structure, and the register
+/// width and gate set this engine can run.
 #[derive(Debug)]
 pub struct AnyBackend {
     engine: Engine,
@@ -54,20 +55,26 @@ pub enum AnyHandle {
 }
 
 impl AnyBackend {
-    /// Wraps a configured simulator; `seed` drives sampling of tableau
-    /// outcomes (DD outcomes sample through the simulator's own seeded
-    /// RNG).
-    #[must_use]
-    pub(crate) fn new(engine: Engine, sim: Simulator, seed: u64) -> Self {
+    /// Builds the engine `builder`'s [`Engine`] knob selects, seeded
+    /// with the builder's sampling seed. DD-based engines layer over
+    /// `snapshot` when one is given — warmed gate DDs resolve from it
+    /// and the package allocates only above the frozen watermark; the
+    /// stabilizer engine never touches its DD package, so it ignores
+    /// the snapshot. Pooled workers call this per job with the batch's
+    /// snapshot; [`super::BuildBackend::build_backend`] calls it with
+    /// none.
+    pub(crate) fn build(builder: SimulatorBuilder, snapshot: Option<Arc<SimSnapshot>>) -> Self {
+        let (engine, seed) = (builder.engine_kind(), builder.sample_seed());
+        let snapshot = snapshot.filter(|_| engine != Engine::Stabilizer);
         Self {
             engine,
-            sim,
+            sim: builder.build_with_snapshot(snapshot),
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
-    /// Mutable access to the wrapped simulator (package queries, fused
-    /// runs, DOT export…).
+    /// Mutable access to the wrapped simulator (package queries, DOT
+    /// export…).
     pub fn sim_mut(&mut self) -> &mut Simulator {
         &mut self.sim
     }
@@ -75,14 +82,14 @@ impl AnyBackend {
     /// DD-package counters (`None` for the pure-tableau engine, which
     /// never touches its package).
     #[must_use]
-    pub fn package_stats(&self) -> Option<PackageStats> {
+    pub(crate) fn package_stats(&self) -> Option<PackageStats> {
         (self.engine != Engine::Stabilizer).then(|| self.sim.package().stats())
     }
 
     /// Gate-DD cache occupancy of the wrapped simulator (0 for the
     /// tableau engine, which builds no gate DDs).
     #[must_use]
-    pub fn gate_cache_len(&self) -> usize {
+    pub(crate) fn gate_cache_len(&self) -> usize {
         self.sim.gate_cache_len()
     }
 
@@ -90,14 +97,14 @@ impl AnyBackend {
     /// frozen snapshot (0 for the tableau engine or when the backend
     /// was built without a snapshot).
     #[must_use]
-    pub fn snapshot_gate_hits(&self) -> u64 {
+    pub(crate) fn snapshot_gate_hits(&self) -> u64 {
         self.sim.snapshot_gate_hits()
     }
 
     /// Attaches a run-trace observer to the wrapped simulator. Runs
     /// that end on the tableau emit no trace events (pooled trace
     /// capture simply records an empty trace).
-    pub fn attach_observer(&mut self, observer: SharedObserver) {
+    pub(crate) fn attach_observer(&mut self, observer: SharedObserver) {
         self.sim.attach_observer(observer);
     }
 
@@ -324,7 +331,7 @@ impl Backend for AnyBackend {
     }
 
     fn probability(&self, outcome: &RunOutcome<AnyHandle>, basis: u64) -> Result<f64> {
-        crate::check_basis(basis, outcome.n_qubits())?;
+        check_basis(basis, outcome.n_qubits())?;
         match outcome.handle() {
             AnyHandle::Tableau(t) => Ok(t.probability(basis)),
             AnyHandle::Dd(r) => Ok(self.sim.package().probability(r.state(), basis)),

@@ -1,8 +1,8 @@
-//! Unified execution API over the workspace's simulation engines.
+//! The one execution API over the workspace's simulation engines.
 //!
 //! The reproduced paper is fundamentally comparative — every Table I
 //! row pits approximate DD simulation against an exact baseline — and
-//! this crate provides the one front door both sides go through: the
+//! this module provides the one front door both sides go through: the
 //! [`Backend`] trait. A backend **prepares** a circuit into an
 //! [`Executable`], **runs** it (singly or batched) into a typed
 //! [`RunOutcome`] carrying [`BackendStats`], and then answers
@@ -15,26 +15,28 @@
 //! * [`AnyBackend`] — the approximate decision-diagram simulator
 //!   ([`approxdd_sim::Simulator`]), including every approximation
 //!   strategy its builder can configure, behind an optional stabilizer
-//!   tableau prefix (the builder's [`Engine`] knob);
+//!   tableau prefix (the builder's [`Engine`](approxdd_sim::Engine)
+//!   knob), built by [`BuildBackend::build_backend`];
 //! * [`StatevectorBackend`] — the dense exact baseline.
 //!
 //! Benchmark rows, cross-validation checks, and the examples are all
 //! one generic function over `B: Backend`; comparing engines is the
-//! default shape of the codebase rather than hand-wired glue.
+//! default shape of the codebase rather than hand-wired glue. The
+//! pool ([`crate::BackendPool`]) is the trait's runtime consumer.
 //!
 //! # Examples
 //!
 //! ```
-//! use approxdd_backend::{Backend, BuildBackend, StatevectorBackend};
+//! use approxdd_exec::backend::{Backend, BuildBackend, StatevectorBackend};
 //! use approxdd_circuit::generators;
 //! use approxdd_sim::Simulator;
 //!
-//! # fn main() -> Result<(), approxdd_backend::ExecError> {
+//! # fn main() -> Result<(), approxdd_exec::backend::ExecError> {
 //! let circuit = generators::ghz(8);
 //!
 //! // Same generic driver for both engines.
 //! fn ghz_tail_mass<B: Backend>(backend: &mut B, c: &approxdd_circuit::Circuit)
-//!     -> Result<f64, approxdd_backend::ExecError>
+//!     -> Result<f64, approxdd_exec::backend::ExecError>
 //! {
 //!     let exe = backend.prepare(c)?;
 //!     let run = backend.run(&exe)?;
@@ -52,11 +54,10 @@
 //! ```
 
 mod engine;
-mod error;
 mod sv;
 
+pub use crate::error::ExecError;
 pub use engine::{AnyBackend, AnyHandle};
-pub use error::ExecError;
 pub use sv::StatevectorBackend;
 
 use std::collections::HashMap;
@@ -64,9 +65,9 @@ use std::time::Duration;
 
 use approxdd_circuit::Circuit;
 use approxdd_complex::Cplx;
-use approxdd_sim::{Engine, SimSnapshot, SimStats, SimulatorBuilder};
+use approxdd_sim::{SimStats, SimulatorBuilder};
 
-/// Crate-wide result alias.
+/// The backend layer's result alias.
 pub type Result<T> = std::result::Result<T, ExecError>;
 
 /// A circuit validated and packaged for execution on a [`Backend`].
@@ -148,8 +149,8 @@ pub struct BackendStats {
 }
 
 impl BackendStats {
-    /// Aggregate compute-cache hit rate of the run's DD package
-    /// (`None` for non-DD engines).
+    /// Compute-table hit rate of the run's DD package (`None` for
+    /// non-DD engines).
     #[must_use]
     pub fn ct_hit_rate(&self) -> Option<f64> {
         self.dd.as_ref().map(approxdd_dd::PackageStats::ct_hit_rate)
@@ -267,14 +268,26 @@ pub trait Backend {
 
     /// Executes a batch of prepared circuits, returning one outcome per
     /// executable in order. The default runs them sequentially and
-    /// fails fast on the first error (releasing nothing — callers that
-    /// need partial results should run singly).
+    /// fails fast on the first error, releasing the outcomes it already
+    /// produced — callers that need partial results should run singly.
     ///
     /// # Errors
     ///
     /// The first failing run's error.
     fn run_batch(&mut self, exes: &[Executable]) -> Result<Vec<RunOutcome<Self::Handle>>> {
-        exes.iter().map(|exe| self.run(exe)).collect()
+        let mut outcomes = Vec::with_capacity(exes.len());
+        for exe in exes {
+            match self.run(exe) {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(e) => {
+                    for outcome in outcomes {
+                        self.release(outcome);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        Ok(outcomes)
     }
 
     /// Draws one measurement outcome using the backend's owned RNG.
@@ -367,206 +380,23 @@ pub fn amplitudes_of<B: Backend>(backend: &mut B, circuit: &Circuit) -> Result<V
 /// Extension hook giving [`SimulatorBuilder`] a direct path into the
 /// backend layer: `Simulator::builder()….build_backend()`.
 pub trait BuildBackend {
-    /// Builds the configured simulator as a plain DD backend
-    /// ([`Engine::Dd`], whatever the builder's engine knob says).
+    /// Builds the backend the builder's [`Engine`](approxdd_sim::Engine)
+    /// knob selects — DD
+    /// (the default), stabilizer tableau, or hybrid Clifford-prefix
+    /// dispatch.
     fn build_backend(self) -> AnyBackend;
-
-    /// Builds the backend the builder's [`Engine`] knob selects —
-    /// DD, stabilizer tableau, or hybrid Clifford-prefix dispatch.
-    fn build_engine_backend(self) -> AnyBackend
-    where
-        Self: Sized,
-    {
-        self.build_engine_backend_with_snapshot(None)
-    }
-
-    /// The one engine-dispatching constructor (what pooled execution
-    /// calls per job, so `.engine(…)` routes every worker): builds the
-    /// backend the [`Engine`] knob selects, layering DD-based engines
-    /// over a shared frozen [`SimSnapshot`] when one is given — warmed
-    /// gate DDs resolve from the snapshot and the package allocates
-    /// only above the frozen watermark. The stabilizer engine never
-    /// touches its DD package, so it ignores the snapshot.
-    fn build_engine_backend_with_snapshot(
-        self,
-        snapshot: Option<std::sync::Arc<SimSnapshot>>,
-    ) -> AnyBackend;
 }
 
 impl BuildBackend for SimulatorBuilder {
     fn build_backend(self) -> AnyBackend {
-        let seed = self.sample_seed();
-        AnyBackend::new(Engine::Dd, self.build(), seed)
-    }
-
-    fn build_engine_backend_with_snapshot(
-        self,
-        snapshot: Option<std::sync::Arc<SimSnapshot>>,
-    ) -> AnyBackend {
-        let (engine, seed) = (self.engine_kind(), self.sample_seed());
-        let snapshot = snapshot.filter(|_| engine != Engine::Stabilizer);
-        AnyBackend::new(engine, self.build_with_snapshot(snapshot), seed)
+        AnyBackend::build(self, None)
     }
 }
 
 /// Bounds-checks a basis index against a register width.
-pub(crate) fn check_basis(basis: u64, n_qubits: usize) -> Result<()> {
+fn check_basis(basis: u64, n_qubits: usize) -> Result<()> {
     if n_qubits < 64 && basis >> n_qubits != 0 {
         return Err(ExecError::BasisOutOfRange { basis, n_qubits });
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use approxdd_circuit::generators;
-    use approxdd_sim::{Simulator, Strategy};
-
-    fn backends() -> (AnyBackend, StatevectorBackend) {
-        (
-            Simulator::builder().seed(11).build_backend(),
-            StatevectorBackend::with_seed(11),
-        )
-    }
-
-    fn assert_amplitudes_agree<A: Backend, B: Backend>(a: &mut A, b: &mut B, circuit: &Circuit) {
-        let xs = amplitudes_of(a, circuit).expect("backend a");
-        let ys = amplitudes_of(b, circuit).expect("backend b");
-        assert_eq!(xs.len(), ys.len());
-        for (i, (x, y)) in xs.iter().zip(&ys).enumerate() {
-            assert!(
-                (*x - *y).mag() < 1e-9,
-                "{}: amplitude {i}: {} = {x} vs {} = {y}",
-                circuit.name(),
-                a.name(),
-                b.name()
-            );
-        }
-    }
-
-    #[test]
-    fn engines_agree_through_the_trait() {
-        let (mut dd, mut sv) = backends();
-        assert_amplitudes_agree(&mut dd, &mut sv, &generators::ghz(6));
-        assert_amplitudes_agree(&mut dd, &mut sv, &generators::qft(5));
-        assert_amplitudes_agree(&mut dd, &mut sv, &generators::supremacy(2, 3, 8, 3));
-    }
-
-    #[test]
-    fn run_batch_returns_per_circuit_outcomes_in_order() {
-        let circuits = [
-            generators::ghz(4),
-            generators::w_state(4),
-            generators::qft(4),
-        ];
-        let (mut dd, mut sv) = backends();
-        let exes: Vec<Executable> = circuits
-            .iter()
-            .map(|c| dd.prepare(c).expect("prepare"))
-            .collect();
-        let dd_outs = dd.run_batch(&exes).expect("dd batch");
-        let sv_outs = sv.run_batch(&exes).expect("sv batch");
-        assert_eq!(dd_outs.len(), 3);
-        assert_eq!(sv_outs.len(), 3);
-        for ((d, s), c) in dd_outs.iter().zip(&sv_outs).zip(&circuits) {
-            assert_eq!(d.n_qubits(), c.n_qubits());
-            assert_eq!(s.stats.gates_applied, c.gate_count());
-            assert_eq!(s.stats.peak_size, 1 << c.n_qubits());
-            assert!((d.stats.fidelity - 1.0).abs() < 1e-12);
-        }
-        for out in dd_outs {
-            dd.release(out);
-        }
-    }
-
-    #[test]
-    fn sampling_is_deterministic_after_reseed() {
-        let circuit = generators::ghz(8);
-        let (mut dd, _) = backends();
-        let out = run_circuit(&mut dd, &circuit).expect("run");
-        dd.reseed(5);
-        let first: Vec<u64> = (0..8).map(|_| dd.sample(&out)).collect();
-        dd.reseed(5);
-        let second: Vec<u64> = (0..8).map(|_| dd.sample(&out)).collect();
-        assert_eq!(first, second);
-        for v in first {
-            assert!(v == 0 || v == 0xFF, "GHZ outcome {v:#x}");
-        }
-        dd.release(out);
-    }
-
-    #[test]
-    fn probability_rejects_out_of_range_basis() {
-        let circuit = generators::ghz(3);
-        let (mut dd, mut sv) = backends();
-        let out = run_circuit(&mut dd, &circuit).expect("run");
-        assert!(matches!(
-            dd.probability(&out, 8),
-            Err(ExecError::BasisOutOfRange {
-                basis: 8,
-                n_qubits: 3
-            })
-        ));
-        assert!((dd.probability(&out, 7).expect("p") - 0.5).abs() < 1e-12);
-        dd.release(out);
-        let out = run_circuit(&mut sv, &circuit).expect("run");
-        assert!(matches!(
-            sv.probability(&out, 9),
-            Err(ExecError::BasisOutOfRange { .. })
-        ));
-        sv.release(out);
-    }
-
-    #[test]
-    fn expectation_agrees_across_engines() {
-        let circuit = generators::w_state(5);
-        let (mut dd, mut sv) = backends();
-        let ones = |i: u64| f64::from(i.count_ones());
-        let dd_out = run_circuit(&mut dd, &circuit).expect("dd");
-        let sv_out = run_circuit(&mut sv, &circuit).expect("sv");
-        let a = dd.expectation(&dd_out, &ones).expect("dd exp");
-        let b = sv.expectation(&sv_out, &ones).expect("sv exp");
-        // W state has exactly one excited qubit.
-        assert!((a - 1.0).abs() < 1e-9, "{a}");
-        assert!((a - b).abs() < 1e-9);
-        dd.release(dd_out);
-        sv.release(sv_out);
-    }
-
-    #[test]
-    fn prepare_rejects_bad_configurations() {
-        let sv = StatevectorBackend::new();
-        let wide = generators::ghz(approxdd_statevector::MAX_DENSE_QUBITS + 1);
-        assert!(matches!(
-            sv.prepare(&wide),
-            Err(ExecError::State(
-                approxdd_statevector::StateError::TooManyQubits { .. }
-            ))
-        ));
-        let dd = Simulator::builder()
-            .strategy(Strategy::FidelityDriven {
-                final_fidelity: 2.0,
-                round_fidelity: 0.9,
-            })
-            .build_backend();
-        assert!(matches!(
-            dd.prepare(&generators::ghz(3)),
-            Err(ExecError::Sim(_))
-        ));
-    }
-
-    #[test]
-    fn approximate_dd_backend_reports_rounds_through_stats() {
-        let circuit = generators::supremacy(2, 3, 12, 1);
-        let mut dd = Simulator::builder()
-            .fidelity_driven(0.6, 0.9)
-            .seed(3)
-            .build_backend();
-        let out = run_circuit(&mut dd, &circuit).expect("run");
-        assert!(out.stats.approx_rounds > 0);
-        assert!(out.stats.fidelity >= 0.6 - 1e-9 && out.stats.fidelity < 1.0);
-        assert!(out.stats.nodes_removed > 0);
-        dd.release(out);
-    }
 }

@@ -10,7 +10,7 @@ use approxdd_statevector::{self as statevector, State, StateError, MAX_DENSE_QUB
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{Backend, BackendStats, Executable, Result, RunOutcome};
+use super::{check_basis, Backend, BackendStats, Executable, Result, RunOutcome};
 
 /// The dense exact baseline behind the [`Backend`] API.
 ///
@@ -100,7 +100,7 @@ impl Backend for StatevectorBackend {
     }
 
     fn probability(&self, outcome: &RunOutcome<State>, basis: u64) -> Result<f64> {
-        crate::check_basis(basis, outcome.n_qubits())?;
+        check_basis(basis, outcome.n_qubits())?;
         Ok(outcome.handle().probability(basis))
     }
 

@@ -11,7 +11,7 @@ use approxdd_sim::SimError;
 use approxdd_stabilizer::StabilizerError;
 use approxdd_statevector::StateError;
 
-/// Every way a [`crate::Backend`] can fail, absorbing the engine error
+/// Every way a [`Backend`](crate::backend::Backend) can fail, absorbing the engine error
 /// types via `From` so `?` works across layers.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -39,15 +39,15 @@ pub enum ExecError {
     },
     /// The backend cannot perform the requested operation.
     Unsupported {
-        /// Backend name ([`crate::Backend::name`]).
+        /// Backend name ([`crate::backend::Backend::name`]).
         backend: &'static str,
         /// What was requested.
         what: &'static str,
     },
     /// A pool worker terminated (panicked or was torn down) before
-    /// returning a job's result. Produced by the `approxdd-exec`
-    /// execution layer, never by a single-threaded backend. Retryable:
-    /// the pool's `RetryPolicy` re-dispatches lost jobs, and because
+    /// returning a job's result. Produced by the pool
+    /// ([`crate::BackendPool`]), never by a single-threaded backend.
+    /// Retryable: the pool's `RetryPolicy` re-dispatches lost jobs, and because
     /// per-job seeds are a pure function of the job index, a retried
     /// success is byte-identical to a first-try success.
     WorkerLost {
@@ -61,8 +61,7 @@ pub enum ExecError {
     /// Enforced cooperatively: a deadline-wrapping policy
     /// (`approxdd_sim::DeadlinePolicy`) aborts the run at the first
     /// operation past the cutoff, and the pool worker surfaces the
-    /// abort as this typed error. Produced by the `approxdd-exec`
-    /// execution layer.
+    /// abort as this typed error. Produced by the pool.
     DeadlineExceeded {
         /// Index of the job that blew its deadline.
         job: usize,
@@ -71,8 +70,8 @@ pub enum ExecError {
         /// The wall-clock budget the job was given.
         budget: Duration,
     },
-    /// A seeded fault-injection plan (`approxdd_exec::FaultPlan`)
-    /// forced this job to fail. Test/bench only — never produced
+    /// A seeded fault-injection plan ([`crate::FaultPlan`]) forced
+    /// this job to fail. Test/bench only — never produced
     /// unless a plan was explicitly installed on the pool. Retryable,
     /// exactly like [`ExecError::WorkerLost`].
     FaultInjected {

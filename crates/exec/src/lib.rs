@@ -1,4 +1,10 @@
-//! Multi-threaded pooled execution over the unified `Backend` API.
+//! Execution: the unified [`Backend`](backend::Backend) API over every
+//! engine, and multi-threaded pooled execution over it.
+//!
+//! The [`backend`] module is the one front door to a simulation engine
+//! — prepare, run, query, release — for the DD engine (with its
+//! stabilizer and hybrid front ends) and the dense baseline alike;
+//! `Simulator::builder()….build_backend()` builds one.
 //!
 //! The paper trades controlled fidelity loss for large resource
 //! savings on a *single* simulation; this crate runs many such
@@ -54,7 +60,7 @@
 //! use approxdd_circuit::generators;
 //! use approxdd_sim::Simulator;
 //!
-//! # fn main() -> Result<(), approxdd_backend::ExecError> {
+//! # fn main() -> Result<(), approxdd_exec::backend::ExecError> {
 //! let pool = Simulator::builder().workers(2).seed(7).build_pool();
 //! let circuits: Vec<_> = (0..4).map(|s| generators::supremacy(2, 3, 8, s)).collect();
 //!
@@ -71,6 +77,8 @@
 
 #![warn(missing_docs)]
 
+pub mod backend;
+mod error;
 mod fault;
 mod pool;
 mod seed;
@@ -86,8 +94,11 @@ pub use seed::{SeedStream, DOMAIN_NOISE};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use approxdd_backend::ExecError;
-    use approxdd_circuit::generators;
+    use crate::backend::{
+        amplitudes_of, run_circuit, AnyBackend, Backend, BuildBackend, ExecError, Executable,
+        StatevectorBackend,
+    };
+    use approxdd_circuit::{generators, Circuit};
     use approxdd_sim::{Simulator, Strategy};
 
     #[test]
@@ -491,5 +502,155 @@ mod tests {
         assert_ne!(with.fingerprint(), without.fingerprint());
         let (with8, _) = run(8);
         assert_eq!(with.fingerprint(), with8.fingerprint());
+    }
+
+    // The backend layer through its trait: both engines, one generic
+    // function.
+
+    fn backends() -> (AnyBackend, StatevectorBackend) {
+        (
+            Simulator::builder().seed(11).build_backend(),
+            StatevectorBackend::with_seed(11),
+        )
+    }
+
+    fn assert_amplitudes_agree<A: Backend, B: Backend>(a: &mut A, b: &mut B, circuit: &Circuit) {
+        let xs = amplitudes_of(a, circuit).expect("backend a");
+        let ys = amplitudes_of(b, circuit).expect("backend b");
+        assert_eq!(xs.len(), ys.len());
+        for (i, (x, y)) in xs.iter().zip(&ys).enumerate() {
+            assert!(
+                (*x - *y).mag() < 1e-9,
+                "{}: amplitude {i}: {} = {x} vs {} = {y}",
+                circuit.name(),
+                a.name(),
+                b.name()
+            );
+        }
+    }
+
+    #[test]
+    fn engines_agree_through_the_trait() {
+        let (mut dd, mut sv) = backends();
+        assert_amplitudes_agree(&mut dd, &mut sv, &generators::ghz(6));
+        assert_amplitudes_agree(&mut dd, &mut sv, &generators::qft(5));
+        assert_amplitudes_agree(&mut dd, &mut sv, &generators::supremacy(2, 3, 8, 3));
+    }
+
+    #[test]
+    fn run_batch_returns_per_circuit_outcomes_in_order() {
+        let circuits = [
+            generators::ghz(4),
+            generators::w_state(4),
+            generators::qft(4),
+        ];
+        let (mut dd, mut sv) = backends();
+        let exes: Vec<Executable> = circuits
+            .iter()
+            .map(|c| dd.prepare(c).expect("prepare"))
+            .collect();
+        let dd_outs = dd.run_batch(&exes).expect("dd batch");
+        let sv_outs = sv.run_batch(&exes).expect("sv batch");
+        assert_eq!(dd_outs.len(), 3);
+        assert_eq!(sv_outs.len(), 3);
+        for ((d, s), c) in dd_outs.iter().zip(&sv_outs).zip(&circuits) {
+            assert_eq!(d.n_qubits(), c.n_qubits());
+            assert_eq!(s.stats.gates_applied, c.gate_count());
+            assert_eq!(s.stats.peak_size, 1 << c.n_qubits());
+            assert!((d.stats.fidelity - 1.0).abs() < 1e-12);
+        }
+        for out in dd_outs {
+            dd.release(out);
+        }
+    }
+
+    #[test]
+    fn sampling_is_deterministic_after_reseed() {
+        let circuit = generators::ghz(8);
+        let (mut dd, _) = backends();
+        let out = run_circuit(&mut dd, &circuit).expect("run");
+        dd.reseed(5);
+        let first: Vec<u64> = (0..8).map(|_| dd.sample(&out)).collect();
+        dd.reseed(5);
+        let second: Vec<u64> = (0..8).map(|_| dd.sample(&out)).collect();
+        assert_eq!(first, second);
+        for v in first {
+            assert!(v == 0 || v == 0xFF, "GHZ outcome {v:#x}");
+        }
+        dd.release(out);
+    }
+
+    #[test]
+    fn probability_rejects_out_of_range_basis() {
+        let circuit = generators::ghz(3);
+        let (mut dd, mut sv) = backends();
+        let out = run_circuit(&mut dd, &circuit).expect("run");
+        assert!(matches!(
+            dd.probability(&out, 8),
+            Err(ExecError::BasisOutOfRange {
+                basis: 8,
+                n_qubits: 3
+            })
+        ));
+        assert!((dd.probability(&out, 7).expect("p") - 0.5).abs() < 1e-12);
+        dd.release(out);
+        let out = run_circuit(&mut sv, &circuit).expect("run");
+        assert!(matches!(
+            sv.probability(&out, 9),
+            Err(ExecError::BasisOutOfRange { .. })
+        ));
+        sv.release(out);
+    }
+
+    #[test]
+    fn expectation_agrees_across_engines() {
+        let circuit = generators::w_state(5);
+        let (mut dd, mut sv) = backends();
+        let ones = |i: u64| f64::from(i.count_ones());
+        let dd_out = run_circuit(&mut dd, &circuit).expect("dd");
+        let sv_out = run_circuit(&mut sv, &circuit).expect("sv");
+        let a = dd.expectation(&dd_out, &ones).expect("dd exp");
+        let b = sv.expectation(&sv_out, &ones).expect("sv exp");
+        // W state has exactly one excited qubit.
+        assert!((a - 1.0).abs() < 1e-9, "{a}");
+        assert!((a - b).abs() < 1e-9);
+        dd.release(dd_out);
+        sv.release(sv_out);
+    }
+
+    #[test]
+    fn prepare_rejects_bad_configurations() {
+        let sv = StatevectorBackend::new();
+        let wide = generators::ghz(approxdd_statevector::MAX_DENSE_QUBITS + 1);
+        assert!(matches!(
+            sv.prepare(&wide),
+            Err(ExecError::State(
+                approxdd_statevector::StateError::TooManyQubits { .. }
+            ))
+        ));
+        let dd = Simulator::builder()
+            .strategy(Strategy::FidelityDriven {
+                final_fidelity: 2.0,
+                round_fidelity: 0.9,
+            })
+            .build_backend();
+        assert!(matches!(
+            dd.prepare(&generators::ghz(3)),
+            Err(ExecError::Sim(_))
+        ));
+    }
+
+    #[test]
+    fn approximate_dd_backend_reports_rounds_through_stats() {
+        let circuit = generators::supremacy(2, 3, 12, 1);
+        let mut dd = Simulator::builder()
+            .fidelity_driven(0.6, 0.9)
+            .seed(3)
+            .build_backend();
+        let out = run_circuit(&mut dd, &circuit).expect("run");
+        assert!(out.stats.approx_rounds > 0);
+        assert!(out.stats.fidelity >= 0.6 - 1e-9 && out.stats.fidelity < 1.0);
+        assert!(out.stats.nodes_removed > 0);
+        dd.release(out);
     }
 }

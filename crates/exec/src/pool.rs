@@ -95,9 +95,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use approxdd_backend::{
-    run_circuit, AnyBackend, AnyHandle, Backend, BackendStats, BuildBackend, ExecError, RunOutcome,
-};
 use approxdd_circuit::Circuit;
 use approxdd_sim::{
     DeadlineFactory, Engine, PolicyFactory, RetryPolicy, SharedObserver, SimError, SimSnapshot,
@@ -105,6 +102,9 @@ use approxdd_sim::{
 };
 use approxdd_telemetry as telemetry;
 
+use crate::backend::{
+    run_circuit, AnyBackend, AnyHandle, Backend, BackendStats, ExecError, RunOutcome,
+};
 use crate::fault::{FaultKind, FaultPlan, InjectedPanic};
 use crate::seed::{SeedStream, DOMAIN_RUN, DOMAIN_SAMPLE};
 use crate::supervise::Supervisor;
@@ -358,12 +358,13 @@ pub struct WorkerStats {
     pub(crate) peak_nodes: usize,
     /// Gate DDs cached in this worker's backend after its last task.
     pub cached_gates: usize,
-    /// Compute-cache hits summed over every backend this worker has
-    /// owned (all four lossy tables combined). Run jobs rebuild the
-    /// backend per job (see the module docs); retiring a backend
-    /// harvests its counters into this running total, so summing the
-    /// field across workers covers every executed run job — a
-    /// deterministic quantity, independent of which worker ran what.
+    /// Compute-table hits (the `add` table, the package's one compute
+    /// table) summed over every backend this worker has owned. Run
+    /// jobs rebuild the backend per job (see the module docs); retiring
+    /// a backend harvests its counters into this running total, so
+    /// summing the field across workers covers every executed run job
+    /// — a deterministic quantity, independent of which worker ran
+    /// what.
     /// Sharded sampling ([`BackendPool::sample_counts`]) is the one
     /// exception: each worker that serves an epoch re-runs the circuit
     /// once, so sampling adds up to one run's counters *per
@@ -614,7 +615,7 @@ pub(crate) fn verdict(
 /// use approxdd_circuit::generators;
 /// use approxdd_sim::Simulator;
 ///
-/// # fn main() -> Result<(), approxdd_backend::ExecError> {
+/// # fn main() -> Result<(), approxdd_exec::backend::ExecError> {
 /// // share_snapshot(true): gate DDs for the batch are frozen once and
 /// // shared across workers — same bits, less per-job rebuild work.
 /// let pool = Simulator::builder()
@@ -1245,7 +1246,7 @@ impl Worker {
         }
         self.backend = Some(
             self.build_timer
-                .time(|| template.build_engine_backend_with_snapshot(snapshot)),
+                .time(|| AnyBackend::build(template, snapshot)),
         );
         fired
     }

@@ -5,8 +5,8 @@
 //! `backend.build` phase count, which any other pool in the same
 //! process would also bump.
 
-use approxdd_backend::ExecError;
 use approxdd_circuit::generators;
+use approxdd_exec::backend::ExecError;
 use approxdd_exec::{BuildPool, SHOT_CHUNK};
 use approxdd_sim::Simulator;
 use approxdd_telemetry::phase_histogram;

@@ -2,10 +2,10 @@
 //! Kraus superoperator instead of sampling it, so trajectory means can
 //! be validated statistically on small registers.
 
-use approxdd_backend::ExecError;
 use approxdd_circuit::noise::{ChannelTables, KrausBranch, NoiseModel};
 use approxdd_circuit::Circuit;
 use approxdd_complex::Cplx;
+use approxdd_exec::backend::ExecError;
 use approxdd_statevector::{DensityMatrix, KrausOperator, StateError, MAX_DENSITY_QUBITS};
 
 /// Per-slot scaled Kraus factors (`√q·F` folded into slot 0) of every

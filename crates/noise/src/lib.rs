@@ -57,7 +57,7 @@
 //! use approxdd_noise::{BuildNoisePool, NoiseModel, TrajectoryConfig};
 //! use approxdd_sim::Simulator;
 //!
-//! # fn main() -> Result<(), approxdd_backend::ExecError> {
+//! # fn main() -> Result<(), approxdd_exec::backend::ExecError> {
 //! let pool = Simulator::builder()
 //!     .noise(NoiseModel::depolarizing(0.05)?)
 //!     .seed(1)
@@ -85,8 +85,8 @@ pub use sampler::{Trajectory, TrajectoryPlan};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use approxdd_backend::{amplitudes_of, BuildBackend, StatevectorBackend};
     use approxdd_circuit::generators;
+    use approxdd_exec::backend::{amplitudes_of, BuildBackend, StatevectorBackend};
     use approxdd_sim::Simulator;
 
     /// The DD engine and the dense baseline must agree on sampled noisy

@@ -13,9 +13,9 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use approxdd_backend::{BackendStats, ExecError};
 use approxdd_circuit::noise::NoiseModel;
 use approxdd_circuit::Circuit;
+use approxdd_exec::backend::{BackendStats, ExecError};
 use approxdd_exec::{BackendPool, PoolJob, SeedStream, SharedDiagonal, DOMAIN_NOISE};
 use approxdd_sim::{SimulatorBuilder, Strategy};
 
@@ -223,7 +223,7 @@ impl TrajectoryOutcome {
 /// use approxdd_noise::{BuildNoisePool, TrajectoryConfig};
 /// use approxdd_sim::Simulator;
 ///
-/// # fn main() -> Result<(), approxdd_backend::ExecError> {
+/// # fn main() -> Result<(), approxdd_exec::backend::ExecError> {
 /// let pool = Simulator::builder()
 ///     .noise(NoiseModel::depolarizing(0.02)?)
 ///     .seed(7)

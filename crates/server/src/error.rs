@@ -11,7 +11,7 @@
 use std::error::Error;
 use std::fmt;
 
-use approxdd_backend::ExecError;
+use approxdd_exec::backend::ExecError;
 
 /// An error surfaced to an HTTP client of the job server.
 #[derive(Debug)]

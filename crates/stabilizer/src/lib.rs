@@ -22,8 +22,8 @@
 //! byte-identical across worker counts: the RNG is seeded per-job from
 //! the deterministic seed stream, never from worker-local state.
 //!
-//! `Backend` is implemented in `approxdd-backend` (crate dependency
-//! order); this crate exposes the raw engine.
+//! `Backend` is implemented in `approxdd_exec::backend` (crate
+//! dependency order); this crate exposes the raw engine.
 //!
 //! # Examples
 //!

@@ -16,11 +16,11 @@
 //!   and the composable [`sim::ApproxPolicy`] / [`sim::SimObserver`]
 //!   seam (memory-driven, fidelity-driven and budget policies ship
 //!   built in; custom policies plug into the same loop),
-//! * [`backend`] — the unified [`backend::Backend`] execution API over
-//!   both engines (prepare / run / batched runs / sampling / queries),
-//! * [`exec`] — the multi-threaded [`exec::BackendPool`]: batched runs
-//!   and sharded sampling across worker threads, deterministic under
-//!   any worker count,
+//! * [`exec`] — execution: the unified [`backend::Backend`] API over
+//!   every engine (prepare / run / batched runs / sampling / queries;
+//!   re-exported here as [`backend`]), and the multi-threaded
+//!   [`exec::BackendPool`] over it — batched runs and sharded sampling
+//!   across worker threads, deterministic under any worker count,
 //! * [`stabilizer`] — the Aaronson–Gottesman tableau engine for
 //!   Clifford circuits (exact global phase, polynomial time), behind
 //!   [`backend::AnyBackend`] when the builder's [`sim::Engine`] knob
@@ -78,11 +78,11 @@
 //! # }
 //! ```
 
-pub use approxdd_backend as backend;
 pub use approxdd_circuit as circuit;
 pub use approxdd_complex as complex;
 pub use approxdd_dd as dd;
 pub use approxdd_exec as exec;
+pub use approxdd_exec::backend;
 pub use approxdd_noise as noise;
 pub use approxdd_server as server;
 pub use approxdd_shor as shor;

@@ -11,11 +11,13 @@
 //! empty and oversized batches must behave, and a poisoned job must
 //! neither deadlock the queue nor disturb its neighbours' results.
 
-use approxdd::backend::{amplitudes_of, Backend, BuildBackend, ExecError, StatevectorBackend};
+use approxdd::backend::{
+    amplitudes_of, AnyBackend, Backend, BuildBackend, ExecError, StatevectorBackend,
+};
 use approxdd::circuit::{generators, Circuit};
 use approxdd::complex::Cplx;
 use approxdd::exec::{BuildPool, PoolJob};
-use approxdd::sim::{Engine, Simulator, Strategy};
+use approxdd::sim::{ApproxPolicy, Engine, PolicyAction, PolicyCtx, SimError, Simulator, Strategy};
 use proptest::prelude::*;
 
 fn workloads() -> Vec<Circuit> {
@@ -126,7 +128,7 @@ fn stabilizer_backend_satisfies_the_contract() {
         &mut Simulator::builder()
             .seed(5)
             .engine(Engine::Stabilizer)
-            .build_engine_backend(),
+            .build_backend(),
         clifford_workloads(),
     );
 }
@@ -139,28 +141,37 @@ fn hybrid_backend_satisfies_the_contract() {
         &mut Simulator::builder()
             .seed(5)
             .engine(Engine::Hybrid)
-            .build_engine_backend(),
+            .build_backend(),
     );
 }
 
 #[test]
 fn engine_knob_backends_satisfy_the_contract() {
-    // The builder's engine knob produces the same contract-conforming
-    // backends through the pooled construction path.
+    // `build_backend()` is the one constructor, and it honours the
+    // builder's engine knob: every engine it selects satisfies the
+    // contract.
+    for (engine, name) in [
+        (Engine::Dd, "dd"),
+        (Engine::Stabilizer, "stabilizer"),
+        (Engine::Hybrid, "hybrid"),
+    ] {
+        let backend = Simulator::builder().engine(engine).build_backend();
+        assert_eq!(backend.name(), name, "{engine:?}");
+    }
     let mut hybrid = Simulator::builder()
         .seed(5)
         .engine(Engine::Hybrid)
-        .build_engine_backend();
+        .build_backend();
     check_backend(&mut hybrid);
     let mut stab = Simulator::builder()
         .seed(5)
         .engine(Engine::Stabilizer)
-        .build_engine_backend();
+        .build_backend();
     check_backend_on(&mut stab, clifford_workloads());
     let mut dd = Simulator::builder()
         .seed(5)
         .engine(Engine::Dd)
-        .build_engine_backend();
+        .build_backend();
     check_backend(&mut dd);
 
     // One handle type for every engine: a query that needs a DD state
@@ -193,7 +204,7 @@ fn a_register_no_engine_can_index_is_refused_at_prepare() {
     // where the circuit is admitted, with its own typed error …
     let wide = generators::ghz(64);
     for engine in [Engine::Dd, Engine::Hybrid] {
-        let backend = Simulator::builder().engine(engine).build_engine_backend();
+        let backend = Simulator::builder().engine(engine).build_backend();
         assert!(
             matches!(
                 backend.prepare(&wide),
@@ -232,7 +243,7 @@ fn a_register_no_engine_can_index_is_refused_at_prepare() {
 fn stabilizer_rejects_non_clifford_and_wide_registers() {
     let backend = Simulator::builder()
         .engine(Engine::Stabilizer)
-        .build_engine_backend();
+        .build_backend();
     assert!(matches!(
         backend.prepare(&generators::qft(4)),
         Err(ExecError::Stabilizer(_))
@@ -245,9 +256,7 @@ fn stabilizer_rejects_non_clifford_and_wide_registers() {
 
 #[test]
 fn hybrid_reports_the_clifford_prefix() {
-    let mut backend = Simulator::builder()
-        .engine(Engine::Hybrid)
-        .build_engine_backend();
+    let mut backend = Simulator::builder().engine(Engine::Hybrid).build_backend();
 
     // Pure Clifford: the outcome is a tableau, no DD stats at all.
     let ghz = generators::ghz(12);
@@ -311,7 +320,7 @@ proptest! {
         let mut stab = Simulator::builder()
             .seed(seed)
             .engine(Engine::Stabilizer)
-            .build_engine_backend();
+            .build_backend();
         let mut dd = Simulator::builder().seed(seed).build_backend();
         let mut sv = StatevectorBackend::with_seed(seed);
         let a = amplitudes_of(&mut stab, &circuit).expect("stabilizer");
@@ -339,7 +348,7 @@ proptest! {
         let mut hybrid = Simulator::builder()
             .seed(seed)
             .engine(Engine::Hybrid)
-            .build_engine_backend();
+            .build_backend();
         let mut sv = StatevectorBackend::with_seed(seed);
         let a = amplitudes_of(&mut hybrid, &circuit).expect("hybrid");
         let b = amplitudes_of(&mut sv, &circuit).expect("sv");
@@ -366,6 +375,50 @@ fn executables_are_portable_across_engines() {
     assert!((p_dd - 1.0 / 6.0).abs() < 1e-9);
     dd.release(dd_run);
     sv.release(sv_run);
+}
+
+#[test]
+fn a_failed_batch_releases_the_outcomes_it_produced() {
+    /// Refuses 5-qubit circuits when a run begins.
+    struct NoFiveQubits;
+    impl ApproxPolicy for NoFiveQubits {
+        fn name(&self) -> &str {
+            "no-five-qubits"
+        }
+        fn begin(&mut self, circuit: &Circuit) -> Result<(), SimError> {
+            if circuit.n_qubits() == 5 {
+                return Err(SimError::InvalidStrategy {
+                    reason: "five qubits",
+                });
+            }
+            Ok(())
+        }
+        fn decide(&mut self, _ctx: &PolicyCtx) -> PolicyAction {
+            PolicyAction::Continue
+        }
+    }
+    let build = || Simulator::builder().policy(|| NoFiveQubits).build_backend();
+    let alive_after_gc = |backend: &mut AnyBackend| {
+        let package = backend.sim_mut().package_mut();
+        package.collect_garbage();
+        package.stats().vnodes_alive
+    };
+    let mut dd = build();
+    // Executables are engine-agnostic: the dense backend admits the
+    // circuit the DD backend's policy refuses, so it fails only when
+    // the batch reaches it — after the first run pinned its state.
+    let batch = [
+        dd.prepare(&generators::ghz(4)).expect("prepare on dd"),
+        StatevectorBackend::new()
+            .prepare(&generators::ghz(5))
+            .expect("prepare on sv"),
+    ];
+    assert!(matches!(dd.run_batch(&batch), Err(ExecError::Sim(_))));
+    assert_eq!(
+        alive_after_gc(&mut dd),
+        alive_after_gc(&mut build()),
+        "the first run's state stays pinned after the batch failed"
+    );
 }
 
 // ---------------------------------------------------------------------
