@@ -10,7 +10,7 @@ use std::sync::Arc;
 use approxdd_circuit::noise::NoiseModel;
 use approxdd_circuit::Circuit;
 
-use crate::options::{ApproxPrimitive, Engine, RetryPolicy, SimOptions, Strategy};
+use crate::options::{Engine, RetryPolicy, SimOptions, Strategy};
 use crate::policy::{PolicyFactory, SharedObserver, SimObserver};
 use crate::simulator::{SimSnapshot, Simulator, DEFAULT_SAMPLE_SEED};
 
@@ -180,12 +180,6 @@ impl SimulatorBuilder {
     /// ([`Strategy::fidelity_driven`]).
     pub fn fidelity_driven(self, final_fidelity: f64, round_fidelity: f64) -> Self {
         self.strategy(Strategy::fidelity_driven(final_fidelity, round_fidelity))
-    }
-
-    /// Sets the truncation primitive (nodes vs. edges).
-    pub fn primitive(mut self, primitive: ApproxPrimitive) -> Self {
-        self.options.primitive = primitive;
-        self
     }
 
     /// Sets the package garbage-collection threshold (alive nodes).
@@ -424,7 +418,6 @@ mod tests {
     fn builder_sets_every_knob() {
         let b = Simulator::builder()
             .fidelity_driven(0.5, 0.9)
-            .primitive(ApproxPrimitive::Edges)
             .gc_node_threshold(1234)
             .record_size_series(true)
             .seed(7);
@@ -436,7 +429,6 @@ mod tests {
                 round_fidelity: 0.9
             }
         );
-        assert_eq!(o.primitive, ApproxPrimitive::Edges);
         assert_eq!(o.gc_node_threshold, 1234);
         assert!(o.record_size_series);
     }

@@ -233,28 +233,11 @@ impl Default for RetryPolicy {
     }
 }
 
-/// The truncation primitive a strategy's rounds use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum ApproxPrimitive {
-    /// Remove whole nodes by ascending contribution (Sec. IV-A of the
-    /// paper; both of its strategies use this).
-    #[default]
-    Nodes,
-    /// Cut individual edges by ascending contribution — finer-grained,
-    /// usually keeping more fidelity per round at smaller size savings
-    /// (one of the ASP-DAC 2020 schemes the paper builds on).
-    Edges,
-}
-
 /// Options controlling a [`crate::Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SimOptions {
     /// Approximation strategy (default: [`Strategy::Exact`]).
     pub strategy: Strategy,
-    /// Which truncation primitive the rounds use (default: node
-    /// removal, as in the paper).
-    pub(crate) primitive: ApproxPrimitive,
     /// Garbage-collect the package when its total alive node count
     /// exceeds this value (default: 1 « 18).
     pub(crate) gc_node_threshold: usize,
@@ -292,7 +275,6 @@ impl Default for SimOptions {
     fn default() -> Self {
         Self {
             strategy: Strategy::Exact,
-            primitive: ApproxPrimitive::default(),
             gc_node_threshold: 1 << 18,
             record_size_series: false,
             compute_cache_bits: None,

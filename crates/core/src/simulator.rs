@@ -6,7 +6,7 @@ use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
 use approxdd_circuit::{Circuit, Operation};
-use approxdd_dd::{DdError, MEdge, Package, PackageSnapshot, RemovalStrategy, VEdge};
+use approxdd_dd::{DdError, MEdge, Package, PackageSnapshot, VEdge};
 use approxdd_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -657,16 +657,7 @@ impl Simulator {
     ) -> Result<usize> {
         let span = telemetry::Span::enter("dd.truncate");
         let budget = 1.0 - round_fidelity;
-        let result = match self.options.primitive {
-            crate::ApproxPrimitive::Nodes => self
-                .package
-                .truncate(*state, RemovalStrategy::Budget(budget))?,
-            crate::ApproxPrimitive::Edges => self.package.truncate_edges(*state, budget)?,
-            #[allow(unreachable_patterns)] // non_exhaustive enum
-            _ => self
-                .package
-                .truncate(*state, RemovalStrategy::Budget(budget))?,
-        };
+        let result = self.package.truncate(*state, budget)?;
         if result.removed_nodes > 0 {
             let new_state = result.edge;
             self.swap_root(state, new_state);
@@ -971,28 +962,18 @@ mod tests {
     }
 
     #[test]
-    fn edge_primitive_keeps_more_fidelity_per_round() {
+    fn fidelity_driven_rounds_honor_the_floor() {
         let circuit = generators::supremacy(2, 3, 12, 1);
         let strategy = Strategy::FidelityDriven {
             final_fidelity: 0.6,
             round_fidelity: 0.9,
         };
-        let mut node_sim = Simulator::builder()
-            .strategy(strategy)
-            .primitive(crate::ApproxPrimitive::Nodes)
-            .build();
-        let node_run = node_sim.run(&circuit).unwrap();
-        let mut edge_sim = Simulator::builder()
-            .strategy(strategy)
-            .primitive(crate::ApproxPrimitive::Edges)
-            .build();
-        let edge_run = edge_sim.run(&circuit).unwrap();
-        // Both honor the floor; both primitives engage the same rounds.
-        assert!(node_run.stats.fidelity >= 0.6 - 1e-9);
-        assert!(edge_run.stats.fidelity >= 0.6 - 1e-9);
-        assert_eq!(node_run.stats.approx_rounds, edge_run.stats.approx_rounds);
-        // Both stay normalized.
-        let amps = edge_sim.amplitudes(&edge_run).unwrap();
+        let mut sim = Simulator::builder().strategy(strategy).build();
+        let run = sim.run(&circuit).unwrap();
+        // The floor holds, the rounds engage, the state stays normalized.
+        assert!(run.stats.fidelity >= 0.6 - 1e-9);
+        assert!(run.stats.approx_rounds > 0);
+        let amps = sim.amplitudes(&run).unwrap();
         let norm: f64 = amps.iter().map(|a| a.mag2()).sum();
         assert!((norm - 1.0).abs() < 1e-9);
     }

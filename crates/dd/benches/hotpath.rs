@@ -20,7 +20,7 @@ use std::cell::RefCell;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use approxdd_complex::Cplx;
-use approxdd_dd::{GateKind, Package, RemovalStrategy, VEdge};
+use approxdd_dd::{GateKind, Package, VEdge};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -372,9 +372,7 @@ fn bench_truncate_budget(c: &mut Criterion) {
     for (name, mut p, state) in approximation_workloads() {
         p.inc_ref(state);
         let before = p.stats();
-        let round = p
-            .truncate(state, RemovalStrategy::Budget(0.025))
-            .expect("unit-norm state");
+        let round = p.truncate(state, 0.025).expect("unit-norm state");
         let after = p.stats();
         println!(
             "{name}: {} nodes; one round: {} removed, {} interned",
@@ -383,12 +381,7 @@ fn bench_truncate_budget(c: &mut Criterion) {
             after.unique_hits + after.unique_misses - before.unique_hits - before.unique_misses
         );
         group.bench_function(name, |b| {
-            b.iter(|| {
-                std::hint::black_box(
-                    p.truncate(state, RemovalStrategy::Budget(0.025))
-                        .expect("unit-norm state"),
-                )
-            });
+            b.iter(|| std::hint::black_box(p.truncate(state, 0.025).expect("unit-norm state")));
         });
     }
     group.finish();

@@ -19,10 +19,10 @@
 //!
 //! A round analyses every node of the input (contributions), selects a
 //! few (≤ 2.5 % at the Table I budget), and rebuilds the diagram with
-//! the selection dropped. Only a selected node, a node with a cut edge
-//! and their ancestors change; on the Table I circuits that is about
-//! one node in five. Every other node is *clean* — nothing was removed
-//! or cut anywhere below it — and rebuilding it through `make_vnode`
+//! the selection dropped. Only a selected node and its ancestors
+//! change; on the Table I circuits that is about one node in five.
+//! Every other node is *clean* — nothing was removed anywhere below
+//! it — and rebuilding it through `make_vnode`
 //! is a unique-table hit on the node itself, under a factor a few ulps
 //! from 1. That factor is the node's image under the identity,
 //! `VNode::image`, which `mul_mv`'s identity rule already reads
@@ -30,7 +30,7 @@
 //! sub-diagram it rebuilt is clean, and a clean node that carries an
 //! image comes back as `(image factor, itself)` without calling
 //! `make_vnode`. A node without an image, and every node above a
-//! removal or a cut, takes the general path exactly as before.
+//! removal, takes the general path exactly as before.
 //!
 //! Why this is bit-exact. The image is `normalize` fed `ONE · w` for a
 //! terminal successor of weight `w` and `f · (ONE · w)` for a
@@ -57,36 +57,16 @@ use crate::error::DdError;
 use crate::package::Package;
 use crate::Result;
 
-/// How to choose nodes for removal during a truncation round.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub enum RemovalStrategy {
-    /// Greedily remove lowest-contribution nodes while the running sum of
-    /// removed contributions stays within the budget `1 − f_round`
-    /// (i.e. `Budget(b)` guarantees a round fidelity of at least `1 − b`).
-    Budget(f64),
-    /// Remove every node whose contribution is below the threshold.
-    /// The resulting fidelity is bounded below by
-    /// `1 − threshold · node_count`, which is only useful for small
-    /// thresholds; prefer [`RemovalStrategy::Budget`] for guarantees.
-    Threshold(f64),
-    /// Remove lowest-contribution nodes until at most this many nodes
-    /// would remain (size-targeted, fidelity-unbounded — the dual of
-    /// [`RemovalStrategy::Budget`]). The post-rebuild size can fall
-    /// below the target because removing a node also drops its
-    /// now-unreachable descendants. The root always survives.
-    KeepNodes(usize),
-}
-
 /// Outcome of one truncation round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TruncationResult {
     /// The truncated, re-normalized state.
     pub edge: VEdge,
     /// Exact fidelity `F(ψ, ψ_I)` between input and output (the kept
-    /// squared norm). Always ≥ the strategy's guaranteed lower bound.
+    /// squared norm). Always ≥ `1 − budget`.
     pub fidelity: f64,
-    /// Number of nodes selected for removal.
+    /// Number of nodes selected for removal (nodes, not paths or edges:
+    /// descendants that become unreachable are not counted).
     pub removed_nodes: usize,
     /// Non-terminal node count of the input DD.
     pub size_before: usize,
@@ -98,11 +78,11 @@ pub struct TruncationResult {
 /// array indexed by [`ContributionMap::rank`]).
 #[derive(Debug, Clone, Copy)]
 enum Rebuild {
-    /// Not rebuilt yet; `cut[i]` drops successor edge `i`.
-    Pending { cut: [bool; 2] },
+    /// Not rebuilt yet.
+    Pending,
     /// Selected for removal: every path through the node is dropped.
     Removed,
-    /// Clean (module docs): nothing below was removed or cut and the
+    /// Clean (module docs): nothing below was removed and the
     /// node carries an image, so it rebuilt into itself under its image
     /// factor — this edge — without a unique-table lookup.
     Clean(VEdge),
@@ -111,7 +91,7 @@ enum Rebuild {
 }
 
 /// A round before its rebuild: the analysed diagram, one [`Rebuild`]
-/// entry per node of it, and the number of nodes or edges it drops.
+/// entry per node of it, and the number of nodes it drops.
 struct Plan {
     contribs: ContributionMap,
     steps: Vec<Rebuild>,
@@ -122,7 +102,7 @@ impl Plan {
     /// The plan that removes the distinct nodes of `removal`. Ids
     /// outside the analyzed diagram remove nothing and count for nothing.
     fn removing(contribs: ContributionMap, removal: &[NodeId]) -> Self {
-        let mut steps = vec![Rebuild::Pending { cut: [false; 2] }; contribs.node_count()];
+        let mut steps = vec![Rebuild::Pending; contribs.node_count()];
         let mut selected = 0;
         for rank in removal.iter().filter_map(|&node| contribs.rank(node)) {
             steps[rank] = Rebuild::Removed;
@@ -150,39 +130,24 @@ impl Plan {
 }
 
 impl Package {
-    /// Edge-level truncation: zeroes individual *edges* (rather than
-    /// whole nodes) in ascending order of their contribution — the
-    /// mass `upstream(parent) · |w|²` flowing through the edge — while
-    /// the removed total stays within `budget`. Finer-grained than
-    /// [`Package::truncate`]: a node's two edges can be kept/cut
-    /// independently, which preserves more fidelity per removed DD
-    /// path at the cost of (usually) smaller size reductions. One of
-    /// the approximation schemes of Zulehner, Hillmich, Markov, Wille
-    /// (ASP-DAC 2020), the primitive the reproduced paper builds on.
-    ///
-    /// # Errors
-    ///
-    /// [`DdError::InvalidParameter`] as for [`Package::truncate`].
-    pub fn truncate_edges(&mut self, root: VEdge, budget: f64) -> Result<TruncationResult> {
-        let plan = self.edge_plan(root, budget)?;
-        self.truncate_with_plan(root, plan)
-    }
-
     /// Performs one truncation round on a unit-norm state.
     ///
-    /// Computes contributions, selects nodes per `strategy`, rebuilds the
+    /// Computes contributions, greedily selects the lowest-contribution
+    /// nodes (never the root) while the running sum of their
+    /// contributions stays within `budget = 1 − f_round`, rebuilds the
     /// DD with selected nodes replaced by the zero stub, and rescales to
-    /// unit norm (Equation 1). If nothing is selected the input is
-    /// returned unchanged with fidelity 1.
+    /// unit norm (Equation 1). The round fidelity is at least
+    /// `1 − budget`. If nothing is selected the input is returned
+    /// unchanged with fidelity 1.
     ///
     /// # Errors
     ///
-    /// [`DdError::InvalidParameter`] if the budget/threshold is not in
-    /// `[0, 1)`, if the input is the zero edge, or if its weight is NaN
-    /// or infinite (a non-finite weight anywhere in the diagram shows
+    /// [`DdError::InvalidParameter`] if the budget is not in `[0, 1)`,
+    /// if the input is the zero edge, or if its weight is NaN or
+    /// infinite (a non-finite weight anywhere in the diagram shows
     /// there: `make_vnode` carries it into the factor it takes out).
-    pub fn truncate(&mut self, root: VEdge, strategy: RemovalStrategy) -> Result<TruncationResult> {
-        let plan = self.node_plan(root, strategy)?;
+    pub fn truncate(&mut self, root: VEdge, budget: f64) -> Result<TruncationResult> {
+        let plan = self.node_plan(root, budget)?;
         self.truncate_with_plan(root, plan)
     }
 
@@ -201,8 +166,8 @@ impl Package {
         Ok(())
     }
 
-    /// The plan of [`Package::truncate_edges`].
-    fn edge_plan(&self, root: VEdge, budget: f64) -> Result<Plan> {
+    /// The plan of [`Package::truncate`].
+    fn node_plan(&self, root: VEdge, budget: f64) -> Result<Plan> {
         if !(0.0..1.0).contains(&budget) {
             return Err(DdError::InvalidParameter {
                 reason: "truncation budget must lie in [0, 1)",
@@ -210,57 +175,8 @@ impl Package {
         }
         self.check_root(root)?;
         let contribs = self.contributions(root);
-
-        // Contribution of edge (parent, which): upstream(parent)·|w|²
-        // (child subtrees have unit norm).
-        let mut edges: Vec<((NodeId, u8), f64)> = Vec::new();
-        for (node, up) in contribs.iter() {
-            let n = *self.vnode(node);
-            for (i, e) in n.edges.iter().enumerate() {
-                if !e.is_zero(self.tolerance()) {
-                    edges.push(((node, i as u8), up * e.w.mag2()));
-                }
-            }
-        }
-        let cut = within_budget(edges, budget);
-
-        let mut steps = vec![Rebuild::Pending { cut: [false; 2] }; contribs.node_count()];
-        for &(node, which) in &cut {
-            let rank = contribs.rank(node).expect("cut edges leave analyzed nodes");
-            if let Rebuild::Pending { cut: dropped } = &mut steps[rank] {
-                dropped[usize::from(which)] = true;
-            }
-        }
-        Ok(Plan {
-            contribs,
-            steps,
-            selected: cut.len(),
-        })
-    }
-
-    /// The plan of [`Package::truncate`].
-    fn node_plan(&self, root: VEdge, strategy: RemovalStrategy) -> Result<Plan> {
-        match strategy {
-            RemovalStrategy::Budget(b) if !(0.0..1.0).contains(&b) => {
-                return Err(DdError::InvalidParameter {
-                    reason: "truncation budget must lie in [0, 1)",
-                });
-            }
-            RemovalStrategy::Threshold(t) if !(0.0..1.0).contains(&t) => {
-                return Err(DdError::InvalidParameter {
-                    reason: "truncation threshold must lie in [0, 1)",
-                });
-            }
-            RemovalStrategy::KeepNodes(0) => {
-                return Err(DdError::InvalidParameter {
-                    reason: "must keep at least one node",
-                });
-            }
-            _ => {}
-        }
-        self.check_root(root)?;
-        let contribs = self.contributions(root);
-        let removal = select_nodes(&contribs, root.node, strategy);
+        let candidates = contribs.iter().filter(|&(node, _)| node != root.node);
+        let removal = within_budget(candidates.collect(), budget);
         Ok(Plan::removing(contribs, &removal))
     }
 
@@ -307,11 +223,11 @@ impl Package {
         })
     }
 
-    /// Rebuilds the sub-diagram under `node` with removed nodes and cut
-    /// edges replaced by the zero stub, and says whether the node came
-    /// back clean (module docs): as itself under its image factor,
-    /// which it does — without a unique-table lookup — when it carries
-    /// an image and no removal, cut or unclean successor lies below it.
+    /// Rebuilds the sub-diagram under `node` with removed nodes replaced
+    /// by the zero stub, and says whether the node came back clean
+    /// (module docs): as itself under its image factor, which it does —
+    /// without a unique-table lookup — when it carries an image and no
+    /// removed node or unclean successor lies below it.
     /// Every other node goes through `make_vnode`. What a node rebuilds
     /// into does not depend on the path that reached it, so one entry
     /// per node memoizes the recursion.
@@ -327,17 +243,17 @@ impl Package {
         let rank = contribs
             .rank(node)
             .expect("a rebuild only visits analyzed nodes");
-        let cut = match steps[rank] {
+        match steps[rank] {
             Rebuild::Removed => return (VEdge::ZERO, false),
             Rebuild::Clean(e) => return (e, true),
             Rebuild::Done(e) => return (e, false),
-            Rebuild::Pending { cut } => cut,
-        };
+            Rebuild::Pending => {}
+        }
         let n = *self.vnode(node);
-        let mut clean = cut == [false; 2];
+        let mut clean = true;
         let mut children = [VEdge::ZERO; 2];
         for (i, c) in n.edges.iter().enumerate() {
-            if c.is_zero(self.tolerance()) || cut[i] {
+            if c.is_zero(self.tolerance()) {
                 continue;
             }
             let (sub, sub_clean) = self.rebuild(c.node, contribs, steps);
@@ -356,29 +272,6 @@ impl Package {
         let e = self.make_vnode(n.var, children[0], children[1]);
         steps[rank] = Rebuild::Done(e);
         (e, false)
-    }
-}
-
-/// Selects nodes according to the strategy; never selects the root.
-fn select_nodes(
-    contribs: &ContributionMap,
-    root: NodeId,
-    strategy: RemovalStrategy,
-) -> Vec<NodeId> {
-    let candidates = || contribs.iter().filter(|&(node, _)| node != root);
-    match strategy {
-        RemovalStrategy::Budget(budget) => within_budget(candidates().collect(), budget),
-        RemovalStrategy::Threshold(t) => candidates()
-            .filter(|&(_, c)| c < t)
-            .map(|(node, _)| node)
-            .collect(),
-        RemovalStrategy::KeepNodes(target) => {
-            let excess = contribs.node_count().saturating_sub(target);
-            Ascending::new(candidates().collect())
-                .take(excess)
-                .map(|(node, _)| node)
-                .collect()
-        }
     }
 }
 
@@ -524,7 +417,7 @@ mod tests {
         let mut p = Package::new();
         let root = paper_state(&mut p);
         for budget in [0.0, 0.05, 0.1, 0.25, 0.5] {
-            let r = p.truncate(root, RemovalStrategy::Budget(budget)).unwrap();
+            let r = p.truncate(root, budget).unwrap();
             assert!(
                 r.fidelity >= 1.0 - budget - 1e-12,
                 "budget {budget}: fidelity {} below bound",
@@ -540,7 +433,7 @@ mod tests {
         let mut p = Package::new();
         let root = paper_state(&mut p);
         p.inc_ref(root);
-        let r = p.truncate(root, RemovalStrategy::Budget(0.25)).unwrap();
+        let r = p.truncate(root, 0.25).unwrap();
         let measured = p.fidelity(root, r.edge);
         assert!(
             (measured - r.fidelity).abs() < 1e-10,
@@ -554,57 +447,19 @@ mod tests {
     fn zero_budget_is_identity() {
         let mut p = Package::new();
         let root = paper_state(&mut p);
-        let r = p.truncate(root, RemovalStrategy::Budget(0.0)).unwrap();
+        let r = p.truncate(root, 0.0).unwrap();
         assert_eq!(r.edge, root);
         assert_eq!(r.fidelity, 1.0);
         assert_eq!(r.removed_nodes, 0);
     }
 
     #[test]
-    fn threshold_removes_small_nodes() {
-        let mut p = Package::new();
-        let root = paper_state(&mut p);
-        // Threshold 0.15 removes the 0.1-contribution q0 nodes and the
-        // 0.2-node's children chain — fidelity drops to 0.8.
-        let r = p.truncate(root, RemovalStrategy::Threshold(0.15)).unwrap();
-        assert!(r.fidelity >= 0.5);
-        assert!(r.removed_nodes >= 1);
-    }
-
-    #[test]
     fn invalid_parameters_are_rejected() {
         let mut p = Package::new();
         let root = paper_state(&mut p);
-        assert!(p.truncate(root, RemovalStrategy::Budget(1.0)).is_err());
-        assert!(p.truncate(root, RemovalStrategy::Budget(-0.1)).is_err());
-        assert!(p.truncate(root, RemovalStrategy::KeepNodes(0)).is_err());
-        assert!(p
-            .truncate(VEdge::ZERO, RemovalStrategy::Budget(0.1))
-            .is_err());
-    }
-
-    #[test]
-    fn keep_nodes_hits_the_size_target() {
-        let mut p = Package::new();
-        let root = paper_state(&mut p);
-        let before = p.vsize(root);
-        assert!(before > 3);
-        let r = p.truncate(root, RemovalStrategy::KeepNodes(3)).unwrap();
-        assert!(r.size_after <= 3, "kept {} nodes", r.size_after);
-        assert!(r.fidelity > 0.0);
-        assert!((r.edge.w.mag() - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn keep_nodes_is_identity_when_already_small() {
-        let mut p = Package::new();
-        let root = paper_state(&mut p);
-        let before = p.vsize(root);
-        let r = p
-            .truncate(root, RemovalStrategy::KeepNodes(before + 10))
-            .unwrap();
-        assert_eq!(r.edge, root);
-        assert_eq!(r.fidelity, 1.0);
+        assert!(p.truncate(root, 1.0).is_err());
+        assert!(p.truncate(root, -0.1).is_err());
+        assert!(p.truncate(VEdge::ZERO, 0.1).is_err());
     }
 
     #[test]
@@ -659,49 +514,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn edge_truncation_honors_budget_and_matches_measured_fidelity() {
-        let mut p = Package::new();
-        let root = paper_state(&mut p);
-        p.inc_ref(root);
-        for budget in [0.05, 0.1, 0.25] {
-            let r = p.truncate_edges(root, budget).unwrap();
-            assert!(
-                r.fidelity >= 1.0 - budget - 1e-12,
-                "budget {budget}: fidelity {}",
-                r.fidelity
-            );
-            let measured = p.fidelity(root, r.edge);
-            assert!((measured - r.fidelity).abs() < 1e-10);
-            assert!((r.edge.w.mag() - 1.0).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn edge_truncation_is_finer_than_node_truncation() {
-        // On the paper state with budget 0.1 the node strategy can only
-        // remove 0.1-contribution *nodes* (zeroing both amplitudes of a
-        // branch); the edge strategy can cut a single 0.1-mass edge.
-        let mut p = Package::new();
-        let root = paper_state(&mut p);
-        p.inc_ref(root);
-        // Budget slightly above 0.1: the smallest edge contribution is
-        // 0.2 · 0.5 = 0.1 + float noise.
-        let edge_r = p.truncate_edges(root, 0.11).unwrap();
-        assert!(edge_r.removed_nodes >= 1, "at least one edge cut");
-        assert!(edge_r.fidelity >= 0.89 - 1e-12);
-    }
-
-    #[test]
-    fn edge_truncation_rejects_bad_budgets() {
-        let mut p = Package::new();
-        let root = paper_state(&mut p);
-        assert!(p.truncate_edges(root, 1.0).is_err());
-        assert!(p.truncate_edges(root, -0.5).is_err());
-        assert!(p.truncate_edges(VEdge::ZERO, 0.1).is_err());
-    }
-
-    /// The selection `Budget` used to run: sort everything, then walk.
+    /// The selection a round used to run: sort everything, then walk.
     fn reference_walk(items: &[(u32, f64)], budget: f64) -> (Vec<u32>, f64) {
         let mut sorted = items.to_vec();
         sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
@@ -777,15 +590,25 @@ mod tests {
                 spent += c;
                 want.push(node);
             }
-            let got = select_nodes(&contribs, root.node, RemovalStrategy::Budget(budget));
+            let plan = p.node_plan(root, budget).unwrap();
+            let got: Vec<usize> = plan
+                .steps
+                .iter()
+                .enumerate()
+                .filter(|(_, step)| matches!(step, Rebuild::Removed))
+                .map(|(rank, _)| rank)
+                .collect();
+            let mut want: Vec<usize> = want.iter().filter_map(|&n| contribs.rank(n)).collect();
+            want.sort_unstable();
             assert_eq!(got, want, "budget {budget}");
+            assert_eq!(plan.selected, want.len());
         }
     }
 
     #[test]
     fn nan_weight_does_not_panic() {
-        // A NaN or ∞ anywhere in a state is a typed error from every
-        // strategy, never a round with a fidelity. `from_amplitudes`
+        // A NaN or ∞ anywhere in a state is a typed error from a
+        // round, never a round with a fidelity. `from_amplitudes`
         // refuses one; a state built around one anyway carries it on
         // its root weight, which every round checks first.
         let mut p = Package::new();
@@ -825,14 +648,7 @@ mod tests {
             let contribs = p.contributions(root);
             assert!(contribs.iter().any(|(_, c)| !c.is_finite()));
             assert_eq!(contribs.sorted_ascending().len(), contribs.node_count());
-            for strategy in [
-                RemovalStrategy::Budget(0.1),
-                RemovalStrategy::Threshold(0.1),
-                RemovalStrategy::KeepNodes(3),
-            ] {
-                assert!(not_finite(p.truncate(root, strategy)), "{strategy:?}");
-            }
-            assert!(not_finite(p.truncate_edges(root, 0.1)));
+            assert!(not_finite(p.truncate(root, 0.1)));
         }
     }
 
@@ -902,16 +718,16 @@ mod tests {
             let rank = contribs
                 .rank(node)
                 .expect("a rebuild only visits analyzed nodes");
-            let cut = match steps[rank] {
+            match steps[rank] {
                 Rebuild::Removed => return VEdge::ZERO,
                 Rebuild::Done(e) => return e,
-                Rebuild::Pending { cut } => cut,
+                Rebuild::Pending => {}
                 Rebuild::Clean(_) => unreachable!("the reference never takes the rule"),
-            };
+            }
             let n = *self.vnode(node);
             let mut children = [VEdge::ZERO; 2];
             for (i, c) in n.edges.iter().enumerate() {
-                if c.is_zero(self.tolerance()) || cut[i] {
+                if c.is_zero(self.tolerance()) {
                     continue;
                 }
                 let sub = self.reference_rebuild(c.node, contribs, steps);
@@ -949,29 +765,6 @@ mod tests {
         }
     }
 
-    /// One kind of round.
-    #[derive(Debug, Clone, Copy)]
-    enum Round {
-        Nodes(RemovalStrategy),
-        Edges(f64),
-    }
-
-    impl Round {
-        fn plan(self, p: &Package, root: VEdge) -> Result<Plan> {
-            match self {
-                Round::Nodes(strategy) => p.node_plan(root, strategy),
-                Round::Edges(budget) => p.edge_plan(root, budget),
-            }
-        }
-
-        fn run(self, p: &mut Package, root: VEdge) -> Result<TruncationResult> {
-            match self {
-                Round::Nodes(strategy) => p.truncate(root, strategy),
-                Round::Edges(budget) => p.truncate_edges(root, budget),
-            }
-        }
-    }
-
     /// A round's outcome down to the bits of every float in it.
     type Bits = std::result::Result<(NodeId, [u64; 3], usize, usize, usize), DdError>;
 
@@ -989,37 +782,32 @@ mod tests {
         })
     }
 
-    /// Runs each round on `root` through the rule in `fast` and through
-    /// the reference in `slow` — two packages built by identical calls —
-    /// and holds them to the same result bits and the same allocations.
-    /// Only unique-table hits may differ: fewer in `fast` exactly when
-    /// some node came back as its image.
+    /// Runs one round on `root` through the rule in `fast` (`run`) and
+    /// through the reference in `slow` (`plan`, then the reference
+    /// rebuild) — two packages built by identical calls — and holds them
+    /// to the same result bits and the same allocations. Only
+    /// unique-table hits may differ: fewer in `fast` exactly when some
+    /// node came back as its image.
     fn rule_matches_reference(
         fast: &mut Package,
         slow: &mut Package,
         root: VEdge,
-        rounds: &[Round],
+        round: &str,
+        run: impl FnOnce(&mut Package, VEdge) -> Result<TruncationResult>,
+        plan: impl FnOnce(&Package, VEdge) -> Result<Plan>,
     ) -> std::result::Result<(), TestCaseError> {
-        for &round in rounds {
-            let (fast_hits, slow_hits) = (fast.stats().unique_hits, slow.stats().unique_hits);
-            let got = bits(round.run(fast, root));
-            let (want, as_image) = match round.plan(slow, root) {
-                Ok(plan) => slow.reference_round(root, plan),
-                Err(e) => (Err(e), 0),
-            };
-            prop_assert_eq!(got, bits(want), "{:?}", round);
-            let (f, s) = (fast.stats(), slow.stats());
-            prop_assert_eq!(f.unique_misses, s.unique_misses);
-            prop_assert_eq!(f.vnodes_alive, s.vnodes_alive);
-            let skipped = (s.unique_hits - slow_hits) - (f.unique_hits - fast_hits);
-            prop_assert_eq!(
-                skipped > 0,
-                as_image > 0,
-                "{:?}: {} skipped",
-                round,
-                skipped
-            );
-        }
+        let (fast_hits, slow_hits) = (fast.stats().unique_hits, slow.stats().unique_hits);
+        let got = bits(run(fast, root));
+        let (want, as_image) = match plan(slow, root) {
+            Ok(plan) => slow.reference_round(root, plan),
+            Err(e) => (Err(e), 0),
+        };
+        prop_assert_eq!(got, bits(want), "{}", round);
+        let (f, s) = (fast.stats(), slow.stats());
+        prop_assert_eq!(f.unique_misses, s.unique_misses);
+        prop_assert_eq!(f.vnodes_alive, s.vnodes_alive);
+        let skipped = (s.unique_hits - slow_hits) - (f.unique_hits - fast_hits);
+        prop_assert_eq!(skipped > 0, as_image > 0, "{}: {} skipped", round, skipped);
         Ok(())
     }
 
@@ -1071,17 +859,40 @@ mod tests {
             keep in 1usize..24
         ) {
             let amps = amplitudes(&picks);
-            let rounds = [
-                Round::Nodes(RemovalStrategy::Budget(budget)),
-                Round::Nodes(RemovalStrategy::Threshold(budget / 8.0)),
-                Round::Nodes(RemovalStrategy::KeepNodes(keep)),
-                Round::Edges(budget),
-            ];
             let fast = settings(&amps, &gates);
             let slow = settings(&amps, &gates);
             for ((mut fast, root), (mut slow, same)) in fast.into_iter().zip(slow) {
                 prop_assert_eq!(root, same);
-                rule_matches_reference(&mut fast, &mut slow, root, &rounds)?;
+                rule_matches_reference(
+                    &mut fast,
+                    &mut slow,
+                    root,
+                    "budget",
+                    |p, root| p.truncate(root, budget),
+                    |p, root| p.node_plan(root, budget),
+                )?;
+                // Removal sets far larger than a budget selects: every
+                // non-root node below `budget / 8`, and all but `keep`.
+                let contribs = fast.contributions(root);
+                let candidates = || contribs.iter().filter(|&(node, _)| node != root.node);
+                let below: Vec<NodeId> = candidates()
+                    .filter(|&(_, c)| c < budget / 8.0)
+                    .map(|(node, _)| node)
+                    .collect();
+                let lowest: Vec<NodeId> = Ascending::new(candidates().collect())
+                    .take(contribs.node_count().saturating_sub(keep))
+                    .map(|(node, _)| node)
+                    .collect();
+                for (round, removal) in [("below budget / 8", below), ("all but keep", lowest)] {
+                    rule_matches_reference(
+                        &mut fast,
+                        &mut slow,
+                        root,
+                        round,
+                        |p, root| p.truncate_nodes(root, &removal),
+                        |p, root| Ok(Plan::removing(p.contributions(root), &removal)),
+                    )?;
+                }
             }
         }
     }

@@ -66,6 +66,7 @@
 
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
+use std::sync::Once;
 
 use crate::edge::VEdge;
 use crate::fasthash::FxHasher;
@@ -78,6 +79,15 @@ const MIN_COMPUTE_CACHE_BITS: u32 = 2;
 /// Largest accepted `log2` capacity (64 Mi slots) — beyond this the
 /// slot array itself stops fitting in reasonable memory.
 const MAX_COMPUTE_CACHE_BITS: u32 = 26;
+
+/// Counts slot arrays filled fresh (see "Provisioning" in the module docs).
+const SLABS_ALLOCATED: &str = "approxdd_dd_cache_slabs_allocated_total";
+/// Counts slot arrays taken over from the thread's retired slab.
+const SLABS_RECYCLED: &str = "approxdd_dd_cache_slabs_recycled_total";
+
+/// Registers both slab counters, at 0, when the process builds its
+/// first table: a scrape shows them even if no job ever adds two states.
+static SLAB_COUNTERS: Once = Once::new();
 
 /// An `add` key: the two operand nodes and the tolerance bucket of
 /// their canonical weight ratio (see `Package::add`).
@@ -140,6 +150,11 @@ impl ComputeCache {
     /// Creates a table configured for `2^bits` slots (`None` → the
     /// default 2^16), clamped to the supported `[2, 26]` range.
     pub(crate) fn new(bits: Option<u32>) -> Self {
+        SLAB_COUNTERS.call_once(|| {
+            for name in [SLABS_ALLOCATED, SLABS_RECYCLED] {
+                approxdd_telemetry::global().counter(name);
+            }
+        });
         let bits = bits
             .unwrap_or(DEFAULT_COMPUTE_CACHE_BITS)
             .clamp(MIN_COMPUTE_CACHE_BITS, MAX_COMPUTE_CACHE_BITS);
@@ -209,10 +224,10 @@ impl ComputeCache {
             // stamped: everything it wrote is dead, as after `clear()`.
             self.generation = slab.generation;
             self.clear();
-            approxdd_telemetry::count("approxdd_dd_cache_slabs_recycled_total", 1);
+            approxdd_telemetry::count(SLABS_RECYCLED, 1);
         } else {
             self.slots = vec![VACANT; capacity];
-            approxdd_telemetry::count("approxdd_dd_cache_slabs_allocated_total", 1);
+            approxdd_telemetry::count(SLABS_ALLOCATED, 1);
         }
     }
 

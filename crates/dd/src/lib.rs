@@ -162,13 +162,15 @@
 //! # Approximation
 //!
 //! ```
-//! use approxdd_dd::{Package, RemovalStrategy};
+//! use approxdd_dd::Package;
 //!
 //! let mut p = Package::new();
 //! // A skewed superposition: mostly |11>, a little |00>.
 //! let amps = [0.2, 0.0, 0.0, 0.979795897113271].map(approxdd_complex::Cplx::real);
 //! let state = p.from_amplitudes(&amps).unwrap();
-//! let result = p.truncate(state, RemovalStrategy::Budget(0.1)).unwrap();
+//! // One round with budget 1 − f_round = 0.1: the lowest-contribution
+//! // nodes go while their summed contribution stays within 0.1.
+//! let result = p.truncate(state, 0.1).unwrap();
 //! assert!(result.fidelity >= 0.9);           // guaranteed lower bound
 //! assert!(result.size_after <= result.size_before);
 //! ```
@@ -192,7 +194,7 @@ mod snapshot;
 mod unique;
 mod visit;
 
-pub use approx::{RemovalStrategy, TruncationResult};
+pub use approx::TruncationResult;
 pub use contribution::ContributionMap;
 pub use edge::{MEdge, NodeId, VEdge};
 pub use error::DdError;

@@ -521,7 +521,6 @@ impl Package {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::RemovalStrategy;
     use crate::gates::GateKind;
     use crate::node::{Image, MNode, VNode};
     use crate::package::PackageStats;
@@ -997,7 +996,7 @@ mod tests {
                     log.push(observe(&p, state, n));
                 }
                 if truncated {
-                    state = p.truncate(state, RemovalStrategy::Budget(0.05)).unwrap().edge;
+                    state = p.truncate(state, 0.05).unwrap().edge;
                     log.push(observe(&p, state, n));
                 }
                 sweep(&mut p, mul, n, state, log);

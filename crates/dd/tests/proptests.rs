@@ -3,7 +3,7 @@
 //! of constructed gates, and the approximation guarantees.
 
 use approxdd_complex::Cplx;
-use approxdd_dd::{GateKind, Package, RemovalStrategy};
+use approxdd_dd::{GateKind, Package};
 use proptest::prelude::*;
 
 /// A random complex amplitude vector of dimension `2^n`, normalized.
@@ -158,7 +158,7 @@ proptest! {
         let mut p = Package::new();
         let e = p.from_amplitudes(&amps).unwrap();
         p.inc_ref(e);
-        let r = p.truncate(e, RemovalStrategy::Budget(budget)).unwrap();
+        let r = p.truncate(e, budget).unwrap();
         prop_assert!(r.fidelity >= 1.0 - budget - 1e-9);
         prop_assert!(r.size_after <= r.size_before);
         let measured = p.fidelity(e, r.edge);

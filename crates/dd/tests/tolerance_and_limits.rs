@@ -119,9 +119,7 @@ fn single_qubit_engine_works_end_to_end() {
     assert_eq!(cm.node_count(), 1);
     assert!((cm.level_sum(0) - 1.0).abs() < 1e-12);
     // Truncation has nothing to remove except the root (kept).
-    let r = p
-        .truncate(v, approxdd_dd::RemovalStrategy::Budget(0.4))
-        .unwrap();
+    let r = p.truncate(v, 0.4).unwrap();
     assert_eq!(r.fidelity, 1.0);
 }
 

@@ -314,6 +314,16 @@ fn unreachable_threshold_warns_once_per_job() {
         let stream = submit_and_stream(addr, target, &qasm);
         assert!(stream.contains("\"type\":\"result\""), "{stream}");
     }
+    // Neither GHZ job adds two states, so no `add`-table slab moved; the
+    // fresh process must expose the slab counters anyway.
+    let (status, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    for name in [
+        "approxdd_dd_cache_slabs_allocated_total",
+        "approxdd_dd_cache_slabs_recycled_total",
+    ] {
+        assert!(metrics.contains(name), "{name} missing:\n{metrics}");
+    }
     let (status, _) = http(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
     let output = child.wait_with_output().expect("serve exits");

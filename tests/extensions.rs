@@ -1,9 +1,8 @@
 //! Integration of the extension features around the paper's core:
-//! marginal queries, DOT export, and the node- vs edge-level
-//! truncation primitives.
+//! marginal queries, DOT export, and memory-driven truncation rounds.
 
 use approxdd::circuit::generators;
-use approxdd::sim::{ApproxPrimitive, Simulator, Strategy};
+use approxdd::sim::{Simulator, Strategy};
 
 #[test]
 fn marginals_match_sampling_histogram() {
@@ -30,22 +29,19 @@ fn marginals_match_sampling_histogram() {
 }
 
 #[test]
-fn edge_primitive_needs_no_more_rounds_than_node_primitive() {
-    // Both primitives, same memory-driven configuration: both must
-    // respect the threshold mechanics and produce valid states.
+fn memory_driven_rounds_engage_and_keep_unit_norm() {
+    // The memory-driven configuration must respect the threshold
+    // mechanics and produce a valid state.
     let circuit = generators::supremacy(3, 3, 10, 2);
-    for primitive in [ApproxPrimitive::Nodes, ApproxPrimitive::Edges] {
-        let mut sim = Simulator::builder()
-            .strategy(Strategy::memory_driven_table1(64, 0.95))
-            .primitive(primitive)
-            .build();
-        let run = sim.run(&circuit).expect("run");
-        assert!(run.stats.approx_rounds > 0, "{primitive:?} must engage");
-        assert!(run.stats.fidelity > 0.0 && run.stats.fidelity <= 1.0);
-        let amps = sim.amplitudes(&run).expect("amps");
-        let norm: f64 = amps.iter().map(|a| a.mag2()).sum();
-        assert!((norm - 1.0).abs() < 1e-9, "{primitive:?}: norm {norm}");
-    }
+    let mut sim = Simulator::builder()
+        .strategy(Strategy::memory_driven_table1(64, 0.95))
+        .build();
+    let run = sim.run(&circuit).expect("run");
+    assert!(run.stats.approx_rounds > 0, "rounds must engage");
+    assert!(run.stats.fidelity > 0.0 && run.stats.fidelity <= 1.0);
+    let amps = sim.amplitudes(&run).expect("amps");
+    let norm: f64 = amps.iter().map(|a| a.mag2()).sum();
+    assert!((norm - 1.0).abs() < 1e-9, "norm {norm}");
 }
 
 #[test]

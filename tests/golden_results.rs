@@ -1,8 +1,7 @@
 //! Golden results: what "bit-exact" means for a DD-engine change.
 //!
-//! A fixed corpus runs three ways — directly on a [`Simulator`], with
-//! the edge-level truncation primitive, and as a job on a
-//! snapshot-sharing 2-worker `BackendPool` — and every result bit is
+//! A fixed corpus runs two ways — directly on a [`Simulator`], and as a
+//! job on a snapshot-sharing 2-worker `BackendPool` — and every result bit is
 //! compared with constants recorded on the commit *before* the change
 //! under test: the final fidelity and each round fidelity by
 //! `to_bits()`, the peak DD size, the removed-node total, a hash of the
@@ -17,7 +16,7 @@
 use approxdd::circuit::{generators, Circuit};
 use approxdd::exec::{BuildPool, PoolJob};
 use approxdd::shor::{factor, shor_circuit, FactorOptions};
-use approxdd::sim::{ApproxPrimitive, SimStats, Simulator, Strategy};
+use approxdd::sim::{SimStats, Simulator, Strategy};
 
 /// Result bits of one run.
 #[derive(Debug, PartialEq, Eq)]
@@ -30,13 +29,12 @@ struct Pinned {
     series: u64,
 }
 
-/// One corpus entry with its three recorded results.
+/// One corpus entry with its two recorded results.
 struct Golden {
     name: &'static str,
     circuit: fn() -> Circuit,
     strategy: Strategy,
     nodes: Pinned,
-    edges: Pinned,
     fingerprint: u64,
 }
 
@@ -77,10 +75,9 @@ fn matches(stats: &SimStats, want: &Pinned) -> bool {
         && fnv1a(&stats.size_series) == want.series
 }
 
-fn direct(circuit: &Circuit, strategy: Strategy, primitive: ApproxPrimitive) -> SimStats {
+fn direct(circuit: &Circuit, strategy: Strategy) -> SimStats {
     let mut sim = Simulator::builder()
         .strategy(strategy)
-        .primitive(primitive)
         .record_size_series(true)
         .seed(7)
         .build();
@@ -163,37 +160,6 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 20714,
             series: 0x16488ea310d943ca,
         },
-        edges: Pinned {
-            fidelity: 0x3fe276464e870bda,
-            rounds: &[
-                0x3fef68c525662990,
-                0x3fef47d02e8e06d0,
-                0x3fef458f57a48d15,
-                0x3fef4745d5b0ad6b,
-                0x3fef3764a4e3ad7c,
-                0x3fef36ffac187b88,
-                0x3fef461d7eccdacc,
-                0x3fef3d2733279e8c,
-                0x3fef428f60928d3b,
-                0x3fef435d9d1f4583,
-                0x3fef38390eb93348,
-                0x3fef3842b0491332,
-                0x3fef389226b22c90,
-                0x3fef3caa8554ea06,
-                0x3fef39c3f7b5fc17,
-                0x3fef398b90f24c40,
-                0x3fef3cd508a1939a,
-                0x3fef3c26f42f98da,
-                0x3fef3d2b2e643706,
-                0x3fef3cddd1820967,
-                0x3fef3355ab10f27a,
-                0x3fef33813e827be3,
-                0x3fef33f506dcdf54,
-            ],
-            max_dd_size: 60911,
-            nodes_removed: 64498,
-            series: 0x12d52582c4d553ac,
-        },
         fingerprint: 0xeb612a61f5552d95,
     },
     Golden {
@@ -231,37 +197,6 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 20727,
             series: 0x781c06b81c302407,
         },
-        edges: Pinned {
-            fidelity: 0x3fe2759cac9b8504,
-            rounds: &[
-                0x3fef69427b52efc8,
-                0x3fef46afaa5e4de8,
-                0x3fef468bd5d12b65,
-                0x3fef47b9d5e60693,
-                0x3fef376ee4fd7fb0,
-                0x3fef37526ea1e7a0,
-                0x3fef46586036eb35,
-                0x3fef3dd2d029ef5d,
-                0x3fef42264ba11adb,
-                0x3fef435736ee3baa,
-                0x3fef37f3e82f19ba,
-                0x3fef39ae73799ebd,
-                0x3fef3918260db95b,
-                0x3fef3b8cc859ff4c,
-                0x3fef39983a413f24,
-                0x3fef392b3a658409,
-                0x3fef3c43c358a8c5,
-                0x3fef3ba4fc417baa,
-                0x3fef3be38db91665,
-                0x3fef3ccf664052ff,
-                0x3fef3367c3b61b47,
-                0x3fef3342d3e9a7e4,
-                0x3fef33c82ee67f31,
-            ],
-            max_dd_size: 60942,
-            nodes_removed: 64373,
-            series: 0xc283e827c015e757,
-        },
         fingerprint: 0xfa897b39c944719d,
     },
     Golden {
@@ -282,20 +217,6 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 87577,
             series: 0x16aa47a9e0bb1c27,
         },
-        edges: Pinned {
-            fidelity: 0x3fe8e421d4e38d3c,
-            rounds: &[
-                0x3fef000000000002,
-                0x3fee5294a5294a59,
-                0x3fedc9882b93105b,
-                0x3fee98a32a1dbbc5,
-                0x3fef24193040fde5,
-                0x3fef4e7d752d11f4,
-            ],
-            max_dd_size: 165329,
-            nodes_removed: 315240,
-            series: 0x11e0a55f3c0575dd,
-        },
         fingerprint: 0x6b9a0774b01495bd,
     },
     Golden {
@@ -303,13 +224,6 @@ const GOLDEN: &[Golden] = &[
         circuit: || generators::qft(14),
         strategy: Strategy::Exact,
         nodes: Pinned {
-            fidelity: 0x3ff0000000000000,
-            rounds: &[],
-            max_dd_size: 14,
-            nodes_removed: 0,
-            series: 0x1e3d1010650d0d25,
-        },
-        edges: Pinned {
             fidelity: 0x3ff0000000000000,
             rounds: &[],
             max_dd_size: 14,
@@ -336,20 +250,6 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 2,
             series: 0xf6df49e99761e247,
         },
-        edges: Pinned {
-            fidelity: 0x3fea6336329a867e,
-            rounds: &[
-                0x3fef25d54ed62bc4,
-                0x3fef30b17b9f6478,
-                0x3feef1cca83ce46d,
-                0x3fee6677badae486,
-                0x3feea82d9a2065c8,
-                0x3fef9a16a991239d,
-            ],
-            max_dd_size: 39,
-            nodes_removed: 37,
-            series: 0x50f3bdd4034ec493,
-        },
         fingerprint: 0x270b54d31244ba13,
     },
     Golden {
@@ -362,13 +262,6 @@ const GOLDEN: &[Golden] = &[
             max_dd_size: 1023,
             nodes_removed: 101,
             series: 0xddc175ccd968a60b,
-        },
-        edges: Pinned {
-            fidelity: 0x3febb9888e3818c0,
-            rounds: &[0x3fee721136d0c0c2, 0x3fee66d17eefa4f1, 0x3feeac1bc5cd8aab],
-            max_dd_size: 1023,
-            nodes_removed: 306,
-            series: 0x19bef73c483e7eeb,
         },
         fingerprint: 0x35056d46458ab4ef,
     },
@@ -394,20 +287,6 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 172780,
             series: 0x6137c526328a062f,
         },
-        edges: Pinned {
-            fidelity: 0x3fe94f852e71f9db,
-            rounds: &[
-                0x3fef000000000002,
-                0x3fee4a5294a52954,
-                0x3fee195ac93386f9,
-                0x3fee85d3e5c8a2c0,
-                0x3fef4ede2b68178a,
-                0x3fef71f81ade89f1,
-            ],
-            max_dd_size: 265629,
-            nodes_removed: 501385,
-            series: 0xf1255095d2aee890,
-        },
         fingerprint: 0xabb56208506826fe,
     },
     Golden {
@@ -415,13 +294,6 @@ const GOLDEN: &[Golden] = &[
         circuit: || generators::ghz(32),
         strategy: Strategy::Exact,
         nodes: Pinned {
-            fidelity: 0x3ff0000000000000,
-            rounds: &[],
-            max_dd_size: 63,
-            nodes_removed: 0,
-            series: 0xe46bb1081f06a925,
-        },
-        edges: Pinned {
             fidelity: 0x3ff0000000000000,
             rounds: &[],
             max_dd_size: 63,
@@ -441,13 +313,6 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 0,
             series: 0x679f7c24b2876b25,
         },
-        edges: Pinned {
-            fidelity: 0x3ff0000000000000,
-            rounds: &[],
-            max_dd_size: 32,
-            nodes_removed: 0,
-            series: 0x679f7c24b2876b25,
-        },
         fingerprint: 0x11859fd57ce0c243,
     },
 ];
@@ -458,17 +323,13 @@ fn corpus_reproduces_the_recorded_bits() {
     let mut failed = false;
     for g in GOLDEN {
         let circuit = (g.circuit)();
-        let nodes = direct(&circuit, g.strategy, ApproxPrimitive::Nodes);
-        let edges = direct(&circuit, g.strategy, ApproxPrimitive::Edges);
+        let nodes = direct(&circuit, g.strategy);
         let fingerprint = pooled(&circuit, g.strategy);
-        failed |= !matches(&nodes, &g.nodes)
-            || !matches(&edges, &g.edges)
-            || fingerprint != g.fingerprint;
+        failed |= !matches(&nodes, &g.nodes) || fingerprint != g.fingerprint;
         report.push_str(&format!(
-            "{}:\n  nodes: {},\n  edges: {},\n  fingerprint: {fingerprint:#018x},\n",
+            "{}:\n  nodes: {},\n  fingerprint: {fingerprint:#018x},\n",
             g.name,
             render(&nodes),
-            render(&edges),
         ));
     }
     assert!(!failed, "results moved; this commit produces:\n{report}");

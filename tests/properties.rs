@@ -4,7 +4,7 @@
 //! truncation lower bounds — on randomized states and circuits.
 
 use approxdd::complex::Cplx;
-use approxdd::dd::{Package, RemovalStrategy};
+use approxdd::dd::Package;
 use proptest::prelude::*;
 
 /// Strategy: a random normalized amplitude vector on `n` qubits.
@@ -49,7 +49,7 @@ proptest! {
         let mut p = Package::new();
         let root = p.from_amplitudes(&amps).unwrap();
         p.inc_ref(root);
-        let r = p.truncate(root, RemovalStrategy::Budget(budget)).unwrap();
+        let r = p.truncate(root, budget).unwrap();
         prop_assert!(r.fidelity >= 1.0 - budget - 1e-9);
         // Reported fidelity equals the true overlap.
         let measured = p.fidelity(root, r.edge);
@@ -66,9 +66,9 @@ proptest! {
         let mut p = Package::new();
         let psi = p.from_amplitudes(&amps).unwrap();
         p.inc_ref(psi);
-        let r1 = p.truncate(psi, RemovalStrategy::Budget(b1)).unwrap();
+        let r1 = p.truncate(psi, b1).unwrap();
         p.inc_ref(r1.edge);
-        let r2 = p.truncate(r1.edge, RemovalStrategy::Budget(b2)).unwrap();
+        let r2 = p.truncate(r1.edge, b2).unwrap();
         let total = p.fidelity(psi, r2.edge);
         let product = r1.fidelity * r2.fidelity;
         prop_assert!((total - product).abs() < 1e-8,
