@@ -47,12 +47,6 @@ impl Json {
         Json::Num(n as f64)
     }
 
-    /// A number or `null` for a missing value.
-    #[must_use]
-    pub fn opt_int(n: Option<usize>) -> Self {
-        n.map_or(Json::Null, Json::int)
-    }
-
     /// A measurement histogram as `{"outcome": count}` with
     /// deterministically sorted keys.
     #[must_use]

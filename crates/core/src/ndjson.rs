@@ -1,17 +1,12 @@
-//! NDJSON export: one shared line-oriented format for [`TraceEvent`]
-//! streams and telemetry snapshots.
-//!
-//! The server already streams job events as newline-delimited JSON;
-//! this module gives the other two observability producers — the
-//! [`crate::TraceRecorder`] observer and the
-//! [`approxdd_telemetry::MetricsRegistry`] — the same shape, built on
+//! NDJSON export of [`TraceEvent`] streams: one event object per line,
+//! the format the server streams job events in, so a
+//! [`crate::TraceRecorder`] trace and a served job read alike. Built on
 //! the workspace's own [`Json`] writer. Everything exported here is
 //! diagnostic: no value ever feeds back into simulation, and none of
 //! it participates in result fingerprints.
 
 use crate::json::Json;
 use crate::policy::TraceEvent;
-use approxdd_telemetry::{MetricValue, MetricsSnapshot};
 
 /// One trace event as a `{"type": ...}` JSON object — the same
 /// field names as the [`TraceEvent`] variants.
@@ -117,92 +112,9 @@ pub fn trace_to_ndjson(events: &[TraceEvent]) -> String {
     out
 }
 
-/// The bench bins' `telemetry` report object: a phase-time breakdown
-/// (seconds per [`approxdd_telemetry::PHASE_METRIC`] phase label) plus
-/// the top counters, taken from the global registry.
-#[must_use]
-pub fn telemetry_json() -> Json {
-    telemetry_json_from(&approxdd_telemetry::global().snapshot())
-}
-
-/// [`telemetry_json`] over an explicit snapshot (tests, merged worker
-/// snapshots).
-#[must_use]
-pub(crate) fn telemetry_json_from(snapshot: &MetricsSnapshot) -> Json {
-    let mut phases: Vec<(String, Json)> = Vec::new();
-    let mut counters: Vec<(String, u64)> = Vec::new();
-    for entry in &snapshot.entries {
-        match &entry.value {
-            MetricValue::Histogram(h) if entry.name == approxdd_telemetry::PHASE_METRIC => {
-                let phase = entry
-                    .labels
-                    .iter()
-                    .find(|(k, _)| k == "phase")
-                    .map_or("?", |(_, v)| v.as_str());
-                phases.push((
-                    phase.to_string(),
-                    Json::obj([
-                        ("seconds", Json::Num(h.sum_seconds())),
-                        ("count", Json::int(h.count as usize)),
-                    ]),
-                ));
-            }
-            MetricValue::Counter(v) => {
-                let mut name = entry.name.clone();
-                if !entry.labels.is_empty() {
-                    let rendered: Vec<String> = entry
-                        .labels
-                        .iter()
-                        .map(|(k, v)| format!("{k}={v}"))
-                        .collect();
-                    name = format!("{name}{{{}}}", rendered.join(","));
-                }
-                counters.push((name, *v));
-            }
-            _ => {}
-        }
-    }
-    // Top counters by value (name-tiebroken for determinism), capped
-    // so smoke reports stay readable.
-    counters.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    counters.truncate(12);
-    Json::obj([
-        ("phases", Json::Obj(phases.into_iter().collect())),
-        (
-            "counters",
-            Json::Obj(
-                counters
-                    .into_iter()
-                    .map(|(k, v)| (k, Json::int(v as usize)))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use approxdd_telemetry::MetricsRegistry;
-
-    #[test]
-    fn telemetry_json_splits_phases_and_counters() {
-        let registry = MetricsRegistry::new();
-        registry
-            .histogram_with(approxdd_telemetry::PHASE_METRIC, &[("phase", "dd.apply")])
-            .observe(2_000_000_000);
-        registry.counter("approxdd_dd_gc_runs_total").add(4);
-        registry
-            .counter_with("labelled_total", &[("kind", "run")])
-            .inc();
-        let json = telemetry_json_from(&registry.snapshot()).to_string();
-        assert!(json.contains("\"phases\""));
-        assert!(json.contains("\"dd.apply\""));
-        assert!(json.contains("\"seconds\":2"));
-        assert!(json.contains("\"counters\""));
-        assert!(json.contains("\"approxdd_dd_gc_runs_total\":4"));
-        assert!(json.contains("\"labelled_total{kind=run}\":1"));
-    }
 
     #[test]
     fn trace_roundtrip_shape() {

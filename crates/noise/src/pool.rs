@@ -79,12 +79,6 @@ impl TrajectoryConfig {
         self.observable = Some(f);
         self
     }
-
-    /// Shots per trajectory.
-    #[must_use]
-    pub fn shots_per_trajectory(&self) -> usize {
-        self.shots
-    }
 }
 
 /// Per-trajectory results (one entry per trajectory, in index order).
@@ -258,7 +252,7 @@ impl NoisePool {
 
     /// Builds with an explicit model, ignoring the template's.
     #[must_use]
-    pub fn with_model(template: SimulatorBuilder, model: NoiseModel) -> Self {
+    pub(crate) fn with_model(template: SimulatorBuilder, model: NoiseModel) -> Self {
         let seeds = SeedStream::new(template.sample_seed());
         Self {
             pool: BackendPool::new(template),

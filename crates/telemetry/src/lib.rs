@@ -16,8 +16,7 @@
 //! * Export — [`MetricsRegistry::render_prometheus`] produces the
 //!   Prometheus text exposition format (served at `GET /metrics` by
 //!   `approxdd-server`), and [`MetricsRegistry::snapshot`] produces a
-//!   deterministic, mergeable [`MetricsSnapshot`] that
-//!   `approxdd_sim::ndjson` turns into NDJSON for the bench bins.
+//!   deterministic, mergeable [`MetricsSnapshot`].
 //!
 //! # Determinism contract
 //!

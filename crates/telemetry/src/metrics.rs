@@ -225,7 +225,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// If the (name, labels) pair is registered as a different kind.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
+    pub(crate) fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         let metric = self.get_or_insert(name, labels, || Metric::Counter(Arc::default()));
         match metric {
             Metric::Counter(c) => c,
@@ -269,7 +269,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// If the (name, labels) pair is registered as a different kind.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
+    pub(crate) fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         let metric = self.get_or_insert(name, labels, || Metric::Histogram(Arc::default()));
         match metric {
             Metric::Histogram(h) => h,

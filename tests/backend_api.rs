@@ -482,9 +482,12 @@ fn stabilizer_and_hybrid_pool_results_are_identical_across_worker_counts() {
     // byte-identically across 1/2/8 workers, for both pure-Clifford
     // batches on the tableau engine and mixed batches on hybrid
     // dispatch.
+    // Both batches end with a 32-qubit random Clifford circuit, a
+    // width the DD engine cannot reach.
     let stab_jobs = || -> Vec<PoolJob> {
         (0..4)
             .map(|seed| PoolJob::new(generators::random_clifford(8, 6, seed)).shots(500))
+            .chain([PoolJob::new(generators::random_clifford(32, 16, 42)).shots(500)])
             .collect()
     };
     let hybrid_jobs = || -> Vec<PoolJob> {
@@ -493,6 +496,7 @@ fn stabilizer_and_hybrid_pool_results_are_identical_across_worker_counts() {
             PoolJob::new(generators::random_clifford(8, 6, 1)).shots(500),
             PoolJob::new(generators::supremacy(2, 3, 10, 2)).shots(500),
             PoolJob::new(generators::qft(6)).shots(500),
+            PoolJob::new(generators::random_clifford(32, 16, 42)).shots(500),
         ]
     };
     for (engine, jobs) in [

@@ -337,3 +337,47 @@ fn presets_report_policy_names_through_backend_stats() {
         backend.release(out);
     }
 }
+
+#[test]
+fn lower_round_fidelity_never_grows_the_dd_or_raises_fidelity() {
+    // The monotonicity visible in Table I: at a fixed node threshold, a
+    // lower per-round fidelity gives a (weakly) smaller peak DD and a
+    // lower final fidelity.
+    let circuit = generators::supremacy(2, 3, 10, 0);
+    let stats: Vec<_> = [0.99, 0.95, 0.90]
+        .into_iter()
+        .map(|f_round| {
+            let mut sim = Simulator::builder()
+                .memory_driven_table1(8, f_round)
+                .build();
+            sim.run(&circuit).unwrap().stats
+        })
+        .collect();
+    for w in stats.windows(2) {
+        assert!(w[1].max_dd_size <= w[0].max_dd_size + 2);
+        assert!(w[1].fidelity <= w[0].fidelity + 1e-9);
+    }
+}
+
+#[test]
+fn fidelity_budget_split_over_k_rounds_keeps_its_floor() {
+    // Section IV-C's tradeoff: one f_final budget split over k rounds
+    // (f_round = f_final^(1/k)) performs at most k rounds and never ends
+    // below f_final.
+    let circuit = generators::supremacy(2, 3, 12, 1);
+    for k in [1, 2, 4] {
+        let f_round = 0.6f64.powf(1.0 / f64::from(k));
+        let mut sim = Simulator::builder().fidelity_driven(0.6, f_round).build();
+        let stats = sim.run(&circuit).unwrap().stats;
+        assert!(
+            stats.fidelity >= 0.6 - 1e-9,
+            "k={k} fidelity {}",
+            stats.fidelity
+        );
+        assert!(
+            stats.approx_rounds <= k as usize,
+            "k={k} rounds {}",
+            stats.approx_rounds
+        );
+    }
+}
