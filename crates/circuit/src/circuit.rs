@@ -37,6 +37,12 @@ pub enum CircuitError {
         /// Index of the offending operation.
         op_index: usize,
     },
+    /// A gate or dense block has a NaN or infinite matrix entry (a
+    /// non-finite rotation angle, say).
+    NonFinite {
+        /// Index of the offending operation.
+        op_index: usize,
+    },
 }
 
 impl fmt::Display for CircuitError {
@@ -58,6 +64,9 @@ impl fmt::Display for CircuitError {
             }
             CircuitError::InvalidDenseBlock { op_index } => {
                 write!(f, "operation {op_index}: dense block must have 4^k entries")
+            }
+            CircuitError::NonFinite { op_index } => {
+                write!(f, "operation {op_index}: matrix entry is not finite")
             }
         }
     }
@@ -281,7 +290,8 @@ impl Circuit {
         inv
     }
 
-    /// Checks qubit ranges, duplicate usage and permutation bijectivity.
+    /// Checks qubit ranges, duplicate usage, permutation bijectivity and
+    /// that every gate and dense-block matrix entry is finite.
     ///
     /// # Errors
     ///
@@ -323,6 +333,14 @@ impl Circuit {
                 let dim = 1usize << k;
                 if matrix.len() != dim * dim {
                     return Err(CircuitError::InvalidDenseBlock { op_index: i });
+                }
+                if !matrix.iter().all(|z| z.is_finite()) {
+                    return Err(CircuitError::NonFinite { op_index: i });
+                }
+            }
+            if let Operation::Gate { gate, .. } = op {
+                if !gate.matrix().iter().flatten().all(|z| z.is_finite()) {
+                    return Err(CircuitError::NonFinite { op_index: i });
                 }
             }
         }
@@ -516,6 +534,25 @@ mod tests {
         let mut c = Circuit::new(usize::MAX / 2, "wide");
         c.h(0).cx(0, 7);
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_catches_non_finite_entries() {
+        for angle in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = Circuit::new(2, "bad");
+            c.h(0).rx(angle, 1);
+            assert!(matches!(
+                c.validate(),
+                Err(CircuitError::NonFinite { op_index: 1 })
+            ));
+        }
+        let mut c = Circuit::new(1, "bad");
+        let nan = approxdd_complex::Cplx::new(f64::NAN, 0.0);
+        c.dense_block(0, 1, vec![nan; 4], &[], "nan");
+        assert!(matches!(
+            c.validate(),
+            Err(CircuitError::NonFinite { op_index: 0 })
+        ));
     }
 
     #[test]

@@ -688,10 +688,9 @@ impl Simulator {
     }
 
     fn maybe_gc(&mut self) {
-        // Count only collectable (delta-layer) nodes: a large frozen
-        // snapshot prefix is pinned and sweeping can never reclaim it,
-        // so it must not drive the trigger. Without a snapshot this is
-        // exactly the total alive count.
+        // The nodes this run would hold without a snapshot: its private
+        // ones plus the frozen gate DDs it has used (see `gate_dd`). The
+        // rest of a frozen prefix must not drive the trigger.
         if self.package.collectable_nodes() > self.options.gc_node_threshold {
             self.package.collect_garbage();
         }
@@ -731,12 +730,18 @@ impl Simulator {
             }
         };
         // Frozen-first: a snapshot-warmed gate is served without
-        // touching the private package. The edge's nodes sit below the
-        // arena watermark, pinned for the snapshot's lifetime — no
-        // per-simulator GC root needed.
+        // building it. Its nodes sit below the arena watermark, pinned
+        // for the snapshot's lifetime. Registering them (and the
+        // full-width identity every gate build pre-warms) only counts
+        // what a private build would have interned toward the GC
+        // trigger, so collections fire at the same gate with or
+        // without the snapshot.
         if let Some(snap) = &self.snapshot {
             if let Some(&(e, _)) = snap.gates.get(&key) {
                 self.snapshot_gate_hits += 1;
+                let identity = self.package.identity(n);
+                self.package.inc_ref_m(identity);
+                self.package.inc_ref_m(e);
                 return Ok(e);
             }
         }
@@ -1013,7 +1018,11 @@ mod tests {
     #[test]
     fn snapshot_run_matches_plain_run_bitwise() {
         let circuits = [generators::qft(5), generators::ghz(6)];
-        let options = SimOptions::default();
+        // Collections interleave: they must fire at the same gates.
+        let options = SimOptions {
+            gc_node_threshold: 16,
+            ..SimOptions::default()
+        };
         let snapshot = Arc::new(SimSnapshot::build(&options, circuits.iter()).unwrap());
         assert!(snapshot.cached_gates() > 0);
         assert!(snapshot.frozen_nodes() > 0);
@@ -1036,6 +1045,12 @@ mod tests {
             assert_eq!(
                 snap.package().stats().frozen_nodes(),
                 snapshot.frozen_nodes()
+            );
+            let gc_runs = [&plain, &snap].map(|sim| sim.package().stats().gc_runs);
+            assert!(
+                gc_runs[0] > 0 && gc_runs[0] == gc_runs[1],
+                "{}: {gc_runs:?}",
+                circuit.name()
             );
         }
     }

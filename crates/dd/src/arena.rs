@@ -215,6 +215,10 @@ pub(crate) struct Arena<T> {
     alive_count: usize,
     /// High-water mark of simultaneously alive delta nodes.
     peak: usize,
+    /// One bit per frozen slot this layer uses as its own (see
+    /// [`Arena::hold`]), and their number.
+    held: BitSet,
+    held_count: usize,
 }
 
 impl<T> Arena<T> {
@@ -229,6 +233,8 @@ impl<T> Arena<T> {
             free: Vec::new(),
             alive_count: 0,
             peak: 0,
+            held: BitSet::default(),
+            held_count: 0,
         }
     }
 
@@ -250,6 +256,8 @@ impl<T> Arena<T> {
             free: Vec::new(),
             alive_count: 0,
             peak: 0,
+            held: BitSet::default(),
+            held_count: 0,
         }
     }
 
@@ -370,6 +378,23 @@ impl<T> Arena<T> {
         }
     }
 
+    /// Counts the frozen slot `idx` as used by this layer; `false` if it
+    /// already was.
+    pub(crate) fn hold(&mut self, idx: u32) -> bool {
+        debug_assert!(idx < self.watermark, "only frozen slots are held");
+        let i = idx as usize;
+        self.held.ensure(i);
+        let fresh = !self.held.get(i);
+        self.held.set(i);
+        self.held_count += usize::from(fresh);
+        fresh
+    }
+
+    /// Frozen slots this layer holds as its own.
+    pub(crate) fn held_count(&self) -> usize {
+        self.held_count
+    }
+
     /// Alive slots across both tiers (frozen prefix + delta).
     pub(crate) fn alive_count(&self) -> usize {
         self.frozen_count() + self.alive_count
@@ -397,7 +422,8 @@ impl<T> Arena<T> {
     /// is shared, not owned).
     pub(crate) fn bytes(&self) -> usize {
         self.items.len() * (std::mem::size_of::<T>() + std::mem::size_of::<u32>())
-            + (self.alive.words.len() + self.mark.words.len()) * std::mem::size_of::<u64>()
+            + (self.alive.words.len() + self.mark.words.len() + self.held.words.len())
+                * std::mem::size_of::<u64>()
             + self.free.len() * std::mem::size_of::<u32>()
     }
 

@@ -91,14 +91,16 @@ impl Package {
         }
     }
 
-    /// Alive nodes a GC pass can actually inspect and free: everything
-    /// in the private delta layer. Without a snapshot this equals
-    /// every alive node of both arenas; with one, the pinned frozen
-    /// prefix is excluded so a large snapshot does not drive the GC
-    /// trigger by its mere presence.
+    /// The alive-node count the GC trigger reads. Without a snapshot it
+    /// is every alive node of both arenas. With one, it is the private
+    /// delta layer plus the frozen matrix nodes of the edges registered
+    /// with [`Package::inc_ref_m`]: the nodes this package would hold
+    /// had it built those edges itself. A trigger on it fires at the
+    /// same operation with and without the snapshot, and the rest of
+    /// the frozen prefix does not drive it by its mere presence.
     #[must_use]
     pub fn collectable_nodes(&self) -> usize {
-        self.vnodes.delta_alive_count() + self.mnodes.delta_alive_count()
+        self.vnodes.delta_alive_count() + self.mnodes.delta_alive_count() + self.mnodes.held_count()
     }
 }
 

@@ -134,9 +134,10 @@
 //! configuration** — including across a reset of the canonical-ratio
 //! table, which happens only when a *new* bucket finds it full and after
 //! which no result computed across the reset is memoized (see the
-//! `ratio` module); the workspace's `cache_equivalence` suite
-//! property-tests exactly that (4-bit vs. default vs. 20-bit caches),
-//! and [`PackageStats`] reports the table's hits and misses so
+//! `ratio` module). The workspace's determinism suite
+//! (`tests/determinism.rs`) checks a 2-bit against the default table,
+//! `package::tests::results_do_not_depend_on_cache_size_across_ratio_resets`
+//! does so across ratio resets, and [`PackageStats`] reports the table's hits and misses so
 //! regressions in cache behavior show up in benchmark JSON, not just
 //! wall time.
 //!

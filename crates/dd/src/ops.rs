@@ -56,8 +56,8 @@
 //! the result — sees the same sequence of ratios and resets at the same
 //! moments; and the table only ever differs by entries a lookup could
 //! have lost to eviction anyway, which the "hit ≡ recompute" contract
-//! (see the crate docs, `tests/cache_equivalence.rs`) already makes
-//! unobservable.
+//! (see the crate docs and the workspace's `tests/determinism.rs`)
+//! already makes unobservable.
 //!
 //! # The identity rule
 //!

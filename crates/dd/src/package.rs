@@ -605,9 +605,27 @@ impl Package {
     }
 
     /// Registers a matrix edge as an external GC root.
+    ///
+    /// A frozen edge is pinned already; registering it makes its frozen
+    /// nodes count as this package's own in
+    /// [`Package::collectable_nodes`], as if it had built the edge.
     pub fn inc_ref_m(&mut self, e: MEdge) {
-        if !e.node.is_terminal() {
-            self.mnodes.inc_rc(e.node.0);
+        if e.node.0 >= self.mnodes.watermark() {
+            if !e.node.is_terminal() {
+                self.mnodes.inc_rc(e.node.0);
+            }
+            return;
+        }
+        // Below a frozen node all nodes are frozen, and below a held one
+        // all are held: an edge registered before allocates nothing.
+        let (mut idx, mut stack) = (e.node.0, Vec::new());
+        loop {
+            if self.mnodes.hold(idx) {
+                let children = self.mnodes.get(idx).edges.map(|c| c.node);
+                stack.extend(children.iter().filter(|c| !c.is_terminal()).map(|c| c.0));
+            }
+            let Some(next) = stack.pop() else { return };
+            idx = next;
         }
     }
 

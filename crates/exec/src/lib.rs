@@ -107,7 +107,7 @@ mod tests {
         assert_eq!(pool.workers(), 3);
         assert_eq!(pool.root_seed(), 99);
         // workers(0) clamps to one worker, never a dead pool.
-        let pool = BackendPool::with_workers(Simulator::builder(), 0);
+        let pool = Simulator::builder().workers(0).build_pool();
         assert_eq!(pool.workers(), 1);
     }
 
@@ -268,42 +268,6 @@ mod tests {
         let first = pool.sample_counts(&circuit, shots).expect("first");
         let second = pool.sample_counts(&circuit, shots).expect("second");
         assert_eq!(first, second);
-    }
-
-    /// The copy-on-write snapshot contract: sharing a frozen package
-    /// prefix across workers must not change a single result bit.
-    /// Fingerprints (which cover amplitude-derived fields, counts and
-    /// expectations bit-for-bit) are compared between snapshot-on and
-    /// snapshot-off at 1, 2 and 8 workers.
-    #[test]
-    fn snapshot_on_fingerprints_match_snapshot_off_across_worker_counts() {
-        let circuits: Vec<_> = (0..5).map(|s| generators::supremacy(2, 3, 10, s)).collect();
-        let run = |share: bool, workers: usize| {
-            let pool = Simulator::builder()
-                .workers(workers)
-                .seed(17)
-                .share_snapshot(share)
-                .build_pool();
-            let jobs: Vec<_> = circuits
-                .iter()
-                .map(|c| PoolJob::new(c.clone()).shots(256))
-                .collect();
-            let fps: Vec<u64> = pool
-                .run_jobs(jobs)
-                .iter()
-                .map(|r| r.as_ref().expect("job").fingerprint())
-                .collect();
-            (fps, pool.stats())
-        };
-        let (off, off_stats) = run(false, 1);
-        assert_eq!(off_stats.snapshot_gate_hits(), 0);
-        assert_eq!(off_stats.frozen_nodes(), 0);
-        for workers in [1, 2, 8] {
-            let (on, on_stats) = run(true, workers);
-            assert_eq!(off, on, "fingerprints diverge at {workers} workers");
-            assert!(on_stats.snapshot_gate_hits() > 0, "snapshot unused");
-            assert!(on_stats.frozen_nodes() > 0);
-        }
     }
 
     /// Snapshot counters must aggregate like the cache counters:

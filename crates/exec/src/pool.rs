@@ -51,9 +51,10 @@
 //! input order** into a [`SimSnapshot`], and every worker job layers a
 //! private delta package over that shared immutable prefix. The frozen
 //! tier pins the canonicalization history a job would have built
-//! itself, so [`PoolOutcome::fingerprint`] stays byte-identical between
-//! snapshot-on and snapshot-off at any worker count — the contract
-//! suite asserts exactly that.
+//! itself, and the job's GC trigger counts the frozen gate nodes it
+//! uses as a private build would, so [`PoolOutcome::fingerprint`] stays
+//! byte-identical between snapshot-on and snapshot-off at any worker
+//! count — the workspace's `tests/determinism.rs` asserts exactly that.
 //!
 //! # Fault tolerance
 //!
@@ -660,14 +661,6 @@ impl BackendPool {
     #[must_use]
     pub fn new(template: SimulatorBuilder) -> Self {
         let workers = template.worker_count();
-        Self::with_workers(template, workers)
-    }
-
-    /// Builds a pool with an explicit worker count (clamped to ≥ 1),
-    /// ignoring the template's `workers` knob.
-    #[must_use]
-    pub fn with_workers(template: SimulatorBuilder, workers: usize) -> Self {
-        let workers = workers.max(1);
         let (sender, receiver) = mpsc::channel::<Task>();
         let receiver = Arc::new(Mutex::new(receiver));
         let queue_depth = Arc::new(AtomicUsize::new(0));
@@ -810,8 +803,8 @@ impl BackendPool {
     /// to every subsequent batch of that family — gate DDs are never
     /// rebuilt, and because a snapshot is a pure function of (options,
     /// circuit list) the outcomes stay byte-identical to a cold
-    /// [`BackendPool::run_jobs`] call (the snapshot equivalence
-    /// contract of `tests/snapshot_equivalence.rs`). `None` runs the
+    /// [`BackendPool::run_jobs`] call (the snapshot clause of the
+    /// determinism contract, `tests/determinism.rs`). `None` runs the
     /// batch snapshot-free, regardless of the template's
     /// `share_snapshot` knob. The pure-tableau engine has no DD
     /// package: a supplied snapshot is ignored there.

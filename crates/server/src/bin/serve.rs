@@ -29,7 +29,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut addr_file = None;
-    let mut template = Simulator::builder().seed(0).share_snapshot(true);
+    let mut template = Simulator::builder().seed(0);
     let mut config = ServerConfig::new();
     let (mut quota_burst, mut quota_refill) = (None, None);
     let mut it = std::env::args().skip(1);

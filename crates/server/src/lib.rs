@@ -18,7 +18,7 @@
 //! use approxdd_sim::Simulator;
 //!
 //! let config = ServerConfig::new()
-//!     .template(Simulator::builder().seed(7).workers(4).share_snapshot(true))
+//!     .template(Simulator::builder().seed(7).workers(4))
 //!     .queue_capacity(32)
 //!     .sessions(8);
 //! let server = JobServer::bind("127.0.0.1:0", config)?;

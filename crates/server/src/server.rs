@@ -112,7 +112,9 @@ impl ServerConfig {
     }
 
     /// Warm sessions to keep (LRU); 0 disables cross-batch snapshot
-    /// reuse entirely.
+    /// reuse entirely. Sessions alone decide snapshot reuse when
+    /// serving: the template's `share_snapshot` knob is never read,
+    /// because each request runs over its session's snapshot or none.
     #[must_use]
     pub fn sessions(mut self, capacity: usize) -> Self {
         self.session_capacity = capacity;

@@ -15,10 +15,10 @@
 //! structure) — see [`SimSnapshot::build`] — and running over a
 //! snapshot is bit-identical to running without one (the PR 7
 //! contract). Promoting the snapshot from per-batch to cross-batch
-//! therefore cannot move a single result bit: warm and cold runs of
-//! the same request fingerprint identically, which
-//! `tests/serve_e2e.rs` and the proptest in `tests/session_props.rs`
-//! both assert. The cache key hashes the gate structure (qubit count
+//! therefore cannot move a single result bit: warm, cold and re-frozen
+//! runs of the same request fingerprint identically, which the
+//! workspace's determinism suite (`tests/determinism.rs`) asserts over
+//! TCP. The cache key hashes the gate structure (qubit count
 //! and every operation, *not* the circuit name), so two differently
 //! named but structurally identical circuits share a session — safe
 //! for the same reason.

@@ -6,10 +6,11 @@
 //! are compared against each other for amplitude and fidelity
 //! agreement.
 //!
-//! The second half is the `BackendPool` contract suite: batch results
-//! and sharded sampling must be byte-identical across worker counts,
-//! empty and oversized batches must behave, and a poisoned job must
-//! neither deadlock the queue nor disturb its neighbours' results.
+//! The second half is the `BackendPool` contract suite: tableau-engine
+//! batches must be byte-identical across worker counts (the DD engine's
+//! are `tests/determinism.rs`'s to check), empty and oversized batches
+//! must behave, and a poisoned job must neither deadlock the queue nor
+//! disturb its neighbours' results.
 
 use approxdd::backend::{
     amplitudes_of, AnyBackend, Backend, BuildBackend, ExecError, StatevectorBackend,
@@ -240,6 +241,42 @@ fn a_register_no_engine_can_index_is_refused_at_prepare() {
 }
 
 #[test]
+fn non_finite_gate_parameters_are_refused_by_every_engine() {
+    use approxdd::circuit::CircuitError::NonFinite;
+    use approxdd::sim::SimError;
+    let mut nan = Circuit::new(2, "nan");
+    nan.h(0).rx(f64::NAN, 1).cx(0, 1);
+    let mut inf = Circuit::new(1, "inf");
+    inf.h(0).rz(f64::INFINITY, 0);
+    // The simulator, exact and fidelity-driven …
+    assert!(matches!(
+        Simulator::builder().build().run(&nan),
+        Err(SimError::Circuit(NonFinite { op_index: 1 }))
+    ));
+    let fidelity = || Simulator::builder().strategy(Strategy::fidelity_driven(0.5, 0.9));
+    assert!(matches!(
+        fidelity().build().run(&inf),
+        Err(SimError::Circuit(NonFinite { op_index: 1 }))
+    ));
+    // … and both backends, through the `Backend` API.
+    for circuit in [&nan, &inf] {
+        let dd = amplitudes_of(&mut fidelity().build_backend(), circuit);
+        let sv = amplitudes_of(&mut StatevectorBackend::with_seed(1), circuit);
+        for result in [dd, sv] {
+            assert!(
+                matches!(
+                    result,
+                    Err(ExecError::Circuit(NonFinite { op_index: 1 })
+                        | ExecError::Sim(SimError::Circuit(NonFinite { op_index: 1 })))
+                ),
+                "{}: {result:?}",
+                circuit.name()
+            );
+        }
+    }
+}
+
+#[test]
 fn stabilizer_rejects_non_clifford_and_wide_registers() {
     let backend = Simulator::builder()
         .engine(Engine::Stabilizer)
@@ -425,57 +462,6 @@ fn a_failed_batch_releases_the_outcomes_it_produced() {
 // BackendPool contract suite
 // ---------------------------------------------------------------------
 
-/// A mixed batch that exercises exact runs, approximation and sampling.
-fn pool_jobs() -> Vec<PoolJob> {
-    let mut jobs: Vec<PoolJob> = (0..4)
-        .map(|seed| PoolJob::new(generators::supremacy(2, 3, 12, seed)).shots(500))
-        .collect();
-    jobs.push(
-        PoolJob::new(generators::supremacy(2, 3, 12, 9))
-            .strategy(Strategy::fidelity_driven(0.6, 0.9))
-            .shots(500),
-    );
-    jobs.push(PoolJob::new(generators::ghz(10)).shots(1000));
-    jobs
-}
-
-#[test]
-fn pool_results_are_identical_across_worker_counts() {
-    // The determinism acceptance criterion: same root seed, any worker
-    // count -> byte-identical outcomes (fingerprints cover every field
-    // except wall-clock runtime) and byte-identical histograms.
-    let fingerprints: Vec<Vec<u64>> = [1usize, 2, 8]
-        .iter()
-        .map(|&workers| {
-            let pool = Simulator::builder().seed(42).workers(workers).build_pool();
-            pool.run_jobs(pool_jobs())
-                .into_iter()
-                .map(|r| r.expect("pool job").fingerprint())
-                .collect()
-        })
-        .collect();
-    assert_eq!(fingerprints[0], fingerprints[1], "1 vs 2 workers");
-    assert_eq!(fingerprints[0], fingerprints[2], "1 vs 8 workers");
-
-    let circuit = generators::supremacy(2, 3, 10, 3);
-    let reference = Simulator::builder()
-        .seed(42)
-        .workers(1)
-        .build_pool()
-        .sample_counts(&circuit, 5000)
-        .expect("counts");
-    assert_eq!(reference.values().sum::<usize>(), 5000);
-    for workers in [2usize, 8] {
-        let counts = Simulator::builder()
-            .seed(42)
-            .workers(workers)
-            .build_pool()
-            .sample_counts(&circuit, 5000)
-            .expect("counts");
-        assert_eq!(reference, counts, "sample_counts with {workers} workers");
-    }
-}
-
 #[test]
 fn stabilizer_and_hybrid_pool_results_are_identical_across_worker_counts() {
     // The hybrid acceptance criterion: engine-knob pools fingerprint
@@ -644,7 +630,7 @@ fn pool_speedup_on_smoke_workload() {
         .collect();
     let template = || Simulator::builder().strategy(Strategy::memory_driven_table1(1 << 11, 0.97));
     let walltime = |workers| {
-        let pool = approxdd::exec::BackendPool::with_workers(template(), workers);
+        let pool = template().workers(workers).build_pool();
         let start = std::time::Instant::now();
         pool.run_batch(&circuits).expect("batch");
         start.elapsed()

@@ -1,97 +1,22 @@
-//! Cache-size equivalence: the DD package's lossy compute caches are a
-//! pure time/memory trade, so **every** cache size must produce
-//! byte-identical results. Random circuits run with tiny (4-bit),
-//! default (16-bit), and huge (20-bit) caches and must produce equal
-//! [`PoolOutcome::fingerprint`]s (covering stats, size series, final
-//! size, and sampled histograms), and must match the dense statevector
-//! baseline within numerical tolerance.
+//! Cache provisioning is invisible: a package that takes over the
+//! `add` table slab a previous package retired on the same thread
+//! behaves exactly like one on a fresh thread. That every cache *size*
+//! gives byte-identical results is `tests/determinism.rs`'s to check
+//! (and `crates/dd`'s `results_do_not_depend_on_cache_size_across_ratio_resets`
+//! across canonical-ratio resets).
 //!
-//! Why this holds: an undersized cache only loses memoized results,
-//! forcing recomputation — and recomputation is bit-deterministic
-//! because node canonicalization lives in the (exact, never lossy)
-//! unique table, whose evolution is independent of the memoization
-//! pattern. See the `approxdd_dd` crate docs.
+//! Why this holds: an undersized or recycled cache only loses or
+//! shadows memoized results, forcing recomputation, and recomputation
+//! is bit-deterministic because node canonicalization lives in the
+//! (exact, never lossy) unique table, whose evolution is independent
+//! of the memoization pattern. See the `approxdd_dd` crate docs.
 
 use std::sync::Arc;
 use std::thread;
 
-use approxdd::backend::{amplitudes_of, BuildBackend, StatevectorBackend};
 use approxdd::circuit::{generators, Circuit};
 use approxdd::dd::PackageStats;
-use approxdd::exec::{BuildPool, PoolJob};
-use approxdd::sim::{Simulator, SimulatorBuilder, Strategy};
-use proptest::prelude::*;
-
-/// The three cache configurations under test: tiny, engine default,
-/// huge. `None` leaves the builder knob unset (engine default).
-const CACHE_BITS: [Option<u32>; 3] = [Some(4), None, Some(20)];
-
-fn template(bits: Option<u32>) -> SimulatorBuilder {
-    let b = Simulator::builder()
-        .seed(11)
-        .workers(2)
-        .record_size_series(true)
-        .gc_node_threshold(48); // force GC interleavings into the mix
-    match bits {
-        Some(bits) => b.compute_cache_bits(bits),
-        None => b,
-    }
-}
-
-/// Fingerprints of a batch of jobs under one cache configuration.
-fn fingerprints(bits: Option<u32>, jobs: Vec<PoolJob>) -> Vec<u64> {
-    let pool = template(bits).build_pool();
-    pool.run_jobs(jobs)
-        .into_iter()
-        .map(|r| r.expect("pool job").fingerprint())
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn exact_runs_are_cache_size_invariant(
-        n in 3usize..7,
-        depth in 4usize..10,
-        seed in 0u64..500
-    ) {
-        let circuit = generators::random_circuit(n, depth, seed);
-        let jobs = || vec![PoolJob::new(circuit.clone()).shots(256)];
-        let reference = fingerprints(CACHE_BITS[0], jobs());
-        for bits in &CACHE_BITS[1..] {
-            let other = fingerprints(*bits, jobs());
-            prop_assert_eq!(&reference, &other, "cache bits {:?} diverged", bits);
-        }
-
-        // And the tiny-cache engine still matches the dense baseline.
-        let mut dd = template(Some(4)).build_backend();
-        let mut sv = StatevectorBackend::with_seed(11);
-        let a = amplitudes_of(&mut dd, &circuit).expect("dd amplitudes");
-        let b = amplitudes_of(&mut sv, &circuit).expect("sv amplitudes");
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            prop_assert!((*x - *y).mag() < 1e-9, "amplitude {i}: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn approximate_runs_are_cache_size_invariant(
-        seed in 0u64..200,
-        threshold in 8usize..64
-    ) {
-        // Truncation rounds + GC exercise the generation-stamped clear
-        // path; the fingerprint covers rounds, fidelity bits, removed
-        // nodes, and the sampled histogram.
-        let circuit = generators::supremacy(2, 3, 10, seed);
-        let strategy = Strategy::memory_driven_table1(threshold, 0.9);
-        let jobs = || vec![PoolJob::new(circuit.clone()).strategy(strategy).shots(256)];
-        let reference = fingerprints(CACHE_BITS[0], jobs());
-        for bits in &CACHE_BITS[1..] {
-            let other = fingerprints(*bits, jobs());
-            prop_assert_eq!(&reference, &other, "cache bits {:?} diverged", bits);
-        }
-    }
-}
+use approxdd::sim::{Simulator, Strategy};
 
 /// Everything one run leaves observable: the final amplitudes' bits,
 /// the run's result statistics, and the package's own counters (per

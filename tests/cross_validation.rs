@@ -7,7 +7,7 @@
 use approxdd::backend::{amplitudes_of, Backend, BuildBackend, StatevectorBackend};
 use approxdd::circuit::{generators, Circuit};
 use approxdd::complex::Cplx;
-use approxdd::sim::Simulator;
+use approxdd::sim::{Simulator, SimulatorBuilder};
 
 /// The generic half of every check: final amplitudes of `circuit` on
 /// any backend.
@@ -16,8 +16,8 @@ fn backend_amplitudes<B: Backend>(backend: &mut B, circuit: &Circuit) -> Vec<Cpl
         .unwrap_or_else(|e| panic!("{} run of {}: {e}", backend.name(), circuit.name()))
 }
 
-fn assert_same_state(circuit: &Circuit) {
-    let mut dd = Simulator::builder().exact().build_backend();
+fn assert_same_state(circuit: &Circuit, builder: SimulatorBuilder) {
+    let mut dd = builder.exact().build_backend();
     let mut sv = StatevectorBackend::new();
     let a = backend_amplitudes(&mut dd, circuit);
     let b = backend_amplitudes(&mut sv, circuit);
@@ -32,22 +32,29 @@ fn assert_same_state(circuit: &Circuit) {
 
 #[test]
 fn all_families_match_dense_baseline() {
-    assert_same_state(&generators::ghz(8));
-    assert_same_state(&generators::w_state(7));
-    assert_same_state(&generators::qft(7));
-    assert_same_state(&generators::inverse_qft(6, true));
-    assert_same_state(&generators::grover(6, 0b110101, None));
-    assert_same_state(&generators::bernstein_vazirani(9, 0b101100111));
-    assert_same_state(&generators::supremacy(2, 4, 10, 11));
-    for seed in 0..3 {
-        assert_same_state(&generators::random_circuit(7, 12, seed));
+    let mut circuits = vec![
+        generators::ghz(8),
+        generators::w_state(7),
+        generators::qft(7),
+        generators::inverse_qft(6, true),
+        generators::grover(6, 0b110101, None),
+        generators::bernstein_vazirani(9, 0b101100111),
+        generators::supremacy(2, 4, 10, 11),
+    ];
+    circuits.extend((0..3).map(|seed| generators::random_circuit(7, 12, seed)));
+    // The default `add` table, and a 4-slot one that evicts almost
+    // every entry: a lossy table only recomputes, never changes a bit
+    // that matters here.
+    for circuit in &circuits {
+        assert_same_state(circuit, Simulator::builder());
+        assert_same_state(circuit, Simulator::builder().compute_cache_bits(2));
     }
 }
 
 #[test]
 fn shor_circuit_matches_dense_baseline() {
     let circuit = approxdd::shor::shor_circuit(15, 7).expect("shor_15_7");
-    assert_same_state(&circuit);
+    assert_same_state(&circuit, Simulator::builder());
 }
 
 #[test]

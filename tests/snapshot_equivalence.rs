@@ -1,76 +1,14 @@
-//! Snapshot equivalence: sharing a copy-on-write package snapshot
-//! across pool workers is a pure throughput optimization, so
-//! snapshot-on and snapshot-off runs must produce byte-identical
-//! [`PoolOutcome::fingerprint`]s at every worker count, and the
-//! delta-only GC must never free a node in the frozen tier.
-//!
-//! Why this holds: the snapshot is built on the submitting thread, in
-//! input order, as a pure function of the job list — it pins exactly
-//! the canonicalization history that per-job rebuilds would have
-//! produced. Frozen arena slots are pinned below the watermark
+//! Snapshot GC: the delta-only GC must never free a node in the
+//! frozen tier. Frozen arena slots are pinned below the watermark
 //! (refcounts are no-ops, marks always read live) and the sweep
-//! iterates the delta only. See docs/ARCHITECTURE.md.
+//! iterates the delta only. That snapshot-on and snapshot-off runs
+//! fingerprint identically is `tests/determinism.rs`'s to check; see
+//! docs/ARCHITECTURE.md.
 
 use std::sync::Arc;
 
 use approxdd::circuit::generators;
-use approxdd::exec::{BuildPool, PoolJob};
 use approxdd::sim::{Simulator, Strategy};
-use proptest::prelude::*;
-
-/// Fingerprints of a batch under one snapshot configuration.
-fn fingerprints(share: bool, workers: usize, jobs: Vec<PoolJob>) -> Vec<u64> {
-    let pool = Simulator::builder()
-        .seed(9)
-        .workers(workers)
-        .record_size_series(true)
-        .share_snapshot(share)
-        .build_pool();
-    pool.run_jobs(jobs)
-        .into_iter()
-        .map(|r| r.expect("pool job").fingerprint())
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn snapshot_on_matches_snapshot_off_at_any_worker_count(
-        n in 3usize..7,
-        depth in 4usize..10,
-        seed in 0u64..500
-    ) {
-        // Three related circuits per batch (shared gate families make
-        // the frozen prefix actually earn hits), alternating exact and
-        // truncating jobs so delta GC runs under the snapshot.
-        let circuits: Vec<_> = (0..3u64)
-            .map(|i| generators::random_circuit(n, depth, seed * 3 + i))
-            .collect();
-        let jobs = || {
-            circuits
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let job = PoolJob::new(c.clone()).shots(128);
-                    if i % 2 == 0 {
-                        job
-                    } else {
-                        job.strategy(Strategy::memory_driven_table1(64, 0.95))
-                    }
-                })
-                .collect::<Vec<_>>()
-        };
-        let reference = fingerprints(false, 1, jobs());
-        for workers in [1usize, 2, 8] {
-            let on = fingerprints(true, workers, jobs());
-            prop_assert_eq!(
-                &reference, &on,
-                "snapshot-on diverged from snapshot-off at {} workers", workers
-            );
-        }
-    }
-}
 
 /// Delta GC must respect the watermark: heavy truncation-driven
 /// sweeps may free delta nodes freely, but every frozen node stays

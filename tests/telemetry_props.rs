@@ -1,85 +1,15 @@
-//! Telemetry invariance: metrics are a write-only side channel, so
-//! toggling recording on or off must not move a single bit of
-//! simulation output.
-//!
-//! Why this holds: instrumentation sites only *record* (relaxed atomic
-//! adds into the global registry and clock reads that were already
-//! taken for `runtime` statistics) — nothing in `approxdd-telemetry`
-//! is ever read back into a scheduling, truncation, or sampling
-//! decision, and no telemetry value feeds
-//! [`PoolOutcome::fingerprint`]. This file lives in its own test
-//! binary because it flips the process-global enable flag.
+//! Telemetry records: the spans wired through the run loop grow the
+//! phase series. That toggling recording never moves a result bit is
+//! `tests/determinism.rs`'s to check; this test stays out of that
+//! binary, which flips the process-global enable flag.
 
 use approxdd::circuit::generators;
 use approxdd::exec::{BuildPool, PoolJob};
-use approxdd::sim::{Simulator, Strategy};
+use approxdd::sim::Simulator;
 use approxdd::telemetry;
-use proptest::prelude::*;
-
-/// Fingerprints of a batch at a given worker count, under whatever
-/// telemetry state the caller has set.
-fn fingerprints(workers: usize, jobs: Vec<PoolJob>) -> Vec<u64> {
-    let pool = Simulator::builder().seed(11).workers(workers).build_pool();
-    pool.run_jobs(jobs)
-        .into_iter()
-        .map(|r| r.expect("pool job").fingerprint())
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    // Random mixed batches (exact + truncating jobs, with sampling) run
-    // with telemetry enabled and disabled at 1, 2 and 8 workers: every
-    // configuration must reproduce the single-worker reference
-    // fingerprints byte for byte.
-    #[test]
-    fn fingerprints_identical_with_telemetry_on_and_off(
-        n in 3usize..7,
-        depth in 4usize..10,
-        seed in 0u64..500
-    ) {
-        let circuits: Vec<_> = (0..3u64)
-            .map(|i| generators::random_circuit(n, depth, seed * 3 + i))
-            .collect();
-        let jobs = || {
-            circuits
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let job = PoolJob::new(c.clone()).shots(64);
-                    if i % 2 == 0 {
-                        job
-                    } else {
-                        job.strategy(Strategy::memory_driven_table1(64, 0.95))
-                    }
-                })
-                .collect::<Vec<_>>()
-        };
-
-        telemetry::set_enabled(true);
-        let reference = fingerprints(1, jobs());
-        for workers in [1usize, 2, 8] {
-            telemetry::set_enabled(true);
-            let on = fingerprints(workers, jobs());
-            telemetry::set_enabled(false);
-            let off = fingerprints(workers, jobs());
-            telemetry::set_enabled(true);
-            prop_assert_eq!(
-                &reference, &on,
-                "telemetry-on diverged at {} workers", workers
-            );
-            prop_assert_eq!(
-                &reference, &off,
-                "telemetry-off diverged at {} workers", workers
-            );
-        }
-    }
-}
 
 /// The spans wired through the run loop actually record: one pooled
-/// run must grow the phase-duration family (and the recorded phase
-/// time is invisible to the outcome, per the proptest above).
+/// run must grow the phase-duration family.
 #[test]
 fn pooled_run_records_phase_series() {
     telemetry::set_enabled(true);
