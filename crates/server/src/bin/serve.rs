@@ -63,11 +63,15 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
-    if let (Some(burst), Some(refill_per_sec)) = (quota_burst, quota_refill) {
-        config = config.quota(Quota {
-            burst,
-            refill_per_sec,
-        });
+    match (quota_burst, quota_refill) {
+        (Some(burst), Some(refill_per_sec)) => {
+            config = config.quota(Quota {
+                burst: positive(burst, "--quota-burst")?,
+                refill_per_sec: positive(refill_per_sec, "--quota-refill")?,
+            });
+        }
+        (None, None) => {}
+        _ => return Err("--quota-burst and --quota-refill must be given together".to_string()),
     }
     Ok(Args {
         addr,
@@ -86,6 +90,16 @@ fn value<T: std::str::FromStr>(
         .ok_or_else(|| format!("{flag} requires a value"))?;
     raw.parse()
         .map_err(|_| format!("bad value for {flag}: {raw:?}"))
+}
+
+/// `x` when it is finite and above 0: a bucket that never fills or
+/// never refills is a typo, not a quota.
+fn positive(x: f64, flag: &str) -> Result<f64, String> {
+    if x.is_finite() && x > 0.0 {
+        Ok(x)
+    } else {
+        Err(format!("{flag} must be a finite number above 0, got {x}"))
+    }
 }
 
 fn main() -> ExitCode {

@@ -35,6 +35,9 @@ pub enum ServeError {
     BadRequest(String),
     /// No such job or route (HTTP 404).
     NotFound(String),
+    /// The job with this id settled and its log was evicted to keep
+    /// the server's retained logs under budget (HTTP 410).
+    Expired(u64),
     /// The server is draining after `POST /shutdown` and accepts no
     /// new jobs (HTTP 503).
     ShuttingDown,
@@ -52,6 +55,7 @@ impl ServeError {
             ServeError::QueueFull { .. } | ServeError::QuotaExhausted { .. } => 429,
             ServeError::BadRequest(_) => 400,
             ServeError::NotFound(_) => 404,
+            ServeError::Expired(_) => 410,
             ServeError::ShuttingDown => 503,
             ServeError::Exec(_) => 500,
         }
@@ -65,6 +69,7 @@ impl ServeError {
             ServeError::QuotaExhausted { .. } => "quota_exhausted",
             ServeError::BadRequest(_) => "bad_request",
             ServeError::NotFound(_) => "not_found",
+            ServeError::Expired(_) => "expired",
             ServeError::ShuttingDown => "shutting_down",
             ServeError::Exec(_) => "exec",
         }
@@ -82,6 +87,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             ServeError::NotFound(what) => write!(f, "not found: {what}"),
+            ServeError::Expired(job) => write!(f, "job {job} has expired: its log was evicted"),
             ServeError::ShuttingDown => f.write_str("server is shutting down"),
             ServeError::Exec(e) => write!(f, "execution failed: {e}"),
         }
@@ -125,6 +131,7 @@ mod tests {
             ),
             (ServeError::BadRequest("x".into()), 400, "bad_request"),
             (ServeError::NotFound("job 7".into()), 404, "not_found"),
+            (ServeError::Expired(7), 410, "expired"),
             (ServeError::ShuttingDown, 503, "shutting_down"),
         ];
         for (err, status, kind) in cases {

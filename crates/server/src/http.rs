@@ -184,6 +184,7 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        410 => "Gone",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
         503 => "Service Unavailable",

@@ -46,8 +46,8 @@
 //!   shutdown;
 //! * `run` — the runner loop: schedule, warm session, execute, settle;
 //! * `job` — what a job is while the server holds it: `JobSpec`,
-//!   `JobState` and its event log, the job table, and the constructors
-//!   of every event line;
+//!   `JobState` and its event log, the job table with its byte budget
+//!   for settled logs, and the constructors of every event line;
 //! * `report` — the one table of served numbers that both `GET /stats`
 //!   and `GET /metrics` render from.
 

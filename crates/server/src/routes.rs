@@ -19,7 +19,7 @@ use approxdd_telemetry as telemetry;
 
 use crate::error::ServeError;
 use crate::http::{read_request, start_ndjson, write_json, Request};
-use crate::job::{json_u64, JobSpec, JobState};
+use crate::job::{json_u64, JobSpec};
 use crate::report;
 use crate::server::{lock, Inner};
 
@@ -96,8 +96,8 @@ fn submit_job(inner: &Inner, stream: &mut TcpStream, request: &Request) -> Resul
     let priority = param(request, "priority")?.unwrap_or(0i32);
     let client = request.query_param("client").unwrap_or("anon");
 
-    let job_id = inner.next_job.fetch_add(1, Ordering::Relaxed);
-    let state = Arc::new(JobState::new(job_id));
+    let state = inner.jobs.open();
+    let job_id = state.id;
     state.push(
         "accepted",
         [
@@ -108,14 +108,13 @@ fn submit_job(inner: &Inner, stream: &mut TcpStream, request: &Request) -> Resul
             ("client", Json::str(client)),
         ],
     );
-    inner.jobs.insert(&state);
 
     // The queue entry carries the job: a runner that pops it needs
     // nothing else.
     let admitted = lock(&inner.sched).admit(client, priority, (Arc::clone(&state), spec));
     if let Err(err) = admitted {
         // Settle the state before dropping it so any stream that
-        // attached in the insert→admit window terminates cleanly.
+        // attached in the open→admit window terminates cleanly.
         state.finish();
         inner.jobs.remove(job_id);
         telemetry::count("approxdd_server_jobs_rejected_total", 1);
@@ -133,16 +132,14 @@ fn submit_job(inner: &Inner, stream: &mut TcpStream, request: &Request) -> Resul
     Ok(())
 }
 
-/// `GET /jobs/{id}` — replay the event log, then follow it live.
+/// `GET /jobs/{id}` — replay the event log, then follow it live; a
+/// settled job whose log was evicted answers `410 expired`.
 fn stream_job(inner: &Inner, stream: &mut TcpStream, request: &Request) -> Result<(), ServeError> {
     let path = request.path.as_str();
     let id: u64 = path["/jobs/".len()..]
         .parse()
         .map_err(|_| ServeError::BadRequest(format!("bad job id in {path}")))?;
-    let state = inner
-        .jobs
-        .get(id)
-        .ok_or_else(|| ServeError::NotFound(format!("job {id}")))?;
+    let state = inner.jobs.get(id)?;
 
     // Streaming reads can block on the condvar indefinitely; lift the
     // socket timeout so a long-running job doesn't look like a stall.
@@ -150,15 +147,12 @@ fn stream_job(inner: &Inner, stream: &mut TcpStream, request: &Request) -> Resul
     start_ndjson(stream)?;
     let mut cursor = 0;
     loop {
-        // `done` is read under the same lock as the lines, and nothing
-        // is pushed after it is set: lines returned with it are final.
-        let (lines, done) = state.wait_from(cursor);
-        for line in &lines {
-            stream.write_all(line.as_bytes())?;
-            stream.write_all(b"\n")?;
-        }
+        // `done` is read under the same lock as the text, and nothing
+        // is pushed after it is set: text returned with it is final.
+        let (text, done) = state.wait_from(cursor);
+        stream.write_all(text.as_bytes())?;
         stream.flush()?;
-        cursor += lines.len();
+        cursor += text.len();
         if done {
             return Ok(());
         }

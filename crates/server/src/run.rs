@@ -3,7 +3,9 @@
 //! A runner pops the highest-priority queue entry — which carries the
 //! job's state and spec — resolves its warm session, runs it on the
 //! shared pool, and settles its event stream: trace, histogram, then
-//! `result` (or `error`), then the log is marked done.
+//! `result` (or `error`), then the job table settles it: the log is
+//! compacted, the oldest settled logs over budget are evicted, and
+//! only then is the log marked done.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -111,7 +113,7 @@ fn execute_job(inner: &Inner, state: &JobState, spec: JobSpec) {
             }
             state.append(&result_event(state.id, &outcome));
             inner.jobs_completed.fetch_add(1, Ordering::Relaxed);
-            state.finish();
+            inner.jobs.settle(state);
         }
         Some(Err(e)) => fail_job(inner, state, &e.into()),
         None => fail_job(
@@ -164,5 +166,5 @@ fn fail_job(inner: &Inner, state: &JobState, err: &ServeError) {
         ],
     );
     inner.jobs_failed.fetch_add(1, Ordering::Relaxed);
-    state.finish();
+    inner.jobs.settle(state);
 }

@@ -6,8 +6,9 @@
 //! parse one request each; runner threads pull admitted jobs off the
 //! scheduler and execute them on the shared pool; `GET /jobs/{id}`
 //! replays a job's event log and then follows it live, so a client
-//! can attach before, during, or after execution and always see the
-//! same complete NDJSON stream.
+//! can attach before, during, or after execution and see the same
+//! complete NDJSON stream. Settled jobs are kept under a fixed budget of
+//! log bytes; the id of one evicted answers `410 expired`.
 //!
 //! This module is the frame — configuration, bind, the accept loop and
 //! the drain — and the state the stages share. The stages themselves
@@ -47,8 +48,9 @@ use std::time::Instant;
 
 use approxdd_exec::BackendPool;
 use approxdd_sim::SimulatorBuilder;
+use approxdd_telemetry as telemetry;
 
-use crate::job::{JobSpec, JobState, JobTable};
+use crate::job::{JobSpec, JobState, JobTable, JOBS_EXPIRED};
 use crate::routes::handle_connection;
 use crate::run::runner_loop;
 use crate::scheduler::{Quota, Scheduler};
@@ -150,7 +152,6 @@ pub(crate) struct Inner {
     pub(crate) sched: Mutex<Scheduler<(Arc<JobState>, JobSpec)>>,
     pub(crate) sched_cond: Condvar,
     pub(crate) jobs: JobTable,
-    pub(crate) next_job: AtomicU64,
     pub(crate) draining: AtomicBool,
     pub(crate) jobs_completed: AtomicU64,
     pub(crate) jobs_failed: AtomicU64,
@@ -176,6 +177,8 @@ impl JobServer {
     /// Propagates socket binding failures.
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        // At 0, so a scrape shows it before the first eviction.
+        telemetry::global().counter(JOBS_EXPIRED);
         let local = listener.local_addr()?;
         let runners = config.runners;
         let pool = BackendPool::new(config.template.clone());
@@ -187,7 +190,6 @@ impl JobServer {
             sched: Mutex::new(Scheduler::new(config.queue_capacity, config.quota)),
             sched_cond: Condvar::new(),
             jobs: JobTable::default(),
-            next_job: AtomicU64::new(1),
             draining: AtomicBool::new(false),
             jobs_completed: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),

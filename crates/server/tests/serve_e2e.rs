@@ -244,6 +244,89 @@ fn unreachable_threshold_warns_once_per_job() {
     );
 }
 
+/// Every malformed quota is refused by the argument parser, before
+/// `serve` binds: a lone flag used to run the server with no quota.
+/// The address cannot be bound, so a parse that let one through would
+/// fail later, with the bind's message.
+#[test]
+fn bad_quota_flags_are_refused_before_bind() {
+    for (args, message) in [
+        (&["--quota-burst", "5"][..], "must be given together"),
+        (&["--quota-refill", "1"][..], "must be given together"),
+        (
+            &["--quota-burst", "0", "--quota-refill", "1"][..],
+            "--quota-burst must be a finite number above 0",
+        ),
+        (
+            &["--quota-burst", "-2", "--quota-refill", "1"][..],
+            "--quota-burst must be a finite number above 0",
+        ),
+        (
+            &["--quota-burst", "inf", "--quota-refill", "1"][..],
+            "--quota-burst must be a finite number above 0",
+        ),
+        (
+            &["--quota-burst", "5", "--quota-refill", "NaN"][..],
+            "--quota-refill must be a finite number above 0",
+        ),
+        (
+            &["--quota-burst", "5", "--quota-refill", "0"][..],
+            "--quota-refill must be a finite number above 0",
+        ),
+    ] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--addr", "not-an-address"])
+            .args(args)
+            .output()
+            .expect("run serve");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{args:?} must exit non-zero");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("failed to bind"), "{args:?}: {stderr}");
+    }
+}
+
+/// Settled logs are kept under the server's byte budget: a traced job
+/// whose log alone exceeds it is evicted when the next job settles,
+/// and its id then answers a typed 410, not a 404. This is the only
+/// test of this binary that evicts, so the process-wide counter reads
+/// exactly the one eviction.
+#[test]
+fn settled_logs_over_budget_expire_with_a_typed_410() {
+    let (addr, handle) = start(ServerConfig::new().template(template(1)).runners(1));
+    // ≈ 540 KB of QASM and a ≈ 5.7 MB log: one trace line per gate.
+    let big = format!("qreg q[1];\n{}", "h q[0];\n".repeat(60_000));
+    let (status, body) = http(addr, "POST", "/jobs?trace=1", &big);
+    assert_eq!(status, 202, "{body}");
+    let first = num_field(&body, "job").expect("job id") as u64;
+    // One runner: the small job settles after the big one, and its
+    // stream ends only after the eviction its settlement caused.
+    let small = to_qasm(&generators::ghz(3)).expect("export qasm");
+    let (status, body) = http(addr, "POST", "/jobs?shots=16", &small);
+    assert_eq!(status, 202, "{body}");
+    let second = num_field(&body, "job").expect("job id") as u64;
+    let (status, live) = http(addr, "GET", &format!("/jobs/{second}"), "");
+    assert_eq!(status, 200);
+    assert!(live.contains("\"type\":\"result\""), "{live}");
+
+    let (status, body) = http(addr, "GET", &format!("/jobs/{first}"), "");
+    assert_eq!(status, 410, "{body}");
+    assert!(body.contains("\"kind\":\"expired\""), "{body}");
+    let (status, replay) = http(addr, "GET", &format!("/jobs/{second}"), "");
+    assert_eq!(status, 200);
+    assert_eq!(replay, live, "a retained job replays byte for byte");
+    let (status, body) = http(addr, "GET", "/jobs/9999", "");
+    assert_eq!(status, 404, "{body}");
+    let (status, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let expired = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("approxdd_server_jobs_expired_total "))
+        .unwrap_or_else(|| panic!("no expiry counter:\n{metrics}"));
+    assert_eq!(expired.trim(), "1", "{metrics}");
+    shutdown(addr, handle);
+}
+
 /// Partial histograms stream as sampling chunks settle, and the final
 /// sharded histogram equals a direct `sample_counts` of the same
 /// request (the run fingerprint rides a separate, unaffected path).

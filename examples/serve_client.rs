@@ -159,6 +159,10 @@ fn run(addr: &str, seed: u64) -> Result<(), String> {
             "metrics missing engine-construction series:\n{metrics}"
         ));
     }
+    // Expiry is visible from the first scrape, before any eviction.
+    if !metrics.contains("approxdd_server_jobs_expired_total") {
+        return Err(format!("metrics missing the expiry counter:\n{metrics}"));
+    }
     println!("serve_client: /metrics exposes counter and histogram series");
 
     let (status, _) = http(addr, "POST", "/shutdown", "")?;
