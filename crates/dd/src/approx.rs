@@ -252,7 +252,7 @@ impl Package {
         let n = *self.vnode(node);
         let mut clean = true;
         let mut children = [VEdge::ZERO; 2];
-        for (i, c) in n.edges.iter().enumerate() {
+        for (i, c) in n.edges().iter().enumerate() {
             if c.is_zero(self.tolerance()) {
                 continue;
             }
@@ -726,7 +726,7 @@ mod tests {
             }
             let n = *self.vnode(node);
             let mut children = [VEdge::ZERO; 2];
-            for (i, c) in n.edges.iter().enumerate() {
+            for (i, c) in n.edges().iter().enumerate() {
                 if c.is_zero(self.tolerance()) {
                     continue;
                 }
@@ -938,7 +938,7 @@ mod tests {
         for e in signed {
             let node = fast.vnode(e.node);
             assert_ne!(node.image, Image::NONE, "the rule must be able to fire");
-            let w = node.edges[1].w;
+            let w = node.edges()[1].w;
             let flipped = Cplx::ONE * w;
             assert!(
                 w.re.to_bits() != flipped.re.to_bits() || w.im.to_bits() != flipped.im.to_bits(),

@@ -44,7 +44,7 @@
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
-/// log₂ of the slots per [`Chunked`] chunk. 16 384 slots are 896 KiB of
+/// log₂ of the slots per [`Chunked`] chunk. 16 384 slots are 640 KiB of
 /// vector nodes or 1.6 MiB of matrix nodes: small enough that what the
 /// first chunk copies while it doubles is noise beside an engine that
 /// outgrows it, large enough that the engines of small pooled jobs — and
@@ -328,7 +328,8 @@ impl<T> Arena<T> {
     /// around it, no hoisting of the tier test or the chunk table out of
     /// the caller's loop) costs 2.3× an inlined one
     /// (`hotpath_node_access`) — so the read path is inlined by decree,
-    /// here and in `Package::{vnode, mnode}`.
+    /// here, in `Package::{vnode, mnode}` and in `VNode::{edges, ids}`.
+    /// CI fails when any of them is a symbol of the server binary.
     #[inline(always)]
     pub(crate) fn get(&self, idx: u32) -> &T {
         if idx < self.watermark {

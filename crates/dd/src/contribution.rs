@@ -106,9 +106,9 @@ impl Package {
         seen.insert(root.node);
         let mut stack = vec![root.node];
         while let Some(id) = stack.pop() {
-            for child in self.vnode(id).edges {
-                if !child.node.is_terminal() && seen.insert(child.node) {
-                    stack.push(child.node);
+            for child in self.vnode(id).ids() {
+                if !child.is_terminal() && seen.insert(child) {
+                    stack.push(child);
                 }
             }
         }
@@ -130,7 +130,7 @@ impl Package {
         for level in levels.iter().rev() {
             for &id in level {
                 let up = contrib[slot(id)];
-                for child in self.vnode(id).edges {
+                for child in self.vnode(id).edges() {
                     if !child.node.is_terminal() {
                         contrib[slot(child.node)] += up * child.w.mag2();
                     }
@@ -286,14 +286,14 @@ pub(crate) mod tests {
             }
             let node = p.vnode(id);
             levels[usize::from(node.var)].push(id);
-            stack.extend(node.edges.map(|e| e.node));
+            stack.extend(node.ids());
         }
         contrib.insert(root.node, root.w.mag2());
         for level in levels.iter_mut().rev() {
             level.sort_unstable();
             for &id in level.iter() {
                 let up = contrib[&id];
-                for child in p.vnode(id).edges {
+                for child in p.vnode(id).edges() {
                     if !child.node.is_terminal() {
                         *contrib.entry(child.node).or_insert(0.0) += up * child.w.mag2();
                     }
@@ -306,7 +306,7 @@ pub(crate) mod tests {
     /// Every dense pass against its reference, on each given diagram.
     fn check_against_references(p: &Package, states: &[VEdge]) -> Result<(), TestCaseError> {
         for &v in states {
-            let want = reference_size(v.node, |id| p.vnode(id).edges.map(|e| e.node));
+            let want = reference_size(v.node, |id| p.vnode(id).ids());
             prop_assert_eq!(p.vsize(v), want);
 
             let want = reference_contributions(p, v);

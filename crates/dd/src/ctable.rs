@@ -60,15 +60,17 @@
 //!
 //! **Retention bound.** A thread holds at most one slab (a newly
 //! retired slab replaces the held one, and a table of another capacity
-//! frees it), so it retains one engine's table — 3.5 MiB at the default
-//! 2^16 slots of 56 bytes — until it exits. Retiring during thread
+//! frees it), so it retains one engine's table — 3 MiB at the default
+//! 2^16 slots of 48 bytes — until it exits. Retiring during thread
 //! teardown, when the slot is already gone, just frees the slab.
 
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
 use std::sync::Once;
 
-use crate::edge::VEdge;
+use approxdd_complex::Cplx;
+
+use crate::edge::{NodeId, VEdge};
 use crate::fasthash::FxHasher;
 
 /// Default `log2` capacity of the compute table (65 536 slots).
@@ -93,10 +95,15 @@ static SLAB_COUNTERS: Once = Once::new();
 /// their canonical weight ratio (see `Package::add`).
 pub(crate) type AddKey = (u32, u32, u64, u64);
 
+/// One entry: the key, the value edge's weight and node, and the
+/// generation stamp. The value edge is stored flat, not as a [`VEdge`]
+/// with its 4 bytes of padding, so its node id and the stamp share one
+/// 8-byte word: 48 bytes a slot.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     key: AddKey,
-    value: VEdge,
+    w: Cplx,
+    node: NodeId,
     /// Generation at which this slot was written; `0` means never.
     stamp: u32,
 }
@@ -105,7 +112,8 @@ struct Slot {
 /// generation, so its key and value are never observable.
 const VACANT: Slot = Slot {
     key: (u32::MAX, u32::MAX, 0, 0),
-    value: VEdge::ZERO,
+    w: Cplx::ZERO,
+    node: NodeId::TERMINAL,
     stamp: 0,
 };
 
@@ -190,7 +198,10 @@ impl ComputeCache {
         match self.slots.get(self.index(key)) {
             Some(slot) if slot.stamp == self.generation && slot.key == *key => {
                 self.hits += 1;
-                Some(slot.value)
+                Some(VEdge {
+                    w: slot.w,
+                    node: slot.node,
+                })
             }
             _ => {
                 self.misses += 1;
@@ -208,7 +219,8 @@ impl ComputeCache {
         let idx = self.index(&key);
         self.slots[idx] = Slot {
             key,
-            value,
+            w: value.w,
+            node: value.node,
             stamp: self.generation,
         };
     }
@@ -280,7 +292,6 @@ impl Drop for ComputeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use approxdd_complex::Cplx;
 
     fn cache(bits: u32) -> ComputeCache {
         ComputeCache::new(Some(bits))
@@ -355,12 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn a_thread_retains_at_most_3_5_mib_at_the_default_size() {
+    fn a_thread_retains_at_most_3_mib_at_the_default_size() {
         let mut c = ComputeCache::new(None);
         c.insert(key(1), value(1));
-        assert_eq!(std::mem::size_of::<Slot>(), 56);
-        assert_eq!(c.bytes(), 56 << DEFAULT_COMPUTE_CACHE_BITS);
-        assert_eq!(c.bytes(), 7 << 19, "3.5 MiB");
+        assert_eq!(std::mem::size_of::<Slot>(), 48);
+        assert_eq!(c.bytes(), 48 << DEFAULT_COMPUTE_CACHE_BITS);
+        assert_eq!(c.bytes(), 3 << 20, "3 MiB");
     }
 
     #[test]

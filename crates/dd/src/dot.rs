@@ -23,8 +23,7 @@ impl Package {
             ids.insert(id, order.len());
             order.push(id);
             let node = self.vnode(id);
-            stack.push(node.edges[0].node);
-            stack.push(node.edges[1].node);
+            stack.extend(node.ids());
         }
         out.push_str("  t [label=\"1\", shape=box];\n");
         for (id, i) in order.iter().map(|id| (*id, ids[id])) {
@@ -39,7 +38,7 @@ impl Package {
         );
         for (id, i) in order.iter().map(|id| (*id, ids[id])) {
             let node = self.vnode(id);
-            for (b, e) in node.edges.iter().enumerate() {
+            for (b, e) in node.edges().iter().enumerate() {
                 if e.is_zero(self.tolerance()) {
                     continue;
                 }

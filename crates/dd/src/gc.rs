@@ -20,6 +20,7 @@
 
 use crate::arena::Arena;
 use crate::edge::NodeId;
+use crate::node::VNode;
 use crate::package::{remove_mnode_from_unique, remove_vnode_from_unique, Package};
 
 /// Statistics of one garbage-collection run.
@@ -61,7 +62,7 @@ impl Package {
         self.stats.gc_runs += 1;
         let tol = self.tol;
 
-        mark_reachable(&mut self.vnodes, |n| n.edges.map(|e| e.node));
+        mark_reachable(&mut self.vnodes, VNode::ids);
         let vunique = &mut self.vunique;
         let vnodes_freed = self
             .vnodes

@@ -88,7 +88,7 @@
 //!   on that thread takes it over one generation on — every old slot
 //!   dead in O(1), the same way a GC clear works — so a pool worker
 //!   fills its table once, not once per job. A thread retains at most
-//!   one array (3.5 MiB at the default size) until it exits. Neither
+//!   one array (3 MiB at the default size) until it exits. Neither
 //!   mechanism can change a result or a counter: capacity, index
 //!   function, accounting and eviction are untouched, and an
 //!   unprovided, a fresh and a recycled table answer every lookup

@@ -2,7 +2,7 @@
 
 use approxdd_complex::Cplx;
 
-use crate::edge::{MEdge, VEdge};
+use crate::edge::{MEdge, NodeId, VEdge};
 
 /// What multiplying a vector node by the identity is known in advance to
 /// return (the identity rule of [`crate::ops`]): this very node under
@@ -56,10 +56,19 @@ impl Image {
 
 /// A vector-DD node: a qubit level and two successor edges.
 ///
-/// `edges[0]` is the sub-vector where this node's qubit is `|0⟩`,
-/// `edges[1]` where it is `|1⟩`. Normalization guarantees
+/// Edge 0 leads to the sub-vector where this node's qubit is `|0⟩`,
+/// edge 1 to where it is `|1⟩`. Normalization guarantees
 /// `|w0|² + |w1|² = 1` with canonical phase, so the function represented
 /// by a node (top weight 1) always has unit ℓ2 norm.
+///
+/// # Layout: 40 bytes
+///
+/// Normalization makes edge 0's weight real — `Cplx::real(..)` for a
+/// non-zero pivot, [`Cplx::ZERO`] otherwise — so its imaginary part is
+/// always the bits of `+0.0` and is not stored: `w0` is the real part
+/// alone. [`VNode::new`] is the one constructor and refuses any other
+/// imaginary part, so the readers' [`VNode::edges`] hands back every
+/// bit it was given.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct VNode {
     /// Qubit level; 0 is the least-significant qubit, directly above the
@@ -69,8 +78,60 @@ pub(crate) struct VNode {
     /// bits, decided where the node is interned and never changed
     /// afterwards; it lives in the padding `var` leaves.
     pub(crate) image: Image,
-    /// Successor edges for qubit value 0 and 1.
-    pub(crate) edges: [VEdge; 2],
+    /// Real part of edge 0's weight (its imaginary part is `+0.0`).
+    w0: f64,
+    /// Edge 1's weight.
+    w1: Cplx,
+    /// Successor ids for qubit value 0 and 1.
+    ids: [NodeId; 2],
+}
+
+impl VNode {
+    /// The node `var -> edges`, without an image, from normalized
+    /// `edges`.
+    ///
+    /// # Panics
+    ///
+    /// If edge 0's weight has an imaginary part other than `+0.0`: the
+    /// layout cannot store it, and dropping it would change a result.
+    #[inline(always)]
+    pub(crate) fn new(var: u8, edges: [VEdge; 2]) -> Self {
+        assert!(
+            edges[0].w.im.to_bits() == 0,
+            "edge 0 of a vector node must carry a real weight, not {:?}",
+            edges[0].w
+        );
+        Self {
+            var,
+            image: Image::NONE,
+            w0: edges[0].w.re,
+            w1: edges[1].w,
+            ids: [edges[0].node, edges[1].node],
+        }
+    }
+
+    /// Successor edges for qubit value 0 and 1, bit for bit the ones
+    /// [`VNode::new`] was given. Inlined by decree, like `Arena::get`.
+    #[inline(always)]
+    pub(crate) fn edges(&self) -> [VEdge; 2] {
+        [
+            VEdge {
+                w: Cplx::real(self.w0),
+                node: self.ids[0],
+            },
+            VEdge {
+                w: self.w1,
+                node: self.ids[1],
+            },
+        ]
+    }
+
+    /// Successor ids for qubit value 0 and 1, for readers that never
+    /// look at a weight (marking, reachability, rendering).
+    #[inline(always)]
+    pub(crate) fn ids(&self) -> [NodeId; 2] {
+        self.ids
+    }
 }
 
 /// A matrix-DD node: a qubit level and four successor edges in row-major
@@ -112,6 +173,13 @@ mod tests {
             assert_eq!(Image::encode(f), Image::NONE, "{ulps} ulps");
         }
         assert_eq!(Image::NONE.factor(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "must carry a real weight")]
+    fn a_node_refuses_an_imaginary_part_on_edge_zero() {
+        let e0 = VEdge::terminal(Cplx::new(0.6, -0.0));
+        let _ = VNode::new(0, [e0, VEdge::terminal(Cplx::real(0.8))]);
     }
 
     #[test]

@@ -226,9 +226,10 @@ impl Package {
 
         let resets = self.ratio_resets;
         let an = *self.vnode(a.node);
-        let bn = *self.vnode(b.node);
-        let r0 = self.add(an.edges[0], bn.edges[0].scaled(ratio));
-        let r1 = self.add(an.edges[1], bn.edges[1].scaled(ratio));
+        let [a0, a1] = an.edges();
+        let [b0, b1] = self.vnode(b.node).edges();
+        let r0 = self.add(a0, b0.scaled(ratio));
+        let r1 = self.add(a1, b1.scaled(ratio));
         let res = self.make_vnode(an.var, r0, r1);
         if memoized && self.ratio_resets == resets {
             self.ct.insert(key, res);
@@ -283,13 +284,13 @@ impl Package {
 
         let resets = self.ratio_resets;
         let mn = *self.mnode(m.node);
-        let vn = *self.vnode(v.node);
+        let [v0, v1] = self.vnode(v.node).edges();
         // r0 = M00·v0 + M01·v1 ; r1 = M10·v0 + M11·v1
-        let p00 = self.mul_mv(mn.edges[0], vn.edges[0]);
-        let p01 = self.mul_mv(mn.edges[1], vn.edges[1]);
+        let p00 = self.mul_mv(mn.edges[0], v0);
+        let p01 = self.mul_mv(mn.edges[1], v1);
         let r0 = self.add(p00, p01);
-        let p10 = self.mul_mv(mn.edges[2], vn.edges[0]);
-        let p11 = self.mul_mv(mn.edges[3], vn.edges[1]);
+        let p10 = self.mul_mv(mn.edges[2], v0);
+        let p11 = self.mul_mv(mn.edges[3], v1);
         let r1 = self.add(p10, p11);
         let res = self.make_vnode(mn.var, r0, r1);
         if memoized && self.ratio_resets == resets {
@@ -416,10 +417,10 @@ impl Package {
             }
         }
 
-        let an = *self.vnode(a.node);
-        let bn = *self.vnode(b.node);
-        let i0 = self.inner_product_rec(an.edges[0], bn.edges[0], memo);
-        let i1 = self.inner_product_rec(an.edges[1], bn.edges[1], memo);
+        let [a0, a1] = self.vnode(a.node).edges();
+        let [b0, b1] = self.vnode(b.node).edges();
+        let i0 = self.inner_product_rec(a0, b0, memo);
+        let i1 = self.inner_product_rec(a1, b1, memo);
         let sum = i0 + i1;
         if memoized {
             memo.insert(key, sum);
@@ -467,7 +468,7 @@ impl Package {
         }
         let n = *self.vnode(node);
         let mut children = [VEdge::ZERO; 2];
-        for (i, c) in n.edges.iter().enumerate() {
+        for (i, c) in n.edges().iter().enumerate() {
             if c.is_zero(self.tolerance()) {
                 continue;
             }
@@ -585,7 +586,7 @@ mod tests {
             let mn = *self.mnode(m.node);
             let vn = *self.vnode(v.node);
             let mut mul = |p: &mut Self, q: usize, i: usize| {
-                p.mul_mv_reference(mn.edges[q], vn.edges[i], rule, memo.as_deref_mut())
+                p.mul_mv_reference(mn.edges[q], vn.edges()[i], rule, memo.as_deref_mut())
             };
             let p00 = mul(self, 0, 0);
             let p01 = mul(self, 1, 1);
@@ -631,8 +632,8 @@ mod tests {
             }
             let an = *self.vnode(a.node);
             let bn = *self.vnode(b.node);
-            let i0 = self.inner_product_unmemoized(an.edges[0], bn.edges[0]);
-            let i1 = self.inner_product_unmemoized(an.edges[1], bn.edges[1]);
+            let i0 = self.inner_product_unmemoized(an.edges()[0], bn.edges()[0]);
+            let i1 = self.inner_product_unmemoized(an.edges()[1], bn.edges()[1]);
             a.w.conj() * b.w * (i0 + i1)
         }
 
@@ -874,7 +875,7 @@ mod tests {
 
     #[test]
     fn structure_bits_live_in_existing_padding() {
-        assert_eq!(std::mem::size_of::<VNode>(), 56);
+        assert_eq!(std::mem::size_of::<VNode>(), 40);
         assert_eq!(std::mem::size_of::<MNode>(), 104);
     }
 
@@ -935,13 +936,13 @@ mod tests {
         // column, and the pair it stores is its own normal form.
         let plus = layer(&mut p, Package::mul_mv, 20, 0..20, GateKind::H, zero);
         assert_eq!(p.image_census(plus), (0, 20, 20));
-        let w = p.vnode(plus.node).edges[0].w;
+        let w = p.vnode(plus.node).edges()[0].w;
         assert_eq!(w.re.to_bits(), 0.707_106_781_186_547_5_f64.to_bits());
         let mut bottom = *p.vnode(plus.node);
         while bottom.var > 0 {
-            bottom = *p.vnode(bottom.edges[0].node);
+            bottom = *p.vnode(bottom.ids()[0]);
         }
-        assert_eq!(bottom.edges[0].w, w);
+        assert_eq!(bottom.edges()[0].w, w);
         assert_eq!(bottom.image.ulps(), Some(-1));
         let under_one = Cplx::real(0.999_999_999_999_999_9);
         assert_eq!(bottom.image.factor(), Some(under_one));
@@ -1102,7 +1103,7 @@ mod tests {
             let big = Cplx::real(1e4);
             let small = Cplx::real(5e-9);
             let e = p.make_vnode(0, VEdge::terminal(big), VEdge::terminal(small));
-            assert_eq!(p.vnode(e.node).edges[1].w, Cplx::real(5e-13));
+            assert_eq!(p.vnode(e.node).edges()[1].w, Cplx::real(5e-13));
             assert_eq!(p.vnode(e.node).image, Image::ONE);
             let id = p.identity(1);
             let through = mul(&mut p, id, e);
@@ -1115,7 +1116,7 @@ mod tests {
             let (c0, c1) = (p.basis_state(1, 0), p.basis_state(1, 1));
             let e = p.make_vnode(1, c0.scaled(big), c1.scaled(small));
             let node = *p.vnode(e.node);
-            assert_eq!(node.edges[1].w, Cplx::real(5e-13));
+            assert_eq!(node.edges()[1].w, Cplx::real(5e-13));
             assert_eq!(p.vnode(c0.node).image, Image::ONE);
             assert_eq!(p.vnode(c1.node).image, Image::ONE);
             assert_eq!(node.image, Image::NONE);

@@ -107,8 +107,9 @@ pub(crate) fn remove_vnode_from_unique(
 ) {
     // The stored node's weights are exactly the bits the key was
     // quantized from at insert time, so the recomputed hash matches.
-    let weights = node.edges.map(|e| tol.key(e.w));
-    let hash = key_hash(node.edges.map(|e| e.node.0), weights);
+    let edges = node.edges();
+    let weights = edges.map(|e| tol.key(e.w));
+    let hash = key_hash(edges.map(|e| e.node.0), weights);
     let removed = unique.remove(node.var, hash, id);
     debug_assert!(removed, "swept vnode {id} missing from unique table");
 }
@@ -192,8 +193,8 @@ pub struct PackageStats {
     pub identity_skips: u64,
     /// Bytes the package's node store holds right now, counted from
     /// container **lengths**: arena slots (payload, reference count,
-    /// flag bits, free list), unique-table buckets, canonical-ratio
-    /// slots, and the compute table's slot array once it has
+    /// flag bits, free list), unique-table buckets, the canonical-ratio
+    /// index and values, and the compute table's slot array once it has
     /// materialised (not the per-call memos).
     /// Private tiers only — an attached snapshot's frozen prefix is
     /// shared and counted by nobody. Deterministic for a given
@@ -408,11 +409,7 @@ impl Package {
         let Some((factor, edges)) = normalize(self.tol, e0, e1) else {
             return VEdge::ZERO;
         };
-        let id = self.intern_vnode(VNode {
-            var,
-            image: Image::NONE,
-            edges,
-        });
+        let id = self.intern_vnode(VNode::new(var, edges));
         VEdge {
             w: factor,
             node: NodeId(id),
@@ -423,16 +420,15 @@ impl Package {
     /// the unique table holds for its key, or a newly allocated slot —
     /// whose `image` is decided here, once (the argument's is ignored).
     #[inline]
-    pub(crate) fn intern_vnode(&mut self, node: VNode) -> u32 {
-        let weights = node.edges.map(|e| self.tol.key(e.w));
-        let hash = key_hash(node.edges.map(|e| e.node.0), weights);
+    pub(crate) fn intern_vnode(&mut self, mut node: VNode) -> u32 {
+        let edges = node.edges();
+        let weights = edges.map(|e| self.tol.key(e.w));
+        let hash = key_hash(edges.map(|e| e.node.0), weights);
         let tol = self.tol;
         let arena = &self.vnodes;
         let found = self.vunique.lookup(node.var, hash, |id| {
-            let n = arena.get(id);
-            (0..2).all(|i| {
-                n.edges[i].node == node.edges[i].node && tol.key(n.edges[i].w) == weights[i]
-            })
+            let stored = arena.get(id).edges();
+            (0..2).all(|i| stored[i].node == edges[i].node && tol.key(stored[i].w) == weights[i])
         });
         match found {
             Some(id) => {
@@ -444,10 +440,8 @@ impl Package {
             }
             None => {
                 self.stats.unique_misses += 1;
-                let id = self.vnodes.alloc(VNode {
-                    image: self.identity_image(&node, weights),
-                    ..node
-                });
+                node.image = self.identity_image(edges, weights);
+                let id = self.vnodes.alloc(node);
                 self.vunique.insert(node.var, hash, id);
                 id
             }
@@ -455,8 +449,8 @@ impl Package {
     }
 
     /// The definition of [`VNode::image`]: the factor `f` for which
-    /// `mul_mv(I, ·)` on this normalized node would come back as
-    /// `(f, this node)`. Feeds [`normalize`] what the recursion feeds
+    /// `mul_mv(I, ·)` on the normalized node with `edges` would come
+    /// back as `(f, that node)`. Feeds [`normalize`] what the recursion feeds
     /// `make_vnode` — for each successor the early-out or the scaled
     /// edge `mul_mv` returns on it (its own image, by induction, whether
     /// through the rule, a cache hit or a recompute), which `add(·, 0)`
@@ -466,9 +460,9 @@ impl Package {
     /// comparing keys, not weights, is what makes a bucket crossing
     /// recurse). A successor without an image settles it without
     /// arithmetic.
-    fn identity_image(&self, node: &VNode, keys: [(i64, i64); 2]) -> Image {
+    fn identity_image(&self, edges: [VEdge; 2], keys: [(i64, i64); 2]) -> Image {
         let mut fed = [VEdge::ZERO; 2];
-        for (fed, c) in fed.iter_mut().zip(node.edges) {
+        for (fed, c) in fed.iter_mut().zip(edges) {
             if c.is_zero(self.tol) {
                 continue;
             }
@@ -481,10 +475,8 @@ impl Package {
             };
         }
         normalize(self.tol, fed[0], fed[1])
-            .filter(|(_, edges)| {
-                (0..2).all(|i| {
-                    edges[i].node == node.edges[i].node && self.tol.key(edges[i].w) == keys[i]
-                })
+            .filter(|(_, fed)| {
+                (0..2).all(|i| fed[i].node == edges[i].node && self.tol.key(fed[i].w) == keys[i])
             })
             .map_or(Image::NONE, |(factor, _)| Image::encode(factor))
     }
@@ -745,10 +737,11 @@ impl Package {
             out[offset] = acc;
             return;
         }
-        let node = *self.vnode(e.node);
+        let node = self.vnode(e.node);
         let stride = 1usize << node.var;
-        self.to_amps_rec(node.edges[0], acc, offset, out);
-        self.to_amps_rec(node.edges[1], acc, offset + stride, out);
+        let [e0, e1] = node.edges();
+        self.to_amps_rec(e0, acc, offset, out);
+        self.to_amps_rec(e1, acc, offset + stride, out);
     }
 
     /// The amplitude of basis state `idx` in the state rooted at `e`
@@ -766,7 +759,7 @@ impl Package {
             }
             let n = self.vnode(node);
             let bit = ((idx >> n.var) & 1) as usize;
-            let child = n.edges[bit];
+            let child = n.edges()[bit];
             acc *= child.w;
             node = child.node;
         }
@@ -776,9 +769,7 @@ impl Package {
     /// "DD size" that the memory-driven strategy thresholds on.
     #[must_use]
     pub fn vsize(&self, e: VEdge) -> usize {
-        count_reachable(self.vnodes.capacity(), e.node, |id| {
-            self.vnode(id).edges.map(|c| c.node)
-        })
+        count_reachable(self.vnodes.capacity(), e.node, |id| self.vnode(id).ids())
     }
 
     /// ℓ2 norm of the represented vector. With this crate's normalization
@@ -825,6 +816,87 @@ impl Default for Package {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One part of a weight: any bit pattern, a value the arithmetic
+    /// treats specially (NaN, ±∞, subnormals, ±0), one either side of
+    /// the tolerance, or an ordinary value in `[-1, 1)`.
+    fn part() -> impl Strategy<Value = f64> {
+        const ODD: [f64; 10] = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            5e-324,
+            -f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+            1.0,
+        ];
+        let eps = Tolerance::default().eps();
+        let at_eps = [
+            eps,
+            -eps,
+            f64::from_bits(eps.to_bits() + 1),
+            f64::from_bits(eps.to_bits() - 1),
+        ];
+        prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            (0..ODD.len()).prop_map(|i| ODD[i]),
+            (0..at_eps.len()).prop_map(move |i| at_eps[i]),
+            (-2.0..2.0).prop_map(move |x: f64| x * eps),
+            any::<f64>()
+        ]
+    }
+
+    fn weight() -> impl Strategy<Value = Cplx> {
+        (part(), part()).prop_map(|(re, im)| Cplx::new(re, im))
+    }
+
+    fn bits(w: Cplx) -> (u64, u64) {
+        (w.re.to_bits(), w.im.to_bits())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        // The layout of `VNode` rests on this: `normalize` leaves edge
+        // 0 a weight whose imaginary part is `+0.0`, so the node stores
+        // its real part alone and still hands back every bit.
+        #[test]
+        fn a_normalized_pair_round_trips_through_the_node_bit_for_bit(
+            w0 in weight(),
+            w1 in weight(),
+            rest in (any::<u64>(), 0u8..255, -130i64..130)
+        ) {
+            let tol = Tolerance::default();
+            let (id_bits, var, ulps) = rest;
+            #[allow(clippy::cast_possible_truncation)]
+            let (e0, e1) = (
+                VEdge { w: w0, node: NodeId((id_bits >> 32) as u32) },
+                VEdge { w: w1, node: NodeId(id_bits as u32) },
+            );
+            let Some((_, edges)) = normalize(tol, e0, e1) else {
+                prop_assert!(tol.is_zero(w0) && tol.is_zero(w1));
+                return Ok(());
+            };
+            prop_assert_eq!(edges[0].w.im.to_bits(), 0, "{:?} from {:?}", edges[0].w, (w0, w1));
+            let image = Image::encode(Cplx::real(f64::from_bits(
+                1.0_f64.to_bits().wrapping_add_signed(ulps),
+            )));
+            let mut node = VNode::new(var, edges);
+            node.image = image;
+            let back = node.edges();
+            for i in 0..2 {
+                prop_assert_eq!(bits(back[i].w), bits(edges[i].w));
+                prop_assert_eq!(back[i].node, edges[i].node);
+            }
+            prop_assert_eq!(node.ids(), [edges[0].node, edges[1].node]);
+            prop_assert_eq!(node.var, var);
+            prop_assert_eq!(node.image, image);
+        }
+    }
 
     #[test]
     fn basis_state_has_one_node_per_qubit() {
@@ -923,7 +995,8 @@ mod tests {
         );
         // Every node weight pair has unit l2 norm.
         let root = p.vnode(e.node);
-        let s = root.edges[0].w.mag2() + root.edges[1].w.mag2();
+        let [e0, e1] = root.edges();
+        let s = e0.w.mag2() + e1.w.mag2();
         assert!((s - 1.0).abs() < 1e-12);
     }
 

@@ -16,13 +16,15 @@
 //!
 //! The bucket of a representative is recomputable from the
 //! representative itself (`tol.key(value)`), so the table stores
-//! nothing but the values: a flat power-of-two array of bare [`Cplx`]
-//! (16 bytes a slot, plus one occupancy bit — any bit pattern,
-//! NaN included, is a legal ratio, so no value can mark a slot empty),
-//! open-addressed with linear probing and kept at ≤ 50 % load. There is
-//! no deletion, hence no tombstones. Like the unique table's, this
-//! layout is invisible to results: a bucket has at most one
-//! representative, whichever slot it landed in.
+//! nothing but the values: a dense `Vec` of bare [`Cplx`] in insertion
+//! order (16 bytes each), found through a power-of-two index of `u32`
+//! slots (4 bytes each; `0` is vacant, `i + 1` names value `i` — any
+//! bit pattern, NaN included, is a legal ratio, so no value could mark
+//! a slot empty), open-addressed with linear probing and kept at ≤ 50 %
+//! load. Only the index pays for the load factor. There is no deletion,
+//! hence no tombstones. Like the unique table's, this layout is
+//! invisible to results: a bucket has at most one representative,
+//! whichever slot points at it.
 //!
 //! # Reset rule
 //!
@@ -30,11 +32,11 @@
 //! per non-trivial `add`. A ratio whose bucket is already held — frozen
 //! or private — is answered and never resets anything. Only a call that
 //! would insert a **new** bucket while the private tier holds
-//! [`RATIO_CANON_CAP`] entries empties that tier first (its slot array
-//! is kept) and reports `reset = true`, upon which the package clears
-//! the compute table and the `mul_mv` memo: their results embed
-//! canonical-ratio bits, so a surviving entry could disagree with a
-//! post-reset recomputation.
+//! [`RATIO_CANON_CAP`] entries empties that tier first (its index and
+//! value array keep their memory) and reports `reset = true`, upon
+//! which the package clears the compute table and the `mul_mv` memo:
+//! their results embed canonical-ratio bits, so a surviving entry could
+//! disagree with a post-reset recomputation.
 //!
 //! Reset timing is therefore a function of the sequence of *new*
 //! buckets, not of every call. That distinction is what makes results
@@ -57,27 +59,27 @@ use approxdd_complex::{Cplx, Tolerance};
 
 use crate::fasthash::FxHasher;
 
-/// Entry cap of the private canonical-ratio tier. Slots double while
-/// `2 · entries` would exceed them, so at the cap the tier holds 2^19
-/// slots: 8 MiB of values plus a 64 KiB occupancy bitmap (12 MiB for
-/// the instant the last doubling re-seats 4 MiB into 8). A new bucket
-/// at the cap empties the tier and the compute table — see the module
-/// docs.
+/// Entry cap of the private canonical-ratio tier. Index slots double
+/// while `2 · entries` would exceed them, so at the cap the tier holds
+/// 2^18 values (4 MiB) behind a 2^19-slot index (2 MiB): 6 MiB (at most
+/// 7 MiB for the instant the last doubling moves the values, then
+/// rebuilds the index). A new bucket at the cap empties the tier and
+/// the compute table — see the module docs.
 pub(crate) const RATIO_CANON_CAP: usize = 1 << 18;
 
-/// Slots of a table's first allocation (power of two).
+/// Index slots of a table's first allocation (power of two).
 const INITIAL_SLOTS: usize = 64;
 
 /// An insert-only open-addressed set of canonical ratios, at most one
 /// per tolerance bucket (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct RatioTable {
-    /// Representatives; meaningful only where `used` says so. Empty
+    /// The index: `0` is vacant, `i + 1` points at `values[i]`. Empty
     /// until the first insert, then a power of two.
-    slots: Vec<Cplx>,
-    /// One occupancy bit per slot.
-    used: Vec<u64>,
-    len: usize,
+    slots: Vec<u32>,
+    /// Representatives in insertion order, with room reserved for half
+    /// the index, so a push never reallocates.
+    values: Vec<Cplx>,
 }
 
 /// Home slot of a bucket in a table of `mask + 1` slots: the upper hash
@@ -93,31 +95,28 @@ fn home(key: (i64, i64), mask: usize) -> usize {
 impl RatioTable {
     /// Representatives held.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.values.len()
     }
 
-    /// Bytes of the slot array and its occupancy bitmap.
+    /// Bytes of the index and of the representatives held.
     pub(crate) fn bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Cplx>() + self.used.len() * 8
+        self.slots.len() * std::mem::size_of::<u32>()
+            + self.values.len() * std::mem::size_of::<Cplx>()
     }
 
+    /// The index slot pointing at bucket `key`'s representative (and
+    /// the representative's position), or the vacant slot where it
+    /// belongs. `None` only for a table without an index.
     #[inline]
-    fn is_used(&self, idx: usize) -> bool {
-        self.used[idx / 64] & (1u64 << (idx % 64)) != 0
-    }
-
-    /// The slot holding bucket `key`'s representative, or the vacant
-    /// slot where it belongs. `None` only for a table without slots.
-    #[inline]
-    fn probe(&self, tol: Tolerance, key: (i64, i64)) -> Option<(usize, bool)> {
+    fn probe(&self, tol: Tolerance, key: (i64, i64)) -> Option<(usize, Option<usize>)> {
         let mask = self.slots.len().checked_sub(1)?;
         let mut idx = home(key, mask);
         loop {
-            if !self.is_used(idx) {
-                return Some((idx, false));
-            }
-            if tol.key(self.slots[idx]) == key {
-                return Some((idx, true));
+            let Some(at) = (self.slots[idx] as usize).checked_sub(1) else {
+                return Some((idx, None));
+            };
+            if tol.key(self.values[at]) == key {
+                return Some((idx, Some(at)));
             }
             idx = (idx + 1) & mask;
         }
@@ -126,10 +125,8 @@ impl RatioTable {
     /// The representative of bucket `key`, if the table holds one.
     #[inline]
     pub(crate) fn get(&self, tol: Tolerance, key: (i64, i64)) -> Option<Cplx> {
-        match self.probe(tol, key)? {
-            (idx, true) => Some(self.slots[idx]),
-            _ => None,
-        }
+        let (_, at) = self.probe(tol, key)?;
+        at.map(|at| self.values[at])
     }
 
     /// The representative of bucket `key`, which becomes `value` if the
@@ -138,13 +135,13 @@ impl RatioTable {
     pub(crate) fn get_or_insert(&mut self, tol: Tolerance, key: (i64, i64), value: Cplx) -> Cplx {
         debug_assert!(tol.key(value) == key);
         match self.probe(tol, key) {
-            Some((idx, true)) => return self.slots[idx],
-            Some((idx, false)) if (self.len + 1) * 2 <= self.slots.len() => {
+            Some((_, Some(at))) => return self.values[at],
+            Some((idx, None)) if (self.len() + 1) * 2 <= self.slots.len() => {
                 self.place(idx, value);
             }
             _ => {
                 self.grow(tol);
-                let (idx, _) = self.probe(tol, key).expect("a grown table has slots");
+                let (idx, _) = self.probe(tol, key).expect("a grown table has an index");
                 self.place(idx, value);
             }
         }
@@ -152,38 +149,34 @@ impl RatioTable {
     }
 
     fn place(&mut self, idx: usize, value: Cplx) {
-        self.slots[idx] = value;
-        self.used[idx / 64] |= 1u64 << (idx % 64);
-        self.len += 1;
+        debug_assert!(self.values.len() < self.values.capacity());
+        self.values.push(value);
+        self.slots[idx] = u32::try_from(self.values.len()).expect("index slots fit in u32");
     }
 
-    /// Doubles the slot array (or provides the first one) and re-seats
-    /// every representative under its recomputed bucket.
+    /// Doubles the index (or provides the first one), reserves room for
+    /// half of it in the value array, and points the new index at every
+    /// representative under its recomputed bucket.
     #[cold]
     fn grow(&mut self, tol: Tolerance) {
         let new_slots = (self.slots.len() * 2).max(INITIAL_SLOTS);
-        let old = std::mem::replace(
-            self,
-            Self {
-                slots: vec![Cplx::ZERO; new_slots],
-                used: vec![0; new_slots / 64],
-                len: 0,
-            },
-        );
-        for (idx, &value) in old.slots.iter().enumerate() {
-            if old.is_used(idx) {
-                let (at, _) = self
-                    .probe(tol, tol.key(value))
-                    .expect("the new array has slots");
-                self.place(at, value);
-            }
+        self.values.reserve_exact(new_slots / 2 - self.values.len());
+        // The old index goes before the new one is allocated.
+        self.slots = Vec::new();
+        self.slots = vec![0; new_slots];
+        for (at, &value) in self.values.iter().enumerate() {
+            let (idx, _) = self
+                .probe(tol, tol.key(value))
+                .expect("the new index has slots");
+            self.slots[idx] = u32::try_from(at + 1).expect("index slots fit in u32");
         }
     }
 
-    /// Forgets every representative, keeping the slot array.
+    /// Forgets every representative, keeping the index and the value
+    /// array's memory.
     fn clear(&mut self) {
-        self.used.fill(0);
-        self.len = 0;
+        self.slots.fill(0);
+        self.values.clear();
     }
 }
 
@@ -407,9 +400,11 @@ mod tests {
         }
         assert_eq!(table.delta.len(), RATIO_CANON_CAP);
         assert_eq!(table.delta.slots.len(), 1 << 19);
-        assert_eq!(table.bytes(), (8 << 20) + (64 << 10));
+        assert_eq!(table.delta.values.capacity(), RATIO_CANON_CAP);
+        assert_eq!(table.bytes(), (2 << 20) + (4 << 20), "6 MiB");
         assert!(table.canonical(tol, Cplx::ONE).2, "the next call resets");
         assert_eq!(table.delta.len(), 1);
-        assert_eq!(table.bytes(), (8 << 20) + (64 << 10));
+        assert_eq!(table.bytes(), (2 << 20) + 16);
+        assert_eq!(table.delta.values.capacity(), RATIO_CANON_CAP, "kept");
     }
 }

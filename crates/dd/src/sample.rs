@@ -30,8 +30,9 @@ impl Package {
         let mut node = root.node;
         while !node.is_terminal() {
             let n = self.vnode(node);
-            let p0 = n.edges[0].w.mag2();
-            let p1 = n.edges[1].w.mag2();
+            let edges = n.edges();
+            let p0 = edges[0].w.mag2();
+            let p1 = edges[1].w.mag2();
             let total = p0 + p1;
             let bit = if total <= 0.0 {
                 0
@@ -41,7 +42,7 @@ impl Package {
             if bit == 1 {
                 out |= 1u64 << n.var;
             }
-            node = n.edges[bit].node;
+            node = edges[bit].node;
         }
         out
     }
@@ -98,7 +99,7 @@ impl Package {
         let n = self.vnode(node);
         let bit = 1u64 << n.var;
         let mut p = 0.0;
-        for (i, e) in n.edges.iter().enumerate() {
+        for (i, e) in n.edges().iter().enumerate() {
             if e.is_zero(self.tolerance()) {
                 continue;
             }

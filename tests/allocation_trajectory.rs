@@ -26,7 +26,11 @@
 //! (PR 25), which is not a compute table: the lookups the runs make are
 //! the `add` table's and nothing else, and `node_store_bytes` lost the
 //! 2 621 440 B slot array of the deleted `mul_mv` table (re-recorded
-//! from 37 860 984 and 40 292 860). Every other literal is the same.
+//! from 37 860 984 and 40 292 860). It was re-recorded again, from
+//! 35 239 544 and 37 671 420, when the node store stopped storing bits
+//! that are already determined: 40-byte vector nodes, a `u32` index
+//! over the canonical ratios, and 48-byte compute-table slots. Every
+//! other literal is the same.
 
 use approxdd::circuit::{generators, Circuit};
 use approxdd::dd::PackageStats;
@@ -74,7 +78,7 @@ fn memory_driven_supremacy_allocates_what_it_did_before() {
             mnodes_peak: 751,
             gc_runs: 1,
             gc_freed: 266_529,
-            node_store_bytes: 35_239_544,
+            node_store_bytes: 23_638_984,
         }
     );
     assert!(p.identity_skips > 0);
@@ -96,7 +100,7 @@ fn fidelity_driven_shor_allocates_what_it_did_before() {
             mnodes_peak: 3_910,
             gc_runs: 2,
             gc_freed: 413_136,
-            node_store_bytes: 37_671_420,
+            node_store_bytes: 28_236_540,
         }
     );
     assert!(p.identity_skips > 0);
