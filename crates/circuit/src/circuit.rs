@@ -459,7 +459,7 @@ impl Circuit {
 
     /// Appends a controlled dense unitary block on qubits `[lo, lo+k)`
     /// (row-major `2^k × 2^k` matrix).
-    pub fn dense_block(
+    pub(crate) fn dense_block(
         &mut self,
         lo: usize,
         k: usize,

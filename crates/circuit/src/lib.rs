@@ -30,7 +30,6 @@ mod gate;
 mod op;
 
 pub mod generators;
-pub mod noise;
 pub mod qasm;
 
 pub use circuit::{Circuit, CircuitError};

@@ -7,7 +7,6 @@
 
 use std::sync::Arc;
 
-use approxdd_circuit::noise::NoiseModel;
 use approxdd_circuit::Circuit;
 
 use crate::options::{Engine, RetryPolicy, SimOptions, Strategy};
@@ -42,7 +41,6 @@ pub struct SimulatorBuilder {
     workers: Option<usize>,
     policy: Option<Arc<dyn PolicyFactory>>,
     observers: Vec<SharedObserver>,
-    noise: Option<NoiseModel>,
     engine: Engine,
     share_snapshot: bool,
     retry: RetryPolicy,
@@ -56,7 +54,6 @@ impl std::fmt::Debug for SimulatorBuilder {
             .field("workers", &self.workers)
             .field("policy", &self.policy.is_some())
             .field("observers", &self.observers.len())
-            .field("noise", &self.noise.is_some())
             .field("engine", &self.engine)
             .field("share_snapshot", &self.share_snapshot)
             .field("retry", &self.retry)
@@ -73,7 +70,6 @@ impl SimulatorBuilder {
             workers: None,
             policy: None,
             observers: Vec::new(),
-            noise: None,
             engine: Engine::Dd,
             share_snapshot: false,
             retry: RetryPolicy::default(),
@@ -227,26 +223,6 @@ impl SimulatorBuilder {
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = Some(n.max(1));
         self
-    }
-
-    /// Attaches a [`NoiseModel`] to the configuration. The simulator
-    /// itself always evolves pure states — the model is consumed by the
-    /// stochastic trajectory layer (`approxdd-noise`'s `NoisePool` /
-    /// `build_noise_pool()`), which reads it back through
-    /// [`SimulatorBuilder::noise_model`] and Monte-Carlo-samples
-    /// channel insertions around the configured simulation. Keeping the
-    /// knob here means one template describes the whole noisy
-    /// experiment: engine options, approximation policy, seed, worker
-    /// count, and noise.
-    pub fn noise(mut self, model: NoiseModel) -> Self {
-        self.noise = Some(model);
-        self
-    }
-
-    /// The attached noise model, if any.
-    #[must_use]
-    pub fn noise_model(&self) -> Option<&NoiseModel> {
-        self.noise.as_ref()
     }
 
     /// Selects the simulation engine for backends built from this
@@ -452,17 +428,6 @@ mod tests {
         assert_eq!(Simulator::builder().workers(8).worker_count(), 8);
         // Unset: falls back to the machine's parallelism, never zero.
         assert!(Simulator::builder().worker_count() >= 1);
-    }
-
-    #[test]
-    fn noise_model_knob_round_trips() {
-        use approxdd_circuit::noise::{NoiseChannel, NoiseModel};
-        assert!(Simulator::builder().noise_model().is_none());
-        let model = NoiseModel::new().with_global(NoiseChannel::bit_flip(0.1).unwrap());
-        let b = Simulator::builder().noise(model.clone());
-        assert_eq!(b.noise_model(), Some(&model));
-        // The knob survives cloning into pool templates.
-        assert_eq!(b.clone().noise_model(), Some(&model));
     }
 
     #[test]

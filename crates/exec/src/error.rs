@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 use std::time::Duration;
 
-use approxdd_circuit::noise::NoiseError;
 use approxdd_circuit::CircuitError;
 use approxdd_dd::DdError;
 use approxdd_sim::SimError;
@@ -27,9 +26,6 @@ pub enum ExecError {
     Dd(DdError),
     /// The circuit failed validation.
     Circuit(CircuitError),
-    /// A noise model failed validation (stochastic trajectory
-    /// execution; see `approxdd-noise`).
-    Noise(NoiseError),
     /// A basis-state query indexed outside the register.
     BasisOutOfRange {
         /// The requested basis index.
@@ -90,7 +86,6 @@ impl fmt::Display for ExecError {
             ExecError::Stabilizer(e) => write!(f, "stabilizer engine error: {e}"),
             ExecError::Dd(e) => write!(f, "decision-diagram error: {e}"),
             ExecError::Circuit(e) => write!(f, "circuit error: {e}"),
-            ExecError::Noise(e) => write!(f, "noise model error: {e}"),
             ExecError::BasisOutOfRange { basis, n_qubits } => {
                 write!(f, "basis state {basis} outside a {n_qubits}-qubit register")
             }
@@ -134,7 +129,6 @@ impl Error for ExecError {
             ExecError::Stabilizer(e) => Some(e),
             ExecError::Dd(e) => Some(e),
             ExecError::Circuit(e) => Some(e),
-            ExecError::Noise(e) => Some(e),
             ExecError::BasisOutOfRange { .. }
             | ExecError::Unsupported { .. }
             | ExecError::WorkerLost { .. }
@@ -180,12 +174,6 @@ impl From<CircuitError> for ExecError {
     }
 }
 
-impl From<NoiseError> for ExecError {
-    fn from(e: NoiseError) -> Self {
-        ExecError::Noise(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +213,6 @@ mod tests {
     /// (worker loss, deadlines, injected faults) expose none.
     #[test]
     fn every_variant_displays_and_chains_as_constructed() {
-        use approxdd_circuit::noise::NoiseError;
         let wrapped: Vec<(ExecError, usize)> = vec![
             (ExecError::Sim(SimError::InvalidStrategy { reason: "x" }), 1),
             (
@@ -248,13 +235,6 @@ mod tests {
                     op_index: 0,
                     qubit: 5,
                     n_qubits: 3,
-                }),
-                1,
-            ),
-            (
-                ExecError::Noise(NoiseError::InvalidRate {
-                    channel: "bit-flip",
-                    rate: 2.0,
                 }),
                 1,
             ),

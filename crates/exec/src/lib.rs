@@ -89,7 +89,7 @@ pub use pool::{
     BackendPool, BuildPool, ChunkSettled, PoolJob, PoolOutcome, PoolStats, SharedDiagonal,
     WorkerStats, SHOT_CHUNK,
 };
-pub use seed::{SeedStream, DOMAIN_NOISE};
+pub use seed::SeedStream;
 
 #[cfg(test)]
 mod tests {

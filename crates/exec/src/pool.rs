@@ -209,11 +209,11 @@ impl PoolJob {
 
     /// Evaluates the diagonal observable `Σ f(i) |i⟩⟨i|` on the job's
     /// final state, worker-side, into [`PoolOutcome::expectation`].
-    /// The value is computed on the **raw** (possibly unnormalized)
-    /// state — exactly `Σᵢ |aᵢ|² f(i)` — which is what the stochastic
-    /// noise-trajectory estimator needs (amplitude-damping trajectories
-    /// carry their importance weight in the state norm). Shares the
-    /// engine's dense-amplitude width limits.
+    /// The value is computed on the **raw** state, exactly
+    /// `Σᵢ |aᵢ|² f(i)`, and is not divided by the state's squared norm:
+    /// a circuit whose dense blocks are not unitary leaves the state
+    /// unnormalized, and the value is then the weighted mass as it
+    /// stands. Shares the engine's dense-amplitude width limits.
     #[must_use]
     pub fn expectation(mut self, f: SharedDiagonal) -> Self {
         self.expectation = Some(f);

@@ -33,12 +33,6 @@ pub struct SeedStream {
 pub(crate) const DOMAIN_RUN: u64 = 0x1;
 /// Seed domain of sharded `sample_counts` shot chunks.
 pub(crate) const DOMAIN_SAMPLE: u64 = 0x2;
-/// Seed domain of stochastic noise-trajectory sampling (the
-/// `approxdd-noise` crate derives trajectory `t`'s channel-selection
-/// RNG from `seed(DOMAIN_NOISE, t)` at submission time, so inserted
-/// noise ops are a pure function of the trajectory index — never of
-/// worker count or scheduling).
-pub const DOMAIN_NOISE: u64 = 0x3;
 /// Seed domain of the fault-injection harness: a seeded
 /// [`crate::FaultPlan`] derives job `j`'s fault decision from
 /// `seed(DOMAIN_FAULT, j)`, so injected panics/delays/aborts land on
@@ -104,7 +98,7 @@ mod tests {
     fn seeds_have_no_trivial_collisions() {
         let s = SeedStream::new(0);
         let mut seen = std::collections::HashSet::new();
-        for domain in [DOMAIN_RUN, DOMAIN_SAMPLE, DOMAIN_NOISE, DOMAIN_FAULT] {
+        for domain in [DOMAIN_RUN, DOMAIN_SAMPLE, DOMAIN_FAULT] {
             for index in 0..4096 {
                 assert!(
                     seen.insert(s.seed(domain, index)),
@@ -114,12 +108,11 @@ mod tests {
         }
     }
 
-    /// Golden values pin the existing streams: adding the noise domain
-    /// (or any future refactor of the mixing) must not move a single
-    /// seed of `DOMAIN_RUN`/`DOMAIN_SAMPLE`, or every archived
-    /// `run_batch`/`sample_counts` fingerprint would silently change.
-    /// The noise stream is pinned alongside them so trajectory results
-    /// stay reproducible across releases too.
+    /// Golden values pin the existing streams: a refactor of the mixing
+    /// must not move a single seed of `DOMAIN_RUN`/`DOMAIN_SAMPLE`, or
+    /// every archived `run_batch`/`sample_counts` fingerprint would
+    /// silently change, nor one of `DOMAIN_FAULT`, or injected faults
+    /// would land on other jobs.
     #[test]
     fn existing_streams_are_frozen() {
         let s = SeedStream::new(42);
@@ -130,9 +123,6 @@ mod tests {
             (DOMAIN_SAMPLE, 0, 0x0684_A9E5_6565_7C2E),
             (DOMAIN_SAMPLE, 1, 0xCB3F_6068_39EE_90D6),
             (DOMAIN_SAMPLE, 7, 0xEF5E_260B_C49C_3C6F),
-            (DOMAIN_NOISE, 0, 0x2CE0_2C4E_E4D2_EA09),
-            (DOMAIN_NOISE, 1, 0x5D39_6F90_8F79_BB0B),
-            (DOMAIN_NOISE, 7, 0xAB2F_9774_6E2E_A953),
             (DOMAIN_FAULT, 0, 0xE8DA_A970_75F9_D9E8),
             (DOMAIN_FAULT, 1, 0xBEE2_E244_4F09_461F),
             (DOMAIN_FAULT, 7, 0x5B5F_AB66_E103_2DC8),
@@ -152,13 +142,12 @@ mod tests {
         proptest! {
             // Domain separation: over a sampled window, streams for
             // distinct (domain, job index) pairs share no 64-bit
-            // outputs — the PR 2 determinism contract extended to the
-            // noise domain.
+            // outputs.
             #[test]
             fn distinct_domain_index_pairs_share_no_outputs(root in any::<u64>()) {
                 let s = SeedStream::new(root);
                 let mut seen = std::collections::HashMap::new();
-                for domain in [DOMAIN_RUN, DOMAIN_SAMPLE, DOMAIN_NOISE, DOMAIN_FAULT] {
+                for domain in [DOMAIN_RUN, DOMAIN_SAMPLE, DOMAIN_FAULT] {
                     for index in 0..512u64 {
                         let seed = s.seed(domain, index);
                         if let Some(prev) = seen.insert(seed, (domain, index)) {
@@ -179,7 +168,7 @@ mod tests {
                 let a = SeedStream::new(root);
                 let b = SeedStream::new(root.wrapping_add(1));
                 for index in 0..256u64 {
-                    let (x, y) = (a.seed(DOMAIN_NOISE, index), b.seed(DOMAIN_NOISE, index));
+                    let (x, y) = (a.seed(DOMAIN_RUN, index), b.seed(DOMAIN_RUN, index));
                     prop_assert!(x != y, "roots {root} and +1 collide at index {index}");
                 }
             }

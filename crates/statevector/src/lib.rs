@@ -17,10 +17,7 @@
 //! assert!((s.probability(0b111) - 0.5).abs() < 1e-12);
 //! ```
 
-mod density;
 pub mod xeb;
-
-pub use density::{DensityMatrix, KrausOperator, MAX_DENSITY_QUBITS};
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -112,40 +109,11 @@ impl State {
         Self { n: n_qubits, amps }
     }
 
-    /// Builds a state from raw amplitudes (length must be a power of
-    /// two). The vector is used as-is; callers wanting a unit state
-    /// should normalize first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is not a power of two or exceeds the dense
-    /// maximum.
-    #[must_use]
-    pub(crate) fn from_amplitudes(amps: Vec<Cplx>) -> Self {
-        assert!(amps.len().is_power_of_two() && !amps.is_empty());
-        let n = amps.len().trailing_zeros() as usize;
-        assert!(n <= MAX_DENSE_QUBITS);
-        Self { n, amps }
-    }
-
-    /// Register width.
-    #[must_use]
-    pub(crate) fn n_qubits(&self) -> usize {
-        self.n
-    }
-
     /// The amplitude slice (little-endian basis indexing: bit `q` of the
     /// index is qubit `q`).
     #[must_use]
     pub fn amplitudes(&self) -> &[Cplx] {
         &self.amps
-    }
-
-    /// Consumes the state, returning its amplitude vector (the
-    /// allocation-reuse path of the density-matrix column kernels).
-    #[must_use]
-    pub(crate) fn into_amplitudes(self) -> Vec<Cplx> {
-        self.amps
     }
 
     /// Born-rule probability of basis state `idx`.
@@ -160,16 +128,8 @@ impl State {
         self.amps.iter().map(|a| a.mag2()).sum::<f64>().sqrt()
     }
 
-    /// Applies one circuit operation in place.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::BadOperation`] on out-of-range or overlapping
-    /// qubits.
-    pub(crate) fn apply(&mut self, op: &Operation) -> Result<(), StateError> {
-        self.apply_indexed(op, usize::MAX)
-    }
-
+    /// Applies one circuit operation in place; `op_index` names it in a
+    /// [`StateError::BadOperation`] (out-of-range or overlapping qubits).
     fn apply_indexed(&mut self, op: &Operation, op_index: usize) -> Result<(), StateError> {
         match op {
             Operation::Gate {
@@ -388,11 +348,14 @@ mod tests {
         use approxdd_circuit::{Control, Gate, Operation};
         let mut s = State::basis(2, 0b00);
         // X on q0 negatively controlled by q1 -> fires (q1 = 0).
-        s.apply(&Operation::Gate {
-            gate: Gate::X,
-            target: 0,
-            controls: vec![Control::negative(1)],
-        })
+        s.apply_indexed(
+            &Operation::Gate {
+                gate: Gate::X,
+                target: 0,
+                controls: vec![Control::negative(1)],
+            },
+            0,
+        )
         .unwrap();
         assert!((s.probability(0b01) - 1.0).abs() < 1e-12);
     }
@@ -403,13 +366,16 @@ mod tests {
         use std::sync::Arc;
         let mut s = State::basis(3, 0b010);
         // Cyclic shift on low 2 qubits: |2> -> |3>.
-        s.apply(&Operation::Permutation {
-            lo: 0,
-            k: 2,
-            perm: Arc::new(vec![1, 2, 3, 0]),
-            controls: vec![],
-            label: "cycle".into(),
-        })
+        s.apply_indexed(
+            &Operation::Permutation {
+                lo: 0,
+                k: 2,
+                perm: Arc::new(vec![1, 2, 3, 0]),
+                controls: vec![],
+                label: "cycle".into(),
+            },
+            0,
+        )
         .unwrap();
         assert!((s.probability(0b011) - 1.0).abs() < 1e-12);
     }
@@ -426,10 +392,10 @@ mod tests {
             label: "cx".into(),
         };
         let mut s = State::basis(2, 0b00);
-        s.apply(&op).unwrap();
+        s.apply_indexed(&op, 0).unwrap();
         assert!((s.probability(0b00) - 1.0).abs() < 1e-12, "control off");
         let mut s = State::basis(2, 0b10);
-        s.apply(&op).unwrap();
+        s.apply_indexed(&op, 0).unwrap();
         assert!((s.probability(0b11) - 1.0).abs() < 1e-12, "control on");
     }
 

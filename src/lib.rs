@@ -25,10 +25,6 @@
 //!   Clifford circuits (exact global phase, polynomial time), behind
 //!   [`backend::AnyBackend`] when the builder's [`sim::Engine`] knob
 //!   says `Stabilizer` or `Hybrid`,
-//! * [`noise`] — stochastic noise-trajectory simulation: Kraus
-//!   channels ([`circuit::noise`]), a pooled Monte-Carlo trajectory
-//!   driver ([`noise::NoisePool`]), and an exact density-matrix
-//!   baseline for validation,
 //! * [`server`] — simulation as a service: a std-only HTTP job
 //!   server with bounded-queue admission, warm snapshot sessions and
 //!   NDJSON result streaming over the pool,
@@ -83,7 +79,6 @@ pub use approxdd_complex as complex;
 pub use approxdd_dd as dd;
 pub use approxdd_exec as exec;
 pub use approxdd_exec::backend;
-pub use approxdd_noise as noise;
 pub use approxdd_server as server;
 pub use approxdd_shor as shor;
 pub use approxdd_sim as sim;

@@ -9,9 +9,7 @@ use std::time::Duration;
 
 use approxdd::backend::ExecError;
 use approxdd::circuit::generators;
-use approxdd::circuit::noise::NoiseModel;
 use approxdd::exec::{silence_injected_panics, BuildPool, FaultPlan, PoolJob};
-use approxdd::noise::{BuildNoisePool, TrajectoryConfig};
 use approxdd::sim::{RetryPolicy, Simulator, Strategy};
 use proptest::prelude::*;
 
@@ -163,34 +161,6 @@ fn zero_deadline_degrades_to_fallback_policy() {
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
-}
-
-/// The noise crate inherits the whole fault-tolerance layer through its
-/// inner pool: a panic-injected trajectory batch under retry produces
-/// counts identical to the undisturbed run.
-#[test]
-fn noise_pool_inherits_retry_and_supervision() {
-    silence_injected_panics();
-    let circuit = generators::ghz(6);
-    let config = TrajectoryConfig::new(8).shots(64);
-    let run = |plan: Option<FaultPlan>| {
-        let pool = Simulator::builder()
-            .noise(NoiseModel::depolarizing(0.02).expect("valid rate"))
-            .workers(2)
-            .seed(7)
-            .retry(RetryPolicy::new(3))
-            .build_noise_pool();
-        pool.pool().inject_faults(plan);
-        let outcome = pool
-            .run_trajectories(&circuit, &config)
-            .expect("trajectories must recover");
-        (outcome.counts, pool.pool().stats().respawns)
-    };
-    let (clean, clean_respawns) = run(None);
-    assert_eq!(clean_respawns, 0);
-    let (faulted, respawns) = run(Some(FaultPlan::new().panic_on([3])));
-    assert_eq!(clean, faulted, "retried trajectory diverged");
-    assert_eq!(respawns, 1);
 }
 
 proptest! {
