@@ -203,8 +203,8 @@ impl SimulatorBuilder {
     }
 
     /// Seeds the simulator's owned sampling RNG (used by
-    /// [`Simulator::draw`] / [`Simulator::draw_counts`] and the
-    /// `Backend` trait of `approxdd_exec::backend`). Unseeded builders use a
+    /// [`Simulator::draw`] / [`Simulator::draw_counts`] and by
+    /// `AnyBackend` in `approxdd_exec::backend`). Unseeded builders use a
     /// fixed default seed, so runs are deterministic either way.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
@@ -229,7 +229,7 @@ impl SimulatorBuilder {
     /// configuration ([`Engine::Dd`] by default). Plain
     /// [`SimulatorBuilder::build`] always constructs the DD simulator —
     /// the knob is read by `build_backend()` in `approxdd_exec::backend`
-    /// and by pooled/noisy execution templates.
+    /// and by pool templates.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -312,7 +312,7 @@ impl SimulatorBuilder {
     }
 
     /// The sampling seed the built simulator will start from: the value
-    /// given to [`SimulatorBuilder::seed`], or [`DEFAULT_SAMPLE_SEED`].
+    /// given to [`SimulatorBuilder::seed`], or a fixed default.
     /// Pooled execution uses this as the root of its per-job seed
     /// stream.
     #[must_use]
@@ -435,7 +435,7 @@ mod tests {
         assert_eq!(Simulator::builder().seed(42).sample_seed(), 42);
         assert_eq!(
             Simulator::builder().sample_seed(),
-            crate::DEFAULT_SAMPLE_SEED
+            crate::simulator::DEFAULT_SAMPLE_SEED
         );
     }
 

@@ -63,7 +63,7 @@ pub use policy::{
     ApproxPolicy, BudgetPolicy, DeadlineFactory, ExactPolicy, PolicyAction, PolicyCtx,
     PolicyFactory, SharedObserver, SimObserver, TraceEvent, TraceRecorder,
 };
-pub use simulator::{RunResult, SimSnapshot, SimStats, Simulator, DEFAULT_SAMPLE_SEED};
+pub use simulator::{RunResult, SimSnapshot, SimStats, Simulator};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SimError>;

@@ -22,7 +22,7 @@ use crate::Result;
 /// Seed of a simulator's owned sampling RNG when none is given through
 /// [`SimulatorBuilder::seed`] — fixed so unseeded runs stay
 /// reproducible.
-pub const DEFAULT_SAMPLE_SEED: u64 = 0x0A99_07DD;
+pub(crate) const DEFAULT_SAMPLE_SEED: u64 = 0x0A99_07DD;
 
 /// Widest register [`Simulator::check_width`] admits.
 const MAX_DD_QUBITS: usize = 63;
@@ -94,9 +94,9 @@ pub struct SimStats {
 /// return garbage amplitudes. Query through the simulator
 /// ([`Simulator::sample`], [`Simulator::amplitudes`],
 /// [`Simulator::fidelity_between`]) while the result is live, and treat
-/// `release` as the end of the result's life. The `Backend` trait in
+/// `release` as the end of the result's life. `AnyBackend` in
 /// `approxdd_exec::backend` encapsulates exactly this contract
-/// (`Backend::release` consumes the outcome by value).
+/// (`AnyBackend::release` consumes the outcome by value).
 #[derive(Debug, Clone)]
 pub struct RunResult {
     state: VEdge,
@@ -342,8 +342,8 @@ impl Simulator {
 
     /// Validates this simulator's policy against a circuit without
     /// running it: builds a fresh policy and runs its
-    /// [`crate::ApproxPolicy::begin`] hook. What `Backend::prepare`
-    /// uses.
+    /// [`crate::ApproxPolicy::begin`] hook. What a hybrid run checks
+    /// before its tableau, which a pure-Clifford run never leaves.
     ///
     /// # Errors
     ///
@@ -387,7 +387,8 @@ impl Simulator {
     /// Whether [`Simulator::run`] can build a start state for
     /// `circuit`'s register: the engine builds and samples basis states
     /// by `u64` index (`Package::basis_state`), so 63 qubits is the
-    /// widest. What `Backend::prepare` admits DD runs by.
+    /// widest. What every run, and the job server's door, admits
+    /// registers by.
     ///
     /// # Errors
     ///

@@ -12,11 +12,11 @@ use approxdd_telemetry::Span;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use super::{check_basis, Backend, BackendStats, ExecError, Executable, Result, RunOutcome};
+use super::{BackendStats, ExecError, Result, RunOutcome};
 
-/// The decision-diagram simulator behind the [`Backend`] API, with a
-/// stabilizer tableau in front of it — the concrete type pooled workers
-/// hold, so one pool implementation serves every engine.
+/// The decision-diagram simulator with a stabilizer tableau in front of
+/// it — the one engine type, which pooled workers hold too, so one pool
+/// implementation serves every engine.
 ///
 /// The [`Engine`] decides only how many leading operations the tableau
 /// absorbs before the DD engine takes over from the synthesized
@@ -27,7 +27,7 @@ use super::{check_basis, Backend, BackendStats, ExecError, Executable, Result, R
 /// * [`Engine::Hybrid`] — the maximal Clifford prefix; the configured
 ///   policy steers the suffix exactly as it would a full DD run;
 /// * [`Engine::Stabilizer`] — the whole circuit, which
-///   [`Backend::prepare`] requires to be Clifford: polynomial-time and
+///   [`AnyBackend::run`] requires to be Clifford: polynomial-time and
 ///   exact, and the DD package is never touched.
 ///
 /// A run that ends on the tableau holds the tableau itself and answers
@@ -35,9 +35,9 @@ use super::{check_basis, Backend, BackendStats, ExecError, Executable, Result, R
 /// a run that ends on the DD engine pins GC roots in the simulator's
 /// package until released and samples from the simulator's RNG.
 ///
-/// Built by [`super::BuildBackend::build_backend`]. [`Backend::prepare`]
-/// is where a circuit is admitted: policy, structure, and the register
-/// width and gate set this engine can run.
+/// Built by [`super::BuildBackend::build_backend`]. [`AnyBackend::run`]
+/// admits and runs a circuit in one call: policy, structure, and the
+/// register width and gate set this engine can run are checked once.
 #[derive(Debug)]
 pub struct AnyBackend {
     engine: Engine,
@@ -47,7 +47,7 @@ pub struct AnyBackend {
 
 /// The two kinds of final state an [`AnyBackend`] run can end in.
 #[derive(Debug)]
-pub enum AnyHandle {
+pub(crate) enum AnyHandle {
     /// Every operation was absorbed by the tableau.
     Tableau(Box<Tableau>),
     /// The run ended on the DD engine.
@@ -111,8 +111,8 @@ impl AnyBackend {
     /// Size of an outcome's final state representation: DD node count,
     /// or tableau storage words.
     #[must_use]
-    pub fn final_size(&self, outcome: &RunOutcome<AnyHandle>) -> usize {
-        match outcome.handle() {
+    pub fn final_size(&self, outcome: &RunOutcome) -> usize {
+        match &outcome.handle {
             AnyHandle::Tableau(t) => t.storage_words(),
             AnyHandle::Dd(r) => self.sim.package().vsize(r.state()),
         }
@@ -124,32 +124,196 @@ impl AnyBackend {
     ///
     /// [`ExecError::Unsupported`] unless both outcomes ended on the DD
     /// engine.
-    pub fn fidelity_between(
-        &mut self,
-        a: &RunOutcome<AnyHandle>,
-        b: &RunOutcome<AnyHandle>,
-    ) -> Result<f64> {
-        match (a.handle(), b.handle()) {
+    pub fn fidelity_between(&mut self, a: &RunOutcome, b: &RunOutcome) -> Result<f64> {
+        match (&a.handle, &b.handle) {
             (AnyHandle::Dd(a), AnyHandle::Dd(b)) => Ok(self.sim.fidelity_between(a, b)),
             _ => Err(ExecError::Unsupported {
-                backend: self.name(),
+                backend: self.engine.name(),
                 what: "fidelity between tableau outcomes",
             }),
         }
     }
 
-    /// How many leading operations of `circuit` the tableau absorbs;
-    /// `None` when the run never builds one. A register too wide for
-    /// the tableau→DD handoff (`u64` basis indexing) goes to the DD
-    /// engine whole.
-    fn tableau_prefix(&self, circuit: &Circuit) -> Option<usize> {
-        match self.engine {
-            Engine::Stabilizer => Some(circuit.ops().len()),
-            Engine::Hybrid if circuit.n_qubits() <= MAX_INDEXED_QUBITS => {
-                Some(circuit.clifford_prefix_len())
+    /// Runs `circuit` from `|0…0⟩`, admitting it on the way: the one
+    /// place a circuit is checked before it runs.
+    ///
+    /// * [`Engine::Dd`] — the run is [`Simulator::run`], whose own checks
+    ///   (width, policy, structure) run once;
+    /// * [`Engine::Stabilizer`] — structure, the tableau's width, and a
+    ///   Clifford-only gate set, before the tableau is built;
+    /// * [`Engine::Hybrid`] — policy, structure and width before the
+    ///   tableau, so a pure-Clifford run, which never reaches the
+    ///   simulator, still refuses a bad policy.
+    ///
+    /// # Errors
+    ///
+    /// Admission errors ([`ExecError::Circuit`], [`ExecError::Sim`],
+    /// [`ExecError::Dd`], [`ExecError::Stabilizer`]) and engine
+    /// execution errors.
+    pub fn run(&mut self, circuit: &Circuit) -> Result<RunOutcome> {
+        let n = circuit.n_qubits();
+        let Some(prefix) = self.admit(circuit)? else {
+            let result = self.sim.run(circuit)?;
+            let stats = result.stats.clone().into();
+            return Ok(RunOutcome::new(stats, n, AnyHandle::Dd(Box::new(result))));
+        };
+        let span = Span::enter(if self.engine == Engine::Stabilizer {
+            "stab.run"
+        } else {
+            "hybrid.run"
+        });
+        let ops = circuit.ops();
+
+        let mut tableau = Tableau::new(n);
+        let mut prefix_gates = 0;
+        for (index, op) in ops.iter().take(prefix).enumerate() {
+            if tableau.apply_op(index, op)? {
+                prefix_gates += 1;
             }
-            _ => None,
         }
+
+        if prefix == ops.len() {
+            // Pure Clifford: the DD package is never touched.
+            let stats = BackendStats {
+                gates_applied: prefix_gates,
+                peak_size: tableau.storage_words(),
+                approx_rounds: 0,
+                fidelity: 1.0,
+                fidelity_lower_bound: 1.0,
+                policy: "exact".to_string(),
+                nodes_removed: 0,
+                runtime: span.finish(),
+                size_series: Vec::new(),
+                dd: None,
+                engine: self.engine.name(),
+                clifford_prefix_len: prefix,
+            };
+            return Ok(RunOutcome::new(
+                stats,
+                n,
+                AnyHandle::Tableau(Box::new(tableau)),
+            ));
+        }
+
+        let initial = synthesize_state(self.sim.package_mut(), &tableau)?;
+        let mut suffix = Circuit::new(n, circuit.name());
+        for op in &ops[prefix..] {
+            suffix.push(op.clone());
+        }
+        let result = self.sim.run_from(&suffix, initial)?;
+        let mut stats: BackendStats = result.stats.clone().into();
+        stats.engine = self.engine.name();
+        stats.clifford_prefix_len = prefix;
+        stats.gates_applied += prefix_gates;
+        stats.peak_size = stats.peak_size.max(tableau.storage_words());
+        stats.runtime = span.finish();
+        Ok(RunOutcome::new(stats, n, AnyHandle::Dd(Box::new(result))))
+    }
+
+    /// The checks a run makes before a tableau is built, and how many
+    /// leading operations of `circuit` the tableau then absorbs; `None`
+    /// when the run never builds one, and its checks are
+    /// [`Simulator::run`]'s own.
+    fn admit(&self, circuit: &Circuit) -> Result<Option<usize>> {
+        match self.engine {
+            Engine::Stabilizer => {
+                circuit.validate()?;
+                if circuit.n_qubits() > MAX_INDEXED_QUBITS {
+                    return Err(StabilizerError::TooManyQubits {
+                        n_qubits: circuit.n_qubits(),
+                        max: MAX_INDEXED_QUBITS,
+                    }
+                    .into());
+                }
+                if !circuit.is_clifford() {
+                    return Err(StabilizerError::NonClifford {
+                        index: circuit.clifford_prefix_len(),
+                    }
+                    .into());
+                }
+                Ok(Some(circuit.ops().len()))
+            }
+            Engine::Hybrid => {
+                // Whatever policy the simulator runs with — a Strategy
+                // preset or a custom ApproxPolicy (its begin() hook).
+                self.sim.validate_policy(circuit)?;
+                circuit.validate()?;
+                // The DD engine's width cap is the `u64` basis indexing
+                // the tableau→DD handoff needs.
+                Simulator::check_width(circuit)?;
+                Ok(Some(circuit.clifford_prefix_len()))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// Draws `shots` outcomes into a histogram: from the tableau with
+    /// the backend's own RNG, or from the DD state with the simulator's.
+    pub fn sample_counts(&mut self, outcome: &RunOutcome, shots: usize) -> HashMap<u64, usize> {
+        match &outcome.handle {
+            AnyHandle::Tableau(t) => t.sample_counts(shots, &mut self.rng),
+            AnyHandle::Dd(r) => self.sim.draw_counts(r, shots),
+        }
+    }
+
+    /// Dense amplitudes of the final state (small registers only).
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Dd`] / [`ExecError::Stabilizer`] width-limit errors.
+    pub fn amplitudes(&self, outcome: &RunOutcome) -> Result<Vec<Cplx>> {
+        match &outcome.handle {
+            AnyHandle::Tableau(t) => Ok(t.amplitudes()?),
+            AnyHandle::Dd(r) => Ok(self.sim.amplitudes(r)?),
+        }
+    }
+
+    /// Born-rule probability of the basis state `basis`.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::BasisOutOfRange`] when `basis` does not fit the
+    /// register.
+    pub fn probability(&self, outcome: &RunOutcome, basis: u64) -> Result<f64> {
+        let n_qubits = outcome.n_qubits;
+        if n_qubits < 64 && basis >> n_qubits != 0 {
+            return Err(ExecError::BasisOutOfRange { basis, n_qubits });
+        }
+        match &outcome.handle {
+            AnyHandle::Tableau(t) => Ok(t.probability(basis)),
+            AnyHandle::Dd(r) => Ok(self.sim.package().probability(r.state(), basis)),
+        }
+    }
+
+    /// Expectation value of the diagonal observable `Σ f(i) |i⟩⟨i|`,
+    /// derived from [`AnyBackend::amplitudes`], whose width limits it
+    /// shares.
+    ///
+    /// # Errors
+    ///
+    /// See [`AnyBackend::amplitudes`].
+    pub fn expectation(&self, outcome: &RunOutcome, diagonal: &dyn Fn(u64) -> f64) -> Result<f64> {
+        let amps = self.amplitudes(outcome)?;
+        Ok(amps
+            .iter()
+            .enumerate()
+            .map(|(i, a)| a.mag2() * diagonal(i as u64))
+            .sum())
+    }
+
+    /// Ends an outcome's life, releasing the GC roots a DD outcome pins.
+    /// Consumes the outcome: the type-level guarantee against the
+    /// dangling-handle hazard.
+    pub fn release(&mut self, outcome: RunOutcome) {
+        if let AnyHandle::Dd(r) = &outcome.handle {
+            self.sim.release(r);
+        }
+    }
+
+    /// Re-seeds both sampling RNGs, the tableau's and the simulator's.
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = StdRng::seed_from_u64(seed);
+        self.sim.reseed(seed);
     }
 }
 
@@ -209,144 +373,4 @@ fn synthesize_state(package: &mut Package, tableau: &Tableau) -> Result<VEdge> {
     // amplitude fixes the phase.
     let actual = package.amplitude(v, witness);
     Ok(v.scaled(target / actual))
-}
-
-impl Backend for AnyBackend {
-    type Handle = AnyHandle;
-
-    fn name(&self) -> &'static str {
-        self.engine.name()
-    }
-
-    fn prepare(&self, circuit: &Circuit) -> Result<Executable> {
-        if self.engine == Engine::Stabilizer {
-            circuit.validate()?;
-            if circuit.n_qubits() > MAX_INDEXED_QUBITS {
-                return Err(StabilizerError::TooManyQubits {
-                    n_qubits: circuit.n_qubits(),
-                    max: MAX_INDEXED_QUBITS,
-                }
-                .into());
-            }
-            if !circuit.is_clifford() {
-                return Err(StabilizerError::NonClifford {
-                    index: circuit.clifford_prefix_len(),
-                }
-                .into());
-            }
-        } else {
-            // Validates whatever policy the simulator runs with — a
-            // Strategy preset or a custom ApproxPolicy (its begin() hook).
-            self.sim.validate_policy(circuit)?;
-            circuit.validate()?;
-            Simulator::check_width(circuit)?;
-        }
-        Ok(Executable::from_validated(circuit.clone()))
-    }
-
-    fn run(&mut self, exe: &Executable) -> Result<RunOutcome<AnyHandle>> {
-        let n = exe.n_qubits();
-        let circuit = exe.circuit();
-        let Some(prefix) = self.tableau_prefix(circuit) else {
-            let result = self.sim.run(circuit)?;
-            let stats = result.stats.clone().into();
-            return Ok(RunOutcome::new(stats, n, AnyHandle::Dd(Box::new(result))));
-        };
-        let span = Span::enter(if self.engine == Engine::Stabilizer {
-            "stab.run"
-        } else {
-            "hybrid.run"
-        });
-        let ops = circuit.ops();
-
-        let mut tableau = Tableau::new(n);
-        let mut prefix_gates = 0;
-        for (index, op) in ops.iter().take(prefix).enumerate() {
-            if tableau.apply_op(index, op)? {
-                prefix_gates += 1;
-            }
-        }
-
-        if prefix == ops.len() {
-            // Pure Clifford: the DD package is never touched.
-            let stats = BackendStats {
-                gates_applied: prefix_gates,
-                peak_size: tableau.storage_words(),
-                approx_rounds: 0,
-                fidelity: 1.0,
-                fidelity_lower_bound: 1.0,
-                policy: "exact".to_string(),
-                nodes_removed: 0,
-                runtime: span.finish(),
-                size_series: Vec::new(),
-                dd: None,
-                engine: self.name(),
-                clifford_prefix_len: prefix,
-            };
-            return Ok(RunOutcome::new(
-                stats,
-                n,
-                AnyHandle::Tableau(Box::new(tableau)),
-            ));
-        }
-
-        let initial = synthesize_state(self.sim.package_mut(), &tableau)?;
-        let mut suffix = Circuit::new(n, circuit.name());
-        for op in &ops[prefix..] {
-            suffix.push(op.clone());
-        }
-        let result = self.sim.run_from(&suffix, initial)?;
-        let mut stats: BackendStats = result.stats.clone().into();
-        stats.engine = self.name();
-        stats.clifford_prefix_len = prefix;
-        stats.gates_applied += prefix_gates;
-        stats.peak_size = stats.peak_size.max(tableau.storage_words());
-        stats.runtime = span.finish();
-        Ok(RunOutcome::new(stats, n, AnyHandle::Dd(Box::new(result))))
-    }
-
-    fn sample(&mut self, outcome: &RunOutcome<AnyHandle>) -> u64 {
-        match outcome.handle() {
-            AnyHandle::Tableau(t) => t.sample(&mut self.rng),
-            AnyHandle::Dd(r) => self.sim.draw(r),
-        }
-    }
-
-    fn sample_counts(
-        &mut self,
-        outcome: &RunOutcome<AnyHandle>,
-        shots: usize,
-    ) -> HashMap<u64, usize> {
-        match outcome.handle() {
-            AnyHandle::Tableau(t) => t.sample_counts(shots, &mut self.rng),
-            AnyHandle::Dd(r) => self.sim.draw_counts(r, shots),
-        }
-    }
-
-    fn amplitudes(&self, outcome: &RunOutcome<AnyHandle>) -> Result<Vec<Cplx>> {
-        match outcome.handle() {
-            AnyHandle::Tableau(t) => Ok(t.amplitudes()?),
-            AnyHandle::Dd(r) => Ok(self.sim.amplitudes(r)?),
-        }
-    }
-
-    fn probability(&self, outcome: &RunOutcome<AnyHandle>, basis: u64) -> Result<f64> {
-        check_basis(basis, outcome.n_qubits())?;
-        match outcome.handle() {
-            AnyHandle::Tableau(t) => Ok(t.probability(basis)),
-            AnyHandle::Dd(r) => Ok(self.sim.package().probability(r.state(), basis)),
-        }
-    }
-
-    fn release(&mut self, outcome: RunOutcome<AnyHandle>) {
-        match outcome.handle() {
-            AnyHandle::Tableau(_) => {}
-            AnyHandle::Dd(r) => self.sim.release(r),
-        }
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
-        self.sim.reseed(seed);
-    }
 }

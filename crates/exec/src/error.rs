@@ -8,17 +8,15 @@ use approxdd_circuit::CircuitError;
 use approxdd_dd::DdError;
 use approxdd_sim::SimError;
 use approxdd_stabilizer::StabilizerError;
-use approxdd_statevector::StateError;
 
-/// Every way a [`Backend`](crate::backend::Backend) can fail, absorbing the engine error
-/// types via `From` so `?` works across layers.
+/// Every way a run of an [`AnyBackend`](crate::backend::AnyBackend), alone
+/// or pooled, can fail, absorbing the engine error types via `From` so
+/// `?` works across layers.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ExecError {
     /// The DD simulator failed.
     Sim(SimError),
-    /// The dense statevector engine failed.
-    State(StateError),
     /// The stabilizer tableau engine failed (non-Clifford operation or
     /// width cap).
     Stabilizer(StabilizerError),
@@ -35,7 +33,7 @@ pub enum ExecError {
     },
     /// The backend cannot perform the requested operation.
     Unsupported {
-        /// Backend name ([`crate::backend::Backend::name`]).
+        /// Engine name ([`approxdd_sim::Engine::name`]).
         backend: &'static str,
         /// What was requested.
         what: &'static str,
@@ -82,7 +80,6 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::Sim(e) => write!(f, "dd simulator error: {e}"),
-            ExecError::State(e) => write!(f, "statevector error: {e}"),
             ExecError::Stabilizer(e) => write!(f, "stabilizer engine error: {e}"),
             ExecError::Dd(e) => write!(f, "decision-diagram error: {e}"),
             ExecError::Circuit(e) => write!(f, "circuit error: {e}"),
@@ -125,7 +122,6 @@ impl Error for ExecError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ExecError::Sim(e) => Some(e),
-            ExecError::State(e) => Some(e),
             ExecError::Stabilizer(e) => Some(e),
             ExecError::Dd(e) => Some(e),
             ExecError::Circuit(e) => Some(e),
@@ -147,12 +143,6 @@ impl From<SimError> for ExecError {
             SimError::Circuit(inner) => ExecError::Circuit(inner),
             other => ExecError::Sim(other),
         }
-    }
-}
-
-impl From<StateError> for ExecError {
-    fn from(e: StateError) -> Self {
-        ExecError::State(e)
     }
 }
 
@@ -215,13 +205,6 @@ mod tests {
     fn every_variant_displays_and_chains_as_constructed() {
         let wrapped: Vec<(ExecError, usize)> = vec![
             (ExecError::Sim(SimError::InvalidStrategy { reason: "x" }), 1),
-            (
-                ExecError::State(StateError::TooManyQubits {
-                    n_qubits: 40,
-                    max: 30,
-                }),
-                1,
-            ),
             (
                 ExecError::Stabilizer(StabilizerError::TooManyQubits {
                     n_qubits: 70,

@@ -1,9 +1,9 @@
-//! Execution: the unified [`Backend`](backend::Backend) API over every
-//! engine, and multi-threaded pooled execution over it.
+//! Execution: one engine type over every engine, and multi-threaded
+//! pooled execution over it.
 //!
-//! The [`backend`] module is the one front door to a simulation engine
-//! — prepare, run, query, release — for the DD engine (with its
-//! stabilizer and hybrid front ends) and the dense baseline alike;
+//! The [`backend`] module holds [`AnyBackend`](backend::AnyBackend), the
+//! one front door to a simulation engine — run, query, release — for
+//! the DD engine and its stabilizer and hybrid front ends alike;
 //! `Simulator::builder()….build_backend()` builds one.
 //!
 //! The paper trades controlled fidelity loss for large resource
@@ -94,10 +94,7 @@ pub use seed::SeedStream;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{
-        amplitudes_of, run_circuit, AnyBackend, Backend, BuildBackend, ExecError, Executable,
-        StatevectorBackend,
-    };
+    use crate::backend::{AnyBackend, BuildBackend, ExecError};
     use approxdd_circuit::{generators, Circuit};
     use approxdd_sim::{Simulator, Strategy};
 
@@ -468,78 +465,52 @@ mod tests {
         assert_eq!(with.fingerprint(), with8.fingerprint());
     }
 
-    // The backend layer through its trait: both engines, one generic
-    // function.
+    // The engine against the dense baseline, called directly.
 
-    fn backends() -> (AnyBackend, StatevectorBackend) {
-        (
-            Simulator::builder().seed(11).build_backend(),
-            StatevectorBackend::with_seed(11),
-        )
+    fn dd() -> AnyBackend {
+        Simulator::builder().seed(11).build_backend()
     }
 
-    fn assert_amplitudes_agree<A: Backend, B: Backend>(a: &mut A, b: &mut B, circuit: &Circuit) {
-        let xs = amplitudes_of(a, circuit).expect("backend a");
-        let ys = amplitudes_of(b, circuit).expect("backend b");
-        assert_eq!(xs.len(), ys.len());
-        for (i, (x, y)) in xs.iter().zip(&ys).enumerate() {
+    fn dense(circuit: &Circuit) -> approxdd_statevector::State {
+        approxdd_statevector::run_circuit(circuit).expect("dense run")
+    }
+
+    fn assert_amplitudes_agree(dd: &mut AnyBackend, circuit: &Circuit) {
+        let run = dd.run(circuit).expect("dd run");
+        let xs = dd.amplitudes(&run).expect("dd amplitudes");
+        dd.release(run);
+        let ys = dense(circuit);
+        assert_eq!(xs.len(), ys.amplitudes().len());
+        for (i, (x, y)) in xs.iter().zip(ys.amplitudes()).enumerate() {
             assert!(
                 (*x - *y).mag() < 1e-9,
-                "{}: amplitude {i}: {} = {x} vs {} = {y}",
-                circuit.name(),
-                a.name(),
-                b.name()
+                "{}: amplitude {i}: dd = {x} vs dense = {y}",
+                circuit.name()
             );
         }
     }
 
     #[test]
-    fn engines_agree_through_the_trait() {
-        let (mut dd, mut sv) = backends();
-        assert_amplitudes_agree(&mut dd, &mut sv, &generators::ghz(6));
-        assert_amplitudes_agree(&mut dd, &mut sv, &generators::qft(5));
-        assert_amplitudes_agree(&mut dd, &mut sv, &generators::supremacy(2, 3, 8, 3));
-    }
-
-    #[test]
-    fn run_batch_returns_per_circuit_outcomes_in_order() {
-        let circuits = [
-            generators::ghz(4),
-            generators::w_state(4),
-            generators::qft(4),
-        ];
-        let (mut dd, mut sv) = backends();
-        let exes: Vec<Executable> = circuits
-            .iter()
-            .map(|c| dd.prepare(c).expect("prepare"))
-            .collect();
-        let dd_outs = dd.run_batch(&exes).expect("dd batch");
-        let sv_outs = sv.run_batch(&exes).expect("sv batch");
-        assert_eq!(dd_outs.len(), 3);
-        assert_eq!(sv_outs.len(), 3);
-        for ((d, s), c) in dd_outs.iter().zip(&sv_outs).zip(&circuits) {
-            assert_eq!(d.n_qubits(), c.n_qubits());
-            assert_eq!(s.stats.gates_applied, c.gate_count());
-            assert_eq!(s.stats.peak_size, 1 << c.n_qubits());
-            assert!((d.stats.fidelity - 1.0).abs() < 1e-12);
-        }
-        for out in dd_outs {
-            dd.release(out);
-        }
+    fn engines_agree_with_the_dense_baseline() {
+        let mut dd = dd();
+        assert_amplitudes_agree(&mut dd, &generators::ghz(6));
+        assert_amplitudes_agree(&mut dd, &generators::qft(5));
+        assert_amplitudes_agree(&mut dd, &generators::supremacy(2, 3, 8, 3));
     }
 
     #[test]
     fn sampling_is_deterministic_after_reseed() {
         let circuit = generators::ghz(8);
-        let (mut dd, _) = backends();
-        let out = run_circuit(&mut dd, &circuit).expect("run");
+        let mut dd = dd();
+        let out = dd.run(&circuit).expect("run");
         dd.reseed(5);
-        let first: Vec<u64> = (0..8).map(|_| dd.sample(&out)).collect();
+        let first = dd.sample_counts(&out, 64);
         dd.reseed(5);
-        let second: Vec<u64> = (0..8).map(|_| dd.sample(&out)).collect();
+        let second = dd.sample_counts(&out, 64);
         assert_eq!(first, second);
-        for v in first {
-            assert!(v == 0 || v == 0xFF, "GHZ outcome {v:#x}");
+        assert_eq!(first.values().sum::<usize>(), 64);
+        for v in first.keys() {
+            assert!(*v == 0 || *v == 0xFF, "GHZ outcome {v:#x}");
         }
         dd.release(out);
     }
@@ -547,8 +518,8 @@ mod tests {
     #[test]
     fn probability_rejects_out_of_range_basis() {
         let circuit = generators::ghz(3);
-        let (mut dd, mut sv) = backends();
-        let out = run_circuit(&mut dd, &circuit).expect("run");
+        let mut dd = dd();
+        let out = dd.run(&circuit).expect("run");
         assert!(matches!(
             dd.probability(&out, 8),
             Err(ExecError::BasisOutOfRange {
@@ -557,49 +528,36 @@ mod tests {
             })
         ));
         assert!((dd.probability(&out, 7).expect("p") - 0.5).abs() < 1e-12);
+        assert!((dense(&circuit).probability(7) - 0.5).abs() < 1e-12);
         dd.release(out);
-        let out = run_circuit(&mut sv, &circuit).expect("run");
-        assert!(matches!(
-            sv.probability(&out, 9),
-            Err(ExecError::BasisOutOfRange { .. })
-        ));
-        sv.release(out);
     }
 
     #[test]
     fn expectation_agrees_across_engines() {
         let circuit = generators::w_state(5);
-        let (mut dd, mut sv) = backends();
+        let mut dd = dd();
         let ones = |i: u64| f64::from(i.count_ones());
-        let dd_out = run_circuit(&mut dd, &circuit).expect("dd");
-        let sv_out = run_circuit(&mut sv, &circuit).expect("sv");
+        let dd_out = dd.run(&circuit).expect("dd");
         let a = dd.expectation(&dd_out, &ones).expect("dd exp");
-        let b = sv.expectation(&sv_out, &ones).expect("sv exp");
+        let b = dense(&circuit).expectation_diagonal(&ones);
         // W state has exactly one excited qubit.
         assert!((a - 1.0).abs() < 1e-9, "{a}");
         assert!((a - b).abs() < 1e-9);
         dd.release(dd_out);
-        sv.release(sv_out);
     }
 
     #[test]
     fn prepare_rejects_bad_configurations() {
-        let sv = StatevectorBackend::new();
-        let wide = generators::ghz(approxdd_statevector::MAX_DENSE_QUBITS + 1);
-        assert!(matches!(
-            sv.prepare(&wide),
-            Err(ExecError::State(
-                approxdd_statevector::StateError::TooManyQubits { .. }
-            ))
-        ));
-        let dd = Simulator::builder()
+        // A run admits its circuit: an invalid preset is refused before
+        // any state is built.
+        let mut dd = Simulator::builder()
             .strategy(Strategy::FidelityDriven {
                 final_fidelity: 2.0,
                 round_fidelity: 0.9,
             })
             .build_backend();
         assert!(matches!(
-            dd.prepare(&generators::ghz(3)),
+            dd.run(&generators::ghz(3)),
             Err(ExecError::Sim(_))
         ));
     }
@@ -611,7 +569,7 @@ mod tests {
             .fidelity_driven(0.6, 0.9)
             .seed(3)
             .build_backend();
-        let out = run_circuit(&mut dd, &circuit).expect("run");
+        let out = dd.run(&circuit).expect("run");
         assert!(out.stats.approx_rounds > 0);
         assert!(out.stats.fidelity >= 0.6 - 1e-9 && out.stats.fidelity < 1.0);
         assert!(out.stats.nodes_removed > 0);

@@ -103,9 +103,7 @@ use approxdd_sim::{
 };
 use approxdd_telemetry as telemetry;
 
-use crate::backend::{
-    run_circuit, AnyBackend, AnyHandle, Backend, BackendStats, ExecError, RunOutcome,
-};
+use crate::backend::{AnyBackend, BackendStats, ExecError, RunOutcome};
 use crate::fault::{FaultKind, FaultPlan, InjectedPanic};
 use crate::seed::{SeedStream, DOMAIN_RUN, DOMAIN_SAMPLE};
 use crate::supervise::Supervisor;
@@ -1156,7 +1154,7 @@ struct Worker {
     /// The sampling request this worker last simulated for, with that
     /// run's outcome. A failed run is kept too, so the request's
     /// remaining chunks answer with its error instead of re-running it.
-    epoch: Option<(u64, Result<RunOutcome<AnyHandle>, ExecError>)>,
+    epoch: Option<(u64, Result<RunOutcome, ExecError>)>,
     /// This worker's books: the task counters, plus the package
     /// counters of every engine it has retired (each run job rebuilds
     /// the backend, so the live package only covers the current job).
@@ -1311,7 +1309,7 @@ impl Worker {
             backend.attach_observer(recorder.clone() as SharedObserver);
             recorder
         });
-        let outcome = run_circuit(backend, &job.circuit)?;
+        let outcome = backend.run(&job.circuit)?;
         let counts = (job.shots > 0).then(|| {
             backend.reseed(seed);
             backend.sample_counts(&outcome, job.shots)
@@ -1363,7 +1361,7 @@ impl Worker {
         if self.epoch.as_ref().map(|(e, _)| *e) != Some(epoch) {
             self.fresh_backend(policy, None, None);
             let backend = self.backend.as_mut().expect(BACKEND_BUILT);
-            self.epoch = Some((epoch, run_circuit(backend, circuit)));
+            self.epoch = Some((epoch, backend.run(circuit)));
         }
         let (_, outcome) = self.epoch.as_ref().expect("epoch state just ensured");
         let outcome = outcome.as_ref().map_err(ExecError::clone)?;

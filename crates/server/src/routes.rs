@@ -27,6 +27,11 @@ use crate::server::{lock, Inner};
 /// connection thread forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// The most shots one job may ask for. Far above any real request,
+/// and far below a count whose shot chunks or draw loop would exhaust
+/// the process.
+const MAX_SHOTS: usize = 1 << 24;
+
 type Handler = fn(&Inner, &mut TcpStream, &Request) -> Result<(), ServeError>;
 
 /// The route table: a request's telemetry label and its handler.
@@ -191,10 +196,16 @@ fn parse_spec(request: &Request) -> Result<JobSpec, ServeError> {
     // No engine indexes a register wider than the DD engine's: refused
     // here, before a job id, a queue slot or a warm session is spent.
     Simulator::check_width(&circuit).map_err(|e| ServeError::BadRequest(e.to_string()))?;
+    let shots = param(request, "shots")?.unwrap_or(0);
+    if shots > MAX_SHOTS {
+        return Err(ServeError::BadRequest(format!(
+            "{shots} shots exceed the maximum of {MAX_SHOTS}"
+        )));
+    }
     Ok(JobSpec {
         circuit,
         strategy: parse_strategy(request)?,
-        shots: param(request, "shots")?.unwrap_or(0),
+        shots,
         trace: param(request, "trace")?.unwrap_or(1u8) != 0,
         partials: param(request, "partials")?.unwrap_or(0u8) != 0,
         deadline: param(request, "deadline_ms")?.map(Duration::from_millis),

@@ -153,27 +153,38 @@ fn bad_requests_are_typed() {
     shutdown(addr, handle);
 }
 
-/// Hostile registers and angles: each gets a typed 400 before a job id
-/// is spent, and the process and every pool worker outlive them (a
-/// backwards bracket pair used to panic the connection thread, a
-/// 64-qubit register a pool worker, and a 10^11-qubit one aborted the
-/// process on an allocation of that many bytes).
+/// Hostile registers, angles and shot counts: each gets a typed 400
+/// before a job id is spent, and the process and every pool worker
+/// outlive them (a backwards bracket pair used to panic the connection
+/// thread, a 64-qubit register a pool worker, and a 10^11-qubit one
+/// and a `u64::MAX`-shot one with partials aborted the process on an
+/// allocation).
 #[test]
 fn hostile_circuits_are_typed_and_kill_nothing() {
     let (addr, handle) = start(ServerConfig::new().template(template(2)));
-    for (qasm, reason) in [
-        ("qreg q]5[;", "malformed qreg"),
+    let bell = "qreg q[2]; h q[0];";
+    for (target, qasm, reason) in [
+        ("/jobs", "qreg q]5[;", "malformed qreg"),
         (
+            "/jobs",
             "qreg q[100000000000]; h q[0];",
             "exceeds the maximum of 255",
         ),
-        ("qreg q[2]; rx(nan) q[0];", "bad angle"),
-        ("qreg q[64]; h q[0];", "maximum of 63"),
+        ("/jobs", "qreg q[2]; rx(nan) q[0];", "bad angle"),
+        ("/jobs", "qreg q[64]; h q[0];", "maximum of 63"),
+        // With partials, one chunk record per 2048 shots: u64::MAX of
+        // them aborted the process on the allocation.
+        (
+            "/jobs?shots=18446744073709551615&partials=1",
+            bell,
+            "maximum of 16777216",
+        ),
+        ("/jobs?shots=16777217", bell, "maximum of 16777216"),
     ] {
-        let (status, body) = http(addr, "POST", "/jobs", qasm);
-        assert_eq!(status, 400, "{qasm}: {body}");
-        assert!(body.contains("bad_request"), "{qasm}: {body}");
-        assert!(body.contains(reason), "{qasm}: {body}");
+        let (status, body) = http(addr, "POST", target, qasm);
+        assert_eq!(status, 400, "{target} {qasm}: {body}");
+        assert!(body.contains("bad_request"), "{target} {qasm}: {body}");
+        assert!(body.contains(reason), "{target} {qasm}: {body}");
     }
     // The widest admissible register still runs.
     let stream = submit_and_stream(addr, "/jobs?shots=8", "qreg q[63]; h q[0]; cx q[0],q[62];");
@@ -189,8 +200,8 @@ fn hostile_circuits_are_typed_and_kill_nothing() {
 }
 
 /// A memory threshold the register can never reach is worth one
-/// warning per run. Every backend run begins its policy twice — once
-/// to validate at `prepare`, once to run — and used to warn at both.
+/// warning per run, however many times the policy's `begin` hook is
+/// called on the way.
 /// Stderr is only observable from outside, hence the real `serve` bin.
 #[test]
 fn unreachable_threshold_warns_once_per_job() {

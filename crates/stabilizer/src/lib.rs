@@ -5,10 +5,9 @@
 //! (2n rows of X/Z bits plus a sign column) and additionally tracks a
 //! **witness**: one basis state in the support together with its exact
 //! amplitude. The witness is what turns the textbook tableau — which
-//! only knows the state up to global phase — into a full
-//! `Backend`-grade engine: amplitudes, probabilities, dense export and
-//! exact
-//! sampling all derive from it.
+//! only knows the state up to global phase — into a full engine:
+//! amplitudes, probabilities, dense export and exact sampling all
+//! derive from it.
 //!
 //! Amplitudes of a stabilizer state are always of the form
 //! `2^{e/2} · ω^m` with `ω = e^{iπ/4}`, so the witness amplitude is the
@@ -22,8 +21,9 @@
 //! byte-identical across worker counts: the RNG is seeded per-job from
 //! the deterministic seed stream, never from worker-local state.
 //!
-//! `Backend` is implemented in `approxdd_exec::backend` (crate
-//! dependency order); this crate exposes the raw engine.
+//! `AnyBackend` in `approxdd_exec::backend` runs it behind the
+//! builder's `Engine` knob (crate dependency order); this crate exposes
+//! the raw engine.
 //!
 //! # Examples
 //!

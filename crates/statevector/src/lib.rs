@@ -487,6 +487,18 @@ mod tests {
     }
 
     #[test]
+    fn run_circuit_refuses_a_register_past_the_dense_cap() {
+        // Refused before the 2^n vector is allocated.
+        assert!(matches!(
+            run_circuit(&generators::ghz(MAX_DENSE_QUBITS + 1)),
+            Err(StateError::TooManyQubits {
+                max: MAX_DENSE_QUBITS,
+                ..
+            })
+        ));
+    }
+
+    #[test]
     fn unitarity_preserves_norm_on_random_circuits() {
         for seed in 0..5 {
             let c = generators::random_circuit(6, 8, seed);

@@ -10,7 +10,7 @@
 //! cargo run --release --example grover_search [n_qubits]
 //! ```
 
-use approxdd::backend::{Backend, BuildBackend};
+use approxdd::backend::BuildBackend;
 use approxdd::circuit::generators;
 use approxdd::sim::{Simulator, Strategy};
 
@@ -36,8 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .strategy(strategy)
             .seed(7)
             .build_backend();
-        let exe = backend.prepare(&circuit)?;
-        let run = backend.run(&exe)?;
+        let run = backend.run(&circuit)?;
         let shots = 500;
         let counts = backend.sample_counts(&run, shots);
         let hits = counts.get(&marked).copied().unwrap_or(0);

@@ -5,7 +5,7 @@
 //! cargo run --release --example qasm_roundtrip
 //! ```
 
-use approxdd::backend::{Backend, BuildBackend};
+use approxdd::backend::BuildBackend;
 use approxdd::circuit::{generators, qasm};
 use approxdd::sim::Simulator;
 
@@ -26,8 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut backend = Simulator::builder().exact().build_backend();
-    let batch = backend.run_batch(&[backend.prepare(&circuit)?, backend.prepare(&reimported)?])?;
-    let fidelity = backend.fidelity_between(&batch[0], &batch[1])?;
+    let original = backend.run(&circuit)?;
+    let roundtrip = backend.run(&reimported)?;
+    let fidelity = backend.fidelity_between(&original, &roundtrip)?;
+    backend.release(original);
+    backend.release(roundtrip);
     println!("fidelity(original, reimported) = {fidelity:.12}");
     assert!((fidelity - 1.0).abs() < 1e-9);
     println!("round-trip is exact.");

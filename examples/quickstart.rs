@@ -1,35 +1,36 @@
-//! Quickstart: run the same circuit through **both** engines via the
-//! unified `Backend` API, compare them, then showcase what makes
-//! decision diagrams special (exponential compression, DOT export).
+//! Quickstart: run the same circuit on the decision-diagram engine
+//! and on the dense exact baseline, compare them, then showcase what
+//! makes decision diagrams special (exponential compression, DOT
+//! export).
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use approxdd::backend::{Backend, BuildBackend, ExecError, StatevectorBackend};
-use approxdd::circuit::{generators, Circuit};
-use approxdd::sim::Simulator;
+use std::collections::HashMap;
 
-/// One generic driver serves every engine: prepare, run, report the
-/// unified stats, sample a histogram, release.
-fn showcase<B: Backend>(backend: &mut B, circuit: &Circuit) -> Result<(), ExecError> {
-    let exe = backend.prepare(circuit)?;
-    let run = backend.run(&exe)?;
-    println!(
-        "[{:<11}] peak representation {:>6} | {} gates in {:?}",
-        backend.name(),
-        run.stats.peak_size,
-        run.stats.gates_applied,
-        run.stats.runtime
-    );
-    let mut entries: Vec<(u64, usize)> = backend.sample_counts(&run, 1000).into_iter().collect();
+use approxdd::backend::BuildBackend;
+use approxdd::circuit::generators;
+use approxdd::sim::Simulator;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Prints one engine's run: peak representation size, gate count,
+/// runtime, and a sorted histogram.
+fn report(
+    engine: &str,
+    peak: usize,
+    gates: usize,
+    runtime: std::time::Duration,
+    n: usize,
+    counts: HashMap<u64, usize>,
+) {
+    println!("[{engine:<11}] peak representation {peak:>6} | {gates} gates in {runtime:?}");
+    let mut entries: Vec<(u64, usize)> = counts.into_iter().collect();
     entries.sort_unstable();
-    let n = run.n_qubits();
     for (outcome, count) in entries {
         println!("  |{outcome:0n$b}> : {count}");
     }
-    backend.release(run);
-    Ok(())
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -41,12 +42,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circuit.gate_count()
     );
 
-    // The two engines behind the same trait: approximate decision
-    // diagrams and the dense exact baseline.
+    // Approximate decision diagrams (exact here: no policy is set) …
     let mut dd = Simulator::builder().seed(2024).build_backend();
-    let mut sv = StatevectorBackend::with_seed(2024);
-    showcase(&mut dd, &circuit)?;
-    showcase(&mut sv, &circuit)?;
+    let run = dd.run(&circuit)?;
+    let counts = dd.sample_counts(&run, 1000);
+    let stats = &run.stats;
+    report(
+        "dd",
+        stats.peak_size,
+        stats.gates_applied,
+        stats.runtime,
+        n,
+        counts,
+    );
+    dd.release(run);
+
+    // … and the dense exact baseline, which holds all 2^n amplitudes.
+    let start = std::time::Instant::now();
+    let dense = approxdd::statevector::run_circuit(&circuit)?;
+    let runtime = start.elapsed();
+    let counts = dense.sample_counts(1000, &mut StdRng::seed_from_u64(2024));
+    report(
+        "statevector",
+        dense.amplitudes().len(),
+        circuit.gate_count(),
+        runtime,
+        n,
+        counts,
+    );
 
     // The GHZ state is the showcase of DD compression: one node per
     // qubit regardless of the 2^24 amplitudes it represents. The raw

@@ -1,15 +1,15 @@
 //! Memory-driven approximation on quantum-supremacy circuits — the
 //! paper's reactive strategy (Section IV-B): when the decision diagram
 //! outgrows a node threshold, truncate to a per-round fidelity, trading
-//! accuracy for a representation that fits in memory. The circuit is
-//! prepared once into a `Backend` `Executable` and the same executable
-//! is re-run across differently-configured backends for the sweep.
+//! accuracy for a representation that fits in memory. The same circuit
+//! runs on one exact and three differently-configured approximating
+//! backends for the sweep.
 //!
 //! ```text
 //! cargo run --release --example supremacy_memory [rows cols depth]
 //! ```
 
-use approxdd::backend::{Backend, BuildBackend};
+use approxdd::backend::BuildBackend;
 use approxdd::circuit::generators;
 use approxdd::sim::Simulator;
 
@@ -32,8 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Exact reference through the same API.
     let mut exact = Simulator::builder().exact().build_backend();
-    let exe = exact.prepare(&circuit)?;
-    let exact_run = exact.run(&exe)?;
+    let exact_run = exact.run(&circuit)?;
     println!(
         "\nexact:  max DD {:>8} nodes, runtime {:?}",
         exact_run.stats.peak_size, exact_run.stats.runtime
@@ -47,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut backend = Simulator::builder()
             .memory_driven_table1(threshold, f_round)
             .build_backend();
-        let run = backend.run(&exe)?;
+        let run = backend.run(&circuit)?;
         println!(
             "f_round {f_round:<5}: max DD {:>8} nodes, {:>2} rounds, runtime {:?}, f_final {:.4}",
             run.stats.peak_size, run.stats.approx_rounds, run.stats.runtime, run.stats.fidelity

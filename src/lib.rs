@@ -16,9 +16,9 @@
 //!   and the composable [`sim::ApproxPolicy`] / [`sim::SimObserver`]
 //!   seam (memory-driven, fidelity-driven and budget policies ship
 //!   built in; custom policies plug into the same loop),
-//! * [`exec`] — execution: the unified [`backend::Backend`] API over
-//!   every engine (prepare / run / batched runs / sampling / queries;
-//!   re-exported here as [`backend`]), and the multi-threaded
+//! * [`exec`] — execution: [`backend::AnyBackend`], the one engine
+//!   type (run / sampling / queries / release; its module re-exported
+//!   here as [`backend`]), and the multi-threaded
 //!   [`exec::BackendPool`] over it — batched runs and sharded sampling
 //!   across worker threads, deterministic under any worker count,
 //! * [`stabilizer`] — the Aaronson–Gottesman tableau engine for
@@ -30,8 +30,7 @@
 //!   NDJSON result streaming over the pool,
 //! * [`telemetry`] — the metrics plane: a lock-free metrics registry,
 //!   phase-timing spans on the hot seams, Prometheus text exposition
-//!   (`GET /metrics` on the server) and NDJSON snapshots for the
-//!   bench bins; strictly fingerprint-excluded,
+//!   (`GET /metrics` on the server); strictly fingerprint-excluded,
 //! * [`shor`] — Shor's algorithm end-to-end.
 //!
 //! # Quickstart
@@ -53,21 +52,22 @@
 //! # }
 //! ```
 //!
-//! The same workload through the engine-agnostic [`backend::Backend`]
-//! trait, on both engines:
+//! The same workload on [`backend::AnyBackend`], the engine the pool
+//! runs, checked against the dense baseline:
 //!
 //! ```
-//! use approxdd::backend::{amplitudes_of, Backend, BuildBackend, StatevectorBackend};
+//! use approxdd::backend::BuildBackend;
 //! use approxdd::circuit::generators;
 //! use approxdd::sim::Simulator;
 //!
-//! # fn main() -> Result<(), approxdd::backend::ExecError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let circuit = generators::ghz(8);
 //! let mut dd = Simulator::builder().seed(1).build_backend();
-//! let mut sv = StatevectorBackend::with_seed(1);
-//! let a = amplitudes_of(&mut dd, &circuit)?;
-//! let b = amplitudes_of(&mut sv, &circuit)?;
-//! for (x, y) in a.iter().zip(&b) {
+//! let run = dd.run(&circuit)?;
+//! let a = dd.amplitudes(&run)?;
+//! dd.release(run);
+//! let b = approxdd::statevector::run_circuit(&circuit)?;
+//! for (x, y) in a.iter().zip(b.amplitudes()) {
 //!     assert!((*x - *y).mag() < 1e-12);
 //! }
 //! # Ok(())

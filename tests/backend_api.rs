@@ -1,10 +1,9 @@
-//! The unified `Backend` API, exercised generically: one
-//! `check_backend::<B>()` suite runs the standard workloads (GHZ, QFT,
-//! one supremacy instance) on any engine and validates its whole
-//! lifecycle — prepare, run, batched runs, sampling, histograms,
-//! amplitudes, probabilities, expectations, release — then the engines
-//! are compared against each other for amplitude and fidelity
-//! agreement.
+//! `AnyBackend`, engine by engine: one `check_backend_on` suite runs
+//! the standard workloads (GHZ, QFT, one supremacy instance) on every
+//! engine the builder's `Engine` knob selects and validates the whole
+//! lifecycle — run, sampling, histograms, amplitudes, probabilities,
+//! expectations, release — against the dense baseline
+//! (`approxdd::statevector::run_circuit`), called directly.
 //!
 //! The second half is the `BackendPool` contract suite: tableau-engine
 //! batches must be byte-identical across worker counts (the DD engine's
@@ -12,13 +11,14 @@
 //! must behave, and a poisoned job must neither deadlock the queue nor
 //! disturb its neighbours' results.
 
-use approxdd::backend::{
-    amplitudes_of, AnyBackend, Backend, BuildBackend, ExecError, StatevectorBackend,
-};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use approxdd::backend::{AnyBackend, BuildBackend, ExecError};
 use approxdd::circuit::{generators, Circuit};
 use approxdd::complex::Cplx;
 use approxdd::exec::{BuildPool, PoolJob};
-use approxdd::sim::{ApproxPolicy, Engine, PolicyAction, PolicyCtx, SimError, Simulator, Strategy};
+use approxdd::sim::{Engine, ExactPolicy, Simulator, Strategy};
 use proptest::prelude::*;
 
 fn workloads() -> Vec<Circuit> {
@@ -29,8 +29,8 @@ fn workloads() -> Vec<Circuit> {
     ]
 }
 
-/// Clifford-only workloads for the tableau engine (which rejects
-/// anything else at prepare time).
+/// Clifford-only workloads for the tableau engine (which refuses
+/// anything else when a run admits it).
 fn clifford_workloads() -> Vec<Circuit> {
     vec![
         generators::ghz(8),
@@ -39,41 +39,56 @@ fn clifford_workloads() -> Vec<Circuit> {
     ]
 }
 
-/// The generic per-engine contract: every workload runs through the
-/// full lifecycle with self-consistent results.
-fn check_backend<B: Backend>(backend: &mut B) {
-    check_backend_on(backend, workloads());
+/// Final amplitudes of `circuit` on `backend`, the outcome released.
+fn amplitudes(backend: &mut AnyBackend, circuit: &Circuit) -> Result<Vec<Cplx>, ExecError> {
+    let run = backend.run(circuit)?;
+    let amps = backend.amplitudes(&run);
+    backend.release(run);
+    amps
 }
 
-fn check_backend_on<B: Backend>(backend: &mut B, circuits: Vec<Circuit>) {
-    let exes: Vec<_> = circuits
+/// Final amplitudes of `circuit` on the dense exact baseline.
+fn dense_amplitudes(circuit: &Circuit) -> Vec<Cplx> {
+    approxdd::statevector::run_circuit(circuit)
+        .unwrap_or_else(|e| panic!("dense run of {}: {e}", circuit.name()))
+        .amplitudes()
+        .to_vec()
+}
+
+/// The per-engine contract: every workload runs through the full
+/// lifecycle with self-consistent results that match the dense
+/// baseline. The outcomes stay live together until the end.
+fn check_backend_on(backend: &mut AnyBackend, circuits: Vec<Circuit>) {
+    let outcomes: Vec<_> = circuits
         .iter()
         .map(|c| {
             backend
-                .prepare(c)
-                .unwrap_or_else(|e| panic!("{}: prepare {}: {e}", backend.name(), c.name()))
+                .run(c)
+                .unwrap_or_else(|e| panic!("run {}: {e}", c.name()))
         })
         .collect();
-
-    // Batched and single runs must describe the same states.
-    let outcomes = backend.run_batch(&exes).expect("batch");
-    assert_eq!(outcomes.len(), circuits.len());
     for (outcome, circuit) in outcomes.iter().zip(&circuits) {
+        let engine = outcome.stats.engine;
         assert_eq!(outcome.n_qubits(), circuit.n_qubits());
         assert_eq!(
             outcome.stats.gates_applied,
             circuit.gate_count(),
-            "{}: {}",
-            backend.name(),
+            "{engine}: {}",
             circuit.name()
         );
         assert!((outcome.stats.fidelity - 1.0).abs() < 1e-12, "exact run");
 
-        // Amplitudes are a unit vector; probabilities match them.
+        // Amplitudes are the dense baseline's; probabilities match them.
         let amps = backend.amplitudes(outcome).expect("amplitudes");
-        assert_eq!(amps.len(), 1 << circuit.n_qubits());
-        let norm: f64 = amps.iter().map(|a| a.mag2()).sum();
-        assert!((norm - 1.0).abs() < 1e-9, "norm {norm}");
+        let dense = dense_amplitudes(circuit);
+        assert_eq!(amps.len(), dense.len());
+        for (i, (x, y)) in amps.iter().zip(&dense).enumerate() {
+            assert!(
+                (*x - *y).mag() < 1e-9,
+                "{engine}: {}: amplitude {i}: {x} vs dense {y}",
+                circuit.name()
+            );
+        }
         for idx in [0u64, (1 << circuit.n_qubits()) - 1] {
             let p = backend.probability(outcome, idx).expect("probability");
             assert!((p - amps[idx as usize].mag2()).abs() < 1e-12);
@@ -83,20 +98,15 @@ fn check_backend_on<B: Backend>(backend: &mut B, circuits: Vec<Circuit>) {
         let one = backend.expectation(outcome, &|_| 1.0).expect("expectation");
         assert!((one - 1.0).abs() < 1e-9);
 
-        // Histograms agree with per-shot sampling under the same seed.
+        // The same seed draws the same histogram.
         backend.reseed(1234);
         let counts = backend.sample_counts(outcome, 200);
         assert_eq!(counts.values().sum::<usize>(), 200);
         backend.reseed(1234);
-        let mut replay = std::collections::HashMap::new();
-        for _ in 0..200 {
-            *replay.entry(backend.sample(outcome)).or_insert(0) += 1;
-        }
         assert_eq!(
             counts,
-            replay,
-            "{}: sampling not deterministic",
-            backend.name()
+            backend.sample_counts(outcome, 200),
+            "{engine}: sampling not deterministic"
         );
     }
     for outcome in outcomes {
@@ -104,8 +114,7 @@ fn check_backend_on<B: Backend>(backend: &mut B, circuits: Vec<Circuit>) {
     }
 
     // Out-of-range queries fail loudly rather than lying.
-    let exe = backend.prepare(&generators::ghz(3)).expect("prepare");
-    let run = backend.run(&exe).expect("run");
+    let run = backend.run(&generators::ghz(3)).expect("run");
     assert!(matches!(
         backend.probability(&run, 1 << 3),
         Err(ExecError::BasisOutOfRange { .. })
@@ -113,14 +122,13 @@ fn check_backend_on<B: Backend>(backend: &mut B, circuits: Vec<Circuit>) {
     backend.release(run);
 }
 
-#[test]
-fn dd_backend_satisfies_the_contract() {
-    check_backend(&mut Simulator::builder().seed(5).build_backend());
+fn check_backend(backend: &mut AnyBackend) {
+    check_backend_on(backend, workloads());
 }
 
 #[test]
-fn statevector_backend_satisfies_the_contract() {
-    check_backend(&mut StatevectorBackend::with_seed(5));
+fn dd_backend_satisfies_the_contract() {
+    check_backend(&mut Simulator::builder().seed(5).build_backend());
 }
 
 #[test]
@@ -149,15 +157,18 @@ fn hybrid_backend_satisfies_the_contract() {
 #[test]
 fn engine_knob_backends_satisfy_the_contract() {
     // `build_backend()` is the one constructor, and it honours the
-    // builder's engine knob: every engine it selects satisfies the
-    // contract.
+    // builder's engine knob: every engine it selects names itself in
+    // its runs' stats and satisfies the contract.
+    let ghz = generators::ghz(4);
     for (engine, name) in [
         (Engine::Dd, "dd"),
         (Engine::Stabilizer, "stabilizer"),
         (Engine::Hybrid, "hybrid"),
     ] {
-        let backend = Simulator::builder().engine(engine).build_backend();
-        assert_eq!(backend.name(), name, "{engine:?}");
+        let mut backend = Simulator::builder().engine(engine).build_backend();
+        let run = backend.run(&ghz).expect("run");
+        assert_eq!(run.stats.engine, name, "{engine:?}");
+        backend.release(run);
     }
     let mut hybrid = Simulator::builder()
         .seed(5)
@@ -177,9 +188,8 @@ fn engine_knob_backends_satisfy_the_contract() {
 
     // One handle type for every engine: a query that needs a DD state
     // and is handed a tableau is a typed error, not a panic.
-    let ghz = generators::ghz(4);
-    let on_tableau = approxdd::backend::run_circuit(&mut hybrid, &ghz).expect("hybrid");
-    let on_dd = approxdd::backend::run_circuit(&mut dd, &ghz).expect("dd");
+    let on_tableau = hybrid.run(&ghz).expect("hybrid");
+    let on_dd = dd.run(&ghz).expect("dd");
     assert!(matches!(
         hybrid.fidelity_between(&on_tableau, &on_tableau),
         Err(ExecError::Unsupported {
@@ -199,16 +209,49 @@ fn engine_knob_backends_satisfy_the_contract() {
     dd.release(on_dd);
 }
 
+/// Admission happens once: a DD run builds its policy in
+/// `Simulator::run` and nowhere else, alone or pooled.
+#[test]
+fn a_run_builds_its_policy_once() {
+    let built = Arc::new(AtomicUsize::new(0));
+    let counting = {
+        let built = Arc::clone(&built);
+        move || {
+            built.fetch_add(1, Ordering::Relaxed);
+            ExactPolicy
+        }
+    };
+    let mut backend = Simulator::builder()
+        .policy(counting.clone())
+        .build_backend();
+    let run = backend.run(&generators::ghz(3)).expect("run");
+    backend.release(run);
+    assert_eq!(built.load(Ordering::Relaxed), 1, "build_backend + run");
+
+    built.store(0, Ordering::Relaxed);
+    let pool = Simulator::builder().seed(5).workers(2).build_pool();
+    let outcome = pool
+        .run_jobs(vec![PoolJob::new(generators::ghz(3)).policy(counting)])
+        .pop()
+        .expect("one slot")
+        .expect("pool job");
+    assert_eq!(
+        built.load(Ordering::Relaxed),
+        outcome.attempts as usize,
+        "one policy per attempt"
+    );
+}
+
 #[test]
 fn a_register_no_engine_can_index_is_refused_at_prepare() {
     // 64 qubits: one past `u64` basis indexing. Every engine refuses it
-    // where the circuit is admitted, with its own typed error …
+    // where a run admits the circuit, with its own typed error …
     let wide = generators::ghz(64);
     for engine in [Engine::Dd, Engine::Hybrid] {
-        let backend = Simulator::builder().engine(engine).build_backend();
+        let mut backend = Simulator::builder().engine(engine).build_backend();
         assert!(
             matches!(
-                backend.prepare(&wide),
+                backend.run(&wide),
                 Err(ExecError::Dd(approxdd::dd::DdError::TooManyQubits {
                     n_qubits: 64,
                     max: 63
@@ -217,6 +260,13 @@ fn a_register_no_engine_can_index_is_refused_at_prepare() {
             "{engine:?}"
         );
     }
+    let mut stabilizer = Simulator::builder()
+        .engine(Engine::Stabilizer)
+        .build_backend();
+    assert!(matches!(
+        stabilizer.run(&wide),
+        Err(ExecError::Stabilizer(_))
+    ));
     // … the bare simulator does the same before it builds a state …
     assert!(matches!(
         Simulator::builder().build().run(&wide),
@@ -258,18 +308,13 @@ fn non_finite_gate_parameters_are_refused_by_every_engine() {
         fidelity().build().run(&inf),
         Err(SimError::Circuit(NonFinite { op_index: 1 }))
     ));
-    // … and both backends, through the `Backend` API.
-    for circuit in [&nan, &inf] {
-        let dd = amplitudes_of(&mut fidelity().build_backend(), circuit);
-        let sv = amplitudes_of(&mut StatevectorBackend::with_seed(1), circuit);
-        for result in [dd, sv] {
+    // … and every engine of `AnyBackend`.
+    for engine in [Engine::Dd, Engine::Stabilizer, Engine::Hybrid] {
+        for circuit in [&nan, &inf] {
+            let result = amplitudes(&mut fidelity().engine(engine).build_backend(), circuit);
             assert!(
-                matches!(
-                    result,
-                    Err(ExecError::Circuit(NonFinite { op_index: 1 })
-                        | ExecError::Sim(SimError::Circuit(NonFinite { op_index: 1 })))
-                ),
-                "{}: {result:?}",
+                matches!(result, Err(ExecError::Circuit(NonFinite { op_index: 1 }))),
+                "{engine:?}: {}: {result:?}",
                 circuit.name()
             );
         }
@@ -278,16 +323,33 @@ fn non_finite_gate_parameters_are_refused_by_every_engine() {
 
 #[test]
 fn stabilizer_rejects_non_clifford_and_wide_registers() {
-    let backend = Simulator::builder()
+    let mut backend = Simulator::builder()
         .engine(Engine::Stabilizer)
         .build_backend();
     assert!(matches!(
-        backend.prepare(&generators::qft(4)),
+        backend.run(&generators::qft(4)),
         Err(ExecError::Stabilizer(_))
     ));
     assert!(matches!(
-        backend.prepare(&generators::ghz(64)),
+        backend.run(&generators::ghz(64)),
         Err(ExecError::Stabilizer(_))
+    ));
+}
+
+#[test]
+fn hybrid_refuses_a_bad_preset_on_a_pure_clifford_run() {
+    // A pure-Clifford hybrid run never reaches the simulator: the
+    // preset is checked before the tableau is built.
+    let mut backend = Simulator::builder()
+        .engine(Engine::Hybrid)
+        .strategy(Strategy::FidelityDriven {
+            final_fidelity: 2.0,
+            round_fidelity: 0.9,
+        })
+        .build_backend();
+    assert!(matches!(
+        backend.run(&generators::ghz(4)),
+        Err(ExecError::Sim(_))
     ));
 }
 
@@ -297,8 +359,7 @@ fn hybrid_reports_the_clifford_prefix() {
 
     // Pure Clifford: the outcome is a tableau, no DD stats at all.
     let ghz = generators::ghz(12);
-    let exe = backend.prepare(&ghz).expect("prepare");
-    let run = backend.run(&exe).expect("run");
+    let run = backend.run(&ghz).expect("run");
     assert_eq!(run.stats.engine, "hybrid");
     assert_eq!(run.stats.clifford_prefix_len, ghz.gate_count());
     assert!(run.stats.dd.is_none(), "pure Clifford never touches DD");
@@ -308,8 +369,7 @@ fn hybrid_reports_the_clifford_prefix() {
     // split point, DD stats cover the suffix.
     let mut mixed = Circuit::new(4, "mixed");
     mixed.h(0).cx(0, 1).s(2).cz(1, 3).t(0).h(3);
-    let exe = backend.prepare(&mixed).expect("prepare");
-    let run = backend.run(&exe).expect("run");
+    let run = backend.run(&mixed).expect("run");
     assert_eq!(run.stats.clifford_prefix_len, 4);
     assert_eq!(run.stats.gates_applied, 6);
     assert!(run.stats.dd.is_some(), "suffix runs on the DD engine");
@@ -319,10 +379,9 @@ fn hybrid_reports_the_clifford_prefix() {
 #[test]
 fn engines_agree_on_amplitudes_and_fidelity() {
     let mut dd = Simulator::builder().seed(9).build_backend();
-    let mut sv = StatevectorBackend::with_seed(9);
     for circuit in workloads() {
-        let a = amplitudes_of(&mut dd, &circuit).expect("dd");
-        let b = amplitudes_of(&mut sv, &circuit).expect("sv");
+        let a = amplitudes(&mut dd, &circuit).expect("dd");
+        let b = dense_amplitudes(&circuit);
         let mut ip = Cplx::ZERO;
         for (x, y) in a.iter().zip(&b) {
             assert!(
@@ -359,10 +418,9 @@ proptest! {
             .engine(Engine::Stabilizer)
             .build_backend();
         let mut dd = Simulator::builder().seed(seed).build_backend();
-        let mut sv = StatevectorBackend::with_seed(seed);
-        let a = amplitudes_of(&mut stab, &circuit).expect("stabilizer");
-        let b = amplitudes_of(&mut dd, &circuit).expect("dd");
-        let c = amplitudes_of(&mut sv, &circuit).expect("sv");
+        let a = amplitudes(&mut stab, &circuit).expect("stabilizer");
+        let b = amplitudes(&mut dd, &circuit).expect("dd");
+        let c = dense_amplitudes(&circuit);
         for (i, ((x, y), z)) in a.iter().zip(&b).zip(&c).enumerate() {
             prop_assert!((*x - *y).mag() < 1e-9,
                 "{}: basis {i}: stabilizer {x} vs dd {y}", circuit.name());
@@ -386,76 +444,13 @@ proptest! {
             .seed(seed)
             .engine(Engine::Hybrid)
             .build_backend();
-        let mut sv = StatevectorBackend::with_seed(seed);
-        let a = amplitudes_of(&mut hybrid, &circuit).expect("hybrid");
-        let b = amplitudes_of(&mut sv, &circuit).expect("sv");
+        let a = amplitudes(&mut hybrid, &circuit).expect("hybrid");
+        let b = dense_amplitudes(&circuit);
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {
             prop_assert!((*x - *y).mag() < 1e-9,
                 "{}: basis {i}: hybrid {x} vs sv {y}", circuit.name());
         }
     }
-}
-
-#[test]
-fn executables_are_portable_across_engines() {
-    // Preparation is engine-agnostic: an executable prepared by one
-    // backend runs on the other.
-    let circuit = generators::w_state(6);
-    let mut dd = Simulator::builder().build_backend();
-    let mut sv = StatevectorBackend::new();
-    let exe = dd.prepare(&circuit).expect("prepare on dd");
-    let sv_run = sv.run(&exe).expect("run on sv");
-    let dd_run = dd.run(&exe).expect("run on dd");
-    let p_dd = dd.probability(&dd_run, 1).expect("dd p");
-    let p_sv = sv.probability(&sv_run, 1).expect("sv p");
-    assert!((p_dd - p_sv).abs() < 1e-12);
-    assert!((p_dd - 1.0 / 6.0).abs() < 1e-9);
-    dd.release(dd_run);
-    sv.release(sv_run);
-}
-
-#[test]
-fn a_failed_batch_releases_the_outcomes_it_produced() {
-    /// Refuses 5-qubit circuits when a run begins.
-    struct NoFiveQubits;
-    impl ApproxPolicy for NoFiveQubits {
-        fn name(&self) -> &str {
-            "no-five-qubits"
-        }
-        fn begin(&mut self, circuit: &Circuit) -> Result<(), SimError> {
-            if circuit.n_qubits() == 5 {
-                return Err(SimError::InvalidStrategy {
-                    reason: "five qubits",
-                });
-            }
-            Ok(())
-        }
-        fn decide(&mut self, _ctx: &PolicyCtx) -> PolicyAction {
-            PolicyAction::Continue
-        }
-    }
-    let build = || Simulator::builder().policy(|| NoFiveQubits).build_backend();
-    let alive_after_gc = |backend: &mut AnyBackend| {
-        let package = backend.sim_mut().package_mut();
-        package.collect_garbage();
-        package.stats().vnodes_alive
-    };
-    let mut dd = build();
-    // Executables are engine-agnostic: the dense backend admits the
-    // circuit the DD backend's policy refuses, so it fails only when
-    // the batch reaches it — after the first run pinned its state.
-    let batch = [
-        dd.prepare(&generators::ghz(4)).expect("prepare on dd"),
-        StatevectorBackend::new()
-            .prepare(&generators::ghz(5))
-            .expect("prepare on sv"),
-    ];
-    assert!(matches!(dd.run_batch(&batch), Err(ExecError::Sim(_))));
-    assert_eq!(
-        alive_after_gc(&mut dd),
-        alive_after_gc(&mut build()),
-        "the first run's state stays pinned after the batch failed"
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -548,7 +543,7 @@ fn pool_matches_single_threaded_backend() {
         .fidelity_driven(0.6, 0.9)
         .seed(7)
         .build_backend();
-    let run = approxdd::backend::run_circuit(&mut serial, &circuit).expect("serial");
+    let run = serial.run(&circuit).expect("serial");
     assert_eq!(pooled.stats.gates_applied, run.stats.gates_applied);
     assert_eq!(pooled.stats.peak_size, run.stats.peak_size);
     assert_eq!(pooled.stats.approx_rounds, run.stats.approx_rounds);
@@ -584,7 +579,7 @@ fn poisoned_job_neither_deadlocks_nor_loses_neighbours() {
     let mut jobs: Vec<PoolJob> = (0..6)
         .map(|seed| PoolJob::new(generators::supremacy(2, 2, 8, seed)))
         .collect();
-    // Job 2 is poisoned: an invalid strategy fails preparation.
+    // Job 2 is poisoned: an invalid strategy fails admission.
     jobs[2] = PoolJob::new(generators::ghz(4)).strategy(Strategy::FidelityDriven {
         final_fidelity: 2.0,
         round_fidelity: 0.9,
@@ -646,20 +641,20 @@ fn pool_speedup_on_smoke_workload() {
 
 #[test]
 fn approximating_backend_reports_honest_fidelity_vs_exact_engine() {
-    // The comparative shape of the paper as one generic flow: an
-    // approximate DD run scored against the exact dense baseline.
+    // The comparative shape of the paper: an approximate DD run scored
+    // against the exact dense baseline.
     let circuit = generators::supremacy(2, 3, 12, 7);
     let mut approx = Simulator::builder()
         .fidelity_driven(0.6, 0.9)
         .seed(1)
         .build_backend();
-    let run = approxdd::backend::run_circuit(&mut approx, &circuit).expect("approx");
+    let run = approx.run(&circuit).expect("approx");
     let reported = run.stats.fidelity;
     assert!(run.stats.approx_rounds > 0, "approximation must engage");
     let approx_amps = approx.amplitudes(&run).expect("amps");
     approx.release(run);
 
-    let exact_amps = amplitudes_of(&mut StatevectorBackend::new(), &circuit).expect("exact");
+    let exact_amps = dense_amplitudes(&circuit);
     let mut ip = Cplx::ZERO;
     for (e, a) in exact_amps.iter().zip(&approx_amps) {
         ip += e.conj() * *a;

@@ -1,26 +1,30 @@
 //! Integration: the DD simulator must agree exactly with the dense
 //! state-vector baseline on every workload family, and approximation
-//! must degrade gracefully with measurable fidelity. Both engines are
-//! driven through the unified `Backend` trait, so an equivalence check
-//! is one generic function.
+//! must degrade gracefully with measurable fidelity. The DD side runs
+//! through `AnyBackend`, the dense side is
+//! `approxdd::statevector::run_circuit`, called directly.
 
-use approxdd::backend::{amplitudes_of, Backend, BuildBackend, StatevectorBackend};
+use approxdd::backend::BuildBackend;
 use approxdd::circuit::{generators, Circuit};
 use approxdd::complex::Cplx;
 use approxdd::sim::{Simulator, SimulatorBuilder};
 
-/// The generic half of every check: final amplitudes of `circuit` on
-/// any backend.
-fn backend_amplitudes<B: Backend>(backend: &mut B, circuit: &Circuit) -> Vec<Cplx> {
-    amplitudes_of(backend, circuit)
-        .unwrap_or_else(|e| panic!("{} run of {}: {e}", backend.name(), circuit.name()))
+/// Final amplitudes of `circuit` on the dense exact baseline.
+fn dense_amplitudes(circuit: &Circuit) -> Vec<Cplx> {
+    approxdd::statevector::run_circuit(circuit)
+        .unwrap_or_else(|e| panic!("dense run of {}: {e}", circuit.name()))
+        .amplitudes()
+        .to_vec()
 }
 
 fn assert_same_state(circuit: &Circuit, builder: SimulatorBuilder) {
     let mut dd = builder.exact().build_backend();
-    let mut sv = StatevectorBackend::new();
-    let a = backend_amplitudes(&mut dd, circuit);
-    let b = backend_amplitudes(&mut sv, circuit);
+    let run = dd
+        .run(circuit)
+        .unwrap_or_else(|e| panic!("dd run of {}: {e}", circuit.name()));
+    let a = dd.amplitudes(&run).expect("dd amplitudes");
+    dd.release(run);
+    let b = dense_amplitudes(circuit);
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
         assert!(
             (*x - *y).mag() < 1e-9,
@@ -66,11 +70,11 @@ fn approximate_fidelity_is_honest_against_dense_reference() {
     let mut dd = Simulator::builder()
         .fidelity_driven(0.5, 0.9)
         .build_backend();
-    let run = approxdd::backend::run_circuit(&mut dd, &circuit).expect("approx run");
+    let run = dd.run(&circuit).expect("approx run");
     let reported = run.stats.fidelity;
     let approx = dd.amplitudes(&run).expect("amps");
     dd.release(run);
-    let exact = backend_amplitudes(&mut StatevectorBackend::new(), &circuit);
+    let exact = dense_amplitudes(&circuit);
     let mut ip = Cplx::ZERO;
     for (e, a) in exact.iter().zip(&approx) {
         ip += e.conj() * *a;
@@ -91,7 +95,7 @@ fn approximate_fidelity_is_honest_against_dense_reference() {
 fn memory_driven_state_stays_normalized() {
     let circuit = generators::supremacy(3, 3, 14, 2);
     let mut dd = Simulator::builder().memory_driven(64, 0.95).build_backend();
-    let run = approxdd::backend::run_circuit(&mut dd, &circuit).expect("run");
+    let run = dd.run(&circuit).expect("run");
     let amps = dd.amplitudes(&run).expect("amps");
     let norm: f64 = amps.iter().map(|a| a.mag2()).sum();
     assert!((norm - 1.0).abs() < 1e-9, "norm {norm}");

@@ -314,7 +314,7 @@ fn try_build_rejects_invalid_presets_eagerly() {
 
 #[test]
 fn presets_report_policy_names_through_backend_stats() {
-    use approxdd::backend::{run_circuit, Backend, BuildBackend};
+    use approxdd::backend::BuildBackend;
     let circuit = generators::supremacy(2, 3, 10, 0);
     for (strategy, name) in [
         (Strategy::Exact, "exact"),
@@ -322,7 +322,7 @@ fn presets_report_policy_names_through_backend_stats() {
         (Strategy::fidelity_driven(0.6, 0.9), "fidelity-driven"),
     ] {
         let mut backend = Simulator::builder().strategy(strategy).build_backend();
-        let out = run_circuit(&mut backend, &circuit).unwrap();
+        let out = backend.run(&circuit).unwrap();
         assert_eq!(out.stats.policy, name);
         assert!(out.stats.fidelity >= out.stats.fidelity_lower_bound - 1e-12);
         backend.release(out);
