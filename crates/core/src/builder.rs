@@ -42,7 +42,6 @@ pub struct SimulatorBuilder {
     policy: Option<Arc<dyn PolicyFactory>>,
     observers: Vec<SharedObserver>,
     engine: Engine,
-    share_snapshot: bool,
     retry: RetryPolicy,
 }
 
@@ -55,7 +54,6 @@ impl std::fmt::Debug for SimulatorBuilder {
             .field("policy", &self.policy.is_some())
             .field("observers", &self.observers.len())
             .field("engine", &self.engine)
-            .field("share_snapshot", &self.share_snapshot)
             .field("retry", &self.retry)
             .finish()
     }
@@ -71,7 +69,6 @@ impl SimulatorBuilder {
             policy: None,
             observers: Vec::new(),
             engine: Engine::Dd,
-            share_snapshot: false,
             retry: RetryPolicy::default(),
         }
     }
@@ -241,28 +238,20 @@ impl SimulatorBuilder {
         self.engine
     }
 
-    /// Enables copy-on-write package snapshots for pooled execution
-    /// (off by default). When on, a pool built from this template
-    /// freezes the batch's gate DDs **once** into a [`SimSnapshot`] and
-    /// every worker job layers a private delta package over that shared
-    /// frozen prefix instead of rebuilding the gates from scratch.
+    /// Does nothing, whatever `share` is. It used to freeze every gate
+    /// DD of a pooled batch into one [`SimSnapshot`] before any worker
+    /// started. A snapshot frozen from several circuits is not sound:
+    /// the unique table's first-write-wins representatives of one
+    /// circuit then become another circuit's gate DDs, and a job's
+    /// result bits depend on the rest of its batch. A pool now runs
+    /// every batch without a snapshot unless the caller hands it a
+    /// snapshot of the one circuit its jobs run
+    /// (`BackendPool::run_jobs_with_snapshot`, what the job server's
+    /// warm sessions do).
     ///
-    /// Results are byte-identical either way — the snapshot pins the
-    /// canonicalization history the jobs would have built themselves —
-    /// so this is a pure amortization knob for batches that repeat a
-    /// circuit family. Plain [`SimulatorBuilder::build`] ignores it
-    /// (a single simulator has nothing to share); the stabilizer
-    /// engine, which has no DD package, ignores it too.
-    pub fn share_snapshot(mut self, share: bool) -> Self {
-        self.share_snapshot = share;
+    /// Kept only so existing callers still compile; it will be deleted.
+    pub fn share_snapshot(self, _share: bool) -> Self {
         self
-    }
-
-    /// Whether pooled execution should share a frozen package snapshot
-    /// across worker jobs (see [`SimulatorBuilder::share_snapshot`]).
-    #[must_use]
-    pub fn share_snapshot_enabled(&self) -> bool {
-        self.share_snapshot
     }
 
     /// Sets the pool-wide [`RetryPolicy`]: how many attempts a pooled
@@ -286,8 +275,10 @@ impl SimulatorBuilder {
     }
 
     /// Builds a frozen [`SimSnapshot`] warming every gate of the given
-    /// circuits with this builder's options — what pools call once per
-    /// submission when [`SimulatorBuilder::share_snapshot`] is on.
+    /// circuits with this builder's options. Jobs layered over it give
+    /// the bits of a snapshot-free run only when they run the one
+    /// circuit it was frozen from — what the job server's warm sessions
+    /// freeze (see `BackendPool::run_jobs_with_snapshot`).
     ///
     /// # Errors
     ///
@@ -334,8 +325,7 @@ impl SimulatorBuilder {
     /// (an `Arc<SimSnapshot>`, or `Some` of one), so warmed gate DDs
     /// resolve from the snapshot's cache and the package allocates only
     /// above the frozen watermark. `None` builds the plain simulator.
-    /// Used by pool workers when [`SimulatorBuilder::share_snapshot`]
-    /// is enabled.
+    /// Used by pool workers when a batch comes with a snapshot.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -437,16 +427,6 @@ mod tests {
             Simulator::builder().sample_seed(),
             crate::simulator::DEFAULT_SAMPLE_SEED
         );
-    }
-
-    #[test]
-    fn share_snapshot_knob_round_trips() {
-        assert!(!Simulator::builder().share_snapshot_enabled());
-        let b = Simulator::builder().share_snapshot(true);
-        assert!(b.share_snapshot_enabled());
-        // The knob survives cloning into pool templates.
-        assert!(b.clone().share_snapshot_enabled());
-        assert!(!b.share_snapshot(false).share_snapshot_enabled());
     }
 
     #[test]

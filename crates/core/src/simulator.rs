@@ -160,9 +160,9 @@ enum TableGuard {
 /// canonical ratios) plus the warmed gate-DD cache that maps circuit
 /// operations onto frozen edges.
 ///
-/// Built once per job batch by [`SimulatorBuilder::build_snapshot`] (usually through
-/// `BackendPool` when [`SimulatorBuilder::share_snapshot`] is on), then
-/// handed to every worker job via `Arc`. A simulator layered over a
+/// Built from one circuit by [`SimulatorBuilder::build_snapshot`] (the
+/// job server freezes one per warm session), then handed to every
+/// worker job that runs that circuit via `Arc`. A simulator layered over a
 /// snapshot ([`SimulatorBuilder::build_with_snapshot`]) resolves warmed
 /// gates from the frozen cache without touching its own package;
 /// everything else — state evolution, compute caches, GC — stays

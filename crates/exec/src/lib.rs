@@ -19,13 +19,13 @@
 //! * [`BackendPool::run_jobs_with_snapshot`] runs a list of
 //!   [`PoolJob`]s (per-job policy, shots, trace, observable, deadline,
 //!   retry, fallback), one result slot per job, over an optional
-//!   caller-held frozen snapshot;
+//!   caller-held snapshot frozen from the one circuit they run;
 //! * [`BackendPool::sample_counts_streamed`] shards one circuit's shot
 //!   budget into fixed-size chunks and merges them into one histogram,
 //!   reporting each chunk as it settles.
 //!
-//! [`BackendPool::run_jobs`] (the per-batch snapshot the template asks
-//! for), [`BackendPool::run_batch`] (plain circuits, first error wins)
+//! [`BackendPool::run_jobs`] (no snapshot), [`BackendPool::run_batch`]
+//! (plain circuits, first error wins)
 //! and [`BackendPool::sample_counts`] (template policy, no callback)
 //! are one-line wrappers. The pool bounds nothing: admission control
 //! belongs to whatever sits above it (the job server's scheduler).
@@ -97,6 +97,7 @@ mod tests {
     use crate::backend::{AnyBackend, BuildBackend, ExecError};
     use approxdd_circuit::{generators, Circuit};
     use approxdd_sim::{Simulator, Strategy};
+    use std::sync::Arc;
 
     #[test]
     fn build_pool_uses_builder_knobs() {
@@ -269,17 +270,27 @@ mod tests {
 
     /// Snapshot counters must aggregate like the cache counters:
     /// harvested on backend retirement, so the cross-worker sums are a
-    /// function of the job list, not the scheduling.
+    /// function of the job list, not the scheduling. Each job runs as
+    /// the server runs it: a one-job batch over a snapshot of its own
+    /// circuit.
     #[test]
     fn snapshot_counters_are_worker_count_invariant() {
-        let circuits = vec![generators::qft(5); 4];
+        let circuits = [
+            generators::qft(5),
+            generators::w_state(5),
+            generators::qft(5),
+            generators::ghz(5),
+        ];
         let run = |workers: usize| {
-            let pool = Simulator::builder()
-                .workers(workers)
-                .seed(2)
-                .share_snapshot(true)
-                .build_pool();
-            pool.run_batch(&circuits).expect("batch");
+            let template = Simulator::builder().workers(workers).seed(2);
+            let pool = template.clone().build_pool();
+            for circuit in &circuits {
+                let snapshot = template.build_snapshot([circuit]).expect("snapshot");
+                let jobs = vec![PoolJob::new(circuit.clone()); 2];
+                for result in pool.run_jobs_with_snapshot(jobs, Some(Arc::new(snapshot))) {
+                    result.expect("job");
+                }
+            }
             let stats = pool.stats();
             (stats.snapshot_gate_hits(), stats.snapshot_hits())
         };
@@ -292,8 +303,8 @@ mod tests {
     /// callback streams every chunk exactly once, with monotone
     /// progress, and its final view is the returned histogram — which
     /// is what `sample_counts` returns. `run_batch`, `run_jobs` and
-    /// `run_jobs_with_snapshot` (handed the batch's own snapshot)
-    /// fingerprint identically, and `PoolJob::strategy` is
+    /// `run_jobs_with_snapshot` (each job handed a snapshot of its own
+    /// circuit) fingerprint identically, and `PoolJob::strategy` is
     /// `PoolJob::policy` with a preset: the last call wins.
     #[test]
     fn streamed_sampling_reports_every_chunk_and_matches_plain() {
@@ -329,7 +340,7 @@ mod tests {
                 .map(|r| r.as_ref().expect("job").fingerprint())
                 .collect()
         };
-        let template = Simulator::builder().workers(2).seed(1).share_snapshot(true);
+        let template = Simulator::builder().workers(2).seed(1);
         let pool = template.clone().build_pool();
         let batch = fingerprints(
             pool.run_batch(&circuits)
@@ -339,11 +350,15 @@ mod tests {
                 .collect(),
         );
         assert_eq!(batch, fingerprints(pool.run_jobs(jobs())));
-        let snapshot = std::sync::Arc::new(template.build_snapshot(&circuits).expect("snapshot"));
-        assert_eq!(
-            batch,
-            fingerprints(pool.run_jobs_with_snapshot(jobs(), Some(snapshot)))
-        );
+        // The jobs draw no shots, so a job's seed index plays no part.
+        let sessions: Vec<u64> = jobs()
+            .into_iter()
+            .flat_map(|job| {
+                let snapshot = template.build_snapshot([job.circuit()]).expect("snapshot");
+                fingerprints(pool.run_jobs_with_snapshot(vec![job], Some(Arc::new(snapshot))))
+            })
+            .collect();
+        assert_eq!(batch, sessions);
 
         let coarse = Strategy::fidelity_driven(0.6, 0.9);
         let job = || PoolJob::new(generators::supremacy(2, 3, 12, 1)).shots(64);
@@ -439,7 +454,6 @@ mod tests {
 
     #[test]
     fn per_job_expectation_is_computed_worker_side() {
-        use std::sync::Arc;
         let circuit = generators::w_state(5);
         let ones: crate::SharedDiagonal = Arc::new(|i: u64| f64::from(i.count_ones()));
         let run = |workers: usize| {

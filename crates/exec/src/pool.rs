@@ -11,7 +11,7 @@
 //!
 //! * [`BackendPool::run_jobs_with_snapshot`] — heterogeneous
 //!   [`PoolJob`]s, one result slot per job, optionally layered over a
-//!   caller-supplied frozen snapshot;
+//!   caller-supplied snapshot frozen from the one circuit they run;
 //! * [`BackendPool::sample_counts_streamed`] — one circuit's shot
 //!   budget sharded into [`SHOT_CHUNK`]-sized chunks, merged into one
 //!   histogram, with a per-chunk settlement callback.
@@ -45,16 +45,19 @@
 //!   notes) — construction costs no table fill after a worker's first
 //!   job.
 //!
-//! Copy-on-write snapshots (`SimulatorBuilder::share_snapshot`)
-//! preserve both properties while amortizing the per-job rebuild: the
-//! batch's gate DDs are frozen **once, on the submitting thread, in
-//! input order** into a [`SimSnapshot`], and every worker job layers a
-//! private delta package over that shared immutable prefix. The frozen
-//! tier pins the canonicalization history a job would have built
-//! itself, and the job's GC trigger counts the frozen gate nodes it
-//! uses as a private build would, so [`PoolOutcome::fingerprint`] stays
-//! byte-identical between snapshot-on and snapshot-off at any worker
-//! count — the workspace's `tests/determinism.rs` asserts exactly that.
+//! A copy-on-write [`SimSnapshot`] handed to
+//! [`BackendPool::run_jobs_with_snapshot`] preserves both properties
+//! while amortizing the per-job gate build, **if it was frozen from
+//! the one circuit its jobs run** (what the job server's warm sessions
+//! do): every worker job layers a private delta package over the
+//! shared immutable prefix, the frozen tier pins the canonicalization
+//! history the job would have built itself, and the job's GC trigger
+//! counts the frozen gate nodes it uses as a private build would, so
+//! [`PoolOutcome::fingerprint`] stays byte-identical with and without
+//! the snapshot at any worker count — the workspace's
+//! `tests/determinism.rs` asserts exactly that. A snapshot frozen from
+//! several circuits breaks the second property: one circuit's gate DDs
+//! resolve to another's first-written representatives.
 //!
 //! # Fault tolerance
 //!
@@ -598,9 +601,9 @@ pub(crate) fn verdict(
 /// dispatch/collect/retry loop:
 ///
 /// * [`BackendPool::run_jobs_with_snapshot`] runs a list of
-///   [`PoolJob`]s. [`BackendPool::run_jobs`] is the same call with the
-///   per-batch snapshot the template asks for, and
-///   [`BackendPool::run_batch`] is `run_jobs` over plain circuits.
+///   [`PoolJob`]s. [`BackendPool::run_jobs`] is the same call without
+///   a snapshot, and [`BackendPool::run_batch`] is `run_jobs` over
+///   plain circuits.
 /// * [`BackendPool::sample_counts_streamed`] shards one circuit's shot
 ///   budget across the workers. [`BackendPool::sample_counts`] is the
 ///   same call without a policy override or a progress callback.
@@ -610,21 +613,23 @@ pub(crate) fn verdict(
 /// the determinism contract).
 ///
 /// ```
-/// use approxdd_exec::BuildPool;
+/// use std::sync::Arc;
+/// use approxdd_exec::{BuildPool, PoolJob};
 /// use approxdd_circuit::generators;
 /// use approxdd_sim::Simulator;
 ///
 /// # fn main() -> Result<(), approxdd_exec::backend::ExecError> {
-/// // share_snapshot(true): gate DDs for the batch are frozen once and
-/// // shared across workers — same bits, less per-job rebuild work.
-/// let pool = Simulator::builder()
-///     .workers(2)
-///     .seed(7)
-///     .share_snapshot(true)
-///     .build_pool();
-/// let circuits = vec![generators::qft(6); 4];
-/// let outcomes = pool.run_batch(&circuits)?;
+/// let template = Simulator::builder().workers(2).seed(7);
+/// let pool = template.clone().build_pool();
+/// let circuit = generators::qft(6);
+/// // The gate DDs of one circuit, frozen once and shared by every job
+/// // that runs it: same bits, less per-job gate building.
+/// let snapshot = Arc::new(template.build_snapshot([&circuit])?);
+/// let jobs = vec![PoolJob::new(circuit.clone()); 4];
+/// let outcomes = pool.run_jobs_with_snapshot(jobs, Some(snapshot));
 /// assert_eq!(outcomes.len(), 4);
+/// let plain = pool.run_jobs(vec![PoolJob::new(circuit)]).remove(0)?;
+/// assert_eq!(outcomes[0].as_ref().unwrap().fingerprint(), plain.fingerprint());
 /// assert!(pool.stats().snapshot_gate_hits() > 0);
 /// # Ok(())
 /// # }
@@ -762,23 +767,12 @@ impl BackendPool {
         self.run_jobs(jobs).into_iter().collect()
     }
 
-    /// [`BackendPool::run_jobs_with_snapshot`] with the per-batch
-    /// snapshot the template asks for: when `share_snapshot` is on,
-    /// every gate of every job circuit is warmed **on this (submitting)
-    /// thread, in input order**, so the frozen prefix is a pure
-    /// function of the job list — never of worker count or scheduling.
-    /// No snapshot is built when the knob is off, for the pure-tableau
-    /// engine (no DD package to share), or when warming fails (the
-    /// per-job run then reports the error in its own slot).
+    /// [`BackendPool::run_jobs_with_snapshot`] without a snapshot:
+    /// every worker builds its own job's gate DDs, so each result is
+    /// the job's own, whatever else the batch holds.
     #[must_use]
     pub fn run_jobs(&self, jobs: Vec<PoolJob>) -> Vec<Result<PoolOutcome, ExecError>> {
-        let template = &self.template;
-        let snapshot = (template.share_snapshot_enabled()
-            && template.engine_kind() != Engine::Stabilizer)
-            .then(|| template.build_snapshot(jobs.iter().map(PoolJob::circuit)))
-            .and_then(Result::ok)
-            .map(Arc::new);
-        self.run_jobs_with_snapshot(jobs, snapshot)
+        self.run_jobs_with_snapshot(jobs, None)
     }
 
     /// The run primitive: runs heterogeneous jobs (per-job policies,
@@ -796,15 +790,20 @@ impl BackendPool {
     ///
     /// `snapshot` is the frozen prefix every job's engine layers over,
     /// which makes this the cross-batch reuse seam behind warm serving
-    /// sessions: the caller freezes a circuit family once (e.g.
-    /// [`SimulatorBuilder::build_snapshot`]) and passes the same `Arc`
-    /// to every subsequent batch of that family — gate DDs are never
-    /// rebuilt, and because a snapshot is a pure function of (options,
-    /// circuit list) the outcomes stay byte-identical to a cold
+    /// sessions: the caller freezes one circuit once
+    /// ([`SimulatorBuilder::build_snapshot`]) and passes the same `Arc`
+    /// to every later batch that runs it — its gate DDs are never
+    /// rebuilt, and the outcomes stay byte-identical to a cold
     /// [`BackendPool::run_jobs`] call (the snapshot clause of the
-    /// determinism contract, `tests/determinism.rs`). `None` runs the
-    /// batch snapshot-free, regardless of the template's
-    /// `share_snapshot` knob. The pure-tableau engine has no DD
+    /// determinism contract, `tests/determinism.rs`).
+    ///
+    /// **Precondition:** the snapshot was frozen, with this pool's
+    /// template options, from the one circuit every job in `jobs`
+    /// runs. The unique table keeps the first-written representative of
+    /// tolerance-equal weights, so a snapshot frozen from several
+    /// circuits hands one job another circuit's representatives, and
+    /// its result bits then depend on what else was frozen. `None` runs
+    /// the batch snapshot-free. The pure-tableau engine has no DD
     /// package: a supplied snapshot is ignored there.
     #[must_use]
     pub fn run_jobs_with_snapshot(

@@ -115,8 +115,8 @@ impl ServerConfig {
 
     /// Warm sessions to keep (LRU); 0 disables cross-batch snapshot
     /// reuse entirely. Sessions alone decide snapshot reuse when
-    /// serving: the template's `share_snapshot` knob is never read,
-    /// because each request runs over its session's snapshot or none.
+    /// serving: each request runs over its own family's snapshot or
+    /// none.
     #[must_use]
     pub fn sessions(mut self, capacity: usize) -> Self {
         self.session_capacity = capacity;

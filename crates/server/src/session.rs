@@ -1,21 +1,20 @@
 //! Warm sessions: an LRU cache of frozen simulation snapshots keyed on
 //! the *circuit family*.
 //!
-//! The pool already shares one [`SimSnapshot`] across the jobs of a
-//! single batch ([`approxdd_exec::BackendPool::run_jobs`] with
-//! `share_snapshot` on). A serving workload submits the *same family*
-//! of circuits across many independent requests, so the server keeps
-//! the frozen tier alive between batches: the first request of a
-//! family pays the freeze, every later request layers straight over
-//! the cached `Arc`.
+//! A serving workload submits the *same family* of circuits across
+//! many independent requests, so the server freezes one
+//! [`SimSnapshot`] per family and keeps it alive between batches
+//! ([`approxdd_exec::BackendPool::run_jobs_with_snapshot`]): the first
+//! request of a family pays the freeze, every later request layers
+//! straight over the cached `Arc`.
 //!
 //! # Determinism
 //!
 //! A snapshot is a pure function of (simulator options, circuit gate
-//! structure) — see [`SimSnapshot::build`] — and running over a
-//! snapshot is bit-identical to running without one (the PR 7
-//! contract). Promoting the snapshot from per-batch to cross-batch
-//! therefore cannot move a single result bit: warm, cold and re-frozen
+//! structure) — see [`SimSnapshot::build`] — and a job layered over a
+//! snapshot of its own circuit is bit-identical to one run without a
+//! snapshot. A session holds exactly one family, so it is always that
+//! case: warm, cold and re-frozen
 //! runs of the same request fingerprint identically, which the
 //! workspace's determinism suite (`tests/determinism.rs`) asserts over
 //! TCP. The cache key hashes the gate structure (qubit count

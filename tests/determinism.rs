@@ -3,14 +3,16 @@
 //! whatever the execution configuration.
 //!
 //! A configuration is a [`Row`] over six axes: worker count, `add`
-//! table size, snapshot sharing, injected faults under retry,
-//! telemetry, and the path in (a direct pool call, or QASM over TCP to
-//! a [`JobServer`]). [`ROWS`] is a pairwise covering array over them:
+//! table size, one-circuit snapshots (the server's warm sessions, or
+//! the same done in-process), injected faults under retry, telemetry,
+//! and the path in (a direct pool call, or QASM over TCP to a
+//! [`JobServer`]). [`ROWS`] is a pairwise covering array over them:
 //! every pair of levels of every two axes meets in some row, which is
 //! where interaction bugs (one axis breaking only under another) live.
 //! Each fixed seed in [`SEEDS`] names one batch of jobs; every row must
 //! reproduce row 0's fingerprints of that batch bit for bit, and must
-//! show that it actually exercised its axes.
+//! show that it actually exercised its axes. A last test holds one
+//! job's bits independent of the rest of its batch.
 //!
 //! This file is its own test binary because it flips the process-wide
 //! telemetry flag: no test here may read a telemetry value.
@@ -19,6 +21,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::thread;
 
 use approxdd::circuit::generators;
@@ -41,7 +44,8 @@ struct Row {
     workers: usize,
     /// `compute_cache_bits(2)` instead of the default 2^16 slots.
     tiny_cache: bool,
-    /// In-process: `share_snapshot(true)`. Served: one warm session
+    /// In-process: every job a one-job batch over a snapshot of its
+    /// own circuit, as the server runs it. Served: one warm session
     /// instead of none.
     snapshot: bool,
     /// A seeded fault plan (panics, delays, aborts) under three
@@ -91,9 +95,7 @@ impl Row {
         if self.faults {
             b = b.retry(RetryPolicy::new(3));
         }
-        // Only the in-process path reads this knob; the server's
-        // sessions decide instead.
-        b.share_snapshot(self.snapshot && !self.served)
+        b
     }
 
     fn inject_faults(self, pool: &BackendPool, seed: u64) {
@@ -181,21 +183,30 @@ fn batch(seed: u64) -> Vec<Job> {
 
 /// The fingerprints one row produces for one batch.
 ///
-/// In-process: one `run_jobs` of the whole batch, then a digest of one
-/// 5000-shot `sample_counts` histogram. Served: every job POSTed three
-/// times, `j0 j0 j1 j1 … j0 j1 …` (cold, warm, re-frozen after
-/// eviction), each run by the server as a one-job batch.
+/// In-process: one `run_jobs` of the whole batch, or with snapshots
+/// each job as a one-job batch over a snapshot of its own circuit;
+/// then a digest of one 5000-shot `sample_counts` histogram. Served:
+/// every job POSTed three times, `j0 j0 j1 j1 … j0 j1 …` (cold, warm,
+/// re-frozen after eviction), each run by the server as a one-job
+/// batch.
 fn fingerprints(row: Row, seed: u64, jobs: &[Job]) -> Vec<u64> {
     if row.served {
         return served_fingerprints(row, seed, jobs);
     }
-    let pool = row.template(seed).build_pool();
+    let template = row.template(seed);
+    let pool = template.clone().build_pool();
     row.inject_faults(&pool, seed);
-    let outcomes: Vec<_> = pool
-        .run_jobs(jobs.iter().map(Job::pool_job).collect())
-        .into_iter()
-        .map(|r| r.expect("pool job"))
-        .collect();
+    let results = if row.snapshot {
+        jobs.iter()
+            .flat_map(|job| {
+                let snapshot = template.build_snapshot([&job.circuit]).expect("snapshot");
+                pool.run_jobs_with_snapshot(vec![job.pool_job()], Some(Arc::new(snapshot)))
+            })
+            .collect()
+    } else {
+        pool.run_jobs(jobs.iter().map(Job::pool_job).collect())
+    };
+    let outcomes: Vec<_> = results.into_iter().map(|r| r.expect("pool job")).collect();
     let counts = pool
         .sample_counts(&jobs[0].circuit, 5000)
         .expect("sample_counts");
@@ -339,11 +350,11 @@ fn every_row_reproduces_the_reference() {
         telemetry::set_enabled(level);
         thread::scope(|s| {
             for row in ROWS[1..].iter().filter(|r| r.telemetry == level) {
-                for ((seed, jobs), (in_process, served)) in batches.iter().zip(&references) {
-                    let want = if row.served { served } else { in_process };
+                for ((seed, jobs), reference) in batches.iter().zip(&references) {
+                    let want = reference.want(*row);
                     s.spawn(move || {
                         let got = fingerprints(*row, *seed, jobs);
-                        assert_eq!(&got, want, "row {row:?} diverged on seed {seed}");
+                        assert_eq!(got, want, "row {row:?} diverged on seed {seed}");
                     });
                 }
             }
@@ -352,21 +363,71 @@ fn every_row_reproduces_the_reference() {
     telemetry::set_enabled(true);
 }
 
-/// Row 0's fingerprints of the batch, and of each job run alone in the
-/// served order: the server runs each request as a one-job batch on
-/// one long-lived pool, and so does this reference.
-fn reference(seed: u64, jobs: &[Job]) -> (Vec<u64>, Vec<u64>) {
-    let in_process = fingerprints(ROWS[0], seed, jobs);
+/// Row 0's fingerprints of one batch.
+struct Reference {
+    /// The whole batch in one `run_jobs`, then the histogram digest.
+    batch: Vec<u64>,
+    /// Each job run alone, in job order: the server runs each request
+    /// as a one-job batch on one long-lived pool, and so does this
+    /// reference.
+    alone: Vec<u64>,
+}
+
+impl Reference {
+    /// What `row` must reproduce: a one-job batch's seeds are job 0's,
+    /// so a row that runs jobs alone compares with `alone`.
+    fn want(&self, row: Row) -> Vec<u64> {
+        if row.served {
+            served_order(self.alone.len())
+                .map(|i| self.alone[i])
+                .collect()
+        } else if row.snapshot {
+            let histogram = self.batch.last().expect("histogram digest");
+            self.alone.iter().chain([histogram]).copied().collect()
+        } else {
+            self.batch.clone()
+        }
+    }
+}
+
+fn reference(seed: u64, jobs: &[Job]) -> Reference {
     let pool = ROWS[0].template(seed).build_pool();
-    let alone: Vec<u64> = jobs
+    let alone = jobs
         .iter()
         .map(|job| {
             let outcome = pool.run_jobs(vec![job.pool_job()]).remove(0);
             outcome.expect("job run alone").fingerprint()
         })
         .collect();
-    (
-        in_process,
-        served_order(jobs.len()).map(|i| alone[i]).collect(),
-    )
+    Reference {
+        batch: fingerprints(ROWS[0], seed, jobs),
+        alone,
+    }
+}
+
+/// A job's result bits must not depend on the rest of its batch. The
+/// W state and the supremacy circuit build tolerance-equal gate
+/// weights; had their gate DDs been frozen together, the supremacy
+/// job would resolve them to the W state's first-written
+/// representatives and end at 298 nodes instead of 297.
+#[test]
+fn a_jobs_bits_do_not_depend_on_its_batch() {
+    let supremacy = generators::supremacy(3, 3, 8, 0x5eef);
+    let mut sim = Simulator::builder().seed(3).build();
+    let run = sim.run(&supremacy).expect("direct run");
+    let direct = sim.package().vsize(run.state());
+    assert_eq!(direct, 297);
+    for workers in [1, 2] {
+        let pool = Simulator::builder().seed(3).workers(workers).build_pool();
+        let job = PoolJob::new(supremacy.clone());
+        let batch = pool.run_jobs(vec![PoolJob::new(generators::w_state(16)), job.clone()]);
+        let alone = pool.run_jobs(vec![job]).remove(0).expect("job run alone");
+        let in_batch = batch[1].as_ref().expect("job in its batch");
+        assert_eq!(in_batch.final_size, direct, "{workers} workers");
+        assert_eq!(
+            in_batch.fingerprint(),
+            alone.fingerprint(),
+            "{workers} workers"
+        );
+    }
 }
