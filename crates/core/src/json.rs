@@ -6,7 +6,6 @@
 //! Non-finite numbers serialize as `null` (JSON's grammar has no
 //! NaN/Infinity), so every emitted document is valid JSON.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A JSON value.
@@ -47,11 +46,12 @@ impl Json {
         Json::Num(n as f64)
     }
 
-    /// A measurement histogram as `{"outcome": count}` with
+    /// A measurement histogram — a `HashMap`, or `(outcome, count)`
+    /// runs iterated by reference — as `{"outcome": count}` with
     /// deterministically sorted keys.
     #[must_use]
-    pub fn counts(counts: &HashMap<u64, usize>) -> Self {
-        let mut entries: Vec<(u64, usize)> = counts.iter().map(|(k, v)| (*k, *v)).collect();
+    pub fn counts<'a>(counts: impl IntoIterator<Item = (&'a u64, &'a usize)>) -> Self {
+        let mut entries: Vec<(u64, usize)> = counts.into_iter().map(|(k, v)| (*k, *v)).collect();
         entries.sort_unstable();
         Json::Obj(
             entries
@@ -119,6 +119,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn serializes_nested_values() {
@@ -146,5 +147,8 @@ mod tests {
     fn histograms_have_sorted_keys() {
         let counts = HashMap::from([(255u64, 2usize), (0, 3)]);
         assert_eq!(Json::counts(&counts).to_string(), r#"{"0":3,"255":2}"#);
+        let runs = [(0u64, 3usize), (255, 2)];
+        let by_ref = runs.iter().map(|(k, v)| (k, v));
+        assert_eq!(Json::counts(by_ref).to_string(), r#"{"0":3,"255":2}"#);
     }
 }

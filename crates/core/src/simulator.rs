@@ -617,9 +617,10 @@ impl Simulator {
         self.package.sample(result.state(), &mut self.rng)
     }
 
-    /// Draws `shots` outcomes into a histogram using the simulator's
-    /// owned RNG.
-    pub fn draw_counts(&mut self, result: &RunResult, shots: usize) -> HashMap<u64, usize> {
+    /// Draws `shots` outcomes using the simulator's owned RNG, as
+    /// `(outcome, count)` runs in ascending outcome order
+    /// ([`approxdd_dd::Package::sample_counts`]'s routing pass).
+    pub fn draw_counts(&mut self, result: &RunResult, shots: usize) -> Vec<(u64, usize)> {
         self.package
             .sample_counts(result.state(), shots, &mut self.rng)
     }
@@ -865,9 +866,8 @@ mod tests {
         let mut sim = Simulator::default();
         let run = sim.run(&generators::ghz(10)).unwrap();
         let counts = sim.draw_counts(&run, 500);
-        assert_eq!(counts.len(), 2);
-        assert!(counts.contains_key(&0));
-        assert!(counts.contains_key(&0x3FF));
+        let outcomes: Vec<u64> = counts.iter().map(|&(outcome, _)| outcome).collect();
+        assert_eq!(outcomes, [0, 0x3FF]);
     }
 
     #[test]

@@ -178,6 +178,7 @@
 
 mod approx;
 mod arena;
+mod binomial;
 mod contribution;
 mod ctable;
 mod dot;

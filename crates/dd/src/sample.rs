@@ -2,15 +2,27 @@
 //!
 //! Sampling descends the DD level by level; thanks to the unit-subtree-
 //! norm normalization the branch probabilities at a node are exactly the
-//! squared magnitudes of its two edge weights. One sample costs `O(n)`
-//! for an `n`-qubit state, independent of the DD size — the reason DD
-//! simulators report measurement shots cheaply.
-
-use std::collections::HashMap;
+//! squared magnitudes of its two edge weights.
+//!
+//! * [`Package::sample`] draws one shot by that walk: one uniform per
+//!   level, `O(n)` for an `n`-qubit state, independent of the DD size.
+//!   Shor's adaptive order finding draws its shots one at a time this
+//!   way.
+//! * [`Package::sample_counts`] routes a whole shot count down the DD
+//!   at once: a node splits the count it receives between its two
+//!   children with one exact binomial draw, so each distinct outcome
+//!   prefix among the drawn shots is visited once. The cost is
+//!   `O(distinct prefixes)` — at most `n · distinct outcomes`, and
+//!   about `2 · 2^k` for a near-uniform `k`-qubit distribution
+//!   sampled with ≥ `2^k` shots — instead of `O(n · shots)`; a prefix
+//!   that holds one shot costs one uniform per level, like `sample`.
+//!   The draws follow the same Born distribution as `shots` calls of
+//!   `sample`, but not the same random stream.
 
 use rand::Rng;
 
-use crate::edge::VEdge;
+use crate::binomial::binomial;
+use crate::edge::{NodeId, VEdge};
 use crate::error::DdError;
 use crate::fasthash::FxHashMap;
 use crate::package::Package;
@@ -47,20 +59,68 @@ impl Package {
         out
     }
 
-    /// Draws `shots` measurement outcomes and returns a histogram of
-    /// basis-state indices.
+    /// Draws `shots` measurement outcomes of a unit-norm state and
+    /// returns their histogram as `(outcome, count)` runs in ascending
+    /// outcome order, each count positive, the counts summing to
+    /// `shots` (see the module docs for the routing pass and its cost).
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if the state has more than 63 qubits.
     #[must_use]
     pub fn sample_counts<R: Rng + ?Sized>(
         &self,
         root: VEdge,
         shots: usize,
         rng: &mut R,
-    ) -> HashMap<u64, usize> {
-        let mut counts: HashMap<u64, usize> = HashMap::new();
-        for _ in 0..shots {
-            *counts.entry(self.sample(root, rng)).or_insert(0) += 1;
+    ) -> Vec<(u64, usize)> {
+        debug_assert!(self.vlevel(root) <= 63);
+        let mut runs = Vec::new();
+        if shots > 0 {
+            self.route(root.node, shots as u64, 0, rng, &mut runs);
         }
-        counts
+        runs
+    }
+
+    /// Routes `shots` shots from `node`, whose outcome bits above it
+    /// read `prefix`, and appends their runs. Child 0's shots are
+    /// routed before child 1's, and a path with a single child taken is
+    /// followed without recursing, so recursion depth is at most the
+    /// number of levels.
+    fn route<R: Rng + ?Sized>(
+        &self,
+        mut node: NodeId,
+        mut shots: u64,
+        mut prefix: u64,
+        rng: &mut R,
+        runs: &mut Vec<(u64, usize)>,
+    ) {
+        while !node.is_terminal() {
+            let n = self.vnode(node);
+            let edges = n.edges();
+            let p0 = edges[0].w.mag2();
+            let p1 = edges[1].w.mag2();
+            let total = p0 + p1;
+            let ones = if total <= 0.0 {
+                0
+            } else if shots == 1 {
+                // `sample`'s own draw.
+                u64::from(rng.gen::<f64>() * total >= p0)
+            } else {
+                binomial(rng, shots, p1 / total)
+            };
+            if ones < shots {
+                if ones == 0 {
+                    node = edges[0].node;
+                    continue;
+                }
+                self.route(edges[0].node, shots - ones, prefix, rng, runs);
+            }
+            shots = ones;
+            prefix |= 1u64 << n.var;
+            node = edges[1].node;
+        }
+        runs.push((prefix, shots as usize));
     }
 
     /// The Born-rule probability of observing basis state `idx`.
@@ -179,9 +239,11 @@ mod tests {
         let v = bell(&mut p);
         let mut rng = StdRng::seed_from_u64(42);
         let counts = p.sample_counts(v, 4000, &mut rng);
-        assert_eq!(counts.keys().filter(|k| ![0u64, 3].contains(k)).count(), 0);
-        let c00 = *counts.get(&0).unwrap_or(&0) as f64;
-        let c11 = *counts.get(&3).unwrap_or(&0) as f64;
+        assert_eq!(counts.len(), 2, "{counts:?}");
+        let [(0, c00), (3, c11)] = counts[..] else {
+            panic!("only 00 and 11: {counts:?}");
+        };
+        let (c00, c11) = (c00 as f64, c11 as f64);
         // 50/50 within loose statistical bounds.
         assert!((c00 / 4000.0 - 0.5).abs() < 0.05, "c00={c00}");
         assert!((c11 / 4000.0 - 0.5).abs() < 0.05, "c11={c11}");

@@ -1,6 +1,5 @@
 //! The one DD-side engine: a simulator plus a tableau-prefix rule.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use approxdd_circuit::Circuit;
@@ -247,11 +246,16 @@ impl AnyBackend {
         }
     }
 
-    /// Draws `shots` outcomes into a histogram: from the tableau with
-    /// the backend's own RNG, or from the DD state with the simulator's.
-    pub fn sample_counts(&mut self, outcome: &RunOutcome, shots: usize) -> HashMap<u64, usize> {
+    /// Draws `shots` outcomes as `(outcome, count)` runs in ascending
+    /// outcome order: from the tableau with the backend's own RNG, or
+    /// from the DD state with the simulator's.
+    pub fn sample_counts(&mut self, outcome: &RunOutcome, shots: usize) -> Vec<(u64, usize)> {
         match &outcome.handle {
-            AnyHandle::Tableau(t) => t.sample_counts(shots, &mut self.rng),
+            AnyHandle::Tableau(t) => {
+                let mut runs: Vec<_> = t.sample_counts(shots, &mut self.rng).into_iter().collect();
+                runs.sort_unstable();
+                runs
+            }
             AnyHandle::Dd(r) => self.sim.draw_counts(r, shots),
         }
     }

@@ -218,12 +218,13 @@ mod tests {
             .is_empty());
     }
 
-    /// Sharded sampling around the 2048-shot chunk boundary: zero
-    /// shots, a sub-chunk budget, exactly one chunk, and exact
-    /// multiples must all merge to the full budget with histograms that
-    /// are invariant under worker count (chunk seeds are keyed on the
-    /// chunk index alone, so the decomposition — not the scheduling —
-    /// determines every draw).
+    /// Sharded sampling around the chunk boundary: zero shots, one
+    /// shot, a sub-chunk budget, exactly one chunk, and exact multiples
+    /// must all merge to the full budget with histograms that are
+    /// invariant under worker count (chunk seeds are keyed on the chunk
+    /// index alone, so the decomposition — not the scheduling —
+    /// determines every draw). Every settled view is ascending runs of
+    /// positive counts that sum to the shots settled so far.
     #[test]
     fn sharded_sampling_chunk_boundaries_are_worker_invariant() {
         let circuit = generators::ghz(5);
@@ -241,6 +242,21 @@ mod tests {
             };
             let one = counts_for(1);
             assert_eq!(one.values().sum::<usize>(), shots, "shots {shots}");
+            let pool = Simulator::builder().workers(2).seed(21).build_pool();
+            let mut views = 0;
+            let streamed = pool
+                .sample_counts_streamed(&circuit, None, shots, &mut |settled| {
+                    views += 1;
+                    assert_eq!(settled.chunks, shots.div_ceil(SHOT_CHUNK));
+                    let runs = settled.merged;
+                    assert!(runs.windows(2).all(|w| w[0].0 < w[1].0), "{runs:?}");
+                    assert!(runs.iter().all(|&(_, c)| c > 0), "{runs:?}");
+                    let sum: usize = runs.iter().map(|&(_, c)| c).sum();
+                    assert_eq!(sum, settled.shots_settled, "shots {shots}");
+                })
+                .expect("streamed");
+            assert_eq!(views, shots.div_ceil(SHOT_CHUNK));
+            assert_eq!(streamed, one, "streamed at shots = {shots}");
             for workers in [2, 8] {
                 assert_eq!(
                     counts_for(workers),
@@ -319,7 +335,7 @@ mod tests {
                 assert_eq!(settled.chunks, 3);
                 calls += 1;
                 assert_eq!(settled.settled, calls);
-                last_view = settled.merged.clone();
+                last_view = settled.merged.iter().copied().collect();
             })
             .expect("streamed");
         assert_eq!(streamed, plain);
@@ -522,9 +538,9 @@ mod tests {
         dd.reseed(5);
         let second = dd.sample_counts(&out, 64);
         assert_eq!(first, second);
-        assert_eq!(first.values().sum::<usize>(), 64);
-        for v in first.keys() {
-            assert!(*v == 0 || *v == 0xFF, "GHZ outcome {v:#x}");
+        assert_eq!(first.iter().map(|&(_, c)| c).sum::<usize>(), 64);
+        for &(v, _) in &first {
+            assert!(v == 0 || v == 0xFF, "GHZ outcome {v:#x}");
         }
         dd.release(out);
     }

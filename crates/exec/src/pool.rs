@@ -13,8 +13,10 @@
 //!   [`PoolJob`]s, one result slot per job, optionally layered over a
 //!   caller-supplied snapshot frozen from the one circuit they run;
 //! * [`BackendPool::sample_counts_streamed`] — one circuit's shot
-//!   budget sharded into [`SHOT_CHUNK`]-sized chunks, merged into one
-//!   histogram, with a per-chunk settlement callback.
+//!   budget sharded into [`SHOT_CHUNK`]-sized chunks, each drawn as
+//!   ascending `(outcome, count)` runs by one routing pass down the DD
+//!   and merged into one histogram, with a per-chunk settlement
+//!   callback.
 //!
 //! [`BackendPool::run_jobs`], [`BackendPool::run_batch`] and
 //! [`BackendPool::sample_counts`] are one-line wrappers over them.
@@ -125,7 +127,15 @@ pub type SharedDiagonal = Arc<dyn Fn(u64) -> f64 + Send + Sync>;
 /// Shots per sharded-sampling chunk. Fixed (never derived from the
 /// worker count) so the chunk decomposition — and with it every chunk
 /// seed — is identical no matter how many workers drain the queue.
-pub const SHOT_CHUNK: usize = 2048;
+///
+/// A chunk routes its shots down the DD in one pass that costs per
+/// distinct outcome prefix, not per shot, so larger chunks are cheaper
+/// per shot until the distinct prefixes run out: a near-uniform
+/// 14-qubit distribution has 16 384 outcomes, and at 2048 shots per
+/// chunk nearly every shot still walked the lower levels alone. The
+/// chunk size is part of the sampling stream: moving it moves every
+/// sharded histogram.
+pub const SHOT_CHUNK: usize = 16384;
 
 /// One unit of pooled work: a circuit, an optional per-job policy
 /// override (sweeps run many configurations over one pool), an
@@ -495,10 +505,11 @@ pub struct ChunkSettled<'a> {
     pub settled: usize,
     /// Shots merged so far, including this chunk's.
     pub shots_settled: usize,
-    /// The merged histogram after this chunk. Intermediate views are
+    /// The merged histogram after this chunk, as `(outcome, count)`
+    /// runs in ascending outcome order. Intermediate views are
     /// scheduling-dependent; only the final one (at `settled ==
     /// chunks`) is deterministic.
-    pub merged: &'a HashMap<u64, usize>,
+    pub merged: &'a [(u64, usize)],
 }
 
 /// One dispatch of one unit of pooled work — a run job or a sampling
@@ -920,7 +931,9 @@ impl BackendPool {
         let seeds = self.seeds;
         let circuit = circuit.clone();
         let policy = strategy.map(|s| Arc::new(s) as Arc<dyn PolicyFactory>);
-        let mut merged: HashMap<u64, usize> = HashMap::new();
+        // Ascending runs, merged into a second buffer and swapped.
+        let mut merged = Vec::new();
+        let mut spare = Vec::new();
         let mut settled = 0;
         let mut shots_settled = 0;
         self.drive(
@@ -935,9 +948,8 @@ impl BackendPool {
                 })
             },
             |chunk, result| {
-                for (outcome, count) in result? {
-                    *merged.entry(outcome).or_insert(0) += count;
-                }
+                merge_runs(&merged, &result?, &mut spare);
+                std::mem::swap(&mut merged, &mut spare);
                 settled += 1;
                 shots_settled += chunk_shots(chunk);
                 on_chunk(&ChunkSettled {
@@ -949,7 +961,7 @@ impl BackendPool {
                 Ok(())
             },
         )?;
-        Ok(merged)
+        Ok(merged.into_iter().collect())
     }
 
     /// The one execution path: dispatches units `0..units` to the
@@ -1118,6 +1130,34 @@ impl BuildPool for SimulatorBuilder {
     fn build_pool(self) -> BackendPool {
         BackendPool::new(self)
     }
+}
+
+/// Writes the sum of two histograms, each `(outcome, count)` runs in
+/// ascending outcome order, into `out` in the same form.
+fn merge_runs(a: &[(u64, usize)], b: &[(u64, usize)], out: &mut Vec<(u64, usize)>) {
+    out.clear();
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let ((x, m), (y, n)) = (a[i], b[j]);
+        out.push(match x.cmp(&y) {
+            std::cmp::Ordering::Less => {
+                i += 1;
+                (x, m)
+            }
+            std::cmp::Ordering::Greater => {
+                j += 1;
+                (y, n)
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+                (x, m + n)
+            }
+        });
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 /// Why `Worker::backend` can be unwrapped after `fresh_backend`.
@@ -1311,7 +1351,10 @@ impl Worker {
         let outcome = backend.run(&job.circuit)?;
         let counts = (job.shots > 0).then(|| {
             backend.reseed(seed);
-            backend.sample_counts(&outcome, job.shots)
+            backend
+                .sample_counts(&outcome, job.shots)
+                .into_iter()
+                .collect()
         });
         // Capture the (fallible) observable value but release the
         // outcome before propagating any error: an early return here
@@ -1356,7 +1399,7 @@ impl Worker {
         policy: Option<&Arc<dyn PolicyFactory>>,
         shots: usize,
         seed: u64,
-    ) -> Result<HashMap<u64, usize>, ExecError> {
+    ) -> Result<Vec<(u64, usize)>, ExecError> {
         if self.epoch.as_ref().map(|(e, _)| *e) != Some(epoch) {
             self.fresh_backend(policy, None, None);
             let backend = self.backend.as_mut().expect(BACKEND_BUILT);

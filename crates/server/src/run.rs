@@ -70,7 +70,10 @@ fn execute_job(inner: &Inner, state: &JobState, spec: JobSpec) {
                         ("settled_chunks", Json::int(chunk.settled)),
                         ("total_chunks", Json::int(chunk.chunks)),
                         ("shots_settled", Json::int(chunk.shots_settled)),
-                        ("counts", Json::counts(chunk.merged)),
+                        (
+                            "counts",
+                            Json::counts(chunk.merged.iter().map(|(k, v)| (k, v))),
+                        ),
                     ],
                 );
             },

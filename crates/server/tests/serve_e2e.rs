@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use approxdd_circuit::generators;
 use approxdd_circuit::qasm::{from_qasm, to_qasm};
-use approxdd_exec::{BackendPool, FaultPlan};
+use approxdd_exec::{BackendPool, FaultPlan, SHOT_CHUNK};
 use approxdd_server::{JobServer, Quota, ServerConfig};
 use approxdd_sim::{Simulator, SimulatorBuilder};
 
@@ -172,7 +172,7 @@ fn hostile_circuits_are_typed_and_kill_nothing() {
         ),
         ("/jobs", "qreg q[2]; rx(nan) q[0];", "bad angle"),
         ("/jobs", "qreg q[64]; h q[0];", "maximum of 63"),
-        // With partials, one chunk record per 2048 shots: u64::MAX of
+        // With partials, one chunk record per `SHOT_CHUNK` shots: u64::MAX of
         // them aborted the process on the allocation.
         (
             "/jobs?shots=18446744073709551615&partials=1",
@@ -345,7 +345,7 @@ fn settled_logs_over_budget_expire_with_a_typed_410() {
 fn partials_stream_and_settle_deterministically() {
     let qasm = to_qasm(&generators::ghz(5)).expect("export qasm");
     let circuit = from_qasm(&qasm).expect("reimport qasm");
-    let shots = 3000; // > SHOT_CHUNK so at least two chunks settle
+    let shots = SHOT_CHUNK + 952; // > SHOT_CHUNK so at least two chunks settle
     let direct = BackendPool::new(template(2))
         .sample_counts(&circuit, shots)
         .expect("direct sampling");

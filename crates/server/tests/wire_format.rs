@@ -21,7 +21,7 @@ use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 use approxdd_circuit::qasm::from_qasm;
-use approxdd_exec::{BackendPool, PoolJob};
+use approxdd_exec::{BackendPool, PoolJob, SHOT_CHUNK};
 use approxdd_server::{family_hash, JobServer, ServerConfig};
 use approxdd_sim::{Simulator, SimulatorBuilder, Strategy};
 
@@ -67,7 +67,7 @@ const STREAM_A: &[&str] = &[
     r#"{"type":"trace","job":1,"event":"gate_applied","op_index":5,"gates_applied":6,"live_nodes":5}"#,
     r#"{"type":"trace","job":1,"event":"gate_applied","op_index":6,"gates_applied":7,"live_nodes":5}"#,
     r#"{"type":"trace","job":1,"event":"run_finished","gates_applied":7,"rounds":2,"fidelity":0.9387912809451865,"fidelity_lower_bound":0.9}"#,
-    r#"{"type":"result","job":1,"fingerprint":"<fingerprint>","circuit":"qasm","n_qubits":4,"gates_applied":7,"approx_rounds":2,"fidelity":0.9387912809451865,"fidelity_lower_bound":0.9,"peak_size":5,"final_size":5,"counts":{"3":1,"4":1,"7":6},"expectation":null,"worker":0,"attempts":1,"degraded":false}"#,
+    r#"{"type":"result","job":1,"fingerprint":"<fingerprint>","circuit":"qasm","n_qubits":4,"gates_applied":7,"approx_rounds":2,"fidelity":0.9387912809451865,"fidelity_lower_bound":0.9,"peak_size":5,"final_size":5,"counts":{"0":3,"3":4,"7":1},"expectation":null,"worker":0,"attempts":1,"degraded":false}"#,
 ];
 
 /// Request B's stream as job 3, its `partial` lines left out (their
@@ -85,7 +85,7 @@ const STREAM_B: &[&str] = &[
     r#"{"type":"trace","job":3,"event":"gate_applied","op_index":5,"gates_applied":6,"live_nodes":7}"#,
     r#"{"type":"trace","job":3,"event":"gate_applied","op_index":6,"gates_applied":7,"live_nodes":7}"#,
     r#"{"type":"trace","job":3,"event":"run_finished","gates_applied":7,"rounds":0,"fidelity":1,"fidelity_lower_bound":1}"#,
-    r#"{"type":"histogram","job":3,"source":"sharded_sampling","shots":4096,"counts":{"0":941,"3":923,"4":952,"7":1009,"9":62,"10":72,"13":65,"14":72}}"#,
+    r#"{"type":"histogram","job":3,"source":"sharded_sampling","shots":4096,"counts":{"0":963,"3":985,"4":951,"7":953,"9":63,"10":61,"13":63,"14":57}}"#,
     r#"{"type":"result","job":3,"fingerprint":"<fingerprint>","circuit":"qasm","n_qubits":4,"gates_applied":7,"approx_rounds":0,"fidelity":1,"fidelity_lower_bound":1,"peak_size":7,"final_size":7,"counts":null,"expectation":null,"worker":0,"attempts":1,"degraded":false}"#,
 ];
 
@@ -386,7 +386,11 @@ fn job_streams_stats_keys_and_gauge_names_are_what_they_were() {
     let (partials, rest): (Vec<String>, Vec<String>) = sampled
         .into_iter()
         .partition(|l| l.starts_with(r#"{"type":"partial","#));
-    assert_eq!(partials.len(), 2, "4096 shots settle as two chunks");
+    assert_eq!(
+        partials.len(),
+        4096usize.div_ceil(SHOT_CHUNK),
+        "one partial per chunk"
+    );
     for line in &partials {
         assert_eq!(keys_of(line), PARTIAL_KEYS, "{line}");
     }

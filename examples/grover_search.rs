@@ -39,7 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let run = backend.run(&circuit)?;
         let shots = 500;
         let counts = backend.sample_counts(&run, shots);
-        let hits = counts.get(&marked).copied().unwrap_or(0);
+        let hits = counts
+            .binary_search_by_key(&marked, |&(outcome, _)| outcome)
+            .map_or(0, |i| counts[i].1);
         println!(
             "{label}: marked sampled {hits:>3}/{shots}  (measured f_final {:.3}, {} rounds, max DD {})",
             run.stats.fidelity, run.stats.approx_rounds, run.stats.peak_size

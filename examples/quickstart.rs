@@ -7,8 +7,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use std::collections::HashMap;
-
 use approxdd::backend::BuildBackend;
 use approxdd::circuit::generators;
 use approxdd::sim::Simulator;
@@ -23,7 +21,7 @@ fn report(
     gates: usize,
     runtime: std::time::Duration,
     n: usize,
-    counts: HashMap<u64, usize>,
+    counts: impl IntoIterator<Item = (u64, usize)>,
 ) {
     println!("[{engine:<11}] peak representation {peak:>6} | {gates} gates in {runtime:?}");
     let mut entries: Vec<(u64, usize)> = counts.into_iter().collect();

@@ -160,7 +160,7 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 20714,
             series: 0x16488ea310d943ca,
         },
-        fingerprint: 0xeb612a61f5552d95,
+        fingerprint: 0x6beda96099f63026,
     },
     Golden {
         name: "supremacy_4x4x9_k1",
@@ -197,7 +197,7 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 20727,
             series: 0x781c06b81c302407,
         },
-        fingerprint: 0xfa897b39c944719d,
+        fingerprint: 0x900d9e327f5a4ae8,
     },
     Golden {
         name: "shor_323_8",
@@ -217,7 +217,7 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 87577,
             series: 0x16aa47a9e0bb1c27,
         },
-        fingerprint: 0x6b9a0774b01495bd,
+        fingerprint: 0x1833cc713bd594d3,
     },
     Golden {
         name: "qft_14",
@@ -230,7 +230,7 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 0,
             series: 0x1e3d1010650d0d25,
         },
-        fingerprint: 0xe3d2b5f66f8db6b8,
+        fingerprint: 0xf51a4ae6e61787f8,
     },
     Golden {
         name: "grover_9",
@@ -250,7 +250,7 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 2,
             series: 0xf6df49e99761e247,
         },
-        fingerprint: 0x270b54d31244ba13,
+        fingerprint: 0x5d4197c6dd940f77,
     },
     Golden {
         name: "random_10x30",
@@ -263,7 +263,7 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 101,
             series: 0xddc175ccd968a60b,
         },
-        fingerprint: 0x35056d46458ab4ef,
+        fingerprint: 0xd745901518f36fb8,
     },
     // Wide registers, where `mul_mv` spends most of its calls below the
     // gate's target: the 30-qubit Shor instance of the benchmark and two
@@ -287,7 +287,7 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 172780,
             series: 0x6137c526328a062f,
         },
-        fingerprint: 0xabb56208506826fe,
+        fingerprint: 0x7647f3ece7168fb1,
     },
     Golden {
         name: "ghz_32",
@@ -300,7 +300,7 @@ const GOLDEN: &[Golden] = &[
             nodes_removed: 0,
             series: 0xe46bb1081f06a925,
         },
-        fingerprint: 0x5355e43346c22704,
+        fingerprint: 0xbac22d370c553029,
     },
     Golden {
         name: "bernstein_vazirani_32",

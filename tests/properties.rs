@@ -118,7 +118,8 @@ proptest! {
         let root = p.from_amplitudes(&amps).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         let shots = 3000;
-        let counts = p.sample_counts(root, shots, &mut rng);
+        let counts: std::collections::HashMap<u64, usize> =
+            p.sample_counts(root, shots, &mut rng).into_iter().collect();
         for idx in 0..8u64 {
             let want = p.probability(root, idx);
             let got = *counts.get(&idx).unwrap_or(&0) as f64 / shots as f64;
