@@ -205,7 +205,7 @@ const SHARED: &[(&str, &str)] = &[
 ];
 
 fn template() -> SimulatorBuilder {
-    Simulator::builder().seed(7).workers(1).share_snapshot(true)
+    Simulator::builder().seed(7).workers(1)
 }
 
 fn start() -> (SocketAddr, thread::JoinHandle<()>) {

@@ -1,7 +1,7 @@
 //! Golden results: what "bit-exact" means for a DD-engine change.
 //!
 //! A fixed corpus runs two ways — directly on a [`Simulator`], and as a
-//! job on a snapshot-sharing 2-worker `BackendPool` — and every result bit is
+//! job on a 2-worker `BackendPool` over a snapshot of its circuit — and every result bit is
 //! compared with constants recorded on the commit *before* the change
 //! under test: the final fidelity and each round fidelity by
 //! `to_bits()`, the peak DD size, the removed-node total, a hash of the
@@ -85,19 +85,19 @@ fn direct(circuit: &Circuit, strategy: Strategy) -> SimStats {
 }
 
 fn pooled(circuit: &Circuit, strategy: Strategy) -> u64 {
-    let pool = Simulator::builder()
+    let template = Simulator::builder()
         .seed(9)
         .workers(2)
-        .record_size_series(true)
-        .share_snapshot(true)
-        .build_pool();
+        .record_size_series(true);
+    let snapshot = template.build_snapshot([circuit]).expect("snapshot");
+    let pool = template.build_pool();
     // Two copies, so both workers run the job over one shared snapshot
     // and must agree with each other as well as with the record.
     let jobs = (0..2)
         .map(|_| PoolJob::new(circuit.clone()).shots(128).strategy(strategy))
         .collect();
     let prints: Vec<u64> = pool
-        .run_jobs(jobs)
+        .run_jobs_with_snapshot(jobs, Some(std::sync::Arc::new(snapshot)))
         .into_iter()
         .map(|r| r.expect("pool job").fingerprint())
         .collect();
