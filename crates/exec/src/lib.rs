@@ -401,6 +401,35 @@ mod tests {
         assert_ne!(preset, exact, "the override must steer the run");
     }
 
+    /// Merging ascending runs in place equals summing the histograms,
+    /// whatever the overlap: empty sides, disjoint outcomes on either
+    /// side, interleaved and shared outcomes.
+    #[test]
+    fn merged_runs_are_the_summed_histogram() {
+        use crate::pool::merge_runs;
+        use std::collections::BTreeMap;
+        let cases: [&[(u64, usize)]; 6] = [
+            &[],
+            &[(3, 1)],
+            &[(0, 2), (5, 1), (9, 4)],
+            &[(1, 1), (5, 2), (6, 1), (10, 3)],
+            &[(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (9, 1)],
+            &[(11, 7), (12, 1)],
+        ];
+        for a in cases {
+            for b in cases {
+                let mut merged = a.to_vec();
+                merge_runs(&mut merged, b);
+                let mut want = BTreeMap::new();
+                for &(outcome, count) in a.iter().chain(b) {
+                    *want.entry(outcome).or_insert(0) += count;
+                }
+                let want: Vec<_> = want.into_iter().collect();
+                assert_eq!(merged, want, "{a:?} + {b:?}");
+            }
+        }
+    }
+
     /// Every row of the pool's retry/degrade ladder, as a pure function:
     /// no pool, no panic, no sleep.
     #[test]

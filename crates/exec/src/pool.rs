@@ -931,9 +931,7 @@ impl BackendPool {
         let seeds = self.seeds;
         let circuit = circuit.clone();
         let policy = strategy.map(|s| Arc::new(s) as Arc<dyn PolicyFactory>);
-        // Ascending runs, merged into a second buffer and swapped.
         let mut merged = Vec::new();
-        let mut spare = Vec::new();
         let mut settled = 0;
         let mut shots_settled = 0;
         self.drive(
@@ -948,8 +946,7 @@ impl BackendPool {
                 })
             },
             |chunk, result| {
-                merge_runs(&merged, &result?, &mut spare);
-                std::mem::swap(&mut merged, &mut spare);
+                merge_runs(&mut merged, &result?);
                 settled += 1;
                 shots_settled += chunk_shots(chunk);
                 on_chunk(&ChunkSettled {
@@ -1132,32 +1129,45 @@ impl BuildPool for SimulatorBuilder {
     }
 }
 
-/// Writes the sum of two histograms, each `(outcome, count)` runs in
-/// ascending outcome order, into `out` in the same form.
-fn merge_runs(a: &[(u64, usize)], b: &[(u64, usize)], out: &mut Vec<(u64, usize)>) {
-    out.clear();
-    out.reserve(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let ((x, m), (y, n)) = (a[i], b[j]);
-        out.push(match x.cmp(&y) {
-            std::cmp::Ordering::Less => {
-                i += 1;
-                (x, m)
-            }
-            std::cmp::Ordering::Greater => {
-                j += 1;
-                (y, n)
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-                (x, m + n)
-            }
-        });
+/// Adds the histogram `runs` into `merged`, both `(outcome, count)`
+/// runs in ascending outcome order, in place: `merged` grows by the
+/// outcomes it lacks and is filled from the back, so the merge needs no
+/// second buffer (a chunk's runs and the merged histogram are each up
+/// to `SHOT_CHUNK` entries, and the peak RSS of a sampling request is
+/// theirs).
+pub(crate) fn merge_runs(merged: &mut Vec<(u64, usize)>, runs: &[(u64, usize)]) {
+    let mut i = 0;
+    let mut missing = 0;
+    for &(outcome, _) in runs {
+        while i < merged.len() && merged[i].0 < outcome {
+            i += 1;
+        }
+        missing += usize::from(i == merged.len() || merged[i].0 != outcome);
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    let (mut i, mut j) = (merged.len(), runs.len());
+    merged.resize(i + missing, (0, 0));
+    // Write position k stays at or above read position i: the slots
+    // between them are exactly the outcomes still to be inserted.
+    let mut k = merged.len();
+    while j > 0 {
+        k -= 1;
+        let (outcome, count) = runs[j - 1];
+        merged[k] = match i.checked_sub(1).map(|at| merged[at]) {
+            Some((kept, n)) if kept > outcome => {
+                i -= 1;
+                (kept, n)
+            }
+            Some((kept, n)) if kept == outcome => {
+                i -= 1;
+                j -= 1;
+                (kept, n + count)
+            }
+            _ => {
+                j -= 1;
+                (outcome, count)
+            }
+        };
+    }
 }
 
 /// Why `Worker::backend` can be unwrapped after `fresh_backend`.
