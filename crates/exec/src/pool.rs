@@ -1131,10 +1131,8 @@ impl BuildPool for SimulatorBuilder {
 
 /// Adds the histogram `runs` into `merged`, both `(outcome, count)`
 /// runs in ascending outcome order, in place: `merged` grows by the
-/// outcomes it lacks and is filled from the back, so the merge needs no
-/// second buffer (a chunk's runs and the merged histogram are each up
-/// to `SHOT_CHUNK` entries, and the peak RSS of a sampling request is
-/// theirs).
+/// outcomes it lacks and is filled from the back. (A second buffer the
+/// size of `merged` showed in `pool_sweep`'s peak RSS.)
 pub(crate) fn merge_runs(merged: &mut Vec<(u64, usize)>, runs: &[(u64, usize)]) {
     let mut i = 0;
     let mut missing = 0;
