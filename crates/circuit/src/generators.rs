@@ -289,10 +289,9 @@ pub fn random_circuit(n: usize, depth: usize, seed: u64) -> Circuit {
 /// A random **Clifford** circuit in the style of randomized
 /// benchmarking: `depth` layers, each applying one uniformly random
 /// single-qubit Clifford-alphabet gate per qubit followed by CX/CZ
-/// gates on a random qubit pairing. Deterministic in `seed`; the whole
-/// circuit classifies as Clifford
-/// ([`crate::Circuit::is_clifford`]), so the stabilizer engine
-/// simulates it in polynomial time at any width.
+/// gates on a random qubit pairing. Deterministic in `seed`. Its
+/// states carry `2^{-k/2}` amplitudes with phases, which the DD tests
+/// hold to the dense baseline.
 ///
 /// # Panics
 ///

@@ -25,7 +25,6 @@
 //! ```
 
 mod circuit;
-mod clifford;
 mod gate;
 mod op;
 
@@ -33,6 +32,5 @@ pub mod generators;
 pub mod qasm;
 
 pub use circuit::{Circuit, CircuitError};
-pub use clifford::{CliffordGate, CliffordOp};
 pub use gate::Gate;
 pub use op::{Control, Operation};

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use approxdd_circuit::Circuit;
 
-use crate::options::{Engine, RetryPolicy, SimOptions, Strategy};
+use crate::options::{RetryPolicy, SimOptions, Strategy};
 use crate::policy::{PolicyFactory, SharedObserver, SimObserver};
 use crate::simulator::{SimSnapshot, Simulator, DEFAULT_SAMPLE_SEED};
 
@@ -41,7 +41,6 @@ pub struct SimulatorBuilder {
     workers: Option<usize>,
     policy: Option<Arc<dyn PolicyFactory>>,
     observers: Vec<SharedObserver>,
-    engine: Engine,
     retry: RetryPolicy,
 }
 
@@ -53,7 +52,6 @@ impl std::fmt::Debug for SimulatorBuilder {
             .field("workers", &self.workers)
             .field("policy", &self.policy.is_some())
             .field("observers", &self.observers.len())
-            .field("engine", &self.engine)
             .field("retry", &self.retry)
             .finish()
     }
@@ -68,7 +66,6 @@ impl SimulatorBuilder {
             workers: None,
             policy: None,
             observers: Vec::new(),
-            engine: Engine::Dd,
             retry: RetryPolicy::default(),
         }
     }
@@ -220,22 +217,6 @@ impl SimulatorBuilder {
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = Some(n.max(1));
         self
-    }
-
-    /// Selects the simulation engine for backends built from this
-    /// configuration ([`Engine::Dd`] by default). Plain
-    /// [`SimulatorBuilder::build`] always constructs the DD simulator —
-    /// the knob is read by `build_backend()` in `approxdd_exec::backend`
-    /// and by pool templates.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The engine selected via [`SimulatorBuilder::engine`].
-    #[must_use]
-    pub fn engine_kind(&self) -> Engine {
-        self.engine
     }
 
     /// Does nothing, whatever `share` is. It used to freeze every gate

@@ -2,43 +2,6 @@
 
 use crate::error::SimError;
 
-/// Which simulation engine a backend built from a
-/// [`crate::SimulatorBuilder`] should use.
-///
-/// The builder itself always constructs the DD [`crate::Simulator`];
-/// this knob is read by the backend layer (`approxdd_exec::backend`'s
-/// `build_backend`) and by pooled execution to route circuits
-/// to the stabilizer tableau or the hybrid Clifford-prefix dispatcher
-/// instead. Keeping it here means one template (builder) describes the
-/// full experiment, engine choice included.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum Engine {
-    /// The approximate decision-diagram engine (the default).
-    #[default]
-    Dd,
-    /// The Aaronson–Gottesman stabilizer tableau: polynomial-time and
-    /// exact, but restricted to Clifford circuits.
-    Stabilizer,
-    /// Hybrid dispatch: the maximal Clifford prefix runs on the
-    /// tableau, the remainder on the DD engine seeded with the
-    /// synthesized stabilizer state. Pure-Clifford circuits never
-    /// touch the DD package.
-    Hybrid,
-}
-
-impl Engine {
-    /// Short engine label (`"dd"`, `"stabilizer"`, `"hybrid"`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Dd => "dd",
-            Engine::Stabilizer => "stabilizer",
-            Engine::Hybrid => "hybrid",
-        }
-    }
-}
-
 /// The approximation strategy applied during simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
@@ -56,8 +19,12 @@ pub enum Strategy {
     /// doubling — so the effective growth of the reference
     /// implementation must be much slower. `threshold_growth = 1.0`
     /// (fixed threshold, built by [`Strategy::memory_driven_table1`])
-    /// reproduces that many-rounds regime and the table's max-DD-size
-    /// reductions.
+    /// reproduces that many-rounds regime, but not the table's peak-DD
+    /// reductions: on `supremacy(4, 4, 9, 0)` at a 4096-node threshold
+    /// and `f_round = 0.975` it ends with a 9.9 % smaller peak than the
+    /// exact run, at fidelity 0.591, and runs slower than exact; at
+    /// paper scale (`supremacy(4, 5, 15, 0)`) the peak is only 3.8 %
+    /// smaller.
     MemoryDriven {
         /// Initial node-count threshold.
         node_threshold: usize,
@@ -102,7 +69,11 @@ impl Strategy {
     /// rounds on 20-qubit instances are unreachable under strict
     /// doubling, so the reference implementation's effective growth
     /// must have been ≈1; this preset reproduces the table's round
-    /// counts and max-DD-size reductions.
+    /// counts. It does not reproduce the table's peak-DD reductions:
+    /// on `supremacy(4, 4, 9, 0)` with `(4096, 0.975)` it ends with a
+    /// 9.9 % smaller peak than the exact run, at fidelity 0.591, and
+    /// runs slower than exact; at paper scale (`supremacy(4, 5, 15, 0)`
+    /// with `(2^15, 0.99)`) the peak is only 3.8 % smaller.
     #[must_use]
     pub fn memory_driven_table1(node_threshold: usize, round_fidelity: f64) -> Self {
         Strategy::MemoryDriven {

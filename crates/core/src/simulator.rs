@@ -340,19 +340,6 @@ impl Simulator {
         self.observers.push(observer);
     }
 
-    /// Validates this simulator's policy against a circuit without
-    /// running it: builds a fresh policy and runs its
-    /// [`crate::ApproxPolicy::begin`] hook. What a hybrid run checks
-    /// before its tableau, which a pure-Clifford run never leaves.
-    ///
-    /// # Errors
-    ///
-    /// The policy's validation error (typically
-    /// [`crate::SimError::InvalidStrategy`]).
-    pub fn validate_policy(&self, circuit: &Circuit) -> Result<()> {
-        self.policy_factory.build().begin(circuit)
-    }
-
     /// Re-seeds the owned sampling RNG.
     pub fn reseed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);

@@ -1,14 +1,13 @@
-//! One engine type over the workspace's simulation engines.
+//! The run / query / release surface over the simulation engine.
 //!
 //! [`AnyBackend`] is the approximate decision-diagram simulator
 //! ([`approxdd_sim::Simulator`]), with every approximation strategy its
-//! builder can configure, behind an optional stabilizer tableau prefix
-//! (the builder's [`Engine`](approxdd_sim::Engine) knob). It is built
-//! by [`BuildBackend::build_backend`], and it **runs** a circuit into a
-//! [`RunOutcome`] carrying [`BackendStats`] — admission and execution
-//! are one call. The outcome then answers measurement-side queries
-//! (histograms, amplitudes, basis-state probabilities, diagonal
-//! expectations) until it is **released**. All failures funnel into
+//! builder can configure. It is built by [`BuildBackend::build_backend`],
+//! and it **runs** a circuit into a [`RunOutcome`] carrying
+//! [`BackendStats`] — admission and execution are one call. The
+//! outcome then answers measurement-side queries (histograms,
+//! amplitudes, basis-state probabilities, diagonal expectations) until
+//! it is **released**. All failures funnel into
 //! the single [`ExecError`]. The pool ([`crate::BackendPool`]) is its
 //! runtime consumer.
 //!
@@ -43,24 +42,21 @@ mod engine;
 
 pub use crate::error::ExecError;
 pub use engine::AnyBackend;
-pub(crate) use engine::AnyHandle;
 
 use std::time::Duration;
 
-use approxdd_sim::{SimStats, SimulatorBuilder};
+use approxdd_sim::{RunResult, SimStats, SimulatorBuilder};
 
 /// The backend layer's result alias.
 pub type Result<T> = std::result::Result<T, ExecError>;
 
-/// Engine-agnostic statistics of one run — the unified face of
-/// [`SimStats`] and the tableau's bookkeeping; the quantities a Table I
-/// row needs.
+/// Statistics of one run — [`SimStats`] under the names the pool, the
+/// server and the harnesses read; the quantities a Table I row needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendStats {
     /// State-transforming operations applied.
     pub gates_applied: usize,
-    /// Peak size of the state representation: DD node count, or the
-    /// tableau's storage words when that is larger.
+    /// Peak DD node count of the state.
     pub peak_size: usize,
     /// Approximation rounds performed (0 for exact runs).
     pub approx_rounds: usize,
@@ -71,44 +67,31 @@ pub struct BackendStats {
     /// (≤ the measured [`BackendStats::fidelity`]; 1.0 for exact
     /// runs).
     pub fidelity_lower_bound: f64,
-    /// Name of the approximation policy that steered the run
-    /// (`"exact"` for runs that end on the tableau).
+    /// Name of the approximation policy that steered the run.
     pub policy: String,
     /// Nodes removed by truncation (0 for exact runs).
     pub nodes_removed: usize,
     /// Wall-clock runtime of the run.
     pub runtime: Duration,
-    /// Representation size after every gate, when recorded (DD engine
-    /// with `record_size_series`; empty otherwise).
+    /// DD size after every gate, when recorded (`record_size_series`;
+    /// empty otherwise).
     pub size_series: Vec<usize>,
     /// DD-package counters at the end of the run — the compute
     /// table's hits and misses, unique-table occupancy,
-    /// and peak node counts (`None` for a run that ended on the
-    /// tableau). Session-cumulative: the package persists across runs
-    /// of one backend.
+    /// and peak node counts. Always `Some`: every run is a DD run.
+    /// Session-cumulative: the package persists across runs of one
+    /// backend.
     pub dd: Option<approxdd_dd::PackageStats>,
-    /// Short name of the engine that produced this run (`"dd"`,
-    /// `"stabilizer"`, `"hybrid"`). Excluded from
-    /// pooled-run fingerprints: the same job must fingerprint
-    /// identically however it was routed.
-    pub engine: &'static str,
-    /// Number of leading circuit operations absorbed by a stabilizer
-    /// tableau before (or instead of) the main engine: the whole
-    /// circuit for the stabilizer engine, the maximal Clifford prefix
-    /// for the hybrid engine, 0 for the DD engine.
-    pub clifford_prefix_len: usize,
 }
 
 impl BackendStats {
-    /// Compute-table hit rate of the run's DD package (`None` for
-    /// non-DD engines).
+    /// Compute-table hit rate of the run's DD package.
     #[must_use]
     pub fn ct_hit_rate(&self) -> Option<f64> {
         self.dd.as_ref().map(approxdd_dd::PackageStats::ct_hit_rate)
     }
 
-    /// Unique-table occupancy of the run's DD package (`None` for
-    /// non-DD engines).
+    /// Unique-table occupancy of the run's DD package.
     #[must_use]
     pub fn unique_occupancy(&self) -> Option<f64> {
         self.dd
@@ -116,8 +99,7 @@ impl BackendStats {
             .map(approxdd_dd::PackageStats::unique_occupancy)
     }
 
-    /// Peak simultaneously-alive DD nodes, both node kinds combined
-    /// (`None` for non-DD engines).
+    /// Peak simultaneously-alive DD nodes, both node kinds combined.
     #[must_use]
     pub fn peak_nodes(&self) -> Option<usize> {
         self.dd.as_ref().map(approxdd_dd::PackageStats::peak_nodes)
@@ -137,52 +119,37 @@ impl From<SimStats> for BackendStats {
             runtime: s.runtime,
             size_series: s.size_series,
             dd: Some(s.package),
-            engine: "dd",
-            clifford_prefix_len: 0,
         }
     }
 }
 
-/// The typed result of [`AnyBackend::run`]: unified statistics plus the
-/// engine handle queries go through.
+/// The typed result of [`AnyBackend::run`]: run statistics plus the
+/// simulator result queries go through.
 ///
-/// A run that ended on the DD engine pins GC roots inside the
-/// simulator's package — pass outcomes back to [`AnyBackend::release`]
-/// when done so long sessions don't accumulate dead state. Deliberately
-/// not `Clone`: release consumes the only copy, so no stale outcome can
-/// outlive its engine resources.
+/// An outcome pins GC roots inside the simulator's package — pass it
+/// back to [`AnyBackend::release`] when done so long sessions don't
+/// accumulate dead state. Deliberately not `Clone` (unlike
+/// [`RunResult`]): release consumes the only copy, so no stale outcome
+/// can outlive its engine resources.
 #[derive(Debug)]
 pub struct RunOutcome {
-    /// Unified run statistics.
+    /// Run statistics.
     pub stats: BackendStats,
-    n_qubits: usize,
-    handle: AnyHandle,
+    result: RunResult,
 }
 
 impl RunOutcome {
-    /// Packs an engine handle with its stats.
-    fn new(stats: BackendStats, n_qubits: usize, handle: AnyHandle) -> Self {
-        Self {
-            stats,
-            n_qubits,
-            handle,
-        }
-    }
-
     /// Register width of the run.
     #[must_use]
     pub fn n_qubits(&self) -> usize {
-        self.n_qubits
+        self.result.n_qubits()
     }
 }
 
 /// Extension hook giving [`SimulatorBuilder`] a direct path into the
 /// backend layer: `Simulator::builder()….build_backend()`.
 pub trait BuildBackend {
-    /// Builds the backend the builder's [`Engine`](approxdd_sim::Engine)
-    /// knob selects — DD
-    /// (the default), stabilizer tableau, or hybrid Clifford-prefix
-    /// dispatch.
+    /// Builds the DD backend the builder configures.
     fn build_backend(self) -> AnyBackend;
 }
 

@@ -7,7 +7,6 @@ use std::time::Duration;
 use approxdd_circuit::CircuitError;
 use approxdd_dd::DdError;
 use approxdd_sim::SimError;
-use approxdd_stabilizer::StabilizerError;
 
 /// Every way a run of an [`AnyBackend`](crate::backend::AnyBackend), alone
 /// or pooled, can fail, absorbing the engine error types via `From` so
@@ -17,9 +16,6 @@ use approxdd_stabilizer::StabilizerError;
 pub enum ExecError {
     /// The DD simulator failed.
     Sim(SimError),
-    /// The stabilizer tableau engine failed (non-Clifford operation or
-    /// width cap).
-    Stabilizer(StabilizerError),
     /// The decision-diagram engine failed.
     Dd(DdError),
     /// The circuit failed validation.
@@ -30,13 +26,6 @@ pub enum ExecError {
         basis: u64,
         /// Register width of the run.
         n_qubits: usize,
-    },
-    /// The backend cannot perform the requested operation.
-    Unsupported {
-        /// Engine name ([`approxdd_sim::Engine::name`]).
-        backend: &'static str,
-        /// What was requested.
-        what: &'static str,
     },
     /// A pool worker terminated (panicked or was torn down) before
     /// returning a job's result. Produced by the pool
@@ -80,14 +69,10 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::Sim(e) => write!(f, "dd simulator error: {e}"),
-            ExecError::Stabilizer(e) => write!(f, "stabilizer engine error: {e}"),
             ExecError::Dd(e) => write!(f, "decision-diagram error: {e}"),
             ExecError::Circuit(e) => write!(f, "circuit error: {e}"),
             ExecError::BasisOutOfRange { basis, n_qubits } => {
                 write!(f, "basis state {basis} outside a {n_qubits}-qubit register")
-            }
-            ExecError::Unsupported { backend, what } => {
-                write!(f, "backend '{backend}' does not support {what}")
             }
             ExecError::WorkerLost { job, attempt } => {
                 write!(
@@ -122,11 +107,9 @@ impl Error for ExecError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ExecError::Sim(e) => Some(e),
-            ExecError::Stabilizer(e) => Some(e),
             ExecError::Dd(e) => Some(e),
             ExecError::Circuit(e) => Some(e),
             ExecError::BasisOutOfRange { .. }
-            | ExecError::Unsupported { .. }
             | ExecError::WorkerLost { .. }
             | ExecError::DeadlineExceeded { .. }
             | ExecError::FaultInjected { .. } => None,
@@ -143,12 +126,6 @@ impl From<SimError> for ExecError {
             SimError::Circuit(inner) => ExecError::Circuit(inner),
             other => ExecError::Sim(other),
         }
-    }
-}
-
-impl From<StabilizerError> for ExecError {
-    fn from(e: StabilizerError) -> Self {
-        ExecError::Stabilizer(e)
     }
 }
 
@@ -205,13 +182,6 @@ mod tests {
     fn every_variant_displays_and_chains_as_constructed() {
         let wrapped: Vec<(ExecError, usize)> = vec![
             (ExecError::Sim(SimError::InvalidStrategy { reason: "x" }), 1),
-            (
-                ExecError::Stabilizer(StabilizerError::TooManyQubits {
-                    n_qubits: 70,
-                    max: 64,
-                }),
-                1,
-            ),
             (ExecError::Dd(DdError::InvalidPermutation), 1),
             (
                 ExecError::Circuit(CircuitError::QubitOutOfRange {
@@ -225,13 +195,6 @@ mod tests {
                 ExecError::BasisOutOfRange {
                     basis: 9,
                     n_qubits: 3,
-                },
-                0,
-            ),
-            (
-                ExecError::Unsupported {
-                    backend: "dd",
-                    what: "time travel",
                 },
                 0,
             ),

@@ -1,9 +1,8 @@
-//! Execution: one engine type over every engine, and multi-threaded
-//! pooled execution over it.
+//! Execution: one engine type over the DD simulator, and
+//! multi-threaded pooled execution over it.
 //!
 //! The [`backend`] module holds [`AnyBackend`](backend::AnyBackend), the
-//! one front door to a simulation engine — run, query, release — for
-//! the DD engine and its stabilizer and hybrid front ends alike;
+//! one front door to the DD simulation engine — run, query, release;
 //! `Simulator::builder()….build_backend()` builds one.
 //!
 //! The paper trades controlled fidelity loss for large resource

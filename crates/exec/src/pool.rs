@@ -103,7 +103,7 @@ use std::time::{Duration, Instant};
 
 use approxdd_circuit::Circuit;
 use approxdd_sim::{
-    DeadlineFactory, Engine, PolicyFactory, RetryPolicy, SharedObserver, SimError, SimSnapshot,
+    DeadlineFactory, PolicyFactory, RetryPolicy, SharedObserver, SimError, SimSnapshot,
     SimulatorBuilder, Strategy, TraceEvent, TraceRecorder,
 };
 use approxdd_telemetry as telemetry;
@@ -279,8 +279,7 @@ pub struct PoolOutcome {
     /// Unified run statistics (identical to what a single-threaded
     /// backend run of the same job reports).
     pub stats: BackendStats,
-    /// Size of the final state representation: DD node count, or
-    /// tableau storage words for stabilizer-engine runs.
+    /// DD node count of the final state.
     pub final_size: usize,
     /// Measurement histogram when the job requested shots.
     pub counts: Option<HashMap<u64, usize>>,
@@ -602,8 +601,7 @@ pub(crate) fn verdict(
 }
 
 /// A fixed-size pool of worker threads, each owning an [`AnyBackend`]
-/// built from a shared [`SimulatorBuilder`] template (the template's
-/// `engine` knob selects DD, stabilizer or hybrid execution), running
+/// built from a shared [`SimulatorBuilder`] template, running
 /// jobs and sampling chunks from one channel-based work queue.
 ///
 /// Build one through the builder —
@@ -814,15 +812,13 @@ impl BackendPool {
     /// tolerance-equal weights, so a snapshot frozen from several
     /// circuits hands one job another circuit's representatives, and
     /// its result bits then depend on what else was frozen. `None` runs
-    /// the batch snapshot-free. The pure-tableau engine has no DD
-    /// package: a supplied snapshot is ignored there.
+    /// the batch snapshot-free.
     #[must_use]
     pub fn run_jobs_with_snapshot(
         &self,
         jobs: Vec<PoolJob>,
         snapshot: Option<Arc<SimSnapshot>>,
     ) -> Vec<Result<PoolOutcome, ExecError>> {
-        let snapshot = snapshot.filter(|_| self.template.engine_kind() != Engine::Stabilizer);
         let fault = self
             .fault_plan
             .lock()
@@ -1174,13 +1170,10 @@ const BACKEND_BUILT: &str = "fresh_backend built this task's engine";
 /// Folds `backend`'s package counters into `stats`. The cumulative ones
 /// (cache and snapshot hits, the node high-water mark) add on top of
 /// what `stats` holds; the gauges (alive nodes, table occupancy, cached
-/// gates) are overwritten. The pure-tableau engine owns no DD package
-/// and a worker without an engine has nothing to report: both
-/// contribute zeros.
+/// gates) are overwritten. A worker without an engine has nothing to
+/// report and contributes zeros.
 fn absorb(stats: &mut WorkerStats, backend: Option<&AnyBackend>) {
-    let pkg = backend
-        .and_then(AnyBackend::package_stats)
-        .unwrap_or_default();
+    let pkg = backend.map(AnyBackend::package_stats).unwrap_or_default();
     stats.ct_hits += pkg.ct_hits;
     stats.ct_misses += pkg.ct_misses;
     stats.peak_nodes = stats.peak_nodes.max(pkg.peak_nodes());

@@ -1,8 +1,8 @@
 //! `serve` — run the approxdd job server from the command line.
 //!
 //! ```text
-//! serve [--addr HOST:PORT] [--workers N] [--seed N] [--engine dd|stabilizer|hybrid]
-//!       [--queue N] [--sessions N] [--runners N] [--retry N]
+//! serve [--addr HOST:PORT] [--workers N] [--seed N] [--queue N]
+//!       [--sessions N] [--runners N] [--retry N]
 //!       [--quota-burst F --quota-refill F] [--addr-file PATH]
 //! ```
 //!
@@ -14,7 +14,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use approxdd_server::{JobServer, Quota, ServerConfig};
-use approxdd_sim::{Engine, RetryPolicy, Simulator};
+use approxdd_sim::{RetryPolicy, Simulator};
 
 struct Args {
     addr: String,
@@ -38,14 +38,6 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => addr = value(&mut it, &flag)?,
             "--workers" => template = template.workers(value(&mut it, &flag)?),
             "--seed" => template = template.seed(value(&mut it, &flag)?),
-            "--engine" => {
-                template = template.engine(match value::<String>(&mut it, &flag)?.as_str() {
-                    "dd" => Engine::Dd,
-                    "stabilizer" => Engine::Stabilizer,
-                    "hybrid" => Engine::Hybrid,
-                    other => return Err(format!("unknown engine {other:?}")),
-                });
-            }
             "--queue" => config = config.queue_capacity(value(&mut it, &flag)?),
             "--sessions" => config = config.sessions(value(&mut it, &flag)?),
             "--runners" => config = config.runners(value(&mut it, &flag)?),
@@ -55,9 +47,8 @@ fn parse_args() -> Result<Args, String> {
             "--addr-file" => addr_file = Some(value(&mut it, &flag)?),
             "--help" | "-h" => {
                 return Err("usage: serve [--addr HOST:PORT] [--workers N] [--seed N] \
-                     [--engine dd|stabilizer|hybrid] [--queue N] [--sessions N] \
-                     [--runners N] [--retry N] [--quota-burst F --quota-refill F] \
-                     [--addr-file PATH]"
+                     [--queue N] [--sessions N] [--runners N] [--retry N] \
+                     [--quota-burst F --quota-refill F] [--addr-file PATH]"
                     .to_string())
             }
             other => return Err(format!("unknown flag {other:?} (try --help)")),

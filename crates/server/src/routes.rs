@@ -193,8 +193,9 @@ fn parse_spec(request: &Request) -> Result<JobSpec, ServeError> {
     }
     let circuit =
         from_qasm(qasm).map_err(|e| ServeError::BadRequest(format!("QASM parse error: {e}")))?;
-    // No engine indexes a register wider than the DD engine's: refused
-    // here, before a job id, a queue slot or a warm session is spent.
+    // The engine indexes basis states by `u64`, so a wider register is
+    // refused here, before a job id, a queue slot or a warm session is
+    // spent.
     Simulator::check_width(&circuit).map_err(|e| ServeError::BadRequest(e.to_string()))?;
     let shots = param(request, "shots")?.unwrap_or(0);
     if shots > MAX_SHOTS {

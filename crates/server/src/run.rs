@@ -14,7 +14,7 @@ use std::sync::{Arc, PoisonError};
 use approxdd_circuit::Circuit;
 use approxdd_exec::PoolJob;
 use approxdd_sim::json::Json;
-use approxdd_sim::{Engine, SimSnapshot};
+use approxdd_sim::SimSnapshot;
 use approxdd_telemetry as telemetry;
 
 use crate::error::ServeError;
@@ -131,7 +131,7 @@ fn execute_job(inner: &Inner, state: &JobState, spec: JobSpec) {
 /// tier built by an earlier request of the same family; a miss pays
 /// the freeze and caches it. Emits a `session` event either way.
 fn warm_session(inner: &Inner, state: &JobState, circuit: &Circuit) -> Option<Arc<SimSnapshot>> {
-    if inner.session_capacity == 0 || inner.template.engine_kind() == Engine::Stabilizer {
+    if inner.session_capacity == 0 {
         return None;
     }
     let family = family_hash(circuit);

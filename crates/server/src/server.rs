@@ -98,7 +98,7 @@ impl ServerConfig {
 
     /// The simulator template every job runs under. Its seed is the
     /// server's root seed (the determinism domain), its worker knob
-    /// sizes the pool, its engine/policy are the per-job defaults.
+    /// sizes the pool, its policy is the per-job default.
     #[must_use]
     pub fn template(mut self, template: SimulatorBuilder) -> Self {
         self.template = template;

@@ -255,12 +255,13 @@ fn unreachable_threshold_warns_once_per_job() {
     );
 }
 
-/// Every malformed quota is refused by the argument parser, before
-/// `serve` binds: a lone flag used to run the server with no quota.
-/// The address cannot be bound, so a parse that let one through would
-/// fail later, with the bind's message.
+/// Every malformed quota, and a flag `serve` does not have, is refused
+/// by the argument parser, before `serve` binds: a lone quota flag used
+/// to run the server with no quota. The address cannot be bound, so a
+/// parse that let one through would fail later, with the bind's
+/// message.
 #[test]
-fn bad_quota_flags_are_refused_before_bind() {
+fn bad_flags_are_refused_before_bind() {
     for (args, message) in [
         (&["--quota-burst", "5"][..], "must be given together"),
         (&["--quota-refill", "1"][..], "must be given together"),
@@ -284,6 +285,7 @@ fn bad_quota_flags_are_refused_before_bind() {
             &["--quota-burst", "5", "--quota-refill", "0"][..],
             "--quota-refill must be a finite number above 0",
         ),
+        (&["--engine", "dd"][..], "unknown flag \"--engine\""),
     ] {
         let output = std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
             .args(["--addr", "not-an-address"])

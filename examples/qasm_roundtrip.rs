@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut backend = Simulator::builder().exact().build_backend();
     let original = backend.run(&circuit)?;
     let roundtrip = backend.run(&reimported)?;
-    let fidelity = backend.fidelity_between(&original, &roundtrip)?;
+    let fidelity = backend.fidelity_between(&original, &roundtrip);
     backend.release(original);
     backend.release(roundtrip);
     println!("fidelity(original, reimported) = {fidelity:.12}");

@@ -16,15 +16,11 @@
 //!   and the composable [`sim::ApproxPolicy`] / [`sim::SimObserver`]
 //!   seam (memory-driven, fidelity-driven and budget policies ship
 //!   built in; custom policies plug into the same loop),
-//! * [`exec`] — execution: [`backend::AnyBackend`], the one engine
-//!   type (run / sampling / queries / release; its module re-exported
-//!   here as [`backend`]), and the multi-threaded
+//! * [`exec`] — execution: [`backend::AnyBackend`], the DD simulator
+//!   behind one run / sampling / queries / release surface (its module
+//!   re-exported here as [`backend`]), and the multi-threaded
 //!   [`exec::BackendPool`] over it — batched runs and sharded sampling
 //!   across worker threads, deterministic under any worker count,
-//! * [`stabilizer`] — the Aaronson–Gottesman tableau engine for
-//!   Clifford circuits (exact global phase, polynomial time), behind
-//!   [`backend::AnyBackend`] when the builder's [`sim::Engine`] knob
-//!   says `Stabilizer` or `Hybrid`,
 //! * [`server`] — simulation as a service: a std-only HTTP job
 //!   server with bounded-queue admission, warm snapshot sessions and
 //!   NDJSON result streaming over the pool,
@@ -82,6 +78,5 @@ pub use approxdd_exec::backend;
 pub use approxdd_server as server;
 pub use approxdd_shor as shor;
 pub use approxdd_sim as sim;
-pub use approxdd_stabilizer as stabilizer;
 pub use approxdd_statevector as statevector;
 pub use approxdd_telemetry as telemetry;

@@ -1,15 +1,14 @@
-//! `AnyBackend`, engine by engine: one `check_backend_on` suite runs
-//! the standard workloads (GHZ, QFT, one supremacy instance) on every
-//! engine the builder's `Engine` knob selects and validates the whole
-//! lifecycle — run, sampling, histograms, amplitudes, probabilities,
-//! expectations, release — against the dense baseline
+//! `AnyBackend`'s contract: the standard workloads (GHZ, QFT, one
+//! supremacy instance) run through the whole lifecycle — run, sampling,
+//! histograms, amplitudes, probabilities, expectations, fidelity,
+//! release — against the dense baseline
 //! (`approxdd::statevector::run_circuit`), called directly.
 //!
-//! The second half is the `BackendPool` contract suite: tableau-engine
-//! batches must be byte-identical across worker counts (the DD engine's
-//! are `tests/determinism.rs`'s to check), empty and oversized batches
-//! must behave, and a poisoned job must neither deadlock the queue nor
-//! disturb its neighbours' results.
+//! The second half is the `BackendPool` contract suite: a pooled job
+//! reports what a single-threaded backend run does (worker-count
+//! invariance is `tests/determinism.rs`'s to check), empty and
+//! oversized batches must behave, and a poisoned job must neither
+//! deadlock the queue nor disturb its neighbours' results.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -18,7 +17,7 @@ use approxdd::backend::{AnyBackend, BuildBackend, ExecError};
 use approxdd::circuit::{generators, Circuit};
 use approxdd::complex::Cplx;
 use approxdd::exec::{BuildPool, PoolJob};
-use approxdd::sim::{Engine, ExactPolicy, Simulator, Strategy};
+use approxdd::sim::{ExactPolicy, Simulator, Strategy};
 use proptest::prelude::*;
 
 fn workloads() -> Vec<Circuit> {
@@ -26,16 +25,6 @@ fn workloads() -> Vec<Circuit> {
         generators::ghz(8),
         generators::qft(6),
         generators::supremacy(2, 3, 10, 5),
-    ]
-}
-
-/// Clifford-only workloads for the tableau engine (which refuses
-/// anything else when a run admits it).
-fn clifford_workloads() -> Vec<Circuit> {
-    vec![
-        generators::ghz(8),
-        generators::random_clifford(6, 8, 3),
-        generators::random_clifford(10, 5, 4),
     ]
 }
 
@@ -55,10 +44,13 @@ fn dense_amplitudes(circuit: &Circuit) -> Vec<Cplx> {
         .to_vec()
 }
 
-/// The per-engine contract: every workload runs through the full
-/// lifecycle with self-consistent results that match the dense
-/// baseline. The outcomes stay live together until the end.
-fn check_backend_on(backend: &mut AnyBackend, circuits: Vec<Circuit>) {
+/// Every workload runs through the full lifecycle with self-consistent
+/// results that match the dense baseline. The outcomes stay live
+/// together until the end.
+#[test]
+fn dd_backend_satisfies_the_contract() {
+    let backend = &mut Simulator::builder().seed(5).build_backend();
+    let circuits = workloads();
     let outcomes: Vec<_> = circuits
         .iter()
         .map(|c| {
@@ -68,12 +60,11 @@ fn check_backend_on(backend: &mut AnyBackend, circuits: Vec<Circuit>) {
         })
         .collect();
     for (outcome, circuit) in outcomes.iter().zip(&circuits) {
-        let engine = outcome.stats.engine;
         assert_eq!(outcome.n_qubits(), circuit.n_qubits());
         assert_eq!(
             outcome.stats.gates_applied,
             circuit.gate_count(),
-            "{engine}: {}",
+            "{}",
             circuit.name()
         );
         assert!((outcome.stats.fidelity - 1.0).abs() < 1e-12, "exact run");
@@ -85,7 +76,7 @@ fn check_backend_on(backend: &mut AnyBackend, circuits: Vec<Circuit>) {
         for (i, (x, y)) in amps.iter().zip(&dense).enumerate() {
             assert!(
                 (*x - *y).mag() < 1e-9,
-                "{engine}: {}: amplitude {i}: {x} vs dense {y}",
+                "{}: amplitude {i}: {x} vs dense {y}",
                 circuit.name()
             );
         }
@@ -98,6 +89,10 @@ fn check_backend_on(backend: &mut AnyBackend, circuits: Vec<Circuit>) {
         let one = backend.expectation(outcome, &|_| 1.0).expect("expectation");
         assert!((one - 1.0).abs() < 1e-9);
 
+        // An outcome's fidelity with itself is 1.
+        let same = backend.fidelity_between(outcome, outcome);
+        assert!((same - 1.0).abs() < 1e-12, "{}: {same}", circuit.name());
+
         // The same seed draws the same histogram.
         backend.reseed(1234);
         let counts = backend.sample_counts(outcome, 200);
@@ -106,7 +101,8 @@ fn check_backend_on(backend: &mut AnyBackend, circuits: Vec<Circuit>) {
         assert_eq!(
             counts,
             backend.sample_counts(outcome, 200),
-            "{engine}: sampling not deterministic"
+            "{}: sampling not deterministic",
+            circuit.name()
         );
     }
     for outcome in outcomes {
@@ -120,93 +116,6 @@ fn check_backend_on(backend: &mut AnyBackend, circuits: Vec<Circuit>) {
         Err(ExecError::BasisOutOfRange { .. })
     ));
     backend.release(run);
-}
-
-fn check_backend(backend: &mut AnyBackend) {
-    check_backend_on(backend, workloads());
-}
-
-#[test]
-fn dd_backend_satisfies_the_contract() {
-    check_backend(&mut Simulator::builder().seed(5).build_backend());
-}
-
-#[test]
-fn stabilizer_backend_satisfies_the_contract() {
-    check_backend_on(
-        &mut Simulator::builder()
-            .seed(5)
-            .engine(Engine::Stabilizer)
-            .build_backend(),
-        clifford_workloads(),
-    );
-}
-
-#[test]
-fn hybrid_backend_satisfies_the_contract() {
-    // The full workloads: GHZ is pure Clifford (tableau path), QFT and
-    // supremacy have non-Clifford tails (synthesis + DD path).
-    check_backend(
-        &mut Simulator::builder()
-            .seed(5)
-            .engine(Engine::Hybrid)
-            .build_backend(),
-    );
-}
-
-#[test]
-fn engine_knob_backends_satisfy_the_contract() {
-    // `build_backend()` is the one constructor, and it honours the
-    // builder's engine knob: every engine it selects names itself in
-    // its runs' stats and satisfies the contract.
-    let ghz = generators::ghz(4);
-    for (engine, name) in [
-        (Engine::Dd, "dd"),
-        (Engine::Stabilizer, "stabilizer"),
-        (Engine::Hybrid, "hybrid"),
-    ] {
-        let mut backend = Simulator::builder().engine(engine).build_backend();
-        let run = backend.run(&ghz).expect("run");
-        assert_eq!(run.stats.engine, name, "{engine:?}");
-        backend.release(run);
-    }
-    let mut hybrid = Simulator::builder()
-        .seed(5)
-        .engine(Engine::Hybrid)
-        .build_backend();
-    check_backend(&mut hybrid);
-    let mut stab = Simulator::builder()
-        .seed(5)
-        .engine(Engine::Stabilizer)
-        .build_backend();
-    check_backend_on(&mut stab, clifford_workloads());
-    let mut dd = Simulator::builder()
-        .seed(5)
-        .engine(Engine::Dd)
-        .build_backend();
-    check_backend(&mut dd);
-
-    // One handle type for every engine: a query that needs a DD state
-    // and is handed a tableau is a typed error, not a panic.
-    let on_tableau = hybrid.run(&ghz).expect("hybrid");
-    let on_dd = dd.run(&ghz).expect("dd");
-    assert!(matches!(
-        hybrid.fidelity_between(&on_tableau, &on_tableau),
-        Err(ExecError::Unsupported {
-            backend: "hybrid",
-            ..
-        })
-    ));
-    assert!(matches!(
-        dd.fidelity_between(&on_dd, &on_tableau),
-        Err(ExecError::Unsupported { backend: "dd", .. })
-    ));
-    let same = dd
-        .fidelity_between(&on_dd, &on_dd)
-        .expect("two DD outcomes");
-    assert!((same - 1.0).abs() < 1e-12);
-    hybrid.release(on_tableau);
-    dd.release(on_dd);
 }
 
 /// Admission happens once: a DD run builds its policy in
@@ -244,28 +153,15 @@ fn a_run_builds_its_policy_once() {
 
 #[test]
 fn a_register_no_engine_can_index_is_refused_at_prepare() {
-    // 64 qubits: one past `u64` basis indexing. Every engine refuses it
-    // where a run admits the circuit, with its own typed error …
+    // 64 qubits: one past `u64` basis indexing. The backend refuses it
+    // where a run admits the circuit, with a typed error …
     let wide = generators::ghz(64);
-    for engine in [Engine::Dd, Engine::Hybrid] {
-        let mut backend = Simulator::builder().engine(engine).build_backend();
-        assert!(
-            matches!(
-                backend.run(&wide),
-                Err(ExecError::Dd(approxdd::dd::DdError::TooManyQubits {
-                    n_qubits: 64,
-                    max: 63
-                }))
-            ),
-            "{engine:?}"
-        );
-    }
-    let mut stabilizer = Simulator::builder()
-        .engine(Engine::Stabilizer)
-        .build_backend();
     assert!(matches!(
-        stabilizer.run(&wide),
-        Err(ExecError::Stabilizer(_))
+        Simulator::builder().build_backend().run(&wide),
+        Err(ExecError::Dd(approxdd::dd::DdError::TooManyQubits {
+            n_qubits: 64,
+            max: 63
+        }))
     ));
     // … the bare simulator does the same before it builds a state …
     assert!(matches!(
@@ -308,72 +204,15 @@ fn non_finite_gate_parameters_are_refused_by_every_engine() {
         fidelity().build().run(&inf),
         Err(SimError::Circuit(NonFinite { op_index: 1 }))
     ));
-    // … and every engine of `AnyBackend`.
-    for engine in [Engine::Dd, Engine::Stabilizer, Engine::Hybrid] {
-        for circuit in [&nan, &inf] {
-            let result = amplitudes(&mut fidelity().engine(engine).build_backend(), circuit);
-            assert!(
-                matches!(result, Err(ExecError::Circuit(NonFinite { op_index: 1 }))),
-                "{engine:?}: {}: {result:?}",
-                circuit.name()
-            );
-        }
+    // … and `AnyBackend`.
+    for circuit in [&nan, &inf] {
+        let result = amplitudes(&mut fidelity().build_backend(), circuit);
+        assert!(
+            matches!(result, Err(ExecError::Circuit(NonFinite { op_index: 1 }))),
+            "{}: {result:?}",
+            circuit.name()
+        );
     }
-}
-
-#[test]
-fn stabilizer_rejects_non_clifford_and_wide_registers() {
-    let mut backend = Simulator::builder()
-        .engine(Engine::Stabilizer)
-        .build_backend();
-    assert!(matches!(
-        backend.run(&generators::qft(4)),
-        Err(ExecError::Stabilizer(_))
-    ));
-    assert!(matches!(
-        backend.run(&generators::ghz(64)),
-        Err(ExecError::Stabilizer(_))
-    ));
-}
-
-#[test]
-fn hybrid_refuses_a_bad_preset_on_a_pure_clifford_run() {
-    // A pure-Clifford hybrid run never reaches the simulator: the
-    // preset is checked before the tableau is built.
-    let mut backend = Simulator::builder()
-        .engine(Engine::Hybrid)
-        .strategy(Strategy::FidelityDriven {
-            final_fidelity: 2.0,
-            round_fidelity: 0.9,
-        })
-        .build_backend();
-    assert!(matches!(
-        backend.run(&generators::ghz(4)),
-        Err(ExecError::Sim(_))
-    ));
-}
-
-#[test]
-fn hybrid_reports_the_clifford_prefix() {
-    let mut backend = Simulator::builder().engine(Engine::Hybrid).build_backend();
-
-    // Pure Clifford: the outcome is a tableau, no DD stats at all.
-    let ghz = generators::ghz(12);
-    let run = backend.run(&ghz).expect("run");
-    assert_eq!(run.stats.engine, "hybrid");
-    assert_eq!(run.stats.clifford_prefix_len, ghz.gate_count());
-    assert!(run.stats.dd.is_none(), "pure Clifford never touches DD");
-    backend.release(run);
-
-    // Clifford prefix then a T gate: the prefix length is exactly the
-    // split point, DD stats cover the suffix.
-    let mut mixed = Circuit::new(4, "mixed");
-    mixed.h(0).cx(0, 1).s(2).cz(1, 3).t(0).h(3);
-    let run = backend.run(&mixed).expect("run");
-    assert_eq!(run.stats.clifford_prefix_len, 4);
-    assert_eq!(run.stats.gates_applied, 6);
-    assert!(run.stats.dd.is_some(), "suffix runs on the DD engine");
-    backend.release(run);
 }
 
 #[test]
@@ -403,52 +242,22 @@ fn engines_agree_on_amplitudes_and_fidelity() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // Random Clifford circuits up to 10 qubits: the tableau engine's
-    // amplitudes must agree with both the DD and the dense statevector
-    // engine, elementwise and in probability.
+    // Random Clifford circuits up to 10 qubits: `2^{-k/2}` amplitudes
+    // with phases, which the DD engine must reproduce elementwise
+    // against the dense statevector baseline.
     #[test]
-    fn stabilizer_matches_dd_and_statevector_on_random_cliffords(
+    fn dd_matches_statevector_on_random_cliffords(
         n in 2usize..11,
         depth in 1usize..9,
         seed in 0u64..1000
     ) {
         let circuit = generators::random_clifford(n, depth, seed);
-        let mut stab = Simulator::builder()
-            .seed(seed)
-            .engine(Engine::Stabilizer)
-            .build_backend();
         let mut dd = Simulator::builder().seed(seed).build_backend();
-        let a = amplitudes(&mut stab, &circuit).expect("stabilizer");
-        let b = amplitudes(&mut dd, &circuit).expect("dd");
-        let c = dense_amplitudes(&circuit);
-        for (i, ((x, y), z)) in a.iter().zip(&b).zip(&c).enumerate() {
-            prop_assert!((*x - *y).mag() < 1e-9,
-                "{}: basis {i}: stabilizer {x} vs dd {y}", circuit.name());
-            prop_assert!((*x - *z).mag() < 1e-9,
-                "{}: basis {i}: stabilizer {x} vs sv {z}", circuit.name());
-        }
-    }
-
-    // Hybrid dispatch is exact regardless of where the circuit's
-    // Clifford prefix ends: a random Clifford prefix with a
-    // non-Clifford tail matches the dense engine.
-    #[test]
-    fn hybrid_matches_statevector_on_clifford_prefixed_circuits(
-        n in 2usize..9,
-        depth in 1usize..7,
-        seed in 0u64..1000
-    ) {
-        let mut circuit = generators::random_clifford(n, depth, seed);
-        circuit.t(0).rz(0.7, n - 1).h(0);
-        let mut hybrid = Simulator::builder()
-            .seed(seed)
-            .engine(Engine::Hybrid)
-            .build_backend();
-        let a = amplitudes(&mut hybrid, &circuit).expect("hybrid");
+        let a = amplitudes(&mut dd, &circuit).expect("dd");
         let b = dense_amplitudes(&circuit);
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {
             prop_assert!((*x - *y).mag() < 1e-9,
-                "{}: basis {i}: hybrid {x} vs sv {y}", circuit.name());
+                "{}: basis {i}: dd {x} vs sv {y}", circuit.name());
         }
     }
 }
@@ -456,74 +265,6 @@ proptest! {
 // ---------------------------------------------------------------------
 // BackendPool contract suite
 // ---------------------------------------------------------------------
-
-#[test]
-fn stabilizer_and_hybrid_pool_results_are_identical_across_worker_counts() {
-    // The hybrid acceptance criterion: engine-knob pools fingerprint
-    // byte-identically across 1/2/8 workers, for both pure-Clifford
-    // batches on the tableau engine and mixed batches on hybrid
-    // dispatch.
-    // Both batches end with a 32-qubit random Clifford circuit, a
-    // width the DD engine cannot reach.
-    let stab_jobs = || -> Vec<PoolJob> {
-        (0..4)
-            .map(|seed| PoolJob::new(generators::random_clifford(8, 6, seed)).shots(500))
-            .chain([PoolJob::new(generators::random_clifford(32, 16, 42)).shots(500)])
-            .collect()
-    };
-    let hybrid_jobs = || -> Vec<PoolJob> {
-        vec![
-            PoolJob::new(generators::ghz(10)).shots(500),
-            PoolJob::new(generators::random_clifford(8, 6, 1)).shots(500),
-            PoolJob::new(generators::supremacy(2, 3, 10, 2)).shots(500),
-            PoolJob::new(generators::qft(6)).shots(500),
-            PoolJob::new(generators::random_clifford(32, 16, 42)).shots(500),
-        ]
-    };
-    for (engine, jobs) in [
-        (Engine::Stabilizer, stab_jobs as fn() -> Vec<PoolJob>),
-        (Engine::Hybrid, hybrid_jobs as fn() -> Vec<PoolJob>),
-    ] {
-        let fingerprints: Vec<Vec<u64>> = [1usize, 2, 8]
-            .iter()
-            .map(|&workers| {
-                let pool = Simulator::builder()
-                    .engine(engine)
-                    .seed(42)
-                    .workers(workers)
-                    .build_pool();
-                pool.run_jobs(jobs())
-                    .into_iter()
-                    .map(|r| r.expect("pool job").fingerprint())
-                    .collect()
-            })
-            .collect();
-        assert_eq!(fingerprints[0], fingerprints[1], "{engine:?}: 1 vs 2");
-        assert_eq!(fingerprints[0], fingerprints[2], "{engine:?}: 1 vs 8");
-    }
-
-    // Sharded sampling through the tableau engine is worker-count
-    // invariant too.
-    let circuit = generators::random_clifford(10, 6, 9);
-    let reference = Simulator::builder()
-        .engine(Engine::Stabilizer)
-        .seed(42)
-        .workers(1)
-        .build_pool()
-        .sample_counts(&circuit, 5000)
-        .expect("counts");
-    assert_eq!(reference.values().sum::<usize>(), 5000);
-    for workers in [2usize, 8] {
-        let counts = Simulator::builder()
-            .engine(Engine::Stabilizer)
-            .seed(42)
-            .workers(workers)
-            .build_pool()
-            .sample_counts(&circuit, 5000)
-            .expect("counts");
-        assert_eq!(reference, counts, "stabilizer sharding, {workers} workers");
-    }
-}
 
 #[test]
 fn pool_matches_single_threaded_backend() {

@@ -5,8 +5,12 @@
 //! repository (`crates/`, `tests/`, `examples/`, `docs/`, `src/`,
 //! `benchmark/`, `.github/`) must name a file or directory of the
 //! checkout. A leading `/` means the repository root. A span containing
-//! `*` is a glob and is skipped; a `::item` or `:line` suffix is dropped
-//! before the check.
+//! `*` is a glob and is skipped; a `::item` suffix is dropped before the
+//! check.
+//!
+//! Line numbers: a span that cites a `file.rs:NN` line is rejected,
+//! rooted or not. Line numbers go stale with any edit above them; cite
+//! the file and a symbol in it instead.
 //!
 //! Symbols: every `Head::member` pair in an inline code span whose
 //! `Head` is CamelCase must have its `Head` declared (`struct`, `enum`,
@@ -15,9 +19,10 @@
 //! some Rust file under `crates/`, `src/`, `tests/` or `examples/`.
 //! Name-based: the member need not sit on that head, so a rename of a
 //! type or the deletion of a method's last declaration is what fails.
-//! [`SYMBOL_ALLOWLIST`] holds the cites of std items.
+//! [`SYMBOL_ALLOWLIST`] holds the cites of std items. A bare
+//! `name()` span must name a `fn` declared in the same trees.
 //!
-//! Fenced code blocks are skipped by both checks: their commands cite
+//! Fenced code blocks are skipped by every check: their commands cite
 //! paths inside other checkouts and build directories.
 
 use std::collections::HashSet;
@@ -78,6 +83,13 @@ fn cited_path(span: &str) -> Option<&str> {
     path.split(':').next()
 }
 
+/// Whether a code span cites a line of a Rust file (`file.rs:NN`).
+fn cites_a_line(span: &str) -> bool {
+    span.split(".rs:")
+        .skip(1)
+        .any(|rest| rest.starts_with(|c: char| c.is_ascii_digit()))
+}
+
 #[test]
 fn rooted_paths_in_the_docs_exist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -86,6 +98,9 @@ fn rooted_paths_in_the_docs_exist() {
     for document in DOCUMENTS {
         let text = fs::read_to_string(root.join(document)).expect("document");
         for span in code_spans(&text) {
+            if cites_a_line(&span) {
+                missing.push(format!("{document}: `{span}` cites a line number"));
+            }
             if let Some(path) = cited_path(&span) {
                 checked += 1;
                 if !root.join(path).exists() {
@@ -97,7 +112,7 @@ fn rooted_paths_in_the_docs_exist() {
     assert!(checked > 0, "no rooted path found: the scanner is stale");
     assert!(
         missing.is_empty(),
-        "docs cite paths that do not exist ({}):\n{}",
+        "docs cite missing paths or line numbers ({}):\n{}",
         missing.len(),
         missing.join("\n")
     );
@@ -106,11 +121,16 @@ fn rooted_paths_in_the_docs_exist() {
 #[test]
 fn spans_and_paths_are_read_as_documented() {
     let text = "`crates/dd` and `/tests/x.rs::case`\n```bash\ncargo `crates/gone`\n```\n`src/a.rs:12` `crates/*/src` `cargo test`";
-    let cited: Vec<_> = code_spans(text)
+    let spans = code_spans(text);
+    let cited: Vec<_> = spans
         .iter()
         .filter_map(|span| cited_path(span).map(str::to_owned))
         .collect();
     assert_eq!(cited, ["crates/dd", "tests/x.rs", "src/a.rs"]);
+    let line_cites: Vec<_> = spans.iter().filter(|span| cites_a_line(span)).collect();
+    assert_eq!(line_cites, ["src/a.rs:12"]);
+    assert!(cites_a_line("see pool.rs:88 and ops.rs"));
+    assert!(!cites_a_line("tests/x.rs::case"));
 }
 
 /// `span` with every `<…>` group removed, so `Arena<T>::get` reads
@@ -155,6 +175,11 @@ fn symbol_cites(span: &str) -> Vec<(String, String)> {
     cites
 }
 
+/// The function a bare `name()` span cites.
+fn bare_fn_cite(span: &str) -> Option<&str> {
+    span.trim().strip_suffix("()").filter(|name| is_ident(name))
+}
+
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
@@ -179,11 +204,13 @@ fn leading_ident(text: &str) -> Option<&str> {
 }
 
 /// What a source text declares: type names (declared or the self type
-/// of an `impl`) and member names (`fn`, `const`, fields, variants).
+/// of an `impl`), member names (`fn`, `const`, fields, variants), and
+/// among them the `fn` names.
 #[derive(Default)]
 struct Declared {
     heads: HashSet<String>,
     members: HashSet<String>,
+    fns: HashSet<String>,
 }
 
 impl Declared {
@@ -204,6 +231,9 @@ impl Declared {
                 ("const ", false),
             ] {
                 if let Some(name) = line.strip_prefix(keyword).and_then(leading_ident) {
+                    if keyword.ends_with("fn ") {
+                        self.fns.insert(name.to_owned());
+                    }
                     let set = if into_heads {
                         &mut self.heads
                     } else {
@@ -256,6 +286,12 @@ fn cited_symbols_in_the_docs_exist() {
     for document in DOCUMENTS {
         let text = fs::read_to_string(root.join(document)).expect("document");
         for span in code_spans(&text) {
+            if let Some(name) = bare_fn_cite(&span) {
+                checked += 1;
+                if !declared.fns.contains(name) {
+                    missing.push(format!("{document}: no fn `{name}` in `{span}`"));
+                }
+            }
             for (head, member) in symbol_cites(&span) {
                 if SYMBOL_ALLOWLIST.contains(&(head.as_str(), member.as_str())) {
                     continue;
@@ -279,10 +315,14 @@ fn cited_symbols_in_the_docs_exist() {
 #[test]
 fn symbols_and_declarations_are_read_as_documented() {
     let cites = symbol_cites(
-        "`approxdd_sim::Engine::Dd`, <Arena<T>>::get, Arena<T>::sweep(x) -> y, dd::ops, MAX::x",
+        "`approxdd_sim::Strategy::Exact`, <Arena<T>>::get, Arena<T>::sweep(x) -> y, dd::ops, MAX::x",
     );
     let cites: Vec<_> = cites.iter().map(|(h, m)| format!("{h}::{m}")).collect();
-    assert_eq!(cites, ["Engine::Dd", "Arena::sweep"]);
+    assert_eq!(cites, ["Strategy::Exact", "Arena::sweep"]);
+    assert_eq!(bare_fn_cite(" heal() "), Some("heal"));
+    for not_bare in ["heal(x)", "pool.heal()", "Pool::heal()", "()", "a b()"] {
+        assert_eq!(bare_fn_cite(not_bare), None, "{not_bare}");
+    }
 
     let mut declared = Declared::default();
     declared.scan(
@@ -296,4 +336,6 @@ fn symbols_and_declarations_are_read_as_documented() {
     for member in ["field", "Unit", "Tuple", "Named", "method", "LIMIT"] {
         assert!(declared.members.contains(member), "{member}");
     }
+    let fns: Vec<_> = declared.fns.iter().map(String::as_str).collect();
+    assert_eq!(fns, ["method"]);
 }
