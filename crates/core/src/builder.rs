@@ -29,8 +29,10 @@ use crate::simulator::{SimSnapshot, Simulator, DEFAULT_SAMPLE_SEED};
 /// assert_eq!(run.stats.size_series.len(), 8);
 /// ```
 ///
-/// Beyond the [`Strategy`] presets, [`SimulatorBuilder::policy`]
-/// installs any custom [`crate::ApproxPolicy`] and
+/// The run's approximation policy lives in one slot: a
+/// [`PolicyFactory`], [`Strategy::Exact`] until
+/// [`SimulatorBuilder::policy`] (or its preset spelling
+/// [`SimulatorBuilder::strategy`]) replaces it.
 /// [`SimulatorBuilder::observe`] attaches run-trace observers — see
 /// the [`crate::policy`] module docs.
 #[derive(Clone)]
@@ -39,7 +41,7 @@ pub struct SimulatorBuilder {
     options: SimOptions,
     seed: Option<u64>,
     workers: Option<usize>,
-    policy: Option<Arc<dyn PolicyFactory>>,
+    policy: Arc<dyn PolicyFactory>,
     observers: Vec<SharedObserver>,
     retry: RetryPolicy,
 }
@@ -50,10 +52,9 @@ impl std::fmt::Debug for SimulatorBuilder {
             .field("options", &self.options)
             .field("seed", &self.seed)
             .field("workers", &self.workers)
-            .field("policy", &self.policy.is_some())
             .field("observers", &self.observers.len())
             .field("retry", &self.retry)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -64,21 +65,16 @@ impl SimulatorBuilder {
             options: SimOptions::default(),
             seed: None,
             workers: None,
-            policy: None,
+            policy: Arc::new(Strategy::Exact),
             observers: Vec::new(),
             retry: RetryPolicy::default(),
         }
     }
 
-    /// Sets the approximation strategy (a preset that constructs the
-    /// matching [`crate::ApproxPolicy`]). Clears any custom policy set
-    /// through [`SimulatorBuilder::policy`] — the last of the two calls
-    /// wins, which is what lets per-job strategy overrides in pooled
-    /// execution replace a template's policy.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.options.strategy = strategy;
-        self.policy = None;
-        self
+    /// [`SimulatorBuilder::policy`] with a [`Strategy`] preset, which
+    /// constructs the matching [`crate::ApproxPolicy`].
+    pub fn strategy(self, strategy: Strategy) -> Self {
+        self.policy(strategy)
     }
 
     /// Installs a custom approximation policy via its factory — every
@@ -94,8 +90,7 @@ impl SimulatorBuilder {
     /// assert_eq!(sim.policy_name(), "exact");
     /// ```
     ///
-    /// Overrides any [`SimulatorBuilder::strategy`] preset set earlier;
-    /// a later `strategy(…)` call clears it again (last call wins).
+    /// Replaces the policy set by any earlier call.
     pub fn policy<P: PolicyFactory + 'static>(self, factory: P) -> Self {
         self.policy_factory(Arc::new(factory))
     }
@@ -103,17 +98,14 @@ impl SimulatorBuilder {
     /// [`SimulatorBuilder::policy`] taking an already-shared factory
     /// (what pooled per-job overrides pass through).
     pub fn policy_factory(mut self, factory: Arc<dyn PolicyFactory>) -> Self {
-        self.policy = Some(factory);
+        self.policy = factory;
         self
     }
 
-    /// The policy factory the built simulator will use: the custom one,
-    /// or the [`SimulatorBuilder::strategy`] preset.
+    /// The policy factory the built simulator will use.
     #[must_use]
-    pub fn policy_factory_or_preset(&self) -> Arc<dyn PolicyFactory> {
-        self.policy
-            .clone()
-            .unwrap_or_else(|| Arc::new(self.options.strategy))
+    pub fn current_policy(&self) -> Arc<dyn PolicyFactory> {
+        Arc::clone(&self.policy)
     }
 
     /// Attaches a run-trace observer; the built simulator reports every
@@ -144,32 +136,6 @@ impl SimulatorBuilder {
     ) -> Self {
         self.observers.push(observer);
         self
-    }
-
-    /// Shortcut for [`Strategy::Exact`] (the default).
-    pub fn exact(self) -> Self {
-        self.strategy(Strategy::Exact)
-    }
-
-    /// Shortcut for the paper-text memory-driven strategy
-    /// ([`Strategy::memory_driven`], doubling threshold).
-    pub fn memory_driven(self, node_threshold: usize, round_fidelity: f64) -> Self {
-        self.strategy(Strategy::memory_driven(node_threshold, round_fidelity))
-    }
-
-    /// Shortcut for the Table-I memory-driven regime
-    /// ([`Strategy::memory_driven_table1`], fixed threshold).
-    pub fn memory_driven_table1(self, node_threshold: usize, round_fidelity: f64) -> Self {
-        self.strategy(Strategy::memory_driven_table1(
-            node_threshold,
-            round_fidelity,
-        ))
-    }
-
-    /// Shortcut for the fidelity-driven strategy
-    /// ([`Strategy::fidelity_driven`]).
-    pub fn fidelity_driven(self, final_fidelity: f64, round_fidelity: f64) -> Self {
-        self.strategy(Strategy::fidelity_driven(final_fidelity, round_fidelity))
     }
 
     /// Sets the package garbage-collection threshold (alive nodes).
@@ -220,15 +186,11 @@ impl SimulatorBuilder {
     }
 
     /// Does nothing, whatever `share` is. It used to freeze every gate
-    /// DD of a pooled batch into one [`SimSnapshot`] before any worker
-    /// started. A snapshot frozen from several circuits is not sound:
-    /// the unique table's first-write-wins representatives of one
-    /// circuit then become another circuit's gate DDs, and a job's
-    /// result bits depend on the rest of its batch. A pool now runs
-    /// every batch without a snapshot unless the caller hands it a
-    /// snapshot of the one circuit its jobs run
-    /// (`BackendPool::run_jobs_with_snapshot`, what the job server's
-    /// warm sessions do).
+    /// DD of a pooled batch into one [`SimSnapshot`], which made a
+    /// job's result bits depend on the rest of its batch. A pool now
+    /// runs every batch without a snapshot unless the caller hands it
+    /// one frozen by [`SimulatorBuilder::build_snapshot`] from the
+    /// circuit its jobs run (what the job server's warm sessions do).
     ///
     /// Kept only so existing callers still compile; it will be deleted.
     pub fn share_snapshot(self, _share: bool) -> Self {
@@ -255,21 +217,17 @@ impl SimulatorBuilder {
         self.retry
     }
 
-    /// Builds a frozen [`SimSnapshot`] warming every gate of the given
-    /// circuits with this builder's options. Jobs layered over it give
-    /// the bits of a snapshot-free run only when they run the one
-    /// circuit it was frozen from — what the job server's warm sessions
-    /// freeze (see `BackendPool::run_jobs_with_snapshot`).
+    /// Builds a frozen [`SimSnapshot`] warming every gate of `circuit`
+    /// with this builder's options. Jobs that run `circuit` over it give
+    /// the bits of a snapshot-free run — what the job server's warm
+    /// sessions freeze (see `BackendPool::run_jobs_with_snapshot`).
     ///
     /// # Errors
     ///
     /// Propagates gate-construction errors from the first offending
     /// operation.
-    pub fn build_snapshot<'a>(
-        &self,
-        circuits: impl IntoIterator<Item = &'a Circuit>,
-    ) -> crate::Result<SimSnapshot> {
-        SimSnapshot::build(&self.options, circuits)
+    pub fn build_snapshot(&self, circuit: &Circuit) -> crate::Result<SimSnapshot> {
+        SimSnapshot::build(&self.options, circuit)
     }
 
     /// The worker-thread count a pool built from this builder will use:
@@ -292,10 +250,10 @@ impl SimulatorBuilder {
         self.seed.unwrap_or(DEFAULT_SAMPLE_SEED)
     }
 
-    /// Builds the simulator. Policy parameters are validated at
-    /// [`Simulator::run`] time (when the policy sees the circuit); use
-    /// [`SimulatorBuilder::try_build`] to reject bad strategy presets
-    /// eagerly.
+    /// Builds the simulator. Policy parameters are validated when a
+    /// run begins ([`Simulator::run`]), where the policy sees the
+    /// circuit: an invalid preset fails that run with
+    /// [`crate::SimError::InvalidStrategy`].
     #[must_use = "building a simulator has no side effects"]
     pub fn build(self) -> Simulator {
         self.build_with_snapshot(None)
@@ -314,7 +272,7 @@ impl SimulatorBuilder {
     ///
     /// let circuit = approxdd_circuit::generators::ghz(4);
     /// let builder = Simulator::builder().seed(11);
-    /// let snapshot = Arc::new(builder.build_snapshot([&circuit]).unwrap());
+    /// let snapshot = Arc::new(builder.build_snapshot(&circuit).unwrap());
     /// let mut sim = builder.build_with_snapshot(snapshot);
     /// let run = sim.run(&circuit).unwrap();
     /// assert!(sim.snapshot_gate_hits() > 0);
@@ -322,31 +280,12 @@ impl SimulatorBuilder {
     /// ```
     #[must_use = "building a simulator has no side effects"]
     pub fn build_with_snapshot(self, snapshot: impl Into<Option<Arc<SimSnapshot>>>) -> Simulator {
-        let factory = self.policy_factory_or_preset();
-        let mut sim = Simulator::with_snapshot(self.options, self.sample_seed(), snapshot.into());
-        sim.set_policy_factory(factory);
+        let seed = self.sample_seed();
+        let mut sim = Simulator::with_snapshot(self.options, seed, snapshot.into(), self.policy);
         for observer in self.observers {
             sim.attach_observer(observer);
         }
         sim
-    }
-
-    /// Like [`SimulatorBuilder::build`], but validates the
-    /// [`SimulatorBuilder::strategy`] preset eagerly — NaN, zero or
-    /// out-of-range fidelities and a zero node threshold are rejected
-    /// here with a typed [`crate::SimError`] instead of at run time.
-    /// (A custom [`SimulatorBuilder::policy`] validates itself when a
-    /// run begins, since validation may depend on the circuit.)
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SimError::InvalidStrategy`] for out-of-range preset
-    /// parameters.
-    pub fn try_build(self) -> crate::Result<Simulator> {
-        if self.policy.is_none() {
-            self.options.validate()?;
-        }
-        Ok(self.build())
     }
 }
 
@@ -364,18 +303,12 @@ mod tests {
     #[test]
     fn builder_sets_every_knob() {
         let b = Simulator::builder()
-            .fidelity_driven(0.5, 0.9)
+            .strategy(Strategy::fidelity_driven(0.5, 0.9))
             .gc_node_threshold(1234)
             .record_size_series(true)
             .seed(7);
+        assert_eq!(b.current_policy().build().name(), "fidelity-driven");
         let o = &b.options;
-        assert_eq!(
-            o.strategy,
-            Strategy::FidelityDriven {
-                final_fidelity: 0.5,
-                round_fidelity: 0.9
-            }
-        );
         assert_eq!(o.gc_node_threshold, 1234);
         assert!(o.record_size_series);
     }
@@ -414,7 +347,7 @@ mod tests {
     fn snapshot_build_matches_plain_build() {
         let circuit = generators::qft(5);
         let builder = Simulator::builder().seed(3);
-        let snapshot = Arc::new(builder.build_snapshot([&circuit]).unwrap());
+        let snapshot = Arc::new(builder.build_snapshot(&circuit).unwrap());
         assert!(snapshot.frozen_nodes() > 0);
 
         let mut plain = builder.clone().build();
@@ -438,24 +371,5 @@ mod tests {
         assert_eq!(b.retry_policy().max_attempts, 3);
         // Survives cloning into pool templates.
         assert_eq!(b.clone().retry_policy(), b.retry_policy());
-    }
-
-    #[test]
-    fn presets_match_strategy_constructors() {
-        assert_eq!(
-            Simulator::builder().memory_driven(64, 0.9).options.strategy,
-            Strategy::memory_driven(64, 0.9)
-        );
-        assert_eq!(
-            Simulator::builder()
-                .memory_driven_table1(64, 0.9)
-                .options
-                .strategy,
-            Strategy::memory_driven_table1(64, 0.9)
-        );
-        assert_eq!(
-            Simulator::builder().exact().options.strategy,
-            Strategy::Exact
-        );
     }
 }

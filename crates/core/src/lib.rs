@@ -31,12 +31,12 @@
 //!
 //! ```
 //! use approxdd_circuit::generators;
-//! use approxdd_sim::Simulator;
+//! use approxdd_sim::{Simulator, Strategy};
 //!
 //! # fn main() -> Result<(), approxdd_sim::SimError> {
 //! let circuit = generators::grover(6, 0b101101, None);
 //! let mut sim = Simulator::builder()
-//!     .fidelity_driven(0.8, 0.95)
+//!     .strategy(Strategy::fidelity_driven(0.8, 0.95))
 //!     .seed(1)
 //!     .build();
 //! let run = sim.run(&circuit)?;

@@ -89,11 +89,11 @@ pub fn trace_event_json(event: &TraceEvent) -> Json {
 /// ```
 /// use approxdd_circuit::generators;
 /// use approxdd_sim::ndjson::trace_to_ndjson;
-/// use approxdd_sim::{Simulator, TraceRecorder};
+/// use approxdd_sim::{Simulator, Strategy, TraceRecorder};
 ///
 /// let recorder = TraceRecorder::shared();
 /// let mut sim = Simulator::builder()
-///     .memory_driven(8, 0.9)
+///     .strategy(Strategy::memory_driven(8, 0.9))
 ///     .observe(recorder.clone())
 ///     .build();
 /// sim.run(&generators::qft(5)).unwrap();

@@ -204,17 +204,17 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Options controlling a [`crate::Simulator`].
+/// Options controlling a [`crate::Simulator`]. The approximation
+/// policy is not among them: it travels as one
+/// `Arc<dyn PolicyFactory>` from the builder to the simulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SimOptions {
-    /// Approximation strategy (default: [`Strategy::Exact`]).
-    pub strategy: Strategy,
     /// Garbage-collect the package when its total alive node count
     /// exceeds this value (default: 1 « 18).
     pub(crate) gc_node_threshold: usize,
     /// Record the DD size after every gate into
-    /// [`crate::SimStats::size_series`] (default: off; used by the
-    /// benchmark harness to regenerate size-over-time series).
+    /// [`crate::SimStats::size_series`] (default: off; the golden and
+    /// determinism suites set it to pin size-over-time series).
     pub record_size_series: bool,
     /// `log2` slot count of the DD package's lossy compute table, the
     /// `add` table (`None` → the engine default, 2^16 slots; clamped
@@ -226,26 +226,9 @@ pub(crate) struct SimOptions {
     pub(crate) compute_cache_bits: Option<u32>,
 }
 
-impl SimOptions {
-    /// Validates the options: the strategy preset's parameters (NaN,
-    /// zero and out-of-range fidelities, zero node thresholds — see
-    /// [`Strategy::validate`]) plus any future option-level
-    /// constraints. What [`crate::SimulatorBuilder::try_build`] checks
-    /// eagerly.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidStrategy`] for out-of-range strategy
-    /// parameters.
-    pub(crate) fn validate(&self) -> Result<(), SimError> {
-        self.strategy.validate()
-    }
-}
-
 impl Default for SimOptions {
     fn default() -> Self {
         Self {
-            strategy: Strategy::Exact,
             gc_node_threshold: 1 << 18,
             record_size_series: false,
             compute_cache_bits: None,
@@ -321,9 +304,9 @@ mod tests {
     #[test]
     fn default_options_are_exact() {
         let o = SimOptions::default();
-        assert_eq!(o.strategy, Strategy::Exact);
         assert!(!o.record_size_series);
-        assert!(o.validate().is_ok());
+        assert_eq!(o.compute_cache_bits, None);
+        assert_eq!(crate::Simulator::builder().build().policy_name(), "exact");
     }
 
     #[test]
@@ -364,14 +347,5 @@ mod tests {
         assert!(Strategy::fidelity_driven(0.0, 0.9).validate().is_err());
         assert!(Strategy::fidelity_driven(1.5, 0.9).validate().is_err());
         assert!(Strategy::fidelity_driven(0.5, 0.0).validate().is_err());
-        // Options-level validation delegates to the strategy.
-        let options = SimOptions {
-            strategy: Strategy::memory_driven(0, 0.9),
-            ..SimOptions::default()
-        };
-        assert!(matches!(
-            options.validate(),
-            Err(SimError::InvalidStrategy { .. })
-        ));
     }
 }

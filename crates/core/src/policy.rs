@@ -10,9 +10,10 @@
 //! decision without touching simulator internals.
 //!
 //! The closed [`Strategy`] enum survives as a thin preset layer: it
-//! implements [`PolicyFactory`], so every existing call site
-//! (`builder.strategy(…)`, per-job pool overrides, the benches) keeps
-//! working and now merely *constructs* the matching policy.
+//! implements [`PolicyFactory`], so `builder.strategy(s)` is
+//! `builder.policy(s)` and a pool job takes a preset through
+//! `PoolJob::policy` — the preset merely *constructs* the matching
+//! policy.
 //!
 //! # Writing a policy
 //!
@@ -734,7 +735,7 @@ pub enum TraceEvent {
 /// shared handle to read results back after the run:
 ///
 /// ```
-/// use approxdd_sim::{SimObserver, Simulator, TraceEvent};
+/// use approxdd_sim::{SimObserver, Simulator, Strategy, TraceEvent};
 /// use std::sync::{Arc, Mutex};
 ///
 /// /// Counts truncation rounds.
@@ -750,7 +751,7 @@ pub enum TraceEvent {
 ///
 /// let counter = Arc::new(Mutex::new(RoundCounter::default()));
 /// let mut sim = Simulator::builder()
-///     .memory_driven(8, 0.9)
+///     .strategy(Strategy::memory_driven(8, 0.9))
 ///     .observe(counter.clone())
 ///     .build();
 /// let run = sim.run(&approxdd_circuit::generators::qft(6)).unwrap();

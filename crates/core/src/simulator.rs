@@ -29,7 +29,7 @@ const MAX_DD_QUBITS: usize = 63;
 
 /// Statistics of one simulation run — the quantities Table I of the
 /// paper reports per benchmark.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     /// State-transforming operations applied.
     pub gates_applied: usize,
@@ -175,25 +175,26 @@ pub struct SimSnapshot {
 }
 
 impl SimSnapshot {
-    /// Warms the gate-DD cache over every gate of every circuit (in
-    /// iteration order — the same order a lazy simulator would build
-    /// them for each circuit) and freezes the result.
+    /// Warms the gate-DD cache over every gate of `circuit` (in
+    /// circuit order — the order a lazy simulator would build them)
+    /// and freezes the result.
     ///
     /// # Errors
     ///
     /// Propagates gate-construction errors (e.g. malformed
     /// permutations) from the first offending operation.
-    pub(crate) fn build<'a>(
-        options: &SimOptions,
-        circuits: impl IntoIterator<Item = &'a Circuit>,
-    ) -> Result<Self> {
+    pub(crate) fn build(options: &SimOptions, circuit: &Circuit) -> Result<Self> {
         let _span = telemetry::Span::enter("snapshot.build");
-        let mut sim = Simulator::with_snapshot(*options, DEFAULT_SAMPLE_SEED, None);
-        for circuit in circuits {
-            for op in circuit.ops() {
-                if op.is_gate() {
-                    sim.gate_dd(circuit, op)?;
-                }
+        // The freezing simulator never runs, so its policy is never built.
+        let mut sim = Simulator::with_snapshot(
+            *options,
+            DEFAULT_SAMPLE_SEED,
+            None,
+            Arc::new(crate::Strategy::Exact),
+        );
+        for op in circuit.ops() {
+            if op.is_gate() {
+                sim.gate_dd(circuit, op)?;
             }
         }
         Ok(Self {
@@ -276,9 +277,8 @@ impl Simulator {
 
     /// The one constructor (what [`SimulatorBuilder::build`] and
     /// [`SimulatorBuilder::build_with_snapshot`] call), optionally
-    /// layered over a shared frozen snapshot. The approximation policy
-    /// is derived from `options.strategy` unless
-    /// [`Simulator::set_policy_factory`] replaces it. With `Some`, the
+    /// layered over a shared frozen snapshot. Every run builds its
+    /// approximation policy from `policy_factory`. With `Some`, the
     /// package resolves
     /// frozen nodes through the snapshot and allocates private nodes
     /// above the watermark, and warmed gate DDs are served from the
@@ -289,6 +289,7 @@ impl Simulator {
         options: SimOptions,
         seed: u64,
         snapshot: Option<Arc<SimSnapshot>>,
+        policy_factory: Arc<dyn PolicyFactory>,
     ) -> Self {
         let package = match &snapshot {
             Some(snapshot) => {
@@ -301,7 +302,7 @@ impl Simulator {
         };
         Self {
             package,
-            policy_factory: Arc::new(options.strategy),
+            policy_factory,
             observers: Vec::new(),
             options,
             gate_cache: HashMap::new(),
@@ -316,14 +317,6 @@ impl Simulator {
     #[must_use]
     pub fn snapshot_gate_hits(&self) -> u64 {
         self.snapshot_gate_hits
-    }
-
-    /// Replaces the approximation-policy factory. Each run builds a
-    /// fresh policy instance from it; [`SimOptions::strategy`] no
-    /// longer steers the run after this call (it remains visible in
-    /// [`Simulator::options`] as configuration history only).
-    pub(crate) fn set_policy_factory(&mut self, factory: Arc<dyn PolicyFactory>) {
-        self.policy_factory = factory;
     }
 
     /// The name of the policy a run of this simulator would use.
@@ -870,7 +863,9 @@ mod tests {
     #[test]
     fn fidelity_driven_respects_final_bound() {
         let circuit = generators::supremacy(2, 3, 12, 1);
-        let mut sim = Simulator::builder().fidelity_driven(0.6, 0.9).build();
+        let mut sim = Simulator::builder()
+            .strategy(Strategy::fidelity_driven(0.6, 0.9))
+            .build();
         let run = sim.run(&circuit).unwrap();
         assert!(
             run.stats.fidelity >= 0.6 - 1e-9,
@@ -906,7 +901,9 @@ mod tests {
         let exact_run = exact.run(&circuit).unwrap();
 
         let threshold = 12;
-        let mut sim = Simulator::builder().memory_driven(threshold, 0.9).build();
+        let mut sim = Simulator::builder()
+            .strategy(Strategy::memory_driven(threshold, 0.9))
+            .build();
         let run = sim.run(&circuit).unwrap();
         assert!(run.stats.approx_rounds > 0, "threshold should trigger");
         assert!(
@@ -921,7 +918,9 @@ mod tests {
     #[test]
     fn fidelity_product_matches_round_fidelities() {
         let circuit = generators::supremacy(2, 2, 10, 5);
-        let mut sim = Simulator::builder().fidelity_driven(0.7, 0.95).build();
+        let mut sim = Simulator::builder()
+            .strategy(Strategy::fidelity_driven(0.7, 0.95))
+            .build();
         let run = sim.run(&circuit).unwrap();
         let product: f64 = run.stats.round_fidelities.iter().product();
         assert!((product - run.stats.fidelity).abs() < 1e-12);
@@ -938,7 +937,9 @@ mod tests {
 
     #[test]
     fn invalid_strategy_is_rejected_before_running() {
-        let mut sim = Simulator::builder().fidelity_driven(2.0, 0.9).build();
+        let mut sim = Simulator::builder()
+            .strategy(Strategy::fidelity_driven(2.0, 0.9))
+            .build();
         assert!(matches!(
             sim.run(&generators::ghz(3)),
             Err(SimError::InvalidStrategy { .. })
@@ -1011,15 +1012,17 @@ mod tests {
             gc_node_threshold: 16,
             ..SimOptions::default()
         };
-        let snapshot = Arc::new(SimSnapshot::build(&options, circuits.iter()).unwrap());
-        assert!(snapshot.cached_gates() > 0);
-        assert!(snapshot.frozen_nodes() > 0);
+        let exact = || Arc::new(Strategy::Exact) as Arc<dyn PolicyFactory>;
         for circuit in &circuits {
-            let mut plain = Simulator::with_snapshot(options, 7, None);
+            let snapshot = Arc::new(SimSnapshot::build(&options, circuit).unwrap());
+            assert!(snapshot.cached_gates() > 0);
+            assert!(snapshot.frozen_nodes() > 0);
+            let mut plain = Simulator::with_snapshot(options, 7, None, exact());
             let want = plain.run(circuit).unwrap();
             let want_amps = plain.amplitudes(&want).unwrap();
 
-            let mut snap = Simulator::with_snapshot(options, 7, Some(Arc::clone(&snapshot)));
+            let mut snap =
+                Simulator::with_snapshot(options, 7, Some(Arc::clone(&snapshot)), exact());
             let got = snap.run(circuit).unwrap();
             let got_amps = snap.amplitudes(&got).unwrap();
             for (g, w) in got_amps.iter().zip(&want_amps) {

@@ -207,34 +207,6 @@ pub struct PackageStats {
 }
 
 impl PackageStats {
-    /// Aggregate compute-cache hit rate over the package's lifetime
-    /// (0 when no lookups happened).
-    #[must_use]
-    pub fn ct_hit_rate(&self) -> f64 {
-        let total = self.ct_hits + self.ct_misses;
-        if total == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.ct_hits as f64 / total as f64
-            }
-        }
-    }
-
-    /// Fraction of unique-table buckets holding a live entry.
-    #[must_use]
-    pub fn unique_occupancy(&self) -> f64 {
-        if self.unique_capacity == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.unique_len as f64 / self.unique_capacity as f64
-            }
-        }
-    }
-
     /// Peak simultaneously-alive nodes of both kinds combined.
     #[must_use]
     pub fn peak_nodes(&self) -> usize {

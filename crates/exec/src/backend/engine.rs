@@ -88,9 +88,11 @@ impl AnyBackend {
     /// Admission errors ([`ExecError::Circuit`], [`ExecError::Sim`],
     /// [`ExecError::Dd`]) and engine execution errors.
     pub fn run(&mut self, circuit: &Circuit) -> Result<RunOutcome> {
-        let result = self.sim.run(circuit)?;
+        let mut result = self.sim.run(circuit)?;
+        // Moved, not copied: queries and `release` read only the
+        // state, so the outcome holds the run's stats once.
         Ok(RunOutcome {
-            stats: result.stats.clone().into(),
+            stats: std::mem::take(&mut result.stats).into(),
             result,
         })
     }

@@ -84,28 +84,6 @@ pub struct BackendStats {
     pub dd: Option<approxdd_dd::PackageStats>,
 }
 
-impl BackendStats {
-    /// Compute-table hit rate of the run's DD package.
-    #[must_use]
-    pub fn ct_hit_rate(&self) -> Option<f64> {
-        self.dd.as_ref().map(approxdd_dd::PackageStats::ct_hit_rate)
-    }
-
-    /// Unique-table occupancy of the run's DD package.
-    #[must_use]
-    pub fn unique_occupancy(&self) -> Option<f64> {
-        self.dd
-            .as_ref()
-            .map(approxdd_dd::PackageStats::unique_occupancy)
-    }
-
-    /// Peak simultaneously-alive DD nodes, both node kinds combined.
-    #[must_use]
-    pub fn peak_nodes(&self) -> Option<usize> {
-        self.dd.as_ref().map(approxdd_dd::PackageStats::peak_nodes)
-    }
-}
-
 impl From<SimStats> for BackendStats {
     fn from(s: SimStats) -> Self {
         Self {

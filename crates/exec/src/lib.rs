@@ -153,7 +153,7 @@ mod tests {
         let circuit = generators::supremacy(2, 3, 12, 1);
         let jobs = vec![
             PoolJob::new(circuit.clone()),
-            PoolJob::new(circuit).strategy(Strategy::fidelity_driven(0.6, 0.9)),
+            PoolJob::new(circuit).policy(Strategy::fidelity_driven(0.6, 0.9)),
         ];
         let results = pool.run_jobs(jobs);
         let exact = results[0].as_ref().expect("exact job");
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn sampling_errors_propagate_not_hang() {
         let pool = Simulator::builder()
-            .fidelity_driven(2.0, 0.9) // invalid template strategy
+            .strategy(Strategy::fidelity_driven(2.0, 0.9)) // invalid template strategy
             .workers(2)
             .build_pool();
         let err = pool
@@ -300,7 +300,7 @@ mod tests {
             let template = Simulator::builder().workers(workers).seed(2);
             let pool = template.clone().build_pool();
             for circuit in &circuits {
-                let snapshot = template.build_snapshot([circuit]).expect("snapshot");
+                let snapshot = template.build_snapshot(circuit).expect("snapshot");
                 let jobs = vec![PoolJob::new(circuit.clone()); 2];
                 for result in pool.run_jobs_with_snapshot(jobs, Some(Arc::new(snapshot))) {
                     result.expect("job");
@@ -319,8 +319,8 @@ mod tests {
     /// progress, and its final view is the returned histogram — which
     /// is what `sample_counts` returns. `run_batch`, `run_jobs` and
     /// `run_jobs_with_snapshot` (each job handed a snapshot of its own
-    /// circuit) fingerprint identically, and `PoolJob::strategy` is
-    /// `PoolJob::policy` with a preset: the last call wins.
+    /// circuit) fingerprint identically, and a per-job preset steers
+    /// its run.
     #[test]
     fn streamed_sampling_reports_every_chunk_and_matches_plain() {
         let circuit = generators::ghz(6);
@@ -369,7 +369,7 @@ mod tests {
         let sessions: Vec<u64> = jobs()
             .into_iter()
             .flat_map(|job| {
-                let snapshot = template.build_snapshot([job.circuit()]).expect("snapshot");
+                let snapshot = template.build_snapshot(job.circuit()).expect("snapshot");
                 fingerprints(pool.run_jobs_with_snapshot(vec![job], Some(Arc::new(snapshot))))
             })
             .collect();
@@ -380,23 +380,8 @@ mod tests {
         // One job per submission: sampling seeds are keyed on the job
         // index, so only jobs at equal indices may be compared.
         let run = |job: PoolJob| fingerprints(pool.run_jobs(vec![job]))[0];
-        let preset = run(job().strategy(coarse));
-        assert_eq!(
-            preset,
-            run(job().policy(coarse)),
-            "strategy(s) is policy(s)"
-        );
-        assert_eq!(
-            preset,
-            run(job().policy(Strategy::Exact).strategy(coarse)),
-            "a later strategy replaces a policy"
-        );
+        let preset = run(job().policy(coarse));
         let exact = run(job());
-        assert_eq!(
-            exact,
-            run(job().strategy(coarse).policy(Strategy::Exact)),
-            "a later policy replaces a strategy"
-        );
         assert_ne!(preset, exact, "the override must steer the run");
     }
 
@@ -624,7 +609,7 @@ mod tests {
     fn approximate_dd_backend_reports_rounds_through_stats() {
         let circuit = generators::supremacy(2, 3, 12, 1);
         let mut dd = Simulator::builder()
-            .fidelity_driven(0.6, 0.9)
+            .strategy(Strategy::fidelity_driven(0.6, 0.9))
             .seed(3)
             .build_backend();
         let out = dd.run(&circuit).expect("run");

@@ -57,9 +57,9 @@
 //! counts the frozen gate nodes it uses as a private build would, so
 //! [`PoolOutcome::fingerprint`] stays byte-identical with and without
 //! the snapshot at any worker count — the workspace's
-//! `tests/determinism.rs` asserts exactly that. A snapshot frozen from
-//! several circuits breaks the second property: one circuit's gate DDs
-//! resolve to another's first-written representatives.
+//! `tests/determinism.rs` asserts exactly that.
+//! [`SimulatorBuilder::build_snapshot`] takes one circuit, so no
+//! snapshot mixes two circuits' first-written representatives.
 //!
 //! # Fault tolerance
 //!
@@ -181,18 +181,11 @@ impl PoolJob {
         }
     }
 
-    /// Overrides the approximation strategy for this job only:
-    /// [`PoolJob::policy`] with a preset, so the last of the two calls
-    /// wins, as on the builder.
-    #[must_use]
-    pub fn strategy(self, strategy: Strategy) -> Self {
-        self.policy(strategy)
-    }
-
     /// Overrides the approximation policy for this job only — the
     /// worker builds a fresh policy instance from the factory for this
     /// job (per-job instantiation is what keeps results bit-identical
-    /// and worker-count-invariant).
+    /// and worker-count-invariant). A [`approxdd_sim::Strategy`] preset
+    /// is a factory too: `PoolJob::new(c).policy(Strategy::Exact)`.
     #[must_use]
     pub fn policy<P: PolicyFactory + 'static>(mut self, factory: P) -> Self {
         self.policy = Some(Arc::new(factory));
@@ -633,7 +626,7 @@ pub(crate) fn verdict(
 /// let circuit = generators::qft(6);
 /// // The gate DDs of one circuit, frozen once and shared by every job
 /// // that runs it: same bits, less per-job gate building.
-/// let snapshot = Arc::new(template.build_snapshot([&circuit])?);
+/// let snapshot = Arc::new(template.build_snapshot(&circuit)?);
 /// let jobs = vec![PoolJob::new(circuit.clone()); 4];
 /// let outcomes = pool.run_jobs_with_snapshot(jobs, Some(snapshot));
 /// assert_eq!(outcomes.len(), 4);
@@ -807,12 +800,8 @@ impl BackendPool {
     /// determinism contract, `tests/determinism.rs`).
     ///
     /// **Precondition:** the snapshot was frozen, with this pool's
-    /// template options, from the one circuit every job in `jobs`
-    /// runs. The unique table keeps the first-written representative of
-    /// tolerance-equal weights, so a snapshot frozen from several
-    /// circuits hands one job another circuit's representatives, and
-    /// its result bits then depend on what else was frozen. `None` runs
-    /// the batch snapshot-free.
+    /// template options, from the circuit every job in `jobs` runs.
+    /// `None` runs the batch snapshot-free.
     #[must_use]
     pub fn run_jobs_with_snapshot(
         &self,
@@ -1271,7 +1260,7 @@ impl Worker {
         }
         let mut fired = None;
         if let Some(budget) = deadline {
-            let factory = DeadlineFactory::new(template.policy_factory_or_preset(), budget);
+            let factory = DeadlineFactory::new(template.current_policy(), budget);
             fired = Some(factory.fired_flag());
             template = template.policy_factory(Arc::new(factory));
         }

@@ -8,7 +8,7 @@
 use approxdd_circuit::generators;
 use approxdd_exec::backend::ExecError;
 use approxdd_exec::{BuildPool, SHOT_CHUNK};
-use approxdd_sim::Simulator;
+use approxdd_sim::{Simulator, Strategy};
 use approxdd_telemetry::phase_histogram;
 
 #[test]
@@ -16,7 +16,7 @@ fn failed_sampling_epoch_builds_one_engine_per_worker() {
     let workers = 2;
     let chunks = 24;
     let pool = Simulator::builder()
-        .fidelity_driven(2.0, 0.9) // invalid preset: every run fails in `prepare`
+        .strategy(Strategy::fidelity_driven(2.0, 0.9)) // invalid preset: every run fails
         .workers(workers)
         .build_pool();
     let builds = phase_histogram("backend.build");

@@ -86,7 +86,7 @@ fn execute_job(inner: &Inner, state: &JobState, spec: JobSpec) {
 
     let mut job = PoolJob::new(spec.circuit).trace(spec.trace);
     if let Some(strategy) = spec.strategy {
-        job = job.strategy(strategy);
+        job = job.policy(strategy);
     }
     if spec.shots > 0 && !spec.partials {
         job = job.shots(spec.shots);
@@ -143,7 +143,7 @@ fn warm_session(inner: &Inner, state: &JobState, circuit: &Circuit) -> Option<Ar
             // stall other runners' lookups. A racing runner may build
             // the same family concurrently; insert() keeps one
             // canonical Arc.
-            let built = inner.template.build_snapshot([circuit]).ok()?;
+            let built = inner.template.build_snapshot(circuit).ok()?;
             let canonical = lock(&inner.sessions).insert(family, Arc::new(built));
             (canonical, false)
         }

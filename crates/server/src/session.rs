@@ -175,7 +175,7 @@ mod tests {
         let circuit = generators::ghz(n);
         Arc::new(
             Simulator::builder()
-                .build_snapshot([&circuit])
+                .build_snapshot(&circuit)
                 .expect("snapshot builds"),
         )
     }

@@ -359,7 +359,7 @@ fn job_streams_stats_keys_and_gauge_names_are_what_they_were() {
     let circuit = from_qasm(QASM).expect("the fixed body parses");
     let family = format!("{:016x}", family_hash(&circuit));
     let memory_job = PoolJob::new(circuit.clone())
-        .strategy(Strategy::memory_driven(2, 0.9))
+        .policy(Strategy::memory_driven(2, 0.9))
         .shots(8);
     let fingerprint_a = direct_fingerprint(memory_job);
     // Partial histograms ride the sharded-sampling path, so the run

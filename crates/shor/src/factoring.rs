@@ -76,18 +76,18 @@ pub struct FactorOutcome {
 /// Construction errors from [`shor_circuit`], simulation errors, or
 /// [`ShorError::OrderNotFound`] when no sample verifies within the
 /// budget.
-pub fn find_order(n: u64, a: u64, options: &FactorOptions) -> Result<OrderFinding> {
+pub fn find_order(n: u64, a: u64, opts: &FactorOptions) -> Result<OrderFinding> {
     let circuit = shor_circuit(n, a)?;
-    let mut sim = Simulator::builder().strategy(options.strategy).build();
+    let mut sim = Simulator::builder().strategy(opts.strategy).build();
     let run = sim.run(&circuit)?;
 
     let n_work = bit_length(n);
     let m = 2 * n_work as u32;
-    let mut rng = StdRng::seed_from_u64(options.seed ^ a ^ n);
+    let mut rng = StdRng::seed_from_u64(opts.seed ^ a ^ n);
 
     let mut best: Option<u64> = None;
     let mut samples = 0usize;
-    for _ in 0..options.shots {
+    for _ in 0..opts.shots {
         samples += 1;
         let outcome = sim.sample(&run, &mut rng);
         let y = outcome >> n_work; // counting register (qubits n_work..3n)

@@ -21,7 +21,7 @@ fn sweep_jobs() -> Vec<PoolJob> {
         for f_round in [0.99, 0.95] {
             jobs.push(
                 PoolJob::new(circuit.clone())
-                    .strategy(Strategy::memory_driven_table1(1 << 8, f_round)),
+                    .policy(Strategy::memory_driven_table1(1 << 8, f_round)),
             );
         }
     }

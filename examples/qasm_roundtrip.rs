@@ -7,7 +7,7 @@
 
 use approxdd::backend::BuildBackend;
 use approxdd::circuit::{generators, qasm};
-use approxdd::sim::Simulator;
+use approxdd::sim::{Simulator, Strategy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = generators::qft(6);
@@ -25,7 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reimported.n_qubits()
     );
 
-    let mut backend = Simulator::builder().exact().build_backend();
+    let mut backend = Simulator::builder()
+        .strategy(Strategy::Exact)
+        .build_backend();
     let original = backend.run(&circuit)?;
     let roundtrip = backend.run(&reimported)?;
     let fidelity = backend.fidelity_between(&original, &roundtrip);

@@ -11,7 +11,7 @@
 
 use approxdd::backend::BuildBackend;
 use approxdd::circuit::generators;
-use approxdd::sim::Simulator;
+use approxdd::sim::{Simulator, Strategy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<usize> = std::env::args()
@@ -31,7 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Exact reference through the same API.
-    let mut exact = Simulator::builder().exact().build_backend();
+    let mut exact = Simulator::builder()
+        .strategy(Strategy::Exact)
+        .build_backend();
     let exact_run = exact.run(&circuit)?;
     println!(
         "\nexact:  max DD {:>8} nodes, runtime {:?}",
@@ -44,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let threshold = 1 << 11;
     for f_round in [0.99, 0.975, 0.95] {
         let mut backend = Simulator::builder()
-            .memory_driven_table1(threshold, f_round)
+            .strategy(Strategy::memory_driven_table1(threshold, f_round))
             .build_backend();
         let run = backend.run(&circuit)?;
         println!(

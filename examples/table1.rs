@@ -166,18 +166,18 @@ fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut jobs = Vec::new();
     for circuit in &w.supremacy {
         if !skip_exact {
-            jobs.push(PoolJob::new(circuit.clone()).strategy(Strategy::Exact));
+            jobs.push(PoolJob::new(circuit.clone()).policy(Strategy::Exact));
         }
         for &f_round in w.f_rounds {
             jobs.push(
                 PoolJob::new(circuit.clone())
-                    .strategy(Strategy::memory_driven_table1(w.threshold, f_round)),
+                    .policy(Strategy::memory_driven_table1(w.threshold, f_round)),
             );
         }
     }
     for (&(n, _), circuit) in w.shor.iter().zip(&shor) {
         if shor_exact(n) {
-            jobs.push(PoolJob::new(circuit.clone()).strategy(Strategy::Exact));
+            jobs.push(PoolJob::new(circuit.clone()).policy(Strategy::Exact));
         }
     }
     let mut results = Simulator::builder().build_pool().run_jobs(jobs).into_iter();

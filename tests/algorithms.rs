@@ -4,7 +4,7 @@
 //! paper's accuracy story).
 
 use approxdd::circuit::generators;
-use approxdd::sim::Simulator;
+use approxdd::sim::{Simulator, Strategy};
 use approxdd::statevector::{xeb, State};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,7 +14,7 @@ fn phase_estimation_recovers_the_phase() {
     let n = 7;
     let theta = 0.3218 * std::f64::consts::TAU; // phase fraction 0.3218
     let circuit = generators::phase_estimation(n, theta);
-    let mut sim = Simulator::builder().exact().build();
+    let mut sim = Simulator::builder().strategy(Strategy::Exact).build();
     let run = sim.run(&circuit).expect("qpe run");
 
     let mut rng = StdRng::seed_from_u64(17);
@@ -39,7 +39,9 @@ fn phase_estimation_survives_approximation() {
     let n = 7;
     let theta = 0.25 * std::f64::consts::TAU; // exactly representable phase
     let circuit = generators::phase_estimation(n, theta);
-    let mut sim = Simulator::builder().fidelity_driven(0.5, 0.9).build();
+    let mut sim = Simulator::builder()
+        .strategy(Strategy::fidelity_driven(0.5, 0.9))
+        .build();
     let run = sim.run(&circuit).expect("approx qpe");
     let mut rng = StdRng::seed_from_u64(23);
     let want = 1u64 << (n - 2); // 0.25 * 2^n
@@ -56,7 +58,7 @@ fn phase_estimation_survives_approximation() {
 #[test]
 fn deutsch_jozsa_distinguishes_constant_from_balanced() {
     let n = 8;
-    let mut sim = Simulator::builder().exact().build();
+    let mut sim = Simulator::builder().strategy(Strategy::Exact).build();
 
     let constant = sim
         .run(&generators::deutsch_jozsa(n, None))
@@ -81,7 +83,7 @@ fn shor_counting_register_peaks_at_multiples_of_period() {
     // 4..12). The marginal distribution over the counting register must
     // concentrate on multiples of 2^8 / r = 64.
     let circuit = approxdd::shor::shor_circuit(15, 7).expect("circuit");
-    let mut sim = Simulator::builder().exact().build();
+    let mut sim = Simulator::builder().strategy(Strategy::Exact).build();
     let run = sim.run(&circuit).expect("run");
     let counting: Vec<usize> = (4..12).collect();
     let dist = sim
@@ -104,7 +106,7 @@ fn shor_counting_register_peaks_at_multiples_of_period() {
 fn cuccaro_adder_adds_on_the_dd_simulator() {
     let n = 4;
     let circuit = generators::cuccaro_adder(n);
-    let mut sim = Simulator::builder().exact().build();
+    let mut sim = Simulator::builder().strategy(Strategy::Exact).build();
     for (a, b) in [(0u64, 0u64), (3, 5), (9, 9), (15, 1), (7, 12), (15, 15)] {
         // Input layout: ancilla 0, a in bits 1..=n, b in bits n+1..=2n.
         let input = (a << 1) | (b << (1 + n));
@@ -124,7 +126,7 @@ fn cuccaro_adder_adds_on_the_dd_simulator() {
 #[test]
 fn quantum_volume_matches_dense_baseline() {
     let circuit = generators::quantum_volume(5, 3, 2);
-    let mut sim = Simulator::builder().exact().build();
+    let mut sim = Simulator::builder().strategy(Strategy::Exact).build();
     let run = sim.run(&circuit).expect("qv run");
     let dd = sim.amplitudes(&run).expect("amps");
 
@@ -138,7 +140,9 @@ fn quantum_volume_matches_dense_baseline() {
 #[test]
 fn quantum_volume_under_approximation_keeps_unit_norm() {
     let circuit = generators::quantum_volume(8, 5, 4);
-    let mut sim = Simulator::builder().fidelity_driven(0.5, 0.9).build();
+    let mut sim = Simulator::builder()
+        .strategy(Strategy::fidelity_driven(0.5, 0.9))
+        .build();
     let run = sim.run(&circuit).expect("approx qv");
     assert!(run.stats.fidelity >= 0.5 - 1e-9);
     let amps = sim.amplitudes(&run).expect("amps");
@@ -164,7 +168,9 @@ fn xeb_of_approximate_supremacy_sampling_tracks_fidelity() {
         .sum::<f64>()
         - 1.0;
 
-    let mut sim = Simulator::builder().fidelity_driven(0.4, 0.85).build();
+    let mut sim = Simulator::builder()
+        .strategy(Strategy::fidelity_driven(0.4, 0.85))
+        .build();
     let run = sim.run(&circuit).expect("approx run");
     let f = run.stats.fidelity;
     assert!(f < 0.999, "approximation must have engaged");

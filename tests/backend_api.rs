@@ -274,14 +274,14 @@ fn pool_matches_single_threaded_backend() {
     let pool = Simulator::builder().seed(7).workers(3).build_pool();
     let pooled = pool
         .run_jobs(vec![
-            PoolJob::new(circuit.clone()).strategy(Strategy::fidelity_driven(0.6, 0.9))
+            PoolJob::new(circuit.clone()).policy(Strategy::fidelity_driven(0.6, 0.9))
         ])
         .pop()
         .unwrap()
         .expect("pool job");
 
     let mut serial = Simulator::builder()
-        .fidelity_driven(0.6, 0.9)
+        .strategy(Strategy::fidelity_driven(0.6, 0.9))
         .seed(7)
         .build_backend();
     let run = serial.run(&circuit).expect("serial");
@@ -321,7 +321,7 @@ fn poisoned_job_neither_deadlocks_nor_loses_neighbours() {
         .map(|seed| PoolJob::new(generators::supremacy(2, 2, 8, seed)))
         .collect();
     // Job 2 is poisoned: an invalid strategy fails admission.
-    jobs[2] = PoolJob::new(generators::ghz(4)).strategy(Strategy::FidelityDriven {
+    jobs[2] = PoolJob::new(generators::ghz(4)).policy(Strategy::FidelityDriven {
         final_fidelity: 2.0,
         round_fidelity: 0.9,
     });
@@ -345,7 +345,7 @@ fn poisoned_job_neither_deadlocks_nor_loses_neighbours() {
     // run_batch's fail-fast view surfaces errors instead of hanging: a
     // pool whose template strategy is invalid fails every job loudly.
     let bad_pool = Simulator::builder()
-        .fidelity_driven(2.0, 0.9)
+        .strategy(Strategy::fidelity_driven(2.0, 0.9))
         .workers(2)
         .build_pool();
     assert!(matches!(
@@ -386,7 +386,7 @@ fn approximating_backend_reports_honest_fidelity_vs_exact_engine() {
     // against the exact dense baseline.
     let circuit = generators::supremacy(2, 3, 12, 7);
     let mut approx = Simulator::builder()
-        .fidelity_driven(0.6, 0.9)
+        .strategy(Strategy::fidelity_driven(0.6, 0.9))
         .seed(1)
         .build_backend();
     let run = approx.run(&circuit).expect("approx");

@@ -43,7 +43,7 @@ fn observe(circuit: &Circuit, over_snapshot: bool) -> Observed {
             .gc_node_threshold(16)
     };
     let mut sim = if over_snapshot {
-        let snapshot = builder().build_snapshot([circuit]).expect("snapshot");
+        let snapshot = builder().build_snapshot(circuit).expect("snapshot");
         builder().build_with_snapshot(Arc::new(snapshot))
     } else {
         builder().build()

@@ -7,7 +7,7 @@
 use approxdd::backend::BuildBackend;
 use approxdd::circuit::{generators, Circuit};
 use approxdd::complex::Cplx;
-use approxdd::sim::{Simulator, SimulatorBuilder};
+use approxdd::sim::{Simulator, SimulatorBuilder, Strategy};
 
 /// Final amplitudes of `circuit` on the dense exact baseline.
 fn dense_amplitudes(circuit: &Circuit) -> Vec<Cplx> {
@@ -18,7 +18,7 @@ fn dense_amplitudes(circuit: &Circuit) -> Vec<Cplx> {
 }
 
 fn assert_same_state(circuit: &Circuit, builder: SimulatorBuilder) {
-    let mut dd = builder.exact().build_backend();
+    let mut dd = builder.strategy(Strategy::Exact).build_backend();
     let run = dd
         .run(circuit)
         .unwrap_or_else(|e| panic!("dd run of {}: {e}", circuit.name()));
@@ -68,7 +68,7 @@ fn approximate_fidelity_is_honest_against_dense_reference() {
     // equals the true overlap — Lemma 1 end-to-end.
     let circuit = generators::supremacy(3, 3, 12, 4);
     let mut dd = Simulator::builder()
-        .fidelity_driven(0.5, 0.9)
+        .strategy(Strategy::fidelity_driven(0.5, 0.9))
         .build_backend();
     let run = dd.run(&circuit).expect("approx run");
     let reported = run.stats.fidelity;
@@ -94,7 +94,9 @@ fn approximate_fidelity_is_honest_against_dense_reference() {
 #[test]
 fn memory_driven_state_stays_normalized() {
     let circuit = generators::supremacy(3, 3, 14, 2);
-    let mut dd = Simulator::builder().memory_driven(64, 0.95).build_backend();
+    let mut dd = Simulator::builder()
+        .strategy(Strategy::memory_driven(64, 0.95))
+        .build_backend();
     let run = dd.run(&circuit).expect("run");
     let amps = dd.amplitudes(&run).expect("amps");
     let norm: f64 = amps.iter().map(|a| a.mag2()).sum();

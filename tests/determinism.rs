@@ -132,7 +132,7 @@ impl Job {
     fn pool_job(&self) -> PoolJob {
         let job = PoolJob::new(self.circuit.clone()).shots(self.shots);
         match self.strategy {
-            Some(strategy) => job.strategy(strategy),
+            Some(strategy) => job.policy(strategy),
             None => job,
         }
     }
@@ -199,7 +199,7 @@ fn fingerprints(row: Row, seed: u64, jobs: &[Job]) -> Vec<u64> {
     let results = if row.snapshot {
         jobs.iter()
             .flat_map(|job| {
-                let snapshot = template.build_snapshot([&job.circuit]).expect("snapshot");
+                let snapshot = template.build_snapshot(&job.circuit).expect("snapshot");
                 pool.run_jobs_with_snapshot(vec![job.pool_job()], Some(Arc::new(snapshot)))
             })
             .collect()

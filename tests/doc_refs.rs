@@ -20,7 +20,11 @@
 //! Name-based: the member need not sit on that head, so a rename of a
 //! type or the deletion of a method's last declaration is what fails.
 //! [`SYMBOL_ALLOWLIST`] holds the cites of std items. A bare
-//! `name()` span must name a `fn` declared in the same trees.
+//! `name()` span must name a `fn` declared in the same trees, and a
+//! span that is one CamelCase name once generics are stripped
+//! (`SimStats`, `Arc<dyn PolicyFactory>`) must name a type, trait or
+//! variant declared there; [`TYPE_ALLOWLIST`] holds the std and OS
+//! names the docs cite that way.
 //!
 //! Fenced code blocks are skipped by every check: their commands cite
 //! paths inside other checkouts and build directories.
@@ -37,6 +41,19 @@ const DOCUMENTS: [&str; 3] = [
 
 /// Symbol cites of items outside the workspace.
 const SYMBOL_ALLOWLIST: [(&str, &str); 1] = [("Index", "index")];
+
+/// Bare type cites of names outside the workspace: std types and
+/// traits, and the kernel's peak-RSS field.
+const TYPE_ALLOWLIST: [&str; 8] = [
+    "Arc",
+    "Clone",
+    "HashMap",
+    "HashSet",
+    "String",
+    "TcpListener",
+    "Vec",
+    "VmHWM",
+];
 
 /// The source trees symbol cites resolve against.
 const SOURCE_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
@@ -180,6 +197,14 @@ fn bare_fn_cite(span: &str) -> Option<&str> {
     span.trim().strip_suffix("()").filter(|name| is_ident(name))
 }
 
+/// The type a span cites when it is one CamelCase name, generics
+/// stripped: `SimStats`, `Arc<dyn PolicyFactory>` (cites `Arc`).
+fn bare_type_cite(span: &str) -> Option<String> {
+    let name = without_generics(span);
+    let name = name.trim();
+    (is_ident(name) && is_camel_case(name)).then(|| name.to_owned())
+}
+
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
@@ -292,6 +317,14 @@ fn cited_symbols_in_the_docs_exist() {
                     missing.push(format!("{document}: no fn `{name}` in `{span}`"));
                 }
             }
+            if let Some(name) = bare_type_cite(&span) {
+                if !TYPE_ALLOWLIST.contains(&name.as_str()) {
+                    checked += 1;
+                    if !declared.heads.contains(&name) && !declared.members.contains(&name) {
+                        missing.push(format!("{document}: no type `{name}` in `{span}`"));
+                    }
+                }
+            }
             for (head, member) in symbol_cites(&span) {
                 if SYMBOL_ALLOWLIST.contains(&(head.as_str(), member.as_str())) {
                     continue;
@@ -322,6 +355,21 @@ fn symbols_and_declarations_are_read_as_documented() {
     assert_eq!(bare_fn_cite(" heal() "), Some("heal"));
     for not_bare in ["heal(x)", "pool.heal()", "Pool::heal()", "()", "a b()"] {
         assert_eq!(bare_fn_cite(not_bare), None, "{not_bare}");
+    }
+    assert_eq!(bare_type_cite(" SimStats ").as_deref(), Some("SimStats"));
+    assert_eq!(
+        bare_type_cite("Arc<dyn PolicyFactory>").as_deref(),
+        Some("Arc")
+    );
+    for not_a_type in [
+        "Pool::heal",
+        "heal()",
+        "MAX_SHOTS",
+        "policy",
+        "A B",
+        "Vec<u8> x",
+    ] {
+        assert_eq!(bare_type_cite(not_a_type), None, "{not_a_type}");
     }
 
     let mut declared = Declared::default();

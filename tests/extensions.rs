@@ -8,7 +8,7 @@ use approxdd::sim::{Simulator, Strategy};
 fn marginals_match_sampling_histogram() {
     use rand::SeedableRng;
     let circuit = generators::supremacy(2, 3, 8, 6);
-    let mut sim = Simulator::builder().exact().build();
+    let mut sim = Simulator::builder().strategy(Strategy::Exact).build();
     let run = sim.run(&circuit).expect("run");
     let dist = sim
         .package()
@@ -46,7 +46,7 @@ fn memory_driven_rounds_engage_and_keep_unit_norm() {
 
 #[test]
 fn dot_export_renders_simulated_states() {
-    let mut sim = Simulator::builder().exact().build();
+    let mut sim = Simulator::builder().strategy(Strategy::Exact).build();
     let run = sim.run(&generators::w_state(4)).expect("run");
     let dot = sim.package().to_dot(run.state());
     assert!(dot.contains("digraph"));

@@ -89,12 +89,12 @@ fn pooled(circuit: &Circuit, strategy: Strategy) -> u64 {
         .seed(9)
         .workers(2)
         .record_size_series(true);
-    let snapshot = template.build_snapshot([circuit]).expect("snapshot");
+    let snapshot = template.build_snapshot(circuit).expect("snapshot");
     let pool = template.build_pool();
     // Two copies, so both workers run the job over one shared snapshot
     // and must agree with each other as well as with the record.
     let jobs = (0..2)
-        .map(|_| PoolJob::new(circuit.clone()).shots(128).strategy(strategy))
+        .map(|_| PoolJob::new(circuit.clone()).shots(128).policy(strategy))
         .collect();
     let prints: Vec<u64> = pool
         .run_jobs_with_snapshot(jobs, Some(std::sync::Arc::new(snapshot)))

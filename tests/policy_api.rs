@@ -80,7 +80,7 @@ proptest! {
         let f_round = f64::from(f_round_pct) / 100.0;
         let circuit = generators::supremacy(2, 3, 10, seed);
         let preset = Strategy::memory_driven(threshold, f_round);
-        let preset_job = || PoolJob::new(circuit.clone()).strategy(preset).shots(256);
+        let preset_job = || PoolJob::new(circuit.clone()).policy(preset).shots(256);
         let replica_job = || {
             PoolJob::new(circuit.clone())
                 .policy(move || ReplicaMemoryPolicy::new(threshold, f_round))
@@ -110,7 +110,7 @@ fn trace_streams_are_identical_across_worker_counts() {
             .iter()
             .map(|c| {
                 PoolJob::new(c.clone())
-                    .strategy(Strategy::memory_driven_table1(16, 0.95))
+                    .policy(Strategy::memory_driven_table1(16, 0.95))
                     .trace(true)
             })
             .collect()
@@ -201,7 +201,9 @@ fn budget_policy_bounds_memory_until_budget_then_stops() {
     assert!(run.stats.fidelity >= run.stats.fidelity_lower_bound - 1e-12);
     // It stopped before spending what an unbudgeted memory policy
     // would: the same trigger without a budget fires more rounds.
-    let mut unbounded = Simulator::builder().memory_driven_table1(24, 0.95).build();
+    let mut unbounded = Simulator::builder()
+        .strategy(Strategy::memory_driven_table1(24, 0.95))
+        .build();
     let unbounded_run = unbounded.run(&circuit).unwrap();
     assert!(unbounded_run.stats.approx_rounds >= run.stats.approx_rounds);
 }
@@ -290,26 +292,28 @@ fn bad_policy_round_fidelity_is_rejected_mid_run() {
     ));
 }
 
+/// A preset is checked where every policy is: when a run begins. The
+/// builder builds whatever it is given; the first `run` refuses an
+/// invalid preset with a typed error before any state is built.
 #[test]
-fn try_build_rejects_invalid_presets_eagerly() {
+fn invalid_presets_are_refused_at_the_first_run() {
+    let circuit = generators::ghz(4);
     for strategy in [
         Strategy::memory_driven(0, 0.9),
         Strategy::memory_driven(16, f64::NAN),
         Strategy::fidelity_driven(0.0, 0.9),
         Strategy::fidelity_driven(0.5, 1.5),
     ] {
+        let mut sim = Simulator::builder().strategy(strategy).build();
         assert!(
-            matches!(
-                Simulator::builder().strategy(strategy).try_build(),
-                Err(SimError::InvalidStrategy { .. })
-            ),
-            "{strategy:?} must be rejected"
+            matches!(sim.run(&circuit), Err(SimError::InvalidStrategy { .. })),
+            "{strategy:?} must be refused"
         );
     }
-    assert!(Simulator::builder()
-        .memory_driven(16, 0.9)
-        .try_build()
-        .is_ok());
+    let mut sim = Simulator::builder()
+        .strategy(Strategy::memory_driven(16, 0.9))
+        .build();
+    assert!(sim.run(&circuit).is_ok());
 }
 
 #[test]
@@ -339,7 +343,7 @@ fn lower_round_fidelity_never_grows_the_dd_or_raises_fidelity() {
         .into_iter()
         .map(|f_round| {
             let mut sim = Simulator::builder()
-                .memory_driven_table1(8, f_round)
+                .strategy(Strategy::memory_driven_table1(8, f_round))
                 .build();
             sim.run(&circuit).unwrap().stats
         })
@@ -358,7 +362,9 @@ fn fidelity_budget_split_over_k_rounds_keeps_its_floor() {
     let circuit = generators::supremacy(2, 3, 12, 1);
     for k in [1, 2, 4] {
         let f_round = 0.6f64.powf(1.0 / f64::from(k));
-        let mut sim = Simulator::builder().fidelity_driven(0.6, f_round).build();
+        let mut sim = Simulator::builder()
+            .strategy(Strategy::fidelity_driven(0.6, f_round))
+            .build();
         let stats = sim.run(&circuit).unwrap().stats;
         assert!(
             stats.fidelity >= 0.6 - 1e-9,

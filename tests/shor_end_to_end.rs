@@ -82,10 +82,12 @@ fn approximation_shrinks_shor_dd() {
     // The fidelity-driven run must reach a smaller max DD than exact on
     // the same instance (the Table-I effect).
     let circuit = approxdd::shor::shor_circuit(33, 5).expect("circuit");
-    let mut exact = approxdd::sim::Simulator::builder().exact().build();
+    let mut exact = approxdd::sim::Simulator::builder()
+        .strategy(Strategy::Exact)
+        .build();
     let exact_run = exact.run(&circuit).expect("exact");
     let mut approx = approxdd::sim::Simulator::builder()
-        .fidelity_driven(0.5, 0.9)
+        .strategy(Strategy::fidelity_driven(0.5, 0.9))
         .build();
     let approx_run = approx.run(&circuit).expect("approx");
     assert!(

@@ -22,11 +22,7 @@ fn delta_gc_never_frees_frozen_nodes() {
             .strategy(Strategy::memory_driven(32, 0.9))
             .gc_node_threshold(16)
     };
-    let snapshot = Arc::new(
-        builder()
-            .build_snapshot([&circuit])
-            .expect("snapshot build"),
-    );
+    let snapshot = Arc::new(builder().build_snapshot(&circuit).expect("snapshot build"));
     let frozen = snapshot.frozen_nodes();
     assert!(frozen > 0, "the batch must freeze a nonempty gate prefix");
 
