@@ -189,7 +189,7 @@ impl SimulatorBuilder {
     /// DD of a pooled batch into one [`SimSnapshot`], which made a
     /// job's result bits depend on the rest of its batch. A pool now
     /// runs every batch without a snapshot unless the caller hands it
-    /// one frozen by [`SimulatorBuilder::build_snapshot`] from the
+    /// one built by [`SimulatorBuilder::build_snapshot`] from the
     /// circuit its jobs run (what the job server's warm sessions do).
     ///
     /// Kept only so existing callers still compile; it will be deleted.
@@ -217,10 +217,10 @@ impl SimulatorBuilder {
         self.retry
     }
 
-    /// Builds a frozen [`SimSnapshot`] warming every gate of `circuit`
-    /// with this builder's options. Jobs that run `circuit` over it give
-    /// the bits of a snapshot-free run — what the job server's warm
-    /// sessions freeze (see `BackendPool::run_jobs_with_snapshot`).
+    /// Builds a [`SimSnapshot`] warming every gate of `circuit` with
+    /// this builder's options. Jobs that run `circuit` over it give the
+    /// bits of a snapshot-free run — what the job server's warm
+    /// sessions keep (see `BackendPool::run_jobs_with_snapshot`).
     ///
     /// # Errors
     ///
@@ -260,10 +260,11 @@ impl SimulatorBuilder {
     }
 
     /// The one constructor behind [`SimulatorBuilder::build`]:
-    /// optionally layers the simulator over a shared frozen snapshot
-    /// (an `Arc<SimSnapshot>`, or `Some` of one), so warmed gate DDs
-    /// resolve from the snapshot's cache and the package allocates only
-    /// above the frozen watermark. `None` builds the plain simulator.
+    /// optionally builds the simulator over a shared snapshot (an
+    /// `Arc<SimSnapshot>`, or `Some` of one): its package is a
+    /// `Package::fork` of the snapshot's, so warmed gate DDs resolve
+    /// from the snapshot's cache and new nodes get ids above the fork's
+    /// pinned prefix. `None` builds the plain simulator.
     /// Used by pool workers when a batch comes with a snapshot.
     ///
     /// ```

@@ -2,11 +2,12 @@
 //! policy-controlled approximation rounds.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
 use approxdd_circuit::{Circuit, Operation};
-use approxdd_dd::{DdError, MEdge, Package, PackageSnapshot, VEdge};
+use approxdd_dd::{DdError, MEdge, Package, VEdge};
 use approxdd_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -155,29 +156,34 @@ enum TableGuard {
     Dense(#[allow(dead_code)] std::sync::Arc<Vec<approxdd_complex::Cplx>>),
 }
 
-/// A frozen simulator prefix shared across pooled workers: an immutable
-/// [`PackageSnapshot`] (the gate DDs' nodes, unique-table index and
-/// canonical ratios) plus the warmed gate-DD cache that maps circuit
-/// operations onto frozen edges.
+/// A warmed simulator prefix shared across pooled workers: a [`Package`]
+/// that built the gate DDs of one circuit (their nodes, unique-table
+/// index and canonical ratios) plus the warmed gate-DD cache that maps
+/// circuit operations onto its edges.
 ///
 /// Built from one circuit by [`SimulatorBuilder::build_snapshot`] (the
-/// job server freezes one per warm session), then handed to every
-/// worker job that runs that circuit via `Arc`. A simulator layered over a
-/// snapshot ([`SimulatorBuilder::build_with_snapshot`]) resolves warmed
-/// gates from the frozen cache without touching its own package;
-/// everything else — state evolution, compute caches, GC — stays
-/// private to the job, which is what keeps results byte-identical to a
-/// simulator that built the same gates itself.
+/// job server builds one per warm session), then handed to every
+/// worker job that runs that circuit via `Arc`. A simulator built over a
+/// snapshot ([`SimulatorBuilder::build_with_snapshot`]) starts from a
+/// [`Package::fork`] of the warmed package, whose nodes are its pinned
+/// prefix, and resolves warmed gates from the snapshot's cache without
+/// building them; everything else — state evolution, compute caches,
+/// GC — is the job's own, which is what keeps results byte-identical to
+/// a simulator that built the same gates itself.
 #[derive(Debug)]
 pub struct SimSnapshot {
-    package: PackageSnapshot,
+    package: Package,
     gates: HashMap<GateKey, (MEdge, Option<TableGuard>)>,
+    /// Simulators ever built over this snapshot (bumped by
+    /// [`Simulator::with_snapshot`]).
+    attaches: AtomicU64,
 }
 
 impl SimSnapshot {
     /// Warms the gate-DD cache over every gate of `circuit` (in
     /// circuit order — the order a lazy simulator would build them)
-    /// and freezes the result.
+    /// and keeps a fork of the warmed package: the fork holds no
+    /// compute-table slot array and no memo.
     ///
     /// # Errors
     ///
@@ -185,7 +191,7 @@ impl SimSnapshot {
     /// permutations) from the first offending operation.
     pub(crate) fn build(options: &SimOptions, circuit: &Circuit) -> Result<Self> {
         let _span = telemetry::Span::enter("snapshot.build");
-        // The freezing simulator never runs, so its policy is never built.
+        // The warming simulator never runs, so its policy is never built.
         let mut sim = Simulator::with_snapshot(
             *options,
             DEFAULT_SAMPLE_SEED,
@@ -198,36 +204,32 @@ impl SimSnapshot {
             }
         }
         Ok(Self {
-            package: sim.package.freeze(),
+            package: sim.package.fork(None),
             gates: sim.gate_cache,
+            attaches: AtomicU64::new(0),
         })
     }
 
-    /// Gate DDs held in the frozen cache.
+    /// Gate DDs held in the warmed cache.
     #[must_use]
     pub fn cached_gates(&self) -> usize {
         self.gates.len()
     }
 
-    /// Alive nodes (both kinds) in the frozen package prefix.
+    /// Alive nodes (both kinds) in the warmed package: the pinned prefix
+    /// of every simulator built over this snapshot.
     #[must_use]
     pub fn frozen_nodes(&self) -> usize {
-        self.package.frozen_nodes()
+        self.package.stats().frozen_nodes()
     }
 
-    /// The frozen package prefix itself.
-    #[must_use]
-    pub(crate) fn package(&self) -> &PackageSnapshot {
-        &self.package
-    }
-
-    /// Simulators ever layered over this snapshot (one per pooled
-    /// worker job): the cross-batch reuse odometer warm serving
-    /// sessions report. Diagnostic only — never part of any result or
+    /// Simulators ever built over this snapshot (one per pooled worker
+    /// job): the cross-batch reuse odometer warm serving sessions
+    /// report. Diagnostic only — never part of any result or
     /// fingerprint.
     #[must_use]
     pub fn attaches(&self) -> u64 {
-        self.package.attaches()
+        self.attaches.load(Ordering::Relaxed)
     }
 }
 
@@ -245,11 +247,11 @@ pub struct Simulator {
     package: Package,
     options: SimOptions,
     gate_cache: HashMap<GateKey, (MEdge, Option<TableGuard>)>,
-    /// Shared frozen prefix, when this simulator was built over one
-    /// ([`SimulatorBuilder::build_with_snapshot`]). Probed before the
-    /// private gate cache.
+    /// The snapshot this simulator's package was forked from, when it
+    /// was built over one ([`SimulatorBuilder::build_with_snapshot`]).
+    /// Its gate cache is probed before the private one.
     snapshot: Option<Arc<SimSnapshot>>,
-    /// Gate-DD lookups served by the frozen snapshot cache.
+    /// Gate-DD lookups served by the snapshot's gate cache.
     snapshot_gate_hits: u64,
     rng: StdRng,
     policy_factory: Arc<dyn PolicyFactory>,
@@ -261,7 +263,6 @@ impl std::fmt::Debug for Simulator {
         f.debug_struct("Simulator")
             .field("package", &self.package)
             .field("options", &self.options)
-            .field("policy", &self.policy_factory.build().name())
             .field("observers", &self.observers.len())
             .field("gate_cache", &self.gate_cache.len())
             .finish_non_exhaustive()
@@ -276,12 +277,11 @@ impl Simulator {
     }
 
     /// The one constructor (what [`SimulatorBuilder::build`] and
-    /// [`SimulatorBuilder::build_with_snapshot`] call), optionally
-    /// layered over a shared frozen snapshot. Every run builds its
-    /// approximation policy from `policy_factory`. With `Some`, the
-    /// package resolves
-    /// frozen nodes through the snapshot and allocates private nodes
-    /// above the watermark, and warmed gate DDs are served from the
+    /// [`SimulatorBuilder::build_with_snapshot`] call), optionally over
+    /// a shared snapshot. Every run builds its approximation policy
+    /// from `policy_factory`. With `Some`, the package is a
+    /// [`Package::fork`] of the snapshot's, so new nodes get ids above
+    /// its pinned prefix, and warmed gate DDs are served from the
     /// snapshot's cache (see [`SimSnapshot`]); `None` starts from an
     /// empty package.
     #[must_use]
@@ -293,7 +293,8 @@ impl Simulator {
     ) -> Self {
         let package = match &snapshot {
             Some(snapshot) => {
-                Package::with_snapshot(snapshot.package(), options.compute_cache_bits)
+                snapshot.attaches.fetch_add(1, Ordering::Relaxed);
+                snapshot.package.fork(options.compute_cache_bits)
             }
             None => Package::with_config(
                 approxdd_complex::Tolerance::default(),
@@ -312,7 +313,7 @@ impl Simulator {
         }
     }
 
-    /// Gate-DD lookups served by the frozen snapshot cache (0 without
+    /// Gate-DD lookups served by the snapshot's gate cache (0 without
     /// a snapshot).
     #[must_use]
     pub fn snapshot_gate_hits(&self) -> u64 {
@@ -670,9 +671,9 @@ impl Simulator {
     }
 
     fn maybe_gc(&mut self) {
-        // The nodes this run would hold without a snapshot: its private
-        // ones plus the frozen gate DDs it has used (see `gate_dd`). The
-        // rest of a frozen prefix must not drive the trigger.
+        // The nodes this run would hold without a snapshot: its own ones
+        // plus the warmed gate DDs it has used (see `gate_dd`). The rest
+        // of the pinned prefix must not drive the trigger.
         if self.package.collectable_nodes() > self.options.gc_node_threshold {
             self.package.collect_garbage();
         }
@@ -711,9 +712,9 @@ impl Simulator {
                 unreachable!("markers are not gates")
             }
         };
-        // Frozen-first: a snapshot-warmed gate is served without
-        // building it. Its nodes sit below the arena watermark, pinned
-        // for the snapshot's lifetime. Registering them (and the
+        // Snapshot first: a warmed gate is served without building it.
+        // Its nodes are in the package's pinned prefix, which no
+        // collection frees. Registering them (and the
         // full-width identity every gate build pre-warms) only counts
         // what a private build would have interned toward the GC
         // trigger, so collections fire at the same gate with or
@@ -763,13 +764,13 @@ impl Simulator {
     }
 
     /// Number of gate DDs currently resolvable from this simulator's
-    /// caches — the private cache plus, when layered over a snapshot,
-    /// the frozen cache (pool worker statistics report this per
+    /// caches — the private cache plus, when built over a snapshot,
+    /// the snapshot's (pool worker statistics report this per
     /// backend instance).
     #[must_use]
     pub fn gate_cache_len(&self) -> usize {
-        let frozen = self.snapshot.as_ref().map_or(0, |s| s.gates.len());
-        frozen + self.gate_cache.len()
+        let warmed = self.snapshot.as_ref().map_or(0, |s| s.gates.len());
+        warmed + self.gate_cache.len()
     }
 }
 
@@ -1031,7 +1032,7 @@ mod tests {
             }
             assert!(
                 snap.snapshot_gate_hits() > 0,
-                "every gate was warmed, so every lookup must hit the frozen cache"
+                "every gate was warmed, so every lookup must hit the snapshot's cache"
             );
             assert_eq!(
                 snap.package().stats().frozen_nodes(),

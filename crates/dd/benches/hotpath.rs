@@ -388,8 +388,9 @@ fn bench_truncate_budget(c: &mut Criterion) {
 }
 
 /// What a pooled worker pays per job before any gate runs: building a
-/// package (plain and layered over a snapshot) and dropping it, and the
-/// same around one gate so a compute-cache slab is provisioned too.
+/// package (plain, and forked from a warmed one as a warm session's job
+/// is) and dropping it, and the same around one gate so a compute-cache
+/// slab is provisioned too.
 fn bench_package_lifecycle(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_package_lifecycle");
     group.bench_function("new_drop", |b| {
@@ -397,13 +398,8 @@ fn bench_package_lifecycle(c: &mut Criterion) {
     });
     let mut base = Package::new();
     let _ = ghz_state(&mut base, 12);
-    let snapshot = base.freeze();
-    group.bench_function("with_snapshot_drop", |b| {
-        b.iter(|| {
-            drop(std::hint::black_box(Package::with_snapshot(
-                &snapshot, None,
-            )))
-        });
+    group.bench_function("fork_drop", |b| {
+        b.iter(|| drop(std::hint::black_box(base.fork(None))));
     });
     group.bench_function("new_h_12q_drop", |b| {
         b.iter(|| {

@@ -813,7 +813,7 @@ mod tests {
 
     /// The diagrams the rule is checked on, built from `amps` and
     /// `gates` (see `contribution.rs`): in a fresh package, over slots a
-    /// collection recycled, and over a frozen snapshot. Each root is
+    /// collection recycled, and in a fork. Each root is
     /// taken at unit weight. Deterministic: two calls build two
     /// identical packages.
     fn settings(amps: &[Cplx], gates: &[(u8, usize)]) -> Vec<(Package, VEdge)> {
@@ -842,7 +842,7 @@ mod tests {
         let mut base = Package::new();
         let start = base.from_amplitudes(amps).unwrap();
         let _ = evolve(&mut base, start, &gates[..3]);
-        let mut p = Package::with_snapshot(&base.freeze(), None);
+        let mut p = base.fork(None);
         let last = evolve(&mut p, start, gates)[gates.len()];
         out.push((p, unit(last)));
         out

@@ -1,5 +1,5 @@
 //! Struct-of-arrays slotted arena with free list, reference counts and
-//! GC marks, optionally layered over an immutable frozen prefix.
+//! GC marks, and optionally a pinned prefix.
 //!
 //! Nodes are identified by `u32` slot indices ([`crate::NodeId`]). The
 //! reference count only tracks *external* roots (state vectors, cached
@@ -26,32 +26,30 @@
 //! so the second engine on a thread cost 19 MiB more than the first.
 //! [`Chunked`] grows by whole chunks that are allocated once and never
 //! reallocated, so an engine's footprint is its live slots whatever ran
-//! on the thread before. [`Arena::freeze`] moves the chunks into the
-//! snapshot as they are.
+//! on the thread before.
 //!
-//! # Copy-on-write snapshots
+//! # The pinned prefix
 //!
-//! An arena can be built over a [`FrozenArena`]: an `Arc`-shared,
-//! immutable prefix of slots whose ids index strictly below a
-//! **watermark**. The private delta layer allocates at or above the
-//! watermark, so a frozen node id means the same payload in every
-//! arena sharing the prefix. Frozen slots are permanently pinned:
-//! `inc_rc`/`dec_rc` are no-ops below the watermark, `mark` reports
-//! them as already visited (frozen nodes never point into the delta,
-//! so the mark phase need not descend past the watermark), and `sweep`
-//! scans only the delta words — a frozen node can never be freed.
+//! [`Arena::fork`] copies an arena and pins every slot of the copy: ids
+//! below the **prefix** length are never freed and never reused, so a
+//! node id captured before the fork (a warmed gate DD) means the same
+//! payload in every fork. Only the collector and the counters read the
+//! prefix length: [`Arena::clear_marks`] leaves the prefix marked, so
+//! the mark phase stops at it and the sweep passes it by; the free list
+//! starts empty, so new ids start above it; and the statistics report
+//! its alive slots and the ones this arena [`Arena::hold`]s. Node reads,
+//! allocation and reference counts treat every slot alike.
 
 use std::ops::{Index, IndexMut};
-use std::sync::Arc;
 
 /// log₂ of the slots per [`Chunked`] chunk. 16 384 slots are 640 KiB of
 /// vector nodes or 1.6 MiB of matrix nodes: small enough that what the
 /// first chunk copies while it doubles is noise beside an engine that
 /// outgrows it, large enough that the engines of small pooled jobs — and
-/// the frozen gate prefix they share, 14 676 matrix nodes for a
-/// `pool_sweep` batch — stay in one chunk and are read like a slice. (At
-/// 4096 slots that prefix spans four chunks and `exec.run_jobs_s_p50`
-/// reads 8 % worse; `supremacy_memory` peaks 1.6 MiB lower.)
+/// the gate DDs of a `pool_sweep` batch, 14 676 matrix nodes — stay in
+/// one chunk and are read like a slice. (At 4096 slots those span four
+/// chunks and `exec.run_jobs_s_p50` reads 8 % worse; `supremacy_memory`
+/// peaks 1.6 MiB lower.)
 const CHUNK_BITS: u32 = 14;
 const CHUNK_LEN: usize = 1 << CHUNK_BITS;
 
@@ -96,14 +94,27 @@ impl<T> Chunked<T> {
 }
 
 /// Not derived: a derived clone would size the last chunk to its length,
-/// and the next push would move it.
+/// and the next push would move it. The copy reserves what the original
+/// would have: a first chunk at a power of two (it then doubles to
+/// exactly one chunk), every later chunk whole.
 impl<T: Clone> Clone for Chunked<T> {
     fn clone(&self) -> Self {
-        let mut clone = Self::new();
-        for item in self.iter() {
-            clone.push(item.clone());
-        }
-        clone
+        let chunks = self
+            .chunks
+            .iter()
+            .enumerate()
+            .map(|(i, chunk)| {
+                let reserved = if i == 0 {
+                    chunk.len().next_power_of_two()
+                } else {
+                    CHUNK_LEN
+                };
+                let mut copy = Vec::with_capacity(reserved);
+                copy.extend_from_slice(chunk);
+                copy
+            })
+            .collect();
+        Self { chunks }
     }
 }
 
@@ -163,59 +174,31 @@ impl BitSet {
             .get(idx / 64)
             .is_some_and(|w| w & (1u64 << (idx % 64)) != 0)
     }
-
-    /// Zeroes every bit (word-wide memset).
-    fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
 }
 
-/// The immutable frozen prefix of an [`Arena`]: slot payloads and
-/// aliveness for ids below the watermark, shared across arenas via
-/// `Arc`. Built once by [`Arena::freeze`]; never mutated afterwards.
 #[derive(Debug, Default)]
-pub(crate) struct FrozenArena<T> {
-    items: Chunked<T>,
-    alive: BitSet,
-    alive_count: usize,
-}
-
-impl<T> FrozenArena<T> {
-    /// Alive slots in the frozen prefix.
-    pub(crate) fn alive_count(&self) -> usize {
-        self.alive_count
-    }
-
-    /// Total frozen slots — the watermark of every delta arena layered
-    /// over this prefix.
-    pub(crate) fn len(&self) -> usize {
-        self.items.len()
-    }
-}
-
-#[derive(Debug, Clone, Default)]
 pub(crate) struct Arena<T> {
-    /// Immutable shared prefix (ids below `watermark`), if any.
-    frozen: Option<Arc<FrozenArena<T>>>,
-    /// First id owned by the delta layer. 0 without a frozen prefix.
-    watermark: u32,
-    /// Delta node payloads (SoA: nothing but payload bytes on the hot
-    /// path); slot `i` holds id `watermark + i`.
+    /// Node payloads (SoA: nothing but payload bytes on the hot path).
     items: Chunked<T>,
     /// External-root reference counts, parallel to `items`.
     rc: Chunked<u32>,
-    /// One bit per delta slot: is the slot currently allocated?
+    /// One bit per slot: is the slot currently allocated?
     alive: BitSet,
-    /// One bit per delta slot: GC mark (valid between `clear_marks` and
+    /// One bit per slot: GC mark (valid between `clear_marks` and
     /// `sweep`).
     mark: BitSet,
-    /// Freed delta slots, as absolute ids (always ≥ `watermark`).
+    /// Freed slots, never below `prefix`.
     free: Vec<u32>,
-    /// Alive delta slots (excludes the frozen prefix).
+    /// Alive slots.
     alive_count: usize,
-    /// High-water mark of simultaneously alive delta nodes.
+    /// High-water mark of simultaneously alive slots.
     peak: usize,
-    /// One bit per frozen slot this layer uses as its own (see
+    /// Slots below this id are the pinned prefix [`Arena::fork`] copied
+    /// (0 for an arena that was not forked).
+    prefix: u32,
+    /// Alive slots in the pinned prefix.
+    prefix_alive: usize,
+    /// One bit per prefix slot this arena uses as its own (see
     /// [`Arena::hold`]), and their number.
     held: BitSet,
     held_count: usize,
@@ -224,8 +207,6 @@ pub(crate) struct Arena<T> {
 impl<T> Arena<T> {
     pub(crate) fn new() -> Self {
         Self {
-            frozen: None,
-            watermark: 0,
             items: Chunked::new(),
             rc: Chunked::new(),
             alive: BitSet::default(),
@@ -233,72 +214,51 @@ impl<T> Arena<T> {
             free: Vec::new(),
             alive_count: 0,
             peak: 0,
+            prefix: 0,
+            prefix_alive: 0,
             held: BitSet::default(),
             held_count: 0,
         }
     }
 
-    /// An empty delta arena layered over a shared frozen prefix. Every
-    /// id below the prefix length resolves into the shared payloads;
-    /// allocation starts at the watermark.
-    pub(crate) fn with_frozen(frozen: Arc<FrozenArena<T>>) -> Self {
-        let watermark = u32::try_from(frozen.len())
-            .ok()
-            .filter(|&w| w < u32::MAX - 1)
-            .expect("frozen prefix exceeds u32 slot capacity");
+    /// A copy of this arena whose every slot is a pinned prefix: the
+    /// sweep never frees one, dead slots are never handed out again
+    /// (the free list starts empty), and new ids start above it.
+    pub(crate) fn fork(&self) -> Self
+    where
+        T: Clone,
+    {
         Self {
-            frozen: Some(frozen),
-            watermark,
-            items: Chunked::new(),
-            rc: Chunked::new(),
-            alive: BitSet::default(),
-            mark: BitSet::default(),
+            items: self.items.clone(),
+            rc: self.rc.clone(),
+            alive: self.alive.clone(),
+            mark: self.mark.clone(),
             free: Vec::new(),
-            alive_count: 0,
-            peak: 0,
+            alive_count: self.alive_count,
+            peak: self.alive_count,
+            prefix: u32::try_from(self.items.len()).expect("arena ids fit in u32"),
+            prefix_alive: self.alive_count,
             held: BitSet::default(),
             held_count: 0,
         }
     }
 
-    /// Converts this arena into a frozen prefix by moving its payload
-    /// chunks into it (nothing is copied). Freed slots stay dead
-    /// (they are never resurrected: delta layers allocate only above
-    /// the watermark), and reference counts are dropped — frozen slots
-    /// are pinned by construction.
-    ///
-    /// Only a base arena can be frozen; re-freezing an arena that
-    /// already layers over a prefix would need a merge and is not
-    /// supported.
-    pub(crate) fn freeze(self) -> FrozenArena<T> {
-        assert!(
-            self.frozen.is_none(),
-            "cannot freeze an arena layered over an existing snapshot"
-        );
-        FrozenArena {
-            items: self.items,
-            alive: self.alive,
-            alive_count: self.alive_count,
-        }
+    /// First id above the pinned prefix (0 without one).
+    pub(crate) fn prefix(&self) -> u32 {
+        self.prefix
     }
 
-    /// First id owned by the delta layer (0 without a frozen prefix).
-    pub(crate) fn watermark(&self) -> u32 {
-        self.watermark
+    /// Alive slots in the pinned prefix (0 without one).
+    pub(crate) fn prefix_alive(&self) -> usize {
+        self.prefix_alive
     }
 
-    /// Alive slots in the frozen prefix (0 without one).
-    pub(crate) fn frozen_count(&self) -> usize {
-        self.frozen.as_ref().map_or(0, |f| f.alive_count)
-    }
-
-    /// Allocates a slot for `item`, reusing a freed delta slot when
-    /// available. Never allocates below the watermark.
+    /// Allocates a slot for `item`, reusing a freed slot when available.
     pub(crate) fn alloc(&mut self, item: T) -> u32 {
         self.alive_count += 1;
         self.peak = self.peak.max(self.alive_count);
         if let Some(idx) = self.free.pop() {
-            let i = (idx - self.watermark) as usize;
+            let i = idx as usize;
             self.items[i] = item;
             self.rc[i] = 0;
             self.alive.set(i);
@@ -309,12 +269,11 @@ impl<T> Arena<T> {
             // unique-table sentinel; stay strictly below both.
             let idx = u32::try_from(self.items.len())
                 .ok()
-                .and_then(|i| i.checked_add(self.watermark))
                 .filter(|&i| i < u32::MAX - 1)
                 .expect("arena exceeded u32 slot capacity");
             self.items.push(item);
             self.rc.push(0);
-            let i = (idx - self.watermark) as usize;
+            let i = idx as usize;
             self.alive.ensure(i);
             self.mark.ensure(i);
             self.alive.set(i);
@@ -322,47 +281,32 @@ impl<T> Arena<T> {
         }
     }
 
-    /// The node read every DD operation is made of. The two-step index
-    /// makes its body just large enough that the inliner's size heuristic
-    /// leaves it out of line, and a called node read (operands spilled
-    /// around it, no hoisting of the tier test or the chunk table out of
-    /// the caller's loop) costs 2.3× an inlined one
-    /// (`hotpath_node_access`) — so the read path is inlined by decree,
-    /// here, in `Package::{vnode, mnode}` and in `VNode::{edges, ids}`.
-    /// CI fails when any of them is a symbol of the server binary.
+    /// The node read every DD operation is made of. The two-step chunk
+    /// index makes its body just large enough that the inliner's size
+    /// heuristic leaves it out of line, and a called node read (operands
+    /// spilled around it, no hoisting of the chunk table out of the
+    /// caller's loop) costs 2.3× an inlined one (`hotpath_node_access`)
+    /// — so the read path is inlined by decree, here, in
+    /// `Package::{vnode, mnode}` and in `VNode::{edges, ids}`. CI fails
+    /// when any of them is a symbol of the server binary.
     #[inline(always)]
     pub(crate) fn get(&self, idx: u32) -> &T {
-        if idx < self.watermark {
-            let frozen = self.frozen.as_ref().expect("watermark implies a prefix");
-            debug_assert!(
-                frozen.alive.get(idx as usize),
-                "access to dead frozen slot {idx}"
-            );
-            &frozen.items[idx as usize]
-        } else {
-            let i = (idx - self.watermark) as usize;
-            debug_assert!(self.alive.get(i), "access to freed arena slot {idx}");
-            &self.items[i]
-        }
+        debug_assert!(
+            self.alive.get(idx as usize),
+            "access to freed arena slot {idx}"
+        );
+        &self.items[idx as usize]
     }
 
-    /// Pins a slot as an external root. No-op below the watermark:
-    /// frozen slots are permanently pinned.
+    /// Pins a slot as an external root.
     pub(crate) fn inc_rc(&mut self, idx: u32) {
-        if idx < self.watermark {
-            return;
-        }
-        let i = (idx - self.watermark) as usize;
-        debug_assert!(self.alive.get(i));
-        self.rc[i] += 1;
+        debug_assert!(self.alive.get(idx as usize));
+        self.rc[idx as usize] += 1;
     }
 
-    /// Releases one external root. No-op below the watermark.
+    /// Releases one external root.
     pub(crate) fn dec_rc(&mut self, idx: u32) {
-        if idx < self.watermark {
-            return;
-        }
-        let i = (idx - self.watermark) as usize;
+        let i = idx as usize;
         debug_assert!(self.alive.get(i));
         debug_assert!(self.rc[i] > 0, "rc underflow on arena slot {idx}");
         let rc = &mut self.rc[i];
@@ -371,18 +315,13 @@ impl<T> Arena<T> {
 
     #[allow(dead_code)] // diagnostics / debug assertions
     pub(crate) fn rc(&self, idx: u32) -> u32 {
-        if idx < self.watermark {
-            // Frozen slots are pinned; report one permanent root.
-            1
-        } else {
-            self.rc[(idx - self.watermark) as usize]
-        }
+        self.rc[idx as usize]
     }
 
-    /// Counts the frozen slot `idx` as used by this layer; `false` if it
+    /// Counts the prefix slot `idx` as used by this arena; `false` if it
     /// already was.
     pub(crate) fn hold(&mut self, idx: u32) -> bool {
-        debug_assert!(idx < self.watermark, "only frozen slots are held");
+        debug_assert!(idx < self.prefix, "only prefix slots are held");
         let i = idx as usize;
         self.held.ensure(i);
         let fresh = !self.held.get(i);
@@ -391,36 +330,28 @@ impl<T> Arena<T> {
         fresh
     }
 
-    /// Frozen slots this layer holds as its own.
+    /// Prefix slots this arena holds as its own.
     pub(crate) fn held_count(&self) -> usize {
         self.held_count
     }
 
-    /// Alive slots across both tiers (frozen prefix + delta).
+    /// Alive slots, the pinned prefix included.
     pub(crate) fn alive_count(&self) -> usize {
-        self.frozen_count() + self.alive_count
-    }
-
-    /// Alive slots in the delta layer only — what a GC pass can
-    /// actually inspect and free.
-    pub(crate) fn delta_alive_count(&self) -> usize {
         self.alive_count
     }
 
     pub(crate) fn peak_count(&self) -> usize {
-        self.frozen_count() + self.peak
+        self.peak
     }
 
-    /// Total slots (alive + freed) across both tiers: every id the arena
-    /// has handed out lies below it, which is what sizes a per-traversal
-    /// visit set.
+    /// Total slots (alive + freed): every id the arena has handed out
+    /// lies below it, which is what sizes a per-traversal visit set.
     pub(crate) fn capacity(&self) -> usize {
-        self.watermark as usize + self.items.len()
+        self.items.len()
     }
 
-    /// Bytes of the private delta layer, by length: payloads, reference
-    /// counts, the two flag bitsets and the free list (the frozen prefix
-    /// is shared, not owned).
+    /// Bytes of the arena, by length: payloads, reference counts, the
+    /// flag bitsets and the free list.
     pub(crate) fn bytes(&self) -> usize {
         self.items.len() * (std::mem::size_of::<T>() + std::mem::size_of::<u32>())
             + (self.alive.words.len() + self.mark.words.len() + self.held.words.len())
@@ -428,21 +359,22 @@ impl<T> Arena<T> {
             + self.free.len() * std::mem::size_of::<u32>()
     }
 
-    /// Clears all delta marks (one memset over the mark words). Pair
-    /// with [`Arena::mark`] and [`Arena::sweep`].
+    /// Clears every mark but the pinned prefix's, which reads as marked:
+    /// the mark phase stops at it and the sweep passes it by. Pair with
+    /// [`Arena::mark`] and [`Arena::sweep`].
     pub(crate) fn clear_marks(&mut self) {
-        self.mark.clear_all();
+        let (full, rest) = (self.prefix as usize / 64, self.prefix % 64);
+        let words = &mut self.mark.words;
+        words[..full].fill(u64::MAX);
+        words[full..].fill(0);
+        if rest != 0 {
+            words[full] = (1u64 << rest) - 1;
+        }
     }
 
-    /// Marks a slot; returns whether this was the first visit. Frozen
-    /// slots report `false` (never a first visit): they are always
-    /// reachable and never point into the delta, so the mark phase
-    /// stops at the watermark.
+    /// Marks a slot; returns whether this was the first visit.
     pub(crate) fn mark(&mut self, idx: u32) -> bool {
-        if idx < self.watermark {
-            return false;
-        }
-        let i = (idx - self.watermark) as usize;
+        let i = idx as usize;
         debug_assert!(self.alive.get(i));
         let was = self.mark.get(i);
         self.mark.set(i);
@@ -450,42 +382,36 @@ impl<T> Arena<T> {
     }
 
     pub(crate) fn is_marked(&self, idx: u32) -> bool {
-        if idx < self.watermark {
-            return true;
-        }
-        self.mark.get((idx - self.watermark) as usize)
+        self.mark.get(idx as usize)
     }
 
-    /// Iterates the absolute ids of alive delta slots with a positive
-    /// reference count (the GC roots). The frozen prefix never appears:
-    /// it is pinned wholesale, not rooted.
+    /// Iterates the ids of alive slots with a positive reference count
+    /// (the GC roots).
     pub(crate) fn rooted_indices(&self) -> impl Iterator<Item = u32> + '_ {
-        let watermark = self.watermark;
         self.rc
             .iter()
             .enumerate()
             .filter(|&(i, &rc)| rc > 0 && self.alive.get(i))
-            .map(move |(i, _)| i as u32 + watermark)
+            .map(|(i, _)| i as u32)
     }
 
-    /// Absolute ids of the alive delta slots, ascending.
+    /// Ids of the alive slots, ascending.
     #[cfg(test)]
     pub(crate) fn alive_indices(&self) -> impl Iterator<Item = u32> + '_ {
-        let watermark = self.watermark;
         (0..self.items.len())
             .filter(|&i| self.alive.get(i))
-            .map(move |i| i as u32 + watermark)
+            .map(|i| i as u32)
     }
 
-    /// Frees every alive-but-unmarked **delta** slot, invoking `on_free`
-    /// with each one's absolute id and payload *before* the slot is
-    /// released — so the caller drops the node's unique-table entry on
-    /// the spot, from the payload in place. Slots are freed in ascending
-    /// id order and pushed onto the LIFO free list in that order; both
-    /// orders decide future node ids and are part of the engine's
-    /// results (see [`crate::gc`]). Returns the number of freed slots.
-    /// The frozen prefix is never scanned — the watermark is the sweep's
-    /// hard floor.
+    /// Frees every alive-but-unmarked slot, invoking `on_free` with each
+    /// one's id and payload *before* the slot is released — so the
+    /// caller drops the node's unique-table entry on the spot, from the
+    /// payload in place. Slots are freed in ascending id order and
+    /// pushed onto the LIFO free list in that order; both orders decide
+    /// future node ids and are part of the engine's results (see
+    /// [`crate::gc`]). Returns the number of freed slots. The pinned
+    /// prefix reads as marked (see [`Arena::clear_marks`]), so it is
+    /// never freed.
     ///
     /// The scan is word-wide: 64 slots whose `alive & !mark` word is
     /// zero are skipped with a single compare.
@@ -500,10 +426,10 @@ impl<T> Arena<T> {
                 let bit = dead.trailing_zeros() as usize;
                 dead &= dead - 1;
                 let i = w * 64 + bit;
-                on_free(i as u32 + self.watermark, &self.items[i]);
+                on_free(i as u32, &self.items[i]);
                 self.alive.words[w] &= !(1u64 << bit);
                 self.rc[i] = 0;
-                self.free.push(i as u32 + self.watermark);
+                self.free.push(i as u32);
                 freed += 1;
             }
         }
@@ -581,28 +507,51 @@ mod tests {
         assert!(a.is_marked(x));
     }
 
+    /// Test names call the pinned prefix *frozen* and its length the
+    /// *watermark*, as `PackageStats::frozen_vnodes` does.
     #[test]
     fn frozen_prefix_resolves_below_watermark_and_allocs_above() {
         let mut base: Arena<u64> = Arena::new();
         for i in 0..10 {
             base.alloc(i * 100);
         }
-        let frozen = Arc::new(base.freeze());
-        let mut delta: Arena<u64> = Arena::with_frozen(Arc::clone(&frozen));
-        assert_eq!(delta.watermark(), 10);
-        assert_eq!(delta.frozen_count(), 10);
-        assert_eq!(delta.alive_count(), 10);
-        assert_eq!(*delta.get(3), 300);
+        let mut fork = base.fork();
+        assert_eq!(fork.prefix(), 10);
+        assert_eq!(fork.prefix_alive(), 10);
+        assert_eq!(fork.alive_count(), 10);
+        assert_eq!(*fork.get(3), 300);
 
-        let id = delta.alloc(7777);
-        assert!(id >= delta.watermark(), "delta alloc below the watermark");
-        assert_eq!(*delta.get(id), 7777);
-        assert_eq!(delta.alive_count(), 11);
-        assert_eq!(delta.delta_alive_count(), 1);
+        let id = fork.alloc(7777);
+        assert!(id >= fork.prefix(), "alloc below the prefix");
+        assert_eq!(*fork.get(id), 7777);
+        assert_eq!(fork.alive_count(), 11);
+        assert_eq!(fork.alive_count() - fork.prefix_alive(), 1);
 
-        // Two deltas over the same prefix see the same frozen payloads.
-        let other: Arena<u64> = Arena::with_frozen(frozen);
+        // Two forks of one base see the same prefix payloads.
+        let other: Arena<u64> = base.fork();
         assert_eq!(*other.get(3), 300);
+    }
+
+    /// A slot the base freed stays dead in a fork: the fork's free list
+    /// starts empty, so its first id is the prefix length.
+    #[test]
+    fn fork_never_reuses_a_dead_prefix_slot() {
+        let mut base: Arena<u64> = Arena::new();
+        for i in 0..70 {
+            let id = base.alloc(i);
+            if i != 3 && i != 68 {
+                base.inc_rc(id);
+            }
+        }
+        base.clear_marks();
+        for r in base.rooted_indices().collect::<Vec<_>>() {
+            base.mark(r);
+        }
+        assert_eq!(base.sweep(|_, _| {}), 2);
+        let mut fork = base.fork();
+        assert_eq!((fork.prefix(), fork.prefix_alive()), (70, 68));
+        assert_eq!(fork.alloc(7), 70);
+        assert_eq!(base.alloc(7), 68, "the base reuses its own");
     }
 
     #[test]
@@ -611,38 +560,37 @@ mod tests {
         for i in 0..70 {
             base.alloc(i); // spans a word boundary
         }
-        let frozen = Arc::new(base.freeze());
-        let mut delta: Arena<u64> = Arena::with_frozen(frozen);
-        let a = delta.alloc(1000);
-        let b = delta.alloc(2000);
-        delta.inc_rc(a);
-        // Frozen rc ops are pinned no-ops.
-        delta.inc_rc(5);
-        delta.dec_rc(5);
-        assert_eq!(delta.rc(5), 1);
+        let mut fork = base.fork();
+        let a = fork.alloc(1000);
+        let b = fork.alloc(2000);
+        fork.inc_rc(a);
+        // Reference counts work on prefix slots like on any other.
+        fork.inc_rc(5);
+        fork.dec_rc(5);
+        assert_eq!(fork.rc(5), 0);
 
-        delta.clear_marks();
-        assert!(delta.is_marked(5), "frozen slots read as already marked");
-        assert!(!delta.mark(5), "marking a frozen slot is never first visit");
-        let roots: Vec<u32> = delta.rooted_indices().collect();
+        fork.clear_marks();
+        assert!(fork.is_marked(5), "prefix slots read as already marked");
+        assert!(!fork.mark(5), "marking a prefix slot is never first visit");
+        let roots: Vec<u32> = fork.rooted_indices().collect();
         assert_eq!(roots, vec![a]);
         for r in roots {
-            delta.mark(r);
+            fork.mark(r);
         }
         let mut swept = Vec::new();
-        let freed = delta.sweep(|idx, _| swept.push(idx));
+        let freed = fork.sweep(|idx, _| swept.push(idx));
         assert_eq!(freed, 1);
         assert_eq!(swept, vec![b]);
-        assert!(swept.iter().all(|&i| i >= delta.watermark()));
-        // Frozen payloads and the rooted delta node survive.
-        assert_eq!(*delta.get(42), 42);
-        assert_eq!(*delta.get(a), 1000);
-        assert_eq!(delta.alive_count(), 71);
+        assert!(swept.iter().all(|&i| i >= fork.prefix()));
+        // Prefix payloads and the rooted new node survive.
+        assert_eq!(*fork.get(42), 42);
+        assert_eq!(*fork.get(a), 1000);
+        assert_eq!(fork.alive_count(), 71);
 
-        // The freed delta slot is reused at the same absolute id.
-        let c = delta.alloc(3000);
+        // The freed slot is reused at the same id.
+        let c = fork.alloc(3000);
         assert_eq!(c, b);
-        assert_eq!(*delta.get(c), 3000);
+        assert_eq!(*fork.get(c), 3000);
     }
 
     /// The order the sweep frees slots in and the order `alloc` hands
@@ -749,37 +697,32 @@ mod tests {
     }
 
     #[test]
-    fn freeze_moves_chunks_and_delta_ids_start_at_the_watermark() {
+    fn fork_copies_whole_chunks_and_new_ids_start_above_the_prefix() {
         const SLOTS: u32 = 3 * CHUNK_LEN as u32 + 1;
         let mut base: Arena<u64> = Arena::new();
         for i in 0..SLOTS {
             assert_eq!(base.alloc(u64::from(i) * 3), i);
         }
-        let payloads = [0, CHUNK_LEN as u32, SLOTS - 1].map(|id| std::ptr::from_ref(base.get(id)));
-        let frozen = Arc::new(base.freeze());
-        assert_eq!(frozen.len(), SLOTS as usize);
-
-        let mut delta: Arena<u64> = Arena::with_frozen(Arc::clone(&frozen));
-        assert_eq!(delta.watermark(), SLOTS);
+        let mut fork = base.fork();
+        drop(base);
+        assert_eq!(fork.prefix(), SLOTS);
         for id in 0..SLOTS {
-            assert_eq!(*delta.get(id), u64::from(id) * 3);
+            assert_eq!(*fork.get(id), u64::from(id) * 3);
         }
-        assert_eq!(
-            [0, CHUNK_LEN as u32, SLOTS - 1].map(|id| std::ptr::from_ref(delta.get(id))),
-            payloads,
-            "freeze copied a payload"
+        assert!(
+            fork.items.chunks.iter().all(|c| c.capacity() == CHUNK_LEN),
+            "a copied chunk would move on its next push"
         );
 
-        // The delta's slot 0 is id `watermark`, its own first chunk.
         for i in 0..CHUNK_LEN as u32 + 2 {
-            assert_eq!(delta.alloc(u64::from(i)), SLOTS + i);
+            assert_eq!(fork.alloc(u64::from(i)), SLOTS + i);
         }
         assert_eq!(
-            *delta.get(SLOTS + CHUNK_LEN as u32 + 1),
+            *fork.get(SLOTS + CHUNK_LEN as u32 + 1),
             CHUNK_LEN as u64 + 1
         );
-        assert_eq!(*delta.get(SLOTS - 1), u64::from(SLOTS - 1) * 3);
-        assert_eq!(delta.capacity(), SLOTS as usize + CHUNK_LEN + 2);
+        assert_eq!(*fork.get(SLOTS - 1), u64::from(SLOTS - 1) * 3);
+        assert_eq!(fork.capacity(), SLOTS as usize + CHUNK_LEN + 2);
     }
 
     #[test]

@@ -396,17 +396,17 @@ pub(crate) mod tests {
             states.push(kept_state);
             check_against_references(&p, &states)?;
 
-            // Layered over a frozen snapshot of the fresh package's
-            // history: diagrams span the watermark.
+            // In a fork of the fresh package's history: diagrams span
+            // the pinned prefix.
             let mut base = Package::new();
             let start = base.from_amplitudes(&amps).unwrap();
-            let frozen_states = evolve(&mut base, start, &gates[..3]);
-            let mut p = Package::with_snapshot(&base.freeze(), None);
+            let base_states = evolve(&mut base, start, &gates[..3]);
+            let mut p = base.fork(None);
             let states = evolve(&mut p, start, &gates);
-            prop_assert_eq!(&states[..4], &frozen_states[..]);
-            prop_assert!(p.stats().vnodes_alive > p.stats().frozen_vnodes, "a delta layer");
+            prop_assert_eq!(&states[..4], &base_states[..]);
+            prop_assert!(p.stats().vnodes_alive > p.stats().frozen_vnodes, "nodes above the prefix");
             check_against_references(&p, &states)?;
-            check_against_references(&p, &frozen_states)?;
+            check_against_references(&p, &base_states)?;
         }
     }
 

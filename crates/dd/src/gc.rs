@@ -13,6 +13,10 @@
 //! in place. GC start is the engine's memory high-water mark, so a copy
 //! of the garbage taken there would be paid for in peak RSS.
 //!
+//! The pinned prefix of a [`Package::fork`] is never freed: the arena
+//! clears every mark but the prefix's, so the mark phase stops at a
+//! prefix node and the sweep passes the prefix by.
+//!
 //! What a collection may *not* change is when it runs, the ascending
 //! order in which it frees slots, and the LIFO order in which
 //! [`crate::arena::Arena::alloc`] hands them out again: node ids break
@@ -36,7 +40,8 @@ pub struct GcStats {
     pub mnodes_alive: usize,
 }
 
-/// Marks every delta node reachable from an external root of `arena`.
+/// Marks every node reachable from an external root of `arena` (the
+/// pinned prefix reads as marked already).
 fn mark_reachable<T, const N: usize>(arena: &mut Arena<T>, children: impl Fn(&T) -> [NodeId; N]) {
     arena.clear_marks();
     let mut stack: Vec<u32> = arena.rooted_indices().collect();
@@ -92,16 +97,19 @@ impl Package {
         }
     }
 
-    /// The alive-node count the GC trigger reads. Without a snapshot it
-    /// is every alive node of both arenas. With one, it is the private
-    /// delta layer plus the frozen matrix nodes of the edges registered
-    /// with [`Package::inc_ref_m`]: the nodes this package would hold
-    /// had it built those edges itself. A trigger on it fires at the
-    /// same operation with and without the snapshot, and the rest of
-    /// the frozen prefix does not drive it by its mere presence.
+    /// The alive-node count the GC trigger reads. For a package that
+    /// was not forked it is every alive node of both arenas. For a
+    /// [`Package::fork`] it is the nodes above the pinned prefix plus
+    /// the prefix matrix nodes of the edges registered with
+    /// [`Package::inc_ref_m`]: the nodes this package would hold had it
+    /// built those edges itself. A trigger on it fires at the same
+    /// operation with and without the fork, and the rest of the prefix
+    /// does not drive it by its mere presence.
     #[must_use]
     pub fn collectable_nodes(&self) -> usize {
-        self.vnodes.delta_alive_count() + self.mnodes.delta_alive_count() + self.mnodes.held_count()
+        self.vnodes.alive_count() - self.vnodes.prefix_alive() + self.mnodes.alive_count()
+            - self.mnodes.prefix_alive()
+            + self.mnodes.held_count()
     }
 }
 
@@ -148,12 +156,12 @@ mod tests {
 
         // Random 7-qubit circuits under the simulator's GC discipline
         // (one rooted state, collect past 64 collectable nodes), on a
-        // plain package and layered over a snapshot that warmed a few
-        // of the gates.
+        // plain package and on a fork of one that warmed a few of the
+        // gates.
         #[test]
         fn collection_leaves_a_consistent_store(
             ops in prop::collection::vec(((0usize..6, any::<f64>()), 0usize..7, 0usize..7), 48),
-            over_snapshot in any::<bool>()
+            forked in any::<bool>()
         ) {
             const N: usize = 7;
             let gate = |p: &mut Package, ((kind, theta), a, b): ((usize, f64), usize, usize)| {
@@ -171,12 +179,12 @@ mod tests {
                     p.single_gate(N, a, u).unwrap()
                 }
             };
-            let mut p = if over_snapshot {
+            let mut p = if forked {
                 let mut base = Package::new();
                 for &op in &ops[..8] {
                     let _ = gate(&mut base, op);
                 }
-                Package::with_snapshot(&base.freeze(), None)
+                base.fork(None)
             } else {
                 Package::new()
             };

@@ -37,9 +37,8 @@
 //!   and never reallocated (the chunked memory manager of that
 //!   lineage), so growing an arena copies nothing and an engine's peak
 //!   RSS does not depend on what the allocator did for the engines the
-//!   thread ran before; freezing a package moves the chunks into the
-//!   snapshot as they are, and an arena that fits one chunk is read
-//!   like a slice. Reference counts live in parallel chunks and
+//!   thread ran before, and an arena that fits one chunk is read like
+//!   a slice. Reference counts live in parallel chunks and
 //!   the `alive`/`mark` GC flags in packed bitsets. Operation recursion
 //!   touches only payload bytes; GC mark-clearing is a memset and the
 //!   sweep skips 64 dead-free slots per word.
@@ -121,6 +120,15 @@
 //!   recursion would have allocated nothing and interned no ratio, so
 //!   arena populations, GC timing and results are the same bits
 //!   ([`PackageStats::identity_skips`] counts the events).
+//! * **A warmed package is forked, not layered.** [`Package::fork`]
+//!   deep-copies the node store, the unique tables, the canonical
+//!   ratios and the identity cache into a new package with empty
+//!   caches. The copied nodes are a pinned prefix that only the
+//!   collector and the counters know about: no sweep frees one, new ids
+//!   start above it, and a canonical-ratio reset keeps its ratios — so
+//!   edges taken from the warmed package stay valid in every fork, and
+//!   node reads carry no tier test. The job server forks a warmed
+//!   package of gate DDs for each job of a warm session.
 //! * **Per-node passes index by slot id, not by hash.** Node ids are
 //!   arena slot indices, so [`Package::vsize`] (once per gate under the
 //!   memory-driven scheme), [`Package::contributions`] and the
@@ -203,7 +211,6 @@ pub use error::DdError;
 pub use gates::GateKind;
 pub use gc::GcStats;
 pub use package::{Package, PackageStats};
-pub use snapshot::PackageSnapshot;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, DdError>;

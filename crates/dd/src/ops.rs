@@ -119,7 +119,7 @@
 //! all, because under an identity every `add` has a zero operand and
 //! returns before it forms a ratio — so the canonical-ratio table sees
 //! the same sequence either way. Both fields live in the padding beside
-//! `var`, are part of the node payload a frozen snapshot shares as-is,
+//! `var`, are part of the node payload a fork copies as-is,
 //! and a recycled slot is overwritten whole. An image is a property of
 //! the stored bits, not of the state: |+⟩ fresh out of an H gate stores
 //! `0.7071067811865475`, which re-normalises to `1 − ulp`, and carries
@@ -1066,23 +1066,23 @@ mod tests {
             let zero = base.zero_state(N);
             let _ = layer(&mut base, mul, N, 0..N, GateKind::H, zero);
             let _ = ghz(&mut base, mul, N);
-            let mut p = Package::with_snapshot(&base.freeze(), None);
-            let watermark = p.vnodes.watermark();
-            assert!(watermark > 0, "the prefix holds vector nodes");
+            let mut p = base.fork(None);
+            let prefix = p.vnodes.prefix();
+            assert!(prefix > 0, "the prefix holds vector nodes");
 
-            // Rebuilt states resolve to frozen nodes, bits included.
+            // Rebuilt states resolve to prefix nodes, bits included.
             let zero = p.zero_state(N);
             let plus = layer(&mut p, mul, N, 0..N, GateKind::H, zero);
             let ghz_state = ghz(&mut p, mul, N);
-            assert!(plus.node.0 < watermark && ghz_state.node.0 < watermark);
+            assert!(plus.node.0 < prefix && ghz_state.node.0 < prefix);
             assert_eq!(p.image_census(plus), (0, N, N));
             assert_eq!(p.image_census(ghz_state), (2 * N - 1, 2 * N - 1, 2 * N - 1));
 
-            // New diagrams grow above the watermark on frozen successors.
+            // New diagrams grow above the prefix on prefix successors.
             let turned = layer(&mut p, mul, N, N / 2..N, GateKind::T, plus);
             let nodes = p.reachable_vnodes(turned);
-            assert!(nodes.iter().any(|id| id.0 >= watermark));
-            assert!(nodes.iter().any(|id| id.0 < watermark));
+            assert!(nodes.iter().any(|id| id.0 >= prefix));
+            assert!(nodes.iter().any(|id| id.0 < prefix));
             for state in [ghz_state, plus, turned] {
                 sweep(&mut p, mul, N, state, log);
             }
@@ -1273,7 +1273,7 @@ mod tests {
             let zero = base.zero_state(N);
             let _ = layer(&mut base, mul, N, 0..N, GateKind::H, zero);
             let _ = ghz(&mut base, mul, N);
-            let mut p = Package::with_snapshot(&base.freeze(), None);
+            let mut p = base.fork(None);
             let zero = p.zero_state(N);
             let plus = layer(&mut p, mul, N, 0..N, GateKind::H, zero);
             let ghz_state = ghz(&mut p, mul, N);
@@ -1341,15 +1341,15 @@ mod tests {
             let mut base = Package::new();
             let _ = gates(&mut base, N);
             let _ = repeating_states(&mut base, N);
-            let mut p = Package::with_snapshot(&base.freeze(), None);
-            let watermark = p.mnodes.watermark();
-            // Rebuilt operands resolve to frozen nodes; their products
-            // grow above the watermark on frozen successors.
+            let mut p = base.fork(None);
+            let prefix = p.mnodes.prefix();
+            // Rebuilt operands resolve to prefix nodes; their products
+            // grow above the prefix on prefix successors.
             let operators = gates(&mut p, N);
             let states = repeating_states(&mut p, N);
-            assert!(operators.iter().all(|g| g.node.0 < watermark));
+            assert!(operators.iter().all(|g| g.node.0 < prefix));
             products(&mut p, f, &operators, &states, log);
-            assert!(p.mnodes.alive_indices().any(|id| id >= watermark));
+            assert!(p.mnodes.alive_indices().any(|id| id >= prefix));
             p.stats()
         });
         assert!(stats.snapshot_hits > 0);

@@ -175,13 +175,13 @@ pub struct PackageStats {
     pub gc_runs: u64,
     /// Total nodes reclaimed by garbage collection.
     pub gc_freed: u64,
-    /// Alive vector nodes in the frozen snapshot prefix (0 without a
-    /// snapshot).
+    /// Alive vector nodes in the pinned prefix of a
+    /// [`Package::fork`] (0 for a package that was not forked).
     pub frozen_vnodes: usize,
-    /// Alive matrix nodes in the frozen snapshot prefix.
+    /// Alive matrix nodes in the pinned prefix.
     pub frozen_mnodes: usize,
-    /// Unique-table hits that resolved to a frozen snapshot node
-    /// (a subset of `unique_hits`; 0 without a snapshot).
+    /// Unique-table hits that resolved to a pinned prefix node (a subset
+    /// of `unique_hits`; 0 for a package that was not forked).
     pub snapshot_hits: u64,
     /// `Package::mul_mv` calls answered by the identity rule (see the
     /// crate docs): an identity operator on a node that carries its
@@ -195,9 +195,8 @@ pub struct PackageStats {
     /// container **lengths**: arena slots (payload, reference count,
     /// flag bits, free list), unique-table buckets, the canonical-ratio
     /// index and values, and the compute table's slot array once it has
-    /// materialised (not the per-call memos).
-    /// Private tiers only — an attached snapshot's frozen prefix is
-    /// shared and counted by nobody. Deterministic for a given
+    /// materialised (not the per-call memos), a fork's pinned prefix
+    /// included: a fork owns its copy. Deterministic for a given
     /// operation sequence and cache size (it is not RSS: allocator
     /// slack, `Vec` spare capacity and per-call scratch are outside
     /// it), but a description of layout, not of a result: it is
@@ -213,7 +212,7 @@ impl PackageStats {
         self.vnodes_peak + self.mnodes_peak
     }
 
-    /// Alive nodes of both kinds in the frozen snapshot prefix.
+    /// Alive nodes of both kinds in the pinned prefix.
     #[must_use]
     pub fn frozen_nodes(&self) -> usize {
         self.frozen_vnodes + self.frozen_mnodes
@@ -243,8 +242,8 @@ pub struct Package {
     pub(crate) mnodes: Arena<MNode>,
     pub(crate) vunique: UniqueTable,
     pub(crate) munique: UniqueTable,
-    /// Canonical `add` weight ratios, one per tolerance bucket (private
-    /// tier plus an attached snapshot's frozen one) — see [`crate::ratio`].
+    /// Canonical `add` weight ratios, one per tolerance bucket — see
+    /// [`crate::ratio`].
     pub(crate) ratio_canon: RatioCanon,
     /// The lossy compute table of `add`, the one memo that outlives a
     /// call (see [`crate::ops`]).
@@ -322,8 +321,8 @@ impl Package {
         s.unique_capacity = self.vunique.capacity() + self.munique.capacity();
         s.ct_hits = self.ct.hits;
         s.ct_misses = self.ct.misses;
-        s.frozen_vnodes = self.vnodes.frozen_count();
-        s.frozen_mnodes = self.mnodes.frozen_count();
+        s.frozen_vnodes = self.vnodes.prefix_alive();
+        s.frozen_mnodes = self.mnodes.prefix_alive();
         s.node_store_bytes = self.vnodes.bytes()
             + self.mnodes.bytes()
             + self.vunique.bytes()
@@ -405,7 +404,7 @@ impl Package {
         match found {
             Some(id) => {
                 self.stats.unique_hits += 1;
-                if id < self.vnodes.watermark() {
+                if id < self.vnodes.prefix() {
                     self.stats.snapshot_hits += 1;
                 }
                 id
@@ -525,7 +524,7 @@ impl Package {
         match found {
             Some(id) => {
                 self.stats.unique_hits += 1;
-                if id < self.mnodes.watermark() {
+                if id < self.mnodes.prefix() {
                     self.stats.snapshot_hits += 1;
                 }
                 id
@@ -570,18 +569,20 @@ impl Package {
 
     /// Registers a matrix edge as an external GC root.
     ///
-    /// A frozen edge is pinned already; registering it makes its frozen
-    /// nodes count as this package's own in
-    /// [`Package::collectable_nodes`], as if it had built the edge.
+    /// An edge into the pinned prefix of a [`Package::fork`] needs no
+    /// root; registering it makes its prefix nodes count as this
+    /// package's own in [`Package::collectable_nodes`], as if it had
+    /// built the edge.
     pub fn inc_ref_m(&mut self, e: MEdge) {
-        if e.node.0 >= self.mnodes.watermark() {
+        if e.node.0 >= self.mnodes.prefix() {
             if !e.node.is_terminal() {
                 self.mnodes.inc_rc(e.node.0);
             }
             return;
         }
-        // Below a frozen node all nodes are frozen, and below a held one
-        // all are held: an edge registered before allocates nothing.
+        // Below a prefix node all nodes are in the prefix, and below a
+        // held one all are held: an edge registered before allocates
+        // nothing.
         let (mut idx, mut stack) = (e.node.0, Vec::new());
         loop {
             if self.mnodes.hold(idx) {

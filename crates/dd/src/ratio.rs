@@ -29,14 +29,14 @@
 //! # Reset rule
 //!
 //! [`RatioCanon::canonical`] is the only entry point and is called once
-//! per non-trivial `add`. A ratio whose bucket is already held — frozen
-//! or private — is answered and never resets anything. Only a call that
-//! would insert a **new** bucket while the private tier holds
-//! [`RATIO_CANON_CAP`] entries empties that tier first (its index and
-//! value array keep their memory) and reports `reset = true`, upon
-//! which the package clears the compute table and the `mul_mv` memo:
-//! their results embed canonical-ratio bits, so a surviving entry could
-//! disagree with a post-reset recomputation.
+//! per non-trivial `add`. A ratio whose bucket is already held is
+//! answered and never resets anything. Only a call that would insert a
+//! **new** bucket while the table holds [`RATIO_CANON_CAP`] entries past
+//! its pinned prefix empties the table down to that prefix first (its
+//! index and value array keep their memory) and reports `reset = true`,
+//! upon which the package clears the compute table and the `mul_mv`
+//! memo: their results embed canonical-ratio bits, so a surviving entry
+//! could disagree with a post-reset recomputation.
 //!
 //! Reset timing is therefore a function of the sequence of *new*
 //! buckets, not of every call. That distinction is what makes results
@@ -47,23 +47,27 @@
 //! half of the contract lives with the callers: an operation whose
 //! recursion straddled a reset does not memoize its result, which holds
 //! pre-reset representatives (`Package::ratio_resets`, read before the
-//! recursion). A frozen tier never resets: it is a snapshot invariant
-//! shared with every sibling package, probed *before* the private tier
-//! so frozen buckets keep their pinned representatives
-//! (first-write-wins across the snapshot boundary).
+//! recursion).
+//!
+//! # The pinned prefix
+//!
+//! A table copied by [`crate::Package::fork`] pins the representatives
+//! it was copied with: they are the first values in insertion order, a
+//! reset keeps them, and they do not count toward the cap. A fork thus
+//! canonicalizes every bucket its base had seen as the base did, and
+//! when it resets depends only on the buckets it adds itself.
 
 use std::hash::Hasher;
-use std::sync::Arc;
 
 use approxdd_complex::{Cplx, Tolerance};
 
 use crate::fasthash::FxHasher;
 
-/// Entry cap of the private canonical-ratio tier. Index slots double
-/// while `2 · entries` would exceed them, so at the cap the tier holds
-/// 2^18 values (4 MiB) behind a 2^19-slot index (2 MiB): 6 MiB (at most
-/// 7 MiB for the instant the last doubling moves the values, then
-/// rebuilds the index). A new bucket at the cap empties the tier and
+/// Entry cap of the canonical-ratio table past its pinned prefix. Index
+/// slots double while `2 · entries` would exceed them, so at the cap a
+/// table without a prefix holds 2^18 values (4 MiB) behind a 2^19-slot
+/// index (2 MiB): 6 MiB (at most 7 MiB for the instant the last doubling
+/// moves the values, then rebuilds the index). A new bucket at the cap empties the table and
 /// the compute table — see the module docs.
 pub(crate) const RATIO_CANON_CAP: usize = 1 << 18;
 
@@ -73,7 +77,7 @@ const INITIAL_SLOTS: usize = 64;
 /// An insert-only open-addressed set of canonical ratios, at most one
 /// per tolerance bucket (see the module docs).
 #[derive(Debug, Default)]
-pub(crate) struct RatioTable {
+struct RatioTable {
     /// The index: `0` is vacant, `i + 1` points at `values[i]`. Empty
     /// until the first insert, then a power of two.
     slots: Vec<u32>,
@@ -90,6 +94,19 @@ fn home(key: (i64, i64), mask: usize) -> usize {
     h.write_i64(key.0);
     h.write_i64(key.1);
     (h.finish() >> 32) as usize & mask
+}
+
+/// Not derived: a derived clone would size the value array to its
+/// length, and the next insert would move it.
+impl Clone for RatioTable {
+    fn clone(&self) -> Self {
+        let mut values = Vec::with_capacity(self.slots.len() / 2);
+        values.extend_from_slice(&self.values);
+        Self {
+            slots: self.slots.clone(),
+            values,
+        }
+    }
 }
 
 impl RatioTable {
@@ -156,7 +173,7 @@ impl RatioTable {
 
     /// Doubles the index (or provides the first one), reserves room for
     /// half of it in the value array, and points the new index at every
-    /// representative under its recomputed bucket.
+    /// representative.
     #[cold]
     fn grow(&mut self, tol: Tolerance) {
         let new_slots = (self.slots.len() * 2).max(INITIAL_SLOTS);
@@ -164,30 +181,37 @@ impl RatioTable {
         // The old index goes before the new one is allocated.
         self.slots = Vec::new();
         self.slots = vec![0; new_slots];
+        self.reindex(tol);
+    }
+
+    /// Forgets every representative but the first `keep`, keeping the
+    /// index and the value array's memory.
+    fn truncate(&mut self, tol: Tolerance, keep: usize) {
+        self.values.truncate(keep);
+        self.slots.fill(0);
+        self.reindex(tol);
+    }
+
+    /// Points the (vacant) index at every representative under its
+    /// recomputed bucket.
+    fn reindex(&mut self, tol: Tolerance) {
         for (at, &value) in self.values.iter().enumerate() {
             let (idx, _) = self
                 .probe(tol, tol.key(value))
-                .expect("the new index has slots");
+                .expect("the index has slots");
             self.slots[idx] = u32::try_from(at + 1).expect("index slots fit in u32");
         }
     }
-
-    /// Forgets every representative, keeping the index and the value
-    /// array's memory.
-    fn clear(&mut self) {
-        self.slots.fill(0);
-        self.values.clear();
-    }
 }
 
-/// Canonical ratios of one package: a private [`RatioTable`], optionally
-/// layered over the frozen table of an attached snapshot.
+/// Canonical ratios of one package: a [`RatioTable`] whose first
+/// `prefix` representatives are pinned (see the module docs).
 #[derive(Debug)]
 pub(crate) struct RatioCanon {
-    /// Immutable shared tier of an attached snapshot, if any.
-    frozen: Option<Arc<RatioTable>>,
-    delta: RatioTable,
-    /// Private entries at which a new bucket makes
+    table: RatioTable,
+    /// Representatives a reset keeps: those [`RatioCanon::fork`] copied.
+    prefix: usize,
+    /// Entries past the prefix at which a new bucket makes
     /// [`RatioCanon::canonical`] reset ([`RATIO_CANON_CAP`]; tests
     /// shrink it to cross it often).
     cap: usize,
@@ -196,52 +220,41 @@ pub(crate) struct RatioCanon {
 impl RatioCanon {
     pub(crate) fn new() -> Self {
         Self {
-            frozen: None,
-            delta: RatioTable::default(),
+            table: RatioTable::default(),
+            prefix: 0,
             cap: RATIO_CANON_CAP,
         }
     }
 
-    /// An empty private tier layered over a shared frozen one.
-    pub(crate) fn with_frozen(frozen: Arc<RatioTable>) -> Self {
+    /// A copy of this table whose every representative is pinned.
+    pub(crate) fn fork(&self) -> Self {
         Self {
-            frozen: Some(frozen),
-            ..Self::new()
+            table: self.table.clone(),
+            prefix: self.table.len(),
+            cap: self.cap,
         }
     }
 
-    /// Converts the private tier into a frozen one. Only a base table
-    /// can be frozen (mirrors [`crate::unique::UniqueTable::freeze`]).
-    pub(crate) fn freeze(self) -> RatioTable {
-        assert!(
-            self.frozen.is_none(),
-            "cannot freeze a package layered over an existing snapshot"
-        );
-        self.delta
-    }
-
-    /// Bytes of the private tier (the frozen tier is shared, not owned).
+    /// Bytes of the index and the representatives.
     pub(crate) fn bytes(&self) -> usize {
-        self.delta.bytes()
+        self.table.bytes()
     }
 
     /// Canonicalizes `ratio`: its tolerance bucket, the bucket's
-    /// representative, and whether this call reset the private tier
-    /// (the caller must then clear every memoized result — see the
-    /// module docs for the rule).
+    /// representative, and whether this call reset the table (the
+    /// caller must then clear every memoized result — see the module
+    /// docs for the rule).
     #[inline]
     pub(crate) fn canonical(&mut self, tol: Tolerance, ratio: Cplx) -> ((i64, i64), Cplx, bool) {
         let key = tol.key(ratio);
-        if let Some(pinned) = self.frozen.as_ref().and_then(|f| f.get(tol, key)) {
-            return (key, pinned, false);
-        }
         // The second probe runs only at the cap, until the next new
-        // bucket resets the tier.
-        let reset = self.delta.len() >= self.cap && self.delta.get(tol, key).is_none();
+        // bucket resets the table.
+        let reset =
+            self.table.len() - self.prefix >= self.cap && self.table.get(tol, key).is_none();
         if reset {
-            self.delta.clear();
+            self.table.truncate(tol, self.prefix);
         }
-        (key, self.delta.get_or_insert(tol, key, ratio), reset)
+        (key, self.table.get_or_insert(tol, key, ratio), reset)
     }
 }
 
@@ -259,11 +272,11 @@ mod tests {
     }
 
     /// The two hash maps the table replaced, kept as the reference
-    /// model: frozen-before-delta probe order, a reset only for a new
+    /// model: pinned-before-private probe order, a reset only for a new
     /// bucket at the cap, first-write-wins entry.
     #[derive(Default)]
     struct Model {
-        frozen: Option<HashMap<(i64, i64), Cplx>>,
+        pinned: Option<HashMap<(i64, i64), Cplx>>,
         delta: HashMap<(i64, i64), Cplx>,
         cap: usize,
     }
@@ -271,7 +284,7 @@ mod tests {
     impl Model {
         fn canonical(&mut self, tol: Tolerance, ratio: Cplx) -> ((i64, i64), Cplx, bool) {
             let key = tol.key(ratio);
-            if let Some(&pinned) = self.frozen.as_ref().and_then(|f| f.get(&key)) {
+            if let Some(&pinned) = self.pinned.as_ref().and_then(|f| f.get(&key)) {
                 return (key, pinned, false);
             }
             let reset = self.delta.len() >= self.cap && !self.delta.contains_key(&key);
@@ -281,9 +294,9 @@ mod tests {
             (key, *self.delta.entry(key).or_insert(ratio), reset)
         }
 
-        fn freeze(self) -> Self {
+        fn fork(self) -> Self {
             Self {
-                frozen: Some(self.delta),
+                pinned: Some(self.delta),
                 delta: HashMap::new(),
                 cap: self.cap,
             }
@@ -345,16 +358,15 @@ mod tests {
                 prop_assert_eq!(got_key, key);
                 prop_assert_eq!(bits(got), bits(want));
                 prop_assert_eq!(got_reset, reset);
-                prop_assert_eq!(table.delta.len(), model.delta.len());
-                prop_assert!(table.delta.len() * 2 <= table.delta.slots.len());
+                prop_assert_eq!(table.table.len(), model.delta.len());
+                prop_assert!(table.table.len() * 2 <= table.table.slots.len());
                 resets += usize::from(reset);
             }
             prop_assert!(cap > 60 || resets > 0, "cap {} never crossed", cap);
         }
 
-        // The same through a frozen tier: the first third of the
-        // sequence builds the base that is frozen, the rest runs
-        // layered over it.
+        // The same through a fork: the first third of the sequence
+        // builds the base that is forked, the rest runs on the forks.
         #[test]
         fn layered_table_matches_the_layered_model(seq in ops(), cap in 30usize..90) {
             let tol = Tolerance::default();
@@ -365,26 +377,23 @@ mod tests {
                 let r = ratio(tol, op);
                 prop_assert_eq!(bits(base.canonical(tol, r).1), bits(model.canonical(tol, r).1));
             }
-            let frozen = Arc::new(base.freeze());
-            let mut model = model.freeze();
-            prop_assert_eq!(frozen.len(), model.frozen.as_ref().map_or(0, HashMap::len));
-            // Two packages over one snapshot canonicalize identically.
-            let mut layered = [
-                RatioCanon::with_frozen(Arc::clone(&frozen)).with_cap(cap),
-                RatioCanon::with_frozen(Arc::clone(&frozen)).with_cap(cap),
-            ];
+            let mut model = model.fork();
+            let pinned = model.pinned.as_ref().map_or(0, HashMap::len);
+            prop_assert_eq!(base.table.len(), pinned);
+            // Two forks of one base canonicalize identically.
+            let mut forks = [base.fork(), base.fork()];
             for &op in run {
                 let r = ratio(tol, op);
                 let (key, want, reset) = model.canonical(tol, r);
-                for table in &mut layered {
+                for table in &mut forks {
                     let (got_key, got, got_reset) = table.canonical(tol, r);
                     prop_assert_eq!(got_key, key);
                     prop_assert_eq!(bits(got), bits(want));
                     prop_assert_eq!(got_reset, reset);
-                    prop_assert_eq!(table.delta.len(), model.delta.len());
+                    prop_assert_eq!(table.table.len() - table.prefix, model.delta.len());
                 }
             }
-            prop_assert_eq!(frozen.len(), model.frozen.as_ref().map_or(0, HashMap::len));
+            prop_assert_eq!(base.table.len(), pinned, "a fork wrote to its base");
         }
     }
 
@@ -398,13 +407,13 @@ mod tests {
             let (_, _, reset) = table.canonical(tol, Cplx::new(i as f64 * 1e-6, 1.0));
             assert!(!reset);
         }
-        assert_eq!(table.delta.len(), RATIO_CANON_CAP);
-        assert_eq!(table.delta.slots.len(), 1 << 19);
-        assert_eq!(table.delta.values.capacity(), RATIO_CANON_CAP);
+        assert_eq!(table.table.len(), RATIO_CANON_CAP);
+        assert_eq!(table.table.slots.len(), 1 << 19);
+        assert_eq!(table.table.values.capacity(), RATIO_CANON_CAP);
         assert_eq!(table.bytes(), (2 << 20) + (4 << 20), "6 MiB");
         assert!(table.canonical(tol, Cplx::ONE).2, "the next call resets");
-        assert_eq!(table.delta.len(), 1);
+        assert_eq!(table.table.len(), 1);
         assert_eq!(table.bytes(), (2 << 20) + 16);
-        assert_eq!(table.delta.values.capacity(), RATIO_CANON_CAP, "kept");
+        assert_eq!(table.table.values.capacity(), RATIO_CANON_CAP, "kept");
     }
 }

@@ -1,6 +1,4 @@
-//! Copy-on-write package snapshots: an immutable, `Arc`-shared frozen
-//! prefix of a [`Package`] that many private delta packages can layer
-//! over.
+//! Warm snapshots: one warmed [`Package`], forked for every job.
 //!
 //! # Why
 //!
@@ -10,147 +8,62 @@
 //! representative, so two workers racing on one mutable package would
 //! produce different (both "correct", but not *identical*) bits. A
 //! snapshot sidesteps the race instead of fighting it — the expensive
-//! shared state (gate DDs, their unique-table index, interned
-//! canonical ratios) is built **once**, on one thread, then frozen.
-//! Every job layers a private delta on top: new nodes allocate above
-//! the arena watermark, lookups probe delta-then-frozen, garbage
-//! collection sweeps only the delta. The frozen tier pins
-//! canonicalization history, so results are byte-identical to a
-//! package that built the same prefix itself and then ran the same
-//! operations.
+//! state (gate DDs, their unique-table entries, interned canonical
+//! ratios) is built **once**, on one thread, and every job starts from
+//! its own deep copy, [`Package::fork`]. The copy's nodes are a pinned
+//! prefix: no collection frees one, new nodes get ids above it, and a
+//! canonical-ratio reset keeps its ratios, so edges taken from the
+//! warmed package (gate DDs) stay valid in every fork, and results are
+//! byte-identical to a package that built the same prefix itself and
+//! then ran the same operations. The copy is small — a warmed gate
+//! prefix is a few hundred matrix nodes — and buys node reads, lookups
+//! and collections that know of one tier only.
 //!
 //! # Lifecycle
 //!
 //! ```text
-//!   Package::new()  ──warm gates──►  Package::freeze()  ──►  PackageSnapshot
-//!                                                                │ (Arc)
-//!                      ┌─────────────────────┬───────────────────┤
-//!                      ▼                     ▼                   ▼
-//!            Package::with_snapshot  Package::with_snapshot     ...
-//!                 (worker job 1)          (worker job 2)
-//!                      │                     │
-//!               delta nodes ≥ watermark   delta nodes ≥ watermark
-//!               private caches, GC        private caches, GC
+//!   Package::new()  ──warm gates──►  warmed Package  (shared via Arc)
+//!                                          │
+//!                      ┌───────────────────┼───────────────────┐
+//!                      ▼                   ▼                   ▼
+//!               Package::fork        Package::fork            ...
+//!               (worker job 1)       (worker job 2)
+//!                      │                   │
+//!               pinned prefix = the copy; new nodes above it;
+//!               own compute table, memo and GC
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use approxdd_complex::Tolerance;
-
-use crate::arena::{Arena, FrozenArena};
 use crate::ctable::ComputeCache;
-use crate::edge::MEdge;
 use crate::fasthash::FxHashMap;
-use crate::node::{MNode, VNode};
 use crate::package::{Package, PackageStats};
-use crate::ratio::{RatioCanon, RatioTable};
-use crate::unique::{FrozenUnique, UniqueTable};
-
-/// The immutable frozen prefix of a [`Package`], shared across worker
-/// packages via `Arc` (see the module docs for the lifecycle).
-///
-/// Holds both node arenas' frozen regions, their unique-table indexes,
-/// the canonical-ratio map, and the identity-DD cache. Edges captured
-/// before the freeze (gate DDs) stay valid in every package built by
-/// [`Package::with_snapshot`]: frozen node ids mean the same payloads
-/// everywhere.
-#[derive(Debug)]
-pub struct PackageSnapshot {
-    pub(crate) tol: Tolerance,
-    pub(crate) vnodes: Arc<FrozenArena<VNode>>,
-    pub(crate) mnodes: Arc<FrozenArena<MNode>>,
-    pub(crate) vunique: Arc<FrozenUnique>,
-    pub(crate) munique: Arc<FrozenUnique>,
-    pub(crate) ratio_canon: Arc<RatioTable>,
-    pub(crate) ident_cache: Vec<MEdge>,
-    /// Packages ever layered over this snapshot (bumped by
-    /// [`Package::with_snapshot`]) — the cross-batch reuse odometer a
-    /// warm serving session reads to prove one frozen tier amortized
-    /// across many requests. Diagnostic only: never part of any result.
-    attaches: AtomicU64,
-}
-
-impl PackageSnapshot {
-    /// Alive vector nodes in the frozen prefix.
-    #[must_use]
-    pub(crate) fn frozen_vnodes(&self) -> usize {
-        self.vnodes.alive_count()
-    }
-
-    /// Alive matrix nodes in the frozen prefix.
-    #[must_use]
-    pub(crate) fn frozen_mnodes(&self) -> usize {
-        self.mnodes.alive_count()
-    }
-
-    /// Alive nodes of both kinds in the frozen prefix.
-    #[must_use]
-    pub fn frozen_nodes(&self) -> usize {
-        self.frozen_vnodes() + self.frozen_mnodes()
-    }
-
-    /// How many packages have ever been layered over this snapshot
-    /// ([`Package::with_snapshot`] calls). One per worker job in pooled
-    /// execution, so a warm cross-batch session shows this climbing
-    /// while the frozen tier is built exactly once.
-    #[must_use]
-    pub fn attaches(&self) -> u64 {
-        self.attaches.load(Ordering::Relaxed)
-    }
-}
 
 impl Package {
-    /// Freezes this package into an immutable snapshot prefix.
+    /// A deep copy of this package's node store, unique tables,
+    /// canonical ratios and identity cache, with an empty compute table
+    /// of `cache_bits` (as in [`Package::with_config`]), an empty
+    /// `mul_mv` memo and zeroed statistics.
     ///
-    /// Everything the package built so far — nodes, unique-table
-    /// entries, interned canonical ratios, the identity cache — becomes
-    /// the shared frozen tier; reference counts are dropped (frozen
-    /// nodes are pinned by the watermark, not by rc). The compute table
-    /// is **not** captured: it is lossy memoization whose absence
-    /// only costs recomputation, never changes bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this package already layers over a snapshot
-    /// (re-freezing would need a tier merge, which is unsupported).
+    /// Every node the copy starts with is a **pinned prefix**: garbage
+    /// collection never frees it, new nodes get ids above it, and a
+    /// canonical-ratio reset keeps its ratios. Edges taken from this
+    /// package (warmed gate DDs) are therefore valid in every fork, and
+    /// a fork computes the bits a package that built the same prefix
+    /// itself would, with the same GC timing when its caller registers
+    /// the prefix edges it uses (see [`Package::collectable_nodes`]).
     #[must_use]
-    pub fn freeze(self) -> PackageSnapshot {
-        let _span = approxdd_telemetry::Span::enter("dd.freeze");
-        PackageSnapshot {
-            tol: self.tolerance(),
-            vnodes: Arc::new(self.vnodes.freeze()),
-            mnodes: Arc::new(self.mnodes.freeze()),
-            vunique: Arc::new(self.vunique.freeze()),
-            munique: Arc::new(self.munique.freeze()),
-            ratio_canon: Arc::new(self.ratio_canon.freeze()),
-            ident_cache: self.ident_cache,
-            attaches: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates a package layered over a frozen snapshot: lookups probe
-    /// the private delta first and fall through to the frozen tier,
-    /// new nodes allocate above the watermark, and garbage collection
-    /// can only ever sweep the delta.
-    ///
-    /// `cache_bits` sizes the (private, initially empty) compute table
-    /// exactly as in [`Package::with_config`]. The tolerance is
-    /// inherited from the snapshot.
-    #[must_use]
-    pub fn with_snapshot(snapshot: &PackageSnapshot, cache_bits: Option<u32>) -> Self {
-        snapshot.attaches.fetch_add(1, Ordering::Relaxed);
+    pub fn fork(&self, cache_bits: Option<u32>) -> Self {
+        let _span = approxdd_telemetry::Span::enter("dd.fork");
         Self {
-            tol: snapshot.tol,
-            vnodes: Arena::with_frozen(Arc::clone(&snapshot.vnodes)),
-            mnodes: Arena::with_frozen(Arc::clone(&snapshot.mnodes)),
-            vunique: UniqueTable::with_frozen(Arc::clone(&snapshot.vunique)),
-            munique: UniqueTable::with_frozen(Arc::clone(&snapshot.munique)),
-            ratio_canon: RatioCanon::with_frozen(Arc::clone(&snapshot.ratio_canon)),
+            tol: self.tol,
+            vnodes: self.vnodes.fork(),
+            mnodes: self.mnodes.fork(),
+            vunique: self.vunique.clone(),
+            munique: self.munique.clone(),
+            ratio_canon: self.ratio_canon.fork(),
             ct: ComputeCache::new(cache_bits),
             mv_memo: FxHashMap::default(),
             ratio_resets: 0,
-            ident_cache: snapshot.ident_cache.clone(),
+            ident_cache: self.ident_cache.clone(),
             stats: PackageStats::default(),
         }
     }
@@ -161,9 +74,12 @@ mod tests {
     use super::*;
     use crate::GateKind;
 
-    /// Freezing a package that built a gate and reusing it through a
-    /// layered package must give bit-identical amplitudes to a fresh
-    /// package doing everything itself.
+    // Test names call the fork a *layered* package, the nodes above its
+    // prefix the *delta* and the prefix length the *watermark*.
+
+    /// Forking a package that built a gate and reusing the gate in the
+    /// fork must give bit-identical amplitudes to a fresh package doing
+    /// everything itself.
     #[test]
     fn layered_package_reproduces_base_package_bits() {
         let n = 3;
@@ -176,16 +92,20 @@ mod tests {
         state = reference.apply(gate_t, state);
         let want = reference.to_amplitudes(state, n).unwrap();
 
-        // Snapshot path: gates built in a base package, then frozen.
+        // Fork path: gates built in a base package, then forked.
         let mut base = Package::new();
         let g_h = base.single_gate(n, 0, GateKind::H.matrix()).unwrap();
         let g_t = base.single_gate(n, 1, GateKind::T.matrix()).unwrap();
-        let snapshot = base.freeze();
-        assert!(snapshot.frozen_mnodes() > 0);
-        assert_eq!(snapshot.frozen_vnodes(), 0, "gate warming builds no vnodes");
+        let base = base.fork(None);
+        assert!(base.stats().frozen_mnodes > 0);
+        assert_eq!(
+            base.stats().frozen_vnodes,
+            0,
+            "gate warming builds no vnodes"
+        );
 
         for _ in 0..2 {
-            let mut p = Package::with_snapshot(&snapshot, None);
+            let mut p = base.fork(None);
             let mut s = p.zero_state(n);
             s = p.apply(g_h, s);
             s = p.apply(g_t, s);
@@ -195,44 +115,49 @@ mod tests {
                 assert!(g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits());
             }
             let stats = p.stats();
-            assert_eq!(stats.frozen_mnodes, snapshot.frozen_mnodes());
+            assert_eq!(stats.frozen_mnodes, base.stats().frozen_mnodes);
 
-            // Rebuilding a warmed gate resolves every node in the
-            // frozen unique tier: no new mnodes, snapshot hits counted.
+            // Rebuilding a warmed gate resolves every node in the pinned
+            // prefix: no new mnodes, prefix hits counted.
             let mnodes_before = p.stats().mnodes_alive;
             let rebuilt = p.single_gate(n, 0, GateKind::H.matrix()).unwrap();
-            assert_eq!(rebuilt, g_h, "frozen gate DD is canonical across tiers");
+            assert_eq!(rebuilt, g_h, "a prefix gate DD is canonical in the fork");
             assert_eq!(p.stats().mnodes_alive, mnodes_before);
             assert!(
                 p.stats().snapshot_hits > 0,
-                "rebuilding a frozen gate must hit the frozen unique tier"
+                "rebuilding a prefix gate must hit a prefix node"
             );
         }
+        assert_eq!(
+            base.stats().mnodes_alive,
+            base.stats().frozen_mnodes,
+            "forks wrote to their base"
+        );
     }
 
-    /// Delta-layer GC must never free a frozen node: after collecting
-    /// an unrooted delta state, the frozen gate still applies and the
-    /// frozen counts are untouched.
+    /// GC in a fork must never free a prefix node: after collecting an
+    /// unrooted state, the prefix gate still applies and the prefix
+    /// counts are untouched.
     #[test]
     fn delta_gc_respects_the_watermark() {
         let n = 4;
         let mut base = Package::new();
         let gate = base.single_gate(n, 2, GateKind::H.matrix()).unwrap();
-        let snapshot = base.freeze();
-        let frozen_m = snapshot.frozen_mnodes();
+        let mut p = base.fork(None);
+        let prefix_m = p.stats().frozen_mnodes;
+        assert_eq!(prefix_m, base.stats().mnodes_alive);
 
-        let mut p = Package::with_snapshot(&snapshot, None);
         let mut s = p.zero_state(n);
         s = p.apply(gate, s);
-        // Nothing rooted: a full GC pass frees the whole delta.
+        // Nothing rooted: a full GC pass frees everything above the prefix.
         let gc = p.collect_garbage();
         assert!(gc.vnodes_freed > 0);
-        assert_eq!(gc.mnodes_freed, 0, "no delta mnodes were built");
+        assert_eq!(gc.mnodes_freed, 0, "no mnodes were built above the prefix");
         let stats = p.stats();
-        assert_eq!(stats.frozen_mnodes, frozen_m);
-        assert_eq!(stats.mnodes_alive, frozen_m, "frozen mnodes survive GC");
+        assert_eq!(stats.frozen_mnodes, prefix_m);
+        assert_eq!(stats.mnodes_alive, prefix_m, "prefix mnodes survive GC");
 
-        // The frozen gate is still fully usable after the sweep.
+        // The prefix gate is still fully usable after the sweep.
         let mut s2 = p.zero_state(n);
         s2 = p.apply(gate, s2);
         let amps = p.to_amplitudes(s2, n).unwrap();

@@ -35,20 +35,9 @@
 //! what keeps canonicalization — and therefore results — independent
 //! of cache configuration. Which bucket an entry sits in, and how full
 //! a level is, can never reach a result: a key has at most one entry,
-//! so a lookup's answer does not depend on the probe order.
-//!
-//! # Copy-on-write snapshots
-//!
-//! A table can layer a private delta over a [`FrozenUnique`]: an
-//! `Arc`-shared, immutable set of levels built by [`UniqueTable::freeze`].
-//! Lookups probe the delta first, then the frozen tier; inserts and
-//! removes touch only the delta. The tiers stay key-disjoint by
-//! construction — a key that resolves in the frozen tier is returned
-//! by lookup and therefore never re-inserted into the delta, and the
-//! arena sweep only ever removes delta ids (frozen nodes sit below the
-//! arena watermark and are never swept).
-
-use std::sync::Arc;
+//! so a lookup's answer does not depend on the probe order. That is
+//! also why [`crate::Package::fork`] can copy the table as it stands:
+//! the copy answers every key as the original would.
 
 /// Bucket holding no entry (never a valid node id: the arena refuses to
 /// grow that far).
@@ -199,83 +188,25 @@ impl Level {
     }
 }
 
-/// The immutable frozen tier of a [`UniqueTable`]: the canonical-node
-/// index of a snapshot's frozen arena prefix, shared via `Arc`.
-#[derive(Debug, Default)]
-pub(crate) struct FrozenUnique {
-    levels: Vec<Level>,
-    len: usize,
-}
-
-impl FrozenUnique {
-    /// Live entries across all frozen levels.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-}
-
 /// A per-level open-addressed unique table (see the module docs).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct UniqueTable {
-    /// Immutable shared tier indexing frozen nodes, if any.
-    frozen: Option<Arc<FrozenUnique>>,
     levels: Vec<Level>,
 }
 
 impl UniqueTable {
     pub(crate) fn new() -> Self {
-        Self {
-            frozen: None,
-            levels: Vec::new(),
-        }
-    }
-
-    /// An empty delta table layered over a shared frozen tier.
-    pub(crate) fn with_frozen(frozen: Arc<FrozenUnique>) -> Self {
-        Self {
-            frozen: Some(frozen),
-            levels: Vec::new(),
-        }
-    }
-
-    /// Converts this table into a frozen tier. Only a base table can be
-    /// frozen (mirrors [`crate::arena::Arena::freeze`]).
-    pub(crate) fn freeze(self) -> FrozenUnique {
-        assert!(
-            self.frozen.is_none(),
-            "cannot freeze a unique table layered over an existing snapshot"
-        );
-        let len = self.levels.iter().map(|l| l.len).sum();
-        FrozenUnique {
-            levels: self.levels,
-            len,
-        }
+        Self { levels: Vec::new() }
     }
 
     /// Looks up the node with key-hash `hash` at `var`, deciding full
     /// equality through `eq` (a closure comparing a candidate node's
-    /// arena payload against the probe key). Probes the private delta
-    /// first, then the frozen tier (the tiers are key-disjoint, so the
-    /// order is a performance choice, not a semantic one).
+    /// arena payload against the probe key).
     #[inline]
-    pub(crate) fn lookup(
-        &self,
-        var: u8,
-        hash: u64,
-        mut eq: impl FnMut(u32) -> bool,
-    ) -> Option<u32> {
-        let tag = tag_of(hash);
-        if let Some(id) = self
-            .levels
+    pub(crate) fn lookup(&self, var: u8, hash: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        self.levels
             .get(usize::from(var))
-            .and_then(|level| level.lookup(tag, &mut eq))
-        {
-            return Some(id);
-        }
-        self.frozen
-            .as_ref()
-            .and_then(|f| f.levels.get(usize::from(var)))
-            .and_then(|level| level.lookup(tag, &mut eq))
+            .and_then(|level| level.lookup(tag_of(hash), eq))
     }
 
     /// Registers a freshly allocated node (call after a failed
@@ -289,39 +220,26 @@ impl UniqueTable {
         self.levels[var].insert(tag_of(hash), id);
     }
 
-    /// Drops a swept node's entry from the **delta** tier. Returns
-    /// whether it was present. Frozen entries are never removed: the
-    /// arena sweep stops at the watermark, so a frozen id can never be
-    /// handed to this method.
+    /// Drops a swept node's entry. Returns whether it was present.
     pub(crate) fn remove(&mut self, var: u8, hash: u64, id: u32) -> bool {
         self.levels
             .get_mut(usize::from(var))
             .is_some_and(|level| level.remove(tag_of(hash), id))
     }
 
-    /// Live entries across both tiers.
+    /// Live entries across all levels.
     pub(crate) fn len(&self) -> usize {
-        let frozen = self.frozen.as_ref().map_or(0, |f| f.len());
-        frozen + self.levels.iter().map(|l| l.len).sum::<usize>()
+        self.levels.iter().map(|l| l.len).sum()
     }
 
-    /// Total buckets across both tiers.
+    /// Total buckets across all levels.
     pub(crate) fn capacity(&self) -> usize {
-        let frozen = self
-            .frozen
-            .as_ref()
-            .map_or(0, |f| f.levels.iter().map(|l| l.buckets.len()).sum());
-        frozen + self.delta_buckets()
-    }
-
-    fn delta_buckets(&self) -> usize {
         self.levels.iter().map(|l| l.buckets.len()).sum()
     }
 
-    /// Bytes of the private delta tier's bucket arrays (the frozen tier
-    /// is shared, not owned).
+    /// Bytes of the bucket arrays.
     pub(crate) fn bytes(&self) -> usize {
-        self.delta_buckets() * std::mem::size_of::<Bucket>()
+        self.capacity() * std::mem::size_of::<Bucket>()
     }
 }
 
@@ -442,30 +360,28 @@ mod tests {
         }
     }
 
+    /// A copy answers every key of the original and then goes its own
+    /// way: what one inserts or removes, the other does not see.
     #[test]
     fn frozen_tier_resolves_after_delta_miss() {
         let mut base = UniqueTable::new();
         base.insert(2, 0x1111, 4);
         base.insert(2, 0x2222, 5);
-        let frozen = Arc::new(base.freeze());
-        assert_eq!(frozen.len(), 2);
 
-        let mut t = UniqueTable::with_frozen(Arc::clone(&frozen));
-        // Frozen entries resolve through the layered table.
+        let mut t = base.clone();
         assert_eq!(t.lookup(2, 0x1111, |id| id == 4), Some(4));
         assert_eq!(t.len(), 2);
-        // Delta inserts coexist and are probed first.
         t.insert(2, 0x3333, 9);
         assert_eq!(t.lookup(2, 0x3333, |id| id == 9), Some(9));
         assert_eq!(t.len(), 3);
-        // Removes only touch the delta: a frozen id is never removable.
-        assert!(!t.remove(2, 0x1111, 4));
-        assert_eq!(t.lookup(2, 0x1111, |id| id == 4), Some(4));
-        assert!(t.remove(2, 0x3333, 9));
+        assert_eq!(base.lookup(2, 0x3333, |id| id == 9), None);
+        assert!(t.remove(2, 0x1111, 4));
+        assert_eq!(base.lookup(2, 0x1111, |id| id == 4), Some(4));
 
-        // A second layered table shares the same frozen entries.
-        let t2 = UniqueTable::with_frozen(frozen);
+        // A second copy holds the original's entries, not the first's.
+        let t2 = base.clone();
         assert_eq!(t2.lookup(2, 0x2222, |id| id == 5), Some(5));
+        assert_eq!(t2.len(), 2);
     }
 
     #[test]

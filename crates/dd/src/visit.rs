@@ -5,7 +5,7 @@
 //! where did I put what I know about it?". Node ids are arena slot
 //! indices, so the answer is a bit per slot rather than a hash probe:
 //!
-//! * [`IdSet`] — one bit per slot of an arena (frozen prefix included),
+//! * [`IdSet`] — one bit per slot of an arena (pinned prefix included),
 //!   zero-initialised per traversal: `capacity / 8` bytes.
 //! * [`IdIndex`] — an [`IdSet`] frozen into an `id → rank` map, the
 //!   rank being the id's position among the members in ascending id

@@ -27,9 +27,9 @@ pub struct AnyBackend {
 
 impl AnyBackend {
     /// Builds the simulator `builder` configures, seeded with the
-    /// builder's sampling seed and layered over `snapshot` when one is
-    /// given — warmed gate DDs resolve from it and the package
-    /// allocates only above the frozen watermark. Pooled workers call
+    /// builder's sampling seed and on a fork of `snapshot`'s package
+    /// when one is given — warmed gate DDs resolve from it and new
+    /// nodes get ids above the fork's pinned prefix. Pooled workers call
     /// this per job with the batch's snapshot;
     /// [`super::BuildBackend::build_backend`] calls it with none.
     pub(crate) fn build(builder: SimulatorBuilder, snapshot: Option<Arc<SimSnapshot>>) -> Self {
@@ -56,8 +56,8 @@ impl AnyBackend {
         self.sim.gate_cache_len()
     }
 
-    /// Gate-DD lookups the wrapped simulator served from a shared
-    /// frozen snapshot (0 when the backend was built without one).
+    /// Gate-DD lookups the wrapped simulator served from a snapshot's
+    /// gate cache (0 when the backend was built without one).
     #[must_use]
     pub(crate) fn snapshot_gate_hits(&self) -> u64 {
         self.sim.snapshot_gate_hits()

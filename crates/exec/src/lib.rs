@@ -18,7 +18,7 @@
 //! * [`BackendPool::run_jobs_with_snapshot`] runs a list of
 //!   [`PoolJob`]s (per-job policy, shots, trace, observable, deadline,
 //!   retry, fallback), one result slot per job, over an optional
-//!   caller-held snapshot frozen from the one circuit they run;
+//!   caller-held snapshot warmed on the one circuit they run;
 //! * [`BackendPool::sample_counts_streamed`] shards one circuit's shot
 //!   budget into fixed-size chunks and merges them into one histogram,
 //!   reporting each chunk as it settles.

@@ -10,8 +10,8 @@
 //! ladder. Two public primitives sit directly on that loop:
 //!
 //! * [`BackendPool::run_jobs_with_snapshot`] — heterogeneous
-//!   [`PoolJob`]s, one result slot per job, optionally layered over a
-//!   caller-supplied snapshot frozen from the one circuit they run;
+//!   [`PoolJob`]s, one result slot per job, optionally each on a fork
+//!   of a caller-supplied snapshot warmed on the one circuit they run;
 //! * [`BackendPool::sample_counts_streamed`] — one circuit's shot
 //!   budget sharded into [`SHOT_CHUNK`]-sized chunks, each drawn as
 //!   ascending `(outcome, count)` runs by one routing pass down the DD
@@ -47,14 +47,14 @@
 //!   notes) — construction costs no table fill after a worker's first
 //!   job.
 //!
-//! A copy-on-write [`SimSnapshot`] handed to
-//! [`BackendPool::run_jobs_with_snapshot`] preserves both properties
-//! while amortizing the per-job gate build, **if it was frozen from
-//! the one circuit its jobs run** (what the job server's warm sessions
-//! do): every worker job layers a private delta package over the
-//! shared immutable prefix, the frozen tier pins the canonicalization
-//! history the job would have built itself, and the job's GC trigger
-//! counts the frozen gate nodes it uses as a private build would, so
+//! A [`SimSnapshot`] handed to [`BackendPool::run_jobs_with_snapshot`]
+//! preserves both properties while amortizing the per-job gate build,
+//! **if it was warmed on the one circuit its jobs run** (what the job
+//! server's warm sessions do): every worker job runs on its own
+//! `Package::fork` of the snapshot's warmed package, whose pinned
+//! prefix carries the canonicalization history the job would have
+//! built itself, and the job's GC trigger counts the prefix gate nodes
+//! it uses as a private build would, so
 //! [`PoolOutcome::fingerprint`] stays byte-identical with and without
 //! the snapshot at any worker count — the workspace's
 //! `tests/determinism.rs` asserts exactly that.
@@ -104,7 +104,7 @@ use std::time::{Duration, Instant};
 use approxdd_circuit::Circuit;
 use approxdd_sim::{
     DeadlineFactory, PolicyFactory, RetryPolicy, SharedObserver, SimError, SimSnapshot,
-    SimulatorBuilder, Strategy, TraceEvent, TraceRecorder,
+    SimulatorBuilder, TraceEvent, TraceRecorder,
 };
 use approxdd_telemetry as telemetry;
 
@@ -384,15 +384,15 @@ pub struct WorkerStats {
     /// Unique-table buckets in this worker's package after its last
     /// task.
     pub(crate) unique_capacity: usize,
-    /// Unique-table lookups served by a shared snapshot's frozen tier,
-    /// accumulated like [`WorkerStats::ct_hits`] (0 when the pool runs
-    /// without snapshots).
+    /// Unique-table lookups answered by a node of a snapshot's pinned
+    /// prefix, accumulated like [`WorkerStats::ct_hits`] (0 when the
+    /// pool runs without snapshots).
     pub(crate) snapshot_hits: u64,
-    /// Gate-DD lookups served by a shared snapshot's frozen gate cache,
-    /// accumulated like [`WorkerStats::ct_hits`] (0 without snapshots).
+    /// Gate-DD lookups served by a snapshot's gate cache, accumulated
+    /// like [`WorkerStats::ct_hits`] (0 without snapshots).
     pub snapshot_gate_hits: u64,
-    /// Alive nodes in the shared frozen prefix this worker's package
-    /// layers over (0 without a snapshot).
+    /// Alive nodes in the pinned prefix of this worker's forked package
+    /// (0 without a snapshot).
     pub(crate) frozen_nodes: usize,
 }
 
@@ -459,22 +459,23 @@ impl PoolStats {
             .unwrap_or(0)
     }
 
-    /// Unique-table lookups served by shared snapshots' frozen tiers,
-    /// summed over workers (0 when the pool runs without snapshots).
+    /// Unique-table lookups answered by a node of a snapshot's pinned
+    /// prefix, summed over workers (0 when the pool runs without
+    /// snapshots).
     #[must_use]
     pub fn snapshot_hits(&self) -> u64 {
         self.per_worker.iter().map(|w| w.snapshot_hits).sum()
     }
 
-    /// Gate-DD lookups served by shared snapshots' frozen gate caches,
-    /// summed over workers (0 without snapshots).
+    /// Gate-DD lookups served by snapshots' gate caches, summed over
+    /// workers (0 without snapshots).
     #[must_use]
     pub fn snapshot_gate_hits(&self) -> u64 {
         self.per_worker.iter().map(|w| w.snapshot_gate_hits).sum()
     }
 
-    /// Alive nodes in the shared frozen prefix worker packages layer
-    /// over (the per-worker maximum; 0 without snapshots).
+    /// Alive nodes in the pinned prefix of worker packages forked from
+    /// a snapshot (the per-worker maximum; 0 without snapshots).
     #[must_use]
     pub fn frozen_nodes(&self) -> usize {
         self.per_worker
@@ -624,7 +625,7 @@ pub(crate) fn verdict(
 /// let template = Simulator::builder().workers(2).seed(7);
 /// let pool = template.clone().build_pool();
 /// let circuit = generators::qft(6);
-/// // The gate DDs of one circuit, frozen once and shared by every job
+/// // The gate DDs of one circuit, built once and forked by every job
 /// // that runs it: same bits, less per-job gate building.
 /// let snapshot = Arc::new(template.build_snapshot(&circuit)?);
 /// let jobs = vec![PoolJob::new(circuit.clone()); 4];
@@ -790,17 +791,17 @@ impl BackendPool {
     /// slot instead of hanging the collection; dead workers are healed
     /// along the way (see the module docs, *Fault tolerance*).
     ///
-    /// `snapshot` is the frozen prefix every job's engine layers over,
-    /// which makes this the cross-batch reuse seam behind warm serving
-    /// sessions: the caller freezes one circuit once
+    /// `snapshot` is the warmed package every job's engine forks, which
+    /// makes this the cross-batch reuse seam behind warm serving
+    /// sessions: the caller warms one circuit once
     /// ([`SimulatorBuilder::build_snapshot`]) and passes the same `Arc`
     /// to every later batch that runs it — its gate DDs are never
     /// rebuilt, and the outcomes stay byte-identical to a cold
     /// [`BackendPool::run_jobs`] call (the snapshot clause of the
     /// determinism contract, `tests/determinism.rs`).
     ///
-    /// **Precondition:** the snapshot was frozen, with this pool's
-    /// template options, from the circuit every job in `jobs` runs.
+    /// **Precondition:** the snapshot was warmed, with this pool's
+    /// template options, on the circuit every job in `jobs` runs.
     /// `None` runs the batch snapshot-free.
     #[must_use]
     pub fn run_jobs_with_snapshot(
@@ -872,9 +873,10 @@ impl BackendPool {
 
     /// The sampling primitive: draws `shots` measurement outcomes of
     /// `circuit` as a histogram, sharding the shot budget across the
-    /// workers in chunks of [`SHOT_CHUNK`]. `strategy` overrides the
+    /// workers in chunks of [`SHOT_CHUNK`]. `policy` overrides the
     /// template's policy for this call (e.g. sampling an approximate
-    /// run's distribution).
+    /// run's distribution, or a [`DeadlineFactory`] bounding the pass),
+    /// as [`PoolJob::policy`] does for a run job.
     ///
     /// Each worker runs the circuit once (deterministically, on fresh
     /// state) and then serves chunks from its cached final state, so
@@ -903,7 +905,7 @@ impl BackendPool {
     pub fn sample_counts_streamed(
         &self,
         circuit: &Circuit,
-        strategy: Option<Strategy>,
+        policy: Option<Arc<dyn PolicyFactory>>,
         shots: usize,
         on_chunk: &mut dyn FnMut(&ChunkSettled),
     ) -> Result<HashMap<u64, usize>, ExecError> {
@@ -915,7 +917,6 @@ impl BackendPool {
         let chunk_shots = move |chunk: usize| SHOT_CHUNK.min(shots - chunk * SHOT_CHUNK);
         let seeds = self.seeds;
         let circuit = circuit.clone();
-        let policy = strategy.map(|s| Arc::new(s) as Arc<dyn PolicyFactory>);
         let mut merged = Vec::new();
         let mut settled = 0;
         let mut shots_settled = 0;
@@ -1234,8 +1235,8 @@ impl Worker {
     }
 
     /// Replaces the backend with a fresh instance built from the
-    /// template (plus an optional policy override), layered over the
-    /// batch's shared frozen snapshot when one was built. Job isolation
+    /// template (plus an optional policy override), on a fork of the
+    /// batch's snapshot when it has one. Job isolation
     /// is the pool's determinism linchpin — see the module docs.
     ///
     /// When the job carries a `deadline`, whatever policy it ended up

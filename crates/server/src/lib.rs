@@ -32,7 +32,7 @@
 //! * `http` — request parsing and response/NDJSON writing;
 //! * `scheduler` — bounded priority admission with per-client
 //!   token-bucket quotas (typed 429 backpressure, never blocking);
-//! * `session` — the warm-session LRU promoting frozen
+//! * `session` — the warm-session LRU promoting warmed
 //!   [`approxdd_sim::SimSnapshot`]s from per-batch to cross-batch,
 //!   with the determinism argument for why that is result-invisible;
 //! * `server` — configuration, bind, the accept loop and the drain,

@@ -12,9 +12,10 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 
 use approxdd_circuit::Circuit;
+use approxdd_exec::backend::ExecError;
 use approxdd_exec::PoolJob;
 use approxdd_sim::json::Json;
-use approxdd_sim::SimSnapshot;
+use approxdd_sim::{DeadlineFactory, PolicyFactory, SimError, SimSnapshot};
 use approxdd_telemetry as telemetry;
 
 use crate::error::ServeError;
@@ -59,27 +60,43 @@ fn execute_job(inner: &Inner, state: &JobState, spec: JobSpec) {
     // break the fingerprint's equality with a direct pool run.
     let mut partial_counts: Option<HashMap<u64, usize>> = None;
     if spec.partials && spec.shots > 0 {
-        let result = inner.pool.sample_counts_streamed(
-            &spec.circuit,
-            spec.strategy,
-            spec.shots,
-            &mut |chunk| {
-                state.push(
-                    "partial",
-                    [
-                        ("settled_chunks", Json::int(chunk.settled)),
-                        ("total_chunks", Json::int(chunk.chunks)),
-                        ("shots_settled", Json::int(chunk.shots_settled)),
-                        (
-                            "counts",
-                            Json::counts(chunk.merged.iter().map(|(k, v)| (k, v))),
-                        ),
-                    ],
-                );
-            },
-        );
+        // The job's deadline bounds this pass as it bounds the run job.
+        let mut policy = spec.strategy.map(|s| Arc::new(s) as Arc<dyn PolicyFactory>);
+        let mut fired = None;
+        if let Some(budget) = spec.deadline {
+            let inner_policy = policy.unwrap_or_else(|| inner.template.current_policy());
+            let factory = DeadlineFactory::new(inner_policy, budget);
+            fired = Some(factory.fired_flag());
+            policy = Some(Arc::new(factory));
+        }
+        let result =
+            inner
+                .pool
+                .sample_counts_streamed(&spec.circuit, policy, spec.shots, &mut |chunk| {
+                    state.push(
+                        "partial",
+                        [
+                            ("settled_chunks", Json::int(chunk.settled)),
+                            ("total_chunks", Json::int(chunk.chunks)),
+                            ("shots_settled", Json::int(chunk.shots_settled)),
+                            (
+                                "counts",
+                                Json::counts(chunk.merged.iter().map(|(k, v)| (k, v))),
+                            ),
+                        ],
+                    );
+                });
+        let deadline_fired = fired.is_some_and(|flag| flag.load(Ordering::Relaxed));
         match result {
             Ok(counts) => partial_counts = Some(counts),
+            Err(ExecError::Sim(SimError::PolicyAbort { .. })) if deadline_fired => {
+                let e = ExecError::DeadlineExceeded {
+                    job: 0,
+                    attempt: 0,
+                    budget: spec.deadline.unwrap_or_default(),
+                };
+                return fail_job(inner, state, &e.into());
+            }
             Err(e) => return fail_job(inner, state, &e.into()),
         }
     }
@@ -127,9 +144,9 @@ fn execute_job(inner: &Inner, state: &JobState, spec: JobSpec) {
     }
 }
 
-/// Resolves the job's warm session: a cache hit reuses the frozen
-/// tier built by an earlier request of the same family; a miss pays
-/// the freeze and caches it. Emits a `session` event either way.
+/// Resolves the job's warm session: a cache hit reuses the package
+/// warmed by an earlier request of the same family; a miss pays the
+/// warm-up and caches it. Emits a `session` event either way.
 fn warm_session(inner: &Inner, state: &JobState, circuit: &Circuit) -> Option<Arc<SimSnapshot>> {
     if inner.session_capacity == 0 {
         return None;
@@ -139,7 +156,7 @@ fn warm_session(inner: &Inner, state: &JobState, circuit: &Circuit) -> Option<Ar
     let (snapshot, warm) = match cached {
         Some(snapshot) => (snapshot, true),
         None => {
-            // Freeze outside the cache lock: a slow freeze must not
+            // Warm outside the cache lock: a slow warm-up must not
             // stall other runners' lookups. A racing runner may build
             // the same family concurrently; insert() keeps one
             // canonical Arc.

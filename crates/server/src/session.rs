@@ -1,20 +1,23 @@
-//! Warm sessions: an LRU cache of frozen simulation snapshots keyed on
+//! Warm sessions: an LRU cache of warmed simulation snapshots keyed on
 //! the *circuit family*.
 //!
 //! A serving workload submits the *same family* of circuits across
-//! many independent requests, so the server freezes one
-//! [`SimSnapshot`] per family and keeps it alive between batches
+//! many independent requests, so the server warms one [`SimSnapshot`]
+//! per family — a DD package holding the family's gate DDs — and keeps
+//! it alive between batches
 //! ([`approxdd_exec::BackendPool::run_jobs_with_snapshot`]): the first
-//! request of a family pays the freeze, every later request layers
-//! straight over the cached `Arc`.
+//! request of a family pays the gate builds, every later request's job
+//! starts from a `Package::fork` of the cached package, a copy of a few
+//! hundred nodes whose pinned prefix no collection frees. The cached
+//! package holds no compute-table slot array and no memo.
 //!
 //! # Determinism
 //!
 //! A snapshot is a pure function of (simulator options, circuit gate
-//! structure) — see [`SimSnapshot::build`] — and a job layered over a
+//! structure) — see [`SimSnapshot::build`] — and a job on a fork of a
 //! snapshot of its own circuit is bit-identical to one run without a
 //! snapshot. A session holds exactly one family, so it is always that
-//! case: warm, cold and re-frozen
+//! case: warm, cold and re-warmed
 //! runs of the same request fingerprint identically, which the
 //! workspace's determinism suite (`tests/determinism.rs`) asserts over
 //! TCP. The cache key hashes the gate structure (qubit count
@@ -62,7 +65,7 @@ struct SessionEntry {
 pub struct SessionStats {
     /// Lookups that found a warm session.
     pub hits: u64,
-    /// Lookups that missed (the request then pays a cold freeze).
+    /// Lookups that missed (the request then pays a cold warm-up).
     pub(crate) misses: u64,
     /// Snapshots inserted over the cache's lifetime.
     pub(crate) inserts: u64,
@@ -70,14 +73,14 @@ pub struct SessionStats {
     pub evictions: u64,
     /// Sessions currently cached.
     pub(crate) entries: usize,
-    /// Frozen DD nodes held by the cached sessions combined.
+    /// DD nodes held by the cached sessions' warmed packages combined.
     pub(crate) frozen_nodes: usize,
-    /// Times any currently cached snapshot was layered under a worker
-    /// package (the cross-batch reuse odometer).
+    /// Times a worker package was forked from any currently cached
+    /// snapshot (the cross-batch reuse odometer).
     pub(crate) attaches: u64,
 }
 
-/// An LRU cache mapping [`family_hash`] keys to frozen snapshots.
+/// An LRU cache mapping [`family_hash`] keys to warmed snapshots.
 ///
 /// Capacity 0 disables caching entirely (every lookup misses, inserts
 /// are dropped). The cache is a plain `Vec` ordered coldest-first —
@@ -124,10 +127,10 @@ impl SessionCache {
         }
     }
 
-    /// Inserts a freshly frozen session, evicting the coldest entry
+    /// Inserts a freshly warmed session, evicting the coldest entry
     /// when full. If the family is already cached (two runners raced
     /// on the same cold family), the existing entry wins and is
-    /// returned, so every racer layers over one canonical `Arc`.
+    /// returned, so every racer forks one canonical `Arc`.
     pub fn insert(&mut self, family: u64, snapshot: Arc<SimSnapshot>) -> Arc<SimSnapshot> {
         if self.capacity == 0 {
             return snapshot;

@@ -3,7 +3,7 @@
 //! typed and kills nothing, partial histograms settle deterministically
 //! and shutdown drains. That a streamed fingerprint equals a direct
 //! [`BackendPool::run_jobs`] call for the same (QASM, policy, seed,
-//! shots) — cold, warm, re-frozen and across a worker respawn — is
+//! shots) — cold, warm, re-warmed and across a worker respawn — is
 //! `tests/determinism.rs`'s to check, at the workspace root.
 
 use std::io::{Read, Write};
@@ -370,6 +370,30 @@ fn partials_stream_and_settle_deterministically() {
     );
     // The run result still settles after the histogram.
     assert!(stream.contains("\"type\":\"result\""));
+    shutdown(addr, handle);
+}
+
+/// A deadline bounds a `partials=1` job's sampling pass too: a zero
+/// deadline fails the job with the run path's typed deadline error
+/// before a single partial histogram streams.
+#[test]
+fn a_deadline_bounds_the_partials_pass() {
+    let qasm = to_qasm(&generators::ghz(5)).expect("export qasm");
+    let (addr, handle) = start(ServerConfig::new().template(template(2)));
+    let stream = submit_and_stream(addr, "/jobs?shots=64&deadline_ms=0&partials=1", &qasm);
+    assert!(
+        !stream.contains("\"type\":\"partial\""),
+        "a partial streamed past a zero deadline:\n{stream}"
+    );
+    let error = stream
+        .lines()
+        .find(|l| l.contains("\"type\":\"error\""))
+        .unwrap_or_else(|| panic!("no error event:\n{stream}"));
+    assert!(
+        error.contains("job 0 exceeded its 0ns deadline (attempt 1)"),
+        "{error}"
+    );
+    assert!(!stream.contains("\"type\":\"result\""));
     shutdown(addr, handle);
 }
 

@@ -133,9 +133,15 @@ fn a_run_builds_its_policy_once() {
     let mut backend = Simulator::builder()
         .policy(counting.clone())
         .build_backend();
+    let printed = format!("{:?}", backend.sim_mut());
+    assert!(printed.starts_with("Simulator"), "{printed}");
     let run = backend.run(&generators::ghz(3)).expect("run");
     backend.release(run);
-    assert_eq!(built.load(Ordering::Relaxed), 1, "build_backend + run");
+    assert_eq!(
+        built.load(Ordering::Relaxed),
+        1,
+        "build_backend + Debug + run"
+    );
 
     built.store(0, Ordering::Relaxed);
     let pool = Simulator::builder().seed(5).workers(2).build_pool();

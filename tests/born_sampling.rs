@@ -9,6 +9,7 @@
 //! fails a correct sampler with probability 10⁻³ for a random seed.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use approxdd::circuit::{generators, Circuit};
 use approxdd::exec::{BuildPool, SHOT_CHUNK};
@@ -126,7 +127,7 @@ fn a_truncated_state_samples_its_own_distribution() {
 
     let pool = Simulator::builder().seed(8).workers(2).build_pool();
     let pooled = pool
-        .sample_counts_streamed(&circuit, Some(strategy), SHOTS, &mut |_| {})
+        .sample_counts_streamed(&circuit, Some(Arc::new(strategy)), SHOTS, &mut |_| {})
         .expect("pooled");
     assert_fits("truncated pooled", &pooled, &probs);
 }
