@@ -27,17 +27,18 @@ pub enum ExecError {
         /// Register width of the run.
         n_qubits: usize,
     },
-    /// A pool worker terminated (panicked or was torn down) before
-    /// returning a job's result. Produced by the pool
-    /// ([`crate::BackendPool`]), never by a single-threaded backend.
-    /// Retryable: the pool's `RetryPolicy` re-dispatches lost jobs, and because
-    /// per-job seeds are a pure function of the job index, a retried
-    /// success is byte-identical to a first-try success.
-    WorkerLost {
-        /// Index of the job whose result was lost.
+    /// A job panicked. The pool ([`crate::BackendPool`]) catches the
+    /// panic at the task boundary, drops the job's engine and replies
+    /// with this error; the worker thread lives on. Never produced by
+    /// a single-threaded backend. Retryable: the pool's `RetryPolicy`
+    /// re-dispatches panicked jobs, and because per-job seeds are a
+    /// pure function of the job index, a retried success is
+    /// byte-identical to a first-try success.
+    Panicked {
+        /// Index of the job that panicked.
         job: usize,
-        /// Zero-based attempt on which the worker was lost (`0` for a
-        /// first try; the Display message reports it one-based).
+        /// Zero-based attempt that panicked (`0` for a first try; the
+        /// Display message reports it one-based).
         attempt: u32,
     },
     /// A job's wall-clock deadline elapsed before the run finished.
@@ -56,7 +57,7 @@ pub enum ExecError {
     /// A seeded fault-injection plan ([`crate::FaultPlan`]) forced
     /// this job to fail. Test/bench only — never produced
     /// unless a plan was explicitly installed on the pool. Retryable,
-    /// exactly like [`ExecError::WorkerLost`].
+    /// exactly like [`ExecError::Panicked`].
     FaultInjected {
         /// Index of the faulted job.
         job: usize,
@@ -74,12 +75,8 @@ impl fmt::Display for ExecError {
             ExecError::BasisOutOfRange { basis, n_qubits } => {
                 write!(f, "basis state {basis} outside a {n_qubits}-qubit register")
             }
-            ExecError::WorkerLost { job, attempt } => {
-                write!(
-                    f,
-                    "pool worker terminated before completing job {job} (attempt {})",
-                    attempt + 1
-                )
+            ExecError::Panicked { job, attempt } => {
+                write!(f, "job {job} panicked (attempt {})", attempt + 1)
             }
             ExecError::DeadlineExceeded {
                 job,
@@ -110,7 +107,7 @@ impl Error for ExecError {
             ExecError::Dd(e) => Some(e),
             ExecError::Circuit(e) => Some(e),
             ExecError::BasisOutOfRange { .. }
-            | ExecError::WorkerLost { .. }
+            | ExecError::Panicked { .. }
             | ExecError::DeadlineExceeded { .. }
             | ExecError::FaultInjected { .. } => None,
         }
@@ -177,7 +174,7 @@ mod tests {
     /// Taxonomy audit: every variant renders a non-empty Display and
     /// its `source` chain is exactly as deep as its construction — the
     /// engine wrappers expose their cause, the execution-layer leaves
-    /// (worker loss, deadlines, injected faults) expose none.
+    /// (panics, deadlines, injected faults) expose none.
     #[test]
     fn every_variant_displays_and_chains_as_constructed() {
         let wrapped: Vec<(ExecError, usize)> = vec![
@@ -198,7 +195,7 @@ mod tests {
                 },
                 0,
             ),
-            (ExecError::WorkerLost { job: 3, attempt: 1 }, 0),
+            (ExecError::Panicked { job: 3, attempt: 1 }, 0),
             (
                 ExecError::DeadlineExceeded {
                     job: 5,
@@ -226,7 +223,7 @@ mod tests {
     /// 1-based attempt count — that is what a server log greps for.
     #[test]
     fn resilience_errors_name_job_and_attempt() {
-        let lost = ExecError::WorkerLost { job: 3, attempt: 1 };
+        let lost = ExecError::Panicked { job: 3, attempt: 1 };
         assert!(lost.to_string().contains("job 3"), "{lost}");
         assert!(lost.to_string().contains("attempt 2"), "{lost}");
         let deadline = ExecError::DeadlineExceeded {

@@ -1,9 +1,9 @@
 //! Seeded fault injection for pool-resilience testing.
 //!
 //! A [`FaultPlan`] tells a [`crate::BackendPool`] to fail specific jobs
-//! in specific ways — panic the executing worker, sleep before running,
+//! in specific ways — panic the executing task, sleep before running,
 //! or force an abort — at **deterministic job indices**, so every
-//! recovery path (supervision, retry, deadlines) is reproducibly
+//! recovery path (the panic boundary, retry, deadlines) is reproducibly
 //! testable across 1/2/8 workers. Plans are test/bench machinery:
 //! nothing installs one by default, and a pool without a plan has zero
 //! fault-injection overhead beyond one atomic load per job.
@@ -29,11 +29,10 @@ use crate::seed::{SeedStream, DOMAIN_FAULT};
 /// What a [`FaultPlan`] does to a selected job attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Panic the executing worker thread (via
-    /// [`std::panic::panic_any`] with an [`InjectedPanic`] payload), so
-    /// the job's reply is dropped, the caller sees
-    /// `ExecError::WorkerLost`, and supervision must respawn the
-    /// worker.
+    /// Panic the executing task (via [`std::panic::panic_any`] with an
+    /// [`InjectedPanic`] payload), before the job touches its engine:
+    /// the pool catches it at the task boundary and the caller sees
+    /// `ExecError::Panicked`.
     Panic,
     /// Sleep for the given duration before running the job normally.
     /// The job still succeeds — delays exercise deadline enforcement
@@ -41,8 +40,7 @@ pub enum FaultKind {
     /// fingerprint-excluded).
     Delay(Duration),
     /// Fail the job with `ExecError::FaultInjected` without running it
-    /// — a worker-survivable failure, exercising retry without
-    /// supervision.
+    /// — a failure without a panic, exercising retry alone.
     Abort,
 }
 
@@ -136,7 +134,7 @@ impl FaultPlan {
         self
     }
 
-    /// Pins worker panics to exact job indices.
+    /// Pins panics to exact job indices.
     #[must_use]
     pub fn panic_on(mut self, jobs: impl IntoIterator<Item = usize>) -> Self {
         self.panic_jobs.extend(jobs);
@@ -197,7 +195,7 @@ pub struct InjectedPanic {
 /// default backtrace spew for [`InjectedPanic`] payloads while leaving
 /// every other panic's reporting untouched. Call it at the top of
 /// tests that install panic-injecting [`FaultPlan`]s — otherwise every
-/// injected worker death prints a scary (but harmless) panic message.
+/// injected panic prints a scary (but harmless) panic message.
 pub fn silence_injected_panics() {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {

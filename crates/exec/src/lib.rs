@@ -37,17 +37,17 @@
 //! docs for why job isolation is required, and the workspace contract
 //! suite for the assertion).
 //!
-//! **Execution is fault-tolerant:** the pool supervises its workers
-//! (a thread killed by a panicking job is respawned into the same slot,
-//! so capacity self-heals), re-dispatches jobs lost to worker deaths or
-//! blown deadlines under a deterministic
-//! [`RetryPolicy`](approxdd_sim::RetryPolicy) — retried results are
+//! **Execution is fault-tolerant:** a panic ends a job, not a thread
+//! (each task runs under `catch_unwind`; a panicking job drops its
+//! engine and fails typed, and its worker takes the next task). The
+//! pool re-dispatches panicked jobs and blown deadlines under a
+//! deterministic [`RetryPolicy`](approxdd_sim::RetryPolicy) — retried results are
 //! byte-identical to first-try results because seeds are keyed on the
 //! job index, never the attempt — and enforces per-job wall-clock
 //! deadlines cooperatively through the policy seam, with an optional
 //! degradation ladder ([`PoolJob::degrade_with`]). A seeded
 //! [`FaultPlan`] (test/bench only, driven by the `DOMAIN_FAULT` seed
-//! stream) injects worker panics, delays and forced aborts at
+//! stream) injects panics, delays and forced aborts at
 //! deterministic job indices to exercise all of it.
 //!
 //! [`SimulatorBuilder`]: approxdd_sim::SimulatorBuilder
@@ -81,7 +81,6 @@ mod error;
 mod fault;
 mod pool;
 mod seed;
-mod supervise;
 
 pub use fault::{silence_injected_panics, FaultKind, FaultPlan, InjectedPanic};
 pub use pool::{
@@ -244,7 +243,7 @@ mod tests {
             let pool = Simulator::builder().workers(2).seed(21).build_pool();
             let mut views = 0;
             let streamed = pool
-                .sample_counts_streamed(&circuit, None, shots, &mut |settled| {
+                .sample_counts_streamed(&circuit, None, None, shots, &mut |settled| {
                     views += 1;
                     assert_eq!(settled.chunks, shots.div_ceil(SHOT_CHUNK));
                     let runs = settled.merged;
@@ -330,7 +329,7 @@ mod tests {
         let mut calls = 0;
         let mut last_view = std::collections::HashMap::new();
         let streamed = pool
-            .sample_counts_streamed(&circuit, None, shots, &mut |settled| {
+            .sample_counts_streamed(&circuit, None, None, shots, &mut |settled| {
                 assert_eq!(settled.chunks, 3);
                 calls += 1;
                 assert_eq!(settled.settled, calls);
@@ -433,7 +432,7 @@ mod tests {
             op_index: 3,
             policy: "p".into(),
         });
-        let lost = ExecError::WorkerLost { job, attempt };
+        let lost = ExecError::Panicked { job, attempt };
         let fault = ExecError::FaultInjected { job, attempt };
         let fatal = ExecError::BasisOutOfRange {
             basis: 9,

@@ -63,16 +63,17 @@
 //!
 //! # Fault tolerance
 //!
-//! The loop self-heals and retries, for run jobs and sampling chunks
-//! alike (see `docs/ARCHITECTURE.md` for the lifecycle):
+//! The loop contains panics and retries, for run jobs and sampling
+//! chunks alike (see `docs/ARCHITECTURE.md`, "Fault tolerance"):
 //!
-//! * **Supervision.** A worker that dies (a panicking job) is detected
-//!   during result collection and respawned into the same slot, so the
-//!   pool always returns to full capacity; respawn counts surface in
-//!   [`PoolStats::respawns`].
+//! * **The panic boundary.** Every task runs under `catch_unwind`. A
+//!   panicking unit drops its worker's engine and replies
+//!   [`ExecError::Panicked`]; the thread takes the next task, so the
+//!   pool never loses a worker. Caught panics surface in
+//!   [`PoolStats::panics`].
 //! * **Deterministic retry.** A [`RetryPolicy`] on the template
 //!   re-dispatches units that failed with a retryable error —
-//!   [`ExecError::WorkerLost`],
+//!   [`ExecError::Panicked`],
 //!   [`ExecError::FaultInjected`], [`ExecError::DeadlineExceeded`].
 //!   Re-dispatches go out in rounds, immediately. Seeds are keyed on
 //!   the unit index, never the attempt, so a retried success is
@@ -85,16 +86,17 @@
 //!   coarser (once, without the deadline), marking
 //!   [`PoolOutcome::degraded`].
 //! * **Fault injection.** [`BackendPool::inject_faults`] installs a
-//!   seeded [`FaultPlan`] (test/bench only) that panics workers,
+//!   seeded [`FaultPlan`] (test/bench only) that panics tasks,
 //!   delays jobs, or forces aborts at deterministic job indices.
 //!
-//! The resilience counters ([`PoolStats::respawns`] /
+//! The resilience counters ([`PoolStats::panics`] /
 //! [`PoolStats::retries`] / [`PoolStats::deadline_exceeded`], and
 //! [`PoolOutcome::attempts`] / [`PoolOutcome::degraded`]) are
 //! diagnostics: all are excluded from [`PoolOutcome::fingerprint`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -111,14 +113,6 @@ use approxdd_telemetry as telemetry;
 use crate::backend::{AnyBackend, BackendStats, ExecError, RunOutcome};
 use crate::fault::{FaultKind, FaultPlan, InjectedPanic};
 use crate::seed::{SeedStream, DOMAIN_RUN, DOMAIN_SAMPLE};
-use crate::supervise::Supervisor;
-
-/// How long the collector blocks on the reply channel before taking
-/// a supervision tick ([`BackendPool::heal`]). The tick is what breaks
-/// the all-workers-dead deadlock: queued tasks hold reply senders, so
-/// the channel never disconnects on its own — healing respawns workers
-/// that then drain the queue.
-const SUPERVISE_TICK: Duration = Duration::from_millis(25);
 
 /// A diagonal observable `Σ f(i) |i⟩⟨i|` evaluated worker-side on a
 /// job's final state (shared so heterogeneous job lists clone cheaply).
@@ -224,8 +218,8 @@ impl PoolJob {
         self
     }
 
-    /// Sets a wall-clock deadline for this job — the one way to set
-    /// one. Enforced cooperatively: the worker wraps the job's policy
+    /// Sets a wall-clock deadline for this job. Enforced
+    /// cooperatively: the worker wraps the job's policy
     /// in a `DeadlinePolicy` that aborts at the first operation past
     /// the cutoff, surfacing
     /// [`ExecError::DeadlineExceeded`]. Retried attempts keep the
@@ -340,10 +334,10 @@ impl PoolOutcome {
 pub struct WorkerStats {
     /// Worker index.
     pub worker: usize,
-    /// Times this worker slot's thread died and was respawned, counted
-    /// when the thread dies (supervision; [`PoolStats::respawns`] is the
-    /// sum over slots).
-    pub respawns: usize,
+    /// Tasks that panicked on this worker, counted before the panicked
+    /// dispatch replies ([`PoolStats::panics`] is the sum over
+    /// workers).
+    pub panics: usize,
     /// Run jobs executed.
     pub jobs: usize,
     /// Sampling chunks executed.
@@ -411,12 +405,12 @@ pub struct PoolStats {
     pub queue_depth: usize,
     /// High-water mark of [`PoolStats::queue_depth`].
     pub max_queue_depth: usize,
-    /// Worker threads respawned after a death over the pool's lifetime
-    /// (0 on a healthy run), counted when the thread dies — a caller
-    /// that has seen a job lost to a death reads it counted. A
+    /// Tasks that panicked over the pool's lifetime (0 on a healthy
+    /// run), each counted before its dispatch replies — a caller that
+    /// has seen a panicked job settle reads the panic counted. A
     /// resilience diagnostic, like [`PoolStats::retries`] — never part
     /// of any result fingerprint.
-    pub respawns: usize,
+    pub panics: usize,
     /// Job dispatches beyond each job's first attempt: every retry and
     /// every degraded rerun counts, whether or not it succeeded.
     pub retries: usize,
@@ -518,23 +512,13 @@ struct Dispatch {
     degraded: bool,
 }
 
-/// Counts a worker death where the dispatch is lost: dropped while its
-/// thread unwinds out of a task, it books the death in the slot's
-/// [`WorkerStats::respawns`] — the one counter [`PoolStats::respawns`]
-/// sums — and in `approxdd_pool_respawns_total`. The dying thread is
-/// still the cell's only writer; its replacement adopts the cell.
-struct DeathCount(Arc<Mutex<WorkerStats>>);
-
-impl Drop for DeathCount {
-    fn drop(&mut self) {
-        if thread::panicking() {
-            self.0
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .respawns += 1;
-            telemetry::count("approxdd_pool_respawns_total", 1);
-        }
-    }
+/// One sampling request, as each of its chunks sees it.
+struct SampleRequest {
+    /// Tells this request's cached run state from an earlier one's.
+    epoch: u64,
+    circuit: Circuit,
+    policy: Option<Arc<dyn PolicyFactory>>,
+    deadline: Option<Duration>,
 }
 
 /// What travels the queue: one dispatch, already bound to its work and
@@ -565,7 +549,7 @@ pub(crate) enum Verdict {
 /// An abort (a blown deadline, or the policy's own `Abort`) of a unit
 /// that has a fallback degrades — once: rerunning the identical policy
 /// would just abort again, and a degraded attempt never degrades a
-/// second time. Otherwise a retryable error (a lost worker, an injected
+/// second time. Otherwise a retryable error (a panic, an injected
 /// fault, a blown deadline) is retried while `retry` has attempts left,
 /// and everything else is final.
 pub(crate) fn verdict(
@@ -581,7 +565,7 @@ pub(crate) fn verdict(
     );
     let retryable = matches!(
         err,
-        ExecError::WorkerLost { .. }
+        ExecError::Panicked { .. }
             | ExecError::FaultInjected { .. }
             | ExecError::DeadlineExceeded { .. }
     );
@@ -643,12 +627,8 @@ pub(crate) fn verdict(
 pub struct BackendPool {
     sender: Option<mpsc::Sender<Task>>,
     template: SimulatorBuilder,
-    supervisor: Supervisor,
+    handles: Vec<thread::JoinHandle<()>>,
     worker_stats: Vec<Arc<Mutex<WorkerStats>>>,
-    /// Kept so [`BackendPool::heal`] can hand the shared queue to
-    /// respawned workers (and so the send side never observes a
-    /// disconnected channel while the pool is alive).
-    receiver: Arc<Mutex<mpsc::Receiver<Task>>>,
     queue_depth: Arc<AtomicUsize>,
     max_queue_depth: AtomicUsize,
     tasks_submitted: AtomicUsize,
@@ -693,9 +673,8 @@ impl BackendPool {
             sender: Some(sender),
             seeds: SeedStream::new(template.sample_seed()),
             template,
-            supervisor: Supervisor::new(handles),
+            handles,
             worker_stats,
-            receiver,
             queue_depth,
             max_queue_depth: AtomicUsize::new(0),
             tasks_submitted: AtomicUsize::new(0),
@@ -707,42 +686,23 @@ impl BackendPool {
         }
     }
 
-    /// Number of worker slots (fixed for the pool's lifetime; a dead
-    /// worker's slot is respawned, never removed — see
-    /// [`BackendPool::alive_workers`]).
+    /// Number of worker threads (fixed for the pool's lifetime).
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.supervisor.worker_count()
+        self.handles.len()
     }
 
-    /// Worker threads currently running. Less than
-    /// [`BackendPool::workers`] only between a worker death and the
-    /// next supervision tick, which restores full capacity.
+    /// Worker threads currently running: every one of
+    /// [`BackendPool::workers`] while the pool lives, since a panicking
+    /// task is caught before it can end its thread.
     #[must_use]
     pub fn alive_workers(&self) -> usize {
-        self.supervisor.alive()
-    }
-
-    /// Respawns every dead worker thread into its original slot (same
-    /// index, same [`WorkerStats`] cell, accumulated counters
-    /// preserved). The collector calls this on a timer tick and once
-    /// per round. The death itself was already counted, by the dying
-    /// task (see [`DeathCount`]).
-    fn heal(&self) {
-        self.supervisor.heal(|slot| {
-            spawn_worker(
-                slot,
-                &self.template,
-                &self.receiver,
-                &self.queue_depth,
-                &self.worker_stats[slot],
-            )
-        });
+        self.handles.iter().filter(|h| !h.is_finished()).count()
     }
 
     /// Installs (or, with `None`, clears) a fault-injection plan for
     /// subsequent run-job submissions. Test/bench only: injected faults
-    /// exercise the supervision, retry and deadline machinery at
+    /// exercise the panic boundary, retry and deadline machinery at
     /// deterministic job indices (the `DOMAIN_FAULT` seed stream — see
     /// [`FaultPlan`]). No production path installs one.
     pub fn inject_faults(&self, plan: Option<FaultPlan>) {
@@ -785,11 +745,10 @@ impl BackendPool {
     ///
     /// Job `i` samples with seed `stream(DOMAIN_RUN, i)` — keyed on the
     /// job index alone, never the attempt, so a retried success is
-    /// byte-identical to a first-try success. A job whose worker
-    /// disappears mid-flight is re-dispatched when its [`RetryPolicy`]
-    /// allows, and otherwise reports [`ExecError::WorkerLost`] in its
-    /// slot instead of hanging the collection; dead workers are healed
-    /// along the way (see the module docs, *Fault tolerance*).
+    /// byte-identical to a first-try success. A job that panics is
+    /// re-dispatched when its [`RetryPolicy`] allows, and otherwise
+    /// reports [`ExecError::Panicked`] in its slot; its worker lives on
+    /// (see the module docs, *Fault tolerance*).
     ///
     /// `snapshot` is the warmed package every job's engine forks, which
     /// makes this the cross-batch reuse seam behind warm serving
@@ -868,15 +827,18 @@ impl BackendPool {
         circuit: &Circuit,
         shots: usize,
     ) -> Result<HashMap<u64, usize>, ExecError> {
-        self.sample_counts_streamed(circuit, None, shots, &mut |_| {})
+        self.sample_counts_streamed(circuit, None, None, shots, &mut |_| {})
     }
 
     /// The sampling primitive: draws `shots` measurement outcomes of
     /// `circuit` as a histogram, sharding the shot budget across the
     /// workers in chunks of [`SHOT_CHUNK`]. `policy` overrides the
     /// template's policy for this call (e.g. sampling an approximate
-    /// run's distribution, or a [`DeadlineFactory`] bounding the pass),
-    /// as [`PoolJob::policy`] does for a run job.
+    /// run's distribution), as [`PoolJob::policy`] does for a run job.
+    /// `deadline` bounds each worker's run of the circuit as
+    /// [`PoolJob::deadline`] bounds a run job: a fired deadline fails
+    /// the request with [`ExecError::DeadlineExceeded`], counted in
+    /// [`PoolStats::deadline_exceeded`].
     ///
     /// Each worker runs the circuit once (deterministically, on fresh
     /// state) and then serves chunks from its cached final state, so
@@ -893,30 +855,35 @@ impl BackendPool {
     /// histograms to clients while the shot budget drains. The
     /// *settlement order* — and with it every intermediate partial
     /// view — depends on scheduling, so partials are progress reports,
-    /// not reproducible results. A chunk lost to a dying worker is
-    /// re-dispatched under the template's [`RetryPolicy`] and settles
-    /// (and reports) once, with its original seed.
+    /// not reproducible results. A chunk that panicked is re-dispatched
+    /// under the template's [`RetryPolicy`] and settles (and reports)
+    /// once, with its original seed.
     ///
     /// # Errors
     ///
-    /// The first chunk error to arrive — preparation/execution errors
-    /// fail the whole request — or [`ExecError::WorkerLost`] if workers
-    /// died before serving every chunk.
+    /// The first chunk error to arrive: preparation, execution and
+    /// deadline errors and [`ExecError::Panicked`] fail the whole
+    /// request.
     pub fn sample_counts_streamed(
         &self,
         circuit: &Circuit,
         policy: Option<Arc<dyn PolicyFactory>>,
+        deadline: Option<Duration>,
         shots: usize,
         on_chunk: &mut dyn FnMut(&ChunkSettled),
     ) -> Result<HashMap<u64, usize>, ExecError> {
         // The epoch invalidates the workers' cached run state; chunk
         // *seeds* are keyed on the chunk index alone so repeated calls
         // (and retried chunks) stay reproducible.
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
+        let request = SampleRequest {
+            epoch: self.epoch.fetch_add(1, Ordering::Relaxed),
+            circuit: circuit.clone(),
+            policy,
+            deadline,
+        };
         let chunks = shots.div_ceil(SHOT_CHUNK);
         let chunk_shots = move |chunk: usize| SHOT_CHUNK.min(shots - chunk * SHOT_CHUNK);
         let seeds = self.seeds;
-        let circuit = circuit.clone();
         let mut merged = Vec::new();
         let mut settled = 0;
         let mut shots_settled = 0;
@@ -928,7 +895,7 @@ impl BackendPool {
                 let size = chunk_shots(dispatch.key);
                 let seed = seeds.seed(DOMAIN_SAMPLE, dispatch.key as u64);
                 worker.booked(false, size, |worker| {
-                    worker.sample_chunk(epoch, &circuit, policy.as_ref(), size, seed)
+                    worker.sample_chunk(&request, dispatch, size, seed)
                 })
             },
             |chunk, result| {
@@ -956,13 +923,13 @@ impl BackendPool {
     /// and may fail the whole submission (queued dispatches then run
     /// into a closed reply channel).
     ///
-    /// Dispatches go out in rounds, in unit order. A round blocks on
-    /// its reply channel with a supervision tick — dead workers strand
-    /// queued tasks, and every queued task holds a reply sender, so the
-    /// channel never disconnects by itself; healing lets replacements
-    /// drain the queue. A dispatch that never replied rode a dying
-    /// worker down and is settled as [`ExecError::WorkerLost`]. Every
-    /// failure goes through [`verdict`]; retried and degraded units
+    /// Dispatches go out in rounds, in unit order. Each runs `work`
+    /// under `catch_unwind`, so every dispatch replies exactly once: a
+    /// panic is booked on its worker ([`Worker::recover`]) and replies
+    /// [`ExecError::Panicked`]. A round blocks on its reply channel
+    /// until every dispatch has replied; one that never did (its task
+    /// was dropped unrun) is settled as [`ExecError::Panicked`] too.
+    /// Every failure goes through [`verdict`]; retried and degraded units
     /// form the next round. The resilience counters are bumped here —
     /// once per observation, before any retry decision — which is what
     /// makes their totals worker-count-invariant.
@@ -992,12 +959,15 @@ impl BackendPool {
                 let work = Arc::clone(&work);
                 let reply = reply.clone();
                 self.submit(kind, move |worker| {
-                    // Declared before the guard, so dropped after it:
-                    // when `work` panics the death is on the books
-                    // before the collector can see the reply sender go.
-                    let reply = reply;
-                    let _death = DeathCount(Arc::clone(&worker.published));
-                    let _ = reply.send((dispatch.key, work(worker, dispatch)));
+                    let result = panic::catch_unwind(AssertUnwindSafe(|| work(worker, dispatch)))
+                        .unwrap_or_else(|_| {
+                            worker.recover();
+                            Err(ExecError::Panicked {
+                                job: dispatch.key,
+                                attempt: dispatch.attempt,
+                            })
+                        });
+                    let _ = reply.send((dispatch.key, result));
                 });
             }
             drop(reply);
@@ -1030,23 +1000,17 @@ impl BackendPool {
                 Ok(())
             };
             while !outstanding.is_empty() {
-                match replies.recv_timeout(SUPERVISE_TICK) {
-                    Ok((key, result)) => {
-                        if let Some(dispatch) = outstanding.remove(&key) {
-                            route(dispatch, result)?;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        self.heal();
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                let Ok((key, result)) = replies.recv() else {
+                    break;
+                };
+                if let Some(dispatch) = outstanding.remove(&key) {
+                    route(dispatch, result)?;
                 }
             }
             for (job, dispatch) in outstanding {
                 let attempt = dispatch.attempt;
-                route(dispatch, Err(ExecError::WorkerLost { job, attempt }))?;
+                route(dispatch, Err(ExecError::Panicked { job, attempt }))?;
             }
-            self.heal();
         }
         Ok(())
     }
@@ -1066,7 +1030,7 @@ impl BackendPool {
             tasks_submitted: self.tasks_submitted.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            respawns: per_worker.iter().map(|w| w.respawns).sum(),
+            panics: per_worker.iter().map(|w| w.panics).sum(),
             retries: self.retries.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             per_worker,
@@ -1085,7 +1049,7 @@ impl BackendPool {
         let sent = self.sender.as_ref().is_some_and(|tx| tx.send(task).is_ok());
         if !sent {
             // Every worker is gone; dropping the task drops its reply
-            // sender, which surfaces as WorkerLost at the collector.
+            // sender, which surfaces as Panicked at the collector.
             self.queue_depth.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -1094,7 +1058,9 @@ impl BackendPool {
 impl Drop for BackendPool {
     fn drop(&mut self) {
         drop(self.sender.take());
-        self.supervisor.join_all();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -1178,8 +1144,9 @@ fn absorb(stats: &mut WorkerStats, backend: Option<&AnyBackend>) {
 
 struct Worker {
     template: SimulatorBuilder,
-    /// The current unit's engine: `None` before the first task, and
-    /// while [`Worker::fresh_backend`] builds the next one.
+    /// The current unit's engine: `None` before the first task, after a
+    /// caught panic, and while [`Worker::fresh_backend`] builds the next
+    /// one.
     backend: Option<AnyBackend>,
     /// The sampling request this worker last simulated for, with that
     /// run's outcome. A failed run is kept too, so the request's
@@ -1232,6 +1199,24 @@ impl Worker {
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = report;
         result
+    }
+
+    /// Books a panic caught at the task boundary and resets the worker
+    /// for its next task: the slot's panic count goes up in the
+    /// published cell, `totals` is re-read from that cell, and the
+    /// engine and the sampling epoch are dropped unharvested. The cell
+    /// already holds the counters of the engine the panicked task
+    /// found; those of an engine it built itself are lost with it.
+    fn recover(&mut self) {
+        self.epoch = None;
+        self.backend = None;
+        let mut published = self
+            .published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        published.panics += 1;
+        self.totals = published.clone();
+        telemetry::count("approxdd_pool_panics_total", 1);
     }
 
     /// Replaces the backend with a fresh instance built from the
@@ -1313,17 +1298,7 @@ impl Worker {
             .or(job.policy.as_ref());
         let fired = self.fresh_backend(policy, snapshot, deadline);
         let result = self.execute(job, dispatch, seed);
-        let deadline_fired = fired.is_some_and(|flag| flag.load(Ordering::Relaxed));
-        match result {
-            Err(ExecError::Sim(SimError::PolicyAbort { .. })) if deadline_fired => {
-                Err(ExecError::DeadlineExceeded {
-                    job: index,
-                    attempt,
-                    budget: deadline.unwrap_or_default(),
-                })
-            }
-            other => other,
-        }
+        deadline_exceeded(result, fired, dispatch, deadline)
     }
 
     /// The run body proper (backend already fresh).
@@ -1382,19 +1357,26 @@ impl Worker {
 
     /// Draws one sampling chunk from the request's final state,
     /// simulating the circuit first if this worker has not yet done so
-    /// for this `epoch` (request).
+    /// for this request's epoch. A run that fails, a fired deadline
+    /// included, fails once per epoch: the epoch keeps the error.
     fn sample_chunk(
         &mut self,
-        epoch: u64,
-        circuit: &Circuit,
-        policy: Option<&Arc<dyn PolicyFactory>>,
+        request: &SampleRequest,
+        dispatch: Dispatch,
         shots: usize,
         seed: u64,
     ) -> Result<Vec<(u64, usize)>, ExecError> {
-        if self.epoch.as_ref().map(|(e, _)| *e) != Some(epoch) {
-            self.fresh_backend(policy, None, None);
+        let SampleRequest {
+            epoch,
+            circuit,
+            policy,
+            deadline,
+        } = request;
+        if self.epoch.as_ref().map(|(e, _)| e) != Some(epoch) {
+            let fired = self.fresh_backend(policy.as_ref(), None, *deadline);
             let backend = self.backend.as_mut().expect(BACKEND_BUILT);
-            self.epoch = Some((epoch, backend.run(circuit)));
+            let run = deadline_exceeded(backend.run(circuit), fired, dispatch, *deadline);
+            self.epoch = Some((*epoch, run));
         }
         let (_, outcome) = self.epoch.as_ref().expect("epoch state just ensured");
         let outcome = outcome.as_ref().map_err(ExecError::clone)?;
@@ -1404,13 +1386,31 @@ impl Worker {
     }
 }
 
-/// Spawns the worker thread of `slot`, publishing into `stats`. A
-/// respawned worker adopts the slot's published counters, so the
-/// harvest-on-retire totals survive a predecessor's death (all zeros on
-/// a first spawn — same code path). Injected panics fire before any
-/// backend work, so the dying worker's live package was already
-/// reflected in the cell by its last task. While the thread lives it is
-/// the cell's only writer.
+/// Maps a policy abort to [`ExecError::DeadlineExceeded`] when it was
+/// the deadline (`fired`, from [`Worker::fresh_backend`]) that aborted,
+/// for run jobs and sampling epochs alike.
+fn deadline_exceeded<T>(
+    result: Result<T, ExecError>,
+    fired: Option<Arc<AtomicBool>>,
+    dispatch: Dispatch,
+    deadline: Option<Duration>,
+) -> Result<T, ExecError> {
+    match result {
+        Err(ExecError::Sim(SimError::PolicyAbort { .. }))
+            if fired.is_some_and(|flag| flag.load(Ordering::Relaxed)) =>
+        {
+            Err(ExecError::DeadlineExceeded {
+                job: dispatch.key,
+                attempt: dispatch.attempt,
+                budget: deadline.unwrap_or_default(),
+            })
+        }
+        other => other,
+    }
+}
+
+/// Spawns the worker thread of `slot`, publishing into `stats`; the
+/// thread is the cell's only writer.
 fn spawn_worker(
     slot: usize,
     template: &SimulatorBuilder,
@@ -1429,15 +1429,14 @@ fn spawn_worker(
             // recording on the task path is a few relaxed atomic adds,
             // no registry lock.
             let queue_wait = telemetry::PhaseTimer::new("pool.queue_wait");
-            let totals = published
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone();
             let mut worker = Worker {
                 template,
                 backend: None,
                 epoch: None,
-                totals,
+                totals: WorkerStats {
+                    worker: slot,
+                    ..WorkerStats::default()
+                },
                 published,
                 build_timer: telemetry::PhaseTimer::new("backend.build"),
                 run_timer: telemetry::PhaseTimer::new("pool.run_job"),

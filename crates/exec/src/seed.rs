@@ -37,8 +37,9 @@ pub(crate) const DOMAIN_SAMPLE: u64 = 0x2;
 /// [`crate::FaultPlan`] derives job `j`'s fault decision from
 /// `seed(DOMAIN_FAULT, j)`, so injected panics/delays/aborts land on
 /// the same job indices at every worker count — which is what makes
-/// the recovery paths (supervision, retry, deadlines) reproducibly
-/// testable. Test/bench only; no production path consumes this domain.
+/// the recovery paths (the panic boundary, retry, deadlines)
+/// reproducibly testable. Test/bench only; no production path consumes
+/// this domain.
 pub(crate) const DOMAIN_FAULT: u64 = 0x4;
 
 impl SeedStream {

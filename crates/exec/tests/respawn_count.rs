@@ -1,12 +1,10 @@
-//! A worker death is on the books by the time its job's retry has
-//! settled.
+//! A panic is on the books by the time its job's retry has settled.
 //!
-//! The pool learns of a death when the unwinding task drops its reply
-//! sender — long before the dead thread has finished and can be
-//! reaped. A count taken at the reaping could therefore still read 0
-//! after the retried job had already succeeded on the other worker.
-//! The window only opens under contention, so the test brings its own:
-//! six spinning threads on top of the two workers.
+//! The pool catches a panicking task and books the panic before the
+//! task replies. A count taken any later could still read 0 after the
+//! retried job had already succeeded on the other worker. The window
+//! only opens under contention, so the test brings its own: six
+//! spinning threads on top of the two workers.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -41,9 +39,9 @@ fn a_death_is_counted_before_its_retry_settles() {
         let mut results = pool.run_jobs(vec![PoolJob::new(generators::ghz(4))]);
         let outcome = results.pop().expect("one job").expect("the retry succeeds");
         assert_eq!(outcome.attempts, 2, "iteration {iteration}");
-        let respawns = pool.stats().respawns;
-        if respawns < iteration {
-            late.push((iteration, respawns));
+        let panics = pool.stats().panics;
+        if panics < iteration {
+            late.push((iteration, panics));
         }
     }
 
@@ -53,7 +51,7 @@ fn a_death_is_counted_before_its_retry_settles() {
     }
     assert!(
         late.is_empty(),
-        "(iteration, respawns read) pairs that were behind: {late:?}"
+        "(iteration, panics read) pairs that were behind: {late:?}"
     );
-    assert_eq!(pool.stats().respawns, 200);
+    assert_eq!(pool.stats().panics, 200);
 }

@@ -93,6 +93,11 @@ impl JobState {
         self.cond.notify_all();
     }
 
+    /// Whether the log is complete (the job has settled).
+    pub(crate) fn is_done(&self) -> bool {
+        lock(&self.events).done
+    }
+
     /// Shrinks the log to its length and returns the bytes it holds.
     fn compact(&self) -> usize {
         let mut log = lock(&self.events);

@@ -86,7 +86,7 @@ fn sections(inner: &Inner) -> [(&'static str, Vec<Row>); 3] {
         stat("tasks_submitted", pool.tasks_submitted as u64).gauge("approxdd_pool_tasks_submitted"),
         stat("queue_depth", pool.queue_depth as u64).gauge("approxdd_pool_queue_depth"),
         stat("max_queue_depth", pool.max_queue_depth as u64).gauge("approxdd_pool_max_queue_depth"),
-        stat("respawns", pool.respawns as u64),
+        stat("panics", pool.panics as u64),
         stat("retries", pool.retries as u64),
         stat("deadline_exceeded", pool.deadline_exceeded as u64),
         stat("jobs_completed", pool.jobs_completed() as u64).gauge("approxdd_pool_jobs_completed"),

@@ -6,8 +6,13 @@
 //! `result` (or `error`), then the job table settles it: the log is
 //! compacted, the oldest settled logs over budget are evicted, and
 //! only then is the log marked done.
+//!
+//! A panic while a job executes ends that job, not its runner: the
+//! runner catches it, settles the job with a typed `error` event and
+//! takes the next one.
 
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 
@@ -15,7 +20,7 @@ use approxdd_circuit::Circuit;
 use approxdd_exec::backend::ExecError;
 use approxdd_exec::PoolJob;
 use approxdd_sim::json::Json;
-use approxdd_sim::{DeadlineFactory, PolicyFactory, SimError, SimSnapshot};
+use approxdd_sim::{PolicyFactory, SimSnapshot};
 use approxdd_telemetry as telemetry;
 
 use crate::error::ServeError;
@@ -37,7 +42,17 @@ pub(crate) fn runner_loop(inner: &Inner) {
             .pop();
         // Woken with nothing queued: the server is draining.
         let Some((state, spec)) = popped else { return };
-        execute_job(inner, &state, spec);
+        settle_panics(inner, &state, || execute_job(inner, &state, spec));
+    }
+}
+
+/// Runs one job's `body`, catching a panic: a job that has not settled
+/// yet settles with a typed `error` event (kind `exec`) and counts as
+/// failed, and the caller goes on to the next job.
+fn settle_panics(inner: &Inner, state: &JobState, body: impl FnOnce()) {
+    if panic::catch_unwind(AssertUnwindSafe(body)).is_err() && !state.is_done() {
+        let e = ExecError::Panicked { job: 0, attempt: 0 };
+        fail_job(inner, state, &e.into());
     }
 }
 
@@ -61,42 +76,29 @@ fn execute_job(inner: &Inner, state: &JobState, spec: JobSpec) {
     let mut partial_counts: Option<HashMap<u64, usize>> = None;
     if spec.partials && spec.shots > 0 {
         // The job's deadline bounds this pass as it bounds the run job.
-        let mut policy = spec.strategy.map(|s| Arc::new(s) as Arc<dyn PolicyFactory>);
-        let mut fired = None;
-        if let Some(budget) = spec.deadline {
-            let inner_policy = policy.unwrap_or_else(|| inner.template.current_policy());
-            let factory = DeadlineFactory::new(inner_policy, budget);
-            fired = Some(factory.fired_flag());
-            policy = Some(Arc::new(factory));
-        }
-        let result =
-            inner
-                .pool
-                .sample_counts_streamed(&spec.circuit, policy, spec.shots, &mut |chunk| {
-                    state.push(
-                        "partial",
-                        [
-                            ("settled_chunks", Json::int(chunk.settled)),
-                            ("total_chunks", Json::int(chunk.chunks)),
-                            ("shots_settled", Json::int(chunk.shots_settled)),
-                            (
-                                "counts",
-                                Json::counts(chunk.merged.iter().map(|(k, v)| (k, v))),
-                            ),
-                        ],
-                    );
-                });
-        let deadline_fired = fired.is_some_and(|flag| flag.load(Ordering::Relaxed));
+        let policy = spec.strategy.map(|s| Arc::new(s) as Arc<dyn PolicyFactory>);
+        let result = inner.pool.sample_counts_streamed(
+            &spec.circuit,
+            policy,
+            spec.deadline,
+            spec.shots,
+            &mut |chunk| {
+                state.push(
+                    "partial",
+                    [
+                        ("settled_chunks", Json::int(chunk.settled)),
+                        ("total_chunks", Json::int(chunk.chunks)),
+                        ("shots_settled", Json::int(chunk.shots_settled)),
+                        (
+                            "counts",
+                            Json::counts(chunk.merged.iter().map(|(k, v)| (k, v))),
+                        ),
+                    ],
+                );
+            },
+        );
         match result {
             Ok(counts) => partial_counts = Some(counts),
-            Err(ExecError::Sim(SimError::PolicyAbort { .. })) if deadline_fired => {
-                let e = ExecError::DeadlineExceeded {
-                    job: 0,
-                    attempt: 0,
-                    budget: spec.deadline.unwrap_or_default(),
-                };
-                return fail_job(inner, state, &e.into());
-            }
             Err(e) => return fail_job(inner, state, &e.into()),
         }
     }
@@ -187,4 +189,43 @@ fn fail_job(inner: &Inner, state: &JobState, err: &ServeError) {
     );
     inner.jobs_failed.fetch_add(1, Ordering::Relaxed);
     inner.jobs.settle(state);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{JobServer, ServerConfig};
+    use approxdd_sim::Simulator;
+
+    /// The runner's safety net: a panicking job body settles its job
+    /// with a typed `error` event and counts it failed, and the helper
+    /// returns, so the runner goes on to its next job. A job that had
+    /// settled before its body panicked is left as it settled.
+    #[test]
+    fn a_panicking_job_settles_typed_and_the_runner_survives() {
+        let config = ServerConfig::new().template(Simulator::builder().workers(1));
+        let server = JobServer::bind("127.0.0.1:0", config).expect("bind");
+        let inner = &server.inner;
+
+        let state = inner.jobs.open();
+        state.push("started", []);
+        settle_panics(inner, &state, || panic!("a job body panicked"));
+        let (log, done) = state.wait_from(0);
+        assert!(done, "{log}");
+        let last = log.lines().last().expect("events");
+        assert!(last.contains("\"type\":\"error\""), "{log}");
+        assert!(last.contains("\"kind\":\"exec\""), "{log}");
+        assert!(last.contains("panicked"), "{log}");
+        assert_eq!(inner.jobs_failed.load(Ordering::Relaxed), 1);
+
+        let settled = inner.jobs.open();
+        settle_panics(inner, &settled, || {
+            settled.push("result", []);
+            inner.jobs.settle(&settled);
+            panic!("a job body panicked after settling");
+        });
+        let (log, done) = settled.wait_from(0);
+        assert!(done && !log.contains("\"type\":\"error\""), "{log}");
+        assert_eq!(inner.jobs_failed.load(Ordering::Relaxed), 1);
+    }
 }

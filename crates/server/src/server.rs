@@ -33,7 +33,7 @@
 //! [`approxdd_exec::PoolOutcome::fingerprint`] of the run. For a given server root
 //! seed, the same (QASM, policy, shots) request produces a
 //! byte-identical fingerprint regardless of worker count, whether the
-//! session was warm or cold, and across worker respawns — it is the
+//! session was warm or cold, and across caught panics — it is the
 //! same number a direct [`BackendPool::run_jobs`] call computes for
 //! the same job. Everything scheduling-dependent (queue position,
 //! partial-histogram settlement order, worker indexes, retry counts)
@@ -162,7 +162,7 @@ pub(crate) struct Inner {
 /// The long-lived job server. Bind, then [`JobServer::run`] — which
 /// blocks until a `POST /shutdown` drains it.
 pub struct JobServer {
-    inner: Arc<Inner>,
+    pub(crate) inner: Arc<Inner>,
     listener: TcpListener,
     runners: usize,
 }

@@ -3,7 +3,7 @@
 //! typed and kills nothing, partial histograms settle deterministically
 //! and shutdown drains. That a streamed fingerprint equals a direct
 //! [`BackendPool::run_jobs`] call for the same (QASM, policy, seed,
-//! shots) — cold, warm, re-warmed and across a worker respawn — is
+//! shots) — cold, warm, re-warmed and across a caught panic — is
 //! `tests/determinism.rs`'s to check, at the workspace root.
 
 use std::io::{Read, Write};
@@ -195,7 +195,7 @@ fn hostile_circuits_are_typed_and_kill_nothing() {
     let (status, _) = http(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
     let (_, stats) = http(addr, "GET", "/stats", "");
-    assert_eq!(num_field(&stats, "respawns"), Some(0.0), "{stats}");
+    assert_eq!(num_field(&stats, "panics"), Some(0.0), "{stats}");
     shutdown(addr, handle);
 }
 
@@ -375,7 +375,8 @@ fn partials_stream_and_settle_deterministically() {
 
 /// A deadline bounds a `partials=1` job's sampling pass too: a zero
 /// deadline fails the job with the run path's typed deadline error
-/// before a single partial histogram streams.
+/// before a single partial histogram streams, and the pool counts it
+/// where it counts every fired deadline.
 #[test]
 fn a_deadline_bounds_the_partials_pass() {
     let qasm = to_qasm(&generators::ghz(5)).expect("export qasm");
@@ -394,6 +395,8 @@ fn a_deadline_bounds_the_partials_pass() {
         "{error}"
     );
     assert!(!stream.contains("\"type\":\"result\""));
+    let (_, stats) = http(addr, "GET", "/stats", "");
+    assert_eq!(num_field(&stats, "deadline_exceeded"), Some(1.0), "{stats}");
     shutdown(addr, handle);
 }
 

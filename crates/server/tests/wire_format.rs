@@ -129,7 +129,7 @@ const STATS_KEYS: &[&str] = &[
     "pool.tasks_submitted",
     "pool.queue_depth",
     "pool.max_queue_depth",
-    "pool.respawns",
+    "pool.panics",
     "pool.retries",
     "pool.deadline_exceeded",
     "pool.jobs_completed",
@@ -171,7 +171,7 @@ const GAUGES: &[&str] = &[
 ];
 
 /// The numbers served by both endpoints: `/stats` leaf, `/metrics`
-/// gauge. (`respawns`, `retries` and `deadline_exceeded` are `/stats`
+/// gauge. (`panics`, `retries` and `deadline_exceeded` are `/stats`
 /// only — the registry counts them as `_total` counters at their
 /// sites; the two `ct` gauges are `/metrics` only.)
 const SHARED: &[(&str, &str)] = &[

@@ -189,7 +189,7 @@ fn a_register_no_engine_can_index_is_refused_at_prepare() {
         "{:?}",
         results[1]
     );
-    assert_eq!(pool.stats().respawns, 0);
+    assert_eq!(pool.stats().panics, 0);
 }
 
 #[test]

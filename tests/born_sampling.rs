@@ -127,7 +127,7 @@ fn a_truncated_state_samples_its_own_distribution() {
 
     let pool = Simulator::builder().seed(8).workers(2).build_pool();
     let pooled = pool
-        .sample_counts_streamed(&circuit, Some(Arc::new(strategy)), SHOTS, &mut |_| {})
+        .sample_counts_streamed(&circuit, Some(Arc::new(strategy)), None, SHOTS, &mut |_| {})
         .expect("pooled");
     assert_fits("truncated pooled", &pooled, &probs);
 }

@@ -281,7 +281,7 @@ fn served_fingerprints(row: Row, seed: u64, jobs: &[Job]) -> Vec<u64> {
         "{what}: {stats}"
     );
     assert_eq!(count("retries") > 0, row.faults, "{what}: {stats}");
-    assert_eq!(count("respawns") >= 1, row.faults, "{what}: {stats}");
+    assert_eq!(count("panics") >= 1, row.faults, "{what}: {stats}");
 
     assert_eq!(http(addr, "POST", "/shutdown", "").0, 200);
     handle.join().expect("server thread");

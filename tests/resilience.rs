@@ -1,16 +1,19 @@
 //! Resilience integration suite: under seeded fault injection (worker
-//! panics, delays, forced aborts) the pool must self-heal and retry,
+//! panics, delays, forced aborts) the pool must contain panics and retry,
 //! and the resilience counters must be worker-count-invariant, because
 //! every one of them counts deterministic per-job events, never
 //! scheduling accidents. That retried results are **byte-identical**
 //! to a fault-free run is `tests/determinism.rs`'s to check.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use approxdd::backend::ExecError;
 use approxdd::circuit::generators;
 use approxdd::exec::{silence_injected_panics, BuildPool, FaultPlan, PoolJob};
-use approxdd::sim::{RetryPolicy, Simulator, Strategy};
+use approxdd::sim::{
+    ApproxPolicy, PolicyAction, PolicyCtx, PolicyFactory, RetryPolicy, Simulator, Strategy,
+};
 use proptest::prelude::*;
 
 /// A small batch: six 2×2 supremacy circuits.
@@ -35,12 +38,12 @@ fn run_batch(workers: usize, seed: u64, plan: FaultPlan) -> (usize, usize, usize
         result.expect("job must recover");
     }
     let stats = pool.stats();
-    (stats.respawns, stats.retries, stats.deadline_exceeded)
+    (stats.panics, stats.retries, stats.deadline_exceeded)
 }
 
 /// An explicit plan that kills a worker on one job and delays two
 /// others: with three attempts allowed, every job must come back `Ok`
-/// at 1, 2 and 8 workers, with one respawn and one retry — and the
+/// at 1, 2 and 8 workers, with one panic and one retry — and the
 /// pool must run a follow-up batch at full capacity afterwards.
 #[test]
 fn injected_panics_and_delays_recover_byte_identically() {
@@ -58,7 +61,7 @@ fn injected_panics_and_delays_recover_byte_identically() {
             .collect();
         let results = pool.run_jobs(jobs);
         assert!(results.iter().all(Result::is_ok), "every job must recover");
-        // Follow-up batch on the same (healed) pool, faults cleared.
+        // Follow-up batch on the same pool, faults cleared.
         pool.inject_faults(None);
         let follow = pool.run_jobs(batch().into_iter().map(PoolJob::new).collect());
         assert!(follow.iter().all(Result::is_ok), "follow-up batch failed");
@@ -66,14 +69,14 @@ fn injected_panics_and_delays_recover_byte_identically() {
         pool.stats()
     };
     let clean_stats = run(2, None);
-    assert_eq!(clean_stats.respawns, 0);
+    assert_eq!(clean_stats.panics, 0);
     assert_eq!(clean_stats.retries, 0);
     let plan = FaultPlan::new()
         .panic_on([1])
         .delay_on([0, 3], Duration::from_millis(10));
     for workers in [1, 2, 8] {
         let stats = run(workers, Some(plan.clone()));
-        assert_eq!(stats.respawns, 1, "one panic, one respawn");
+        assert_eq!(stats.panics, 1, "one panic, counted once");
         assert_eq!(stats.retries, 1, "only the panicked job re-dispatches");
         // The recovered job reports both attempts it consumed.
         assert_eq!(stats.deadline_exceeded, 0);
@@ -82,7 +85,7 @@ fn injected_panics_and_delays_recover_byte_identically() {
 
 /// Capacity-leak regression: a pool whose worker panicked mid-batch
 /// must complete subsequent full-width batches with **all** N workers
-/// participating — the respawned slot included.
+/// participating — the slot whose task panicked included.
 #[test]
 fn panicked_worker_mid_batch_does_not_leak_capacity() {
     silence_injected_panics();
@@ -96,11 +99,11 @@ fn panicked_worker_mid_batch_does_not_leak_capacity() {
     let results = pool.run_jobs(batch().into_iter().map(PoolJob::new).collect());
     assert!(results.iter().all(Result::is_ok), "batch must recover");
     let stats = pool.stats();
-    assert_eq!(stats.respawns, 1);
+    assert_eq!(stats.panics, 1);
     assert_eq!(
-        stats.per_worker.iter().map(|w| w.respawns).sum::<usize>(),
+        stats.per_worker.iter().map(|w| w.panics).sum::<usize>(),
         1,
-        "the respawn must be attributed to one worker slot"
+        "the panic must be attributed to one worker slot"
     );
     assert_eq!(pool.alive_workers(), workers);
     // Delayed follow-up jobs keep every worker busy long enough that an
@@ -126,7 +129,7 @@ fn panicked_worker_mid_batch_does_not_leak_capacity() {
     }
     assert!(
         all_active,
-        "a worker slot never picked up jobs after healing: {:?}",
+        "a worker slot never picked up jobs after the panic: {:?}",
         pool.stats().per_worker
     );
 }
@@ -148,7 +151,7 @@ fn zero_deadline_degrades_to_fallback_policy() {
     let stats = pool.stats();
     assert_eq!(stats.deadline_exceeded, 1);
     assert_eq!(stats.retries, 1);
-    assert_eq!(stats.respawns, 0, "deadlines never kill workers");
+    assert_eq!(stats.panics, 0, "deadlines never kill workers");
 
     let failing = pool.run_jobs(vec![PoolJob::new(circuit).deadline(Duration::ZERO)]);
     match failing[0]
@@ -163,12 +166,77 @@ fn zero_deadline_degrades_to_fallback_policy() {
     }
 }
 
+/// Panics in its first `decide`, so after the run has built its
+/// engine and applied a gate: a real mid-run panic, where
+/// `FaultPlan`'s fires before the job touches its backend.
+struct PanicsInDecide;
+
+impl ApproxPolicy for PanicsInDecide {
+    fn name(&self) -> &str {
+        "panics-in-decide"
+    }
+
+    fn decide(&mut self, _ctx: &PolicyCtx) -> PolicyAction {
+        panic!("a policy panicked mid-run");
+    }
+}
+
+fn one_worker() -> approxdd::exec::BackendPool {
+    Simulator::builder().workers(1).seed(13).build_pool()
+}
+
+/// A run job that panics mid-run fails typed, counts one panic, and
+/// leaves its worker fit: the pool's next job fingerprints as it does
+/// on a fresh pool.
+#[test]
+fn a_mid_run_panic_fails_its_job_and_spares_the_worker() {
+    let circuit = generators::supremacy(2, 2, 8, 1);
+    let pool = one_worker();
+    let panicked = pool.run_jobs(vec![PoolJob::new(circuit.clone()).policy(|| PanicsInDecide)]);
+    match &panicked[0] {
+        Err(ExecError::Panicked { job: 0, attempt: 0 }) => {}
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+    let stats = pool.stats();
+    assert_eq!(stats.panics, 1);
+    assert_eq!(stats.per_worker[0].panics, 1);
+    assert_eq!(pool.alive_workers(), 1);
+
+    let job = || vec![PoolJob::new(circuit.clone()).shots(256)];
+    let next = pool.run_jobs(job()).remove(0).expect("the next job runs");
+    let fresh = one_worker().run_jobs(job()).remove(0).expect("fresh pool");
+    assert_eq!(next.fingerprint(), fresh.fingerprint());
+}
+
+/// A sampling call whose run panics mid-run fails typed, and the next
+/// call on the same pool draws a fresh pool's histogram: the panicked
+/// request's epoch was dropped with its engine.
+#[test]
+fn a_mid_run_panic_in_sampling_resets_the_epoch() {
+    let circuit = generators::supremacy(2, 2, 8, 2);
+    let pool = one_worker();
+    let policy: Arc<dyn PolicyFactory> = Arc::new(|| PanicsInDecide);
+    let err = pool
+        .sample_counts_streamed(&circuit, Some(policy), None, 1000, &mut |_| {})
+        .expect_err("the sampling run panics");
+    assert!(matches!(err, ExecError::Panicked { .. }), "{err:?}");
+    assert_eq!(pool.stats().panics, 1);
+
+    let next = pool
+        .sample_counts(&circuit, 1000)
+        .expect("the next call samples");
+    let fresh = one_worker()
+        .sample_counts(&circuit, 1000)
+        .expect("fresh pool");
+    assert_eq!(next, fresh);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     // Under an arbitrary seeded fault plan (panics, delays and forced
     // aborts at ~15/20/15 % rates), a pool with three attempts per job
-    // returns every job Ok, and the (respawns, retries,
+    // returns every job Ok, and the (panics, retries,
     // deadline_exceeded) counter sums are identical at 1, 2 and 8
     // workers.
     #[test]

@@ -1,8 +1,8 @@
-//! Snapshot GC: the delta-only GC must never free a node in the
-//! frozen tier. Frozen arena slots are pinned below the watermark
-//! (refcounts are no-ops, marks always read live) and the sweep
-//! iterates the delta only. That snapshot-on and snapshot-off runs
-//! fingerprint identically is `tests/determinism.rs`'s to check; see
+//! Snapshot GC: collecting in a job's fork of a warmed package must
+//! never free a node of the fork's pinned prefix (the nodes the fork
+//! copied from the snapshot); only nodes built above it are
+//! collectable. That snapshot-on and snapshot-off runs fingerprint
+//! identically is `tests/determinism.rs`'s to check; see
 //! docs/ARCHITECTURE.md.
 
 use std::sync::Arc;
@@ -10,9 +10,10 @@ use std::sync::Arc;
 use approxdd::circuit::generators;
 use approxdd::sim::{Simulator, Strategy};
 
-/// Delta GC must respect the watermark: heavy truncation-driven
-/// sweeps may free delta nodes freely, but every frozen node stays
-/// alive and the frozen tier remains fully usable afterwards.
+/// GC in a fork must respect its pinned prefix: heavy truncation-driven
+/// sweeps may free nodes built above the prefix freely, but every
+/// prefix node stays alive, and the snapshot still forks runs that
+/// match a plain build bit for bit afterwards.
 #[test]
 fn delta_gc_never_frees_frozen_nodes() {
     let circuit = generators::supremacy(3, 3, 10, 0);
@@ -42,8 +43,8 @@ fn delta_gc_never_frees_frozen_nodes() {
     assert!(stats.vnodes_alive >= stats.frozen_vnodes);
     assert!(stats.mnodes_alive >= stats.frozen_mnodes);
 
-    // The shared tier is still fully usable after the sweeps: a fresh
-    // layered simulator matches a plain rebuild bit for bit.
+    // The snapshot is still fully usable after the sweeps: a fresh
+    // fork of it matches a plain rebuild bit for bit.
     let mut layered = builder().build_with_snapshot(snapshot);
     let mut plain = builder().build();
     let a = layered.run(&circuit).expect("layered rerun");
