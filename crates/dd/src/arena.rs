@@ -15,6 +15,18 @@
 //! word-wide: clearing marks is a `memset`, and the sweep skips 64 slots
 //! at a time wherever `alive & !mark` is zero.
 //!
+//! # The free list
+//!
+//! The sweep pushes the slots it frees in ascending id order, and
+//! [`Arena::alloc`] pops the most recently pushed first (LIFO): both
+//! orders decide which id the next node gets, so they are part of the
+//! engine's results. The list owns no memory of its own. A freed slot
+//! has no external roots, so its `rc` word is free to hold the id of
+//! the slot pushed before it, and the arena keeps only the head; `alloc`
+//! reads the next head out of the word it is about to zero. A separate `Vec<u32>` of freed ids grew at the first
+//! collection of a Table I run — at the engine's high-water mark — to
+//! 1–2 MiB, and kept it.
+//!
 //! # Payloads never move
 //!
 //! A slot sequence that grew as one `Vec` would be reallocated at every
@@ -52,6 +64,10 @@ use std::ops::{Index, IndexMut};
 /// peaks 1.6 MiB lower.)
 const CHUNK_BITS: u32 = 14;
 const CHUNK_LEN: usize = 1 << CHUNK_BITS;
+
+/// The free-list link that ends the list (never a slot id: the arena
+/// refuses to grow that far).
+const NO_SLOT: u32 = u32::MAX;
 
 /// A push-only sequence stored in chunks of [`CHUNK_LEN`] slots, indexed
 /// like a slice. Every chunk is allocated once at full capacity and never
@@ -180,15 +196,19 @@ impl BitSet {
 pub(crate) struct Arena<T> {
     /// Node payloads (SoA: nothing but payload bytes on the hot path).
     items: Chunked<T>,
-    /// External-root reference counts, parallel to `items`.
+    /// External-root reference counts, parallel to `items`; a freed
+    /// slot's word is its link in the free list instead.
     rc: Chunked<u32>,
     /// One bit per slot: is the slot currently allocated?
     alive: BitSet,
     /// One bit per slot: GC mark (valid between `clear_marks` and
     /// `sweep`).
     mark: BitSet,
-    /// Freed slots, never below `prefix`.
-    free: Vec<u32>,
+    /// The most recently freed slot, [`NO_SLOT`] if none: the top of the
+    /// LIFO free list, which is threaded through the `rc` words of the
+    /// freed slots (a freed slot's word holds the next freed id, or
+    /// [`NO_SLOT`]). Never below `prefix`.
+    free_head: u32,
     /// Alive slots.
     alive_count: usize,
     /// High-water mark of simultaneously alive slots.
@@ -211,7 +231,7 @@ impl<T> Arena<T> {
             rc: Chunked::new(),
             alive: BitSet::default(),
             mark: BitSet::default(),
-            free: Vec::new(),
+            free_head: NO_SLOT,
             alive_count: 0,
             peak: 0,
             prefix: 0,
@@ -233,7 +253,7 @@ impl<T> Arena<T> {
             rc: self.rc.clone(),
             alive: self.alive.clone(),
             mark: self.mark.clone(),
-            free: Vec::new(),
+            free_head: NO_SLOT,
             alive_count: self.alive_count,
             peak: self.alive_count,
             prefix: u32::try_from(self.items.len()).expect("arena ids fit in u32"),
@@ -257,8 +277,10 @@ impl<T> Arena<T> {
     pub(crate) fn alloc(&mut self, item: T) -> u32 {
         self.alive_count += 1;
         self.peak = self.peak.max(self.alive_count);
-        if let Some(idx) = self.free.pop() {
+        if self.free_head != NO_SLOT {
+            let idx = self.free_head;
             let i = idx as usize;
+            self.free_head = self.rc[i];
             self.items[i] = item;
             self.rc[i] = 0;
             self.alive.set(i);
@@ -350,13 +372,12 @@ impl<T> Arena<T> {
         self.items.len()
     }
 
-    /// Bytes of the arena, by length: payloads, reference counts, the
-    /// flag bitsets and the free list.
+    /// Bytes of the arena, by length: payloads, reference counts (the
+    /// free list lives in those of the freed slots) and the flag bitsets.
     pub(crate) fn bytes(&self) -> usize {
         self.items.len() * (std::mem::size_of::<T>() + std::mem::size_of::<u32>())
             + (self.alive.words.len() + self.mark.words.len() + self.held.words.len())
                 * std::mem::size_of::<u64>()
-            + self.free.len() * std::mem::size_of::<u32>()
     }
 
     /// Clears every mark but the pinned prefix's, which reads as marked:
@@ -403,33 +424,41 @@ impl<T> Arena<T> {
             .map(|i| i as u32)
     }
 
-    /// Frees every alive-but-unmarked slot, invoking `on_free` with each
-    /// one's id and payload *before* the slot is released — so the
-    /// caller drops the node's unique-table entry on the spot, from the
-    /// payload in place. Slots are freed in ascending id order and
-    /// pushed onto the LIFO free list in that order; both orders decide
-    /// future node ids and are part of the engine's results (see
-    /// [`crate::gc`]). Returns the number of freed slots. The pinned
-    /// prefix reads as marked (see [`Arena::clear_marks`]), so it is
-    /// never freed.
+    /// Ids of the alive-but-unmarked slots, ascending: what
+    /// [`Arena::sweep`] would free.
+    #[cfg(test)]
+    pub(crate) fn unmarked_indices(&self) -> Vec<u32> {
+        (0..self.items.len())
+            .filter(|&i| self.alive.get(i) && !self.mark.get(i))
+            .map(|i| i as u32)
+            .collect()
+    }
+
+    /// Frees every alive-but-unmarked slot. Slots are freed in ascending
+    /// id order and pushed onto the LIFO free list in that order; both
+    /// orders decide future node ids and are part of the engine's
+    /// results (see [`crate::gc`]). Returns the number of freed slots.
+    /// The pinned prefix reads as marked (see [`Arena::clear_marks`]),
+    /// so it is never freed. Unlinking the freed nodes from their
+    /// unique table is the caller's business, and done before: the
+    /// sweep reads no payload.
     ///
     /// The scan is word-wide: 64 slots whose `alive & !mark` word is
     /// zero are skipped with a single compare.
-    pub(crate) fn sweep(&mut self, mut on_free: impl FnMut(u32, &T)) -> usize {
+    pub(crate) fn sweep(&mut self) -> usize {
         let mut freed = 0;
         for w in 0..self.alive.words.len() {
             let mut dead = self.alive.words[w] & !self.mark.words.get(w).copied().unwrap_or(0);
             if dead == 0 {
                 continue;
             }
+            self.alive.words[w] &= !dead;
             while dead != 0 {
                 let bit = dead.trailing_zeros() as usize;
                 dead &= dead - 1;
                 let i = w * 64 + bit;
-                on_free(i as u32, &self.items[i]);
-                self.alive.words[w] &= !(1u64 << bit);
-                self.rc[i] = 0;
-                self.free.push(i as u32);
+                self.rc[i] = self.free_head;
+                self.free_head = i as u32;
                 freed += 1;
             }
         }
@@ -443,6 +472,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    impl<T> Arena<T> {
+        /// The free list, top (next to be reused) first.
+        fn free_list(&self) -> Vec<u32> {
+            let mut ids = Vec::new();
+            let mut at = self.free_head;
+            while at != NO_SLOT {
+                ids.push(at);
+                at = self.rc[at as usize];
+            }
+            ids
+        }
+    }
+
     #[test]
     fn alloc_reuses_freed_slots() {
         let mut a: Arena<u64> = Arena::new();
@@ -453,7 +495,7 @@ mod tests {
 
         // Free everything (nothing rooted, nothing marked).
         a.clear_marks();
-        let freed = a.sweep(|_, _| {});
+        let freed = a.sweep();
         assert_eq!(freed, 2);
         assert_eq!(a.alive_count(), 0);
 
@@ -477,7 +519,7 @@ mod tests {
         for r in roots {
             a.mark(r);
         }
-        let freed = a.sweep(|_, _| {});
+        let freed = a.sweep();
         assert_eq!(freed, 1);
         assert_eq!(*a.get(x), 1);
         assert_eq!(a.alive_count(), 1);
@@ -491,7 +533,7 @@ mod tests {
             a.alloc(i);
         }
         a.clear_marks();
-        a.sweep(|_, _| {});
+        a.sweep();
         a.alloc(9);
         assert_eq!(a.peak_count(), 5);
         assert_eq!(a.alive_count(), 1);
@@ -547,7 +589,7 @@ mod tests {
         for r in base.rooted_indices().collect::<Vec<_>>() {
             base.mark(r);
         }
-        assert_eq!(base.sweep(|_, _| {}), 2);
+        assert_eq!(base.sweep(), 2);
         let mut fork = base.fork();
         assert_eq!((fork.prefix(), fork.prefix_alive()), (70, 68));
         assert_eq!(fork.alloc(7), 70);
@@ -577,8 +619,9 @@ mod tests {
         for r in roots {
             fork.mark(r);
         }
-        let mut swept = Vec::new();
-        let freed = fork.sweep(|idx, _| swept.push(idx));
+        let swept = fork.unmarked_indices();
+        let freed = fork.sweep();
+        assert_eq!(fork.free_list(), swept);
         assert_eq!(freed, 1);
         assert_eq!(swept, vec![b]);
         assert!(swept.iter().all(|&i| i >= fork.prefix()));
@@ -609,13 +652,12 @@ mod tests {
         for r in a.rooted_indices().collect::<Vec<_>>() {
             a.mark(r);
         }
-        let mut swept = Vec::new();
-        let freed = a.sweep(|idx, &payload| {
-            assert_eq!(payload, idx, "the callback reads the payload in place");
-            swept.push(idx);
-        });
+        let freed = a.sweep();
         let victims: Vec<u32> = (0..140).filter(|i| i % 5 != 0).collect();
         assert_eq!(freed, victims.len());
+        // Pushed in ascending id order: the list reads them back down.
+        let mut swept = a.free_list();
+        swept.reverse();
         assert_eq!(swept, victims, "ascending id order");
 
         // LIFO reuse: the highest freed id comes back first, and only
@@ -633,7 +675,7 @@ mod tests {
         for r in a.rooted_indices().collect::<Vec<_>>() {
             a.mark(r);
         }
-        assert_eq!(a.sweep(|_, _| {}), victims.len() + 2);
+        assert_eq!(a.sweep(), victims.len() + 2);
         assert_eq!(a.alloc(0), 141);
         assert_eq!(a.alloc(0), 140);
         assert_eq!(a.alloc(0), 139);
@@ -653,9 +695,12 @@ mod tests {
         for r in &roots {
             a.mark(*r);
         }
-        let mut swept = Vec::new();
-        let freed = a.sweep(|idx, _| swept.push(idx));
+        let swept = a.free_list();
+        assert!(swept.is_empty());
+        let freed = a.sweep();
+        let swept = a.free_list();
         assert_eq!(freed, 200 - roots.len());
+        assert_eq!(swept.len(), freed);
         assert_eq!(a.alive_count(), roots.len());
         for id in ids.iter().step_by(3) {
             assert_eq!(*a.get(*id), *id); // payload intact
@@ -746,11 +791,9 @@ mod tests {
         for r in roots {
             a.mark(r);
         }
-        let mut swept = Vec::new();
-        a.sweep(|id, &payload| {
-            assert_eq!(payload, id, "the callback reads the payload in place");
-            swept.push(id);
-        });
+        a.sweep();
+        let mut swept = a.free_list();
+        swept.reverse();
         assert_eq!(
             swept,
             (0..SLOTS).filter(|&id| !rooted(id)).collect::<Vec<_>>()

@@ -30,6 +30,31 @@
 //!   all memoized results because they may reference freed nodes —
 //!   becomes a single integer increment.
 //!
+//! # One slot, one cache line
+//!
+//! A slot is 32 bytes and 32-aligned, so a probe touches one cache line:
+//! the value edge's weight and node, the two operand ids, and one
+//! **tag** word. The tag does not store the ratio's tolerance bucket
+//! (two `u64`s) but the *position* of the bucket's representative in
+//! the canonical-ratio table ([`crate::ratio`]), with the generation
+//! stamp folded into the bits above it. Within one ratio-table
+//! generation position and bucket are a bijection — a position is
+//! handed out once, to one bucket — and every ratio reset, the only
+//! event that hands a position out again, already clears this table.
+//! So comparing `(a, b, position)` answers exactly what comparing
+//! `(a, b, bucket)` did. The slot *index* is still the hash of the
+//! full `(a, b, bucket)` key, so every hit, miss and eviction is what
+//! it was with the bucket stored.
+//!
+//! The fold costs two bounds. A position must fit below the stamp, in
+//! [`POSITION_BITS`] bits: 2^20 positions, where a package holds at
+//! most 2^18 representatives past the prefix a fork pins, and that
+//! prefix is at most what its base held. A call whose representative
+//! lies beyond the bound is simply not memoized — a counted miss, no
+//! insert — which a lossy table may always do. And the stamp has
+//! [`MAX_GENERATION`] values, so `clear` hard-resets every tag once per
+//! that many clears instead of once per 2^32.
+//!
 //! Hit/miss accounting lives *inside* [`ComputeCache::lookup`]: every
 //! lookup increments exactly one of the two counters, so hit rates are
 //! comparable across runs regardless of how often the table was
@@ -60,8 +85,8 @@
 //!
 //! **Retention bound.** A thread holds at most one slab (a newly
 //! retired slab replaces the held one, and a table of another capacity
-//! frees it), so it retains one engine's table — 3 MiB at the default
-//! 2^16 slots of 48 bytes — until it exits. Retiring during thread
+//! frees it), so it retains one engine's table — 2 MiB at the default
+//! 2^16 slots of 32 bytes — until it exits. Retiring during thread
 //! teardown, when the slot is already gone, just frees the slab.
 
 use std::cell::Cell;
@@ -92,29 +117,40 @@ const SLABS_RECYCLED: &str = "approxdd_dd_cache_slabs_recycled_total";
 static SLAB_COUNTERS: Once = Once::new();
 
 /// An `add` key: the two operand nodes and the tolerance bucket of
-/// their canonical weight ratio (see `Package::add`).
+/// their canonical weight ratio (see `Package::add`). It picks the slot;
+/// what the slot stores of it is `(a, b)` and the bucket's position (see
+/// "One slot, one cache line" in the module docs).
 pub(crate) type AddKey = (u32, u32, u64, u64);
 
-/// One entry: the key, the value edge's weight and node, and the
-/// generation stamp. The value edge is stored flat, not as a [`VEdge`]
-/// with its 4 bytes of padding, so its node id and the stamp share one
-/// 8-byte word: 48 bytes a slot.
+/// Bits of a slot's tag that hold the representative's position; the
+/// generation stamp takes the bits above.
+const POSITION_BITS: u32 = 20;
+/// Last generation before [`ComputeCache::clear`] hard-resets the tags.
+const MAX_GENERATION: u32 = u32::MAX >> POSITION_BITS;
+
+/// One entry: the value edge's weight and node, the operand ids, and
+/// the tag `generation << POSITION_BITS | position`. The value edge is
+/// stored flat, not as a [`VEdge`] with its 4 bytes of padding: 32
+/// bytes a slot, one cache line per probe.
 #[derive(Debug, Clone, Copy)]
+#[repr(align(32))]
 struct Slot {
-    key: AddKey,
     w: Cplx,
+    a: u32,
+    b: u32,
     node: NodeId,
-    /// Generation at which this slot was written; `0` means never.
-    stamp: u32,
+    /// Tag 0 (generation 0) is dead in every generation: never written.
+    tag: u32,
 }
 
-/// What a never-written slot holds; stamp 0 is dead in every
-/// generation, so its key and value are never observable.
+/// What a never-written slot holds; its operands and value are never
+/// observable.
 const VACANT: Slot = Slot {
-    key: (u32::MAX, u32::MAX, 0, 0),
     w: Cplx::ZERO,
+    a: u32::MAX,
+    b: u32::MAX,
     node: NodeId::TERMINAL,
-    stamp: 0,
+    tag: 0,
 };
 
 /// A retired slot array and the last generation its owner stamped.
@@ -145,8 +181,8 @@ pub(crate) struct ComputeCache {
     /// Empty until the first insert.
     slots: Vec<Slot>,
     mask: u64,
-    /// Current generation; slots stamped with anything else are dead.
-    /// Starts at 1 so the zero-initialized stamps read as empty.
+    /// Current generation (`1..=MAX_GENERATION`); slots stamped with
+    /// anything else are dead. Starts at 1 so vacant tags read as empty.
     generation: u32,
     /// Lookups that returned a memoized result.
     pub(crate) hits: u64,
@@ -190,13 +226,23 @@ impl ComputeCache {
         }
     }
 
-    /// Looks up `key`, counting the outcome (the **only** place hits
-    /// and misses are counted — see the module docs). An unmaterialised
-    /// table has no slot at any index, which reads as a miss.
+    /// The tag of an entry for the representative at `position` in the
+    /// current generation; `None` past [`POSITION_BITS`].
     #[inline]
-    pub(crate) fn lookup(&mut self, key: &AddKey) -> Option<VEdge> {
+    fn tag(&self, position: u32) -> Option<u32> {
+        (position >> POSITION_BITS == 0).then_some(self.generation << POSITION_BITS | position)
+    }
+
+    /// Looks up `key`, whose ratio bucket's representative sits at
+    /// `position` in the canonical-ratio table, counting the outcome
+    /// (the **only** place hits and misses are counted — see the module
+    /// docs). An unmaterialised table has no slot at any index, which
+    /// reads as a miss.
+    #[inline]
+    pub(crate) fn lookup(&mut self, key: &AddKey, position: u32) -> Option<VEdge> {
+        let tag = self.tag(position);
         match self.slots.get(self.index(key)) {
-            Some(slot) if slot.stamp == self.generation && slot.key == *key => {
+            Some(slot) if Some(slot.tag) == tag && (slot.a, slot.b) == (key.0, key.1) => {
                 self.hits += 1;
                 Some(VEdge {
                     w: slot.w,
@@ -212,16 +258,21 @@ impl ComputeCache {
 
     /// Inserts (or overwrites) the slot `key` maps to.
     #[inline]
-    pub(crate) fn insert(&mut self, key: AddKey, value: VEdge) {
+    pub(crate) fn insert(&mut self, key: AddKey, position: u32, value: VEdge) {
         if self.slots.is_empty() {
             self.materialise();
         }
+        // After `materialise`, which may move the generation on.
+        let Some(tag) = self.tag(position) else {
+            return;
+        };
         let idx = self.index(&key);
         self.slots[idx] = Slot {
-            key,
             w: value.w,
+            a: key.0,
+            b: key.1,
             node: value.node,
-            stamp: self.generation,
+            tag,
         };
     }
 
@@ -247,11 +298,11 @@ impl ComputeCache {
     /// Hit/miss counters are *not* reset: they describe the package's
     /// lifetime, so rates stay comparable across GC cycles.
     pub(crate) fn clear(&mut self) {
-        if self.generation == u32::MAX {
-            // Once every 4 billion clears: hard-reset the stamps so the
-            // generation can wrap without resurrecting ancient entries.
+        if self.generation == MAX_GENERATION {
+            // Once every 4095 clears: hard-reset the tags so the
+            // generation can wrap without resurrecting older entries.
             for slot in &mut self.slots {
-                slot.stamp = 0;
+                slot.tag = 0;
             }
             self.generation = 1;
         } else {
@@ -259,14 +310,15 @@ impl ComputeCache {
         }
     }
 
-    /// Keys of the live (current-generation) entries, for tests that
-    /// check what the table is asked to remember.
+    /// `(a, b, position)` of the live (current-generation) entries, for
+    /// tests that check what the table is asked to remember.
     #[cfg(test)]
-    pub(crate) fn live_keys(&self) -> impl Iterator<Item = AddKey> + '_ {
+    pub(crate) fn live_keys(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        let position = (1 << POSITION_BITS) - 1;
         self.slots
             .iter()
-            .filter(|slot| slot.stamp == self.generation)
-            .map(|slot| slot.key)
+            .filter(|slot| slot.tag >> POSITION_BITS == self.generation)
+            .map(move |slot| (slot.a, slot.b, slot.tag & position))
     }
 
     /// Bytes of the slot array: 0 until the first insert materialises it.
@@ -314,9 +366,9 @@ mod tests {
     #[test]
     fn lookup_after_insert_hits() {
         let mut c = cache(4);
-        assert_eq!(c.lookup(&key(1)), None);
-        c.insert(key(1), value(42));
-        assert_eq!(c.lookup(&key(1)), Some(value(42)));
+        assert_eq!(c.lookup(&key(1), 1), None);
+        c.insert(key(1), 1, value(42));
+        assert_eq!(c.lookup(&key(1), 1), Some(value(42)));
         assert_eq!((c.hits, c.misses, c.live_keys().count()), (1, 1, 1));
         assert_eq!(c.capacity(), 16);
     }
@@ -328,10 +380,10 @@ mod tests {
         // one just misses (never a wrong value).
         let mut c = cache(MIN_COMPUTE_CACHE_BITS);
         for i in 0..64u32 {
-            c.insert(key(i), value(i));
+            c.insert(key(i), i, value(i));
         }
         for i in 0..64u32 {
-            if let Some(v) = c.lookup(&key(i)) {
+            if let Some(v) = c.lookup(&key(i), i) {
                 assert_eq!(v, value(i), "stale value for key {i}");
             }
         }
@@ -341,37 +393,68 @@ mod tests {
     #[test]
     fn clear_is_generation_bump() {
         let mut c = cache(4);
-        c.insert(key(7), value(7));
-        assert_eq!(c.lookup(&key(7)), Some(value(7)));
+        c.insert(key(7), 7, value(7));
+        assert_eq!(c.lookup(&key(7), 7), Some(value(7)));
         c.clear();
-        assert_eq!(c.lookup(&key(7)), None, "cleared entry must be dead");
+        assert_eq!(c.lookup(&key(7), 7), None, "cleared entry must be dead");
         assert_eq!(c.live_keys().count(), 0);
         // Counters survive the clear (lifetime accounting).
         assert_eq!((c.hits, c.misses), (1, 1));
         // The table keeps working after the bump.
-        c.insert(key(7), value(9));
-        assert_eq!(c.lookup(&key(7)), Some(value(9)));
+        c.insert(key(7), 7, value(9));
+        assert_eq!(c.lookup(&key(7), 7), Some(value(9)));
     }
 
+    /// The folded stamp wraps after [`MAX_GENERATION`] generations, every
+    /// one of them crossed here by a real `clear`: an entry written in
+    /// any generation before the wrap, the first and the last included,
+    /// is dead after it, and the table works on.
     #[test]
     fn generation_wrap_resets_stamps() {
-        let mut c = cache(2);
-        c.insert(key(1), value(1));
-        c.generation = u32::MAX; // simulate 4 billion clears
+        let mut c = cache(4);
+        c.insert(key(1), 1, value(1));
+        for _ in 1..MAX_GENERATION {
+            c.clear();
+        }
+        assert_eq!(c.generation, MAX_GENERATION);
+        c.insert(key(2), 2, value(2));
+        assert_eq!(c.live_keys().count(), 1);
         c.clear();
-        assert_eq!(c.generation, 1);
-        // The stale stamp (written at generation 1 originally) was
-        // hard-reset, so the old entry cannot resurrect.
-        assert_eq!(c.lookup(&key(1)), None);
+        assert_eq!(c.generation, 1, "the stamp wrapped");
+        assert!(c.slots.iter().all(|slot| slot.tag == 0), "hard reset");
+        for i in [1, 2] {
+            assert_eq!(c.lookup(&key(i), i), None, "key {i} resurrected");
+        }
+        c.insert(key(1), 1, value(3));
+        assert_eq!(c.lookup(&key(1), 1), Some(value(3)));
+        assert_eq!(c.lookup(&key(2), 2), None);
+    }
+
+    /// A slot compares `(a, b, position)`, not the bucket: the same
+    /// operands under another position miss, and a position past the
+    /// stamp's bits is never memoized.
+    #[test]
+    fn slots_compare_positions_and_bound_them() {
+        let mut c = cache(4);
+        c.insert(key(5), 5, value(5));
+        assert_eq!(c.lookup(&key(5), 6), None);
+        assert_eq!(c.lookup(&key(5), 5), Some(value(5)));
+        let last = (1 << POSITION_BITS) - 1;
+        c.insert(key(6), last, value(6));
+        assert_eq!(c.lookup(&key(6), last), Some(value(6)));
+        c.insert(key(7), last + 1, value(7));
+        assert_eq!(c.lookup(&key(7), last + 1), None, "past the bound");
+        assert_eq!((c.hits, c.misses), (2, 2));
     }
 
     #[test]
-    fn a_thread_retains_at_most_3_mib_at_the_default_size() {
+    fn a_thread_retains_at_most_2_mib_at_the_default_size() {
         let mut c = ComputeCache::new(None);
-        c.insert(key(1), value(1));
-        assert_eq!(std::mem::size_of::<Slot>(), 48);
-        assert_eq!(c.bytes(), 48 << DEFAULT_COMPUTE_CACHE_BITS);
-        assert_eq!(c.bytes(), 3 << 20, "3 MiB");
+        c.insert(key(1), 1, value(1));
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+        assert_eq!(std::mem::align_of::<Slot>(), 32, "one cache line a probe");
+        assert_eq!(c.bytes(), 32 << DEFAULT_COMPUTE_CACHE_BITS);
+        assert_eq!(c.bytes(), 2 << 20, "2 MiB");
     }
 
     #[test]
@@ -389,15 +472,15 @@ mod tests {
         let mut c = cache(10);
         assert_eq!(c.capacity(), 1 << 10, "configured before any slot exists");
         for i in 0..5u32 {
-            assert_eq!(c.lookup(&key(i)), None);
+            assert_eq!(c.lookup(&key(i), i), None);
         }
         c.clear(); // a clear before the first insert is harmless
         assert_eq!((c.hits, c.misses, c.live_keys().count()), (0, 5, 0));
         assert_eq!(c.slots.capacity(), 0, "no slot memory before an insert");
 
-        c.insert(key(1), value(1));
+        c.insert(key(1), 1, value(1));
         assert_eq!(c.slots.len(), 1 << 10);
-        assert_eq!(c.lookup(&key(1)), Some(value(1)));
+        assert_eq!(c.lookup(&key(1), 1), Some(value(1)));
     }
 
     #[test]
@@ -405,16 +488,16 @@ mod tests {
         on_fresh_thread(|| {
             let mut first = cache(6);
             for i in 0..200u32 {
-                first.insert(key(i), value(i));
+                first.insert(key(i), i, value(i));
             }
             first.clear();
-            first.insert(key(7), value(7));
+            first.insert(key(7), 7, value(7));
             let last_generation = first.generation;
             drop(first);
 
             let mut second = cache(6);
             assert!(second.slots.is_empty());
-            second.insert(key(1000), value(1));
+            second.insert(key(1000), 1000, value(1));
             assert_eq!(
                 second.generation,
                 last_generation + 1,
@@ -422,14 +505,14 @@ mod tests {
             );
             assert_eq!(second.live_keys().count(), 1, "old entries are not live");
             for i in 0..200u32 {
-                assert_eq!(second.lookup(&key(i)), None, "old key {i} resurrected");
+                assert_eq!(second.lookup(&key(i), i), None, "old key {i} resurrected");
             }
             assert_eq!(
                 (second.hits, second.misses),
                 (0, 200),
                 "counters start from zero"
             );
-            assert_eq!(second.lookup(&key(1000)), Some(value(1)));
+            assert_eq!(second.lookup(&key(1000), 1000), Some(value(1)));
         });
     }
 
@@ -437,17 +520,17 @@ mod tests {
     fn slab_retired_at_generation_wrap_is_hard_reset() {
         on_fresh_thread(|| {
             let mut first = cache(3);
-            first.generation = u32::MAX; // simulate 4 billion clears
-            first.insert(key(1), value(1));
+            first.generation = MAX_GENERATION; // simulate 4094 clears
+            first.insert(key(1), 1, value(1));
             drop(first);
 
             // Generation 1 again: without the reset, a slot stamped 1
             // by an earlier owner of the slab could read as live.
             let mut second = cache(3);
-            second.insert(key(2), value(2));
+            second.insert(key(2), 2, value(2));
             assert_eq!(second.generation, 1);
-            assert_eq!(second.lookup(&key(1)), None);
-            let live = second.slots.iter().filter(|s| s.stamp != 0).count();
+            assert_eq!(second.lookup(&key(1), 1), None);
+            let live = second.slots.iter().filter(|s| s.tag != 0).count();
             assert_eq!(live, 1, "every stamp but the new entry's was reset");
         });
     }
@@ -456,18 +539,18 @@ mod tests {
     fn slab_of_another_size_is_never_taken() {
         on_fresh_thread(|| {
             let mut small = cache(4);
-            small.insert(key(1), value(1));
+            small.insert(key(1), 1, value(1));
             drop(small);
 
             let mut large = cache(5);
-            large.insert(key(2), value(2));
+            large.insert(key(2), 2, value(2));
             assert_eq!(large.slots.len(), 1 << 5);
             assert_eq!(large.generation, 1, "a fresh array, not the 16-slot slab");
             // The thread holds one slab: the 16-slot one was freed, and
             // the 32-slot one is not taken by a 16-slot table either.
             drop(large);
             let mut small = cache(4);
-            small.insert(key(3), value(3));
+            small.insert(key(3), 3, value(3));
             assert_eq!((small.slots.len(), small.generation), (1 << 4, 1));
         });
     }

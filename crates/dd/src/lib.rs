@@ -39,9 +39,10 @@
 //!   RSS does not depend on what the allocator did for the engines the
 //!   thread ran before, and an arena that fits one chunk is read like
 //!   a slice. Reference counts live in parallel chunks and
-//!   the `alive`/`mark` GC flags in packed bitsets. Operation recursion
-//!   touches only payload bytes; GC mark-clearing is a memset and the
-//!   sweep skips 64 dead-free slots per word.
+//!   the `alive`/`mark` GC flags in packed bitsets; the free list is
+//!   threaded through the reference counts of the freed slots.
+//!   Operation recursion touches only payload bytes; GC mark-clearing
+//!   is a memset and the sweep skips 64 dead-free slots per word.
 //! * **Per-level open-addressed unique tables.** Canonicalization
 //!   queries probe a flat bucket array per level — a 32-bit hash tag
 //!   beside the 32-bit node id, 8 bytes a bucket, rebuilt at twice the
@@ -51,11 +52,12 @@
 //!   live as long as their nodes — because it is what makes DDs
 //!   canonical.
 //! * **A node store that costs what is live.** Garbage collection
-//!   unlinks each dead node from its unique table as the sweep finds
-//!   it, so a collection allocates in proportion to what survives, not
-//!   to what it frees; and the canonical `add` ratios sit in a table of
-//!   bare values (16 bytes a slot) whose keys are recomputed from the
-//!   values. GC *timing*, sweep *order* and free-list *order* reach
+//!   unlinks the dead nodes in one sequential scan of each unique
+//!   table's buckets and then frees their slots, so a collection
+//!   allocates in proportion to what survives (the mark stack), not to
+//!   what it frees; and the canonical `add` ratios
+//!   sit in a table of bare values (16 bytes a slot) whose keys are
+//!   recomputed from the values. GC *timing*, sweep *order* and free-list *order* reach
 //!   result bits; table *layout and load factor* never do.
 //!   [`PackageStats::node_store_bytes`] reports the footprint by
 //!   length.
@@ -87,7 +89,7 @@
 //!   on that thread takes it over one generation on — every old slot
 //!   dead in O(1), the same way a GC clear works — so a pool worker
 //!   fills its table once, not once per job. A thread retains at most
-//!   one array (3 MiB at the default size) until it exits. Neither
+//!   one array (2 MiB at the default size) until it exits. Neither
 //!   mechanism can change a result or a counter: capacity, index
 //!   function, accounting and eviction are untouched, and an
 //!   unprovided, a fresh and a recycled table answer every lookup

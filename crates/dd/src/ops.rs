@@ -214,12 +214,12 @@ impl Package {
         // `A + ratio·B` over the two unit-normalized node functions —
         // so the top weight stays out of the key (the standard QMDD
         // multilinearity trick).
-        let (rk, ratio) = self.canonical_ratio(b.w / a.w);
+        let (rk, ratio, position) = self.canonical_ratio(b.w / a.w);
         #[allow(clippy::cast_sign_loss)]
         let key = (a.node.0, b.node.0, rk.0 as u64, rk.1 as u64);
         let memoized = !at_terminal_level(self.vnode(a.node).var);
         if memoized {
-            if let Some(cached) = self.ct.lookup(&key) {
+            if let Some(cached) = self.ct.lookup(&key, position) {
                 return cached.scaled(a.w);
             }
         }
@@ -232,7 +232,7 @@ impl Package {
         let r1 = self.add(a1, b1.scaled(ratio));
         let res = self.make_vnode(an.var, r0, r1);
         if memoized && self.ratio_resets == resets {
-            self.ct.insert(key, res);
+            self.ct.insert(key, position, res);
         }
         res.scaled(a.w)
     }

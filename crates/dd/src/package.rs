@@ -95,10 +95,11 @@ fn normalize(tol: Tolerance, mut e0: VEdge, mut e1: VEdge) -> Option<(Cplx, [VEd
     Some((factor, [e0, e1]))
 }
 
-/// Drops a swept vector node's unique-table entry. Free functions over
-/// the table (not `Package` methods) so the arena sweep can call them
-/// while it holds the arena: garbage is unlinked where it is found,
-/// never copied out first.
+/// Drops a swept vector node's unique-table entry, found by re-deriving
+/// its key from the payload: the per-node unlink the collector's
+/// scanning one (`crate::gc`) is tested against. Free functions over
+/// the table, so the arena and the table can be borrowed side by side.
+#[cfg(test)]
 pub(crate) fn remove_vnode_from_unique(
     unique: &mut UniqueTable,
     tol: Tolerance,
@@ -116,6 +117,7 @@ pub(crate) fn remove_vnode_from_unique(
 
 /// Drops a swept matrix node's unique-table entry (see
 /// [`remove_vnode_from_unique`]).
+#[cfg(test)]
 pub(crate) fn remove_mnode_from_unique(
     unique: &mut UniqueTable,
     tol: Tolerance,
@@ -192,9 +194,10 @@ pub struct PackageStats {
     /// and is excluded from every fingerprint.
     pub identity_skips: u64,
     /// Bytes the package's node store holds right now, counted from
-    /// container **lengths**: arena slots (payload, reference count,
-    /// flag bits, free list), unique-table buckets, the canonical-ratio
-    /// index and values, and the compute table's slot array once it has
+    /// container **lengths**: arena slots (payload, reference count —
+    /// the free list lives in those of the freed slots — and flag
+    /// bits), unique-table buckets, the canonical-ratio index and
+    /// values, and the compute table's slot array once it has
     /// materialised (not the per-call memos), a fork's pinned prefix
     /// included: a fork owns its copy. Deterministic for a given
     /// operation sequence and cache size (it is not RSS: allocator
@@ -758,18 +761,20 @@ impl Package {
     // ------------------------------------------------------------------
 
     /// Canonicalizes an `add` weight ratio: returns its tolerance
-    /// bucket plus the bucket's canonical representative (the first
-    /// exact ratio seen in it) — what keeps compute-table hits
-    /// bit-identical to recomputation. When a new bucket finds the table
+    /// bucket, the bucket's canonical representative (the first exact
+    /// ratio seen in it) — what keeps compute-table hits bit-identical
+    /// to recomputation — and the representative's position in the
+    /// canonical-ratio table, which names the bucket in a compute-table
+    /// slot (see [`crate::ctable`]). When a new bucket finds the table
     /// at its entry cap, the table resets and every memoized result goes
     /// with it (the rule and its reason live in [`crate::ratio`]).
-    pub(crate) fn canonical_ratio(&mut self, ratio: Cplx) -> ((i64, i64), Cplx) {
-        let (rk, canonical, reset) = self.ratio_canon.canonical(self.tol, ratio);
+    pub(crate) fn canonical_ratio(&mut self, ratio: Cplx) -> ((i64, i64), Cplx, u32) {
+        let (rk, canonical, position, reset) = self.ratio_canon.canonical(self.tol, ratio);
         if reset {
             self.ratio_resets += 1;
             self.clear_memoized();
         }
-        (rk, canonical)
+        (rk, canonical, position)
     }
 
     /// Drops every memoized operation result: the compute table and
@@ -1001,30 +1006,64 @@ mod tests {
         // When the canonical-ratio table resets, *all* memoized results
         // must drop: they embed add results and therefore canonical-ratio
         // bits, so a surviving entry could disagree with a post-reset
-        // recomputation.
+        // recomputation. A compute-table slot names its ratio bucket by
+        // the representative's position, and a reset hands positions out
+        // again, to other buckets: no pre-reset entry may answer then.
+        #[allow(clippy::cast_sign_loss)]
+        let add_key = |rk: (i64, i64)| (3, 4, rk.0 as u64, rk.1 as u64);
         let mut p = Package::new();
         let first = Cplx::new(0.25, 0.0);
         let near = Cplx::new(0.25 + 1e-14, 0.0);
-        assert_eq!(p.canonical_ratio(first).1, first);
-        assert_eq!(p.canonical_ratio(near).1, first, "first write wins");
-        // One distinct bucket per call, up to the cap.
+        let (first_key, canonical, first_at) = p.canonical_ratio(first);
+        assert_eq!((canonical, first_at), (first, 0));
+        assert_eq!(
+            p.canonical_ratio(near),
+            (first_key, first, 0),
+            "first write wins"
+        );
+        // One distinct bucket per call, up to the cap; every 4096th is
+        // memoized under its real key and position.
+        let mut before = vec![(add_key(first_key), first_at)];
         for i in 1..crate::ratio::RATIO_CANON_CAP {
             #[allow(clippy::cast_precision_loss)]
-            let _ = p.canonical_ratio(Cplx::new(0.5, i as f64 * 1e-6));
+            let (rk, _, at) = p.canonical_ratio(Cplx::new(0.5, i as f64 * 1e-6));
+            assert_eq!(at as usize, i, "positions follow insertion order");
+            if i % 4096 == 0 {
+                before.push((add_key(rk), at));
+            }
         }
         p.mv_memo.insert((1, 2), VEdge::ONE);
-        p.ct.insert((3, 4, 5, 6), VEdge::ONE);
+        for &(key, at) in &before {
+            p.ct.insert(key, at, VEdge::ONE);
+        }
         // A bucket the full table holds is answered, and resets nothing.
         assert_eq!(p.canonical_ratio(near).1, first, "held bucket");
         assert_eq!(p.ratio_resets, 0);
-        assert_eq!(p.ct.lookup(&(3, 4, 5, 6)), Some(VEdge::ONE));
-        // The first new bucket at the cap resets the table first.
+        assert_eq!(p.ct.lookup(&before[0].0, first_at), Some(VEdge::ONE));
+        // The first new bucket at the cap resets the table first, and
+        // takes position 0 over.
         let fresh = Cplx::new(0.75, 0.0);
-        assert_eq!(p.canonical_ratio(fresh).1, fresh);
+        let (fresh_key, canonical, fresh_at) = p.canonical_ratio(fresh);
+        assert_eq!((canonical, fresh_at), (fresh, 0));
         assert_eq!(p.ratio_resets, 1);
         assert_eq!(p.canonical_ratio(near).1, near, "table was reset");
         assert!(p.mv_memo.is_empty(), "the mul_mv memo must clear");
-        assert_eq!(p.ct.lookup(&(3, 4, 5, 6)), None, "add must clear");
+        // Other buckets take every memoized position over.
+        let mut after = vec![(add_key(fresh_key), fresh_at)];
+        let last = before.last().expect("entries").1;
+        for i in 2..=last {
+            #[allow(clippy::cast_precision_loss)]
+            let (rk, _, at) = p.canonical_ratio(Cplx::new(0.625, f64::from(i) * 1e-6));
+            assert_eq!(at, i);
+            if i % 4096 == 0 {
+                after.push((add_key(rk), at));
+            }
+        }
+        assert_eq!(p.ratio_resets, 1);
+        assert_eq!(after.len(), before.len());
+        for (key, at) in before.into_iter().chain(after) {
+            assert_eq!(p.ct.lookup(&key, at), None, "add must clear");
+        }
     }
 
     /// The amplitude bits of a 7-qubit circuit of 60 random H / T / Sx /

@@ -146,29 +146,39 @@ impl RatioTable {
         at.map(|at| self.values[at])
     }
 
-    /// The representative of bucket `key`, which becomes `value` if the
-    /// bucket had none (first write wins). `key` must be `tol.key(value)`.
+    /// The representative of bucket `key` and its position in insertion
+    /// order; the representative becomes `value` if the bucket had none
+    /// (first write wins). `key` must be `tol.key(value)`.
     #[inline]
-    pub(crate) fn get_or_insert(&mut self, tol: Tolerance, key: (i64, i64), value: Cplx) -> Cplx {
+    pub(crate) fn get_or_insert(
+        &mut self,
+        tol: Tolerance,
+        key: (i64, i64),
+        value: Cplx,
+    ) -> (Cplx, u32) {
         debug_assert!(tol.key(value) == key);
-        match self.probe(tol, key) {
-            Some((_, Some(at))) => return self.values[at],
-            Some((idx, None)) if (self.len() + 1) * 2 <= self.slots.len() => {
-                self.place(idx, value);
-            }
+        let at = match self.probe(tol, key) {
+            // `at + 1` is stored in a `u32` slot.
+            #[allow(clippy::cast_possible_truncation)]
+            Some((_, Some(at))) => return (self.values[at], at as u32),
+            Some((idx, None)) if (self.len() + 1) * 2 <= self.slots.len() => self.place(idx, value),
             _ => {
                 self.grow(tol);
                 let (idx, _) = self.probe(tol, key).expect("a grown table has an index");
-                self.place(idx, value);
+                self.place(idx, value)
             }
-        }
-        value
+        };
+        (value, at)
     }
 
-    fn place(&mut self, idx: usize, value: Cplx) {
+    /// Appends `value` and points index slot `idx` at it; returns its
+    /// position.
+    fn place(&mut self, idx: usize, value: Cplx) -> u32 {
         debug_assert!(self.values.len() < self.values.capacity());
         self.values.push(value);
-        self.slots[idx] = u32::try_from(self.values.len()).expect("index slots fit in u32");
+        let slot = u32::try_from(self.values.len()).expect("index slots fit in u32");
+        self.slots[idx] = slot;
+        slot - 1
     }
 
     /// Doubles the index (or provides the first one), reserves room for
@@ -241,11 +251,16 @@ impl RatioCanon {
     }
 
     /// Canonicalizes `ratio`: its tolerance bucket, the bucket's
-    /// representative, and whether this call reset the table (the
-    /// caller must then clear every memoized result — see the module
-    /// docs for the rule).
+    /// representative, the representative's position in insertion order
+    /// (one bucket's alone until the next reset), and whether this call
+    /// reset the table (the caller must then clear every memoized result
+    /// — see the module docs for the rule).
     #[inline]
-    pub(crate) fn canonical(&mut self, tol: Tolerance, ratio: Cplx) -> ((i64, i64), Cplx, bool) {
+    pub(crate) fn canonical(
+        &mut self,
+        tol: Tolerance,
+        ratio: Cplx,
+    ) -> ((i64, i64), Cplx, u32, bool) {
         let key = tol.key(ratio);
         // The second probe runs only at the cap, until the next new
         // bucket resets the table.
@@ -254,7 +269,8 @@ impl RatioCanon {
         if reset {
             self.table.truncate(tol, self.prefix);
         }
-        (key, self.table.get_or_insert(tol, key, ratio), reset)
+        let (value, position) = self.table.get_or_insert(tol, key, ratio);
+        (key, value, position, reset)
     }
 }
 
@@ -353,11 +369,13 @@ mod tests {
             let mut resets = 0;
             for op in seq {
                 let r = ratio(tol, op);
-                let (got_key, got, got_reset) = table.canonical(tol, r);
+                let (got_key, got, at, got_reset) = table.canonical(tol, r);
                 let (key, want, reset) = model.canonical(tol, r);
                 prop_assert_eq!(got_key, key);
                 prop_assert_eq!(bits(got), bits(want));
                 prop_assert_eq!(got_reset, reset);
+                // The position names this bucket's representative.
+                prop_assert_eq!(bits(table.table.values[at as usize]), bits(want));
                 prop_assert_eq!(table.table.len(), model.delta.len());
                 prop_assert!(table.table.len() * 2 <= table.table.slots.len());
                 resets += usize::from(reset);
@@ -386,7 +404,7 @@ mod tests {
                 let r = ratio(tol, op);
                 let (key, want, reset) = model.canonical(tol, r);
                 for table in &mut forks {
-                    let (got_key, got, got_reset) = table.canonical(tol, r);
+                    let (got_key, got, _, got_reset) = table.canonical(tol, r);
                     prop_assert_eq!(got_key, key);
                     prop_assert_eq!(bits(got), bits(want));
                     prop_assert_eq!(got_reset, reset);
@@ -404,14 +422,14 @@ mod tests {
         assert_eq!(table.bytes(), 0, "no memory before the first ratio");
         for i in 0..RATIO_CANON_CAP {
             #[allow(clippy::cast_precision_loss)]
-            let (_, _, reset) = table.canonical(tol, Cplx::new(i as f64 * 1e-6, 1.0));
+            let (_, _, _, reset) = table.canonical(tol, Cplx::new(i as f64 * 1e-6, 1.0));
             assert!(!reset);
         }
         assert_eq!(table.table.len(), RATIO_CANON_CAP);
         assert_eq!(table.table.slots.len(), 1 << 19);
         assert_eq!(table.table.values.capacity(), RATIO_CANON_CAP);
         assert_eq!(table.bytes(), (2 << 20) + (4 << 20), "6 MiB");
-        assert!(table.canonical(tol, Cplx::ONE).2, "the next call resets");
+        assert!(table.canonical(tol, Cplx::ONE).3, "the next call resets");
         assert_eq!(table.table.len(), 1);
         assert_eq!(table.bytes(), (2 << 20) + 16);
         assert_eq!(table.table.values.capacity(), RATIO_CANON_CAP, "kept");

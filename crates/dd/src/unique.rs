@@ -26,9 +26,12 @@
 //!   rebuilds its bucket array at twice its live entry count (25–50 %
 //!   load afterwards) and re-seats entries from their stored tags — no
 //!   key re-derivation, no arena access.
-//! * **Tombstone deletion.** Garbage collection removes swept nodes by
-//!   id; tombstones keep probe chains intact and are recycled by
-//!   inserts and dropped wholesale on resize.
+//! * **Tombstone deletion.** Garbage collection unlinks its victims in
+//!   one sequential pass over every level's buckets
+//!   ([`UniqueTable::retain`]), tombstoning each entry whose node it
+//!   does not keep — no key is re-derived, no probe chain followed.
+//!   Tombstones keep probe chains intact and are recycled by inserts
+//!   and dropped wholesale on resize.
 //!
 //! Unlike the compute table ([`crate::ctable`]), unique tables are
 //! **exact**: an entry is never lost while its node is alive, which is
@@ -55,7 +58,7 @@ const MAX_LOAD_DEN: usize = 10;
 
 /// One slot of a level: the entry's hash tag beside its node id (or one
 /// of the [`EMPTY`]/[`TOMBSTONE`] sentinels, whose tag means nothing).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Bucket {
     tag: u32,
     id: u32,
@@ -70,7 +73,7 @@ fn tag_of(hash: u64) -> u32 {
     (hash >> 32) as u32
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Level {
     buckets: Vec<Bucket>,
     /// Live entries.
@@ -140,8 +143,22 @@ impl Level {
         self.len += 1;
     }
 
+    /// Tombstones every entry whose id `keep` rejects, in bucket order.
+    fn retain(&mut self, keep: &mut impl FnMut(u32) -> bool) {
+        let mut dropped = 0;
+        for bucket in &mut self.buckets {
+            if bucket.id < TOMBSTONE && !keep(bucket.id) {
+                bucket.id = TOMBSTONE;
+                dropped += 1;
+            }
+        }
+        self.len -= dropped;
+        self.tombstones += dropped;
+    }
+
     /// Tombstones the entry for `id` under `tag`. Returns whether it
     /// was present.
+    #[cfg(test)]
     fn remove(&mut self, tag: u32, id: u32) -> bool {
         if self.buckets.is_empty() {
             return false;
@@ -189,7 +206,7 @@ impl Level {
 }
 
 /// A per-level open-addressed unique table (see the module docs).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct UniqueTable {
     levels: Vec<Level>,
 }
@@ -220,7 +237,20 @@ impl UniqueTable {
         self.levels[var].insert(tag_of(hash), id);
     }
 
-    /// Drops a swept node's entry. Returns whether it was present.
+    /// Drops every entry whose node id `keep` rejects: one sequential
+    /// pass over each level's buckets. Each dropped entry becomes a
+    /// tombstone, exactly as [`UniqueTable::remove`] of its id would
+    /// leave it.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        for level in &mut self.levels {
+            level.retain(&mut keep);
+        }
+    }
+
+    /// Drops a swept node's entry, found by its key hash. Returns
+    /// whether it was present. The collector's reference unlink, and
+    /// the tests', not the collector's own: see [`UniqueTable::retain`].
+    #[cfg(test)]
     pub(crate) fn remove(&mut self, var: u8, hash: u64, id: u32) -> bool {
         self.levels
             .get_mut(usize::from(var))
@@ -382,6 +412,29 @@ mod tests {
         let t2 = base.clone();
         assert_eq!(t2.lookup(2, 0x2222, |id| id == 5), Some(5));
         assert_eq!(t2.len(), 2);
+    }
+
+    /// One scan tombstones exactly the buckets removing each rejected
+    /// id would, whatever the probe chains look like.
+    #[test]
+    fn retain_tombstones_what_removal_would() {
+        let hash = |id: u32| u64::from(id % 13).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut t = UniqueTable::new();
+        for id in 0..400u32 {
+            t.insert((id % 3) as u8, hash(id), id);
+        }
+        // Some tombstones beforehand, which both must step over.
+        for id in (0..400u32).filter(|id| id.is_multiple_of(7)) {
+            assert!(t.remove((id % 3) as u8, hash(id), id));
+        }
+        let keep = |id: u32| id % 5 != 1 && !id.is_multiple_of(7);
+        let mut removed = t.clone();
+        for id in (0..400u32).filter(|&id| !keep(id) && !id.is_multiple_of(7)) {
+            assert!(removed.remove((id % 3) as u8, hash(id), id));
+        }
+        t.retain(keep);
+        assert_eq!(t, removed);
+        assert_eq!(t.len(), (0..400u32).filter(|&id| keep(id)).count());
     }
 
     #[test]

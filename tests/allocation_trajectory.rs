@@ -29,8 +29,12 @@
 //! from 37 860 984 and 40 292 860). It was re-recorded again, from
 //! 35 239 544 and 37 671 420, when the node store stopped storing bits
 //! that are already determined: 40-byte vector nodes, a `u32` index
-//! over the canonical ratios, and 48-byte compute-table slots. Every
-//! other literal is the same.
+//! over the canonical ratios, and 48-byte compute-table slots. And
+//! again, from 23 638 984 and 28 236 540, when the compute-table slots
+//! shrank to 32 bytes (−1 MiB) and the arenas' free lists moved into
+//! the reference-count words of the freed slots, where
+//! `node_store_bytes` no longer counts them separately (−124 975 and
+//! −194 667 ids of 4 bytes). Every other literal is the same.
 
 use approxdd::circuit::{generators, Circuit};
 use approxdd::dd::PackageStats;
@@ -78,7 +82,7 @@ fn memory_driven_supremacy_allocates_what_it_did_before() {
             mnodes_peak: 751,
             gc_runs: 1,
             gc_freed: 266_529,
-            node_store_bytes: 23_638_984,
+            node_store_bytes: 22_090_508,
         }
     );
     assert!(p.identity_skips > 0);
@@ -100,7 +104,7 @@ fn fidelity_driven_shor_allocates_what_it_did_before() {
             mnodes_peak: 3_910,
             gc_runs: 2,
             gc_freed: 413_136,
-            node_store_bytes: 28_236_540,
+            node_store_bytes: 26_409_296,
         }
     );
     assert!(p.identity_skips > 0);
