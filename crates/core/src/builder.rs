@@ -163,9 +163,9 @@ impl SimulatorBuilder {
     }
 
     /// Seeds the simulator's owned sampling RNG (used by
-    /// [`Simulator::draw`] / [`Simulator::draw_counts`] and by
-    /// `AnyBackend` in `approxdd_exec::backend`). Unseeded builders use a
-    /// fixed default seed, so runs are deterministic either way.
+    /// [`Simulator::draw`] / [`Simulator::draw_counts`]). Unseeded
+    /// builders use a fixed default seed, so runs are deterministic
+    /// either way.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
         self

@@ -34,6 +34,13 @@ pub enum SimError {
         /// Name of the aborting policy.
         policy: String,
     },
+    /// A basis-state query indexed outside the run's register.
+    BasisOutOfRange {
+        /// The requested basis index.
+        basis: u64,
+        /// Register width of the run.
+        n_qubits: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -50,6 +57,9 @@ impl fmt::Display for SimError {
                 f,
                 "policy '{policy}' aborted the run after operation {op_index}"
             ),
+            SimError::BasisOutOfRange { basis, n_qubits } => {
+                write!(f, "basis state {basis} outside a {n_qubits}-qubit register")
+            }
         }
     }
 }
@@ -61,7 +71,8 @@ impl Error for SimError {
             SimError::Circuit(e) => Some(e),
             SimError::InvalidStrategy { .. }
             | SimError::WidthMismatch { .. }
-            | SimError::PolicyAbort { .. } => None,
+            | SimError::PolicyAbort { .. }
+            | SimError::BasisOutOfRange { .. } => None,
         }
     }
 }
@@ -87,6 +98,16 @@ mod tests {
         let e: SimError = DdError::InvalidPermutation.into();
         assert!(e.source().is_some());
         assert!(e.to_string().contains("decision-diagram"));
+    }
+
+    #[test]
+    fn basis_out_of_range_names_the_index_and_the_register() {
+        let e = SimError::BasisOutOfRange {
+            basis: 8,
+            n_qubits: 3,
+        };
+        assert!(e.source().is_none());
+        assert_eq!(e.to_string(), "basis state 8 outside a 3-qubit register");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The [`Simulator`]: applies circuits to decision-diagram states with
 //! policy-controlled approximation rounds.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
@@ -27,6 +27,14 @@ pub(crate) const DEFAULT_SAMPLE_SEED: u64 = 0x0A99_07DD;
 
 /// Widest register [`Simulator::check_width`] admits.
 const MAX_DD_QUBITS: usize = 63;
+
+/// Source of the process-unique ids that tie a [`RunResult`] to the
+/// [`Simulator`] that ran it (both draw from it).
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+fn next_id() -> u64 {
+    NEXT_ID.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Statistics of one simulation run — the quantities Table I of the
 /// paper reports per benchmark.
@@ -84,24 +92,31 @@ pub struct SimStats {
 /// edge stays registered as a GC root in the simulator's package until
 /// the result is released with [`Simulator::release`].
 ///
-/// # Lifetime hazard
+/// # Lifetime
 ///
-/// [`RunResult::state`] hands out a raw [`VEdge`], which is only
-/// meaningful inside the owning simulator's [`Package`] **and** only
-/// while it is still registered as a GC root there. After
-/// [`Simulator::release`] (or after dropping the simulator), the edge
-/// may reference freed or recycled nodes: using it — including through
-/// a stale clone of this result — is a logic error that can silently
-/// return garbage amplitudes. Query through the simulator
-/// ([`Simulator::sample`], [`Simulator::amplitudes`],
-/// [`Simulator::fidelity_between`]) while the result is live, and treat
-/// `release` as the end of the result's life. `AnyBackend` in
-/// `approxdd_exec::backend` encapsulates exactly this contract
-/// (`AnyBackend::release` consumes the outcome by value).
+/// A result is *live* from the run that made it until its release.
+/// Every simulator query that takes a result ([`Simulator::sample`],
+/// [`Simulator::draw`], [`Simulator::draw_counts`],
+/// [`Simulator::amplitudes`], [`Simulator::probability`],
+/// [`Simulator::expectation`], [`Simulator::fidelity_between`]) and
+/// [`Simulator::release`] itself panics on a result that is not live in
+/// that simulator: one already released, a clone of a released result
+/// (a clone is the same result), or one another simulator ran. A
+/// second release would otherwise drop a root that a later run sharing
+/// the same nodes still holds, and the collector would free that live
+/// state under it.
+///
+/// [`RunResult::state`] hands out the raw [`VEdge`], which no check
+/// guards: it is only meaningful inside the owning simulator's
+/// [`Package`] while the result is live.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     state: VEdge,
     n_qubits: usize,
+    /// Process-unique: what the owning simulator's live set holds.
+    id: u64,
+    /// The id of the simulator that ran it.
+    owner: u64,
     /// Run statistics.
     pub stats: SimStats,
 }
@@ -111,7 +126,7 @@ impl RunResult {
     ///
     /// The edge dangles once the result is passed to
     /// [`Simulator::release`] or the simulator is dropped — see the
-    /// type-level *Lifetime hazard* note.
+    /// type-level *Lifetime* note.
     #[must_use]
     pub fn state(&self) -> VEdge {
         self.state
@@ -238,7 +253,8 @@ impl SimSnapshot {
 /// strategies and [`crate::ApproxPolicy`] for the extensible seam).
 ///
 /// The simulator owns a [`Package`]; run results reference nodes inside
-/// it, so sampling and fidelity queries go through the simulator.
+/// it, so sampling and fidelity queries go through the simulator, which
+/// refuses a result that is not live in it (see [`RunResult`]).
 ///
 /// Every run builds a fresh policy instance from the simulator's
 /// [`PolicyFactory`] (so policy state never leaks between runs) and
@@ -256,6 +272,10 @@ pub struct Simulator {
     rng: StdRng,
     policy_factory: Arc<dyn PolicyFactory>,
     observers: Vec<SharedObserver>,
+    /// Stamped on every [`RunResult`] this simulator returns.
+    id: u64,
+    /// Ids of the results run here and not yet released.
+    live: HashSet<u64>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -310,6 +330,8 @@ impl Simulator {
             snapshot,
             snapshot_gate_hits: 0,
             rng: StdRng::seed_from_u64(seed),
+            id: next_id(),
+            live: HashSet::new(),
         }
     }
 
@@ -558,9 +580,13 @@ impl Simulator {
             fidelity: stats.fidelity,
             fidelity_lower_bound: stats.fidelity_lower_bound,
         });
+        let id = next_id();
+        self.live.insert(id);
         Ok(RunResult {
             state,
             n_qubits: circuit.n_qubits(),
+            id,
+            owner: self.id,
             stats,
         })
     }
@@ -580,30 +606,55 @@ impl Simulator {
         }
     }
 
-    /// Releases a run result's state from the GC roots. The result's
-    /// edge must not be used afterwards.
+    /// Ends a result's life: its state leaves the GC roots, and every
+    /// later query or release of it (or of a clone) panics. Borrows
+    /// rather than consumes, so a caller holding clones keeps them; the
+    /// live set, not ownership, is what refuses them.
+    ///
+    /// # Panics
+    ///
+    /// When `result` is not live here (see [`RunResult`]).
+    #[track_caller]
     pub fn release(&mut self, result: &RunResult) {
-        self.package.dec_ref(result.state);
+        let state = self.state_of(result);
+        self.live.remove(&result.id);
+        self.package.dec_ref(state);
     }
 
     /// Draws one measurement outcome from a run's final state.
+    ///
+    /// # Panics
+    ///
+    /// When `result` is not live here (see [`RunResult`]).
     #[must_use]
+    #[track_caller]
     pub fn sample<R: Rng + ?Sized>(&self, result: &RunResult, rng: &mut R) -> u64 {
-        self.package.sample(result.state(), rng)
+        self.package.sample(self.state_of(result), rng)
     }
 
     /// Draws one outcome using the simulator's owned RNG (seeded via
     /// [`SimulatorBuilder::seed`]).
+    ///
+    /// # Panics
+    ///
+    /// When `result` is not live here (see [`RunResult`]).
+    #[track_caller]
     pub fn draw(&mut self, result: &RunResult) -> u64 {
-        self.package.sample(result.state(), &mut self.rng)
+        let state = self.state_of(result);
+        self.package.sample(state, &mut self.rng)
     }
 
     /// Draws `shots` outcomes using the simulator's owned RNG, as
     /// `(outcome, count)` runs in ascending outcome order
     /// ([`approxdd_dd::Package::sample_counts`]'s routing pass).
+    ///
+    /// # Panics
+    ///
+    /// When `result` is not live here (see [`RunResult`]).
+    #[track_caller]
     pub fn draw_counts(&mut self, result: &RunResult, shots: usize) -> Vec<(u64, usize)> {
-        self.package
-            .sample_counts(result.state(), shots, &mut self.rng)
+        let state = self.state_of(result);
+        self.package.sample_counts(state, shots, &mut self.rng)
     }
 
     /// Dense amplitudes of a run's final state (small registers only).
@@ -612,23 +663,98 @@ impl Simulator {
     ///
     /// Propagates [`approxdd_dd::DdError::TooManyQubits`] beyond 26
     /// qubits.
+    ///
+    /// # Panics
+    ///
+    /// When `result` is not live here (see [`RunResult`]).
+    #[track_caller]
     pub fn amplitudes(&self, result: &RunResult) -> Result<Vec<approxdd_complex::Cplx>> {
-        Ok(self
-            .package
-            .to_amplitudes(result.state(), result.n_qubits())?)
+        let state = self.state_of(result);
+        Ok(self.package.to_amplitudes(state, result.n_qubits())?)
+    }
+
+    /// Born-rule probability of the basis state `basis` in a run's
+    /// final state.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::SimError::BasisOutOfRange`] when `basis` does not fit
+    /// the register.
+    ///
+    /// # Panics
+    ///
+    /// When `result` is not live here (see [`RunResult`]).
+    #[track_caller]
+    pub fn probability(&self, result: &RunResult, basis: u64) -> Result<f64> {
+        let state = self.state_of(result);
+        let n_qubits = result.n_qubits();
+        if n_qubits < 64 && basis >> n_qubits != 0 {
+            return Err(crate::SimError::BasisOutOfRange { basis, n_qubits });
+        }
+        Ok(self.package.probability(state, basis))
+    }
+
+    /// Expectation value of the diagonal observable `Σ f(i) |i⟩⟨i|` in
+    /// a run's final state, derived from [`Simulator::amplitudes`],
+    /// whose width limit it shares.
+    ///
+    /// # Errors
+    ///
+    /// See [`Simulator::amplitudes`].
+    ///
+    /// # Panics
+    ///
+    /// When `result` is not live here (see [`RunResult`]).
+    #[track_caller]
+    pub fn expectation(&self, result: &RunResult, diagonal: &dyn Fn(u64) -> f64) -> Result<f64> {
+        let amps = self.amplitudes(result)?;
+        Ok(amps
+            .iter()
+            .enumerate()
+            .map(|(i, a)| a.mag2() * diagonal(i as u64))
+            .sum())
     }
 
     /// Exact fidelity between two run results (their states must live in
     /// this simulator's package — e.g. an exact and an approximate run
     /// of the same circuit on the same simulator).
+    ///
+    /// # Panics
+    ///
+    /// When either result is not live here (see [`RunResult`]).
     #[must_use]
+    #[track_caller]
     pub fn fidelity_between(&mut self, a: &RunResult, b: &RunResult) -> f64 {
-        self.package.fidelity(a.state(), b.state())
+        let (a, b) = (self.state_of(a), self.state_of(b));
+        self.package.fidelity(a, b)
     }
 
     // ------------------------------------------------------------------
     // internals
     // ------------------------------------------------------------------
+
+    /// The state edge of `result`, which every query and [`Simulator::release`]
+    /// reads through here.
+    ///
+    /// # Panics
+    ///
+    /// When `result` is not live in this simulator, naming the misuse.
+    #[track_caller]
+    fn state_of(&self, result: &RunResult) -> VEdge {
+        assert!(
+            result.owner == self.id,
+            "run result {} belongs to another simulator: query and release a result \
+             on the simulator that ran it",
+            result.id
+        );
+        assert!(
+            self.live.contains(&result.id),
+            "run result {} was already released (or is a clone of a released result): \
+             its state may have been freed",
+            result.id
+        );
+        result.state
+    }
 
     /// Runs one truncation round on `state` and books it into `stats`;
     /// returns the node count of the state the round left behind.

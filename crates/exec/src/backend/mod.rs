@@ -1,15 +1,15 @@
-//! The run / query / release surface over the simulation engine.
+//! The statistics the pool, the server and the harnesses read, and the
+//! execution layer's error.
 //!
-//! [`AnyBackend`] is the approximate decision-diagram simulator
-//! ([`approxdd_sim::Simulator`]), with every approximation strategy its
-//! builder can configure. It is built by [`BuildBackend::build_backend`],
-//! and it **runs** a circuit into a [`RunOutcome`] carrying
-//! [`BackendStats`] — admission and execution are one call. The
-//! outcome then answers measurement-side queries (histograms,
-//! amplitudes, basis-state probabilities, diagonal expectations) until
-//! it is **released**. All failures funnel into
-//! the single [`ExecError`]. The pool ([`crate::BackendPool`]) is its
-//! runtime consumer.
+//! The engine is the DD simulator itself, [`approxdd_sim::Simulator`],
+//! with every approximation strategy its builder can configure: it
+//! **runs** a circuit into a [`approxdd_sim::RunResult`], whose
+//! [`SimStats`] convert into [`BackendStats`]; the simulator answers
+//! measurement-side queries on the result (histograms, amplitudes,
+//! basis-state probabilities, diagonal expectations) until the result
+//! is **released**, and panics on a query of a released one. The pool
+//! ([`crate::BackendPool`]) is its runtime consumer, and its failures
+//! funnel into the single [`ExecError`].
 //!
 //! Table I compares an approximating engine against exact DD simulation:
 //! one engine under two policies. The dense baseline
@@ -19,17 +19,19 @@
 //! # Examples
 //!
 //! ```
-//! use approxdd_exec::backend::BuildBackend;
 //! use approxdd_circuit::generators;
+//! use approxdd_exec::backend::{BackendStats, ExecError};
 //! use approxdd_sim::Simulator;
 //!
-//! # fn main() -> Result<(), approxdd_exec::backend::ExecError> {
+//! # fn main() -> Result<(), ExecError> {
 //! let circuit = generators::ghz(8);
-//! let mut dd = Simulator::builder().seed(7).build_backend();
+//! let mut dd = Simulator::builder().seed(7).build();
 //! let run = dd.run(&circuit)?;
 //! let p = dd.probability(&run, 0)? + dd.probability(&run, 0xFF)?;
-//! dd.release(run);
+//! let stats = BackendStats::from(run.stats.clone());
+//! dd.release(&run);
 //! assert!((p - 1.0).abs() < 1e-9);
+//! assert_eq!(stats.gates_applied, circuit.gate_count());
 //!
 //! // The dense exact baseline agrees.
 //! let dense = approxdd_statevector::run_circuit(&circuit).expect("dense run");
@@ -38,17 +40,11 @@
 //! # }
 //! ```
 
-mod engine;
-
 pub use crate::error::ExecError;
-pub use engine::AnyBackend;
 
 use std::time::Duration;
 
-use approxdd_sim::{RunResult, SimStats, SimulatorBuilder};
-
-/// The backend layer's result alias.
-pub type Result<T> = std::result::Result<T, ExecError>;
+use approxdd_sim::{SimStats, Simulator, SimulatorBuilder};
 
 /// Statistics of one run — [`SimStats`] under the names the pool, the
 /// server and the harnesses read; the quantities a Table I row needs.
@@ -80,7 +76,7 @@ pub struct BackendStats {
     /// table's hits and misses, unique-table occupancy,
     /// and peak node counts. Always `Some`: every run is a DD run.
     /// Session-cumulative: the package persists across runs of one
-    /// backend.
+    /// simulator.
     pub dd: Option<approxdd_dd::PackageStats>,
 }
 
@@ -101,38 +97,16 @@ impl From<SimStats> for BackendStats {
     }
 }
 
-/// The typed result of [`AnyBackend::run`]: run statistics plus the
-/// simulator result queries go through.
-///
-/// An outcome pins GC roots inside the simulator's package — pass it
-/// back to [`AnyBackend::release`] when done so long sessions don't
-/// accumulate dead state. Deliberately not `Clone` (unlike
-/// [`RunResult`]): release consumes the only copy, so no stale outcome
-/// can outlive its engine resources.
-#[derive(Debug)]
-pub struct RunOutcome {
-    /// Run statistics.
-    pub stats: BackendStats,
-    result: RunResult,
-}
-
-impl RunOutcome {
-    /// Register width of the run.
-    #[must_use]
-    pub fn n_qubits(&self) -> usize {
-        self.result.n_qubits()
-    }
-}
-
-/// Extension hook giving [`SimulatorBuilder`] a direct path into the
-/// backend layer: `Simulator::builder()….build_backend()`.
+/// The builder's path into the backend layer, kept under the name the
+/// benchmark harness calls: `Simulator::builder()….build_backend()` is
+/// [`SimulatorBuilder::build`].
 pub trait BuildBackend {
-    /// Builds the DD backend the builder configures.
-    fn build_backend(self) -> AnyBackend;
+    /// Builds the simulator the builder configures.
+    fn build_backend(self) -> Simulator;
 }
 
 impl BuildBackend for SimulatorBuilder {
-    fn build_backend(self) -> AnyBackend {
-        AnyBackend::build(self, None)
+    fn build_backend(self) -> Simulator {
+        self.build()
     }
 }

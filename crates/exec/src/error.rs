@@ -8,9 +8,8 @@ use approxdd_circuit::CircuitError;
 use approxdd_dd::DdError;
 use approxdd_sim::SimError;
 
-/// Every way a run of an [`AnyBackend`](crate::backend::AnyBackend), alone
-/// or pooled, can fail, absorbing the engine error types via `From` so
-/// `?` works across layers.
+/// Every way a simulator run, alone or pooled, can fail, absorbing the
+/// engine error types via `From` so `?` works across layers.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ExecError {
@@ -20,17 +19,10 @@ pub enum ExecError {
     Dd(DdError),
     /// The circuit failed validation.
     Circuit(CircuitError),
-    /// A basis-state query indexed outside the register.
-    BasisOutOfRange {
-        /// The requested basis index.
-        basis: u64,
-        /// Register width of the run.
-        n_qubits: usize,
-    },
     /// A job panicked. The pool ([`crate::BackendPool`]) catches the
     /// panic at the task boundary, drops the job's engine and replies
     /// with this error; the worker thread lives on. Never produced by
-    /// a single-threaded backend. Retryable: the pool's `RetryPolicy`
+    /// a single-threaded simulator. Retryable: the pool's `RetryPolicy`
     /// re-dispatches panicked jobs, and because per-job seeds are a
     /// pure function of the job index, a retried success is
     /// byte-identical to a first-try success.
@@ -72,9 +64,6 @@ impl fmt::Display for ExecError {
             ExecError::Sim(e) => write!(f, "dd simulator error: {e}"),
             ExecError::Dd(e) => write!(f, "decision-diagram error: {e}"),
             ExecError::Circuit(e) => write!(f, "circuit error: {e}"),
-            ExecError::BasisOutOfRange { basis, n_qubits } => {
-                write!(f, "basis state {basis} outside a {n_qubits}-qubit register")
-            }
             ExecError::Panicked { job, attempt } => {
                 write!(f, "job {job} panicked (attempt {})", attempt + 1)
             }
@@ -106,8 +95,7 @@ impl Error for ExecError {
             ExecError::Sim(e) => Some(e),
             ExecError::Dd(e) => Some(e),
             ExecError::Circuit(e) => Some(e),
-            ExecError::BasisOutOfRange { .. }
-            | ExecError::Panicked { .. }
+            ExecError::Panicked { .. }
             | ExecError::DeadlineExceeded { .. }
             | ExecError::FaultInjected { .. } => None,
         }
@@ -187,13 +175,6 @@ mod tests {
                     n_qubits: 3,
                 }),
                 1,
-            ),
-            (
-                ExecError::BasisOutOfRange {
-                    basis: 9,
-                    n_qubits: 3,
-                },
-                0,
             ),
             (ExecError::Panicked { job: 3, attempt: 1 }, 0),
             (

@@ -1,9 +1,10 @@
-//! Execution: one engine type over the DD simulator, and
-//! multi-threaded pooled execution over it.
+//! Execution: multi-threaded pooled execution over the DD simulator.
 //!
-//! The [`backend`] module holds [`AnyBackend`](backend::AnyBackend), the
-//! one front door to the DD simulation engine — run, query, release;
-//! `Simulator::builder()….build_backend()` builds one.
+//! The engine is [`Simulator`](approxdd_sim::Simulator) itself — run,
+//! query, release — built by `Simulator::builder()….build()`. The
+//! [`backend`] module holds what the layers above read of a run: the
+//! [`BackendStats`](backend::BackendStats) a [`SimStats`](approxdd_sim::SimStats)
+//! converts into, and the one [`ExecError`](backend::ExecError).
 //!
 //! The paper trades controlled fidelity loss for large resource
 //! savings on a *single* simulation; this crate runs many such
@@ -92,9 +93,9 @@ pub use seed::SeedStream;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{AnyBackend, BuildBackend, ExecError};
+    use crate::backend::ExecError;
     use approxdd_circuit::{generators, Circuit};
-    use approxdd_sim::{Simulator, Strategy};
+    use approxdd_sim::{SimError, Simulator, Strategy};
     use std::sync::Arc;
 
     #[test]
@@ -418,7 +419,7 @@ mod tests {
     #[test]
     fn verdict_covers_the_whole_ladder() {
         use crate::pool::{verdict, Verdict};
-        use approxdd_sim::{RetryPolicy, SimError};
+        use approxdd_sim::RetryPolicy;
         use std::time::Duration;
         use Verdict::{Degrade, Final, Retry};
         let (job, attempt) = (0, 0);
@@ -434,10 +435,10 @@ mod tests {
         });
         let lost = ExecError::Panicked { job, attempt };
         let fault = ExecError::FaultInjected { job, attempt };
-        let fatal = ExecError::BasisOutOfRange {
-            basis: 9,
-            n_qubits: 2,
-        };
+        let fatal = ExecError::Sim(SimError::WidthMismatch {
+            state: 3,
+            circuit: 2,
+        });
         let (never, thrice) = (RetryPolicy::default(), RetryPolicy::new(3));
         // (error, attempt, degraded, retry policy, has fallback) → verdict
         let rows = [
@@ -509,18 +510,18 @@ mod tests {
 
     // The engine against the dense baseline, called directly.
 
-    fn dd() -> AnyBackend {
-        Simulator::builder().seed(11).build_backend()
+    fn dd() -> Simulator {
+        Simulator::builder().seed(11).build()
     }
 
     fn dense(circuit: &Circuit) -> approxdd_statevector::State {
         approxdd_statevector::run_circuit(circuit).expect("dense run")
     }
 
-    fn assert_amplitudes_agree(dd: &mut AnyBackend, circuit: &Circuit) {
+    fn assert_amplitudes_agree(dd: &mut Simulator, circuit: &Circuit) {
         let run = dd.run(circuit).expect("dd run");
         let xs = dd.amplitudes(&run).expect("dd amplitudes");
-        dd.release(run);
+        dd.release(&run);
         let ys = dense(circuit);
         assert_eq!(xs.len(), ys.amplitudes().len());
         for (i, (x, y)) in xs.iter().zip(ys.amplitudes()).enumerate() {
@@ -546,15 +547,15 @@ mod tests {
         let mut dd = dd();
         let out = dd.run(&circuit).expect("run");
         dd.reseed(5);
-        let first = dd.sample_counts(&out, 64);
+        let first = dd.draw_counts(&out, 64);
         dd.reseed(5);
-        let second = dd.sample_counts(&out, 64);
+        let second = dd.draw_counts(&out, 64);
         assert_eq!(first, second);
         assert_eq!(first.iter().map(|&(_, c)| c).sum::<usize>(), 64);
         for &(v, _) in &first {
             assert!(v == 0 || v == 0xFF, "GHZ outcome {v:#x}");
         }
-        dd.release(out);
+        dd.release(&out);
     }
 
     #[test]
@@ -562,16 +563,17 @@ mod tests {
         let circuit = generators::ghz(3);
         let mut dd = dd();
         let out = dd.run(&circuit).expect("run");
-        assert!(matches!(
-            dd.probability(&out, 8),
-            Err(ExecError::BasisOutOfRange {
+        let refused = ExecError::from(dd.probability(&out, 8).expect_err("basis 8"));
+        assert_eq!(
+            refused,
+            ExecError::Sim(SimError::BasisOutOfRange {
                 basis: 8,
                 n_qubits: 3
             })
-        ));
+        );
         assert!((dd.probability(&out, 7).expect("p") - 0.5).abs() < 1e-12);
         assert!((dense(&circuit).probability(7) - 0.5).abs() < 1e-12);
-        dd.release(out);
+        dd.release(&out);
     }
 
     #[test]
@@ -585,7 +587,7 @@ mod tests {
         // W state has exactly one excited qubit.
         assert!((a - 1.0).abs() < 1e-9, "{a}");
         assert!((a - b).abs() < 1e-9);
-        dd.release(dd_out);
+        dd.release(&dd_out);
     }
 
     #[test]
@@ -597,9 +599,9 @@ mod tests {
                 final_fidelity: 2.0,
                 round_fidelity: 0.9,
             })
-            .build_backend();
+            .build();
         assert!(matches!(
-            dd.run(&generators::ghz(3)),
+            dd.run(&generators::ghz(3)).map_err(ExecError::from),
             Err(ExecError::Sim(_))
         ));
     }
@@ -610,11 +612,12 @@ mod tests {
         let mut dd = Simulator::builder()
             .strategy(Strategy::fidelity_driven(0.6, 0.9))
             .seed(3)
-            .build_backend();
+            .build();
         let out = dd.run(&circuit).expect("run");
-        assert!(out.stats.approx_rounds > 0);
-        assert!(out.stats.fidelity >= 0.6 - 1e-9 && out.stats.fidelity < 1.0);
-        assert!(out.stats.nodes_removed > 0);
-        dd.release(out);
+        let stats = crate::backend::BackendStats::from(out.stats.clone());
+        assert!(stats.approx_rounds > 0);
+        assert!(stats.fidelity >= 0.6 - 1e-9 && stats.fidelity < 1.0);
+        assert!(stats.nodes_removed > 0);
+        dd.release(&out);
     }
 }

@@ -1,4 +1,4 @@
-//! The [`BackendPool`]: N worker threads executing backend jobs from a
+//! The [`BackendPool`]: N worker threads executing simulation jobs from a
 //! shared channel-based work queue.
 //!
 //! # One job path
@@ -38,7 +38,7 @@
 //!   canonicalizes near-equal edge weights first-write-wins (within
 //!   tolerance), so a run's low-order float bits can depend on what ran
 //!   earlier in the same package. Workers therefore rebuild their
-//!   backend from the shared [`SimulatorBuilder`] template for every
+//!   simulator from the shared [`SimulatorBuilder`] template for every
 //!   run job (and once per sampling request), making each outcome a
 //!   pure function of the job itself. The previous job's engine is
 //!   dropped *before* its replacement is built, so a worker never holds
@@ -105,12 +105,12 @@ use std::time::{Duration, Instant};
 
 use approxdd_circuit::Circuit;
 use approxdd_sim::{
-    DeadlineFactory, PolicyFactory, RetryPolicy, SharedObserver, SimError, SimSnapshot,
-    SimulatorBuilder, TraceEvent, TraceRecorder,
+    DeadlineFactory, PolicyFactory, RetryPolicy, RunResult, SharedObserver, SimError, SimSnapshot,
+    Simulator, SimulatorBuilder, TraceEvent, TraceRecorder,
 };
 use approxdd_telemetry as telemetry;
 
-use crate::backend::{AnyBackend, BackendStats, ExecError, RunOutcome};
+use crate::backend::{BackendStats, ExecError};
 use crate::fault::{FaultKind, FaultPlan, InjectedPanic};
 use crate::seed::{SeedStream, DOMAIN_RUN, DOMAIN_SAMPLE};
 
@@ -253,10 +253,10 @@ impl PoolJob {
 }
 
 /// The detached result of one pooled job: unified run statistics plus
-/// (optionally) a measurement histogram. Unlike a single-threaded
-/// [`RunOutcome`], it holds no engine handle — the worker extracts
-/// everything and releases the run before replying, so outcomes are
-/// plain data that cross threads freely.
+/// (optionally) a measurement histogram. Unlike a [`RunResult`], it
+/// holds no engine handle — the worker extracts everything and releases
+/// the run before replying, so outcomes are plain data that cross
+/// threads freely.
 #[derive(Debug, Clone)]
 pub struct PoolOutcome {
     /// Name of the executed circuit.
@@ -264,7 +264,7 @@ pub struct PoolOutcome {
     /// Register width.
     pub n_qubits: usize,
     /// Unified run statistics (identical to what a single-threaded
-    /// backend run of the same job reports).
+    /// simulator run of the same job reports).
     pub stats: BackendStats,
     /// DD node count of the final state.
     pub final_size: usize,
@@ -351,15 +351,15 @@ pub struct WorkerStats {
     /// Alive DD nodes in this worker's package after its last task.
     pub alive_nodes: usize,
     /// Peak simultaneously-alive DD nodes (both node kinds) over every
-    /// backend this worker has owned — the worker's node-memory
+    /// simulator this worker has owned — the worker's node-memory
     /// high-water mark, accumulated like [`WorkerStats::ct_hits`].
     pub(crate) peak_nodes: usize,
-    /// Gate DDs cached in this worker's backend after its last task.
+    /// Gate DDs cached in this worker's simulator after its last task.
     pub cached_gates: usize,
     /// Compute-table hits (the `add` table, the package's one compute
-    /// table) summed over every backend this worker has owned. Run
-    /// jobs rebuild the backend per job (see the module docs); retiring
-    /// a backend harvests its counters into this running total, so
+    /// table) summed over every simulator this worker has owned. Run
+    /// jobs rebuild the simulator per job (see the module docs); retiring
+    /// one harvests its counters into this running total, so
     /// summing the field across workers covers every executed run job
     /// — a deterministic quantity, independent of which worker ran
     /// what.
@@ -578,7 +578,7 @@ pub(crate) fn verdict(
     }
 }
 
-/// A fixed-size pool of worker threads, each owning an [`AnyBackend`]
+/// A fixed-size pool of worker threads, each owning a [`Simulator`]
 /// built from a shared [`SimulatorBuilder`] template, running
 /// jobs and sampling chunks from one channel-based work queue.
 ///
@@ -1120,41 +1120,41 @@ pub(crate) fn merge_runs(merged: &mut Vec<(u64, usize)>, runs: &[(u64, usize)]) 
     }
 }
 
-/// Why `Worker::backend` can be unwrapped after `fresh_backend`.
-const BACKEND_BUILT: &str = "fresh_backend built this task's engine";
+/// Why `Worker::sim` can be unwrapped after `fresh_sim`.
+const SIM_BUILT: &str = "fresh_sim built this task's engine";
 
-/// Folds `backend`'s package counters into `stats`. The cumulative ones
+/// Folds `sim`'s package counters into `stats`. The cumulative ones
 /// (cache and snapshot hits, the node high-water mark) add on top of
 /// what `stats` holds; the gauges (alive nodes, table occupancy, cached
 /// gates) are overwritten. A worker without an engine has nothing to
 /// report and contributes zeros.
-fn absorb(stats: &mut WorkerStats, backend: Option<&AnyBackend>) {
-    let pkg = backend.map(AnyBackend::package_stats).unwrap_or_default();
+fn absorb(stats: &mut WorkerStats, sim: Option<&Simulator>) {
+    let pkg = sim.map(|sim| sim.package().stats()).unwrap_or_default();
     stats.ct_hits += pkg.ct_hits;
     stats.ct_misses += pkg.ct_misses;
     stats.peak_nodes = stats.peak_nodes.max(pkg.peak_nodes());
     stats.snapshot_hits += pkg.snapshot_hits;
-    stats.snapshot_gate_hits += backend.map_or(0, AnyBackend::snapshot_gate_hits);
+    stats.snapshot_gate_hits += sim.map_or(0, Simulator::snapshot_gate_hits);
     stats.alive_nodes = pkg.vnodes_alive + pkg.mnodes_alive;
     stats.unique_len = pkg.unique_len;
     stats.unique_capacity = pkg.unique_capacity;
     stats.frozen_nodes = pkg.frozen_nodes();
-    stats.cached_gates = backend.map_or(0, AnyBackend::gate_cache_len);
+    stats.cached_gates = sim.map_or(0, Simulator::gate_cache_len);
 }
 
 struct Worker {
     template: SimulatorBuilder,
     /// The current unit's engine: `None` before the first task, after a
-    /// caught panic, and while [`Worker::fresh_backend`] builds the next
+    /// caught panic, and while [`Worker::fresh_sim`] builds the next
     /// one.
-    backend: Option<AnyBackend>,
+    sim: Option<Simulator>,
     /// The sampling request this worker last simulated for, with that
-    /// run's outcome. A failed run is kept too, so the request's
+    /// run's result. A failed run is kept too, so the request's
     /// remaining chunks answer with its error instead of re-running it.
-    epoch: Option<(u64, Result<RunOutcome, ExecError>)>,
+    epoch: Option<(u64, Result<RunResult, ExecError>)>,
     /// This worker's books: the task counters, plus the package
     /// counters of every engine it has retired (each run job rebuilds
-    /// the backend, so the live package only covers the current job).
+    /// the simulator, so the live package only covers the current job).
     /// Summed across workers the latter cover every executed job —
     /// deterministic regardless of scheduling.
     totals: WorkerStats,
@@ -1193,7 +1193,7 @@ impl Worker {
         }
         totals.busy += busy;
         let mut report = totals.clone();
-        absorb(&mut report, self.backend.as_ref());
+        absorb(&mut report, self.sim.as_ref());
         *self
             .published
             .lock()
@@ -1209,7 +1209,7 @@ impl Worker {
     /// found; those of an engine it built itself are lost with it.
     fn recover(&mut self) {
         self.epoch = None;
-        self.backend = None;
+        self.sim = None;
         let mut published = self
             .published
             .lock()
@@ -1219,7 +1219,7 @@ impl Worker {
         telemetry::count("approxdd_pool_panics_total", 1);
     }
 
-    /// Replaces the backend with a fresh instance built from the
+    /// Replaces the simulator with a fresh instance built from the
     /// template (plus an optional policy override), on a fork of the
     /// batch's snapshot when it has one. Job isolation
     /// is the pool's determinism linchpin — see the module docs.
@@ -1229,17 +1229,17 @@ impl Worker {
     /// degradation fallbacks stay deadline-enforced alike. Returns the
     /// deadline's fired flag so the caller can tell a deadline abort
     /// from a policy's own abort.
-    fn fresh_backend(
+    fn fresh_sim(
         &mut self,
         policy: Option<&Arc<dyn PolicyFactory>>,
         snapshot: Option<Arc<SimSnapshot>>,
         deadline: Option<Duration>,
     ) -> Option<Arc<AtomicBool>> {
-        // Harvest, then release the old engine (its outcome handle
-        // first) before the new one exists: the worker peaks at one
-        // arena, unique-table and cache set, not two.
+        // Harvest, then drop the old engine (its epoch's result first)
+        // before the new one exists: the worker peaks at one arena,
+        // unique-table and cache set, not two.
         self.epoch = None;
-        absorb(&mut self.totals, self.backend.take().as_ref());
+        absorb(&mut self.totals, self.sim.take().as_ref());
         let mut template = self.template.clone();
         if let Some(factory) = policy {
             template = template.policy_factory(Arc::clone(factory));
@@ -1250,15 +1250,15 @@ impl Worker {
             fired = Some(factory.fired_flag());
             template = template.policy_factory(Arc::new(factory));
         }
-        self.backend = Some(
+        self.sim = Some(
             self.build_timer
-                .time(|| AnyBackend::build(template, snapshot)),
+                .time(|| template.build_with_snapshot(snapshot)),
         );
         fired
     }
 
     /// Executes one dispatch of a run job: fires any injected fault
-    /// first (before touching the backend, so a panic can never lose
+    /// first (before touching the simulator, so a panic can never lose
     /// harvested counters or leave a half-built package), selects the
     /// degraded fallback policy when asked, and maps a
     /// deadline-triggered abort to the typed
@@ -1296,44 +1296,39 @@ impl Worker {
             .as_ref()
             .filter(|_| degraded)
             .or(job.policy.as_ref());
-        let fired = self.fresh_backend(policy, snapshot, deadline);
+        let fired = self.fresh_sim(policy, snapshot, deadline);
         let result = self.execute(job, dispatch, seed);
         deadline_exceeded(result, fired, dispatch, deadline)
     }
 
-    /// The run body proper (backend already fresh).
+    /// The run body proper (simulator already fresh).
     fn execute(
         &mut self,
         job: &PoolJob,
         dispatch: Dispatch,
         seed: u64,
     ) -> Result<PoolOutcome, ExecError> {
-        let backend = self.backend.as_mut().expect(BACKEND_BUILT);
+        let sim = self.sim.as_mut().expect(SIM_BUILT);
         let recorder = job.trace.then(|| {
             let recorder = TraceRecorder::shared();
-            backend.attach_observer(recorder.clone() as SharedObserver);
+            sim.attach_observer(recorder.clone() as SharedObserver);
             recorder
         });
-        let outcome = backend.run(&job.circuit)?;
+        let run = sim.run(&job.circuit)?;
         let counts = (job.shots > 0).then(|| {
-            backend.reseed(seed);
-            backend
-                .sample_counts(&outcome, job.shots)
-                .into_iter()
-                .collect()
+            sim.reseed(seed);
+            sim.draw_counts(&run, job.shots).into_iter().collect()
         });
         // Capture the (fallible) observable value but release the
-        // outcome before propagating any error: an early return here
+        // result before propagating any error: an early return here
         // would otherwise pin the run's GC roots until this worker's
-        // next job rebuilds its backend.
+        // next job rebuilds its simulator.
         let expectation = job
             .expectation
             .as_ref()
-            .map(|f| backend.expectation(&outcome, &**f));
-        let final_size = backend.final_size(&outcome);
-        let stats = outcome.stats.clone();
-        let n_qubits = outcome.n_qubits();
-        backend.release(outcome);
+            .map(|f| sim.expectation(&run, &**f));
+        let final_size = sim.package().vsize(run.state());
+        sim.release(&run);
         let expectation = expectation.transpose()?;
         let trace = recorder.map(|recorder| {
             recorder
@@ -1343,8 +1338,8 @@ impl Worker {
         });
         Ok(PoolOutcome {
             name: job.circuit.name().to_string(),
-            n_qubits,
-            stats,
+            n_qubits: run.n_qubits(),
+            stats: run.stats.into(),
             final_size,
             counts,
             expectation,
@@ -1373,21 +1368,22 @@ impl Worker {
             deadline,
         } = request;
         if self.epoch.as_ref().map(|(e, _)| e) != Some(epoch) {
-            let fired = self.fresh_backend(policy.as_ref(), None, *deadline);
-            let backend = self.backend.as_mut().expect(BACKEND_BUILT);
-            let run = deadline_exceeded(backend.run(circuit), fired, dispatch, *deadline);
+            let fired = self.fresh_sim(policy.as_ref(), None, *deadline);
+            let sim = self.sim.as_mut().expect(SIM_BUILT);
+            let run = sim.run(circuit).map_err(ExecError::from);
+            let run = deadline_exceeded(run, fired, dispatch, *deadline);
             self.epoch = Some((*epoch, run));
         }
-        let (_, outcome) = self.epoch.as_ref().expect("epoch state just ensured");
-        let outcome = outcome.as_ref().map_err(ExecError::clone)?;
-        let backend = self.backend.as_mut().expect(BACKEND_BUILT);
-        backend.reseed(seed);
-        Ok(backend.sample_counts(outcome, shots))
+        let (_, run) = self.epoch.as_ref().expect("epoch state just ensured");
+        let run = run.as_ref().map_err(ExecError::clone)?;
+        let sim = self.sim.as_mut().expect(SIM_BUILT);
+        sim.reseed(seed);
+        Ok(sim.draw_counts(run, shots))
     }
 }
 
 /// Maps a policy abort to [`ExecError::DeadlineExceeded`] when it was
-/// the deadline (`fired`, from [`Worker::fresh_backend`]) that aborted,
+/// the deadline (`fired`, from [`Worker::fresh_sim`]) that aborted,
 /// for run jobs and sampling epochs alike.
 fn deadline_exceeded<T>(
     result: Result<T, ExecError>,
@@ -1431,7 +1427,7 @@ fn spawn_worker(
             let queue_wait = telemetry::PhaseTimer::new("pool.queue_wait");
             let mut worker = Worker {
                 template,
-                backend: None,
+                sim: None,
                 epoch: None,
                 totals: WorkerStats {
                     worker: slot,

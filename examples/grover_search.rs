@@ -10,7 +10,6 @@
 //! cargo run --release --example grover_search [n_qubits]
 //! ```
 
-use approxdd::backend::BuildBackend;
 use approxdd::circuit::generators;
 use approxdd::sim::{Simulator, Strategy};
 
@@ -32,21 +31,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("f_final = 0.5", Strategy::fidelity_driven(0.5, 0.9)),
         ("f_final = 0.2", Strategy::fidelity_driven(0.2, 0.8)),
     ] {
-        let mut backend = Simulator::builder()
-            .strategy(strategy)
-            .seed(7)
-            .build_backend();
-        let run = backend.run(&circuit)?;
+        let mut sim = Simulator::builder().strategy(strategy).seed(7).build();
+        let run = sim.run(&circuit)?;
         let shots = 500;
-        let counts = backend.sample_counts(&run, shots);
+        let counts = sim.draw_counts(&run, shots);
         let hits = counts
             .binary_search_by_key(&marked, |&(outcome, _)| outcome)
             .map_or(0, |i| counts[i].1);
         println!(
             "{label}: marked sampled {hits:>3}/{shots}  (measured f_final {:.3}, {} rounds, max DD {})",
-            run.stats.fidelity, run.stats.approx_rounds, run.stats.peak_size
+            run.stats.fidelity, run.stats.approx_rounds, run.stats.max_dd_size
         );
-        backend.release(run);
+        sim.release(&run);
     }
     println!("\nMild approximation (f_final ≈ 0.9) leaves the search intact; aggressive");
     println!("early truncation can zero out the still-small marked amplitude and break");

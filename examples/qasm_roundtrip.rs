@@ -5,7 +5,6 @@
 //! cargo run --release --example qasm_roundtrip
 //! ```
 
-use approxdd::backend::BuildBackend;
 use approxdd::circuit::{generators, qasm};
 use approxdd::sim::{Simulator, Strategy};
 
@@ -25,14 +24,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reimported.n_qubits()
     );
 
-    let mut backend = Simulator::builder()
-        .strategy(Strategy::Exact)
-        .build_backend();
-    let original = backend.run(&circuit)?;
-    let roundtrip = backend.run(&reimported)?;
-    let fidelity = backend.fidelity_between(&original, &roundtrip);
-    backend.release(original);
-    backend.release(roundtrip);
+    let mut sim = Simulator::builder().strategy(Strategy::Exact).build();
+    let original = sim.run(&circuit)?;
+    let roundtrip = sim.run(&reimported)?;
+    let fidelity = sim.fidelity_between(&original, &roundtrip);
+    sim.release(&original);
+    sim.release(&roundtrip);
     println!("fidelity(original, reimported) = {fidelity:.12}");
     assert!((fidelity - 1.0).abs() < 1e-9);
     println!("round-trip is exact.");

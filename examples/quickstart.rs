@@ -7,7 +7,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use approxdd::backend::BuildBackend;
 use approxdd::circuit::generators;
 use approxdd::sim::Simulator;
 use rand::rngs::StdRng;
@@ -41,19 +40,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Approximate decision diagrams (exact here: no policy is set) …
-    let mut dd = Simulator::builder().seed(2024).build_backend();
+    let mut dd = Simulator::builder().seed(2024).build();
     let run = dd.run(&circuit)?;
-    let counts = dd.sample_counts(&run, 1000);
+    let counts = dd.draw_counts(&run, 1000);
     let stats = &run.stats;
     report(
         "dd",
-        stats.peak_size,
+        stats.max_dd_size,
         stats.gates_applied,
         stats.runtime,
         n,
         counts,
     );
-    dd.release(run);
+    dd.release(&run);
 
     // … and the dense exact baseline, which holds all 2^n amplitudes.
     let start = std::time::Instant::now();
@@ -70,23 +69,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The GHZ state is the showcase of DD compression: one node per
-    // qubit regardless of the 2^24 amplitudes it represents. The raw
-    // simulator stays available underneath the backend.
+    // qubit regardless of the 2^24 amplitudes it represents.
     let wide = generators::ghz(24);
-    let sim = dd.sim_mut();
-    let run = sim.run(&wide)?;
+    let run = dd.run(&wide)?;
     println!(
         "\n24-qubit GHZ on DDs: {} nodes (a dense vector would need {} amplitudes)",
-        sim.package().vsize(run.state()),
+        dd.package().vsize(run.state()),
         1u64 << 24
     );
 
     // Render a small instance as Graphviz DOT (Fig. 1 style).
     let small = generators::ghz(3);
-    let run_small = sim.run(&small)?;
+    let run_small = dd.run(&small)?;
     println!(
         "\nDOT of the 3-qubit GHZ decision diagram:\n{}",
-        sim.package().to_dot(run_small.state())
+        dd.package().to_dot(run_small.state())
     );
     Ok(())
 }

@@ -3,13 +3,12 @@
 //! outgrows a node threshold, truncate to a per-round fidelity, trading
 //! accuracy for a representation that fits in memory. The same circuit
 //! runs on one exact and three differently-configured approximating
-//! backends for the sweep.
+//! simulators for the sweep.
 //!
 //! ```text
 //! cargo run --release --example supremacy_memory [rows cols depth]
 //! ```
 
-use approxdd::backend::BuildBackend;
 use approxdd::circuit::generators;
 use approxdd::sim::{Simulator, Strategy};
 
@@ -31,29 +30,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Exact reference through the same API.
-    let mut exact = Simulator::builder()
-        .strategy(Strategy::Exact)
-        .build_backend();
+    let mut exact = Simulator::builder().strategy(Strategy::Exact).build();
     let exact_run = exact.run(&circuit)?;
     println!(
         "\nexact:  max DD {:>8} nodes, runtime {:?}",
-        exact_run.stats.peak_size, exact_run.stats.runtime
+        exact_run.stats.max_dd_size, exact_run.stats.runtime
     );
-    exact.release(exact_run);
+    exact.release(&exact_run);
 
     // Memory-driven at three per-round fidelities (the Table-I sweep,
     // fixed threshold — the regime the table reports).
     let threshold = 1 << 11;
     for f_round in [0.99, 0.975, 0.95] {
-        let mut backend = Simulator::builder()
+        let mut sim = Simulator::builder()
             .strategy(Strategy::memory_driven_table1(threshold, f_round))
-            .build_backend();
-        let run = backend.run(&circuit)?;
+            .build();
+        let run = sim.run(&circuit)?;
         println!(
             "f_round {f_round:<5}: max DD {:>8} nodes, {:>2} rounds, runtime {:?}, f_final {:.4}",
-            run.stats.peak_size, run.stats.approx_rounds, run.stats.runtime, run.stats.fidelity
+            run.stats.max_dd_size, run.stats.approx_rounds, run.stats.runtime, run.stats.fidelity
         );
-        backend.release(run);
+        sim.release(&run);
     }
     println!(
         "\n(threshold fixed at {threshold} nodes — `memory_driven_table1`; lower f_round\n trades more fidelity for smaller DDs and faster simulation)"

@@ -12,15 +12,17 @@
 //!   analysis, truncation, GC),
 //! * [`circuit`] — circuit IR, builders and benchmark generators,
 //! * [`statevector`] — the dense-array baseline simulator,
-//! * [`sim`] — the approximate simulator, its [`sim::SimulatorBuilder`],
-//!   and the composable [`sim::ApproxPolicy`] / [`sim::SimObserver`]
-//!   seam (memory-driven, fidelity-driven and budget policies ship
-//!   built in; custom policies plug into the same loop),
-//! * [`exec`] — execution: [`backend::AnyBackend`], the DD simulator
-//!   behind one run / sampling / queries / release surface (its module
-//!   re-exported here as [`backend`]), and the multi-threaded
-//!   [`exec::BackendPool`] over it — batched runs and sharded sampling
-//!   across worker threads, deterministic under any worker count,
+//! * [`sim`] — the approximate simulator, the one engine: its
+//!   [`sim::Simulator`] runs a circuit and answers the queries on the
+//!   run until it is released, its [`sim::SimulatorBuilder`] configures
+//!   it, and the composable [`sim::ApproxPolicy`] / [`sim::SimObserver`]
+//!   seam steers it (memory-driven, fidelity-driven and budget policies
+//!   ship built in; custom policies plug into the same loop),
+//! * [`exec`] — execution: the multi-threaded [`exec::BackendPool`]
+//!   over the simulator — batched runs and sharded sampling across
+//!   worker threads, deterministic under any worker count — and the
+//!   statistics and error it reports (its `backend` module, re-exported
+//!   here as [`backend`]),
 //! * [`server`] — simulation as a service: a std-only HTTP job
 //!   server with bounded-queue admission, warm snapshot sessions and
 //!   NDJSON result streaming over the pool,
@@ -48,20 +50,19 @@
 //! # }
 //! ```
 //!
-//! The same workload on [`backend::AnyBackend`], the engine the pool
-//! runs, checked against the dense baseline:
+//! The same workload checked against the dense baseline; releasing the
+//! run ends its life, and a later query of it panics:
 //!
 //! ```
-//! use approxdd::backend::BuildBackend;
 //! use approxdd::circuit::generators;
 //! use approxdd::sim::Simulator;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let circuit = generators::ghz(8);
-//! let mut dd = Simulator::builder().seed(1).build_backend();
+//! let mut dd = Simulator::builder().seed(1).build();
 //! let run = dd.run(&circuit)?;
 //! let a = dd.amplitudes(&run)?;
-//! dd.release(run);
+//! dd.release(&run);
 //! let b = approxdd::statevector::run_circuit(&circuit)?;
 //! for (x, y) in a.iter().zip(b.amplitudes()) {
 //!     assert!((*x - *y).mag() < 1e-12);

@@ -1,24 +1,29 @@
-//! `AnyBackend`'s contract: the standard workloads (GHZ, QFT, one
-//! supremacy instance) run through the whole lifecycle — run, sampling,
-//! histograms, amplitudes, probabilities, expectations, fidelity,
-//! release — against the dense baseline
-//! (`approxdd::statevector::run_circuit`), called directly.
+//! The simulator's run / query / release contract: the standard
+//! workloads (GHZ, QFT, one supremacy instance) run through the whole
+//! lifecycle — run, sampling, histograms, amplitudes, probabilities,
+//! expectations, fidelity, release — against the dense baseline
+//! (`approxdd::statevector::run_circuit`), called directly. A result
+//! is live from its run to its release: every query of a released
+//! result, of a clone of one, or of another simulator's result panics,
+//! and a refused release leaves the live results' states intact.
 //!
 //! The second half is the `BackendPool` contract suite: a pooled job
-//! reports what a single-threaded backend run does (worker-count
+//! reports what a single-threaded simulator run does (worker-count
 //! invariance is `tests/determinism.rs`'s to check), empty and
 //! oversized batches must behave, and a poisoned job must neither
 //! deadlock the queue nor disturb its neighbours' results.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use approxdd::backend::{AnyBackend, BuildBackend, ExecError};
+use approxdd::backend::{BuildBackend, ExecError};
 use approxdd::circuit::{generators, Circuit};
 use approxdd::complex::Cplx;
 use approxdd::exec::{BuildPool, PoolJob};
-use approxdd::sim::{ExactPolicy, Simulator, Strategy};
+use approxdd::sim::{ExactPolicy, RunResult, SimError, Simulator, Strategy};
 use proptest::prelude::*;
+use rand::SeedableRng;
 
 fn workloads() -> Vec<Circuit> {
     vec![
@@ -28,11 +33,11 @@ fn workloads() -> Vec<Circuit> {
     ]
 }
 
-/// Final amplitudes of `circuit` on `backend`, the outcome released.
-fn amplitudes(backend: &mut AnyBackend, circuit: &Circuit) -> Result<Vec<Cplx>, ExecError> {
-    let run = backend.run(circuit)?;
-    let amps = backend.amplitudes(&run);
-    backend.release(run);
+/// Final amplitudes of `circuit` on `sim`, the result released.
+fn amplitudes(sim: &mut Simulator, circuit: &Circuit) -> Result<Vec<Cplx>, SimError> {
+    let run = sim.run(circuit)?;
+    let amps = sim.amplitudes(&run);
+    sim.release(&run);
     amps
 }
 
@@ -45,17 +50,16 @@ fn dense_amplitudes(circuit: &Circuit) -> Vec<Cplx> {
 }
 
 /// Every workload runs through the full lifecycle with self-consistent
-/// results that match the dense baseline. The outcomes stay live
+/// results that match the dense baseline. The results stay live
 /// together until the end.
 #[test]
 fn dd_backend_satisfies_the_contract() {
-    let backend = &mut Simulator::builder().seed(5).build_backend();
+    let sim = &mut Simulator::builder().seed(5).build();
     let circuits = workloads();
     let outcomes: Vec<_> = circuits
         .iter()
         .map(|c| {
-            backend
-                .run(c)
+            sim.run(c)
                 .unwrap_or_else(|e| panic!("run {}: {e}", c.name()))
         })
         .collect();
@@ -70,7 +74,7 @@ fn dd_backend_satisfies_the_contract() {
         assert!((outcome.stats.fidelity - 1.0).abs() < 1e-12, "exact run");
 
         // Amplitudes are the dense baseline's; probabilities match them.
-        let amps = backend.amplitudes(outcome).expect("amplitudes");
+        let amps = sim.amplitudes(outcome).expect("amplitudes");
         let dense = dense_amplitudes(circuit);
         assert_eq!(amps.len(), dense.len());
         for (i, (x, y)) in amps.iter().zip(&dense).enumerate() {
@@ -81,41 +85,154 @@ fn dd_backend_satisfies_the_contract() {
             );
         }
         for idx in [0u64, (1 << circuit.n_qubits()) - 1] {
-            let p = backend.probability(outcome, idx).expect("probability");
+            let p = sim.probability(outcome, idx).expect("probability");
             assert!((p - amps[idx as usize].mag2()).abs() < 1e-12);
         }
 
         // Expectation of the identity observable is 1.
-        let one = backend.expectation(outcome, &|_| 1.0).expect("expectation");
+        let one = sim.expectation(outcome, &|_| 1.0).expect("expectation");
         assert!((one - 1.0).abs() < 1e-9);
 
         // An outcome's fidelity with itself is 1.
-        let same = backend.fidelity_between(outcome, outcome);
+        let same = sim.fidelity_between(outcome, outcome);
         assert!((same - 1.0).abs() < 1e-12, "{}: {same}", circuit.name());
 
         // The same seed draws the same histogram.
-        backend.reseed(1234);
-        let counts = backend.sample_counts(outcome, 200);
+        sim.reseed(1234);
+        let counts = sim.draw_counts(outcome, 200);
         assert_eq!(counts.iter().map(|&(_, c)| c).sum::<usize>(), 200);
-        backend.reseed(1234);
+        sim.reseed(1234);
         assert_eq!(
             counts,
-            backend.sample_counts(outcome, 200),
+            sim.draw_counts(outcome, 200),
             "{}: sampling not deterministic",
             circuit.name()
         );
     }
-    for outcome in outcomes {
-        backend.release(outcome);
+    for outcome in &outcomes {
+        sim.release(outcome);
     }
 
-    // Out-of-range queries fail loudly rather than lying.
-    let run = backend.run(&generators::ghz(3)).expect("run");
-    assert!(matches!(
-        backend.probability(&run, 1 << 3),
-        Err(ExecError::BasisOutOfRange { .. })
-    ));
-    backend.release(run);
+    // Out-of-range queries fail loudly rather than lying, up to the
+    // widest register a run admits: every bit of a 63-qubit index is a
+    // qubit, the 64th is not.
+    for n in [3, 63] {
+        let run = sim.run(&generators::ghz(n)).expect("run");
+        let top = u64::MAX >> (64 - n);
+        let p = sim.probability(&run, top).expect("all ones");
+        assert!((p - 0.5).abs() < 1e-12, "ghz({n}): {p}");
+        assert_eq!(
+            sim.probability(&run, top + 1),
+            Err(SimError::BasisOutOfRange {
+                basis: top + 1,
+                n_qubits: n
+            })
+        );
+        sim.release(&run);
+    }
+}
+
+/// The message of the panic `f` raises.
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("the call must panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_default()
+}
+
+/// Amplitude bits of a live result.
+fn amplitude_bits(sim: &Simulator, run: &RunResult) -> Vec<(u64, u64)> {
+    sim.amplitudes(run)
+        .expect("amplitudes")
+        .iter()
+        .map(|a| (a.re.to_bits(), a.im.to_bits()))
+        .collect()
+}
+
+/// Two runs of one circuit on one simulator share their root node, so
+/// a second release of the first would strip the second's root, and a
+/// collection would free its state under it. The guard refuses that
+/// release, every query of a released result (through a clone too),
+/// and a release handed another simulator's result; the live result
+/// keeps its bits across a collection and a run that reuses the freed
+/// slots.
+#[test]
+fn a_released_result_is_refused_and_a_live_one_keeps_its_bits() {
+    let circuit = generators::qft(6);
+    let mut sim = Simulator::builder().seed(3).build();
+    let first = sim.run(&circuit).expect("first run");
+    let second = sim.run(&circuit).expect("second run");
+    assert_eq!(first.state(), second.state(), "the runs share a root");
+    let before = amplitude_bits(&sim, &second);
+
+    let stale = first.clone();
+    sim.release(&first);
+    let twice = panic_message(|| sim.release(&first));
+    assert!(twice.contains("already released"), "{twice}");
+    sim.package_mut().collect_garbage();
+    let third = sim
+        .run(&generators::random_circuit(6, 12, 1))
+        .expect("third run");
+    assert_eq!(amplitude_bits(&sim, &second), before);
+
+    // Every query refuses the clone of a released result.
+    let refusals = [
+        panic_message(|| {
+            let _ = sim.sample(&stale, &mut rand::rngs::StdRng::seed_from_u64(0));
+        }),
+        panic_message(|| {
+            sim.draw(&stale);
+        }),
+        panic_message(|| {
+            sim.draw_counts(&stale, 8);
+        }),
+        panic_message(|| {
+            let _ = sim.amplitudes(&stale);
+        }),
+        panic_message(|| {
+            let _ = sim.probability(&stale, 0);
+        }),
+        panic_message(|| {
+            let _ = sim.expectation(&stale, &|_| 1.0);
+        }),
+        panic_message(|| {
+            let _ = sim.fidelity_between(&second, &stale);
+        }),
+        panic_message(|| sim.release(&stale)),
+    ];
+    for message in &refusals {
+        assert!(message.contains("already released"), "{message}");
+    }
+
+    // Another simulator's result is refused, and stays live where it
+    // was run.
+    let mut other = Simulator::builder().build();
+    let foreign = panic_message(|| other.release(&second));
+    assert!(foreign.contains("another simulator"), "{foreign}");
+    assert_eq!(amplitude_bits(&sim, &second), before);
+    sim.release(&second);
+    sim.release(&third);
+}
+
+/// `build_backend()`, the name the benchmark harness builds by, is
+/// `build()`: the same run to the same statistics and amplitude bits.
+#[test]
+fn build_backend_is_build() {
+    let circuit = generators::supremacy(2, 3, 10, 5);
+    let builder = || Simulator::builder().strategy(Strategy::fidelity_driven(0.6, 0.9));
+    let [(stats, bits), (backend_stats, backend_bits)] =
+        [builder().build(), builder().build_backend()].map(|mut sim| {
+            let mut run = sim.run(&circuit).expect("run");
+            run.stats.runtime = std::time::Duration::ZERO;
+            let bits = amplitude_bits(&sim, &run);
+            sim.release(&run);
+            (run.stats, bits)
+        });
+    assert!(stats.approx_rounds > 0, "approximation must engage");
+    assert_eq!(stats, backend_stats);
+    assert_eq!(bits, backend_bits);
 }
 
 /// Admission happens once: a DD run builds its policy in
@@ -130,18 +247,12 @@ fn a_run_builds_its_policy_once() {
             ExactPolicy
         }
     };
-    let mut backend = Simulator::builder()
-        .policy(counting.clone())
-        .build_backend();
-    let printed = format!("{:?}", backend.sim_mut());
+    let mut sim = Simulator::builder().policy(counting.clone()).build();
+    let printed = format!("{sim:?}");
     assert!(printed.starts_with("Simulator"), "{printed}");
-    let run = backend.run(&generators::ghz(3)).expect("run");
-    backend.release(run);
-    assert_eq!(
-        built.load(Ordering::Relaxed),
-        1,
-        "build_backend + Debug + run"
-    );
+    let run = sim.run(&generators::ghz(3)).expect("run");
+    sim.release(&run);
+    assert_eq!(built.load(Ordering::Relaxed), 1, "build + Debug + run");
 
     built.store(0, Ordering::Relaxed);
     let pool = Simulator::builder().seed(5).workers(2).build_pool();
@@ -159,22 +270,16 @@ fn a_run_builds_its_policy_once() {
 
 #[test]
 fn a_register_no_engine_can_index_is_refused_at_prepare() {
-    // 64 qubits: one past `u64` basis indexing. The backend refuses it
-    // where a run admits the circuit, with a typed error …
+    // 64 qubits: one past `u64` basis indexing. The simulator refuses
+    // it where a run admits the circuit, with a typed error, before it
+    // builds a state …
     let wide = generators::ghz(64);
     assert!(matches!(
-        Simulator::builder().build_backend().run(&wide),
-        Err(ExecError::Dd(approxdd::dd::DdError::TooManyQubits {
+        Simulator::builder().build().run(&wide),
+        Err(SimError::Dd(approxdd::dd::DdError::TooManyQubits {
             n_qubits: 64,
             max: 63
         }))
-    ));
-    // … the bare simulator does the same before it builds a state …
-    assert!(matches!(
-        Simulator::builder().build().run(&wide),
-        Err(approxdd::sim::SimError::Dd(
-            approxdd::dd::DdError::TooManyQubits { .. }
-        ))
     ));
     // … and a pooled job fails in its own slot: no worker dies for it.
     let pool = Simulator::builder().seed(5).workers(2).build_pool();
@@ -195,12 +300,11 @@ fn a_register_no_engine_can_index_is_refused_at_prepare() {
 #[test]
 fn non_finite_gate_parameters_are_refused_by_every_engine() {
     use approxdd::circuit::CircuitError::NonFinite;
-    use approxdd::sim::SimError;
     let mut nan = Circuit::new(2, "nan");
     nan.h(0).rx(f64::NAN, 1).cx(0, 1);
     let mut inf = Circuit::new(1, "inf");
     inf.h(0).rz(f64::INFINITY, 0);
-    // The simulator, exact and fidelity-driven …
+    // The simulator, exact and fidelity-driven.
     assert!(matches!(
         Simulator::builder().build().run(&nan),
         Err(SimError::Circuit(NonFinite { op_index: 1 }))
@@ -210,20 +314,11 @@ fn non_finite_gate_parameters_are_refused_by_every_engine() {
         fidelity().build().run(&inf),
         Err(SimError::Circuit(NonFinite { op_index: 1 }))
     ));
-    // … and `AnyBackend`.
-    for circuit in [&nan, &inf] {
-        let result = amplitudes(&mut fidelity().build_backend(), circuit);
-        assert!(
-            matches!(result, Err(ExecError::Circuit(NonFinite { op_index: 1 }))),
-            "{}: {result:?}",
-            circuit.name()
-        );
-    }
 }
 
 #[test]
 fn engines_agree_on_amplitudes_and_fidelity() {
-    let mut dd = Simulator::builder().seed(9).build_backend();
+    let mut dd = Simulator::builder().seed(9).build();
     for circuit in workloads() {
         let a = amplitudes(&mut dd, &circuit).expect("dd");
         let b = dense_amplitudes(&circuit);
@@ -258,7 +353,7 @@ proptest! {
         seed in 0u64..1000
     ) {
         let circuit = generators::random_clifford(n, depth, seed);
-        let mut dd = Simulator::builder().seed(seed).build_backend();
+        let mut dd = Simulator::builder().seed(seed).build();
         let a = amplitudes(&mut dd, &circuit).expect("dd");
         let b = dense_amplitudes(&circuit);
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {
@@ -275,7 +370,7 @@ proptest! {
 #[test]
 fn pool_matches_single_threaded_backend() {
     // The pool is a faster way to run the same engine: its per-job
-    // statistics must equal a fresh single-threaded backend's.
+    // statistics must equal a fresh single-threaded simulator's.
     let circuit = generators::supremacy(2, 3, 12, 2);
     let pool = Simulator::builder().seed(7).workers(3).build_pool();
     let pooled = pool
@@ -289,17 +384,17 @@ fn pool_matches_single_threaded_backend() {
     let mut serial = Simulator::builder()
         .strategy(Strategy::fidelity_driven(0.6, 0.9))
         .seed(7)
-        .build_backend();
+        .build();
     let run = serial.run(&circuit).expect("serial");
     assert_eq!(pooled.stats.gates_applied, run.stats.gates_applied);
-    assert_eq!(pooled.stats.peak_size, run.stats.peak_size);
+    assert_eq!(pooled.stats.peak_size, run.stats.max_dd_size);
     assert_eq!(pooled.stats.approx_rounds, run.stats.approx_rounds);
     assert_eq!(
         pooled.stats.fidelity.to_bits(),
         run.stats.fidelity.to_bits()
     );
     assert_eq!(pooled.stats.nodes_removed, run.stats.nodes_removed);
-    serial.release(run);
+    serial.release(&run);
 }
 
 #[test]
@@ -394,12 +489,12 @@ fn approximating_backend_reports_honest_fidelity_vs_exact_engine() {
     let mut approx = Simulator::builder()
         .strategy(Strategy::fidelity_driven(0.6, 0.9))
         .seed(1)
-        .build_backend();
+        .build();
     let run = approx.run(&circuit).expect("approx");
     let reported = run.stats.fidelity;
     assert!(run.stats.approx_rounds > 0, "approximation must engage");
     let approx_amps = approx.amplitudes(&run).expect("amps");
-    approx.release(run);
+    approx.release(&run);
 
     let exact_amps = dense_amplitudes(&circuit);
     let mut ip = Cplx::ZERO;

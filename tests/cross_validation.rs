@@ -1,10 +1,9 @@
 //! Integration: the DD simulator must agree exactly with the dense
 //! state-vector baseline on every workload family, and approximation
 //! must degrade gracefully with measurable fidelity. The DD side runs
-//! through `AnyBackend`, the dense side is
+//! on a `Simulator`, the dense side is
 //! `approxdd::statevector::run_circuit`, called directly.
 
-use approxdd::backend::BuildBackend;
 use approxdd::circuit::{generators, Circuit};
 use approxdd::complex::Cplx;
 use approxdd::sim::{Simulator, SimulatorBuilder, Strategy};
@@ -18,12 +17,12 @@ fn dense_amplitudes(circuit: &Circuit) -> Vec<Cplx> {
 }
 
 fn assert_same_state(circuit: &Circuit, builder: SimulatorBuilder) {
-    let mut dd = builder.strategy(Strategy::Exact).build_backend();
+    let mut dd = builder.strategy(Strategy::Exact).build();
     let run = dd
         .run(circuit)
         .unwrap_or_else(|e| panic!("dd run of {}: {e}", circuit.name()));
     let a = dd.amplitudes(&run).expect("dd amplitudes");
-    dd.release(run);
+    dd.release(&run);
     let b = dense_amplitudes(circuit);
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
         assert!(
@@ -69,11 +68,11 @@ fn approximate_fidelity_is_honest_against_dense_reference() {
     let circuit = generators::supremacy(3, 3, 12, 4);
     let mut dd = Simulator::builder()
         .strategy(Strategy::fidelity_driven(0.5, 0.9))
-        .build_backend();
+        .build();
     let run = dd.run(&circuit).expect("approx run");
     let reported = run.stats.fidelity;
     let approx = dd.amplitudes(&run).expect("amps");
-    dd.release(run);
+    dd.release(&run);
     let exact = dense_amplitudes(&circuit);
     let mut ip = Cplx::ZERO;
     for (e, a) in exact.iter().zip(&approx) {
@@ -96,11 +95,11 @@ fn memory_driven_state_stays_normalized() {
     let circuit = generators::supremacy(3, 3, 14, 2);
     let mut dd = Simulator::builder()
         .strategy(Strategy::memory_driven(64, 0.95))
-        .build_backend();
+        .build();
     let run = dd.run(&circuit).expect("run");
     let amps = dd.amplitudes(&run).expect("amps");
     let norm: f64 = amps.iter().map(|a| a.mag2()).sum();
     assert!((norm - 1.0).abs() < 1e-9, "norm {norm}");
     assert!(run.stats.approx_rounds > 0);
-    dd.release(run);
+    dd.release(&run);
 }

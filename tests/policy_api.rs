@@ -318,18 +318,19 @@ fn invalid_presets_are_refused_at_the_first_run() {
 
 #[test]
 fn presets_report_policy_names_through_backend_stats() {
-    use approxdd::backend::BuildBackend;
+    use approxdd::backend::BackendStats;
     let circuit = generators::supremacy(2, 3, 10, 0);
     for (strategy, name) in [
         (Strategy::Exact, "exact"),
         (Strategy::memory_driven(16, 0.95), "memory-driven"),
         (Strategy::fidelity_driven(0.6, 0.9), "fidelity-driven"),
     ] {
-        let mut backend = Simulator::builder().strategy(strategy).build_backend();
-        let out = backend.run(&circuit).unwrap();
-        assert_eq!(out.stats.policy, name);
-        assert!(out.stats.fidelity >= out.stats.fidelity_lower_bound - 1e-12);
-        backend.release(out);
+        let mut sim = Simulator::builder().strategy(strategy).build();
+        let out = sim.run(&circuit).unwrap();
+        let stats = BackendStats::from(out.stats.clone());
+        assert_eq!(stats.policy, name);
+        assert!(stats.fidelity >= stats.fidelity_lower_bound - 1e-12);
+        sim.release(&out);
     }
 }
 
