@@ -26,11 +26,30 @@
 //! is a unique-table hit on the node itself, under a factor a few ulps
 //! from 1. That factor is the node's image under the identity,
 //! `VNode::image`, which `mul_mv`'s identity rule already reads
-//! (`crates/dd/src/ops.rs`). So the rebuild returns whether the
-//! sub-diagram it rebuilt is clean, and a clean node that carries an
-//! image comes back as `(image factor, itself)` without calling
-//! `make_vnode`. A node without an image, and every node above a
-//! removal, takes the general path exactly as before.
+//! (`crates/dd/src/ops.rs`). So a clean node that carries an image comes
+//! back as `(image factor, itself)` without calling `make_vnode`, and
+//! the rebuild never descends into it. A node without an image, and
+//! every node above a removal, is *dirty* and takes the general path.
+//!
+//! The round is three passes over arrays indexed by rank (a node's
+//! position in ascending id order), each dropping what the next one does
+//! not read. Bytes per analysed node, besides the rank index (a bit and
+//! a half per arena slot) and what the rebuild interns:
+//!
+//! 1. *Selection*, ≈ 16 B: the analysis' contributions (8 B) and level
+//!    lists (4 B), and the candidate ranks (4 B), which the greedy walk
+//!    orders by `(contribution, rank)` only as far as it reads them.
+//!    Rank order is id order, so that is the `(contribution, node)`
+//!    order of the paper's walk. The contributions and the candidates
+//!    are dropped.
+//! 2. *Clean pass*, ≈ 8 B: one memo word per rank marks the removed
+//!    nodes, then one sweep of the level lists from the bottom (levels
+//!    ascending, ids ascending) marks a node clean when it is not
+//!    removed, carries an image, and every non-zero successor is the
+//!    terminal or clean. The level lists are dropped.
+//! 3. *Rebuild*, ≈ 4 B + 24 B per dirty node: a depth-first rebuild
+//!    from the root that descends only into dirty nodes; a dirty node's
+//!    memo word indexes the edge it rebuilt into.
 //!
 //! Why this is bit-exact. The image is `normalize` fed `ONE · w` for a
 //! terminal successor of weight `w` and `f · (ONE · w)` for a
@@ -43,18 +62,23 @@
 //! that is not zero in both components. So `normalize` sees the same
 //! bits, takes out the same factor and produces the same weight keys,
 //! and the unique table answers with this very node, which is alive
-//! under the root being truncated. The skipped calls were hits: arena
-//! slots, allocation order, `unique_misses`, collection timing and the
-//! canonical-ratio sequence cannot move (a rebuild never calls `add`);
-//! only the `unique_hits` / `snapshot_hits` counters fall. The tests
-//! keep the rebuild without the rule as the reference.
+//! under the root being truncated. Every successor of a clean node
+//! through a non-zero edge is clean too, so skipping a clean sub-diagram
+//! skips only such hits and keeps the order of the `make_vnode` calls
+//! that remain: arena slots, allocation order, `unique_misses`,
+//! collection timing and the canonical-ratio sequence cannot move (a
+//! rebuild never calls `add`); only the `unique_hits` / `snapshot_hits`
+//! counters fall. The tests keep the rebuild without the rule, and the
+//! recursive rebuild that decided cleanness on its way back up, as
+//! references.
 
 use approxdd_complex::Cplx;
 
-use crate::contribution::{ascending, ContributionMap};
+use crate::contribution::{ContributionMap, Levels};
 use crate::edge::{NodeId, VEdge};
 use crate::error::DdError;
 use crate::package::Package;
+use crate::visit::IdIndex;
 use crate::Result;
 
 /// Outcome of one truncation round.
@@ -74,59 +98,20 @@ pub struct TruncationResult {
     pub size_after: usize,
 }
 
-/// What a rebuild knows about one node of the input diagram (kept in an
-/// array indexed by [`ContributionMap::rank`]).
-#[derive(Debug, Clone, Copy)]
-enum Rebuild {
-    /// Not rebuilt yet.
-    Pending,
-    /// Selected for removal: every path through the node is dropped.
-    Removed,
-    /// Clean (module docs): nothing below was removed and the
-    /// node carries an image, so it rebuilt into itself under its image
-    /// factor — this edge — without a unique-table lookup.
-    Clean(VEdge),
-    /// Rebuilt through `make_vnode` into this edge.
-    Done(VEdge),
-}
+/// A memo word not yet rebuilt.
+const PENDING: u32 = u32::MAX;
+/// A memo word of a clean node (module docs).
+const CLEAN: u32 = u32::MAX - 1;
+/// A memo word of a removed node: the index of the zero stub.
+const REMOVED: u32 = 0;
 
-/// A round before its rebuild: the analysed diagram, one [`Rebuild`]
-/// entry per node of it, and the number of nodes it drops.
-struct Plan {
-    contribs: ContributionMap,
-    steps: Vec<Rebuild>,
-    selected: usize,
-}
-
-impl Plan {
-    /// The plan that removes the distinct nodes of `removal`. Ids
-    /// outside the analyzed diagram remove nothing and count for nothing.
-    fn removing(contribs: ContributionMap, removal: &[NodeId]) -> Self {
-        let mut steps = vec![Rebuild::Pending; contribs.node_count()];
-        let mut selected = 0;
-        for rank in removal.iter().filter_map(|&node| contribs.rank(node)) {
-            steps[rank] = Rebuild::Removed;
-            selected += 1;
-        }
-        Self {
-            contribs,
-            steps,
-            selected,
-        }
-    }
-
-    /// The round's result when the plan drops nothing: the input, with
-    /// fidelity 1.
-    fn unchanged(&self, root: VEdge) -> TruncationResult {
-        let size = self.contribs.node_count();
-        TruncationResult {
-            edge: root,
-            fidelity: 1.0,
-            removed_nodes: 0,
-            size_before: size,
-            size_after: size,
-        }
-    }
+/// What the clean pass and the rebuild know about the analysed nodes:
+/// one word per rank — [`PENDING`], [`CLEAN`], or the index in
+/// `rebuilt` of the edge the node rebuilt into (the zero stub at
+/// [`REMOVED`] for a removed node).
+struct Memo {
+    words: Vec<u32>,
+    rebuilt: Vec<VEdge>,
 }
 
 impl Package {
@@ -147,8 +132,19 @@ impl Package {
     /// infinite (a non-finite weight anywhere in the diagram shows
     /// there: `make_vnode` carries it into the factor it takes out).
     pub fn truncate(&mut self, root: VEdge, budget: f64) -> Result<TruncationResult> {
-        let plan = self.node_plan(root, budget)?;
-        self.truncate_with_plan(root, plan)
+        if !(0.0..1.0).contains(&budget) {
+            return Err(DdError::InvalidParameter {
+                reason: "truncation budget must lie in [0, 1)",
+            });
+        }
+        self.check_root(root)?;
+        let ContributionMap {
+            index,
+            contrib,
+            levels,
+        } = self.contributions(root);
+        let removal = select(contrib, index.rank(root.node), budget);
+        self.truncate_ranks(root, &index, levels, &removal)
     }
 
     /// Refuses a root no round can run on: a zero or non-finite weight.
@@ -166,33 +162,75 @@ impl Package {
         Ok(())
     }
 
-    /// The plan of [`Package::truncate`].
-    fn node_plan(&self, root: VEdge, budget: f64) -> Result<Plan> {
-        if !(0.0..1.0).contains(&budget) {
-            return Err(DdError::InvalidParameter {
-                reason: "truncation budget must lie in [0, 1)",
+    /// Rebuilds `root` without the nodes whose ranks in `index` are
+    /// `removal` (distinct), rescales to unit norm and reports the
+    /// round; an empty removal returns the input untouched.
+    fn truncate_ranks(
+        &mut self,
+        root: VEdge,
+        index: &IdIndex,
+        levels: Levels,
+        removal: &[u32],
+    ) -> Result<TruncationResult> {
+        let size_before = index.len();
+        if removal.is_empty() {
+            return Ok(TruncationResult {
+                edge: root,
+                fidelity: 1.0,
+                removed_nodes: 0,
+                size_before,
+                size_after: size_before,
             });
         }
-        self.check_root(root)?;
-        let contribs = self.contributions(root);
-        let candidates = contribs.iter().filter(|&(node, _)| node != root.node);
-        let removal = within_budget(candidates.collect(), budget);
-        Ok(Plan::removing(contribs, &removal))
+        let mut memo = self.clean_pass(index, &levels, removal);
+        drop(levels);
+        let rebuilt = self.rebuild(root.node, index, &mut memo);
+        drop(memo);
+        self.rescaled(root, rebuilt, removal.len(), size_before)
     }
 
-    /// Rebuilds `root` under `plan`, rescales to unit norm and reports
-    /// the round; a plan that drops nothing returns the input untouched.
-    fn truncate_with_plan(&mut self, root: VEdge, mut plan: Plan) -> Result<TruncationResult> {
-        if plan.selected == 0 {
-            return Ok(plan.unchanged(root));
+    /// The clean pass (module docs): the memo with `removal` marked
+    /// removed and every clean node marked clean, its `rebuilt` sized
+    /// for every other node.
+    fn clean_pass(&self, index: &IdIndex, levels: &Levels, removal: &[u32]) -> Memo {
+        let rank = |id: NodeId| index.rank(id).expect("a level lists analyzed nodes");
+        let mut words = vec![PENDING; index.len()];
+        for &r in removal {
+            words[r as usize] = REMOVED;
         }
-        let (rebuilt, _) = self.rebuild(root.node, &plan.contribs, &mut plan.steps);
-        self.rescaled(root, rebuilt, &plan)
+        let mut dirty = 0;
+        for &id in levels.bottom_up() {
+            let at = rank(id);
+            if words[at] == REMOVED {
+                continue;
+            }
+            let n = self.vnode(id);
+            let clean = n.image.factor().is_some()
+                && n.edges().iter().all(|c| {
+                    c.is_zero(self.tolerance())
+                        || c.node.is_terminal()
+                        || words[rank(c.node)] == CLEAN
+                });
+            if clean {
+                words[at] = CLEAN;
+            } else {
+                dirty += 1;
+            }
+        }
+        let mut rebuilt = Vec::with_capacity(1 + dirty);
+        rebuilt.push(VEdge::ZERO);
+        Memo { words, rebuilt }
     }
 
-    /// The round `plan` made of `root`, given what the root rebuilt
-    /// into.
-    fn rescaled(&self, root: VEdge, rebuilt: VEdge, plan: &Plan) -> Result<TruncationResult> {
+    /// The round that kept `rebuilt` of `root`, `removed_nodes` of its
+    /// `size_before` nodes removed.
+    fn rescaled(
+        &self,
+        root: VEdge,
+        rebuilt: VEdge,
+        removed_nodes: usize,
+        size_before: usize,
+    ) -> Result<TruncationResult> {
         // Kept squared norm = |rebuilt.w|² (the input subtree had unit
         // norm); this *is* the exact round fidelity.
         let kept = rebuilt.w.mag2();
@@ -217,103 +255,111 @@ impl Package {
         Ok(TruncationResult {
             edge,
             fidelity,
-            removed_nodes: plan.selected,
-            size_before: plan.contribs.node_count(),
+            removed_nodes,
+            size_before,
             size_after,
         })
     }
 
     /// Rebuilds the sub-diagram under `node` with removed nodes replaced
-    /// by the zero stub, and says whether the node came back clean
-    /// (module docs): as itself under its image factor, which it does —
-    /// without a unique-table lookup — when it carries an image and no
-    /// removed node or unclean successor lies below it.
-    /// Every other node goes through `make_vnode`. What a node rebuilds
-    /// into does not depend on the path that reached it, so one entry
-    /// per node memoizes the recursion.
-    fn rebuild(
-        &mut self,
-        node: NodeId,
-        contribs: &ContributionMap,
-        steps: &mut [Rebuild],
-    ) -> (VEdge, bool) {
+    /// by the zero stub. A clean node comes back as itself under its
+    /// image factor, without a look below it; every other node goes
+    /// through `make_vnode` after its successors, once: what a node
+    /// rebuilds into does not depend on the path that reached it.
+    fn rebuild(&mut self, node: NodeId, index: &IdIndex, memo: &mut Memo) -> VEdge {
         if node.is_terminal() {
-            return (VEdge::ONE, true);
+            return VEdge::ONE;
         }
-        let rank = contribs
+        let rank = index
             .rank(node)
             .expect("a rebuild only visits analyzed nodes");
-        match steps[rank] {
-            Rebuild::Removed => return (VEdge::ZERO, false),
-            Rebuild::Clean(e) => return (e, true),
-            Rebuild::Done(e) => return (e, false),
-            Rebuild::Pending => {}
+        match memo.words[rank] {
+            CLEAN => {
+                let image = self.vnode(node).image;
+                let w = image.factor().expect("a clean node carries an image");
+                return VEdge { w, node };
+            }
+            PENDING => {}
+            at => return memo.rebuilt[at as usize],
         }
         let n = *self.vnode(node);
-        let mut clean = true;
         let mut children = [VEdge::ZERO; 2];
         for (i, c) in n.edges().iter().enumerate() {
             if c.is_zero(self.tolerance()) {
                 continue;
             }
-            let (sub, sub_clean) = self.rebuild(c.node, contribs, steps);
-            clean &= sub_clean;
+            let sub = self.rebuild(c.node, index, memo);
             // A child rebuilt to nothing stays the zero stub whatever
             // its weight (0 · NaN would put a NaN on the terminal).
             if !sub.is_zero(self.tolerance()) {
                 children[i] = sub.scaled(c.w);
             }
         }
-        if let Some(w) = n.image.factor().filter(|_| clean) {
-            let e = VEdge { w, node };
-            steps[rank] = Rebuild::Clean(e);
-            return (e, true);
-        }
         let e = self.make_vnode(n.var, children[0], children[1]);
-        steps[rank] = Rebuild::Done(e);
-        (e, false)
+        memo.words[rank] = u32::try_from(memo.rebuilt.len()).expect("ranks fit in u32");
+        memo.rebuilt.push(e);
+        e
     }
 }
 
-/// The greedy walk of Section IV-A: takes items in ascending
-/// `(contribution, key)` order while the running sum of what was taken
-/// stays within `budget`, and stops at the first item that would
-/// overshoot. Returns the taken keys in walk order.
-fn within_budget<K: Ord + Copy>(items: Vec<(K, f64)>, budget: f64) -> Vec<K> {
+/// The budget round's selection: the ranks of the greedy walk over every
+/// analysed node but the root, by contribution (`contrib`, by rank).
+/// Takes the contributions by value, so that they and the candidates are
+/// freed before the clean pass allocates its memo.
+fn select(contrib: Vec<f64>, root: Option<usize>, budget: f64) -> Vec<u32> {
+    let mut candidates = Vec::with_capacity(contrib.len());
+    candidates.extend(
+        (0..contrib.len())
+            .filter(|&r| Some(r) != root)
+            .map(|r| u32::try_from(r).expect("ranks fit in u32")),
+    );
+    within_budget(&contrib, candidates, budget)
+}
+
+/// The greedy walk of Section IV-A: takes ranks in ascending
+/// `(contrib[rank], rank)` order while the running sum of what was taken
+/// stays within `budget`, and stops at the first rank that would
+/// overshoot. Returns the taken ranks in walk order.
+fn within_budget(contrib: &[f64], ranks: Vec<u32>, budget: f64) -> Vec<u32> {
     let mut taken = Vec::new();
     let mut spent = 0.0;
-    for (key, c) in Ascending::new(items) {
+    for rank in Ascending::new(contrib, ranks) {
+        let c = contrib[rank as usize];
         if spent + c > budget {
             break;
         }
         spent += c;
-        taken.push(key);
+        taken.push(rank);
     }
     taken
 }
 
-/// Yields `(key, contribution)` pairs in the strict total order
-/// [`ascending`], sorting only as far as the consumer pulls.
+/// Yields ranks in the strict total order `(contrib[rank], rank)`,
+/// sorting only as far as the consumer pulls.
 ///
 /// A round consumes a small prefix (≤ 2.5 % of the nodes at the Table I
 /// budget), so a full sort is almost all waste. Instead the smallest
-/// `chunk` unsorted items are partitioned off (`select_nth_unstable_by`)
+/// `chunk` unsorted ranks are partitioned off (`select_nth_unstable_by`)
 /// and only they are sorted; each refill doubles `chunk`. The order is
-/// strict (keys are distinct), so the sequence is exactly the fully
-/// sorted one.
-struct Ascending<K> {
-    items: Vec<(K, f64)>,
-    /// Items before this position are in final order.
+/// strict (ranks are distinct), so the sequence is exactly the fully
+/// sorted one. `f64::total_cmp` orders the contributions, so a NaN sorts
+/// last instead of panicking; on the non-negative finite contributions
+/// of a well-formed state it agrees with `partial_cmp`.
+struct Ascending<'a> {
+    contrib: &'a [f64],
+    ranks: Vec<u32>,
+    /// Ranks before this position are in final order.
     sorted: usize,
     next: usize,
     chunk: usize,
 }
 
-impl<K: Ord + Copy> Ascending<K> {
-    fn new(items: Vec<(K, f64)>) -> Self {
-        let chunk = (items.len() / 32).max(64);
+impl<'a> Ascending<'a> {
+    fn new(contrib: &'a [f64], ranks: Vec<u32>) -> Self {
+        let chunk = (ranks.len() / 32).max(64);
         Self {
-            items,
+            contrib,
+            ranks,
             sorted: 0,
             next: 0,
             chunk,
@@ -321,15 +367,21 @@ impl<K: Ord + Copy> Ascending<K> {
     }
 }
 
-impl<K: Ord + Copy> Iterator for Ascending<K> {
-    type Item = (K, f64);
+impl Iterator for Ascending<'_> {
+    type Item = u32;
 
-    fn next(&mut self) -> Option<(K, f64)> {
+    fn next(&mut self) -> Option<u32> {
         if self.next == self.sorted {
-            let rest = &mut self.items[self.sorted..];
+            let rest = &mut self.ranks[self.sorted..];
             if rest.is_empty() {
                 return None;
             }
+            let contrib = self.contrib;
+            let ascending = |a: &u32, b: &u32| {
+                contrib[*a as usize]
+                    .total_cmp(&contrib[*b as usize])
+                    .then(a.cmp(b))
+            };
             let take = self.chunk.min(rest.len());
             if take < rest.len() {
                 rest.select_nth_unstable_by(take - 1, ascending);
@@ -338,9 +390,9 @@ impl<K: Ord + Copy> Iterator for Ascending<K> {
             self.sorted += take;
             self.chunk *= 2;
         }
-        let item = self.items[self.next];
+        let rank = self.ranks[self.next];
         self.next += 1;
-        Some(item)
+        Some(rank)
     }
 }
 
@@ -372,11 +424,15 @@ mod tests {
                     reason: "cannot remove the root node",
                 });
             }
-            let contribs = self.contributions(root);
-            let mut removal = nodes.to_vec();
+            let ContributionMap { index, levels, .. } = self.contributions(root);
+            let mut removal: Vec<u32> = nodes
+                .iter()
+                .filter_map(|&node| index.rank(node))
+                .map(|rank| u32::try_from(rank).unwrap())
+                .collect();
             removal.sort_unstable();
             removal.dedup();
-            self.truncate_with_plan(root, Plan::removing(contribs, &removal))
+            self.truncate_ranks(root, &index, levels, &removal)
         }
     }
 
@@ -541,27 +597,27 @@ mod tests {
             share in 0.0f64..1.2
         ) {
             let palette = [0.0, 1e-9, 1e-4, 1e-4 + 1e-19, 3e-3, 0.02];
-            let items: Vec<(u32, f64)> = picks
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| (299 - i as u32, palette[k]))
-                .collect();
-            let total: f64 = items.iter().map(|(_, c)| c).sum();
+            // Rank `299 - i` holds the `i`-th pick; the walk starts from
+            // the ranks in descending order.
+            let mut contrib = vec![0.0; 300];
+            for (i, &k) in picks.iter().enumerate() {
+                contrib[299 - i] = palette[k];
+            }
+            let ranks: Vec<u32> = (0..300).rev().collect();
+            let items: Vec<(u32, f64)> = ranks.iter().map(|&r| (r, contrib[r as usize])).collect();
+            let total: f64 = contrib.iter().sum();
             // Nothing affordable but zeros, a prefix, and everything.
             for budget in [0.0, share * total, f64::INFINITY] {
                 let (want, want_spent) = reference_walk(&items, budget);
-                let got = within_budget(items.clone(), budget);
-                let spent = got.iter().fold(0.0, |acc, key| {
-                    acc + items[299 - *key as usize].1
-                });
+                let got = within_budget(&contrib, ranks.clone(), budget);
+                let spent = got.iter().fold(0.0, |acc, &rank| acc + contrib[rank as usize]);
                 prop_assert_eq!(&got, &want);
                 prop_assert_eq!(spent.to_bits(), want_spent.to_bits());
             }
             let (everything, _) = reference_walk(&items, f64::INFINITY);
             prop_assert_eq!(everything.len(), items.len());
             for count in [0usize, 1, 64, 65, 299, 300, 1000] {
-                let got: Vec<u32> =
-                    Ascending::new(items.clone()).take(count).map(|(key, _)| key).collect();
+                let got: Vec<u32> = Ascending::new(&contrib, ranks.clone()).take(count).collect();
                 prop_assert_eq!(&got[..], &everything[..count.min(300)]);
             }
         }
@@ -590,18 +646,8 @@ mod tests {
                 spent += c;
                 want.push(node);
             }
-            let plan = p.node_plan(root, budget).unwrap();
-            let got: Vec<usize> = plan
-                .steps
-                .iter()
-                .enumerate()
-                .filter(|(_, step)| matches!(step, Rebuild::Removed))
-                .map(|(rank, _)| rank)
-                .collect();
-            let mut want: Vec<usize> = want.iter().filter_map(|&n| contribs.rank(n)).collect();
-            want.sort_unstable();
+            let got = selected_nodes(&contribs, root, budget);
             assert_eq!(got, want, "budget {budget}");
-            assert_eq!(plan.selected, want.len());
         }
     }
 
@@ -702,10 +748,158 @@ mod tests {
         );
     }
 
-    /// The rebuild without the clean rule — every node goes through
-    /// `make_vnode` — and the round around it: the reference the rule
-    /// is held to.
+    /// The nodes [`select`] picks for a budget round on `root`, in walk
+    /// order.
+    fn selected_nodes(contribs: &ContributionMap, root: VEdge, budget: f64) -> Vec<NodeId> {
+        let ids: Vec<NodeId> = contribs.index.ids().collect();
+        select(contribs.contrib.clone(), contribs.rank(root.node), budget)
+            .into_iter()
+            .map(|rank| ids[rank as usize])
+            .collect()
+    }
+
+    /// What the recursive rebuilds below know about one node of the
+    /// input diagram, by rank.
+    #[derive(Debug, Clone, Copy)]
+    enum Rebuild {
+        /// Not rebuilt yet.
+        Pending,
+        /// Selected for removal: every path through the node is dropped.
+        Removed,
+        /// Clean: nothing below was removed and the node carries an
+        /// image, so it rebuilt into itself under its image factor — this
+        /// edge — without a unique-table lookup.
+        Clean(VEdge),
+        /// Rebuilt through `make_vnode` into this edge.
+        Done(VEdge),
+    }
+
+    /// A round before a recursive rebuild: the analysed diagram, one
+    /// [`Rebuild`] entry per node of it, and the number of nodes it
+    /// drops.
+    struct Plan {
+        contribs: ContributionMap,
+        steps: Vec<Rebuild>,
+        selected: usize,
+    }
+
+    impl Plan {
+        /// The plan that removes the distinct nodes of `removal`. Ids
+        /// outside the analyzed diagram remove nothing and count for
+        /// nothing.
+        fn removing(contribs: ContributionMap, removal: &[NodeId]) -> Self {
+            let mut steps = vec![Rebuild::Pending; contribs.node_count()];
+            let mut selected = 0;
+            for rank in removal.iter().filter_map(|&node| contribs.rank(node)) {
+                steps[rank] = Rebuild::Removed;
+                selected += 1;
+            }
+            Self {
+                contribs,
+                steps,
+                selected,
+            }
+        }
+
+        /// The plan of a budget round, its selection walked over the full
+        /// sort [`ContributionMap::sorted_ascending`]; refuses what
+        /// [`Package::truncate`] refuses.
+        fn budget(p: &Package, root: VEdge, budget: f64) -> Result<Self> {
+            if !(0.0..1.0).contains(&budget) {
+                return Err(DdError::InvalidParameter {
+                    reason: "truncation budget must lie in [0, 1)",
+                });
+            }
+            p.check_root(root)?;
+            let contribs = p.contributions(root);
+            let mut removal = Vec::new();
+            let mut spent = 0.0;
+            for (node, c) in contribs.sorted_ascending() {
+                if node == root.node {
+                    continue;
+                }
+                if spent + c > budget {
+                    break;
+                }
+                spent += c;
+                removal.push(node);
+            }
+            Ok(Self::removing(contribs, &removal))
+        }
+
+        /// The round's result when the plan drops nothing: the input,
+        /// with fidelity 1.
+        fn unchanged(&self, root: VEdge) -> TruncationResult {
+            let size = self.contribs.node_count();
+            TruncationResult {
+                edge: root,
+                fidelity: 1.0,
+                removed_nodes: 0,
+                size_before: size,
+                size_after: size,
+            }
+        }
+    }
+
+    /// The two rebuilds rounds ran before the clean pass, and the rounds
+    /// around them: the references the round is held to.
     impl Package {
+        /// The recursive rebuild with the clean rule: it says on its way
+        /// back up whether a node came back clean, and memoizes a clean
+        /// node as `(image factor, itself)` after descending through
+        /// everything below it.
+        fn recursive_rebuild(
+            &mut self,
+            node: NodeId,
+            contribs: &ContributionMap,
+            steps: &mut [Rebuild],
+        ) -> (VEdge, bool) {
+            if node.is_terminal() {
+                return (VEdge::ONE, true);
+            }
+            let rank = contribs
+                .rank(node)
+                .expect("a rebuild only visits analyzed nodes");
+            match steps[rank] {
+                Rebuild::Removed => return (VEdge::ZERO, false),
+                Rebuild::Clean(e) => return (e, true),
+                Rebuild::Done(e) => return (e, false),
+                Rebuild::Pending => {}
+            }
+            let n = *self.vnode(node);
+            let mut clean = true;
+            let mut children = [VEdge::ZERO; 2];
+            for (i, c) in n.edges().iter().enumerate() {
+                if c.is_zero(self.tolerance()) {
+                    continue;
+                }
+                let (sub, sub_clean) = self.recursive_rebuild(c.node, contribs, steps);
+                clean &= sub_clean;
+                if !sub.is_zero(self.tolerance()) {
+                    children[i] = sub.scaled(c.w);
+                }
+            }
+            if let Some(w) = n.image.factor().filter(|_| clean) {
+                let e = VEdge { w, node };
+                steps[rank] = Rebuild::Clean(e);
+                return (e, true);
+            }
+            let e = self.make_vnode(n.var, children[0], children[1]);
+            steps[rank] = Rebuild::Done(e);
+            (e, false)
+        }
+
+        /// The round over [`Package::recursive_rebuild`].
+        fn recursive_round(&mut self, root: VEdge, mut plan: Plan) -> Result<TruncationResult> {
+            if plan.selected == 0 {
+                return Ok(plan.unchanged(root));
+            }
+            let (rebuilt, _) = self.recursive_rebuild(root.node, &plan.contribs, &mut plan.steps);
+            self.rescaled(root, rebuilt, plan.selected, plan.contribs.node_count())
+        }
+
+        /// The rebuild without the clean rule: every node goes through
+        /// `make_vnode`.
         fn reference_rebuild(
             &mut self,
             node: NodeId,
@@ -740,9 +934,9 @@ mod tests {
             e
         }
 
-        /// [`Package::truncate_with_plan`] over the reference rebuild,
-        /// plus how many nodes came back as themselves under their image
-        /// factor: the nodes the rule answers.
+        /// The round over the reference rebuild, plus how many nodes came
+        /// back as themselves under their image factor: the nodes the
+        /// rule answers.
         fn reference_round(
             &mut self,
             root: VEdge,
@@ -761,7 +955,8 @@ mod tests {
                     matches!(step, Rebuild::Done(e) if Some(*e) == image)
                 })
                 .count();
-            (self.rescaled(root, rebuilt, &plan), as_image)
+            let round = self.rescaled(root, rebuilt, plan.selected, plan.contribs.node_count());
+            (round, as_image)
         }
     }
 
@@ -848,6 +1043,52 @@ mod tests {
         out
     }
 
+    /// Removal sets far larger than a budget selects: every non-root
+    /// node of `root` below `budget / 8`, and all but `keep` of them.
+    fn large_removals(
+        p: &Package,
+        root: VEdge,
+        budget: f64,
+        keep: usize,
+    ) -> [(&'static str, Vec<NodeId>); 2] {
+        let contribs = p.contributions(root);
+        let candidates = || contribs.iter().filter(|&(node, _)| node != root.node);
+        let below = candidates()
+            .filter(|&(_, c)| c < budget / 8.0)
+            .map(|(node, _)| node)
+            .collect();
+        let lowest = contribs
+            .sorted_ascending()
+            .into_iter()
+            .filter(|&(node, _)| node != root.node)
+            .take(contribs.node_count().saturating_sub(keep))
+            .map(|(node, _)| node)
+            .collect();
+        [("below budget / 8", below), ("all but keep", lowest)]
+    }
+
+    /// Runs one round on `root` through `run` in `new` and through the
+    /// recursive rebuild in `old` (`plan`, then
+    /// [`Package::recursive_round`]) — two packages built by identical
+    /// calls — and holds them to the same result bits and every counter
+    /// of [`PackageStats`](crate::PackageStats). Returns the new round's
+    /// edge.
+    fn round_matches_the_recursion(
+        new: &mut Package,
+        old: &mut Package,
+        root: VEdge,
+        round: &str,
+        run: impl FnOnce(&mut Package, VEdge) -> Result<TruncationResult>,
+        plan: impl FnOnce(&Package, VEdge) -> Result<Plan>,
+    ) -> std::result::Result<Option<VEdge>, TestCaseError> {
+        let got = run(new, root);
+        let edge = got.as_ref().ok().map(|r| r.edge);
+        let want = plan(old, root).and_then(|plan| old.recursive_round(root, plan));
+        prop_assert_eq!(bits(got), bits(want), "{}", round);
+        prop_assert_eq!(new.stats(), old.stats(), "{}", round);
+        Ok(edge)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -869,24 +1110,67 @@ mod tests {
                     root,
                     "budget",
                     |p, root| p.truncate(root, budget),
-                    |p, root| p.node_plan(root, budget),
+                    |p, root| Plan::budget(p, root, budget),
                 )?;
-                // Removal sets far larger than a budget selects: every
-                // non-root node below `budget / 8`, and all but `keep`.
-                let contribs = fast.contributions(root);
-                let candidates = || contribs.iter().filter(|&(node, _)| node != root.node);
-                let below: Vec<NodeId> = candidates()
-                    .filter(|&(_, c)| c < budget / 8.0)
-                    .map(|(node, _)| node)
-                    .collect();
-                let lowest: Vec<NodeId> = Ascending::new(candidates().collect())
-                    .take(contribs.node_count().saturating_sub(keep))
-                    .map(|(node, _)| node)
-                    .collect();
-                for (round, removal) in [("below budget / 8", below), ("all but keep", lowest)] {
+                for (round, removal) in large_removals(&fast, root, budget, keep) {
                     rule_matches_reference(
                         &mut fast,
                         &mut slow,
+                        root,
+                        round,
+                        |p, root| p.truncate_nodes(root, &removal),
+                        |p, root| Ok(Plan::removing(p.contributions(root), &removal)),
+                    )?;
+                }
+            }
+        }
+
+        #[test]
+        fn round_equals_the_recursive_rebuild(
+            picks in prop::collection::vec(0u8..6, 1 << QUBITS),
+            gates in prop::collection::vec((0u8..8, 0usize..QUBITS), 6),
+            budget in 0.0f64..0.4,
+            keep in 1usize..24
+        ) {
+            let amps = amplitudes(&picks);
+            let new = settings(&amps, &gates);
+            let old = settings(&amps, &gates);
+            for ((mut new, root), (mut old, same)) in new.into_iter().zip(old) {
+                prop_assert_eq!(root, same);
+                // Three budget rounds in a row, each on the last one's
+                // output, the selection checked against the full sort.
+                let mut state = root;
+                for round in ["budget 1", "budget 2", "budget 3"] {
+                    let contribs = new.contributions(state);
+                    let mut walk = Vec::new();
+                    let mut spent = 0.0;
+                    for (node, c) in contribs.sorted_ascending() {
+                        if node == state.node {
+                            continue;
+                        }
+                        if spent + c > budget {
+                            break;
+                        }
+                        spent += c;
+                        walk.push(node);
+                    }
+                    prop_assert_eq!(selected_nodes(&contribs, state, budget), walk, "{}", round);
+                    match round_matches_the_recursion(
+                        &mut new,
+                        &mut old,
+                        state,
+                        round,
+                        |p, root| p.truncate(root, budget),
+                        |p, root| Plan::budget(p, root, budget),
+                    )? {
+                        Some(next) => state = next,
+                        None => break,
+                    }
+                }
+                for (round, removal) in large_removals(&new, root, budget, keep) {
+                    round_matches_the_recursion(
+                        &mut new,
+                        &mut old,
                         root,
                         round,
                         |p, root| p.truncate_nodes(root, &removal),

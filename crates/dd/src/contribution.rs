@@ -16,16 +16,16 @@ use crate::visit::{IdIndex, IdSet};
 /// The result of a contribution analysis: per-node contributions plus
 /// the level structure of the analyzed DD.
 ///
-/// Obtain via [`Package::contributions`].
+/// Obtain via [`Package::contributions`]. A truncation round takes the
+/// three parts apart and drops each as soon as it is done with it.
 #[derive(Debug, Clone)]
 pub struct ContributionMap {
     /// The analyzed diagram's nodes, ranked in ascending id order.
-    index: IdIndex,
+    pub(crate) index: IdIndex,
     /// Contribution per node, by rank.
-    contrib: Vec<f64>,
-    /// Nodes grouped by level (`levels[var]`), each level sorted by id
-    /// for determinism.
-    levels: Vec<Vec<NodeId>>,
+    pub(crate) contrib: Vec<f64>,
+    /// The nodes grouped by level.
+    pub(crate) levels: Levels,
 }
 
 impl ContributionMap {
@@ -42,16 +42,17 @@ impl ContributionMap {
         self.contrib.len()
     }
 
-    /// Nodes on level `var` (empty for out-of-range levels).
+    /// Nodes on level `var` in ascending id order (empty for
+    /// out-of-range levels).
     #[must_use]
     pub(crate) fn level(&self, var: usize) -> &[NodeId] {
-        self.levels.get(var).map_or(&[], Vec::as_slice)
+        self.levels.level(var)
     }
 
     /// Number of levels (the qubit count of the analyzed state).
     #[must_use]
     pub fn level_count(&self) -> usize {
-        self.levels.len()
+        self.levels.count()
     }
 
     /// Sum of contributions on level `var`; equals the squared norm of
@@ -60,25 +61,59 @@ impl ContributionMap {
     pub fn level_sum(&self, var: usize) -> f64 {
         self.level(var).iter().map(|n| self.contribution(*n)).sum()
     }
-
-    /// Iterates over `(node, contribution)` pairs in unspecified order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.index.ids().zip(self.contrib.iter().copied())
-    }
-
-    /// The rank of `node` among the analyzed diagram's nodes (ascending
-    /// id order, `0..node_count()`): the slot of its entry in any
-    /// per-node array a pass over the same diagram keeps.
-    pub(crate) fn rank(&self, node: NodeId) -> Option<usize> {
-        self.index.rank(node)
-    }
 }
 
-/// The strict total order `(contribution, key)` every selection walks
-/// in. On the non-negative finite contributions of a well-formed state
-/// `total_cmp` agrees with `partial_cmp`.
-pub(crate) fn ascending<K: Ord>(a: &(K, f64), b: &(K, f64)) -> std::cmp::Ordering {
-    a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0))
+/// The analyzed nodes grouped by level, in one flat list: level 0 first,
+/// each level in ascending id order.
+#[derive(Debug, Clone)]
+pub(crate) struct Levels {
+    ids: Vec<NodeId>,
+    /// Level `var` is `ids[starts[var]..starts[var + 1]]`: one entry
+    /// more than there are levels.
+    starts: Vec<usize>,
+}
+
+impl Levels {
+    /// Lists the members of `index` by level, where `var` reads a
+    /// member's level (below `count`): one pass counts each level, a
+    /// second fills it in ascending id order.
+    fn new(index: &IdIndex, count: usize, var: impl Fn(NodeId) -> usize) -> Self {
+        let mut starts = vec![0; count + 1];
+        for id in index.ids() {
+            starts[var(id) + 1] += 1;
+        }
+        for level in 0..count {
+            starts[level + 1] += starts[level];
+        }
+        let mut next = starts.clone();
+        let mut ids = vec![NodeId::TERMINAL; index.len()];
+        for id in index.ids() {
+            let at = &mut next[var(id)];
+            ids[*at] = id;
+            *at += 1;
+        }
+        Self { ids, starts }
+    }
+
+    /// Number of levels.
+    fn count(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The nodes on level `var` (empty for out-of-range levels).
+    fn level(&self, var: usize) -> &[NodeId] {
+        if var < self.count() {
+            &self.ids[self.starts[var]..self.starts[var + 1]]
+        } else {
+            &[]
+        }
+    }
+
+    /// Every node, levels ascending and ids ascending within a level:
+    /// each node after every node below it.
+    pub(crate) fn bottom_up(&self) -> &[NodeId] {
+        &self.ids
+    }
 }
 
 impl Package {
@@ -90,12 +125,12 @@ impl Package {
     #[must_use]
     pub fn contributions(&self, root: VEdge) -> ContributionMap {
         let n_levels = self.vlevel(root);
-        let mut levels: Vec<Vec<NodeId>> = vec![Vec::new(); n_levels];
         if root.node.is_terminal() {
+            let index = IdSet::with_slots(0).into_index();
             return ContributionMap {
-                index: IdSet::with_slots(0).into_index(),
+                levels: Levels::new(&index, n_levels, |_| 0),
+                index,
                 contrib: Vec::new(),
-                levels,
             };
         }
 
@@ -112,10 +147,11 @@ impl Package {
                 }
             }
         }
+        // The search's stack is freed before the per-node arrays are
+        // allocated: a round runs when the arenas are fullest.
+        drop(stack);
         let index = seen.into_index();
-        for id in index.ids() {
-            levels[usize::from(self.vnode(id).var)].push(id);
-        }
+        let levels = Levels::new(&index, n_levels, |id| usize::from(self.vnode(id).var));
         let mut contrib = vec![0.0; index.len()];
         let slot = |id: NodeId| index.rank(id).expect("every reachable node was indexed");
 
@@ -127,8 +163,8 @@ impl Package {
         // unit norm (normalization invariant), so the accumulated
         // upstream mass *is* the contribution.
         contrib[slot(root.node)] = root.w.mag2();
-        for level in levels.iter().rev() {
-            for &id in level {
+        for var in (0..n_levels).rev() {
+            for &id in levels.level(var) {
                 let up = contrib[slot(id)];
                 for child in self.vnode(id).edges() {
                     if !child.node.is_terminal() {
@@ -164,8 +200,20 @@ pub(crate) mod tests {
         /// contribution sorts last instead of panicking.
         pub(crate) fn sorted_ascending(&self) -> Vec<(NodeId, f64)> {
             let mut v: Vec<(NodeId, f64)> = self.iter().collect();
-            v.sort_unstable_by(ascending);
+            v.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             v
+        }
+
+        /// Iterates over `(node, contribution)` pairs in unspecified order.
+        pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+            self.index.ids().zip(self.contrib.iter().copied())
+        }
+
+        /// The rank of `node` among the analyzed diagram's nodes (ascending
+        /// id order, `0..node_count()`): the slot of its entry in any
+        /// per-node array a pass over the same diagram keeps.
+        pub(crate) fn rank(&self, node: NodeId) -> Option<usize> {
+            self.index.rank(node)
         }
     }
 
