@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use approxdd_circuit::Circuit;
 
-use crate::options::{RetryPolicy, SimOptions, Strategy};
+use crate::options::{SimOptions, Strategy};
 use crate::policy::{PolicyFactory, SharedObserver, SimObserver};
 use crate::simulator::{SimSnapshot, Simulator, DEFAULT_SAMPLE_SEED};
 
@@ -43,7 +43,6 @@ pub struct SimulatorBuilder {
     workers: Option<usize>,
     policy: Arc<dyn PolicyFactory>,
     observers: Vec<SharedObserver>,
-    retry: RetryPolicy,
 }
 
 impl std::fmt::Debug for SimulatorBuilder {
@@ -53,7 +52,6 @@ impl std::fmt::Debug for SimulatorBuilder {
             .field("seed", &self.seed)
             .field("workers", &self.workers)
             .field("observers", &self.observers.len())
-            .field("retry", &self.retry)
             .finish_non_exhaustive()
     }
 }
@@ -67,7 +65,6 @@ impl SimulatorBuilder {
             workers: None,
             policy: Arc::new(Strategy::Exact),
             observers: Vec::new(),
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -195,26 +192,6 @@ impl SimulatorBuilder {
     /// Kept only so existing callers still compile; it will be deleted.
     pub fn share_snapshot(self, _share: bool) -> Self {
         self
-    }
-
-    /// Sets the pool-wide [`RetryPolicy`]: how many attempts a pooled
-    /// job may consume when it fails with a *retryable* error (a lost
-    /// worker, or an injected test fault). The default never retries.
-    /// Plain [`SimulatorBuilder::build`] ignores this knob; the pool
-    /// layer (`approxdd-exec`) reads it from the template.
-    ///
-    /// Retrying is deterministic: job seeds are pure functions of the
-    /// job index (never the attempt number), so a retried success is
-    /// byte-identical to a first-try success.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// The pool-wide retry policy (see [`SimulatorBuilder::retry`]).
-    #[must_use]
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Builds a [`SimSnapshot`] warming every gate of `circuit` with
@@ -361,16 +338,5 @@ mod tests {
         for _ in 0..8 {
             assert_eq!(plain.draw(&run_p), layered.draw(&run_l));
         }
-    }
-
-    #[test]
-    fn retry_knob_round_trips() {
-        let b = Simulator::builder();
-        assert_eq!(b.retry_policy(), RetryPolicy::default());
-
-        let b = Simulator::builder().retry(RetryPolicy::new(3));
-        assert_eq!(b.retry_policy().max_attempts, 3);
-        // Survives cloning into pool templates.
-        assert_eq!(b.clone().retry_policy(), b.retry_policy());
     }
 }

@@ -58,7 +58,7 @@ mod simulator;
 
 pub use builder::SimulatorBuilder;
 pub use error::SimError;
-pub use options::{RetryPolicy, Strategy};
+pub use options::Strategy;
 pub use policy::{
     ApproxPolicy, BudgetPolicy, DeadlineFactory, ExactPolicy, PolicyAction, PolicyCtx,
     PolicyFactory, SharedObserver, SimObserver, TraceEvent, TraceRecorder,

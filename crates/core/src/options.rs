@@ -168,42 +168,6 @@ impl Strategy {
     }
 }
 
-/// How pooled execution re-dispatches jobs that fail with a *retryable*
-/// error (a lost worker, or an injected fault from a test harness).
-///
-/// Lives in this crate so one builder template describes the full
-/// experiment — the pool layer (`approxdd-exec`) reads it from the
-/// template. Retrying is safe by construction: a job's seed is a pure
-/// function of (root seed, domain, job index), never of the attempt
-/// number, so a retried success is byte-identical to a first-try
-/// success.
-///
-/// Retries go out immediately: the pool re-dispatches everything that
-/// failed in one collection round together.
-///
-/// The default (`max_attempts = 1`) disables retries entirely —
-/// failures surface to the caller exactly as before.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total number of attempts a job may consume, including the first
-    /// (so `1` means "never retry"). Zero is treated as one.
-    pub max_attempts: u32,
-}
-
-impl RetryPolicy {
-    /// A policy allowing up to `max_attempts` total attempts.
-    #[must_use]
-    pub fn new(max_attempts: u32) -> Self {
-        Self { max_attempts }
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self::new(1)
-    }
-}
-
 /// Options controlling a [`crate::Simulator`]. The approximation
 /// policy is not among them: it travels as one
 /// `Arc<dyn PolicyFactory>` from the builder to the simulator.
@@ -307,11 +271,6 @@ mod tests {
         assert!(!o.record_size_series);
         assert_eq!(o.compute_cache_bits, None);
         assert_eq!(crate::Simulator::builder().build().policy_name(), "exact");
-    }
-
-    #[test]
-    fn retry_policy_default_never_retries() {
-        assert_eq!(RetryPolicy::default().max_attempts, 1);
     }
 
     /// Input-validation hardening: every NaN / zero / out-of-range

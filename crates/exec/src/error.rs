@@ -1,5 +1,6 @@
 //! The unified execution error.
 
+use std::any::Any;
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
@@ -21,17 +22,16 @@ pub enum ExecError {
     Circuit(CircuitError),
     /// A job panicked. The pool ([`crate::BackendPool`]) catches the
     /// panic at the task boundary, drops the job's engine and replies
-    /// with this error; the worker thread lives on. Never produced by
-    /// a single-threaded simulator. Retryable: the pool's `RetryPolicy`
-    /// re-dispatches panicked jobs, and because per-job seeds are a
-    /// pure function of the job index, a retried success is
-    /// byte-identical to a first-try success.
+    /// with this error; the worker thread lives on. The job server's
+    /// runners catch a panic outside the pool the same way. Never
+    /// produced by a single-threaded simulator. Final: a job's outcome
+    /// is a pure function of its template, its index and the root seed,
+    /// so running it again would panic again.
     Panicked {
         /// Index of the job that panicked.
         job: usize,
-        /// Zero-based attempt that panicked (`0` for a first try; the
-        /// Display message reports it one-based).
-        attempt: u32,
+        /// The panic's message ([`panic_message`] of its payload).
+        message: String,
     },
     /// A job's wall-clock deadline elapsed before the run finished.
     /// Enforced cooperatively: a deadline-wrapping policy
@@ -41,21 +41,22 @@ pub enum ExecError {
     DeadlineExceeded {
         /// Index of the job that blew its deadline.
         job: usize,
-        /// Zero-based attempt that exceeded the deadline.
-        attempt: u32,
         /// The wall-clock budget the job was given.
         budget: Duration,
     },
-    /// A seeded fault-injection plan ([`crate::FaultPlan`]) forced
-    /// this job to fail. Test/bench only — never produced
-    /// unless a plan was explicitly installed on the pool. Retryable,
-    /// exactly like [`ExecError::Panicked`].
-    FaultInjected {
-        /// Index of the faulted job.
-        job: usize,
-        /// Zero-based attempt the fault fired on.
-        attempt: u32,
-    },
+}
+
+/// The message a caught panic carries: its payload when that is a
+/// `&str` or a `String` (what `panic!` makes), a fixed placeholder
+/// otherwise. The pool's task boundary and the job server's runners
+/// both build [`ExecError::Panicked`] from it.
+#[must_use]
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a panic without a message".to_string())
 }
 
 impl fmt::Display for ExecError {
@@ -64,26 +65,9 @@ impl fmt::Display for ExecError {
             ExecError::Sim(e) => write!(f, "dd simulator error: {e}"),
             ExecError::Dd(e) => write!(f, "decision-diagram error: {e}"),
             ExecError::Circuit(e) => write!(f, "circuit error: {e}"),
-            ExecError::Panicked { job, attempt } => {
-                write!(f, "job {job} panicked (attempt {})", attempt + 1)
-            }
-            ExecError::DeadlineExceeded {
-                job,
-                attempt,
-                budget,
-            } => {
-                write!(
-                    f,
-                    "job {job} exceeded its {budget:?} deadline (attempt {})",
-                    attempt + 1
-                )
-            }
-            ExecError::FaultInjected { job, attempt } => {
-                write!(
-                    f,
-                    "injected fault failed job {job} (attempt {})",
-                    attempt + 1
-                )
+            ExecError::Panicked { job, message } => write!(f, "job {job} panicked: {message}"),
+            ExecError::DeadlineExceeded { job, budget } => {
+                write!(f, "job {job} exceeded its {budget:?} deadline")
             }
         }
     }
@@ -95,9 +79,7 @@ impl Error for ExecError {
             ExecError::Sim(e) => Some(e),
             ExecError::Dd(e) => Some(e),
             ExecError::Circuit(e) => Some(e),
-            ExecError::Panicked { .. }
-            | ExecError::DeadlineExceeded { .. }
-            | ExecError::FaultInjected { .. } => None,
+            ExecError::Panicked { .. } | ExecError::DeadlineExceeded { .. } => None,
         }
     }
 }
@@ -162,7 +144,7 @@ mod tests {
     /// Taxonomy audit: every variant renders a non-empty Display and
     /// its `source` chain is exactly as deep as its construction — the
     /// engine wrappers expose their cause, the execution-layer leaves
-    /// (panics, deadlines, injected faults) expose none.
+    /// (panics, deadlines) expose none.
     #[test]
     fn every_variant_displays_and_chains_as_constructed() {
         let wrapped: Vec<(ExecError, usize)> = vec![
@@ -176,16 +158,20 @@ mod tests {
                 }),
                 1,
             ),
-            (ExecError::Panicked { job: 3, attempt: 1 }, 0),
+            (
+                ExecError::Panicked {
+                    job: 3,
+                    message: "boom".into(),
+                },
+                0,
+            ),
             (
                 ExecError::DeadlineExceeded {
                     job: 5,
-                    attempt: 2,
                     budget: Duration::from_millis(250),
                 },
                 0,
             ),
-            (ExecError::FaultInjected { job: 7, attempt: 0 }, 0),
         ];
         for (e, want_depth) in &wrapped {
             assert!(!e.to_string().is_empty(), "{e:?} has an empty Display");
@@ -200,23 +186,32 @@ mod tests {
         assert_eq!(chain_depth(&nested), 1);
     }
 
-    /// The execution-layer messages must name the job index and the
-    /// 1-based attempt count — that is what a server log greps for.
+    /// The execution-layer messages must name the job index and what
+    /// ended it — that is what a server log greps for.
     #[test]
-    fn resilience_errors_name_job_and_attempt() {
-        let lost = ExecError::Panicked { job: 3, attempt: 1 };
-        assert!(lost.to_string().contains("job 3"), "{lost}");
-        assert!(lost.to_string().contains("attempt 2"), "{lost}");
+    fn resilience_errors_name_job_and_cause() {
+        let lost = ExecError::Panicked {
+            job: 3,
+            message: "a policy panicked".into(),
+        };
+        assert_eq!(lost.to_string(), "job 3 panicked: a policy panicked");
         let deadline = ExecError::DeadlineExceeded {
             job: 5,
-            attempt: 0,
             budget: Duration::from_millis(250),
         };
-        assert!(deadline.to_string().contains("job 5"), "{deadline}");
-        assert!(deadline.to_string().contains("attempt 1"), "{deadline}");
-        assert!(deadline.to_string().contains("250ms"), "{deadline}");
-        let injected = ExecError::FaultInjected { job: 7, attempt: 2 };
-        assert!(injected.to_string().contains("job 7"), "{injected}");
-        assert!(injected.to_string().contains("attempt 3"), "{injected}");
+        assert_eq!(deadline.to_string(), "job 5 exceeded its 250ms deadline");
+    }
+
+    /// A `panic!` payload is a `&str` (a literal message) or a
+    /// `String` (a formatted one); anything else reads as the
+    /// placeholder.
+    #[test]
+    fn panic_messages_come_from_str_and_string_payloads() {
+        let literal: Box<dyn Any + Send> = Box::new("a literal");
+        let formatted: Box<dyn Any + Send> = Box::new(format!("formatted {}", 7));
+        let other: Box<dyn Any + Send> = Box::new(7_u8);
+        assert_eq!(panic_message(&*literal), "a literal");
+        assert_eq!(panic_message(&*formatted), "formatted 7");
+        assert_eq!(panic_message(&*other), "a panic without a message");
     }
 }

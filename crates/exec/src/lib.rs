@@ -13,12 +13,12 @@
 //! [`SimulatorBuilder`] template, fed by one channel-based work queue.
 //!
 //! There is **one job path**. Run jobs and sampling chunks are the same
-//! private task type and go through a single dispatch/collect/retry
-//! loop, and the pool exposes two primitives on it:
+//! private task type and go through a single dispatch-and-collect pass,
+//! and the pool exposes two primitives on it:
 //!
 //! * [`BackendPool::run_jobs_with_snapshot`] runs a list of
-//!   [`PoolJob`]s (per-job policy, shots, trace, observable, deadline,
-//!   retry, fallback), one result slot per job, over an optional
+//!   [`PoolJob`]s (per-job policy, shots, trace, observable, deadline),
+//!   one result slot per job, over an optional
 //!   caller-held snapshot warmed on the one circuit they run;
 //! * [`BackendPool::sample_counts_streamed`] shards one circuit's shot
 //!   budget into fixed-size chunks and merges them into one histogram,
@@ -40,16 +40,13 @@
 //!
 //! **Execution is fault-tolerant:** a panic ends a job, not a thread
 //! (each task runs under `catch_unwind`; a panicking job drops its
-//! engine and fails typed, and its worker takes the next task). The
-//! pool re-dispatches panicked jobs and blown deadlines under a
-//! deterministic [`RetryPolicy`](approxdd_sim::RetryPolicy) — retried results are
-//! byte-identical to first-try results because seeds are keyed on the
-//! job index, never the attempt — and enforces per-job wall-clock
-//! deadlines cooperatively through the policy seam, with an optional
-//! degradation ladder ([`PoolJob::degrade_with`]). A seeded
-//! [`FaultPlan`] (test/bench only, driven by the `DOMAIN_FAULT` seed
-//! stream) injects panics, delays and forced aborts at
-//! deterministic job indices to exercise all of it.
+//! engine and fails typed, [`ExecError::Panicked`](backend::ExecError::Panicked)
+//! with the panic's message, and its worker takes the next task). The
+//! pool enforces per-job wall-clock deadlines cooperatively through the
+//! policy seam ([`PoolJob::deadline`]). Every job settles once: with its
+//! result or its typed error. Nothing is retried, because a job's
+//! outcome is a pure function of the job and the root seed, so a rerun
+//! could only repeat it.
 //!
 //! [`SimulatorBuilder`]: approxdd_sim::SimulatorBuilder
 //!
@@ -79,11 +76,10 @@
 
 pub mod backend;
 mod error;
-mod fault;
 mod pool;
 mod seed;
 
-pub use fault::{silence_injected_panics, FaultKind, FaultPlan, InjectedPanic};
+pub use error::panic_message;
 pub use pool::{
     BackendPool, BuildPool, ChunkSettled, PoolJob, PoolOutcome, PoolStats, SharedDiagonal,
     WorkerStats, SHOT_CHUNK,
@@ -411,73 +407,6 @@ mod tests {
                 let want: Vec<_> = want.into_iter().collect();
                 assert_eq!(merged, want, "{a:?} + {b:?}");
             }
-        }
-    }
-
-    /// Every row of the pool's retry/degrade ladder, as a pure function:
-    /// no pool, no panic, no sleep.
-    #[test]
-    fn verdict_covers_the_whole_ladder() {
-        use crate::pool::{verdict, Verdict};
-        use approxdd_sim::RetryPolicy;
-        use std::time::Duration;
-        use Verdict::{Degrade, Final, Retry};
-        let (job, attempt) = (0, 0);
-        let budget = Duration::ZERO;
-        let deadline = ExecError::DeadlineExceeded {
-            job,
-            attempt,
-            budget,
-        };
-        let abort = ExecError::Sim(SimError::PolicyAbort {
-            op_index: 3,
-            policy: "p".into(),
-        });
-        let lost = ExecError::Panicked { job, attempt };
-        let fault = ExecError::FaultInjected { job, attempt };
-        let fatal = ExecError::Sim(SimError::WidthMismatch {
-            state: 3,
-            circuit: 2,
-        });
-        let (never, thrice) = (RetryPolicy::default(), RetryPolicy::new(3));
-        // (error, attempt, degraded, retry policy, has fallback) → verdict
-        let rows = [
-            // An abort with a fallback degrades — whatever the retry
-            // budget, and instead of any blind retry.
-            (&deadline, 0, false, never, true, Degrade),
-            (&abort, 0, false, never, true, Degrade),
-            (&deadline, 0, false, thrice, true, Degrade),
-            (&abort, 2, false, thrice, true, Degrade),
-            // A degraded attempt never degrades again: from there on
-            // only the plain retry rules apply.
-            (&abort, 1, true, thrice, true, Final),
-            (&deadline, 1, true, thrice, true, Retry),
-            (&deadline, 2, true, thrice, true, Final),
-            // Without a fallback, a policy's own abort is final and a
-            // blown deadline is merely retryable.
-            (&abort, 0, false, thrice, false, Final),
-            (&deadline, 0, false, thrice, false, Retry),
-            (&deadline, 0, false, never, false, Final),
-            // Retryable errors retry while attempts remain — a fallback
-            // plays no part.
-            (&lost, 0, false, thrice, false, Retry),
-            (&lost, 1, false, thrice, true, Retry),
-            (&lost, 2, false, thrice, false, Final),
-            (&fault, 0, false, thrice, false, Retry),
-            (&fault, 1, true, thrice, true, Retry),
-            (&fault, 2, false, thrice, true, Final),
-            (&lost, 0, false, never, false, Final),
-            (&fault, 0, false, RetryPolicy::new(0), false, Final),
-            // Everything else is the unit's result, first time.
-            (&fatal, 0, false, thrice, true, Final),
-            (&fatal, 0, true, thrice, false, Final),
-        ];
-        for (err, attempt, degraded, retry, has_fallback, want) in rows {
-            assert_eq!(
-                verdict(err, attempt, degraded, retry, has_fallback),
-                want,
-                "{err:?}: attempt {attempt}, degraded {degraded}, {retry:?}, fallback {has_fallback}"
-            );
         }
     }
 

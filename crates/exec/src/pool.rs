@@ -4,10 +4,10 @@
 //! # One job path
 //!
 //! Everything the pool executes goes through a single private
-//! dispatch/collect/retry loop: a *unit* of work (a run job or a
-//! sampling chunk) is dispatched as one task type, answers with one
-//! `(key, Result<T>)` reply, and is settled by one retry/degrade
-//! ladder. Two public primitives sit directly on that loop:
+//! dispatch-and-collect pass: a *unit* of work (a run job or a
+//! sampling chunk) is dispatched once as one task type, answers with
+//! one `(key, Result<T>)` reply, and that reply is its result. Two
+//! public primitives sit directly on that pass:
 //!
 //! * [`BackendPool::run_jobs_with_snapshot`] — heterogeneous
 //!   [`PoolJob`]s, one result slot per job, optionally each on a fork
@@ -29,11 +29,11 @@
 //! * **Seed streams, not shared RNGs.** Every unit derives its sampling
 //!   seed from the pool's [`SeedStream`] as a pure function of
 //!   `(root seed, domain, unit index)` — never from which worker runs
-//!   it, which attempt it is, or in which order the queue drains. Run
-//!   job `i` draws with `stream(DOMAIN_RUN, i)`, sampling chunk `i`
-//!   with `stream(DOMAIN_SAMPLE, i)`; the chunk size is fixed, so the
-//!   chunk decomposition never depends on the worker count, and
-//!   histogram merging is commutative.
+//!   it or in which order the queue drains. Run job `i` draws with
+//!   `stream(DOMAIN_RUN, i)`, sampling chunk `i` with
+//!   `stream(DOMAIN_SAMPLE, i)`; the chunk size is fixed, so the chunk
+//!   decomposition never depends on the worker count, and histogram
+//!   merging is commutative.
 //! * **Per-job state isolation.** The DD package's unique table
 //!   canonicalizes near-equal edge weights first-write-wins (within
 //!   tolerance), so a run's low-order float bits can depend on what ran
@@ -63,38 +63,30 @@
 //!
 //! # Fault tolerance
 //!
-//! The loop contains panics and retries, for run jobs and sampling
-//! chunks alike (see `docs/ARCHITECTURE.md`, "Fault tolerance"):
+//! A unit settles once, for run jobs and sampling chunks alike (see
+//! `docs/ARCHITECTURE.md`, "Fault tolerance"):
 //!
 //! * **The panic boundary.** Every task runs under `catch_unwind`. A
 //!   panicking unit drops its worker's engine and replies
-//!   [`ExecError::Panicked`]; the thread takes the next task, so the
-//!   pool never loses a worker. Caught panics surface in
-//!   [`PoolStats::panics`].
-//! * **Deterministic retry.** A [`RetryPolicy`] on the template
-//!   re-dispatches units that failed with a retryable error —
-//!   [`ExecError::Panicked`],
-//!   [`ExecError::FaultInjected`], [`ExecError::DeadlineExceeded`].
-//!   Re-dispatches go out in rounds, immediately. Seeds are keyed on
-//!   the unit index, never the attempt, so a retried success is
-//!   byte-identical to a first-try success.
-//! * **Deadlines & degradation.** [`PoolJob::deadline`] wraps the
-//!   job's policy in a `DeadlinePolicy` that aborts cooperatively
-//!   past the cutoff,
-//!   surfacing [`ExecError::DeadlineExceeded`]; an optional
-//!   [`PoolJob::degrade_with`] fallback policy reruns aborted jobs
-//!   coarser (once, without the deadline), marking
-//!   [`PoolOutcome::degraded`].
-//! * **Fault injection.** [`BackendPool::inject_faults`] installs a
-//!   seeded [`FaultPlan`] (test/bench only) that panics tasks,
-//!   delays jobs, or forces aborts at deterministic job indices.
+//!   [`ExecError::Panicked`] with the panic's message; the thread takes
+//!   the next task, so the pool never loses a worker. Caught panics
+//!   surface in [`PoolStats::panics`].
+//! * **Deadlines.** [`PoolJob::deadline`] wraps the job's policy in a
+//!   `DeadlinePolicy` that aborts cooperatively past the cutoff,
+//!   surfacing [`ExecError::DeadlineExceeded`], counted in
+//!   [`PoolStats::deadline_exceeded`].
 //!
-//! The resilience counters ([`PoolStats::panics`] /
-//! [`PoolStats::retries`] / [`PoolStats::deadline_exceeded`], and
-//! [`PoolOutcome::attempts`] / [`PoolOutcome::degraded`]) are
-//! diagnostics: all are excluded from [`PoolOutcome::fingerprint`].
+//! Nothing is retried. A unit's outcome is a pure function of the
+//! template, the unit and the root seed, so a unit that panicked or
+//! ran out of time would do so again: its error is its result. Tests
+//! inject faults through the policy seam — a test-side
+//! `ApproxPolicy` that panics or sleeps.
+//!
+//! The resilience counters ([`PoolStats::panics`] and
+//! [`PoolStats::deadline_exceeded`]) are diagnostics, excluded from
+//! [`PoolOutcome::fingerprint`] like the executing worker.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -105,13 +97,13 @@ use std::time::{Duration, Instant};
 
 use approxdd_circuit::Circuit;
 use approxdd_sim::{
-    DeadlineFactory, PolicyFactory, RetryPolicy, RunResult, SharedObserver, SimError, SimSnapshot,
-    Simulator, SimulatorBuilder, TraceEvent, TraceRecorder,
+    DeadlineFactory, PolicyFactory, RunResult, SharedObserver, SimError, SimSnapshot, Simulator,
+    SimulatorBuilder, TraceEvent, TraceRecorder,
 };
 use approxdd_telemetry as telemetry;
 
 use crate::backend::{BackendStats, ExecError};
-use crate::fault::{FaultKind, FaultPlan, InjectedPanic};
+use crate::error::panic_message;
 use crate::seed::{SeedStream, DOMAIN_RUN, DOMAIN_SAMPLE};
 
 /// A diagonal observable `Σ f(i) |i⟩⟨i|` evaluated worker-side on a
@@ -143,7 +135,6 @@ pub struct PoolJob {
     trace: bool,
     expectation: Option<SharedDiagonal>,
     deadline: Option<Duration>,
-    fallback: Option<Arc<dyn PolicyFactory>>,
 }
 
 impl std::fmt::Debug for PoolJob {
@@ -155,7 +146,6 @@ impl std::fmt::Debug for PoolJob {
             .field("trace", &self.trace)
             .field("expectation", &self.expectation.is_some())
             .field("deadline", &self.deadline)
-            .field("fallback", &self.fallback.is_some())
             .finish()
     }
 }
@@ -171,7 +161,6 @@ impl PoolJob {
             trace: false,
             expectation: None,
             deadline: None,
-            fallback: None,
         }
     }
 
@@ -221,27 +210,12 @@ impl PoolJob {
     /// Sets a wall-clock deadline for this job. Enforced
     /// cooperatively: the worker wraps the job's policy
     /// in a `DeadlinePolicy` that aborts at the first operation past
-    /// the cutoff, surfacing
-    /// [`ExecError::DeadlineExceeded`]. Retried attempts keep the
-    /// deadline; a degraded attempt ([`PoolJob::degrade_with`]) drops
-    /// it.
+    /// the cutoff, and the job fails with
+    /// [`ExecError::DeadlineExceeded`]. The job runs once, so the
+    /// budget bounds the whole job.
     #[must_use]
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
-        self
-    }
-
-    /// Installs a degradation fallback: when this job aborts — its
-    /// deadline fires, or its policy returns `Abort` — the pool reruns
-    /// it **once** under this (presumably coarser) policy instead of
-    /// giving up, with no deadline attached (last-resort semantics: the
-    /// degraded attempt must be allowed to finish), and marks the
-    /// outcome [`PoolOutcome::degraded`]. Degradation takes precedence
-    /// over blind retry for abort-style failures and does not consume
-    /// a retry attempt beyond the one it spends.
-    #[must_use]
-    pub fn degrade_with<P: PolicyFactory + 'static>(mut self, factory: P) -> Self {
-        self.fallback = Some(Arc::new(factory));
         self
     }
 
@@ -278,18 +252,6 @@ pub struct PoolOutcome {
     /// Index of the worker that executed the job (diagnostic only —
     /// excluded from [`PoolOutcome::fingerprint`]).
     pub worker: usize,
-    /// Total attempts this job consumed (1 = succeeded first try; > 1
-    /// means retries happened). Resilience diagnostic — excluded from
-    /// [`PoolOutcome::fingerprint`], because a retried success must be
-    /// byte-identical to a first-try success.
-    pub attempts: u32,
-    /// Whether this outcome came from a degraded attempt (the
-    /// [`PoolJob::degrade_with`] fallback policy, after an abort).
-    /// Excluded from [`PoolOutcome::fingerprint`] like every other
-    /// resilience counter — though a degraded run's *result fields*
-    /// naturally differ from an undisturbed run's, since a different
-    /// policy steered it.
-    pub degraded: bool,
 }
 
 impl PoolOutcome {
@@ -297,12 +259,10 @@ impl PoolOutcome {
     /// except the wall-clock runtime, the executing worker, the trace
     /// (itself deterministic, but an audit artifact rather than a
     /// result), the policy *name* (so a custom policy replicating a
-    /// preset's decisions fingerprints identically to the preset), and
-    /// the resilience diagnostics ([`PoolOutcome::attempts`] /
-    /// [`PoolOutcome::degraded`] — a retried success must fingerprint
-    /// identically to a first-try success). Two runs of the same job
-    /// under the same root seed produce equal fingerprints regardless
-    /// of pool size; the contract suite asserts exactly that.
+    /// preset's decisions fingerprints identically to the preset). Two
+    /// runs of the same job under the same root seed produce equal
+    /// fingerprints regardless of pool size; the contract suite asserts
+    /// exactly that.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -408,15 +368,16 @@ pub struct PoolStats {
     /// Tasks that panicked over the pool's lifetime (0 on a healthy
     /// run), each counted before its dispatch replies — a caller that
     /// has seen a panicked job settle reads the panic counted. A
-    /// resilience diagnostic, like [`PoolStats::retries`] — never part
-    /// of any result fingerprint.
+    /// resilience diagnostic, never part of any result fingerprint.
     pub panics: usize,
-    /// Job dispatches beyond each job's first attempt: every retry and
-    /// every degraded rerun counts, whether or not it succeeded.
+    /// Always 0. The pool dispatches every unit once and never
+    /// retries: a unit's outcome is a pure function of the unit and
+    /// the root seed, so a second dispatch could only repeat the first.
+    /// The field stays while the repo benchmark (`exec.retries`) reads
+    /// it, and goes with the next change to that harness.
     pub retries: usize,
-    /// [`ExecError::DeadlineExceeded`] failures observed, counted
-    /// before any retry/degradation decision (a job that blows its
-    /// deadline twice counts twice).
+    /// [`ExecError::DeadlineExceeded`] failures observed, one per
+    /// failed job or sampling request.
     pub deadline_exceeded: usize,
     /// Per-worker breakdown.
     pub per_worker: Vec<WorkerStats>,
@@ -499,19 +460,6 @@ pub struct ChunkSettled<'a> {
     pub merged: &'a [(u64, usize)],
 }
 
-/// One dispatch of one unit of pooled work — a run job or a sampling
-/// chunk — as the collector tracks it and the worker sees it.
-#[derive(Clone, Copy)]
-struct Dispatch {
-    /// The unit's index (job or chunk): its seed key and reply key.
-    key: usize,
-    /// Zero-based attempt number of this dispatch.
-    attempt: u32,
-    /// Whether this dispatch runs under the unit's degradation
-    /// fallback.
-    degraded: bool,
-}
-
 /// One sampling request, as each of its chunks sees it.
 struct SampleRequest {
     /// Tells this request's cached run state from an earlier one's.
@@ -532,52 +480,6 @@ struct Task {
     run: Box<dyn FnOnce(&mut Worker) + Send>,
 }
 
-/// What the collector does with a failed dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Verdict {
-    /// The error is the unit's result.
-    Final,
-    /// Re-dispatch the unit unchanged, as its next attempt.
-    Retry,
-    /// Re-dispatch the unit under its fallback policy, without a
-    /// deadline.
-    Degrade,
-}
-
-/// The retry/degrade ladder, as a pure function of one failure.
-///
-/// An abort (a blown deadline, or the policy's own `Abort`) of a unit
-/// that has a fallback degrades — once: rerunning the identical policy
-/// would just abort again, and a degraded attempt never degrades a
-/// second time. Otherwise a retryable error (a panic, an injected
-/// fault, a blown deadline) is retried while `retry` has attempts left,
-/// and everything else is final.
-pub(crate) fn verdict(
-    err: &ExecError,
-    attempt: u32,
-    degraded: bool,
-    retry: RetryPolicy,
-    has_fallback: bool,
-) -> Verdict {
-    let abort = matches!(
-        err,
-        ExecError::DeadlineExceeded { .. } | ExecError::Sim(SimError::PolicyAbort { .. })
-    );
-    let retryable = matches!(
-        err,
-        ExecError::Panicked { .. }
-            | ExecError::FaultInjected { .. }
-            | ExecError::DeadlineExceeded { .. }
-    );
-    if abort && !degraded && has_fallback {
-        Verdict::Degrade
-    } else if retryable && attempt + 1 < retry.max_attempts {
-        Verdict::Retry
-    } else {
-        Verdict::Final
-    }
-}
-
 /// A fixed-size pool of worker threads, each owning a [`Simulator`]
 /// built from a shared [`SimulatorBuilder`] template, running
 /// jobs and sampling chunks from one channel-based work queue.
@@ -585,7 +487,7 @@ pub(crate) fn verdict(
 /// Build one through the builder —
 /// `Simulator::builder().workers(4).build_pool()` (see [`BuildPool`]).
 /// There are two ways to submit work, and both run on the same private
-/// dispatch/collect/retry loop:
+/// dispatch-and-collect pass:
 ///
 /// * [`BackendPool::run_jobs_with_snapshot`] runs a list of
 ///   [`PoolJob`]s. [`BackendPool::run_jobs`] is the same call without
@@ -626,7 +528,6 @@ pub(crate) fn verdict(
 #[derive(Debug)]
 pub struct BackendPool {
     sender: Option<mpsc::Sender<Task>>,
-    template: SimulatorBuilder,
     handles: Vec<thread::JoinHandle<()>>,
     worker_stats: Vec<Arc<Mutex<WorkerStats>>>,
     queue_depth: Arc<AtomicUsize>,
@@ -634,8 +535,6 @@ pub struct BackendPool {
     tasks_submitted: AtomicUsize,
     epoch: AtomicU64,
     seeds: SeedStream,
-    fault_plan: Mutex<Option<Arc<FaultPlan>>>,
-    retries: AtomicUsize,
     deadline_exceeded: AtomicUsize,
     created: Instant,
 }
@@ -672,15 +571,12 @@ impl BackendPool {
         Self {
             sender: Some(sender),
             seeds: SeedStream::new(template.sample_seed()),
-            template,
             handles,
             worker_stats,
             queue_depth,
             max_queue_depth: AtomicUsize::new(0),
             tasks_submitted: AtomicUsize::new(0),
             epoch: AtomicU64::new(0),
-            fault_plan: Mutex::new(None),
-            retries: AtomicUsize::new(0),
             deadline_exceeded: AtomicUsize::new(0),
             created: Instant::now(),
         }
@@ -698,18 +594,6 @@ impl BackendPool {
     #[must_use]
     pub fn alive_workers(&self) -> usize {
         self.handles.iter().filter(|h| !h.is_finished()).count()
-    }
-
-    /// Installs (or, with `None`, clears) a fault-injection plan for
-    /// subsequent run-job submissions. Test/bench only: injected faults
-    /// exercise the panic boundary, retry and deadline machinery at
-    /// deterministic job indices (the `DOMAIN_FAULT` seed stream — see
-    /// [`FaultPlan`]). No production path installs one.
-    pub fn inject_faults(&self, plan: Option<FaultPlan>) {
-        *self
-            .fault_plan
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = plan.map(Arc::new);
     }
 
     /// The root seed of the pool's per-job seed stream.
@@ -744,11 +628,9 @@ impl BackendPool {
     /// others: each failure is confined to its own slot.
     ///
     /// Job `i` samples with seed `stream(DOMAIN_RUN, i)` — keyed on the
-    /// job index alone, never the attempt, so a retried success is
-    /// byte-identical to a first-try success. A job that panics is
-    /// re-dispatched when its [`RetryPolicy`] allows, and otherwise
-    /// reports [`ExecError::Panicked`] in its slot; its worker lives on
-    /// (see the module docs, *Fault tolerance*).
+    /// job index alone. A job that panics reports
+    /// [`ExecError::Panicked`] in its slot; its worker lives on (see the
+    /// module docs, *Fault tolerance*).
     ///
     /// `snapshot` is the warmed package every job's engine forks, which
     /// makes this the cross-batch reuse seam behind warm serving
@@ -768,40 +650,19 @@ impl BackendPool {
         jobs: Vec<PoolJob>,
         snapshot: Option<Arc<SimSnapshot>>,
     ) -> Vec<Result<PoolOutcome, ExecError>> {
-        let fault = self
-            .fault_plan
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
         let seeds = self.seeds;
-        let has_fallback: Vec<bool> = jobs.iter().map(|job| job.fallback.is_some()).collect();
         let mut results: Vec<_> = jobs.iter().map(|_| None).collect();
         self.drive(
             "run",
             jobs.len(),
-            |index| has_fallback[index],
             // The job list moves into the work closure, which `drive`
-            // shares behind one `Arc`: every attempt of every job, on
-            // whichever worker it lands, reads the same copy.
-            move |worker, dispatch| {
-                let job = &jobs[dispatch.key];
-                // A degraded attempt drops the deadline: the coarser
-                // fallback is the last resort and must be allowed to
-                // finish.
-                let deadline = if dispatch.degraded {
-                    None
-                } else {
-                    job.deadline
-                };
+            // shares behind one `Arc`: every job, on whichever worker it
+            // lands, reads the same copy.
+            move |worker, index| {
+                let job = &jobs[index];
                 worker.booked(true, job.shots, |worker| {
-                    worker.run_job(
-                        job,
-                        dispatch,
-                        seeds.seed(DOMAIN_RUN, dispatch.key as u64),
-                        snapshot.clone(),
-                        deadline,
-                        fault.as_deref(),
-                    )
+                    let seed = seeds.seed(DOMAIN_RUN, index as u64);
+                    worker.run_job(job, index, seed, snapshot.clone())
                 })
             },
             |index, result| {
@@ -855,9 +716,7 @@ impl BackendPool {
     /// histograms to clients while the shot budget drains. The
     /// *settlement order* — and with it every intermediate partial
     /// view — depends on scheduling, so partials are progress reports,
-    /// not reproducible results. A chunk that panicked is re-dispatched
-    /// under the template's [`RetryPolicy`] and settles (and reports)
-    /// once, with its original seed.
+    /// not reproducible results.
     ///
     /// # Errors
     ///
@@ -874,7 +733,7 @@ impl BackendPool {
     ) -> Result<HashMap<u64, usize>, ExecError> {
         // The epoch invalidates the workers' cached run state; chunk
         // *seeds* are keyed on the chunk index alone so repeated calls
-        // (and retried chunks) stay reproducible.
+        // stay reproducible.
         let request = SampleRequest {
             epoch: self.epoch.fetch_add(1, Ordering::Relaxed),
             circuit: circuit.clone(),
@@ -890,12 +749,11 @@ impl BackendPool {
         self.drive(
             "sample",
             chunks,
-            |_| false,
-            move |worker, dispatch| {
-                let size = chunk_shots(dispatch.key);
-                let seed = seeds.seed(DOMAIN_SAMPLE, dispatch.key as u64);
+            move |worker, chunk| {
+                let size = chunk_shots(chunk);
+                let seed = seeds.seed(DOMAIN_SAMPLE, chunk as u64);
                 worker.booked(false, size, |worker| {
-                    worker.sample_chunk(&request, dispatch, size, seed)
+                    worker.sample_chunk(&request, chunk, size, seed)
                 })
             },
             |chunk, result| {
@@ -915,102 +773,53 @@ impl BackendPool {
     }
 
     /// The one execution path: dispatches units `0..units` to the
-    /// workers and collects one final result per unit.
+    /// workers, once each, and settles each unit's reply as its result.
     ///
-    /// `work` is what a worker does for one dispatch; `has_fallback`
-    /// says whether a unit has a degradation fallback (every unit
-    /// retries under the template's [`RetryPolicy`]); `settle` receives each unit's final result, in arrival order,
-    /// and may fail the whole submission (queued dispatches then run
-    /// into a closed reply channel).
+    /// `work` is what a worker does for one unit; `settle` receives each
+    /// unit's result, in arrival order, and may fail the whole
+    /// submission (queued units then run into a closed reply channel).
     ///
-    /// Dispatches go out in rounds, in unit order. Each runs `work`
-    /// under `catch_unwind`, so every dispatch replies exactly once: a
-    /// panic is booked on its worker ([`Worker::recover`]) and replies
-    /// [`ExecError::Panicked`]. A round blocks on its reply channel
-    /// until every dispatch has replied; one that never did (its task
-    /// was dropped unrun) is settled as [`ExecError::Panicked`] too.
-    /// Every failure goes through [`verdict`]; retried and degraded units
-    /// form the next round. The resilience counters are bumped here —
-    /// once per observation, before any retry decision — which is what
-    /// makes their totals worker-count-invariant.
+    /// Each unit runs `work` under `catch_unwind`, so it replies exactly
+    /// once: a panic is booked on its worker ([`Worker::recover`])
+    /// before the unit replies [`ExecError::Panicked`] with the panic's
+    /// message. A unit that never replied (its task was dropped unrun)
+    /// settles as [`ExecError::Panicked`] too. Blown deadlines are
+    /// counted here, once per settled unit.
     fn drive<T: Send + 'static>(
         &self,
         kind: &'static str,
         units: usize,
-        has_fallback: impl Fn(usize) -> bool,
-        work: impl Fn(&mut Worker, Dispatch) -> Result<T, ExecError> + Send + Sync + 'static,
+        work: impl Fn(&mut Worker, usize) -> Result<T, ExecError> + Send + Sync + 'static,
         mut settle: impl FnMut(usize, Result<T, ExecError>) -> Result<(), ExecError>,
     ) -> Result<(), ExecError> {
         let work = Arc::new(work);
-        let retry = self.template.retry_policy();
-        let mut pending: Vec<Dispatch> = (0..units)
-            .map(|key| Dispatch {
-                key,
-                attempt: 0,
-                degraded: false,
-            })
-            .collect();
-        while !pending.is_empty() {
-            pending.sort_unstable_by_key(|dispatch| dispatch.key);
-            let (reply, replies) = mpsc::channel();
-            let mut outstanding = BTreeMap::new();
-            for dispatch in std::mem::take(&mut pending) {
-                outstanding.insert(dispatch.key, dispatch);
-                let work = Arc::clone(&work);
-                let reply = reply.clone();
-                self.submit(kind, move |worker| {
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| work(worker, dispatch)))
-                        .unwrap_or_else(|_| {
-                            worker.recover();
-                            Err(ExecError::Panicked {
-                                job: dispatch.key,
-                                attempt: dispatch.attempt,
-                            })
-                        });
-                    let _ = reply.send((dispatch.key, result));
-                });
+        let (reply, replies) = mpsc::channel();
+        for key in 0..units {
+            let work = Arc::clone(&work);
+            let reply = reply.clone();
+            self.submit(kind, move |worker| {
+                let result = panic::catch_unwind(AssertUnwindSafe(|| work(worker, key)))
+                    .unwrap_or_else(|payload| {
+                        worker.recover();
+                        let message = panic_message(&*payload);
+                        Err(ExecError::Panicked { job: key, message })
+                    });
+                let _ = reply.send((key, result));
+            });
+        }
+        drop(reply);
+        let mut settled = vec![false; units];
+        for (key, result) in replies.iter().take(units) {
+            settled[key] = true;
+            if matches!(result, Err(ExecError::DeadlineExceeded { .. })) {
+                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                telemetry::count("approxdd_pool_deadline_exceeded_total", 1);
             }
-            drop(reply);
-            let mut route = |dispatch: Dispatch, result: Result<T, ExecError>| {
-                let Dispatch {
-                    key,
-                    attempt,
-                    degraded,
-                } = dispatch;
-                let next = match &result {
-                    Ok(_) => Verdict::Final,
-                    Err(err) => {
-                        if matches!(err, ExecError::DeadlineExceeded { .. }) {
-                            self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                            telemetry::count("approxdd_pool_deadline_exceeded_total", 1);
-                        }
-                        verdict(err, attempt, degraded, retry, has_fallback(key))
-                    }
-                };
-                if next == Verdict::Final {
-                    return settle(key, result);
-                }
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                telemetry::count("approxdd_pool_retries_total", 1);
-                pending.push(Dispatch {
-                    key,
-                    attempt: attempt + 1,
-                    degraded: degraded || next == Verdict::Degrade,
-                });
-                Ok(())
-            };
-            while !outstanding.is_empty() {
-                let Ok((key, result)) = replies.recv() else {
-                    break;
-                };
-                if let Some(dispatch) = outstanding.remove(&key) {
-                    route(dispatch, result)?;
-                }
-            }
-            for (job, dispatch) in outstanding {
-                let attempt = dispatch.attempt;
-                route(dispatch, Err(ExecError::Panicked { job, attempt }))?;
-            }
+            settle(key, result)?;
+        }
+        for (job, _) in settled.iter().enumerate().filter(|(_, done)| !**done) {
+            let message = "the task was dropped unrun".to_string();
+            settle(job, Err(ExecError::Panicked { job, message }))?;
         }
         Ok(())
     }
@@ -1031,7 +840,7 @@ impl BackendPool {
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             panics: per_worker.iter().map(|w| w.panics).sum(),
-            retries: self.retries.load(Ordering::Relaxed),
+            retries: 0,
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             per_worker,
         }
@@ -1225,8 +1034,8 @@ impl Worker {
     /// is the pool's determinism linchpin — see the module docs.
     ///
     /// When the job carries a `deadline`, whatever policy it ended up
-    /// with is wrapped in a [`DeadlineFactory`] — per-job overrides and
-    /// degradation fallbacks stay deadline-enforced alike. Returns the
+    /// with is wrapped in a [`DeadlineFactory`], per-job overrides
+    /// included. Returns the
     /// deadline's fired flag so the caller can tell a deadline abort
     /// from a policy's own abort.
     fn fresh_sim(
@@ -1257,57 +1066,23 @@ impl Worker {
         fired
     }
 
-    /// Executes one dispatch of a run job: fires any injected fault
-    /// first (before touching the simulator, so a panic can never lose
-    /// harvested counters or leave a half-built package), selects the
-    /// degraded fallback policy when asked, and maps a
+    /// Executes one run job on a fresh engine, mapping a
     /// deadline-triggered abort to the typed
     /// [`ExecError::DeadlineExceeded`].
     fn run_job(
         &mut self,
         job: &PoolJob,
-        dispatch: Dispatch,
+        index: usize,
         seed: u64,
         snapshot: Option<Arc<SimSnapshot>>,
-        deadline: Option<Duration>,
-        fault: Option<&FaultPlan>,
     ) -> Result<PoolOutcome, ExecError> {
-        let Dispatch {
-            key: index,
-            attempt,
-            degraded,
-        } = dispatch;
-        match fault.and_then(|plan| plan.decide(index, attempt)) {
-            Some(FaultKind::Panic) => std::panic::panic_any(InjectedPanic {
-                job: index,
-                attempt,
-            }),
-            Some(FaultKind::Delay(delay)) => thread::sleep(delay),
-            Some(FaultKind::Abort) => {
-                return Err(ExecError::FaultInjected {
-                    job: index,
-                    attempt,
-                })
-            }
-            None => {}
-        }
-        let policy = job
-            .fallback
-            .as_ref()
-            .filter(|_| degraded)
-            .or(job.policy.as_ref());
-        let fired = self.fresh_sim(policy, snapshot, deadline);
-        let result = self.execute(job, dispatch, seed);
-        deadline_exceeded(result, fired, dispatch, deadline)
+        let fired = self.fresh_sim(job.policy.as_ref(), snapshot, job.deadline);
+        let result = self.execute(job, seed);
+        deadline_exceeded(result, fired, index, job.deadline)
     }
 
     /// The run body proper (simulator already fresh).
-    fn execute(
-        &mut self,
-        job: &PoolJob,
-        dispatch: Dispatch,
-        seed: u64,
-    ) -> Result<PoolOutcome, ExecError> {
+    fn execute(&mut self, job: &PoolJob, seed: u64) -> Result<PoolOutcome, ExecError> {
         let sim = self.sim.as_mut().expect(SIM_BUILT);
         let recorder = job.trace.then(|| {
             let recorder = TraceRecorder::shared();
@@ -1345,8 +1120,6 @@ impl Worker {
             expectation,
             trace,
             worker: self.totals.worker,
-            attempts: dispatch.attempt + 1,
-            degraded: dispatch.degraded,
         })
     }
 
@@ -1357,7 +1130,7 @@ impl Worker {
     fn sample_chunk(
         &mut self,
         request: &SampleRequest,
-        dispatch: Dispatch,
+        chunk: usize,
         shots: usize,
         seed: u64,
     ) -> Result<Vec<(u64, usize)>, ExecError> {
@@ -1371,7 +1144,7 @@ impl Worker {
             let fired = self.fresh_sim(policy.as_ref(), None, *deadline);
             let sim = self.sim.as_mut().expect(SIM_BUILT);
             let run = sim.run(circuit).map_err(ExecError::from);
-            let run = deadline_exceeded(run, fired, dispatch, *deadline);
+            let run = deadline_exceeded(run, fired, chunk, *deadline);
             self.epoch = Some((*epoch, run));
         }
         let (_, run) = self.epoch.as_ref().expect("epoch state just ensured");
@@ -1388,7 +1161,7 @@ impl Worker {
 fn deadline_exceeded<T>(
     result: Result<T, ExecError>,
     fired: Option<Arc<AtomicBool>>,
-    dispatch: Dispatch,
+    job: usize,
     deadline: Option<Duration>,
 ) -> Result<T, ExecError> {
     match result {
@@ -1396,8 +1169,7 @@ fn deadline_exceeded<T>(
             if fired.is_some_and(|flag| flag.load(Ordering::Relaxed)) =>
         {
             Err(ExecError::DeadlineExceeded {
-                job: dispatch.key,
-                attempt: dispatch.attempt,
+                job,
                 budget: deadline.unwrap_or_default(),
             })
         }

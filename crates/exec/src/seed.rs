@@ -33,14 +33,6 @@ pub struct SeedStream {
 pub(crate) const DOMAIN_RUN: u64 = 0x1;
 /// Seed domain of sharded `sample_counts` shot chunks.
 pub(crate) const DOMAIN_SAMPLE: u64 = 0x2;
-/// Seed domain of the fault-injection harness: a seeded
-/// [`crate::FaultPlan`] derives job `j`'s fault decision from
-/// `seed(DOMAIN_FAULT, j)`, so injected panics/delays/aborts land on
-/// the same job indices at every worker count — which is what makes
-/// the recovery paths (the panic boundary, retry, deadlines)
-/// reproducibly testable. Test/bench only; no production path consumes
-/// this domain.
-pub(crate) const DOMAIN_FAULT: u64 = 0x4;
 
 impl SeedStream {
     /// A stream rooted at `root` (a pool's builder seed).
@@ -99,7 +91,7 @@ mod tests {
     fn seeds_have_no_trivial_collisions() {
         let s = SeedStream::new(0);
         let mut seen = std::collections::HashSet::new();
-        for domain in [DOMAIN_RUN, DOMAIN_SAMPLE, DOMAIN_FAULT] {
+        for domain in [DOMAIN_RUN, DOMAIN_SAMPLE] {
             for index in 0..4096 {
                 assert!(
                     seen.insert(s.seed(domain, index)),
@@ -112,8 +104,7 @@ mod tests {
     /// Golden values pin the existing streams: a refactor of the mixing
     /// must not move a single seed of `DOMAIN_RUN`/`DOMAIN_SAMPLE`, or
     /// every archived `run_batch`/`sample_counts` fingerprint would
-    /// silently change, nor one of `DOMAIN_FAULT`, or injected faults
-    /// would land on other jobs.
+    /// silently change.
     #[test]
     fn existing_streams_are_frozen() {
         let s = SeedStream::new(42);
@@ -124,9 +115,6 @@ mod tests {
             (DOMAIN_SAMPLE, 0, 0x0684_A9E5_6565_7C2E),
             (DOMAIN_SAMPLE, 1, 0xCB3F_6068_39EE_90D6),
             (DOMAIN_SAMPLE, 7, 0xEF5E_260B_C49C_3C6F),
-            (DOMAIN_FAULT, 0, 0xE8DA_A970_75F9_D9E8),
-            (DOMAIN_FAULT, 1, 0xBEE2_E244_4F09_461F),
-            (DOMAIN_FAULT, 7, 0x5B5F_AB66_E103_2DC8),
         ] {
             assert_eq!(
                 s.seed(domain, index),
@@ -148,7 +136,7 @@ mod tests {
             fn distinct_domain_index_pairs_share_no_outputs(root in any::<u64>()) {
                 let s = SeedStream::new(root);
                 let mut seen = std::collections::HashMap::new();
-                for domain in [DOMAIN_RUN, DOMAIN_SAMPLE, DOMAIN_FAULT] {
+                for domain in [DOMAIN_RUN, DOMAIN_SAMPLE] {
                     for index in 0..512u64 {
                         let seed = s.seed(domain, index);
                         if let Some(prev) = seen.insert(seed, (domain, index)) {

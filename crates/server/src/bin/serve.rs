@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! serve [--addr HOST:PORT] [--workers N] [--seed N] [--queue N]
-//!       [--sessions N] [--runners N] [--retry N]
+//!       [--sessions N] [--runners N]
 //!       [--quota-burst F --quota-refill F] [--addr-file PATH]
 //! ```
 //!
@@ -14,7 +14,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use approxdd_server::{JobServer, Quota, ServerConfig};
-use approxdd_sim::{RetryPolicy, Simulator};
+use approxdd_sim::Simulator;
 
 struct Args {
     addr: String,
@@ -41,13 +41,12 @@ fn parse_args() -> Result<Args, String> {
             "--queue" => config = config.queue_capacity(value(&mut it, &flag)?),
             "--sessions" => config = config.sessions(value(&mut it, &flag)?),
             "--runners" => config = config.runners(value(&mut it, &flag)?),
-            "--retry" => template = template.retry(RetryPolicy::new(value(&mut it, &flag)?)),
             "--quota-burst" => quota_burst = Some(value(&mut it, &flag)?),
             "--quota-refill" => quota_refill = Some(value(&mut it, &flag)?),
             "--addr-file" => addr_file = Some(value(&mut it, &flag)?),
             "--help" | "-h" => {
                 return Err("usage: serve [--addr HOST:PORT] [--workers N] [--seed N] \
-                     [--queue N] [--sessions N] [--runners N] [--retry N] \
+                     [--queue N] [--sessions N] [--runners N] \
                      [--quota-burst F --quota-refill F] [--addr-file PATH]"
                     .to_string())
             }

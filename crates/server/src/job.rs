@@ -259,9 +259,9 @@ pub(crate) fn trace_event(job: u64, traced: &TraceEvent) -> Json {
 }
 
 /// The final `result` event: every deterministic result field plus
-/// the fingerprint, with the scheduling diagnostics (`worker`,
-/// `attempts`, `degraded`) reported alongside but — like everywhere
-/// else — excluded from the fingerprint itself.
+/// the fingerprint, with the scheduling diagnostic `worker` reported
+/// alongside but — like everywhere else — excluded from the
+/// fingerprint itself.
 pub(crate) fn result_event(job: u64, outcome: &PoolOutcome) -> Json {
     let stats = &outcome.stats;
     let fingerprint = format!("{:016x}", outcome.fingerprint());
@@ -290,8 +290,6 @@ pub(crate) fn result_event(job: u64, outcome: &PoolOutcome) -> Json {
                 outcome.expectation.map_or(Json::Null, Json::Num),
             ),
             ("worker", Json::int(outcome.worker)),
-            ("attempts", Json::Num(f64::from(outcome.attempts))),
-            ("degraded", Json::Bool(outcome.degraded)),
         ],
     )
 }

@@ -18,7 +18,7 @@ use std::sync::{Arc, PoisonError};
 
 use approxdd_circuit::Circuit;
 use approxdd_exec::backend::ExecError;
-use approxdd_exec::PoolJob;
+use approxdd_exec::{panic_message, PoolJob};
 use approxdd_sim::json::Json;
 use approxdd_sim::{PolicyFactory, SimSnapshot};
 use approxdd_telemetry as telemetry;
@@ -50,9 +50,12 @@ pub(crate) fn runner_loop(inner: &Inner) {
 /// yet settles with a typed `error` event (kind `exec`) and counts as
 /// failed, and the caller goes on to the next job.
 fn settle_panics(inner: &Inner, state: &JobState, body: impl FnOnce()) {
-    if panic::catch_unwind(AssertUnwindSafe(body)).is_err() && !state.is_done() {
-        let e = ExecError::Panicked { job: 0, attempt: 0 };
-        fail_job(inner, state, &e.into());
+    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(body)) {
+        if !state.is_done() {
+            let message = panic_message(&*payload);
+            let e = ExecError::Panicked { job: 0, message };
+            fail_job(inner, state, &e.into());
+        }
     }
 }
 
@@ -215,7 +218,7 @@ mod tests {
         let last = log.lines().last().expect("events");
         assert!(last.contains("\"type\":\"error\""), "{log}");
         assert!(last.contains("\"kind\":\"exec\""), "{log}");
-        assert!(last.contains("panicked"), "{log}");
+        assert!(last.contains("panicked: a job body panicked"), "{log}");
         assert_eq!(inner.jobs_failed.load(Ordering::Relaxed), 1);
 
         let settled = inner.jobs.open();

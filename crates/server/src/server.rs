@@ -32,12 +32,12 @@
 //! The final `result` event of a job carries the
 //! [`approxdd_exec::PoolOutcome::fingerprint`] of the run. For a given server root
 //! seed, the same (QASM, policy, shots) request produces a
-//! byte-identical fingerprint regardless of worker count, whether the
-//! session was warm or cold, and across caught panics — it is the
-//! same number a direct [`BackendPool::run_jobs`] call computes for
-//! the same job. Everything scheduling-dependent (queue position,
-//! partial-histogram settlement order, worker indexes, retry counts)
-//! is reported in events or `/stats` but excluded from fingerprints.
+//! byte-identical fingerprint regardless of worker count and whether
+//! the session was warm or cold — it is the same number a direct
+//! [`BackendPool::run_jobs`] call computes for the same job. Everything
+//! scheduling-dependent (queue position, partial-histogram settlement
+//! order, worker indexes, panic counts) is reported in events or
+//! `/stats` but excluded from fingerprints.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};

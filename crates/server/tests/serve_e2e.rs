@@ -3,19 +3,22 @@
 //! typed and kills nothing, partial histograms settle deterministically
 //! and shutdown drains. That a streamed fingerprint equals a direct
 //! [`BackendPool::run_jobs`] call for the same (QASM, policy, seed,
-//! shots) — cold, warm, re-warmed and across a caught panic — is
-//! `tests/determinism.rs`'s to check, at the workspace root.
+//! shots) — cold, warm and re-warmed — is `tests/determinism.rs`'s to
+//! check, at the workspace root.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use approxdd_circuit::generators;
 use approxdd_circuit::qasm::{from_qasm, to_qasm};
-use approxdd_exec::{BackendPool, FaultPlan, SHOT_CHUNK};
+use approxdd_circuit::Circuit;
+use approxdd_exec::{BackendPool, SHOT_CHUNK};
 use approxdd_server::{JobServer, Quota, ServerConfig};
-use approxdd_sim::{Simulator, SimulatorBuilder};
+use approxdd_sim::{ApproxPolicy, PolicyAction, PolicyCtx, SimError, Simulator, SimulatorBuilder};
 
 /// Sends one raw HTTP request and returns (status, whole body).
 fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, String) {
@@ -66,6 +69,40 @@ fn template(workers: usize) -> SimulatorBuilder {
     Simulator::builder().seed(7).workers(workers)
 }
 
+/// An exact policy whose first run, across every instance built from
+/// one [`sleeps_once`] factory, sleeps in `begin`.
+struct SleepsOnce {
+    slept: Arc<AtomicBool>,
+    delay: Duration,
+}
+
+impl ApproxPolicy for SleepsOnce {
+    fn name(&self) -> &str {
+        "sleeps-once"
+    }
+
+    fn begin(&mut self, _circuit: &Circuit) -> Result<(), SimError> {
+        if !self.slept.swap(true, Ordering::Relaxed) {
+            thread::sleep(self.delay);
+        }
+        Ok(())
+    }
+
+    fn decide(&mut self, _ctx: &PolicyCtx) -> PolicyAction {
+        PolicyAction::Continue
+    }
+}
+
+/// The template of a one-worker server whose first job runs `delay`
+/// longer than it would.
+fn sleeps_once(delay: Duration) -> SimulatorBuilder {
+    let slept = Arc::new(AtomicBool::new(false));
+    template(1).policy(move || SleepsOnce {
+        slept: Arc::clone(&slept),
+        delay,
+    })
+}
+
 fn start(config: ServerConfig) -> (SocketAddr, thread::JoinHandle<()>) {
     let server = JobServer::bind("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
@@ -85,25 +122,20 @@ fn shutdown(addr: SocketAddr, handle: thread::JoinHandle<()>) {
 #[test]
 fn backpressure_is_typed_and_immediate() {
     let qasm = to_qasm(&generators::ghz(4)).expect("export qasm");
+    // Slow the first job down so submissions pile up behind it.
     let config = ServerConfig::new()
-        .template(template(1))
+        .template(sleeps_once(Duration::from_millis(300)))
         .queue_capacity(1)
         .quota(Quota {
             burst: 3.0,
             refill_per_sec: 0.001,
         });
-    let server = JobServer::bind("127.0.0.1:0", config).expect("bind");
-    // Slow the first pool task down so submissions pile up behind it.
-    server.pool().inject_faults(Some(
-        FaultPlan::new().delay_on(0..1, Duration::from_millis(300)),
-    ));
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run().expect("server run"));
+    let (addr, handle) = start(config);
 
     let (status, _) = http(addr, "POST", "/jobs?shots=32&client=alice", &qasm);
     assert_eq!(status, 202);
-    // Give the runner a beat to pop job 1 into execution (where the
-    // injected delay holds it), freeing the queue slot for job 2.
+    // Give the runner a beat to pop job 1 into execution (where its
+    // policy's sleep holds it), freeing the queue slot for job 2.
     thread::sleep(Duration::from_millis(100));
     let (status, _) = http(addr, "POST", "/jobs?shots=32&client=alice", &qasm);
     assert_eq!(status, 202);
@@ -391,7 +423,7 @@ fn a_deadline_bounds_the_partials_pass() {
         .find(|l| l.contains("\"type\":\"error\""))
         .unwrap_or_else(|| panic!("no error event:\n{stream}"));
     assert!(
-        error.contains("job 0 exceeded its 0ns deadline (attempt 1)"),
+        error.contains("job 0 exceeded its 0ns deadline\""),
         "{error}"
     );
     assert!(!stream.contains("\"type\":\"result\""));
@@ -405,13 +437,8 @@ fn a_deadline_bounds_the_partials_pass() {
 #[test]
 fn shutdown_drains_admitted_jobs() {
     let qasm = to_qasm(&generators::ghz(4)).expect("export qasm");
-    let config = ServerConfig::new().template(template(1));
-    let server = JobServer::bind("127.0.0.1:0", config).expect("bind");
-    server.pool().inject_faults(Some(
-        FaultPlan::new().delay_on(0..1, Duration::from_millis(200)),
-    ));
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run().expect("server run"));
+    let config = ServerConfig::new().template(sleeps_once(Duration::from_millis(200)));
+    let (addr, handle) = start(config);
 
     let (status, body) = http(addr, "POST", "/jobs?shots=64", &qasm);
     assert_eq!(status, 202);

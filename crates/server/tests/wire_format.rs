@@ -67,7 +67,7 @@ const STREAM_A: &[&str] = &[
     r#"{"type":"trace","job":1,"event":"gate_applied","op_index":5,"gates_applied":6,"live_nodes":5}"#,
     r#"{"type":"trace","job":1,"event":"gate_applied","op_index":6,"gates_applied":7,"live_nodes":5}"#,
     r#"{"type":"trace","job":1,"event":"run_finished","gates_applied":7,"rounds":2,"fidelity":0.9387912809451865,"fidelity_lower_bound":0.9}"#,
-    r#"{"type":"result","job":1,"fingerprint":"<fingerprint>","circuit":"qasm","n_qubits":4,"gates_applied":7,"approx_rounds":2,"fidelity":0.9387912809451865,"fidelity_lower_bound":0.9,"peak_size":5,"final_size":5,"counts":{"0":3,"3":4,"7":1},"expectation":null,"worker":0,"attempts":1,"degraded":false}"#,
+    r#"{"type":"result","job":1,"fingerprint":"<fingerprint>","circuit":"qasm","n_qubits":4,"gates_applied":7,"approx_rounds":2,"fidelity":0.9387912809451865,"fidelity_lower_bound":0.9,"peak_size":5,"final_size":5,"counts":{"0":3,"3":4,"7":1},"expectation":null,"worker":0}"#,
 ];
 
 /// Request B's stream as job 3, its `partial` lines left out (their
@@ -86,7 +86,7 @@ const STREAM_B: &[&str] = &[
     r#"{"type":"trace","job":3,"event":"gate_applied","op_index":6,"gates_applied":7,"live_nodes":7}"#,
     r#"{"type":"trace","job":3,"event":"run_finished","gates_applied":7,"rounds":0,"fidelity":1,"fidelity_lower_bound":1}"#,
     r#"{"type":"histogram","job":3,"source":"sharded_sampling","shots":4096,"counts":{"0":963,"3":985,"4":951,"7":953,"9":63,"10":61,"13":63,"14":57}}"#,
-    r#"{"type":"result","job":3,"fingerprint":"<fingerprint>","circuit":"qasm","n_qubits":4,"gates_applied":7,"approx_rounds":0,"fidelity":1,"fidelity_lower_bound":1,"peak_size":7,"final_size":7,"counts":null,"expectation":null,"worker":0,"attempts":1,"degraded":false}"#,
+    r#"{"type":"result","job":3,"fingerprint":"<fingerprint>","circuit":"qasm","n_qubits":4,"gates_applied":7,"approx_rounds":0,"fidelity":1,"fidelity_lower_bound":1,"peak_size":7,"final_size":7,"counts":null,"expectation":null,"worker":0}"#,
 ];
 
 const PARTIAL_KEYS: &[&str] = &[
@@ -104,7 +104,7 @@ const STREAM_C: &[&str] = &[
     r#"{"type":"accepted","job":4,"circuit":"qasm","n_qubits":4,"shots":0,"priority":0,"client":"anon"}"#,
     r#"{"type":"started","job":4}"#,
     r#"{"type":"session","job":4,"family":"<family>","warm":true,"frozen_nodes":23,"cached_gates":7}"#,
-    r#"{"type":"error","job":4,"kind":"exec","error":"execution failed: job 0 exceeded its 0ns deadline (attempt 1)"}"#,
+    r#"{"type":"error","job":4,"kind":"exec","error":"execution failed: job 0 exceeded its 0ns deadline"}"#,
 ];
 
 /// Every leaf of `GET /stats`, in document order, as `section.key`.
@@ -130,7 +130,6 @@ const STATS_KEYS: &[&str] = &[
     "pool.queue_depth",
     "pool.max_queue_depth",
     "pool.panics",
-    "pool.retries",
     "pool.deadline_exceeded",
     "pool.jobs_completed",
     "pool.shots_drawn",
@@ -171,7 +170,7 @@ const GAUGES: &[&str] = &[
 ];
 
 /// The numbers served by both endpoints: `/stats` leaf, `/metrics`
-/// gauge. (`panics`, `retries` and `deadline_exceeded` are `/stats`
+/// gauge. (`panics` and `deadline_exceeded` are `/stats`
 /// only — the registry counts them as `_total` counters at their
 /// sites; the two `ct` gauges are `/metrics` only.)
 const SHARED: &[(&str, &str)] = &[

@@ -2,11 +2,10 @@
 //! "Determinism contract"): one root seed, one job list, one result,
 //! whatever the execution configuration.
 //!
-//! A configuration is a [`Row`] over six axes: worker count, `add`
+//! A configuration is a [`Row`] over five axes: worker count, `add`
 //! table size, one-circuit snapshots (the server's warm sessions, or
-//! the same done in-process), injected faults under retry, telemetry,
-//! and the path in (a direct pool call, or QASM over TCP to a
-//! [`JobServer`]). [`ROWS`] is a pairwise covering array over them:
+//! the same done in-process), telemetry, and the path in (a direct
+//! pool call, or QASM over TCP to a [`JobServer`]). [`ROWS`] is a pairwise covering array over them:
 //! every pair of levels of every two axes meets in some row, which is
 //! where interaction bugs (one axis breaking only under another) live.
 //! Each fixed seed in [`SEEDS`] names one batch of jobs; every row must
@@ -27,11 +26,9 @@ use std::thread;
 use approxdd::circuit::generators;
 use approxdd::circuit::qasm::{from_qasm, to_qasm};
 use approxdd::circuit::Circuit;
-use approxdd::exec::{
-    silence_injected_panics, BackendPool, BuildPool, FaultPlan, PoolJob, PoolOutcome,
-};
+use approxdd::exec::{BuildPool, PoolJob, PoolOutcome};
 use approxdd::server::{JobServer, ServerConfig};
-use approxdd::sim::{RetryPolicy, Simulator, SimulatorBuilder, Strategy};
+use approxdd::sim::{Simulator, SimulatorBuilder, Strategy};
 use approxdd::telemetry;
 
 /// The batches: each seed is one batch and the template's root seed.
@@ -48,36 +45,33 @@ struct Row {
     /// own circuit, as the server runs it. Served: one warm session
     /// instead of none.
     snapshot: bool,
-    /// A seeded fault plan (panics, delays, aborts) under three
-    /// attempts per job.
-    faults: bool,
     telemetry: bool,
     served: bool,
 }
 
-/// A pairwise covering array, row 0 the reference. Six rows cannot
-/// cover every pair; none of seven with this row 0 was found.
+/// A pairwise covering array, row 0 the reference. Six rows are the
+/// fewest that can meet the 3 × 2 level pairs of the worker count and
+/// any other axis: each worker count has two rows, whose binary levels
+/// are complements, and the binary parts of the six rows meet all four
+/// level pairs of every two binary axes.
 #[rustfmt::skip]
-const ROWS: [Row; 8] = [
-    Row { workers: 1, tiny_cache: false, snapshot: false, faults: false, telemetry: false, served: false },
-    Row { workers: 1, tiny_cache: true,  snapshot: true,  faults: false, telemetry: false, served: true },
-    Row { workers: 1, tiny_cache: false, snapshot: false, faults: true,  telemetry: true,  served: true },
-    Row { workers: 2, tiny_cache: true,  snapshot: false, faults: true,  telemetry: false, served: true },
-    Row { workers: 2, tiny_cache: false, snapshot: true,  faults: false, telemetry: true,  served: false },
-    Row { workers: 8, tiny_cache: true,  snapshot: true,  faults: false, telemetry: true,  served: false },
-    Row { workers: 8, tiny_cache: false, snapshot: false, faults: true,  telemetry: false, served: true },
-    Row { workers: 8, tiny_cache: false, snapshot: true,  faults: true,  telemetry: true,  served: false },
+const ROWS: [Row; 6] = [
+    Row { workers: 1, tiny_cache: false, snapshot: false, telemetry: false, served: false },
+    Row { workers: 1, tiny_cache: true,  snapshot: true,  telemetry: true,  served: true },
+    Row { workers: 2, tiny_cache: false, snapshot: true,  telemetry: true,  served: false },
+    Row { workers: 2, tiny_cache: true,  snapshot: false, telemetry: false, served: true },
+    Row { workers: 8, tiny_cache: false, snapshot: true,  telemetry: false, served: true },
+    Row { workers: 8, tiny_cache: true,  snapshot: false, telemetry: true,  served: false },
 ];
 
 impl Row {
     /// The row's level on each axis, as an index.
-    fn levels(self) -> [usize; 6] {
+    fn levels(self) -> [usize; 5] {
         let worker_level = [1, 2, 8].iter().position(|&w| w == self.workers);
         [
             worker_level.expect("workers is one of 1, 2, 8"),
             usize::from(self.tiny_cache),
             usize::from(self.snapshot),
-            usize::from(self.faults),
             usize::from(self.telemetry),
             usize::from(self.served),
         ]
@@ -92,17 +86,7 @@ impl Row {
         if self.tiny_cache {
             b = b.compute_cache_bits(2);
         }
-        if self.faults {
-            b = b.retry(RetryPolicy::new(3));
-        }
         b
-    }
-
-    fn inject_faults(self, pool: &BackendPool, seed: u64) {
-        if self.faults {
-            let plan = FaultPlan::seeded(seed).rates(0.15, 0.2, 0.15).panic_on([0]);
-            pool.inject_faults(Some(plan));
-        }
     }
 }
 
@@ -195,7 +179,6 @@ fn fingerprints(row: Row, seed: u64, jobs: &[Job]) -> Vec<u64> {
     }
     let template = row.template(seed);
     let pool = template.clone().build_pool();
-    row.inject_faults(&pool, seed);
     let results = if row.snapshot {
         jobs.iter()
             .flat_map(|job| {
@@ -222,7 +205,7 @@ fn fingerprints(row: Row, seed: u64, jobs: &[Job]) -> Vec<u64> {
     } else {
         assert_eq!(stats.snapshot_gate_hits(), 0, "{what}");
     }
-    assert_eq!(stats.retries > 0, row.faults, "{what}");
+    assert_eq!(stats.panics, 0, "{what}");
     assert!(outcomes.iter().any(|o| o.stats.approx_rounds > 0), "{what}");
     let gc_runs = |o: &PoolOutcome| o.stats.dd.as_ref().map_or(0, |p| p.gc_runs);
     assert!(outcomes.iter().any(|o| gc_runs(o) > 0), "{what}");
@@ -246,7 +229,6 @@ fn served_fingerprints(row: Row, seed: u64, jobs: &[Job]) -> Vec<u64> {
         .template(row.template(seed))
         .sessions(usize::from(row.snapshot));
     let server = JobServer::bind("127.0.0.1:0", config).expect("bind");
-    row.inject_faults(server.pool(), seed);
     let addr = server.local_addr();
     let handle = thread::spawn(move || server.run().expect("server run"));
 
@@ -262,9 +244,6 @@ fn served_fingerprints(row: Row, seed: u64, jobs: &[Job]) -> Vec<u64> {
                 .lines()
                 .find(|l| l.contains("\"type\":\"result\""))
                 .unwrap_or_else(|| panic!("no result event ({what}):\n{stream}"));
-            if row.faults {
-                assert_eq!(field(result, "attempts"), Some("2"), "{what}");
-            }
             warm |= stream.contains("\"warm\":true");
             let fingerprint = field(result, "fingerprint").expect("fingerprint");
             u64::from_str_radix(fingerprint, 16).expect("hex fingerprint")
@@ -280,8 +259,7 @@ fn served_fingerprints(row: Row, seed: u64, jobs: &[Job]) -> Vec<u64> {
         row.snapshot,
         "{what}: {stats}"
     );
-    assert_eq!(count("retries") > 0, row.faults, "{what}: {stats}");
-    assert_eq!(count("panics") >= 1, row.faults, "{what}: {stats}");
+    assert_eq!(count("panics"), 0, "{what}: {stats}");
 
     assert_eq!(http(addr, "POST", "/shutdown", "").0, 200);
     handle.join().expect("server thread");
@@ -314,8 +292,8 @@ fn field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
 
 #[test]
 fn rows_cover_every_pair_of_levels() {
-    const LEVELS: [usize; 6] = [3, 2, 2, 2, 2, 2];
-    assert_eq!(ROWS[0].levels(), [0; 6], "row 0 is the reference");
+    const LEVELS: [usize; 5] = [3, 2, 2, 2, 2];
+    assert_eq!(ROWS[0].levels(), [0; 5], "row 0 is the reference");
     for (a, &levels_a) in LEVELS.iter().enumerate() {
         for (b, &levels_b) in LEVELS.iter().enumerate().skip(a + 1) {
             for (x, y) in (0..levels_a).flat_map(|x| (0..levels_b).map(move |y| (x, y))) {
@@ -331,7 +309,6 @@ fn rows_cover_every_pair_of_levels() {
 
 #[test]
 fn every_row_reproduces_the_reference() {
-    silence_injected_panics();
     let batches: Vec<_> = SEEDS.iter().map(|&seed| (seed, batch(seed))).collect();
     // Every (row, seed) pair runs on its own thread, but only beside
     // rows at the same telemetry level: the flag is process-wide.
