@@ -23,6 +23,15 @@
 //! below hold it to a memo-less recursion). It is emptied with the
 //! compute table, too: at GC and at a canonical-ratio reset.
 //!
+//! Emptying a hash map keeps its buckets, so a memo that one large
+//! `apply` grew stayed that large through every later call — about
+//! 1 MiB through the peak steps of a Table I Shor run. `apply`
+//! therefore drops a memo whose capacity went past [`MV_MEMO_FLOOR`]
+//! entries once it returns, and the next call that needs more grows a
+//! fresh one. Below the floor, where most gates of a small state stay,
+//! the map is kept, so they do not allocate on every call. This
+//! decides only which calls allocate, never which lookups hit.
+//!
 //! `mul_mm` and `inner_product` have one-shot callers only (the gate
 //! builders' `U · U† = I` oracle, `Package::norm`, a fidelity between
 //! two results), so each public call builds a map keyed like the memo,
@@ -140,6 +149,11 @@ use crate::edge::{MEdge, NodeId, VEdge};
 use crate::fasthash::FxHashMap;
 use crate::package::Package;
 
+/// Entries of `mul_mv`'s memo whose storage outlives the `apply` that
+/// filled them: a memo that grew past this is dropped, not emptied
+/// (module docs, "The per-call memos").
+const MV_MEMO_FLOOR: usize = 4096;
+
 /// Whether a node on level `var` sits directly above the terminal
 /// (see the module docs on the terminal-level rule).
 #[inline]
@@ -251,7 +265,11 @@ impl Package {
     #[must_use]
     pub fn apply(&mut self, m: MEdge, v: VEdge) -> VEdge {
         self.mv_memo.clear();
-        self.mul_mv(m, v)
+        let res = self.mul_mv(m, v);
+        if self.mv_memo.capacity() > MV_MEMO_FLOOR {
+            self.mv_memo = FxHashMap::default();
+        }
+        res
     }
 
     /// Matrix–vector product (see [`Package::apply`]).
@@ -1447,6 +1465,48 @@ mod tests {
         assert!(p.ct.live_keys().all(|k| vvar(k.0) > 0 && vvar(k.1) > 0));
         assert!(!p.mv_memo.is_empty());
         assert!(p.mv_memo.keys().all(|k| mvar(k.0) > 0 && vvar(k.1) > 0));
+    }
+
+    #[test]
+    fn apply_gives_a_memo_past_the_floor_back() {
+        // A 14-qubit state of a few thousand nodes, and a gate on qubit
+        // 1: the recursion walks every node above level 0 under a
+        // non-identity operator node and memoizes each.
+        let n = 14;
+        let mut p = Package::new();
+        let mut v = p.zero_state(n);
+        for layer in 0..3 {
+            for q in 0..n {
+                let kind = if (q + layer) % 2 == 0 {
+                    GateKind::H
+                } else {
+                    GateKind::T
+                };
+                let g = p.single_gate(n, q, kind.matrix()).unwrap();
+                let cx = p
+                    .controlled_gate(n, &[q], (q + 1 + layer) % n, GateKind::X.matrix())
+                    .unwrap();
+                v = p.apply(g, v);
+                v = p.apply(cx, v);
+                assert!(p.mv_memo.capacity() <= MV_MEMO_FLOOR);
+            }
+        }
+        let g = p.single_gate(n, 1, GateKind::H.matrix()).unwrap();
+        // The recursion alone leaves its memo behind, past the floor.
+        p.mv_memo.clear();
+        let left = p.mul_mv(g, v);
+        let entries = p.mv_memo.len();
+        assert!(p.mv_memo.capacity() > MV_MEMO_FLOOR, "{entries} entries");
+        // `apply` computes the same edge and gives the storage back.
+        let applied = p.apply(g, v);
+        assert_eq!(applied, left);
+        assert_eq!(p.mv_memo.capacity(), 0, "{entries} entries kept");
+        // Below the floor the map is kept for the next call.
+        let small = ghz(&mut p, Package::apply, 6);
+        let h = p.single_gate(6, 3, GateKind::H.matrix()).unwrap();
+        let _ = p.apply(h, small);
+        assert!(!p.mv_memo.is_empty());
+        assert!(p.mv_memo.capacity() <= MV_MEMO_FLOOR);
     }
 
     #[test]

@@ -32,11 +32,23 @@
 //! per non-trivial `add`. A ratio whose bucket is already held is
 //! answered and never resets anything. Only a call that would insert a
 //! **new** bucket while the table holds [`RATIO_CANON_CAP`] entries past
-//! its pinned prefix empties the table down to that prefix first (its
-//! index and value array keep their memory) and reports `reset = true`,
-//! upon which the package clears the compute table and the `mul_mv`
-//! memo: their results embed canonical-ratio bits, so a surviving entry
-//! could disagree with a post-reset recomputation.
+//! its pinned prefix empties the table down to that prefix first and
+//! reports `reset = true`, upon which the package clears the compute
+//! table and the `mul_mv` memo: their results embed canonical-ratio
+//! bits, so a surviving entry could disagree with a post-reset
+//! recomputation.
+//!
+//! A reset gives the memory back. The index is rebuilt at the smallest
+//! power of two that holds the prefix at ≤ 50 % load (at least 64
+//! slots), and the value array keeps room for half of it, so the table
+//! regrows by doubling from the size of what survived. Without a prefix
+//! that frees the 6 MiB a table holds at the cap; the few hundred
+//! ratios a Table I run adds after its reset sit in a 512-slot index.
+//! Keeping the cap's capacity instead made the empty table cost as much
+//! as a full one until the end of the run, when the arenas are fullest.
+//! The layout is invisible to results, so the rebuild changes nothing
+//! but the footprint: the survivors keep their positions, and
+//! first-write-wins is untouched.
 //!
 //! Reset timing is therefore a function of the sequence of *new*
 //! buckets, not of every call. That distinction is what makes results
@@ -67,8 +79,10 @@ use crate::fasthash::FxHasher;
 /// slots double while `2 · entries` would exceed them, so at the cap a
 /// table without a prefix holds 2^18 values (4 MiB) behind a 2^19-slot
 /// index (2 MiB): 6 MiB (at most 7 MiB for the instant the last doubling
-/// moves the values, then rebuilds the index). A new bucket at the cap empties the table and
-/// the compute table — see the module docs.
+/// moves the values, then rebuilds the index). A new bucket at the cap
+/// empties the table and the compute table and frees the 6 MiB: the
+/// table starts again at the size its pinned prefix needs — see the
+/// module docs.
 pub(crate) const RATIO_CANON_CAP: usize = 1 << 18;
 
 /// Index slots of a table's first allocation (power of two).
@@ -188,23 +202,25 @@ impl RatioTable {
     fn grow(&mut self, tol: Tolerance) {
         let new_slots = (self.slots.len() * 2).max(INITIAL_SLOTS);
         self.values.reserve_exact(new_slots / 2 - self.values.len());
+        self.reindex(tol, new_slots);
+    }
+
+    /// Forgets every representative but the first `keep` and gives the
+    /// rest of the memory back: the index shrinks to the smallest one
+    /// that holds `keep` at ≤ 50 % load, the value array to half of it.
+    fn truncate(&mut self, tol: Tolerance, keep: usize) {
+        let slots = (keep * 2).next_power_of_two().max(INITIAL_SLOTS);
+        self.values.truncate(keep);
+        self.values.shrink_to(slots / 2);
+        self.reindex(tol, slots);
+    }
+
+    /// Replaces the index by a vacant one of `slots` slots and points it
+    /// at every representative under its recomputed bucket.
+    fn reindex(&mut self, tol: Tolerance, slots: usize) {
         // The old index goes before the new one is allocated.
         self.slots = Vec::new();
-        self.slots = vec![0; new_slots];
-        self.reindex(tol);
-    }
-
-    /// Forgets every representative but the first `keep`, keeping the
-    /// index and the value array's memory.
-    fn truncate(&mut self, tol: Tolerance, keep: usize) {
-        self.values.truncate(keep);
-        self.slots.fill(0);
-        self.reindex(tol);
-    }
-
-    /// Points the (vacant) index at every representative under its
-    /// recomputed bucket.
-    fn reindex(&mut self, tol: Tolerance) {
+        self.slots = vec![0; slots];
         for (at, &value) in self.values.iter().enumerate() {
             let (idx, _) = self
                 .probe(tol, tol.key(value))
@@ -431,7 +447,44 @@ mod tests {
         assert_eq!(table.bytes(), (2 << 20) + (4 << 20), "6 MiB");
         assert!(table.canonical(tol, Cplx::ONE).3, "the next call resets");
         assert_eq!(table.table.len(), 1);
-        assert_eq!(table.bytes(), (2 << 20) + 16);
-        assert_eq!(table.table.values.capacity(), RATIO_CANON_CAP, "kept");
+        // The reset gave the 6 MiB back: a table without a prefix starts
+        // again at its first allocation.
+        assert_eq!(table.table.slots.len(), INITIAL_SLOTS);
+        assert_eq!(table.bytes(), INITIAL_SLOTS * 4 + 16);
+        assert_eq!(table.table.values.capacity(), INITIAL_SLOTS / 2);
+    }
+
+    #[test]
+    fn a_reset_shrinks_to_what_the_pinned_prefix_needs() {
+        let tol = Tolerance::default();
+        #[allow(clippy::cast_precision_loss)]
+        let ratio = |i: usize| Cplx::new(i as f64 * 1e-6, 1.0);
+        let mut base = RatioCanon::new();
+        for i in 0..300 {
+            base.canonical(tol, ratio(i));
+        }
+        let mut fork = base.fork().with_cap(2_000);
+        let positions: Vec<u32> = (0..300).map(|i| fork.canonical(tol, ratio(i)).2).collect();
+        for i in 300..2_300 {
+            assert!(!fork.canonical(tol, ratio(i)).3);
+        }
+        assert_eq!(fork.table.slots.len(), 8192);
+        assert!(
+            fork.canonical(tol, ratio(2_300)).3,
+            "a new bucket at the cap resets"
+        );
+        // 300 pinned values and one new one: 1024 slots hold them at
+        // ≤ 50 % load, 512 do not.
+        assert_eq!(fork.table.len(), 301);
+        assert_eq!(fork.table.slots.len(), 1024);
+        assert_eq!(fork.table.values.capacity(), 512);
+        assert_eq!(fork.bytes(), 1024 * 4 + 301 * 16);
+        // The pinned values kept their positions and their buckets.
+        for (i, &position) in positions.iter().enumerate() {
+            let (_, value, at, reset) = fork.canonical(tol, ratio(i));
+            assert!(!reset);
+            assert_eq!(at, position);
+            assert_eq!(bits(value), bits(ratio(i)));
+        }
     }
 }

@@ -34,7 +34,11 @@
 //! shrank to 32 bytes (−1 MiB) and the arenas' free lists moved into
 //! the reference-count words of the freed slots, where
 //! `node_store_bytes` no longer counts them separately (−124 975 and
-//! −194 667 ids of 4 bytes). Every other literal is the same.
+//! −194 667 ids of 4 bytes). The supremacy run's was re-recorded once
+//! more, from 22 090 508 (−2 095 104 B), when a canonical-ratio reset
+//! began to give its memory back: the run resets once, and its index
+//! ends at 512 slots instead of 2^19. The Shor run never resets. Every
+//! other literal is the same.
 
 use approxdd::circuit::{generators, Circuit};
 use approxdd::dd::PackageStats;
@@ -82,7 +86,7 @@ fn memory_driven_supremacy_allocates_what_it_did_before() {
             mnodes_peak: 751,
             gc_runs: 1,
             gc_freed: 266_529,
-            node_store_bytes: 22_090_508,
+            node_store_bytes: 19_995_404,
         }
     );
     assert!(p.identity_skips > 0);

@@ -4,68 +4,18 @@
 //! per-node arrays while it selects and rebuilds (`crates/dd/src/approx.rs`,
 //! "What a round touches"). It runs when the arenas are fullest, so
 //! whatever those arrays hold at once lands on the process high-water
-//! mark. This binary counts every heap byte through its own global
-//! allocator and holds one budget round on a memory-driven Table I state
-//! to a ceiling per analysed node, net of what the round adds to the
-//! node store (the nodes it interns are the result, not scratch).
+//! mark. This binary counts every heap byte through the global allocator
+//! of `tests/counting/mod.rs` and holds one budget round on a
+//! memory-driven Table I state to a ceiling per analysed node, net of
+//! what the round adds to the node store (the nodes it interns are the
+//! result, not scratch).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod counting;
 
 use approxdd::circuit::generators;
 use approxdd::sim::{Simulator, Strategy};
 
-/// The system allocator, counting the bytes it holds and their maximum.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-impl Counting {
-    fn grew(by: usize) {
-        let now = LIVE.fetch_add(by, Ordering::Relaxed) + by;
-        PEAK.fetch_max(now, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every call forwards to `System` with the caller's arguments;
-// the counters only observe.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            Self::grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            Self::grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new_size);
-        if !q.is_null() {
-            // A moving realloc holds both blocks while it copies: count
-            // the new one before the old one goes.
-            Self::grew(new_size);
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
+use counting::Counting;
 
 #[test]
 fn a_budget_round_needs_at_most_24_bytes_per_analysed_node() {
@@ -87,12 +37,11 @@ fn a_budget_round_needs_at_most_24_bytes_per_analysed_node() {
     assert!(nodes >= 50_000, "a memory-driven state of {nodes} nodes");
 
     let store_before = p.stats().node_store_bytes;
-    let live_before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live_before, Ordering::Relaxed);
+    let live_before = Counting::restart_peak();
     let round = p
         .truncate(state, 1.0 - ROUND_FIDELITY)
         .expect("a unit-norm state");
-    let peak = PEAK.load(Ordering::Relaxed);
+    let peak = Counting::peak();
     let store_growth = p.stats().node_store_bytes.saturating_sub(store_before);
     assert_eq!(round.size_before, nodes);
     assert!(round.removed_nodes > 0, "the round removes nodes");
