@@ -6,6 +6,7 @@
 //! [`SimulatorBuilder::seed`].
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use approxdd_circuit::Circuit;
 
@@ -79,12 +80,20 @@ impl SimulatorBuilder {
     /// instance from it. Closures work directly:
     ///
     /// ```
-    /// use approxdd_sim::{ExactPolicy, Simulator};
+    /// use approxdd_sim::{ApproxPolicy, PolicyAction, PolicyCtx, Simulator};
     ///
-    /// let sim = Simulator::builder()
-    ///     .policy(|| ExactPolicy)
-    ///     .build();
-    /// assert_eq!(sim.policy_name(), "exact");
+    /// struct Never;
+    /// impl ApproxPolicy for Never {
+    ///     fn name(&self) -> &str {
+    ///         "never"
+    ///     }
+    ///     fn decide(&mut self, _ctx: &PolicyCtx) -> PolicyAction {
+    ///         PolicyAction::Continue
+    ///     }
+    /// }
+    ///
+    /// let sim = Simulator::builder().policy(|| Never).build();
+    /// assert_eq!(sim.policy_name(), "never");
     /// ```
     ///
     /// Replaces the policy set by any earlier call.
@@ -99,10 +108,16 @@ impl SimulatorBuilder {
         self
     }
 
-    /// The policy factory the built simulator will use.
-    #[must_use]
-    pub fn current_policy(&self) -> Arc<dyn PolicyFactory> {
-        Arc::clone(&self.policy)
+    /// Gives every run of the built simulator a wall-clock budget. The
+    /// clock starts when a run begins, before its policy's
+    /// [`crate::ApproxPolicy::begin`], and is checked after every
+    /// operation, before the policy decides: past the budget the run
+    /// stops with [`crate::SimError::DeadlineExceeded`], whatever the
+    /// policy. A single long operation can overshoot it. Unset, runs
+    /// have no deadline.
+    pub fn deadline(mut self, budget: Duration) -> Self {
+        self.options.deadline = Some(budget);
+        self
     }
 
     /// Attaches a run-trace observer; the built simulator reports every
@@ -285,10 +300,44 @@ mod tests {
             .gc_node_threshold(1234)
             .record_size_series(true)
             .seed(7);
-        assert_eq!(b.current_policy().build().name(), "fidelity-driven");
         let o = &b.options;
         assert_eq!(o.gc_node_threshold, 1234);
         assert!(o.record_size_series);
+        assert_eq!(o.deadline, None);
+        assert_eq!(b.build().policy_name(), "fidelity-driven");
+    }
+
+    #[test]
+    fn a_deadline_bounds_every_run_of_the_built_simulator() {
+        let circuit = generators::ghz(4);
+        // A zero budget is spent at the first check: after operation 0.
+        let mut sim = Simulator::builder().deadline(Duration::ZERO).build();
+        let err = sim.run(&circuit).expect_err("a zero budget is spent");
+        assert_eq!(
+            err,
+            crate::SimError::DeadlineExceeded {
+                op_index: 0,
+                budget: Duration::ZERO
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "the run exceeded its 0ns deadline after operation 0"
+        );
+        // The failed run released its root: a collection frees its state.
+        sim.package_mut().collect_garbage();
+        assert_eq!(sim.package().stats().vnodes_alive, 0);
+        // A budget that never runs out changes no bit of the result.
+        let long = Duration::from_secs(3600);
+        let strategy = Strategy::memory_driven_table1(24, 0.95);
+        let run = |builder: SimulatorBuilder| {
+            let mut sim = builder.strategy(strategy).build();
+            let run = sim.run(&generators::supremacy(2, 3, 14, 2)).unwrap();
+            (run.stats.approx_rounds, run.stats.fidelity.to_bits())
+        };
+        let unbounded = run(Simulator::builder());
+        assert!(unbounded.0 > 0, "the threshold must fire");
+        assert_eq!(run(Simulator::builder().deadline(long)), unbounded);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::time::Duration;
 
 use approxdd_circuit::CircuitError;
 use approxdd_dd::DdError;
@@ -34,6 +35,16 @@ pub enum SimError {
         /// Name of the aborting policy.
         policy: String,
     },
+    /// The run's wall-clock budget ([`crate::SimulatorBuilder::deadline`])
+    /// ran out: checked after every operation, before the policy
+    /// decides.
+    DeadlineExceeded {
+        /// Index of the first operation after which the budget was
+        /// found spent.
+        op_index: usize,
+        /// The run's wall-clock budget.
+        budget: Duration,
+    },
     /// A basis-state query indexed outside the run's register.
     BasisOutOfRange {
         /// The requested basis index.
@@ -57,6 +68,10 @@ impl fmt::Display for SimError {
                 f,
                 "policy '{policy}' aborted the run after operation {op_index}"
             ),
+            SimError::DeadlineExceeded { op_index, budget } => write!(
+                f,
+                "the run exceeded its {budget:?} deadline after operation {op_index}"
+            ),
             SimError::BasisOutOfRange { basis, n_qubits } => {
                 write!(f, "basis state {basis} outside a {n_qubits}-qubit register")
             }
@@ -72,6 +87,7 @@ impl Error for SimError {
             SimError::InvalidStrategy { .. }
             | SimError::WidthMismatch { .. }
             | SimError::PolicyAbort { .. }
+            | SimError::DeadlineExceeded { .. }
             | SimError::BasisOutOfRange { .. } => None,
         }
     }

@@ -7,25 +7,31 @@
 //!
 //! * [`Strategy::MemoryDriven`] (Sec. IV-B) — reactive: after each gate,
 //!   if the DD exceeds a node threshold, truncate targeting a per-round
-//!   fidelity and double the threshold (garbage-collection style).
+//!   fidelity and grow the threshold (garbage-collection style).
 //! * [`Strategy::FidelityDriven`] (Sec. IV-C) — proactive: given a
-//!   required final fidelity `f_final` and per-round `f_round`, run
+//!   target final fidelity `f_final` and per-round `f_round`, run
 //!   `⌊log_{f_round} f_final⌋` truncation rounds at circuit-block
 //!   boundaries ([`approxdd_circuit::Operation::ApproxPoint`] markers)
 //!   or evenly spaced when no markers exist.
 //!
-//! Because each truncation reports its *exact* fidelity (the kept norm)
-//! and fidelity is multiplicative across rounds (Lemma 1, proved in the
-//! paper and property-tested in this workspace), the simulator reports
-//! the exact end-to-end fidelity in [`SimStats::fidelity`] without ever
-//! materializing the exact state.
+//! [`Strategy::Budget`] is their hybrid: memory-triggered rounds that
+//! stop once the target product reaches a final-fidelity budget.
 //!
-//! Both strategies are presets over an open seam: the [`ApproxPolicy`]
+//! Each truncation reports its *exact* fidelity (the kept norm), and the
+//! simulator reports the product of the rounds' fidelities (Lemma 1 of
+//! the paper) in [`SimStats::fidelity`] without ever materializing the
+//! exact state. With more than one round that product is an estimate of
+//! the end-to-end fidelity, and the product of the round *targets*
+//! ([`SimStats::fidelity_lower_bound`]) is a target: the true fidelity
+//! can end below either.
+//!
+//! Every strategy is a preset over an open seam: the [`ApproxPolicy`]
 //! trait decides, after every circuit operation, whether to continue,
 //! truncate, or abort; [`SimObserver`]s receive structured
 //! [`TraceEvent`]s auditing every decision. See the [`policy`] module
-//! for writing custom policies (e.g. the built-in [`BudgetPolicy`]
-//! hybrid) and observing runs.
+//! for writing custom policies and observing runs. A run's wall-clock
+//! deadline ([`SimulatorBuilder::deadline`]) is enforced by the
+//! simulator around any policy.
 //!
 //! # Examples
 //!
@@ -60,8 +66,8 @@ pub use builder::SimulatorBuilder;
 pub use error::SimError;
 pub use options::Strategy;
 pub use policy::{
-    ApproxPolicy, BudgetPolicy, DeadlineFactory, ExactPolicy, PolicyAction, PolicyCtx,
-    PolicyFactory, SharedObserver, SimObserver, TraceEvent, TraceRecorder,
+    ApproxPolicy, PolicyAction, PolicyCtx, PolicyFactory, SharedObserver, SimObserver, TraceEvent,
+    TraceRecorder,
 };
 pub use simulator::{RunResult, SimSnapshot, SimStats, Simulator};
 

@@ -1,5 +1,7 @@
 //! Simulation options and approximation strategies.
 
+use std::time::Duration;
+
 use crate::error::SimError;
 
 /// The approximation strategy applied during simulation.
@@ -36,12 +38,31 @@ pub enum Strategy {
     },
     /// Section IV-C: schedule `⌊log_{f_round} f_final⌋` rounds before
     /// simulating, at circuit block markers or evenly spaced, so the
-    /// final fidelity is guaranteed to stay above `final_fidelity`.
+    /// product of the round targets stays at or above `final_fidelity`.
+    /// That product is a target, not a bound: the true final fidelity
+    /// can end below it.
     FidelityDriven {
-        /// Required final fidelity `f_final` in `(0, 1]`.
+        /// Target final fidelity `f_final` in `(0, 1]`.
         final_fidelity: f64,
         /// Per-round target fidelity `f_round` in `(0, 1)`.
         round_fidelity: f64,
+    },
+    /// The hybrid of Sections IV-B and IV-C (new in this workspace):
+    /// after each applied gate, if the state DD exceeds the fixed
+    /// `node_threshold`, truncate targeting `round_fidelity` — but only
+    /// while spending that round keeps the target product
+    /// ([`crate::PolicyCtx::fidelity_lower_bound`]) at or above
+    /// `final_fidelity`. Memory stays bounded while the budget lasts,
+    /// and the run goes on exactly once it is spent. Built by
+    /// [`Strategy::budget`].
+    Budget {
+        /// Fixed node-count threshold (as in the Table I regime).
+        node_threshold: usize,
+        /// Per-round target fidelity in `(0, 1)`.
+        round_fidelity: f64,
+        /// The target product the rounds may spend down to, in
+        /// `(0, 1]`.
+        final_fidelity: f64,
     },
 }
 
@@ -89,6 +110,18 @@ impl Strategy {
         Strategy::FidelityDriven {
             final_fidelity,
             round_fidelity,
+        }
+    }
+
+    /// The budget hybrid ([`Strategy::Budget`]): memory trigger at
+    /// `node_threshold`, per-round target `round_fidelity`, total
+    /// budget `final_fidelity`.
+    #[must_use]
+    pub fn budget(node_threshold: usize, round_fidelity: f64, final_fidelity: f64) -> Self {
+        Strategy::Budget {
+            node_threshold,
+            round_fidelity,
+            final_fidelity,
         }
     }
 
@@ -144,6 +177,28 @@ impl Strategy {
                 }
                 Ok(())
             }
+            Strategy::Budget {
+                node_threshold,
+                round_fidelity,
+                final_fidelity,
+            } => {
+                if node_threshold == 0 {
+                    return Err(SimError::InvalidStrategy {
+                        reason: "budget node threshold must be positive",
+                    });
+                }
+                if !(round_fidelity > 0.0 && round_fidelity < 1.0) {
+                    return Err(SimError::InvalidStrategy {
+                        reason: "budget round fidelity must lie in (0, 1)",
+                    });
+                }
+                if !(final_fidelity > 0.0 && final_fidelity <= 1.0) {
+                    return Err(SimError::InvalidStrategy {
+                        reason: "budget final fidelity must lie in (0, 1]",
+                    });
+                }
+                Ok(())
+            }
         }
     }
 
@@ -188,6 +243,9 @@ pub(crate) struct SimOptions {
     /// many-worker pools where per-worker footprint matters, up for
     /// deep single-session circuits with heavy structural reuse.
     pub(crate) compute_cache_bits: Option<u32>,
+    /// A run's wall-clock budget (default: none). See
+    /// [`crate::SimulatorBuilder::deadline`].
+    pub(crate) deadline: Option<Duration>,
 }
 
 impl Default for SimOptions {
@@ -196,6 +254,7 @@ impl Default for SimOptions {
             gc_node_threshold: 1 << 18,
             record_size_series: false,
             compute_cache_bits: None,
+            deadline: None,
         }
     }
 }
@@ -306,5 +365,29 @@ mod tests {
         assert!(Strategy::fidelity_driven(0.0, 0.9).validate().is_err());
         assert!(Strategy::fidelity_driven(1.5, 0.9).validate().is_err());
         assert!(Strategy::fidelity_driven(0.5, 0.0).validate().is_err());
+        // Budget: zero threshold, NaN / unit round fidelity, zero or
+        // above-one budget, each with its own reason.
+        let reason = |s: Strategy| match s.validate() {
+            Err(SimError::InvalidStrategy { reason }) => reason,
+            other => panic!("{s:?} validated as {other:?}"),
+        };
+        assert_eq!(
+            reason(Strategy::budget(0, 0.9, 0.5)),
+            "budget node threshold must be positive"
+        );
+        for round in [f64::NAN, 0.0, 1.0] {
+            assert_eq!(
+                reason(Strategy::budget(10, round, 0.5)),
+                "budget round fidelity must lie in (0, 1)"
+            );
+        }
+        for budget in [f64::NAN, 0.0, 1.5] {
+            assert_eq!(
+                reason(Strategy::budget(10, 0.9, budget)),
+                "budget final fidelity must lie in (0, 1]"
+            );
+        }
+        assert!(Strategy::budget(10, 0.9, 1.0).validate().is_ok());
+        assert_eq!(Strategy::budget(10, 0.9, 0.5).max_rounds(), 0);
     }
 }

@@ -9,11 +9,14 @@
 //! structured [`TraceEvent`]s so callers can audit every approximation
 //! decision without touching simulator internals.
 //!
-//! The closed [`Strategy`] enum survives as a thin preset layer: it
-//! implements [`PolicyFactory`], so `builder.strategy(s)` is
-//! `builder.policy(s)` and a pool job takes a preset through
-//! `PoolJob::policy` — the preset merely *constructs* the matching
-//! policy.
+//! The closed [`Strategy`] enum is the preset layer and the one place a
+//! preset is spelled: it implements [`PolicyFactory`] by building one
+//! crate-private policy that holds the strategy and its per-run state,
+//! so `builder.strategy(s)` is `builder.policy(s)` and a pool job takes
+//! a preset through `PoolJob::policy`.
+//!
+//! A wall-clock deadline is not a policy: the simulator enforces it
+//! around any policy (`SimulatorBuilder::deadline`).
 //!
 //! # Writing a policy
 //!
@@ -65,9 +68,7 @@
 //! assert!(matches!(events.last(), Some(TraceEvent::RunFinished { .. })));
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use approxdd_circuit::Circuit;
 
@@ -82,33 +83,19 @@ use crate::schedule::plan_rounds;
 pub struct PolicyCtx {
     /// Index of the current operation in `circuit.ops()`.
     pub(crate) op_index: usize,
-    /// Total number of operations in the circuit.
-    pub(crate) total_ops: usize,
     /// Whether the current operation applied a gate to the state (false
     /// for markers and barriers).
     pub applied_gate: bool,
-    /// Whether the current operation is an
-    /// [`approxdd_circuit::Operation::ApproxPoint`] block marker — the
-    /// scheduled round positions of the paper's Sec. IV-C.
-    pub(crate) at_marker: bool,
     /// Gates applied so far (including the current one).
     pub gates_applied: usize,
     /// Node count of the state DD right now.
     pub live_nodes: usize,
-    /// Maximum state-DD node count observed so far this run.
-    pub(crate) peak_nodes: usize,
-    /// Approximation rounds performed so far this run.
-    pub(crate) rounds_taken: usize,
     /// Product of the *target* fidelities of every round fired so far
-    /// that actually removed nodes — the guaranteed floor on the final
-    /// fidelity (1.0 before any round; no-op rounds provably keep
-    /// fidelity 1 and charge nothing). Budget-style policies spend
-    /// against this.
+    /// that actually removed nodes (1.0 before any round; no-op rounds
+    /// keep fidelity 1 and charge nothing). Budget-style policies spend
+    /// against this. It is a target, not a floor on the true fidelity:
+    /// a run's true final fidelity can end below it.
     pub fidelity_lower_bound: f64,
-    /// Product of the *measured* per-round fidelities so far — the
-    /// exact estimate [`crate::SimStats::fidelity`] reports (always ≥
-    /// [`PolicyCtx::fidelity_lower_bound`]).
-    pub(crate) fidelity_estimate: f64,
 }
 
 /// What a policy wants the simulator to do at the current operation.
@@ -245,55 +232,18 @@ impl<T: ApproxPolicy + ?Sized> ApproxPolicy for Box<T> {
     }
 }
 
-/// The preset layer: every [`Strategy`] variant constructs its matching
-/// policy, so enum-configured call sites run through the same seam as
-/// custom policies.
+/// The preset layer: every [`Strategy`] builds the one preset policy,
+/// so enum-configured call sites run through the same seam as custom
+/// policies.
 impl PolicyFactory for Strategy {
     fn build(&self) -> Box<dyn ApproxPolicy> {
-        match *self {
-            Strategy::Exact => Box::new(ExactPolicy),
-            Strategy::MemoryDriven {
-                node_threshold,
-                round_fidelity,
-                threshold_growth,
-            } => Box::new(MemoryDrivenPolicy::with_growth(
-                node_threshold,
-                round_fidelity,
-                threshold_growth,
-            )),
-            Strategy::FidelityDriven {
-                final_fidelity,
-                round_fidelity,
-            } => Box::new(FidelityDrivenPolicy::new(final_fidelity, round_fidelity)),
-        }
+        Box::new(Preset {
+            strategy: *self,
+            current: 0,
+            plan: Vec::new(),
+            next: 0,
+        })
     }
-}
-
-/// The non-approximating policy ([`Strategy::Exact`] preset): always
-/// [`PolicyAction::Continue`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExactPolicy;
-
-impl ApproxPolicy for ExactPolicy {
-    fn name(&self) -> &str {
-        "exact"
-    }
-
-    fn decide(&mut self, _ctx: &PolicyCtx) -> PolicyAction {
-        PolicyAction::Continue
-    }
-}
-
-/// The paper's Sec. IV-B reactive policy ([`Strategy::MemoryDriven`]
-/// preset): after each gate, if the state DD exceeds the current node
-/// threshold, truncate targeting `round_fidelity` and grow the
-/// threshold by `threshold_growth`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct MemoryDrivenPolicy {
-    node_threshold: usize,
-    round_fidelity: f64,
-    threshold_growth: f64,
-    current: usize,
 }
 
 /// Whether a memory threshold can ever fire on an `n_qubits`-wide run:
@@ -310,336 +260,88 @@ pub(crate) fn memory_threshold_unreachable(node_threshold: usize, n_qubits: usiz
         .is_some_and(|cap| node_threshold >= cap - 1)
 }
 
-impl MemoryDrivenPolicy {
-    /// Fully parameterized construction (growth ≥ 1.0).
-    #[must_use]
-    pub(crate) fn with_growth(
-        node_threshold: usize,
-        round_fidelity: f64,
-        threshold_growth: f64,
-    ) -> Self {
-        Self {
-            node_threshold,
-            round_fidelity,
-            threshold_growth,
-            current: node_threshold,
-        }
-    }
-
-    fn as_strategy(&self) -> Strategy {
-        Strategy::MemoryDriven {
-            node_threshold: self.node_threshold,
-            round_fidelity: self.round_fidelity,
-            threshold_growth: self.threshold_growth,
-        }
-    }
-}
-
-impl ApproxPolicy for MemoryDrivenPolicy {
-    fn name(&self) -> &str {
-        "memory-driven"
-    }
-
-    fn begin(&mut self, _circuit: &Circuit) -> Result<(), SimError> {
-        self.as_strategy().validate()?;
-        self.current = self.node_threshold;
-        Ok(())
-    }
-
-    fn decide(&mut self, ctx: &PolicyCtx) -> PolicyAction {
-        if ctx.applied_gate && ctx.live_nodes > self.current {
-            let grown = (self.current as f64 * self.threshold_growth).ceil();
-            self.current = if grown >= usize::MAX as f64 {
-                usize::MAX
-            } else {
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                {
-                    grown as usize
-                }
-            };
-            PolicyAction::Truncate {
-                round_fidelity: self.round_fidelity,
-            }
-        } else {
-            PolicyAction::Continue
-        }
-    }
-
-    fn node_threshold(&self) -> Option<usize> {
-        Some(self.current)
-    }
-}
-
-/// The paper's Sec. IV-C proactive policy ([`Strategy::FidelityDriven`]
-/// preset): `⌊log_{f_round} f_final⌋` rounds planned before the run via
-/// [`plan_rounds`] (block markers when present, evenly spaced
-/// otherwise), guaranteeing the final fidelity stays above
-/// `final_fidelity`.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct FidelityDrivenPolicy {
-    final_fidelity: f64,
-    round_fidelity: f64,
+/// The policy every [`Strategy`] preset builds: the validated strategy
+/// plus its per-run state. See each variant of [`Strategy`] for when
+/// its rounds fire.
+#[derive(Debug)]
+struct Preset {
+    strategy: Strategy,
+    /// The memory trigger's node threshold, grown per round by
+    /// [`Strategy::MemoryDriven`]'s `threshold_growth`.
+    current: usize,
+    /// The operation indices [`Strategy::FidelityDriven`] truncates
+    /// after, laid out by [`plan_rounds`] in `begin`.
     plan: Vec<usize>,
+    /// The next entry of `plan`.
     next: usize,
 }
 
-impl FidelityDrivenPolicy {
-    /// A policy targeting `final_fidelity` with per-round target
-    /// `round_fidelity` (the round plan is laid out in
-    /// [`ApproxPolicy::begin`]).
-    #[must_use]
-    pub fn new(final_fidelity: f64, round_fidelity: f64) -> Self {
-        Self {
-            final_fidelity,
-            round_fidelity,
-            plan: Vec::new(),
-            next: 0,
-        }
-    }
-
-    fn as_strategy(&self) -> Strategy {
-        Strategy::FidelityDriven {
-            final_fidelity: self.final_fidelity,
-            round_fidelity: self.round_fidelity,
-        }
-    }
-}
-
-impl ApproxPolicy for FidelityDrivenPolicy {
+impl ApproxPolicy for Preset {
     fn name(&self) -> &str {
-        "fidelity-driven"
+        match self.strategy {
+            Strategy::Exact => "exact",
+            Strategy::MemoryDriven { .. } => "memory-driven",
+            Strategy::FidelityDriven { .. } => "fidelity-driven",
+            Strategy::Budget { .. } => "budget",
+        }
     }
 
     fn begin(&mut self, circuit: &Circuit) -> Result<(), SimError> {
-        let strategy = self.as_strategy();
-        strategy.validate()?;
-        self.plan = plan_rounds(circuit, strategy.max_rounds());
+        self.strategy.validate()?;
+        self.current = match self.strategy {
+            Strategy::MemoryDriven { node_threshold, .. }
+            | Strategy::Budget { node_threshold, .. } => node_threshold,
+            Strategy::Exact | Strategy::FidelityDriven { .. } => 0,
+        };
+        self.plan = plan_rounds(circuit, self.strategy.max_rounds());
         self.next = 0;
         Ok(())
     }
 
     fn decide(&mut self, ctx: &PolicyCtx) -> PolicyAction {
-        if self.plan.get(self.next) == Some(&ctx.op_index) {
-            self.next += 1;
-            PolicyAction::Truncate {
-                round_fidelity: self.round_fidelity,
+        let over_threshold = ctx.applied_gate && ctx.live_nodes > self.current;
+        let round_fidelity = match self.strategy {
+            Strategy::MemoryDriven {
+                round_fidelity,
+                threshold_growth,
+                ..
+            } if over_threshold => {
+                let grown = (self.current as f64 * threshold_growth).ceil();
+                self.current = if grown >= usize::MAX as f64 {
+                    usize::MAX
+                } else {
+                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                    {
+                        grown as usize
+                    }
+                };
+                round_fidelity
             }
-        } else {
-            PolicyAction::Continue
-        }
-    }
-}
-
-/// The natural hybrid of the paper's Sec. IV-B and IV-C (new in this
-/// workspace): memory-triggered rounds that **stop approximating once a
-/// final-fidelity budget is spent**. A round fires only when the state
-/// DD exceeds `node_threshold` *and* spending another `round_fidelity`
-/// would keep the guaranteed floor at or above `final_fidelity` — so
-/// memory stays bounded while it can, and accuracy wins once the budget
-/// runs out.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BudgetPolicy {
-    node_threshold: usize,
-    round_fidelity: f64,
-    final_fidelity: f64,
-}
-
-impl BudgetPolicy {
-    /// Memory trigger at `node_threshold` (fixed, like the Table I
-    /// regime), per-round target `round_fidelity`, total budget
-    /// `final_fidelity`.
-    #[must_use]
-    pub fn new(node_threshold: usize, round_fidelity: f64, final_fidelity: f64) -> Self {
-        Self {
-            node_threshold,
-            round_fidelity,
-            final_fidelity,
-        }
-    }
-}
-
-impl ApproxPolicy for BudgetPolicy {
-    fn name(&self) -> &str {
-        "budget"
-    }
-
-    fn begin(&mut self, _circuit: &Circuit) -> Result<(), SimError> {
-        if self.node_threshold == 0 {
-            return Err(SimError::InvalidStrategy {
-                reason: "budget node threshold must be positive",
-            });
-        }
-        if !(self.round_fidelity > 0.0 && self.round_fidelity < 1.0) {
-            return Err(SimError::InvalidStrategy {
-                reason: "budget round fidelity must lie in (0, 1)",
-            });
-        }
-        if !(self.final_fidelity > 0.0 && self.final_fidelity <= 1.0) {
-            return Err(SimError::InvalidStrategy {
-                reason: "budget final fidelity must lie in (0, 1]",
-            });
-        }
-        Ok(())
-    }
-
-    fn decide(&mut self, ctx: &PolicyCtx) -> PolicyAction {
-        let affordable = ctx.fidelity_lower_bound * self.round_fidelity >= self.final_fidelity;
-        if ctx.applied_gate && ctx.live_nodes > self.node_threshold && affordable {
-            PolicyAction::Truncate {
-                round_fidelity: self.round_fidelity,
+            Strategy::FidelityDriven { round_fidelity, .. }
+                if self.plan.get(self.next) == Some(&ctx.op_index) =>
+            {
+                self.next += 1;
+                round_fidelity
             }
-        } else {
-            PolicyAction::Continue
-        }
+            // Fires only while spending another round keeps the target
+            // product at or above `final_fidelity`.
+            Strategy::Budget {
+                round_fidelity,
+                final_fidelity,
+                ..
+            } if over_threshold && ctx.fidelity_lower_bound * round_fidelity >= final_fidelity => {
+                round_fidelity
+            }
+            _ => return PolicyAction::Continue,
+        };
+        PolicyAction::Truncate { round_fidelity }
     }
 
     fn node_threshold(&self) -> Option<usize> {
-        Some(self.node_threshold)
-    }
-}
-
-/// A wall-clock deadline wrapped around any other policy: past the
-/// budget, every decision becomes [`PolicyAction::Abort`] — the
-/// cooperative enforcement seam the pool layer uses for per-job
-/// deadlines (the paper's whole premise is that unapproximated DD
-/// simulation can blow up, so a runaway job must not occupy a worker
-/// forever).
-///
-/// The clock anchors at [`ApproxPolicy::begin`], so setup work before
-/// the run does not count against the budget. Enforcement is
-/// *cooperative*: the simulator consults its policy after every
-/// operation, so a single enormous gate application can overshoot the
-/// cutoff — the guarantee is "aborts at the first op past the
-/// deadline", not a hard preemption.
-///
-/// The policy is transparent: [`ApproxPolicy::name`] and
-/// [`ApproxPolicy::node_threshold`] delegate to the wrapped policy,
-/// and before the cutoff every decision is the inner policy's — a
-/// deadline that never fires changes no byte of the result.
-///
-/// A shared `fired` flag records whether the deadline (rather than the
-/// inner policy) caused an abort; the pool layer reads it to convert
-/// the generic `PolicyAbort` error into a typed
-/// `ExecError::DeadlineExceeded`.
-pub(crate) struct DeadlinePolicy {
-    inner: Box<dyn ApproxPolicy>,
-    budget: Duration,
-    started: Option<Instant>,
-    fired: Arc<AtomicBool>,
-}
-
-impl DeadlinePolicy {
-    /// Wraps `inner`, reporting deadline hits through a caller-supplied
-    /// flag — how [`DeadlineFactory`] shares one flag across the
-    /// policies it builds.
-    #[must_use]
-    pub(crate) fn with_flag(
-        inner: Box<dyn ApproxPolicy>,
-        budget: Duration,
-        fired: Arc<AtomicBool>,
-    ) -> Self {
-        Self {
-            inner,
-            budget,
-            started: None,
-            fired,
+        match self.strategy {
+            Strategy::MemoryDriven { .. } | Strategy::Budget { .. } => Some(self.current),
+            Strategy::Exact | Strategy::FidelityDriven { .. } => None,
         }
-    }
-}
-
-impl std::fmt::Debug for DeadlinePolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeadlinePolicy")
-            .field("inner", &self.inner.name())
-            .field("budget", &self.budget)
-            .field("fired", &self.fired.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl ApproxPolicy for DeadlinePolicy {
-    /// Transparent: the wrapped policy's name, so wrapping a preset in
-    /// a deadline changes no reported label (and fingerprints exclude
-    /// names anyway).
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn begin(&mut self, circuit: &Circuit) -> Result<(), SimError> {
-        self.started = Some(Instant::now());
-        self.inner.begin(circuit)
-    }
-
-    fn decide(&mut self, ctx: &PolicyCtx) -> PolicyAction {
-        let expired = self
-            .started
-            .is_some_and(|started| started.elapsed() >= self.budget);
-        if expired {
-            self.fired.store(true, Ordering::Relaxed);
-            return PolicyAction::Abort;
-        }
-        self.inner.decide(ctx)
-    }
-
-    fn node_threshold(&self) -> Option<usize> {
-        self.inner.node_threshold()
-    }
-}
-
-/// A [`PolicyFactory`] producing `DeadlinePolicy`-wrapped instances
-/// of an inner factory's policies, all reporting through one shared
-/// fired flag.
-///
-/// This is what the pool layer installs per job: the worker builds the
-/// policy through this factory, runs the job, and on a `PolicyAbort`
-/// error checks `DeadlineFactory::fired` to tell a deadline abort
-/// from an ordinary policy abort.
-pub struct DeadlineFactory {
-    inner: Arc<dyn PolicyFactory>,
-    budget: Duration,
-    fired: Arc<AtomicBool>,
-}
-
-impl DeadlineFactory {
-    /// A factory wrapping `inner`'s policies with `budget`.
-    #[must_use]
-    pub fn new(inner: Arc<dyn PolicyFactory>, budget: Duration) -> Self {
-        Self {
-            inner,
-            budget,
-            fired: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// Whether any policy built by this factory has hit its deadline.
-    #[must_use]
-    pub(crate) fn fired(&self) -> bool {
-        self.fired.load(Ordering::Relaxed)
-    }
-
-    /// The shared flag behind `DeadlineFactory::fired`.
-    #[must_use]
-    pub fn fired_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.fired)
-    }
-}
-
-impl std::fmt::Debug for DeadlineFactory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeadlineFactory")
-            .field("budget", &self.budget)
-            .field("fired", &self.fired())
-            .finish()
-    }
-}
-
-impl PolicyFactory for DeadlineFactory {
-    fn build(&self) -> Box<dyn ApproxPolicy> {
-        Box::new(DeadlinePolicy::with_flag(
-            self.inner.build(),
-            self.budget,
-            Arc::clone(&self.fired),
-        ))
     }
 }
 
@@ -709,7 +411,7 @@ pub enum TraceEvent {
         /// State-DD node count after the round.
         nodes_after: usize,
         /// Nodes the round removed (0 for a no-op round — exactly the
-        /// rounds that charge nothing to the fidelity floor).
+        /// rounds that charge nothing to the target product).
         removed_nodes: usize,
         /// Contribution mass removed: `1 −` the round's measured
         /// fidelity (0.0 for a no-op round).
@@ -723,7 +425,8 @@ pub enum TraceEvent {
         rounds: usize,
         /// Measured end-to-end fidelity estimate.
         fidelity: f64,
-        /// Guaranteed end-to-end fidelity floor.
+        /// The target product ([`PolicyCtx::fidelity_lower_bound`]):
+        /// a target, not a bound on the true fidelity.
         fidelity_lower_bound: f64,
     },
 }
@@ -813,22 +516,23 @@ mod tests {
     fn ctx(applied_gate: bool, live_nodes: usize, fidelity_lower_bound: f64) -> PolicyCtx {
         PolicyCtx {
             op_index: 0,
-            total_ops: 1,
             applied_gate,
-            at_marker: false,
             gates_applied: 1,
             live_nodes,
-            peak_nodes: live_nodes,
-            rounds_taken: 0,
             fidelity_lower_bound,
-            fidelity_estimate: fidelity_lower_bound,
         }
+    }
+
+    /// The preset `strategy` builds, begun on `circuit`.
+    fn begun(strategy: Strategy, circuit: &Circuit) -> Box<dyn ApproxPolicy> {
+        let mut p = strategy.build();
+        p.begin(circuit).unwrap();
+        p
     }
 
     #[test]
     fn exact_policy_never_truncates() {
-        let mut p = ExactPolicy;
-        p.begin(&generators::ghz(3)).unwrap();
+        let mut p = begun(Strategy::Exact, &generators::ghz(3));
         assert_eq!(
             p.decide(&ctx(true, usize::MAX, 1.0)),
             PolicyAction::Continue
@@ -838,8 +542,12 @@ mod tests {
 
     #[test]
     fn memory_policy_fires_above_threshold_and_grows() {
-        let mut p = MemoryDrivenPolicy::with_growth(10, 0.9, 2.0);
-        p.begin(&generators::ghz(3)).unwrap();
+        let growth = Strategy::MemoryDriven {
+            node_threshold: 10,
+            round_fidelity: 0.9,
+            threshold_growth: 2.0,
+        };
+        let mut p = begun(growth, &generators::ghz(3));
         assert_eq!(p.decide(&ctx(true, 10, 1.0)), PolicyAction::Continue);
         assert_eq!(
             p.decide(&ctx(true, 11, 1.0)),
@@ -869,15 +577,14 @@ mod tests {
         assert!(!memory_threshold_unreachable(usize::MAX, 64));
         assert!(!memory_threshold_unreachable(usize::MAX, 200));
 
-        let mut p = MemoryDrivenPolicy::with_growth(1 << 4, 0.97, 1.0);
-        p.begin(&generators::ghz(4)).unwrap();
+        let table1 = Strategy::memory_driven_table1(1 << 4, 0.97);
+        let mut p = begun(table1, &generators::ghz(4));
         assert_eq!(p.decide(&ctx(true, 15, 1.0)), PolicyAction::Continue);
     }
 
     #[test]
     fn memory_policy_table1_keeps_threshold_fixed() {
-        let mut p = MemoryDrivenPolicy::with_growth(10, 0.9, 1.0);
-        p.begin(&generators::ghz(3)).unwrap();
+        let mut p = begun(Strategy::memory_driven_table1(10, 0.9), &generators::ghz(3));
         for _ in 0..3 {
             assert!(matches!(
                 p.decide(&ctx(true, 11, 1.0)),
@@ -890,10 +597,10 @@ mod tests {
     #[test]
     fn fidelity_policy_follows_the_round_plan() {
         let circuit = generators::ghz(10);
-        let mut p = FidelityDrivenPolicy::new(0.5, 0.9);
-        p.begin(&circuit).unwrap();
-        let plan = p.plan.clone();
+        let strategy = Strategy::fidelity_driven(0.5, 0.9);
+        let plan = plan_rounds(&circuit, strategy.max_rounds());
         assert!(!plan.is_empty());
+        let mut p = begun(strategy, &circuit);
         for i in 0..circuit.ops().len() {
             let mut c = ctx(true, 100, 1.0);
             c.op_index = i;
@@ -910,17 +617,22 @@ mod tests {
                 assert_eq!(action, PolicyAction::Continue, "op {i}");
             }
         }
+        assert_eq!(p.node_threshold(), None);
     }
 
     #[test]
     fn budget_policy_stops_when_budget_is_spent() {
-        let mut p = BudgetPolicy::new(10, 0.9, 0.8);
-        p.begin(&generators::ghz(3)).unwrap();
+        let mut p = begun(Strategy::budget(10, 0.9, 0.8), &generators::ghz(3));
+        assert_eq!(p.node_threshold(), Some(10));
+        // Not over the threshold: nothing to do.
+        assert_eq!(p.decide(&ctx(true, 10, 1.0)), PolicyAction::Continue);
         // Budget available: 1.0 * 0.9 >= 0.8.
         assert!(matches!(
             p.decide(&ctx(true, 11, 1.0)),
             PolicyAction::Truncate { .. }
         ));
+        // The threshold stays fixed.
+        assert_eq!(p.node_threshold(), Some(10));
         // Budget spent: 0.85 * 0.9 < 0.8 — memory pressure is ignored.
         assert_eq!(
             p.decide(&ctx(true, 1_000_000, 0.85)),
@@ -931,20 +643,23 @@ mod tests {
     #[test]
     fn policies_validate_their_parameters_in_begin() {
         let c = generators::ghz(3);
-        assert!(MemoryDrivenPolicy::with_growth(0, 0.9, 2.0)
-            .begin(&c)
-            .is_err());
-        assert!(MemoryDrivenPolicy::with_growth(10, f64::NAN, 2.0)
-            .begin(&c)
-            .is_err());
-        assert!(MemoryDrivenPolicy::with_growth(10, 0.9, f64::NAN)
-            .begin(&c)
-            .is_err());
-        assert!(FidelityDrivenPolicy::new(f64::NAN, 0.9).begin(&c).is_err());
-        assert!(FidelityDrivenPolicy::new(0.5, 1.5).begin(&c).is_err());
-        assert!(BudgetPolicy::new(0, 0.9, 0.5).begin(&c).is_err());
-        assert!(BudgetPolicy::new(10, f64::NAN, 0.5).begin(&c).is_err());
-        assert!(BudgetPolicy::new(10, 0.9, 0.0).begin(&c).is_err());
+        let invalid = [
+            Strategy::memory_driven(0, 0.9),
+            Strategy::memory_driven(10, f64::NAN),
+            Strategy::MemoryDriven {
+                node_threshold: 10,
+                round_fidelity: 0.9,
+                threshold_growth: f64::NAN,
+            },
+            Strategy::fidelity_driven(f64::NAN, 0.9),
+            Strategy::fidelity_driven(0.5, 1.5),
+            Strategy::budget(0, 0.9, 0.5),
+            Strategy::budget(10, f64::NAN, 0.5),
+            Strategy::budget(10, 0.9, 0.0),
+        ];
+        for strategy in invalid {
+            assert!(strategy.build().begin(&c).is_err(), "{strategy:?}");
+        }
     }
 
     #[test]
@@ -958,54 +673,10 @@ mod tests {
             Strategy::fidelity_driven(0.5, 0.9).build().name(),
             "fidelity-driven"
         );
+        assert_eq!(Strategy::budget(10, 0.9, 0.8).build().name(), "budget");
         // Closures are factories too.
-        let factory = || Box::new(ExactPolicy) as Box<dyn ApproxPolicy>;
+        let factory = || Strategy::Exact.build();
         assert_eq!(PolicyFactory::build(&factory).name(), "exact");
-    }
-
-    #[test]
-    fn deadline_policy_aborts_past_the_budget() {
-        // A zero budget expires at the first decision — deterministic,
-        // which is what the pool's deadline tests rely on.
-        let flag = Arc::new(AtomicBool::new(false));
-        let mut p =
-            DeadlinePolicy::with_flag(Box::new(ExactPolicy), Duration::ZERO, Arc::clone(&flag));
-        p.begin(&generators::ghz(3)).unwrap();
-        assert_eq!(p.decide(&ctx(true, 5, 1.0)), PolicyAction::Abort);
-        assert!(flag.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn deadline_policy_is_transparent_before_the_cutoff() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let mut p = DeadlinePolicy::with_flag(
-            Box::new(MemoryDrivenPolicy::with_growth(10, 0.9, 1.0)),
-            Duration::from_secs(3600),
-            Arc::clone(&flag),
-        );
-        p.begin(&generators::ghz(8)).unwrap();
-        assert_eq!(p.name(), "memory-driven");
-        assert_eq!(p.node_threshold(), Some(10));
-        assert_eq!(
-            p.decide(&ctx(true, 11, 1.0)),
-            PolicyAction::Truncate {
-                round_fidelity: 0.9
-            }
-        );
-        assert!(!flag.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn deadline_factory_shares_one_fired_flag() {
-        let factory = DeadlineFactory::new(Arc::new(Strategy::Exact), Duration::ZERO);
-        assert!(!factory.fired());
-        let mut p = factory.build();
-        p.begin(&generators::ghz(3)).unwrap();
-        assert_eq!(p.decide(&ctx(true, 1, 1.0)), PolicyAction::Abort);
-        assert!(factory.fired(), "flag visible through the factory");
-        // A second build reports through the same flag.
-        let p2 = factory.build();
-        assert_eq!(p2.name(), "exact");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use approxdd_circuit::{Circuit, Operation};
 use approxdd_dd::{DdError, MEdge, Package, VEdge};
@@ -55,13 +55,13 @@ pub struct SimStats {
     /// integration suite validates agreement within a few percent on
     /// supremacy workloads. 1.0 for exact runs.
     pub fidelity: f64,
-    /// Guaranteed end-to-end fidelity floor: the product of the
-    /// *target* fidelities of every fired round that actually removed
-    /// nodes (a no-op round provably keeps fidelity exactly 1, so it
-    /// charges nothing). Each charged round removes at most
-    /// `1 − target` of contribution mass, so the measured
-    /// [`SimStats::fidelity`] is always ≥ this bound. 1.0 for exact
-    /// runs.
+    /// The target product: the product of the *target* fidelities of
+    /// every fired round that actually removed nodes (a no-op round
+    /// keeps fidelity exactly 1, so it charges nothing). Each charged
+    /// round removes at most `1 − target` of contribution mass, so the
+    /// estimate [`SimStats::fidelity`] is always ≥ this product. It is
+    /// a target, not a bound: the true fidelity to the exact state can
+    /// end below it. 1.0 for exact runs.
     pub fidelity_lower_bound: f64,
     /// Per-round measured fidelities, in application order.
     pub round_fidelities: Vec<f64>,
@@ -418,6 +418,9 @@ impl Simulator {
         // A fresh policy per run: no run observes another run's policy
         // state — the determinism linchpin of pooled execution.
         let mut policy = self.policy_factory.build();
+        // The clock starts with the run, so the policy's `begin` counts
+        // against the budget.
+        let deadline = self.options.deadline.map(|budget| (budget, Instant::now()));
         policy.begin(circuit)?;
         circuit.validate()?;
         // Non-fatal: an unreachable threshold means an exact run, which
@@ -472,7 +475,6 @@ impl Simulator {
             policy: policy.name().to_string(),
         });
 
-        let total_ops = circuit.ops().len();
         let mut live_nodes = stats.max_dd_size;
         for (i, op) in circuit.ops().iter().enumerate() {
             let applied_gate = op.is_gate();
@@ -503,17 +505,24 @@ impl Simulator {
                 });
             }
 
+            // The guard every policy runs under, custom ones included.
+            // A single long operation can overshoot the budget: the run
+            // stops at the first check past it.
+            if let Some((budget, started)) = deadline {
+                if started.elapsed() >= budget {
+                    self.package.dec_ref(state);
+                    return Err(crate::SimError::DeadlineExceeded {
+                        op_index: i,
+                        budget,
+                    });
+                }
+            }
             let ctx = PolicyCtx {
                 op_index: i,
-                total_ops,
                 applied_gate,
-                at_marker: matches!(op, Operation::ApproxPoint),
                 gates_applied: stats.gates_applied,
                 live_nodes,
-                peak_nodes: stats.max_dd_size,
-                rounds_taken: stats.approx_rounds,
                 fidelity_lower_bound: stats.fidelity_lower_bound,
-                fidelity_estimate: stats.fidelity,
             };
             let mut truncated = false;
             match policy.decide(&ctx) {
@@ -541,10 +550,10 @@ impl Simulator {
                             return Err(e);
                         }
                     };
-                    // A no-op round provably kept fidelity exactly 1 —
-                    // charging its target to the floor would make
-                    // budget policies burn budget on rounds that
-                    // removed nothing.
+                    // A no-op round kept fidelity exactly 1 — charging
+                    // its target to the product would make budget
+                    // policies burn budget on rounds that removed
+                    // nothing.
                     if stats.nodes_removed > removed_before {
                         stats.fidelity_lower_bound *= round_fidelity;
                     }
@@ -1091,7 +1100,8 @@ mod tests {
         };
         let mut sim = Simulator::builder().strategy(strategy).build();
         let run = sim.run(&circuit).unwrap();
-        // The floor holds, the rounds engage, the state stays normalized.
+        // The estimate stays above the target, the rounds engage, the
+        // state stays normalized.
         assert!(run.stats.fidelity >= 0.6 - 1e-9);
         assert!(run.stats.approx_rounds > 0);
         let amps = sim.amplitudes(&run).unwrap();

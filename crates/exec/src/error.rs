@@ -34,10 +34,10 @@ pub enum ExecError {
         message: String,
     },
     /// A job's wall-clock deadline elapsed before the run finished.
-    /// Enforced cooperatively: a deadline-wrapping policy
-    /// (`approxdd_sim::DeadlinePolicy`) aborts the run at the first
-    /// operation past the cutoff, and the pool worker surfaces the
-    /// abort as this typed error. Produced by the pool.
+    /// The simulator checks it after every operation and stops the run
+    /// at the first one past the cutoff
+    /// (`approxdd_sim::SimError::DeadlineExceeded`); the pool worker
+    /// surfaces that as this typed error. Produced by the pool.
     DeadlineExceeded {
         /// Index of the job that blew its deadline.
         job: usize,

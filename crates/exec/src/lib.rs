@@ -42,8 +42,9 @@
 //! (each task runs under `catch_unwind`; a panicking job drops its
 //! engine and fails typed, [`ExecError::Panicked`](backend::ExecError::Panicked)
 //! with the panic's message, and its worker takes the next task). The
-//! pool enforces per-job wall-clock deadlines cooperatively through the
-//! policy seam ([`PoolJob::deadline`]). Every job settles once: with its
+//! pool gives a job's engine its wall-clock deadline
+//! ([`PoolJob::deadline`]), which the simulator checks after every
+//! operation whatever the job's policy. Every job settles once: with its
 //! result or its typed error. Nothing is retried, because a job's
 //! outcome is a pure function of the job and the root seed, so a rerun
 //! could only repeat it.

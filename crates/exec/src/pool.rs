@@ -71,10 +71,11 @@
 //!   [`ExecError::Panicked`] with the panic's message; the thread takes
 //!   the next task, so the pool never loses a worker. Caught panics
 //!   surface in [`PoolStats::panics`].
-//! * **Deadlines.** [`PoolJob::deadline`] wraps the job's policy in a
-//!   `DeadlinePolicy` that aborts cooperatively past the cutoff,
-//!   surfacing [`ExecError::DeadlineExceeded`], counted in
-//!   [`PoolStats::deadline_exceeded`].
+//! * **Deadlines.** [`PoolJob::deadline`] gives the job's engine a
+//!   wall-clock budget (`SimulatorBuilder::deadline`), which the
+//!   simulator checks after every operation whatever the job's policy;
+//!   a spent budget surfaces as [`ExecError::DeadlineExceeded`],
+//!   counted in [`PoolStats::deadline_exceeded`].
 //!
 //! Nothing is retried. A unit's outcome is a pure function of the
 //! template, the unit and the root seed, so a unit that panicked or
@@ -89,7 +90,7 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
@@ -97,8 +98,8 @@ use std::time::{Duration, Instant};
 
 use approxdd_circuit::Circuit;
 use approxdd_sim::{
-    DeadlineFactory, PolicyFactory, RunResult, SharedObserver, SimError, SimSnapshot, Simulator,
-    SimulatorBuilder, TraceEvent, TraceRecorder,
+    PolicyFactory, RunResult, SharedObserver, SimError, SimSnapshot, Simulator, SimulatorBuilder,
+    TraceEvent, TraceRecorder,
 };
 use approxdd_telemetry as telemetry;
 
@@ -207,10 +208,10 @@ impl PoolJob {
         self
     }
 
-    /// Sets a wall-clock deadline for this job. Enforced
-    /// cooperatively: the worker wraps the job's policy
-    /// in a `DeadlinePolicy` that aborts at the first operation past
-    /// the cutoff, and the job fails with
+    /// Sets a wall-clock deadline for this job. The worker builds the
+    /// job's engine with it (`SimulatorBuilder::deadline`), which stops
+    /// the run at the first operation past the cutoff whatever the
+    /// job's policy, and the job fails with
     /// [`ExecError::DeadlineExceeded`]. The job runs once, so the
     /// budget bounds the whole job.
     #[must_use]
@@ -697,7 +698,7 @@ impl BackendPool {
     /// template's policy for this call (e.g. sampling an approximate
     /// run's distribution), as [`PoolJob::policy`] does for a run job.
     /// `deadline` bounds each worker's run of the circuit as
-    /// [`PoolJob::deadline`] bounds a run job: a fired deadline fails
+    /// [`PoolJob::deadline`] bounds a run job: a spent deadline fails
     /// the request with [`ExecError::DeadlineExceeded`], counted in
     /// [`PoolStats::deadline_exceeded`].
     ///
@@ -1033,17 +1034,14 @@ impl Worker {
     /// batch's snapshot when it has one. Job isolation
     /// is the pool's determinism linchpin — see the module docs.
     ///
-    /// When the job carries a `deadline`, whatever policy it ended up
-    /// with is wrapped in a [`DeadlineFactory`], per-job overrides
-    /// included. Returns the
-    /// deadline's fired flag so the caller can tell a deadline abort
-    /// from a policy's own abort.
+    /// A job's `deadline` becomes the engine's
+    /// (`SimulatorBuilder::deadline`), whatever its policy.
     fn fresh_sim(
         &mut self,
         policy: Option<&Arc<dyn PolicyFactory>>,
         snapshot: Option<Arc<SimSnapshot>>,
         deadline: Option<Duration>,
-    ) -> Option<Arc<AtomicBool>> {
+    ) {
         // Harvest, then drop the old engine (its epoch's result first)
         // before the new one exists: the worker peaks at one arena,
         // unique-table and cache set, not two.
@@ -1053,22 +1051,17 @@ impl Worker {
         if let Some(factory) = policy {
             template = template.policy_factory(Arc::clone(factory));
         }
-        let mut fired = None;
         if let Some(budget) = deadline {
-            let factory = DeadlineFactory::new(template.current_policy(), budget);
-            fired = Some(factory.fired_flag());
-            template = template.policy_factory(Arc::new(factory));
+            template = template.deadline(budget);
         }
         self.sim = Some(
             self.build_timer
                 .time(|| template.build_with_snapshot(snapshot)),
         );
-        fired
     }
 
-    /// Executes one run job on a fresh engine, mapping a
-    /// deadline-triggered abort to the typed
-    /// [`ExecError::DeadlineExceeded`].
+    /// Executes one run job on a fresh engine, typing a spent deadline
+    /// as [`ExecError::DeadlineExceeded`].
     fn run_job(
         &mut self,
         job: &PoolJob,
@@ -1076,9 +1069,8 @@ impl Worker {
         seed: u64,
         snapshot: Option<Arc<SimSnapshot>>,
     ) -> Result<PoolOutcome, ExecError> {
-        let fired = self.fresh_sim(job.policy.as_ref(), snapshot, job.deadline);
-        let result = self.execute(job, seed);
-        deadline_exceeded(result, fired, index, job.deadline)
+        self.fresh_sim(job.policy.as_ref(), snapshot, job.deadline);
+        deadline_exceeded(self.execute(job, seed), index)
     }
 
     /// The run body proper (simulator already fresh).
@@ -1125,7 +1117,7 @@ impl Worker {
 
     /// Draws one sampling chunk from the request's final state,
     /// simulating the circuit first if this worker has not yet done so
-    /// for this request's epoch. A run that fails, a fired deadline
+    /// for this request's epoch. A run that fails, a spent deadline
     /// included, fails once per epoch: the epoch keeps the error.
     fn sample_chunk(
         &mut self,
@@ -1141,10 +1133,9 @@ impl Worker {
             deadline,
         } = request;
         if self.epoch.as_ref().map(|(e, _)| e) != Some(epoch) {
-            let fired = self.fresh_sim(policy.as_ref(), None, *deadline);
+            self.fresh_sim(policy.as_ref(), None, *deadline);
             let sim = self.sim.as_mut().expect(SIM_BUILT);
-            let run = sim.run(circuit).map_err(ExecError::from);
-            let run = deadline_exceeded(run, fired, chunk, *deadline);
+            let run = deadline_exceeded(sim.run(circuit).map_err(ExecError::from), chunk);
             self.epoch = Some((*epoch, run));
         }
         let (_, run) = self.epoch.as_ref().expect("epoch state just ensured");
@@ -1155,26 +1146,16 @@ impl Worker {
     }
 }
 
-/// Maps a policy abort to [`ExecError::DeadlineExceeded`] when it was
-/// the deadline (`fired`, from [`Worker::fresh_sim`]) that aborted,
-/// for run jobs and sampling epochs alike.
-fn deadline_exceeded<T>(
-    result: Result<T, ExecError>,
-    fired: Option<Arc<AtomicBool>>,
-    job: usize,
-    deadline: Option<Duration>,
-) -> Result<T, ExecError> {
-    match result {
-        Err(ExecError::Sim(SimError::PolicyAbort { .. }))
-            if fired.is_some_and(|flag| flag.load(Ordering::Relaxed)) =>
-        {
-            Err(ExecError::DeadlineExceeded {
-                job,
-                budget: deadline.unwrap_or_default(),
-            })
+/// Types the simulator's spent deadline as
+/// [`ExecError::DeadlineExceeded`] of unit `job`, for run jobs and
+/// sampling epochs alike.
+fn deadline_exceeded<T>(result: Result<T, ExecError>, job: usize) -> Result<T, ExecError> {
+    result.map_err(|e| match e {
+        ExecError::Sim(SimError::DeadlineExceeded { budget, .. }) => {
+            ExecError::DeadlineExceeded { job, budget }
         }
         other => other,
-    }
+    })
 }
 
 /// Spawns the worker thread of `slot`, publishing into `stats`; the

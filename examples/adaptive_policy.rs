@@ -7,7 +7,9 @@
 //! The policy here is *adaptive*: it watches the DD's growth rate and
 //! truncates only when the state doubled since the last round — harder
 //! (lower round fidelity) the faster it grew — while refusing to spend
-//! below a hard final-fidelity floor. It runs both through a plain
+//! the target product (`PolicyCtx::fidelity_lower_bound`, a target, not
+//! a bound on the true fidelity) below a final-fidelity budget. It runs
+//! both through a plain
 //! `SimulatorBuilder` and through a `BackendPool` (per-job policy
 //! instantiation keeps pooled results worker-count-invariant).
 //!
@@ -18,18 +20,17 @@
 use approxdd::circuit::generators;
 use approxdd::exec::{BuildPool, PoolJob};
 use approxdd::sim::{
-    ApproxPolicy, BudgetPolicy, PolicyAction, PolicyCtx, SimError, Simulator, TraceEvent,
-    TraceRecorder,
+    ApproxPolicy, PolicyAction, PolicyCtx, SimError, Simulator, Strategy, TraceEvent, TraceRecorder,
 };
 
 /// Truncate when the DD doubled since the last round, scaling the
 /// round's aggressiveness with how hot the growth is, but never let
-/// the guaranteed fidelity floor drop below `min_fidelity`.
+/// the target product drop below `min_fidelity`.
 #[derive(Debug, Clone)]
 struct GrowthAdaptivePolicy {
     /// Node count at the last round (or the run start).
     last_round_nodes: usize,
-    /// Never truncate below this guaranteed floor.
+    /// Never spend the target product below this budget.
     min_fidelity: f64,
 }
 
@@ -69,7 +70,7 @@ impl ApproxPolicy for GrowthAdaptivePolicy {
             return PolicyAction::Continue;
         }
         // Doubled: truncate, harder the further past 2x we overshot —
-        // but clamp so the guaranteed floor stays above min_fidelity.
+        // but clamp so the target product stays above min_fidelity.
         let overshoot = ctx.live_nodes as f64 / self.last_round_nodes as f64;
         let round_fidelity = (1.0 - 0.01 * overshoot).clamp(0.9, 0.999);
         if ctx.fidelity_lower_bound * round_fidelity < self.min_fidelity {
@@ -131,15 +132,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .count();
     assert_eq!(gate_events, run.stats.gates_applied);
 
-    // --- Pooled: the same custom policy per job, plus the built-in
-    // budget hybrid, running side by side on one pool. ---------------
+    // --- Pooled: the same custom policy per job, plus the budget
+    // preset, running side by side on one pool. ----------------------
     let pool = Simulator::builder().workers(2).seed(7).build_pool();
     let jobs = vec![
         PoolJob::new(circuit.clone())
             .policy(|| GrowthAdaptivePolicy::new(0.75))
             .trace(true),
         PoolJob::new(circuit.clone())
-            .policy(|| BudgetPolicy::new(256, 0.97, 0.8))
+            .policy(Strategy::budget(256, 0.97, 0.8))
             .trace(true),
     ];
     for result in pool.run_jobs(jobs) {

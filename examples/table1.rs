@@ -21,7 +21,8 @@
 //! are one batch on a `BackendPool`; each Shor row then factors its
 //! instance with `f_final = 0.5`, `f_round = 0.9`. The run exits
 //! non-zero when a row fails, a Shor instance is not factored, or a
-//! row's final fidelity falls below its guaranteed floor.
+//! row's fidelity estimate falls below its target product (the product
+//! of its round targets; a target, not a bound on the true fidelity).
 //!
 //! The memory-driven rows keep the node threshold fixed
 //! (`Strategy::memory_driven_table1`): the paper's text prescribes
@@ -106,10 +107,10 @@ impl Table {
         }
     }
 
-    /// Prints one row in the layout of Table I, plus the guaranteed
-    /// fidelity floor (`fbound`) of the approximate run, and notes a
-    /// floor violation. A Shor instance that was not factored has no
-    /// row, so `factored` marks the Shor rows.
+    /// Prints one row in the layout of Table I, plus the target product
+    /// (`fbound`) of the approximate run, and notes an estimate below
+    /// it. A Shor instance that was not factored has no row, so
+    /// `factored` marks the Shor rows.
     fn row(
         &mut self,
         circuit: &Circuit,

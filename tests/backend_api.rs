@@ -21,7 +21,7 @@ use approxdd::backend::{BuildBackend, ExecError};
 use approxdd::circuit::{generators, Circuit};
 use approxdd::complex::Cplx;
 use approxdd::exec::{BuildPool, PoolJob};
-use approxdd::sim::{ExactPolicy, RunResult, SimError, Simulator, Strategy};
+use approxdd::sim::{PolicyFactory, RunResult, SimError, Simulator, Strategy};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -244,7 +244,7 @@ fn a_run_builds_its_policy_once() {
         let built = Arc::clone(&built);
         move || {
             built.fetch_add(1, Ordering::Relaxed);
-            ExactPolicy
+            Strategy::Exact.build()
         }
     };
     let mut sim = Simulator::builder().policy(counting.clone()).build();

@@ -155,17 +155,17 @@ fn three_table1_runs_peak_where_and_at_what_they_did() {
         got,
         [
             Peak {
-                bytes: 27_534_811,
+                bytes: 27_534_851,
                 step: Step::Round(94),
                 node_store_bytes: 25_397_872,
             },
             Peak {
-                bytes: 27_290_135,
+                bytes: 27_290_159,
                 step: Step::Gate(269),
                 node_store_bytes: 26_409_296,
             },
             Peak {
-                bytes: 23_346_349,
+                bytes: 23_346_421,
                 step: Step::Gate(96),
                 node_store_bytes: 21_470_396,
             },

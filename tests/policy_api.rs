@@ -8,8 +8,7 @@
 use approxdd::circuit::{generators, Circuit};
 use approxdd::exec::{BuildPool, PoolJob, PoolOutcome};
 use approxdd::sim::{
-    ApproxPolicy, BudgetPolicy, PolicyAction, PolicyCtx, SimError, Simulator, Strategy, TraceEvent,
-    TraceRecorder,
+    ApproxPolicy, PolicyAction, PolicyCtx, SimError, Simulator, Strategy, TraceEvent, TraceRecorder,
 };
 use proptest::prelude::*;
 
@@ -186,13 +185,22 @@ fn custom_policy_runs_through_builder_and_reports_stats() {
 fn budget_policy_bounds_memory_until_budget_then_stops() {
     let circuit = generators::supremacy(2, 3, 14, 2);
     let mut budget = Simulator::builder()
-        .policy(|| BudgetPolicy::new(24, 0.95, 0.8))
+        .policy(Strategy::budget(24, 0.95, 0.8))
         .build();
     let run = budget.run(&circuit).unwrap();
     assert_eq!(run.stats.policy, "budget");
+    // The run's bits, pinned: no golden row covers a budget run.
+    assert_eq!(run.stats.approx_rounds, 6);
+    assert_eq!(run.stats.max_dd_size, 63);
+    assert_eq!(run.stats.nodes_removed, 8);
+    assert_eq!(run.stats.fidelity.to_bits(), 0x3feb_a39b_399d_de46);
+    assert_eq!(
+        run.stats.fidelity_lower_bound.to_bits(),
+        0x3fea_106f_6944_6737
+    );
     assert!(run.stats.approx_rounds > 0, "threshold 24 must trigger");
-    // The budget guarantee: the floor never drops below 0.8, even
-    // though memory pressure continues.
+    // The budget holds: the target product never drops below 0.8,
+    // even though memory pressure continues.
     assert!(
         run.stats.fidelity_lower_bound >= 0.8 - 1e-12,
         "floor {} spent past the budget",

@@ -3,7 +3,8 @@
 //! its full capacity, and the next job fingerprints as it does on a
 //! fresh pool. Faults come in through the policy seam: test-side
 //! policies that panic in `decide` (after the run has built its engine
-//! and applied a gate) or sleep in `begin`.
+//! and applied a gate), sleep in `begin` or abort at a node cap. The
+//! deadline is the simulator's, so it bounds custom policies too.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,7 +12,9 @@ use std::time::Duration;
 use approxdd::backend::ExecError;
 use approxdd::circuit::{generators, Circuit};
 use approxdd::exec::{BuildPool, PoolJob};
-use approxdd::sim::{ApproxPolicy, PolicyAction, PolicyCtx, PolicyFactory, SimError, Simulator};
+use approxdd::sim::{
+    ApproxPolicy, PolicyAction, PolicyCtx, PolicyFactory, SimError, Simulator, Strategy,
+};
 
 /// Panics in its first `decide`: a real mid-run panic.
 struct PanicsInDecide;
@@ -43,6 +46,26 @@ impl ApproxPolicy for SleepsInBegin {
         PolicyAction::Continue
     }
 }
+
+/// Aborts once the state DD holds more than its cap: a hard resource
+/// cap written as a policy.
+struct HardCap(usize);
+
+impl ApproxPolicy for HardCap {
+    fn name(&self) -> &str {
+        "hard-cap"
+    }
+
+    fn decide(&mut self, ctx: &PolicyCtx) -> PolicyAction {
+        if ctx.live_nodes > self.0 {
+            PolicyAction::Abort
+        } else {
+            PolicyAction::Continue
+        }
+    }
+}
+
+const HOUR: Duration = Duration::from_secs(3600);
 
 /// A small batch: six 2×2 supremacy circuits.
 fn batch() -> Vec<Circuit> {
@@ -133,6 +156,72 @@ fn a_zero_deadline_fails_its_job_typed() {
     assert_eq!(stats.deadline_exceeded, 1);
     assert_eq!(stats.panics, 0, "deadlines never kill workers");
     assert_eq!(stats.retries, 0, "the pool never retries");
+}
+
+/// A deadline that never runs out changes no bit of a job: a
+/// memory-driven job that truncates fingerprints as it does without
+/// one.
+#[test]
+fn a_deadline_that_never_fires_changes_no_bit() {
+    let job = || {
+        PoolJob::new(generators::supremacy(2, 3, 14, 2))
+            .policy(Strategy::memory_driven_table1(24, 0.95))
+            .shots(256)
+    };
+    let pool = one_worker();
+    // One batch each: a job's sampling seed follows its batch index.
+    let bounded = pool.run_jobs(vec![job().deadline(HOUR)]).remove(0);
+    let bounded = bounded.expect("the bounded job runs");
+    let plain = pool
+        .run_jobs(vec![job()])
+        .remove(0)
+        .expect("the plain job runs");
+    assert!(plain.stats.approx_rounds > 0, "the threshold must fire");
+    assert_eq!(bounded.fingerprint(), plain.fingerprint());
+    assert_eq!(pool.stats().deadline_exceeded, 0);
+}
+
+/// A policy's own abort stays the policy's under a deadline that has
+/// not run out: it fails as `PolicyAbort`, not as a blown deadline.
+#[test]
+fn a_policy_abort_under_a_deadline_stays_a_policy_abort() {
+    let pool = one_worker();
+    let job = PoolJob::new(generators::supremacy(2, 3, 10, 1))
+        .policy(|| HardCap(8))
+        .deadline(HOUR);
+    let err = pool
+        .run_jobs(vec![job])
+        .remove(0)
+        .expect_err("the cap aborts");
+    assert!(
+        matches!(&err, ExecError::Sim(SimError::PolicyAbort { policy, .. }) if policy == "hard-cap"),
+        "{err:?}"
+    );
+    assert_eq!(pool.stats().deadline_exceeded, 0);
+}
+
+/// The deadline bounds a custom policy as it bounds a preset: a zero
+/// budget fails the job typed before the policy is asked anything.
+#[test]
+fn a_zero_deadline_bounds_a_custom_policy() {
+    let pool = one_worker();
+    let job = PoolJob::new(generators::supremacy(2, 3, 10, 1))
+        .policy(|| PanicsInDecide)
+        .deadline(Duration::ZERO);
+    let err = pool
+        .run_jobs(vec![job])
+        .remove(0)
+        .expect_err("must fail typed");
+    assert_eq!(
+        err,
+        ExecError::DeadlineExceeded {
+            job: 0,
+            budget: Duration::ZERO
+        }
+    );
+    let stats = pool.stats();
+    assert_eq!(stats.deadline_exceeded, 1);
+    assert_eq!(stats.panics, 0, "the policy was never asked to decide");
 }
 
 /// A run job that panics mid-run fails typed, with the panic's
