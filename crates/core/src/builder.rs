@@ -92,8 +92,9 @@ impl SimulatorBuilder {
     ///     }
     /// }
     ///
-    /// let sim = Simulator::builder().policy(|| Never).build();
-    /// assert_eq!(sim.policy_name(), "never");
+    /// let mut sim = Simulator::builder().policy(|| Never).build();
+    /// let run = sim.run(&approxdd_circuit::generators::ghz(2)).unwrap();
+    /// assert_eq!(run.stats.policy, "never");
     /// ```
     ///
     /// Replaces the policy set by any earlier call.
@@ -304,7 +305,8 @@ mod tests {
         assert_eq!(o.gc_node_threshold, 1234);
         assert!(o.record_size_series);
         assert_eq!(o.deadline, None);
-        assert_eq!(b.build().policy_name(), "fidelity-driven");
+        let run = b.build().run(&generators::ghz(2)).expect("a valid circuit");
+        assert_eq!(run.stats.policy, "fidelity-driven");
     }
 
     #[test]

@@ -329,7 +329,11 @@ mod tests {
         let o = SimOptions::default();
         assert!(!o.record_size_series);
         assert_eq!(o.compute_cache_bits, None);
-        assert_eq!(crate::Simulator::builder().build().policy_name(), "exact");
+        let mut sim = crate::Simulator::builder().build();
+        let run = sim
+            .run(&approxdd_circuit::generators::ghz(2))
+            .expect("a valid circuit");
+        assert_eq!(run.stats.policy, "exact");
     }
 
     /// Input-validation hardening: every NaN / zero / out-of-range

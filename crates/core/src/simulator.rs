@@ -342,12 +342,6 @@ impl Simulator {
         self.snapshot_gate_hits
     }
 
-    /// The name of the policy a run of this simulator would use.
-    #[must_use]
-    pub fn policy_name(&self) -> String {
-        self.policy_factory.build().name().to_string()
-    }
-
     /// Attaches a trace observer; every subsequent run reports its
     /// [`TraceEvent`]s to it (in addition to any observers attached
     /// earlier). Keep your own clone of the handle to read results

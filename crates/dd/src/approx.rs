@@ -25,7 +25,7 @@
 //! it — and rebuilding it through `make_vnode`
 //! is a unique-table hit on the node itself, under a factor a few ulps
 //! from 1. That factor is the node's image under the identity,
-//! `VNode::image`, which `mul_mv`'s identity rule already reads
+//! `VSide::image`, which `mul_mv`'s identity rule already reads
 //! (`crates/dd/src/ops.rs`). So a clean node that carries an image comes
 //! back as `(image factor, itself)` without calling `make_vnode`, and
 //! the rebuild never descends into it. A node without an image, and
@@ -204,9 +204,8 @@ impl Package {
             if words[at] == REMOVED {
                 continue;
             }
-            let n = self.vnode(id);
-            let clean = n.image.factor().is_some()
-                && n.edges().iter().all(|c| {
+            let clean = self.vside(id).image().factor().is_some()
+                && self.vnode(id).edges().iter().all(|c| {
                     c.is_zero(self.tolerance())
                         || c.node.is_terminal()
                         || words[rank(c.node)] == CLEAN
@@ -275,16 +274,15 @@ impl Package {
             .expect("a rebuild only visits analyzed nodes");
         match memo.words[rank] {
             CLEAN => {
-                let image = self.vnode(node).image;
+                let image = self.vside(node).image();
                 let w = image.factor().expect("a clean node carries an image");
                 return VEdge { w, node };
             }
             PENDING => {}
             at => return memo.rebuilt[at as usize],
         }
-        let n = *self.vnode(node);
         let mut children = [VEdge::ZERO; 2];
-        for (i, c) in n.edges().iter().enumerate() {
+        for (i, c) in self.vnode(node).edges().iter().enumerate() {
             if c.is_zero(self.tolerance()) {
                 continue;
             }
@@ -295,7 +293,7 @@ impl Package {
                 children[i] = sub.scaled(c.w);
             }
         }
-        let e = self.make_vnode(n.var, children[0], children[1]);
+        let e = self.make_vnode(self.vside(node).var(), children[0], children[1]);
         memo.words[rank] = u32::try_from(memo.rebuilt.len()).expect("ranks fit in u32");
         memo.rebuilt.push(e);
         e
@@ -867,6 +865,7 @@ mod tests {
                 Rebuild::Pending => {}
             }
             let n = *self.vnode(node);
+            let side = self.vside(node);
             let mut clean = true;
             let mut children = [VEdge::ZERO; 2];
             for (i, c) in n.edges().iter().enumerate() {
@@ -879,12 +878,12 @@ mod tests {
                     children[i] = sub.scaled(c.w);
                 }
             }
-            if let Some(w) = n.image.factor().filter(|_| clean) {
+            if let Some(w) = side.image().factor().filter(|_| clean) {
                 let e = VEdge { w, node };
                 steps[rank] = Rebuild::Clean(e);
                 return (e, true);
             }
-            let e = self.make_vnode(n.var, children[0], children[1]);
+            let e = self.make_vnode(side.var(), children[0], children[1]);
             steps[rank] = Rebuild::Done(e);
             (e, false)
         }
@@ -929,7 +928,7 @@ mod tests {
                     children[i] = sub.scaled(c.w);
                 }
             }
-            let e = self.make_vnode(n.var, children[0], children[1]);
+            let e = self.make_vnode(self.vside(node).var(), children[0], children[1]);
             steps[rank] = Rebuild::Done(e);
             e
         }
@@ -951,7 +950,7 @@ mod tests {
                 .iter()
                 .zip(&plan.steps)
                 .filter(|&((node, _), step)| {
-                    let image = self.vnode(node).image.factor().map(|w| VEdge { w, node });
+                    let image = self.vside(node).image().factor().map(|w| VEdge { w, node });
                     matches!(step, Rebuild::Done(e) if Some(*e) == image)
                 })
                 .count();
@@ -1220,9 +1219,12 @@ mod tests {
         let (root, signed, victim) = build(&mut fast);
         assert_eq!(build(&mut slow).0, root);
         for e in signed {
-            let node = fast.vnode(e.node);
-            assert_ne!(node.image, Image::NONE, "the rule must be able to fire");
-            let w = node.edges()[1].w;
+            assert_ne!(
+                fast.vside(e.node).image(),
+                Image::NONE,
+                "the rule must be able to fire"
+            );
+            let w = fast.vnode(e.node).edges()[1].w;
             let flipped = Cplx::ONE * w;
             assert!(
                 w.re.to_bits() != flipped.re.to_bits() || w.im.to_bits() != flipped.im.to_bits(),

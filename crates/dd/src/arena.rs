@@ -8,12 +8,14 @@
 //!
 //! The arena stores node payloads and GC bookkeeping **separately**
 //! (struct-of-arrays): payloads in one dense [`Chunked<T>`], reference
-//! counts in a parallel `Chunked<u32>`, and the `alive`/`mark` flags
-//! packed into one bit each of two word arrays. The hot path (operation
-//! recursion reading node payloads) therefore never drags
-//! `rc`/`alive`/`mark` bytes through the cache, and the GC phases become
-//! word-wide: clearing marks is a `memset`, and the sweep skips 64 slots
-//! at a time wherever `alive & !mark` is zero.
+//! counts in a parallel `Chunked<u32>`, a small per-slot side word in a
+//! parallel `Chunked<S>` (a vector node's level and image; nothing for
+//! a matrix node), and the `alive`/`mark` flags packed into one bit each
+//! of two word arrays. The hot path (operation recursion reading node
+//! payloads) therefore never drags `rc`/`alive`/`mark` bytes through the
+//! cache, a reader that needs only a level never drags a payload, and
+//! the GC phases become word-wide: clearing marks is a `memset`, and the
+//! sweep skips 64 slots at a time wherever `alive & !mark` is zero.
 //!
 //! # The free list
 //!
@@ -54,8 +56,8 @@
 
 use std::ops::{Index, IndexMut};
 
-/// log₂ of the slots per [`Chunked`] chunk. 16 384 slots are 640 KiB of
-/// vector nodes or 1.6 MiB of matrix nodes: small enough that what the
+/// log₂ of the slots per [`Chunked`] chunk. 16 384 slots are 512 KiB of
+/// vector payloads or 1.6 MiB of matrix nodes: small enough that what the
 /// first chunk copies while it doubles is noise beside an engine that
 /// outgrows it, large enough that the engines of small pooled jobs — and
 /// the gate DDs of a `pool_sweep` batch, 14 676 matrix nodes — stay in
@@ -193,12 +195,15 @@ impl BitSet {
 }
 
 #[derive(Debug, Default)]
-pub(crate) struct Arena<T> {
+pub(crate) struct Arena<T, S = ()> {
     /// Node payloads (SoA: nothing but payload bytes on the hot path).
     items: Chunked<T>,
     /// External-root reference counts, parallel to `items`; a freed
     /// slot's word is its link in the free list instead.
     rc: Chunked<u32>,
+    /// Side words, parallel to `items`: written with the payload at
+    /// [`Arena::alloc`] and read alone by [`Arena::side`].
+    side: Chunked<S>,
     /// One bit per slot: is the slot currently allocated?
     alive: BitSet,
     /// One bit per slot: GC mark (valid between `clear_marks` and
@@ -224,11 +229,12 @@ pub(crate) struct Arena<T> {
     held_count: usize,
 }
 
-impl<T> Arena<T> {
+impl<T, S: Copy> Arena<T, S> {
     pub(crate) fn new() -> Self {
         Self {
             items: Chunked::new(),
             rc: Chunked::new(),
+            side: Chunked::new(),
             alive: BitSet::default(),
             mark: BitSet::default(),
             free_head: NO_SLOT,
@@ -251,6 +257,7 @@ impl<T> Arena<T> {
         Self {
             items: self.items.clone(),
             rc: self.rc.clone(),
+            side: self.side.clone(),
             alive: self.alive.clone(),
             mark: self.mark.clone(),
             free_head: NO_SLOT,
@@ -273,8 +280,9 @@ impl<T> Arena<T> {
         self.prefix_alive
     }
 
-    /// Allocates a slot for `item`, reusing a freed slot when available.
-    pub(crate) fn alloc(&mut self, item: T) -> u32 {
+    /// Allocates a slot for `item` with side word `side`, reusing a
+    /// freed slot when available.
+    pub(crate) fn alloc(&mut self, item: T, side: S) -> u32 {
         self.alive_count += 1;
         self.peak = self.peak.max(self.alive_count);
         if self.free_head != NO_SLOT {
@@ -282,6 +290,7 @@ impl<T> Arena<T> {
             let i = idx as usize;
             self.free_head = self.rc[i];
             self.items[i] = item;
+            self.side[i] = side;
             self.rc[i] = 0;
             self.alive.set(i);
             self.mark.clear(i);
@@ -294,6 +303,7 @@ impl<T> Arena<T> {
                 .filter(|&i| i < u32::MAX - 1)
                 .expect("arena exceeded u32 slot capacity");
             self.items.push(item);
+            self.side.push(side);
             self.rc.push(0);
             let i = idx as usize;
             self.alive.ensure(i);
@@ -308,9 +318,10 @@ impl<T> Arena<T> {
     /// heuristic leaves it out of line, and a called node read (operands
     /// spilled around it, no hoisting of the chunk table out of the
     /// caller's loop) costs 2.3× an inlined one (`hotpath_node_access`)
-    /// — so the read path is inlined by decree, here, in
-    /// `Package::{vnode, mnode}` and in `VNode::{edges, ids}`. CI fails
-    /// when any of them is a symbol of the server binary.
+    /// — so the read path is inlined by decree, here, in [`Arena::side`],
+    /// in `Package::{vnode, mnode, vside}`, in `VNode::{edges, ids}` and
+    /// in `VSide::{var, image}`. CI fails when any of them is a symbol
+    /// of the server binary.
     #[inline(always)]
     pub(crate) fn get(&self, idx: u32) -> &T {
         debug_assert!(
@@ -318,6 +329,17 @@ impl<T> Arena<T> {
             "access to freed arena slot {idx}"
         );
         &self.items[idx as usize]
+    }
+
+    /// A slot's side word, without its payload. Inlined by decree, like
+    /// [`Arena::get`].
+    #[inline(always)]
+    pub(crate) fn side(&self, idx: u32) -> S {
+        debug_assert!(
+            self.alive.get(idx as usize),
+            "access to freed arena slot {idx}"
+        );
+        self.side[idx as usize]
     }
 
     /// Pins a slot as an external root.
@@ -373,9 +395,11 @@ impl<T> Arena<T> {
     }
 
     /// Bytes of the arena, by length: payloads, reference counts (the
-    /// free list lives in those of the freed slots) and the flag bitsets.
+    /// free list lives in those of the freed slots), side words and the
+    /// flag bitsets.
     pub(crate) fn bytes(&self) -> usize {
-        self.items.len() * (std::mem::size_of::<T>() + std::mem::size_of::<u32>())
+        self.items.len()
+            * (std::mem::size_of::<T>() + std::mem::size_of::<u32>() + std::mem::size_of::<S>())
             + (self.alive.words.len() + self.mark.words.len() + self.held.words.len())
                 * std::mem::size_of::<u64>()
     }
@@ -472,7 +496,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    impl<T> Arena<T> {
+    impl<T, S: Copy> Arena<T, S> {
         /// The free list, top (next to be reused) first.
         fn free_list(&self) -> Vec<u32> {
             let mut ids = Vec::new();
@@ -488,8 +512,8 @@ mod tests {
     #[test]
     fn alloc_reuses_freed_slots() {
         let mut a: Arena<u64> = Arena::new();
-        let x = a.alloc(10);
-        let y = a.alloc(20);
+        let x = a.alloc(10, ());
+        let y = a.alloc(20, ());
         assert_ne!(x, y);
         assert_eq!(a.alive_count(), 2);
 
@@ -499,7 +523,7 @@ mod tests {
         assert_eq!(freed, 2);
         assert_eq!(a.alive_count(), 0);
 
-        let z = a.alloc(30);
+        let z = a.alloc(30, ());
         assert!(z == x || z == y, "freed slot should be reused");
         assert_eq!(*a.get(z), 30);
         assert_eq!(a.capacity(), 2);
@@ -508,8 +532,8 @@ mod tests {
     #[test]
     fn rc_protects_from_sweep() {
         let mut a: Arena<u64> = Arena::new();
-        let x = a.alloc(1);
-        let y = a.alloc(2);
+        let x = a.alloc(1, ());
+        let y = a.alloc(2, ());
         a.inc_rc(x);
 
         a.clear_marks();
@@ -530,11 +554,11 @@ mod tests {
     fn peak_tracks_high_water_mark() {
         let mut a: Arena<u8> = Arena::new();
         for i in 0..5 {
-            a.alloc(i);
+            a.alloc(i, ());
         }
         a.clear_marks();
         a.sweep();
-        a.alloc(9);
+        a.alloc(9, ());
         assert_eq!(a.peak_count(), 5);
         assert_eq!(a.alive_count(), 1);
     }
@@ -542,7 +566,7 @@ mod tests {
     #[test]
     fn mark_reports_first_visit() {
         let mut a: Arena<u8> = Arena::new();
-        let x = a.alloc(0);
+        let x = a.alloc(0, ());
         a.clear_marks();
         assert!(a.mark(x));
         assert!(!a.mark(x));
@@ -555,7 +579,7 @@ mod tests {
     fn frozen_prefix_resolves_below_watermark_and_allocs_above() {
         let mut base: Arena<u64> = Arena::new();
         for i in 0..10 {
-            base.alloc(i * 100);
+            base.alloc(i * 100, ());
         }
         let mut fork = base.fork();
         assert_eq!(fork.prefix(), 10);
@@ -563,7 +587,7 @@ mod tests {
         assert_eq!(fork.alive_count(), 10);
         assert_eq!(*fork.get(3), 300);
 
-        let id = fork.alloc(7777);
+        let id = fork.alloc(7777, ());
         assert!(id >= fork.prefix(), "alloc below the prefix");
         assert_eq!(*fork.get(id), 7777);
         assert_eq!(fork.alive_count(), 11);
@@ -580,7 +604,7 @@ mod tests {
     fn fork_never_reuses_a_dead_prefix_slot() {
         let mut base: Arena<u64> = Arena::new();
         for i in 0..70 {
-            let id = base.alloc(i);
+            let id = base.alloc(i, ());
             if i != 3 && i != 68 {
                 base.inc_rc(id);
             }
@@ -592,19 +616,19 @@ mod tests {
         assert_eq!(base.sweep(), 2);
         let mut fork = base.fork();
         assert_eq!((fork.prefix(), fork.prefix_alive()), (70, 68));
-        assert_eq!(fork.alloc(7), 70);
-        assert_eq!(base.alloc(7), 68, "the base reuses its own");
+        assert_eq!(fork.alloc(7, ()), 70);
+        assert_eq!(base.alloc(7, ()), 68, "the base reuses its own");
     }
 
     #[test]
     fn sweep_never_frees_frozen_slots() {
         let mut base: Arena<u64> = Arena::new();
         for i in 0..70 {
-            base.alloc(i); // spans a word boundary
+            base.alloc(i, ()); // spans a word boundary
         }
         let mut fork = base.fork();
-        let a = fork.alloc(1000);
-        let b = fork.alloc(2000);
+        let a = fork.alloc(1000, ());
+        let b = fork.alloc(2000, ());
         fork.inc_rc(a);
         // Reference counts work on prefix slots like on any other.
         fork.inc_rc(5);
@@ -631,7 +655,7 @@ mod tests {
         assert_eq!(fork.alive_count(), 71);
 
         // The freed slot is reused at the same id.
-        let c = fork.alloc(3000);
+        let c = fork.alloc(3000, ());
         assert_eq!(c, b);
         assert_eq!(*fork.get(c), 3000);
     }
@@ -642,7 +666,7 @@ mod tests {
     #[test]
     fn sweep_frees_ascending_and_alloc_reuses_highest_freed_first() {
         let mut a: Arena<u32> = Arena::new();
-        let ids: Vec<u32> = (0..140).map(|i| a.alloc(i)).collect();
+        let ids: Vec<u32> = (0..140).map(|i| a.alloc(i, ())).collect();
         assert_eq!(ids, (0..140).collect::<Vec<u32>>());
         // Survivors: every fifth slot. The victims span three words.
         for id in ids.iter().step_by(5) {
@@ -663,7 +687,7 @@ mod tests {
         // LIFO reuse: the highest freed id comes back first, and only
         // once the free list is empty does the arena grow.
         let reused: Vec<u32> = (0..victims.len() as u32 + 2)
-            .map(|i| a.alloc(1000 + i))
+            .map(|i| a.alloc(1000 + i, ()))
             .collect();
         let mut expected: Vec<u32> = victims.iter().rev().copied().collect();
         expected.extend([140, 141]);
@@ -676,9 +700,9 @@ mod tests {
             a.mark(r);
         }
         assert_eq!(a.sweep(), victims.len() + 2);
-        assert_eq!(a.alloc(0), 141);
-        assert_eq!(a.alloc(0), 140);
-        assert_eq!(a.alloc(0), 139);
+        assert_eq!(a.alloc(0, ()), 141);
+        assert_eq!(a.alloc(0, ()), 140);
+        assert_eq!(a.alloc(0, ()), 139);
     }
 
     #[test]
@@ -686,7 +710,7 @@ mod tests {
         // >64 slots so the word-wide sweep crosses word boundaries;
         // keep every third slot rooted and verify exactly the rest go.
         let mut a: Arena<u32> = Arena::new();
-        let ids: Vec<u32> = (0..200).map(|i| a.alloc(i)).collect();
+        let ids: Vec<u32> = (0..200).map(|i| a.alloc(i, ())).collect();
         for id in ids.iter().step_by(3) {
             a.inc_rc(*id);
         }
@@ -746,7 +770,7 @@ mod tests {
         const SLOTS: u32 = 3 * CHUNK_LEN as u32 + 1;
         let mut base: Arena<u64> = Arena::new();
         for i in 0..SLOTS {
-            assert_eq!(base.alloc(u64::from(i) * 3), i);
+            assert_eq!(base.alloc(u64::from(i) * 3, ()), i);
         }
         let mut fork = base.fork();
         drop(base);
@@ -760,7 +784,7 @@ mod tests {
         );
 
         for i in 0..CHUNK_LEN as u32 + 2 {
-            assert_eq!(fork.alloc(u64::from(i)), SLOTS + i);
+            assert_eq!(fork.alloc(u64::from(i), ()), SLOTS + i);
         }
         assert_eq!(
             *fork.get(SLOTS + CHUNK_LEN as u32 + 1),
@@ -770,12 +794,52 @@ mod tests {
         assert_eq!(fork.capacity(), SLOTS as usize + CHUNK_LEN + 2);
     }
 
+    /// The side words travel with their slots: a fork reads the base's
+    /// across every chunk, and a reused slot reads the word of its new
+    /// node, not of the one freed there.
+    #[test]
+    fn fork_copies_the_side_words_and_a_reused_slot_carries_its_new_one() {
+        const SLOTS: u32 = CHUNK_LEN as u32 + 70;
+        let side = |i: u32| (i % 251) as u16;
+        let mut base: Arena<u32, u16> = Arena::new();
+        for i in 0..SLOTS {
+            base.alloc(i, side(i));
+        }
+        let mut fork = base.fork();
+        for id in 0..SLOTS {
+            assert_eq!((*fork.get(id), fork.side(id)), (id, side(id)));
+        }
+        let above = fork.alloc(0, 0xBEEF);
+        assert_eq!((above, fork.side(above)), (SLOTS, 0xBEEF));
+        assert_eq!(fork.bytes(), base.bytes() + 4 + 4 + 2, "one slot more");
+
+        let kept = SLOTS - 1;
+        base.inc_rc(kept);
+        base.clear_marks();
+        base.mark(kept);
+        base.sweep();
+        for (n, want) in (0..3).zip([kept - 1, kept - 2, kept - 3]) {
+            let id = base.alloc(u32::MAX - n, 0x8000 | n as u16);
+            assert_eq!(id, want, "LIFO reuse");
+            assert_eq!(
+                (*base.get(id), base.side(id)),
+                (u32::MAX - n, 0x8000 | n as u16)
+            );
+        }
+        assert_eq!(base.side(kept), side(kept));
+        assert_eq!(
+            fork.side(kept - 1),
+            side(kept - 1),
+            "the fork kept its copy"
+        );
+    }
+
     #[test]
     fn roots_and_sweep_cross_chunk_boundaries_in_ascending_id_order() {
         const SLOTS: u32 = 2 * CHUNK_LEN as u32 + 50;
         let mut a: Arena<u32> = Arena::new();
         for i in 0..SLOTS {
-            a.alloc(i);
+            a.alloc(i, ());
         }
         // Roots on both sides of each chunk boundary.
         let rooted = |id: u32| (id as usize + 1) % CHUNK_LEN < 2 || id % 1000 == 7;
@@ -799,7 +863,7 @@ mod tests {
             (0..SLOTS).filter(|&id| !rooted(id)).collect::<Vec<_>>()
         );
         // LIFO reuse reaches back across the boundaries too.
-        assert_eq!(a.alloc(7), SLOTS - 1);
+        assert_eq!(a.alloc(7, ()), SLOTS - 1);
         assert_eq!(*a.get(SLOTS - 1), 7);
         assert_eq!(*a.get(2 * CHUNK_LEN as u32), 2 * CHUNK_LEN as u32);
     }

@@ -151,7 +151,7 @@ impl Package {
         // allocated: a round runs when the arenas are fullest.
         drop(stack);
         let index = seen.into_index();
-        let levels = Levels::new(&index, n_levels, |id| usize::from(self.vnode(id).var));
+        let levels = Levels::new(&index, n_levels, |id| usize::from(self.vside(id).var()));
         let mut contrib = vec![0.0; index.len()];
         let slot = |id: NodeId| index.rank(id).expect("every reachable node was indexed");
 
@@ -332,9 +332,8 @@ pub(crate) mod tests {
             if id.is_terminal() || !seen.insert(id) {
                 continue;
             }
-            let node = p.vnode(id);
-            levels[usize::from(node.var)].push(id);
-            stack.extend(node.ids());
+            levels[usize::from(p.vside(id).var())].push(id);
+            stack.extend(p.vnode(id).ids());
         }
         contrib.insert(root.node, root.w.mag2());
         for level in levels.iter_mut().rev() {
@@ -370,7 +369,7 @@ pub(crate) mod tests {
                     prop_assert!(pair[0] < pair[1], "levels are sorted by id");
                 }
                 for &node in got.level(var) {
-                    prop_assert_eq!(usize::from(p.vnode(node).var), var);
+                    prop_assert_eq!(usize::from(p.vside(node).var()), var);
                 }
             }
             let mut sorted: Vec<(NodeId, f64)> = want.into_iter().collect();

@@ -22,13 +22,12 @@ impl Package {
             }
             ids.insert(id, order.len());
             order.push(id);
-            let node = self.vnode(id);
-            stack.extend(node.ids());
+            stack.extend(self.vnode(id).ids());
         }
         out.push_str("  t [label=\"1\", shape=box];\n");
         for (id, i) in order.iter().map(|id| (*id, ids[id])) {
-            let node = self.vnode(id);
-            let _ = writeln!(out, "  n{i} [label=\"q{}\", shape=circle];", node.var);
+            let var = self.vside(id).var();
+            let _ = writeln!(out, "  n{i} [label=\"q{var}\", shape=circle];");
         }
         let _ = writeln!(
             out,

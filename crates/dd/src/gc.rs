@@ -59,7 +59,10 @@ pub struct GcStats {
 
 /// Marks every node reachable from an external root of `arena` (the
 /// pinned prefix reads as marked already).
-fn mark_reachable<T, const N: usize>(arena: &mut Arena<T>, children: impl Fn(&T) -> [NodeId; N]) {
+fn mark_reachable<T, S: Copy, const N: usize>(
+    arena: &mut Arena<T, S>,
+    children: impl Fn(&T) -> [NodeId; N],
+) {
     arena.clear_marks();
     let mut stack: Vec<u32> = arena.rooted_indices().collect();
     while let Some(idx) = stack.pop() {
@@ -154,7 +157,8 @@ mod tests {
             self.collect(|p| {
                 let tol = p.tol;
                 for id in p.vnodes.unmarked_indices() {
-                    remove_vnode_from_unique(&mut p.vunique, tol, id, p.vnodes.get(id));
+                    let var = p.vnodes.side(id).var();
+                    remove_vnode_from_unique(&mut p.vunique, tol, id, var, p.vnodes.get(id));
                 }
                 for id in p.mnodes.unmarked_indices() {
                     remove_mnode_from_unique(&mut p.munique, tol, id, p.mnodes.get(id));
@@ -194,8 +198,8 @@ mod tests {
         assert_eq!(before.unique_len, gc.vnodes_alive + gc.mnodes_alive);
         // Re-making a survivor from its own children finds the survivor.
         for id in p.vnodes.alive_indices().collect::<Vec<_>>() {
-            let node = *p.vnodes.get(id);
-            assert_eq!(p.intern_vnode(node), id, "vnode {id} lost its entry");
+            let (node, var) = (*p.vnodes.get(id), p.vnodes.side(id).var());
+            assert_eq!(p.intern_vnode(var, node), id, "vnode {id} lost its entry");
         }
         for id in p.mnodes.alive_indices().collect::<Vec<_>>() {
             let node = *p.mnodes.get(id);

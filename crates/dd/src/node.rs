@@ -54,30 +54,58 @@ impl Image {
     }
 }
 
-/// A vector-DD node: a qubit level and two successor edges.
+/// The per-slot side word of a vector node: its qubit level in the low
+/// byte and its [`Image`] in the high byte. It lives beside the payload
+/// in the arena (see [`crate::arena::Arena::side`]), written once where
+/// the node is interned and never changed afterwards; readers that need
+/// a level or an image take these two bytes and no weight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct VSide(u16);
+
+impl VSide {
+    /// The side word of a node on level `var` with image `image`.
+    #[inline(always)]
+    pub(crate) fn new(var: u8, image: Image) -> Self {
+        Self(u16::from(var) | u16::from(image.0.cast_unsigned()) << 8)
+    }
+
+    /// Qubit level; 0 is the least-significant qubit, directly above the
+    /// terminal.
+    #[inline(always)]
+    pub(crate) fn var(self) -> u8 {
+        self.0.to_le_bytes()[0]
+    }
+
+    /// The node's image under the identity: a property of the stored
+    /// bits, decided where the node is interned.
+    #[inline(always)]
+    pub(crate) fn image(self) -> Image {
+        Image(self.0.to_le_bytes()[1].cast_signed())
+    }
+}
+
+/// A vector-DD node's payload: two successor edges (its level and image
+/// are its [`VSide`] word).
 ///
 /// Edge 0 leads to the sub-vector where this node's qubit is `|0⟩`,
 /// edge 1 to where it is `|1⟩`. Normalization guarantees
 /// `|w0|² + |w1|² = 1` with canonical phase, so the function represented
 /// by a node (top weight 1) always has unit ℓ2 norm.
 ///
-/// # Layout: 40 bytes
+/// # Layout: 32 bytes, 32-aligned
 ///
 /// Normalization makes edge 0's weight real — `Cplx::real(..)` for a
 /// non-zero pivot, [`Cplx::ZERO`] otherwise — so its imaginary part is
 /// always the bits of `+0.0` and is not stored: `w0` is the real part
 /// alone. [`VNode::new`] is the one constructor and refuses any other
 /// imaginary part, so the readers' [`VNode::edges`] hands back every
-/// bit it was given.
+/// bit it was given. With the level and the image in the arena's side
+/// word, the weights and ids fill exactly 32 bytes; the alignment puts
+/// two payloads in a 64-byte line and none across two. An arena slot
+/// costs 38 bytes: payload, reference count and side word.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(align(32))]
 pub(crate) struct VNode {
-    /// Qubit level; 0 is the least-significant qubit, directly above the
-    /// terminal.
-    pub(crate) var: u8,
-    /// The node's image under the identity. A property of the stored
-    /// bits, decided where the node is interned and never changed
-    /// afterwards; it lives in the padding `var` leaves.
-    pub(crate) image: Image,
     /// Real part of edge 0's weight (its imaginary part is `+0.0`).
     w0: f64,
     /// Edge 1's weight.
@@ -87,23 +115,20 @@ pub(crate) struct VNode {
 }
 
 impl VNode {
-    /// The node `var -> edges`, without an image, from normalized
-    /// `edges`.
+    /// The payload of the node with normalized `edges`.
     ///
     /// # Panics
     ///
     /// If edge 0's weight has an imaginary part other than `+0.0`: the
     /// layout cannot store it, and dropping it would change a result.
     #[inline(always)]
-    pub(crate) fn new(var: u8, edges: [VEdge; 2]) -> Self {
+    pub(crate) fn new(edges: [VEdge; 2]) -> Self {
         assert!(
             edges[0].w.im.to_bits() == 0,
             "edge 0 of a vector node must carry a real weight, not {:?}",
             edges[0].w
         );
         Self {
-            var,
-            image: Image::NONE,
             w0: edges[0].w.re,
             w1: edges[1].w,
             ids: [edges[0].node, edges[1].node],
@@ -144,7 +169,7 @@ pub(crate) struct MNode {
     /// The node is an identity matrix: quadrants `[e, 0, 0, e]` where
     /// `e` has weight bits `1 + 0i` and is the terminal or an identity
     /// node itself. Decided where the node is interned, like
-    /// [`VNode::image`], and stored in the padding `var` leaves.
+    /// [`VSide::image`], and stored in the padding `var` leaves.
     pub(crate) identity: bool,
     /// Quadrant successor edges `[e00, e01, e10, e11]`.
     pub(crate) edges: [MEdge; 4],
@@ -176,10 +201,35 @@ mod tests {
     }
 
     #[test]
+    fn a_vector_payload_is_32_bytes_and_32_aligned() {
+        assert_eq!(std::mem::size_of::<VNode>(), 32);
+        assert_eq!(std::mem::align_of::<VNode>(), 32);
+        assert_eq!(std::mem::size_of::<VSide>(), 2);
+    }
+
+    #[test]
+    fn the_side_word_round_trips_every_level_and_image() {
+        let encodable = (-127..=127_i8).map(|ulps| {
+            let f = Cplx::real(f64::from_bits(
+                ONE_BITS.wrapping_add_signed(i64::from(ulps)),
+            ));
+            Image::encode(f)
+        });
+        let images: Vec<Image> = encodable.chain([Image::NONE]).collect();
+        assert_eq!(images.len(), 256);
+        for var in 0..=62_u8 {
+            for &image in &images {
+                let side = VSide::new(var, image);
+                assert_eq!((side.var(), side.image()), (var, image), "{var} {image:?}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "must carry a real weight")]
     fn a_node_refuses_an_imaginary_part_on_edge_zero() {
         let e0 = VEdge::terminal(Cplx::new(0.6, -0.0));
-        let _ = VNode::new(0, [e0, VEdge::terminal(Cplx::real(0.8))]);
+        let _ = VNode::new([e0, VEdge::terminal(Cplx::real(0.8))]);
     }
 
     #[test]

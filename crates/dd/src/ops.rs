@@ -86,7 +86,7 @@
 //!
 //! * `MNode::identity`, a bit — quadrants `[e, 0, 0, e]` where `e` has
 //!   weight bits `1 + 0i` and is the terminal or an identity node itself;
-//! * `VNode::image`, a byte — the node's image under the identity: the
+//! * `VSide::image`, a byte — the node's image under the identity: the
 //!   factor `f` for which `mul_mv(I, ·)` on this node returns
 //!   `(f, this node)`, stored as the signed ulp distance of `f` from
 //!   `1.0`, or "none". It is found by taking the node's own stored edges
@@ -127,9 +127,10 @@
 //! the hit contract); and no `canonical_ratio` call at
 //! all, because under an identity every `add` has a zero operand and
 //! returns before it forms a ratio — so the canonical-ratio table sees
-//! the same sequence either way. Both fields live in the padding beside
-//! `var`, are part of the node payload a fork copies as-is,
-//! and a recycled slot is overwritten whole. An image is a property of
+//! the same sequence either way. The identity bit lives in the padding
+//! beside `MNode::var`, the image beside the level in the vector slot's
+//! side word; a fork copies both as-is, and a recycled slot gets its
+//! new node's. An image is a property of
 //! the stored bits, not of the state: |+⟩ fresh out of an H gate stores
 //! `0.7071067811865475`, which re-normalises to `1 − ulp`, and carries
 //! that; the same column after a T gate stores `0.7071067811865476` and
@@ -231,7 +232,8 @@ impl Package {
         let (rk, ratio, position) = self.canonical_ratio(b.w / a.w);
         #[allow(clippy::cast_sign_loss)]
         let key = (a.node.0, b.node.0, rk.0 as u64, rk.1 as u64);
-        let memoized = !at_terminal_level(self.vnode(a.node).var);
+        let var = self.vside(a.node).var();
+        let memoized = !at_terminal_level(var);
         if memoized {
             if let Some(cached) = self.ct.lookup(&key, position) {
                 return cached.scaled(a.w);
@@ -239,12 +241,11 @@ impl Package {
         }
 
         let resets = self.ratio_resets;
-        let an = *self.vnode(a.node);
-        let [a0, a1] = an.edges();
+        let [a0, a1] = self.vnode(a.node).edges();
         let [b0, b1] = self.vnode(b.node).edges();
         let r0 = self.add(a0, b0.scaled(ratio));
         let r1 = self.add(a1, b1.scaled(ratio));
-        let res = self.make_vnode(an.var, r0, r1);
+        let res = self.make_vnode(var, r0, r1);
         if memoized && self.ratio_resets == resets {
             self.ct.insert(key, position, res);
         }
@@ -284,8 +285,9 @@ impl Package {
         debug_assert_eq!(self.mlevel(m), self.vlevel(v), "mul level mismatch");
 
         // The identity rule (module docs). The image first: it shares the
-        // cache line the terminal-level test below loads anyway.
-        if let Some(f) = self.vnode(v.node).image.factor() {
+        // side word the terminal-level test below reads anyway.
+        let side = self.vside(v.node);
+        if let Some(f) = side.image().factor() {
             if self.mnode(m.node).identity {
                 self.stats.identity_skips += 1;
                 return VEdge { w: f, node: v.node }.scaled(m.w * v.w);
@@ -293,7 +295,7 @@ impl Package {
         }
 
         let key = (m.node.0, v.node.0);
-        let memoized = !at_terminal_level(self.vnode(v.node).var);
+        let memoized = !at_terminal_level(side.var());
         if memoized {
             if let Some(cached) = self.mv_memo.get(&key) {
                 return cached.scaled(m.w * v.w);
@@ -428,7 +430,7 @@ impl Package {
         debug_assert_eq!(self.vlevel(a), self.vlevel(b), "inner level mismatch");
 
         let key = (a.node.0, b.node.0);
-        let memoized = !at_terminal_level(self.vnode(a.node).var);
+        let memoized = !at_terminal_level(self.vside(a.node).var());
         if memoized {
             if let Some(&cached) = memo.get(&key) {
                 return a.w.conj() * b.w * cached;
@@ -484,16 +486,15 @@ impl Package {
         if let Some(&e) = memo.get(&node) {
             return e;
         }
-        let n = *self.vnode(node);
         let mut children = [VEdge::ZERO; 2];
-        for (i, c) in n.edges().iter().enumerate() {
+        for (i, c) in self.vnode(node).edges().iter().enumerate() {
             if c.is_zero(self.tolerance()) {
                 continue;
             }
             let sub = self.vkron_rec(c.node, bottom, shift, memo);
             children[i] = sub.scaled(c.w);
         }
-        let e = self.make_vnode(n.var + shift, children[0], children[1]);
+        let e = self.make_vnode(self.vside(node).var() + shift, children[0], children[1]);
         memo.insert(node, e);
         e
     }
@@ -541,7 +542,7 @@ impl Package {
 mod tests {
     use super::*;
     use crate::gates::GateKind;
-    use crate::node::{Image, MNode, VNode};
+    use crate::node::{Image, MNode};
     use crate::package::PackageStats;
     use crate::ratio::RatioCanon;
     use proptest::prelude::*;
@@ -586,7 +587,7 @@ mod tests {
             }
             debug_assert_eq!(self.mlevel(m), self.vlevel(v), "mul level mismatch");
 
-            if let Some(f) = self.vnode(v.node).image.factor().filter(|_| rule) {
+            if let Some(f) = self.vside(v.node).image().factor().filter(|_| rule) {
                 if self.mnode(m.node).identity {
                     self.stats.identity_skips += 1;
                     return VEdge { w: f, node: v.node }.scaled(m.w * v.w);
@@ -594,7 +595,7 @@ mod tests {
             }
 
             let key = (m.node.0, v.node.0, self.ratio_resets);
-            let memoized = memo.is_some() && !at_terminal_level(self.vnode(v.node).var);
+            let memoized = memo.is_some() && !at_terminal_level(self.vside(v.node).var());
             if memoized {
                 if let Some(cached) = memo.as_ref().and_then(|memo| memo.get(&key)) {
                     return cached.scaled(m.w * v.w);
@@ -664,7 +665,7 @@ mod tests {
         /// state edge.
         fn image_census(&self, root: VEdge) -> (usize, usize, usize) {
             let nodes = self.reachable_vnodes(root);
-            let ulps = |&id: &NodeId| self.vnode(id).image.ulps();
+            let ulps = |&id: &NodeId| self.vside(id).image().ulps();
             let at_one = nodes.iter().filter(|id| ulps(id) == Some(0)).count();
             let imaged = nodes.iter().filter_map(ulps).count();
             (at_one, imaged, nodes.len())
@@ -891,9 +892,10 @@ mod tests {
         state
     }
 
+    /// `MNode::identity` sits in the padding `var` leaves (a vector
+    /// node's image is its side word's, pinned in `node.rs`).
     #[test]
     fn structure_bits_live_in_existing_padding() {
-        assert_eq!(std::mem::size_of::<VNode>(), 40);
         assert_eq!(std::mem::size_of::<MNode>(), 104);
     }
 
@@ -956,14 +958,14 @@ mod tests {
         assert_eq!(p.image_census(plus), (0, 20, 20));
         let w = p.vnode(plus.node).edges()[0].w;
         assert_eq!(w.re.to_bits(), 0.707_106_781_186_547_5_f64.to_bits());
-        let mut bottom = *p.vnode(plus.node);
-        while bottom.var > 0 {
-            bottom = *p.vnode(bottom.ids()[0]);
+        let mut bottom = plus.node;
+        while p.vside(bottom).var() > 0 {
+            bottom = p.vnode(bottom).ids()[0];
         }
-        assert_eq!(bottom.edges()[0].w, w);
-        assert_eq!(bottom.image.ulps(), Some(-1));
+        assert_eq!(p.vnode(bottom).edges()[0].w, w);
+        assert_eq!(p.vside(bottom).image().ulps(), Some(-1));
         let under_one = Cplx::real(0.999_999_999_999_999_9);
-        assert_eq!(bottom.image.factor(), Some(under_one));
+        assert_eq!(p.vside(bottom).image().factor(), Some(under_one));
         let turned = layer(&mut p, Package::mul_mv, 20, 0..20, GateKind::T, plus);
         assert_eq!(p.image_census(turned), (20, 20, 20));
     }
@@ -1041,7 +1043,7 @@ mod tests {
             let before: Vec<(u32, Image)> = p
                 .vnodes
                 .alive_indices()
-                .map(|id| (id, p.vnodes.get(id).image))
+                .map(|id| (id, p.vnodes.side(id).image()))
                 .collect();
 
             // Nothing is rooted: every slot goes back to the free list,
@@ -1056,7 +1058,7 @@ mod tests {
                 before.iter().any(|&(id, image)| {
                     (image == Image::ONE) == was_one
                         && p.vnodes.alive_indices().any(|alive| alive == id)
-                        && (p.vnodes.get(id).image == Image::ONE) != was_one
+                        && (p.vnodes.side(id).image() == Image::ONE) != was_one
                 })
             };
             assert!(
@@ -1122,7 +1124,7 @@ mod tests {
             let small = Cplx::real(5e-9);
             let e = p.make_vnode(0, VEdge::terminal(big), VEdge::terminal(small));
             assert_eq!(p.vnode(e.node).edges()[1].w, Cplx::real(5e-13));
-            assert_eq!(p.vnode(e.node).image, Image::ONE);
+            assert_eq!(p.vside(e.node).image(), Image::ONE);
             let id = p.identity(1);
             let through = mul(&mut p, id, e);
             assert_eq!(through.node, e.node);
@@ -1135,9 +1137,9 @@ mod tests {
             let e = p.make_vnode(1, c0.scaled(big), c1.scaled(small));
             let node = *p.vnode(e.node);
             assert_eq!(node.edges()[1].w, Cplx::real(5e-13));
-            assert_eq!(p.vnode(c0.node).image, Image::ONE);
-            assert_eq!(p.vnode(c1.node).image, Image::ONE);
-            assert_eq!(node.image, Image::NONE);
+            assert_eq!(p.vside(c0.node).image(), Image::ONE);
+            assert_eq!(p.vside(c1.node).image(), Image::ONE);
+            assert_eq!(p.vside(e.node).image(), Image::NONE);
             let id = p.identity(2);
             let through = mul(&mut p, id, e);
             assert_ne!(through.node, e.node);
@@ -1155,7 +1157,7 @@ mod tests {
                 let bad = VEdge::terminal(Cplx::new(w, 0.0));
                 for (e0, e1) in [(bad, VEdge::ONE), (VEdge::ONE, bad), (bad, VEdge::ZERO)] {
                     let e = p.make_vnode(0, e0, e1);
-                    assert_eq!(p.vnode(e.node).image, Image::NONE);
+                    assert_eq!(p.vside(e.node).image(), Image::NONE);
                     let id = p.identity(1);
                     let through = mul(&mut p, id, e);
                     log.push(observe(&p, through, 1));
@@ -1182,7 +1184,7 @@ mod tests {
         for _ in 0..1_000_000 {
             let (a, b) = (Cplx::new(part(), part()), Cplx::new(part(), part()));
             let e = p.make_vnode(0, VEdge::terminal(a), VEdge::terminal(b));
-            if p.vnode(e.node).image == Image::NONE {
+            if p.vside(e.node).image() == Image::NONE {
                 return (a, b);
             }
         }
@@ -1195,7 +1197,7 @@ mod tests {
         assert_rule_is_unobservable(|mul, log| {
             let mut p = Package::new();
             let e = p.make_vnode(0, VEdge::terminal(a), VEdge::terminal(b));
-            assert_eq!(p.vnode(e.node).image, Image::NONE);
+            assert_eq!(p.vside(e.node).image(), Image::NONE);
             let id = p.identity(1);
             let through = mul(&mut p, id, e);
             assert_ne!(
@@ -1206,7 +1208,7 @@ mod tests {
 
             // Nor has anything built on it.
             let above = p.make_vnode(1, e, VEdge::ZERO);
-            assert_eq!(p.vnode(above.node).image, Image::NONE);
+            assert_eq!(p.vside(above.node).image(), Image::NONE);
             let id = p.identity(2);
             let through = mul(&mut p, id, above);
             assert_ne!(through.node, above.node);
@@ -1460,7 +1462,7 @@ mod tests {
 
         assert!(p.stats().ct_misses > 0);
         assert!(p.ct.live_keys().next().is_some());
-        let vvar = |id: u32| p.vnode(NodeId(id)).var;
+        let vvar = |id: u32| p.vside(NodeId(id)).var();
         let mvar = |id: u32| p.mnode(NodeId(id)).var;
         assert!(p.ct.live_keys().all(|k| vvar(k.0) > 0 && vvar(k.1) > 0));
         assert!(!p.mv_memo.is_empty());

@@ -9,7 +9,7 @@ use crate::ctable::ComputeCache;
 use crate::edge::{MEdge, NodeId, VEdge};
 use crate::error::DdError;
 use crate::fasthash::{FxHashMap, FxHasher};
-use crate::node::{Image, MNode, VNode};
+use crate::node::{Image, MNode, VNode, VSide};
 use crate::ratio::RatioCanon;
 use crate::unique::UniqueTable;
 use crate::visit::count_reachable;
@@ -50,7 +50,7 @@ fn is_exactly_one(w: Cplx) -> bool {
 /// to unit ℓ2 norm with a real positive pivot, and returns the factor
 /// taken out with the normalized successor edges — `None` for the zero
 /// vector. [`Package::make_vnode`] interns what this returns, and
-/// `VNode::image` is decided by running a node's own edges through it,
+/// `VSide::image` is decided by running a node's own edges through it,
 /// so "what re-normalising this node would give" is by construction
 /// what the recursion computes.
 ///
@@ -104,6 +104,7 @@ pub(crate) fn remove_vnode_from_unique(
     unique: &mut UniqueTable,
     tol: Tolerance,
     id: u32,
+    var: u8,
     node: &VNode,
 ) {
     // The stored node's weights are exactly the bits the key was
@@ -111,7 +112,7 @@ pub(crate) fn remove_vnode_from_unique(
     let edges = node.edges();
     let weights = edges.map(|e| tol.key(e.w));
     let hash = key_hash(edges.map(|e| e.node.0), weights);
-    let removed = unique.remove(node.var, hash, id);
+    let removed = unique.remove(var, hash, id);
     debug_assert!(removed, "swept vnode {id} missing from unique table");
 }
 
@@ -194,9 +195,10 @@ pub struct PackageStats {
     /// and is excluded from every fingerprint.
     pub identity_skips: u64,
     /// Bytes the package's node store holds right now, counted from
-    /// container **lengths**: arena slots (payload, reference count —
-    /// the free list lives in those of the freed slots — and flag
-    /// bits), unique-table buckets, the canonical-ratio index and
+    /// container **lengths**: arena slots (payload; reference count,
+    /// where the free list lives in the freed slots; a vector slot's
+    /// two-byte side word of level and image; flag bits — 38 B and
+    /// three bits per vector slot), unique-table buckets, the canonical-ratio index and
     /// values, and the compute table's slot array once it has
     /// materialised (not the per-call memos), a fork's pinned prefix
     /// included: a fork owns its copy. Deterministic for a given
@@ -241,7 +243,7 @@ impl PackageStats {
 #[derive(Debug)]
 pub struct Package {
     pub(crate) tol: Tolerance,
-    pub(crate) vnodes: Arena<VNode>,
+    pub(crate) vnodes: Arena<VNode, VSide>,
     pub(crate) mnodes: Arena<MNode>,
     pub(crate) vunique: UniqueTable,
     pub(crate) munique: UniqueTable,
@@ -350,6 +352,12 @@ impl Package {
         self.mnodes.get(id.0)
     }
 
+    /// A vector node's level and image, without its payload.
+    #[inline(always)]
+    pub(crate) fn vside(&self, id: NodeId) -> VSide {
+        self.vnodes.side(id.0)
+    }
+
     /// Level (number of qubits) represented by a vector edge: the var of
     /// its node plus one, or 0 for terminal edges.
     #[must_use]
@@ -357,7 +365,7 @@ impl Package {
         if e.node.is_terminal() {
             0
         } else {
-            usize::from(self.vnode(e.node).var) + 1
+            usize::from(self.vside(e.node).var()) + 1
         }
     }
 
@@ -383,24 +391,25 @@ impl Package {
         let Some((factor, edges)) = normalize(self.tol, e0, e1) else {
             return VEdge::ZERO;
         };
-        let id = self.intern_vnode(VNode::new(var, edges));
+        let id = self.intern_vnode(var, VNode::new(edges));
         VEdge {
             w: factor,
             node: NodeId(id),
         }
     }
 
-    /// The canonical id of an already normalized vector node: the one
-    /// the unique table holds for its key, or a newly allocated slot —
-    /// whose `image` is decided here, once (the argument's is ignored).
+    /// The canonical id of an already normalized vector node on level
+    /// `var`: the one the unique table holds for its key, or a newly
+    /// allocated slot — whose image is decided here, once, and written
+    /// into its side word with `var`.
     #[inline]
-    pub(crate) fn intern_vnode(&mut self, mut node: VNode) -> u32 {
+    pub(crate) fn intern_vnode(&mut self, var: u8, node: VNode) -> u32 {
         let edges = node.edges();
         let weights = edges.map(|e| self.tol.key(e.w));
         let hash = key_hash(edges.map(|e| e.node.0), weights);
         let tol = self.tol;
         let arena = &self.vnodes;
-        let found = self.vunique.lookup(node.var, hash, |id| {
+        let found = self.vunique.lookup(var, hash, |id| {
             let stored = arena.get(id).edges();
             (0..2).all(|i| stored[i].node == edges[i].node && tol.key(stored[i].w) == weights[i])
         });
@@ -414,15 +423,15 @@ impl Package {
             }
             None => {
                 self.stats.unique_misses += 1;
-                node.image = self.identity_image(edges, weights);
-                let id = self.vnodes.alloc(node);
-                self.vunique.insert(node.var, hash, id);
+                let image = self.identity_image(edges, weights);
+                let id = self.vnodes.alloc(node, VSide::new(var, image));
+                self.vunique.insert(var, hash, id);
                 id
             }
         }
     }
 
-    /// The definition of [`VNode::image`]: the factor `f` for which
+    /// The definition of [`VSide::image`]: the factor `f` for which
     /// `mul_mv(I, ·)` on the normalized node with `edges` would come
     /// back as `(f, that node)`. Feeds [`normalize`] what the recursion feeds
     /// `make_vnode` — for each successor the early-out or the scaled
@@ -442,7 +451,7 @@ impl Package {
             }
             *fed = if c.node.is_terminal() {
                 VEdge::terminal(Cplx::ONE * c.w)
-            } else if let Some(f) = self.vnode(c.node).image.factor() {
+            } else if let Some(f) = self.vside(c.node).image().factor() {
                 VEdge { w: f, node: c.node }.scaled(Cplx::ONE * c.w)
             } else {
                 return Image::NONE;
@@ -461,7 +470,7 @@ impl Package {
             // only directly above the terminal (var == 0).
             self.tol.is_zero(e.w) || var == 0
         } else {
-            self.vnode(e.node).var + 1 == var
+            self.vside(e.node).var() + 1 == var
         }
     }
 
@@ -541,7 +550,7 @@ impl Package {
                     && upper.is_zero(self.tol)
                     && lower.is_zero(self.tol)
                     && (e.node.is_terminal() || self.mnode(e.node).identity);
-                let id = self.mnodes.alloc(MNode { identity, ..node });
+                let id = self.mnodes.alloc(MNode { identity, ..node }, ());
                 self.munique.insert(node.var, hash, id);
                 id
             }
@@ -713,9 +722,8 @@ impl Package {
             out[offset] = acc;
             return;
         }
-        let node = self.vnode(e.node);
-        let stride = 1usize << node.var;
-        let [e0, e1] = node.edges();
+        let stride = 1usize << self.vside(e.node).var();
+        let [e0, e1] = self.vnode(e.node).edges();
         self.to_amps_rec(e0, acc, offset, out);
         self.to_amps_rec(e1, acc, offset + stride, out);
     }
@@ -733,9 +741,8 @@ impl Package {
             if node.is_terminal() {
                 return acc;
             }
-            let n = self.vnode(node);
-            let bit = ((idx >> n.var) & 1) as usize;
-            let child = n.edges()[bit];
+            let bit = ((idx >> self.vside(node).var()) & 1) as usize;
+            let child = self.vnode(node).edges()[bit];
             acc *= child.w;
             node = child.node;
         }
@@ -863,16 +870,15 @@ mod tests {
             let image = Image::encode(Cplx::real(f64::from_bits(
                 1.0_f64.to_bits().wrapping_add_signed(ulps),
             )));
-            let mut node = VNode::new(var, edges);
-            node.image = image;
+            let node = VNode::new(edges);
+            let side = VSide::new(var, image);
             let back = node.edges();
             for i in 0..2 {
                 prop_assert_eq!(bits(back[i].w), bits(edges[i].w));
                 prop_assert_eq!(back[i].node, edges[i].node);
             }
             prop_assert_eq!(node.ids(), [edges[0].node, edges[1].node]);
-            prop_assert_eq!(node.var, var);
-            prop_assert_eq!(node.image, image);
+            prop_assert_eq!((side.var(), side.image()), (var, image));
         }
     }
 

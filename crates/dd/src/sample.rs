@@ -41,8 +41,7 @@ impl Package {
         let mut out = 0u64;
         let mut node = root.node;
         while !node.is_terminal() {
-            let n = self.vnode(node);
-            let edges = n.edges();
+            let edges = self.vnode(node).edges();
             let p0 = edges[0].w.mag2();
             let p1 = edges[1].w.mag2();
             let total = p0 + p1;
@@ -52,7 +51,7 @@ impl Package {
                 usize::from(rng.gen::<f64>() * total >= p0)
             };
             if bit == 1 {
-                out |= 1u64 << n.var;
+                out |= 1u64 << self.vside(node).var();
             }
             node = edges[bit].node;
         }
@@ -96,8 +95,7 @@ impl Package {
         runs: &mut Vec<(u64, usize)>,
     ) {
         while !node.is_terminal() {
-            let n = self.vnode(node);
-            let edges = n.edges();
+            let edges = self.vnode(node).edges();
             let p0 = edges[0].w.mag2();
             let p1 = edges[1].w.mag2();
             let total = p0 + p1;
@@ -117,7 +115,7 @@ impl Package {
                 self.route(edges[0].node, shots - ones, prefix, rng, runs);
             }
             shots = ones;
-            prefix |= 1u64 << n.var;
+            prefix |= 1u64 << self.vside(node).var();
             node = edges[1].node;
         }
         runs.push((prefix, shots as usize));
@@ -156,10 +154,9 @@ impl Package {
         if let Some(&p) = memo.get(&node) {
             return p;
         }
-        let n = self.vnode(node);
-        let bit = 1u64 << n.var;
+        let bit = 1u64 << self.vside(node).var();
         let mut p = 0.0;
-        for (i, e) in n.edges().iter().enumerate() {
+        for (i, e) in self.vnode(node).edges().iter().enumerate() {
             if e.is_zero(self.tolerance()) {
                 continue;
             }

@@ -3,7 +3,7 @@
 //!
 //! `tests/node_store.rs` pins what the engine's tables hold by their
 //! lengths at the end of a run; this binary counts every heap byte the
-//! process holds (the global allocator of `tests/counting/mod.rs`) and
+//! test's thread holds (the global allocator of `tests/counting/mod.rs`) and
 //! reads the peak at every gate, every truncation round and the end of
 //! the run through a [`SimObserver`]. A step's reading covers the
 //! stretch since the previous one: a gate's covers the collection after
@@ -18,8 +18,16 @@
 //! The three runs share one thread and run in a fixed order: a dropped
 //! package hands its `add` compute-table slab to the next package on
 //! the thread (`crates/dd/src/ctable.rs`), so only the first run
-//! allocates one. Dev and release builds read the same bytes: what a
-//! run allocates does not depend on the optimisation level.
+//! allocates one. Only that thread's heap is counted (the allocator's
+//! thread-local gate), so the harness's own threads cannot add to a
+//! reading. Dev and release builds read the same bytes: what a run
+//! allocates does not depend on the optimisation level.
+//!
+//! The peaks were re-recorded, from 27 534 851 / 27 290 159 /
+//! 23 346 421 B at the same three steps, when a vector node's level and
+//! image moved out of its 40-byte payload into a two-byte side word of
+//! the arena (−1 866 912 / −1 866 912 / −1 768 608 B; `node_store_bytes`
+//! there −1 770 852 / −1 797 588 / −1 753 380 B, 6 B per vector slot).
 
 mod counting;
 
@@ -61,7 +69,7 @@ struct Stopped;
 /// Reads the heap peak at every step and keeps the largest reading;
 /// stops the run at `stop_at` instead, if it is set.
 struct Ledger {
-    base: usize,
+    base: isize,
     largest: Option<(usize, Step)>,
     stop_at: Option<Step>,
 }
@@ -78,7 +86,7 @@ impl SimObserver for Ledger {
             // Unwinds without the panic hook: nothing is printed.
             panic::resume_unwind(Box::new(Stopped));
         }
-        let bytes = Counting::peak() - self.base;
+        let bytes = Counting::peak_above(self.base);
         Counting::restart_peak();
         if self.largest.is_none_or(|(most, _)| bytes > most) {
             self.largest = Some((bytes, step));
@@ -128,6 +136,19 @@ fn peak(circuit: &Circuit, strategy: Strategy) -> Peak {
 
 #[test]
 fn three_table1_runs_peak_where_and_at_what_they_did() {
+    Counting::count_this_thread();
+    // The gate: a MiB another thread holds while this one waits is not
+    // in this thread's peak (the spawn's own bookkeeping is).
+    let base = Counting::restart_peak();
+    std::thread::spawn(|| drop(std::hint::black_box(vec![1_u8; 1 << 20])))
+        .join()
+        .expect("the allocating thread returns");
+    let spawn_bytes = Counting::peak_above(base);
+    assert!(
+        spawn_bytes < 1 << 16,
+        "another thread's heap was counted: {spawn_bytes} B"
+    );
+
     let supremacy = generators::supremacy(4, 4, 9, 0);
     let shor = shor_circuit(323, 8).expect("323 is an odd composite coprime to 8");
     let runs = [
@@ -145,30 +166,33 @@ fn three_table1_runs_peak_where_and_at_what_they_did() {
     ];
     let got: Vec<Peak> = runs
         .iter()
-        .map(|(name, circuit, strategy)| {
-            let peak = peak(circuit, *strategy);
-            println!("{name}: {peak:?}");
-            peak
-        })
+        .map(|(_, circuit, strategy)| peak(circuit, *strategy))
         .collect();
-    assert_eq!(
-        got,
-        [
-            Peak {
-                bytes: 27_534_851,
-                step: Step::Round(94),
-                node_store_bytes: 25_397_872,
-            },
-            Peak {
-                bytes: 27_290_159,
-                step: Step::Gate(269),
-                node_store_bytes: 26_409_296,
-            },
-            Peak {
-                bytes: 23_346_421,
-                step: Step::Gate(96),
-                node_store_bytes: 21_470_396,
-            },
-        ]
-    );
+    let want = [
+        Peak {
+            bytes: 25_667_939,
+            step: Step::Round(94),
+            node_store_bytes: 23_627_020,
+        },
+        Peak {
+            bytes: 25_423_247,
+            step: Step::Gate(269),
+            node_store_bytes: 24_611_708,
+        },
+        Peak {
+            bytes: 21_577_813,
+            step: Step::Gate(96),
+            node_store_bytes: 19_717_016,
+        },
+    ];
+    let readings: Vec<String> = runs
+        .iter()
+        .zip(&got)
+        .map(|((name, ..), peak)| format!("{name}: {peak:?}"))
+        .collect();
+    let readings = readings.join("\n");
+    println!("{readings}");
+    for (((name, ..), got), want) in runs.iter().zip(&got).zip(&want) {
+        assert_eq!(got, want, "{name} moved; every run read:\n{readings}");
+    }
 }

@@ -25,6 +25,7 @@ fn a_budget_round_needs_at_most_24_bytes_per_analysed_node() {
     // contributions reads ≈ 47 B here.
     const CEILING_BYTES_PER_NODE: f64 = 24.0;
     const ROUND_FIDELITY: f64 = 0.975;
+    Counting::count_this_thread();
     let circuit = generators::supremacy(4, 4, 9, 0);
     let mut sim = Simulator::builder()
         .strategy(Strategy::memory_driven_table1(4096, ROUND_FIDELITY))
@@ -41,22 +42,22 @@ fn a_budget_round_needs_at_most_24_bytes_per_analysed_node() {
     let round = p
         .truncate(state, 1.0 - ROUND_FIDELITY)
         .expect("a unit-norm state");
-    let peak = Counting::peak();
+    let heap_growth = Counting::peak_above(live_before);
     let store_growth = p.stats().node_store_bytes.saturating_sub(store_before);
     assert_eq!(round.size_before, nodes);
     assert!(round.removed_nodes > 0, "the round removes nodes");
 
-    let scratch = (peak - live_before).saturating_sub(store_growth);
+    let scratch = heap_growth.saturating_sub(store_growth);
     #[allow(clippy::cast_precision_loss)]
     let per_node = scratch as f64 / nodes as f64;
-    println!(
-        "{nodes} nodes, {} removed: heap peak +{} B, node store +{store_growth} B, \
+    let reading = format!(
+        "{nodes} nodes, {} removed: heap peak +{heap_growth} B, node store +{store_growth} B, \
          scratch {scratch} B = {per_node:.1} B per analysed node",
         round.removed_nodes,
-        peak - live_before,
     );
+    println!("{reading}");
     assert!(
         per_node <= CEILING_BYTES_PER_NODE,
-        "a round needs {per_node:.1} B per analysed node"
+        "a round needs more than {CEILING_BYTES_PER_NODE} B per analysed node: {reading}"
     );
 }
